@@ -1,0 +1,258 @@
+package core
+
+import (
+	"fmt"
+
+	"repro/internal/catalog"
+	"repro/internal/pe"
+	"repro/internal/storage"
+	"repro/internal/types"
+	"repro/internal/wal"
+)
+
+// This file is the one place that knows how a stream of log records becomes
+// storage state. Crash recovery, a follower's continuous apply, promotion,
+// and the seeding of a new partition are the same machine fed from a file,
+// a socket, or partition 0's tables:
+//
+//	fold    every record of every stream (coordinator log and partition
+//	        segments alike) updates the state table below;
+//	apply   a partition record is replayed into its partition, consulting
+//	        the table for 2PC legs;
+//	finish  the endgame once no more records can arrive;
+//	seed    new rows enter a stopped partition as a decided prepared leg.
+//
+// The feeds differ only in when they know the stream has ended. Recovery
+// folds whole files before applying anything, so every decision that will
+// ever exist is already in the table (final). A follower folds and applies
+// as frames arrive, and the pipelined commit path releases a transaction's
+// partition slots before its markers append, so records of successor
+// transactions can precede a RecDecide in a segment: a follower must never
+// infer an abort from what follows an unresolved RecPrepare. It stalls that
+// partition instead, and only promotion — when no decision can ever arrive
+// — presumes the leg aborted, exactly as recovery does.
+
+// applier is the state table plus the store it applies into. It is owned by
+// one goroutine at a time (Recover's caller, or a follower's apply loop and
+// then its promoter); nothing in it is shared with the partition engines.
+type applier struct {
+	st *Store
+	// decisions holds the transaction ids with a durable commit decision: a
+	// coordinator RecDecide, a participant's in-stream marker (written only
+	// after the coordinator's force; for a one-phase transaction it IS the
+	// commit record), or a RecSlotCommit, which doubles as the decision for
+	// the migration's prepared leg. Absent = in doubt.
+	decisions map[uint64]bool
+	// slotMoves maps a committed slot-migration leg to its slot; slotOwner
+	// maps a slot to the destination of its last committed migration. A
+	// migration with BEGIN/COPIED but no COMMIT appears in neither: its
+	// source copy stays authoritative.
+	slotMoves map[uint64]int
+	slotOwner map[int]int
+	// paused is the set of dataflows with a pause record and no later resume.
+	paused map[string]bool
+	// maxMP is the largest 2PC transaction id seen in any stream. The store's
+	// id counter restarts above it so a new decision can never resurrect an
+	// old in-doubt leg.
+	maxMP uint64
+	// replayed counts records executed through pe.Replay (a follower reports
+	// it as repl_records_applied).
+	replayed int64
+}
+
+// newApplier prepares every partition engine for replay. Replay must see
+// the log mode the records were written under: the engine interprets
+// triggered records only in LogAllTEs mode.
+func newApplier(s *Store) *applier {
+	for _, p := range s.partList() {
+		p.pe.SetLogger(nil, s.cfg.LogMode)
+	}
+	return &applier{
+		st:        s,
+		decisions: make(map[uint64]bool),
+		slotMoves: make(map[uint64]int),
+		slotOwner: make(map[int]int),
+		paused:    make(map[string]bool),
+	}
+}
+
+// fold updates the state table from one record of any stream. The error is
+// a divergence: the stream describes a store this one cannot become.
+func (a *applier) fold(rec *pe.LogRecord) error {
+	switch rec.Kind {
+	case pe.RecDecide:
+		if rec.Commit {
+			a.decisions[rec.MPTxnID] = true
+		}
+	case pe.RecSlotBegin, pe.RecSlotCommit:
+		if n := a.st.NumPartitions(); rec.ToPart >= n {
+			return fmt.Errorf("core: the log moves slot %d to partition %d, but this store has %d partitions; "+
+				"open it with Partitions: %d or more", rec.Slot, rec.ToPart, n, rec.ToPart+1)
+		}
+		if rec.Kind == pe.RecSlotCommit {
+			a.decisions[rec.MPTxnID] = true
+			a.slotMoves[rec.MPTxnID] = rec.Slot
+			a.slotOwner[rec.Slot] = rec.ToPart
+		}
+	case pe.RecPauseGraph:
+		a.paused[rec.Proc] = true
+	case pe.RecResumeGraph:
+		delete(a.paused, rec.Proc)
+	}
+	if rec.MPTxnID > a.maxMP {
+		a.maxMP = rec.MPTxnID
+	}
+	return nil
+}
+
+// foldFile folds every intact record of one log file and returns its last
+// LSN. A torn tail drops records whose force never completed; on the
+// coordinator log those are decisions of transactions that were never
+// acknowledged, and presuming them aborted is exactly right.
+func (a *applier) foldFile(path string) (uint64, error) {
+	return scanRecords(path, func(_ uint64, rec *pe.LogRecord) error { return a.fold(rec) })
+}
+
+// scanRecords decodes each intact record of a log file for fn.
+func scanRecords(path string, fn func(lsn uint64, rec *pe.LogRecord) error) (uint64, error) {
+	return wal.ScanLog(path, func(lsn uint64, payload []byte) error {
+		rec, err := wal.DecodeRecord(payload)
+		if err != nil {
+			return err
+		}
+		return fn(lsn, rec)
+	})
+}
+
+// apply replays one partition-log record, already folded, into p. An
+// in-doubt RecPrepare stalls the stream (nothing applied; retry the same
+// record once more of the coordinator stream is folded) unless the stream
+// is final, when the leg is dropped as presumed aborted: the records behind
+// it executed on the primary without ever reading its unpublished writes.
+func (a *applier) apply(p *partition, rec *pe.LogRecord, final bool) (stalled bool, err error) {
+	switch rec.Kind {
+	case pe.RecDecide:
+		return false, nil // folded on arrival; the marker applies nothing
+	case pe.RecPrepare:
+		if !a.decisions[rec.MPTxnID] {
+			return !final, nil
+		}
+		// A slot-move leg is the complete authoritative content of its slot
+		// at cutover time. A partition can re-own a slot it held in an
+		// earlier epoch, and its own log then re-creates the slot's rows
+		// before the incoming leg replays: evict those stale copies first
+		// (the leg may even be empty — every row of the slot died while it
+		// lived elsewhere).
+		if slot, ok := a.slotMoves[rec.MPTxnID]; ok {
+			if err := evictSlots(migratedRels(p.cat), func(s int) bool { return s == slot }); err != nil {
+				return false, fmt.Errorf("core: replay of slot-move leg %d (slot %d): %w", rec.MPTxnID, slot, err)
+			}
+		}
+	}
+	a.replayed++
+	return false, p.pe.Replay(rec)
+}
+
+// finish is the endgame shared by crash recovery and promotion, run once
+// every stream has been applied with final set. Replayed partition logs
+// resurrect the source copies of committed slot migrations — the cutover's
+// source deletions are in-memory only; the slot-commit record is what makes
+// them durable — so each committed slot's rows are evicted from every
+// partition but its owner, and only for slots with a commit record: an
+// aborted migration's source copy is the authoritative one. Then the slots
+// route to their migrated owners, the replayed state is published to
+// snapshot readers, graphs paused in the log stay paused, and the 2PC id
+// counter restarts above everything the log has seen.
+func (a *applier) finish() error {
+	s := a.st
+	if len(a.slotOwner) > 0 {
+		tbl := s.slots.Load().Clone()
+		for slot, owner := range a.slotOwner {
+			tbl.Owner[slot] = uint16(owner)
+		}
+		for _, p := range s.partList() {
+			if err := evictSlots(migratedRels(p.cat), func(slot int) bool {
+				owner, moved := a.slotOwner[slot]
+				return moved && owner != p.idx
+			}); err != nil {
+				return err
+			}
+		}
+		s.slots.Store(tbl)
+	}
+	for _, p := range s.partList() {
+		p.cat.Clock().Publish()
+	}
+	s.restorePausedGraphs(a.paused)
+	s.nextMPTxnID.Store(a.maxMP)
+	return nil
+}
+
+// evictSlots deletes every row of rels whose routing slot satisfies drop.
+// The deletions are in-memory only: which slots a partition has lost is
+// deterministic from the coordinator log's slot-commit records, so they
+// need no logging of their own.
+func evictSlots(rels []*catalog.Relation, drop func(slot int) bool) error {
+	for _, rel := range rels {
+		col := rel.PartCol
+		var ids []storage.RowID
+		rel.Table.Scan(func(id storage.RowID, row types.Row) bool {
+			if drop(catalog.SlotOf(row[col])) {
+				ids = append(ids, id)
+			}
+			return true
+		})
+		for _, id := range ids {
+			if err := rel.Table.Delete(id, nil); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// installLeg is the seed feed: it puts ops onto a stopped partition the way
+// a coordinated write would have — a prepared leg forced into the
+// partition's log, then the decision record (a RecDecide, or the
+// RecSlotCommit of a recovery-time slot move; its MPTxnID is assigned here)
+// forced into the coordinator log, then the leg's replay — so a crash right after recovers
+// the rows from the logs instead of having to re-detect that they are
+// missing. On a non-durable store only the replay happens.
+func (s *Store) installLeg(p *partition, ops []pe.LoggedOp, decision *pe.LogRecord) error {
+	decision.MPTxnID = s.nextMPTxnID.Add(1)
+	leg := &pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: decision.MPTxnID, Ops: ops}
+	if err := p.LogCommit(leg); err != nil {
+		return err
+	}
+	if err := p.SyncCommits(); err != nil {
+		return err
+	}
+	if err := s.appendCoord(decision); err != nil {
+		return err
+	}
+	return p.pe.Replay(leg)
+}
+
+// seedReplicated copies partition 0's replicated tables onto p where p's
+// copy is empty — the state of a partition with no log to replay.
+// Replicated writes reach every partition through one coordinated
+// transaction, so an empty copy beside a non-empty partition 0 can only
+// mean the partition is new. The caller keeps partition 0 free of
+// mid-protocol coordinated writes (recovery: nothing runs; live growth:
+// every enlistment slot is held).
+func (s *Store) seedReplicated(p *partition) error {
+	var ops []pe.LoggedOp
+	for _, rel := range replicatedTables(s.partList()[0].cat) {
+		if rel.Table.Count() == 0 {
+			continue
+		}
+		if local := p.cat.Relation(rel.Name); local == nil || local.Table.Count() > 0 {
+			continue
+		}
+		ops = append(ops, pe.LoggedOp{Table: rel.Name, Rows: rel.Table.ScanRows()})
+	}
+	if len(ops) == 0 {
+		return nil
+	}
+	return s.installLeg(p, ops, &pe.LogRecord{Kind: pe.RecDecide, Commit: true})
+}

@@ -202,23 +202,10 @@ func (p *partition) SyncCommits() error {
 	return p.log.SyncNow()
 }
 
-// replay re-executes one logged record during recovery. Replay must see the
-// same log mode the record was written under; the engine interprets
-// triggered records only in LogAllTEs mode.
-func (p *partition) replay(rec *pe.LogRecord, mode pe.LogMode) error {
-	p.pe.SetLogger(nil, mode)
-	return p.pe.Replay(rec)
-}
-
-// recover restores this partition from its snapshot + log segment and opens
-// the log for appending. decisions maps multi-partition transaction ids to
-// their durable commit decision (from the coordinator log); prepared legs
-// without one are presumed aborted. The returned maxMP is the largest
-// 2PC transaction id seen anywhere in the segment — the store's id counter
-// must restart above it so a new decision can never resurrect an old
-// in-doubt leg.
-func (p *partition) recover(cfg *Config, decisions map[uint64]bool) (maxMP uint64, err error) {
-	mode := cfg.LogMode
+// recover restores this partition from its snapshot + log segment, feeding
+// the applier (whose table already holds every decision the directory will
+// ever yield, so the stream is final), and opens the log for appending.
+func (p *partition) recover(cfg *Config, ap *applier) error {
 	logPath, snapPath := wal.PartitionPaths(cfg.Dir, p.idx)
 	meta, err := wal.LoadSnapshot(snapPath, p.cat)
 	switch {
@@ -227,51 +214,51 @@ func (p *partition) recover(cfg *Config, decisions map[uint64]bool) (maxMP uint6
 	case err == wal.ErrNoSnapshot:
 		meta = wal.Snapshot{}
 	default:
-		return 0, err
+		return err
 	}
-	p.pe.SetReplayDecisions(decisions)
-	lastLSN, err := wal.ScanLog(logPath, func(lsn uint64, payload []byte) error {
-		rec, err := wal.DecodeRecord(payload)
-		if err != nil {
-			return err
-		}
-		if rec.MPTxnID > maxMP {
-			maxMP = rec.MPTxnID
-		}
+	lastLSN, err := scanRecords(logPath, func(lsn uint64, rec *pe.LogRecord) error {
 		if lsn <= meta.LastLSN {
 			return nil // already covered by the snapshot
 		}
-		return p.replay(rec, mode)
+		_, err := ap.apply(p, rec, true)
+		return err
 	})
 	if err != nil {
-		return 0, fmt.Errorf("core: log replay (partition %d): %w", p.idx, err)
+		return fmt.Errorf("core: log replay (partition %d): %w", p.idx, err)
 	}
 	if lastLSN < meta.LastLSN {
 		lastLSN = meta.LastLSN // log truncated at the last checkpoint
 	}
-	p.log, err = wal.OpenLogOpts(logPath, lastLSN, p.logOptions(cfg))
-	if err != nil {
-		return 0, err
-	}
-	p.pe.SetLogger(p, mode)
-	return maxMP, nil
+	return p.openLog(cfg, logPath, lastLSN)
 }
 
-// logOptions builds this partition's WAL options from the store config,
-// wiring the commit daemon's sync-batch callback into the PREPARE
-// batch-size histogram.
-func (p *partition) logOptions(cfg *Config) wal.Options {
+// openLog opens this partition's WAL segment for appending after lastLSN
+// and installs the partition as its engine's commit logger. The commit
+// daemon's sync-batch callback feeds the PREPARE batch-size histogram.
+func (p *partition) openLog(cfg *Config, path string, lastLSN uint64) (err error) {
+	p.log, err = wal.OpenLogOpts(path, lastLSN, cfg.logOptions(func(int) {
+		if n := p.pendPrep.Swap(0); n > 0 {
+			p.met.MPPrepareBatchSize().Observe(n)
+		}
+	}))
+	if err != nil {
+		return err
+	}
+	p.pe.SetLogger(p, cfg.LogMode)
+	return nil
+}
+
+// logOptions carries the store's sync policy and group-commit tuning into
+// one log's options (partition segments and the coordinator log alike;
+// onSync observes each group-commit fsync's batch size).
+func (cfg *Config) logOptions(onSync func(n int)) wal.Options {
 	return wal.Options{
 		Policy:                 cfg.Sync,
 		GroupCommitInterval:    cfg.GroupCommitInterval,
 		GroupCommitMaxBatch:    cfg.GroupCommitMaxBatch,
 		GroupCommitMinInterval: cfg.GroupCommitMinInterval,
 		GroupCommitMaxInterval: cfg.GroupCommitMaxInterval,
-		OnSyncBatch: func(int) {
-			if n := p.pendPrep.Swap(0); n > 0 {
-				p.met.MPPrepareBatchSize().Observe(n)
-			}
-		},
+		OnSyncBatch:            onSync,
 	}
 }
 
@@ -597,15 +584,17 @@ func (s *Store) BindStream(stream, proc string, batchSize int) error {
 	})
 }
 
-// Recover restores state from the durability directory: for each partition,
-// load the latest snapshot (if any), then replay intact command-log records
-// past it. Must run after DDL + procedure registration and before Start.
 // partitionsFileName records the partition count a durability directory
 // was written with. Hash ownership depends on N, so reopening with a
 // different count would silently orphan WAL segments (N shrank) or strand
 // rows on partitions that no longer own their key (N grew).
 const partitionsFileName = "PARTITIONS"
 
+// Recover restores state from the durability directory: load each
+// partition's latest snapshot (if any), feed the log applier (applier.go)
+// the intact records of the directory's files, and finish as a promoted
+// follower would. Must run after DDL + procedure registration and before
+// Start.
 func (s *Store) Recover() error {
 	if s.cfg.Dir == "" || s.recovered {
 		return nil
@@ -625,152 +614,76 @@ func (s *Store) Recover() error {
 	if _, err := wal.LoadSlots(wal.SlotsPath(s.cfg.Dir)); err != nil && err != wal.ErrNoSlots {
 		return err // nothing replayed: retryable
 	}
-	// The coordinator log is scanned before any partition replays: its
-	// decision records are what resolve in-doubt 2PC legs. A torn tail here
-	// drops decisions whose force never completed — those transactions were
-	// never acknowledged, and presuming them aborted is exactly right.
-	// RecSlotCommit records double as the commit decision for a slot
-	// migration's prepared leg on the destination partition; a migration
-	// with RecSlotBegin/RecSlotCopied but no commit record is presumed
-	// aborted the same way.
-	decisions := make(map[uint64]bool)
-	maxMP := uint64(0)
-	evictOwner := make(map[int]int)    // slot → owner per its last committed migration
-	slotMoves := make(map[uint64]int)  // slot-move leg id → slot (replay evicts before applying)
-	pausedSet := make(map[string]bool) // dataflow → paused at crash (pause with no later resume)
+	// First pass: fold the coordinator log and then every partition log
+	// before any partition replays, so the decision table is complete (a
+	// one-phase transaction's only commit record is the decide marker in its
+	// leg's own segment, possibly after records of its successors) and the
+	// replay pass below can treat an undecided PREPARE as aborted for good.
+	ap := newApplier(s)
 	coordPath := wal.CoordPath(s.cfg.Dir)
-	coordLSN, err := wal.ScanLog(coordPath, func(_ uint64, payload []byte) error {
-		rec, err := wal.DecodeRecord(payload)
-		if err != nil {
-			return err
-		}
-		switch rec.Kind {
-		case pe.RecDecide:
-			if rec.Commit {
-				decisions[rec.MPTxnID] = true
-			}
-		case pe.RecPauseGraph:
-			pausedSet[rec.Proc] = true
-		case pe.RecResumeGraph:
-			delete(pausedSet, rec.Proc)
-		case pe.RecSlotCommit:
-			if rec.ToPart >= len(s.partList()) {
-				return fmt.Errorf("core: slot %d was migrated to partition %d, store opened with %d partitions; "+
-					"reopen with Partitions: %d or more", rec.Slot, rec.ToPart, len(s.partList()), rec.ToPart+1)
-			}
-			decisions[rec.MPTxnID] = true
-			evictOwner[rec.Slot] = rec.ToPart
-			slotMoves[rec.MPTxnID] = rec.Slot
-		}
-		if rec.MPTxnID > maxMP {
-			maxMP = rec.MPTxnID
-		}
-		return nil
-	})
+	coordLSN, err := ap.foldFile(coordPath)
 	if err != nil {
 		return fmt.Errorf("core: coordinator log scan: %w", err) // nothing replayed: retryable
 	}
-	// Pre-scan every partition log for participant DECIDE markers and merge
-	// them into the decision map before any partition replays. A one-phase
-	// transaction (exactly one writing leg) skips the coordinator force —
-	// its leg's decide marker, in the same segment as its PREPARE, is the
-	// commit record. For multi-leg transactions the marker is redundant but
-	// never wrong: a participant writes it only after the coordinator's
-	// decision was durably forced, so merging cannot resurrect an aborted
-	// leg anywhere in the store.
 	for _, p := range s.partList() {
 		logPath, _ := wal.PartitionPaths(s.cfg.Dir, p.idx)
-		if _, err := wal.ScanLog(logPath, func(_ uint64, payload []byte) error {
-			rec, err := wal.DecodeRecord(payload)
-			if err != nil {
-				return err
-			}
-			if rec.Kind == pe.RecDecide && rec.Commit {
-				decisions[rec.MPTxnID] = true
-			}
-			return nil
-		}); err != nil {
+		if _, err := ap.foldFile(logPath); err != nil {
 			return fmt.Errorf("core: log pre-scan (partition %d): %w", p.idx, err) // nothing replayed: retryable
 		}
 	}
+	// From here on some partitions have replayed: a retry would double-apply.
+	if err := s.recoverFrom(ap, coordPath, coordLSN); err != nil {
+		s.recoverErr = err
+		return err
+	}
+	s.recovered = true
+	return nil
+}
+
+// recoverFrom is Recover past the point of no retry: replay every partition
+// through the folded applier, open the logs, finish, then the two passes
+// only recovery needs because only it can meet partitions the log never
+// wrote to.
+func (s *Store) recoverFrom(ap *applier, coordPath string, coordLSN uint64) (err error) {
 	for _, p := range s.partList() {
-		p.pe.SetReplaySlotMoves(slotMoves, p.evictSlot)
-		pm, err := p.recover(&s.cfg, decisions)
-		if err != nil {
-			s.recoverErr = err // some partitions replayed: a retry would double-apply
+		if err := p.recover(&s.cfg, ap); err != nil {
 			return err
 		}
-		if pm > maxMP {
-			maxMP = pm
-		}
 	}
-	// The coordinator log gets its own small group-commit loop whenever the
-	// store batches fsyncs: concurrent coordinators (slot enlistment lets
-	// transactions over disjoint partition sets overlap) append their
-	// DECIDE forces and share one fsync per daemon tick. Under
-	// SyncEveryRecord the decision force stays a dedicated fsync, matching
-	// the partition logs' policy.
-	coordPolicy := wal.SyncEveryRecord
-	if s.cfg.Sync == wal.SyncNever {
-		coordPolicy = wal.SyncNever
-	}
-	coordOpts := wal.Options{Policy: coordPolicy}
-	if s.cfg.Sync == wal.SyncGroupCommit {
-		coordOpts = wal.Options{
-			Policy:                 wal.SyncGroupCommit,
-			GroupCommitInterval:    s.cfg.GroupCommitInterval,
-			GroupCommitMaxBatch:    s.cfg.GroupCommitMaxBatch,
-			GroupCommitMinInterval: s.cfg.GroupCommitMinInterval,
-			GroupCommitMaxInterval: s.cfg.GroupCommitMaxInterval,
-			OnSyncBatch: func(n int) {
-				s.met.MPDecideBatchSize().Observe(int64(n))
-			},
-		}
-	}
-	s.coordLog, err = wal.OpenLogOpts(coordPath, coordLSN, coordOpts)
+	// The coordinator log follows the partition logs' sync policy. Under
+	// group commit it gets its own small commit loop: concurrent
+	// coordinators (slot enlistment lets transactions over disjoint
+	// partition sets overlap) append their DECIDE forces and share one fsync
+	// per daemon tick.
+	s.coordLog, err = wal.OpenLogOpts(coordPath, coordLSN, s.cfg.logOptions(func(n int) {
+		s.met.MPDecideBatchSize().Observe(int64(n))
+	}))
 	if err != nil {
-		s.recoverErr = err
+		return err
+	}
+	if err := ap.finish(); err != nil {
 		return err
 	}
 	// A partition added by reopening with a larger Partitions count (or by
-	// an interrupted live rebalance) replays an empty log: seed its
+	// an interrupted live rebalance) replayed an empty log: seed its
 	// replicated tables from partition 0 before any rows are rehomed onto it.
-	if maxMP, err = s.repairReplicatedTables(decisions, maxMP); err != nil {
-		s.recoverErr = err
-		return err
+	for _, p := range s.partList()[1:] {
+		if err := s.seedReplicated(p); err != nil {
+			return err
+		}
 	}
-	// Replayed partition logs resurrect the source copies of committed slot
-	// migrations — the cutover's source deletions are in-memory only; the
-	// slot-commit record is what makes them durable. Evict every committed
-	// slot's rows from all partitions but its owner before rehoming anything,
-	// and only for slots with a commit record: an aborted migration's source
-	// copy is the authoritative one.
-	s.evictMigratedSlots(evictOwner)
 	// Canonical pass: rehome any row whose canonical owner under the opened
 	// partition count lives elsewhere. This is what turns reopening with a
 	// larger Partitions into a recovery-time rebalance: rows sit wherever the
 	// old count (or an interrupted migration) left them, and every move is
 	// made durable through the same prepared-leg + slot-commit records a live
 	// migration writes before the source copies are dropped from memory.
-	if maxMP, err = s.rehomeMisplacedRows(decisions, maxMP); err != nil {
-		s.recoverErr = err
+	if err := s.rehomeMisplacedRows(); err != nil {
 		return err
 	}
-	for _, p := range s.partList() {
-		p.cat.Clock().Publish()
-	}
-	// A graph paused before the crash stays paused after recovery (durable
-	// pause state; records for undeployed graphs are ignored inside).
-	s.restorePausedGraphs(pausedSet)
 	canonical := catalog.NewSlotTable(len(s.partList()))
 	s.slots.Store(canonical)
-	if err := wal.WriteSlots(wal.SlotsPath(s.cfg.Dir), canonical); err != nil {
-		s.recoverErr = err
-		return err
-	}
-	s.nextMPTxnID.Store(maxMP)
-	s.recovered = true
-	return nil
+	return wal.WriteSlots(wal.SlotsPath(s.cfg.Dir), canonical)
 }
 
 // checkPartitionCount compares the directory's partition-count stamp with
@@ -835,100 +748,13 @@ func replicatedTables(cat *catalog.Catalog) []*catalog.Relation {
 	return rels
 }
 
-// repairReplicatedTables copies replicated-table contents from partition 0
-// into any partition whose copy is empty — the state a partition with no log
-// to replay recovers into. Replicated writes reach every partition through
-// one coordinated transaction, so an empty copy beside a non-empty partition
-// 0 can only mean the partition is new. The copy is made durable through the
-// same prepared-leg + decision records a coordinated write uses, so a crash
-// right after this pass does not need to re-detect it.
-func (s *Store) repairReplicatedTables(decisions map[uint64]bool, maxMP uint64) (uint64, error) {
-	parts := s.partList()
-	src := replicatedTables(parts[0].cat)
-	for _, p := range parts[1:] {
-		var ops []pe.LoggedOp
-		for _, rel := range src {
-			if rel.Table.Count() == 0 {
-				continue
-			}
-			if local := p.cat.Relation(rel.Name); local == nil || local.Table.Count() > 0 {
-				continue
-			}
-			ops = append(ops, pe.LoggedOp{Table: rel.Name, Rows: rel.Table.ScanRows()})
-		}
-		if len(ops) == 0 {
-			continue
-		}
-		maxMP++
-		rec := &pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: maxMP, Ops: ops}
-		if err := p.LogCommit(rec); err != nil {
-			return maxMP, err
-		}
-		payload := wal.EncodeRecord(&pe.LogRecord{Kind: pe.RecDecide, MPTxnID: maxMP, Commit: true})
-		if _, err := s.coordLog.Append(payload); err != nil {
-			return maxMP, err
-		}
-		decisions[maxMP] = true
-		if err := p.pe.Replay(rec); err != nil {
-			return maxMP, err
-		}
-	}
-	return maxMP, nil
-}
-
-// evictSlot removes this partition's rows of one routing slot — the stale
-// local copies a replayed slot-move leg supersedes (see
-// pe.SetReplaySlotMoves).
-func (p *partition) evictSlot(slot int) error {
-	for _, rel := range migratedRels(p.cat) {
-		col := rel.PartCol
-		var ids []storage.RowID
-		rel.Table.Scan(func(id storage.RowID, row types.Row) bool {
-			if catalog.SlotOf(row[col]) == slot {
-				ids = append(ids, id)
-			}
-			return true
-		})
-		for _, id := range ids {
-			if err := rel.Table.Delete(id, nil); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// evictMigratedSlots deletes each committed-migrated slot's rows from every
-// partition except the slot's owner (in-memory; deterministic from the
-// coordinator log, so it needs no logging of its own).
-func (s *Store) evictMigratedSlots(owner map[int]int) {
-	if len(owner) == 0 {
-		return
-	}
-	for _, p := range s.partList() {
-		for _, rel := range migratedRels(p.cat) {
-			col := rel.PartCol
-			var ids []storage.RowID
-			rel.Table.Scan(func(id storage.RowID, row types.Row) bool {
-				if o, ok := owner[catalog.SlotOf(row[col])]; ok && o != p.idx {
-					ids = append(ids, id)
-				}
-				return true
-			})
-			for _, id := range ids {
-				rel.Table.Delete(id, nil)
-			}
-		}
-	}
-}
-
 // rehomeMisplacedRows moves every partitioned row to its canonical owner
 // under the current partition count, one durable migration per slot. The
 // per-row check (rather than a per-slot one) also repairs directories
 // written by the pre-slot-table router when the old partition count did not
 // divide the slot count, where mod-N placement and slot placement disagree
 // within a single slot.
-func (s *Store) rehomeMisplacedRows(decisions map[uint64]bool, maxMP uint64) (uint64, error) {
+func (s *Store) rehomeMisplacedRows() error {
 	parts := s.partList()
 	n := len(parts)
 	type slotMove struct {
@@ -963,7 +789,7 @@ func (s *Store) rehomeMisplacedRows(decisions map[uint64]bool, maxMP uint64) (ui
 		}
 	}
 	if len(moves) == 0 {
-		return maxMP, nil
+		return nil
 	}
 	slots := make([]int, 0, len(moves))
 	for slot := range moves {
@@ -978,35 +804,29 @@ func (s *Store) rehomeMisplacedRows(decisions map[uint64]bool, maxMP uint64) (ui
 			names = append(names, name)
 		}
 		sort.Strings(names)
-		maxMP++
-		rec := &pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: maxMP}
+		var ops []pe.LoggedOp
 		for _, name := range names {
-			rec.Ops = append(rec.Ops, pe.LoggedOp{Table: name, Rows: mv.rows[name]})
+			ops = append(ops, pe.LoggedOp{Table: name, Rows: mv.rows[name]})
 		}
 		// Durability order matches a live migration: the destination's
 		// prepared leg first, then the slot-commit record that decides it.
-		if err := dst.LogCommit(rec); err != nil {
-			return maxMP, err
-		}
-		payload := wal.EncodeRecord(&pe.LogRecord{
-			Kind: pe.RecSlotCommit, Slot: slot, FromPart: mv.from, ToPart: dst.idx, MPTxnID: maxMP,
-		})
-		if _, err := s.coordLog.Append(payload); err != nil {
-			return maxMP, err
-		}
-		decisions[maxMP] = true
-		if err := dst.pe.Replay(rec); err != nil {
-			return maxMP, err
+		if err := s.installLeg(dst, ops, &pe.LogRecord{
+			Kind: pe.RecSlotCommit, Slot: slot, FromPart: mv.from, ToPart: dst.idx,
+		}); err != nil {
+			return err
 		}
 		s.met.SlotsMigrated.Add(1)
 	}
 	for _, d := range dels {
 		if err := d.rel.Table.Delete(d.id, nil); err != nil {
-			return maxMP, err
+			return err
 		}
 	}
+	for _, p := range parts {
+		p.cat.Clock().Publish() // the source deletions above
+	}
 	s.met.SlotRowsMoved.Add(int64(len(dels)))
-	return maxMP, nil
+	return nil
 }
 
 // Start launches the partition workers. When durability is configured but

@@ -243,7 +243,7 @@ func (s *Store) pausedGraphOf(stream string) string {
 // this graph's in-flight work, not the whole partition. On a durable
 // store the pause is logged (coordinator log) before it takes effect, so
 // a crash cannot silently resume a paused graph: recovery restores the
-// gate (see Recover / restorePausedGraphs).
+// gate (see applier.finish / restorePausedGraphs).
 func (s *Store) PauseDataflow(name string) error {
 	s.deployMu.Lock()
 	defer s.deployMu.Unlock()
@@ -285,9 +285,9 @@ func (s *Store) logPauseState(kind pe.RecordKind, graph string) error {
 	return nil
 }
 
-// restorePausedGraphs re-installs the pause gates recovery collected from
-// the coordinator log (a pause record with no later resume). Runs before
-// Start, single-threaded; the locks only keep the published state
+// restorePausedGraphs re-installs the pause gates the log applier collected
+// from the coordinator log (a pause record with no later resume). Runs
+// before Start, single-threaded; the locks only keep the published state
 // consistent with the live pause path. Records for graphs that are no
 // longer deployed are stale (undeploy logs a resume, but a crash can beat
 // it) and are ignored.

@@ -177,70 +177,27 @@ func (s *Store) addPartitions(target int) error {
 		}
 		if s.cfg.Dir != "" {
 			logPath, _ := wal.PartitionPaths(s.cfg.Dir, idx)
-			log, err := wal.OpenLogOpts(logPath, 0, wal.Options{
-				Policy:                 s.cfg.Sync,
-				GroupCommitInterval:    s.cfg.GroupCommitInterval,
-				GroupCommitMaxBatch:    s.cfg.GroupCommitMaxBatch,
-				GroupCommitMinInterval: s.cfg.GroupCommitMinInterval,
-				GroupCommitMaxInterval: s.cfg.GroupCommitMaxInterval,
-			})
-			if err != nil {
+			if err := np.openLog(&s.cfg, logPath, 0); err != nil {
 				return fmt.Errorf("core: rebalance: opening log for partition %d: %w", idx, err)
 			}
-			np.log = log
 		}
 		added = append(added, np)
 	}
 
-	// Seed replicated tables through the same durable prepared-leg +
-	// decision records recovery's repair pass writes, applied via Replay
-	// while the new engine is still stopped — a crash right after this
-	// recovers the copy from the logs instead of re-detecting it. All
+	// Seed replicated tables while the new engines are still stopped. All
 	// existing enlistment slots are held across the scan so no coordinated
 	// transaction is mid-protocol (replicated tables are written only by
 	// coordinated transactions; see the doc comment above).
-	if err := func() error {
-		acquireAllSlots(parts)
-		defer releaseAllSlots(parts)
-		src := replicatedTables(parts[0].cat)
-		for _, np := range added {
-			var ops []pe.LoggedOp
-			for _, rel := range src {
-				if rel.Table.Count() == 0 {
-					continue
-				}
-				ops = append(ops, pe.LoggedOp{Table: rel.Name, Rows: rel.Table.ScanRows()})
-			}
-			if len(ops) == 0 {
-				continue
-			}
-			id := s.nextMPTxnID.Add(1)
-			rec := &pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: id, Ops: ops}
-			if err := np.LogCommit(rec); err != nil {
-				return err
-			}
-			if err := np.SyncCommits(); err != nil {
-				return err
-			}
-			if s.coordLog != nil {
-				if err := s.appendDecision(id); err != nil {
-					return err
-				}
-			}
-			np.pe.SetReplayDecisions(map[uint64]bool{id: true})
-			if err := np.pe.Replay(rec); err != nil {
-				return fmt.Errorf("core: rebalance: seeding partition %d: %w", np.idx, err)
-			}
+	acquireAllSlots(parts)
+	for _, np := range added {
+		if err := s.seedReplicated(np); err != nil {
+			releaseAllSlots(parts)
+			return fmt.Errorf("core: rebalance: seeding partition %d: %w", np.idx, err)
 		}
-		return nil
-	}(); err != nil {
-		return err
 	}
+	releaseAllSlots(parts)
 
 	for _, np := range added {
-		if np.log != nil {
-			np.pe.SetLogger(np, s.cfg.LogMode)
-		}
 		if err := np.pe.Start(); err != nil {
 			for _, q := range added {
 				if q.pe.Started() {
@@ -316,19 +273,6 @@ func (s *Store) rehomePartials(src, dst *partition, slot int) error {
 	return nil
 }
 
-// appendSlotRecord forces one slot-migration record to the coordinator log.
-func (s *Store) appendSlotRecord(kind pe.RecordKind, slot, from, to int, id uint64) error {
-	payload := wal.EncodeRecord(&pe.LogRecord{
-		Kind: kind, Slot: slot, FromPart: from, ToPart: to, MPTxnID: id,
-	})
-	if _, err := s.coordLog.Append(payload); err != nil {
-		return err
-	}
-	s.met.LogRecords.Add(1)
-	s.met.LogBytes.Add(int64(len(payload) + 8))
-	return nil
-}
-
 // migrateSlot moves one slot's rows from partition from to partition to
 // with the BEGIN / copy / COPIED / cutover protocol described at the top
 // of this file. Only the cutover pauses the store, and only for the delta.
@@ -339,10 +283,12 @@ func (s *Store) migrateSlot(slot, from, to int) error {
 
 	id := s.nextMPTxnID.Add(1)
 
-	if s.coordLog != nil {
-		if err := s.appendSlotRecord(pe.RecSlotBegin, slot, from, to, id); err != nil {
-			return err
-		}
+	// mark forces one step of this migration into the coordinator log.
+	mark := func(kind pe.RecordKind) error {
+		return s.appendCoord(&pe.LogRecord{Kind: kind, Slot: slot, FromPart: from, ToPart: to, MPTxnID: id})
+	}
+	if err := mark(pe.RecSlotBegin); err != nil {
+		return err
 	}
 
 	// staged maps, per table, the source RowID of every copied row to its
@@ -414,11 +360,9 @@ func (s *Store) migrateSlot(slot, from, to int) error {
 		}
 	}
 
-	if s.coordLog != nil {
-		if err := s.appendSlotRecord(pe.RecSlotCopied, slot, from, to, id); err != nil {
-			abort()
-			return err
-		}
+	if err := mark(pe.RecSlotCopied); err != nil {
+		abort()
+		return err
 	}
 	if hook := testHookAfterCopied; hook != nil {
 		if err := hook(slot); err != nil {
@@ -492,32 +436,18 @@ func (s *Store) migrateSlot(slot, from, to int) error {
 		if err := dst.SyncCommits(); err != nil {
 			return err
 		}
-		if s.coordLog != nil {
-			if err := s.appendSlotRecord(pe.RecSlotCommit, slot, from, to, id); err != nil {
-				return err
-			}
+		if err := mark(pe.RecSlotCommit); err != nil {
+			return err
 		}
 		for _, rel := range rels {
 			moved += dst.cat.Relation(rel.Name).Table.CommitStaged()
 		}
 		// Source deletes are in-memory MVCC kills: readers pinned before the
 		// publication window below keep seeing the old versions, and the
-		// slot-commit record (plus recovery's eviction pass) is what makes
+		// slot-commit record (plus the applier's eviction at finish) is what makes
 		// the removal durable.
-		for _, rel := range rels {
-			col := rel.PartCol
-			var dead []storage.RowID
-			rel.Table.Scan(func(rid storage.RowID, row types.Row) bool {
-				if catalog.SlotOf(row[col]) == slot {
-					dead = append(dead, rid)
-				}
-				return true
-			})
-			for _, rid := range dead {
-				if err := rel.Table.Delete(rid, nil); err != nil {
-					return err
-				}
-			}
+		if err := evictSlots(rels, func(sl int) bool { return sl == slot }); err != nil {
+			return err
 		}
 		// One seqMu write window publishes the ownership flip and both
 		// partitions' commit sequences together: a fan-out reader sees the

@@ -433,3 +433,40 @@ func TestRebalanceMigrateBackRestart(t *testing.T) {
 	}
 	checkCanonical(t, st2)
 }
+
+// TestRebalanceAddedPartitionsFeedPrepareBatchStats: a partition added by
+// Rebalance must open its WAL with the same options as the partitions the
+// store was opened with, including the commit daemon's sync-batch callback
+// that drains pendPrep into the PREPARE batch-size histogram. The added
+// partitions used to get an options literal of their own without it.
+func TestRebalanceAddedPartitionsFeedPrepareBatchStats(t *testing.T) {
+	st := buildKV(t, gcTestConfig(t.TempDir(), 2))
+	if err := st.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Rebalance(4); err != nil {
+		st.Stop()
+		t.Fatal(err)
+	}
+	before := st.Metrics().Snapshot().MPPrepareBatches
+	k2, k3 := keysOwnedBy(st, 2, 1, 0)[0], keysOwnedBy(st, 3, 1, 0)[0]
+	err := st.MultiPartitionTxn(func(tx *MPTxn) error {
+		if _, err := tx.Exec(2, "INSERT INTO kv VALUES (?, 1)", types.NewInt(k2)); err != nil {
+			return err
+		}
+		_, err := tx.Exec(3, "INSERT INTO kv VALUES (?, 1)", types.NewInt(k3))
+		return err
+	})
+	// Stop joins the commit daemons, so every sync-batch callback has run.
+	if serr := st.Stop(); err != nil || serr != nil {
+		t.Fatal(err, serr)
+	}
+	if got := st.Metrics().Snapshot().MPPrepareBatches; got == before {
+		t.Errorf("PREPARE forces on added partitions observed no batch (count stays %d)", got)
+	}
+	for _, p := range st.partList()[2:] {
+		if n := p.pendPrep.Load(); n != 0 {
+			t.Errorf("partition %d: pendPrep = %d, never drained", p.idx, n)
+		}
+	}
+}

@@ -1,31 +1,23 @@
 package core
 
-// This file is the high-availability half of the durability story: WAL
-// shipping. A primary partition's command log already contains everything
-// needed to rebuild the partition (that is what crash recovery replays), so
-// a follower replica is recovery run continuously: it tails each partition
-// segment plus the coordinator log, replays hardened records into its own
-// MVCC storage through the same pe.Replay path recovery uses, and serves
-// snapshot SELECTs from the replayed state. Promotion is then crash
-// recovery's endgame — resolve in-doubt 2PC legs, evict migrated slots,
-// restore pause state — run on state that is already warm.
-//
-// The in-doubt rule is the one subtlety. The pipelined commit path releases
-// a transaction's partition slots before its markers append, so records
-// from successor transactions can precede the RecDecide marker in a
-// partition segment. A follower must therefore never infer an abort from
-// what follows an unresolved RecPrepare: it stalls that partition's apply
-// stream (buffering subsequent frames) until a commit decision arrives from
-// the coordinator stream or an in-stream marker — and only at promotion,
-// when no decision can ever arrive, are the still-undecided prepares
-// presumed aborted, exactly as recovery presumes them.
+// This file is the socket feed of the log applier (applier.go): a follower
+// replica tails each partition segment plus the coordinator log of a
+// primary, hands the hardened records to the same applier crash recovery
+// uses, and serves snapshot SELECTs from the replayed state. What is left
+// here is what only a follower has: cursors into streams that have not
+// ended yet, fetching, lag accounting, read sessions, and the decision to
+// declare the streams final (Promote).
 //
 // Known limits, by design: a follower must attach before the primary's
 // first checkpoint (truncation discards the log prefix a late follower
 // would need — ErrShipGap reports the hole; re-seed with a fresh follower);
-// cross-partition reads on a follower see each partition's prefix at an
-// independent point (per-partition consistent prefix, not a cross-partition
-// atomic cut); and a promoted store runs non-durable (its state was never
+// it cannot follow a primary past its own partition count (the applier
+// reports the first slot move it has no partition for; re-seed a wider
+// follower); cross-partition reads on a follower see each partition's
+// prefix at an independent point (per-partition consistent prefix, not a
+// cross-partition atomic cut), and a slot migrated on the primary is
+// visible on both its old and its new partition until promotion evicts the
+// source copy; and a promoted store runs non-durable (its state was never
 // logged locally) — re-point clients and schedule a re-seeded standby.
 
 import (
@@ -158,16 +150,10 @@ type Follower struct {
 	src  ReplicationSource
 	opts FollowerOpts
 
-	// Apply-goroutine-owned protocol state. The partitions' replayDecisions
-	// maps alias decisions, and replaySlotMoves alias slotMoves: the same
-	// goroutine that mutates them calls pe.Replay, so there is no race.
-	coord      *replStream
-	parts      []*replStream
-	decisions  map[uint64]bool // mp txn id → durable commit decision
-	slotMoves  map[uint64]int  // slot-migration leg id → slot
-	evictOwner map[int]int     // slot → owner per its last committed migration
-	paused     map[string]bool // dataflows paused on the primary
-	maxMP      uint64
+	// Owned by the apply goroutine, then by Promote once it has joined it.
+	ap      *applier
+	streams []*replStream // the coordinator stream, then one per partition
+	parts   []*replStream // streams[1:]
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -202,22 +188,18 @@ func NewFollower(st *Store, src ReplicationSource, opts FollowerOpts) (*Follower
 		opts.ReadTimeout = 5 * time.Second
 	}
 	f := &Follower{
-		st:         st,
-		src:        src,
-		opts:       opts,
-		coord:      &replStream{part: CoordStream},
-		decisions:  make(map[uint64]bool),
-		slotMoves:  make(map[uint64]int),
-		evictOwner: make(map[int]int),
-		paused:     make(map[string]bool),
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
+		st:      st,
+		src:     src,
+		opts:    opts,
+		ap:      newApplier(st),
+		streams: []*replStream{{part: CoordStream}},
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 	for _, p := range st.partList() {
-		f.parts = append(f.parts, &replStream{part: p.idx})
-		p.pe.SetReplayDecisions(f.decisions)
-		p.pe.SetReplaySlotMoves(f.slotMoves, p.evictSlot)
+		f.streams = append(f.streams, &replStream{part: p.idx})
 	}
+	f.parts = f.streams[1:]
 	return f, nil
 }
 
@@ -247,8 +229,8 @@ func (f *Follower) Lag() int64 { return f.st.met.ReplLag.Load() }
 // Applied returns the sum of applied LSNs across streams — a monotone
 // caught-up-ness score (see MostCaughtUp).
 func (f *Follower) Applied() uint64 {
-	total := f.coord.applied.Load()
-	for _, strm := range f.parts {
+	var total uint64
+	for _, strm := range f.streams {
 		total += strm.applied.Load()
 	}
 	return total
@@ -327,51 +309,30 @@ func (f *Follower) run() {
 
 // pollOnce runs one fetch-and-apply round over every stream. It returns
 // whether any frame was buffered or applied, plus the last fetch error
-// (heartbeat signal). Decode and replay failures set the sticky error.
+// (heartbeat signal). Decode, fold and replay failures set the sticky error.
 func (f *Follower) pollOnce() (progress bool, fetchErr error) {
 	// Coordinator stream first: its decisions unblock stalled partitions in
 	// the same round.
-	batch, err := f.src.FetchBatch(CoordStream, f.coord.fetched, f.opts.MaxBatchBytes)
-	if err != nil {
-		fetchErr = err
-	} else {
-		for _, fr := range batch.Frames {
-			rec, derr := wal.DecodeRecord(fr.Payload)
-			if derr != nil {
-				f.setErr(fmt.Errorf("core: replicated coordinator record at LSN %d: %w", fr.LSN, derr))
-				return progress, fetchErr
-			}
-			f.applyCoord(rec)
-			f.coord.fetched = fr.LSN
-			f.coord.applied.Store(fr.LSN)
-			progress = true
-		}
-		if batch.EndLSN > f.coord.horizon {
-			f.coord.horizon = batch.EndLSN
-		}
-	}
-	for _, strm := range f.parts {
+	for _, strm := range f.streams {
 		batch, err := f.src.FetchBatch(strm.part, strm.fetched, f.opts.MaxBatchBytes)
 		if err != nil {
 			fetchErr = err
 			continue
 		}
 		for _, fr := range batch.Frames {
-			rec, derr := wal.DecodeRecord(fr.Payload)
-			if derr != nil {
-				f.setErr(fmt.Errorf("core: replicated record at LSN %d (partition %d): %w", fr.LSN, strm.part, derr))
+			rec, err := wal.DecodeRecord(fr.Payload)
+			if err == nil {
+				err = f.ap.fold(rec)
+			}
+			if err != nil {
+				f.setErr(fmt.Errorf("core: replicated record at LSN %d (stream %d): %w", fr.LSN, strm.part, err))
 				return progress, fetchErr
 			}
-			// An in-stream decide marker is a durable commit decision (a
-			// participant writes it only after the coordinator's force — and
-			// for one-phase transactions it IS the commit record).
-			if rec.Kind == pe.RecDecide && rec.Commit {
-				f.decisions[rec.MPTxnID] = true
+			if strm.part == CoordStream {
+				strm.applied.Store(fr.LSN) // the fold consumed it; nothing to apply
+			} else {
+				strm.pending = append(strm.pending, pendingRec{lsn: fr.LSN, rec: rec})
 			}
-			if rec.MPTxnID > f.maxMP {
-				f.maxMP = rec.MPTxnID
-			}
-			strm.pending = append(strm.pending, pendingRec{lsn: fr.LSN, rec: rec})
 			strm.fetched = fr.LSN
 			progress = true
 		}
@@ -389,52 +350,17 @@ func (f *Follower) pollOnce() (progress bool, fetchErr error) {
 	return progress, fetchErr
 }
 
-// applyCoord folds one coordinator-log record into the protocol state.
-func (f *Follower) applyCoord(rec *pe.LogRecord) {
-	switch rec.Kind {
-	case pe.RecDecide:
-		if rec.Commit {
-			f.decisions[rec.MPTxnID] = true
-		}
-	case pe.RecSlotCommit:
-		// A slot migration's commit record doubles as the decision for the
-		// destination's prepared leg, and names the slot's new owner.
-		f.decisions[rec.MPTxnID] = true
-		f.slotMoves[rec.MPTxnID] = rec.Slot
-		f.evictOwner[rec.Slot] = rec.ToPart
-	case pe.RecPauseGraph:
-		f.paused[rec.Proc] = true
-	case pe.RecResumeGraph:
-		delete(f.paused, rec.Proc)
-	}
-	if rec.MPTxnID > f.maxMP {
-		f.maxMP = rec.MPTxnID
-	}
-}
-
 // drainPending applies a partition stream's buffered records in log order,
-// stopping at an in-doubt prepare (unless promoting, when the missing
-// decision is final and the prepare is presumed aborted — recovery's rule).
-func (f *Follower) drainPending(strm *replStream, promoting bool) (applied bool, err error) {
-	p := f.st.partList()[strm.part]
+// stopping where the applier stalls.
+func (f *Follower) drainPending(strm *replStream, final bool) (applied bool, err error) {
 	for len(strm.pending) > 0 {
 		pr := strm.pending[0]
-		switch {
-		case pr.rec.Kind == pe.RecDecide:
-			// Already folded into decisions at fetch time; the marker itself
-			// applies nothing.
-		case pr.rec.Kind == pe.RecPrepare && !f.decisions[pr.rec.MPTxnID]:
-			if !promoting {
-				return applied, nil // in-doubt: stall this stream
-			}
-			// Promoting: no decision can ever arrive — presumed abort, drop
-			// the leg and continue with the records behind it (they executed
-			// on the primary and never read this leg's unpublished writes).
-		default:
-			if rerr := p.replay(pr.rec, f.st.cfg.LogMode); rerr != nil {
-				return applied, fmt.Errorf("core: replica replay at LSN %d (partition %d): %w", pr.lsn, strm.part, rerr)
-			}
-			f.st.met.ReplRecordsApplied.Add(1)
+		stalled, err := f.ap.apply(f.st.partList()[strm.part], pr.rec, final)
+		if err != nil {
+			return applied, fmt.Errorf("core: replica replay at LSN %d (partition %d): %w", pr.lsn, strm.part, err)
+		}
+		if stalled {
+			break
 		}
 		strm.pending = strm.pending[1:]
 		strm.applied.Store(pr.lsn)
@@ -443,19 +369,17 @@ func (f *Follower) drainPending(strm *replStream, promoting bool) (applied bool,
 	return applied, nil
 }
 
-// updateLag recomputes the lag gauge: records known hardened on the primary
-// but not yet applied here, summed across streams.
+// updateLag refreshes the replication gauges: lag is the records known
+// hardened on the primary but not yet applied here, summed across streams.
 func (f *Follower) updateLag() {
 	lag := int64(0)
-	if h, a := f.coord.horizon, f.coord.applied.Load(); h > a {
-		lag += int64(h - a)
-	}
-	for _, strm := range f.parts {
+	for _, strm := range f.streams {
 		if h, a := strm.horizon, strm.applied.Load(); h > a {
 			lag += int64(h - a)
 		}
 	}
 	f.st.met.ReplLag.Store(lag)
+	f.st.met.ReplRecordsApplied.Store(f.ap.replayed)
 }
 
 // Promote turns the follower into a live primary: stop the apply loop,
@@ -496,37 +420,34 @@ func (f *Follower) Promote() (*Store, error) {
 			break
 		}
 	}
-	// Presumed-abort the in-doubt prepares and apply the records stalled
-	// behind them.
-	for _, strm := range f.parts {
-		if _, err := f.drainPending(strm, true); err != nil {
-			f.setErr(err)
-			return nil, err
-		}
+	if err := f.settle(); err != nil {
+		f.setErr(err)
+		return nil, err
 	}
 	st := f.st
-	// Committed slot migrations: drop the stale source copies and route the
-	// slots to their migrated owners (the rows already sit there; no rehome
-	// needed on the live path).
-	st.evictMigratedSlots(f.evictOwner)
-	if len(f.evictOwner) > 0 {
-		tbl := st.slots.Load().Clone()
-		for slot, owner := range f.evictOwner {
-			tbl.Owner[slot] = uint16(owner)
-		}
-		st.slots.Store(tbl)
-	}
-	for _, p := range st.partList() {
-		p.cat.Clock().Publish()
-	}
-	st.restorePausedGraphs(f.paused)
-	st.nextMPTxnID.Store(f.maxMP)
-	f.updateLag()
 	if err := st.Start(); err != nil {
 		return nil, err
 	}
 	st.met.Promotions.Add(1)
 	return st, nil
+}
+
+// settle declares the streams final: the records stalled behind in-doubt
+// prepares apply (the prepares themselves presumed aborted), then the
+// applier finishes exactly as crash recovery does. The rows of migrated
+// slots already sit on their new owners, so unlike recovery nothing is
+// rehomed.
+func (f *Follower) settle() error {
+	for _, strm := range f.parts {
+		if _, err := f.drainPending(strm, true); err != nil {
+			return err
+		}
+	}
+	if err := f.ap.finish(); err != nil {
+		return err
+	}
+	f.updateLag()
+	return nil
 }
 
 // Query runs a read-only SELECT against the follower's replayed state (no
@@ -545,6 +466,11 @@ func (f *Follower) Query(sqlText string, params ...types.Value) (*pe.Result, err
 func (f *Follower) query(min []uint64, sqlText string, params []types.Value) (*pe.Result, []uint64, error) {
 	if f.promoted.Load() {
 		return nil, nil, fmt.Errorf("core: follower was promoted; query the promoted store directly")
+	}
+	if err := f.Err(); err != nil {
+		// The replayed state stopped tracking the primary at an unknown
+		// distance; serving it would pass stale rows off as current.
+		return nil, nil, fmt.Errorf("core: follower diverged from its primary: %w", err)
 	}
 	if err := f.waitApplied(min); err != nil {
 		return nil, nil, err

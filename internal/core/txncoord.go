@@ -97,10 +97,11 @@ import (
 // read sees a coordinated transaction entirely or not at all while running
 // concurrently with the rest of the protocol.
 //
-// Recovery (core.go) scans coord.log first: a logged PREPARE whose
-// transaction id has a durable commit decision (coordinator record, or the
-// partition's own decide marker for one-phase commits) is re-applied; one
-// without is presumed aborted and dropped.
+// Recovery and followers read these records through the log applier
+// (applier.go): a logged PREPARE whose transaction id has a durable commit
+// decision (coordinator record, or the partition's own decide marker for
+// one-phase commits) is re-applied; one without is presumed aborted and
+// dropped once no decision can arrive any more.
 
 // errMPRetry is the internal sentinel a slot-order violation raises: the
 // attempt must abort and rerun with the needed slots pre-acquired. It
@@ -737,7 +738,7 @@ func (s *Store) attemptMP(logged bool, fn func(tx *MPTxn) error, parts []*partit
 			// log's pre-scan. No coordinator force needed.
 			s.met.MPOnePhase.Add(1)
 			derr2 = tx.appendMarkers()
-		} else if err := s.appendDecision(tx.id); err != nil {
+		} else if err := s.appendCoord(&pe.LogRecord{Kind: pe.RecDecide, MPTxnID: tx.id, Commit: true}); err != nil {
 			// Same poisoned-log shape as a failed vote force: the
 			// decision may not survive, so neither client nor chained
 			// successors may be acknowledged cleanly.
@@ -844,24 +845,21 @@ func (tx *MPTxn) finishAll(commit bool) error {
 	return errors.Join(derr, tx.resolveAll())
 }
 
-// appendDecision forces a commit decision record into the coordinator log.
-// Under group commit the append shares coord.log's daemon fsync with every
-// other in-flight coordinator's decision. The wait rides the daemon's own
-// tick — kicking an immediate fsync per decision would shrink batches to
-// one record and burn the disk (and, on small machines, the CPU) on
-// per-transaction syncs; the tick bounds the added latency at one
-// group-commit interval, well off the enlistment-slot critical path.
-func (s *Store) appendDecision(txnID uint64) error {
-	payload := wal.EncodeRecord(&pe.LogRecord{Kind: pe.RecDecide, MPTxnID: txnID, Commit: true})
-	if s.coordLog.GroupCommit() {
-		_, ack, err := s.coordLog.AppendAsync(payload)
-		if err != nil {
-			return err
-		}
-		if err := <-ack; err != nil {
-			return err
-		}
-	} else if _, err := s.coordLog.Append(payload); err != nil {
+// appendCoord forces one record into the coordinator log: a commit
+// decision, a slot-migration step, a seed's decision. Non-durable stores
+// keep no coordinator log and skip it. Under group commit the append shares
+// coord.log's daemon fsync with every other in-flight coordinator's
+// decision, and the wait rides the daemon's own tick — kicking an immediate
+// fsync per decision would shrink batches to one record and burn the disk
+// (and, on small machines, the CPU) on per-transaction syncs; the tick
+// bounds the added latency at one group-commit interval, well off the
+// enlistment-slot critical path.
+func (s *Store) appendCoord(rec *pe.LogRecord) error {
+	if s.coordLog == nil {
+		return nil
+	}
+	payload := wal.EncodeRecord(rec)
+	if _, err := s.coordLog.Append(payload); err != nil {
 		return err
 	}
 	s.met.LogRecords.Add(1)

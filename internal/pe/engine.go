@@ -238,14 +238,6 @@ type Engine struct {
 	// they run inline instead of through the (stopped) worker.
 	replayQueue []*txnRequest
 	replaying   bool
-	// replayDecisions maps multi-partition transaction ids to their commit
-	// decision (from the coordinator log); absent = presumed abort.
-	replayDecisions map[uint64]bool
-	// replaySlotMoves maps a slot-migration leg's transaction id to its
-	// slot, and slotEvict clears that slot's stale local rows before the
-	// leg's images apply (see SetReplaySlotMoves).
-	replaySlotMoves map[uint64]int
-	slotEvict       func(slot int) error
 
 	// localTriggered is the partition worker's private queue of PE-
 	// triggered executions (they are produced and consumed by the worker,
@@ -1340,41 +1332,21 @@ func (e *Engine) prepareForProc(p *Procedure, sqlText string) (*ee.Prepared, err
 
 // ---------- recovery replay ----------
 
-// SetReplayDecisions installs the coordinator's decision map for recovery:
-// a RecPrepare leg replays only when its transaction id maps to a commit
-// decision; otherwise it is in-doubt and presumed aborted.
-func (e *Engine) SetReplayDecisions(decisions map[uint64]bool) {
-	e.replayDecisions = decisions
-}
-
-// SetReplaySlotMoves marks which prepared legs are slot-migration imports
-// (transaction id → slot) and installs the evictor replay runs before
-// applying one. A partition can re-own a slot it held in an earlier epoch,
-// and its own log then re-creates the slot's rows before the incoming leg
-// replays; the leg's images are the cutover-time truth, so the stale local
-// copies — including rows deleted while the slot lived elsewhere — are
-// evicted first.
-func (e *Engine) SetReplaySlotMoves(moves map[uint64]int, evict func(slot int) error) {
-	e.replaySlotMoves = moves
-	e.slotEvict = evict
-}
-
 // Replay re-executes one logged record during recovery. The engine must
 // not be started. In LogBorderOnly mode, border records re-derive their
 // triggered descendants inline; in LogAllTEs mode triggered records come
-// from the log and PE triggers are suppressed for upstream records.
+// from the log and PE triggers are suppressed for upstream records. A
+// RecPrepare leg is applied as given: whether its transaction committed is
+// the caller's knowledge (core's log applier owns the decision table).
 func (e *Engine) Replay(rec *LogRecord) error {
 	if e.started.Load() {
 		return fmt.Errorf("pe: replay requires a stopped engine")
 	}
 	switch rec.Kind {
 	case RecPrepare:
-		if !e.replayDecisions[rec.MPTxnID] {
-			return nil // no commit decision: presumed abort, drop the leg
-		}
 		return e.replayPreparedLeg(rec)
 	case RecDecide:
-		return nil // participant marker; the coordinator log is authoritative
+		return nil // participant marker: nothing to execute
 	}
 	p := e.Procedure(rec.Proc)
 	if p == nil {

@@ -365,15 +365,6 @@ func (e *Engine) executeMP(r *txnRequest) {
 // Stream emissions re-derive their triggered descendants exactly like the
 // live commit path (dispatchEmits) and the other replay kinds.
 func (e *Engine) replayPreparedLeg(rec *LogRecord) error {
-	// A slot-move leg is the complete authoritative content of its slot at
-	// cutover time: evict whatever this partition's own earlier records
-	// re-created for the slot before the images apply (the leg may even be
-	// empty — every row of the slot died while it lived elsewhere).
-	if slot, ok := e.replaySlotMoves[rec.MPTxnID]; ok && e.slotEvict != nil {
-		if err := e.slotEvict(slot); err != nil {
-			return fmt.Errorf("pe: replay of slot-move leg %d (slot %d): %w", rec.MPTxnID, slot, err)
-		}
-	}
 	undo := storage.NewUndoLog()
 	var emits []emission
 	ectx := &ee.ExecCtx{
