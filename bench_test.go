@@ -5,6 +5,7 @@
 package sstore_test
 
 import (
+	"fmt"
 	"os"
 	"testing"
 	"time"
@@ -203,27 +204,35 @@ func BenchmarkE6PartitionScaling(b *testing.B) {
 // ---------- engine microbenchmarks ----------
 
 // BenchmarkVoterVoteSStore measures per-vote cost through the full
-// SP1→SP2(→SP3) workflow, amortized.
+// SP1→SP2(→SP3) workflow, amortized, at three contestant-pool sizes: the
+// window trigger's cost must depend on the delta (one vote in, one out),
+// not on how many rows `trending` holds, so the three should be level.
 func BenchmarkVoterVoteSStore(b *testing.B) {
-	st := sstore.Open(sstore.Config{})
-	if err := voter.Setup(st, 25); err != nil {
-		b.Fatal(err)
+	for _, contestants := range []int{25, 250, 2000} {
+		b.Run(fmt.Sprintf("contestants=%d", contestants), func(b *testing.B) {
+			st := sstore.Open(sstore.Config{})
+			if err := voter.Setup(st, contestants); err != nil {
+				b.Fatal(err)
+			}
+			if err := st.Start(); err != nil {
+				b.Fatal(err)
+			}
+			defer st.Stop()
+			cfg := workload.DefaultVoterConfig(benchSeed, 200_000)
+			cfg.Contestants = contestants
+			feed := workload.Votes(cfg)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v := feed[i%len(feed)]
+				if err := st.Ingest("votes_in",
+					sstore.Row{sstore.Int(v.Phone), sstore.Int(v.Contestant), sstore.Int(v.TS)}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			st.FlushBatches()
+			st.Drain()
+		})
 	}
-	if err := st.Start(); err != nil {
-		b.Fatal(err)
-	}
-	defer st.Stop()
-	feed := workload.Votes(workload.DefaultVoterConfig(benchSeed, 200_000))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v := feed[i%len(feed)]
-		if err := st.Ingest("votes_in",
-			sstore.Row{sstore.Int(v.Phone), sstore.Int(v.Contestant), sstore.Int(v.TS)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	st.FlushBatches()
-	st.Drain()
 }
 
 // BenchmarkOLTPCall measures a single-statement OLTP procedure round trip

@@ -110,6 +110,15 @@ func main() {
 	}); err != nil {
 		log.Fatal(err)
 	}
+	// The engine's own rendering of the graph. The trigger's plans are the
+	// part to read: each body is driven from the window's delta (the one
+	// vote that entered, the one that expired) through trend's key, so a
+	// slide costs the same however many candidates there are.
+	plan, err := st.ExplainDataflow("leaderboard")
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(plan)
 	if err := st.Start(); err != nil {
 		log.Fatal(err)
 	}

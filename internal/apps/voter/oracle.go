@@ -29,6 +29,9 @@ type Oracle struct {
 	Winner int64
 	// Accepted / Rejected count vote dispositions.
 	Accepted, Rejected int
+	// accepted lists the contestant of every accepted vote in order: the
+	// trending window's input, for tests that check the leaderboard too.
+	accepted []int64
 }
 
 // RunOracle executes the reference semantics over the vote feed.
@@ -59,6 +62,7 @@ func RunOracle(votes []workload.Vote, contestants int, eliminateEvery int) *Orac
 		o.Counts[v.Contestant]++
 		o.Total++
 		o.Accepted++
+		o.accepted = append(o.accepted, v.Contestant)
 		if o.Total%int64(eliminateEvery) == 0 && len(o.Alive) > 1 {
 			o.eliminateLowest()
 		}

@@ -1,6 +1,7 @@
 package voter
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -29,6 +30,34 @@ func newHStore(t testing.TB, contestants int) *core.Store {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// checkTrending requires the EE-trigger-maintained leaderboard to be exact:
+// one row per surviving contestant, counting that contestant's votes among
+// the last TrendWindow accepted ones.
+func checkTrending(t *testing.T, st *core.Store, o *Oracle) {
+	t.Helper()
+	want := make(map[int64]int64, len(o.Alive))
+	for id := range o.Alive {
+		want[id] = 0
+	}
+	for _, c := range o.accepted[max(0, len(o.accepted)-TrendWindow):] {
+		if o.Alive[c] {
+			want[c]++
+		}
+	}
+	res, err := st.Query("SELECT contestant, n FROM trending")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != len(want) {
+		t.Fatalf("trending has %d rows, want %d", len(res.Rows), len(want))
+	}
+	for _, r := range res.Rows {
+		if n, ok := want[r[0].Int()]; !ok || n != r[1].Int() {
+			t.Errorf("trending[%d] = %d, want %d (alive %v)", r[0].Int(), r[1].Int(), n, ok)
+		}
+	}
 }
 
 func TestOracleBasics(t *testing.T) {
@@ -84,6 +113,7 @@ func TestSStoreMatchesOracleSmall(t *testing.T) {
 	if !d.IsClean() {
 		t.Fatalf("S-Store diverged from oracle: %s", d)
 	}
+	checkTrending(t, st, o)
 	if o.Winner != 0 {
 		w, _ := WinnerOf(st)
 		if w != o.Winner {
@@ -116,9 +146,77 @@ func TestSStoreMatchesOracleFullShow(t *testing.T) {
 	if !d.IsClean() {
 		t.Fatalf("S-Store diverged: %s", d)
 	}
+	checkTrending(t, st, o)
 	w, _ := WinnerOf(st)
 	if w != o.Winner {
 		t.Fatalf("winner %d want %d", w, o.Winner)
+	}
+}
+
+// TestSStoreMatchesOracleLargePool runs the workflow over 2000 contestants,
+// the pool size at which a trigger that scanned `trending` twice per vote
+// dominated everything else. The feed covers the filling window, ~100
+// eliminations (each deletes a trending row that votes still in the window
+// name) and steady sliding; the result must be oracle-exact.
+func TestSStoreMatchesOracleLargePool(t *testing.T) {
+	cfg := workload.DefaultVoterConfig(11, 12000)
+	cfg.Contestants = 2000
+	votes := workload.Votes(cfg)
+	o := RunOracle(votes, cfg.Contestants, EliminateEvery)
+	if len(o.Eliminations) < 100 {
+		t.Fatalf("feed too small: %d eliminations", len(o.Eliminations))
+	}
+
+	st := newSStore(t, cfg.Contestants)
+	defer st.Stop()
+	if err := RunSStore(st, votes); err != nil {
+		t.Fatal(err)
+	}
+	d, err := Audit(st, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.IsClean() {
+		t.Fatalf("S-Store diverged from oracle: %s", d)
+	}
+	checkTrending(t, st, o)
+}
+
+// TestTrendTriggerIsDeltaDriven is the golden plan of the trending trigger
+// in both shipped variants: each body is driven from the window's delta
+// through trending's key, and nothing in it scans a table.
+func TestTrendTriggerIsDeltaDriven(t *testing.T) {
+	plain := core.Open(core.Config{})
+	if err := Setup(plain, 25); err != nil {
+		t.Fatal(err)
+	}
+	parted := core.Open(core.Config{Partitions: 2})
+	if err := SetupPartitioned(parted, 25); err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range map[string]*core.Store{"voter": plain, "voter_partitioned": parted} {
+		text, err := st.ExplainDataflow(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const want = `    trend_maintain ON w_trend
+      UPDATE trending (1 assignments)
+        scan: trending via index trending_pkey (probe from subquery 0)
+        subquery 0 (materialized once):
+          SELECT (1 output columns)
+            scan: inserted (transient batch)
+      UPDATE trending (1 assignments)
+        scan: trending via index trending_pkey (probe from subquery 0)
+        subquery 0 (materialized once):
+          SELECT (1 output columns)
+            scan: expired (transient batch)
+`
+		if !strings.Contains(text, want) {
+			t.Errorf("EXPLAIN DATAFLOW %s:\n%s\nwant the trigger planned as:\n%s", name, text, want)
+		}
+		if err := st.Stop(); err != nil {
+			t.Error(err)
+		}
 	}
 }
 

@@ -999,7 +999,8 @@ func (s *Store) FlushBatches() {
 // Explain returns the physical plan the engine would execute for a SQL
 // statement (access paths, join order, grouping). Planning runs on
 // partition 0's goroutine — all partitions share the same schema, so the
-// plan is representative — and never races with execution.
+// plan is representative — and never races with execution. The body of a
+// deployed EE trigger explains as compiled for that trigger.
 // "EXPLAIN DATAFLOW <name>" shapes (the leading EXPLAIN already stripped
 // by the caller) render the named dataflow graph instead.
 func (s *Store) Explain(sqlText string) (string, error) {
@@ -1007,10 +1008,15 @@ func (s *Store) Explain(sqlText string) (string, error) {
 		strings.EqualFold(fields[0], "DATAFLOW") {
 		return s.ExplainDataflow(fields[1])
 	}
+	p0 := s.partList()[0]
+	if !p0.pe.Started() {
+		// Set-up is single-threaded (Deploy wires triggers the same way).
+		return p0.ee.ExplainSQL(sqlText)
+	}
 	var out string
-	err := s.partList()[0].pe.RunExclusive(func() error {
+	err := p0.pe.RunExclusive(func() error {
 		var err error
-		out, err = s.partList()[0].ee.ExplainSQL(sqlText)
+		out, err = p0.ee.ExplainSQL(sqlText)
 		return err
 	})
 	return out, err

@@ -539,7 +539,18 @@ func (s *Store) ExplainDataflow(name string) (string, error) {
 	if len(df.Triggers) > 0 {
 		fmt.Fprintf(&b, "  EE triggers:\n")
 		for _, t := range df.Triggers {
-			fmt.Fprintf(&b, "    %s ON %s (%d statements)\n", t.Name, t.Relation, len(t.Bodies))
+			fmt.Fprintf(&b, "    %s ON %s\n", t.Name, t.Relation)
+			for _, body := range t.Bodies {
+				// The compiled body's plan: whether it is driven from the
+				// delta or scans its target is what the trigger costs.
+				plan, err := s.Explain(body)
+				if err != nil {
+					plan = fmt.Sprintf("(no plan: %v)", err)
+				}
+				for _, line := range strings.Split(strings.TrimRight(plan, "\n"), "\n") {
+					fmt.Fprintf(&b, "      %s\n", line)
+				}
+			}
 		}
 	}
 	fmt.Fprintf(&b, "  ordering constraints:\n")

@@ -60,6 +60,8 @@ type Trigger struct {
 	Name     string
 	Relation string
 	Stmts    []*Prepared
+
+	usesNew bool // some body reads NEW, so a window firing must materialize it
 }
 
 // New creates an execution engine over the catalog.
@@ -108,8 +110,9 @@ type ExecCtx struct {
 	Snapshot    bool
 	SnapshotSeq storage.Seq
 
-	// NewRows holds transient relations visible to the current statement
-	// (EE trigger batches).
+	// NewRows holds the transient relations the caller supplies by name
+	// (a procedure's input "batch"). Keys are lowercase: statements bind
+	// the canonical name at prepare time and a missing key reads as empty.
 	NewRows map[string][]types.Row
 
 	// OnStreamInsert, when non-nil, is called for every batch of rows
@@ -121,6 +124,10 @@ type ExecCtx struct {
 	DisableEETriggers bool
 
 	depth int // trigger cascade depth
+
+	// deltas holds the NEW / INSERTED / EXPIRED rows of the trigger firing
+	// in progress, by the slot trigger bodies bound at prepare time.
+	deltas [numDeltas][]types.Row
 }
 
 // Result is the outcome of one statement.
@@ -374,6 +381,7 @@ func (e *Engine) compileTrigger(name, relation string, bodies []string) (*Trigge
 			return nil, fmt.Errorf("ee: trigger %q body: %w", name, err)
 		}
 		tr.Stmts = append(tr.Stmts, p)
+		tr.usesNew = tr.usesNew || p.usesNew
 	}
 	return tr, nil
 }
@@ -394,27 +402,34 @@ func (e *Engine) DropTrigger(name string, ifExists bool) error {
 	return fmt.Errorf("ee: trigger %q does not exist", name)
 }
 
-// fireTriggers runs every trigger on relation with the NEW / INSERTED /
-// EXPIRED transients bound.
-func (e *Engine) fireTriggers(ctx *ExecCtx, relation string, newRows, inserted, expired []types.Row) error {
-	trs := e.triggers[strings.ToLower(relation)]
+// fireTriggers runs every trigger on rel with the NEW / INSERTED / EXPIRED
+// transients bound. On a stream NEW is the arriving batch, the same rows as
+// INSERTED. On a window NEW is the post-slide contents, a copy of the whole
+// window, so it is materialized only when some trigger body reads it: a
+// body maintained from the deltas costs the delta, not the window.
+func (e *Engine) fireTriggers(ctx *ExecCtx, rel *catalog.Relation, inserted, expired []types.Row) error {
+	trs := e.triggers[strings.ToLower(rel.Name)]
 	if len(trs) == 0 || ctx.DisableEETriggers {
 		return nil
 	}
 	if ctx.depth >= e.MaxTriggerDepth {
-		return fmt.Errorf("ee: trigger cascade deeper than %d on %q", e.MaxTriggerDepth, relation)
+		return fmt.Errorf("ee: trigger cascade deeper than %d on %q", e.MaxTriggerDepth, rel.Name)
 	}
-	savedNew := ctx.NewRows
-	savedDepth := ctx.depth
-	ctx.NewRows = map[string][]types.Row{
-		NewRelation:      newRows,
-		InsertedRelation: inserted,
-		ExpiredRelation:  expired,
+	newRows := inserted
+	if rel.Kind == catalog.KindWindow {
+		newRows = nil
+		for _, tr := range trs {
+			if tr.usesNew {
+				newRows = rel.Table.ScanRows()
+				break
+			}
+		}
 	}
+	savedDeltas, savedDepth := ctx.deltas, ctx.depth
+	ctx.deltas = [numDeltas][]types.Row{deltaNew: newRows, deltaInserted: inserted, deltaExpired: expired}
 	ctx.depth++
 	defer func() {
-		ctx.NewRows = savedNew
-		ctx.depth = savedDepth
+		ctx.deltas, ctx.depth = savedDeltas, savedDepth
 	}()
 	for _, tr := range trs {
 		for _, p := range tr.Stmts {
@@ -528,7 +543,7 @@ func (e *Engine) insertStream(ctx *ExecCtx, rel *catalog.Relation, rows []types.
 			}
 		}
 	}
-	if err := e.fireTriggers(ctx, rel.Name, validated, validated, nil); err != nil {
+	if err := e.fireTriggers(ctx, rel, validated, nil); err != nil {
 		return 0, err
 	}
 	if ctx.OnStreamInsert != nil {

@@ -2,6 +2,8 @@ package ee
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/catalog"
@@ -178,6 +180,7 @@ func (e *Engine) materializeSubs(ctx *ExecCtx, plans []*selectPlan, params []typ
 			}
 			if !sr.contains(v) {
 				sr.vals[v.Hash()] = append(sr.vals[v.Hash()], v)
+				sr.list = append(sr.list, v)
 			}
 		}
 		out[i] = sr
@@ -187,7 +190,7 @@ func (e *Engine) materializeSubs(ctx *ExecCtx, plans []*selectPlan, params []typ
 
 // sourceRows materializes the joined row set for a select source.
 func (e *Engine) sourceRows(ctx *ExecCtx, src *sourcePlan, params []types.Value, subs []subResult) ([]types.Row, error) {
-	base, err := e.accessRows(ctx, &src.base, nil, params)
+	base, err := e.accessRows(ctx, &src.base, nil, params, subs)
 	if err != nil {
 		return nil, err
 	}
@@ -197,7 +200,7 @@ func (e *Engine) sourceRows(ctx *ExecCtx, src *sourcePlan, params []types.Value,
 		joined := make([]types.Row, 0, len(rows))
 		innerWidth := js.access.schema.NumColumns()
 		for _, outer := range rows {
-			inner, err := e.accessRows(ctx, &js.access, outer, params)
+			inner, err := e.accessRows(ctx, &js.access, outer, params, subs)
 			if err != nil {
 				return nil, err
 			}
@@ -233,22 +236,84 @@ func (e *Engine) sourceRows(ctx *ExecCtx, src *sourcePlan, params []types.Value,
 	return rows, nil
 }
 
-// accessRows fetches the rows of one relation via its chosen access path.
-// outer is the partial joined row for index probes that reference earlier
-// tables (nil for the base table).
-func (e *Engine) accessRows(ctx *ExecCtx, access *tableAccess, outer types.Row, params []types.Value) ([]types.Row, error) {
-	if access.transient {
-		rows := ctx.NewRows[access.relName]
-		if rows == nil {
-			// fall back to case-insensitive match
-			for k, v := range ctx.NewRows {
-				if equalFold(k, access.relName) {
-					rows = v
-					break
-				}
+// subProbe resolves the subquery-probe arm for one execution: the index to
+// look up and the keys, which are the distinct non-NULL values of the
+// materialized set as values of the indexed column's type. ok is false when
+// the access has no such arm, or the arm does not apply or pay this time
+// and the caller scans instead: the index was dropped since prepare, the
+// set is not smaller than the table, or a value has no single key (a number
+// of magnitude 2^53 or more compared across BIGINT and FLOAT equals several
+// stored values). A value of another comparison class, or a non-integral
+// FLOAT against a BIGINT column, equals no stored value and yields no key.
+// Every row the keys reach is still put to the full WHERE, so the arm only
+// narrows the candidates and cannot change a result.
+func subProbe(access *tableAccess, subs []subResult, tb *storage.Table) (ix *storage.Index, keys []types.Value, ok bool) {
+	if !access.fromSub || access.subSlot >= len(subs) {
+		return nil, nil, false
+	}
+	if ix = tb.IndexByName(access.index.Name()); ix == nil {
+		return nil, nil, false
+	}
+	set := subs[access.subSlot].list
+	if len(set) >= tb.Count() {
+		return nil, nil, false
+	}
+	sameType := true
+	for _, v := range set {
+		if v.Type() != access.keyType {
+			sameType = false
+			break
+		}
+	}
+	if sameType {
+		return ix, set, true
+	}
+	numeric := access.keyType == types.TypeInt || access.keyType == types.TypeFloat
+	keys = make([]types.Value, 0, len(set))
+	for _, v := range set {
+		switch {
+		case v.Type() == access.keyType:
+			keys = append(keys, v)
+		case numeric && v.IsNumeric():
+			if !(math.Abs(v.Float()) < 1<<53) {
+				return nil, nil, false
+			}
+			if k, err := types.Coerce(v, access.keyType); err == nil {
+				keys = append(keys, k)
 			}
 		}
-		return rows, nil
+	}
+	return ix, keys, true
+}
+
+// lookupEach returns the ids live under any of keys (writer view) in row-id
+// order, the order a scan meets them.
+func lookupEach(ix *storage.Index, keys []types.Value) []storage.RowID {
+	var ids []storage.RowID
+	key := make(types.Row, 1)
+	for _, k := range keys {
+		key[0] = k
+		got, _ := ix.Lookup(key)
+		ids = append(ids, got...)
+	}
+	if len(keys) > 1 {
+		slices.Sort(ids)
+	}
+	return ids
+}
+
+// accessRows fetches the rows of one relation via its chosen access path.
+// outer is the partial joined row for index probes that reference earlier
+// tables (nil for the base table); subs the statement's materialized
+// subqueries.
+func (e *Engine) accessRows(ctx *ExecCtx, access *tableAccess, outer types.Row, params []types.Value, subs []subResult) ([]types.Row, error) {
+	if access.transient {
+		// Bound at prepare time; an empty delta (EXPIRED while a window
+		// fills) is just empty.
+		if access.delta >= 0 {
+			return ctx.deltas[access.delta], nil
+		}
+		return ctx.NewRows[access.relName], nil
 	}
 	rel, err := e.readRows(ctx, access)
 	if err != nil {
@@ -260,6 +325,23 @@ func (e *Engine) accessRows(ctx *ExecCtx, access *tableAccess, outer types.Row, 
 	// worker); everything else reads the writer's current view.
 	snap, seq := ctx.Snapshot, ctx.SnapshotSeq
 	ec := &evalCtx{row: outer, params: params}
+	// When the arm is planned but does not apply to this execution, the
+	// access has no other index bound and falls to the scan at the bottom.
+	if ix, keys, ok := subProbe(access, subs, tb); ok {
+		var rows []types.Row
+		if snap {
+			for _, k := range keys {
+				rows = append(rows, tb.SnapshotLookup(ix, types.Row{k}, seq)...)
+			}
+			return rows, nil
+		}
+		for _, id := range lookupEach(ix, keys) {
+			if r, ok := tb.Get(id); ok {
+				rows = append(rows, r)
+			}
+		}
+		return rows, nil
+	}
 	if access.index != nil && access.eqKey != nil {
 		key := make(types.Row, len(access.eqKey))
 		for i, kc := range access.eqKey {
@@ -354,25 +436,6 @@ func (e *Engine) accessRows(ctx *ExecCtx, access *tableAccess, outer types.Row, 
 		return tb.SnapshotRows(seq), nil
 	}
 	return tb.ScanRows(), nil
-}
-
-func equalFold(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'A' <= ca && ca <= 'Z' {
-			ca += 'a' - 'A'
-		}
-		if 'A' <= cb && cb <= 'Z' {
-			cb += 'a' - 'A'
-		}
-		if ca != cb {
-			return false
-		}
-	}
-	return true
 }
 
 // ---------- aggregation ----------
@@ -604,6 +667,17 @@ func (e *Engine) collectMatches(ctx *ExecCtx, access *tableAccess, where compile
 		ids = append(ids, id)
 		rows = append(rows, r)
 		return nil
+	}
+	// Same arm and same fallback as accessRows: the scan below.
+	if ix, keys, ok := subProbe(access, subs, rel.Table); ok {
+		for _, id := range lookupEach(ix, keys) {
+			if r, ok := rel.Table.Get(id); ok {
+				if err := consider(id, r); err != nil {
+					return nil, nil, nil, err
+				}
+			}
+		}
+		return rel, ids, rows, nil
 	}
 	if access.index != nil && access.eqKey != nil {
 		if ix := rel.Table.IndexByName(access.index.Name()); ix != nil {

@@ -90,6 +90,8 @@ func describeAccess(a *tableAccess) string {
 		return fmt.Sprintf("%s (transient batch)", a.relName)
 	}
 	switch {
+	case a.fromSub:
+		return fmt.Sprintf("%s via index %s (probe from subquery %d)", a.relName, a.index.Name(), a.subSlot)
 	case a.index != nil && a.eqKey != nil:
 		return fmt.Sprintf("%s via index %s (equality probe)", a.relName, a.index.Name())
 	case a.index != nil:
@@ -102,6 +104,8 @@ func describeAccess(a *tableAccess) string {
 			bounds = "upper-bounded range"
 		}
 		return fmt.Sprintf("%s via index %s (%s)", a.relName, a.index.Name(), bounds)
+	case a.scanWhy != "":
+		return fmt.Sprintf("%s (full scan), not driven from its IN-subquery: %s", a.relName, a.scanWhy)
 	default:
 		return fmt.Sprintf("%s (full scan)", a.relName)
 	}
@@ -113,8 +117,20 @@ func writeIndent(b *strings.Builder, depth int) {
 	}
 }
 
-// ExplainSQL prepares a statement and returns its plan description.
+// ExplainSQL prepares a statement and returns its plan description. Text
+// that is the body of a registered EE trigger is explained as compiled for
+// that trigger: it reads the firing's transients, which only bind there,
+// and the compiled plan is the one that runs.
 func (e *Engine) ExplainSQL(text string) (string, error) {
+	for _, trs := range e.triggers {
+		for _, tr := range trs {
+			for _, p := range tr.Stmts {
+				if p.Text == text {
+					return p.Explain(), nil
+				}
+			}
+		}
+	}
 	p, err := e.Prepare(text, nil)
 	if err != nil {
 		return "", err

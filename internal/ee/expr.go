@@ -23,9 +23,12 @@ type evalCtx struct {
 }
 
 // subResult is one materialized IN-subquery: its value set and whether the
-// result contained NULL (three-valued IN semantics need to know).
+// result contained NULL (three-valued IN semantics need to know). list
+// holds the same distinct non-NULL values in first-seen order, for the
+// access path that drives from the set instead of probing it.
 type subResult struct {
 	vals    map[uint64][]types.Value
+	list    []types.Value
 	hasNull bool
 }
 

@@ -18,6 +18,8 @@ type Prepared struct {
 	Text    string
 	Columns []string // output column names (SELECT only)
 
+	usesNew bool // reads the NEW transient of a trigger firing
+
 	sel *selectPlan
 	ins *insertPlan
 	upd *updatePlan
@@ -30,12 +32,16 @@ func (p *Prepared) IsQuery() bool { return p.sel != nil }
 // ---------- plan node structures ----------
 
 // tableAccess describes how one relation is read: full scan, index
-// equality probe, or single-column range over an ordered index. For
-// transient relations (EE-trigger NEW batches) rows come from the exec
-// context instead of the catalog.
+// equality probe, probe from a materialized IN-subquery, or single-column
+// range over an ordered index. For transient relations rows come from the
+// exec context instead of the catalog: relName is then the canonical
+// (lowercased) name bound at prepare time, and delta the slot of the
+// current trigger firing's NEW / INSERTED / EXPIRED rows, or -1 for a
+// relation the caller supplies by name in ExecCtx.NewRows.
 type tableAccess struct {
 	relName   string
 	transient bool
+	delta     int
 	schema    *types.Schema
 
 	index *storage.Index // nil -> full scan
@@ -44,6 +50,16 @@ type tableAccess struct {
 	hi    compiled
 	loInc bool // inclusive bounds
 	hiInc bool
+	// fromSub selects the subquery-probe arm: index is a single-column
+	// index on col of a top-level conjunct `col IN (SELECT …)` and subSlot
+	// that subquery's materialization slot. Execution does one lookup per
+	// distinct value of the materialized set (see subProbe).
+	fromSub bool
+	subSlot int
+	keyType types.Type // declared type of the indexed column
+	// scanWhy says, for EXPLAIN, why a full scan with an IN-subquery
+	// conjunct on this relation is not driven from that subquery.
+	scanWhy string
 }
 
 type joinStep struct {
@@ -130,26 +146,38 @@ type planner struct {
 	// planned; IN-subqueries append themselves there and compile to the
 	// resulting materialization slot.
 	curSubs *[]*selectPlan
+	// subSlots remembers the slot each IN-subquery node was planned into:
+	// access-path selection and expression compilation both reach the same
+	// node and must agree on one materialization.
+	subSlots map[*sql.Select]int
+	// usesNew records that the statement reads the NEW transient.
+	usesNew bool
 }
 
-// subplanFn returns the exprCompiler callback that plans one uncorrelated
+// planSub is the exprCompiler callback that plans one uncorrelated
 // IN-subquery into the current statement's materialization list.
-func (pl *planner) subplanFn() func(*sql.Select) (int, error) {
-	return func(q *sql.Select) (int, error) {
-		if pl.curSubs == nil {
-			return 0, fmt.Errorf("subquery not allowed in this context")
-		}
-		target := pl.curSubs
-		sp, cols, err := pl.planSelect(q)
-		if err != nil {
-			return 0, fmt.Errorf("subquery: %w", err)
-		}
-		if len(cols) != 1 {
-			return 0, fmt.Errorf("IN-subquery must yield exactly one column, got %d", len(cols))
-		}
-		*target = append(*target, sp)
-		return len(*target) - 1, nil
+func (pl *planner) planSub(q *sql.Select) (int, error) {
+	if slot, ok := pl.subSlots[q]; ok {
+		return slot, nil
 	}
+	if pl.curSubs == nil {
+		return 0, fmt.Errorf("subquery not allowed in this context")
+	}
+	target := pl.curSubs
+	sp, cols, err := pl.planSelect(q)
+	if err != nil {
+		return 0, fmt.Errorf("subquery: %w", err)
+	}
+	if len(cols) != 1 {
+		return 0, fmt.Errorf("IN-subquery must yield exactly one column, got %d", len(cols))
+	}
+	*target = append(*target, sp)
+	slot := len(*target) - 1
+	if pl.subSlots == nil {
+		pl.subSlots = make(map[*sql.Select]int)
+	}
+	pl.subSlots[q] = slot
+	return slot, nil
 }
 
 // Prepare plans one DML/query statement. transient maps pseudo-relation
@@ -190,6 +218,7 @@ func (e *Engine) Prepare(text string, transient map[string]*types.Schema) (*Prep
 	default:
 		return nil, fmt.Errorf("ee: %T must be executed as DDL, not prepared", stmt)
 	}
+	p.usesNew = pl.usesNew
 	return p, nil
 }
 
@@ -204,20 +233,42 @@ func lowerKeys(m map[string]*types.Schema) map[string]*types.Schema {
 	return out
 }
 
-func (pl *planner) resolveRelation(name string) (*types.Schema, bool, error) {
-	if s, ok := pl.transient[strings.ToLower(name)]; ok {
-		return s, true, nil
+// Slots of ExecCtx.deltas, the transients of the current trigger firing.
+const (
+	deltaNew = iota
+	deltaInserted
+	deltaExpired
+	numDeltas
+)
+
+// resolveRelation binds a FROM / DML target name: a transient relation
+// resolves to its canonical name and, for the trigger pseudo-relations, its
+// delta slot, so execution does no name matching.
+func (pl *planner) resolveRelation(name string) (tableAccess, error) {
+	lower := strings.ToLower(name)
+	if s, ok := pl.transient[lower]; ok {
+		acc := tableAccess{relName: lower, transient: true, delta: -1, schema: s}
+		switch lower {
+		case NewRelation:
+			acc.delta = deltaNew
+			pl.usesNew = true
+		case InsertedRelation:
+			acc.delta = deltaInserted
+		case ExpiredRelation:
+			acc.delta = deltaExpired
+		}
+		return acc, nil
 	}
 	rel, err := pl.cat.MustRelation(name)
 	if err != nil {
-		return nil, false, err
+		return tableAccess{}, err
 	}
-	return rel.Schema, false, nil
+	return tableAccess{relName: name, schema: rel.Schema}, nil
 }
 
 func (pl *planner) planSource(from sql.TableRef, joins []sql.JoinClause, where sql.Expr) (sourcePlan, error) {
 	sc := &scope{}
-	schema, transient, err := pl.resolveRelation(from.Name)
+	base, err := pl.resolveRelation(from.Name)
 	if err != nil {
 		return sourcePlan{}, err
 	}
@@ -225,17 +276,16 @@ func (pl *planner) planSource(from sql.TableRef, joins []sql.JoinClause, where s
 	if qualifier == "" {
 		qualifier = from.Name
 	}
-	sc.add(qualifier, schema)
-	src := sourcePlan{scope: sc}
-	src.base = tableAccess{relName: from.Name, transient: transient, schema: schema}
+	sc.add(qualifier, base.schema)
+	src := sourcePlan{scope: sc, base: base}
 	// Index selection for the base table: usable conjuncts may reference
 	// only parameters and literals.
-	if !transient && where != nil {
+	if !base.transient && where != nil {
 		emptyScope := &scope{}
 		pl.chooseAccessPath(&src.base, splitConjuncts(where), qualifier, emptyScope)
 	}
 	for _, jc := range joins {
-		jschema, jtrans, err := pl.resolveRelation(jc.Table.Name)
+		access, err := pl.resolveRelation(jc.Table.Name)
 		if err != nil {
 			return sourcePlan{}, err
 		}
@@ -243,13 +293,12 @@ func (pl *planner) planSource(from sql.TableRef, joins []sql.JoinClause, where s
 		if jqual == "" {
 			jqual = jc.Table.Name
 		}
-		access := tableAccess{relName: jc.Table.Name, transient: jtrans, schema: jschema}
 		// Outer scope for probe expressions = everything joined so far.
-		if !jtrans && jc.On != nil {
+		if !access.transient && jc.On != nil {
 			pl.chooseAccessPath(&access, splitConjuncts(jc.On), jqual, sc)
 		}
-		sc.add(jqual, jschema)
-		cmp := &exprCompiler{scope: sc, subplan: pl.subplanFn()}
+		sc.add(jqual, access.schema)
+		cmp := &exprCompiler{scope: sc, subplan: pl.planSub}
 		var on compiled
 		if jc.On != nil {
 			if on, err = cmp.compile(jc.On); err != nil {
@@ -269,10 +318,12 @@ func splitConjuncts(e sql.Expr) []sql.Expr {
 	return []sql.Expr{e}
 }
 
-// chooseAccessPath scans the conjuncts for equality (col = expr) or range
-// predicates on the given table where expr is computable from outerScope
-// (plus parameters), and binds the best matching index: full equality on a
-// unique index beats equality on any index beats a single-column range.
+// chooseAccessPath scans the conjuncts for equality (col = expr), IN-subquery
+// (col IN (SELECT …), un-negated) or range predicates on the given table
+// where expr is computable from outerScope (plus parameters), and binds the
+// best matching index: full equality on a unique index beats equality on any
+// index beats a probe from a materialized subquery over a single-column
+// index beats a single-column range.
 func (pl *planner) chooseAccessPath(access *tableAccess, conjuncts []sql.Expr, qualifier string, outerScope *scope) {
 	rel := pl.cat.Relation(access.relName)
 	if rel == nil {
@@ -284,6 +335,8 @@ func (pl *planner) chooseAccessPath(access *tableAccess, conjuncts []sql.Expr, q
 		inc  bool
 	}
 	eq := map[int]sql.Expr{}
+	in := map[int]*sql.Select{}
+	inCol := -1 // column of the first IN-subquery conjunct, for scanWhy
 	lo := map[int]rangeBound{}
 	hi := map[int]rangeBound{}
 	outerCmp := &exprCompiler{scope: outerScope}
@@ -349,6 +402,22 @@ func (pl *planner) chooseAccessPath(access *tableAccess, conjuncts []sql.Expr, q
 				lo[ord] = rangeBound{expr: x.Lo, inc: true}
 				hi[ord] = rangeBound{expr: x.Hi, inc: true}
 			}
+		case *sql.InSubquery:
+			ord := colOrdinal(x.X)
+			switch {
+			case ord < 0:
+			case x.Negate:
+				// NOT IN selects the complement of the set: nothing to
+				// drive from.
+				access.scanWhy = "NOT IN cannot drive a probe"
+			default:
+				if _, dup := in[ord]; !dup {
+					in[ord] = x.Query
+				}
+				if inCol < 0 {
+					inCol = ord
+				}
+			}
 		}
 	}
 	// Try full-equality probes, preferring unique indexes.
@@ -383,6 +452,28 @@ func (pl *planner) chooseAccessPath(access *tableAccess, conjuncts []sql.Expr, q
 		access.eqKey = keys
 		return
 	}
+	// Probe from a materialized IN-subquery: one lookup per value of the
+	// set, so the cost follows the set (a trigger's delta), not the table.
+	// A composite index has no lookup by one column and stays ineligible.
+	for _, ix := range rel.Table.Indexes() {
+		cols := ix.Columns()
+		if len(cols) != 1 {
+			continue
+		}
+		q, ok := in[cols[0]]
+		if !ok {
+			continue
+		}
+		// The WHERE compiles the same node later and reuses this slot; a
+		// subquery that does not plan is reported from there.
+		slot, err := pl.planSub(q)
+		if err != nil {
+			continue
+		}
+		access.index, access.fromSub, access.subSlot = ix, true, slot
+		access.keyType = access.schema.Column(cols[0]).Type
+		return
+	}
 	// Range probe on a single-column ordered index.
 	for _, ix := range rel.Table.Indexes() {
 		if !ix.Ordered() || len(ix.Columns()) != 1 {
@@ -411,6 +502,9 @@ func (pl *planner) chooseAccessPath(access *tableAccess, conjuncts []sql.Expr, q
 		}
 		return
 	}
+	if inCol >= 0 {
+		access.scanWhy = fmt.Sprintf("no single-column index on %s", access.schema.Column(inCol).Name)
+	}
 }
 
 func (pl *planner) planSelect(s *sql.Select) (*selectPlan, []string, error) {
@@ -423,7 +517,7 @@ func (pl *planner) planSelect(s *sql.Select) (*selectPlan, []string, error) {
 		return nil, nil, err
 	}
 	plan.src = src
-	rowCmp := &exprCompiler{scope: src.scope, subplan: pl.subplanFn()}
+	rowCmp := &exprCompiler{scope: src.scope, subplan: pl.planSub}
 	if s.Where != nil {
 		if plan.where, err = rowCmp.compile(s.Where); err != nil {
 			return nil, nil, err
@@ -499,7 +593,7 @@ func (pl *planner) planSelect(s *sql.Select) (*selectPlan, []string, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		groupCmp := &exprCompiler{scope: src.scope, aggSlots: aggSlots, groupBy: s.GroupBy, subplan: pl.subplanFn()}
+		groupCmp := &exprCompiler{scope: src.scope, aggSlots: aggSlots, groupBy: s.GroupBy, subplan: pl.planSub}
 		for _, it := range items {
 			ce, err := groupCmp.compile(it)
 			if err != nil {
@@ -663,13 +757,14 @@ func (pl *planner) makeAggSpec(fc *sql.FuncCall, cmp *exprCompiler) (aggSpec, er
 }
 
 func (pl *planner) planInsert(s *sql.Insert) (*insertPlan, error) {
-	schema, transient, err := pl.resolveRelation(s.Table)
+	target, err := pl.resolveRelation(s.Table)
 	if err != nil {
 		return nil, err
 	}
-	if transient {
+	if target.transient {
 		return nil, fmt.Errorf("cannot INSERT into transient relation %q", s.Table)
 	}
+	schema := target.schema
 	plan := &insertPlan{relName: s.Table, arity: schema.NumColumns()}
 	if len(s.Columns) == 0 {
 		for i := 0; i < schema.NumColumns(); i++ {
@@ -714,21 +809,22 @@ func (pl *planner) planInsert(s *sql.Insert) (*insertPlan, error) {
 }
 
 func (pl *planner) planUpdate(s *sql.Update) (*updatePlan, error) {
-	schema, transient, err := pl.resolveRelation(s.Table)
+	access, err := pl.resolveRelation(s.Table)
 	if err != nil {
 		return nil, err
 	}
-	if transient {
+	if access.transient {
 		return nil, fmt.Errorf("cannot UPDATE transient relation %q", s.Table)
 	}
+	schema := access.schema
 	sc := &scope{}
 	sc.add(s.Table, schema)
-	cmp := &exprCompiler{scope: sc, subplan: pl.subplanFn()}
+	cmp := &exprCompiler{scope: sc, subplan: pl.planSub}
 	plan := &updatePlan{relName: s.Table}
 	saved := pl.curSubs
 	pl.curSubs = &plan.subs
 	defer func() { pl.curSubs = saved }()
-	plan.access = tableAccess{relName: s.Table, schema: schema}
+	plan.access = access
 	if s.Where != nil {
 		pl.chooseAccessPath(&plan.access, splitConjuncts(s.Where), s.Table, &scope{})
 		if plan.where, err = cmp.compile(s.Where); err != nil {
@@ -753,21 +849,21 @@ func (pl *planner) planUpdate(s *sql.Update) (*updatePlan, error) {
 }
 
 func (pl *planner) planDelete(s *sql.Delete) (*deletePlan, error) {
-	schema, transient, err := pl.resolveRelation(s.Table)
+	access, err := pl.resolveRelation(s.Table)
 	if err != nil {
 		return nil, err
 	}
-	if transient {
+	if access.transient {
 		return nil, fmt.Errorf("cannot DELETE from transient relation %q", s.Table)
 	}
 	sc := &scope{}
-	sc.add(s.Table, schema)
-	cmp := &exprCompiler{scope: sc, subplan: pl.subplanFn()}
+	sc.add(s.Table, access.schema)
+	cmp := &exprCompiler{scope: sc, subplan: pl.planSub}
 	plan := &deletePlan{relName: s.Table}
 	saved := pl.curSubs
 	pl.curSubs = &plan.subs
 	defer func() { pl.curSubs = saved }()
-	plan.access = tableAccess{relName: s.Table, schema: schema}
+	plan.access = access
 	if s.Where != nil {
 		pl.chooseAccessPath(&plan.access, splitConjuncts(s.Where), s.Table, &scope{})
 		if plan.where, err = cmp.compile(s.Where); err != nil {

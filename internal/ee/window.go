@@ -20,7 +20,8 @@ import (
 // ones enter. Time windows (RANGE d SLIDE s over event-time column t):
 // the watermark is the maximum observed event time quantized to s; the
 // window holds tuples with t > watermark − d. EE triggers on the window
-// fire after every slide with NEW bound to the post-slide contents.
+// fire after every change with INSERTED / EXPIRED bound to the tuples that
+// entered / left and NEW to the post-change contents (fireTriggers).
 func (e *Engine) admitToWindow(ctx *ExecCtx, rel *catalog.Relation, rows []types.Row) error {
 	if len(rows) == 0 {
 		return nil
@@ -86,7 +87,7 @@ func (e *Engine) admitTupleWindow(ctx *ExecCtx, rel *catalog.Relation, rows []ty
 		e.met.WindowSlides.Add(1)
 	}
 	if len(entered) > 0 || len(evicted) > 0 {
-		return e.fireTriggers(ctx, rel.Name, rel.Table.ScanRows(), entered, evicted)
+		return e.fireTriggers(ctx, rel, entered, evicted)
 	}
 	return nil
 }
@@ -156,7 +157,7 @@ func (e *Engine) admitTimeWindow(ctx *ExecCtx, rel *catalog.Relation, rows []typ
 		e.met.WindowSlides.Add(1)
 	}
 	if len(entered) > 0 || len(evictedRows) > 0 {
-		return e.fireTriggers(ctx, rel.Name, rel.Table.ScanRows(), entered, evictedRows)
+		return e.fireTriggers(ctx, rel, entered, evictedRows)
 	}
 	return nil
 }
