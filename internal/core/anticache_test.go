@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -136,15 +137,21 @@ func TestAntiCacheEvictAndFaultEquivalence(t *testing.T) {
 	if after := st.Metrics().Snapshot(); after.ColdFaults == 0 {
 		t.Fatal("reads over evicted rows recorded no cold faults")
 	}
-	// stats surface carries the three anti-caching rows
+	// stats surface carries the three anti-caching rows, and beside them
+	// what the budget does not count: n index entries and a filled pool
 	stats := st.StatsResult()
-	seen := map[string]bool{}
+	seen := map[string]string{}
 	for _, r := range stats.Rows {
-		seen[r[0].Str()] = true
+		seen[r[0].Str()] = r[1].Str()
 	}
 	for _, name := range []string{"cold_evictions", "cold_faults", "cold_resident_bytes"} {
-		if !seen[name] {
+		if _, ok := seen[name]; !ok {
 			t.Fatalf("stats missing %s row", name)
+		}
+	}
+	for _, name := range []string{"index_bytes", "index_bytes.p0", "cold_pool_bytes", "cold_pool_bytes.p0"} {
+		if v, err := strconv.ParseInt(seen[name], 10, 64); err != nil || v < n*64 {
+			t.Fatalf("stats row %s = %q, want at least %d bytes", name, seen[name], n*64)
 		}
 	}
 }

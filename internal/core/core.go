@@ -457,6 +457,20 @@ func (s *Store) PEAt(i int) *pe.Engine { return s.partList()[i].pe }
 // Metrics returns the engine's counter set (shared by all partitions).
 func (s *Store) Metrics() *metrics.Metrics { return s.met }
 
+// unbudgetedBytes reports the partition's heap bytes outside the resident-
+// row ledger: the index entries of every relation and the page buffers of
+// the cold store's pool. Reads atomics and the pool's own lock only, so
+// any goroutine may call it.
+func (p *partition) unbudgetedBytes() (index, pool int64) {
+	for _, name := range p.cat.Names() {
+		index += p.cat.Relation(name).Table.IndexBytes()
+	}
+	if cs := p.cat.ColdStore(); cs != nil {
+		pool = int64(cs.Stats().PoolBytes)
+	}
+	return index, pool
+}
+
 // StatsResult renders a metrics snapshot as metric/value rows — the body of
 // the wire protocol's MsgStats and sstorecli's `stats` verb. Values are
 // strings so counters, gauges, batch means, and latency quantiles share one
@@ -500,6 +514,22 @@ func (s *Store) StatsResult() *pe.Result {
 	ci("cold_evictions", snap.ColdEvictions)
 	ci("cold_faults", snap.ColdFaults)
 	ci("cold_resident_bytes", snap.ColdResidentBytes)
+	// What MemoryBudget does not govern (DESIGN.md §7), summed like the
+	// gauge above and then per partition, the scope the budget applies at.
+	parts := s.partList()
+	index, pool := make([]int64, len(parts)), make([]int64, len(parts))
+	var indexSum, poolSum int64
+	for i, p := range parts {
+		index[i], pool[i] = p.unbudgetedBytes()
+		indexSum += index[i]
+		poolSum += pool[i]
+	}
+	ci("index_bytes", indexSum)
+	ci("cold_pool_bytes", poolSum)
+	for i := range parts {
+		ci(fmt.Sprintf("index_bytes.p%d", i), index[i])
+		ci(fmt.Sprintf("cold_pool_bytes.p%d", i), pool[i])
+	}
 	ci("rebalances", snap.Rebalances)
 	ci("slots_migrated", snap.SlotsMigrated)
 	ci("slot_rows_moved", snap.SlotRowsMoved)

@@ -276,7 +276,7 @@ func (e *Engine) ExecDDL(stmt sql.Statement) error {
 			}
 			ords = append(ords, o)
 		}
-		_, err = rel.Table.CreateIndex(s.Name, ords, s.Unique, true)
+		_, err = rel.Table.CreateIndex(s.Name, ords, s.Unique)
 		return err
 	case *sql.CreateTrigger:
 		return fmt.Errorf("ee: CREATE TRIGGER requires a body; use Engine.CreateTrigger")

@@ -417,7 +417,7 @@ func (e *Engine) accessRows(ctx *ExecCtx, access *tableAccess, outer types.Row, 
 				return true
 			})
 		} else {
-			err = ix.Range(lo, hi, func(key types.Row, id storage.RowID) bool {
+			ix.Range(lo, hi, func(key types.Row, id storage.RowID) bool {
 				if !inBounds(key) {
 					return true
 				}

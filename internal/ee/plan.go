@@ -474,9 +474,9 @@ func (pl *planner) chooseAccessPath(access *tableAccess, conjuncts []sql.Expr, q
 		access.keyType = access.schema.Column(cols[0]).Type
 		return
 	}
-	// Range probe on a single-column ordered index.
+	// Range probe on a single-column index.
 	for _, ix := range rel.Table.Indexes() {
-		if !ix.Ordered() || len(ix.Columns()) != 1 {
+		if len(ix.Columns()) != 1 {
 			continue
 		}
 		c := ix.Columns()[0]

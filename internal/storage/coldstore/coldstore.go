@@ -82,6 +82,10 @@ type Store struct {
 	frames map[uint64]*frame
 	clock  []*frame // clock order for replacement
 	hand   int
+	// spare is the last frame dropped from the pool, unpinned: the next
+	// install takes it — struct and page buffer — instead of allocating,
+	// so a full pool serves misses without allocating at all.
+	spare *frame
 
 	pending []deferredFree
 
@@ -254,10 +258,14 @@ func (s *Store) freeLocked(ref Ref) {
 		return
 	}
 	delete(s.liveCnt, pid)
-	if fr, ok := s.frames[pid]; ok {
-		// Empty pages carry no data worth writing back.
-		fr.dirty = false
-		s.dropFrame(pid)
+	if _, ok := s.frames[pid]; ok {
+		// Empty pages carry no data worth writing back: drop the frame.
+		for i, fr := range s.clock {
+			if fr.pid == pid {
+				s.dropFrame(i)
+				break
+			}
+		}
 	}
 	if pid == s.fillPage {
 		s.fillPage = 0
@@ -304,16 +312,24 @@ func (s *Store) frame(pid uint64) (*frame, error) {
 }
 
 // install adds a frame for pid, evicting per clock policy when the pool
-// is full; fresh pages skip the disk read. Caller holds mu.
+// is full and taking over the victim's frame and page buffer; fresh pages
+// skip the disk read (the caller initialises the header — whatever the
+// buffer held before lies beyond it). Caller holds mu.
 func (s *Store) install(pid uint64, fresh bool) (*frame, error) {
 	for len(s.frames) >= s.poolCap {
 		if !s.evictOne() {
 			break // every frame pinned; let the pool run over briefly
 		}
 	}
-	fr := &frame{pid: pid, data: make([]byte, s.pageSize), ref: true}
+	fr := s.spare
+	if fr == nil {
+		fr = &frame{data: make([]byte, s.pageSize)}
+	}
+	s.spare = nil
+	*fr = frame{pid: pid, data: fr.data, ref: true}
 	if !fresh {
 		if _, err := s.f.ReadAt(fr.data, int64(pid-1)*int64(s.pageSize)); err != nil {
+			s.spare = fr
 			return nil, fmt.Errorf("coldstore: read page %d: %w", pid, err)
 		}
 		s.pageReads++
@@ -349,24 +365,25 @@ func (s *Store) evictOne() bool {
 			}
 			s.pageWrites++
 		}
-		s.dropFrame(fr.pid)
+		s.dropFrame(s.hand)
 		s.poolEvictions++
 		return true
 	}
 	return false
 }
 
-// dropFrame removes pid from the pool without writeback. Caller holds mu.
-func (s *Store) dropFrame(pid uint64) {
-	delete(s.frames, pid)
-	for i, fr := range s.clock {
-		if fr.pid == pid {
-			s.clock = append(s.clock[:i], s.clock[i+1:]...)
-			if s.hand > i {
-				s.hand--
-			}
-			return
-		}
+// dropFrame removes the frame at clock position i from the pool without
+// writeback, keeping it as the spare unless a View still pins it (a pinned
+// buffer belongs to its reader until released). Caller holds mu.
+func (s *Store) dropFrame(i int) {
+	fr := s.clock[i]
+	delete(s.frames, fr.pid)
+	s.clock = append(s.clock[:i], s.clock[i+1:]...)
+	if s.hand > i {
+		s.hand--
+	}
+	if fr.pins == 0 {
+		s.spare = fr
 	}
 }
 
@@ -375,6 +392,7 @@ type Stats struct {
 	Pages         uint64 // pages allocated in the file
 	FreePages     int    // whole pages on the free list
 	PoolPages     int    // frames resident in the buffer pool
+	PoolBytes     int    // page buffers the pool holds, the spare included
 	PendingFrees  int    // refs awaiting the watermark
 	Puts          uint64
 	Frees         uint64
@@ -387,10 +405,15 @@ type Stats struct {
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	bufs := len(s.frames)
+	if s.spare != nil {
+		bufs++
+	}
 	return Stats{
 		Pages:         s.npages,
 		FreePages:     len(s.freeList),
 		PoolPages:     len(s.frames),
+		PoolBytes:     bufs * s.pageSize,
 		PendingFrees:  len(s.pending),
 		Puts:          s.puts,
 		Frees:         s.frees,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -129,7 +130,94 @@ func TestPinnedViewSurvivesPressure(t *testing.T) {
 	if !bytes.Equal(view, want) {
 		t.Fatal("pinned view changed under pool pressure")
 	}
+	// Dropping the pinned page from the pool must not hand its buffer to the
+	// next page either.
+	s.Free(ref)
+	for i := 0; i < 300; i++ {
+		if _, err := s.Put(bytes.Repeat([]byte{byte(i)}, 200)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(view, want) {
+		t.Fatal("pinned view changed after its page was dropped")
+	}
 	release()
+}
+
+// TestFullPoolMissesAllocateNoPages: once the pool is at capacity a miss
+// takes over the victim's frame and buffer, so a read loop that misses
+// every time allocates (almost) nothing — before, one page per miss.
+func TestFullPoolMissesAllocateNoPages(t *testing.T) {
+	const pageSize, poolPages, pages = 4096, 4, 16
+	s := openTest(t, Options{PageSize: pageSize, PoolPages: poolPages})
+	var firstOnPage []Ref
+	for len(firstOnPage) < pages {
+		ref, err := s.Put(bytes.Repeat([]byte{byte(len(firstOnPage))}, 1000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref.Slot() == 0 {
+			firstOnPage = append(firstOnPage, ref)
+		}
+	}
+	buf := make([]byte, 0, 1000)
+	readAll := func() {
+		for i, ref := range firstOnPage {
+			got, err := s.Read(ref, buf)
+			if err != nil || len(got) != 1000 || got[0] != byte(i) || got[999] != byte(i) {
+				t.Fatalf("page %d: read %d bytes, err %v", i, len(got), err)
+			}
+		}
+	}
+	readAll() // settle: the pool is full and cycling
+	reads := s.Stats().PageReads
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const rounds = 50
+	for r := 0; r < rounds; r++ {
+		readAll()
+	}
+	runtime.ReadMemStats(&after)
+	st := s.Stats()
+	if misses := st.PageReads - reads; misses != rounds*pages {
+		t.Fatalf("%d misses in %d reads: the loop was meant to miss every time", misses, rounds*pages)
+	}
+	if st.PoolPages > poolPages || st.PoolBytes > (poolPages+1)*pageSize {
+		t.Fatalf("pool holds %d pages, %d bytes; cap %d pages", st.PoolPages, st.PoolBytes, poolPages)
+	}
+	if perMiss := (after.TotalAlloc - before.TotalAlloc) / (rounds * pages); perMiss > pageSize/16 {
+		t.Fatalf("%d bytes allocated per miss on a full pool (page size %d)", perMiss, pageSize)
+	}
+}
+
+// TestFreshPageOnRecycledBuffer: a fresh page that inherits a buffer full
+// of another page's tuples serves only what was put on it.
+func TestFreshPageOnRecycledBuffer(t *testing.T) {
+	s := openTest(t, Options{PageSize: 512, PoolPages: 2})
+	var old []Ref
+	for i := 0; i < 40; i++ { // 4 tuples a page: every buffer is full of these
+		ref, err := s.Put(bytes.Repeat([]byte("O"), 100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		old = append(old, ref)
+	}
+	for _, ref := range old {
+		s.Free(ref)
+	}
+	want := []byte("the only tuple on its page")
+	ref, err := s.Put(want) // a freed page, on a recycled buffer
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Read(ref, nil); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("read %q, err %v", got, err)
+	}
+	for slot := 1; slot < 4; slot++ {
+		if got, err := s.Read(makeRef(ref.Page(), slot), nil); err == nil {
+			t.Fatalf("slot %d of a one-tuple page served %q", slot, got)
+		}
+	}
 }
 
 func TestDeferredFree(t *testing.T) {

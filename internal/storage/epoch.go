@@ -156,12 +156,8 @@ func (em *EpochManager) freeBin(slot uint64) {
 	em.reused.Add(uint64(len(bin.vers)))
 	bin.vers = bin.vers[:0]
 	for i, n := range bin.nodes {
-		n.key = nil
-		n.refs.Store(nil)
-		for l := range n.next {
-			n.next[l].Store(nil)
-		}
-		slNodePool.Put(n)
+		n.scrub()
+		slClasses[n.class].pool.Put(n)
 		bin.nodes[i] = nil
 	}
 	em.reused.Add(uint64(len(bin.nodes)))
@@ -198,7 +194,7 @@ func (em *EpochManager) ActiveReaders() int64 {
 	return n
 }
 
-// versionPool / slNodePool recycle the two node kinds whose reuse the
-// epoch grace period makes safe.
+// versionPool recycles version nodes, slClasses[].pool (skiplist.go) index
+// nodes by height class: the two kinds whose reuse the epoch grace period
+// makes safe.
 var versionPool = sync.Pool{New: func() any { return new(rowVersion) }}
-var slNodePool = sync.Pool{New: func() any { return new(slNode) }}

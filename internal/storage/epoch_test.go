@@ -283,3 +283,114 @@ func TestEpochReaderEvictorTruncateHammer(t *testing.T) {
 		t.Fatalf("after the drain: retired=%d reused=%d pending=%d", retired, reused, em.PendingRetired())
 	}
 }
+
+// TestEpochIndexNodeReuseAcrossHeightsHammer is the reuse hammer for the
+// variable-height index entries: every round the writer indexes the same
+// keys at heights that rotate within each height class, kills and GCs
+// them (unlink, retire) and advances the epoch, so nodes come back from
+// their class's pool to carry another key at another height — while
+// readers walk the list inside epochs. A node is rewritten with plain
+// stores on reuse, so under -race a node handed out before its last
+// reader left is a reported race; without -race the readers still check
+// that every walk is ascending and every (key, id) pair belongs together.
+func TestEpochIndexNodeReuseAcrossHeightsHammer(t *testing.T) {
+	const nKeys = 96
+	rounds, nReaders := 400, 4
+	if testing.Short() {
+		rounds = 100
+	}
+	heights := []int{1, 2, 3, 4, 5, 6, 7, 8, 9} // classes: 1 | 2-3 | 4-7 | 8+
+	seeds := make([]uint64, len(heights))
+	for i, h := range heights {
+		seeds[i] = levelSeed(t, h)
+	}
+	em := NewEpochManager()
+	sl := newSkiplist(em)
+
+	stop := make(chan struct{})
+	errs := make(chan error, nReaders)
+	var wg sync.WaitGroup
+	for r := 0; r < nReaders; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				g := em.Enter()
+				last, bad := int64(-1), ""
+				sl.scanAt(nil, nil, SeqInf, func(k types.Row, id RowID) bool {
+					if key := k[0].Int(); len(k) != 1 || key <= last || key >= nKeys || id != RowID(key+1) {
+						bad = fmt.Sprintf("walk met key %v id %d after key %d", k, id, last)
+						return false
+					} else {
+						last = key
+					}
+					return true
+				})
+				k := rng.Int63n(nKeys)
+				if ids := sl.lookupAt(intKey(k), SeqInf); len(ids) > 1 || (len(ids) == 1 && ids[0] != RowID(k+1)) {
+					bad = fmt.Sprintf("lookup(%d) = %v", k, ids)
+				}
+				g.Exit()
+				if bad != "" {
+					errs <- fmt.Errorf("%s", bad)
+					return
+				}
+			}
+		}(int64(r))
+	}
+
+	// The worker. heightOf remembers the height each node last carried.
+	heightOf := map[*slNode]int{}
+	reusedAtOtherHeight := 0
+	for round := 0; round < rounds; round++ {
+		seq := Seq(2*round + 1)
+		for k := int64(0); k < nKeys; k++ {
+			h := (int(k) + round) % len(heights)
+			sl.rng = seeds[h]
+			if !sl.insert(intKey(k), RowID(k+1), seq, true) {
+				t.Fatalf("round %d: insert %d refused", round, k)
+			}
+			var update [maxLevel]*slNode
+			n := sl.find(intKey(k), &update)
+			if was, seen := heightOf[n]; seen && was != heights[h] {
+				reusedAtOtherHeight++
+			}
+			heightOf[n] = heights[h]
+		}
+		for k := int64(0); k < nKeys; k++ {
+			if k%3 == 0 {
+				sl.eraseLive(intKey(k), RowID(k+1)) // the undo path unlinks too
+			} else {
+				sl.remove(intKey(k), RowID(k+1), seq+1)
+			}
+		}
+		sl.gc(seq + 1)
+		if sl.length != 0 {
+			t.Fatalf("round %d: %d keys left linked", round, sl.length)
+		}
+		em.Advance()
+	}
+	close(stop)
+	wg.Wait()
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
+	if !em.Advance() || !em.Advance() {
+		t.Fatal("advance stalled with no reader left")
+	}
+	if _, _, retired, reused := em.Stats(); retired != uint64(rounds*nKeys) || reused != retired {
+		t.Fatalf("retired %d nodes (want %d), %d returned to the pools", retired, rounds*nKeys, reused)
+	}
+	if reusedAtOtherHeight == 0 {
+		t.Fatal("no node was ever reused at a height other than the one it was retired at")
+	}
+	t.Logf("%d nodes reused at another height", reusedAtOtherHeight)
+}

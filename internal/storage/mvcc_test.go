@@ -325,10 +325,10 @@ func TestSnapshotHammer(t *testing.T) {
 // repeatedly (A->B->A->B) creates several dead refs sharing (id, dead
 // stamp); undo must revive the latest-born one at each step or the
 // surviving ref ends up with a pending born stamp, hiding a committed row
-// from pinned snapshots. Exercises both the ordered (pk) and hash layouts.
+// from pinned snapshots. Exercises a unique (pk) and a non-unique index.
 func TestRollbackKeyPingPongKeepsPinnedIndexView(t *testing.T) {
 	tb := NewTable(votesSchema(t))
-	if _, err := tb.CreateIndex("h", []int{0}, false, false); err != nil {
+	if _, err := tb.CreateIndex("h", []int{0}, false); err != nil {
 		t.Fatal(err)
 	}
 	clock := tb.Clock()

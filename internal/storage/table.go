@@ -1,5 +1,5 @@
 // Package storage implements the in-memory storage engine: row-store
-// tables with insertion-ordered scans, hash and ordered secondary indexes,
+// tables with insertion-ordered scans, ordered secondary indexes,
 // primary-key and unique constraints, and per-transaction undo logs that
 // give the engine physical atomicity.
 //
@@ -170,7 +170,7 @@ func NewTableWithClock(schema *types.Schema, clock *PartitionClock) *Table {
 	empty := make([]*rowSlot, 0)
 	t.dir.Store(&empty)
 	if schema.HasPrimaryKey() {
-		pk, err := t.CreateIndex(schema.Name()+"_pkey", schema.PrimaryKey(), true, true)
+		pk, err := t.CreateIndex(schema.Name()+"_pkey", schema.PrimaryKey(), true)
 		if err != nil {
 			panic("storage: fresh table cannot fail pk creation: " + err.Error())
 		}
@@ -215,6 +215,16 @@ func (t *Table) IndexByName(name string) *Index {
 	return nil
 }
 
+// IndexBytes reports the heap bytes of the table's index entries, which no
+// memory budget counts (DESIGN.md §7). Safe from any goroutine.
+func (t *Table) IndexBytes() int64 {
+	var n int64
+	for _, ix := range t.idxs() {
+		n += ix.sl.bytes.Load()
+	}
+	return n
+}
+
 // slots returns the published directory. Readers must hold an epoch guard
 // for the pointers inside to stay reusable-safe; the worker may call it
 // bare.
@@ -254,10 +264,9 @@ func slotByID(d []*rowSlot, id RowID) *rowSlot {
 
 // CreateIndex builds an index over the given column ordinals and backfills
 // it from live rows (each entry born at its row version's birth, so
-// snapshots of current rows resolve through the new index too). ordered
-// selects a skiplist (range-scannable) index; otherwise a hash index is
-// built. Unique indexes reject duplicate keys. Worker-only (DDL).
-func (t *Table) CreateIndex(name string, cols []int, unique, ordered bool) (*Index, error) {
+// snapshots of current rows resolve through the new index too). Unique
+// indexes reject duplicate keys. Worker-only (DDL).
+func (t *Table) CreateIndex(name string, cols []int, unique bool) (*Index, error) {
 	for _, ix := range t.idxs() {
 		if ix.Name() == name {
 			return nil, fmt.Errorf("storage: index %q already exists on %s", name, t.name)
@@ -268,7 +277,7 @@ func (t *Table) CreateIndex(name string, cols []int, unique, ordered bool) (*Ind
 			return nil, fmt.Errorf("storage: index %q references column %d outside schema of %s", name, c, t.name)
 		}
 	}
-	ix := newIndex(name, cols, unique, ordered, t.clock.Epochs())
+	ix := newIndex(name, cols, unique, t.clock.Epochs())
 	for _, s := range t.slots() {
 		h := s.liveHead()
 		if h == nil {
@@ -276,8 +285,8 @@ func (t *Table) CreateIndex(name string, cols []int, unique, ordered bool) (*Ind
 		}
 		pl := h.payload.Load()
 		row := t.resolveVersion(pl.row, pl.cold)
-		if err := ix.insert(row.Key(cols), s.id, h.born.Load()); err != nil {
-			return nil, fmt.Errorf("storage: backfilling %q: %w", name, err)
+		if !ix.insert(row.Key(cols), s.id, h.born.Load()) {
+			return nil, fmt.Errorf("storage: backfilling %q: duplicate key %v", name, row.Key(cols))
 		}
 	}
 	cur := t.idxs()
@@ -317,28 +326,29 @@ func (t *Table) Insert(row types.Row, undo *UndoLog) (RowID, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Check unique constraints before touching any state so a failed insert
-	// leaves the table untouched.
-	for _, ix := range t.idxs() {
-		if ix.unique {
-			if _, exists := ix.Lookup(validated.Key(ix.cols)); exists {
-				return 0, fmt.Errorf("storage: %s: duplicate key %v for unique index %q",
-					t.name, validated.Key(ix.cols), ix.Name())
-			}
-		}
-	}
 	ws := t.clock.WriteSeq()
 	id := t.nextID
+	// Indexes first: each checks its unique constraint in the descent that
+	// inserts. The refs are pending and name a RowID that has no slot yet,
+	// so no reader resolves them, and a violation takes back the ones
+	// already added — a failed insert leaves the table untouched.
+	idxs := t.idxs()
+	for i, ix := range idxs {
+		var kb keyBuf
+		if ix.insert(ix.keyOf(validated, &kb), id, ws) {
+			continue
+		}
+		for _, done := range idxs[:i] {
+			done.eraseLive(done.keyOf(validated, &kb), id)
+		}
+		return 0, fmt.Errorf("storage: %s: duplicate key %v for unique index %q",
+			t.name, validated.Key(ix.cols), ix.Name())
+	}
 	t.nextID++
 	s := &rowSlot{id: id}
 	s.head.Store(newRowVersion(validated, 0, ws, SeqInf))
 	t.byID[id] = s
 	t.appendSlot(s)
-	for _, ix := range t.idxs() {
-		if err := ix.insert(validated.Key(ix.cols), id, ws); err != nil {
-			panic("storage: index insert failed after uniqueness pre-check: " + err.Error())
-		}
-	}
 	t.live.Add(1)
 	t.residentBytes.Add(rowMemSize(validated))
 	if undo != nil {
@@ -366,7 +376,8 @@ func (t *Table) Delete(id RowID, undo *UndoLog) error {
 	}
 	ws := t.clock.WriteSeq()
 	for _, ix := range t.idxs() {
-		ix.remove(row.Key(ix.cols), id, ws)
+		var kb keyBuf
+		ix.remove(ix.keyOf(row, &kb), id, ws)
 	}
 	h.dead.Store(ws)
 	t.live.Add(-1)
@@ -399,29 +410,29 @@ func (t *Table) Update(id RowID, newRow types.Row, undo *UndoLog) error {
 	if old == nil {
 		old = t.faultHead(s) // reindexing and undo need the old image hot
 	}
-	// Uniqueness pre-check, ignoring our own entry.
-	for _, ix := range t.idxs() {
-		if !ix.unique {
-			continue
-		}
-		newKey := validated.Key(ix.cols)
-		if newKey.Equal(old.Key(ix.cols)) {
-			continue
-		}
-		if _, exists := ix.Lookup(newKey); exists {
-			return fmt.Errorf("storage: %s: duplicate key %v for unique index %q",
-				t.name, newKey, ix.Name())
-		}
-	}
+	// Re-index where the key moved: enter every new key first — the descent
+	// that inserts checks the unique constraint, and a violation takes back
+	// the pending refs already added, leaving the row as it was — then
+	// retire the old keys, which cannot fail.
 	ws := t.clock.WriteSeq()
-	for _, ix := range t.idxs() {
-		oldKey, newKey := old.Key(ix.cols), validated.Key(ix.cols)
-		if oldKey.Equal(newKey) {
+	idxs := t.idxs()
+	for i, ix := range idxs {
+		var kb keyBuf
+		if ix.sameKey(old, validated) || ix.insert(ix.keyOf(validated, &kb), id, ws) {
 			continue
 		}
-		ix.remove(oldKey, id, ws)
-		if err := ix.insert(newKey, id, ws); err != nil {
-			panic("storage: index update failed after uniqueness pre-check: " + err.Error())
+		for _, done := range idxs[:i] {
+			if !done.sameKey(old, validated) {
+				done.eraseLive(done.keyOf(validated, &kb), id)
+			}
+		}
+		return fmt.Errorf("storage: %s: duplicate key %v for unique index %q",
+			t.name, validated.Key(ix.cols), ix.Name())
+	}
+	for _, ix := range idxs {
+		if !ix.sameKey(old, validated) {
+			var kb keyBuf
+			ix.remove(ix.keyOf(old, &kb), id, ws)
 		}
 	}
 	nv := newRowVersion(validated, 0, ws, SeqInf)
@@ -462,7 +473,8 @@ func (t *Table) undoInsert(id RowID) {
 	}
 	row := h.payload.Load().row // pending versions are never evicted
 	for _, ix := range t.idxs() {
-		ix.eraseLive(row.Key(ix.cols), id)
+		var kb keyBuf
+		ix.eraseLive(ix.keyOf(row, &kb), id)
 	}
 	s.head.Store(nil)
 	delete(t.byID, id)
@@ -483,7 +495,8 @@ func (t *Table) undoDelete(id RowID) {
 	d := h.dead.Load()
 	row := h.payload.Load().row // faulted hot by the Delete being undone
 	for _, ix := range t.idxs() {
-		ix.revive(row.Key(ix.cols), id, d)
+		var kb keyBuf
+		ix.revive(ix.keyOf(row, &kb), id, d)
 	}
 	h.dead.Store(SeqInf)
 	t.live.Add(1)
@@ -508,12 +521,12 @@ func (t *Table) undoUpdate(id RowID) {
 	newRow := newV.payload.Load().row
 	oldRow := oldV.payload.Load().row // faulted hot by the Update being undone
 	for _, ix := range t.idxs() {
-		oldKey, newKey := oldRow.Key(ix.cols), newRow.Key(ix.cols)
-		if oldKey.Equal(newKey) {
+		if ix.sameKey(oldRow, newRow) {
 			continue
 		}
-		ix.eraseLive(newKey, id)
-		ix.revive(oldKey, id, oldV.dead.Load())
+		var kb keyBuf
+		ix.eraseLive(ix.keyOf(newRow, &kb), id)
+		ix.revive(ix.keyOf(oldRow, &kb), id, oldV.dead.Load())
 	}
 	s.head.Store(oldV)
 	oldV.dead.Store(SeqInf)
@@ -725,21 +738,20 @@ func (t *Table) SnapshotLookup(ix *Index, key types.Row, seq Seq) []types.Row {
 
 // SnapshotRange iterates (key, row) pairs with lo <= key <= hi in key
 // order as visible at sequence s. A nil bound is unbounded on that side.
-// Requires an ordered index of this table. The skiplist walk has no
-// stable resume token, so one epoch hold covers the whole range — a wide
-// range delays epoch advance (memory reuse) for the walk's duration but,
-// unlike the old read-lock, never delays the writer. Pairs are captured
-// in the epoch and emitted (with cold page-in) outside it.
+// ix must be an index of this table; the error is always nil. The skiplist
+// walk has no stable resume token, so one epoch hold covers the whole
+// range — a wide range delays epoch advance (memory reuse) for the walk's
+// duration but never delays the writer. Pairs are captured in the epoch —
+// keys by value, since an index entry's key may be rewritten once the
+// epoch is left — and emitted (with cold page-in) outside it.
 func (t *Table) SnapshotRange(ix *Index, lo, hi types.Row, seq Seq, fn func(key types.Row, row types.Row) bool) error {
-	if !ix.ordered {
-		return fmt.Errorf("index %q: range scan on hash index", ix.name)
-	}
 	type hit struct {
-		key types.Row
 		row types.Row
 		ref coldstore.Ref
 	}
 	var hits []hit
+	var keys []types.Value // hit i's key is keys[i*nk : (i+1)*nk]
+	nk := len(ix.cols)
 	g := t.clock.Epochs().Enter()
 	d := t.slots()
 	ix.sl.scanAt(lo, hi, seq, func(key types.Row, id RowID) bool {
@@ -752,12 +764,13 @@ func (t *Table) SnapshotRange(ix *Index, lo, hi types.Row, seq Seq, fn func(key 
 			return true
 		}
 		pl := v.payload.Load()
-		hits = append(hits, hit{key: key, row: pl.row, ref: pl.cold})
+		hits = append(hits, hit{row: pl.row, ref: pl.cold})
+		keys = append(keys, key...)
 		return true
 	})
 	g.Exit()
-	for _, h := range hits {
-		if !fn(h.key, t.resolveVersion(h.row, h.ref)) {
+	for i, h := range hits {
+		if !fn(keys[i*nk:(i+1)*nk:(i+1)*nk], t.resolveVersion(h.row, h.ref)) {
 			return nil
 		}
 	}
@@ -898,8 +911,8 @@ func (t *Table) CommitStaged() int {
 		h.dead.Store(SeqInf)
 		h.born.Store(ws)
 		for _, ix := range t.idxs() {
-			if err := ix.insert(row.Key(ix.cols), s.id, ws); err != nil {
-				panic("storage: staged index insert failed after precheck: " + err.Error())
+			if !ix.insert(row.Key(ix.cols), s.id, ws) {
+				panic("storage: staged index insert failed after precheck: " + ix.Name())
 			}
 		}
 		t.live.Add(1)

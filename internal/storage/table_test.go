@@ -113,7 +113,7 @@ func TestUpdatePKCollision(t *testing.T) {
 
 func TestSecondaryIndexMaintenance(t *testing.T) {
 	tb := NewTable(votesSchema(t))
-	ix, err := tb.CreateIndex("by_candidate", []int{1}, false, true)
+	ix, err := tb.CreateIndex("by_candidate", []int{1}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,20 +150,20 @@ func TestCreateIndexBackfillsAndRejectsDupes(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		mustInsert(t, tb, int64(i), 7)
 	}
-	ix, err := tb.CreateIndex("by_candidate", []int{1}, false, false)
+	ix, err := tb.CreateIndex("by_candidate", []int{1}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ids, _ := ix.Lookup(types.Row{types.NewInt(7)}); len(ids) != 5 {
 		t.Fatalf("backfill: %d", len(ids))
 	}
-	if _, err := tb.CreateIndex("by_candidate", []int{1}, false, false); err == nil {
+	if _, err := tb.CreateIndex("by_candidate", []int{1}, false); err == nil {
 		t.Fatal("duplicate index name accepted")
 	}
-	if _, err := tb.CreateIndex("uniq_candidate", []int{1}, true, false); err == nil {
+	if _, err := tb.CreateIndex("uniq_candidate", []int{1}, true); err == nil {
 		t.Fatal("unique backfill over duplicates accepted")
 	}
-	if _, err := tb.CreateIndex("bad", []int{9}, false, false); err == nil {
+	if _, err := tb.CreateIndex("bad", []int{9}, false); err == nil {
 		t.Fatal("out-of-range column accepted")
 	}
 	if tb.IndexByName("by_candidate") == nil || tb.IndexByName("nope") != nil {
@@ -178,14 +178,11 @@ func TestRangeScan(t *testing.T) {
 	}
 	ix := tb.IndexByName("votes_pkey")
 	var keys []int64
-	err := ix.Range(types.Row{types.NewInt(5)}, types.Row{types.NewInt(9)},
+	ix.Range(types.Row{types.NewInt(5)}, types.Row{types.NewInt(9)},
 		func(k types.Row, _ RowID) bool {
 			keys = append(keys, k[0].Int())
 			return true
 		})
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := []int64{5, 6, 7, 8, 9}
 	if len(keys) != len(want) {
 		t.Fatalf("range = %v", keys)
@@ -197,13 +194,9 @@ func TestRangeScan(t *testing.T) {
 	}
 	// Unbounded scans.
 	n := 0
-	if err := ix.Range(nil, nil, func(types.Row, RowID) bool { n++; return true }); err != nil || n != 20 {
-		t.Fatalf("full range n=%d err=%v", n, err)
-	}
-	// Hash index rejects ranges.
-	h, _ := tb.CreateIndex("h", []int{1}, false, false)
-	if err := h.Range(nil, nil, func(types.Row, RowID) bool { return true }); err == nil {
-		t.Fatal("hash range accepted")
+	ix.Range(nil, nil, func(types.Row, RowID) bool { n++; return true })
+	if n != 20 {
+		t.Fatalf("full range n=%d", n)
 	}
 }
 
@@ -269,7 +262,7 @@ func TestTableIndexEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb := NewTable(schema)
-	sec, err := tb.CreateIndex("by_v", []int{1}, false, true)
+	sec, err := tb.CreateIndex("by_v", []int{1}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

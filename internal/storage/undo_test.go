@@ -88,7 +88,7 @@ func TestUndoReleaseKeepsState(t *testing.T) {
 func TestUndoRandomizedRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	tb := NewTable(votesSchema(t))
-	if _, err := tb.CreateIndex("by_candidate", []int{1}, false, true); err != nil {
+	if _, err := tb.CreateIndex("by_candidate", []int{1}, false); err != nil {
 		t.Fatal(err)
 	}
 	// Seed some committed state.

@@ -107,8 +107,9 @@
 // The cold store is deliberately volatile (never fsynced); recovery
 // re-derives evicted data from the checkpoint + command-log replay, so
 // durability guarantees are unchanged. Watch the cold_evictions /
-// cold_faults / cold_resident_bytes rows of Store.StatsResult, and see
-// DESIGN.md §7 and the E13 experiment.
+// cold_faults / cold_resident_bytes rows of Store.StatsResult — and
+// index_bytes / cold_pool_bytes, the memory the budget does not govern —
+// and see DESIGN.md §7 and the E13 experiment.
 //
 // Work that genuinely spans partitions runs through the two-phase-commit
 // coordinator: ad-hoc multi-row INSERTs spanning shards, INSERT ... SELECT,
