@@ -54,10 +54,6 @@ func main() {
 		app       = flag.String("app", "none", "built-in application: voter | bikeshare | none")
 		ddlFile   = flag.String("ddl", "", "DDL script to execute at startup")
 		syncPol   = flag.String("sync", "never", "command-log fsync policy: never | every | group")
-		gcIval    = flag.Duration("group-interval", 0, "group commit: max wait for a batch fsync (0 = default)")
-		gcBatch   = flag.Int("group-batch", 0, "group commit: fsync early at this many pending commits (0 = default)")
-		gcMin     = flag.Duration("group-min-interval", 0, "adaptive group commit: lower bound of the fsync-latency-tracking flush interval")
-		gcMax     = flag.Duration("group-max-interval", 0, "adaptive group commit: upper bound; > 0 enables adaptation (overrides -group-interval)")
 		logAll    = flag.Bool("log-all-tes", false, "log every transaction execution instead of upstream backup")
 		hstore    = flag.Bool("hstore", false, "H-Store baseline mode (streaming features disabled)")
 		contest   = flag.Int("contestants", 25, "voter: number of contestants")
@@ -91,15 +87,11 @@ func main() {
 	}
 
 	cfg := core.Config{
-		Dir:                    *dir,
-		HStoreMode:             *hstore,
-		Partitions:             *parts,
-		GroupCommitInterval:    *gcIval,
-		GroupCommitMaxBatch:    *gcBatch,
-		GroupCommitMinInterval: *gcMin,
-		GroupCommitMaxInterval: *gcMax,
-		MemoryBudget:           *memBudget,
-		PinWorkers:             *pinWork,
+		Dir:          *dir,
+		HStoreMode:   *hstore,
+		Partitions:   *parts,
+		MemoryBudget: *memBudget,
+		PinWorkers:   *pinWork,
 	}
 	switch *syncPol {
 	case "never":

@@ -3,7 +3,6 @@ package voter
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/wal"
@@ -107,10 +106,9 @@ func TestGlobalEliminationSurvivesRestart(t *testing.T) {
 	}
 	dir := t.TempDir()
 	cfg := core.Config{
-		Dir:                 dir,
-		Sync:                wal.SyncGroupCommit,
-		GroupCommitInterval: 200 * time.Microsecond,
-		Partitions:          3,
+		Dir:        dir,
+		Sync:       wal.SyncGroupCommit,
+		Partitions: 3,
 	}
 
 	build := func() *core.Store {

@@ -145,7 +145,7 @@ func TestE7Driver(t *testing.T) {
 	// noise), but correctness and the durable ack path are not.
 	rows, err := E7(42, 800, 2, 16, []E7Config{
 		{Name: "every-record", Sync: wal.SyncEveryRecord},
-		{Name: "group", Sync: wal.SyncGroupCommit, Interval: 200 * time.Microsecond, MaxBatch: 16},
+		{Name: "group", Sync: wal.SyncGroupCommit},
 	})
 	if err != nil {
 		t.Fatal(err)

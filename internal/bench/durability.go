@@ -35,10 +35,8 @@ func latencyQuantiles(latencies [][]time.Duration) func(p float64) time.Duration
 
 // E7Config is one sync-policy configuration under test.
 type E7Config struct {
-	Name     string
-	Sync     wal.SyncPolicy
-	Interval time.Duration // group commit only
-	MaxBatch int           // group commit only
+	Name string
+	Sync wal.SyncPolicy
 }
 
 // E7Row is one row of the durable-throughput table.
@@ -52,18 +50,13 @@ type E7Row struct {
 }
 
 // DefaultE7Configs is the sweep EXPERIMENTS.md records: the unsafe
-// ceiling, per-record fsync, and group commit at several batch sizes. The
-// daemon interval is set near the device's fsync cost (~100µs on the
-// reference hardware): a longer interval only adds ack latency whenever a
-// batch does not fill, without saving any fsyncs under load.
+// ceiling, per-record fsync, and group commit. Group commit has nothing to
+// sweep: its batch is whatever arrives during one fsync.
 func DefaultE7Configs() []E7Config {
-	const interval = 200 * time.Microsecond
 	return []E7Config{
 		{Name: "never (unsafe)", Sync: wal.SyncNever},
 		{Name: "every-record", Sync: wal.SyncEveryRecord},
-		{Name: "group(batch=8)", Sync: wal.SyncGroupCommit, Interval: interval, MaxBatch: 8},
-		{Name: "group(batch=64)", Sync: wal.SyncGroupCommit, Interval: interval, MaxBatch: 64},
-		{Name: "group(batch=256)", Sync: wal.SyncGroupCommit, Interval: interval, MaxBatch: 256},
+		{Name: "group", Sync: wal.SyncGroupCommit},
 	}
 }
 
@@ -97,11 +90,9 @@ func E7(seed int64, votes, partitions, pipeline int, configs []E7Config) ([]E7Ro
 
 func runE7Config(dir string, c E7Config, feed []workload.Vote, contestants, partitions, pipeline int, expected int64) (E7Row, error) {
 	st := core.Open(core.Config{
-		Dir:                 dir,
-		Sync:                c.Sync,
-		GroupCommitInterval: c.Interval,
-		GroupCommitMaxBatch: c.MaxBatch,
-		Partitions:          partitions,
+		Dir:        dir,
+		Sync:       c.Sync,
+		Partitions: partitions,
 	})
 	if err := voter.SetupOLTP(st, contestants); err != nil {
 		return E7Row{}, err

@@ -9,7 +9,6 @@ import (
 	"repro/internal/apps/voter"
 	"repro/internal/core"
 	"repro/internal/types"
-	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
@@ -21,15 +20,20 @@ import (
 // catch-up delta, the atomic ownership flip — stalls the partition
 // workers. E10 prices exactly that stall against the OLTP Voter workload:
 // a pipelined cast_vote feed runs throughout while the store grows, and
-// the per-slot cutover pause is measured against the group-commit interval
-// (wal.DefaultGroupCommitInterval, 2ms) — the latency hiccup clients
-// already absorb per durable commit batch. A migration whose pauses hide
-// inside that envelope is invisible to a client of the durable store.
+// the per-slot cutover pause is measured against cutoverPauseBudget. A
+// migration whose pauses hide inside that envelope is invisible to a client
+// of the durable store.
 //
 // Correctness is checked with the sequential oracle: after the feed
 // drains on the grown store, SUM(vote_counts.n) must equal the oracle's
 // accepted count exactly — a migration that lost a row, double-applied
 // one, or routed a phone to two owners cannot pass.
+
+// cutoverPauseBudget is the pause a client of the durable store does not
+// notice: 2ms, a handful of back-to-back commit fsyncs on the reference
+// disk and the bound the log puts on how stale an un-waited record may get.
+// Every recorded E10 row was judged against this number.
+const cutoverPauseBudget = 2 * time.Millisecond
 
 // E10Result is the elastic-repartitioning experiment's summary.
 type E10Result struct {
@@ -43,7 +47,7 @@ type E10Result struct {
 	RowsMoved          int64
 	PauseP50           time.Duration
 	PauseP99           time.Duration
-	PauseBudget        time.Duration // one group-commit interval
+	PauseBudget        time.Duration // cutoverPauseBudget
 	WithinBudget       bool          // PauseP99 <= PauseBudget
 	Correct            bool
 }
@@ -126,7 +130,7 @@ func E10(seed int64, votes, from, to, pipeline int) (E10Result, error) {
 	res.RowsMoved = snap.SlotRowsMoved
 	res.PauseP50 = snap.CutoverPauseP50
 	res.PauseP99 = snap.CutoverPauseP99
-	res.PauseBudget = wal.DefaultGroupCommitInterval
+	res.PauseBudget = cutoverPauseBudget
 	res.WithinBudget = res.PauseP99 <= res.PauseBudget
 
 	want := voter.ExpectedValidVotes(feed, contestants)

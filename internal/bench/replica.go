@@ -72,8 +72,6 @@ func e12Store(dir string, parts int) (*core.Store, error) {
 	if dir != "" {
 		cfg.Dir = dir
 		cfg.Sync = wal.SyncGroupCommit
-		cfg.GroupCommitInterval = 200 * time.Microsecond
-		cfg.GroupCommitMaxBatch = 64
 	}
 	st := core.Open(cfg)
 	if err := st.ExecScript(`CREATE TABLE kv (k BIGINT PRIMARY KEY, v BIGINT) PARTITION BY k;`); err != nil {

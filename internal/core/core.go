@@ -48,23 +48,13 @@ type Config struct {
 	// Sync selects the log fsync policy: SyncNever (default; benchmarks on
 	// tmpfs-like media), SyncEveryRecord (one fsync on every commit's
 	// critical path), or SyncGroupCommit (the production choice: commits
-	// append and execution continues, a per-partition daemon fsyncs once
-	// per batch, and clients are acknowledged when their commit future
-	// resolves — see E7 in EXPERIMENTS.md for the throughput gap).
+	// append and execution continues, a per-partition daemon starts an
+	// fsync as soon as a client is waiting and the disk is free, at most
+	// once per 2 ms on a busy log, covering everything appended meanwhile,
+	// and clients are acknowledged when their commit future resolves — no
+	// knob; see DESIGN.md §1.4 and E7 in EXPERIMENTS.md for the throughput
+	// gap).
 	Sync wal.SyncPolicy
-	// GroupCommitInterval is the longest a SyncGroupCommit transaction
-	// waits for its batch fsync (0 = wal.DefaultGroupCommitInterval).
-	GroupCommitInterval time.Duration
-	// GroupCommitMaxBatch fsyncs early once this many commits are pending
-	// in a partition's batch (0 = wal.DefaultGroupCommitMaxBatch).
-	GroupCommitMaxBatch int
-	// GroupCommitMaxInterval > 0 makes the commit daemon's tick adaptive:
-	// it tracks observed fsync latency and scales the flush interval
-	// between GroupCommitMinInterval and GroupCommitMaxInterval, batching
-	// more on slow media and flushing sooner on fast media. Overrides
-	// GroupCommitInterval.
-	GroupCommitMinInterval time.Duration
-	GroupCommitMaxInterval time.Duration
 	// LogMode selects upstream backup (border-only, default) or full
 	// per-TE logging.
 	LogMode pe.LogMode
@@ -140,8 +130,22 @@ func (p *partition) LogCommit(rec *pe.LogRecord) error {
 	if _, err := p.log.Append(payload); err != nil {
 		return err
 	}
-	p.met.LogRecords.Add(1)
-	p.met.LogBytes.Add(int64(len(payload) + 8))
+	p.met.ObserveLogged(len(payload))
+	return nil
+}
+
+// LogCommitUnwaited implements pe.AsyncCommitLogger for a record nobody
+// blocks on (a border or triggered batch): buffered, counted, and durable
+// with the next fsync a waiter on this segment causes or within the log's
+// staleness bound, whichever comes first. No future, so nothing to chain
+// on specTail either: there is no client ack to hold back.
+func (p *partition) LogCommitUnwaited(rec *pe.LogRecord) error {
+	payload := wal.EncodeRecord(rec)
+	if _, err := p.log.AppendUnwaited(payload); err != nil {
+		return err
+	}
+	p.met.ObserveLogged(len(payload))
+	p.met.WalUnwaitedRecords.Add(1)
 	return nil
 }
 
@@ -167,8 +171,7 @@ func (p *partition) LogCommitAsync(rec *pe.LogRecord) (<-chan error, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.met.LogRecords.Add(1)
-	p.met.LogBytes.Add(int64(len(payload) + 8))
+	p.met.ObserveLogged(len(payload))
 	if rec.Kind != pe.RecPrepare && rec.Kind != pe.RecDecide {
 		if tail := p.specTail.Load(); tail != nil {
 			select {
@@ -234,9 +237,10 @@ func (p *partition) recover(cfg *Config, ap *applier) error {
 
 // openLog opens this partition's WAL segment for appending after lastLSN
 // and installs the partition as its engine's commit logger. The commit
-// daemon's sync-batch callback feeds the PREPARE batch-size histogram.
+// daemon's sync-batch callback feeds the fsync counters and the PREPARE
+// batch-size histogram.
 func (p *partition) openLog(cfg *Config, path string, lastLSN uint64) (err error) {
-	p.log, err = wal.OpenLogOpts(path, lastLSN, cfg.logOptions(func(int) {
+	p.log, err = wal.OpenLogOpts(path, lastLSN, cfg.logOptions(p.met, func(int) {
 		if n := p.pendPrep.Swap(0); n > 0 {
 			p.met.MPPrepareBatchSize().Observe(n)
 		}
@@ -248,17 +252,18 @@ func (p *partition) openLog(cfg *Config, path string, lastLSN uint64) (err error
 	return nil
 }
 
-// logOptions carries the store's sync policy and group-commit tuning into
-// one log's options (partition segments and the coordinator log alike;
-// onSync observes each group-commit fsync's batch size).
-func (cfg *Config) logOptions(onSync func(n int)) wal.Options {
+// logOptions carries the store's sync policy into one log's options
+// (partition segments and the coordinator log alike). Every group-commit
+// fsync is counted in met with the records it made durable, then handed to
+// onSync.
+func (cfg *Config) logOptions(met *metrics.Metrics, onSync func(n int)) wal.Options {
 	return wal.Options{
-		Policy:                 cfg.Sync,
-		GroupCommitInterval:    cfg.GroupCommitInterval,
-		GroupCommitMaxBatch:    cfg.GroupCommitMaxBatch,
-		GroupCommitMinInterval: cfg.GroupCommitMinInterval,
-		GroupCommitMaxInterval: cfg.GroupCommitMaxInterval,
-		OnSyncBatch:            onSync,
+		Policy: cfg.Sync,
+		OnSyncBatch: func(n int) {
+			met.WalFsyncs.Add(1)
+			met.WalFsyncRecords.Add(int64(n))
+			onSync(n)
+		},
 	}
 }
 
@@ -496,6 +501,9 @@ func (s *Store) StatsResult() *pe.Result {
 	ci("stream_gc_tuples", snap.StreamGCTuples)
 	ci("log_records", snap.LogRecords)
 	ci("log_bytes", snap.LogBytes)
+	ci("wal_fsyncs", snap.WalFsyncs)
+	ci("wal_fsync_records", snap.WalFsyncRecords)
+	ci("wal_unwaited_records", snap.WalUnwaitedRecords)
 	ci("mp_txns", snap.MPTxns)
 	ci("mp_aborts", snap.MPAborts)
 	ci("mp_legs_committed", snap.MPLegsCommitted)
@@ -683,9 +691,9 @@ func (s *Store) recoverFrom(ap *applier, coordPath string, coordLSN uint64) (err
 	// The coordinator log follows the partition logs' sync policy. Under
 	// group commit it gets its own small commit loop: concurrent
 	// coordinators (slot enlistment lets transactions over disjoint
-	// partition sets overlap) append their DECIDE forces and share one fsync
-	// per daemon tick.
-	s.coordLog, err = wal.OpenLogOpts(coordPath, coordLSN, s.cfg.logOptions(func(n int) {
+	// partition sets overlap) append their DECIDE forces, and those that
+	// arrive while one fsync runs share the next.
+	s.coordLog, err = wal.OpenLogOpts(coordPath, coordLSN, s.cfg.logOptions(s.met, func(n int) {
 		s.met.MPDecideBatchSize().Observe(int64(n))
 	}))
 	if err != nil {

@@ -12,26 +12,40 @@ import (
 	"repro/internal/wal"
 )
 
-// gcTestConfig is the group-commit configuration the tests share: a short
-// interval so futures resolve promptly, a small batch so the batch-full
-// path also fires.
+// gcTestConfig is the group-commit configuration the tests share.
 func gcTestConfig(dir string, parts int) Config {
-	return Config{
-		Dir:                 dir,
-		Sync:                wal.SyncGroupCommit,
-		GroupCommitInterval: 500 * time.Microsecond,
-		GroupCommitMaxBatch: 8,
-		Partitions:          parts,
-	}
+	return Config{Dir: dir, Sync: wal.SyncGroupCommit, Partitions: parts}
 }
 
-// buildKV assembles a store with a hash-partitioned kv table and a "put"
-// procedure routed by its key parameter — the minimal durable OLTP app the
-// crash tests drive.
+// buildKV assembles a store with a hash-partitioned kv table, a "put"
+// procedure routed by its key parameter, and a "feed" stream whose border
+// batches (one row each) insert into the same table — the minimal durable
+// app the crash tests drive: puts are commits a client waits on, feed rows
+// are commits nobody waits on.
 func buildKV(t *testing.T, cfg Config) *Store {
 	t.Helper()
 	st := Open(cfg)
-	if err := st.ExecScript(`CREATE TABLE kv (k BIGINT PRIMARY KEY, v BIGINT) PARTITION BY k;`); err != nil {
+	if err := st.ExecScript(`
+		CREATE TABLE kv (k BIGINT PRIMARY KEY, v BIGINT) PARTITION BY k;
+		CREATE STREAM feed (k BIGINT, v BIGINT) PARTITION BY k;
+	`); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.RegisterProcedure(&pe.Procedure{
+		Name:     "absorb",
+		WriteSet: []string{"kv"},
+		Handler: func(ctx *pe.ProcCtx) error {
+			for _, r := range ctx.Batch {
+				if _, err := ctx.Exec("INSERT INTO kv VALUES (?, ?)", r[0], r[1]); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.BindStream("feed", "absorb", 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.RegisterProcedure(&pe.Procedure{
@@ -109,21 +123,34 @@ func copyDurableState(t *testing.T, src, dst string, parts int) {
 // TestGroupCommitAckedSubsetRecovered is the command-log contract under
 // group commit: every transaction acknowledged to a client before the
 // crash point must be recovered (acked ⊆ recovered), while unacked work
-// may be silently dropped (torn-tail rule). The "crash" is a byte-level
-// copy of the log segments taken while the second wave of calls is still
-// in flight.
+// may be silently dropped (torn-tail rule). An ack also proves everything
+// logged before it on the same partition: border batches take no future
+// and start no fsync, yet every one that committed ahead of an acked call
+// must be recovered with it. The "crash" is a byte-level copy of the log
+// segments taken while the second wave of calls is still in flight.
 func TestGroupCommitAckedSubsetRecovered(t *testing.T) {
 	const parts = 2
 	const wave = 200
+	const fed = 60 // keys fedBase.., one un-waited border batch each
+	const fedBase = 1_000_000
 	dir, crashDir := t.TempDir(), t.TempDir()
 	st := buildKV(t, gcTestConfig(dir, parts))
 	if err := st.Start(); err != nil {
 		t.Fatal(err)
 	}
 
+	// Wave 0: border batches, queued on both partitions ahead of wave 1.
+	// Nothing acknowledges them; wave 1's acks are their only witness.
+	acked := make(map[int64]bool, wave+fed)
+	for k := int64(fedBase); k < fedBase+fed; k++ {
+		if err := st.Ingest("feed", types.Row{types.NewInt(k), types.NewInt(k)}); err != nil {
+			t.Fatal(err)
+		}
+		acked[k] = true
+	}
+
 	// Wave 1: fire and wait for every acknowledgement. These are durable by
 	// contract the moment the ack arrives.
-	acked := make(map[int64]bool, wave)
 	var pending []<-chan pe.CallResult
 	for k := int64(0); k < wave; k++ {
 		pending = append(pending, st.CallAsync("put", types.NewInt(k), types.NewInt(k*10)))
@@ -145,6 +172,9 @@ func TestGroupCommitAckedSubsetRecovered(t *testing.T) {
 	for _, ch := range wave2 {
 		<-ch // let the engine finish cleanly; the copy is already taken
 	}
+	if n := st.Metrics().Snapshot().WalUnwaitedRecords; n != fed {
+		t.Fatalf("%d of the %d border batches were logged un-waited", n, fed)
+	}
 	if err := st.Stop(); err != nil {
 		t.Fatal(err)
 	}
@@ -156,9 +186,68 @@ func TestGroupCommitAckedSubsetRecovered(t *testing.T) {
 		}
 	}
 	for k := range got {
-		if k < 0 || k >= 2*wave {
+		if (k < 0 || k >= 2*wave) && !acked[k] {
 			t.Fatalf("recovered key %d was never written", k)
 		}
+	}
+}
+
+// TestCheckpointBarrierHardensUnwaitedRecords: the checkpoint barrier
+// (drainAcks → SyncCommits) is a waiter like any other, so records nobody
+// waited on are on disk — counted by an fsync — before the snapshot is cut
+// and the log truncated; the barrier does not depend on the staleness
+// bound having expired.
+func TestCheckpointBarrierHardensUnwaitedRecords(t *testing.T) {
+	const parts = 2
+	const fed = 40
+	dir := t.TempDir()
+	st := buildKV(t, gcTestConfig(dir, parts))
+	if err := st.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(0); k < fed; k++ {
+		if err := st.Ingest("feed", types.Row{types.NewInt(k), types.NewInt(k)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.Drain()
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	snap := st.Metrics().Snapshot()
+	if snap.WalUnwaitedRecords != fed || snap.LogRecords != fed {
+		t.Fatalf("logged %d records, %d un-waited; want %d of each", snap.LogRecords, snap.WalUnwaitedRecords, fed)
+	}
+	if snap.WalFsyncRecords != snap.LogRecords {
+		t.Fatalf("checkpoint truncated the log with %d of %d records never covered by an fsync",
+			snap.LogRecords-snap.WalFsyncRecords, snap.LogRecords)
+	}
+	if snap.WalFsyncs == 0 || snap.WalFsyncs > snap.WalFsyncRecords {
+		t.Fatalf("%d fsyncs for %d records", snap.WalFsyncs, snap.WalFsyncRecords)
+	}
+	// The operator's view: the same three numbers in the stats result.
+	stats := map[string]string{}
+	for _, r := range st.StatsResult().Rows {
+		stats[r[0].Str()] = r[1].Str()
+	}
+	for key, want := range map[string]int64{
+		"wal_fsyncs": snap.WalFsyncs, "wal_fsync_records": snap.WalFsyncRecords, "wal_unwaited_records": snap.WalUnwaitedRecords,
+	} {
+		if stats[key] != fmt.Sprint(want) {
+			t.Fatalf("stats %s = %q, want %d", key, stats[key], want)
+		}
+	}
+	for i := 0; i < parts; i++ {
+		logPath, _ := wal.PartitionPaths(dir, i)
+		if fi, err := os.Stat(logPath); err != nil || fi.Size() != 0 {
+			t.Fatalf("partition %d log after checkpoint: %v, err %v", i, fi, err)
+		}
+	}
+	if err := st.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if got := recoveredKeys(t, dir, parts); len(got) != fed {
+		t.Fatalf("recovered %d keys from the checkpoint, want %d", len(got), fed)
 	}
 }
 

@@ -185,6 +185,15 @@ func TestMPConflictingSetsSerializeWithoutDeadlock(t *testing.T) {
 	if want := len(orders) * 2 * perWorker; len(res.Rows) != want {
 		t.Fatalf("expected %d committed keys, got %d", want, len(res.Rows))
 	}
+	// Force pooling survives without a commit timer: with the slots
+	// released before durability, successors' PREPAREs reach a log while
+	// its fsync is in flight and share the next one.
+	snap := st.Metrics().Snapshot()
+	t.Logf("prepare forces per fsync: mean %.2f over %d fsyncs (decide: %.2f)",
+		snap.MPPrepareBatchMean, snap.MPPrepareBatches, snap.MPDecideBatchMean)
+	if snap.MPPrepareBatchMean <= 1 {
+		t.Fatalf("mp_prepare_batch_mean = %.2f: no two PREPARE forces ever shared an fsync", snap.MPPrepareBatchMean)
+	}
 }
 
 // TestMPReadOnlyLegAndOnePhaseSkipDecideForce pins the force accounting:

@@ -69,10 +69,10 @@ import (
 // Successive transactions on the same partitions therefore overlap their
 // durability waits: the next coordinator enlists, executes, and appends
 // its own votes while the previous one is still waiting on the disk, so
-// PREPARE/DECIDE/commit records pool in the group-commit daemons' ticks
-// and share fsyncs (the force batching E11 measures). Nothing kicks the
-// daemons early — an immediate per-record sync would shrink batches to
-// one record; the tick interval bounds the added ack latency. The
+// PREPARE/DECIDE/commit records pool behind whichever fsync is in flight
+// in the store's directory (the logs take turns on the disk, wal.disks)
+// and share their log's next one — the force batching E11 measures. The
+// pool is as deep as the disk is busy; no force waits for a timer. The
 // read-only optimization removes two forces outright: a leg that wrote
 // nothing votes yes and releases its worker at PREPARE (no PREPARE
 // record, no marker).
@@ -847,13 +847,10 @@ func (tx *MPTxn) finishAll(commit bool) error {
 
 // appendCoord forces one record into the coordinator log: a commit
 // decision, a slot-migration step, a seed's decision. Non-durable stores
-// keep no coordinator log and skip it. Under group commit the append shares
-// coord.log's daemon fsync with every other in-flight coordinator's
-// decision, and the wait rides the daemon's own tick — kicking an immediate
-// fsync per decision would shrink batches to one record and burn the disk
-// (and, on small machines, the CPU) on per-transaction syncs; the tick
-// bounds the added latency at one group-commit interval, well off the
-// enlistment-slot critical path.
+// keep no coordinator log and skip it. Under group commit the append is a
+// waiter: it starts coord.log's fsync if none is running, else it shares
+// the next one with every other decision that arrived meanwhile — off the
+// enlistment-slot critical path either way.
 func (s *Store) appendCoord(rec *pe.LogRecord) error {
 	if s.coordLog == nil {
 		return nil
@@ -862,8 +859,7 @@ func (s *Store) appendCoord(rec *pe.LogRecord) error {
 	if _, err := s.coordLog.Append(payload); err != nil {
 		return err
 	}
-	s.met.LogRecords.Add(1)
-	s.met.LogBytes.Add(int64(len(payload) + 8))
+	s.met.ObserveLogged(len(payload))
 	return nil
 }
 

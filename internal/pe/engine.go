@@ -99,14 +99,21 @@ type CommitLogger interface {
 // to disk. LogCommitAsync appends the record and returns a commit future
 // that resolves (nil on success) once the record is durable; the engine
 // acknowledges the client only then, preserving the command-log guarantee.
-// SyncCommits forces everything appended so far durable and resolves every
-// outstanding future before returning — the checkpoint barrier's drain.
+// LogCommitUnwaited appends a record nobody is waiting on (a border or
+// triggered batch: no client blocks, and upstream backup covers the input
+// until it is durable): no future, and no fsync started on its account —
+// it becomes durable with the next fsync any waiter causes, or within the
+// logger's staleness bound. A later future on the same logger resolving
+// proves it durable. SyncCommits forces everything appended so far durable
+// and resolves every outstanding future before returning — the checkpoint
+// barrier's drain.
 type AsyncCommitLogger interface {
 	CommitLogger
 	// AsyncCommit reports whether the logger is currently batching fsyncs;
 	// when false the engine uses the synchronous LogCommit path.
 	AsyncCommit() bool
 	LogCommitAsync(rec *LogRecord) (<-chan error, error)
+	LogCommitUnwaited(rec *LogRecord) error
 	SyncCommits() error
 }
 
@@ -1086,8 +1093,9 @@ func (e *Engine) executeRequest(r *txnRequest) {
 	// Durability: the command-log record must be written before the commit
 	// is acknowledged. Under group commit the append happens here (so the
 	// log keeps transaction order) but the acknowledgement waits for the
-	// batch fsync, delivered by the acker once the future resolves; the
-	// worker itself moves straight on to the next transaction.
+	// fsync that covers it, delivered by the acker once the future
+	// resolves; the worker itself moves straight on to the next
+	// transaction. A request with no responder takes no future at all.
 	ack, lerr := e.logCommit(r)
 	if lerr != nil {
 		undo.Rollback()
@@ -1105,6 +1113,10 @@ func (e *Engine) executeRequest(r *txnRequest) {
 		e.met.TriggeredTxns.Add(1)
 	}
 	if ack == nil {
+		// Nothing waits on this commit's fsync (no log, a synchronous log,
+		// or a responder-less border/triggered batch under group commit),
+		// so its latency is observed here, at commit; a commit that takes a
+		// future is observed by the acker, once durable.
 		e.met.ObserveLatency(time.Since(start))
 	}
 
@@ -1249,7 +1261,10 @@ func (e *Engine) runHandler(p *Procedure, pctx *ProcCtx) (err error) {
 // logCommit writes the request's command-log record. On the synchronous
 // path (SyncNever / SyncEveryRecord) it returns (nil, err) with the record
 // durable per policy; on the group-commit path it returns the commit
-// future the acknowledgement must wait for.
+// future the acknowledgement must wait for — or none when the request has
+// no responder (border and triggered batches): nobody would read the
+// future, so the record is appended un-waited and neither starts an fsync
+// nor crosses the acker.
 func (e *Engine) logCommit(r *txnRequest) (<-chan error, error) {
 	if e.logger == nil || r.replay {
 		return nil, nil
@@ -1270,10 +1285,13 @@ func (e *Engine) logCommit(r *txnRequest) (<-chan error, error) {
 	default:
 		return nil, nil
 	}
-	if e.asyncLog != nil {
-		return e.asyncLog.LogCommitAsync(rec)
+	switch {
+	case e.asyncLog == nil:
+		return nil, e.logger.LogCommit(rec)
+	case r.done == nil:
+		return nil, e.asyncLog.LogCommitUnwaited(rec)
 	}
-	return nil, e.logger.LogCommit(rec)
+	return e.asyncLog.LogCommitAsync(rec)
 }
 
 func (r *txnRequest) respond(res *ee.Result, err error) {

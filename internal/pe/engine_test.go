@@ -505,3 +505,107 @@ func cloneRecord(rec *LogRecord) *LogRecord {
 	}
 	return &c
 }
+
+// heldLogger is an AsyncCommitLogger whose futures resolve only when the
+// test (or SyncCommits) says so, recording which path each record took.
+type heldLogger struct {
+	mu       sync.Mutex
+	waited   []RecordKind // records that took a future, in order
+	unwaited []RecordKind // records appended with nobody waiting
+	futures  []chan error
+	syncs    int
+}
+
+func (l *heldLogger) LogCommit(*LogRecord) error { panic("synchronous path on an async logger") }
+func (l *heldLogger) AsyncCommit() bool          { return true }
+
+func (l *heldLogger) LogCommitAsync(rec *LogRecord) (<-chan error, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	ch := make(chan error, 1)
+	l.waited = append(l.waited, rec.Kind)
+	l.futures = append(l.futures, ch)
+	return ch, nil
+}
+
+func (l *heldLogger) LogCommitUnwaited(rec *LogRecord) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.unwaited = append(l.unwaited, rec.Kind)
+	return nil
+}
+
+func (l *heldLogger) SyncCommits() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.syncs++
+	for _, ch := range l.futures {
+		ch <- nil
+	}
+	l.futures = nil
+	return nil
+}
+
+// TestUnwaitedCommitsSkipTheAckPipeline pins who waits on the log: a
+// request with no responder (border and triggered batches) is appended
+// un-waited — no future, no acker slot, latency observed at commit — while
+// a Call takes a future and is acknowledged only once it resolves; the
+// checkpoint barrier's SyncCommits covers both.
+func TestUnwaitedCommitsSkipTheAckPipeline(t *testing.T) {
+	e := newTestPE(t, Config{}, counterDDL)
+	registerChain(t, e, 1)
+	must(t, e.RegisterProcedure(&Procedure{Name: "noop", Handler: func(*ProcCtx) error { return nil }}))
+	logger := &heldLogger{}
+	e.SetLogger(logger, LogAllTEs)
+	must(t, e.Start())
+	defer e.Stop()
+
+	const batches = 4
+	for v := int64(1); v <= batches; v++ {
+		must(t, e.Ingest("in_s", intRow(v)))
+	}
+	e.Drain()
+	logger.mu.Lock()
+	nWaited, nUnwaited := len(logger.waited), len(logger.unwaited)
+	logger.mu.Unlock()
+	if nWaited != 0 || nUnwaited != 2*batches {
+		t.Fatalf("%d border+triggered records took a future, %d went un-waited; want 0 and %d",
+			nWaited, nUnwaited, 2*batches)
+	}
+	e.ackMu.Lock()
+	queued := e.ackPending
+	e.ackMu.Unlock()
+	if queued != 0 {
+		t.Fatalf("%d responder-less commits crossed the acker", queued)
+	}
+	if n := e.met.Latency().Count(); n != 2*batches {
+		t.Fatalf("latency observed for %d of %d commits nobody acks", n, 2*batches)
+	}
+
+	// A Call has a responder: future taken, no ack while it is unresolved.
+	done := e.CallAsync("noop")
+	e.Drain()
+	select {
+	case cr := <-done:
+		t.Fatalf("call acknowledged before its commit future resolved: %+v", cr)
+	default:
+	}
+	logger.mu.Lock()
+	nWaited = len(logger.waited)
+	logger.mu.Unlock()
+	if nWaited != 1 {
+		t.Fatalf("%d futures taken for one call", nWaited)
+	}
+	// The barrier drains the pipeline through SyncCommits before fn runs.
+	must(t, e.RunExclusive(func() error {
+		select {
+		case cr := <-done:
+			return cr.Err
+		default:
+			return fmt.Errorf("barrier ran with the call still unacknowledged")
+		}
+	}))
+	if logger.syncs == 0 {
+		t.Fatal("barrier never called SyncCommits")
+	}
+}

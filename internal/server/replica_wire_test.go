@@ -22,8 +22,6 @@ func durableKV(t *testing.T, dir string, parts int) *core.Store {
 	if dir != "" {
 		cfg.Dir = dir
 		cfg.Sync = wal.SyncGroupCommit
-		cfg.GroupCommitInterval = 500 * time.Microsecond
-		cfg.GroupCommitMaxBatch = 8
 	}
 	st := core.Open(cfg)
 	if err := st.ExecScript(`CREATE TABLE kv (k BIGINT PRIMARY KEY, v BIGINT) PARTITION BY k;`); err != nil {

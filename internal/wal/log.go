@@ -30,52 +30,58 @@ const (
 	// SyncEveryRecord fsyncs after each append — one fsync on the critical
 	// path of every commit.
 	SyncEveryRecord
-	// SyncGroupCommit batches fsyncs: appends return a commit future and a
-	// daemon fsyncs once per batch (Options.GroupCommitInterval /
-	// GroupCommitMaxBatch), resolving every future the fsync covered. One
-	// fsync amortizes over the whole in-flight batch.
+	// SyncGroupCommit batches fsyncs on demand: an append that somebody
+	// waits on returns a commit future and starts an fsync at once on a log
+	// that has been quiet; a busy log fsyncs once per stalenessBound, and
+	// each fsync covers everything appended since the previous one began.
+	// There is nothing to tune.
 	SyncGroupCommit
 )
 
-// Group-commit defaults, used when the corresponding Options field is zero.
-const (
-	DefaultGroupCommitInterval = 2 * time.Millisecond
-	DefaultGroupCommitMaxBatch = 64
-)
+// stalenessBound is the log's only time constant. It is the longest a
+// record nobody waits on (AppendUnwaited) stays buffered before the commit
+// daemon fsyncs it unprompted: the loss window for un-acked stream input,
+// and what a follower tailing the segment lags by. It is also a busy log's
+// fsync period, the shortest interval between the starts of two of its
+// fsyncs: a waiter on a log that has not fsynced for this long pays for its
+// own fsync and nothing else, one that finds the log inside its period
+// waits out the rest of it with whatever else arrives. Uncapped, a closed
+// loop of small commits fsyncs back to back, and its rate (and the CPU the
+// commit path takes from the workers) follows the host's speed of the minute.
+const stalenessBound = 2 * time.Millisecond
+
+// DefaultGroupCommitMaxBatch is read only by the benchmark ladder, as the
+// number of appends it puts behind one timed fsync; the commit daemon has
+// no batch limit.
+const DefaultGroupCommitMaxBatch = 64
 
 // Options configures OpenLogOpts.
 type Options struct {
 	// Policy selects when appended records are forced to stable storage.
 	Policy SyncPolicy
-	// GroupCommitInterval is the longest a SyncGroupCommit record waits for
-	// its fsync (the commit daemon's tick). Zero means the default.
-	GroupCommitInterval time.Duration
-	// GroupCommitMaxBatch fsyncs early once this many appends are pending,
-	// bounding batch size under load. Zero means the default.
-	GroupCommitMaxBatch int
-	// GroupCommitMaxInterval > 0 makes the daemon's tick adaptive: an EWMA
-	// of observed fsync latency, clamped to [GroupCommitMinInterval,
-	// GroupCommitMaxInterval]. Slow media batch longer (one fsync
-	// amortizes over more commits, and ticking faster than the disk can
-	// fsync only queues); fast media flush sooner, cutting commit latency
-	// below what a fixed tick would add. GroupCommitInterval is ignored
-	// while adapting.
-	GroupCommitMinInterval time.Duration
-	GroupCommitMaxInterval time.Duration
 	// OnSyncBatch, when non-nil, is called by the commit daemon after each
-	// successful fsync that covered at least one pending future, with the
-	// number of records the fsync made durable — the observable batching
-	// the 2PC force amortization reports as a histogram. Called from the
-	// daemon goroutine; keep it cheap and non-blocking.
+	// successful fsync with the number of records it made durable (never
+	// zero) — the observable batching behind the wal_fsync* counters and
+	// the 2PC force histograms. Called from the daemon goroutine; keep it
+	// cheap and non-blocking.
 	OnSyncBatch func(n int)
 }
 
-// commitWaiter is one unresolved commit future: the record at lsn has been
-// appended (buffered) but not yet fsync'd.
-type commitWaiter struct {
-	lsn uint64
-	ch  chan error
-}
+// commitState is the group-commit daemon's state (guarded by Log.mu).
+type commitState uint8
+
+const (
+	// parked: every appended record is durable or about to be resolved;
+	// the daemon is blocked and no timer runs, so an idle log costs nothing.
+	parked commitState = iota
+	// armed: only records nobody waits on are buffered; the staleness
+	// timer runs and nothing else will wake the daemon.
+	armed
+	// syncing: a waiter appeared or the bound expired. The daemon fsyncs,
+	// one period after another, until an fsync returns with no waiter left
+	// behind.
+	syncing
+)
 
 // Log is an append-only record log. Each record is framed as
 // [len u32][crc32 u32][lsn u64][payload] with the CRC covering lsn+payload;
@@ -88,40 +94,34 @@ type commitWaiter struct {
 // Appends go through a buffered writer, so even SyncNever pays one write(2)
 // per flush rather than per record; Sync, Truncate, and Close flush first.
 // Under SyncGroupCommit a commit daemon shares the Log with the appender;
-// mu guards the writer, the LSN counter, and the pending futures.
+// mu guards the writer, the LSN counter, the pending futures and the
+// daemon's state.
 type Log struct {
-	path   string
 	policy SyncPolicy
+	// sync forces the file to stable storage: f.Sync, except in tests,
+	// which substitute it to hold an fsync open or make it fail.
+	sync func() error
+	disk chan struct{} // the directory's token: held across a commit daemon's fsync (see disks)
 
-	mu      sync.Mutex
-	f       *os.File
-	w       *bufio.Writer
-	lsn     uint64         // last assigned LSN
-	buf     []byte         // frame scratch, reused across appends
-	pending []commitWaiter // futures awaiting the next fsync (LSN order)
-	err     error          // sticky: a write/fsync failure poisons the log
+	mu       sync.Mutex
+	f        *os.File
+	w        *bufio.Writer
+	lsn      uint64       // last assigned LSN
+	buf      []byte       // frame scratch, reused across appends
+	pending  []chan error // futures the next fsync resolves (append order)
+	unsynced int          // records buffered since the last fsync began
+	err      error        // sticky: a write/fsync failure poisons the log
+	state    commitState
+	closed   bool
 
 	// group-commit daemon plumbing (nil unless policy is SyncGroupCommit).
-	interval time.Duration
-	maxBatch int
-	kick     chan struct{}   // batch-full nudge
-	syncReq  chan chan error // SyncNow rendezvous
+	wake     chan struct{} // one token per transition into syncing
+	bound    *time.Timer   // staleness timer, running only while armed
+	lastSync time.Time     // when the daemon last took the disk (daemon only)
 	quit     chan struct{}
 	done     chan struct{}
 	stop     sync.Once
-
-	// Adaptive tick (GroupCommitMaxInterval > 0): fsyncEWMA tracks observed
-	// fsync latency and curInterval holds the clamped tick, both in
-	// nanoseconds (atomics: the daemon writes, metrics/tests read).
-	adaptive    bool
-	minInterval time.Duration
-	maxInterval time.Duration
-	fsyncEWMA   atomic.Int64
-	curInterval atomic.Int64
-	// idle is set while the daemon is parked with nothing pending;
-	// AppendAsync nudges it through kick, so an idle log costs no
-	// periodic wakeups even at a sub-millisecond adaptive tick.
-	idle atomic.Bool
+	wakeups  atomic.Int64 // times the daemon came off its select (tests)
 
 	// onSyncBatch is Options.OnSyncBatch (nil when unset).
 	onSyncBatch func(n int)
@@ -142,38 +142,18 @@ func OpenLogOpts(path string, startLSN uint64, o Options) (*Log, error) {
 		return nil, fmt.Errorf("wal: open log: %w", err)
 	}
 	l := &Log{
-		path:   path,
 		policy: o.Policy,
+		sync:   f.Sync,
+		disk:   diskOf(path),
 		f:      f,
 		w:      bufio.NewWriterSize(f, 1<<16),
 		lsn:    startLSN,
 	}
 	if o.Policy == SyncGroupCommit {
 		l.onSyncBatch = o.OnSyncBatch
-		l.interval = o.GroupCommitInterval
-		if l.interval <= 0 {
-			l.interval = DefaultGroupCommitInterval
-		}
-		l.maxBatch = o.GroupCommitMaxBatch
-		if l.maxBatch <= 0 {
-			l.maxBatch = DefaultGroupCommitMaxBatch
-		}
-		if o.GroupCommitMaxInterval > 0 {
-			l.adaptive = true
-			l.minInterval = o.GroupCommitMinInterval
-			if l.minInterval < 100*time.Microsecond {
-				l.minInterval = 100 * time.Microsecond
-			}
-			l.maxInterval = o.GroupCommitMaxInterval
-			if l.maxInterval < l.minInterval {
-				l.maxInterval = l.minInterval
-			}
-			l.curInterval.Store(int64(l.minInterval)) // optimistic start
-		} else {
-			l.curInterval.Store(int64(l.interval))
-		}
-		l.kick = make(chan struct{}, 1)
-		l.syncReq = make(chan chan error)
+		l.wake = make(chan struct{}, 1)
+		l.bound = time.NewTimer(time.Hour)
+		l.bound.Stop()
 		l.quit = make(chan struct{})
 		l.done = make(chan struct{})
 		go l.daemon()
@@ -181,38 +161,19 @@ func OpenLogOpts(path string, startLSN uint64, o Options) (*Log, error) {
 	return l, nil
 }
 
-// CurrentInterval reports the commit daemon's tick: fixed, or the latest
-// adaptive value (tests and metrics).
-func (l *Log) CurrentInterval() time.Duration {
-	return time.Duration(l.curInterval.Load())
-}
+// disks holds one token per log directory: the logs of a store share a
+// device, so for the commit daemons "the disk is free" is a fact about the
+// directory, not the file. With the token a second log's waiters pool
+// while the first log's fsync runs (daemons fsyncing side by side
+// serialize in the journal anyway, pin a thread each, and a 4-partition
+// 2PC load collapsed to ~1.5 records per fsync); blocked senders queue
+// FIFO, so logs take turns. Entries are never removed: one channel per
+// directory ever opened.
+var disks sync.Map // directory -> chan struct{} (capacity 1)
 
-// FsyncEWMA reports the daemon's running estimate of fsync latency (zero
-// until the first measured fsync).
-func (l *Log) FsyncEWMA() time.Duration {
-	return time.Duration(l.fsyncEWMA.Load())
-}
-
-// observeFsync folds one measured fsync into the EWMA (alpha 1/4) and
-// re-clamps the adaptive tick.
-func (l *Log) observeFsync(d time.Duration) {
-	if !l.adaptive {
-		return
-	}
-	prev := l.fsyncEWMA.Load()
-	next := int64(d)
-	if prev > 0 {
-		next = prev + (int64(d)-prev)/4
-	}
-	l.fsyncEWMA.Store(next)
-	iv := time.Duration(next)
-	if iv < l.minInterval {
-		iv = l.minInterval
-	}
-	if iv > l.maxInterval {
-		iv = l.maxInterval
-	}
-	l.curInterval.Store(int64(iv))
+func diskOf(path string) chan struct{} {
+	d, _ := disks.LoadOrStore(filepath.Dir(path), make(chan struct{}, 1))
+	return d.(chan struct{})
 }
 
 // GroupCommit reports whether the log batches fsyncs behind commit futures.
@@ -224,19 +185,13 @@ func (l *Log) appendFrame(payload []byte) (uint64, error) {
 		return 0, fmt.Errorf("wal: log poisoned by earlier failure: %w", l.err)
 	}
 	lsn := l.lsn + 1
-	l.buf = l.buf[:0]
-	var lsnB [8]byte
-	binary.LittleEndian.PutUint64(lsnB[:], lsn)
-	crc := crc32.NewIEEE()
-	crc.Write(lsnB[:])
-	crc.Write(payload)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(8+len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc.Sum32())
-	l.buf = append(l.buf, hdr[:]...)
-	l.buf = append(l.buf, lsnB[:]...)
-	l.buf = append(l.buf, payload...)
-	if _, err := l.w.Write(l.buf); err != nil {
+	b := binary.LittleEndian.AppendUint32(l.buf[:0], uint32(8+len(payload)))
+	b = append(b, 0, 0, 0, 0) // the CRC, once the bytes it covers are in place
+	b = binary.LittleEndian.AppendUint64(b, lsn)
+	b = append(b, payload...)
+	binary.LittleEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(b[8:]))
+	l.buf = b
+	if _, err := l.w.Write(b); err != nil {
 		l.err = err
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
@@ -256,10 +211,26 @@ func (l *Log) flushLocked() error {
 	return nil
 }
 
+// fsync forces the file to stable storage. Every fsync the log issues goes
+// through here, under one rule: a failure poisons the log, because the
+// kernel may have dropped the dirty pages it could not write and a retry
+// that then succeeds proves nothing. Callers must not hold l.mu.
+func (l *Log) fsync() error {
+	err := l.sync()
+	if err != nil {
+		l.mu.Lock()
+		if l.err == nil {
+			l.err = err
+		}
+		l.mu.Unlock()
+	}
+	return err
+}
+
 // Append writes one record and returns its LSN, durable per the policy:
 // SyncEveryRecord returns after its own fsync, SyncGroupCommit waits for
-// the batch fsync (use AppendAsync to pipeline instead), SyncNever returns
-// once the record is buffered.
+// the fsync that covers it (use AppendAsync to pipeline instead), SyncNever
+// returns once the record is buffered.
 func (l *Log) Append(payload []byte) (uint64, error) {
 	if l.policy == SyncGroupCommit {
 		lsn, ack, err := l.AppendAsync(payload)
@@ -272,17 +243,18 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 		return lsn, nil
 	}
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	lsn, err := l.appendFrame(payload)
+	if err == nil && l.policy == SyncEveryRecord {
+		if err = l.flushLocked(); err != nil {
+			err = fmt.Errorf("wal: flush: %w", err)
+		}
+	}
+	l.mu.Unlock()
 	if err != nil {
 		return 0, err
 	}
 	if l.policy == SyncEveryRecord {
-		if err := l.flushLocked(); err != nil {
-			return 0, fmt.Errorf("wal: flush: %w", err)
-		}
-		if err := l.f.Sync(); err != nil {
-			l.err = err
+		if err := l.fsync(); err != nil {
 			return 0, fmt.Errorf("wal: sync: %w", err)
 		}
 	}
@@ -292,8 +264,9 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 // AppendAsync appends one record and returns a commit future that resolves
 // (with the fsync's error, nil on success) once the record is durable. The
 // caller must receive from the future exactly once; futures resolve in LSN
-// order because one fsync covers a contiguous batch. Under SyncNever and
-// SyncEveryRecord the future is already resolved on return.
+// order because one fsync covers a contiguous batch, so a resolved future
+// proves every earlier record durable too, waited on or not. Under
+// SyncNever and SyncEveryRecord the future is already resolved on return.
 func (l *Log) AppendAsync(payload []byte) (uint64, <-chan error, error) {
 	ch := make(chan error, 1)
 	if l.policy != SyncGroupCommit {
@@ -304,126 +277,145 @@ func (l *Log) AppendAsync(payload []byte) (uint64, <-chan error, error) {
 		ch <- nil
 		return lsn, ch, nil
 	}
-	l.mu.Lock()
-	lsn, err := l.appendFrame(payload)
+	lsn, err := l.appendGroup(payload, ch)
 	if err != nil {
-		l.mu.Unlock()
 		return 0, nil, err
-	}
-	l.pending = append(l.pending, commitWaiter{lsn: lsn, ch: ch})
-	full := len(l.pending) >= l.maxBatch
-	l.mu.Unlock()
-	if full || l.idle.Load() {
-		select {
-		case l.kick <- struct{}{}:
-		default: // a nudge is already queued
-		}
 	}
 	return lsn, ch, nil
 }
 
-// daemon is the group-commit loop: it fsyncs once per tick, early when a
-// batch fills or a SyncNow arrives, and resolves the covered futures. The
-// tick is re-armed from CurrentInterval, so under the adaptive option it
-// tracks what the disk actually sustains.
+// AppendUnwaited appends one record that nobody blocks on (a border batch:
+// upstream backup covers it until it is durable). Under SyncGroupCommit it
+// starts no fsync of its own: the record rides the next one any waiter
+// causes, or the one the daemon issues stalenessBound after the log last
+// went quiet. Under the other policies it is Append.
+func (l *Log) AppendUnwaited(payload []byte) (uint64, error) {
+	if l.policy != SyncGroupCommit {
+		return l.Append(payload)
+	}
+	return l.appendGroup(payload, nil)
+}
+
+// appendGroup buffers one record on a group-commit log and makes the
+// state transition it causes: with a future, parked/armed → syncing (the
+// daemon is woken); without one, parked → armed (the bound starts).
+func (l *Log) appendGroup(payload []byte, ch chan error) (uint64, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	lsn, err := l.appendFrame(payload)
+	if err != nil {
+		return 0, err
+	}
+	l.unsynced++
+	if ch != nil {
+		l.waitLocked(ch)
+	} else if l.state == parked {
+		l.state = armed
+		l.bound.Reset(stalenessBound)
+	}
+	return lsn, nil
+}
+
+// waitLocked queues a future for the next fsync and, unless an fsync is
+// already in flight (the one that follows it covers ch), moves to syncing
+// and posts the wake token. Only the daemon leaves syncing, so at most one
+// token is outstanding; the default arm keeps an append that races Close
+// from blocking on a daemon that has exited.
+func (l *Log) waitLocked(ch chan error) {
+	l.pending = append(l.pending, ch)
+	if l.state == syncing {
+		return
+	}
+	if l.state == armed {
+		l.bound.Stop()
+	}
+	l.state = syncing
+	select {
+	case l.wake <- struct{}{}:
+	default:
+	}
+}
+
+// daemon is the group-commit loop. It sleeps until a waiter appears or the
+// staleness bound expires, then fsyncs once per period while waiters keep
+// arriving; between bursts it is parked and costs nothing. (A tick left
+// over from a bound a waiter beat costs one pass that finds nothing.)
 func (l *Log) daemon() {
 	defer close(l.done)
-	t := time.NewTimer(l.CurrentInterval())
-	defer t.Stop()
 	for {
 		select {
-		case <-t.C:
-			if l.syncBatch(nil) == 0 && !l.parkIdle() {
-				return
-			}
-			t.Reset(l.CurrentInterval())
-		case <-l.kick:
-			l.syncBatch(nil)
-		case reply := <-l.syncReq:
-			l.syncBatch(reply)
+		case <-l.wake:
+		case <-l.bound.C:
 		case <-l.quit:
-			l.syncBatch(nil) // resolve stragglers before Close proceeds
+			l.syncBatch() // resolve stragglers before Close proceeds
 			return
 		}
-	}
-}
-
-// parkIdle blocks the daemon after an empty tick until the next append
-// (AppendAsync kicks when it sees the idle flag) or sync request, so an
-// idle log pays no periodic wakeups. Returns false when the log is
-// closing. The nudged-awake daemon resumes ticking; the first waiting
-// append still resolves within one tick, exactly as under the ticker.
-func (l *Log) parkIdle() bool {
-	l.idle.Store(true)
-	defer l.idle.Store(false)
-	l.mu.Lock()
-	pend := len(l.pending) > 0
-	l.mu.Unlock()
-	if pend {
-		return true // an append raced the flag; keep ticking
-	}
-	select {
-	case <-l.kick:
-		return true
-	case reply := <-l.syncReq:
-		l.syncBatch(reply)
-		return true
-	case <-l.quit:
-		l.syncBatch(nil)
-		return false
-	}
-}
-
-// syncBatch flushes buffered frames, fsyncs, and resolves every pending
-// future with the result, returning the batch size (zero = nothing was
-// waiting). The fsync runs outside the lock so the appender keeps
-// buffering the next batch while the disk works; a record buffered
-// mid-fsync joins the next batch, whose own fsync (issued after the flush
-// that covered its bytes) is the one that resolves it.
-func (l *Log) syncBatch(reply chan<- error) int {
-	l.mu.Lock()
-	err := l.flushLocked()
-	batch := l.pending
-	l.pending = nil
-	l.mu.Unlock()
-	if err == nil && (len(batch) > 0 || reply != nil) {
-		start := time.Now()
-		if err = l.f.Sync(); err != nil {
-			l.mu.Lock()
-			if l.err == nil {
-				l.err = err
-			}
-			l.mu.Unlock()
-		} else {
-			l.observeFsync(time.Since(start))
+		l.wakeups.Add(1)
+		for l.syncBatch() {
 		}
 	}
-	for _, w := range batch {
-		w.ch <- err
+}
+
+// syncBatch waits out the log's period and then for the disk, flushes
+// buffered frames, fsyncs once, resolves every future the fsync covered and
+// picks the next state, reporting whether another fsync must follow. The
+// batch is cut only once the disk is free, so it holds everything that
+// arrived during the wait and while another log of the directory was
+// syncing; the fsync runs outside the lock so the appender keeps buffering
+// while the disk works, and a record buffered mid-fsync is covered by the
+// next one. (The bound's expiry never waits here: it fires a whole period
+// after an append that the previous fsync did not cover.)
+func (l *Log) syncBatch() bool {
+	time.Sleep(time.Until(l.lastSync.Add(stalenessBound))) // nothing to wait for on a quiet log
+	l.disk <- struct{}{}
+	l.lastSync = time.Now()
+	l.mu.Lock()
+	l.state = syncing // the bound's expiry lands here; a waiter set it already
+	err := l.flushLocked()
+	batch, n := l.pending, l.unsynced
+	l.pending, l.unsynced = nil, 0
+	l.mu.Unlock()
+	if err == nil && (n > 0 || len(batch) > 0) {
+		err = l.fsync()
 	}
-	if reply != nil {
-		reply <- err
+	<-l.disk
+	for _, ch := range batch {
+		ch <- err
 	}
-	if l.onSyncBatch != nil && len(batch) > 0 && err == nil {
-		l.onSyncBatch(len(batch))
+	if err == nil && n > 0 && l.onSyncBatch != nil {
+		l.onSyncBatch(n)
 	}
-	return len(batch)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	switch {
+	case len(l.pending) > 0:
+		return true
+	case l.unsynced > 0 && l.err == nil:
+		l.state = armed
+		l.bound.Reset(stalenessBound)
+	default:
+		l.state = parked
+	}
+	return false
 }
 
 // SyncNow forces everything appended so far to stable storage, resolving
-// all pending commit futures before it returns. The checkpoint barrier uses
-// it to drain the pipeline at a quiescent point.
+// all pending commit futures before it returns: it is a waiter without a
+// record. The checkpoint barrier uses it to drain the pipeline at a
+// quiescent point.
 func (l *Log) SyncNow() error {
 	if l.policy != SyncGroupCommit {
 		return l.Sync()
 	}
-	reply := make(chan error, 1)
-	select {
-	case l.syncReq <- reply:
-		return <-reply
-	case <-l.done: // daemon stopped (Close in progress): fall back
+	l.mu.Lock()
+	if l.closed { // daemon stopped (Close in progress): fall back
+		l.mu.Unlock()
 		return l.Sync()
 	}
+	ch := make(chan error, 1)
+	l.waitLocked(ch)
+	l.mu.Unlock()
+	return <-ch
 }
 
 // LSN returns the LSN of the last appended record.
@@ -444,17 +436,18 @@ func (l *Log) Truncate() error {
 		}
 	}
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.flushLocked(); err != nil {
+	err := l.flushLocked()
+	if err == nil {
+		err = l.f.Truncate(0)
+	}
+	if err == nil {
+		_, err = l.f.Seek(0, io.SeekStart)
+	}
+	l.mu.Unlock()
+	if err != nil {
 		return fmt.Errorf("wal: truncate: %w", err)
 	}
-	if err := l.f.Truncate(0); err != nil {
-		return fmt.Errorf("wal: truncate: %w", err)
-	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("wal: seek: %w", err)
-	}
-	return l.f.Sync()
+	return l.fsync()
 }
 
 // Sync flushes buffered frames and forces the log to stable storage. It
@@ -466,24 +459,25 @@ func (l *Log) Sync() error {
 	if err != nil {
 		return err
 	}
-	return l.f.Sync()
+	return l.fsync()
 }
 
 // Close stops the commit daemon (resolving any remaining futures), flushes,
 // and closes the log file.
 func (l *Log) Close() error {
 	if l.policy == SyncGroupCommit {
-		l.stop.Do(func() { close(l.quit) })
+		l.stop.Do(func() {
+			l.mu.Lock()
+			l.closed = true
+			l.mu.Unlock()
+			close(l.quit)
+		})
 		<-l.done
 	}
 	l.mu.Lock()
 	err := l.flushLocked()
 	l.mu.Unlock()
-	cerr := l.f.Close()
-	if err != nil {
-		return err
-	}
-	return cerr
+	return errors.Join(err, l.f.Close())
 }
 
 // ScanLog reads every intact record from path, calling fn(lsn, payload)
@@ -499,6 +493,11 @@ func ScanLog(path string, fn func(lsn uint64, payload []byte) error) (uint64, er
 		return 0, fmt.Errorf("wal: open for scan: %w", err)
 	}
 	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("wal: stat for scan: %w", err)
+	}
+	left := st.Size() // bytes not yet consumed: no frame can claim more
 	var last uint64
 	var hdr [8]byte
 	for {
@@ -507,9 +506,10 @@ func ScanLog(path string, fn func(lsn uint64, payload []byte) error) (uint64, er
 		}
 		n := binary.LittleEndian.Uint32(hdr[0:4])
 		want := binary.LittleEndian.Uint32(hdr[4:8])
-		if n < 8 || n > 1<<30 {
-			return last, nil // implausible length: corrupt tail
+		if left -= 8; n < 8 || int64(n) > left {
+			return last, nil // length runs past the file: torn or corrupt tail
 		}
+		left -= int64(n)
 		body := make([]byte, n)
 		if _, err := io.ReadFull(f, body); err != nil {
 			return last, nil // torn payload
