@@ -2,20 +2,14 @@
 // EXPERIMENTS.md. Run it with no flags for the full suite, or -e to pick
 // one experiment.
 //
-//	benchrunner            # E1..E11
+//	benchrunner            # E1..E8, E10..E12
 //	benchrunner -e E2 -votes 6000
 //	benchrunner -e E6 -votes 40000
 //	benchrunner -e E7 -votes 20000 -json BENCH_E7.json
 //	benchrunner -e E8 -txns 5000 -json BENCH_E8.json
-//	benchrunner -e E9 -readers 8 -dur 1s -json BENCH_E9.json
-//	benchrunner -e E9 -dur 100ms    # CI smoke
 //	benchrunner -e E10 -votes 20000 -json BENCH_E10.json
 //	benchrunner -e E11 -txns 5000 -partitions 4 -json BENCH_E11.json
 //	benchrunner -e E12 -readers 4 -dur 2s -json BENCH_E12.json
-//	benchrunner -e E13 -rows 20000 -ops 30000 -json BENCH_E13.json
-//	benchrunner -e E13 -rows 4000 -ops 4000    # CI smoke
-//	benchrunner -e E14 -readers 8 -dur 1s -json BENCH_E14.json
-//	benchrunner -e E14 -readers 2 -dur 100ms   # CI smoke
 package main
 
 import (
@@ -31,18 +25,16 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("e", "all", "experiment to run: E1 E2 E3 E4 E5 E6 E7 E8 E9 E10 E11 E12 E13 E14 all")
+		exp      = flag.String("e", "all", "experiment to run: E1 E2 E2TCP E3 E4 E5 E6 E7 E8 E10 E11 E12 all")
 		votes    = flag.Int("votes", 6000, "voter feed size")
 		seed     = flag.Int64("seed", 42, "workload seed")
-		jsonOut  = flag.String("json", "", "write machine-readable E7/E8/E9 results to this file")
+		jsonOut  = flag.String("json", "", "write machine-readable E7/E8/E10/E11/E12 results to this file")
 		parts    = flag.Int("partitions", 2, "E7/E8/E11: partition count")
 		pipeline = flag.Int("pipeline", 128, "E7/E8/E11: concurrent clients")
 		txns     = flag.Int("txns", 5000, "E8/E11: pair-insert transactions per mode")
-		readers  = flag.Int("readers", 8, "E9: concurrent reader goroutines; E12: readers per serving node; E14: top rung of the reader ladder")
-		keys     = flag.Int("keys", 1024, "E9/E12/E14: rows in the read/update table")
-		dur      = flag.Duration("dur", time.Second, "E9/E12/E14: measured duration per mode")
-		rows     = flag.Int("rows", 20000, "E13: padded rows loaded (data is ~402 bytes/row; budget is a quarter of it)")
-		ops      = flag.Int("ops", 30000, "E13: skewed hot-phase operations")
+		readers  = flag.Int("readers", 8, "E12: readers per serving node")
+		keys     = flag.Int("keys", 1024, "E12: rows in the read/update table")
+		dur      = flag.Duration("dur", time.Second, "E12: measured duration per mode")
 	)
 	flag.Parse()
 	run := func(name string, fn func() error) {
@@ -222,43 +214,6 @@ func main() {
 		return nil
 	})
 
-	run("E9", func() error {
-		rows, err := bench.E9(*seed, *keys, *readers, *dur)
-		if err != nil {
-			return err
-		}
-		var serialReads, baseWrites float64
-		for _, r := range rows {
-			switch r.Mode {
-			case "serial-reads":
-				serialReads = r.ReadsSec
-			case "writer-only":
-				baseWrites = r.WritesSec
-			}
-		}
-		fmt.Printf("%-16s %-12s %-10s %-10s %-11s %-12s %s\n",
-			"mode", "reads/sec", "p50", "p99", "vs-serial", "writes/sec", "vs-baseline")
-		for _, r := range rows {
-			speedup, wratio := "-", "-"
-			if r.ReadsSec > 0 && serialReads > 0 {
-				speedup = fmt.Sprintf("%.2fx", r.ReadsSec/serialReads)
-			}
-			if baseWrites > 0 {
-				wratio = fmt.Sprintf("%.2fx", r.WritesSec/baseWrites)
-			}
-			fmt.Printf("%-16s %-12.0f %-10s %-10s %-11s %-12.0f %s\n",
-				r.Mode, r.ReadsSec, r.ReadP50.Round(time.Microsecond), r.ReadP99.Round(time.Microsecond),
-				speedup, r.WritesSec, wratio)
-		}
-		if *jsonOut != "" {
-			if err := writeE9JSON(*jsonOut, *seed, *keys, *readers, *dur, rows); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
-		return nil
-	})
-
 	run("E10", func() error {
 		res, err := bench.E10(*seed, *votes, *parts, *parts*2, *pipeline)
 		if err != nil {
@@ -348,169 +303,6 @@ func main() {
 		}
 		return nil
 	})
-	run("E13", func() error {
-		res, err := bench.E13(*seed, *rows, *ops, *parts)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("table: %d rows (~%d MiB), budget %d MiB (4x over-subscription), hot set %d keys\n",
-			res.Rows, res.DataBytes>>20, res.Budget>>20, res.HotKeys)
-		fmt.Printf("%-11s %-12s %-10s %-10s %-10s %-10s %-10s %-9s %s\n",
-			"mode", "hot-ops/sec", "hot-p50", "hot-p99", "cold-p50", "cold-p99", "evictions", "faults", "resident")
-		for _, r := range res.Modes {
-			fmt.Printf("%-11s %-12.0f %-10s %-10s %-10s %-10s %-10d %-9d %d\n",
-				r.Mode, r.HotOpsSec, r.HotP50.Round(time.Microsecond), r.HotP99.Round(time.Microsecond),
-				r.ColdP50.Round(time.Microsecond), r.ColdP99.Round(time.Microsecond),
-				r.Evictions, r.Faults, r.ResidentBytes)
-		}
-		fmt.Printf("budgeted vs unlimited : %.2fx hot-path throughput (acceptance: >= 0.75x)\n", res.ThroughputRatio)
-		fmt.Printf("resident <= budget    : %v\n", res.ResidentWithinBudget)
-		fmt.Printf("cold_* stats rows     : %v\n", res.StatsRowsPresent)
-		fmt.Printf("sums agree            : %v\n", res.Correct)
-		if *jsonOut != "" {
-			if err := writeE13JSON(*jsonOut, *seed, res); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
-		return nil
-	})
-
-	run("E14", func() error {
-		res, err := bench.E14(*seed, *keys, *readers, *dur)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("cpus: %d, keys: %d, writer-only baseline: %.0f writes/sec\n",
-			res.CPUs, res.Keys, res.BaselineWritesSec)
-		fmt.Printf("%-8s %-11s %-10s %-10s %-11s %-12s %-8s %-9s %s\n",
-			"readers", "reads/sec", "read-p50", "read-p99", "writes/sec", "vs-baseline", "epochs", "stalls", "reused")
-		for _, r := range res.Rows {
-			fmt.Printf("%-8d %-11.0f %-10s %-10s %-11.0f %-12s %-8d %-9d %d\n",
-				r.Readers, r.ReadsSec,
-				r.ReadP50.Round(time.Microsecond), r.ReadP99.Round(time.Microsecond),
-				r.WritesSec, fmt.Sprintf("%.2fx", r.WritesSec/res.BaselineWritesSec),
-				r.EpochAdvances, r.EpochStalls, r.NodesReused)
-		}
-		if *jsonOut != "" {
-			if err := writeE14JSON(*jsonOut, *seed, *dur, res); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
-		return nil
-	})
-}
-
-// e14JSON is the BENCH_E14.json document.
-type e14JSON struct {
-	Experiment        string       `json:"experiment"`
-	Seed              int64        `json:"seed"`
-	CPUs              int          `json:"cpus"`
-	Keys              int          `json:"keys"`
-	DurationMs        int64        `json:"duration_ms_per_rung"`
-	BaselineWritesSec float64      `json:"writer_only_writes_per_sec"`
-	Rungs             []e14JSONRow `json:"results"`
-}
-
-type e14JSONRow struct {
-	Readers       int     `json:"readers"`
-	ReadsSec      float64 `json:"reads_per_sec"`
-	ReadP50us     int64   `json:"read_p50_us"`
-	ReadP99us     int64   `json:"read_p99_us"`
-	WritesSec     float64 `json:"writes_per_sec"`
-	EpochAdvances uint64  `json:"epoch_advances"`
-	EpochStalls   uint64  `json:"epoch_stalls"`
-	NodesReused   uint64  `json:"nodes_reused"`
-}
-
-func writeE14JSON(path string, seed int64, dur time.Duration, res *bench.E14Result) error {
-	doc := e14JSON{
-		Experiment:        "E14 lock-free snapshot read scaling: saturated readers vs pipelined writer",
-		Seed:              seed,
-		CPUs:              res.CPUs,
-		Keys:              res.Keys,
-		DurationMs:        dur.Milliseconds(),
-		BaselineWritesSec: res.BaselineWritesSec,
-	}
-	for _, r := range res.Rows {
-		doc.Rungs = append(doc.Rungs, e14JSONRow{
-			Readers:       r.Readers,
-			ReadsSec:      r.ReadsSec,
-			ReadP50us:     r.ReadP50.Microseconds(),
-			ReadP99us:     r.ReadP99.Microseconds(),
-			WritesSec:     r.WritesSec,
-			EpochAdvances: r.EpochAdvances,
-			EpochStalls:   r.EpochStalls,
-			NodesReused:   r.NodesReused,
-		})
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// e13JSON is the BENCH_E13.json document.
-type e13JSON struct {
-	Experiment           string       `json:"experiment"`
-	Seed                 int64        `json:"seed"`
-	Rows                 int          `json:"rows"`
-	DataBytes            int64        `json:"data_bytes"`
-	BudgetBytes          int64        `json:"memory_budget_bytes"`
-	HotKeys              int          `json:"hot_keys"`
-	Ops                  int          `json:"hot_ops"`
-	Modes                []e13JSONRow `json:"results"`
-	ThroughputRatio      float64      `json:"budgeted_vs_unlimited_hot_throughput"`
-	ResidentWithinBudget bool         `json:"resident_within_budget"`
-	StatsRowsPresent     bool         `json:"cold_stats_rows_present"`
-	Correct              bool         `json:"correct"`
-}
-
-type e13JSONRow struct {
-	Mode          string  `json:"mode"`
-	HotOpsSec     float64 `json:"hot_ops_per_sec"`
-	HotP50us      int64   `json:"hot_p50_us"`
-	HotP99us      int64   `json:"hot_p99_us"`
-	ColdP50us     int64   `json:"cold_read_p50_us"`
-	ColdP99us     int64   `json:"cold_read_p99_us"`
-	Evictions     int64   `json:"cold_evictions"`
-	Faults        int64   `json:"cold_faults"`
-	ResidentBytes int64   `json:"cold_resident_bytes"`
-}
-
-func writeE13JSON(path string, seed int64, res *bench.E13Result) error {
-	doc := e13JSON{Experiment: "E13 anti-caching: larger-than-memory tables vs all-in-memory baseline",
-		Seed:                 seed,
-		Rows:                 res.Rows,
-		DataBytes:            res.DataBytes,
-		BudgetBytes:          res.Budget,
-		HotKeys:              res.HotKeys,
-		Ops:                  res.Ops,
-		ThroughputRatio:      res.ThroughputRatio,
-		ResidentWithinBudget: res.ResidentWithinBudget,
-		StatsRowsPresent:     res.StatsRowsPresent,
-		Correct:              res.Correct,
-	}
-	for _, r := range res.Modes {
-		doc.Modes = append(doc.Modes, e13JSONRow{
-			Mode:          r.Mode,
-			HotOpsSec:     r.HotOpsSec,
-			HotP50us:      r.HotP50.Microseconds(),
-			HotP99us:      r.HotP99.Microseconds(),
-			ColdP50us:     r.ColdP50.Microseconds(),
-			ColdP99us:     r.ColdP99.Microseconds(),
-			Evictions:     r.Evictions,
-			Faults:        r.Faults,
-			ResidentBytes: r.ResidentBytes,
-		})
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // e12JSON is the BENCH_E12.json document.
@@ -600,43 +392,6 @@ func writeE10JSON(path string, seed int64, res bench.E10Result) error {
 		PauseBudgetUs:  res.PauseBudget.Microseconds(),
 		WithinBudget:   res.WithinBudget,
 		Correct:        res.Correct,
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// e9JSON is the BENCH_E9.json document.
-type e9JSON struct {
-	Experiment string      `json:"experiment"`
-	Seed       int64       `json:"seed"`
-	Keys       int         `json:"keys"`
-	Readers    int         `json:"readers"`
-	DurationMs int64       `json:"duration_ms"`
-	Rows       []e9JSONRow `json:"results"`
-}
-
-type e9JSONRow struct {
-	Mode      string  `json:"mode"`
-	ReadsSec  float64 `json:"reads_per_sec"`
-	ReadP50us int64   `json:"read_p50_us"`
-	ReadP99us int64   `json:"read_p99_us"`
-	WritesSec float64 `json:"writes_per_sec"`
-}
-
-func writeE9JSON(path string, seed int64, keys, readers int, dur time.Duration, rows []bench.E9Row) error {
-	doc := e9JSON{Experiment: "E9 MVCC snapshot reads vs serial worker read path",
-		Seed: seed, Keys: keys, Readers: readers, DurationMs: dur.Milliseconds()}
-	for _, r := range rows {
-		doc.Rows = append(doc.Rows, e9JSONRow{
-			Mode:      r.Mode,
-			ReadsSec:  r.ReadsSec,
-			ReadP50us: r.ReadP50.Microseconds(),
-			ReadP99us: r.ReadP99.Microseconds(),
-			WritesSec: r.WritesSec,
-		})
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

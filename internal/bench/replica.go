@@ -52,7 +52,7 @@ type E12Result struct {
 }
 
 const (
-	// Paced readers as in E9: each wakes every e12ReadPace and issues
+	// Paced readers: each wakes every e12ReadPace and issues
 	// e12ReadBatch point SELECTs, so one node's offered load is
 	// readersPerNode * e12ReadBatch / e12ReadPace.
 	e12ReadPace  = 4 * time.Millisecond

@@ -76,10 +76,16 @@ func (s *Store) coordInsertBuckets(table string, buckets map[int][]types.Row) (*
 // (every enlisted partition is parked, so the rows inserted are exactly
 // the rows read). Shapes that were already routable keep their old plans.
 func (s *Store) execInsertSelect(ins *sql.Insert, rel *catalog.Relation, sqlText string, params []types.Value) (*pe.Result, error) {
-	srcPart, err := s.queryScope(ins.Query)
+	// Scope, merge plan and leg statement of the source come from the read
+	// path's planner; the legs below run on the enlisted workers' views
+	// instead of a snapshot cut.
+	s.routeMu.RLock()
+	plan, err := planSelect(s.partList()[0].cat, ins.Query, "", params)
+	s.routeMu.RUnlock()
 	if err != nil {
 		return nil, err
 	}
+	srcPart := plan.merge != nil
 	if !rel.Partitioned() && !srcPart {
 		if rel.Kind != catalog.KindTable {
 			// Pinned stream target, partition-0 source: everything local.
@@ -102,20 +108,16 @@ func (s *Store) execInsertSelect(ins *sql.Insert, rel *catalog.Relation, sqlText
 	if err != nil {
 		return nil, err
 	}
-	// Serialize the source SELECT for the legs: placeholders preserved when
-	// their text order survives (one cached plan per shape), literals
-	// inlined otherwise.
-	srcSQL, legParams := "", params
-	if srcSQL, err = sql.FormatSelectPlaceholders(ins.Query); err != nil {
-		if srcSQL, err = sql.FormatSelect(ins.Query, params); err != nil {
-			return nil, err
-		}
-		legParams = nil
-	}
-	var plan *queryMerge
-	if srcPart {
-		if plan, srcSQL, legParams, err = fanoutLeg(ins.Query, srcSQL, legParams); err != nil {
-			return nil, err
+	// Unless the merge plan rewrote it, serialize the source SELECT for the
+	// legs: placeholders preserved when their text order survives (one
+	// cached plan per shape), literals inlined otherwise.
+	if plan.legSQL == "" {
+		plan.legParams = params
+		if plan.legSQL, err = sql.FormatSelectPlaceholders(ins.Query); err != nil {
+			if plan.legSQL, err = sql.FormatSelect(ins.Query, params); err != nil {
+				return nil, err
+			}
+			plan.legParams = nil
 		}
 	}
 
@@ -123,19 +125,19 @@ func (s *Store) execInsertSelect(ins *sql.Insert, rel *catalog.Relation, sqlText
 	err = s.runMP(false, func(tx *MPTxn) error {
 		var src []types.Row
 		if srcPart {
-			results, err := tx.QueryAll(srcSQL, legParams...)
+			results, err := tx.QueryAll(plan.legSQL, plan.legParams...)
 			if err != nil {
 				return err
 			}
 			// Merged-HAVING params are positions in the original statement;
 			// bind the caller's slice even when the legs inlined theirs.
-			merged, err := plan.merge(ins.Query, results, params)
+			merged, err := plan.merge.merge(ins.Query, results, params)
 			if err != nil {
 				return err
 			}
 			src = merged.Rows
 		} else {
-			res, err := tx.Query(0, srcSQL, legParams...)
+			res, err := tx.Query(0, plan.legSQL, plan.legParams...)
 			if err != nil {
 				return err
 			}

@@ -301,7 +301,7 @@ type Store struct {
 	// worker barriers < seqMu.
 	exclMu sync.Mutex
 	// seqMu makes the cross-partition snapshot cut atomic against 2PC
-	// commit publication: querySelect pins one committed sequence per
+	// commit publication: acquireCut pins one committed sequence per
 	// partition under the read side, and the coordinator publishes a
 	// decided transaction's legs under the write side, so a distributed
 	// read sees a coordinated write on every partition or on none. Held
@@ -515,7 +515,6 @@ func (s *Store) StatsResult() *pe.Result {
 	ci("mp_decide_batches", snap.MPDecideBatches)
 	cf("mp_decide_batch_mean", snap.MPDecideBatchMean)
 	ci("snapshot_reads", snap.SnapshotReads)
-	ci("worker_queries", snap.WorkerQueries)
 	ci("gc_runs", snap.GCRuns)
 	ci("gc_versions_reclaimed", snap.GCVersionsReclaimed)
 	ci("versions_retained", snap.VersionsRetained)

@@ -570,41 +570,6 @@ func (s *Store) ExplainDataflow(name string) (string, error) {
 	return b.String(), nil
 }
 
-// dataflowStatement intercepts the dataflow statements — SHOW DATAFLOWS,
-// EXPLAIN DATAFLOW <name>, and DEPLOY DATAFLOW <graph> — ahead of SQL
-// routing, so they work through Query/Exec and therefore through any wire
-// client: sstorecli can declare and deploy a whole graph without the Go
-// API.
-func (s *Store) dataflowStatement(sqlText string) (*pe.Result, bool, error) {
-	fields := strings.Fields(strings.TrimSuffix(strings.TrimSpace(sqlText), ";"))
-	switch {
-	case len(fields) == 2 && strings.EqualFold(fields[0], "SHOW") && strings.EqualFold(fields[1], "DATAFLOWS"):
-		return s.DataflowsResult(), true, nil
-	case len(fields) == 3 && strings.EqualFold(fields[0], "EXPLAIN") && strings.EqualFold(fields[1], "DATAFLOW"):
-		text, err := s.ExplainDataflow(fields[2])
-		if err != nil {
-			return nil, true, err
-		}
-		return &pe.Result{Columns: []string{"dataflow"},
-			Rows: []types.Row{{types.NewString(text)}}}, true, nil
-	case len(fields) >= 2 && strings.EqualFold(fields[0], "DEPLOY") && strings.EqualFold(fields[1], "DATAFLOW"):
-		stmt, err := sql.Parse(sqlText)
-		if err != nil {
-			return nil, true, err
-		}
-		dd, ok := stmt.(*sql.DeployDataflow)
-		if !ok {
-			return nil, true, fmt.Errorf("core: %T is not DEPLOY DATAFLOW", stmt)
-		}
-		if err := s.Deploy(dataflowFromAST(dd)); err != nil {
-			return nil, true, err
-		}
-		return &pe.Result{Columns: []string{"deployed"},
-			Rows: []types.Row{{types.NewString(dd.Name)}}, RowsAffected: 1}, true, nil
-	}
-	return nil, false, nil
-}
-
 // dataflowFromAST converts a parsed DEPLOY DATAFLOW statement into the
 // Deploy API's graph value. Validation happens in Deploy — the text form
 // and the Go API go through the same checks.

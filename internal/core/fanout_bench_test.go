@@ -5,8 +5,8 @@ import (
 )
 
 // Fan-out read-path benchmarks: pin every partition, run the leg on the
-// fan-out workers, merge. The allocs/op these report before and after the
-// scratch-pool change are recorded under E14 in EXPERIMENTS.md.
+// fan-out workers, merge. allocs/op is what the pooled cut (cutPool) keeps
+// down.
 
 func BenchmarkFanoutScanQuery(b *testing.B) {
 	st := buildPartApp(b, Config{Partitions: 4})

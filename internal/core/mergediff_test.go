@@ -14,13 +14,28 @@ import (
 // must produce identical results on one partition (no merge — the engine
 // executes the statement whole) and on four (legs + post-merge HAVING via
 // the shared ee evaluator). Any drift between the two evaluators shows up
-// as a row-set mismatch.
+// as a row-set mismatch. The four-partition answer is asked through every
+// door of the snapshot read path: Store.Query, QueryPinned on a fresh pin,
+// and Query on a caught-up follower.
 func TestMergeDifferentialOneVsManyPartitions(t *testing.T) {
-	build := func(parts int) *Store {
-		st := Open(Config{Partitions: parts})
+	build := func(cfg Config) *Store {
+		st := Open(cfg)
 		if err := st.ExecScript(`CREATE TABLE m (k BIGINT PRIMARY KEY, g BIGINT, v BIGINT) PARTITION BY k;`); err != nil {
 			t.Fatal(err)
 		}
+		// Rows arrive through a logged procedure so the follower replays them.
+		if err := st.RegisterProcedure(&pe.Procedure{
+			Name: "load", WriteSet: []string{"m"}, PartitionParam: 1,
+			Handler: func(ctx *pe.ProcCtx) error {
+				_, err := ctx.Exec("INSERT INTO m VALUES (?, ?, ?)", ctx.Params[0], ctx.Params[1], ctx.Params[2])
+				return err
+			},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	load := func(st *Store) {
 		if err := st.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -31,17 +46,40 @@ func TestMergeDifferentialOneVsManyPartitions(t *testing.T) {
 			if k%8 == 7 {
 				v = types.Null
 			}
-			if _, err := st.Exec("INSERT INTO m VALUES (?, ?, ?)",
-				types.NewInt(k), types.NewInt(k%6), v); err != nil {
+			if _, err := st.Call("load", types.NewInt(k), types.NewInt(k%6), v); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return st
 	}
-	one := build(1)
+	one := build(Config{Partitions: 1})
+	load(one)
 	defer one.Stop()
-	four := build(4)
+	four := build(gcTestConfig(t.TempDir(), 4))
+	load(four)
 	defer four.Stop()
+	pin := four.PinSnapshot()
+	defer pin.Release()
+	f, err := NewFollower(build(Config{Partitions: 4}), StoreSource{St: four}, FollowerOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Run(); err != nil {
+		t.Fatal(err)
+	}
+	defer f.Store().Stop()
+	rs := f.Session()
+	rs.Forward(four.LSNVector())
+	if _, err := rs.Query("SELECT COUNT(*) FROM m"); err != nil { // waits until caught up
+		t.Fatal(err)
+	}
+	doors := []struct {
+		name  string
+		query func(string, ...types.Value) (*pe.Result, error)
+	}{
+		{"Store.Query", four.Query},
+		{"QueryPinned", func(q string, p ...types.Value) (*pe.Result, error) { return four.QueryPinned(pin, q, p...) }},
+		{"Follower.Query", f.Query},
+	}
 
 	queries := []struct {
 		sql    string
@@ -95,12 +133,14 @@ func TestMergeDifferentialOneVsManyPartitions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("1 partition: %s: %v", q.sql, err)
 		}
-		b, err := four.Query(q.sql, q.params...)
-		if err != nil {
-			t.Fatalf("4 partitions: %s: %v", q.sql, err)
-		}
-		if got, want := canonRows(b, q.sql), canonRows(a, q.sql); got != want {
-			t.Errorf("differential drift on %q:\n 1 partition: %s\n 4 partitions: %s", q.sql, want, got)
+		for _, d := range doors {
+			b, err := d.query(q.sql, q.params...)
+			if err != nil {
+				t.Fatalf("4 partitions, %s: %s: %v", d.name, q.sql, err)
+			}
+			if got, want := canonRows(b, q.sql), canonRows(a, q.sql); got != want {
+				t.Errorf("differential drift on %q:\n 1 partition: %s\n 4 partitions, %s: %s", q.sql, want, d.name, got)
+			}
 		}
 	}
 }

@@ -3,7 +3,7 @@ package core
 // Session-scoped snapshot pins. The wire protocol's per-statement reads
 // each pin a fresh MVCC snapshot, so two SELECTs in one client session can
 // observe different committed states. A SnapshotPin holds one consistent
-// cross-partition cut (the same seqMu-fenced vector querySelect pins per
+// cross-partition cut (the same seqMu-fenced cut Query acquires per
 // statement) for as long as the session wants it: every QueryPinned against
 // the pin sees the identical state, and Release (or the server's
 // disconnect cleanup) drops the GC hold.
@@ -13,8 +13,6 @@ import (
 	"sync"
 
 	"repro/internal/pe"
-	"repro/internal/sql"
-	"repro/internal/storage"
 	"repro/internal/types"
 )
 
@@ -22,9 +20,8 @@ import (
 // sequence per partition, taken atomically against 2PC publication. Pins
 // hold the GC watermark on every partition — release them promptly.
 type SnapshotPin struct {
-	s     *Store
-	parts []*partition
-	pins  []storage.SnapPin
+	s   *Store
+	cut snapCut
 
 	mu       sync.Mutex // serializes queries on the pin and guards released
 	released bool
@@ -32,36 +29,19 @@ type SnapshotPin struct {
 
 // PinSnapshot acquires a snapshot pin at the latest committed cut.
 func (s *Store) PinSnapshot() *SnapshotPin {
-	s.seqMu.RLock()
-	parts := s.partList()
-	pins := make([]storage.SnapPin, len(parts))
-	for i, p := range parts {
-		pins[i] = p.pe.AcquireSnapshot()
-	}
-	s.seqMu.RUnlock()
-	return &SnapshotPin{s: s, parts: parts, pins: pins}
+	pin := &SnapshotPin{s: s}
+	s.acquireCut(&pin.cut, true)
+	return pin
 }
 
 // Release drops the pin. Idempotent.
 func (pin *SnapshotPin) Release() {
 	pin.mu.Lock()
 	defer pin.mu.Unlock()
-	if pin.released {
-		return
+	if !pin.released {
+		pin.released = true
+		pin.cut.release()
 	}
-	pin.released = true
-	for i, p := range pin.parts {
-		p.pe.ReleaseSnapshot(pin.pins[i])
-	}
-}
-
-// Seqs returns the pinned sequence vector (diagnostics, tests).
-func (pin *SnapshotPin) Seqs() []storage.Seq {
-	seqs := make([]storage.Seq, len(pin.pins))
-	for i, p := range pin.pins {
-		seqs[i] = p.Seq()
-	}
-	return seqs
 }
 
 // QueryPinned runs a SELECT against the pinned cut: repeated queries on one
@@ -72,13 +52,9 @@ func (s *Store) QueryPinned(pin *SnapshotPin, sqlText string, params ...types.Va
 	if pin == nil || pin.s != s {
 		return nil, fmt.Errorf("core: snapshot pin does not belong to this store")
 	}
-	stmt, err := sql.ParseCached(sqlText)
+	sel, err := parseSelect(sqlText, "core: pinned queries must be SELECT statements")
 	if err != nil {
 		return nil, err
-	}
-	sel, ok := stmt.(*sql.Select)
-	if !ok {
-		return nil, fmt.Errorf("core: pinned queries must be SELECT statements")
 	}
 	// The pin's mutex is held for the whole read so a concurrent Release
 	// (session teardown) cannot unpin sequences mid-scan.
@@ -87,38 +63,5 @@ func (s *Store) QueryPinned(pin *SnapshotPin, sqlText string, params ...types.Va
 	if pin.released {
 		return nil, fmt.Errorf("core: snapshot pin was released")
 	}
-	partitioned := false
-	if len(pin.parts) > 1 {
-		if partitioned, err = s.queryScope(sel); err != nil {
-			return nil, err
-		}
-	}
-	if !partitioned {
-		s.routeMu.RLock()
-		defer s.routeMu.RUnlock()
-		return pin.parts[0].pe.QueryAtSeq(pin.pins[0].Seq(), sqlText, params...)
-	}
-	plan, legSQL, legParams, err := fanoutLeg(sel, sqlText, params)
-	if err != nil {
-		return nil, err
-	}
-	s.routeMu.RLock()
-	results := make([]*pe.Result, len(pin.parts))
-	errs := make([]error, len(pin.parts))
-	var wg sync.WaitGroup
-	for i := range pin.parts {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = pin.parts[i].pe.QueryAtSeq(pin.pins[i].Seq(), legSQL, legParams...)
-		}(i)
-	}
-	wg.Wait()
-	s.routeMu.RUnlock()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return plan.merge(sel, results, params)
+	return s.readCut(&pin.cut, sel, sqlText, params)
 }

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/catalog"
@@ -475,25 +474,4 @@ func (s *Store) migrateSlot(slot, from, to int) error {
 	s.met.SlotsMigrated.Add(1)
 	s.met.SlotRowsMoved.Add(int64(moved))
 	return nil
-}
-
-// adminStatement intercepts the administrative statements — today only
-// ALTER SYSTEM PARTITIONS <n> — ahead of SQL parsing, so elastic growth
-// works through Exec/Query and therefore through any wire client. It runs
-// before Exec's routing fence: Rebalance takes routingMu itself.
-func (s *Store) adminStatement(sqlText string) (*pe.Result, bool, error) {
-	fields := strings.Fields(strings.TrimSuffix(strings.TrimSpace(sqlText), ";"))
-	if len(fields) != 4 || !strings.EqualFold(fields[0], "ALTER") ||
-		!strings.EqualFold(fields[1], "SYSTEM") || !strings.EqualFold(fields[2], "PARTITIONS") {
-		return nil, false, nil
-	}
-	n, err := strconv.Atoi(fields[3])
-	if err != nil {
-		return nil, true, fmt.Errorf("core: ALTER SYSTEM PARTITIONS: bad count %q", fields[3])
-	}
-	if err := s.Rebalance(n); err != nil {
-		return nil, true, err
-	}
-	return &pe.Result{Columns: []string{"partitions"},
-		Rows: []types.Row{{types.NewInt(int64(s.NumPartitions()))}}}, true, nil
 }

@@ -41,8 +41,34 @@ func TestRebalanceLive(t *testing.T) {
 	ingestKeys(t, st, 16, 2)
 	want := totals(t, st)
 
-	if err := st.Rebalance(4); err != nil {
-		t.Fatal(err)
+	// Read guards. A pin taken on the two-partition store must keep giving
+	// the pre-rebalance answer for as long as it is held. And while a slot is
+	// mid-migration (its rows staged on the destination, still live on the
+	// source) and after each earlier slot's cutover, every key reads exactly
+	// once, through the latest cut and through the old pin.
+	pin := st.PinSnapshot()
+	defer pin.Release()
+	pinned := func(q string, p ...types.Value) (*pe.Result, error) { return st.QueryPinned(pin, q, p...) }
+	midMigration := 0
+	testHookAfterCopied = func(slot int) error {
+		midMigration++
+		for k := int64(0); k < 16; k++ {
+			for _, query := range []func(string, ...types.Value) (*pe.Result, error){st.Query, pinned} {
+				res, err := query("SELECT n FROM totals WHERE k = ?", types.NewInt(k))
+				if err != nil {
+					return err
+				}
+				if len(res.Rows) != 1 || res.Rows[0][0].Int() != want[k] {
+					return fmt.Errorf("key %d read %v while slot %d migrates, want one row of %d", k, res.Rows, slot, want[k])
+				}
+			}
+		}
+		return nil
+	}
+	err := st.Rebalance(4)
+	testHookAfterCopied = nil
+	if err != nil || midMigration == 0 {
+		t.Fatalf("rebalance: %v, read mid-migration %d times", err, midMigration)
 	}
 	if st.NumPartitions() != 4 {
 		t.Fatalf("NumPartitions = %d", st.NumPartitions())
@@ -72,6 +98,18 @@ func TestRebalanceLive(t *testing.T) {
 	}
 	if n := st.Metrics().Snapshot().Rebalances; n != 1 {
 		t.Fatalf("Rebalances = %d", n)
+	}
+	res, err := pinned("SELECT k, n FROM totals ORDER BY k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != len(want) {
+		t.Fatalf("pre-rebalance pin reads %d rows after the rebalance, want %d", len(res.Rows), len(want))
+	}
+	for _, r := range res.Rows {
+		if r[1].Int() != want[r[0].Int()] {
+			t.Fatalf("pre-rebalance pin reads key %d = %d after the rebalance, want %d", r[0].Int(), r[1].Int(), want[r[0].Int()])
+		}
 	}
 }
 

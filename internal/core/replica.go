@@ -28,8 +28,6 @@ import (
 	"time"
 
 	"repro/internal/pe"
-	"repro/internal/sql"
-	"repro/internal/storage"
 	"repro/internal/types"
 	"repro/internal/wal"
 )
@@ -139,7 +137,7 @@ type pendingRec struct {
 
 // Follower is a read replica: a non-durable, never-started Store whose
 // state is maintained by replaying the primary's shipped WAL. Reads are
-// served from MVCC snapshots (SnapshotQueryAtSeq needs no partition
+// served from MVCC snapshots (pe.Engine.QueryAtSeq needs no partition
 // worker); Promote turns it into a live primary.
 //
 // The follower Store must be opened with the same DDL, procedures,
@@ -457,12 +455,10 @@ func (f *Follower) Query(sqlText string, params ...types.Value) (*pe.Result, err
 	return res, err
 }
 
-// query is the follower read path: optionally wait for the session's LSN
-// floor, then run the SELECT on MVCC snapshots — partition 0 for
-// unpartitioned scopes, a pinned fan-out + merge for partitioned ones
-// (querySelect's shape, on SnapshotQueryAtSeq so no worker is needed). It
-// returns the applied-LSN vector observed before pinning, which the session
-// folds back in for monotonic reads.
+// query is the follower's door to the snapshot read path: wait for the
+// session's LSN floor, then read a cut of the replayed state. It returns the
+// applied-LSN vector observed before the cut, which the session folds back
+// in for monotonic reads.
 func (f *Follower) query(min []uint64, sqlText string, params []types.Value) (*pe.Result, []uint64, error) {
 	if f.promoted.Load() {
 		return nil, nil, fmt.Errorf("core: follower was promoted; query the promoted store directly")
@@ -475,78 +471,18 @@ func (f *Follower) query(min []uint64, sqlText string, params []types.Value) (*p
 	if err := f.waitApplied(min); err != nil {
 		return nil, nil, err
 	}
-	st := f.st
-	stmt, err := sql.ParseCached(sqlText)
+	sel, err := parseSelect(sqlText, "core: follower replica is read-only; only SELECT is supported")
 	if err != nil {
 		return nil, nil, err
 	}
-	sel, ok := stmt.(*sql.Select)
-	if !ok {
-		return nil, nil, fmt.Errorf("core: follower replica is read-only; only SELECT is supported")
-	}
-	st.met.FollowerReads.Add(1)
+	f.st.met.FollowerReads.Add(1)
 	// Applied LSNs are stored after each record's publish, so state applied
-	// up to this vector is visible to the snapshots pinned below.
+	// up to this vector is visible to the cut acquired below.
 	seen := make([]uint64, len(f.parts))
 	for i, strm := range f.parts {
 		seen[i] = strm.applied.Load()
 	}
-	partitioned := false
-	if len(st.partList()) > 1 {
-		if partitioned, err = st.queryScope(sel); err != nil {
-			return nil, nil, err
-		}
-	}
-	if !partitioned {
-		st.routeMu.RLock()
-		defer st.routeMu.RUnlock()
-		p := st.partList()[0]
-		pin := p.pe.AcquireSnapshot()
-		defer p.pe.ReleaseSnapshot(pin)
-		res, err := p.pe.SnapshotQueryAtSeq(pin.Seq(), sqlText, params...)
-		if err != nil {
-			return nil, nil, err
-		}
-		return res, seen, nil
-	}
-	plan, legSQL, legParams, err := fanoutLeg(sel, sqlText, params)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Pin one snapshot per partition. Unlike the primary's querySelect there
-	// is no seqMu cut against 2PC publication: the apply goroutine publishes
-	// a coordinated transaction's legs at independent moments, so a
-	// follower fan-out is a consistent prefix per partition, not an atomic
-	// cross-partition cut (see the file comment).
-	st.routeMu.RLock()
-	parts := st.partList()
-	pins := make([]storage.SnapPin, len(parts))
-	for i, p := range parts {
-		pins[i] = p.pe.AcquireSnapshot()
-	}
-	defer func() {
-		for i, p := range parts {
-			p.pe.ReleaseSnapshot(pins[i])
-		}
-	}()
-	results := make([]*pe.Result, len(parts))
-	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for i := range parts {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = parts[i].pe.SnapshotQueryAtSeq(pins[i].Seq(), legSQL, legParams...)
-		}(i)
-	}
-	wg.Wait()
-	st.routeMu.RUnlock()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	res, err := plan.merge(sel, results, params)
+	res, err := f.st.readLatest(false, sel, sqlText, params)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -145,14 +146,11 @@ func (s *Store) Ingest(stream string, rows ...types.Row) error {
 // logged; durable writes belong in stored procedures), routed per the rules
 // at the top of this file.
 func (s *Store) Exec(sqlText string, params ...types.Value) (*pe.Result, error) {
-	// Dataflow and administrative statements run before the routing fence:
-	// DEPLOY takes the all-partition barrier and ALTER SYSTEM PARTITIONS
-	// takes routingMu exclusively inside Rebalance, so neither must be
-	// entered with the shared side held.
-	if res, handled, err := s.dataflowStatement(sqlText); handled {
-		return res, err
-	}
-	if res, handled, err := s.adminStatement(sqlText); handled {
+	// System statements run before the routing fence: DEPLOY takes the
+	// all-partition barrier and ALTER SYSTEM PARTITIONS takes routingMu
+	// exclusively inside Rebalance, so neither must be entered with the
+	// shared side held.
+	if res, handled, err := s.systemStatement(sqlText); handled {
 		return res, err
 	}
 	// The routing fence covers the whole statement: keyed INSERT routing
@@ -240,8 +238,8 @@ func (s *Store) Exec(sqlText string, params ...types.Value) (*pe.Result, error) 
 		return s.routeWrite(st.Table, sqlText, params)
 	case *sql.Select:
 		// The broadcast branch would return only partition 0's result for a
-		// fanned-out read; reads belong to the Query merge path.
-		return s.querySelect(st, sqlText, params)
+		// fanned-out read; reads belong to the snapshot read path.
+		return s.readLatest(true, st, sqlText, params)
 	default:
 		// Anything else ad-hoc applies to every schema replica. (The
 		// engine's prepared path rejects DDL, so this branch cannot mutate
@@ -457,94 +455,200 @@ func (s *Store) staticInsertRows(ins *sql.Insert, rel *catalog.Relation, colMap 
 	return rows, nil
 }
 
-// Query runs an ad-hoc read-only query. Queries touching only unpartitioned
-// relations run on partition 0; queries over partitioned relations fan out
-// to every partition and the results are merged (see mergePlan for the
-// supported shapes).
+// systemStatement is the front door of Query and Exec: it intercepts the
+// statements addressed to the system rather than to its data, ahead of SQL
+// parsing and routing, so they work through any wire client (sstorecli can
+// declare and deploy a whole graph, or grow the store, without the Go API):
+//
+//	SHOW DATAFLOWS
+//	EXPLAIN DATAFLOW <name>
+//	DEPLOY DATAFLOW <graph>
+//	ALTER SYSTEM PARTITIONS <n>
+//
+// Everything else, which is every statement on a hot path, is turned away
+// on its first keyword without being split.
+func (s *Store) systemStatement(sqlText string) (*pe.Result, bool, error) {
+	text := strings.TrimSpace(sqlText)
+	word := text
+	if i := strings.IndexAny(text, " \t\r\n"); i >= 0 {
+		word = text[:i]
+	}
+	if !strings.EqualFold(word, "SHOW") && !strings.EqualFold(word, "EXPLAIN") &&
+		!strings.EqualFold(word, "DEPLOY") && !strings.EqualFold(word, "ALTER") {
+		return nil, false, nil
+	}
+	fields := strings.Fields(strings.TrimSuffix(text, ";"))
+	is := func(i int, kw string) bool { return i < len(fields) && strings.EqualFold(fields[i], kw) }
+	switch {
+	case len(fields) == 2 && is(0, "SHOW") && is(1, "DATAFLOWS"):
+		return s.DataflowsResult(), true, nil
+	case len(fields) == 3 && is(0, "EXPLAIN") && is(1, "DATAFLOW"):
+		text, err := s.ExplainDataflow(fields[2])
+		if err != nil {
+			return nil, true, err
+		}
+		return &pe.Result{Columns: []string{"dataflow"},
+			Rows: []types.Row{{types.NewString(text)}}}, true, nil
+	case is(0, "DEPLOY") && is(1, "DATAFLOW"):
+		stmt, err := sql.Parse(sqlText)
+		if err != nil {
+			return nil, true, err
+		}
+		dd, ok := stmt.(*sql.DeployDataflow)
+		if !ok {
+			return nil, true, fmt.Errorf("core: %T is not DEPLOY DATAFLOW", stmt)
+		}
+		if err := s.Deploy(dataflowFromAST(dd)); err != nil {
+			return nil, true, err
+		}
+		return &pe.Result{Columns: []string{"deployed"},
+			Rows: []types.Row{{types.NewString(dd.Name)}}, RowsAffected: 1}, true, nil
+	case len(fields) == 4 && is(0, "ALTER") && is(1, "SYSTEM") && is(2, "PARTITIONS"):
+		// Rebalance takes routingMu itself.
+		n, err := strconv.Atoi(fields[3])
+		if err != nil {
+			return nil, true, fmt.Errorf("core: ALTER SYSTEM PARTITIONS: bad count %q", fields[3])
+		}
+		if err := s.Rebalance(n); err != nil {
+			return nil, true, err
+		}
+		return &pe.Result{Columns: []string{"partitions"},
+			Rows: []types.Row{{types.NewInt(int64(s.NumPartitions()))}}}, true, nil
+	}
+	return nil, false, nil
+}
+
+// Query runs an ad-hoc read-only query at the latest committed cut.
+// Queries touching only unpartitioned relations run on partition 0; queries
+// over partitioned relations fan out to every partition and the results are
+// merged (see mergePlan for the supported shapes).
 func (s *Store) Query(sqlText string, params ...types.Value) (*pe.Result, error) {
-	if res, handled, err := s.dataflowStatement(sqlText); handled {
+	if res, handled, err := s.systemStatement(sqlText); handled {
 		return res, err
 	}
-	if res, handled, err := s.adminStatement(sqlText); handled {
-		return res, err
+	sel, err := parseSelect(sqlText, "core: Query is read-only; only SELECT is supported (use Exec for writes)")
+	if err != nil {
+		return nil, err
 	}
-	if len(s.partList()) == 1 {
-		return s.queryPart0(sqlText, params)
-	}
-	stmt, err := sql.ParseCached(sqlText) // shared AST: treated read-only here
+	return s.readLatest(true, sel, sqlText, params)
+}
+
+// parseSelect parses sqlText through the shared statement cache (the AST is
+// treated read-only) and refuses anything but a SELECT with the calling
+// door's own message.
+func parseSelect(sqlText, refusal string) (*sql.Select, error) {
+	stmt, err := sql.ParseCached(sqlText)
 	if err != nil {
 		return nil, err
 	}
 	sel, ok := stmt.(*sql.Select)
 	if !ok {
-		return s.queryPart0(sqlText, params)
+		return nil, errors.New(refusal)
 	}
-	return s.querySelect(sel, sqlText, params)
+	return sel, nil
 }
 
-// queryPart0 runs a partition-0 query holding routeMu shared: snapshot
-// SELECTs execute on this (caller) goroutine and read catalog maps and
-// index sets, which runtime DDL (ExecScript, under routeMu exclusively)
-// would otherwise mutate underneath them.
-func (s *Store) queryPart0(sqlText string, params []types.Value) (*pe.Result, error) {
+// This is the snapshot read path, the only one: a cut (one pinned committed
+// sequence per partition) and readCut, which runs a parsed SELECT against
+// it. Three doors lead here. Store.Query (and Exec of a SELECT) and
+// Follower.Query acquire a cut, read it, and release it (readLatest);
+// QueryPinned borrows the cut its SnapshotPin holds. No partition worker is
+// enqueued on any of them, and writers (including an in-flight 2PC
+// transaction's fragment phase) proceed concurrently.
+
+// snapCut is the partition list plus one storage.SnapPin per partition;
+// results and errs are the fan-out's leg slots, kept beside the pins so
+// that a pooled cut makes a steady read load allocation-free.
+type snapCut struct {
+	parts   []*partition
+	pins    []storage.SnapPin
+	results []*pe.Result
+	errs    []error
+}
+
+var cutPool = sync.Pool{New: func() any { return new(snapCut) }}
+
+// acquireCut pins every partition's latest committed sequence into c.
+//
+// A primary passes fenced: the vector is taken under seqMu, atomically
+// against 2PC commit publication, so a coordinated write is visible on every
+// partition or on none. The partition list is captured inside the same hold:
+// a rebalance publishes an extended list, the new slot table, and the
+// migrated partitions' commit sequences in one seqMu write-side window, so
+// list and vector always describe the same cut.
+//
+// A follower does not: its apply goroutine publishes a coordinated
+// transaction's legs at independent moments, so its cut is a consistent
+// prefix per partition, not an atomic cross-partition one (see replica.go).
+func (s *Store) acquireCut(c *snapCut, fenced bool) {
+	if fenced {
+		s.seqMu.RLock()
+		defer s.seqMu.RUnlock()
+	}
+	c.parts = s.partList()
+	n := len(c.parts)
+	if cap(c.pins) < n {
+		c.pins = make([]storage.SnapPin, n)
+		c.results = make([]*pe.Result, n)
+		c.errs = make([]error, n)
+	}
+	c.pins, c.results, c.errs = c.pins[:n], c.results[:n], c.errs[:n]
+	for i, p := range c.parts {
+		c.pins[i] = p.pe.AcquireSnapshot()
+	}
+}
+
+// release drops the cut's pins and every pointer it holds, so a pooled cut
+// never keeps leg results alive.
+func (c *snapCut) release() {
+	for i, p := range c.parts {
+		p.pe.ReleaseSnapshot(c.pins[i])
+		c.pins[i] = storage.SnapPin{}
+		c.results[i] = nil
+		c.errs[i] = nil
+	}
+	c.parts = nil
+}
+
+// readLatest is the per-statement door: acquire a pooled cut, read, release.
+func (s *Store) readLatest(fenced bool, sel *sql.Select, sqlText string, params []types.Value) (*pe.Result, error) {
+	c := cutPool.Get().(*snapCut)
+	s.acquireCut(c, fenced)
+	res, err := s.readCut(c, sel, sqlText, params)
+	c.release()
+	cutPool.Put(c)
+	return res, err
+}
+
+// readCut runs a parsed SELECT against a cut: plan it, then read partition
+// 0 alone or one leg per partition plus the merge. The legs execute on this
+// call's own goroutines at the cut's sequences. routeMu (shared) is held
+// throughout: planning and the legs read catalog maps and index sets, which
+// runtime DDL (ExecScript, under routeMu exclusively) would otherwise mutate
+// underneath them.
+func (s *Store) readCut(c *snapCut, sel *sql.Select, sqlText string, params []types.Value) (*pe.Result, error) {
 	s.routeMu.RLock()
 	defer s.routeMu.RUnlock()
-	return s.partList()[0].pe.Query(sqlText, params...)
-}
-
-// querySelect is Query after parsing; Exec reuses it for ad-hoc SELECTs so
-// the text is not parsed twice.
-func (s *Store) querySelect(sel *sql.Select, sqlText string, params []types.Value) (*pe.Result, error) {
-	part, err := s.queryScope(sel)
-	if err != nil {
-		return nil, err
-	}
-	if !part {
-		return s.queryPart0(sqlText, params)
-	}
-	plan, legSQL, legParams, err := fanoutLeg(sel, sqlText, params)
-	if err != nil {
-		return nil, err
-	}
-	// Acquire a consistent cross-partition snapshot: one pinned committed
-	// sequence per partition, taken atomically against 2PC commit
-	// publication (seqMu), so a coordinated write is visible on every
-	// partition or on none. The legs then execute on this goroutine's
-	// fan-out workers against those snapshots — no partition worker is
-	// enqueued, and writers (including an in-flight 2PC transaction's
-	// fragment phase) proceed concurrently. routeMu (shared) excludes
-	// runtime DDL for the legs' catalog and index reads; queryScope above
-	// released its own hold, so this is not a recursive read-lock.
-	// The partition list is captured inside the same seqMu hold as the
-	// sequence vector: a rebalance publishes an extended list, the new slot
-	// table, and the migrated partitions' commit sequences in one seqMu
-	// write-side window, so list and vector always describe the same cut.
-	s.routeMu.RLock()
-	s.seqMu.RLock()
-	parts := s.partList()
-	fs := fanoutPool.Get().(*fanoutScratch)
-	fs.size(len(parts))
-	defer fs.release()
-	for i, p := range parts {
-		fs.pins[i] = p.pe.AcquireSnapshot()
-	}
-	s.seqMu.RUnlock()
-	defer func() {
-		for i, p := range parts {
-			p.pe.ReleaseSnapshot(fs.pins[i])
+	var plan selectPlan
+	if len(c.parts) > 1 { // one partition executes every statement whole
+		var err error
+		if plan, err = planSelect(c.parts[0].cat, sel, sqlText, params); err != nil {
+			return nil, err
 		}
-	}()
+	}
+	if plan.merge == nil {
+		return c.parts[0].pe.QueryAtSeq(c.pins[0].Seq(), sqlText, params...)
+	}
 	var wg sync.WaitGroup
-	for i := range parts {
+	for i := range c.parts {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			fs.results[i], fs.errs[i] = parts[i].pe.QueryAtSeq(fs.pins[i].Seq(), legSQL, legParams...)
+			c.results[i], c.errs[i] = c.parts[i].pe.QueryAtSeq(c.pins[i].Seq(), plan.legSQL, plan.legParams...)
 		}(i)
 	}
 	wg.Wait()
-	s.routeMu.RUnlock()
-	for _, err := range fs.errs {
+	for _, err := range c.errs {
 		if err != nil {
 			return nil, err
 		}
@@ -552,65 +656,46 @@ func (s *Store) querySelect(sel *sql.Select, sqlText string, params []types.Valu
 	// The merged HAVING evaluator binds the ORIGINAL parameter slice: its
 	// Param indexes are positions in the client's statement, which stay
 	// valid even when the legs had to inline parameters as literals.
-	return plan.merge(sel, fs.results, params)
+	return plan.merge.merge(sel, c.results, params)
 }
 
-// fanoutScratch is the per-query buffer set of the snapshot fan-out: one
-// pin, result slot, and error slot per partition. Pooled so a steady read
-// load stops allocating them; every pointer is cleared on release so a
-// pooled entry never keeps leg results alive.
-type fanoutScratch struct {
-	pins    []storage.SnapPin
-	results []*pe.Result
-	errs    []error
+// selectPlan is how a SELECT runs across partitions. A nil merge means it
+// reads no partitioned relation and runs on partition 0 alone, as written.
+// Otherwise every partition runs legSQL and merge combines the results.
+// legSQL differs from the client's text when AVG is pushed down (SUM +
+// hidden COUNT per AVG), when HAVING is lifted above the merge (stripped,
+// hidden aggregates appended), or when LIMIT under aggregation is withheld
+// from the legs, all serialized from the rewritten AST via sql.FormatSelect.
+type selectPlan struct {
+	merge     *queryMerge
+	legSQL    string
+	legParams []types.Value
 }
 
-var fanoutPool = sync.Pool{New: func() any { return new(fanoutScratch) }}
-
-func (fs *fanoutScratch) size(n int) {
-	if cap(fs.pins) < n {
-		fs.pins = make([]storage.SnapPin, n)
-		fs.results = make([]*pe.Result, n)
-		fs.errs = make([]error, n)
+// planSelect plans a SELECT for a store of several partitions: the scope
+// check, the merge plan, and the leg statement. sqlText is sel's own text,
+// which the legs run when the merge needs no rewrite (the coordinator's
+// INSERT ... SELECT has none and passes ""). The caller holds routeMu.
+func planSelect(cat *catalog.Catalog, sel *sql.Select, sqlText string, params []types.Value) (selectPlan, error) {
+	partitioned, err := queryScope(cat, sel)
+	if err != nil || !partitioned {
+		return selectPlan{}, err
 	}
-	fs.pins = fs.pins[:n]
-	fs.results = fs.results[:n]
-	fs.errs = fs.errs[:n]
-}
-
-func (fs *fanoutScratch) release() {
-	for i := range fs.pins {
-		fs.pins[i] = storage.SnapPin{}
-		fs.results[i] = nil
-		fs.errs[i] = nil
-	}
-	fanoutPool.Put(fs)
-}
-
-// fanoutLeg computes the merge plan and the per-leg statement of a
-// distributed SELECT. The leg statement differs from the client's text
-// when AVG is pushed down (SUM + hidden COUNT per AVG), when HAVING is
-// lifted above the merge (stripped, hidden aggregates appended), or when
-// LIMIT under aggregation is withheld from the legs — all serialized from
-// the rewritten AST via sql.FormatSelect. Shared by the query fan-out and
-// the coordinator's transactional INSERT ... SELECT materialization.
-func fanoutLeg(sel *sql.Select, sqlText string, params []types.Value) (*queryMerge, string, []types.Value, error) {
-	plan, err := mergePlan(sel, params)
+	m, err := mergePlan(sel, params)
 	if err != nil {
-		return nil, "", nil, err
+		return selectPlan{}, err
 	}
-	legSQL, legParams := sqlText, params
-	if len(plan.avgHidden) > 0 || len(plan.extraItems) > 0 || len(plan.exprLeg) > 0 || plan.stripHaving || plan.stripLimit {
+	plan := selectPlan{merge: m, legSQL: sqlText, legParams: params}
+	if len(m.avgHidden) > 0 || len(m.extraItems) > 0 || len(m.exprLeg) > 0 || m.stripHaving || m.stripLimit {
 		var inlined bool
-		legSQL, inlined, err = buildLegSQL(sel, plan, params)
-		if err != nil {
-			return nil, "", nil, err
+		if plan.legSQL, inlined, err = buildLegSQL(sel, m, params); err != nil {
+			return selectPlan{}, err
 		}
 		if inlined {
-			legParams = nil
+			plan.legParams = nil
 		}
 	}
-	return plan, legSQL, legParams, nil
+	return plan, nil
 }
 
 // queryScope reports whether the select references any partitioned
@@ -624,10 +709,9 @@ func fanoutLeg(sel *sql.Select, sqlText string, params []types.Value) (*queryMer
 //     co-located everywhere.
 //   - Unpartitioned streams/windows exist only on partition 0, so joining
 //     them into a fan-out leaves legs 1..N-1 empty.
-func (s *Store) queryScope(sel *sql.Select) (partitioned bool, err error) {
-	s.routeMu.RLock()
-	defer s.routeMu.RUnlock()
-	cat := s.partList()[0].cat
+//
+// The caller holds routeMu.
+func queryScope(cat *catalog.Catalog, sel *sql.Select) (partitioned bool, err error) {
 	isPart := func(name string) bool {
 		rel := cat.Relation(name)
 		return rel != nil && rel.Partitioned()

@@ -26,9 +26,6 @@ type Prepared struct {
 	del *deletePlan
 }
 
-// IsQuery reports whether the statement returns rows.
-func (p *Prepared) IsQuery() bool { return p.sel != nil }
-
 // ---------- plan node structures ----------
 
 // tableAccess describes how one relation is read: full scan, index

@@ -74,10 +74,8 @@ type Metrics struct {
 
 	// SnapshotReads counts read-only queries executed on the caller
 	// goroutine against an MVCC snapshot (off the serial partition
-	// worker); WorkerQueries counts ad-hoc queries that still took the
-	// worker-queued path (non-SELECT fallbacks and explicit baseline use).
+	// worker).
 	SnapshotReads atomic.Int64
-	WorkerQueries atomic.Int64
 
 	// Version-chain / GC gauges: GCRuns counts watermark sweeps,
 	// GCVersionsReclaimed the row versions they reclaimed, and
@@ -105,9 +103,6 @@ type Metrics struct {
 	ColdEvictions     atomic.Int64
 	ColdFaults        atomic.Int64
 	ColdResidentBytes atomic.Int64
-	// ColdFaultLatency records the wall time of fault-in rounds observed by
-	// benchmarks (E13's fault-in p99 source).
-	ColdFaultLatency Histogram
 
 	// Replication counters: ReplRecordsApplied counts WAL records a
 	// follower replayed into its storage, FollowerReads the snapshot
@@ -205,7 +200,7 @@ type Snapshot struct {
 	MPOnePhase                            int64
 	MPPrepareBatches, MPDecideBatches     int64
 	MPPrepareBatchMean, MPDecideBatchMean float64
-	SnapshotReads, WorkerQueries          int64
+	SnapshotReads                         int64
 	GCRuns, GCVersionsReclaimed           int64
 	VersionsRetained                      int64
 	Rebalances, SlotsMigrated             int64
@@ -249,7 +244,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		MPPrepareBatchMean:  m.mpPrepareBatch.Mean(),
 		MPDecideBatchMean:   m.mpDecideBatch.Mean(),
 		SnapshotReads:       m.SnapshotReads.Load(),
-		WorkerQueries:       m.WorkerQueries.Load(),
 		GCRuns:              m.GCRuns.Load(),
 		GCVersionsReclaimed: m.GCVersionsReclaimed.Load(),
 		VersionsRetained:    m.VersionsRetained.Load(),
@@ -301,7 +295,6 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 	d.MPDecideBatches -= prev.MPDecideBatches
 	// Batch-size means keep s's values (cumulative averages).
 	d.SnapshotReads -= prev.SnapshotReads
-	d.WorkerQueries -= prev.WorkerQueries
 	d.GCRuns -= prev.GCRuns
 	d.GCVersionsReclaimed -= prev.GCVersionsReclaimed
 	// VersionsRetained is a gauge: keep s's value, not a difference.

@@ -818,28 +818,19 @@ func (e *Engine) FlushBatches() {
 	}
 }
 
-// Query runs an ad-hoc read-only SQL statement. SELECTs execute on the
-// caller's goroutine against an MVCC snapshot pinned at the latest
-// committed sequence: they never enter the partition's serial queue, so
-// reads scale with client cores, see only committed state, and are not
-// delayed by running transactions (or a parked 2PC leg). Statements that
-// are not SELECTs fall back to the worker-queued path, preserving their
-// historical error surfaces.
+// Query runs an ad-hoc read-only SQL statement on the caller's goroutine
+// against an MVCC snapshot pinned at the latest committed sequence: it never
+// enters the partition's serial queue, so reads scale with client cores, see
+// only committed state, and are not delayed by running transactions (or a
+// parked 2PC leg). A statement that is not a SELECT fails in the execution
+// engine's read-only context and changes nothing.
 func (e *Engine) Query(sqlText string, params ...types.Value) (*Result, error) {
 	if err := e.errNotStarted(); err != nil {
 		return nil, err
 	}
-	p, err := e.ee.PrepareCached(sqlText)
-	if err != nil {
-		return nil, err
-	}
-	if !p.IsQuery() {
-		return e.QueryOnWorker(sqlText, params...)
-	}
-	e.met.ClientToPE.Add(1)
 	pin := e.AcquireSnapshot()
 	defer e.ReleaseSnapshot(pin)
-	return e.querySnapshot(p, pin.Seq(), params)
+	return e.QueryAtSeq(pin.Seq(), sqlText, params...)
 }
 
 // AcquireSnapshot pins the latest committed sequence for snapshot reads;
@@ -850,63 +841,26 @@ func (e *Engine) AcquireSnapshot() storage.SnapPin { return e.clock.AcquireSnaps
 // ReleaseSnapshot drops a pin taken by AcquireSnapshot.
 func (e *Engine) ReleaseSnapshot(pin storage.SnapPin) { e.clock.ReleaseSnapshot(pin) }
 
-// QueryAtSeq runs a read-only SELECT on the caller's goroutine at a
-// specific pinned sequence — the router's cross-partition fan-out leg. The
-// caller must hold a pin on seq (AcquireSnapshot) for the duration.
+// QueryAtSeq runs a read-only statement on the caller's goroutine at a
+// pinned sequence: the one snapshot read, which Query and every leg of the
+// router's read path end in. The caller must hold a pin on seq
+// (AcquireSnapshot) for the duration. It touches only immutable plans and
+// versioned storage, never the partition worker, so it is also safe on an
+// engine that was never started: a follower replica, whose records arrive
+// via Replay.
 func (e *Engine) QueryAtSeq(seq storage.Seq, sqlText string, params ...types.Value) (*Result, error) {
-	if err := e.errNotStarted(); err != nil {
-		return nil, err
-	}
-	return e.SnapshotQueryAtSeq(seq, sqlText, params...)
-}
-
-// SnapshotQueryAtSeq is QueryAtSeq without the started-engine guard: the
-// snapshot path runs entirely on the caller's goroutine against versioned
-// storage and never touches the partition worker, so it is also safe on an
-// engine that was never started — the follower-replica read path, where
-// records arrive via Replay and reads must not require a live worker.
-func (e *Engine) SnapshotQueryAtSeq(seq storage.Seq, sqlText string, params ...types.Value) (*Result, error) {
 	p, err := e.ee.PrepareCached(sqlText)
 	if err != nil {
 		return nil, err
 	}
-	if !p.IsQuery() {
-		return nil, fmt.Errorf("pe: QueryAtSeq requires a SELECT, got %q", sqlText)
-	}
 	e.met.ClientToPE.Add(1)
-	return e.querySnapshot(p, seq, params)
-}
-
-// querySnapshot executes a prepared SELECT at the pinned sequence. Runs on
-// the caller's goroutine; touches only immutable plans and versioned
-// storage.
-func (e *Engine) querySnapshot(p *ee.Prepared, seq storage.Seq, params []types.Value) (*Result, error) {
 	ectx := &ee.ExecCtx{ReadOnly: true, Snapshot: true, SnapshotSeq: seq}
 	res, err := e.ee.Execute(ectx, p, params...)
 	if err != nil {
 		return nil, err
 	}
 	e.met.SnapshotReads.Add(1)
-	out := &Result{Columns: res.Columns, Rows: res.Rows, RowsAffected: res.RowsAffected}
-	return out, nil
-}
-
-// QueryOnWorker runs an ad-hoc read-only statement through the partition's
-// serial queue — the pre-MVCC read path, kept for non-SELECT fallbacks and
-// as the baseline the E9 experiment prices snapshot reads against.
-func (e *Engine) QueryOnWorker(sqlText string, params ...types.Value) (*Result, error) {
-	if err := e.errNotStarted(); err != nil {
-		return nil, err
-	}
-	e.met.ClientToPE.Add(1)
-	e.met.WorkerQueries.Add(1)
-	done := make(chan CallResult, 1)
-	r := &txnRequest{kind: reqQuery, sqlText: sqlText, params: params, done: done, enqueued: time.Now()}
-	if !e.sched.push(r) {
-		return nil, fmt.Errorf("pe: engine stopped")
-	}
-	cr := <-done
-	return cr.Result, cr.Err
+	return &Result{Columns: res.Columns, Rows: res.Rows, RowsAffected: res.RowsAffected}, nil
 }
 
 // Exec runs an ad-hoc DML statement as its own transaction. Ad-hoc writes
@@ -985,12 +939,6 @@ func (e *Engine) executeRequest(r *txnRequest) {
 		// inside dispatchEmits, before this defer runs, so a chain never
 		// reads as idle mid-flight.
 		defer e.graphDone(r.graph)
-	}
-	if r.kind == reqQuery {
-		ectx := &ee.ExecCtx{ReadOnly: true}
-		res, err := e.ee.ExecSQL(ectx, r.sqlText, r.params...)
-		r.respond(res, err)
-		return
 	}
 	if r.kind == reqBarrier {
 		e.drainAcks()

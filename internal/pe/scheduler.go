@@ -16,7 +16,6 @@ const (
 	reqInvoke    reqKind = iota // direct OLTP procedure call
 	reqBorder                   // border (BSP) batch from client ingest
 	reqTriggered                // PE-triggered downstream (ISP) batch
-	reqQuery                    // ad-hoc read-only query
 	reqExec                     // ad-hoc write statement (own transaction)
 	reqBarrier                  // drain marker
 	reqMP                       // multi-partition leg: park on the 2PC barrier
@@ -45,7 +44,7 @@ type txnRequest struct {
 	// execution must garbage-collect at commit.
 	inputStream string
 	gcIDs       []storage.RowID
-	sqlText     string // for reqQuery
+	sqlText     string // for reqExec
 	fn          func() error
 	mp          *MPSession // for reqMP
 	done        chan CallResult

@@ -1,6 +1,7 @@
 package pe
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -50,14 +51,6 @@ func TestQueryRunsOffTheWorker(t *testing.T) {
 	close(block)
 	if cr := <-done; cr.Err != nil {
 		t.Fatal(cr.Err)
-	}
-
-	// The worker-queued baseline path still works and counts separately.
-	if _, err := e.QueryOnWorker("SELECT v FROM kv WHERE k = 1"); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.Metrics().WorkerQueries.Load(); got != 1 {
-		t.Fatalf("WorkerQueries = %d", got)
 	}
 }
 
@@ -123,16 +116,16 @@ func TestSnapshotPinSurvivesDeleteTruncateCheckpointGC(t *testing.T) {
 	}
 }
 
-// TestQueryNonSelectFallsBackToWorker keeps the historical error surface
-// for DML pushed through Query.
-func TestQueryNonSelectFallsBackToWorker(t *testing.T) {
+// TestQueryRejectsNonSelect: DML pushed through Query fails in the read-only
+// context and changes nothing.
+func TestQueryRejectsNonSelect(t *testing.T) {
 	e := newTestPE(t, Config{}, kvDDL)
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer e.Stop()
-	if _, err := e.Query("INSERT INTO kv VALUES (1, 1)"); err == nil {
-		t.Fatal("INSERT through Query must fail read-only")
+	if _, err := e.Query("INSERT INTO kv VALUES (1, 1)"); err == nil || !strings.Contains(err.Error(), "read-only") {
+		t.Fatalf("INSERT through Query must fail read-only, got %v", err)
 	}
 	// And it must not have left a row behind.
 	res, err := e.Query("SELECT COUNT(*) FROM kv")

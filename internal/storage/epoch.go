@@ -33,8 +33,7 @@ import (
 //     and is released to the pools.
 //
 // Reader counters are striped across cache-line-padded shards so the
-// read fast path performs no shared-cacheline writes — the scaling
-// property E14 measures.
+// read fast path performs no shared-cacheline writes.
 
 // epochShardCount stripes the reader counters. Power of two; sized past
 // the core counts this engine targets so two running readers rarely

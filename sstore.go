@@ -91,7 +91,7 @@
 // partitions for fan-out queries). Writes, stored procedures, and the
 // dataflow hot path keep H-Store's serial execution untouched; old row
 // versions are reclaimed by a watermark GC once no reader can see them.
-// See DESIGN.md §1.6 and the E9 experiment.
+// See DESIGN.md §1.6.
 //
 // # Anti-caching (larger-than-memory tables)
 //
@@ -109,7 +109,7 @@
 // durability guarantees are unchanged. Watch the cold_evictions /
 // cold_faults / cold_resident_bytes rows of Store.StatsResult — and
 // index_bytes / cold_pool_bytes, the memory the budget does not govern —
-// and see DESIGN.md §7 and the E13 experiment.
+// and see DESIGN.md §7.
 //
 // Work that genuinely spans partitions runs through the two-phase-commit
 // coordinator: ad-hoc multi-row INSERTs spanning shards, INSERT ... SELECT,
