@@ -537,6 +537,21 @@ func (s *Store) StatsResult() *pe.Result {
 		ci(fmt.Sprintf("index_bytes.p%d", i), index[i])
 		ci(fmt.Sprintf("cold_pool_bytes.p%d", i), pool[i])
 	}
+	// Rows the access paths handed to statements against rows SELECTs gave
+	// back: a read that examines far more than it returns is one to index.
+	examined, returned := make([]int64, len(parts)), make([]int64, len(parts))
+	var examinedSum, returnedSum int64
+	for i, p := range parts {
+		examined[i], returned[i] = p.ee.RowCounts()
+		examinedSum += examined[i]
+		returnedSum += returned[i]
+	}
+	ci("rows_examined", examinedSum)
+	ci("rows_returned", returnedSum)
+	for i := range parts {
+		ci(fmt.Sprintf("rows_examined.p%d", i), examined[i])
+		ci(fmt.Sprintf("rows_returned.p%d", i), returned[i])
+	}
 	ci("rebalances", snap.Rebalances)
 	ci("slots_migrated", snap.SlotsMigrated)
 	ci("slot_rows_moved", snap.SlotRowsMoved)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -798,5 +799,49 @@ func TestFanoutLimitCoercion(t *testing.T) {
 	}
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %v", res.Rows)
+	}
+}
+
+// TestStatsRowsExaminedAndReturned: the stats surface says how many rows
+// statements read and how many SELECTs gave back, per store and per
+// partition. A fan-out COUNT(*) examines every row and returns one per leg.
+func TestStatsRowsExaminedAndReturned(t *testing.T) {
+	st := buildPartApp(t, Config{Partitions: 4})
+	if err := st.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Stop()
+	ingestKeys(t, st, 64, 1)
+	read := func() map[string]int64 {
+		out := map[string]int64{}
+		for _, r := range st.StatsResult().Rows {
+			if name := r[0].Str(); strings.HasPrefix(name, "rows_") {
+				v, err := strconv.ParseInt(r[1].Str(), 10, 64)
+				if err != nil {
+					t.Fatalf("stats row %s = %q", name, r[1].Str())
+				}
+				out[name] = v
+			}
+		}
+		return out
+	}
+	before := read()
+	if _, err := st.Query("SELECT COUNT(*) FROM totals"); err != nil {
+		t.Fatal(err)
+	}
+	after := read()
+	if d := after["rows_examined"] - before["rows_examined"]; d != 64 {
+		t.Errorf("COUNT(*) over 64 rows examined %d", d)
+	}
+	if d := after["rows_returned"] - before["rows_returned"]; d != 4 {
+		t.Errorf("COUNT(*) on 4 partitions returned %d leg rows", d)
+	}
+	var examined, returned int64
+	for i := 0; i < 4; i++ {
+		examined += after[fmt.Sprintf("rows_examined.p%d", i)]
+		returned += after[fmt.Sprintf("rows_returned.p%d", i)]
+	}
+	if examined != after["rows_examined"] || returned != after["rows_returned"] {
+		t.Errorf("per-partition rows do not add up: %v", after)
 	}
 }

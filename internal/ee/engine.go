@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/catalog"
 	"repro/internal/metrics"
@@ -52,6 +53,11 @@ type Engine struct {
 	// MaxTriggerDepth bounds EE trigger cascades to catch accidental
 	// cycles (insert into s from a trigger on s).
 	MaxTriggerDepth int
+
+	// rowsExamined counts the rows access paths handed to statements,
+	// rowsReturned the rows SELECTs gave back. Each statement adds its own
+	// tally once, when it ends: snapshot reads run on client goroutines.
+	rowsExamined, rowsReturned atomic.Int64
 }
 
 // Trigger is an EE trigger: statements executed inside the running
@@ -84,6 +90,12 @@ func (e *Engine) Catalog() *catalog.Catalog { return e.cat }
 
 // Metrics returns the engine's counters.
 func (e *Engine) Metrics() *metrics.Metrics { return e.met }
+
+// RowCounts reports how many rows this engine's statements examined and
+// how many its SELECTs returned. Safe from any goroutine.
+func (e *Engine) RowCounts() (examined, returned int64) {
+	return e.rowsExamined.Load(), e.rowsReturned.Load()
+}
 
 // MarkStreamPersistent tells the EE that a stream's tuples are consumed by
 // a downstream PE trigger and must be retained until that consumer's
@@ -180,17 +192,17 @@ func (e *Engine) Execute(ctx *ExecCtx, p *Prepared, params ...types.Value) (*Res
 		if ctx.ReadOnly {
 			return nil, fmt.Errorf("ee: INSERT in read-only context")
 		}
-		return e.execInsert(ctx, p.ins, params)
+		return atomically(ctx, func() (*Result, error) { return e.execInsert(ctx, p.ins, params) })
 	case p.upd != nil:
 		if ctx.ReadOnly {
 			return nil, fmt.Errorf("ee: UPDATE in read-only context")
 		}
-		return e.execUpdate(ctx, p.upd, params)
+		return atomically(ctx, func() (*Result, error) { return e.execUpdate(ctx, p.upd, params) })
 	case p.del != nil:
 		if ctx.ReadOnly {
 			return nil, fmt.Errorf("ee: DELETE in read-only context")
 		}
-		return e.execDelete(ctx, p.del, params)
+		return atomically(ctx, func() (*Result, error) { return e.execDelete(ctx, p.del, params) })
 	}
 	return nil, fmt.Errorf("ee: empty prepared statement %q", p.Text)
 }

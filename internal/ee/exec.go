@@ -11,125 +11,127 @@ import (
 	"repro/internal/types"
 )
 
-// ---------- SELECT ----------
+// ---------- statement execution ----------
+//
+// A statement runs as one push pipeline. accessRows, the only producer,
+// emits a relation's rows one at a time through whichever access path the
+// plan chose. A SELECT passes them through its join steps (nested calls of
+// the producer with the outer row bound) and its WHERE into a sink, fold
+// for an aggregation and project otherwise, whose output rows land in the
+// Result or, for an IN-subquery, in its value set. UPDATE and DELETE
+// collect the matching (id, row) pairs from the same producer and mutate
+// afterwards. Upstream of a sink nothing holds more than the current row.
+
+// selectRun is one execution of a selectPlan.
+type selectRun struct {
+	e    *Engine
+	ctx  *ExecCtx
+	plan *selectPlan
+	ec   evalCtx // params and subs; row is set before each evaluation
+	err  error   // first failure inside a callback, which stops the scan
+
+	examined int64     // rows the producer emitted
+	joined   types.Row // the current joined row, one segment per relation
+
+	// fold sink.
+	states []aggState // the one group of a plan without GROUP BY keys
+	groups map[uint64][]*aggGroup
+	order  []*aggGroup // groups in first-seen order
+	key    types.Row   // the current row's group key
+
+	// project sink. out and keys are the output row under construction and
+	// its ORDER BY keys; whatever keeps one takes it, and the next row gets
+	// a fresh one.
+	out, keys types.Row
+	seen      map[uint64][]types.Row // DISTINCT
+	skip      int64                  // OFFSET
+	bound     int64                  // OFFSET + LIMIT, the rows that matter; -1 for all
+	arrived   int64                  // rows that reached the sink, duplicates aside
+	outs      []outRow               // ORDER BY: a heap of the bound best, or every row
+	lateErr   error                  // a bad OFFSET or LIMIT, reported if the scan raised nothing
+	rows      []types.Row
+	set       *subResult // receives the output instead of rows
+}
+
+type aggGroup struct {
+	key    types.Row
+	states []aggState
+}
+
+// outRow is an output row waiting for its place in the ORDER BY.
+type outRow struct {
+	out, keys types.Row
+	seq       int64 // arrival order, which breaks ties
+}
 
 func (e *Engine) execSelect(ctx *ExecCtx, p *Prepared, params []types.Value) (*Result, error) {
-	plan := p.sel
+	rows, err := e.runSelect(ctx, p.sel, params, nil)
+	if err != nil {
+		return nil, err
+	}
+	if rows == nil {
+		rows = []types.Row{}
+	}
+	e.rowsReturned.Add(int64(len(rows)))
+	return &Result{Columns: p.Columns, Rows: rows, RowsAffected: len(rows)}, nil
+}
+
+// runSelect executes plan and returns its output rows, or adds them to set
+// when it is non-nil (the plan then yields one column).
+func (e *Engine) runSelect(ctx *ExecCtx, plan *selectPlan, params []types.Value, set *subResult) ([]types.Row, error) {
 	subs, err := e.materializeSubs(ctx, plan.subs, params)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := e.sourceRows(ctx, &plan.src, params, subs)
-	if err != nil {
-		return nil, err
+	x := &selectRun{e: e, ctx: ctx, plan: plan, ec: evalCtx{params: params, subs: subs}, bound: -1, set: set}
+	// A LIMIT bounds what the sink keeps and, without an ORDER BY, where the
+	// scan stops. One that does not evaluate bounds nothing: the statement
+	// runs in full and fails at the end, behind any failure of its own.
+	limit := int64(-1)
+	if plan.offset != nil {
+		x.skip, x.lateErr = x.nonNegInt(plan.offset, "OFFSET")
 	}
-	if plan.where != nil {
-		rows, err = filterRows(rows, plan.where, params, subs)
-		if err != nil {
-			return nil, err
-		}
+	if plan.limit != nil && x.lateErr == nil {
+		limit, x.lateErr = x.nonNegInt(plan.limit, "LIMIT")
+	}
+	if x.lateErr == nil && limit >= 0 && limit <= math.MaxInt64-x.skip {
+		x.bound = x.skip + limit
+	}
+	if len(plan.src.joins) > 0 {
+		x.joined = make(types.Row, plan.src.scope.width())
 	}
 	if plan.grouped {
-		rows, err = aggregateRows(rows, plan, params, subs)
-		if err != nil {
-			return nil, err
-		}
-		if plan.having != nil {
-			rows, err = filterRows(rows, plan.having, params, subs)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	// Projection and order-key computation share the input row.
-	type outRow struct {
-		out  types.Row
-		keys types.Row
-	}
-	outs := make([]outRow, 0, len(rows))
-	ec := &evalCtx{params: params, subs: subs}
-	for _, r := range rows {
-		ec.row = r
-		out := make(types.Row, len(plan.projs))
-		for i, pr := range plan.projs {
-			if out[i], err = pr.eval(ec); err != nil {
-				return nil, err
-			}
-		}
-		var keys types.Row
-		if len(plan.orderBy) > 0 {
-			keys = make(types.Row, len(plan.orderBy))
-			for i, ob := range plan.orderBy {
-				if keys[i], err = ob.expr.eval(ec); err != nil {
-					return nil, err
-				}
-			}
-		}
-		outs = append(outs, outRow{out: out, keys: keys})
-	}
-	if plan.distinct {
-		seen := make(map[uint64][]types.Row)
-		dedup := outs[:0]
-		for _, o := range outs {
-			h := o.out.Hash()
-			dup := false
-			for _, prev := range seen[h] {
-				if prev.Equal(o.out) {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				seen[h] = append(seen[h], o.out)
-				dedup = append(dedup, o)
-			}
-		}
-		outs = dedup
-	}
-	if len(plan.orderBy) > 0 {
-		sort.SliceStable(outs, func(i, j int) bool {
-			for k, ob := range plan.orderBy {
-				c := outs[i].keys[k].Compare(outs[j].keys[k])
-				if c == 0 {
-					continue
-				}
-				if ob.desc {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
-	}
-	final := make([]types.Row, len(outs))
-	for i, o := range outs {
-		final[i] = o.out
-	}
-	if plan.offset != nil {
-		n, err := evalNonNegInt(plan.offset, params, "OFFSET")
-		if err != nil {
-			return nil, err
-		}
-		if n >= int64(len(final)) {
-			final = nil
+		if len(plan.groupKeys) == 0 {
+			x.states = make([]aggState, len(plan.aggs))
 		} else {
-			final = final[n:]
+			x.groups = make(map[uint64][]*aggGroup)
+			x.key = make(types.Row, len(plan.groupKeys))
 		}
 	}
-	if plan.limit != nil {
-		n, err := evalNonNegInt(plan.limit, params, "LIMIT")
-		if err != nil {
-			return nil, err
-		}
-		if n < int64(len(final)) {
-			final = final[:n]
+	if err := e.accessRows(ctx, &plan.src.base, &x.ec, x.onBase); err != nil {
+		x.fail(err)
+	}
+	e.rowsExamined.Add(x.examined)
+	if x.err == nil && plan.grouped {
+		x.emitGroups()
+	}
+	if x.err == nil && len(plan.orderBy) > 0 {
+		sort.Slice(x.outs, func(i, j int) bool { return x.before(&x.outs[i], &x.outs[j]) })
+		for i := int(min(x.skip, int64(len(x.outs)))); i < len(x.outs); i++ {
+			x.deliver(x.outs[i].out)
 		}
 	}
-	return &Result{Columns: p.Columns, Rows: final, RowsAffected: len(final)}, nil
+	if x.err == nil {
+		x.err = x.lateErr
+	}
+	if x.err != nil {
+		return nil, x.err
+	}
+	return x.rows, nil
 }
 
-func evalNonNegInt(c compiled, params []types.Value, what string) (int64, error) {
-	v, err := c.eval(&evalCtx{params: params})
+func (x *selectRun) nonNegInt(c compiled, what string) (int64, error) {
+	v, err := c.eval(&x.ec)
 	if err != nil {
 		return 0, err
 	}
@@ -140,101 +142,285 @@ func evalNonNegInt(c compiled, params []types.Value, what string) (int64, error)
 	return iv.Int(), nil
 }
 
-func filterRows(rows []types.Row, pred compiled, params []types.Value, subs []subResult) ([]types.Row, error) {
-	out := rows[:0]
-	ec := &evalCtx{params: params, subs: subs}
-	for _, r := range rows {
-		ec.row = r
-		v, err := pred.eval(ec)
-		if err != nil {
-			return nil, err
-		}
-		if v.IsTrue() {
-			out = append(out, r)
-		}
+// fail records the statement's first error and stops the scan.
+func (x *selectRun) fail(err error) bool {
+	if x.err == nil {
+		x.err = err
 	}
-	return out, nil
+	return false
 }
 
-// materializeSubs executes each uncorrelated IN-subquery once, building
-// the value sets predicates probe. Subquery execution is EE-internal work
-// (depth bumped), not a PE→EE crossing.
+// onBase receives the base relation's rows.
+func (x *selectRun) onBase(_ storage.RowID, r types.Row) bool {
+	x.examined++
+	if x.joined == nil {
+		return x.onRow(r)
+	}
+	return x.join(0, copy(x.joined, r))
+}
+
+// join extends the outer row x.joined[:off] by every match of join step i,
+// or by NULLs when a left join finds none, and hands each combination to
+// the next step. It reports whether the statement wants more rows.
+func (x *selectRun) join(i, off int) bool {
+	if i == len(x.plan.src.joins) {
+		return x.onRow(x.joined[:off])
+	}
+	js := &x.plan.src.joins[i]
+	end := off + js.access.schema.NumColumns()
+	matched, more := false, true
+	x.ec.row = x.joined[:off]
+	err := x.e.accessRows(x.ctx, &js.access, &x.ec, func(_ storage.RowID, in types.Row) bool {
+		x.examined++
+		copy(x.joined[off:end], in)
+		if js.on != nil {
+			x.ec.row = x.joined[:end]
+			v, err := js.on.eval(&x.ec)
+			if err != nil {
+				more = x.fail(err)
+				return false
+			}
+			if !v.IsTrue() {
+				return true
+			}
+		}
+		matched = true
+		more = x.join(i+1, end)
+		return more
+	})
+	if err != nil {
+		return x.fail(err)
+	}
+	if more && !matched && js.left {
+		for c := off; c < end; c++ {
+			x.joined[c] = types.Null
+		}
+		more = x.join(i+1, end)
+	}
+	return more
+}
+
+// onRow puts one joined row to the WHERE and, if it passes, into the sink.
+func (x *selectRun) onRow(r types.Row) bool {
+	x.ec.row = r
+	if x.plan.where != nil {
+		v, err := x.plan.where.eval(&x.ec)
+		if err != nil {
+			return x.fail(err)
+		}
+		if !v.IsTrue() {
+			return true
+		}
+	}
+	if x.plan.grouped {
+		return x.fold()
+	}
+	return x.project()
+}
+
+// ---------- sinks ----------
+
+// fold updates the aggregate states of the group the row in x.ec belongs
+// to. A plan without GROUP BY keys has one group and looks nothing up.
+func (x *selectRun) fold() bool {
+	plan := x.plan
+	states := x.states
+	if states == nil {
+		for i, gk := range plan.groupKeys {
+			v, err := gk.eval(&x.ec)
+			if err != nil {
+				return x.fail(err)
+			}
+			x.key[i] = v
+		}
+		h := x.key.Hash()
+		var g *aggGroup
+		for _, cand := range x.groups[h] {
+			if cand.key.Equal(x.key) {
+				g = cand
+				break
+			}
+		}
+		if g == nil {
+			g = &aggGroup{key: x.key.Clone(), states: make([]aggState, len(plan.aggs))}
+			x.groups[h] = append(x.groups[h], g)
+			x.order = append(x.order, g)
+		}
+		states = g.states
+	}
+	for i := range plan.aggs {
+		spec := &plan.aggs[i]
+		var v types.Value
+		if spec.arg != nil {
+			var err error
+			if v, err = spec.arg.eval(&x.ec); err != nil {
+				return x.fail(err)
+			}
+		}
+		states[i].update(spec, v)
+	}
+	return true
+}
+
+// emitGroups turns each group into one virtual row [groupKey0..groupKeyK,
+// agg0..aggN], puts it to the HAVING and projects it. With no GROUP BY
+// keys there is exactly one group, even over empty input (COUNT(*) = 0).
+func (x *selectRun) emitGroups() {
+	plan := x.plan
+	groups := x.order
+	if x.states != nil {
+		groups = []*aggGroup{{states: x.states}}
+	}
+	nk := len(plan.groupKeys)
+	virt := make(types.Row, nk+len(plan.aggs))
+	for _, g := range groups {
+		copy(virt, g.key)
+		for i := range plan.aggs {
+			virt[nk+i] = g.states[i].finalize(&plan.aggs[i])
+		}
+		x.ec.row = virt
+		if plan.having != nil {
+			v, err := plan.having.eval(&x.ec)
+			if err != nil {
+				x.fail(err)
+				return
+			}
+			if !v.IsTrue() {
+				continue
+			}
+		}
+		if !x.project() {
+			return
+		}
+	}
+}
+
+// project builds the output row of the input row in x.ec and passes it on:
+// straight to the destination when there is no ORDER BY, stopping the scan
+// once OFFSET + LIMIT rows have arrived; otherwise into x.outs, which holds
+// no more than those OFFSET + LIMIT rows that sort first.
+func (x *selectRun) project() bool {
+	plan := x.plan
+	var err error
+	if x.out == nil {
+		x.out = make(types.Row, len(plan.projs))
+	}
+	out := x.out
+	for i, pr := range plan.projs {
+		if out[i], err = pr.eval(&x.ec); err != nil {
+			return x.fail(err)
+		}
+	}
+	if len(plan.orderBy) > 0 {
+		if x.keys == nil {
+			x.keys = make(types.Row, len(plan.orderBy))
+		}
+		for i, ob := range plan.orderBy {
+			if x.keys[i], err = ob.expr.eval(&x.ec); err != nil {
+				return x.fail(err)
+			}
+		}
+	}
+	if plan.distinct {
+		h := out.Hash()
+		for _, prev := range x.seen[h] {
+			if prev.Equal(out) {
+				return true
+			}
+		}
+		if x.seen == nil {
+			x.seen = make(map[uint64][]types.Row)
+		}
+		x.seen[h] = append(x.seen[h], out)
+		x.out = nil
+	}
+	x.arrived++
+	if len(plan.orderBy) == 0 {
+		if x.arrived > x.skip && (x.bound < 0 || x.arrived <= x.bound) {
+			x.deliver(out)
+		}
+		return x.bound < 0 || x.arrived < x.bound
+	}
+	o := outRow{out: out, keys: x.keys, seq: x.arrived}
+	switch {
+	case x.bound < 0 || int64(len(x.outs)) < x.bound:
+		x.outs = append(x.outs, o)
+		if int64(len(x.outs)) == x.bound {
+			for i := len(x.outs)/2 - 1; i >= 0; i-- {
+				x.siftDown(i)
+			}
+		}
+	case x.bound > 0 && x.before(&o, &x.outs[0]):
+		x.outs[0] = o
+		x.siftDown(0)
+	default:
+		return true // sorts behind all that will be returned
+	}
+	x.out, x.keys = nil, nil
+	return true
+}
+
+// deliver hands one finished output row to the statement's destination.
+func (x *selectRun) deliver(out types.Row) {
+	if x.set != nil {
+		x.set.add(out[0])
+		return
+	}
+	x.rows = append(x.rows, out)
+	x.out = nil
+}
+
+// before reports whether a precedes b in the ORDER BY. Rows with equal keys
+// keep their arrival order, so the order is total and what a stable sort of
+// all rows would give.
+func (x *selectRun) before(a, b *outRow) bool {
+	for k, ob := range x.plan.orderBy {
+		if c := a.keys[k].Compare(b.keys[k]); c != 0 {
+			return (c < 0) != ob.desc
+		}
+	}
+	return a.seq < b.seq
+}
+
+// siftDown restores the heap below position i. Once x.outs holds bound
+// rows it is a binary heap with the row that sorts last at the root: the
+// one a better arrival replaces.
+func (x *selectRun) siftDown(i int) {
+	h := x.outs
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && x.before(&h[c], &h[c+1]) {
+			c++
+		}
+		if !x.before(&h[i], &h[c]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// materializeSubs executes each uncorrelated IN-subquery once, its output
+// going straight into the value set predicates probe. Like every runSelect
+// it is work inside the EE, not a PE→EE crossing.
 func (e *Engine) materializeSubs(ctx *ExecCtx, plans []*selectPlan, params []types.Value) ([]subResult, error) {
 	if len(plans) == 0 {
 		return nil, nil
 	}
 	out := make([]subResult, len(plans))
-	ctx.depth++
-	defer func() { ctx.depth-- }()
 	for i, sp := range plans {
-		res, err := e.execSelect(ctx, &Prepared{sel: sp}, params)
-		if err != nil {
+		out[i].vals = make(map[uint64][]types.Value)
+		if _, err := e.runSelect(ctx, sp, params, &out[i]); err != nil {
 			return nil, err
 		}
-		sr := subResult{vals: make(map[uint64][]types.Value, len(res.Rows))}
-		for _, r := range res.Rows {
-			v := r[0]
-			if v.IsNull() {
-				sr.hasNull = true
-				continue
-			}
-			if !sr.contains(v) {
-				sr.vals[v.Hash()] = append(sr.vals[v.Hash()], v)
-				sr.list = append(sr.list, v)
-			}
-		}
-		out[i] = sr
 	}
 	return out, nil
 }
 
-// sourceRows materializes the joined row set for a select source.
-func (e *Engine) sourceRows(ctx *ExecCtx, src *sourcePlan, params []types.Value, subs []subResult) ([]types.Row, error) {
-	base, err := e.accessRows(ctx, &src.base, nil, params, subs)
-	if err != nil {
-		return nil, err
-	}
-	rows := base
-	ec := &evalCtx{params: params, subs: subs}
-	for _, js := range src.joins {
-		joined := make([]types.Row, 0, len(rows))
-		innerWidth := js.access.schema.NumColumns()
-		for _, outer := range rows {
-			inner, err := e.accessRows(ctx, &js.access, outer, params, subs)
-			if err != nil {
-				return nil, err
-			}
-			matched := false
-			for _, in := range inner {
-				combined := make(types.Row, 0, len(outer)+innerWidth)
-				combined = append(combined, outer...)
-				combined = append(combined, in...)
-				if js.on != nil {
-					ec.row = combined
-					v, err := js.on.eval(ec)
-					if err != nil {
-						return nil, err
-					}
-					if !v.IsTrue() {
-						continue
-					}
-				}
-				joined = append(joined, combined)
-				matched = true
-			}
-			if !matched && js.left {
-				combined := make(types.Row, 0, len(outer)+innerWidth)
-				combined = append(combined, outer...)
-				for i := 0; i < innerWidth; i++ {
-					combined = append(combined, types.Null)
-				}
-				joined = append(joined, combined)
-			}
-		}
-		rows = joined
-	}
-	return rows, nil
-}
+// ---------- the producer ----------
 
 // subProbe resolves the subquery-probe arm for one execution: the index to
 // look up and the keys, which are the distinct non-NULL values of the
@@ -302,140 +488,130 @@ func lookupEach(ix *storage.Index, keys []types.Value) []storage.RowID {
 	return ids
 }
 
-// accessRows fetches the rows of one relation via its chosen access path.
-// outer is the partial joined row for index probes that reference earlier
-// tables (nil for the base table); subs the statement's materialized
-// subqueries.
-func (e *Engine) accessRows(ctx *ExecCtx, access *tableAccess, outer types.Row, params []types.Value, subs []subResult) ([]types.Row, error) {
+// accessRows is the executor's one producer: it emits the rows of one
+// relation through its chosen access path, in that path's order (insertion
+// order for a scan, key order for a range), until emit returns false. ec
+// carries the parameters, the statement's materialized subqueries and, for
+// a join's inner relation, the outer row its probe keys are computed from.
+// The keys are computed before the first emit, so emit may reuse ec. id is
+// the RowID UPDATE and DELETE mutate by, a writer-view notion: transients
+// and snapshot ranges emit zero.
+func (e *Engine) accessRows(ctx *ExecCtx, access *tableAccess, ec *evalCtx, emit func(id storage.RowID, row types.Row) bool) error {
 	if access.transient {
 		// Bound at prepare time; an empty delta (EXPIRED while a window
 		// fills) is just empty.
+		var rows []types.Row
 		if access.delta >= 0 {
-			return ctx.deltas[access.delta], nil
+			rows = ctx.deltas[access.delta]
+		} else {
+			rows = ctx.NewRows[access.relName]
 		}
-		return ctx.NewRows[access.relName], nil
+		for _, r := range rows {
+			if !emit(0, r) {
+				break
+			}
+		}
+		return nil
 	}
 	rel, err := e.readRows(ctx, access)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	tb := rel.Table
 	// Snapshot contexts read the versions visible at the pinned sequence
 	// (possibly from a client goroutine, concurrently with the partition
 	// worker); everything else reads the writer's current view.
 	snap, seq := ctx.Snapshot, ctx.SnapshotSeq
-	ec := &evalCtx{row: outer, params: params}
+	byID := func(id storage.RowID) bool {
+		r, ok := tb.Get(id)
+		return !ok || emit(id, r)
+	}
 	// When the arm is planned but does not apply to this execution, the
 	// access has no other index bound and falls to the scan at the bottom.
-	if ix, keys, ok := subProbe(access, subs, tb); ok {
-		var rows []types.Row
-		if snap {
-			for _, k := range keys {
-				rows = append(rows, tb.SnapshotLookup(ix, types.Row{k}, seq)...)
+	if ix, keys, ok := subProbe(access, ec.subs, tb); ok {
+		if !snap {
+			for _, id := range lookupEach(ix, keys) {
+				if !byID(id) {
+					break
+				}
 			}
-			return rows, nil
+			return nil
 		}
-		for _, id := range lookupEach(ix, keys) {
-			if r, ok := tb.Get(id); ok {
-				rows = append(rows, r)
+		var key [1]types.Value
+		for _, k := range keys {
+			key[0] = k
+			if !tb.SnapshotLookup(ix, key[:], seq, emit) {
+				break
 			}
 		}
-		return rows, nil
+		return nil
 	}
-	if access.index != nil && access.eqKey != nil {
-		key := make(types.Row, len(access.eqKey))
-		for i, kc := range access.eqKey {
-			if key[i], err = kc.eval(ec); err != nil {
-				return nil, err
+	var ix *storage.Index
+	if access.index != nil && !access.fromSub {
+		ix = tb.IndexByName(access.index.Name()) // nil: dropped since prepare, so scan
+	}
+	switch {
+	case ix == nil:
+	case access.eqKey != nil:
+		var buf [4]types.Value
+		key := buf[:0]
+		for _, kc := range access.eqKey {
+			v, err := kc.eval(ec)
+			if err != nil {
+				return err
 			}
-			if key[i].IsNull() {
-				return nil, nil // = NULL matches nothing
+			if v.IsNull() {
+				return nil // = NULL matches nothing
 			}
-		}
-		ix := tb.IndexByName(access.index.Name())
-		if ix == nil { // index dropped since prepare
-			if snap {
-				return tb.SnapshotRows(seq), nil
-			}
-			return tb.ScanRows(), nil
+			key = append(key, v)
 		}
 		if snap {
-			return tb.SnapshotLookup(ix, key, seq), nil
+			tb.SnapshotLookup(ix, key, seq, emit)
+			return nil
 		}
 		ids, _ := ix.Lookup(key)
-		rows := make([]types.Row, 0, len(ids))
 		for _, id := range ids {
-			if r, ok := tb.Get(id); ok {
-				rows = append(rows, r)
+			if !byID(id) {
+				break
 			}
 		}
-		return rows, nil
-	}
-	if access.index != nil && (access.lo != nil || access.hi != nil) {
-		ix := tb.IndexByName(access.index.Name())
-		if ix == nil {
-			if snap {
-				return tb.SnapshotRows(seq), nil
-			}
-			return tb.ScanRows(), nil
-		}
+		return nil
+	case access.lo != nil || access.hi != nil:
+		var bounds [2]types.Value
 		var lo, hi types.Row
-		var loV, hiV types.Value
 		if access.lo != nil {
-			if loV, err = access.lo.eval(ec); err != nil {
-				return nil, err
+			if bounds[0], err = access.lo.eval(ec); err != nil || bounds[0].IsNull() {
+				return err // a comparison with NULL matches nothing
 			}
-			if loV.IsNull() {
-				return nil, nil
-			}
-			lo = types.Row{loV}
+			lo = bounds[0:1]
 		}
 		if access.hi != nil {
-			if hiV, err = access.hi.eval(ec); err != nil {
-				return nil, err
+			if bounds[1], err = access.hi.eval(ec); err != nil || bounds[1].IsNull() {
+				return err
 			}
-			if hiV.IsNull() {
-				return nil, nil
-			}
-			hi = types.Row{hiV}
+			hi = bounds[1:2]
 		}
-		var rows []types.Row
-		inBounds := func(key types.Row) bool {
-			if access.lo != nil && !access.loInc && key[0].Compare(loV) == 0 {
-				return false
-			}
-			if access.hi != nil && !access.hiInc && key[0].Compare(hiV) == 0 {
-				return false
-			}
-			return true
+		// The index walks [lo, hi]; an exclusive bound drops its own key.
+		inside := func(key types.Row) bool {
+			return !(lo != nil && !access.loInc && key[0].Compare(lo[0]) == 0) &&
+				!(hi != nil && !access.hiInc && key[0].Compare(hi[0]) == 0)
 		}
 		if snap {
-			err = tb.SnapshotRange(ix, lo, hi, seq, func(key types.Row, r types.Row) bool {
-				if inBounds(key) {
-					rows = append(rows, r)
-				}
-				return true
-			})
-		} else {
-			ix.Range(lo, hi, func(key types.Row, id storage.RowID) bool {
-				if !inBounds(key) {
-					return true
-				}
-				if r, ok := tb.Get(id); ok {
-					rows = append(rows, r)
-				}
-				return true
+			return tb.SnapshotRange(ix, lo, hi, seq, func(key, r types.Row) bool {
+				return !inside(key) || emit(0, r)
 			})
 		}
-		if err != nil {
-			return nil, err
-		}
-		return rows, nil
+		ix.Range(lo, hi, func(key types.Row, id storage.RowID) bool {
+			return !inside(key) || byID(id)
+		})
+		return nil
 	}
 	if snap {
-		return tb.SnapshotRows(seq), nil
+		tb.SnapshotScan(seq, emit)
+	} else {
+		tb.Scan(emit)
 	}
-	return tb.ScanRows(), nil
+	return nil
 }
 
 // ---------- aggregation ----------
@@ -527,94 +703,28 @@ func (st *aggState) finalize(spec *aggSpec) types.Value {
 	return types.Null
 }
 
-// aggregateRows folds the input into one virtual row per group:
-// [groupKey0..groupKeyK, agg0..aggN]. With no GROUP BY keys there is
-// exactly one group, even over empty input (COUNT(*) = 0).
-func aggregateRows(rows []types.Row, plan *selectPlan, params []types.Value, subs []subResult) ([]types.Row, error) {
-	type group struct {
-		key    types.Row
-		states []aggState
-	}
-	groups := make(map[uint64][]*group)
-	var order []*group
-	ec := &evalCtx{params: params, subs: subs}
-	for _, r := range rows {
-		ec.row = r
-		key := make(types.Row, len(plan.groupKeys))
-		for i, gk := range plan.groupKeys {
-			v, err := gk.eval(ec)
-			if err != nil {
-				return nil, err
-			}
-			key[i] = v
-		}
-		h := key.Hash()
-		var g *group
-		for _, cand := range groups[h] {
-			if cand.key.Equal(key) {
-				g = cand
-				break
-			}
-		}
-		if g == nil {
-			g = &group{key: key, states: make([]aggState, len(plan.aggs))}
-			groups[h] = append(groups[h], g)
-			order = append(order, g)
-		}
-		for i := range plan.aggs {
-			spec := &plan.aggs[i]
-			var v types.Value
-			if spec.arg != nil {
-				var err error
-				if v, err = spec.arg.eval(ec); err != nil {
-					return nil, err
-				}
-			}
-			g.states[i].update(spec, v)
-		}
-	}
-	if len(order) == 0 && len(plan.groupKeys) == 0 {
-		order = append(order, &group{states: make([]aggState, len(plan.aggs))})
-	}
-	out := make([]types.Row, 0, len(order))
-	for _, g := range order {
-		row := make(types.Row, 0, len(plan.groupKeys)+len(plan.aggs))
-		row = append(row, g.key...)
-		for i := range plan.aggs {
-			row = append(row, g.states[i].finalize(&plan.aggs[i]))
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}
-
 // ---------- DML ----------
 
-func (e *Engine) execInsert(ctx *ExecCtx, plan *insertPlan, params []types.Value) (*Result, error) {
-	mark := -1
-	if ctx.Undo != nil {
-		mark = ctx.Undo.Mark()
+// atomically runs one DML statement and, if it fails, undoes what it wrote.
+func atomically(ctx *ExecCtx, run func() (*Result, error)) (*Result, error) {
+	if ctx.Undo == nil {
+		return run()
 	}
-	res, err := e.execInsertInner(ctx, plan, params)
-	if err != nil && ctx.Undo != nil {
-		ctx.Undo.RollbackTo(mark) // statement-level atomicity
+	mark := ctx.Undo.Mark()
+	res, err := run()
+	if err != nil {
+		ctx.Undo.RollbackTo(mark)
 	}
 	return res, err
 }
 
-func (e *Engine) execInsertInner(ctx *ExecCtx, plan *insertPlan, params []types.Value) (*Result, error) {
+func (e *Engine) execInsert(ctx *ExecCtx, plan *insertPlan, params []types.Value) (*Result, error) {
 	var srcRows []types.Row
+	var err error
 	if plan.query != nil {
-		sub := &Prepared{sel: plan.query}
-		// The subquery executes within the same crossing; bump depth so it
-		// is not double-counted as a PE→EE trip.
-		ctx.depth++
-		res, err := e.execSelect(ctx, sub, params)
-		ctx.depth--
-		if err != nil {
+		if srcRows, err = e.runSelect(ctx, plan.query, params, nil); err != nil {
 			return nil, err
 		}
-		srcRows = res.Rows
 	} else {
 		ec := &evalCtx{params: params}
 		for _, exprs := range plan.rows {
@@ -644,111 +754,66 @@ func (e *Engine) execInsertInner(ctx *ExecCtx, plan *insertPlan, params []types.
 	return &Result{RowsAffected: n}, nil
 }
 
-// collectMatches gathers (id, row) pairs matching an access path + filter.
-func (e *Engine) collectMatches(ctx *ExecCtx, access *tableAccess, where compiled, params []types.Value, subs []subResult) (*catalog.Relation, []storage.RowID, []types.Row, error) {
-	rel, err := e.cat.MustRelation(access.relName)
-	if err != nil {
-		return nil, nil, nil, err
-	}
+// collectMatches gathers the (id, row) pairs the statement's access path
+// yields and its WHERE accepts. UPDATE and DELETE mutate only after the
+// producer has finished, so no scan meets a row its own statement wrote.
+func (e *Engine) collectMatches(ctx *ExecCtx, access *tableAccess, where compiled, ec *evalCtx) ([]storage.RowID, []types.Row, error) {
 	var ids []storage.RowID
 	var rows []types.Row
-	ec := &evalCtx{params: params, subs: subs}
-	consider := func(id storage.RowID, r types.Row) error {
+	var examined int64
+	var whereErr error
+	err := e.accessRows(ctx, access, ec, func(id storage.RowID, r types.Row) bool {
+		examined++
 		if where != nil {
 			ec.row = r
 			v, err := where.eval(ec)
 			if err != nil {
-				return err
+				whereErr = err
+				return false
 			}
 			if !v.IsTrue() {
-				return nil
+				return true
 			}
 		}
 		ids = append(ids, id)
 		rows = append(rows, r)
-		return nil
-	}
-	// Same arm and same fallback as accessRows: the scan below.
-	if ix, keys, ok := subProbe(access, subs, rel.Table); ok {
-		for _, id := range lookupEach(ix, keys) {
-			if r, ok := rel.Table.Get(id); ok {
-				if err := consider(id, r); err != nil {
-					return nil, nil, nil, err
-				}
-			}
-		}
-		return rel, ids, rows, nil
-	}
-	if access.index != nil && access.eqKey != nil {
-		if ix := rel.Table.IndexByName(access.index.Name()); ix != nil {
-			key := make(types.Row, len(access.eqKey))
-			for i, kc := range access.eqKey {
-				if key[i], err = kc.eval(&evalCtx{params: params}); err != nil {
-					return nil, nil, nil, err
-				}
-				if key[i].IsNull() {
-					return rel, nil, nil, nil
-				}
-			}
-			got, _ := ix.Lookup(key)
-			for _, id := range got {
-				if r, ok := rel.Table.Get(id); ok {
-					if err := consider(id, r); err != nil {
-						return nil, nil, nil, err
-					}
-				}
-			}
-			return rel, ids, rows, nil
-		}
-	}
-	var scanErr error
-	rel.Table.Scan(func(id storage.RowID, r types.Row) bool {
-		if err := consider(id, r); err != nil {
-			scanErr = err
-			return false
-		}
 		return true
 	})
-	if scanErr != nil {
-		return nil, nil, nil, scanErr
+	e.rowsExamined.Add(examined)
+	if err == nil {
+		err = whereErr
 	}
-	return rel, ids, rows, nil
+	return ids, rows, err
 }
 
 func (e *Engine) execUpdate(ctx *ExecCtx, plan *updatePlan, params []types.Value) (*Result, error) {
-	mark := -1
-	if ctx.Undo != nil {
-		mark = ctx.Undo.Mark()
-	}
-	subs, err := e.materializeSubs(ctx, plan.subs, params)
-	if err != nil {
-		return nil, err
-	}
-	rel, ids, rows, err := e.collectMatches(ctx, &plan.access, plan.where, params, subs)
+	rel, err := e.cat.MustRelation(plan.relName)
 	if err != nil {
 		return nil, err
 	}
 	if rel.Kind != catalog.KindTable {
 		return nil, fmt.Errorf("ee: UPDATE targets tables; %q is a %s", plan.relName, rel.Kind)
 	}
-	uec := &evalCtx{params: params, subs: subs}
+	subs, err := e.materializeSubs(ctx, plan.subs, params)
+	if err != nil {
+		return nil, err
+	}
+	ec := &evalCtx{params: params, subs: subs}
+	ids, rows, err := e.collectMatches(ctx, &plan.access, plan.where, ec)
+	if err != nil {
+		return nil, err
+	}
 	for i, id := range ids {
 		newRow := rows[i].Clone()
-		uec.row = rows[i]
+		ec.row = rows[i]
 		for _, set := range plan.sets {
-			v, err := set.expr.eval(uec)
+			v, err := set.expr.eval(ec)
 			if err != nil {
-				if ctx.Undo != nil {
-					ctx.Undo.RollbackTo(mark)
-				}
 				return nil, err
 			}
 			newRow[set.col] = v
 		}
 		if err := rel.Table.Update(id, newRow, ctx.Undo); err != nil {
-			if ctx.Undo != nil {
-				ctx.Undo.RollbackTo(mark)
-			}
 			return nil, err
 		}
 	}
@@ -756,26 +821,23 @@ func (e *Engine) execUpdate(ctx *ExecCtx, plan *updatePlan, params []types.Value
 }
 
 func (e *Engine) execDelete(ctx *ExecCtx, plan *deletePlan, params []types.Value) (*Result, error) {
-	mark := -1
-	if ctx.Undo != nil {
-		mark = ctx.Undo.Mark()
-	}
-	subs, err := e.materializeSubs(ctx, plan.subs, params)
-	if err != nil {
-		return nil, err
-	}
-	rel, ids, _, err := e.collectMatches(ctx, &plan.access, plan.where, params, subs)
+	rel, err := e.cat.MustRelation(plan.relName)
 	if err != nil {
 		return nil, err
 	}
 	if rel.Kind == catalog.KindWindow {
 		return nil, fmt.Errorf("ee: window %q is engine-maintained; DELETE is not allowed", plan.relName)
 	}
+	subs, err := e.materializeSubs(ctx, plan.subs, params)
+	if err != nil {
+		return nil, err
+	}
+	ids, _, err := e.collectMatches(ctx, &plan.access, plan.where, &evalCtx{params: params, subs: subs})
+	if err != nil {
+		return nil, err
+	}
 	for _, id := range ids {
 		if err := rel.Table.Delete(id, ctx.Undo); err != nil {
-			if ctx.Undo != nil {
-				ctx.Undo.RollbackTo(mark)
-			}
 			return nil, err
 		}
 	}

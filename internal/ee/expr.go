@@ -41,6 +41,16 @@ func (s *subResult) contains(v types.Value) bool {
 	return false
 }
 
+// add puts one subquery output value into the set.
+func (s *subResult) add(v types.Value) {
+	if v.IsNull() {
+		s.hasNull = true
+	} else if !s.contains(v) {
+		s.vals[v.Hash()] = append(s.vals[v.Hash()], v)
+		s.list = append(s.list, v)
+	}
+}
+
 // compiled is an expression compiled against a scope: column references are
 // resolved to row slots, so evaluation is allocation-light.
 type compiled interface {

@@ -202,7 +202,7 @@ func TestEpochReaderEvictorTruncateHammer(t *testing.T) {
 				}
 				// A point probe through the index agrees with the scan.
 				k := rng.Int63n(nKeys)
-				rows := tb.SnapshotLookup(pk, types.Row{types.NewInt(k)}, s)
+				rows := snapshotLookup(tb, pk, types.Row{types.NewInt(k)}, s)
 				if count == 0 && len(rows) != 0 {
 					errs <- fmt.Errorf("lookup found key %d in an empty snapshot", k)
 					clock.ReleaseSnapshot(pin)
@@ -333,7 +333,7 @@ func TestEpochIndexNodeReuseAcrossHeightsHammer(t *testing.T) {
 					return true
 				})
 				k := rng.Int63n(nKeys)
-				if ids := sl.lookupAt(intKey(k), SeqInf); len(ids) > 1 || (len(ids) == 1 && ids[0] != RowID(k+1)) {
+				if ids := sl.lookupAt(intKey(k), SeqInf, nil); len(ids) > 1 || (len(ids) == 1 && ids[0] != RowID(k+1)) {
 					bad = fmt.Sprintf("lookup(%d) = %v", k, ids)
 				}
 				g.Exit()

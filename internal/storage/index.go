@@ -167,10 +167,6 @@ func (ix *Index) Lookup(key types.Row) ([]RowID, bool) {
 	return ids, len(ids) > 0
 }
 
-// lookupAt returns the RowIDs visible under key at sequence s. Safe from
-// reader goroutines inside an epoch.
-func (ix *Index) lookupAt(key types.Row, seq Seq) []RowID { return ix.sl.lookupAt(key, seq) }
-
 // LookupUnique returns the single live RowID for key on a unique index.
 func (ix *Index) LookupUnique(key types.Row) (RowID, bool) {
 	ids, ok := ix.Lookup(key)

@@ -9,6 +9,25 @@ import (
 	"repro/internal/types"
 )
 
+// snapshotRows and snapshotLookup collect what the callback readers emit.
+func snapshotRows(tb *Table, seq Seq) []types.Row {
+	var out []types.Row
+	tb.SnapshotScan(seq, func(_ RowID, r types.Row) bool {
+		out = append(out, r)
+		return true
+	})
+	return out
+}
+
+func snapshotLookup(tb *Table, ix *Index, key types.Row, seq Seq) []types.Row {
+	var out []types.Row
+	tb.SnapshotLookup(ix, key, seq, func(_ RowID, r types.Row) bool {
+		out = append(out, r)
+		return true
+	})
+	return out
+}
+
 func voteRow(phone, cand int64) types.Row {
 	return types.Row{types.NewInt(phone), types.NewInt(cand), types.Null}
 }
@@ -52,10 +71,10 @@ func TestSnapshotVisibilityAcrossVersions(t *testing.T) {
 	}
 
 	key := types.Row{types.NewInt(7)}
-	if rows := tb.SnapshotLookup(pk, key, s1); len(rows) != 1 || rows[0][1].Int() != 1 {
+	if rows := snapshotLookup(tb, pk, key, s1); len(rows) != 1 || rows[0][1].Int() != 1 {
 		t.Fatalf("lookup s1: %v", rows)
 	}
-	if rows := tb.SnapshotLookup(pk, key, s3); len(rows) != 0 {
+	if rows := snapshotLookup(tb, pk, key, s3); len(rows) != 0 {
 		t.Fatalf("lookup s3: %v", rows)
 	}
 	n := 0
@@ -71,7 +90,7 @@ func TestSnapshotVisibilityAcrossVersions(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("range s2 rows: %d", n)
 	}
-	if got := len(tb.SnapshotRows(s3)); got != 0 {
+	if got := len(snapshotRows(tb, s3)); got != 0 {
 		t.Fatalf("rows at s3: %d", got)
 	}
 }
@@ -99,7 +118,7 @@ func TestSnapshotReaderSurvivesDeleteAndGC(t *testing.T) {
 	if r, ok := tb.SnapshotGet(id, s); !ok || r[1].Int() != 9 {
 		t.Fatalf("pinned reader lost the row: %v %v", r, ok)
 	}
-	if rows := tb.SnapshotLookup(tb.PrimaryIndex(), types.Row{types.NewInt(1)}, s); len(rows) != 1 {
+	if rows := snapshotLookup(tb, tb.PrimaryIndex(), types.Row{types.NewInt(1)}, s); len(rows) != 1 {
 		t.Fatalf("pinned index probe: %v", rows)
 	}
 
@@ -139,7 +158,7 @@ func TestRollbackInvisibleToSnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Mid-transaction, the published snapshot sees none of it.
-	if rows := tb.SnapshotRows(s); len(rows) != 2 || rows[0][1].Int() != 1 {
+	if rows := snapshotRows(tb, s); len(rows) != 2 || rows[0][1].Int() != 1 {
 		t.Fatalf("mid-txn snapshot: %v", rows)
 	}
 	undo.Rollback()
@@ -157,7 +176,7 @@ func TestRollbackInvisibleToSnapshots(t *testing.T) {
 	if ids, _ := tb.PrimaryIndex().Lookup(types.Row{types.NewInt(1)}); len(ids) != 1 {
 		t.Fatalf("pk ref after rollback: %v", ids)
 	}
-	if ids := tb.PrimaryIndex().lookupAt(types.Row{types.NewInt(9)}, clock.Current()+10); len(ids) != 0 {
+	if ids := tb.PrimaryIndex().sl.lookupAt(types.Row{types.NewInt(9)}, clock.Current()+10, nil); len(ids) != 0 {
 		t.Fatalf("aborted insert left index ref: %v", ids)
 	}
 }
@@ -229,7 +248,7 @@ func TestSnapshotHammer(t *testing.T) {
 				}
 				// Point probe and range probe agree with the scan.
 				k := rng.Int63n(int64(nRows))
-				if rows := tb.SnapshotLookup(pk, types.Row{types.NewInt(k)}, s); len(rows) != 1 || rows[0][1].Int() != gen {
+				if rows := snapshotLookup(tb, pk, types.Row{types.NewInt(k)}, s); len(rows) != 1 || rows[0][1].Int() != gen {
 					clock.ReleaseSnapshot(pin)
 					errs <- fmt.Errorf("reader: point probe key %d at seq %d: %v", k, s, rows)
 					return
@@ -350,7 +369,7 @@ func TestRollbackKeyPingPongKeepsPinnedIndexView(t *testing.T) {
 
 	key := types.Row{types.NewInt(1)}
 	for _, ix := range []*Index{tb.PrimaryIndex(), tb.IndexByName("h")} {
-		if rows := tb.SnapshotLookup(ix, key, pin.Seq()); len(rows) != 1 || rows[0][1].Int() != 7 {
+		if rows := snapshotLookup(tb, ix, key, pin.Seq()); len(rows) != 1 || rows[0][1].Int() != 7 {
 			t.Fatalf("index %q: pinned lookup after ping-pong rollback = %v", ix.Name(), rows)
 		}
 		if ids, _ := ix.Lookup(key); len(ids) != 1 {
@@ -360,7 +379,7 @@ func TestRollbackKeyPingPongKeepsPinnedIndexView(t *testing.T) {
 	// And after the aborted stamps, a fresh commit + GC leaves one clean ref.
 	clock.Publish()
 	tb.GC(clock.Watermark() /* == pin */)
-	if rows := tb.SnapshotLookup(tb.PrimaryIndex(), key, pin.Seq()); len(rows) != 1 {
+	if rows := snapshotLookup(tb, tb.PrimaryIndex(), key, pin.Seq()); len(rows) != 1 {
 		t.Fatal("pinned lookup lost the row after GC")
 	}
 }

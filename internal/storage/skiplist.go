@@ -369,25 +369,24 @@ func (s *skiplist) unlink(n *slNode, update *[maxLevel]*slNode) {
 }
 
 // lookup returns the live ids under key (writer view).
-func (s *skiplist) lookup(key types.Row) []RowID { return s.lookupAt(key, SeqInf) }
+func (s *skiplist) lookup(key types.Row) []RowID { return s.lookupAt(key, SeqInf, nil) }
 
-// lookupAt returns the ids visible under key at sequence seq; SeqInf asks
-// for the writer view (the live refs, pending ones included). Safe from
-// reader goroutines inside an epoch.
-func (s *skiplist) lookupAt(key types.Row, seq Seq) []RowID {
+// lookupAt appends to dst the ids visible under key at sequence seq; SeqInf
+// asks for the writer view (the live refs, pending ones included). Safe
+// from reader goroutines inside an epoch.
+func (s *skiplist) lookupAt(key types.Row, seq Seq, dst []RowID) []RowID {
 	var update [maxLevel]*slNode
 	var one [1]ixRef
 	n := s.find(key, &update)
 	if n == nil {
-		return nil
+		return dst
 	}
-	var ids []RowID
 	for _, r := range n.loadRefs(&one) {
 		if r.seenAt(seq) {
-			ids = append(ids, r.id)
+			dst = append(dst, r.id)
 		}
 	}
-	return ids
+	return dst
 }
 
 // scanAt visits refs seen at sequence seq (SeqInf: the writer view) with

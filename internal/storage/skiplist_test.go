@@ -39,11 +39,11 @@ func TestSkiplistInsertLookupRemove(t *testing.T) {
 	if ids := sl.lookup(intKey(50)); ids != nil {
 		t.Fatal("lookup after remove")
 	}
-	if ids := sl.lookupAt(intKey(50), 1); len(ids) != 1 || ids[0] != 51 {
+	if ids := sl.lookupAt(intKey(50), 1, nil); len(ids) != 1 || ids[0] != 51 {
 		t.Fatalf("snapshot lookup after remove: %v", ids)
 	}
 	sl.gc(2)
-	if ids := sl.lookupAt(intKey(50), 1); ids != nil {
+	if ids := sl.lookupAt(intKey(50), 1, nil); ids != nil {
 		t.Fatalf("snapshot lookup after gc: %v", ids)
 	}
 	if sl.length != 99 {
@@ -280,7 +280,7 @@ func TestSkiplistMatchesReferenceModel(t *testing.T) {
 		for _, p := range model.scan(k, k, seq) {
 			want = append(want, RowID(p[1]))
 		}
-		if got := sl.lookupAt(intKey(k), seq); !reflect.DeepEqual(got, want) {
+		if got := sl.lookupAt(intKey(k), seq, nil); !reflect.DeepEqual(got, want) {
 			t.Fatalf("step %d: lookupAt(%d, %d) = %v want %v", step, k, seq, got, want)
 		}
 		if sl.length != len(model) {

@@ -613,10 +613,22 @@ func (t *Table) SnapshotGet(id RowID, seq Seq) (types.Row, bool) {
 	return t.resolveVersion(pl.row, pl.cold), true
 }
 
+// snapHit is a payload captured inside an epoch and resolved (cold page-in
+// included) after leaving it.
+type snapHit struct {
+	id  RowID
+	row types.Row
+	ref coldstore.Ref
+}
+
 // snapshotScanChunk bounds how many slots one epoch hold covers, so a
 // large analytic scan cannot stall epoch advance (and therefore node
-// reuse) for its whole duration.
-const snapshotScanChunk = 4096
+// reuse) for its whole duration. It is also the scan's whole buffer, an
+// array in SnapshotScan's frame: a scan allocates nothing, whatever the
+// table holds. E17's sweep found ns/row level from 32 to 1024 slots, on a
+// warm goroutine and on a new one; 4096 no longer fits a frame and is back
+// on the heap.
+const snapshotScanChunk = 256
 
 // SnapshotScan iterates the rows visible at sequence s in insertion
 // (RowID) order. Safe from any goroutine. The epoch is re-entered every
@@ -627,40 +639,36 @@ const snapshotScanChunk = 4096
 // visible at s, and slots appended between chunks hold only pending
 // (invisible) versions. Visible payloads are captured per chunk and the
 // callback runs outside the epoch, so stub resolution (cold page-in)
-// never delays epoch advance; captured cold refs stay readable because
-// the caller's pin keeps the watermark from passing them (see cold.go).
+// never delays epoch advance and a callback that stops the scan leaves no
+// guard behind; captured cold refs stay readable because the caller's pin
+// keeps the watermark from passing them (see cold.go).
 func (t *Table) SnapshotScan(seq Seq, fn func(id RowID, row types.Row) bool) {
-	type hit struct {
-		id  RowID
-		row types.Row
-		ref coldstore.Ref
-	}
 	em := t.clock.Epochs()
 	var afterID RowID // resume: first slot with id > afterID
-	buf := make([]hit, 0, 256)
+	var buf [snapshotScanChunk]snapHit
 	for {
 		g := em.Enter()
 		d := t.slots()
 		lo := slotSearch(d, afterID+1)
+		end := min(lo+snapshotScanChunk, len(d))
 		n := 0
-		buf = buf[:0]
-		for i := lo; i < len(d) && n < snapshotScanChunk; i++ {
-			s := d[i]
-			afterID = s.id
-			n++
+		for _, s := range d[lo:end] {
 			if v := s.versionAt(seq); v != nil {
 				pl := v.payload.Load()
-				buf = append(buf, hit{id: s.id, row: pl.row, ref: pl.cold})
+				buf[n] = snapHit{id: s.id, row: pl.row, ref: pl.cold}
+				n++
 			}
 		}
-		done := lo+n >= len(d)
+		if end > lo {
+			afterID = d[end-1].id
+		}
 		g.Exit()
-		for _, h := range buf {
-			if !fn(h.id, t.resolveVersion(h.row, h.ref)) {
+		for i := range buf[:n] {
+			if !fn(buf[i].id, t.resolveVersion(buf[i].row, buf[i].ref)) {
 				return
 			}
 		}
-		if done {
+		if end == len(d) {
 			return
 		}
 	}
@@ -699,41 +707,33 @@ func (t *Table) DeltaScan(from, to Seq, fn func(id RowID, row types.Row, born bo
 	}
 }
 
-// SnapshotRows returns every row visible at sequence s in insertion order.
-func (t *Table) SnapshotRows(seq Seq) []types.Row {
-	var out []types.Row
-	t.SnapshotScan(seq, func(_ RowID, r types.Row) bool {
-		out = append(out, r)
-		return true
-	})
-	return out
-}
-
-// SnapshotLookup returns the rows indexed under exactly key in ix, as
-// visible at sequence s. ix must be an index of this table. Stubs are
-// resolved outside the epoch.
-func (t *Table) SnapshotLookup(ix *Index, key types.Row, seq Seq) []types.Row {
+// SnapshotLookup hands fn the rows indexed under exactly key in ix, as
+// visible at sequence s, and reports whether fn let it finish. ix must be
+// an index of this table. Payloads are captured inside the epoch and fn
+// runs, stubs resolved, outside it; a lookup that finds a few rows
+// allocates nothing.
+func (t *Table) SnapshotLookup(ix *Index, key types.Row, seq Seq, fn func(id RowID, row types.Row) bool) bool {
+	var idBuf [8]RowID
+	var hitBuf [8]snapHit
+	hits := hitBuf[:0]
 	g := t.clock.Epochs().Enter()
 	d := t.slots()
-	var out []types.Row
-	var refs []coldstore.Ref // cold refs, paired with nil entries in out
-	for _, id := range ix.lookupAt(key, seq) {
+	for _, id := range ix.sl.lookupAt(key, seq, idBuf[:0]) {
 		if s := slotByID(d, id); s != nil {
 			if v := s.versionAt(seq); v != nil {
 				s.touch()
 				pl := v.payload.Load()
-				out = append(out, pl.row)
-				refs = append(refs, pl.cold)
+				hits = append(hits, snapHit{id: id, row: pl.row, ref: pl.cold})
 			}
 		}
 	}
 	g.Exit()
-	for i, r := range out {
-		if r == nil {
-			out[i] = t.readCold(refs[i])
+	for _, h := range hits {
+		if !fn(h.id, t.resolveVersion(h.row, h.ref)) {
+			return false
 		}
 	}
-	return out
+	return true
 }
 
 // SnapshotRange iterates (key, row) pairs with lo <= key <= hi in key
@@ -743,15 +743,13 @@ func (t *Table) SnapshotLookup(ix *Index, key types.Row, seq Seq) []types.Row {
 // range — a wide range delays epoch advance (memory reuse) for the walk's
 // duration but never delays the writer. Pairs are captured in the epoch —
 // keys by value, since an index entry's key may be rewritten once the
-// epoch is left — and emitted (with cold page-in) outside it.
+// epoch is left — and emitted (with cold page-in) outside it. The payload
+// buffer starts in this frame; the keys are handed to fn and so cannot.
 func (t *Table) SnapshotRange(ix *Index, lo, hi types.Row, seq Seq, fn func(key types.Row, row types.Row) bool) error {
-	type hit struct {
-		row types.Row
-		ref coldstore.Ref
-	}
-	var hits []hit
-	var keys []types.Value // hit i's key is keys[i*nk : (i+1)*nk]
+	var hitBuf [64]snapHit
+	hits := hitBuf[:0]
 	nk := len(ix.cols)
+	keys := make([]types.Value, 0, 16*nk) // hit i's key is keys[i*nk : (i+1)*nk]
 	g := t.clock.Epochs().Enter()
 	d := t.slots()
 	ix.sl.scanAt(lo, hi, seq, func(key types.Row, id RowID) bool {
@@ -764,7 +762,7 @@ func (t *Table) SnapshotRange(ix *Index, lo, hi types.Row, seq Seq, fn func(key 
 			return true
 		}
 		pl := v.payload.Load()
-		hits = append(hits, hit{row: pl.row, ref: pl.cold})
+		hits = append(hits, snapHit{row: pl.row, ref: pl.cold})
 		keys = append(keys, key...)
 		return true
 	})
