@@ -7,6 +7,7 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -83,6 +84,11 @@ type Relation struct {
 	Schema *types.Schema
 	Table  *storage.Table
 	Win    *WindowState // non-nil iff Kind == KindWindow
+
+	// Windows lists, for a stream, the windows over it, sorted by name:
+	// what every insert into the stream has to feed. CreateWindow and Drop
+	// maintain it, so the insert path looks nothing up.
+	Windows []*Relation
 
 	// PartCol is the ordinal of the hash-partitioning column declared with
 	// PARTITION BY, or -1 when the relation is unpartitioned. In a
@@ -233,6 +239,8 @@ func (c *Catalog) CreateWindow(name string, spec WindowSpec) (*Relation, error) 
 	// partitions.
 	rel.PartCol = src.PartCol
 	rel.Partial = src.Partial
+	at := sort.Search(len(src.Windows), func(i int) bool { return src.Windows[i].Name >= rel.Name })
+	src.Windows = slices.Insert(src.Windows, at, rel)
 	return rel, nil
 }
 
@@ -305,26 +313,16 @@ func (c *Catalog) Drop(name string) error {
 	if r == nil {
 		return fmt.Errorf("catalog: relation %q does not exist", name)
 	}
-	if r.Kind == KindStream {
-		for _, w := range c.WindowsOver(r.Name) {
-			return fmt.Errorf("catalog: stream %q has dependent window %q", name, w.Name)
+	if len(r.Windows) > 0 {
+		return fmt.Errorf("catalog: stream %q has dependent window %q", name, r.Windows[0].Name)
+	}
+	if r.Kind == KindWindow {
+		if src := c.rels[key(r.Win.Spec.Source)]; src != nil {
+			src.Windows = slices.DeleteFunc(src.Windows, func(w *Relation) bool { return w == r })
 		}
 	}
 	delete(c.rels, key(name))
 	return nil
-}
-
-// WindowsOver lists the windows whose source is the given stream, sorted by
-// name for determinism.
-func (c *Catalog) WindowsOver(stream string) []*Relation {
-	var out []*Relation
-	for _, r := range c.rels {
-		if r.Kind == KindWindow && key(r.Win.Spec.Source) == key(stream) {
-			out = append(out, r)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // Streams lists every stream relation, sorted by name.

@@ -93,13 +93,19 @@ func TestWindowCreation(t *testing.T) {
 	if w.Schema.NumColumns() != 2 || w.Schema.ColumnIndex("ts") != 1 {
 		t.Fatal("window schema mismatch")
 	}
-	// WindowsOver finds it, sorted.
-	if _, err := c.CreateWindow("a_first", WindowSpec{Rows: true, Size: 3, Slide: 1, Source: "s"}); err != nil {
+	// The stream lists its windows, sorted, and forgets a dropped one.
+	if _, err := c.CreateWindow("a_first", WindowSpec{Rows: true, Size: 3, Slide: 1, Source: "S"}); err != nil {
 		t.Fatal(err)
 	}
-	wins := c.WindowsOver("S")
+	wins := c.Relation("S").Windows
 	if len(wins) != 2 || wins[0].Name != "a_first" || wins[1].Name != "w" {
-		t.Fatalf("WindowsOver: %v", wins)
+		t.Fatalf("windows over s: %v", wins)
+	}
+	if err := c.Drop("a_first"); err != nil {
+		t.Fatal(err)
+	}
+	if wins = c.Relation("s").Windows; len(wins) != 1 || wins[0].Name != "w" {
+		t.Fatalf("windows over s after drop: %v", wins)
 	}
 }
 

@@ -2,7 +2,6 @@ package ee
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -37,13 +36,14 @@ type Engine struct {
 	cat *catalog.Catalog
 	met *metrics.Metrics
 
-	// triggers maps a relation (lowercased) to its EE triggers in creation
-	// order.
-	triggers map[string][]*Trigger
+	// triggers maps a relation to its EE triggers in creation order. Keyed
+	// by the catalog entry, like persistent: a stream insert asks both per
+	// batch and pays no name folding for it.
+	triggers map[*catalog.Relation][]*Trigger
 	// persistent marks streams whose tuples are retained for a downstream
 	// PE-trigger consumer; the partition engine garbage-collects them when
 	// the consuming transaction execution commits.
-	persistent map[string]bool
+	persistent map[*catalog.Relation]bool
 
 	// stmtMu guards stmtCache: the partition worker and snapshot readers
 	// (caller goroutines) share the prepared-statement cache.
@@ -67,6 +67,7 @@ type Trigger struct {
 	Relation string
 	Stmts    []*Prepared
 
+	rel     *catalog.Relation
 	usesNew bool // some body reads NEW, so a window firing must materialize it
 }
 
@@ -78,8 +79,8 @@ func New(cat *catalog.Catalog, met *metrics.Metrics) *Engine {
 	return &Engine{
 		cat:             cat,
 		met:             met,
-		triggers:        make(map[string][]*Trigger),
-		persistent:      make(map[string]bool),
+		triggers:        make(map[*catalog.Relation][]*Trigger),
+		persistent:      make(map[*catalog.Relation]bool),
 		stmtCache:       make(map[string]*Prepared),
 		MaxTriggerDepth: 16,
 	}
@@ -101,14 +102,19 @@ func (e *Engine) RowCounts() (examined, returned int64) {
 // a downstream PE trigger and must be retained until that consumer's
 // transaction execution commits.
 func (e *Engine) MarkStreamPersistent(stream string) {
-	e.persistent[strings.ToLower(stream)] = true
+	if rel := e.cat.Relation(stream); rel != nil {
+		e.persistent[rel] = true
+	}
 }
 
 // ExecCtx is the per-transaction-execution context threaded through every
 // statement: the undo log that makes the TE atomic, the transient NEW
 // batches for trigger bodies, the owning procedure name (for window
 // scoping), and the hook the partition engine uses to observe stream
-// appends (PE triggers fire from those at commit).
+// appends (PE triggers fire from those at commit). It also carries the
+// memory the execution's statements build their results in (scratch.go), so
+// a context serves one goroutine at a time, and what it hands out is valid
+// until its owner calls Reset. The zero value is ready to use.
 type ExecCtx struct {
 	Undo     *storage.UndoLog
 	ProcName string
@@ -128,7 +134,9 @@ type ExecCtx struct {
 	NewRows map[string][]types.Row
 
 	// OnStreamInsert, when non-nil, is called for every batch of rows
-	// appended to a stream together with their row ids (for later GC).
+	// appended to a stream together with their row ids (for later GC). The
+	// two lists are the context's: the hook copies what it keeps. The rows
+	// in them are the stream's stored rows, immutable.
 	OnStreamInsert func(stream string, ids []storage.RowID, rows []types.Row)
 
 	// DisableEETriggers turns off EE trigger firing and native window
@@ -140,9 +148,15 @@ type ExecCtx struct {
 	// deltas holds the NEW / INSERTED / EXPIRED rows of the trigger firing
 	// in progress, by the slot trigger bodies bound at prepare time.
 	deltas [numDeltas][]types.Row
+
+	// mem is the context's TE-scoped memory (scratch.go): what statements
+	// build and hand back lives there until Reset.
+	mem scratch
 }
 
-// Result is the outcome of one statement.
+// Result is the outcome of one statement. It and its rows belong to the
+// context that executed the statement and are valid until that context's
+// next Reset (types.CloneRows copies them out).
 type Result struct {
 	Columns      []string
 	Rows         []types.Row
@@ -178,13 +192,16 @@ func (e *Engine) InvalidateCache() {
 }
 
 // Execute runs a prepared statement. Top-level calls (depth 0) count as a
-// PE→EE crossing; trigger-chained calls count as EE-internal work.
-func (e *Engine) Execute(ctx *ExecCtx, p *Prepared, params ...types.Value) (*Result, error) {
+// PE→EE crossing; trigger-chained calls count as EE-internal work. The
+// parameters are copied into the context before anything keeps them, so a
+// caller's variadic slice need not outlive the call.
+func (e *Engine) Execute(ctx *ExecCtx, p *Prepared, args ...types.Value) (*Result, error) {
 	if ctx.depth == 0 {
 		e.met.PEToEE.Add(1)
 	} else {
 		e.met.EEInternal.Add(1)
 	}
+	params := ctx.mem.vals.copyOf(args)
 	switch {
 	case p.sel != nil:
 		return e.execSelect(ctx, p, params)
@@ -298,10 +315,16 @@ func (e *Engine) ExecDDL(stmt sql.Statement) error {
 		if s.Kind == "TRIGGER" {
 			return e.DropTrigger(s.Name, s.IfExists)
 		}
-		if e.cat.Relation(s.Name) == nil && s.IfExists {
+		rel := e.cat.Relation(s.Name)
+		if rel == nil && s.IfExists {
 			return nil
 		}
-		return e.cat.Drop(s.Name)
+		if err := e.cat.Drop(s.Name); err != nil {
+			return err
+		}
+		delete(e.triggers, rel)
+		delete(e.persistent, rel)
+		return nil
 	default:
 		return fmt.Errorf("ee: %T is not a DDL statement", stmt)
 	}
@@ -353,8 +376,7 @@ func (e *Engine) CreateTrigger(name, relation string, bodies ...string) error {
 	if err != nil {
 		return err
 	}
-	k := strings.ToLower(relation)
-	e.triggers[k] = append(e.triggers[k], tr)
+	e.triggers[tr.rel] = append(e.triggers[tr.rel], tr)
 	return nil
 }
 
@@ -376,12 +398,12 @@ func (e *Engine) compileTrigger(name, relation string, bodies []string) (*Trigge
 	if rel.Kind == catalog.KindTable {
 		return nil, fmt.Errorf("ee: EE triggers attach to streams or windows, %q is a table", relation)
 	}
-	for _, ts := range e.triggers[strings.ToLower(relation)] {
+	for _, ts := range e.triggers[rel] {
 		if ts.Name == name {
 			return nil, fmt.Errorf("ee: trigger %q already exists", name)
 		}
 	}
-	tr := &Trigger{Name: name, Relation: rel.Name}
+	tr := &Trigger{Name: name, Relation: rel.Name, rel: rel}
 	transient := map[string]*types.Schema{
 		NewRelation:      rel.Schema,
 		InsertedRelation: rel.Schema,
@@ -420,7 +442,7 @@ func (e *Engine) DropTrigger(name string, ifExists bool) error {
 // window, so it is materialized only when some trigger body reads it: a
 // body maintained from the deltas costs the delta, not the window.
 func (e *Engine) fireTriggers(ctx *ExecCtx, rel *catalog.Relation, inserted, expired []types.Row) error {
-	trs := e.triggers[strings.ToLower(rel.Name)]
+	trs := e.triggers[rel]
 	if len(trs) == 0 || ctx.DisableEETriggers {
 		return nil
 	}
@@ -522,7 +544,13 @@ func (e *Engine) InsertRows(ctx *ExecCtx, relName string, rows []types.Row) (int
 		if err := e.checkWindowScope(ctx, rel, true); err != nil {
 			return 0, err
 		}
-		if err := e.admitToWindow(ctx, rel, rows); err != nil {
+		// A tuple window keeps staged rows across TEs, and these are the
+		// caller's: it gets copies. (A stream hands its windows stored rows.)
+		own := ctx.mem.rows.take(len(rows))
+		for i, r := range rows {
+			own[i] = r.Clone()
+		}
+		if err := e.admitToWindow(ctx, rel, own); err != nil {
 			return 0, err
 		}
 		return len(rows), nil
@@ -535,21 +563,22 @@ func (e *Engine) InsertRows(ctx *ExecCtx, relName string, rows []types.Row) (int
 // stream, (3) fire EE triggers with NEW = batch, (4) notify the PE layer
 // for PE triggers, (5) GC the tuples unless a PE consumer needs them.
 func (e *Engine) insertStream(ctx *ExecCtx, rel *catalog.Relation, rows []types.Row) (int, error) {
-	validated := make([]types.Row, 0, len(rows))
-	ids := make([]storage.RowID, 0, len(rows))
-	for _, r := range rows {
+	// validated holds the rows as stored: immutable, and alive for as long
+	// as anything refers to them, whatever happens to the stream.
+	validated := ctx.mem.rows.take(len(rows))
+	ids := ctx.mem.ids.take(len(rows))
+	for i, r := range rows {
 		id, err := rel.Table.Insert(r, ctx.Undo)
 		if err != nil {
 			return 0, err
 		}
-		vr, _ := rel.Table.Get(id)
-		validated = append(validated, vr)
-		ids = append(ids, id)
+		validated[i], _ = rel.Table.Get(id)
+		ids[i] = id
 	}
 	e.met.TuplesIngested.Add(int64(len(rows)))
 
 	if !ctx.DisableEETriggers {
-		for _, w := range e.cat.WindowsOver(rel.Name) {
+		for _, w := range rel.Windows {
 			if err := e.admitToWindow(ctx, w, validated); err != nil {
 				return 0, err
 			}
@@ -561,7 +590,7 @@ func (e *Engine) insertStream(ctx *ExecCtx, rel *catalog.Relation, rows []types.
 	if ctx.OnStreamInsert != nil {
 		ctx.OnStreamInsert(rel.Name, ids, validated)
 	}
-	if !e.persistent[strings.ToLower(rel.Name)] {
+	if !e.persistent[rel] {
 		// No PE consumer: the batch only existed to drive windows and EE
 		// triggers, so it expires immediately (automatic GC, §2).
 		for _, id := range ids {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/catalog"
 	"repro/internal/storage"
@@ -21,6 +20,8 @@ import (
 // Result or, for an IN-subquery, in its value set. UPDATE and DELETE
 // collect the matching (id, row) pairs from the same producer and mutate
 // afterwards. Upstream of a sink nothing holds more than the current row.
+// What a statement builds (output rows, lists, the Result) comes from the
+// context's scratch (scratch.go) and is valid until the context is reset.
 
 // selectRun is one execution of a selectPlan.
 type selectRun struct {
@@ -58,6 +59,10 @@ type aggGroup struct {
 	states []aggState
 }
 
+// maxHeapReserve is the largest OFFSET + LIMIT whose heap is reserved whole
+// before the first row arrives.
+const maxHeapReserve = 64
+
 // outRow is an output row waiting for its place in the ORDER BY.
 type outRow struct {
 	out, keys types.Row
@@ -73,7 +78,7 @@ func (e *Engine) execSelect(ctx *ExecCtx, p *Prepared, params []types.Value) (*R
 		rows = []types.Row{}
 	}
 	e.rowsReturned.Add(int64(len(rows)))
-	return &Result{Columns: p.Columns, Rows: rows, RowsAffected: len(rows)}, nil
+	return ctx.mem.result(p.Columns, rows, len(rows)), nil
 }
 
 // runSelect executes plan and returns its output rows, or adds them to set
@@ -83,7 +88,9 @@ func (e *Engine) runSelect(ctx *ExecCtx, plan *selectPlan, params []types.Value,
 	if err != nil {
 		return nil, err
 	}
-	x := &selectRun{e: e, ctx: ctx, plan: plan, ec: evalCtx{params: params, subs: subs}, bound: -1, set: set}
+	x := ctx.mem.runs.push()
+	defer ctx.mem.runs.pop()
+	*x = selectRun{e: e, ctx: ctx, plan: plan, ec: evalCtx{params: params, subs: subs}, bound: -1, set: set}
 	// A LIMIT bounds what the sink keeps and, without an ORDER BY, where the
 	// scan stops. One that does not evaluate bounds nothing: the statement
 	// runs in full and fails at the end, behind any failure of its own.
@@ -97,8 +104,19 @@ func (e *Engine) runSelect(ctx *ExecCtx, plan *selectPlan, params []types.Value,
 	if x.lateErr == nil && limit >= 0 && limit <= math.MaxInt64-x.skip {
 		x.bound = x.skip + limit
 	}
+	width := 0
 	if len(plan.src.joins) > 0 {
-		x.joined = make(types.Row, plan.src.scope.width())
+		width = plan.src.scope.width()
+	}
+	if n := x.bound; len(plan.orderBy) > 0 && n > 0 && n <= maxHeapReserve {
+		// The heap never holds more than bound rows and the one arriving:
+		// their output rows and keys, and the heap, are reserved as one piece
+		// each, which on a fresh context is then all it allocates for them.
+		ctx.mem.vals.reserve(width + (int(n)+1)*(len(plan.projs)+len(plan.orderBy)))
+		x.outs = make([]outRow, 0, n)
+	}
+	if width > 0 {
+		x.joined = ctx.mem.vals.take(width)
 	}
 	if plan.grouped {
 		if len(plan.groupKeys) == 0 {
@@ -116,7 +134,12 @@ func (e *Engine) runSelect(ctx *ExecCtx, plan *selectPlan, params []types.Value,
 		x.emitGroups()
 	}
 	if x.err == nil && len(plan.orderBy) > 0 {
-		sort.Slice(x.outs, func(i, j int) bool { return x.before(&x.outs[i], &x.outs[j]) })
+		slices.SortFunc(x.outs, func(a, b outRow) int {
+			if x.before(&a, &b) {
+				return -1
+			}
+			return 1
+		})
 		for i := int(min(x.skip, int64(len(x.outs)))); i < len(x.outs); i++ {
 			x.deliver(x.outs[i].out)
 		}
@@ -242,7 +265,7 @@ func (x *selectRun) fold() bool {
 			}
 		}
 		if g == nil {
-			g = &aggGroup{key: x.key.Clone(), states: make([]aggState, len(plan.aggs))}
+			g = &aggGroup{key: x.ctx.mem.vals.copyOf(x.key), states: make([]aggState, len(plan.aggs))}
 			x.groups[h] = append(x.groups[h], g)
 			x.order = append(x.order, g)
 		}
@@ -272,7 +295,7 @@ func (x *selectRun) emitGroups() {
 		groups = []*aggGroup{{states: x.states}}
 	}
 	nk := len(plan.groupKeys)
-	virt := make(types.Row, nk+len(plan.aggs))
+	virt := types.Row(x.ctx.mem.vals.take(nk + len(plan.aggs)))
 	for _, g := range groups {
 		copy(virt, g.key)
 		for i := range plan.aggs {
@@ -303,7 +326,7 @@ func (x *selectRun) project() bool {
 	plan := x.plan
 	var err error
 	if x.out == nil {
-		x.out = make(types.Row, len(plan.projs))
+		x.out = x.ctx.mem.vals.take(len(plan.projs))
 	}
 	out := x.out
 	for i, pr := range plan.projs {
@@ -313,7 +336,7 @@ func (x *selectRun) project() bool {
 	}
 	if len(plan.orderBy) > 0 {
 		if x.keys == nil {
-			x.keys = make(types.Row, len(plan.orderBy))
+			x.keys = x.ctx.mem.vals.take(len(plan.orderBy))
 		}
 		for i, ob := range plan.orderBy {
 			if x.keys[i], err = ob.expr.eval(&x.ec); err != nil {
@@ -351,8 +374,11 @@ func (x *selectRun) project() bool {
 			}
 		}
 	case x.bound > 0 && x.before(&o, &x.outs[0]):
-		x.outs[0] = o
+		// The row that falls out hands its out and keys to the next arrival.
+		o, x.outs[0] = x.outs[0], o
 		x.siftDown(0)
+		x.out, x.keys = o.out, o.keys
+		return true
 	default:
 		return true // sorts behind all that will be returned
 	}
@@ -363,10 +389,10 @@ func (x *selectRun) project() bool {
 // deliver hands one finished output row to the statement's destination.
 func (x *selectRun) deliver(out types.Row) {
 	if x.set != nil {
-		x.set.add(out[0])
+		x.set.add(&x.ctx.mem, out[0])
 		return
 	}
-	x.rows = append(x.rows, out)
+	x.rows = x.ctx.mem.rows.push(x.rows, out)
 	x.out = nil
 }
 
@@ -410,9 +436,8 @@ func (e *Engine) materializeSubs(ctx *ExecCtx, plans []*selectPlan, params []typ
 	if len(plans) == 0 {
 		return nil, nil
 	}
-	out := make([]subResult, len(plans))
+	out := ctx.mem.subs.take(len(plans))
 	for i, sp := range plans {
-		out[i].vals = make(map[uint64][]types.Value)
 		if _, err := e.runSelect(ctx, sp, params, &out[i]); err != nil {
 			return nil, err
 		}
@@ -474,13 +499,15 @@ func subProbe(access *tableAccess, subs []subResult, tb *storage.Table) (ix *sto
 
 // lookupEach returns the ids live under any of keys (writer view) in row-id
 // order, the order a scan meets them.
-func lookupEach(ix *storage.Index, keys []types.Value) []storage.RowID {
+func lookupEach(mem *scratch, ix *storage.Index, keys []types.Value) []storage.RowID {
 	var ids []storage.RowID
-	key := make(types.Row, 1)
+	var key [1]types.Value
+	var buf [8]storage.RowID
 	for _, k := range keys {
 		key[0] = k
-		got, _ := ix.Lookup(key)
-		ids = append(ids, got...)
+		for _, id := range ix.Lookup(key[:], buf[:0]) {
+			ids = mem.ids.push(ids, id)
+		}
 	}
 	if len(keys) > 1 {
 		slices.Sort(ids)
@@ -530,7 +557,7 @@ func (e *Engine) accessRows(ctx *ExecCtx, access *tableAccess, ec *evalCtx, emit
 	// access has no other index bound and falls to the scan at the bottom.
 	if ix, keys, ok := subProbe(access, ec.subs, tb); ok {
 		if !snap {
-			for _, id := range lookupEach(ix, keys) {
+			for _, id := range lookupEach(&ctx.mem, ix, keys) {
 				if !byID(id) {
 					break
 				}
@@ -569,8 +596,8 @@ func (e *Engine) accessRows(ctx *ExecCtx, access *tableAccess, ec *evalCtx, emit
 			tb.SnapshotLookup(ix, key, seq, emit)
 			return nil
 		}
-		ids, _ := ix.Lookup(key)
-		for _, id := range ids {
+		var idBuf [8]storage.RowID
+		for _, id := range ix.Lookup(key, idBuf[:0]) {
 			if !byID(id) {
 				break
 			}
@@ -719,6 +746,7 @@ func atomically(ctx *ExecCtx, run func() (*Result, error)) (*Result, error) {
 }
 
 func (e *Engine) execInsert(ctx *ExecCtx, plan *insertPlan, params []types.Value) (*Result, error) {
+	mem := &ctx.mem
 	var srcRows []types.Row
 	var err error
 	if plan.query != nil {
@@ -726,38 +754,46 @@ func (e *Engine) execInsert(ctx *ExecCtx, plan *insertPlan, params []types.Value
 			return nil, err
 		}
 	} else {
-		ec := &evalCtx{params: params}
-		for _, exprs := range plan.rows {
-			row := make(types.Row, len(exprs))
+		ec := mem.ecs.push()
+		defer mem.ecs.pop()
+		ec.params = params
+		// Every row is built twice, as written and in schema order: on a
+		// fresh context that is one chunk of each kind, not one per row.
+		mem.rows.reserve(2 * len(plan.rows))
+		mem.vals.reserve(len(plan.rows) * (len(plan.colMap) + plan.arity))
+		srcRows = mem.rows.take(len(plan.rows))
+		for r, exprs := range plan.rows {
+			row := mem.vals.take(len(exprs))
 			for i, ce := range exprs {
-				v, err := ce.eval(ec)
-				if err != nil {
+				if row[i], err = ce.eval(ec); err != nil {
 					return nil, err
 				}
-				row[i] = v
 			}
-			srcRows = append(srcRows, row)
+			srcRows[r] = row
 		}
 	}
-	full := make([]types.Row, 0, len(srcRows))
-	for _, src := range srcRows {
-		row := make(types.Row, plan.arity)
+	// The rows in schema order: storage validates each and stores its own
+	// copy, so these too are the statement's and go back with the scratch.
+	full := mem.rows.take(len(srcRows))
+	for r, src := range srcRows {
+		row := mem.vals.take(plan.arity)
 		for i, ord := range plan.colMap {
 			row[ord] = src[i]
 		}
-		full = append(full, row)
+		full[r] = row
 	}
 	n, err := e.InsertRows(ctx, plan.relName, full)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{RowsAffected: n}, nil
+	return mem.result(nil, nil, n), nil
 }
 
 // collectMatches gathers the (id, row) pairs the statement's access path
 // yields and its WHERE accepts. UPDATE and DELETE mutate only after the
 // producer has finished, so no scan meets a row its own statement wrote.
 func (e *Engine) collectMatches(ctx *ExecCtx, access *tableAccess, where compiled, ec *evalCtx) ([]storage.RowID, []types.Row, error) {
+	mem := &ctx.mem
 	var ids []storage.RowID
 	var rows []types.Row
 	var examined int64
@@ -775,8 +811,8 @@ func (e *Engine) collectMatches(ctx *ExecCtx, access *tableAccess, where compile
 				return true
 			}
 		}
-		ids = append(ids, id)
-		rows = append(rows, r)
+		ids = mem.ids.push(ids, id)
+		rows = mem.rows.push(rows, r)
 		return true
 	})
 	e.rowsExamined.Add(examined)
@@ -798,13 +834,17 @@ func (e *Engine) execUpdate(ctx *ExecCtx, plan *updatePlan, params []types.Value
 	if err != nil {
 		return nil, err
 	}
-	ec := &evalCtx{params: params, subs: subs}
+	ec := ctx.mem.ecs.push()
+	defer ctx.mem.ecs.pop()
+	ec.params, ec.subs = params, subs
 	ids, rows, err := e.collectMatches(ctx, &plan.access, plan.where, ec)
 	if err != nil {
 		return nil, err
 	}
 	for i, id := range ids {
-		newRow := rows[i].Clone()
+		// The new image is the statement's until storage has validated it
+		// into the copy it keeps.
+		newRow := ctx.mem.vals.copyOf(rows[i])
 		ec.row = rows[i]
 		for _, set := range plan.sets {
 			v, err := set.expr.eval(ec)
@@ -817,7 +857,7 @@ func (e *Engine) execUpdate(ctx *ExecCtx, plan *updatePlan, params []types.Value
 			return nil, err
 		}
 	}
-	return &Result{RowsAffected: len(ids)}, nil
+	return ctx.mem.result(nil, nil, len(ids)), nil
 }
 
 func (e *Engine) execDelete(ctx *ExecCtx, plan *deletePlan, params []types.Value) (*Result, error) {
@@ -832,7 +872,10 @@ func (e *Engine) execDelete(ctx *ExecCtx, plan *deletePlan, params []types.Value
 	if err != nil {
 		return nil, err
 	}
-	ids, _, err := e.collectMatches(ctx, &plan.access, plan.where, &evalCtx{params: params, subs: subs})
+	ec := ctx.mem.ecs.push()
+	defer ctx.mem.ecs.pop()
+	ec.params, ec.subs = params, subs
+	ids, _, err := e.collectMatches(ctx, &plan.access, plan.where, ec)
 	if err != nil {
 		return nil, err
 	}
@@ -841,5 +884,5 @@ func (e *Engine) execDelete(ctx *ExecCtx, plan *deletePlan, params []types.Value
 			return nil, err
 		}
 	}
-	return &Result{RowsAffected: len(ids)}, nil
+	return ctx.mem.result(nil, nil, len(ids)), nil
 }

@@ -294,7 +294,7 @@ func (e *Engine) oracleAccessRows(ctx *ExecCtx, access *tableAccess, outer types
 			}
 			return rows, nil
 		}
-		for _, id := range lookupEach(ix, keys) {
+		for _, id := range lookupEach(new(scratch), ix, keys) {
 			if r, ok := tb.Get(id); ok {
 				rows = append(rows, r)
 			}
@@ -321,7 +321,7 @@ func (e *Engine) oracleAccessRows(ctx *ExecCtx, access *tableAccess, outer types
 		if snap {
 			return snapshotLookup(tb, ix, key, seq), nil
 		}
-		ids, _ := ix.Lookup(key)
+		ids := ix.Lookup(key, nil)
 		rows := make([]types.Row, 0, len(ids))
 		for _, id := range ids {
 			if r, ok := tb.Get(id); ok {
@@ -721,6 +721,7 @@ func differential(t *testing.T, seed int64, n int, cold bool) {
 	pin := clock.AcquireSnapshot()
 	defer clock.ReleaseSnapshot(pin)
 	snap := func() *ExecCtx { return &ExecCtx{ReadOnly: true, Snapshot: true, SnapshotSeq: pin.Seq()} }
+	reused := snap()
 
 	type stmt struct {
 		sql      string
@@ -749,6 +750,18 @@ func differential(t *testing.T, seed int64, n int, cold bool) {
 		check(s, "writer view", w, wantW)
 		s.wantSnap = outcome(e.oracleSelect(snap(), s.p, s.params))
 		check(s, "snapshot", snap(), s.wantSnap)
+		// One context for all n statements, reset between them like a
+		// worker's between TEs. Each runs twice before the reset: the first
+		// result must still read right after the second execution has taken
+		// its memory from the same scratch, and nothing a reset took back may
+		// show through in a later statement.
+		first, err1 := e.Execute(reused, s.p, s.params...)
+		check(s, "reused context, second execution", reused, s.wantSnap)
+		if got := outcome(first, err1); got != s.wantSnap {
+			t.Fatalf("seed %d, reused context: %s %v\nfirst result after a second execution reads %s\nwant %s", seed, s.sql, s.params, got, s.wantSnap)
+		}
+		reused.Reset()
+		reused.ReadOnly, reused.Snapshot, reused.SnapshotSeq = true, true, pin.Seq()
 		if strings.HasPrefix(wantW, "error") {
 			failures++
 		} else if wantW != "[]" {

@@ -22,18 +22,23 @@ type evalCtx struct {
 	subs   []subResult
 }
 
-// subResult is one materialized IN-subquery: its value set and whether the
-// result contained NULL (three-valued IN semantics need to know). list
-// holds the same distinct non-NULL values in first-seen order, for the
-// access path that drives from the set instead of probing it.
+// subResult is one materialized IN-subquery: its distinct non-NULL values
+// in first-seen order, which is also what the access path that drives from
+// the set walks, and whether the result contained NULL (three-valued IN
+// semantics need to know). A set of a handful of values, a window slide's
+// delta, is probed by walking the list; vals is built when it outgrows that.
 type subResult struct {
-	vals    map[uint64][]types.Value
 	list    []types.Value
+	vals    map[uint64][]types.Value
 	hasNull bool
 }
 
 func (s *subResult) contains(v types.Value) bool {
-	for _, cand := range s.vals[v.Hash()] {
+	cands := s.list
+	if s.vals != nil {
+		cands = s.vals[v.Hash()]
+	}
+	for _, cand := range cands {
 		if cand.Compare(v) == 0 {
 			return true
 		}
@@ -41,13 +46,24 @@ func (s *subResult) contains(v types.Value) bool {
 	return false
 }
 
-// add puts one subquery output value into the set.
-func (s *subResult) add(v types.Value) {
+// add puts one subquery output value into the set; the list grows in mem.
+func (s *subResult) add(mem *scratch, v types.Value) {
 	if v.IsNull() {
 		s.hasNull = true
-	} else if !s.contains(v) {
+		return
+	}
+	if s.contains(v) {
+		return
+	}
+	s.list = mem.vals.push(s.list, v)
+	switch {
+	case s.vals != nil:
 		s.vals[v.Hash()] = append(s.vals[v.Hash()], v)
-		s.list = append(s.list, v)
+	case len(s.list) > subSetLinear:
+		s.vals = make(map[uint64][]types.Value, 2*len(s.list))
+		for _, lv := range s.list {
+			s.vals[lv.Hash()] = append(s.vals[lv.Hash()], lv)
+		}
 	}
 }
 

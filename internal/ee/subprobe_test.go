@@ -501,10 +501,10 @@ func TestTriggerNewMaterializedOnlyWhenRead(t *testing.T) {
 		"UPDATE tally SET n = n + 1 WHERE id IN (SELECT 0 FROM inserted)"); err != nil {
 		t.Fatal(err)
 	}
-	if tr := e.triggers["w"][0]; !tr.usesNew {
+	if tr := e.triggers[e.cat.Relation("w")][0]; !tr.usesNew {
 		t.Fatal("trigger reading NEW not marked")
 	}
-	if tr := e.triggers["d"][0]; tr.usesNew {
+	if tr := e.triggers[e.cat.Relation("d")][0]; tr.usesNew {
 		t.Fatal("delta-only trigger marked as reading NEW")
 	}
 	ctx := freshCtx()

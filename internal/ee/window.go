@@ -21,7 +21,8 @@ import (
 // the watermark is the maximum observed event time quantized to s; the
 // window holds tuples with t > watermark − d. EE triggers on the window
 // fire after every change with INSERTED / EXPIRED bound to the tuples that
-// entered / left and NEW to the post-change contents (fireTriggers).
+// entered / left and NEW to the post-change contents (fireTriggers). rows
+// must be the window's to keep: stored rows of the source stream, or copies.
 func (e *Engine) admitToWindow(ctx *ExecCtx, rel *catalog.Relation, rows []types.Row) error {
 	if len(rows) == 0 {
 		return nil
@@ -55,6 +56,7 @@ func (e *Engine) admitTupleWindow(ctx *ExecCtx, rel *catalog.Relation, rows []ty
 	win := rel.Win
 	size, slide := win.Spec.Size, win.Spec.Slide
 	saveWindowMeta(ctx, win)
+	mem := &ctx.mem
 	var entered, evicted []types.Row
 	for _, r := range rows {
 		win.Admitted++
@@ -63,24 +65,23 @@ func (e *Engine) admitTupleWindow(ctx *ExecCtx, rel *catalog.Relation, rows []ty
 			if _, err := rel.Table.Insert(r, ctx.Undo); err != nil {
 				return fmt.Errorf("ee: window %q: %w", rel.Name, err)
 			}
-			entered = append(entered, r)
+			entered = mem.rows.push(entered, r)
 			continue
 		}
-		win.Staged = append(win.Staged, r.Clone())
+		win.Staged = append(win.Staged, r)
 		if int64(len(win.Staged)) < slide {
 			continue
 		}
 		// Slide: evict the oldest `slide` tuples, admit the staged batch.
-		ev, err := e.evictOldest(ctx, rel, int(slide))
-		if err != nil {
+		var err error
+		if evicted, err = e.evictOldest(ctx, rel, int(slide), evicted); err != nil {
 			return err
 		}
-		evicted = append(evicted, ev...)
 		for _, sr := range win.Staged {
 			if _, err := rel.Table.Insert(sr, ctx.Undo); err != nil {
 				return fmt.Errorf("ee: window %q: %w", rel.Name, err)
 			}
-			entered = append(entered, sr)
+			entered = mem.rows.push(entered, sr)
 		}
 		win.Staged = win.Staged[:0]
 		win.SlideCount++
@@ -92,12 +93,13 @@ func (e *Engine) admitTupleWindow(ctx *ExecCtx, rel *catalog.Relation, rows []ty
 	return nil
 }
 
-func (e *Engine) evictOldest(ctx *ExecCtx, rel *catalog.Relation, n int) ([]types.Row, error) {
-	ids := make([]storage.RowID, 0, n)
-	rows := make([]types.Row, 0, n)
+// evictOldest deletes the window's n oldest tuples and adds them to evicted.
+func (e *Engine) evictOldest(ctx *ExecCtx, rel *catalog.Relation, n int, evicted []types.Row) ([]types.Row, error) {
+	mem := &ctx.mem
+	ids := mem.ids.take(n)[:0]
 	rel.Table.Scan(func(id storage.RowID, r types.Row) bool {
 		ids = append(ids, id)
-		rows = append(rows, r)
+		evicted = mem.rows.push(evicted, r)
 		return len(ids) < n
 	})
 	for _, id := range ids {
@@ -105,7 +107,7 @@ func (e *Engine) evictOldest(ctx *ExecCtx, rel *catalog.Relation, n int) ([]type
 			return nil, fmt.Errorf("ee: window %q eviction: %w", rel.Name, err)
 		}
 	}
-	return rows, nil
+	return evicted, nil
 }
 
 func (e *Engine) admitTimeWindow(ctx *ExecCtx, rel *catalog.Relation, rows []types.Row) error {
@@ -113,6 +115,7 @@ func (e *Engine) admitTimeWindow(ctx *ExecCtx, rel *catalog.Relation, rows []typ
 	size, slide, tcol := win.Spec.Size, win.Spec.Slide, win.Spec.TimeCol
 	saveWindowMeta(ctx, win)
 	maxTS := win.Watermark
+	mem := &ctx.mem
 	var entered []types.Row
 	for _, r := range rows {
 		tv := r[tcol]
@@ -128,7 +131,7 @@ func (e *Engine) admitTimeWindow(ctx *ExecCtx, rel *catalog.Relation, rows []typ
 		if _, err := rel.Table.Insert(r, ctx.Undo); err != nil {
 			return fmt.Errorf("ee: window %q: %w", rel.Name, err)
 		}
-		entered = append(entered, r)
+		entered = mem.rows.push(entered, r)
 		if ts > maxTS {
 			maxTS = ts
 		}
@@ -143,8 +146,8 @@ func (e *Engine) admitTimeWindow(ctx *ExecCtx, rel *catalog.Relation, rows []typ
 		var evict []storage.RowID
 		rel.Table.Scan(func(id storage.RowID, r types.Row) bool {
 			if r[tcol].Int() <= cutoff {
-				evict = append(evict, id)
-				evictedRows = append(evictedRows, r)
+				evict = mem.ids.push(evict, id)
+				evictedRows = mem.rows.push(evictedRows, r)
 			}
 			return true
 		})

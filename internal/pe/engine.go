@@ -122,7 +122,7 @@ type AsyncCommitLogger interface {
 // commit future resolves.
 type pendingAck struct {
 	r     *txnRequest
-	out   *ee.Result
+	out   *Result // the worker's copy: later TEs reuse what it was copied from
 	ack   <-chan error
 	start time.Time
 }
@@ -250,7 +250,37 @@ type Engine struct {
 	// triggered executions (they are produced and consumed by the worker,
 	// so no locking is needed). Used in ModeWorkflowSerial.
 	localTriggered []*txnRequest
+
+	// The worker's transaction-execution state (DESIGN.md §1.6.3). The
+	// worker is one goroutine and nothing below outlives the TE that filled
+	// it, so there is one of each and beginTE resets it: the EE context with
+	// its scratch, the procedure context handed to the handler, the undo
+	// log, the transient-relation map, the stream emissions awaiting
+	// dispatch, the border batch's own tuple ids, and the two stream-insert
+	// hooks (bound once, in New). Replay and the MP barrier run on the same
+	// state: they execute in the worker's place, never beside it.
+	ectx         ee.ExecCtx
+	pctx         ProcCtx
+	undo         *storage.UndoLog
+	newRows      map[string][]types.Row
+	emits        []emission
+	borderStream string
+	borderIDs    []storage.RowID
+	onEmit       func(stream string, ids []storage.RowID, rows []types.Row)
+	onBorderEmit func(stream string, ids []storage.RowID, rows []types.Row)
+	// freeReqs holds executed triggered requests for dispatchEmits to fill
+	// again, batch and id buffers included. Worker-only: it makes the
+	// requests and, whatever queue they crossed, executes them.
+	freeReqs []*txnRequest
 }
+
+// teRetain bounds what the worker's reused buffers (emissions, recycled
+// requests, border ids) keep allocated from one TE to the next, in
+// elements; freeReqsMax bounds the recycled requests themselves.
+const (
+	teRetain    = 2048
+	freeReqsMax = 64
+)
 
 // New creates a partition engine over an execution engine.
 func New(exec *ee.Engine, cfg Config) *Engine {
@@ -267,7 +297,10 @@ func New(exec *ee.Engine, cfg Config) *Engine {
 		graphInflight:   make(map[string]int),
 		prepared:        make(map[string]map[string]*ee.Prepared),
 		partial:         make(map[string][]types.Row),
+		undo:            storage.NewUndoLog(),
+		newRows:         make(map[string][]types.Row, 1),
 	}
+	e.onEmit, e.onBorderEmit = e.collectEmission, e.collectBorderEmission
 	e.ackCond = sync.NewCond(&e.ackMu)
 	e.flightCond = sync.NewCond(&e.flightMu)
 	return e
@@ -605,23 +638,24 @@ func (e *Engine) worker() {
 	}
 	var pending []*txnRequest
 	for {
-		if len(e.localTriggered) > 0 {
-			r := e.localTriggered[0]
-			e.localTriggered = e.localTriggered[1:]
-			e.executeRequest(r)
-			continue
-		}
-		if len(pending) > 0 {
-			r := pending[0]
-			pending = pending[1:]
-			e.executeRequest(r)
-			continue
-		}
 		var ok bool
-		e.localTriggered = e.localTriggered[:0]
-		pending, ok = e.sched.popAll(pending[:0])
-		if !ok {
+		if pending, ok = e.sched.popAll(pending[:0]); !ok {
 			return
+		}
+		for i, r := range pending {
+			pending[i] = nil
+			e.executeRequest(r)
+			e.recycle(r)
+			// What r triggered runs, with what that triggers in turn, before
+			// the next request: workflow order (ModeWorkflowSerial).
+			for len(e.localTriggered) > 0 {
+				r = e.localTriggered[0]
+				n := copy(e.localTriggered, e.localTriggered[1:])
+				e.localTriggered[n] = nil
+				e.localTriggered = e.localTriggered[:n]
+				e.executeRequest(r)
+				e.recycle(r)
+			}
 		}
 	}
 }
@@ -661,7 +695,7 @@ func (e *Engine) acker() {
 
 // queueAck hands a committed request to the acker. Called only by the
 // partition worker.
-func (e *Engine) queueAck(r *txnRequest, out *ee.Result, ack <-chan error, start time.Time) {
+func (e *Engine) queueAck(r *txnRequest, out *Result, ack <-chan error, start time.Time) {
 	e.ackMu.Lock()
 	e.ackPending++
 	e.ackMu.Unlock()
@@ -741,10 +775,10 @@ func (e *Engine) Ingest(stream string, rows ...types.Row) error {
 			return fmt.Errorf("pe: dataflow %q is paused and stream %q has a full backlog (%d tuples); resume the dataflow or retry later",
 				b.graph, b.stream, len(e.partial[b.stream]))
 		}
-		e.partial[b.stream] = append(e.partial[b.stream], cloneRows(rows)...)
+		e.partial[b.stream] = append(e.partial[b.stream], types.CloneRows(rows)...)
 		return nil
 	}
-	e.partial[b.stream] = append(e.partial[b.stream], cloneRows(rows)...)
+	e.partial[b.stream] = append(e.partial[b.stream], types.CloneRows(rows)...)
 	return e.cutBatchesLocked(b)
 }
 
@@ -911,25 +945,88 @@ func (e *Engine) Drain() {
 	e.sched.mu.Unlock()
 }
 
-func cloneRows(rows []types.Row) []types.Row {
-	out := make([]types.Row, len(rows))
-	for i, r := range rows {
-		out[i] = r.Clone()
-	}
-	return out
-}
-
 // ---------- transaction execution ----------
 
+// emission is what one TE appended to one stream: the stored rows and
+// their ids, in buffers the engine owns and fills again next TE.
 type emission struct {
 	stream string
 	ids    []storage.RowID
 	rows   []types.Row
 }
 
-// undoPool recycles undo logs across transaction executions; Release keeps
-// the backing arrays, so steady-state execution allocates no undo memory.
-var undoPool = sync.Pool{New: func() any { return storage.NewUndoLog() }}
+// collectEmission is the TE's OnStreamInsert hook: it merges the TE's
+// stream appends per stream for dispatchEmits. ids and rows belong to the
+// EE context and are copied.
+func (e *Engine) collectEmission(stream string, ids []storage.RowID, rows []types.Row) {
+	for i := range e.emits {
+		if em := &e.emits[i]; em.stream == stream {
+			em.ids = append(em.ids, ids...)
+			em.rows = append(em.rows, rows...)
+			return
+		}
+	}
+	if len(e.emits) < cap(e.emits) {
+		e.emits = e.emits[:len(e.emits)+1] // a slot of an earlier TE, buffers and all
+	} else {
+		e.emits = append(e.emits, emission{})
+	}
+	em := &e.emits[len(e.emits)-1]
+	em.stream = stream
+	em.ids = append(em.ids[:0], ids...)
+	em.rows = append(em.rows[:0], rows...)
+}
+
+// collectBorderEmission is the hook while a border batch passes through its
+// own input stream: those tuples are this TE's to garbage-collect at commit
+// and must not re-fire the stream's PE trigger; anything else a trigger
+// appends on the way is an emission like any other.
+func (e *Engine) collectBorderEmission(stream string, ids []storage.RowID, rows []types.Row) {
+	if stream == e.borderStream {
+		e.borderIDs = append(e.borderIDs, ids...)
+		return
+	}
+	e.collectEmission(stream, ids, rows)
+}
+
+// retained returns buf emptied for reuse, its elements cleared so none
+// stays referenced, or nil when it grew past teRetain.
+func retained[T any](buf []T) []T {
+	if cap(buf) > teRetain {
+		return nil
+	}
+	clear(buf)
+	return buf[:0]
+}
+
+// beginTE readies the worker's TE state for the next execution and returns
+// its EE context. What the previous TE left in it is gone after this: its
+// results, rows and lists were either consumed or copied out at one of the
+// three doors (ownResult for a response, dispatchEmits for a downstream
+// batch and its ids).
+func (e *Engine) beginTE() *ee.ExecCtx {
+	e.undo.Release()
+	for i := range e.emits {
+		em := &e.emits[i]
+		em.ids, em.rows = retained(em.ids), retained(em.rows)
+	}
+	e.emits = e.emits[:0]
+	e.borderIDs = retained(e.borderIDs)
+	e.ectx.Reset()
+	e.ectx.Undo = e.undo
+	e.ectx.DisableEETriggers = e.cfg.HStoreMode
+	return &e.ectx
+}
+
+// ownResult copies a statement result out of the TE's memory into one the
+// receiver owns: the door for a Call's SetResult and an ad-hoc Exec's
+// result, whose readers are other goroutines running after later TEs.
+func ownResult(res *ee.Result) *Result {
+	if res == nil {
+		return &Result{}
+	}
+	return &Result{Columns: res.Columns, Rows: types.CloneRows(res.Rows), RowsAffected: res.RowsAffected}
+}
 
 func (e *Engine) executeRequest(r *txnRequest) {
 	start := time.Now()
@@ -953,48 +1050,37 @@ func (e *Engine) executeRequest(r *txnRequest) {
 		e.executeMP(r)
 		return
 	}
+	ectx, undo := e.beginTE(), e.undo
 	if r.kind == reqExec {
-		undo := undoPool.Get().(*storage.UndoLog)
-		ectx := &ee.ExecCtx{Undo: undo, DisableEETriggers: e.cfg.HStoreMode}
 		res, err := e.ee.ExecSQL(ectx, r.sqlText, r.params...)
 		if err != nil {
 			undo.Rollback()
 			e.met.TxnAborted.Add(1)
-		} else {
-			undo.Release()
-			e.commitPublish()
-			e.met.TxnCommitted.Add(1)
+			r.respond(nil, err)
+			return
 		}
-		undoPool.Put(undo)
-		r.respond(res, err)
+		e.commitPublish()
+		e.met.TxnCommitted.Add(1)
+		r.respond(ownResult(res), nil)
 		return
 	}
 
 	e.nextTxnID++
-	txnID := e.nextTxnID
-	undo := undoPool.Get().(*storage.UndoLog)
-	defer func() {
-		undo.Release()
-		undoPool.Put(undo)
-	}()
-	var emits []emission
-	ectx := &ee.ExecCtx{
-		Undo:              undo,
-		ProcName:          r.proc.Name,
-		DisableEETriggers: e.cfg.HStoreMode,
-		OnStreamInsert:    emissionCollector(&emits),
-	}
+	ectx.ProcName = r.proc.Name
+	ectx.OnStreamInsert = e.onEmit
 	if r.batch != nil {
-		ectx.NewRows = map[string][]types.Row{"batch": r.batch}
+		e.newRows["batch"] = r.batch
+		ectx.NewRows = e.newRows
 	}
-	pctx := &ProcCtx{
+	pctx := &e.pctx
+	*pctx = ProcCtx{
 		pe:      e,
 		ectx:    ectx,
 		Proc:    r.proc,
 		Batch:   r.batch,
 		BatchID: r.batchID,
 		Params:  r.params,
-		TxnID:   txnID,
+		TxnID:   e.nextTxnID,
 	}
 
 	// Border batches pass through their stream relation inside the TE:
@@ -1002,25 +1088,19 @@ func (e *Engine) executeRequest(r *txnRequest) {
 	// them (uniform state management, §2). The inserted rows are
 	// garbage-collected at commit below — this TE is their consumer — and
 	// the insert must not re-fire this stream's own PE trigger.
+	gcIDs := r.gcIDs
 	if r.kind == reqBorder && r.inputStream != "" {
-		saved := ectx.OnStreamInsert
-		ectx.OnStreamInsert = func(stream string, ids []storage.RowID, rows []types.Row) {
-			if stream == r.inputStream {
-				r.gcIDs = append(r.gcIDs, ids...)
-				return
-			}
-			if saved != nil {
-				saved(stream, ids, rows)
-			}
-		}
+		e.borderStream = r.inputStream
+		ectx.OnStreamInsert = e.onBorderEmit
 		_, err := e.ee.InsertRows(ectx, r.inputStream, r.batch)
-		ectx.OnStreamInsert = saved
+		ectx.OnStreamInsert = e.onEmit
 		if err != nil {
 			undo.Rollback()
 			e.met.TxnAborted.Add(1)
 			r.respond(nil, fmt.Errorf("pe: border ingest into %s: %w", r.inputStream, err))
 			return
 		}
+		gcIDs = e.borderIDs
 	}
 
 	if err := e.runHandler(r.proc, pctx); err != nil {
@@ -1030,8 +1110,8 @@ func (e *Engine) executeRequest(r *txnRequest) {
 		return
 	}
 	// Garbage-collect the consumed upstream batch atomically with commit.
-	if len(r.gcIDs) > 0 && r.inputStream != "" {
-		if err := e.ee.GCStreamRows(ectx, r.inputStream, r.gcIDs); err != nil {
+	if len(gcIDs) > 0 && r.inputStream != "" {
+		if err := e.ee.GCStreamRows(ectx, r.inputStream, gcIDs); err != nil {
 			undo.Rollback()
 			e.met.TxnAborted.Add(1)
 			r.respond(nil, fmt.Errorf("pe: gc of %s: %w", r.inputStream, err))
@@ -1051,7 +1131,6 @@ func (e *Engine) executeRequest(r *txnRequest) {
 		r.respond(nil, fmt.Errorf("pe: command log: %w", lerr))
 		return
 	}
-	undo.Release()
 	e.commitPublish()
 	e.met.TxnCommitted.Add(1)
 	switch r.kind {
@@ -1071,7 +1150,7 @@ func (e *Engine) executeRequest(r *txnRequest) {
 	// PE triggers: emitted batches become downstream transaction
 	// executions, enqueued ahead of pending border work (ModeWorkflowSerial)
 	// so the workflow chain for batch b completes before batch b+1 starts.
-	continued := e.dispatchEmits(emits, r.batchID, r.origin, r.replay)
+	continued := e.dispatchEmits(r.batchID, r.origin, r.replay)
 
 	// Per-dataflow accounting. Latency is observed only where the chain
 	// ends (no dispatched descendants), so the graph's histogram holds
@@ -1087,11 +1166,17 @@ func (e *Engine) executeRequest(r *txnRequest) {
 			r.stats.ObserveLatency(time.Since(r.origin))
 		}
 	}
-	if ack != nil {
-		e.queueAck(r, pctx.out, ack, start)
+	if r.done == nil {
 		return
 	}
-	r.respond(pctx.out, nil)
+	// The response leaves the worker here, and with it the TE: the acker
+	// delivers after later TEs have run.
+	out := ownResult(pctx.out)
+	if ack != nil {
+		e.queueAck(r, out, ack, start)
+		return
+	}
+	r.respond(out, nil)
 }
 
 // commitPublish is the in-memory commit point: it publishes the pending
@@ -1242,21 +1327,16 @@ func (e *Engine) logCommit(r *txnRequest) (<-chan error, error) {
 	return e.asyncLog.LogCommitAsync(rec)
 }
 
-func (r *txnRequest) respond(res *ee.Result, err error) {
+// respond delivers the request's outcome to whoever waits for it. res is
+// the receiver's from here on (ownResult); nil stands for an empty result.
+func (r *txnRequest) respond(res *Result, err error) {
 	if r.done == nil {
 		return
 	}
-	if err != nil {
-		r.done <- CallResult{Err: err}
-		return
+	if err == nil && res == nil {
+		res = &Result{}
 	}
-	out := &Result{}
-	if res != nil {
-		out.Columns = res.Columns
-		out.Rows = res.Rows
-		out.RowsAffected = res.RowsAffected
-	}
-	r.done <- CallResult{Result: out}
+	r.done <- CallResult{Result: res, Err: err}
 }
 
 // prepareForProc prepares a statement in the procedure's namespace, where

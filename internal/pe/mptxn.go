@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/ee"
-	"repro/internal/storage"
 	"repro/internal/types"
 )
 
@@ -278,12 +277,12 @@ func (s *MPSession) ReleasedAtPrepare() bool { return s.releasedPrep }
 func (e *Engine) executeMP(r *txnRequest) {
 	s := r.mp
 	start := time.Now()
-	undo := undoPool.Get().(*storage.UndoLog)
-	defer func() {
-		undo.Release()
-		undoPool.Put(undo)
-	}()
-	var emits []emission
+	// The worker's undo log and emission list, but a context of the leg's
+	// own: fragment results cross to the coordinator's goroutine, which may
+	// read them after this worker has moved on, so their memory is never
+	// reset, only dropped.
+	e.beginTE()
+	undo := e.undo
 	ectx := &ee.ExecCtx{
 		Undo:              undo,
 		DisableEETriggers: e.cfg.HStoreMode,
@@ -294,7 +293,7 @@ func (e *Engine) executeMP(r *txnRequest) {
 	// fires PE triggers — the same statement must not behave differently
 	// just because its tuples happened to span partitions.
 	if s.logged {
-		ectx.OnStreamInsert = emissionCollector(&emits)
+		ectx.OnStreamInsert = e.onEmit
 	}
 	var ops []LoggedOp
 	wrote := false
@@ -346,12 +345,11 @@ func (e *Engine) executeMP(r *txnRequest) {
 			// effects publish and the worker frees immediately; the DECIDE
 			// marker is likewise the coordinator's to append once the
 			// decision itself is durable.
-			undo.Release()
 			e.commitPublish()
 			close(s.published) // in-memory commit visible; acks may lag
 			e.met.TxnCommitted.Add(1)
 			e.met.MPLegsCommitted.Add(1)
-			e.dispatchEmits(emits, 0, r.origin, r.replay)
+			e.dispatchEmits(0, r.origin, r.replay)
 			e.met.ObserveLatency(time.Since(start))
 			r.respond(nil, nil)
 			return
@@ -365,13 +363,8 @@ func (e *Engine) executeMP(r *txnRequest) {
 // Stream emissions re-derive their triggered descendants exactly like the
 // live commit path (dispatchEmits) and the other replay kinds.
 func (e *Engine) replayPreparedLeg(rec *LogRecord) error {
-	undo := storage.NewUndoLog()
-	var emits []emission
-	ectx := &ee.ExecCtx{
-		Undo:              undo,
-		DisableEETriggers: e.cfg.HStoreMode,
-		OnStreamInsert:    emissionCollector(&emits),
-	}
+	ectx, undo := e.beginTE(), e.undo
+	ectx.OnStreamInsert = e.onEmit
 	for _, op := range rec.Ops {
 		var err error
 		if op.Table != "" {
@@ -384,41 +377,25 @@ func (e *Engine) replayPreparedLeg(rec *LogRecord) error {
 			return fmt.Errorf("pe: replay of prepared mp leg %d: %w", rec.MPTxnID, err)
 		}
 	}
-	undo.Release()
 	e.commitPublish()
 	e.replaying = true
-	e.dispatchEmits(emits, 0, time.Time{}, true)
+	e.dispatchEmits(0, time.Time{}, true)
 	return e.drainReplayDerived()
 }
 
-// emissionCollector returns the OnStreamInsert hook that merges a
-// transaction's stream emissions per stream — shared by the local commit,
-// multi-partition commit, and prepared-leg replay paths.
-func emissionCollector(emits *[]emission) func(string, []storage.RowID, []types.Row) {
-	return func(stream string, ids []storage.RowID, rows []types.Row) {
-		es := *emits
-		for i := range es {
-			if es[i].stream == stream {
-				es[i].ids = append(es[i].ids, ids...)
-				es[i].rows = append(es[i].rows, rows...)
-				return
-			}
-		}
-		*emits = append(es, emission{stream: stream, ids: ids, rows: rows})
-	}
-}
-
-// dispatchEmits turns a committed execution's stream emissions into
-// downstream transaction executions (PE triggers) — shared by the local
-// and multi-partition commit paths. origin is the chain root's admission
-// time, inherited by descendants for end-to-end latency accounting.
-// Emissions into a paused graph's streams defer until ResumeGraph (the
-// pause gate for interior edges and OLTP-entry emissions). The returned
-// count is the descendants this execution's chain continues into —
-// zero means the chain ends here.
-func (e *Engine) dispatchEmits(emits []emission, batchID uint64, origin time.Time, replay bool) int {
+// dispatchEmits turns the committed execution's stream emissions (e.emits)
+// into downstream transaction executions (PE triggers) — shared by the
+// local and multi-partition commit paths. Each batch and its ids are copied
+// into the request that carries them: it runs after this TE's memory has
+// been reused. origin is the chain root's admission time, inherited by
+// descendants for end-to-end latency accounting. Emissions into a paused
+// graph's streams defer until ResumeGraph (the pause gate for interior
+// edges and OLTP-entry emissions). The returned count is the descendants
+// this execution's chain continues into — zero means the chain ends here.
+func (e *Engine) dispatchEmits(batchID uint64, origin time.Time, replay bool) int {
 	continued := 0
-	for _, em := range emits {
+	for i := range e.emits {
+		em := &e.emits[i]
 		e.ingestMu.Lock()
 		b := e.bindings[strings.ToLower(em.stream)]
 		paused := b != nil && !e.replaying && e.pausedGraphs[b.graph]
@@ -426,19 +403,17 @@ func (e *Engine) dispatchEmits(emits []emission, batchID uint64, origin time.Tim
 			e.ingestMu.Unlock()
 			continue
 		}
-		tr := &txnRequest{
-			kind:        reqTriggered,
-			proc:        b.proc,
-			batch:       em.rows,
-			batchID:     batchID,
-			inputStream: em.stream,
-			gcIDs:       em.ids,
-			enqueued:    time.Now(),
-			origin:      origin,
-			stats:       b.stats,
-			graph:       b.graph,
-			replay:      replay,
-		}
+		tr := e.newTriggered()
+		tr.proc = b.proc
+		tr.batch = append(tr.batch, em.rows...)
+		tr.batchID = batchID
+		tr.inputStream = em.stream
+		tr.gcIDs = append(tr.gcIDs, em.ids...)
+		tr.enqueued = time.Now()
+		tr.origin = origin
+		tr.stats = b.stats
+		tr.graph = b.graph
+		tr.replay = replay
 		if paused {
 			e.pausedTriggered[b.graph] = append(e.pausedTriggered[b.graph], tr)
 			e.ingestMu.Unlock()
@@ -461,4 +436,27 @@ func (e *Engine) dispatchEmits(emits []emission, batchID uint64, origin time.Tim
 		}
 	}
 	return continued
+}
+
+// newTriggered returns an empty reqTriggered request, a recycled one when
+// the worker has one. Its batch and gcIDs are empty buffers to append to.
+func (e *Engine) newTriggered() *txnRequest {
+	if n := len(e.freeReqs); n > 0 {
+		tr := e.freeReqs[n-1]
+		e.freeReqs[n-1] = nil
+		e.freeReqs = e.freeReqs[:n-1]
+		return tr
+	}
+	return &txnRequest{kind: reqTriggered, recycle: true}
+}
+
+// recycle takes an executed request back for newTriggered. Only the worker
+// calls it, after executeRequest: nothing refers to a triggered request
+// once it has run (it has no responder, so it never reaches the acker).
+func (e *Engine) recycle(r *txnRequest) {
+	if !r.recycle || len(e.freeReqs) == freeReqsMax {
+		return
+	}
+	*r = txnRequest{kind: reqTriggered, recycle: true, batch: retained(r.batch), gcIDs: retained(r.gcIDs)}
+	e.freeReqs = append(e.freeReqs, r)
 }

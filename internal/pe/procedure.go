@@ -71,7 +71,9 @@ func SharedWritableTables(procs []*Procedure) []string {
 
 // ProcCtx is the interface the control code sees: its input (batch or
 // parameters), and SQL/stream access routed through the execution engine
-// under the transaction's undo log.
+// under the transaction's undo log. The context itself, like everything
+// obtained through it, belongs to the execution: a handler must not keep
+// it, or use it from another goroutine, once it has returned.
 type ProcCtx struct {
 	pe   *Engine
 	ectx *ee.ExecCtx
@@ -96,12 +98,18 @@ type ProcCtx struct {
 }
 
 // SetResult sets the rows returned to the client of a direct Call. The
-// last SetResult before the handler returns wins.
+// last SetResult before the handler returns wins. It may be given a result
+// of the handler's own Exec / Query: the engine copies what it was given
+// when the handler has returned, before the execution's memory is reused.
 func (c *ProcCtx) SetResult(res *ee.Result) { c.out = res }
 
 // Exec runs a SQL statement inside the transaction execution. Statements
 // are prepared once per procedure and cached (the H-Store model). The
 // pseudo-relation "batch" exposes the input batch to SQL.
+//
+// The result and its rows live in the execution's own memory: they are
+// valid until the handler returns and must not be kept past it (copy what
+// has to outlive the execution). params is read during the call only.
 func (c *ProcCtx) Exec(sqlText string, params ...types.Value) (*ee.Result, error) {
 	p, err := c.pe.prepareForProc(c.Proc, sqlText)
 	if err != nil {
@@ -110,13 +118,14 @@ func (c *ProcCtx) Exec(sqlText string, params ...types.Value) (*ee.Result, error
 	return c.pe.ee.Execute(c.ectx, p, params...)
 }
 
-// Query is Exec for reads; provided for call-site clarity.
+// Query is Exec for reads; provided for call-site clarity. The result is
+// valid until the handler returns, like Exec's.
 func (c *ProcCtx) Query(sqlText string, params ...types.Value) (*ee.Result, error) {
 	return c.Exec(sqlText, params...)
 }
 
 // QueryRow runs a query expected to return at most one row; it returns nil
-// when no row matches.
+// when no row matches. The row is valid until the handler returns.
 func (c *ProcCtx) QueryRow(sqlText string, params ...types.Value) (types.Row, error) {
 	res, err := c.Exec(sqlText, params...)
 	if err != nil {

@@ -62,6 +62,9 @@ type txnRequest struct {
 	graph   string
 	tracked bool
 	replay  bool // true during recovery: do not re-log
+	// recycle marks a request dispatchEmits made: the worker takes it back,
+	// buffers and all, once it has executed (Engine.recycle).
+	recycle bool
 }
 
 // SchedulerMode selects the admission policy.

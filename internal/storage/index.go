@@ -9,7 +9,10 @@ import (
 // ixRef is one versioned index entry: key -> id, visible to snapshots at
 // sequence s iff born <= s < dead. Writer-view lookups see exactly the
 // live refs (dead == SeqInf). Dead refs are retained for snapshot readers
-// and reclaimed by the watermark GC alongside their row versions.
+// and reclaimed by the watermark GC alongside their row versions. id and
+// born never change once the ref is published; dead is restamped in place
+// by the worker (slNode.setDead), so any other goroutine loads it
+// atomically. The worker, the only writer, reads it plainly.
 type ixRef struct {
 	id   RowID
 	born Seq
@@ -18,12 +21,14 @@ type ixRef struct {
 
 // seenAt reports whether the ref is visible at sequence seq; SeqInf, which
 // no snapshot can pin, asks for the writer view instead — the live refs,
-// the running transaction's pending ones included.
-func (r ixRef) seenAt(seq Seq) bool {
+// the running transaction's pending ones included. Safe on a ref of a
+// published slice from any goroutine.
+func (r *ixRef) seenAt(seq Seq) bool {
+	dead := atomic.LoadUint64(&r.dead)
 	if seq == SeqInf {
-		return r.dead == SeqInf
+		return dead == SeqInf
 	}
-	return r.born <= seq && seq < r.dead
+	return r.born <= seq && seq < dead
 }
 
 // Index maps key tuples (a projection of the row) to RowIDs through an
@@ -159,18 +164,18 @@ func reviveRef(refs []ixRef, id RowID, dead Seq) int {
 	return best
 }
 
-// Lookup returns the RowIDs live under exactly key (writer view, including
-// the running transaction's own changes). The second result reports
-// whether any exist.
-func (ix *Index) Lookup(key types.Row) ([]RowID, bool) {
-	ids := ix.sl.lookup(key)
-	return ids, len(ids) > 0
+// Lookup appends to dst the RowIDs live under exactly key (writer view,
+// including the running transaction's own changes) and returns it. With a
+// buffer from the caller's frame a probe allocates nothing.
+func (ix *Index) Lookup(key types.Row, dst []RowID) []RowID {
+	return ix.sl.lookupAt(key, SeqInf, dst)
 }
 
 // LookupUnique returns the single live RowID for key on a unique index.
 func (ix *Index) LookupUnique(key types.Row) (RowID, bool) {
-	ids, ok := ix.Lookup(key)
-	if !ok {
+	var buf [1]RowID
+	ids := ix.Lookup(key, buf[:0])
+	if len(ids) == 0 {
 		return 0, false
 	}
 	return ids[0], true

@@ -173,7 +173,7 @@ func TestRollbackInvisibleToSnapshots(t *testing.T) {
 	if versions != 2 || dead != 0 {
 		t.Fatalf("chains after rollback: versions=%d dead=%d", versions, dead)
 	}
-	if ids, _ := tb.PrimaryIndex().Lookup(types.Row{types.NewInt(1)}); len(ids) != 1 {
+	if ids := tb.PrimaryIndex().Lookup(types.Row{types.NewInt(1)}, nil); len(ids) != 1 {
 		t.Fatalf("pk ref after rollback: %v", ids)
 	}
 	if ids := tb.PrimaryIndex().sl.lookupAt(types.Row{types.NewInt(9)}, clock.Current()+10, nil); len(ids) != 0 {
@@ -372,7 +372,7 @@ func TestRollbackKeyPingPongKeepsPinnedIndexView(t *testing.T) {
 		if rows := snapshotLookup(tb, ix, key, pin.Seq()); len(rows) != 1 || rows[0][1].Int() != 7 {
 			t.Fatalf("index %q: pinned lookup after ping-pong rollback = %v", ix.Name(), rows)
 		}
-		if ids, _ := ix.Lookup(key); len(ids) != 1 {
+		if ids := ix.Lookup(key, nil); len(ids) != 1 {
 			t.Fatalf("index %q: live refs = %v", ix.Name(), ids)
 		}
 	}
@@ -400,7 +400,7 @@ func TestSnapshotScanChunkingStaysConsistent(t *testing.T) {
 	pin := clock.AcquireSnapshot()
 	// Delete every third row and publish; the pinned scan must not notice.
 	for i := 0; i < n; i += 3 {
-		ids, _ := tb.PrimaryIndex().Lookup(types.Row{types.NewInt(int64(i))})
+		ids := tb.PrimaryIndex().Lookup(types.Row{types.NewInt(int64(i))}, nil)
 		if err := tb.Delete(ids[0], nil); err != nil {
 			t.Fatal(err)
 		}

@@ -14,10 +14,11 @@ import (
 // benchmarks) are reproducible run to run.
 //
 // The structure is single-writer / many-reader with zero reader locks:
-// tower links are atomic pointers, the inline ref's dead stamp is atomic
-// and an overflow ref slice is replaced copy-on-write, so a snapshot
-// reader traversing mid-mutation sees either the old or the new state of
-// any link or ref, never a torn one. Unlinked key nodes are epoch-retired
+// tower links are atomic pointers, a ref's dead stamp (inline or in the
+// overflow slice) is stored and loaded atomically, and the overflow slice
+// is otherwise only appended to beyond every reader's length or replaced
+// whole, so a snapshot reader traversing mid-mutation sees either the old
+// or the new state of any link or ref, never a torn one. Unlinked key nodes are epoch-retired
 // (epoch.go) — a straggling reader that entered before the unlink keeps a
 // fully intact node, including its outgoing links, until every such
 // reader exits.
@@ -139,15 +140,16 @@ func (n *slNode) loadRefs(buf *[1]ixRef) []ixRef {
 	return buf[:]
 }
 
-// setDead restamps ref j of refs, the node's current refs.
+// setDead restamps ref j of refs, the node's current refs, where it lies:
+// a delete under a key with a thousand refs writes one word, not a copy of
+// the list. Readers load the stamp atomically (ixRef.seenAt), and a reader
+// holding an older, shorter header of the same array sees the same ref.
 func (n *slNode) setDead(refs []ixRef, j int, dead Seq) {
 	if n.more.Load() == nil {
 		n.dead.Store(dead)
 		return
 	}
-	nw := append([]ixRef(nil), refs...)
-	nw[j].dead = dead
-	n.more.Store(&nw)
+	atomic.StoreUint64(&refs[j].dead, dead)
 }
 
 // shrink republishes the node's refs as nw — a fresh slice holding a
@@ -368,9 +370,6 @@ func (s *skiplist) unlink(n *slNode, update *[maxLevel]*slNode) {
 	s.em.RetireSLNode(n)
 }
 
-// lookup returns the live ids under key (writer view).
-func (s *skiplist) lookup(key types.Row) []RowID { return s.lookupAt(key, SeqInf, nil) }
-
 // lookupAt appends to dst the ids visible under key at sequence seq; SeqInf
 // asks for the writer view (the live refs, pending ones included). Safe
 // from reader goroutines inside an epoch.
@@ -381,9 +380,10 @@ func (s *skiplist) lookupAt(key types.Row, seq Seq, dst []RowID) []RowID {
 	if n == nil {
 		return dst
 	}
-	for _, r := range n.loadRefs(&one) {
-		if r.seenAt(seq) {
-			dst = append(dst, r.id)
+	refs := n.loadRefs(&one)
+	for i := range refs {
+		if refs[i].seenAt(seq) {
+			dst = append(dst, refs[i].id)
 		}
 	}
 	return dst
@@ -407,8 +407,9 @@ func (s *skiplist) scanAt(lo, hi types.Row, seq Seq, fn func(key types.Row, id R
 		if hi != nil && key.Compare(hi) > 0 {
 			return
 		}
-		for _, r := range x.loadRefs(&one) {
-			if r.seenAt(seq) && !fn(key, r.id) {
+		refs := x.loadRefs(&one)
+		for i := range refs {
+			if refs[i].seenAt(seq) && !fn(key, refs[i].id) {
 				return
 			}
 		}

@@ -25,7 +25,7 @@ func TestSkiplistInsertLookupRemove(t *testing.T) {
 	if sl.insert(intKey(50), 999, 2, true) {
 		t.Fatal("unique violation accepted")
 	}
-	if ids := sl.lookup(intKey(50)); len(ids) != 1 || ids[0] != 51 {
+	if ids := sl.lookupAt(intKey(50), SeqInf, nil); len(ids) != 1 || ids[0] != 51 {
 		t.Fatalf("lookup: %v", ids)
 	}
 	if !sl.remove(intKey(50), 51, 2) {
@@ -36,7 +36,7 @@ func TestSkiplistInsertLookupRemove(t *testing.T) {
 	}
 	// Writer view no longer sees the entry; a snapshot below the death
 	// sequence still does, until GC passes the watermark.
-	if ids := sl.lookup(intKey(50)); ids != nil {
+	if ids := sl.lookupAt(intKey(50), SeqInf, nil); ids != nil {
 		t.Fatal("lookup after remove")
 	}
 	if ids := sl.lookupAt(intKey(50), 1, nil); len(ids) != 1 || ids[0] != 51 {
@@ -58,7 +58,7 @@ func TestSkiplistDuplicateKeysNonUnique(t *testing.T) {
 			t.Fatalf("insert %d refused", i)
 		}
 	}
-	if ids := sl.lookup(intKey(7)); len(ids) != 5 {
+	if ids := sl.lookupAt(intKey(7), SeqInf, nil); len(ids) != 5 {
 		t.Fatalf("dup ids: %v", ids)
 	}
 	if sl.length != 1 {
@@ -73,7 +73,7 @@ func TestSkiplistDuplicateKeysNonUnique(t *testing.T) {
 			t.Fatal("remove")
 		}
 	}
-	if ids := sl.lookup(intKey(7)); ids != nil {
+	if ids := sl.lookupAt(intKey(7), SeqInf, nil); ids != nil {
 		t.Fatalf("live ids after drain: %v", ids)
 	}
 	sl.gc(2)

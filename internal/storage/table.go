@@ -117,12 +117,12 @@ type Table struct {
 	schema *types.Schema
 	clock  *PartitionClock
 
-	// dir is the published slot directory in ascending-RowID order.
-	// Appends republish a longer slice header over the same backing array
-	// (a reader's shorter header never covers the newly written element);
-	// GC compaction republishes a freshly built array, so a reader's
-	// stale header keeps indexing untouched memory either way.
-	dir  atomic.Pointer[[]*rowSlot]
+	// dir is the published slot directory in ascending-RowID order. An
+	// append writes the next element of the array and then publishes a
+	// larger count (a reader's smaller count never covers the new
+	// element); a full array, and GC compaction, publish a freshly built
+	// directory, so a reader's stale one keeps indexing untouched memory.
+	dir  atomic.Pointer[slotDir]
 	byID map[RowID]*rowSlot // worker-only RowID -> slot
 
 	nextID RowID // worker-only
@@ -167,8 +167,7 @@ func NewTableWithClock(schema *types.Schema, clock *PartitionClock) *Table {
 		byID:   make(map[RowID]*rowSlot),
 		nextID: 1,
 	}
-	empty := make([]*rowSlot, 0)
-	t.dir.Store(&empty)
+	t.dir.Store(new(slotDir))
 	if schema.HasPrimaryKey() {
 		pk, err := t.CreateIndex(schema.Name()+"_pkey", schema.PrimaryKey(), true)
 		if err != nil {
@@ -225,16 +224,44 @@ func (t *Table) IndexBytes() int64 {
 	return n
 }
 
+// slotDir is one backing array of the slot directory and the count of its
+// elements that are published. The array is written only beyond the count,
+// by the worker, before the count that covers the write is stored.
+type slotDir struct {
+	arr []*rowSlot
+	n   atomic.Int64
+}
+
 // slots returns the published directory. Readers must hold an epoch guard
 // for the pointers inside to stay reusable-safe; the worker may call it
 // bare.
-func (t *Table) slots() []*rowSlot { return *t.dir.Load() }
+func (t *Table) slots() []*rowSlot {
+	d := t.dir.Load()
+	n := d.n.Load()
+	return d.arr[:n:n]
+}
 
-// appendSlot publishes a directory one slot longer. Worker-only.
+// setSlots publishes arr, all of it, as the directory. Worker-only.
+func (t *Table) setSlots(arr []*rowSlot) {
+	d := &slotDir{arr: arr}
+	d.n.Store(int64(len(arr)))
+	t.dir.Store(d)
+}
+
+// appendSlot publishes a directory one slot longer: in place while the
+// array has room, so an insert allocates no directory. Worker-only.
 func (t *Table) appendSlot(s *rowSlot) {
-	cur := t.slots()
-	nxt := append(cur, s)
-	t.dir.Store(&nxt)
+	d := t.dir.Load()
+	n := int(d.n.Load())
+	if n == len(d.arr) {
+		arr := make([]*rowSlot, max(2*n, 8))
+		copy(arr, d.arr)
+		d = &slotDir{arr: arr}
+		d.n.Store(int64(n))
+		t.dir.Store(d)
+	}
+	d.arr[n] = s
+	d.n.Store(int64(n + 1))
 }
 
 // slotSearch returns the first directory position whose id is >= minID
@@ -873,7 +900,7 @@ func (t *Table) PrecheckStaged() error {
 				continue
 			}
 			key := s.head.Load().payload.Load().row.Key(ix.cols)
-			if _, exists := ix.Lookup(key); exists {
+			if _, exists := ix.LookupUnique(key); exists {
 				return fmt.Errorf("storage: %s: staged row collides on key %v of unique index %q",
 					t.name, key, ix.Name())
 			}
@@ -1024,7 +1051,7 @@ func (t *Table) gcSweep(watermark Seq) (reclaimed, retained int) {
 				nd = append(nd, s)
 			}
 		}
-		t.dir.Store(&nd)
+		t.setSlots(nd)
 		if t.evictCursor > len(nd) {
 			t.evictCursor = 0
 		}

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/types"
@@ -120,8 +121,8 @@ func TestSecondaryIndexMaintenance(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		mustInsert(t, tb, int64(i), int64(i%3))
 	}
-	ids, ok := ix.Lookup(types.Row{types.NewInt(1)})
-	if !ok || len(ids) != 10 {
+	ids := ix.Lookup(types.Row{types.NewInt(1)}, nil)
+	if len(ids) != 10 {
 		t.Fatalf("lookup candidate=1: %d ids", len(ids))
 	}
 	// Delete all candidate-1 rows; index must drain.
@@ -130,16 +131,16 @@ func TestSecondaryIndexMaintenance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, ok := ix.Lookup(types.Row{types.NewInt(1)}); ok {
+	if len(ix.Lookup(types.Row{types.NewInt(1)}, nil)) != 0 {
 		t.Fatal("index retains deleted rows")
 	}
 	// Update moves rows between keys.
-	ids0, _ := ix.Lookup(types.Row{types.NewInt(0)})
+	ids0 := ix.Lookup(types.Row{types.NewInt(0)}, nil)
 	r, _ := tb.Get(ids0[0])
 	if err := tb.Update(ids0[0], types.Row{r[0], types.NewInt(2), r[2]}, nil); err != nil {
 		t.Fatal(err)
 	}
-	ids2, _ := ix.Lookup(types.Row{types.NewInt(2)})
+	ids2 := ix.Lookup(types.Row{types.NewInt(2)}, nil)
 	if len(ids2) != 11 {
 		t.Fatalf("index not updated on key change: %d", len(ids2))
 	}
@@ -154,7 +155,7 @@ func TestCreateIndexBackfillsAndRejectsDupes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ids, _ := ix.Lookup(types.Row{types.NewInt(7)}); len(ids) != 5 {
+	if ids := ix.Lookup(types.Row{types.NewInt(7)}, nil); len(ids) != 5 {
 		t.Fatalf("backfill: %d", len(ids))
 	}
 	if _, err := tb.CreateIndex("by_candidate", []int{1}, false); err == nil {
@@ -322,13 +323,47 @@ func TestTableIndexEquivalence(t *testing.T) {
 		counts[v]++
 	}
 	for v, want := range counts {
-		ids, _ := sec.Lookup(types.Row{types.NewInt(v)})
+		ids := sec.Lookup(types.Row{types.NewInt(v)}, nil)
 		if len(ids) != want {
 			t.Fatalf("sec v=%d: %d ids want %d", v, len(ids), want)
 		}
 	}
 	if sec.Len() != len(model) {
 		t.Fatalf("sec size %d want %d", sec.Len(), len(model))
+	}
+}
+
+// TestDeleteUnderOneKeyAllocatesLinearly: every row of the table is indexed
+// under one key of a non-unique index (votes_by_contestant, kv_by_grp), and
+// deleting them all, with its undo and rollback, allocates bytes in
+// proportion to the rows. A delete that copied the key's ref list to stamp
+// one ref dead cost 24 B × N per row: 96 MB here, against the 2 MB allowed.
+func TestDeleteUnderOneKeyAllocatesLinearly(t *testing.T) {
+	const n = 4000
+	tb := NewTable(votesSchema(t))
+	if _, err := tb.CreateIndex("by_candidate", []int{1}, false); err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]RowID, n)
+	for i := range ids {
+		ids[i] = mustInsert(t, tb, int64(i), 7)
+	}
+	tb.Clock().Publish()
+	undo := NewUndoLog()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, id := range ids {
+		if err := tb.Delete(id, undo); err != nil {
+			t.Fatal(err)
+		}
+	}
+	undo.Rollback()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 512*n {
+		t.Fatalf("deleting and reviving %d rows under one key allocated %d bytes (%d per row)", n, got, got/n)
+	}
+	if live := tb.IndexByName("by_candidate").Lookup(types.Row{types.NewInt(7)}, nil); len(live) != n {
+		t.Fatalf("after rollback %d of %d rows are live under the key", len(live), n)
 	}
 }
 

@@ -66,9 +66,21 @@ func (u *UndoLog) RollbackTo(mark int) {
 // Rollback undoes everything, newest first, leaving the log empty.
 func (u *UndoLog) Rollback() { u.RollbackTo(0) }
 
-// Release discards the log after a successful commit.
+// undoRetain bounds the entries a released log keeps allocated, so a log
+// reused across transactions does not hold one bulk statement's high-water
+// mark for good.
+const undoRetain = 4096
+
+// Release discards the log after a successful commit, or readies a log
+// already rolled back for its next transaction. It costs what the
+// transaction logged: the entries are cleared so none of their tables or
+// closures stays referenced.
 func (u *UndoLog) Release() {
+	clear(u.entries)
 	u.entries = u.entries[:0]
+	if cap(u.entries) > undoRetain {
+		u.entries = nil
+	}
 	u.marks = u.marks[:0]
 }
 

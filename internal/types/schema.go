@@ -95,6 +95,26 @@ type Row []Value
 // copy of the slice suffices).
 func (r Row) Clone() Row { return append(Row(nil), r...) }
 
+// CloneRows returns a deep copy of rows in two allocations whatever their
+// number: one backing array for every value, one for the row headers. nil
+// stays nil.
+func CloneRows(rows []Row) []Row {
+	if rows == nil {
+		return nil
+	}
+	n := 0
+	for _, r := range rows {
+		n += len(r)
+	}
+	vals := make([]Value, n)
+	out := make([]Row, len(rows))
+	for i, r := range rows {
+		k := copy(vals, r)
+		out[i], vals = vals[:k:k], vals[k:]
+	}
+	return out
+}
+
 // Key extracts the values at the given ordinals (used for index keys).
 func (r Row) Key(ordinals []int) Row {
 	k := make(Row, len(ordinals))
