@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"repro/internal/ee"
 	"repro/internal/types"
 )
 
@@ -91,8 +93,8 @@ func TestAvgPushdownGroupBy(t *testing.T) {
 
 func TestAvgPushdownWithParams(t *testing.T) {
 	st := buildAvgStore(t, 4)
-	// A parameter inside the AVG argument forces literal inlining (the
-	// hidden COUNT duplicates it); binding must survive the rewrite.
+	// A parameter inside the AVG argument appears twice in the leg (in SUM
+	// and in the hidden COUNT); both bind the client's value.
 	res, err := st.Query("SELECT AVG(n + ?) FROM totals WHERE k >= ?",
 		types.NewInt(100), types.NewInt(8))
 	if err != nil {
@@ -102,7 +104,7 @@ func TestAvgPushdownWithParams(t *testing.T) {
 	if got := res.Rows[0][0].Float(); got != 172.5 {
 		t.Fatalf("AVG with params = %v want 172.5", got)
 	}
-	// String params must survive quoting through the rewrite.
+	// String params bind through the rewrite too.
 	res, err = st.Query("SELECT AVG(n) FROM totals WHERE 'it''s' = ?", types.NewString("it's"))
 	if err != nil {
 		t.Fatal(err)
@@ -110,8 +112,8 @@ func TestAvgPushdownWithParams(t *testing.T) {
 	if got := res.Rows[0][0].Float(); got != 28.5 {
 		t.Fatalf("AVG with string param = %v want 28.5", got)
 	}
-	// Parameters outside the AVG argument keep their placeholders (one
-	// cached plan per shape): successive values must bind correctly.
+	// One statement text is one cached leg plan: successive values must
+	// bind correctly.
 	for _, c := range []struct {
 		lo   int64
 		want float64
@@ -142,6 +144,18 @@ func TestAvgPushdownDoesNotCorruptCachedPlans(t *testing.T) {
 	}
 	if res.Columns[0] != "sum" || res.Columns[1] != "count" {
 		t.Fatalf("cached plan columns corrupted by AVG merge: %v", res.Columns)
+	}
+	// An expression over one aggregate leaves no hidden column to trim; its
+	// rename must still go to a copy, not to the leg plan later runs share.
+	const q = "SELECT k, SUM(n) * 2 FROM totals GROUP BY k"
+	if res, err = st.Query(q); err != nil || res.Columns[1] != "expr" {
+		t.Fatalf("columns = %v, %v", res, err)
+	}
+	for i, p := range st.partList() {
+		leg, err := p.ee.Plan(ee.PlanKey{Leg: true, Text: q}, func() (*ee.Prepared, error) { return nil, errors.New("not cached") })
+		if err != nil || leg.Columns[1] != "sum" {
+			t.Fatalf("partition %d: leg plan columns %v, %v", i, leg, err)
+		}
 	}
 }
 

@@ -76,11 +76,11 @@ func (s *Store) coordInsertBuckets(table string, buckets map[int][]types.Row) (*
 // (every enlisted partition is parked, so the rows inserted are exactly
 // the rows read). Shapes that were already routable keep their old plans.
 func (s *Store) execInsertSelect(ins *sql.Insert, rel *catalog.Relation, sqlText string, params []types.Value) (*pe.Result, error) {
-	// Scope, merge plan and leg statement of the source come from the read
-	// path's planner; the legs below run on the enlisted workers' views
-	// instead of a snapshot cut.
+	// Scope, merge plan and leg of the source come from the read path's
+	// planner; the legs below run on the enlisted workers' views instead of
+	// a snapshot cut.
 	s.routeMu.RLock()
-	plan, err := planSelect(s.partList()[0].cat, ins.Query, "", params)
+	plan, err := planSelect(s.partList()[0].cat, ins.Query, sqlText, true, params)
 	s.routeMu.RUnlock()
 	if err != nil {
 		return nil, err
@@ -108,36 +108,23 @@ func (s *Store) execInsertSelect(ins *sql.Insert, rel *catalog.Relation, sqlText
 	if err != nil {
 		return nil, err
 	}
-	// Unless the merge plan rewrote it, serialize the source SELECT for the
-	// legs: placeholders preserved when their text order survives (one
-	// cached plan per shape), literals inlined otherwise.
-	if plan.legSQL == "" {
-		plan.legParams = params
-		if plan.legSQL, err = sql.FormatSelectPlaceholders(ins.Query); err != nil {
-			if plan.legSQL, err = sql.FormatSelect(ins.Query, params); err != nil {
-				return nil, err
-			}
-			plan.legParams = nil
-		}
-	}
-
 	affected := 0
 	err = s.runMP(false, func(tx *MPTxn) error {
 		var src []types.Row
 		if srcPart {
-			results, err := tx.QueryAll(plan.legSQL, plan.legParams...)
+			results, err := tx.eachPartition(func(part int) (*pe.Result, error) {
+				return tx.queryLeg(part, &plan)
+			})
 			if err != nil {
 				return err
 			}
-			// Merged-HAVING params are positions in the original statement;
-			// bind the caller's slice even when the legs inlined theirs.
 			merged, err := plan.merge.merge(ins.Query, results, params)
 			if err != nil {
 				return err
 			}
 			src = merged.Rows
 		} else {
-			res, err := tx.Query(0, plan.legSQL, plan.legParams...)
+			res, err := tx.queryLeg(0, &plan)
 			if err != nil {
 				return err
 			}

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"repro/internal/catalog"
+	"repro/internal/ee"
 	"repro/internal/pe"
 	"repro/internal/sql"
 	"repro/internal/storage"
@@ -632,7 +633,7 @@ func (s *Store) readCut(c *snapCut, sel *sql.Select, sqlText string, params []ty
 	var plan selectPlan
 	if len(c.parts) > 1 { // one partition executes every statement whole
 		var err error
-		if plan, err = planSelect(c.parts[0].cat, sel, sqlText, params); err != nil {
+		if plan, err = planSelect(c.parts[0].cat, sel, sqlText, false, params); err != nil {
 			return nil, err
 		}
 	}
@@ -644,7 +645,12 @@ func (s *Store) readCut(c *snapCut, sel *sql.Select, sqlText string, params []ty
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c.results[i], c.errs[i] = c.parts[i].pe.QueryAtSeq(c.pins[i].Seq(), plan.legSQL, plan.legParams...)
+			p := c.parts[i]
+			leg, err := plan.legPlan(p.ee)
+			if err == nil {
+				c.results[i], err = p.pe.QueryPlanAtSeq(c.pins[i].Seq(), leg, plan.params...)
+			}
+			c.errs[i] = err
 		}(i)
 	}
 	wg.Wait()
@@ -653,49 +659,58 @@ func (s *Store) readCut(c *snapCut, sel *sql.Select, sqlText string, params []ty
 			return nil, err
 		}
 	}
-	// The merged HAVING evaluator binds the ORIGINAL parameter slice: its
-	// Param indexes are positions in the client's statement, which stay
-	// valid even when the legs had to inline parameters as literals.
 	return plan.merge.merge(sel, c.results, params)
 }
 
 // selectPlan is how a SELECT runs across partitions. A nil merge means it
 // reads no partitioned relation and runs on partition 0 alone, as written.
-// Otherwise every partition runs legSQL and merge combines the results.
-// legSQL differs from the client's text when AVG is pushed down (SUM +
-// hidden COUNT per AVG), when HAVING is lifted above the merge (stripped,
-// hidden aggregates appended), or when LIMIT under aggregation is withheld
-// from the legs, all serialized from the rewritten AST via sql.FormatSelect.
+// Otherwise every partition runs the leg and merge combines the results.
+// The leg is the client's own tree unless the merge rewrites it: AVG pushed
+// down (SUM + hidden COUNT per AVG), HAVING lifted above the merge
+// (stripped, hidden aggregates appended), or LIMIT under aggregation
+// withheld from the legs (buildLeg). Legs and merge alike bind the client's
+// parameter slice: a '?' is its index in the client's statement, so a
+// rewrite that duplicates, drops or moves one binds the same value.
 type selectPlan struct {
-	merge     *queryMerge
-	legSQL    string
-	legParams []types.Value
+	merge *queryMerge
+	sel   *sql.Select
+	// text is the client's statement: sel's own text, or, for an
+	// INSERT ... SELECT source (source set), the INSERT's.
+	text   string
+	source bool
+	params []types.Value // the client's
 }
 
 // planSelect plans a SELECT for a store of several partitions: the scope
-// check, the merge plan, and the leg statement. sqlText is sel's own text,
-// which the legs run when the merge needs no rewrite (the coordinator's
-// INSERT ... SELECT has none and passes ""). The caller holds routeMu.
-func planSelect(cat *catalog.Catalog, sel *sql.Select, sqlText string, params []types.Value) (selectPlan, error) {
+// check and the merge plan. text is the client's statement, sel's own or
+// the INSERT's whose source sel is (source). The caller holds routeMu.
+func planSelect(cat *catalog.Catalog, sel *sql.Select, text string, source bool, params []types.Value) (selectPlan, error) {
+	plan := selectPlan{sel: sel, text: text, source: source, params: params}
 	partitioned, err := queryScope(cat, sel)
 	if err != nil || !partitioned {
-		return selectPlan{}, err
+		return plan, err
 	}
-	m, err := mergePlan(sel, params)
-	if err != nil {
-		return selectPlan{}, err
+	plan.merge, err = mergePlan(sel, params)
+	return plan, err
+}
+
+// legPlan returns a partition's plan of the leg. The client's own SELECT
+// is its text's ad-hoc plan; a tree the router builds — a rewritten leg or
+// an INSERT ... SELECT's source — is planned in the leg scope under the
+// client's text, and built only when that plan is not cached: it depends on
+// the statement alone, never on parameter values.
+func (sp *selectPlan) legPlan(eng *ee.Engine) (*ee.Prepared, error) {
+	rewrite := sp.merge != nil && sp.merge.rewritesLeg()
+	if !rewrite && !sp.source {
+		return eng.PrepareCached(sp.text)
 	}
-	plan := selectPlan{merge: m, legSQL: sqlText, legParams: params}
-	if len(m.avgHidden) > 0 || len(m.extraItems) > 0 || len(m.exprLeg) > 0 || m.stripHaving || m.stripLimit {
-		var inlined bool
-		if plan.legSQL, inlined, err = buildLegSQL(sel, m, params); err != nil {
-			return selectPlan{}, err
+	return eng.Plan(ee.PlanKey{Leg: true, Text: sp.text}, func() (*ee.Prepared, error) {
+		tree := sp.sel
+		if rewrite {
+			tree = buildLeg(sp.sel, sp.merge)
 		}
-		if inlined {
-			plan.legParams = nil
-		}
-	}
-	return plan, nil
+		return eng.PrepareTree(tree, sp.text, nil)
+	})
 }
 
 // queryScope reports whether the select references any partitioned
@@ -1140,19 +1155,18 @@ func selectExprs(q *sql.Select) []sql.Expr {
 	return exprs
 }
 
-// buildLegSQL serializes the fan-out leg statement when it differs from
-// the client's text: hidden HAVING aggregates are appended to the
-// projection, each AVG item (projected or hidden) becomes SUM at its
-// position plus an appended COUNT — in the order mergePlan recorded in
-// avgHidden — and stripped clauses (HAVING, LIMIT under aggregation) are
-// dropped.
-//
-// When the rewrite duplicates or reorders no '?' placeholder, the leg text
-// preserves placeholders and binds the caller's params — one cached plan
-// per statement shape; FormatSelectPlaceholders verifies this and the
-// fallback inlines params as literals (inlined=true: execute with no
-// params).
-func buildLegSQL(sel *sql.Select, m *queryMerge, params []types.Value) (legSQL string, inlined bool, err error) {
+// rewritesLeg reports whether the legs run a tree other than the client's.
+func (m *queryMerge) rewritesLeg() bool {
+	return len(m.avgHidden) > 0 || len(m.extraItems) > 0 || len(m.exprLeg) > 0 || m.stripHaving || m.stripLimit
+}
+
+// buildLeg builds the fan-out leg's tree from the client's: hidden HAVING
+// aggregates are appended to the projection, each AVG item (projected or
+// hidden) becomes SUM at its position plus an appended COUNT — in the order
+// mergePlan recorded in avgHidden — and stripped clauses (HAVING, LIMIT
+// under aggregation) are dropped. The client's tree is shared and stays
+// untouched: the leg is a copy of its Select with new items.
+func buildLeg(sel *sql.Select, m *queryMerge) *sql.Select {
 	leg := *sel
 	items := make([]sql.SelectItem, 0, len(m.cols))
 	items = append(items, sel.Items...)
@@ -1164,22 +1178,12 @@ func buildLegSQL(sel *sql.Select, m *queryMerge, params []types.Value) (legSQL s
 		items[pos] = sql.SelectItem{Expr: first, Alias: items[pos].Alias}
 	}
 	nBase := len(items)
-	avgArgHasParam := false
 	for i := 0; i < nBase; i++ {
 		if m.cols[i] != aggAvg {
 			continue
 		}
-		f, ok := items[i].Expr.(*sql.FuncCall)
-		if !ok {
-			return "", false, fmt.Errorf("core: internal: AVG merge column %d is not a function call", i)
-		}
-		for _, a := range f.Args {
-			sql.WalkExpr(a, func(x sql.Expr) {
-				if _, isParam := x.(*sql.Param); isParam {
-					avgArgHasParam = true
-				}
-			})
-		}
+		// An AVG column is an AVG call: classifyAggFunc assigned it to one.
+		f := items[i].Expr.(*sql.FuncCall)
 		items[i] = sql.SelectItem{Expr: &sql.FuncCall{Name: "SUM", Args: f.Args}, Alias: items[i].Alias}
 		items = append(items, sql.SelectItem{Expr: &sql.FuncCall{Name: "COUNT", Args: f.Args}})
 	}
@@ -1190,15 +1194,7 @@ func buildLegSQL(sel *sql.Select, m *queryMerge, params []types.Value) (legSQL s
 	if m.stripLimit {
 		leg.Limit = nil
 	}
-	if !avgArgHasParam {
-		if legSQL, err = sql.FormatSelectPlaceholders(&leg); err == nil {
-			return legSQL, false, nil
-		}
-		// Placeholder order could not be preserved (a moved or stripped '?');
-		// fall through to inlining.
-	}
-	legSQL, err = sql.FormatSelect(&leg, params)
-	return legSQL, true, err
+	return &leg
 }
 
 // finalizeAvgValues divides each merged partial SUM by its hidden COUNT
@@ -1247,18 +1243,16 @@ func (m *queryMerge) finalizeExprValues(rows []types.Row, params []types.Value) 
 // trimHidden cuts the merged rows back to the client-visible projection
 // width (dropping AVG counts and hidden HAVING aggregates) and restores
 // the client-visible column names. The column slice is copied before
-// renaming: the leg result's Columns aliases the EE's cached prepared
-// plan, which must not be mutated.
+// renaming: the leg result's Columns aliases the partition's cached plan,
+// which other queries share and must not be mutated.
 func (m *queryMerge) trimHidden(sel *sql.Select, out *pe.Result) {
 	if len(m.cols) > m.outWidth {
 		for i := range out.Rows {
 			out.Rows[i] = out.Rows[i][:m.outWidth]
 		}
-		cols := append([]string(nil), out.Columns...)
-		if len(cols) >= m.outWidth {
-			cols = cols[:m.outWidth]
-		}
-		out.Columns = cols
+	}
+	if len(m.cols) > m.outWidth || len(m.exprCols) > 0 {
+		out.Columns = append([]string(nil), out.Columns[:min(len(out.Columns), m.outWidth)]...)
 	}
 	// An unaliased AVG item was executed as SUM in the legs; rename. An
 	// unaliased expression item was executed as its first aggregate;

@@ -289,25 +289,57 @@ func TestFanoutReadDoesNotEnqueueOnWorkers(t *testing.T) {
 	}
 }
 
-// TestHavingParamsSurviveLegInlining regresses the parameter-binding bug:
-// a parameter inside an AVG argument forces the legs to inline literals
-// (legParams becomes nil), but the post-merge HAVING evaluator must still
-// bind the caller's original parameter slice.
-func TestHavingParamsSurviveLegInlining(t *testing.T) {
-	st := buildPartApp(t, Config{Partitions: 4})
-	if err := st.Start(); err != nil {
-		t.Fatal(err)
+// TestHavingParamsSurviveLegRewrite pins parameter binding through a
+// rewritten fan-out leg: the rewrite duplicates a '?' (AVG's SUM and hidden
+// COUNT), moves one ahead of another (a hidden HAVING aggregate appended to
+// the projection) or drops one (the stripped HAVING), and the legs and the
+// post-merge HAVING evaluator all bind the client's parameter slice. Values
+// of every type bind, TIMESTAMP included. Two partitions must answer as one
+// does.
+func TestHavingParamsSurviveLegRewrite(t *testing.T) {
+	build := func(parts int) *Store {
+		st := Open(Config{Partitions: parts})
+		if err := st.ExecScript(`CREATE TABLE ev (id BIGINT PRIMARY KEY, g BIGINT, n BIGINT, at TIMESTAMP) PARTITION BY id;`); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Stop() })
+		for id := int64(0); id < 12; id++ {
+			if _, err := st.Exec("INSERT INTO ev VALUES (?, ?, ?, ?)",
+				types.NewInt(id), types.NewInt(id%3), types.NewInt(id), types.NewTimestamp(1000*id)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return st
 	}
-	defer st.Stop()
-	ingestKeys(t, st, 6, 2) // 6 keys, n = 4 each
-
-	res, err := st.Query(
-		"SELECT k, AVG(n + ?) FROM totals GROUP BY k HAVING COUNT(*) > ? ORDER BY k",
-		types.NewInt(1), types.NewInt(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 6 || res.Rows[0][1].Float() != 5 {
-		t.Fatalf("inlined-leg HAVING params = %v", res.Rows)
+	one, two := build(1), build(2)
+	since := types.NewTimestamp(4000)
+	for _, q := range []struct {
+		sql    string
+		params []types.Value
+	}{
+		{"SELECT g, AVG(n + ?) FROM ev GROUP BY g HAVING COUNT(*) > ? ORDER BY g",
+			[]types.Value{types.NewInt(1), types.NewInt(0)}},
+		{"SELECT AVG(n + ?) FROM ev WHERE at >= ?",
+			[]types.Value{types.NewInt(1), since}},
+		{"SELECT g, COUNT(*) FROM ev WHERE at >= ? GROUP BY g HAVING SUM(n * ?) > ? ORDER BY g",
+			[]types.Value{since, types.NewInt(2), types.NewInt(30)}},
+	} {
+		want, err := one.Query(q.sql, q.params...)
+		if err != nil {
+			t.Fatalf("1 partition: %s: %v", q.sql, err)
+		}
+		if len(want.Rows) == 0 {
+			t.Fatalf("1 partition: %s: no rows", q.sql)
+		}
+		got, err := two.Query(q.sql, q.params...)
+		if err != nil {
+			t.Fatalf("2 partitions: %s: %v", q.sql, err)
+		}
+		if g, w := canonRows(got, q.sql), canonRows(want, q.sql); g != w {
+			t.Errorf("%s:\n 1 partition: %s 2 partitions: %s", q.sql, w, g)
+		}
 	}
 }

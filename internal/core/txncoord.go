@@ -512,28 +512,25 @@ func (tx *MPTxn) QueryRow(part int, sqlText string, params ...types.Value) (type
 	return res.Rows[0], nil
 }
 
+// queryLeg runs a read of a router-planned leg (selectPlan.legPlan) on
+// partition part.
+func (tx *MPTxn) queryLeg(part int, plan *selectPlan) (*pe.Result, error) {
+	sess, err := tx.session(part)
+	if err != nil {
+		return nil, err
+	}
+	leg, err := plan.legPlan(tx.parts[part].ee)
+	if err != nil {
+		return nil, err
+	}
+	return sess.QueryPlan(leg, plan.params...)
+}
+
 // ExecAll runs the same write on every partition concurrently (enlisting
 // them all) — the coordinated form of a broadcast statement. Results come
 // back in partition order.
 func (tx *MPTxn) ExecAll(sqlText string, params ...types.Value) ([]*pe.Result, error) {
-	n := len(tx.parts)
-	results := make([]*pe.Result, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = tx.Exec(i, sqlText, params...)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
+	return tx.eachPartition(func(part int) (*pe.Result, error) { return tx.Exec(part, sqlText, params...) })
 }
 
 // QueryAll runs the same read on every partition concurrently (enlisting
@@ -541,6 +538,12 @@ func (tx *MPTxn) ExecAll(sqlText string, params ...types.Value) ([]*pe.Result, e
 // the transactional analogue of the router's query fan-out; the caller
 // merges.
 func (tx *MPTxn) QueryAll(sqlText string, params ...types.Value) ([]*pe.Result, error) {
+	return tx.eachPartition(func(part int) (*pe.Result, error) { return tx.Query(part, sqlText, params...) })
+}
+
+// eachPartition runs fn for every partition concurrently and returns the
+// results in partition order, or the first error in that order.
+func (tx *MPTxn) eachPartition(fn func(part int) (*pe.Result, error)) ([]*pe.Result, error) {
 	n := len(tx.parts)
 	results := make([]*pe.Result, n)
 	errs := make([]error, n)
@@ -549,7 +552,7 @@ func (tx *MPTxn) QueryAll(sqlText string, params ...types.Value) ([]*pe.Result, 
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = tx.Query(i, sqlText, params...)
+			results[i], errs[i] = fn(i)
 		}(i)
 	}
 	wg.Wait()

@@ -2,7 +2,6 @@ package ee
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/catalog"
@@ -23,15 +22,15 @@ const (
 	ExpiredRelation  = "expired"
 )
 
-// Engine is the execution engine: it owns statement preparation, physical
+// Engine is the execution engine: it owns statement planning, physical
 // execution, native window maintenance, and EE (query-level) triggers.
 // Mutating methods must be called from the partition engine's single
 // execution goroutine (H-Store's serial single-sited execution model); the
-// only internal locking is the statement cache's, because read-only
-// snapshot executions (ExecCtx.Snapshot) run on client goroutines and
-// prepare their statements concurrently with the worker. Snapshot
-// executions touch no mutable engine state beyond that: they read
-// versioned storage at a pinned sequence.
+// only internal locking is the plan cache's, because read-only snapshot
+// executions (ExecCtx.Snapshot) run on client goroutines and plan their
+// statements concurrently with the worker. Snapshot executions touch no
+// mutable engine state beyond that: they read versioned storage at a
+// pinned sequence.
 type Engine struct {
 	cat *catalog.Catalog
 	met *metrics.Metrics
@@ -45,10 +44,9 @@ type Engine struct {
 	// the consuming transaction execution commits.
 	persistent map[*catalog.Relation]bool
 
-	// stmtMu guards stmtCache: the partition worker and snapshot readers
-	// (caller goroutines) share the prepared-statement cache.
-	stmtMu    sync.Mutex
-	stmtCache map[string]*Prepared
+	// plans is the partition's one plan cache, shared by the worker and
+	// snapshot readers (caller goroutines); see PlanKey.
+	plans sql.Cache[PlanKey, *Prepared]
 
 	// MaxTriggerDepth bounds EE trigger cascades to catch accidental
 	// cycles (insert into s from a trigger on s).
@@ -81,7 +79,6 @@ func New(cat *catalog.Catalog, met *metrics.Metrics) *Engine {
 		met:             met,
 		triggers:        make(map[*catalog.Relation][]*Trigger),
 		persistent:      make(map[*catalog.Relation]bool),
-		stmtCache:       make(map[string]*Prepared),
 		MaxTriggerDepth: 16,
 	}
 }
@@ -163,33 +160,48 @@ type Result struct {
 	RowsAffected int
 }
 
-// PrepareCached prepares a statement and memoizes it by text (statements
-// inside stored procedures are prepared once, H-Store style). Safe from
-// any goroutine; two concurrent first preparations of the same text both
-// plan and one result wins.
-func (e *Engine) PrepareCached(text string) (*Prepared, error) {
-	e.stmtMu.Lock()
-	p, ok := e.stmtCache[text]
-	e.stmtMu.Unlock()
-	if ok {
+// PlanKey names one statement tree in the plan cache: the scope it is
+// planned in and the text it came from. One key names exactly one tree.
+// The scopes are ad-hoc (the zero Proc and Leg: the tree is the text's
+// parse), a procedure's (Proc: the tree is the text's parse, planned with
+// the procedure's transient relations), and a router leg's (Leg: the tree
+// is one the router built from the client's statement Text — a rewritten
+// fan-out leg or an INSERT … SELECT's source — and depends on that text
+// alone, never on parameter values).
+type PlanKey struct {
+	Proc string
+	Leg  bool
+	Text string
+}
+
+// Plan returns the plan cached under key, calling plan to make it on a
+// miss (statements are planned once and run many times, H-Store style).
+// Safe from any goroutine; two concurrent first plans of one key both run
+// and one result wins.
+func (e *Engine) Plan(key PlanKey, plan func() (*Prepared, error)) (*Prepared, error) {
+	if p, ok := e.plans.Get(key); ok {
 		return p, nil
 	}
-	p, err := e.Prepare(text, nil)
+	p, err := plan()
 	if err != nil {
 		return nil, err
 	}
-	e.stmtMu.Lock()
-	e.stmtCache[text] = p
-	e.stmtMu.Unlock()
+	e.plans.Put(key, p)
 	return p, nil
 }
 
-// InvalidateCache drops all cached plans (called after DDL).
-func (e *Engine) InvalidateCache() {
-	e.stmtMu.Lock()
-	e.stmtCache = make(map[string]*Prepared)
-	e.stmtMu.Unlock()
+// PrepareCached returns the ad-hoc plan of a statement text.
+func (e *Engine) PrepareCached(text string) (*Prepared, error) {
+	return e.Plan(PlanKey{Text: text}, func() (*Prepared, error) { return e.Prepare(text, nil) })
 }
+
+// InvalidateCache drops every cached plan, of every scope (called after
+// DDL).
+func (e *Engine) InvalidateCache() { e.plans.Clear() }
+
+// PlanCacheSize reports how many plans the cache holds and the most it
+// ever holds.
+func (e *Engine) PlanCacheSize() (n, limit int) { return e.plans.Len(), e.plans.Cap() }
 
 // Execute runs a prepared statement. Top-level calls (depth 0) count as a
 // PE→EE crossing; trigger-chained calls count as EE-internal work. The
@@ -224,7 +236,7 @@ func (e *Engine) Execute(ctx *ExecCtx, p *Prepared, args ...types.Value) (*Resul
 	return nil, fmt.Errorf("ee: empty prepared statement %q", p.Text)
 }
 
-// ExecSQL parses, prepares (cached), and executes in one step.
+// ExecSQL is the text door: the text's cached ad-hoc plan, executed.
 func (e *Engine) ExecSQL(ctx *ExecCtx, text string, params ...types.Value) (*Result, error) {
 	p, err := e.PrepareCached(text)
 	if err != nil {

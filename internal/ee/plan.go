@@ -10,10 +10,14 @@ import (
 	"repro/internal/types"
 )
 
-// Prepared is a planned, executable statement. Preparation resolves every
-// name against the catalog, compiles all expressions to slot references,
-// and selects index access paths, so execution does no name resolution —
-// the same split H-Store uses for its stored-procedure statements.
+// Prepared is a planned, executable statement — the split H-Store uses for
+// its stored-procedure statements. Planning compiles every expression to
+// slot references against the relations' schemas and selects index access
+// paths. Execution still looks two things up by name: the relation it reads
+// (readRows) and the index an access path chose (accessRows, IndexByName,
+// which falls back to a scan when the index is gone). That is what lets a
+// trigger's plan, which no cache invalidation reaches, outlive DDL on other
+// relations; a cached plan is dropped with every DDL (InvalidateCache).
 type Prepared struct {
 	Text    string
 	Columns []string // output column names (SELECT only)
@@ -177,13 +181,21 @@ func (pl *planner) planSub(q *sql.Select) (int, error) {
 	return slot, nil
 }
 
-// Prepare plans one DML/query statement. transient maps pseudo-relation
-// names (e.g. "new") to schemas for EE trigger bodies; it may be nil.
+// Prepare plans one DML/query statement text from its cached parse.
+// transient maps pseudo-relation names (e.g. "new") to schemas for EE
+// trigger bodies; it may be nil.
 func (e *Engine) Prepare(text string, transient map[string]*types.Schema) (*Prepared, error) {
-	stmt, err := sql.Parse(text)
+	stmt, err := sql.ParseCached(text)
 	if err != nil {
 		return nil, err
 	}
+	return e.PrepareTree(stmt, text, transient)
+}
+
+// PrepareTree plans a parsed statement; text is what the plan reports
+// itself as. The tree may be shared with other goroutines (ParseCached's
+// are): planning only reads it.
+func (e *Engine) PrepareTree(stmt sql.Statement, text string, transient map[string]*types.Schema) (*Prepared, error) {
 	pl := &planner{cat: e.cat, transient: lowerKeys(transient)}
 	p := &Prepared{Text: text}
 	switch s := stmt.(type) {

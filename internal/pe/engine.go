@@ -213,11 +213,6 @@ type Engine struct {
 	flightCond    *sync.Cond
 	graphInflight map[string]int
 
-	// per-procedure prepared-statement caches; the "batch" transient
-	// relation resolves against the bound input stream's schema.
-	prepMu   sync.Mutex
-	prepared map[string]map[string]*ee.Prepared
-
 	logger  CommitLogger
 	logMode LogMode
 
@@ -295,7 +290,6 @@ func New(exec *ee.Engine, cfg Config) *Engine {
 		pausedGraphs:    make(map[string]bool),
 		pausedTriggered: make(map[string][]*txnRequest),
 		graphInflight:   make(map[string]int),
-		prepared:        make(map[string]map[string]*ee.Prepared),
 		partial:         make(map[string][]types.Row),
 		undo:            storage.NewUndoLog(),
 		newRows:         make(map[string][]types.Row, 1),
@@ -887,6 +881,13 @@ func (e *Engine) QueryAtSeq(seq storage.Seq, sqlText string, params ...types.Val
 	if err != nil {
 		return nil, err
 	}
+	return e.QueryPlanAtSeq(seq, p, params...)
+}
+
+// QueryPlanAtSeq is QueryAtSeq of a plan the caller got from this
+// partition's execution engine: the router's door for a leg it built the
+// tree of.
+func (e *Engine) QueryPlanAtSeq(seq storage.Seq, p *ee.Prepared, params ...types.Value) (*Result, error) {
 	e.met.ClientToPE.Add(1)
 	ectx := &ee.ExecCtx{ReadOnly: true, Snapshot: true, SnapshotSeq: seq}
 	res, err := e.ee.Execute(ectx, p, params...)
@@ -1339,41 +1340,24 @@ func (r *txnRequest) respond(res *Result, err error) {
 	r.done <- CallResult{Result: res, Err: err}
 }
 
-// prepareForProc prepares a statement in the procedure's namespace, where
+// procPlan returns the plan of a statement in the procedure's scope, where
 // the transient relation "batch" has the schema of the procedure's bound
-// input stream (when one exists).
-func (e *Engine) prepareForProc(p *Procedure, sqlText string) (*ee.Prepared, error) {
-	e.prepMu.Lock()
-	cache := e.prepared[p.Name]
-	if cache == nil {
-		cache = make(map[string]*ee.Prepared)
-		e.prepared[p.Name] = cache
-	}
-	if prep, ok := cache[sqlText]; ok {
-		e.prepMu.Unlock()
-		return prep, nil
-	}
-	e.prepMu.Unlock()
-
-	transient := map[string]*types.Schema{}
-	e.ingestMu.Lock()
-	for _, b := range e.bindings {
-		if b.proc == p {
-			if rel := e.ee.Catalog().Relation(b.stream); rel != nil {
-				transient["batch"] = rel.Schema
+// input stream (when one exists). The binding is looked up on a miss only.
+func (e *Engine) procPlan(p *Procedure, sqlText string) (*ee.Prepared, error) {
+	return e.ee.Plan(ee.PlanKey{Proc: p.Name, Text: sqlText}, func() (*ee.Prepared, error) {
+		transient := map[string]*types.Schema{}
+		e.ingestMu.Lock()
+		for _, b := range e.bindings {
+			if b.proc == p {
+				if rel := e.ee.Catalog().Relation(b.stream); rel != nil {
+					transient["batch"] = rel.Schema
+				}
+				break
 			}
-			break
 		}
-	}
-	e.ingestMu.Unlock()
-	prep, err := e.ee.Prepare(sqlText, transient)
-	if err != nil {
-		return nil, err
-	}
-	e.prepMu.Lock()
-	e.prepared[p.Name][sqlText] = prep
-	e.prepMu.Unlock()
-	return prep, nil
+		e.ingestMu.Unlock()
+		return e.ee.Prepare(sqlText, transient)
+	})
 }
 
 // ---------- recovery replay ----------

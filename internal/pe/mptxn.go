@@ -165,9 +165,19 @@ func (s *MPSession) Exec(sqlText string, params ...types.Value) (*Result, error)
 // Query runs a read inside the leg's transaction context (it sees the
 // leg's own uncommitted writes). Reads are never logged.
 func (s *MPSession) Query(sqlText string, params ...types.Value) (*Result, error) {
+	p, err := s.e.ee.PrepareCached(sqlText)
+	if err != nil {
+		return nil, err
+	}
+	return s.QueryPlan(p, params...)
+}
+
+// QueryPlan is Query of a plan the caller got from this partition's
+// execution engine (the router's door for a leg it built the tree of).
+func (s *MPSession) QueryPlan(p *ee.Prepared, params ...types.Value) (*Result, error) {
 	return s.run(mpFrag{
 		fn: func(ectx *ee.ExecCtx) (*ee.Result, error) {
-			return s.e.ee.ExecSQL(ectx, sqlText, params...)
+			return s.e.ee.Execute(ectx, p, params...)
 		},
 	})
 }

@@ -104,14 +104,15 @@ type ProcCtx struct {
 func (c *ProcCtx) SetResult(res *ee.Result) { c.out = res }
 
 // Exec runs a SQL statement inside the transaction execution. Statements
-// are prepared once per procedure and cached (the H-Store model). The
-// pseudo-relation "batch" exposes the input batch to SQL.
+// are planned once in the procedure's scope of the partition's plan cache
+// (the H-Store model), and planned again after DDL. The pseudo-relation
+// "batch" exposes the input batch to SQL.
 //
 // The result and its rows live in the execution's own memory: they are
 // valid until the handler returns and must not be kept past it (copy what
 // has to outlive the execution). params is read during the call only.
 func (c *ProcCtx) Exec(sqlText string, params ...types.Value) (*ee.Result, error) {
-	p, err := c.pe.prepareForProc(c.Proc, sqlText)
+	p, err := c.pe.procPlan(c.Proc, sqlText)
 	if err != nil {
 		return nil, err
 	}

@@ -2,19 +2,19 @@ package sql
 
 import "sync"
 
-// Parser pooling and a prepared-statement cache for the wire hot path.
+// Parser pooling, the parse cache, and the bounded cache they share with the
+// execution engine's plan cache.
 //
-// Every ad-hoc Exec/Query used to lex and parse its statement from scratch,
-// allocating a fresh token slice and parser per call. Interactive workloads
-// re-send a small set of statement shapes with '?' placeholders, so the text
-// itself is a perfect cache key: ParseCached memoizes the parsed AST per
-// statement text, and on a miss parses with a pooled parser whose token
-// buffer is recycled across calls.
+// A statement text is parsed once: ParseCached memoizes the parsed AST per
+// text, and on a miss parses with a pooled parser whose token buffer is
+// recycled across calls. The execution engine plans from these trees and
+// keeps its plans in a Cache of its own, so a text is parsed once per
+// process and planned once per partition.
 //
 // Cached Statements are shared between goroutines. Callers MUST treat them
 // as immutable — anything that needs to rewrite an AST must copy the nodes
-// it changes first (the router's fan-out planner already does: it copies the
-// SelectStmt value before retargeting it at a leg).
+// it changes first (the router's fan-out planner does: it copies the Select
+// value and builds new nodes for a rewritten leg).
 
 // parserPool recycles parser structs — and, through them, token-slice
 // backing arrays — between parses. Parsers are zeroed before reuse; only
@@ -52,68 +52,92 @@ func putParser(p *parser) {
 }
 
 // stmtCacheLimit bounds each cache generation. Two generations are live at
-// once, so the cache holds at most 2*stmtCacheLimit statements.
+// once, so a Cache holds at most 2*stmtCacheLimit entries.
 const stmtCacheLimit = 4096
 
-// stmtCache is a bounded two-generation statement cache. Entries are added
-// to cur; when cur fills, it becomes prev and a fresh cur starts. Hits in
-// prev are promoted back into cur, so hot statements survive rotation and
-// cold ones age out after at most two generations.
-type stmtCache struct {
+// Cache is a bounded two-generation cache, safe for concurrent use; the
+// zero value is ready. Entries are added to cur; when cur fills, it becomes
+// prev and a fresh cur starts. Hits in prev are promoted back into cur, so
+// hot entries survive rotation and cold ones age out after at most two
+// generations: whatever its callers send, it never holds more than Cap.
+type Cache[K comparable, V any] struct {
 	mu   sync.RWMutex
-	cur  map[string]Statement
-	prev map[string]Statement
+	cur  map[K]V
+	prev map[K]V
 }
 
-var cache stmtCache
-
-func (c *stmtCache) get(text string) (Statement, bool) {
+// Get returns the value cached under k.
+func (c *Cache[K, V]) Get(k K) (V, bool) {
 	c.mu.RLock()
-	s, ok := c.cur[text]
+	v, ok := c.cur[k]
 	c.mu.RUnlock()
 	if ok {
-		return s, true
+		return v, true
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if s, ok := c.cur[text]; ok {
-		return s, true
+	if v, ok := c.cur[k]; ok {
+		return v, true
 	}
-	if s, ok := c.prev[text]; ok {
-		c.putLocked(text, s)
-		return s, true
+	if v, ok := c.prev[k]; ok {
+		c.putLocked(k, v)
+		return v, true
 	}
-	return nil, false
+	return v, false
 }
 
-func (c *stmtCache) put(text string, s Statement) {
+// Put caches v under k.
+func (c *Cache[K, V]) Put(k K, v V) {
 	c.mu.Lock()
-	c.putLocked(text, s)
+	c.putLocked(k, v)
 	c.mu.Unlock()
 }
 
-func (c *stmtCache) putLocked(text string, s Statement) {
+func (c *Cache[K, V]) putLocked(k K, v V) {
 	if c.cur == nil {
-		c.cur = make(map[string]Statement, 64)
+		c.cur = make(map[K]V, 64)
 	}
 	if len(c.cur) >= stmtCacheLimit {
 		c.prev = c.cur
-		c.cur = make(map[string]Statement, 64)
+		c.cur = make(map[K]V, 64)
 	}
-	c.cur[text] = s
+	c.cur[k] = v
 }
+
+// Clear drops every entry.
+func (c *Cache[K, V]) Clear() {
+	c.mu.Lock()
+	c.cur, c.prev = nil, nil
+	c.mu.Unlock()
+}
+
+// Len reports how many entries the cache holds, at most Cap.
+func (c *Cache[K, V]) Len() int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return len(c.cur) + len(c.prev)
+}
+
+// Cap is the most entries a Cache ever holds.
+func (c *Cache[K, V]) Cap() int { return 2 * stmtCacheLimit }
+
+var cache Cache[string, Statement]
 
 // ParseCached parses one SQL statement, memoizing the result by statement
 // text. The returned Statement may be shared with concurrent callers and
 // must be treated as read-only. Parse errors are not cached.
 func ParseCached(input string) (Statement, error) {
-	if s, ok := cache.get(input); ok {
+	if s, ok := cache.Get(input); ok {
 		return s, nil
 	}
 	stmt, err := parsePooled(input)
 	if err != nil {
 		return nil, err
 	}
-	cache.put(input, stmt)
+	cache.Put(input, stmt)
 	return stmt, nil
 }
+
+// ParseCacheSize reports how many statements the parse cache holds and the
+// most it ever holds.
+func ParseCacheSize() (n, limit int) { return cache.Len(), cache.Cap() }

@@ -60,30 +60,31 @@ func TestParseCachedError(t *testing.T) {
 }
 
 func TestStmtCacheBounded(t *testing.T) {
-	var c stmtCache
+	var c Cache[string, Statement]
 	total := 3 * stmtCacheLimit
 	for i := 0; i < total; i++ {
-		c.put(fmt.Sprintf("SELECT %d", i), &Select{})
+		c.Put(fmt.Sprintf("SELECT %d", i), &Select{})
 	}
-	c.mu.RLock()
-	size := len(c.cur) + len(c.prev)
-	c.mu.RUnlock()
-	if size > 2*stmtCacheLimit {
-		t.Fatalf("cache grew to %d entries, cap is %d", size, 2*stmtCacheLimit)
+	if size := c.Len(); size > c.Cap() || c.Cap() != 2*stmtCacheLimit {
+		t.Fatalf("cache grew to %d entries, cap is %d", size, c.Cap())
+	}
+	c.Clear()
+	if c.Len() != 0 {
+		t.Fatalf("%d entries after Clear", c.Len())
 	}
 }
 
 func TestStmtCachePromotionSurvivesRotation(t *testing.T) {
-	var c stmtCache
+	var c Cache[string, Statement]
 	hot := "SELECT hot FROM t"
-	c.put(hot, &Select{})
+	c.Put(hot, &Select{})
 	for gen := 0; gen < 4; gen++ {
 		// Fill a full generation of cold entries, forcing rotation.
 		for i := 0; i < stmtCacheLimit; i++ {
-			c.put(fmt.Sprintf("SELECT cold_%d_%d", gen, i), &Select{})
+			c.Put(fmt.Sprintf("SELECT cold_%d_%d", gen, i), &Select{})
 		}
 		// A hit promotes hot back into cur, so it survives the next rotation.
-		if _, ok := c.get(hot); !ok {
+		if _, ok := c.Get(hot); !ok {
 			t.Fatalf("hot statement evicted after %d rotations despite hits", gen+1)
 		}
 	}
