@@ -12,8 +12,9 @@ import (
 // goroutine's allocations, so a figure is the client's (the ingested row's
 // copy, the request) plus the worker's, and it is the same on any host.
 // What the worker has left to allocate is what the TE stores: validated
-// rows, version payloads, slots (DESIGN.md §1.6.3; EXPERIMENTS.md E18 lists
-// each). The parent of the PR that added these read 107 and 23.
+// rows, versions, slots (DESIGN.md §1.6.3; EXPERIMENTS.md E18 lists each).
+// Before TE-scoped memory these read 107 and 23; before a version held its
+// own row, 33 and 10.
 
 // TestVoteAllocBudget: one vote through SP1 → SP2 with the trending window
 // and its trigger, ingested and drained, every hundredth with SP3 behind it.
@@ -38,9 +39,9 @@ func TestVoteAllocBudget(t *testing.T) {
 	for i := 0; i < 500; i++ { // fills the window, settles the scratch
 		vote()
 	}
-	// Measured 33, and 34 under the race detector, whose sync.Pool drops a
+	// Measured 25, and 26 under the race detector, whose sync.Pool drops a
 	// quarter of what the version and index-node pools are given back.
-	const budget = 35
+	const budget = 26
 	if got := testing.AllocsPerRun(1000, vote); got > budget {
 		t.Fatalf("%.0f allocations per vote, budget %d", got, budget)
 	}
@@ -80,7 +81,7 @@ func TestOLTPCallAllocBudget(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		put()
 	}
-	const budget = 10 // measured, with and without the race detector
+	const budget = 9 // measured, with and without the race detector
 	if got := testing.AllocsPerRun(1000, put); got > budget {
 		t.Fatalf("%.0f allocations per call, budget %d", got, budget)
 	}

@@ -38,9 +38,8 @@ func (c *teCtx) te(fn func(ctx *ExecCtx)) {
 
 // TestStatementAllocBudgets pins what the fixed statements of the vote path
 // allocate inside a reused TE context: what storage keeps of what they
-// write (a validated copy of the row, its version payload, a slot and now
-// and then an index node or a pooled version the pools have run out of),
-// and for a read nothing. A statement that goes back to allocating its
+// write (a validated copy of the row, a slot and now and then an index node
+// or a pooled version the pools have run out of), and for a read nothing. A statement that goes back to allocating its
 // parameters, its Result, its match list or its new row image fails here
 // on any host, not in a benchmark on a quiet one.
 func TestStatementAllocBudgets(t *testing.T) {
@@ -81,23 +80,23 @@ func TestStatementAllocBudgets(t *testing.T) {
 			}
 			return err
 		}},
-		// The validated new image, its payload and its version (nothing here
-		// advances the epoch, so the version and node pools stay dry).
-		{"one-row UPDATE", 3, func(ctx *ExecCtx) error {
+		// The validated new image and its version (nothing here advances the
+		// epoch, so the version and node pools stay dry).
+		{"one-row UPDATE", 2, func(ctx *ExecCtx) error {
 			_, err := e.Execute(ctx, upd, types.NewInt(7))
 			return err
 		}},
-		// The validated row, its payload, its version, its slot and its index
-		// node; the directory and the id map grow amortized, under one a TE.
-		{"one-row INSERT", 5, func(ctx *ExecCtx) error {
+		// The validated row, its version, its slot and its index node; the
+		// directory grows amortized, under one a TE.
+		{"one-row INSERT", 4, func(ctx *ExecCtx) error {
 			next++
 			_, err := e.Execute(ctx, ins, types.NewInt(next), types.NewInt(0))
 			return err
 		}},
-		// A stream insert (4), the slide's insert into the window (4), the two
-		// trigger bodies' UPDATEs (3 each) and the closure that undoes the
+		// A stream insert (3), the slide's insert into the window (3), the two
+		// trigger bodies' UPDATEs (2 each) and the closure that undoes the
 		// slide bookkeeping.
-		{"validated row through the ROWS 100 slide and both trigger bodies", 15, func(ctx *ExecCtx) error {
+		{"validated row through the ROWS 100 slide and both trigger bodies", 11, func(ctx *ExecCtx) error {
 			vote++
 			_, err := e.InsertRows(ctx, "validated", []types.Row{{types.NewInt(vote), types.NewInt(vote % 25), types.NewInt(vote)}})
 			return err

@@ -1,6 +1,7 @@
 package ee
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -41,6 +42,27 @@ func TestAggregatesOverGroupsWithDistinct(t *testing.T) {
 	}
 	if res.Rows[1][1].Int() != 1 || res.Rows[1][2].Int() != 9 {
 		t.Fatalf("distinct aggs g=2: %v", res.Rows)
+	}
+}
+
+// TestNaNsFormOneGroup: a FLOAT column holding two NaNs of different bits —
+// strconv's, parsed from 'NaN', and the one x86 computes for inf - inf —
+// holds one value, since every NaN compares equal: one group, one distinct
+// value.
+func TestNaNsFormOneGroup(t *testing.T) {
+	e := newTestEngine(t, "CREATE TABLE t (f FLOAT, v INT)")
+	ctx := freshCtx()
+	mustExec(t, e, ctx, "INSERT INTO t VALUES ('NaN', 1)")
+	mustExec(t, e, ctx, "INSERT INTO t VALUES (?, 2)", types.NewFloat(math.Float64frombits(0xfff8000000000000)))
+	mustExec(t, e, ctx, "INSERT INTO t VALUES (1.5, 3)")
+	if res := mustExec(t, e, ctx, "SELECT f, COUNT(*) FROM t GROUP BY f ORDER BY f"); len(res.Rows) != 2 || res.Rows[0][1].Int() != 2 {
+		t.Fatalf("GROUP BY over two NaNs and 1.5: %v", res.Rows)
+	}
+	if res := mustExec(t, e, ctx, "SELECT DISTINCT f FROM t"); len(res.Rows) != 2 {
+		t.Fatalf("DISTINCT over two NaNs and 1.5: %v", res.Rows)
+	}
+	if res := mustExec(t, e, ctx, "SELECT COUNT(DISTINCT f) FROM t"); res.Rows[0][0].Int() != 2 {
+		t.Fatalf("COUNT(DISTINCT) over two NaNs and 1.5: %v", res.Rows)
 	}
 }
 

@@ -1,7 +1,12 @@
 package storage
 
 import (
+	"fmt"
+	"math/rand"
 	"path/filepath"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/storage/coldstore"
@@ -35,6 +40,17 @@ func fillVotes(t *testing.T, tb *Table, n int) []RowID {
 	}
 	tb.Clock().Publish()
 	return ids
+}
+
+// TestRowMemSizeKeepsTheBudgetUnit pins the ledger's charge for the kv
+// benchmark's row shape, three BIGINTs and a 216-byte VARCHAR, at the
+// 400 B a MemoryBudget and the benchmark's row size are written in. It
+// must not follow the size of types.Value.
+func TestRowMemSizeKeepsTheBudgetUnit(t *testing.T) {
+	row := types.Row{types.NewInt(1), types.NewInt(2), types.NewInt(3), types.NewString(strings.Repeat("x", 216))}
+	if got := rowMemSize(row); got != 400 {
+		t.Fatalf("rowMemSize(kv row) = %d, the budget's unit says 400", got)
+	}
 }
 
 // TestTableEvictFaultRoundtrip: evicting everything leaves stubs whose
@@ -73,6 +89,25 @@ func TestTableEvictFaultRoundtrip(t *testing.T) {
 	cv, ev, fa := tb.ColdStats()
 	if cv != 49 || ev != 50 || fa < 2 {
 		t.Fatalf("ColdStats = (%d, %d, %d), want (49, 50, >=2)", cv, ev, fa)
+	}
+}
+
+// TestEvictAllocatesNothingPerVersion: evicting a version is two stores
+// into it; what an eviction pass allocates is the cold store's pages, not
+// one object per version (a stub payload each cost 4 000 allocations here).
+func TestEvictAllocatesNothingPerVersion(t *testing.T) {
+	const n = 4000
+	tb, _ := coldTable(t)
+	fillVotes(t, tb, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	evicted, _ := tb.Evict(tb.Clock().Current(), 1<<30)
+	runtime.ReadMemStats(&after)
+	if evicted != n {
+		t.Fatalf("evicted %d versions of %d", evicted, n)
+	}
+	if mallocs := after.Mallocs - before.Mallocs; mallocs > n/100 {
+		t.Fatalf("evicting %d versions took %d allocations", n, mallocs)
 	}
 }
 
@@ -117,6 +152,147 @@ func TestTableEvictRespectsWatermark(t *testing.T) {
 	tb.Evict(wm, 1<<30)
 	if cv, _, _ := tb.ColdStats(); cv != 5 {
 		t.Fatalf("evicted %d versions at watermark %d, want 5", cv, wm)
+	}
+}
+
+// TestTwoWordPublishHammer hammers the two words a version's image lives
+// in (rowp, cold): the worker evicts every version it may (cold stored,
+// then rowp nilled), faults half the heads back through Get (rowp stored,
+// cold left stale), collects and frees behind the watermark, and advances
+// the epoch, over and over on the same versions — a new generation only
+// every other round — while readers at pinned sequences capture images
+// directly, through SnapshotGet, SnapshotScan and SnapshotLookup. Every
+// capture must be a row or a ref, never a nil row with a zero ref, and
+// every read must return the exact image of its generation. Under -race
+// this also checks the happens-before edges of the publish. (Eviction's
+// two stores swapped — rowp nilled before a first eviction's ref is
+// stored — fails about half the runs.)
+func TestTwoWordPublishHammer(t *testing.T) {
+	const nKeys = 64
+	rounds, nReaders := 500, 4
+	if testing.Short() {
+		rounds = 100
+	}
+	tb, _ := coldTable(t)
+	clock := tb.Clock()
+	em := clock.Epochs()
+	pk := tb.PrimaryIndex()
+	image := func(k, gen int64) types.Row {
+		return types.Row{types.NewInt(k), types.NewInt(gen), types.NewString(fmt.Sprintf("k%d-g%d", k, gen))}
+	}
+	ids := make([]RowID, nKeys)
+	for k := range ids {
+		id, err := tb.Insert(image(int64(k), 0), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[k] = id
+	}
+	clock.Publish()
+
+	stop := make(chan struct{})
+	errs := make(chan error, nReaders)
+	var wg sync.WaitGroup
+	for r := 0; r < nReaders; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			fail := func(pin SnapPin, format string, args ...any) {
+				clock.ReleaseSnapshot(pin)
+				errs <- fmt.Errorf("seq %d: "+format, append([]any{pin.Seq()}, args...)...)
+			}
+			exact := func(row types.Row, k, gen int64) bool {
+				return row != nil && row.Equal(image(k, gen))
+			}
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				pin := clock.AcquireSnapshot()
+				seq := pin.Seq()
+				// Raw captures of every linked version, repeated so the walk
+				// is still running when the worker stores.
+				bad := -1
+				for rep := 0; rep < 64 && bad < 0; rep++ {
+					g := em.Enter()
+					for i, s := range tb.slots() {
+						for v := s.head.Load(); v != nil && bad < 0; v = v.next.Load() {
+							if pl := v.payload(); pl.row == nil && pl.cold == 0 {
+								bad = i
+							}
+						}
+					}
+					g.Exit()
+				}
+				if bad >= 0 {
+					fail(pin, "slot %d captured a nil row with a zero ref", bad)
+					return
+				}
+				// The whole snapshot is one generation.
+				gen, n, ok := int64(-1), 0, true
+				tb.SnapshotScan(seq, func(_ RowID, row types.Row) bool {
+					if gen < 0 && row != nil && len(row) == 3 {
+						gen = row[1].Int()
+					}
+					if ok = exact(row, int64(n), gen); ok {
+						n++
+					}
+					return ok
+				})
+				if !ok || n != nKeys {
+					fail(pin, "scan read %d exact rows of %d (generation %d)", n, nKeys, gen)
+					return
+				}
+				k := rng.Int63n(nKeys)
+				if row, found := tb.SnapshotGet(ids[k], seq); !found || !exact(row, k, gen) {
+					fail(pin, "SnapshotGet(key %d) = %v %v, generation %d", k, row, found, gen)
+					return
+				}
+				rows := snapshotLookup(tb, pk, types.Row{types.NewInt(k)}, seq)
+				if len(rows) != 1 || !exact(rows[0], k, gen) {
+					fail(pin, "SnapshotLookup(key %d) = %v, generation %d", k, rows, gen)
+					return
+				}
+				clock.ReleaseSnapshot(pin)
+			}
+		}(int64(r) + 1)
+	}
+
+	for round := 1; round <= rounds; round++ {
+		if round%2 == 0 {
+			for k, id := range ids {
+				if err := tb.Update(id, image(int64(k), int64(round)), nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			clock.Publish()
+		}
+		wm := clock.Watermark()
+		tb.Evict(wm, 1<<30)
+		tb.Evict(wm, 1<<30) // the second pass takes what the first gave a second chance
+		for k := round % 2; k < nKeys; k += 2 {
+			if row, ok := tb.Get(ids[k]); !ok || row[0].Int() != int64(k) {
+				t.Fatalf("round %d: Get(key %d) = %v %v", round, k, row, ok)
+			}
+		}
+		clock.Publish() // the faults' deferred frees come due once readers move past
+		wm = clock.Watermark()
+		tb.GC(wm)
+		tb.ReleaseColdFrees(wm)
+		em.Advance()
+	}
+	close(stop)
+	wg.Wait()
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
+	if _, ev, fa := tb.ColdStats(); ev == 0 || fa == 0 {
+		t.Fatalf("the hammer evicted %d versions and faulted %d: it did not hammer", ev, fa)
 	}
 }
 

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"unsafe"
+
 	"repro/internal/storage/coldstore"
 	"repro/internal/types"
 )
@@ -9,17 +11,23 @@ import (
 // evict committed row versions older than the snapshot watermark out of
 // their in-memory version chains into cold pages, leaving a stub: the
 // rowVersion keeps its born/dead stamps (visibility never needs disk)
-// but its payload becomes {row: nil, cold: ref}. Eviction and
-// rehydration are each one atomic payload-pointer store, so concurrent
-// lock-free readers always see a whole payload — resident or stub,
-// never torn. Readers that hit a stub fault the tuple back in through
-// the buffer pool:
+// but its row pointer becomes nil and its cold word names the tuple.
+// The two words are published by one rule (rowVersion): eviction stores
+// cold, then nils rowp; rehydration stores rowp and leaves cold stale;
+// a reader loads rowp and reads cold only when rowp is nil. So a
+// concurrent lock-free reader always captures a whole image — the row,
+// or a ref to a page holding the same row — never a nil row with a zero
+// ref. A reader that loaded a nil rowp may read the ref of a later
+// eviction of the same version; it names the same image, and its slot
+// is freed only by a later DeferFree at a sequence at or above every
+// pin, or by GC once the version is invisible to every pin. Readers
+// that hit a stub fault the tuple back in through the buffer pool:
 //
 //   - The partition worker (writer view: Get, Update, Delete) faults
 //     synchronously and reinstalls the row in the chain, so a tuple the
 //     writer touches turns hot again. The superseded cold slot is freed
 //     only after the watermark passes the rehydration point, because a
-//     snapshot reader may have captured the stub payload before the
+//     snapshot reader may have captured the stub's ref before the
 //     reinstall.
 //   - Snapshot readers resolve stubs read-through: they capture the
 //     payload inside their epoch, leave it, and decode from the buffer
@@ -31,13 +39,20 @@ import (
 // entries are untouched by eviction: they carry their own key copies
 // and only reference RowIDs.
 
-// rowMemSize estimates the heap footprint of a resident row: slice
-// header + per-value struct + string payloads. It only has to be
+// budgetValueBytes is what one value counts for in the resident-bytes
+// ledger, the unit MemoryBudget is set in. It is the budget's unit, not
+// the size of types.Value (32 bytes): it stays 40 so that a budget — and
+// a row size derived from this accounting, like the benchmark's kv row —
+// means the same number of rows whatever the struct's layout.
+const budgetValueBytes = 40
+
+// rowMemSize is a resident row's charge to the ledger: a 24 B header,
+// budgetValueBytes per value and the string payloads. It only has to be
 // consistent between the insert and evict sides of the ledger.
 func rowMemSize(r types.Row) int64 {
 	n := int64(24)
 	for _, v := range r {
-		n += 40
+		n += budgetValueBytes
 		if v.Type() == types.TypeString {
 			n += int64(len(v.Str()))
 		}
@@ -87,27 +102,29 @@ func (t *Table) readCold(ref coldstore.Ref) types.Row {
 
 // resolveVersion returns the row image of a captured payload, faulting
 // read-through when evicted. Call outside any epoch guard.
-func (t *Table) resolveVersion(row types.Row, ref coldstore.Ref) types.Row {
-	if row != nil || ref == 0 {
-		return row
+func (t *Table) resolveVersion(pl versionPayload) types.Row {
+	if pl.row != nil || pl.cold == 0 {
+		return pl.row
 	}
-	return t.readCold(ref)
+	return t.readCold(pl.cold)
 }
 
 // faultHead rehydrates the newest version of the slot into the chain and
-// returns its row. Worker-only (single-mutator): the payload cannot
+// returns its row. Worker-only (single-mutator): the version cannot
 // change between the pool read and the reinstall, which is one atomic
-// store. The superseded cold slot is deferred-freed at the current
-// sequence — any snapshot reader that captured the stub payload holds a
-// pin at or below it, so the slot outlives every such reader.
+// store of rowp — cold is left stale and width untouched (the decoded row
+// has the width the version was stored with). The superseded cold slot is
+// deferred-freed at the current sequence — any snapshot reader that
+// captured the stub's ref holds a pin at or below it, so the slot
+// outlives every such reader.
 func (t *Table) faultHead(s *rowSlot) types.Row {
 	v := s.head.Load()
-	pl := v.payload.Load()
+	pl := v.payload()
 	if pl.row != nil {
 		return pl.row
 	}
 	row := t.readCold(pl.cold)
-	v.payload.Store(&versionPayload{row: row})
+	v.rowp.Store(unsafe.SliceData(row))
 	t.residentBytes.Add(rowMemSize(row))
 	t.coldVers.Add(-1)
 	t.cold.DeferFree(pl.cold, uint64(t.clock.Current()))
@@ -125,11 +142,11 @@ func (s *rowSlot) touch() { s.touched.Store(1) }
 // position with one clock (second-chance) pass per slot. Only versions
 // with born <= watermark qualify: they are published, stable (no undo
 // can touch them), and identical on every replica's logical timeline.
-// Worker-only. Each eviction is one atomic payload swap, so concurrent
-// snapshot readers are never blocked and never see a torn version — a
-// reader that captured the resident payload just before the swap keeps
-// reading its row; one that captures the stub after it faults
-// read-through.
+// Worker-only. Each eviction stores the ref and then nils the row
+// pointer, and allocates nothing, so concurrent snapshot readers are
+// never blocked and never see a torn version — a reader that loaded the
+// row pointer just before the store keeps reading its row; one that loads
+// the nil after it finds the ref already there and faults read-through.
 func (t *Table) Evict(watermark Seq, need int64) (versions int, bytes int64) {
 	if t.cold == nil || need <= 0 {
 		return 0, 0
@@ -151,12 +168,12 @@ func (t *Table) Evict(watermark Seq, need int64) (versions int, bytes int64) {
 			continue
 		}
 		for v := s.head.Load(); v != nil; v = v.next.Load() {
-			pl := v.payload.Load()
+			row := v.hotRow()
 			born := v.born.Load()
-			if pl.row == nil || born > watermark || born == seqStaged {
+			if row == nil || born > watermark || born == seqStaged {
 				continue
 			}
-			t.encBuf = types.EncodeRow(t.encBuf[:0], pl.row)
+			t.encBuf = types.EncodeRow(t.encBuf[:0], row)
 			if len(t.encBuf) > t.cold.MaxTuple() {
 				continue // oversized tuples stay hot
 			}
@@ -164,8 +181,9 @@ func (t *Table) Evict(watermark Seq, need int64) (versions int, bytes int64) {
 			if err != nil {
 				return versions, bytes // disk trouble: stop, stay hot
 			}
-			sz := rowMemSize(pl.row)
-			v.payload.Store(&versionPayload{cold: ref})
+			sz := rowMemSize(row)
+			v.cold.Store(uint64(ref))
+			v.rowp.Store(nil)
 			t.residentBytes.Add(-sz)
 			t.coldVers.Add(1)
 			t.coldEvictions.Add(1)

@@ -147,7 +147,8 @@ func (em *EpochManager) Advance() bool {
 func (em *EpochManager) freeBin(slot uint64) {
 	bin := &em.bins[slot]
 	for i, v := range bin.vers {
-		v.payload.Store(nil)
+		v.rowp.Store(nil)
+		v.cold.Store(0)
 		v.next.Store(nil)
 		versionPool.Put(v)
 		bin.vers[i] = nil

@@ -41,7 +41,8 @@ func TestEpochAdvanceStallsOnPinnedReader(t *testing.T) {
 // comes back with its fields scrubbed.
 func TestEpochRetireFreesAfterGrace(t *testing.T) {
 	em := NewEpochManager()
-	v := newRowVersion(voteRow(1, 1), 0, 1, SeqInf)
+	v := newRowVersion(voteRow(1, 1), 1, SeqInf)
+	v.cold.Store(7)     // an evicted image's ref, or a stale one: both words are scrubbed
 	em.RetireVersion(v) // retired in epoch 0
 	if em.PendingRetired() != 1 {
 		t.Fatalf("pending = %d", em.PendingRetired())
@@ -54,7 +55,7 @@ func TestEpochRetireFreesAfterGrace(t *testing.T) {
 	if em.PendingRetired() != 0 {
 		t.Fatalf("pending after grace = %d", em.PendingRetired())
 	}
-	if v.payload.Load() != nil || v.next.Load() != nil {
+	if v.rowp.Load() != nil || v.cold.Load() != 0 || v.next.Load() != nil {
 		t.Fatal("pooled node not scrubbed")
 	}
 	if _, _, retired, reused := em.Stats(); retired != 1 || reused != 1 {

@@ -20,6 +20,7 @@ package storage
 import (
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/storage/coldstore"
 	"repro/internal/types"
@@ -30,51 +31,83 @@ import (
 // insertion order — the property streams rely on for FIFO batches.
 type RowID uint64
 
-// versionPayload is a version's row image — either a resident row or a
-// cold-store stub (row nil, cold naming the tuple on disk). The pair is
-// swapped through one atomic pointer so eviction and rehydration are
-// single atomic stores a concurrent reader sees whole. Payload objects are
-// immutable once published and never recycled; a reader that captured one
-// may use it after leaving its epoch.
-type versionPayload struct {
-	row  types.Row
-	cold coldstore.Ref
-}
-
 // rowVersion is one image of a row: visible to snapshots at sequence s iff
 // born <= s < dead. A live version has dead == SeqInf; an uncommitted one
 // has born (or dead, for a pending delete) equal to the clock's pending
 // sequence, which no published snapshot can reach. Versions form a
 // singly-linked chain, newest first, through atomic next pointers.
 //
+// The version holds its row itself: rowp points at the row's first value
+// and width is its length, so a stored row costs its value array and this
+// node, nothing between them. An evicted version (cold.go) has rowp nil
+// and cold naming the tuple on disk. Two words, one rule: eviction stores
+// cold and then nils rowp; rehydration stores rowp and leaves cold stale;
+// a reader loads rowp and reads cold only when rowp is nil (payload).
+// width is written once, before the node is linked, and never again.
+//
 // Nodes are pooled: after being unlinked they are epoch-retired and only
 // rewritten for a new row once every reader that could hold one has left
-// its epoch — which is why every field a reader dereferences is atomic.
+// its epoch — which is why every field a reader dereferences while the node
+// is linked, width aside, is atomic.
 type rowVersion struct {
-	born    atomic.Uint64
-	dead    atomic.Uint64
-	payload atomic.Pointer[versionPayload]
-	next    atomic.Pointer[rowVersion]
+	born  atomic.Uint64
+	dead  atomic.Uint64
+	rowp  atomic.Pointer[types.Value]
+	cold  atomic.Uint64 // a coldstore.Ref, current only while rowp is nil
+	next  atomic.Pointer[rowVersion]
+	width uint32
 }
 
 // newRowVersion draws a pooled node and initializes it. Worker-only; the
 // node is private until linked into a published chain.
-func newRowVersion(row types.Row, ref coldstore.Ref, born, dead Seq) *rowVersion {
+func newRowVersion(row types.Row, born, dead Seq) *rowVersion {
 	v := versionPool.Get().(*rowVersion)
 	v.born.Store(born)
 	v.dead.Store(dead)
-	v.payload.Store(&versionPayload{row: row, cold: ref})
+	v.width = uint32(len(row))
+	v.rowp.Store(unsafe.SliceData(row))
 	v.next.Store(nil)
 	return v
+}
+
+// hotRow returns the resident row, or nil when the version is evicted.
+// The row slice shares the stored array: treat it as immutable.
+func (v *rowVersion) hotRow() types.Row {
+	if p := v.rowp.Load(); p != nil {
+		return unsafe.Slice(p, v.width)
+	}
+	return nil
+}
+
+// versionPayload is a version's row image as a reader captured it: the
+// resident row, or (row nil) the cold-store ref naming the tuple on disk.
+// A captured payload stays good after the reader leaves its epoch: the row
+// array is never rewritten, and the ref's slot is freed only once the
+// watermark passes every pin that could have captured it (cold.go).
+type versionPayload struct {
+	row  types.Row
+	cold coldstore.Ref
+}
+
+// payload captures the version's image by the two-word rule: rowp first,
+// cold only when rowp is nil. A reader can see the ref of a later eviction
+// of the same version than the one it raced with; it names the same image.
+// Safe from any goroutine inside an epoch.
+func (v *rowVersion) payload() versionPayload {
+	if row := v.hotRow(); row != nil {
+		return versionPayload{row: row}
+	}
+	return versionPayload{cold: coldstore.Ref(v.cold.Load())}
 }
 
 // rowSlot is one entry of the table heap: a logical row's version chain,
 // newest first. A slot whose newest version is dead is a logical tombstone
 // retained for snapshot readers until the watermark passes; a slot whose
-// head is nil is empty (undone insert / unstaged copy) and is dropped at
-// the next directory rebuild. touched is the anti-caching second-chance
-// bit. Slots are heap objects referenced from the directory and never
-// recycled, so stale readers always hold intact memory.
+// head is nil is empty (undone insert / unstaged copy): every path treats
+// it as missing, and the next directory rebuild drops it. touched is the
+// anti-caching second-chance bit. Slots are heap objects referenced from
+// the directory and never recycled, so stale readers always hold intact
+// memory.
 type rowSlot struct {
 	id      RowID
 	head    atomic.Pointer[rowVersion]
@@ -117,13 +150,13 @@ type Table struct {
 	schema *types.Schema
 	clock  *PartitionClock
 
-	// dir is the published slot directory in ascending-RowID order. An
-	// append writes the next element of the array and then publishes a
-	// larger count (a reader's smaller count never covers the new
-	// element); a full array, and GC compaction, publish a freshly built
-	// directory, so a reader's stale one keeps indexing untouched memory.
-	dir  atomic.Pointer[slotDir]
-	byID map[RowID]*rowSlot // worker-only RowID -> slot
+	// dir is the published slot directory in ascending-RowID order, and
+	// the only RowID -> slot map (slotByID). An append writes the next
+	// element of the array and then publishes a larger count (a reader's
+	// smaller count never covers the new element); a full array, and GC
+	// compaction, publish a freshly built directory, so a reader's stale
+	// one keeps indexing untouched memory.
+	dir atomic.Pointer[slotDir]
 
 	nextID RowID // worker-only
 	// gcMinDead backs inline sweeps off: after a sweep, dead versions must
@@ -164,7 +197,6 @@ func NewTableWithClock(schema *types.Schema, clock *PartitionClock) *Table {
 		name:   schema.Name(),
 		schema: schema,
 		clock:  clock,
-		byID:   make(map[RowID]*rowSlot),
 		nextID: 1,
 	}
 	t.dir.Store(new(slotDir))
@@ -264,10 +296,32 @@ func (t *Table) appendSlot(s *rowSlot) {
 	d.n.Store(int64(n + 1))
 }
 
+// slotWindow returns the positions [lo, hi] between which the first
+// directory position whose id is >= minID must lie. The directory is
+// ascending in RowID with distinct ids, so with base its first id and
+// holes the ids in [base, last] it lacks, that position is at most
+// minID-base (every earlier position holds a smaller id) and at least
+// minID-base-holes (only holes can stand between). A directory without
+// holes — kv, a FIFO stream, a freshly compacted table — gives lo == hi.
+func slotWindow(d []*rowSlot, minID RowID) (lo, hi int) {
+	n := len(d)
+	if n == 0 || minID <= d[0].id {
+		return 0, 0
+	}
+	base, last := d[0].id, d[n-1].id
+	if minID > last {
+		return n, n
+	}
+	off := int(minID - base)
+	holes := int(last-base+1) - n
+	return max(off-holes, 0), min(off, n-1)
+}
+
 // slotSearch returns the first directory position whose id is >= minID
-// (len(d) when none) — the directory is ascending in RowID.
+// (len(d) when none), searching only slotWindow's positions: one probe
+// when the directory has no holes, O(log holes) otherwise.
 func slotSearch(d []*rowSlot, minID RowID) int {
-	lo, hi := 0, len(d)
+	lo, hi := slotWindow(d, minID)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if d[mid].id < minID {
@@ -279,8 +333,9 @@ func slotSearch(d []*rowSlot, minID RowID) int {
 	return lo
 }
 
-// slotByID finds the slot for id in the published directory, or nil.
-// Readers' replacement for the worker-only byID map.
+// slotByID finds the slot for id in a directory, or nil: the one RowID
+// resolution, for the worker (on the directory it publishes) and for
+// snapshot readers alike.
 func slotByID(d []*rowSlot, id RowID) *rowSlot {
 	i := slotSearch(d, id)
 	if i < len(d) && d[i].id == id {
@@ -310,8 +365,7 @@ func (t *Table) CreateIndex(name string, cols []int, unique bool) (*Index, error
 		if h == nil {
 			continue
 		}
-		pl := h.payload.Load()
-		row := t.resolveVersion(pl.row, pl.cold)
+		row := t.resolveVersion(h.payload())
 		if !ix.insert(row.Key(cols), s.id, h.born.Load()) {
 			return nil, fmt.Errorf("storage: backfilling %q: duplicate key %v", name, row.Key(cols))
 		}
@@ -329,19 +383,25 @@ func (t *Table) CreateIndex(name string, cols []int, unique bool) (*Index, error
 // Clone first. An evicted row is faulted back into the chain (worker-only,
 // like every writer-view access).
 func (t *Table) Get(id RowID) (types.Row, bool) {
-	s, ok := t.byID[id]
-	if !ok {
-		return nil, false
-	}
-	h := s.liveHead()
+	s, h := t.liveSlot(id)
 	if h == nil {
 		return nil, false
 	}
 	s.touch()
-	if pl := h.payload.Load(); pl.row != nil {
-		return pl.row, true
+	if row := h.hotRow(); row != nil {
+		return row, true
 	}
 	return t.faultHead(s), true
+}
+
+// liveSlot resolves id to its slot and live newest version, h nil when the
+// row is missing (never inserted, deleted, undone or unstaged).
+// Worker-only: it reads the directory the worker publishes.
+func (t *Table) liveSlot(id RowID) (s *rowSlot, h *rowVersion) {
+	if s = slotByID(t.slots(), id); s == nil {
+		return nil, nil
+	}
+	return s, s.liveHead()
 }
 
 // Insert validates the row against the schema, assigns a RowID, and updates
@@ -373,8 +433,7 @@ func (t *Table) Insert(row types.Row, undo *UndoLog) (RowID, error) {
 	}
 	t.nextID++
 	s := &rowSlot{id: id}
-	s.head.Store(newRowVersion(validated, 0, ws, SeqInf))
-	t.byID[id] = s
+	s.head.Store(newRowVersion(validated, ws, SeqInf))
 	t.appendSlot(s)
 	t.live.Add(1)
 	t.residentBytes.Add(rowMemSize(validated))
@@ -389,15 +448,11 @@ func (t *Table) Insert(row types.Row, undo *UndoLog) (RowID, error) {
 // readers until the watermark passes. When undo is non-nil a compensating
 // revive is recorded.
 func (t *Table) Delete(id RowID, undo *UndoLog) error {
-	s, ok := t.byID[id]
-	if !ok {
-		return fmt.Errorf("storage: %s: delete of missing row %d", t.name, id)
-	}
-	h := s.liveHead()
+	s, h := t.liveSlot(id)
 	if h == nil {
 		return fmt.Errorf("storage: %s: delete of missing row %d", t.name, id)
 	}
-	row := h.payload.Load().row
+	row := h.hotRow()
 	if row == nil {
 		row = t.faultHead(s) // index removal needs the key columns
 	}
@@ -421,11 +476,7 @@ func (t *Table) Delete(id RowID, undo *UndoLog) error {
 // unchanged carry over). When undo is non-nil a compensating restore is
 // recorded.
 func (t *Table) Update(id RowID, newRow types.Row, undo *UndoLog) error {
-	s, ok := t.byID[id]
-	if !ok {
-		return fmt.Errorf("storage: %s: update of missing row %d", t.name, id)
-	}
-	h := s.liveHead()
+	s, h := t.liveSlot(id)
 	if h == nil {
 		return fmt.Errorf("storage: %s: update of missing row %d", t.name, id)
 	}
@@ -433,7 +484,7 @@ func (t *Table) Update(id RowID, newRow types.Row, undo *UndoLog) error {
 	if err != nil {
 		return err
 	}
-	old := h.payload.Load().row
+	old := h.hotRow()
 	if old == nil {
 		old = t.faultHead(s) // reindexing and undo need the old image hot
 	}
@@ -462,7 +513,7 @@ func (t *Table) Update(id RowID, newRow types.Row, undo *UndoLog) error {
 			ix.remove(ix.keyOf(old, &kb), id, ws)
 		}
 	}
-	nv := newRowVersion(validated, 0, ws, SeqInf)
+	nv := newRowVersion(validated, ws, SeqInf)
 	nv.next.Store(h)
 	// Stamp the old head dead, then swing the head pointer. A reader at a
 	// published sequence p < ws sees the old head as visible either way
@@ -490,21 +541,20 @@ func (t *Table) Update(id RowID, newRow types.Row, undo *UndoLog) error {
 // undoInsert pops the version a pending Insert created. The row did not
 // exist before the transaction, so the slot must hold exactly that version.
 func (t *Table) undoInsert(id RowID) {
-	s, ok := t.byID[id]
-	if !ok {
+	s := slotByID(t.slots(), id)
+	if s == nil {
 		panic(fmt.Sprintf("storage: %s: undo of insert: row %d vanished", t.name, id))
 	}
 	h := s.head.Load()
 	if h == nil || h.next.Load() != nil || h.dead.Load() != SeqInf {
 		panic(fmt.Sprintf("storage: %s: undo of insert: row %d has unexpected chain", t.name, id))
 	}
-	row := h.payload.Load().row // pending versions are never evicted
+	row := h.hotRow() // pending versions are never evicted
 	for _, ix := range t.idxs() {
 		var kb keyBuf
 		ix.eraseLive(ix.keyOf(row, &kb), id)
 	}
-	s.head.Store(nil)
-	delete(t.byID, id)
+	s.head.Store(nil) // the slot stays, empty, until the next compaction
 	t.live.Add(-1)
 	t.residentBytes.Add(-rowMemSize(row))
 	t.clock.Epochs().RetireVersion(h)
@@ -514,13 +564,13 @@ func (t *Table) undoInsert(id RowID) {
 // its position in scan order are preserved — streams' FIFO order survives
 // rollback).
 func (t *Table) undoDelete(id RowID) {
-	s, ok := t.byID[id]
-	if !ok || s.head.Load() == nil {
+	s := slotByID(t.slots(), id)
+	if s == nil || s.head.Load() == nil {
 		panic(fmt.Sprintf("storage: %s: undo of delete: row %d vanished", t.name, id))
 	}
 	h := s.head.Load()
 	d := h.dead.Load()
-	row := h.payload.Load().row // faulted hot by the Delete being undone
+	row := h.hotRow() // faulted hot by the Delete being undone
 	for _, ix := range t.idxs() {
 		var kb keyBuf
 		ix.revive(ix.keyOf(row, &kb), id, d)
@@ -533,8 +583,8 @@ func (t *Table) undoDelete(id RowID) {
 // undoUpdate pops the version a pending Update prepended and revives its
 // predecessor.
 func (t *Table) undoUpdate(id RowID) {
-	s, ok := t.byID[id]
-	if !ok {
+	s := slotByID(t.slots(), id)
+	if s == nil {
 		panic(fmt.Sprintf("storage: %s: undo of update: row %d vanished", t.name, id))
 	}
 	newV := s.head.Load()
@@ -545,8 +595,8 @@ func (t *Table) undoUpdate(id RowID) {
 	if oldV == nil {
 		panic(fmt.Sprintf("storage: %s: undo of update: row %d has no prior version", t.name, id))
 	}
-	newRow := newV.payload.Load().row
-	oldRow := oldV.payload.Load().row // faulted hot by the Update being undone
+	newRow := newV.hotRow()
+	oldRow := oldV.hotRow() // faulted hot by the Update being undone
 	for _, ix := range t.idxs() {
 		if ix.sameKey(oldRow, newRow) {
 			continue
@@ -576,12 +626,7 @@ func (t *Table) Scan(fn func(id RowID, row types.Row) bool) {
 		if h == nil {
 			continue
 		}
-		pl := h.payload.Load()
-		row := pl.row
-		if row == nil {
-			row = t.readCold(pl.cold)
-		}
-		if !fn(s.id, row) {
+		if !fn(s.id, t.resolveVersion(h.payload())) {
 			return
 		}
 	}
@@ -613,7 +658,7 @@ func (t *Table) Truncate(undo *UndoLog) {
 // ---------- snapshot reads ----------
 //
 // Every Snapshot* method runs lock-free: enter an epoch, walk the
-// atomically published structures, capture payload pointers, exit the
+// atomically published structures, capture payloads (row or ref), exit the
 // epoch, then resolve cold stubs and run callbacks outside it — page I/O
 // and caller code never delay epoch advance more than a chunk. Callers
 // must hold a snapshot pin (PartitionClock.AcquireSnapshot) so version GC
@@ -635,17 +680,16 @@ func (t *Table) SnapshotGet(id RowID, seq Seq) (types.Row, bool) {
 		return nil, false
 	}
 	s.touch()
-	pl := v.payload.Load()
+	pl := v.payload()
 	g.Exit()
-	return t.resolveVersion(pl.row, pl.cold), true
+	return t.resolveVersion(pl), true
 }
 
 // snapHit is a payload captured inside an epoch and resolved (cold page-in
 // included) after leaving it.
 type snapHit struct {
-	id  RowID
-	row types.Row
-	ref coldstore.Ref
+	id RowID
+	pl versionPayload
 }
 
 // snapshotScanChunk bounds how many slots one epoch hold covers, so a
@@ -681,8 +725,7 @@ func (t *Table) SnapshotScan(seq Seq, fn func(id RowID, row types.Row) bool) {
 		n := 0
 		for _, s := range d[lo:end] {
 			if v := s.versionAt(seq); v != nil {
-				pl := v.payload.Load()
-				buf[n] = snapHit{id: s.id, row: pl.row, ref: pl.cold}
+				buf[n] = snapHit{id: s.id, pl: v.payload()}
 				n++
 			}
 		}
@@ -691,7 +734,7 @@ func (t *Table) SnapshotScan(seq Seq, fn func(id RowID, row types.Row) bool) {
 		}
 		g.Exit()
 		for i := range buf[:n] {
-			if !fn(buf[i].id, t.resolveVersion(buf[i].row, buf[i].ref)) {
+			if !fn(buf[i].id, t.resolveVersion(buf[i].pl)) {
 				return
 			}
 		}
@@ -720,14 +763,12 @@ func (t *Table) DeltaScan(from, to Seq, fn func(id RowID, row types.Row, born bo
 		// Version identity (not row identity) decides "same image": an
 		// evicted version's row is nil until resolved.
 		if atFrom != nil && atFrom != atTo {
-			pl := atFrom.payload.Load()
-			if !fn(s.id, t.resolveVersion(pl.row, pl.cold), false) {
+			if !fn(s.id, t.resolveVersion(atFrom.payload()), false) {
 				return
 			}
 		}
 		if atTo != nil && atFrom != atTo {
-			pl := atTo.payload.Load()
-			if !fn(s.id, t.resolveVersion(pl.row, pl.cold), true) {
+			if !fn(s.id, t.resolveVersion(atTo.payload()), true) {
 				return
 			}
 		}
@@ -749,14 +790,13 @@ func (t *Table) SnapshotLookup(ix *Index, key types.Row, seq Seq, fn func(id Row
 		if s := slotByID(d, id); s != nil {
 			if v := s.versionAt(seq); v != nil {
 				s.touch()
-				pl := v.payload.Load()
-				hits = append(hits, snapHit{id: id, row: pl.row, ref: pl.cold})
+				hits = append(hits, snapHit{id: id, pl: v.payload()})
 			}
 		}
 	}
 	g.Exit()
 	for _, h := range hits {
-		if !fn(h.id, t.resolveVersion(h.row, h.ref)) {
+		if !fn(h.id, t.resolveVersion(h.pl)) {
 			return false
 		}
 	}
@@ -788,14 +828,13 @@ func (t *Table) SnapshotRange(ix *Index, lo, hi types.Row, seq Seq, fn func(key 
 		if v == nil {
 			return true
 		}
-		pl := v.payload.Load()
-		hits = append(hits, snapHit{row: pl.row, ref: pl.cold})
+		hits = append(hits, snapHit{pl: v.payload()})
 		keys = append(keys, key...)
 		return true
 	})
 	g.Exit()
 	for i, h := range hits {
-		if !fn(keys[i*nk:(i+1)*nk:(i+1)*nk], t.resolveVersion(h.row, h.ref)) {
+		if !fn(keys[i*nk:(i+1)*nk:(i+1)*nk], t.resolveVersion(h.pl)) {
 			return nil
 		}
 	}
@@ -840,8 +879,7 @@ func (t *Table) StageInsert(row types.Row) (RowID, error) {
 	id := t.nextID
 	t.nextID++
 	s := &rowSlot{id: id}
-	s.head.Store(newRowVersion(validated, 0, seqStaged, seqStaged))
-	t.byID[id] = s
+	s.head.Store(newRowVersion(validated, seqStaged, seqStaged))
 	t.appendSlot(s)
 	t.staged.Add(1)
 	t.residentBytes.Add(rowMemSize(validated))
@@ -851,14 +889,13 @@ func (t *Table) StageInsert(row types.Row) (RowID, error) {
 // Unstage discards one staged row (catch-up saw the source row die during
 // the copy). Worker-only.
 func (t *Table) Unstage(id RowID) error {
-	s, ok := t.byID[id]
-	if !ok || !s.isStaged() {
+	s := slotByID(t.slots(), id)
+	if s == nil || !s.isStaged() {
 		return fmt.Errorf("storage: %s: unstage of non-staged row %d", t.name, id)
 	}
 	h := s.head.Load()
-	t.residentBytes.Add(-rowMemSize(h.payload.Load().row))
+	t.residentBytes.Add(-rowMemSize(h.hotRow()))
 	s.head.Store(nil)
-	delete(t.byID, id)
 	t.staged.Add(-1)
 	t.clock.Epochs().RetireVersion(h)
 	return nil
@@ -874,7 +911,7 @@ func (t *Table) StagedRows() []types.Row {
 	out := make([]types.Row, 0, t.StagedCount())
 	for _, s := range t.slots() {
 		if s.isStaged() {
-			out = append(out, s.head.Load().payload.Load().row)
+			out = append(out, s.head.Load().hotRow())
 		}
 	}
 	return out
@@ -899,7 +936,7 @@ func (t *Table) PrecheckStaged() error {
 			if !s.isStaged() {
 				continue
 			}
-			key := s.head.Load().payload.Load().row.Key(ix.cols)
+			key := s.head.Load().hotRow().Key(ix.cols)
 			if _, exists := ix.LookupUnique(key); exists {
 				return fmt.Errorf("storage: %s: staged row collides on key %v of unique index %q",
 					t.name, key, ix.Name())
@@ -929,7 +966,7 @@ func (t *Table) CommitStaged() int {
 			continue
 		}
 		h := s.head.Load()
-		row := h.payload.Load().row
+		row := h.hotRow()
 		// Flip dead first: [seqStaged, SeqInf) is still empty for every
 		// published sequence, so a concurrent reader never sees a
 		// half-flipped interval as visible.
@@ -956,9 +993,8 @@ func (t *Table) DropStaged() int {
 			continue
 		}
 		h := s.head.Load()
-		t.residentBytes.Add(-rowMemSize(h.payload.Load().row))
+		t.residentBytes.Add(-rowMemSize(h.hotRow()))
 		s.head.Store(nil)
-		delete(t.byID, s.id)
 		em.RetireVersion(h)
 		dropped++
 	}
@@ -1020,7 +1056,6 @@ func (t *Table) gcSweep(watermark Seq) (reclaimed, retained int) {
 				t.reclaimVersion(v, em)
 			}
 			s.head.Store(nil)
-			delete(t.byID, s.id)
 			dropped++
 			continue
 		}
@@ -1069,7 +1104,7 @@ func (t *Table) gcSweep(watermark Seq) (reclaimed, retained int) {
 // version is invisible at the watermark and every active pin is at or
 // above it, so no reader can hold its ref.
 func (t *Table) reclaimVersion(v *rowVersion, em *EpochManager) {
-	pl := v.payload.Load()
+	pl := v.payload()
 	if pl.cold != 0 {
 		t.cold.Free(pl.cold)
 		t.coldVers.Add(-1)

@@ -25,7 +25,7 @@ func EncodeValue(buf []byte, v Value) []byte {
 	case TypeInt, TypeTimestamp:
 		buf = binary.AppendVarint(buf, v.i)
 	case TypeFloat:
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.f))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.i))
 	case TypeString:
 		buf = binary.AppendUvarint(buf, uint64(len(v.s)))
 		buf = append(buf, v.s...)

@@ -27,10 +27,16 @@ func TestValueCodecRoundTrip(t *testing.T) {
 			t.Errorf("round trip %v -> %v", v, got)
 		}
 	}
-	// NaN round-trips by bit pattern.
-	got, _, err := DecodeValue(EncodeValue(nil, NewFloat(math.NaN())))
-	if err != nil || !math.IsNaN(got.Float()) {
-		t.Errorf("NaN round trip failed: %v %v", got, err)
+	// Floats round-trip by bit pattern: NaN payloads and the sign of zero.
+	for _, bits := range []uint64{math.Float64bits(math.NaN()), 0xfff8000000000000, math.Float64bits(math.Copysign(0, -1))} {
+		got, _, err := DecodeValue(EncodeValue(nil, NewFloat(math.Float64frombits(bits))))
+		if err != nil || got.Type() != TypeFloat || math.Float64bits(got.Float()) != bits {
+			t.Errorf("float %#x round trip: %v %v", bits, got, err)
+		}
+	}
+	// The wire form of a FLOAT is its tag and its IEEE bits, little-endian.
+	if got, want := EncodeValue(nil, NewFloat(2.5)), []byte{byte(TypeFloat), 0, 0, 0, 0, 0, 0, 4, 0x40}; string(got) != string(want) {
+		t.Errorf("EncodeValue(2.5) = %x, want %x", got, want)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Type identifies the SQL type of a Value.
@@ -65,12 +66,21 @@ func ParseType(name string) (Type, error) {
 
 // Value is a compact tagged union holding one SQL scalar. The zero Value is
 // SQL NULL. Values are immutable; all methods are safe for concurrent use.
+// A FLOAT keeps its IEEE bits in i, so every payload but a string shares
+// one word.
 type Value struct {
 	typ Type
-	i   int64 // Bool (0/1), Int, Timestamp
-	f   float64
+	i   int64 // Bool (0/1), Int, Timestamp; a Float's math.Float64bits
 	s   string
 }
+
+// Value is 32 bytes: every stored row, index key, parameter and result row
+// is an array of them (DESIGN.md §1.6). Either line stops the build if
+// the size moves.
+var (
+	_ [unsafe.Sizeof(Value{}) - 32]struct{}
+	_ [32 - unsafe.Sizeof(Value{})]struct{}
+)
 
 // Null is the SQL NULL value.
 var Null = Value{}
@@ -88,7 +98,7 @@ func NewBool(b bool) Value {
 func NewInt(i int64) Value { return Value{typ: TypeInt, i: i} }
 
 // NewFloat returns a FLOAT value.
-func NewFloat(f float64) Value { return Value{typ: TypeFloat, f: f} }
+func NewFloat(f float64) Value { return Value{typ: TypeFloat, i: int64(math.Float64bits(f))} }
 
 // NewString returns a VARCHAR value.
 func NewString(s string) Value { return Value{typ: TypeString, s: s} }
@@ -124,13 +134,16 @@ func (v Value) Int() int64 {
 func (v Value) Float() float64 {
 	switch v.typ {
 	case TypeFloat:
-		return v.f
+		return v.f()
 	case TypeInt, TypeTimestamp:
 		return float64(v.i)
 	default:
 		panic(fmt.Sprintf("types: Float() on %s value", v.typ))
 	}
 }
+
+// f returns a FLOAT's payload; meaningless for any other type.
+func (v Value) f() float64 { return math.Float64frombits(uint64(v.i)) }
 
 // Str returns the string payload. It panics if the value is not a VARCHAR.
 func (v Value) Str() string {
@@ -167,7 +180,7 @@ func (v Value) String() string {
 	case TypeInt:
 		return strconv.FormatInt(v.i, 10)
 	case TypeFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.f(), 'g', -1, 64)
 	case TypeString:
 		return v.s
 	case TypeTimestamp:
@@ -203,14 +216,14 @@ func (v Value) Compare(o Value) int {
 		return cmpInt(v.i, o.i)
 	case TypeInt:
 		if o.typ == TypeFloat {
-			return cmpFloat(float64(v.i), o.f)
+			return cmpFloat(float64(v.i), o.f())
 		}
 		return cmpInt(v.i, o.i)
 	case TypeFloat:
 		if o.typ == TypeInt {
-			return cmpFloat(v.f, float64(o.i))
+			return cmpFloat(v.f(), float64(o.i))
 		}
-		return cmpFloat(v.f, o.f)
+		return cmpFloat(v.f(), o.f())
 	case TypeString:
 		return strings.Compare(v.s, o.s)
 	default:
@@ -272,8 +285,13 @@ func cmpFloat(a, b float64) int {
 
 var hashSeed = maphash.MakeSeed()
 
+// canonicalNaN is the bits every NaN hashes as: Compare makes all NaNs
+// equal, whatever their sign and payload (strconv's is 0x7ff8…01, an
+// arithmetic inf − inf 0xfff8…00).
+var canonicalNaN = math.Float64bits(math.NaN())
+
 // Hash returns a hash consistent with Compare: values that compare equal
-// hash equal (in particular BIGINT 2 and FLOAT 2.0).
+// hash equal (in particular BIGINT 2 and FLOAT 2.0, and any two NaNs).
 func (v Value) Hash() uint64 {
 	var h maphash.Hash
 	h.SetSeed(hashSeed)
@@ -287,9 +305,12 @@ func (v Value) Hash() uint64 {
 		// Hash the float64 representation so 2 and 2.0 collide.
 		h.WriteByte(2)
 		f := v.Float()
-		if f == math.Trunc(f) && !math.IsInf(f, 0) && f >= -1e15 && f <= 1e15 {
+		switch {
+		case f == math.Trunc(f) && !math.IsInf(f, 0) && f >= -1e15 && f <= 1e15:
 			writeUint64(&h, uint64(int64(f)))
-		} else {
+		case math.IsNaN(f):
+			writeUint64(&h, canonicalNaN)
+		default:
 			writeUint64(&h, math.Float64bits(f))
 		}
 	case TypeString:
@@ -332,8 +353,8 @@ func Coerce(v Value, t Type) (Value, error) {
 	case TypeInt:
 		switch v.typ {
 		case TypeFloat:
-			if v.f == math.Trunc(v.f) && !math.IsInf(v.f, 0) {
-				return NewInt(int64(v.f)), nil
+			if f := v.f(); f == math.Trunc(f) && !math.IsInf(f, 0) {
+				return NewInt(int64(f)), nil
 			}
 		case TypeString:
 			if i, err := strconv.ParseInt(strings.TrimSpace(v.s), 10, 64); err == nil {

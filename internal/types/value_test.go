@@ -3,6 +3,7 @@ package types
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -122,6 +123,39 @@ func TestNaNOrderingIsTotal(t *testing.T) {
 	}
 	if nan.Compare(NewFloat(math.Inf(-1))) != -1 {
 		t.Error("NaN must sort before -Inf")
+	}
+}
+
+// TestNaNsHashAlike: every NaN compares equal to every other, so all of
+// them must hash alike, alone and inside a row — or GROUP BY, DISTINCT, IN
+// sets and partition routing split one value in two.
+func TestNaNsHashAlike(t *testing.T) {
+	parsed, err := strconv.ParseFloat("NaN", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nans := []float64{
+		parsed,                                   // 0x7ff8000000000001
+		math.Float64frombits(0xfff8000000000000), // what x86 computes for inf - inf
+		math.Float64frombits(0x7ff0000000000001), // signalling, smallest payload
+		math.Float64frombits(0xffffffffffffffff),
+	}
+	a := NewFloat(nans[0])
+	for _, f := range nans[1:] {
+		b := NewFloat(f)
+		if a.Compare(b) != 0 {
+			t.Fatalf("NaN %#x does not compare equal to NaN %#x", math.Float64bits(f), math.Float64bits(nans[0]))
+		}
+		if a.Hash() != b.Hash() {
+			t.Errorf("NaN %#x and NaN %#x compare equal but hash apart", math.Float64bits(f), math.Float64bits(nans[0]))
+		}
+		if ra, rb := (Row{NewInt(1), a}), (Row{NewInt(1), b}); !ra.Equal(rb) || ra.Hash() != rb.Hash() {
+			t.Errorf("rows holding NaN %#x and NaN %#x: equal %v, hashes %#x %#x",
+				math.Float64bits(f), math.Float64bits(nans[0]), ra.Equal(rb), ra.Hash(), rb.Hash())
+		}
+	}
+	if a.Hash() == NewFloat(math.Inf(1)).Hash() || a.Hash() == NewFloat(0).Hash() {
+		t.Error("NaN hashes like a number")
 	}
 }
 
