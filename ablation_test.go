@@ -53,10 +53,13 @@ func buildPipeline(b *testing.B, mode interface{}) *sstore.Store {
 	}); err != nil {
 		b.Fatal(err)
 	}
-	if err := st.BindStream("in_s", "double", 8); err != nil {
-		b.Fatal(err)
-	}
-	if err := st.BindStream("out_s", "store", 8); err != nil {
+	if err := st.Deploy(&sstore.Dataflow{
+		Name: "pipeline",
+		Nodes: []sstore.DataflowNode{
+			{Proc: "double", Input: "in_s", Batch: 8, Emits: []string{"out_s"}},
+			{Proc: "store", Input: "out_s", Batch: 8},
+		},
+	}); err != nil {
 		b.Fatal(err)
 	}
 	if err := st.Start(); err != nil {
@@ -134,21 +137,23 @@ func BenchmarkAblationWindowMaintenance(b *testing.B) {
 		`); err != nil {
 			b.Fatal(err)
 		}
-		if native {
-			if err := st.CreateTrigger("maintain", "w",
-				"UPDATE freq SET n = n + 1 WHERE sym IN (SELECT sym FROM inserted)",
-				"UPDATE freq SET n = n - 1 WHERE sym IN (SELECT sym FROM expired)",
-			); err != nil {
-				b.Fatal(err)
-			}
-		}
 		if err := st.RegisterProcedure(&sstore.Procedure{
 			Name:    "sinkproc",
 			Handler: func(ctx *sstore.ProcCtx) error { return nil },
 		}); err != nil {
 			b.Fatal(err)
 		}
-		if err := st.BindStream("ticks", "sinkproc", 1); err != nil {
+		df := &sstore.Dataflow{
+			Name:  "ticks",
+			Nodes: []sstore.DataflowNode{{Proc: "sinkproc", Input: "ticks", Batch: 1}},
+		}
+		if native {
+			df.Triggers = []sstore.DataflowTrigger{{Name: "maintain", Relation: "w", Bodies: []string{
+				"UPDATE freq SET n = n + 1 WHERE sym IN (SELECT sym FROM inserted)",
+				"UPDATE freq SET n = n - 1 WHERE sym IN (SELECT sym FROM expired)",
+			}}}
+		}
+		if err := st.Deploy(df); err != nil {
 			b.Fatal(err)
 		}
 		if err := st.Start(); err != nil {

@@ -278,7 +278,10 @@ func BenchmarkWindowSlide(b *testing.B) {
 	}); err != nil {
 		b.Fatal(err)
 	}
-	if err := st.BindStream("s", "noop", 64); err != nil {
+	if err := st.Deploy(&sstore.Dataflow{
+		Name:  "s",
+		Nodes: []sstore.DataflowNode{{Proc: "noop", Input: "s", Batch: 64}},
+	}); err != nil {
 		b.Fatal(err)
 	}
 	if err := st.Start(); err != nil {

@@ -63,7 +63,6 @@ func main() {
 		follow    = flag.String("follow", "", "primary address to follow as a read replica (WAL shipping; implies volatile)")
 		hbTO      = flag.Duration("heartbeat-timeout", 3*time.Second, "follower: promote to primary after the primary is unreachable this long (0 = never auto-promote)")
 		replPoll  = flag.Duration("repl-poll", 0, "follower: idle delay between WAL fetch rounds (0 = default)")
-		pinWork   = flag.Bool("pin-workers", false, "lock each partition worker goroutine to its own OS thread")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060) with mutex and block profiling enabled")
 	)
 	flag.Parse()
@@ -91,7 +90,6 @@ func main() {
 		HStoreMode:   *hstore,
 		Partitions:   *parts,
 		MemoryBudget: *memBudget,
-		PinWorkers:   *pinWork,
 	}
 	switch *syncPol {
 	case "never":

@@ -7,8 +7,9 @@ import (
 	sstore "repro"
 )
 
-// Example shows the smallest complete program: a stream bound to a stored
-// procedure (PE trigger) filtering hot readings into a table.
+// Example shows the smallest complete program: a one-node dataflow whose
+// stream feeds a stored procedure (PE trigger) filtering hot readings into
+// a table.
 func Example() {
 	st := sstore.Open(sstore.Config{})
 	if err := st.ExecScript(`
@@ -26,7 +27,10 @@ func Example() {
 	}); err != nil {
 		log.Fatal(err)
 	}
-	if err := st.BindStream("readings", "detect", 2); err != nil {
+	if err := st.Deploy(&sstore.Dataflow{
+		Name:  "alarms",
+		Nodes: []sstore.DataflowNode{{Proc: "detect", Input: "readings", Batch: 2}},
+	}); err != nil {
 		log.Fatal(err)
 	}
 	if err := st.Start(); err != nil {
@@ -53,10 +57,10 @@ func Example() {
 	// 99
 }
 
-// ExampleStore_CreateTrigger shows an EE trigger keeping a derived table
-// current inside the ingesting transaction, using the window delta
-// pseudo-relations.
-func ExampleStore_CreateTrigger() {
+// ExampleStore_Deploy_trigger shows an EE trigger deployed with its
+// dataflow keeping a derived table current inside the ingesting
+// transaction, using the window delta pseudo-relations.
+func ExampleStore_Deploy_trigger() {
 	st := sstore.Open(sstore.Config{})
 	if err := st.ExecScript(`
 		CREATE STREAM ticks (sym INT, px FLOAT);
@@ -65,19 +69,20 @@ func ExampleStore_CreateTrigger() {
 	`); err != nil {
 		log.Fatal(err)
 	}
-	if err := st.CreateTrigger("f", "last3",
-		"UPDATE freq SET n = n + 1 WHERE sym IN (SELECT sym FROM inserted)",
-		"UPDATE freq SET n = n - 1 WHERE sym IN (SELECT sym FROM expired)",
-	); err != nil {
-		log.Fatal(err)
-	}
 	if err := st.RegisterProcedure(&sstore.Procedure{
 		Name:    "sink",
 		Handler: func(ctx *sstore.ProcCtx) error { return nil },
 	}); err != nil {
 		log.Fatal(err)
 	}
-	if err := st.BindStream("ticks", "sink", 1); err != nil {
+	if err := st.Deploy(&sstore.Dataflow{
+		Name:  "ticker",
+		Nodes: []sstore.DataflowNode{{Proc: "sink", Input: "ticks", Batch: 1}},
+		Triggers: []sstore.DataflowTrigger{{Name: "f", Relation: "last3", Bodies: []string{
+			"UPDATE freq SET n = n + 1 WHERE sym IN (SELECT sym FROM inserted)",
+			"UPDATE freq SET n = n - 1 WHERE sym IN (SELECT sym FROM expired)",
+		}}},
+	}); err != nil {
 		log.Fatal(err)
 	}
 	if err := st.Start(); err != nil {

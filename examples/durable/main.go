@@ -45,12 +45,12 @@ func build(dir string) *sstore.Store {
 	}); err != nil {
 		log.Fatal(err)
 	}
-	// Deliberately on the legacy single-edge API: BindStream is a compat
-	// shim that deploys an anonymous one-node dataflow ("bind_deposits"),
-	// so old wiring keeps working and still shows up in SHOW DATAFLOWS.
-	// New code should declare a Dataflow and call Deploy (see the other
-	// examples).
-	if err := st.BindStream("deposits", "apply_deposit", 1); err != nil {
+	// The graph is deployed again on every open, like the DDL above:
+	// recovery replays the logged deposits through it.
+	if err := st.Deploy(&sstore.Dataflow{
+		Name:  "deposits",
+		Nodes: []sstore.DataflowNode{{Proc: "apply_deposit", Input: "deposits", Batch: 1}},
+	}); err != nil {
 		log.Fatal(err)
 	}
 	return st

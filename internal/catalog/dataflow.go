@@ -30,12 +30,9 @@ type Dataflow struct {
 	// require the workflow's procedures to execute serially
 	// (ModeWorkflowSerial provides that schedule). Computed by Deploy.
 	SerialTables []string
-	// Anon marks graphs built by the BindStream / CreateTrigger compat
-	// shims rather than declared by the application.
-	Anon bool
 	// Paused is the lifecycle state: while paused, border ingest for the
-	// graph's streams queues (bounded) instead of dispatching batches.
-	// Not durable — a recovered store resumes every graph running.
+	// graph's streams queues (bounded) instead of dispatching batches. A
+	// durable store logs it, so a recovered store keeps the graph paused.
 	Paused bool
 }
 

@@ -43,7 +43,7 @@ func startServer(t *testing.T, partitions int) (*server.Server, *core.Store) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.BindStream("feed", "absorb", 1); err != nil {
+	if err := st.Deploy(&core.Dataflow{Name: "feed", Nodes: []core.DataflowNode{{Proc: "absorb", Input: "feed", Batch: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Start(); err != nil {

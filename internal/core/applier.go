@@ -221,10 +221,7 @@ func evictSlots(rels []*catalog.Relation, drop func(slot int) bool) error {
 func (s *Store) installLeg(p *partition, ops []pe.LoggedOp, decision *pe.LogRecord) error {
 	decision.MPTxnID = s.nextMPTxnID.Add(1)
 	leg := &pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: decision.MPTxnID, Ops: ops}
-	if err := p.LogCommit(leg); err != nil {
-		return err
-	}
-	if err := p.SyncCommits(); err != nil {
+	if err := p.force(leg); err != nil {
 		return err
 	}
 	if err := s.appendCoord(decision); err != nil {

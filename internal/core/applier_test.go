@@ -174,8 +174,8 @@ func recoverFollowPromoteAgree(t *testing.T, mode pe.LogMode) {
 	ingestKeys(t, st, 16, 2)
 	bumpAll()
 	mpPair(0, 1, 1000)
-	must(st.PauseDataflow("bind_events"))
-	must(st.ResumeDataflow("bind_events"))
+	must(st.PauseDataflow("events"))
+	must(st.ResumeDataflow("events"))
 
 	// Growth to four partitions. The first attempt completes one slot
 	// migration and aborts the second after its COPIED record (a BEGIN /
@@ -199,7 +199,7 @@ func recoverFollowPromoteAgree(t *testing.T, mode pe.LogMode) {
 	ingestKeys(t, st, 16, 1)
 	bumpAll()
 	mpPair(2, 3, 2000)
-	must(st.PauseDataflow("bind_events")) // still paused at the crash
+	must(st.PauseDataflow("events")) // still paused at the crash
 
 	// The crash state: an in-doubt PREPARE (no decision anywhere) with a
 	// decided transaction's legs behind it, as the pipelined commit path can
@@ -264,7 +264,7 @@ func recoverFollowPromoteAgree(t *testing.T, mode pe.LogMode) {
 	if _, ok := got[inDoubt]; ok {
 		t.Error("in-doubt leg resurrected")
 	}
-	if !strings.Contains(recovered, "paused: [bind_events]") {
+	if !strings.Contains(recovered, "paused: [events]") {
 		t.Errorf("pause did not survive:\n%s", recovered)
 	}
 }

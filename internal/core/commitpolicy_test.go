@@ -1,0 +1,103 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/pe"
+	"repro/internal/types"
+	"repro/internal/wal"
+)
+
+// TestCommitPoliciesAgree: a logged commit takes one path whatever the sync
+// policy (the worker appends, the acker acknowledges once the future
+// resolves; the policy decides only when that is). One script of keyed
+// calls, border batches through a deployed dataflow, a coordinated pair
+// insert and a checkpoint mid-way runs under each policy and log mode; after
+// a clean stop, recovery holds every acknowledged effect, and all six
+// recovered stores are identical.
+func TestCommitPoliciesAgree(t *testing.T) {
+	var first, firstName string
+	for _, sp := range []struct {
+		name   string
+		policy wal.SyncPolicy
+	}{{"never", wal.SyncNever}, {"every", wal.SyncEveryRecord}, {"group", wal.SyncGroupCommit}} {
+		for _, lm := range []struct {
+			name string
+			mode pe.LogMode
+		}{{"border", pe.LogBorderOnly}, {"all", pe.LogAllTEs}} {
+			name := sp.name + "/" + lm.name
+			t.Run(name, func(t *testing.T) {
+				got := commitPolicyScript(t, Config{Dir: t.TempDir(), Partitions: 2, Sync: sp.policy, LogMode: lm.mode})
+				switch {
+				case first == "":
+					first, firstName = got, name
+				case got != first:
+					t.Errorf("recovered state differs from %s:\n--- %s\n%s--- %s\n%s", firstName, firstName, first, name, got)
+				}
+			})
+		}
+	}
+}
+
+// commitPolicyScript runs the script on a fresh durable store, stops it,
+// recovers the directory into a second store, checks the acknowledged
+// effects and returns the recovered state.
+func commitPolicyScript(t *testing.T, cfg Config) string {
+	st := buildPartApp(t, cfg)
+	if err := st.Start(); err != nil {
+		t.Fatal(err)
+	}
+	const keys = 8
+	// bumpAll pipelines one keyed call per key and waits for every ack.
+	bumpAll := func() {
+		t.Helper()
+		var acks []<-chan pe.CallResult
+		for k := int64(0); k < keys; k++ {
+			acks = append(acks, st.CallAsync("bump", types.NewInt(k)))
+		}
+		for k, ack := range acks {
+			cr := <-ack
+			if cr.Err != nil {
+				t.Fatal(cr.Err)
+			}
+			if cr.Result.RowsAffected != 1 {
+				t.Fatalf("bump(%d) acknowledged with %d rows affected", k, cr.Result.RowsAffected)
+			}
+		}
+	}
+	ingestKeys(t, st, keys, 2) // every key: 2 events, doubled
+	bumpAll()
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ingestKeys(t, st, keys, 1)
+	pa, pb := keysOwnedBy(st, 0, 1, 1000)[0], keysOwnedBy(st, 1, 1, 1000)[0]
+	if err := st.MultiPartitionTxn(func(tx *MPTxn) error {
+		if _, err := tx.Exec(0, "INSERT INTO totals (k, n) VALUES (?, 1)", types.NewInt(pa)); err != nil {
+			return err
+		}
+		_, err := tx.Exec(1, "INSERT INTO totals (k, n) VALUES (?, 1)", types.NewInt(pb))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	bumpAll()
+	if err := st.Stop(); err != nil {
+		t.Fatal(err)
+	}
+
+	re := buildPartApp(t, cfg)
+	if err := re.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	defer re.Stop()
+	want := map[int64]int64{pa: 1, pb: 1}
+	for k := int64(0); k < keys; k++ {
+		want[k] = 3*2 + 2*100
+	}
+	if got := totalsOf(re); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("recovered totals = %v\nwant %v", got, want)
+	}
+	return storeState(re)
+}

@@ -81,9 +81,6 @@ type Config struct {
 	// the checkpoint + log replay, so cold pages are never fsynced.
 	// 0 disables anti-caching (every table fully memory-resident).
 	MemoryBudget int64
-	// PinWorkers locks each partition worker goroutine to its own OS
-	// thread. See pe.Config.PinWorkers.
-	PinWorkers bool
 }
 
 // partition is one serial-execution replica: catalog + EE + PE + WAL
@@ -116,57 +113,32 @@ type partition struct {
 	specTail atomic.Pointer[mpOutcome]
 }
 
-// LogCommit implements pe.CommitLogger: serialize and append the record to
-// this partition's log segment, honoring the sync policy, before the commit
-// is acknowledged.
-func (p *partition) LogCommit(rec *pe.LogRecord) error {
-	if p.log == nil {
-		return nil
-	}
-	if rec.Kind == pe.RecPrepare && p.log.GroupCommit() {
-		p.pendPrep.Add(1)
-	}
-	payload := wal.EncodeRecord(rec)
-	if _, err := p.log.Append(payload); err != nil {
-		return err
-	}
-	p.met.ObserveLogged(len(payload))
-	return nil
-}
-
-// LogCommitUnwaited implements pe.AsyncCommitLogger for a record nobody
-// blocks on (a border or triggered batch): buffered, counted, and durable
-// with the next fsync a waiter on this segment causes or within the log's
-// staleness bound, whichever comes first. No future, so nothing to chain
-// on specTail either: there is no client ack to hold back.
-func (p *partition) LogCommitUnwaited(rec *pe.LogRecord) error {
-	payload := wal.EncodeRecord(rec)
-	if _, err := p.log.AppendUnwaited(payload); err != nil {
-		return err
-	}
-	p.met.ObserveLogged(len(payload))
-	p.met.WalUnwaitedRecords.Add(1)
-	return nil
-}
-
-// AsyncCommit implements pe.AsyncCommitLogger: the engine pipelines commits
-// only when this partition's log batches fsyncs.
-func (p *partition) AsyncCommit() bool { return p.log != nil && p.log.GroupCommit() }
-
-// LogCommitAsync appends the record to this partition's log segment and
-// returns the commit future the engine acknowledges the client on. When a
-// pipelined coordinated transaction has published on this partition but is
-// not yet durable (specTail), an ordinary commit's future is chained on
-// that outcome too: this commit may have read the predecessor's state, so
-// its client must not be acknowledged before the predecessor is safe. The
-// 2PC protocol's own records (PREPARE votes, DECIDE markers) are exempt —
-// their ordering is the coordinator's business, and chaining a
+// Append implements pe.Logger: serialize the record and append it to this
+// partition's log segment. A waited record returns the commit future the
+// client is acknowledged on. A record nobody waits on (a border or
+// triggered batch) is buffered, counted and returns no future, so there is
+// nothing to chain on specTail either: no client ack to hold back.
+//
+// When a pipelined coordinated transaction has published on this partition
+// but is not yet durable (specTail), an ordinary commit's future is chained
+// on that outcome too: this commit may have read the predecessor's state,
+// so its client must not be acknowledged before the predecessor is safe.
+// The 2PC protocol's own records (PREPARE votes, DECIDE markers) are exempt
+// — their ordering is the coordinator's business, and chaining a
 // transaction's marker on its own outcome would deadlock.
-func (p *partition) LogCommitAsync(rec *pe.LogRecord) (<-chan error, error) {
+func (p *partition) Append(rec *pe.LogRecord, waited bool) (<-chan error, error) {
 	if rec.Kind == pe.RecPrepare && p.log.GroupCommit() {
 		p.pendPrep.Add(1)
 	}
 	payload := wal.EncodeRecord(rec)
+	if !waited {
+		if _, err := p.log.AppendUnwaited(payload); err != nil {
+			return nil, err
+		}
+		p.met.ObserveLogged(len(payload))
+		p.met.WalUnwaitedRecords.Add(1)
+		return nil, nil
+	}
 	_, ack, err := p.log.AppendAsync(payload)
 	if err != nil {
 		return nil, err
@@ -196,13 +168,35 @@ func (p *partition) LogCommitAsync(rec *pe.LogRecord) (<-chan error, error) {
 	return ack, nil
 }
 
-// SyncCommits forces the partition's pending batch durable, resolving every
-// outstanding commit future (the checkpoint barrier's drain).
+// SyncCommits implements pe.Logger: resolve every outstanding commit future
+// (the barrier's drain). Only a group-commit log has futures waiting on an
+// fsync, and it forces its pending batch — records nobody waited on included
+// — durable to resolve them; under the other policies every future resolved
+// at its append, so there is nothing to wait for.
 func (p *partition) SyncCommits() error {
-	if p.log == nil {
+	if !p.log.GroupCommit() {
 		return nil
 	}
 	return p.log.SyncNow()
+}
+
+// force appends rec and returns once it is on stable storage, under every
+// sync policy: a write-ahead force, not a commit ack. A seed's or slot
+// migration's prepared leg goes through here before the coordinator log
+// takes its decision, because recovery takes slot ownership from the
+// decision alone. A no-op on a partition without a log (a volatile store).
+func (p *partition) force(rec *pe.LogRecord) error {
+	if p.log == nil {
+		return nil
+	}
+	ack, err := p.Append(rec, true)
+	if err != nil {
+		return err
+	}
+	if err := p.log.SyncNow(); err != nil {
+		return err
+	}
+	return <-ack
 }
 
 // recover restores this partition from its snapshot + log segment, feeding
@@ -384,7 +378,6 @@ func (s *Store) newPartition(idx int) *partition {
 		HStoreMode:   s.cfg.HStoreMode,
 		ForceUnsafe:  s.cfg.ForceUnsafe,
 		MemoryBudget: s.partitionBudget(),
-		PinWorkers:   s.cfg.PinWorkers,
 	})
 	return &partition{idx: idx, cat: cat, ee: exec, pe: part, met: s.met}
 }
@@ -587,21 +580,6 @@ func (s *Store) ExecScript(ddl string) error {
 	return nil
 }
 
-// CreateTrigger registers an EE trigger on every partition (see
-// ee.Engine.CreateTrigger). Compat shim: it deploys an anonymous
-// trigger-only dataflow named "trigger_<relation>_<name>", so the trigger
-// is validated before any partition is touched and shows up in
-// SHOW DATAFLOWS like any declared graph.
-func (s *Store) CreateTrigger(name, relation string, bodies ...string) error {
-	return s.Deploy(&Dataflow{
-		Name: "trigger_" + strings.ToLower(relation) + "_" + strings.ToLower(name),
-		Anon: true,
-		Triggers: []DataflowTrigger{
-			{Name: name, Relation: relation, Bodies: bodies},
-		},
-	})
-}
-
 // RegisterProcedure adds a stored procedure to every partition.
 func (s *Store) RegisterProcedure(proc *pe.Procedure) error {
 	for _, p := range s.partList() {
@@ -613,27 +591,6 @@ func (s *Store) RegisterProcedure(proc *pe.Procedure) error {
 	s.procs = append(s.procs, proc)
 	s.routeMu.Unlock()
 	return nil
-}
-
-// BindStream wires a PE trigger on every partition: tuples on stream become
-// batches of batchSize for proc. On a PARTITION BY stream each partition
-// consumes only its hash share.
-//
-// Compat shim: it deploys a single-edge anonymous dataflow named
-// "bind_<stream>", preserving the legacy clamp of batchSize < 1 to 1 (the
-// Dataflow API rejects invalid batch sizes instead). Prefer declaring the
-// whole workflow as one Dataflow and calling Deploy.
-func (s *Store) BindStream(stream, proc string, batchSize int) error {
-	if batchSize < 1 {
-		batchSize = 1 // documented legacy clamp
-	}
-	return s.Deploy(&Dataflow{
-		Name: "bind_" + strings.ToLower(stream),
-		Anon: true,
-		Nodes: []DataflowNode{
-			{Proc: proc, Input: stream, Batch: batchSize},
-		},
-	})
 }
 
 // partitionsFileName records the partition count a durability directory
@@ -886,7 +843,7 @@ func (s *Store) rehomeMisplacedRows() error {
 func (s *Store) Start() error {
 	if s.cfg.Dir != "" && s.recovered && s.partList()[0].log == nil {
 		// Stop closed the logs; restarting this Store would silently run
-		// with LogCommit as a no-op (acked commits lost on crash), and
+		// with no command log (acked commits lost on crash), and
 		// re-running Recover would replay the log on top of live state.
 		return fmt.Errorf("core: durable store was stopped; open a fresh Store to restart")
 	}

@@ -61,13 +61,18 @@ func buildApp(t testing.TB, cfg Config) *Store {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.BindStream("events", "ingest", 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.BindStream("derived", "apply", 1); err != nil {
+	if err := st.Deploy(eventsDF()); err != nil {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// eventsDF is the graph buildApp and buildPartApp deploy.
+func eventsDF() *Dataflow {
+	return &Dataflow{Name: "events", Nodes: []DataflowNode{
+		{Proc: "ingest", Input: "events", Batch: 2, Emits: []string{"derived"}},
+		{Proc: "apply", Input: "derived", Batch: 1},
+	}}
 }
 
 func ingestN(t testing.TB, st *Store, n int) {

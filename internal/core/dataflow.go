@@ -69,7 +69,7 @@ func (s *Store) validateDataflow(df *Dataflow) (*Dataflow, error) {
 	if len(df.Nodes) == 0 && len(df.Triggers) == 0 {
 		return nil, fmt.Errorf("a dataflow needs at least one node or trigger")
 	}
-	norm := &Dataflow{Name: df.Name, Anon: df.Anon}
+	norm := &Dataflow{Name: df.Name}
 	consumers := map[string]string{} // stream key -> consuming proc
 	procSeen := map[string]bool{}
 	var procs []*pe.Procedure
@@ -108,9 +108,6 @@ func (s *Store) validateDataflow(df *Dataflow) (*Dataflow, error) {
 			}
 			consumers[k] = p.Name
 			if g, bound := p0.pe.BoundGraph(rel.Name); bound {
-				if g == "" {
-					return nil, fmt.Errorf("stream %q already has a consumer (direct BindStream)", rel.Name)
-				}
 				return nil, fmt.Errorf("stream %q already has a consumer in dataflow %q", rel.Name, g)
 			}
 			nn.Input = rel.Name
@@ -198,7 +195,7 @@ func deployOnPartition(p *partition, df *Dataflow) error {
 		if n.Input == "" {
 			continue
 		}
-		if err := p.pe.BindStreamGraph(df.Name, n.Input, n.Proc, n.Batch); err != nil {
+		if err := p.pe.BindStream(df.Name, n.Input, n.Proc, n.Batch); err != nil {
 			return err
 		}
 	}
@@ -506,11 +503,7 @@ func (s *Store) ExplainDataflow(name string) (string, error) {
 	if paused {
 		state = "paused"
 	}
-	kind := ""
-	if df.Anon {
-		kind = ", compat shim"
-	}
-	fmt.Fprintf(&b, "DATAFLOW %s (%s%s)\n", df.Name, state, kind)
+	fmt.Fprintf(&b, "DATAFLOW %s (%s)\n", df.Name, state)
 	prod := df.Producers()
 	if len(df.Nodes) > 0 {
 		fmt.Fprintf(&b, "  nodes:\n")

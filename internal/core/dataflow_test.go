@@ -449,51 +449,62 @@ func TestDataflowsSurviveRecovery(t *testing.T) {
 	}
 }
 
-// TestCompatShims checks the legacy single-call API still works and is
-// visible as anonymous graphs: BindStream clamps batch < 1 (documented
-// legacy behavior) where Deploy rejects it, and CreateTrigger deploys a
-// trigger-only graph.
-func TestCompatShims(t *testing.T) {
-	st := dfStore(t, Config{})
-	if err := st.BindStream("feed", "df_stage1", 0); err != nil { // clamped to 1
-		t.Fatalf("legacy clamp lost: %v", err)
-	}
-	if err := st.BindStream("mid", "df_stage2", 1); err != nil {
+// TestDropTriggerBelongsToItsDataflow: a trigger deployed with a graph is
+// removed only with the graph. A DDL script's DROP TRIGGER is refused, with
+// or without IF EXISTS, so the graph keeps listing what every partition
+// runs and growth (which replays the DDL journal before redeploying the
+// graphs) builds partitions that carry the trigger like the old ones.
+func TestDropTriggerBelongsToItsDataflow(t *testing.T) {
+	st := dfStore(t, Config{Partitions: 2})
+	if err := st.ExecScript("CREATE TABLE audit (k INT, amt BIGINT) PARTITION BY k;"); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.BindStream("mid", "df_stage1", 1); err == nil {
-		t.Fatal("double consumer through the shim not rejected")
-	}
-	if err := st.CreateTrigger("tg", "feed", "DELETE FROM sink"); err != nil {
+	df := pipelineDF()
+	df.Triggers = []DataflowTrigger{{Name: "audit_feed", Relation: "feed",
+		Bodies: []string{"INSERT INTO audit SELECT k, amt FROM new"}}}
+	if err := st.Deploy(df); err != nil {
 		t.Fatal(err)
 	}
-	names := map[string]bool{}
-	for _, df := range st.Dataflows() {
-		if !df.Anon {
-			t.Fatalf("shim-built graph %q not marked anonymous", df.Name)
-		}
-		names[df.Name] = true
-	}
-	for _, want := range []string{"bind_feed", "bind_mid", "trigger_feed_tg"} {
-		if !names[want] {
-			t.Fatalf("missing anonymous graph %q (have %v)", want, names)
+	for _, ddl := range []string{"DROP TRIGGER audit_feed", "DROP TRIGGER IF EXISTS audit_feed"} {
+		if err := st.ExecScript(ddl); err == nil || !strings.Contains(err.Error(), "UndeployDataflow") {
+			t.Fatalf("%s: err = %v, want a refusal naming UndeployDataflow", ddl, err)
 		}
 	}
 	if err := st.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer st.Stop()
-	// The clamped batch size of 1 dispatches immediately.
-	if err := st.Ingest("feed", types.Row{types.NewInt(1), types.NewInt(5)}); err != nil {
+	if err := st.Rebalance(4); err != nil {
 		t.Fatal(err)
 	}
+	const keys = 32
+	for k := int64(0); k < keys; k++ {
+		if err := st.Ingest("feed", types.Row{types.NewInt(k), types.NewInt(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.FlushBatches()
 	st.Drain()
-	res, err := st.Query("SELECT SUM(n) FROM sink")
-	if err != nil {
-		t.Fatal(err)
+	for _, q := range []string{"SELECT COUNT(*) FROM audit", "SELECT SUM(n) FROM sink"} {
+		res, err := st.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Rows[0][0].Int(); got != keys {
+			t.Fatalf("%s = %d, want %d", q, got, keys)
+		}
 	}
-	if got := res.Rows[0][0].Int(); got != 5 {
-		t.Fatalf("shim pipeline sum = %d, want 5", got)
+	for i := 0; i < st.NumPartitions(); i++ {
+		res, err := st.PEAt(i).Query("SELECT COUNT(*) FROM audit")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rows[0][0].Int() == 0 {
+			t.Errorf("partition %d audited nothing: its feed carries no trigger", i)
+		}
+	}
+	if rows := st.DataflowsResult().Rows; len(rows) != 1 || rows[0][4].Int() != 1 {
+		t.Fatalf("SHOW DATAFLOWS = %v, want the pipeline with its one trigger", rows)
 	}
 }
 

@@ -45,7 +45,7 @@ func buildKV(t *testing.T, cfg Config) *Store {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.BindStream("feed", "absorb", 1); err != nil {
+	if err := st.Deploy(&Dataflow{Name: "feed", Nodes: []DataflowNode{{Proc: "absorb", Input: "feed", Batch: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.RegisterProcedure(&pe.Procedure{

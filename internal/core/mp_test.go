@@ -571,7 +571,7 @@ func TestMPReplayRederivesTriggeredWork(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if err := st.BindStream("sigs", "absorb", 1); err != nil {
+		if err := st.Deploy(&Dataflow{Name: "sigs", Nodes: []DataflowNode{{Proc: "absorb", Input: "sigs", Batch: 1}}}); err != nil {
 			t.Fatal(err)
 		}
 		return st
@@ -705,7 +705,7 @@ func TestAdHocStreamInsertNeverFiresTriggers(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.BindStream("sigs", "absorb", 1); err != nil {
+	if err := st.Deploy(&Dataflow{Name: "sigs", Nodes: []DataflowNode{{Proc: "absorb", Input: "sigs", Batch: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Start(); err != nil {

@@ -79,10 +79,7 @@ func buildPartApp(t testing.TB, cfg Config) *Store {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.BindStream("events", "ingest", 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.BindStream("derived", "apply", 1); err != nil {
+	if err := st.Deploy(eventsDF()); err != nil {
 		t.Fatal(err)
 	}
 	return st

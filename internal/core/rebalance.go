@@ -429,10 +429,7 @@ func (s *Store) migrateSlot(slot, from, to int) error {
 		// in an earlier epoch, and the leg's replay is what evicts the
 		// stale rows its own log re-creates — including when every row of
 		// the slot died while it lived elsewhere.
-		if err := dst.LogCommit(&pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: id, Ops: ops}); err != nil {
-			return err
-		}
-		if err := dst.SyncCommits(); err != nil {
+		if err := dst.force(&pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: id, Ops: ops}); err != nil {
 			return err
 		}
 		if err := mark(pe.RecSlotCommit); err != nil {

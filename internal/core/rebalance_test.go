@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -219,6 +221,68 @@ func TestRebalanceCrashBetweenCopiedAndCommit(t *testing.T) {
 			t.Fatalf("bump(%d) = %v, %v", k, res, err)
 		}
 	}
+}
+
+// TestSlotMigrationLegDurableBeforeCommit: under SyncNever a migration's
+// prepared leg is still forced to disk before the coordinator log takes
+// RecSlotCommit, because recovery hands the slot to the destination (and
+// evicts it everywhere else) on the commit record alone. The crash image
+// holds what the OS has of each file after only the coordinator log was
+// flushed; every row, checkpointed before the rebalance, must recover.
+func TestSlotMigrationLegDurableBeforeCommit(t *testing.T) {
+	dir, crashDir := t.TempDir(), t.TempDir()
+	st := buildPartApp(t, Config{Dir: dir, Partitions: 2, Sync: wal.SyncNever})
+	if err := st.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Stop()
+	ingestKeys(t, st, 12, 2)
+	// The last slot to move gets a row too: nothing after its cutover
+	// flushes the destination's log on its own account.
+	moves := st.slots.Load().Moves(4)
+	last := moves[len(moves)-1].Slot
+	k := int64(0)
+	for catalog.SlotOf(types.NewInt(k)) != last {
+		k++
+	}
+	if err := st.Ingest("events", types.Row{types.NewInt(k), types.NewInt(1)}); err != nil {
+		t.Fatal(err)
+	}
+	st.FlushBatches()
+	st.Drain()
+	want := totals(t, st)
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Rebalance(4); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.coordLog.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(crashDir, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	st2 := buildPartApp(t, Config{Dir: crashDir, Partitions: 4, Sync: wal.SyncNever})
+	if err := st2.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Stop()
+	if got := totals(t, st2); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("recovered totals = %v want %v", got, want)
+	}
+	checkCanonical(t, st2)
 }
 
 // TestNullPartitionKeyDefault pins the routing contract for NULL partition

@@ -193,7 +193,7 @@ func (tx *MPTxn) appendPrepares() error {
 		if p.log == nil {
 			continue
 		}
-		ack, err := p.LogCommitAsync(&pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: tx.id, Ops: ops})
+		ack, err := p.Append(&pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: tx.id, Ops: ops}, true)
 		if err != nil {
 			return fmt.Errorf("core: mp prepare append (partition %d): %w", i, err)
 		}
@@ -230,7 +230,7 @@ func (tx *MPTxn) appendMarkers() error {
 	var errs []error
 	for _, i := range tx.prepParts {
 		p := tx.parts[i]
-		ack, err := p.LogCommitAsync(&pe.LogRecord{Kind: pe.RecDecide, MPTxnID: tx.id, Commit: true})
+		ack, err := p.Append(&pe.LogRecord{Kind: pe.RecDecide, MPTxnID: tx.id, Commit: true}, true)
 		if err != nil {
 			errs = append(errs, fmt.Errorf("core: mp decide marker append (partition %d): %w", i, err))
 			continue

@@ -319,13 +319,14 @@ func (e *Engine) ExecDDL(stmt sql.Statement) error {
 		}
 		_, err = rel.Table.CreateIndex(s.Name, ords, s.Unique)
 		return err
-	case *sql.CreateTrigger:
-		return fmt.Errorf("ee: CREATE TRIGGER requires a body; use Engine.CreateTrigger")
 	case *sql.DeployDataflow:
 		return fmt.Errorf("ee: DEPLOY DATAFLOW needs the store's graph wiring; run it through the store's Query/Exec, not a DDL script")
 	case *sql.Drop:
 		if s.Kind == "TRIGGER" {
-			return e.DropTrigger(s.Name, s.IfExists)
+			// A trigger belongs to the dataflow that deployed it: dropped
+			// here, the graph would still list it and a partition added
+			// later would replay this script before redeploying the graph.
+			return fmt.Errorf("ee: DROP TRIGGER %s: a trigger belongs to its dataflow; remove it with UndeployDataflow", s.Name)
 		}
 		rel := e.cat.Relation(s.Name)
 		if rel == nil && s.IfExists {

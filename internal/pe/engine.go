@@ -2,7 +2,6 @@ package pe
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -87,33 +86,25 @@ type LogRecord struct {
 	ToPart   int
 }
 
-// CommitLogger is the durability hook the partition engine calls at commit
-// time, before acknowledging the client. Implemented by the wal package.
-type CommitLogger interface {
-	LogCommit(rec *LogRecord) error
-}
-
-// AsyncCommitLogger is the group-commit extension of CommitLogger: the
-// append and the fsync are decoupled, so the partition worker can keep
-// executing subsequent transactions while a batch of commit records drains
-// to disk. LogCommitAsync appends the record and returns a commit future
-// that resolves (nil on success) once the record is durable; the engine
-// acknowledges the client only then, preserving the command-log guarantee.
-// LogCommitUnwaited appends a record nobody is waiting on (a border or
+// Logger is the command log the partition engine appends to at commit time,
+// before acknowledging the client; core implements it over a wal segment.
+// The worker appends and moves on to the next transaction, and the acker
+// acknowledges the client once the record's commit future resolves (nil on
+// success), preserving the command-log guarantee. When the future resolves
+// is the log's sync policy and nothing else: already on return under
+// SyncNever and SyncEveryRecord (which fsyncs inside Append), at the fsync
+// that covers the record under SyncGroupCommit.
+//
+// Append with waited false appends a record nobody waits on (a border or
 // triggered batch: no client blocks, and upstream backup covers the input
-// until it is durable): no future, and no fsync started on its account —
-// it becomes durable with the next fsync any waiter causes, or within the
-// logger's staleness bound. A later future on the same logger resolving
-// proves it durable. SyncCommits forces everything appended so far durable
-// and resolves every outstanding future before returning — the checkpoint
-// barrier's drain.
-type AsyncCommitLogger interface {
-	CommitLogger
-	// AsyncCommit reports whether the logger is currently batching fsyncs;
-	// when false the engine uses the synchronous LogCommit path.
-	AsyncCommit() bool
-	LogCommitAsync(rec *LogRecord) (<-chan error, error)
-	LogCommitUnwaited(rec *LogRecord) error
+// until it is durable) and returns no future; it starts no fsync on its own
+// account and becomes durable with the next fsync any waiter causes, or
+// within the log's staleness bound. A later future resolving proves it
+// durable. SyncCommits resolves every outstanding future before returning —
+// the barrier's drain; under SyncGroupCommit it does so by forcing
+// everything appended so far durable.
+type Logger interface {
+	Append(rec *LogRecord, waited bool) (<-chan error, error)
 	SyncCommits() error
 }
 
@@ -147,23 +138,16 @@ type Config struct {
 	// the evictor — running at the GC rhythm — moves cold committed
 	// versions into the catalog's attached cold store until back under.
 	MemoryBudget int64
-	// PinWorkers locks the partition worker goroutine to one OS thread
-	// (runtime.LockOSThread). With one worker per partition and enough
-	// cores, each serial execution loop then keeps its cache and (on NUMA
-	// hosts, combined with OS-level thread affinity policy) its memory
-	// node — the first step of the roadmap's NUMA awareness. Off by
-	// default: on overcommitted hosts dedicating threads can hurt.
-	PinWorkers bool
 }
 
 // binding wires a stream to the downstream procedure its tuples feed, as
-// one edge of a dataflow graph (graph == "" for legacy direct binds).
+// one edge of a dataflow graph.
 type binding struct {
 	stream    string
 	proc      *Procedure
 	batchSize int
 	graph     string
-	stats     *metrics.GraphStats // nil when graph == ""
+	stats     *metrics.GraphStats
 }
 
 // Engine is one partition's engine. All transaction executions run serially
@@ -213,14 +197,14 @@ type Engine struct {
 	flightCond    *sync.Cond
 	graphInflight map[string]int
 
-	logger  CommitLogger
+	logger  Logger
 	logMode LogMode
 
-	// Group-commit ack pipeline: the worker queues committed-but-not-yet-
-	// durable requests here and the acker goroutine acknowledges each once
-	// its commit future resolves. ackPending counts queued-but-unacked
-	// commits; the checkpoint barrier waits for it to reach zero.
-	asyncLog   AsyncCommitLogger // nil unless the logger batches fsyncs
+	// Ack pipeline (running whenever a logger is installed): the worker
+	// queues committed-but-not-yet-durable requests here and the acker
+	// goroutine acknowledges each once its commit future resolves.
+	// ackPending counts queued-but-unacked commits; the checkpoint barrier
+	// waits for it to reach zero.
 	ackQ       chan pendingAck
 	ackWG      sync.WaitGroup
 	ackMu      sync.Mutex
@@ -336,17 +320,12 @@ func (e *Engine) EE() *ee.Engine { return e.ee }
 // Metrics returns the shared counter set.
 func (e *Engine) Metrics() *metrics.Metrics { return e.met }
 
-// SetLogger installs the commit logger (must be called before Start). When
-// the logger implements AsyncCommitLogger and reports AsyncCommit, commits
-// pipeline: the worker appends and moves on, and acknowledgements are
-// delivered by the acker goroutine as batches become durable.
-func (e *Engine) SetLogger(l CommitLogger, mode LogMode) {
+// SetLogger installs the commit logger, nil for none (must be called before
+// Start). With a logger, commits pipeline: the worker appends and moves on,
+// and the acker goroutine delivers acknowledgements as futures resolve.
+func (e *Engine) SetLogger(l Logger, mode LogMode) {
 	e.logger = l
 	e.logMode = mode
-	e.asyncLog = nil
-	if al, ok := l.(AsyncCommitLogger); ok && al.AsyncCommit() {
-		e.asyncLog = al
-	}
 }
 
 // RegisterProcedure adds a stored procedure. Procedures must be registered
@@ -366,30 +345,19 @@ func (e *Engine) RegisterProcedure(p *Procedure) error {
 // Procedure looks up a registered procedure by name.
 func (e *Engine) Procedure(name string) *Procedure { return e.procs[strings.ToLower(name)] }
 
-// BindStream declares that tuples arriving on stream become input batches
-// of size batchSize for proc — the PE trigger wiring of a workflow edge.
-// Client-fed streams make proc a border procedure (BSP); procedure-fed
-// streams make it interior (ISP). In HStoreMode bindings are rejected:
-// the baseline has no PE triggers.
-//
-// BindStream is the legacy single-edge API kept as a compat shim over the
-// dataflow-scoped wiring: it silently clamps batchSize < 1 to 1
-// (historical behavior old callers rely on), where the Dataflow deploy
-// path rejects an invalid batch size with an error.
-func (e *Engine) BindStream(stream, procName string, batchSize int) error {
-	if batchSize < 1 {
-		batchSize = 1
-	}
-	return e.BindStreamGraph("", stream, procName, batchSize)
-}
-
-// BindStreamGraph wires stream -> proc as one edge of the named dataflow
-// graph. Unlike the legacy BindStream shim it rejects batchSize < 1.
-// Edges of a named graph feed that graph's counters and honor its
-// pause/resume lifecycle.
-func (e *Engine) BindStreamGraph(graph, stream, procName string, batchSize int) error {
+// BindStream wires stream -> proc as one edge of the named dataflow graph:
+// tuples arriving on stream become input batches of size batchSize for
+// proc, the PE trigger wiring of a workflow edge. Client-fed streams make
+// proc a border procedure (BSP); procedure-fed streams make it interior
+// (ISP). The edge feeds its graph's counters and honors its pause/resume
+// lifecycle. In HStoreMode bindings are rejected: the baseline has no PE
+// triggers.
+func (e *Engine) BindStream(graph, stream, procName string, batchSize int) error {
 	if e.cfg.HStoreMode {
 		return fmt.Errorf("pe: stream bindings are an S-Store feature; engine is in H-Store mode")
+	}
+	if graph == "" {
+		return fmt.Errorf("pe: the edge %s -> %s needs a dataflow graph", stream, procName)
 	}
 	if batchSize < 1 {
 		return fmt.Errorf("pe: batch size %d for stream %q is invalid (must be >= 1)", batchSize, stream)
@@ -402,17 +370,13 @@ func (e *Engine) BindStreamGraph(graph, stream, procName string, batchSize int) 
 	if rel == nil {
 		return fmt.Errorf("pe: unknown stream %q", stream)
 	}
-	var stats *metrics.GraphStats
-	if graph != "" {
-		stats = e.met.Graph(graph)
-	}
 	key := strings.ToLower(stream)
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
 	if _, dup := e.bindings[key]; dup {
 		return fmt.Errorf("pe: stream %q already has a consumer", stream)
 	}
-	e.bindings[key] = &binding{stream: rel.Name, proc: p, batchSize: batchSize, graph: graph, stats: stats}
+	e.bindings[key] = &binding{stream: rel.Name, proc: p, batchSize: batchSize, graph: graph, stats: e.met.Graph(graph)}
 	e.ee.MarkStreamPersistent(stream)
 	return nil
 }
@@ -429,8 +393,8 @@ func (e *Engine) UnbindStream(stream string) {
 	delete(e.bindings, key)
 }
 
-// BoundGraph reports the dataflow owning a stream's consumer edge ("" for
-// a legacy direct bind) and whether the stream is bound at all.
+// BoundGraph reports the dataflow owning a stream's consumer edge and
+// whether the stream is bound at all.
 func (e *Engine) BoundGraph(stream string) (string, bool) {
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
@@ -547,7 +511,7 @@ func (e *Engine) Start() error {
 	// through the worker.
 	e.clock.Publish()
 	e.started.Store(true)
-	if e.asyncLog != nil {
+	if e.logger != nil {
 		e.ackQ = make(chan pendingAck, ackQueueDepth)
 		e.ackWG.Add(1)
 		go e.acker()
@@ -558,7 +522,7 @@ func (e *Engine) Start() error {
 }
 
 // Stop drains nothing: it closes the queue and waits for the worker, then
-// forces outstanding group commits durable and waits for their acks.
+// forces outstanding commits durable and waits for their acks.
 func (e *Engine) Stop() {
 	if !e.started.Load() {
 		return
@@ -571,10 +535,10 @@ func (e *Engine) Stop() {
 	e.graphInflight = make(map[string]int)
 	e.flightCond.Broadcast()
 	e.flightMu.Unlock()
-	if e.asyncLog != nil {
+	if e.ackQ != nil {
 		// The worker has exited, so no new acks can be queued; resolving
 		// every future lets the acker drain and terminate.
-		_ = e.asyncLog.SyncCommits()
+		_ = e.logger.SyncCommits()
 		close(e.ackQ)
 		e.ackWG.Wait()
 		e.ackQ = nil
@@ -626,10 +590,6 @@ func (e *Engine) validateWorkflows() error {
 // shared lock is touched once per burst rather than once per transaction.
 func (e *Engine) worker() {
 	defer e.wg.Done()
-	if e.cfg.PinWorkers {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
 	var pending []*txnRequest
 	for {
 		var ok bool
@@ -696,15 +656,15 @@ func (e *Engine) queueAck(r *txnRequest, out *Result, ack <-chan error, start ti
 	e.ackQ <- pendingAck{r: r, out: out, ack: ack, start: start}
 }
 
-// drainAcks forces every outstanding group commit durable and waits for its
+// drainAcks forces every outstanding commit durable and waits for its
 // acknowledgement to be delivered. Runs on the partition worker at barrier
 // points (checkpoint), so the snapshot+truncate that follows never destroys
 // a log record whose future is still pending.
 func (e *Engine) drainAcks() {
-	if e.asyncLog == nil {
+	if e.ackQ == nil {
 		return
 	}
-	_ = e.asyncLog.SyncCommits() // resolves every future; errors reach clients via the acker
+	_ = e.logger.SyncCommits() // resolves every future; errors reach clients via the acker
 	e.ackMu.Lock()
 	for e.ackPending > 0 {
 		e.ackCond.Wait()
@@ -808,17 +768,13 @@ func (e *Engine) cutBatchesLocked(b *binding) error {
 // pushTracked submits a graph-owned request, keeping its graph's
 // in-flight count consistent with the scheduler's acceptance.
 func (e *Engine) pushTracked(r *txnRequest) bool {
-	if r.graph != "" {
-		r.tracked = true
-		e.graphTakeoff(r.graph)
-	}
+	r.tracked = true
+	e.graphTakeoff(r.graph)
 	if e.sched.push(r) {
 		return true
 	}
-	if r.tracked {
-		r.tracked = false
-		e.graphDone(r.graph)
-	}
+	r.tracked = false
+	e.graphDone(r.graph)
 	return false
 }
 
@@ -1120,11 +1076,11 @@ func (e *Engine) executeRequest(r *txnRequest) {
 		}
 	}
 	// Durability: the command-log record must be written before the commit
-	// is acknowledged. Under group commit the append happens here (so the
-	// log keeps transaction order) but the acknowledgement waits for the
-	// fsync that covers it, delivered by the acker once the future
-	// resolves; the worker itself moves straight on to the next
-	// transaction. A request with no responder takes no future at all.
+	// is acknowledged. The append happens here (so the log keeps
+	// transaction order) but the acknowledgement waits for the future,
+	// delivered by the acker once it resolves; the worker itself moves
+	// straight on to the next transaction. A request with no responder
+	// takes no future at all.
 	ack, lerr := e.logCommit(r)
 	if lerr != nil {
 		undo.Rollback()
@@ -1141,10 +1097,10 @@ func (e *Engine) executeRequest(r *txnRequest) {
 		e.met.TriggeredTxns.Add(1)
 	}
 	if ack == nil {
-		// Nothing waits on this commit's fsync (no log, a synchronous log,
-		// or a responder-less border/triggered batch under group commit),
-		// so its latency is observed here, at commit; a commit that takes a
-		// future is observed by the acker, once durable.
+		// Nothing waits on this commit's record (no log, or a
+		// responder-less border/triggered batch), so its latency is
+		// observed here, at commit; a commit that takes a future is
+		// observed by the acker, once durable.
 		e.met.ObserveLatency(time.Since(start))
 	}
 
@@ -1292,9 +1248,7 @@ func (e *Engine) runHandler(p *Procedure, pctx *ProcCtx) (err error) {
 	return p.Handler(pctx)
 }
 
-// logCommit writes the request's command-log record. On the synchronous
-// path (SyncNever / SyncEveryRecord) it returns (nil, err) with the record
-// durable per policy; on the group-commit path it returns the commit
+// logCommit appends the request's command-log record and returns the commit
 // future the acknowledgement must wait for — or none when the request has
 // no responder (border and triggered batches): nobody would read the
 // future, so the record is appended un-waited and neither starts an fsync
@@ -1319,13 +1273,7 @@ func (e *Engine) logCommit(r *txnRequest) (<-chan error, error) {
 	default:
 		return nil, nil
 	}
-	switch {
-	case e.asyncLog == nil:
-		return nil, e.logger.LogCommit(rec)
-	case r.done == nil:
-		return nil, e.asyncLog.LogCommitUnwaited(rec)
-	}
-	return e.asyncLog.LogCommitAsync(rec)
+	return e.logger.Append(rec, r.done != nil)
 }
 
 // respond delivers the request's outcome to whoever waits for it. res is

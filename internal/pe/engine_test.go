@@ -83,8 +83,8 @@ func registerChain(t testing.TB, e *Engine, batchSize int) {
 			return appendLog(ctx, "b")
 		},
 	}))
-	must(t, e.BindStream("in_s", "sp_a", batchSize))
-	must(t, e.BindStream("mid_s", "sp_b", 1))
+	must(t, e.BindStream("g", "in_s", "sp_a", batchSize))
+	must(t, e.BindStream("g", "mid_s", "sp_b", 1))
 }
 
 func must(t testing.TB, err error) {
@@ -239,7 +239,7 @@ func TestAbortRollsBackEverything(t *testing.T) {
 		Name:    "sink",
 		Handler: func(ctx *ProcCtx) error { return nil },
 	}))
-	must(t, e.BindStream("mid_s", "sink", 1))
+	must(t, e.BindStream("g", "mid_s", "sink", 1))
 	must(t, e.Start())
 	defer e.Stop()
 	if _, err := e.Call("half"); err == nil || !strings.Contains(err.Error(), "changed my mind") {
@@ -296,7 +296,7 @@ func TestBatchVisibleToSQL(t *testing.T) {
 			return err
 		},
 	}))
-	must(t, e.BindStream("in_s", "sql_batch", 4))
+	must(t, e.BindStream("g", "in_s", "sql_batch", 4))
 	must(t, e.Start())
 	defer e.Stop()
 	must(t, e.Ingest("in_s", intRow(1), intRow(2), intRow(3), intRow(4)))
@@ -323,7 +323,7 @@ func TestFIFOModeRejectsSharedTables(t *testing.T) {
 func TestHStoreModeRejectsBindings(t *testing.T) {
 	e := newTestPE(t, Config{HStoreMode: true}, counterDDL)
 	must(t, e.RegisterProcedure(&Procedure{Name: "p", Handler: func(*ProcCtx) error { return nil }}))
-	if err := e.BindStream("in_s", "p", 1); err == nil {
+	if err := e.BindStream("g", "in_s", "p", 1); err == nil {
 		t.Fatal("H-Store mode accepted a PE trigger binding")
 	}
 }
@@ -346,43 +346,45 @@ func TestRegistrationErrors(t *testing.T) {
 	if err := e.RegisterProcedure(&Procedure{Name: "P", Handler: func(*ProcCtx) error { return nil }}); err == nil {
 		t.Error("duplicate (case-insensitive) accepted")
 	}
-	if err := e.BindStream("nosuch", "p", 1); err == nil {
+	if err := e.BindStream("g", "nosuch", "p", 1); err == nil {
 		t.Error("binding unknown stream accepted")
 	}
-	if err := e.BindStream("in_s", "nosuch", 1); err == nil {
+	if err := e.BindStream("g", "in_s", "nosuch", 1); err == nil {
 		t.Error("binding unknown proc accepted")
 	}
-	must(t, e.BindStream("in_s", "p", 1))
-	if err := e.BindStream("in_s", "p", 1); err == nil {
+	must(t, e.BindStream("g", "in_s", "p", 1))
+	if err := e.BindStream("g", "in_s", "p", 1); err == nil {
 		t.Error("double binding accepted")
 	}
 }
 
-// TestBatchSizeValidation pins the shim/strict split: the legacy
-// BindStream clamps batchSize < 1 to 1 (documented historical behavior),
-// while the graph-scoped bind rejects it with an error.
+// TestBatchSizeValidation pins what an edge needs: a dataflow graph to
+// belong to and a batch size of at least 1. A rejected bind leaves the
+// stream unbound.
 func TestBatchSizeValidation(t *testing.T) {
 	e := newTestPE(t, Config{}, counterDDL)
 	must(t, e.RegisterProcedure(&Procedure{Name: "p", Handler: func(*ProcCtx) error { return nil }}))
-	if err := e.BindStreamGraph("g", "in_s", "p", 0); err == nil ||
+	if err := e.BindStream("g", "in_s", "p", 0); err == nil ||
 		!strings.Contains(err.Error(), "batch size 0") {
-		t.Fatalf("graph bind accepted batch size 0: %v", err)
+		t.Fatalf("bind accepted batch size 0: %v", err)
 	}
-	if err := e.BindStreamGraph("g", "in_s", "p", -5); err == nil {
-		t.Fatal("graph bind accepted a negative batch size")
+	if err := e.BindStream("g", "in_s", "p", -5); err == nil {
+		t.Fatal("bind accepted a negative batch size")
 	}
-	// Legacy shim clamps instead.
-	must(t, e.BindStream("in_s", "p", 0))
-	if g, ok := e.BoundGraph("in_s"); !ok || g != "" {
-		t.Fatalf("legacy bind recorded graph %q, ok=%v", g, ok)
+	if err := e.BindStream("", "in_s", "p", 1); err == nil ||
+		!strings.Contains(err.Error(), "needs a dataflow graph") {
+		t.Fatalf("bind accepted an edge with no graph: %v", err)
+	}
+	if _, ok := e.BoundGraph("in_s"); ok {
+		t.Fatal("a rejected bind left the stream bound")
+	}
+	must(t, e.BindStream("g", "in_s", "p", 3))
+	if g, ok := e.BoundGraph("in_s"); !ok || g != "g" {
+		t.Fatalf("bind recorded graph %q, ok=%v", g, ok)
 	}
 	e.UnbindStream("in_s")
 	if _, ok := e.BoundGraph("in_s"); ok {
 		t.Fatal("unbind left the stream bound")
-	}
-	must(t, e.BindStreamGraph("g", "in_s", "p", 3))
-	if g, ok := e.BoundGraph("in_s"); !ok || g != "g" {
-		t.Fatalf("graph bind recorded graph %q, ok=%v", g, ok)
 	}
 }
 
@@ -492,9 +494,20 @@ func queryStopped(e *Engine, sqlText string) (*ee.Result, error) {
 	return e.ee.ExecSQL(&ee.ExecCtx{ReadOnly: true}, sqlText)
 }
 
+// loggerFunc is a Logger whose records are durable once appended, as under
+// SyncNever and SyncEveryRecord: every future it hands out is resolved.
 type loggerFunc func(rec *LogRecord) error
 
-func (f loggerFunc) LogCommit(rec *LogRecord) error { return f(rec) }
+func (f loggerFunc) Append(rec *LogRecord, waited bool) (<-chan error, error) {
+	if err := f(rec); err != nil || !waited {
+		return nil, err
+	}
+	ack := make(chan error, 1)
+	ack <- nil
+	return ack, nil
+}
+
+func (f loggerFunc) SyncCommits() error { return nil }
 
 func cloneRecord(rec *LogRecord) *LogRecord {
 	c := *rec
@@ -506,8 +519,9 @@ func cloneRecord(rec *LogRecord) *LogRecord {
 	return &c
 }
 
-// heldLogger is an AsyncCommitLogger whose futures resolve only when the
-// test (or SyncCommits) says so, recording which path each record took.
+// heldLogger is a Logger whose futures resolve only when the test (or
+// SyncCommits) says so, as under SyncGroupCommit with the fsync held open,
+// recording whether each record was waited on.
 type heldLogger struct {
 	mu       sync.Mutex
 	waited   []RecordKind // records that took a future, in order
@@ -516,23 +530,17 @@ type heldLogger struct {
 	syncs    int
 }
 
-func (l *heldLogger) LogCommit(*LogRecord) error { panic("synchronous path on an async logger") }
-func (l *heldLogger) AsyncCommit() bool          { return true }
-
-func (l *heldLogger) LogCommitAsync(rec *LogRecord) (<-chan error, error) {
+func (l *heldLogger) Append(rec *LogRecord, waited bool) (<-chan error, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if !waited {
+		l.unwaited = append(l.unwaited, rec.Kind)
+		return nil, nil
+	}
 	ch := make(chan error, 1)
 	l.waited = append(l.waited, rec.Kind)
 	l.futures = append(l.futures, ch)
 	return ch, nil
-}
-
-func (l *heldLogger) LogCommitUnwaited(rec *LogRecord) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.unwaited = append(l.unwaited, rec.Kind)
-	return nil
 }
 
 func (l *heldLogger) SyncCommits() error {
@@ -607,5 +615,90 @@ func TestUnwaitedCommitsSkipTheAckPipeline(t *testing.T) {
 	}))
 	if logger.syncs == 0 {
 		t.Fatal("barrier never called SyncCommits")
+	}
+}
+
+// TestResolvedFuturesAckInCommitOrder: a logger whose futures are resolved
+// on append (SyncNever, SyncEveryRecord) takes the same path as group
+// commit. Calls are appended in commit order and acknowledged in that order
+// by the acker, each with the state its own execution saw; border batches
+// append un-waited and never cross the acker; and a barrier finds nothing
+// pending.
+func TestResolvedFuturesAckInCommitOrder(t *testing.T) {
+	e := newTestPE(t, Config{}, counterDDL)
+	registerChain(t, e, 1)
+	must(t, e.RegisterProcedure(&Procedure{Name: "bump", Handler: func(ctx *ProcCtx) error {
+		if _, err := ctx.Exec("UPDATE counter SET n = n + 1 WHERE id = 1"); err != nil {
+			return err
+		}
+		res, err := ctx.Query("SELECT n FROM counter WHERE id = 1")
+		ctx.SetResult(res)
+		return err
+	}}))
+	var mu sync.Mutex
+	var kinds []RecordKind
+	e.SetLogger(loggerFunc(func(rec *LogRecord) error {
+		mu.Lock()
+		kinds = append(kinds, rec.Kind)
+		mu.Unlock()
+		return nil
+	}), LogBorderOnly)
+	must(t, e.Start())
+	defer e.Stop()
+	exec(t, e, "INSERT INTO counter VALUES (1, 0)")
+
+	const calls = 64
+	var done []<-chan CallResult
+	for i := 0; i < calls; i++ {
+		done = append(done, e.CallAsync("bump"))
+		if i%8 == 0 {
+			must(t, e.Ingest("in_s", intRow(int64(i))))
+		}
+	}
+	// The acker delivers in queue order: once the last call is answered,
+	// every earlier one already is.
+	last := <-done[calls-1]
+	if last.Err != nil {
+		t.Fatal(last.Err)
+	}
+	for i, ch := range done[:calls-1] {
+		select {
+		case cr := <-ch:
+			if cr.Err != nil {
+				t.Fatal(cr.Err)
+			}
+			if got := cr.Result.Rows[0][0].Int(); got != int64(i+1) {
+				t.Fatalf("call %d was answered with n = %d", i, got)
+			}
+		default:
+			t.Fatalf("call %d unanswered after call %d was acknowledged", i, calls-1)
+		}
+	}
+	if got := last.Result.Rows[0][0].Int(); got != calls {
+		t.Fatalf("last call answered with n = %d, want %d", got, calls)
+	}
+	must(t, e.RunExclusive(func() error {
+		e.ackMu.Lock()
+		defer e.ackMu.Unlock()
+		if e.ackPending != 0 {
+			return fmt.Errorf("barrier ran with %d acks pending", e.ackPending)
+		}
+		return nil
+	}))
+	mu.Lock()
+	defer mu.Unlock()
+	nCalls, nBorders := 0, 0
+	for _, k := range kinds {
+		switch k {
+		case RecCall:
+			nCalls++
+		case RecBorder:
+			nBorders++
+		default:
+			t.Fatalf("record kind %d logged under upstream backup", k)
+		}
+	}
+	if nCalls != calls || nBorders != calls/8 {
+		t.Fatalf("%d call and %d border records, want %d and %d", nCalls, nBorders, calls, calls/8)
 	}
 }

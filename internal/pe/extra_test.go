@@ -116,8 +116,8 @@ func TestDownstreamAbortDropsBatchOnly(t *testing.T) {
 			return err
 		},
 	}))
-	must(t, e.BindStream("in_s", "producer", 1))
-	must(t, e.BindStream("mid_s", "flaky", 1))
+	must(t, e.BindStream("g", "in_s", "producer", 1))
+	must(t, e.BindStream("g", "mid_s", "flaky", 1))
 	must(t, e.Start())
 	defer e.Stop()
 	for v := int64(1); v <= 6; v++ {
@@ -160,8 +160,8 @@ func TestFIFOModeAllowedWithoutConflicts(t *testing.T) {
 			return err
 		},
 	}))
-	must(t, e.BindStream("in_s", "stage_a", 1))
-	must(t, e.BindStream("mid_s", "stage_b", 1))
+	must(t, e.BindStream("g", "in_s", "stage_a", 1))
+	must(t, e.BindStream("g", "mid_s", "stage_b", 1))
 	must(t, e.Start())
 	defer e.Stop()
 	for v := int64(1); v <= 10; v++ {

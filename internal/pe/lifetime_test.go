@@ -22,7 +22,7 @@ const lifetimeDDL = `
 	CREATE STREAM noise_s (k INT, v VARCHAR);
 `
 
-func lifetimeEngine(t *testing.T, cfg Config, logger CommitLogger) *Engine {
+func lifetimeEngine(t *testing.T, cfg Config, logger Logger) *Engine {
 	t.Helper()
 	e := newTestPE(t, cfg, lifetimeDDL)
 	if logger != nil {
@@ -65,9 +65,9 @@ func lifetimeEngine(t *testing.T, cfg Config, logger CommitLogger) *Engine {
 		}
 		return nil
 	}}))
-	must(t, e.BindStream("in_s", "sp_in", 2))
-	must(t, e.BindStream("mid_s", "sp_mid", 2))
-	must(t, e.BindStream("noise_s", "sp_noise", 2))
+	must(t, e.BindStream("g", "in_s", "sp_in", 2))
+	must(t, e.BindStream("g", "mid_s", "sp_mid", 2))
+	must(t, e.BindStream("g", "noise_s", "sp_noise", 2))
 	must(t, e.Start())
 	t.Cleanup(e.Stop)
 	for k := int64(1); k <= 3; k++ {

@@ -436,10 +436,8 @@ func (e *Engine) dispatchEmits(batchID uint64, origin time.Time, replay bool) in
 		case e.replaying:
 			e.replayQueue = append(e.replayQueue, tr)
 		case e.cfg.Mode == ModeWorkflowSerial:
-			if tr.graph != "" {
-				tr.tracked = true
-				e.graphTakeoff(tr.graph)
-			}
+			tr.tracked = true
+			e.graphTakeoff(tr.graph)
 			e.localTriggered = append(e.localTriggered, tr)
 		default:
 			e.pushTracked(tr)

@@ -53,8 +53,8 @@ type txnRequest struct {
 	// ingest or OLTP call); PE-triggered descendants inherit it, so the
 	// final stage's commit observes the workflow's end-to-end latency.
 	origin time.Time
-	// stats is the owning dataflow's counter set (nil for legacy direct
-	// bindings and replay).
+	// stats is the owning dataflow's counter set (nil for OLTP calls,
+	// ad-hoc statements and replayed log records).
 	stats *metrics.GraphStats
 	// graph / tracked: the owning dataflow whose in-flight count this
 	// request was admitted under (see Engine.graphTakeoff); tracked

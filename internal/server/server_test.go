@@ -38,7 +38,7 @@ func newServer(t *testing.T) (*Server, *core.Store) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.BindStream("feed", "absorb", 2); err != nil {
+	if err := st.Deploy(&core.Dataflow{Name: "feed", Nodes: []core.DataflowNode{{Proc: "absorb", Input: "feed", Batch: 2}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Start(); err != nil {
@@ -239,20 +239,19 @@ func TestDataflowsOverWire(t *testing.T) {
 	}
 	defer c.Close()
 
-	// newServer wired feed -> absorb through the BindStream shim, which
-	// deploys the anonymous graph "bind_feed".
+	// newServer deployed feed -> absorb as the graph "feed".
 	resp, err := c.Dataflows()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Rows) != 1 || resp.Rows[0][0].Str() != "bind_feed" {
+	if len(resp.Rows) != 1 || resp.Rows[0][0].Str() != "feed" {
 		t.Fatalf("dataflows over wire: %v", resp.Rows)
 	}
-	text, err := c.ExplainDataflow("bind_feed")
+	text, err := c.ExplainDataflow("feed")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"DATAFLOW bind_feed", "absorb", "<- feed [batch 2] (border)"} {
+	for _, want := range []string{"DATAFLOW feed", "absorb", "<- feed [batch 2] (border)"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("explain over wire missing %q:\n%s", want, text)
 		}
@@ -262,7 +261,7 @@ func TestDataflowsOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Rows) != 1 || resp.Rows[0][0].Str() != "bind_feed" {
+	if len(resp.Rows) != 1 || resp.Rows[0][0].Str() != "feed" {
 		t.Fatalf("SHOW DATAFLOWS over wire: %v", resp.Rows)
 	}
 	if _, err := c.Query("EXPLAIN DATAFLOW nosuch"); err == nil ||
@@ -271,7 +270,7 @@ func TestDataflowsOverWire(t *testing.T) {
 	}
 
 	// Pause over the wire: subsequent ingest queues server-side.
-	if err := c.PauseDataflow("bind_feed"); err != nil {
+	if err := c.PauseDataflow("feed"); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
@@ -290,7 +289,7 @@ func TestDataflowsOverWire(t *testing.T) {
 	if state := resp.Rows[0][1].Str(); state != "paused" {
 		t.Fatalf("state over wire = %q, want paused", state)
 	}
-	if err := c.ResumeDataflow("bind_feed"); err != nil {
+	if err := c.ResumeDataflow("feed"); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Flush(); err != nil {

@@ -302,15 +302,6 @@ type CreateIndex struct {
 	Unique  bool
 }
 
-// CreateTrigger is CREATE TRIGGER name ON relation EXECUTE PROCEDURE proc —
-// declares a PE trigger when the relation is a stream, or an EE trigger
-// binding when used by the engine internally.
-type CreateTrigger struct {
-	Name      string
-	Relation  string
-	Procedure string
-}
-
 // Drop is DROP TABLE/STREAM/WINDOW/INDEX/TRIGGER name.
 type Drop struct {
 	Kind     string // TABLE | STREAM | WINDOW | INDEX | TRIGGER
@@ -360,6 +351,5 @@ func (*CreateTable) stmt()    {}
 func (*CreateStream) stmt()   {}
 func (*CreateWindow) stmt()   {}
 func (*CreateIndex) stmt()    {}
-func (*CreateTrigger) stmt()  {}
 func (*Drop) stmt()           {}
 func (*DeployDataflow) stmt() {}

@@ -57,8 +57,7 @@ var keywords = map[string]bool{
 	"OR": true, "IN": true, "IS": true, "BETWEEN": true, "LIKE": true,
 	"JOIN": true, "INNER": true, "LEFT": true, "AS": true, "DISTINCT": true,
 	"TRUE": true, "FALSE": true, "ROWS": true, "RANGE": true, "SLIDE": true,
-	"TRIGGER": true, "AFTER": true, "EXECUTE": true, "PROCEDURE": true,
-	"DROP": true, "IF": true, "EXISTS": true, "CASE": true, "WHEN": true,
+	"TRIGGER": true, "DROP": true, "IF": true, "EXISTS": true, "CASE": true, "WHEN": true,
 	"THEN": true, "ELSE": true, "END": true, "TIMESTAMP": true,
 }
 

@@ -580,10 +580,8 @@ func (p *parser) parseCreate() (Statement, error) {
 		return p.parseCreateIndex(true)
 	case p.keyword("INDEX"):
 		return p.parseCreateIndex(false)
-	case p.keyword("TRIGGER"):
-		return p.parseCreateTrigger()
 	default:
-		return nil, p.errf("expected TABLE, STREAM, WINDOW, INDEX, or TRIGGER after CREATE")
+		return nil, p.errf("expected TABLE, STREAM, WINDOW, or INDEX after CREATE")
 	}
 }
 
@@ -836,31 +834,6 @@ func (p *parser) parseCreateIndex(unique bool) (Statement, error) {
 		return nil, err
 	}
 	return ci, nil
-}
-
-func (p *parser) parseCreateTrigger() (Statement, error) {
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("ON"); err != nil {
-		return nil, err
-	}
-	rel, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("EXECUTE"); err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("PROCEDURE"); err != nil {
-		return nil, err
-	}
-	proc, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	return &CreateTrigger{Name: name, Relation: rel, Procedure: proc}, nil
 }
 
 func (p *parser) parseDrop() (Statement, error) {

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/types"
@@ -155,12 +156,16 @@ func TestParseCreateIndexTriggerDrop(t *testing.T) {
 	if !ci.Unique || ci.Table != "t" || len(ci.Columns) != 2 {
 		t.Fatalf("%+v", ci)
 	}
-	tr := mustParse(t, "CREATE TRIGGER t1 ON votes_s EXECUTE PROCEDURE count_votes").(*CreateTrigger)
-	if tr.Relation != "votes_s" || tr.Procedure != "count_votes" {
-		t.Fatalf("%+v", tr)
+	// A trigger is declared only inside DEPLOY DATAFLOW.
+	if _, err := Parse("CREATE TRIGGER t1 ON votes_s EXECUTE PROCEDURE count_votes"); err == nil ||
+		!strings.Contains(err.Error(), "after CREATE") {
+		t.Fatalf("CREATE TRIGGER ... EXECUTE PROCEDURE: err = %v", err)
 	}
 	dr := mustParse(t, "DROP TABLE IF EXISTS t").(*Drop)
 	if dr.Kind != "TABLE" || !dr.IfExists {
+		t.Fatalf("%+v", dr)
+	}
+	if dr := mustParse(t, "DROP TRIGGER t1").(*Drop); dr.Kind != "TRIGGER" || dr.Name != "t1" {
 		t.Fatalf("%+v", dr)
 	}
 }

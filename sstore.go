@@ -49,10 +49,10 @@
 // pause. Store.UndeployDataflow removes a graph live: admitted work
 // drains behind the pause gate, then the wiring and catalog entries
 // unwind on every partition (refused while another graph consumes one of
-// its streams — undeploy the consumer first). Multi-stage graphs add Emits declarations so the deploy
-// validator sees the edges; see examples/bikealert. The single-edge
-// Store.BindStream and Store.CreateTrigger calls remain as compat shims
-// that deploy anonymous graphs ("bind_<stream>" / "trigger_<rel>_<name>").
+// its streams — undeploy the consumer first). Multi-stage graphs add Emits
+// declarations so the deploy validator sees the edges; see
+// examples/bikealert. Deploy is the only way to wire a stream edge or an EE
+// trigger: every edge and trigger belongs to a named graph.
 //
 // # Scale-out
 //
