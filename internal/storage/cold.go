@@ -41,7 +41,7 @@ import (
 
 // budgetValueBytes is what one value counts for in the resident-bytes
 // ledger, the unit MemoryBudget is set in. It is the budget's unit, not
-// the size of types.Value (32 bytes): it stays 40 so that a budget — and
+// the size of types.Value (16 bytes): it stays 40 so that a budget — and
 // a row size derived from this accounting, like the benchmark's kv row —
 // means the same number of rows whatever the struct's layout.
 const budgetValueBytes = 40

@@ -98,10 +98,18 @@ type slClass struct {
 }
 
 var slClasses = [...]slClass{
-	{lanes: 1, bytes: int64(unsafe.Sizeof(slNode1{})), pool: sync.Pool{New: func() any { return &new(slNode1).slNode }}},
-	{lanes: 3, bytes: int64(unsafe.Sizeof(slNode3{})), pool: sync.Pool{New: func() any { return &new(slNode3).slNode }}},
-	{lanes: 7, bytes: int64(unsafe.Sizeof(slNode7{})), pool: sync.Pool{New: func() any { return &new(slNode7).slNode }}},
-	{lanes: maxLevel, bytes: int64(unsafe.Sizeof(slNode24{})), pool: sync.Pool{New: func() any { return &new(slNode24).slNode }}},
+	{lanes: 1, bytes: allocBytes(unsafe.Sizeof(slNode1{})), pool: sync.Pool{New: func() any { return &new(slNode1).slNode }}},
+	{lanes: 3, bytes: allocBytes(unsafe.Sizeof(slNode3{})), pool: sync.Pool{New: func() any { return &new(slNode3).slNode }}},
+	{lanes: 7, bytes: allocBytes(unsafe.Sizeof(slNode7{})), pool: sync.Pool{New: func() any { return &new(slNode7).slNode }}},
+	{lanes: maxLevel, bytes: allocBytes(unsafe.Sizeof(slNode24{})), pool: sync.Pool{New: func() any { return &new(slNode24).slNode }}},
+}
+
+// allocBytes is what the heap hands out for an n-byte object: n rounded up
+// to its allocator size class. append rounds a slice's growth the same way,
+// so the class is read off it rather than copied from the runtime's table
+// (exact up to 512 B, where an object holding pointers gains no header).
+func allocBytes(n uintptr) int64 {
+	return int64(cap(append([]byte(nil), make([]byte, n)...)))
 }
 
 // classOf returns the smallest class whose tower holds lvl lanes.

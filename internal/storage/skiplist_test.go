@@ -160,7 +160,7 @@ func TestSkiplistBoundedScan(t *testing.T) {
 // bytes the index reports for itself must agree with the heap's.
 func TestIndexEntryFootprint(t *testing.T) {
 	const n = 50000
-	const maxAllocs, maxBytes = 1.05, 110.0
+	const maxAllocs, maxBytes = 1.05, 90.0
 	ix := newIndex("fp", []int{0}, true, NewEpochManager())
 	next := int64(0)
 	row := types.Row{types.NewInt(0), types.NewInt(0)}

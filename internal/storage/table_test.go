@@ -375,7 +375,7 @@ func TestDeleteUnderOneKeyAllocatesLinearly(t *testing.T) {
 // index entries. Measured 343 B; 414 B when a Value was 40 B, a version
 // pointed at a separate payload object and the worker kept a RowID map.
 func TestStoredRowFootprint(t *testing.T) {
-	const n, maxBytes = 50000, 360.0
+	const n, maxBytes = 50000, 280.0
 	schema := types.MustSchema("kv", []types.Column{
 		{Name: "k", Type: types.TypeInt}, {Name: "grp", Type: types.TypeInt},
 		{Name: "n", Type: types.TypeInt}, {Name: "v", Type: types.TypeString},

@@ -17,18 +17,19 @@ import (
 
 // EncodeValue appends the binary encoding of v to buf and returns it.
 func EncodeValue(buf []byte, v Value) []byte {
-	buf = append(buf, byte(v.typ))
-	switch v.typ {
+	t := v.typ()
+	buf = append(buf, byte(t))
+	switch t {
 	case TypeNull:
 	case TypeBool:
-		buf = append(buf, byte(v.i))
+		buf = append(buf, byte(v.w))
 	case TypeInt, TypeTimestamp:
-		buf = binary.AppendVarint(buf, v.i)
+		buf = binary.AppendVarint(buf, v.i())
 	case TypeFloat:
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.i))
+		buf = binary.LittleEndian.AppendUint64(buf, v.w)
 	case TypeString:
-		buf = binary.AppendUvarint(buf, uint64(len(v.s)))
-		buf = append(buf, v.s...)
+		buf = binary.AppendUvarint(buf, v.w)
+		buf = append(buf, v.s()...)
 	}
 	return buf
 }

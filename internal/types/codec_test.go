@@ -1,8 +1,10 @@
 package types
 
 import (
+	"encoding/hex"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -94,5 +96,42 @@ func TestCodecCorruption(t *testing.T) {
 	// Absurd arity must not allocate/loop.
 	if _, _, err := DecodeRow([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x7F}); err == nil {
 		t.Error("absurd arity not detected")
+	}
+}
+
+// TestValueEncodingUnchanged pins the bytes EncodeValue and EncodeRows
+// write for every type, so a change to Value's layout cannot move the
+// command log, snapshot or wire formats: a data directory written before
+// it still recovers.
+func TestValueEncodingUnchanged(t *testing.T) {
+	long := strings.Repeat("abc", 100)
+	cases := []struct {
+		v    Value
+		want string
+	}{
+		{Null, "00"},
+		{NewBool(false), "0100"},
+		{NewBool(true), "0101"},
+		{NewInt(0), "0200"},
+		{NewInt(-1), "0201"},
+		{NewInt(300), "02d804"},
+		{NewInt(math.MinInt64), "02ffffffffffffffffff01"},
+		{NewInt(math.MaxInt64), "02feffffffffffffffff01"},
+		{NewFloat(2.5), "030000000000000440"},
+		{NewFloat(math.NaN()), "03010000000000f87f"},
+		{NewFloat(math.Copysign(0, -1)), "030000000000000080"},
+		{NewString(""), "0400"},
+		{NewString("O'Neil — naïve"), "04114f274e65696c20e28094206e61c3af7665"},
+		{NewString(long), "04ac02" + hex.EncodeToString([]byte(long))},
+		{NewTimestamp(1700000000000001), "058280f28183898506"},
+	}
+	for _, c := range cases {
+		if got := hex.EncodeToString(EncodeValue(nil, c.v)); got != c.want {
+			t.Errorf("EncodeValue(%s %v) = %s, want %s", c.v.Type(), c.v, got, c.want)
+		}
+	}
+	rows := []Row{{NewInt(7), NewString("kv"), Null, NewFloat(-1)}, {}}
+	if got, want := hex.EncodeToString(EncodeRows(nil, rows)), "0204020e04026b760003000000000000f0bf00"; got != want {
+		t.Errorf("EncodeRows = %s, want %s", got, want)
 	}
 }

@@ -64,136 +64,176 @@ func ParseType(name string) (Type, error) {
 	}
 }
 
-// Value is a compact tagged union holding one SQL scalar. The zero Value is
-// SQL NULL. Values are immutable; all methods are safe for concurrent use.
-// A FLOAT keeps its IEEE bits in i, so every payload but a string shares
-// one word.
+// Value is a compact tagged union holding one SQL scalar in two words.
+// The zero Value is SQL NULL. Values are immutable; all methods are safe
+// for concurrent use.
+//
+// p says how to read w. A VARCHAR's p points at its bytes and w is its
+// length. Any other non-NULL value's p is the address of its type's entry
+// in tags and w is its payload: 0/1 for a BOOLEAN, the integer for a
+// BIGINT or TIMESTAMP, the IEEE bits for a FLOAT. The empty string takes
+// its tag too, so "" is not NULL. NULL is p == nil.
+//
+// A string is held by address, so reflect.DeepEqual and %#v see where its
+// bytes live, not what they say: compare Values with Equal or Compare.
 type Value struct {
-	typ Type
-	i   int64 // Bool (0/1), Int, Timestamp; a Float's math.Float64bits
-	s   string
+	p unsafe.Pointer
+	w uint64
 }
 
-// Value is 32 bytes: every stored row, index key, parameter and result row
+// tags gives each type an address a Value can point at: tags[t] == t, so
+// a tag's offset in the array is its type.
+var tags = [...]Type{TypeNull, TypeBool, TypeInt, TypeFloat, TypeString, TypeTimestamp}
+
+// Value is 16 bytes: every stored row, index key, parameter and result row
 // is an array of them (DESIGN.md §1.6). Either line stops the build if
 // the size moves.
 var (
-	_ [unsafe.Sizeof(Value{}) - 32]struct{}
-	_ [32 - unsafe.Sizeof(Value{})]struct{}
+	_ [unsafe.Sizeof(Value{}) - 16]struct{}
+	_ [16 - unsafe.Sizeof(Value{})]struct{}
 )
+
+// tagged returns a non-string value of type t with payload w.
+func tagged(t Type, w uint64) Value { return Value{p: unsafe.Pointer(&tags[t]), w: w} }
+
+// typ, i and s are the representation's three readers: the type, the
+// payload word as an integer, and a VARCHAR's bytes.
+func (v Value) typ() Type {
+	if d := uintptr(v.p) - uintptr(unsafe.Pointer(&tags)); d < uintptr(len(tags)) {
+		return Type(d)
+	}
+	if v.p == nil {
+		return TypeNull
+	}
+	return TypeString
+}
+
+func (v Value) i() int64 { return int64(v.w) }
+
+// s is meaningful for a VARCHAR only; the empty string's tag is read with
+// length 0.
+func (v Value) s() string { return unsafe.String((*byte)(v.p), v.w) }
 
 // Null is the SQL NULL value.
 var Null = Value{}
 
 // NewBool returns a BOOLEAN value.
 func NewBool(b bool) Value {
-	var i int64
+	var w uint64
 	if b {
-		i = 1
+		w = 1
 	}
-	return Value{typ: TypeBool, i: i}
+	return tagged(TypeBool, w)
 }
 
 // NewInt returns a BIGINT value.
-func NewInt(i int64) Value { return Value{typ: TypeInt, i: i} }
+func NewInt(i int64) Value { return tagged(TypeInt, uint64(i)) }
 
 // NewFloat returns a FLOAT value.
-func NewFloat(f float64) Value { return Value{typ: TypeFloat, i: int64(math.Float64bits(f))} }
+func NewFloat(f float64) Value { return tagged(TypeFloat, math.Float64bits(f)) }
 
-// NewString returns a VARCHAR value.
-func NewString(s string) Value { return Value{typ: TypeString, s: s} }
+// NewString returns a VARCHAR value. It keeps s's bytes, not a copy.
+func NewString(s string) Value {
+	if s == "" {
+		return tagged(TypeString, 0)
+	}
+	return Value{p: unsafe.Pointer(unsafe.StringData(s)), w: uint64(len(s))}
+}
 
 // NewTimestamp returns a TIMESTAMP value from microseconds since the epoch.
-func NewTimestamp(usec int64) Value { return Value{typ: TypeTimestamp, i: usec} }
+func NewTimestamp(usec int64) Value { return tagged(TypeTimestamp, uint64(usec)) }
 
 // Type reports the value's SQL type.
-func (v Value) Type() Type { return v.typ }
+func (v Value) Type() Type { return v.typ() }
 
 // IsNull reports whether the value is SQL NULL.
-func (v Value) IsNull() bool { return v.typ == TypeNull }
+func (v Value) IsNull() bool { return v.p == nil }
 
 // Bool returns the boolean payload. It panics if the value is not a BOOLEAN.
 func (v Value) Bool() bool {
-	if v.typ != TypeBool {
-		panic(fmt.Sprintf("types: Bool() on %s value", v.typ))
+	if t := v.typ(); t != TypeBool {
+		panic(fmt.Sprintf("types: Bool() on %s value", t))
 	}
-	return v.i != 0
+	return v.w != 0
 }
 
 // Int returns the integer payload. It panics unless the value is a BIGINT
 // or TIMESTAMP.
 func (v Value) Int() int64 {
-	if v.typ != TypeInt && v.typ != TypeTimestamp {
-		panic(fmt.Sprintf("types: Int() on %s value", v.typ))
+	if t := v.typ(); t != TypeInt && t != TypeTimestamp {
+		panic(fmt.Sprintf("types: Int() on %s value", t))
 	}
-	return v.i
+	return v.i()
 }
 
 // Float returns the float payload, widening BIGINT if necessary. It panics
 // on non-numeric values.
 func (v Value) Float() float64 {
-	switch v.typ {
+	switch t := v.typ(); t {
 	case TypeFloat:
 		return v.f()
 	case TypeInt, TypeTimestamp:
-		return float64(v.i)
+		return float64(v.i())
 	default:
-		panic(fmt.Sprintf("types: Float() on %s value", v.typ))
+		panic(fmt.Sprintf("types: Float() on %s value", t))
 	}
 }
 
 // f returns a FLOAT's payload; meaningless for any other type.
-func (v Value) f() float64 { return math.Float64frombits(uint64(v.i)) }
+func (v Value) f() float64 { return math.Float64frombits(v.w) }
 
 // Str returns the string payload. It panics if the value is not a VARCHAR.
 func (v Value) Str() string {
-	if v.typ != TypeString {
-		panic(fmt.Sprintf("types: Str() on %s value", v.typ))
+	if t := v.typ(); t != TypeString {
+		panic(fmt.Sprintf("types: Str() on %s value", t))
 	}
-	return v.s
+	return v.s()
 }
 
 // Timestamp returns the timestamp payload in microseconds since the epoch.
 func (v Value) Timestamp() int64 {
-	if v.typ != TypeTimestamp {
-		panic(fmt.Sprintf("types: Timestamp() on %s value", v.typ))
+	if t := v.typ(); t != TypeTimestamp {
+		panic(fmt.Sprintf("types: Timestamp() on %s value", t))
 	}
-	return v.i
+	return v.i()
 }
 
 // IsNumeric reports whether the value is BIGINT or FLOAT.
-func (v Value) IsNumeric() bool { return v.typ == TypeInt || v.typ == TypeFloat }
+func (v Value) IsNumeric() bool {
+	t := v.typ()
+	return t == TypeInt || t == TypeFloat
+}
 
 // IsTrue reports whether the value is the boolean TRUE. NULL is not true.
-func (v Value) IsTrue() bool { return v.typ == TypeBool && v.i != 0 }
+func (v Value) IsTrue() bool { return v.typ() == TypeBool && v.w != 0 }
 
 // String renders the value as it would appear in query output.
 func (v Value) String() string {
-	switch v.typ {
+	switch t := v.typ(); t {
 	case TypeNull:
 		return "NULL"
 	case TypeBool:
-		if v.i != 0 {
+		if v.w != 0 {
 			return "true"
 		}
 		return "false"
 	case TypeInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.i(), 10)
 	case TypeFloat:
 		return strconv.FormatFloat(v.f(), 'g', -1, 64)
 	case TypeString:
-		return v.s
+		return v.s()
 	case TypeTimestamp:
-		return strconv.FormatInt(v.i, 10) + "us"
+		return strconv.FormatInt(v.i(), 10) + "us"
 	default:
-		return fmt.Sprintf("Value(%d)", uint8(v.typ))
+		return fmt.Sprintf("Value(%d)", uint8(t))
 	}
 }
 
 // SQLLiteral renders the value as a SQL literal (strings quoted and escaped).
 func (v Value) SQLLiteral() string {
-	if v.typ == TypeString {
-		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
+	if v.typ() == TypeString {
+		return "'" + strings.ReplaceAll(v.s(), "'", "''") + "'"
 	}
 	return v.String()
 }
@@ -202,38 +242,32 @@ func (v Value) SQLLiteral() string {
 // NULL < BOOL < numerics < VARCHAR < TIMESTAMP, with BIGINT and FLOAT
 // comparing by numeric value. It returns -1, 0, or +1.
 func (v Value) Compare(o Value) int {
-	vr, or := v.rank(), o.rank()
-	if vr != or {
-		if vr < or {
-			return -1
+	if v.p == o.p {
+		// One tag (or both NULL, w 0), or two strings starting at the same
+		// byte, where the shorter is a prefix of the longer.
+		if v.p == unsafe.Pointer(&tags[TypeFloat]) {
+			return cmpFloat(v.f(), o.f())
 		}
-		return 1
+		return cmpInt(v.i(), o.i())
 	}
-	switch v.typ {
-	case TypeNull:
-		return 0
-	case TypeBool, TypeTimestamp:
-		return cmpInt(v.i, o.i)
-	case TypeInt:
-		if o.typ == TypeFloat {
-			return cmpFloat(float64(v.i), o.f())
-		}
-		return cmpInt(v.i, o.i)
-	case TypeFloat:
-		if o.typ == TypeInt {
-			return cmpFloat(v.f(), float64(o.i))
-		}
-		return cmpFloat(v.f(), o.f())
+	vt, ot := v.typ(), o.typ()
+	if vr, or := rank(vt), rank(ot); vr != or {
+		return cmpInt(int64(vr), int64(or))
+	}
+	// One rank, two addresses: two strings, or a BIGINT and a FLOAT.
+	switch vt {
 	case TypeString:
-		return strings.Compare(v.s, o.s)
+		return strings.Compare(v.s(), o.s())
+	case TypeInt:
+		return cmpFloat(float64(v.i()), o.f())
 	default:
-		return 0
+		return cmpFloat(v.f(), float64(o.i()))
 	}
 }
 
 // rank groups types into comparison classes; BIGINT and FLOAT share a class.
-func (v Value) rank() int {
-	switch v.typ {
+func rank(t Type) int {
+	switch t {
 	case TypeNull:
 		return 0
 	case TypeBool:
@@ -242,10 +276,8 @@ func (v Value) rank() int {
 		return 2
 	case TypeString:
 		return 3
-	case TypeTimestamp:
-		return 4
 	default:
-		return 5
+		return 4
 	}
 }
 
@@ -295,12 +327,12 @@ var canonicalNaN = math.Float64bits(math.NaN())
 func (v Value) Hash() uint64 {
 	var h maphash.Hash
 	h.SetSeed(hashSeed)
-	switch v.typ {
+	switch v.typ() {
 	case TypeNull:
 		h.WriteByte(0)
 	case TypeBool:
 		h.WriteByte(1)
-		h.WriteByte(byte(v.i))
+		h.WriteByte(byte(v.w))
 	case TypeInt, TypeFloat:
 		// Hash the float64 representation so 2 and 2.0 collide.
 		h.WriteByte(2)
@@ -315,10 +347,10 @@ func (v Value) Hash() uint64 {
 		}
 	case TypeString:
 		h.WriteByte(3)
-		h.WriteString(v.s)
+		h.WriteString(v.s())
 	case TypeTimestamp:
 		h.WriteByte(4)
-		writeUint64(&h, uint64(v.i))
+		writeUint64(&h, v.w)
 	}
 	return h.Sum64()
 }
@@ -334,57 +366,58 @@ func writeUint64(h *maphash.Hash, u uint64) {
 // Coerce converts v to the target type when a lossless or standard SQL
 // conversion exists (int↔float, string→any via parsing, timestamp↔int).
 func Coerce(v Value, t Type) (Value, error) {
-	if v.typ == t || v.typ == TypeNull {
+	vt := v.typ()
+	if vt == t || vt == TypeNull {
 		return v, nil
 	}
 	switch t {
 	case TypeBool:
-		if v.typ == TypeString {
-			switch strings.ToLower(v.s) {
+		if vt == TypeString {
+			switch strings.ToLower(v.s()) {
 			case "true", "t", "1":
 				return NewBool(true), nil
 			case "false", "f", "0":
 				return NewBool(false), nil
 			}
 		}
-		if v.typ == TypeInt {
-			return NewBool(v.i != 0), nil
+		if vt == TypeInt {
+			return NewBool(v.w != 0), nil
 		}
 	case TypeInt:
-		switch v.typ {
+		switch vt {
 		case TypeFloat:
 			if f := v.f(); f == math.Trunc(f) && !math.IsInf(f, 0) {
 				return NewInt(int64(f)), nil
 			}
 		case TypeString:
-			if i, err := strconv.ParseInt(strings.TrimSpace(v.s), 10, 64); err == nil {
+			if i, err := strconv.ParseInt(strings.TrimSpace(v.s()), 10, 64); err == nil {
 				return NewInt(i), nil
 			}
 		case TypeTimestamp:
-			return NewInt(v.i), nil
+			return NewInt(v.i()), nil
 		case TypeBool:
-			return NewInt(v.i), nil
+			return NewInt(v.i()), nil
 		}
 	case TypeFloat:
-		switch v.typ {
+		switch vt {
 		case TypeInt:
-			return NewFloat(float64(v.i)), nil
+			return NewFloat(float64(v.i())), nil
 		case TypeString:
-			if f, err := strconv.ParseFloat(strings.TrimSpace(v.s), 64); err == nil {
+			if f, err := strconv.ParseFloat(strings.TrimSpace(v.s()), 64); err == nil {
 				return NewFloat(f), nil
 			}
 		}
 	case TypeString:
 		return NewString(v.String()), nil
 	case TypeTimestamp:
-		switch v.typ {
+		switch vt {
 		case TypeInt:
-			return NewTimestamp(v.i), nil
+			return NewTimestamp(v.i()), nil
 		case TypeString:
-			if i, err := strconv.ParseInt(strings.TrimSpace(v.s), 10, 64); err == nil {
+			if i, err := strconv.ParseInt(strings.TrimSpace(v.s()), 10, 64); err == nil {
 				return NewTimestamp(i), nil
 			}
 		}
 	}
-	return Null, fmt.Errorf("types: cannot coerce %s %q to %s", v.typ, v.String(), t)
+	return Null, fmt.Errorf("types: cannot coerce %s %q to %s", vt, v.String(), t)
 }

@@ -1,9 +1,12 @@
 package types
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -247,4 +250,124 @@ func randomValue(rng *rand.Rand) Value {
 	default:
 		return NewFloat(math.NaN())
 	}
+}
+
+// TestValueTwoWords checks the corners of the two-word representation:
+// the empty string against NULL, strings sharing bytes, the Compare fast
+// path against the rank order, and strings that only Values keep alive.
+// Run it under -race too, which turns on checkptr.
+func TestValueTwoWords(t *testing.T) {
+	t.Run("EmptyStringIsNotNull", func(t *testing.T) {
+		e := NewString("")
+		if e.Type() != TypeString || e.IsNull() || e.Str() != "" {
+			t.Fatalf(`NewString("") reads as %s, null %v, %q`, e.Type(), e.IsNull(), e.Str())
+		}
+		if e.Compare(Null) != 1 || Null.Compare(e) != -1 || e.Equal(Null) {
+			t.Error(`NewString("") must sort after NULL`)
+		}
+		if e.Hash() == Null.Hash() {
+			t.Error(`NewString("") hashes like NULL`)
+		}
+		if other := NewString(string([]byte{})); !e.Equal(other) || e.Hash() != other.Hash() {
+			t.Error("two empty strings differ")
+		}
+		if e.Compare(NewString("a")) != -1 {
+			t.Error(`"" must sort before "a"`)
+		}
+	})
+
+	t.Run("SharedBytesCompareByContent", func(t *testing.T) {
+		s := strings.Repeat("ab", 4) // built at run time: one backing array
+		short, full := NewString(s[:3]), NewString(s)
+		if short.p != full.p {
+			t.Fatal("a prefix slice does not share its string's first byte")
+		}
+		if short.Compare(full) != -1 || full.Compare(short) != 1 || short.Equal(full) {
+			t.Errorf("%q vs %q: %d", short, full, short.Compare(full))
+		}
+		if copied := NewString(string([]byte("aba"))); copied.p == short.p || !copied.Equal(short) || copied.Hash() != short.Hash() {
+			t.Error("equal strings at different addresses must compare and hash alike")
+		}
+		if tail := NewString(s[2:]); tail.Compare(NewString("ababab")) != 0 || tail.Compare(full) != -1 {
+			t.Errorf("suffix %q compares wrong", tail)
+		}
+	})
+
+	t.Run("FastPathMatchesRankOrder", func(t *testing.T) {
+		base := strings.Repeat("xyz", 3)
+		vals := []Value{
+			Null, Null, NewBool(false), NewBool(true), NewBool(true),
+			NewInt(0), NewInt(2), NewInt(-3), NewInt(math.MinInt64), NewInt(math.MaxInt64), NewInt(1<<53 + 1),
+			NewFloat(0), NewFloat(math.Copysign(0, -1)), NewFloat(2), NewFloat(2.5), NewFloat(-3),
+			NewFloat(math.Inf(1)), NewFloat(math.Inf(-1)), NewFloat(1 << 53),
+			NewFloat(math.NaN()), NewFloat(math.Float64frombits(0xfff8000000000000)),
+			NewString(""), NewString(""), NewString(base), NewString(base[:1]), NewString(base[:4]),
+			NewString(base[3:]), NewString(string([]byte(base))), NewString("0"), NewString("xz"),
+			NewTimestamp(0), NewTimestamp(2), NewTimestamp(-3), NewTimestamp(math.MaxInt64),
+		}
+		rng := rand.New(rand.NewSource(5))
+		for i := 0; i < 60; i++ {
+			vals = append(vals, randomValue(rng))
+		}
+		for _, a := range vals {
+			for _, b := range vals {
+				if got, want := a.Compare(b), rankCompare(a, b); got != want {
+					t.Errorf("%s %v vs %s %v: Compare %d, rank order %d", a.Type(), a, b.Type(), b, got, want)
+				}
+			}
+		}
+	})
+
+	t.Run("StringsSurviveGC", func(t *testing.T) {
+		const n = 2000
+		want := func(i int) string { return strconv.Itoa(i) + strings.Repeat("s", i%64) }
+		vals := make([]Value, n)
+		for i := range vals {
+			vals[i] = NewString(want(i)) // the Value is the only reference
+		}
+		for round := 0; round < 4; round++ {
+			runtime.GC()
+			junk := make([][]byte, n) // reuse whatever the GC freed
+			for i := range junk {
+				junk[i] = bytes.Repeat([]byte{'#'}, 1+i%80)
+			}
+			runtime.KeepAlive(junk)
+		}
+		for i, v := range vals {
+			if v.Str() != want(i) {
+				t.Fatalf("value %d reads %q after GC, want %q", i, v.Str(), want(i))
+			}
+		}
+	})
+}
+
+// rankCompare is Compare without the same-address fast path, spelled
+// through the exported accessors: the order by type class, then by value.
+func rankCompare(a, b Value) int {
+	if ra, rb := testRanks[a.Type()], testRanks[b.Type()]; ra != rb {
+		return cmpInt(int64(ra), int64(rb))
+	}
+	switch a.Type() {
+	case TypeNull:
+		return 0
+	case TypeBool:
+		return cmpInt(boolInt(a.Bool()), boolInt(b.Bool()))
+	case TypeString:
+		return strings.Compare(a.Str(), b.Str())
+	case TypeTimestamp:
+		return cmpInt(a.Timestamp(), b.Timestamp())
+	}
+	if a.Type() == TypeInt && b.Type() == TypeInt {
+		return cmpInt(a.Int(), b.Int())
+	}
+	return cmpFloat(a.Float(), b.Float())
+}
+
+var testRanks = map[Type]int{TypeNull: 0, TypeBool: 1, TypeInt: 2, TypeFloat: 2, TypeString: 3, TypeTimestamp: 4}
+
+func boolInt(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
