@@ -1,15 +1,18 @@
-// Package catalog holds the engine's metadata: every relation (table,
-// stream, or window), its backing storage, and the streaming attributes —
-// window specifications and their transactional slide state. The catalog is
+// Package catalog holds the engine's metadata in two parts: the store-wide
+// Schema (every relation's definition — table, stream, or window — with its
+// partitioning, window specification and indexes, plus the deployed
+// dataflows) and each partition's Catalog, the storage a partition keeps
+// for a Schema (tables, window slide state, the commit clock). Both are
 // pure data; query planning lives in the execution engine and trigger /
 // workflow wiring lives in the partition engine.
 package catalog
 
 import (
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/storage"
 	"repro/internal/storage/coldstore"
@@ -53,8 +56,6 @@ type WindowSpec struct {
 // happen only inside the execution engine under the owning transaction's
 // undo log, so aborts restore both the backing table and these fields.
 type WindowState struct {
-	Spec WindowSpec
-
 	// Tuple-based: tuples staged since the last slide. The window advances
 	// by Slide tuples at a time once full (paper: windows only "jump" in
 	// slide-sized steps).
@@ -76,69 +77,28 @@ type WindowState struct {
 	OwnerProc string
 }
 
-// Relation is one named relation: its kind, schema, backing storage, and —
-// for windows — the window runtime state.
+// Relation is one relation's storage on a partition: its definition, its
+// table, and — for windows — the window runtime state.
 type Relation struct {
-	Name   string
-	Kind   RelationKind
-	Schema *types.Schema
-	Table  *storage.Table
-	Win    *WindowState // non-nil iff Kind == KindWindow
+	*RelDef
+	Table *storage.Table
+	Win   *WindowState // non-nil iff Kind == KindWindow
 
 	// Windows lists, for a stream, the windows over it, sorted by name:
-	// what every insert into the stream has to feed. CreateWindow and Drop
-	// maintain it, so the insert path looks nothing up.
+	// what every insert into the stream has to feed. Sync maintains it, so
+	// the insert path looks nothing up.
 	Windows []*Relation
-
-	// PartCol is the ordinal of the hash-partitioning column declared with
-	// PARTITION BY, or -1 when the relation is unpartitioned. In a
-	// multi-partition store the router hashes this column to pick the owning
-	// partition; unpartitioned tables are treated as replicated reference
-	// data and unpartitioned streams are pinned to partition 0.
-	PartCol int
-
-	// Evictable marks the relation as a candidate for anti-caching: the
-	// evictor may move its cold committed row versions to the partition's
-	// cold store. Only base tables qualify — streams are transient queues
-	// the PE drains and windows are by definition the hot working set, so
-	// both always stay memory-resident.
-	Evictable bool
-
-	// Partial marks a partitioned relation declared PARTITION BY ... PARTIAL:
-	// its rows are partition-local partial state (e.g. per-partition partial
-	// aggregates maintained by procedures routed on a different key), so
-	// every partition may legitimately hold a row for any key. Fan-out
-	// queries re-aggregate partials; elastic repartitioning must leave their
-	// rows where they are — rehoming them by partition key would collide
-	// unique indexes and double-count aggregates.
-	Partial bool
 }
 
-// Partitioned reports whether the relation declares a partitioning column.
-func (r *Relation) Partitioned() bool { return r.PartCol >= 0 }
-
-// SetPartitionColumn resolves and records the PARTITION BY column and its
-// optional PARTIAL marker. Windows inherit their source stream's
-// partitioning and cannot declare their own.
-func (r *Relation) SetPartitionColumn(name string, partial bool) error {
-	if r.Kind == KindWindow {
-		return fmt.Errorf("catalog: window %q cannot declare PARTITION BY", r.Name)
-	}
-	ord := r.Schema.ColumnIndex(name)
-	if ord < 0 {
-		return fmt.Errorf("catalog: relation %q has no column %q to partition by", r.Name, name)
-	}
-	r.PartCol = ord
-	r.Partial = partial
-	return nil
-}
-
-// Catalog is the metadata root. It is mutated only during DDL (which the
-// partition engine serializes like any transaction) and dataflow
-// deployment, and read during planning and execution.
+// Catalog is one partition's storage for the Schema it was last synced to:
+// every relation's table, each window's slide state, the commit clock and
+// the cold store.
 type Catalog struct {
-	rels      map[string]*Relation
-	dataflows map[string]*Dataflow
+	schema atomic.Pointer[Schema]
+	rels   map[string]*Relation
+	// dropped holds what the last Sync dropped, so that syncing back to the
+	// Schema before it (a failed script's unwind) revives it, rows and all.
+	dropped map[*types.Schema]*Relation
 	// clock is the partition's commit clock: every table created through
 	// this catalog stamps its row versions from it, so one publish at
 	// commit makes a whole transaction's writes — across all its tables —
@@ -146,18 +106,19 @@ type Catalog struct {
 	clock *storage.PartitionClock
 
 	// cold, when set, is the partition's shared cold store; every base
-	// table (existing and future) is attached to it and marked evictable.
+	// table (existing and future) is attached to it and becomes evictable.
 	cold *coldstore.Store
 }
 
 // New returns an empty catalog with a fresh partition clock.
 func New() *Catalog {
-	return &Catalog{
-		rels:      make(map[string]*Relation),
-		dataflows: make(map[string]*Dataflow),
-		clock:     storage.NewPartitionClock(),
-	}
+	c := &Catalog{rels: make(map[string]*Relation), clock: storage.NewPartitionClock()}
+	c.schema.Store(emptySchema)
+	return c
 }
+
+// Schema returns the Schema the catalog was last synced to.
+func (c *Catalog) Schema() *Schema { return c.schema.Load() }
 
 // Clock returns the partition's commit clock.
 func (c *Catalog) Clock() *storage.PartitionClock { return c.clock }
@@ -177,102 +138,92 @@ func (c *Catalog) MustRelation(name string) (*Relation, error) {
 
 // Names returns all relation names in sorted order (deterministic output
 // for tools and tests).
-func (c *Catalog) Names() []string {
-	out := make([]string, 0, len(c.rels))
-	for _, r := range c.rels {
-		out = append(out, r.Name)
-	}
-	sort.Strings(out)
-	return out
-}
+func (c *Catalog) Names() []string { return c.schema.Load().Names() }
 
-// CreateTable registers a new base table.
-func (c *Catalog) CreateTable(schema *types.Schema) (*Relation, error) {
-	return c.create(schema, KindTable, nil)
-}
-
-// CreateStream registers a new stream. Streams are keyless append-only
-// relations; the engine garbage-collects their tuples after downstream
-// consumption.
-func (c *Catalog) CreateStream(schema *types.Schema) (*Relation, error) {
-	if schema.HasPrimaryKey() {
-		return nil, fmt.Errorf("catalog: stream %q cannot declare a primary key", schema.Name())
+// Sync installs next: it creates the tables and indexes next defines and
+// the partition lacks and drops those it no longer defines; a relation keeps
+// its storage while its definition keeps its types.Schema. Only a unique
+// index meeting duplicate rows fails, leaving the partition as it was. Sync
+// reports whether any relation changed: one that did not touches no storage,
+// so it may run on a started partition, and any other is set-up.
+func (c *Catalog) Sync(next *Schema) (bool, error) {
+	if maps.Equal(c.schema.Load().rels, next.rels) {
+		c.schema.Store(next)
+		return false, nil
 	}
-	return c.create(schema, KindStream, nil)
-}
-
-// CreateWindow registers a window over an existing stream. The window's
-// schema equals the source stream's schema (window name substituted).
-func (c *Catalog) CreateWindow(name string, spec WindowSpec) (*Relation, error) {
-	src, err := c.MustRelation(spec.Source)
-	if err != nil {
-		return nil, err
-	}
-	if src.Kind != KindStream {
-		return nil, fmt.Errorf("catalog: window %q source %q is a %s, want STREAM", name, spec.Source, src.Kind)
-	}
-	if spec.Size <= 0 || spec.Slide <= 0 {
-		return nil, fmt.Errorf("catalog: window %q size and slide must be positive", name)
-	}
-	if !spec.Rows {
-		if spec.TimeCol < 0 || spec.TimeCol >= src.Schema.NumColumns() {
-			return nil, fmt.Errorf("catalog: window %q time column %d out of range", name, spec.TimeCol)
+	rels := make(map[string]*Relation, len(next.rels))
+	for k, def := range next.rels {
+		r := c.rels[k]
+		if r == nil || r.Schema != def.Schema {
+			r = c.dropped[def.Schema]
 		}
-		ct := src.Schema.Column(spec.TimeCol).Type
-		if ct != types.TypeTimestamp && ct != types.TypeInt {
-			return nil, fmt.Errorf("catalog: window %q time column must be TIMESTAMP or BIGINT, got %s", name, ct)
+		if r == nil {
+			r = &Relation{RelDef: def, Table: storage.NewTableWithClock(def.Schema, c.clock)}
+			if def.Kind == KindWindow {
+				r.Win = &WindowState{}
+			}
+			if def.Kind == KindTable && c.cold != nil {
+				r.Table.AttachColdStore(c.cold)
+			}
+		}
+		rels[k] = r
+		if err := syncIndexes(r.Table, def.Indexes); err != nil {
+			for _, r := range rels {
+				// r's definition is still the one it held, and its indexes
+				// held its rows then: rebuilding them cannot fail.
+				_ = syncIndexes(r.Table, r.Indexes)
+			}
+			return false, err
 		}
 	}
-	cols := src.Schema.Columns()
-	schema, err := types.NewSchema(name, cols, nil)
-	if err != nil {
-		return nil, err
+	dropped := make(map[*types.Schema]*Relation)
+	for k, r := range c.rels {
+		if rels[k] != r {
+			dropped[r.Schema] = r
+		}
 	}
-	spec.Source = src.Name
-	rel, err := c.create(schema, KindWindow, &WindowState{Spec: spec})
-	if err != nil {
-		return nil, err
+	for k, r := range rels {
+		r.RelDef, r.Windows = next.rels[k], nil
 	}
-	// A window over a partitioned stream holds partition-local state; it
-	// inherits the source's partitioning (same schema, same ordinal, same
-	// PARTIAL marker) so the query router knows to fan reads out across
-	// partitions.
-	rel.PartCol = src.PartCol
-	rel.Partial = src.Partial
-	at := sort.Search(len(src.Windows), func(i int) bool { return src.Windows[i].Name >= rel.Name })
-	src.Windows = slices.Insert(src.Windows, at, rel)
-	return rel, nil
+	for _, name := range next.Names() {
+		if w := rels[key(name)]; w.Kind == KindWindow {
+			src := rels[key(w.Window.Source)]
+			src.Windows = append(src.Windows, w)
+		}
+	}
+	c.rels, c.dropped = rels, dropped
+	c.schema.Store(next)
+	return true, nil
 }
 
-func (c *Catalog) create(schema *types.Schema, kind RelationKind, win *WindowState) (*Relation, error) {
-	name := schema.Name()
-	if _, exists := c.rels[key(name)]; exists {
-		return nil, fmt.Errorf("catalog: relation %q already exists", name)
+// syncIndexes makes t's secondary indexes those of want: it drops the ones
+// want lacks or defines otherwise and builds the missing ones.
+func syncIndexes(t *storage.Table, want []IndexDef) error {
+	for _, ix := range t.Indexes() {
+		if ix != t.PrimaryIndex() && !slices.ContainsFunc(want, func(d IndexDef) bool {
+			return d.Name == ix.Name() && d.Unique == ix.Unique() && slices.Equal(d.Cols, ix.Columns())
+		}) {
+			t.DropIndex(ix.Name())
+		}
 	}
-	r := &Relation{
-		Name:    name,
-		Kind:    kind,
-		Schema:  schema,
-		Table:   storage.NewTableWithClock(schema, c.clock),
-		Win:     win,
-		PartCol: -1,
+	for _, d := range want {
+		if t.IndexByName(d.Name) == nil {
+			if _, err := t.CreateIndex(d.Name, d.Cols, d.Unique); err != nil {
+				return err
+			}
+		}
 	}
-	if kind == KindTable && c.cold != nil {
-		r.Evictable = true
-		r.Table.AttachColdStore(c.cold)
-	}
-	c.rels[key(name)] = r
-	return r, nil
+	return nil
 }
 
 // AttachColdStore enables anti-caching: every base table — present and
-// future — shares the given cold store and becomes evictable. Streams
-// and windows stay hot (see Relation.Evictable).
+// future — shares the given cold store and becomes evictable. Streams and
+// windows stay hot: streams are transient queues the PE drains and windows
+// are by definition the hot working set.
 func (c *Catalog) AttachColdStore(cs *coldstore.Store) {
 	c.cold = cs
 	for _, r := range c.rels {
 		if r.Kind == KindTable {
-			r.Evictable = true
 			r.Table.AttachColdStore(cs)
 		}
 	}
@@ -293,58 +244,11 @@ func (c *Catalog) DetachColdStore() *coldstore.Store {
 // EvictableTables lists every evictable relation's table, sorted by name
 // (the evictor's deterministic round-robin order).
 func (c *Catalog) EvictableTables() []*storage.Table {
-	var out []*Relation
-	for _, r := range c.rels {
-		if r.Evictable {
-			out = append(out, r)
+	var tbls []*storage.Table
+	for _, name := range c.Names() {
+		if t := c.Relation(name).Table; t.Evictable() {
+			tbls = append(tbls, t)
 		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	tbls := make([]*storage.Table, len(out))
-	for i, r := range out {
-		tbls[i] = r.Table
 	}
 	return tbls
-}
-
-// Drop removes a relation. Dropping a stream with dependent windows fails.
-func (c *Catalog) Drop(name string) error {
-	r := c.rels[key(name)]
-	if r == nil {
-		return fmt.Errorf("catalog: relation %q does not exist", name)
-	}
-	if len(r.Windows) > 0 {
-		return fmt.Errorf("catalog: stream %q has dependent window %q", name, r.Windows[0].Name)
-	}
-	if r.Kind == KindWindow {
-		if src := c.rels[key(r.Win.Spec.Source)]; src != nil {
-			src.Windows = slices.DeleteFunc(src.Windows, func(w *Relation) bool { return w == r })
-		}
-	}
-	delete(c.rels, key(name))
-	return nil
-}
-
-// Streams lists every stream relation, sorted by name.
-func (c *Catalog) Streams() []*Relation {
-	var out []*Relation
-	for _, r := range c.rels {
-		if r.Kind == KindStream {
-			out = append(out, r)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Tables lists every base table, sorted by name.
-func (c *Catalog) Tables() []*Relation {
-	var out []*Relation
-	for _, r := range c.rels {
-		if r.Kind == KindTable {
-			out = append(out, r)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }

@@ -31,12 +31,15 @@ func streamSchema(t *testing.T, name string) *types.Schema {
 	return s
 }
 
+// edit returns an empty Schema open for edits.
+func edit() *Schema { return New().Schema().Clone() }
+
 func TestCreateAndResolve(t *testing.T) {
-	c := New()
-	if _, err := c.CreateTable(tableSchema(t, "t1")); err != nil {
+	c := edit()
+	if _, err := c.Create(KindTable, tableSchema(t, "t1")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.CreateStream(streamSchema(t, "s1")); err != nil {
+	if _, err := c.Create(KindStream, streamSchema(t, "s1")); err != nil {
 		t.Fatal(err)
 	}
 	// Case-insensitive resolution.
@@ -46,28 +49,36 @@ func TestCreateAndResolve(t *testing.T) {
 	if c.Relation("t1").Kind != KindTable || c.Relation("s1").Kind != KindStream {
 		t.Fatal("kinds wrong")
 	}
-	if _, err := c.MustRelation("absent"); err == nil || !strings.Contains(err.Error(), "does not exist") {
-		t.Fatalf("MustRelation: %v", err)
+	if c.Relation("absent") != nil {
+		t.Fatal("absent relation resolved")
 	}
 	// Duplicate names rejected across kinds.
-	if _, err := c.CreateStream(streamSchema(t, "T1")); err == nil {
+	if _, err := c.Create(KindStream, streamSchema(t, "T1")); err == nil {
 		t.Fatal("duplicate name accepted")
+	}
+	// A partition's storage follows the Schema it syncs to.
+	cat := New()
+	if changed, err := cat.Sync(c); err != nil || !changed {
+		t.Fatalf("Sync: changed %v, %v", changed, err)
+	}
+	if cat.Schema() != c || cat.Relation("T1") == nil || cat.Relation("t1").Table == nil {
+		t.Fatal("synced catalog lacks t1's storage")
 	}
 }
 
 func TestStreamRules(t *testing.T) {
-	c := New()
-	if _, err := c.CreateStream(tableSchema(t, "bad")); err == nil {
+	c := edit()
+	if _, err := c.Create(KindStream, tableSchema(t, "bad")); err == nil {
 		t.Fatal("stream with primary key accepted")
 	}
 }
 
 func TestWindowCreation(t *testing.T) {
-	c := New()
-	if _, err := c.CreateStream(streamSchema(t, "s")); err != nil {
+	c := edit()
+	if _, err := c.Create(KindStream, streamSchema(t, "s")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.CreateTable(tableSchema(t, "t")); err != nil {
+	if _, err := c.Create(KindTable, tableSchema(t, "t")); err != nil {
 		t.Fatal(err)
 	}
 	// Over a table: rejected.
@@ -86,59 +97,80 @@ func TestWindowCreation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Kind != KindWindow || w.Win == nil || w.Win.Spec.Source != "s" {
+	if w.Kind != KindWindow || w.Window.Source != "s" {
 		t.Fatalf("window relation: %+v", w)
 	}
 	// Window schema mirrors the stream's columns.
 	if w.Schema.NumColumns() != 2 || w.Schema.ColumnIndex("ts") != 1 {
 		t.Fatal("window schema mismatch")
 	}
-	// The stream lists its windows, sorted, and forgets a dropped one.
+	// On a partition the stream lists its windows, sorted, and forgets a
+	// dropped one.
 	if _, err := c.CreateWindow("a_first", WindowSpec{Rows: true, Size: 3, Slide: 1, Source: "S"}); err != nil {
 		t.Fatal(err)
 	}
-	wins := c.Relation("S").Windows
+	cat := New()
+	if _, err := cat.Sync(c); err != nil {
+		t.Fatal(err)
+	}
+	if cat.Relation("w").Win == nil {
+		t.Fatal("window without slide state")
+	}
+	wins := cat.Relation("S").Windows
 	if len(wins) != 2 || wins[0].Name != "a_first" || wins[1].Name != "w" {
 		t.Fatalf("windows over s: %v", wins)
 	}
-	if err := c.Drop("a_first"); err != nil {
+	next := c.Clone()
+	if err := next.Drop("a_first", KindWindow, false); err != nil {
 		t.Fatal(err)
 	}
-	if wins = c.Relation("s").Windows; len(wins) != 1 || wins[0].Name != "w" {
+	if _, err := cat.Sync(next); err != nil {
+		t.Fatal(err)
+	}
+	if wins = cat.Relation("s").Windows; len(wins) != 1 || wins[0].Name != "w" {
 		t.Fatalf("windows over s after drop: %v", wins)
 	}
 }
 
 func TestDropRules(t *testing.T) {
-	c := New()
-	c.CreateStream(streamSchema(t, "s"))
+	c := edit()
+	c.Create(KindStream, streamSchema(t, "s"))
 	c.CreateWindow("w", WindowSpec{Rows: true, Size: 3, Slide: 1, Source: "s"})
 	// Stream with dependent window cannot be dropped.
-	if err := c.Drop("s"); err == nil {
+	if err := c.Drop("s", KindStream, false); err == nil {
 		t.Fatal("dropped stream with dependent window")
 	}
-	if err := c.Drop("w"); err != nil {
+	// A drop names the relation's kind.
+	if err := c.Drop("w", KindTable, false); err == nil || !strings.Contains(err.Error(), "is a WINDOW") {
+		t.Fatalf("DROP TABLE of a window: %v", err)
+	}
+	if err := c.Drop("w", KindWindow, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Drop("s"); err != nil {
+	// A relation a deployed dataflow uses stays.
+	g := c.WithDataflow(&Dataflow{Name: "g", Nodes: []DataflowNode{{Proc: "p", Input: "S", Batch: 1}}})
+	if err := g.Drop("s", KindStream, false); err == nil || !strings.Contains(err.Error(), `dataflow "g"`) {
+		t.Fatalf("dropped a stream dataflow g consumes: %v", err)
+	}
+	if err := c.Drop("s", KindStream, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Drop("s"); err == nil {
+	if err := c.Drop("s", KindStream, false); err == nil {
 		t.Fatal("double drop accepted")
+	}
+	if err := c.Drop("s", KindStream, true); err != nil {
+		t.Fatalf("DROP IF EXISTS: %v", err)
 	}
 }
 
 func TestEnumerationsSortedAndKindString(t *testing.T) {
-	c := New()
-	c.CreateTable(tableSchema(t, "zz"))
-	c.CreateTable(tableSchema(t, "aa"))
-	c.CreateStream(streamSchema(t, "mm"))
+	c := edit()
+	c.Create(KindTable, tableSchema(t, "zz"))
+	c.Create(KindTable, tableSchema(t, "aa"))
+	c.Create(KindStream, streamSchema(t, "mm"))
 	names := c.Names()
 	if len(names) != 3 || names[0] != "aa" || names[2] != "zz" {
 		t.Fatalf("Names: %v", names)
-	}
-	if len(c.Tables()) != 2 || len(c.Streams()) != 1 {
-		t.Fatal("kind enumerations wrong")
 	}
 	if KindTable.String() != "TABLE" || KindStream.String() != "STREAM" || KindWindow.String() != "WINDOW" {
 		t.Fatal("kind strings")
@@ -146,8 +178,8 @@ func TestEnumerationsSortedAndKindString(t *testing.T) {
 }
 
 func TestPartitionColumnMetadata(t *testing.T) {
-	c := New()
-	tbl, err := c.CreateTable(tableSchema(t, "t"))
+	c := edit()
+	tbl, err := c.Create(KindTable, tableSchema(t, "t"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +198,7 @@ func TestPartitionColumnMetadata(t *testing.T) {
 
 	// Windows inherit the source stream's partitioning and cannot declare
 	// their own.
-	s, err := c.CreateStream(streamSchema(t, "s"))
+	s, err := c.Create(KindStream, streamSchema(t, "s"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,28 +251,24 @@ func TestDataflowGraphHelpers(t *testing.T) {
 }
 
 func TestDataflowRegistry(t *testing.T) {
-	c := New()
-	if err := c.RegisterDataflow(&Dataflow{Name: "a"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RegisterDataflow(&Dataflow{Name: "A"}); err == nil {
-		t.Fatal("case-insensitive duplicate accepted")
-	}
-	if err := c.RegisterDataflow(&Dataflow{}); err == nil {
-		t.Fatal("unnamed dataflow accepted")
-	}
+	c := edit().WithDataflow(&Dataflow{Name: "b"}).
+		WithDataflow(&Dataflow{Name: "a", Nodes: []DataflowNode{{Proc: "p", Input: "In", Batch: 1}}})
 	if c.Dataflow("A") == nil {
 		t.Fatal("case-insensitive lookup failed")
-	}
-	if err := c.RegisterDataflow(&Dataflow{Name: "b"}); err != nil {
-		t.Fatal(err)
 	}
 	dfs := c.Dataflows()
 	if len(dfs) != 2 || dfs[0].Name != "a" || dfs[1].Name != "b" {
 		t.Fatalf("Dataflows = %v", dfs)
 	}
-	c.UnregisterDataflow("a")
-	if c.Dataflow("a") != nil {
-		t.Fatal("unregister failed")
+	// Pausing publishes a copy and indexes the graph's input streams.
+	paused := c.WithPaused("a", true)
+	if g := paused.PausedGraph("in"); g != "a" || c.Dataflow("a").Paused || c.PausedGraph("in") != "" {
+		t.Fatalf("paused gate %q; the Schema it was derived from changed", g)
+	}
+	if g := paused.WithPaused("a", false).PausedGraph("in"); g != "" {
+		t.Fatalf("resumed graph still gates %q", g)
+	}
+	if paused.WithoutDataflow("a").Dataflow("a") != nil || paused.Dataflow("a") == nil {
+		t.Fatal("WithoutDataflow")
 	}
 }

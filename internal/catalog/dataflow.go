@@ -1,7 +1,7 @@
 package catalog
 
 import (
-	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -9,13 +9,14 @@ import (
 // A Dataflow is a named workflow graph registered as one deployment unit:
 // procedure nodes, the stream edges connecting them (with batch sizes),
 // and the EE triggers that ride along. It is both the declarative value an
-// application hands to Store.Deploy and the catalog entry every partition
-// keeps after a successful deploy, so the graph is introspectable (SHOW
-// DATAFLOWS, EXPLAIN DATAFLOW) and addressable by name for pause/resume —
-// including after recovery, since deployment code re-registers it before
-// Start exactly like DDL and stored procedures.
+// application hands to Store.Deploy and the Schema's entry after a
+// successful deploy, so the graph is introspectable (SHOW DATAFLOWS,
+// EXPLAIN DATAFLOW) and addressable by name for pause/resume — including
+// after recovery, since deployment code re-deploys it before Start exactly
+// like DDL and stored procedures. A deployed Dataflow is never modified: a
+// lifecycle change publishes a copy.
 type Dataflow struct {
-	// Name addresses the graph in the catalog and the lifecycle API.
+	// Name addresses the graph in the Schema and the lifecycle API.
 	Name string
 	// Nodes are the stored procedures participating in the graph. A node
 	// with an Input stream is wired as a PE trigger (border or interior
@@ -180,36 +181,10 @@ func (d *Dataflow) FindCycle() []string {
 	return nil
 }
 
-// RegisterDataflow records a deployed graph in the catalog.
-func (c *Catalog) RegisterDataflow(df *Dataflow) error {
-	if df.Name == "" {
-		return fmt.Errorf("catalog: dataflow needs a name")
-	}
-	if _, dup := c.dataflows[key(df.Name)]; dup {
-		return fmt.Errorf("catalog: dataflow %q already deployed", df.Name)
-	}
-	c.dataflows[key(df.Name)] = df
-	return nil
-}
-
-// UnregisterDataflow removes a graph registration (deploy rollback).
-func (c *Catalog) UnregisterDataflow(name string) {
-	delete(c.dataflows, key(name))
-}
-
-// Dataflow resolves a deployed graph by name (case-insensitive), or nil.
-func (c *Catalog) Dataflow(name string) *Dataflow {
-	return c.dataflows[key(name)]
-}
-
-// Dataflows lists every deployed graph, sorted by name.
-func (c *Catalog) Dataflows() []*Dataflow {
-	out := make([]*Dataflow, 0, len(c.dataflows))
-	for _, d := range c.dataflows {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return strings.ToLower(out[i].Name) < strings.ToLower(out[j].Name)
-	})
-	return out
+// uses reports whether the graph names a relation: as a node's input or
+// emission, or as a trigger's relation.
+func (d *Dataflow) uses(rel string) bool {
+	_, consumed := d.Consumers()[key(rel)]
+	_, emitted := d.Producers()[key(rel)]
+	return consumed || emitted || slices.ContainsFunc(d.Triggers, func(t DataflowTrigger) bool { return strings.EqualFold(t.Relation, rel) })
 }

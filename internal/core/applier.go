@@ -183,9 +183,8 @@ func (a *applier) finish() error {
 	for _, p := range s.partList() {
 		p.cat.Clock().Publish()
 	}
-	s.restorePausedGraphs(a.paused)
 	s.nextMPTxnID.Store(a.maxMP)
-	return nil
+	return s.restorePausedGraphs(a.paused)
 }
 
 // evictSlots deletes every row of rels whose routing slot satisfies drop.

@@ -101,16 +101,26 @@ func storeState(st *Store) string {
 			fmt.Fprintf(&b, "%s@%d: %v\n", name, p.idx, rows)
 		}
 	}
-	var paused []string
-	for _, df := range parts[0].cat.Dataflows() {
+	sch := st.schema.Load()
+	var paused, gate []string
+	for _, df := range sch.Dataflows() {
 		if df.Paused {
 			paused = append(paused, df.Name)
 		}
+		for _, n := range df.Nodes {
+			if g := sch.PausedGraph(n.Input); n.Input != "" && g != "" {
+				gate = append(gate, n.Input+"->"+g)
+			}
+		}
 	}
-	sort.Strings(paused)
+	for _, p := range parts {
+		if p.cat.Schema() != sch {
+			fmt.Fprintf(&b, "partition %d is synced to another Schema\n", p.idx)
+		}
+	}
 	slots := st.slots.Load()
 	fmt.Fprintf(&b, "slots: %d parts %v\npaused: %v gate %v\nnextMPTxnID: %d\n",
-		slots.Parts, slots.Owner, paused, st.pausedStreams, st.nextMPTxnID.Load())
+		slots.Parts, slots.Owner, paused, gate, st.nextMPTxnID.Load())
 	return b.String()
 }
 

@@ -75,13 +75,12 @@ func (s *Store) coordInsertBuckets(table string, buckets map[int][]types.Row) (*
 // the coordinator, with the read and the writes inside one transaction
 // (every enlisted partition is parked, so the rows inserted are exactly
 // the rows read). Shapes that were already routable keep their old plans.
-func (s *Store) execInsertSelect(ins *sql.Insert, rel *catalog.Relation, sqlText string, params []types.Value) (*pe.Result, error) {
+func (s *Store) execInsertSelect(ins *sql.Insert, rel *catalog.RelDef, sqlText string, params []types.Value) (*pe.Result, error) {
 	// Scope, merge plan and leg of the source come from the read path's
 	// planner; the legs below run on the enlisted workers' views instead of
 	// a snapshot cut.
-	s.routeMu.RLock()
-	plan, err := planSelect(s.partList()[0].cat, ins.Query, sqlText, true, params)
-	s.routeMu.RUnlock()
+	sch := s.schema.Load()
+	plan, err := planSelect(sch, ins.Query, sqlText, true, params)
 	if err != nil {
 		return nil, err
 	}
@@ -96,10 +95,7 @@ func (s *Store) execInsertSelect(ins *sql.Insert, rel *catalog.Relation, sqlText
 		// (coordinated, so replicas cannot diverge on a failing leg). A
 		// pinned source lives on partition 0 only — fall through to
 		// materialization.
-		s.routeMu.RLock()
-		vetErr := vetSourceSelect(s.partList()[0].cat, ins.Query, true)
-		s.routeMu.RUnlock()
-		if vetErr == nil {
+		if vetSourceSelect(sch, ins.Query, true) == nil {
 			return s.coordExecAll(sqlText, params, false)
 		}
 	}

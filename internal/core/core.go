@@ -5,8 +5,9 @@
 // workflows, the stream-oriented transaction model, and upstream-backup
 // fault tolerance.
 //
-// A Store owns Config.Partitions independent partition replicas, each the
-// H-Store unit of serial execution: its own catalog, execution engine,
+// A Store owns one Schema (catalog.Schema: relations, indexes, windows,
+// dataflows) over Config.Partitions partitions, each the H-Store unit of
+// serial execution with its own storage for that Schema, execution engine,
 // partition-engine goroutine, and WAL segment. A thin router (router.go)
 // dispatches client requests to the owning partition by hashing the
 // relation's PARTITION BY column (or a procedure's partitioning parameter),
@@ -33,6 +34,7 @@ import (
 	"repro/internal/ee"
 	"repro/internal/metrics"
 	"repro/internal/pe"
+	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/storage/coldstore"
 	"repro/internal/types"
@@ -68,7 +70,7 @@ type Config struct {
 	// Partitions is the number of independent serial-execution partitions
 	// (the H-Store scale-out unit). 0 or 1 yields the classic
 	// single-partition engine; N > 1 hash-partitions PARTITION BY relations
-	// across N replicas of the schema.
+	// across N partitions.
 	Partitions int
 	// MemoryBudget > 0 activates anti-caching: it bounds the approximate
 	// heap bytes of resident row versions across all base tables (streams
@@ -83,9 +85,9 @@ type Config struct {
 	MemoryBudget int64
 }
 
-// partition is one serial-execution replica: catalog + EE + PE + WAL
-// segment. DDL, triggers, procedures, and bindings are replicated to every
-// partition; data is split by the router.
+// partition is one serial-execution unit: storage for the store's Schema +
+// EE + PE + WAL segment. Triggers, procedures, and bindings are wired on
+// every partition; data is split by the router.
 type partition struct {
 	idx int
 	cat *catalog.Catalog
@@ -291,8 +293,8 @@ type Store struct {
 	// mpSlot (ascending) before parking the workers, so it also excludes
 	// the 2PC coordinators — which no longer take exclMu themselves: a
 	// coordinator holds only the slots of the partitions its legs touch.
-	// Lock order store-wide: routingMu < exclMu < mpSlots (ascending) <
-	// worker barriers < seqMu.
+	// Lock order store-wide: deployMu and routingMu (never both) < exclMu <
+	// mpSlots (ascending) < worker barriers < seqMu.
 	exclMu sync.Mutex
 	// seqMu makes the cross-partition snapshot cut atomic against 2PC
 	// commit publication: acquireCut pins one committed sequence per
@@ -321,28 +323,20 @@ type Store struct {
 	mpAdmitOnce sync.Once
 	// coordLog holds the 2PC decision records (durable stores only).
 	coordLog *wal.Log
-	// routeMu guards the router's reads of partition 0's catalog against
-	// runtime DDL (broadcast through Exec), which mutates the catalog maps
-	// on the partition workers while clients are routing.
-	routeMu sync.RWMutex
-	// deployMu serializes dataflow deployment and lifecycle transitions
-	// (Deploy / PauseDataflow / ResumeDataflow) against each other, so two
-	// concurrent deploys cannot both pass validation and double-wire a
-	// stream. Never held while routeMu is already held.
+	// schema is the published Schema: what the router plans against and
+	// what every partition's storage is synced to (publish).
+	schema atomic.Pointer[catalog.Schema]
+	// deployMu serializes Schema publications (each derives its Schema from
+	// the current one) with each other, with Start, and with changes to the
+	// procedures and the partition set.
 	deployMu sync.Mutex
 	// pauseGateMu serializes spanning ingest into paused dataflows: the
 	// router checks the store-wide backlog bound and forwards the hash
 	// shares under it, so a batch queues or rejects as a unit instead of
 	// some partitions accepting their share before another rejects.
 	pauseGateMu sync.Mutex
-	// pausedStreams maps each paused graph's consumed streams (lowercased)
-	// to the graph name — the router's pause-gate index, maintained by
-	// PauseDataflow / ResumeDataflow under routeMu.
-	pausedStreams map[string]string
-	// ddl journals every ExecScript applied to the replicas (under routeMu)
-	// and procs every registered procedure, so Rebalance can bring a newly
-	// added partition up to the same schema and procedure set.
-	ddl   []string
+	// procs lists every registered procedure (under deployMu), so Rebalance
+	// can register them on a newly added partition.
 	procs []*pe.Procedure
 	// recovered is set once Recover completed for every partition;
 	// recoverErr poisons the store after a partial recovery, which cannot
@@ -366,10 +360,12 @@ func Open(cfg Config) *Store {
 	}
 	s.partsPtr.Store(&parts)
 	s.slots.Store(catalog.NewSlotTable(n))
+	s.schema.Store(parts[0].cat.Schema())
 	return s
 }
 
-// newPartition builds one empty serial-execution replica (no DDL, no log).
+// newPartition builds one empty serial-execution partition (no relations,
+// no log).
 func (s *Store) newPartition(idx int) *partition {
 	cat := catalog.New()
 	exec := ee.New(cat, s.met)
@@ -435,8 +431,8 @@ func (s *Store) partList() []*partition { return *s.partsPtr.Load() }
 // NumPartitions returns the partition count the store was opened with.
 func (s *Store) NumPartitions() int { return len(s.partList()) }
 
-// Catalog exposes partition 0's metadata (read-only use expected; every
-// partition holds an identical schema replica).
+// Catalog exposes partition 0's storage (read-only use expected; every
+// partition holds storage for the same Schema).
 func (s *Store) Catalog() *catalog.Catalog { return s.partList()[0].cat }
 
 // EE exposes partition 0's execution engine (tests, tools).
@@ -563,33 +559,55 @@ func (s *Store) StatsResult() *pe.Result {
 	return res
 }
 
-// ExecScript runs a DDL script (CREATE TABLE / STREAM / WINDOW / INDEX) on
-// every partition replica. Like the single-partition engine, DDL belongs
-// before Start: it executes on the caller's goroutine, and the lock here
-// only keeps the router's catalog reads consistent, not running
-// transactions.
-func (s *Store) ExecScript(ddl string) error {
-	s.routeMu.Lock()
-	defer s.routeMu.Unlock()
-	for _, p := range s.partList() {
-		if err := p.ee.ExecScript(ddl); err != nil {
-			return err
+// ExecScript applies a DDL script (CREATE TABLE / STREAM / WINDOW / INDEX,
+// DROP) to the store's Schema as a whole: every statement takes effect or
+// none does. DDL is set-up: a started store refuses it.
+func (s *Store) ExecScript(script string) error {
+	stmts, err := sql.ParseScript(script)
+	if err != nil {
+		return err
+	}
+	s.deployMu.Lock()
+	defer s.deployMu.Unlock()
+	if s.partList()[0].pe.Started() {
+		return fmt.Errorf("core: DDL is refused on a started store; run the script before Start")
+	}
+	next, err := ee.ExecDDL(s.schema.Load(), stmts)
+	if err != nil {
+		return err
+	}
+	return s.publish(next)
+}
+
+// publish syncs every partition to next, then publishes it. A partition
+// whose Sync fails is left as it was and those before it sync back to the
+// current Schema, so a failure changes nothing. The caller holds deployMu.
+func (s *Store) publish(next *catalog.Schema) error {
+	parts := s.partList()
+	for i, p := range parts {
+		if err := p.ee.Sync(next); err != nil {
+			for _, q := range parts[:i] {
+				// q held the current Schema a moment ago, so it can hold it
+				// again: an index it rebuilds held its rows then.
+				err = errors.Join(err, q.ee.Sync(s.schema.Load()))
+			}
+			return fmt.Errorf("core: partition %d: %w", p.idx, err)
 		}
 	}
-	s.ddl = append(s.ddl, ddl)
+	s.schema.Store(next)
 	return nil
 }
 
 // RegisterProcedure adds a stored procedure to every partition.
 func (s *Store) RegisterProcedure(proc *pe.Procedure) error {
+	s.deployMu.Lock()
+	defer s.deployMu.Unlock()
 	for _, p := range s.partList() {
 		if err := p.pe.RegisterProcedure(proc); err != nil {
 			return err
 		}
 	}
-	s.routeMu.Lock()
 	s.procs = append(s.procs, proc)
-	s.routeMu.Unlock()
 	return nil
 }
 
@@ -859,6 +877,9 @@ func (s *Store) Start() error {
 			return err
 		}
 	}
+	// Under deployMu: ExecScript sees the store started or not at all.
+	s.deployMu.Lock()
+	defer s.deployMu.Unlock()
 	for i, p := range s.partList() {
 		if err := p.pe.Start(); err != nil {
 			for _, q := range s.partList()[:i] {
@@ -956,16 +977,11 @@ func (s *Store) Checkpoint() error {
 			// Pause state lives in the coordinator log and truncation just
 			// discarded it; re-stamp every currently paused graph so the
 			// pause still survives a crash after this checkpoint.
-			s.routeMu.RLock()
-			var paused []string
-			for _, df := range s.partList()[0].cat.Dataflows() {
-				if df.Paused {
-					paused = append(paused, df.Name)
+			for _, df := range s.schema.Load().Dataflows() {
+				if !df.Paused {
+					continue
 				}
-			}
-			s.routeMu.RUnlock()
-			for _, name := range paused {
-				payload := wal.EncodeRecord(&pe.LogRecord{Kind: pe.RecPauseGraph, Proc: name})
+				payload := wal.EncodeRecord(&pe.LogRecord{Kind: pe.RecPauseGraph, Proc: df.Name})
 				if _, err := s.coordLog.Append(payload); err != nil {
 					return err
 				}

@@ -20,10 +20,10 @@ import (
 // touched (unknown streams/procedures, duplicate consumers, cycles,
 // invalid batch sizes, trigger compilation), the forced-serial constraint
 // over shared writable tables is computed as a deploy-time report, and
-// only then is the wiring fanned out to every partition replica and the
-// graph registered in each catalog, where it stays introspectable
-// (SHOW DATAFLOWS, EXPLAIN DATAFLOW <name>) and addressable by name for
-// the pause/resume lifecycle.
+// only then is the wiring fanned out to every partition and the graph
+// published in the store's Schema, where it stays introspectable (SHOW
+// DATAFLOWS, EXPLAIN DATAFLOW <name>) and addressable by name for the
+// pause/resume lifecycle.
 
 // Dataflow is the declarative workflow graph deployed by Store.Deploy.
 type Dataflow = catalog.Dataflow
@@ -34,7 +34,7 @@ type DataflowNode = catalog.DataflowNode
 // DataflowTrigger is one EE trigger deployed with a Dataflow.
 type DataflowTrigger = catalog.DataflowTrigger
 
-// Deploy validates the whole graph against the catalog and the registered
+// Deploy validates the whole graph against the Schema and the registered
 // procedures, then wires it onto every partition atomically: a graph that
 // fails validation leaves no partition partially wired. On a started
 // store the wiring is applied under an all-partition barrier, so running
@@ -55,15 +55,14 @@ func (s *Store) Deploy(df *Dataflow) error {
 	return s.applyDataflow(norm)
 }
 
-// validateDataflow checks the graph as a whole against partition 0 (every
-// partition is an identical replica) and returns a normalized copy —
-// canonical relation/procedure names, computed SerialTables — ready to
-// register. The caller holds deployMu.
+// validateDataflow checks the graph as a whole against the Schema and
+// partition 0's procedures and wiring (every partition has the same) and
+// returns a normalized copy — canonical relation/procedure names, computed
+// SerialTables — ready to deploy. The caller holds deployMu.
 func (s *Store) validateDataflow(df *Dataflow) (*Dataflow, error) {
-	s.routeMu.RLock()
-	defer s.routeMu.RUnlock()
+	sch := s.schema.Load()
 	p0 := s.partList()[0]
-	if p0.cat.Dataflow(df.Name) != nil {
+	if sch.Dataflow(df.Name) != nil {
 		return nil, fmt.Errorf("dataflow %q already deployed", df.Name)
 	}
 	if len(df.Nodes) == 0 && len(df.Triggers) == 0 {
@@ -92,7 +91,7 @@ func (s *Store) validateDataflow(df *Dataflow) (*Dataflow, error) {
 			if s.cfg.HStoreMode {
 				return nil, fmt.Errorf("stream bindings are an S-Store feature; the store is in H-Store mode")
 			}
-			rel := p0.cat.Relation(n.Input)
+			rel := sch.Relation(n.Input)
 			if rel == nil {
 				return nil, fmt.Errorf("node %q consumes unknown stream %q", p.Name, n.Input)
 			}
@@ -113,7 +112,7 @@ func (s *Store) validateDataflow(df *Dataflow) (*Dataflow, error) {
 			nn.Input = rel.Name
 		}
 		for _, em := range n.Emits {
-			rel := p0.cat.Relation(em)
+			rel := sch.Relation(em)
 			if rel == nil {
 				return nil, fmt.Errorf("node %q emits to unknown stream %q", p.Name, em)
 			}
@@ -143,7 +142,7 @@ func (s *Store) validateDataflow(df *Dataflow) (*Dataflow, error) {
 		if err := p0.ee.CheckTrigger(t.Name, t.Relation, t.Bodies...); err != nil {
 			return nil, err
 		}
-		rel := p0.cat.Relation(t.Relation)
+		rel := sch.Relation(t.Relation)
 		norm.Triggers = append(norm.Triggers, DataflowTrigger{
 			Name: t.Name, Relation: rel.Name, Bodies: append([]string(nil), t.Bodies...),
 		})
@@ -160,8 +159,8 @@ func (s *Store) validateDataflow(df *Dataflow) (*Dataflow, error) {
 	return norm, nil
 }
 
-// applyDataflow wires a validated graph onto every partition and registers
-// it in each catalog replica. A failure on any partition (which validation
+// applyDataflow wires a validated graph onto every partition and publishes
+// the Schema that lists it. A failure on any partition (which validation
 // should have made impossible) unwinds the partitions already wired, so
 // the deploy is all-or-nothing.
 func (s *Store) applyDataflow(df *Dataflow) error {
@@ -173,16 +172,7 @@ func (s *Store) applyDataflow(df *Dataflow) error {
 			return fmt.Errorf("core: deploy %q on partition %d: %w", df.Name, p.idx, err)
 		}
 	}
-	s.routeMu.Lock()
-	defer s.routeMu.Unlock()
-	for _, p := range s.partList() {
-		// Every partition registers the same *Dataflow, so lifecycle state
-		// (Paused) stays consistent across replicas.
-		if err := p.cat.RegisterDataflow(df); err != nil {
-			return err // unreachable after validation; deployMu serializes deploys
-		}
-	}
-	return nil
+	return s.publish(s.schema.Load().WithDataflow(df))
 }
 
 func deployOnPartition(p *partition, df *Dataflow) error {
@@ -211,25 +201,6 @@ func undeployFromPartition(p *partition, df *Dataflow) {
 			p.pe.UnbindStream(n.Input)
 		}
 	}
-	p.cat.UnregisterDataflow(df.Name)
-}
-
-// dataflowByName resolves a deployed graph under the router lock.
-func (s *Store) dataflowByName(name string) *Dataflow {
-	s.routeMu.RLock()
-	defer s.routeMu.RUnlock()
-	return s.partList()[0].cat.Dataflow(name)
-}
-
-// pausedGraphOf reports the paused dataflow consuming a stream, or ""
-// when its graph is running (or the stream is unbound) — the router's
-// pause-gate lookup. Backed by the pausedStreams map Pause/Resume
-// maintain, so the common nothing-paused case is one nil-map read under
-// the RLock the router holds anyway.
-func (s *Store) pausedGraphOf(stream string) string {
-	s.routeMu.RLock()
-	defer s.routeMu.RUnlock()
-	return s.pausedStreams[strings.ToLower(stream)]
 }
 
 // PauseDataflow halts a graph with drain semantics: the pause gate cuts
@@ -244,14 +215,11 @@ func (s *Store) pausedGraphOf(stream string) string {
 func (s *Store) PauseDataflow(name string) error {
 	s.deployMu.Lock()
 	defer s.deployMu.Unlock()
-	df := s.dataflowByName(name)
+	df := s.schema.Load().Dataflow(name)
 	if df == nil {
 		return fmt.Errorf("core: unknown dataflow %q", name)
 	}
-	s.routeMu.RLock()
-	paused := df.Paused
-	s.routeMu.RUnlock()
-	if paused {
+	if df.Paused {
 		return nil
 	}
 	// Durable-before-effective: if the force fails the graph keeps running,
@@ -261,8 +229,7 @@ func (s *Store) PauseDataflow(name string) error {
 	if err := s.logPauseState(pe.RecPauseGraph, df.Name); err != nil {
 		return err
 	}
-	s.pauseAndDrain(df)
-	return nil
+	return s.pauseAndDrain(df)
 }
 
 // logPauseState forces one pause-lifecycle record (RecPauseGraph /
@@ -284,43 +251,25 @@ func (s *Store) logPauseState(kind pe.RecordKind, graph string) error {
 
 // restorePausedGraphs re-installs the pause gates the log applier collected
 // from the coordinator log (a pause record with no later resume). Runs
-// before Start, single-threaded; the locks only keep the published state
-// consistent with the live pause path. Records for graphs that are no
-// longer deployed are stale (undeploy logs a resume, but a crash can beat
-// it) and are ignored.
-func (s *Store) restorePausedGraphs(paused map[string]bool) {
+// before Start. Records for graphs that are no longer deployed are stale
+// (undeploy logs a resume, but a crash can beat it) and are ignored.
+func (s *Store) restorePausedGraphs(paused map[string]bool) error {
+	s.deployMu.Lock()
+	defer s.deployMu.Unlock()
 	for name := range paused {
-		df := s.partList()[0].cat.Dataflow(name)
-		if df == nil {
-			continue
-		}
-		for _, p := range s.partList() {
-			p.pe.PauseGraph(df.Name)
-		}
-		s.routeMu.Lock()
-		df.Paused = true
-		if s.pausedStreams == nil {
-			s.pausedStreams = make(map[string]string)
-		}
-		for _, n := range df.Nodes {
-			if n.Input != "" {
-				s.pausedStreams[strings.ToLower(n.Input)] = df.Name
+		if df := s.schema.Load().Dataflow(name); df != nil {
+			if err := s.pauseAndDrain(df); err != nil {
+				return err
 			}
 		}
-		s.routeMu.Unlock()
 	}
+	return nil
 }
 
-// pauseAndDrain is PauseDataflow's body: set the pause gates, publish the
-// paused state, wait out the graph's admitted executions. The caller holds
-// deployMu. A no-op on an already-paused graph (its work has drained).
-func (s *Store) pauseAndDrain(df *Dataflow) {
-	s.routeMu.RLock()
-	paused := df.Paused
-	s.routeMu.RUnlock()
-	if paused {
-		return
-	}
+// pauseAndDrain is PauseDataflow's body for a running graph: set the pause
+// gates, publish the paused state, wait out the graph's admitted
+// executions. The caller holds deployMu.
+func (s *Store) pauseAndDrain(df *Dataflow) error {
 	for _, p := range s.partList() {
 		p.pe.PauseGraph(df.Name)
 	}
@@ -328,26 +277,19 @@ func (s *Store) pauseAndDrain(df *Dataflow) {
 	// spanning-ingest gate keys off it, and the per-partition gates are
 	// already set, so ingest arriving during the drain must take the
 	// store-wide queue-or-reject path too.
-	s.routeMu.Lock()
-	df.Paused = true
-	if s.pausedStreams == nil {
-		s.pausedStreams = make(map[string]string)
+	if err := s.publish(s.schema.Load().WithPaused(df.Name, true)); err != nil {
+		return err
 	}
-	for _, n := range df.Nodes {
-		if n.Input != "" {
-			s.pausedStreams[strings.ToLower(n.Input)] = df.Name
-		}
-	}
-	s.routeMu.Unlock()
 	for _, p := range s.partList() {
 		p.pe.WaitGraphIdle(df.Name)
 	}
+	return nil
 }
 
 // UndeployDataflow removes a deployed graph: the graph is paused and its
 // admitted executions drained, then the wiring (EE triggers, stream
 // consumer edges) is removed from every partition and the graph is
-// unregistered from every catalog replica. Border tuples that queued
+// removed from the Schema. Border tuples that queued
 // behind the pause gate during the drain are discarded with the graph.
 // The undeploy is refused while another deployed graph consumes a stream
 // this graph emits to — removing the producer would silently starve the
@@ -355,7 +297,7 @@ func (s *Store) pauseAndDrain(df *Dataflow) {
 func (s *Store) UndeployDataflow(name string) error {
 	s.deployMu.Lock()
 	defer s.deployMu.Unlock()
-	df := s.dataflowByName(name)
+	df := s.schema.Load().Dataflow(name)
 	if df == nil {
 		return fmt.Errorf("core: unknown dataflow %q", name)
 	}
@@ -377,34 +319,17 @@ func (s *Store) UndeployDataflow(name string) error {
 		}
 	}
 	started := s.partList()[0].pe.Started()
-	if started {
-		s.pauseAndDrain(df)
+	if started && !df.Paused {
+		if err := s.pauseAndDrain(df); err != nil {
+			return err
+		}
 	}
 	remove := func() error {
 		for _, p := range s.partList() {
-			for _, t := range df.Triggers {
-				_ = p.ee.DropTrigger(t.Name, true)
-			}
-			for _, n := range df.Nodes {
-				if n.Input != "" {
-					p.pe.UnbindStream(n.Input)
-				}
-			}
+			undeployFromPartition(p, df)
 			p.pe.DropGraph(df.Name)
 		}
-		// Catalog state and the router's pause map change under routeMu:
-		// snapshot readers resolve dataflows under its shared side.
-		s.routeMu.Lock()
-		defer s.routeMu.Unlock()
-		for _, p := range s.partList() {
-			p.cat.UnregisterDataflow(df.Name)
-		}
-		for _, n := range df.Nodes {
-			if n.Input != "" {
-				delete(s.pausedStreams, strings.ToLower(n.Input))
-			}
-		}
-		return nil
+		return s.publish(s.schema.Load().WithoutDataflow(df.Name))
 	}
 	if started {
 		if err := s.runExclusiveAll(remove); err != nil {
@@ -424,7 +349,7 @@ func (s *Store) UndeployDataflow(name string) error {
 func (s *Store) ResumeDataflow(name string) error {
 	s.deployMu.Lock()
 	defer s.deployMu.Unlock()
-	df := s.dataflowByName(name)
+	df := s.schema.Load().Dataflow(name)
 	if df == nil {
 		return fmt.Errorf("core: unknown dataflow %q", name)
 	}
@@ -439,24 +364,12 @@ func (s *Store) ResumeDataflow(name string) error {
 			return err
 		}
 	}
-	s.routeMu.Lock()
-	df.Paused = false
-	for _, n := range df.Nodes {
-		if n.Input != "" {
-			delete(s.pausedStreams, strings.ToLower(n.Input))
-		}
-	}
-	s.routeMu.Unlock()
-	return nil
+	return s.publish(s.schema.Load().WithPaused(df.Name, false))
 }
 
 // Dataflows lists the deployed graphs, sorted by name. The returned values
-// are the live catalog entries; treat them as read-only.
-func (s *Store) Dataflows() []*Dataflow {
-	s.routeMu.RLock()
-	defer s.routeMu.RUnlock()
-	return s.partList()[0].cat.Dataflows()
-}
+// belong to the published Schema; treat them as read-only.
+func (s *Store) Dataflows() []*Dataflow { return s.schema.Load().Dataflows() }
 
 // DataflowsResult renders SHOW DATAFLOWS: one row per deployed graph with
 // its shape, lifecycle state, and per-graph counters.
@@ -466,11 +379,9 @@ func (s *Store) DataflowsResult() *pe.Result {
 	}}
 	for _, df := range s.Dataflows() {
 		state := "running"
-		s.routeMu.RLock()
 		if df.Paused {
 			state = "paused"
 		}
-		s.routeMu.RUnlock()
 		gs := s.met.Graph(df.Name)
 		res.Rows = append(res.Rows, types.Row{
 			types.NewString(df.Name),
@@ -491,16 +402,13 @@ func (s *Store) DataflowsResult() *pe.Result {
 // classification, EE triggers, the ordering constraints the engine
 // enforces for it, and its live counters.
 func (s *Store) ExplainDataflow(name string) (string, error) {
-	df := s.dataflowByName(name)
+	df := s.schema.Load().Dataflow(name)
 	if df == nil {
 		return "", fmt.Errorf("core: unknown dataflow %q", name)
 	}
-	s.routeMu.RLock()
-	paused := df.Paused
-	s.routeMu.RUnlock()
 	var b strings.Builder
 	state := "running"
-	if paused {
+	if df.Paused {
 		state = "paused"
 	}
 	fmt.Fprintf(&b, "DATAFLOW %s (%s)\n", df.Name, state)

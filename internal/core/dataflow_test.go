@@ -452,7 +452,7 @@ func TestDataflowsSurviveRecovery(t *testing.T) {
 // TestDropTriggerBelongsToItsDataflow: a trigger deployed with a graph is
 // removed only with the graph. A DDL script's DROP TRIGGER is refused, with
 // or without IF EXISTS, so the graph keeps listing what every partition
-// runs and growth (which replays the DDL journal before redeploying the
+// runs and growth (which syncs newcomers to the Schema and redeploys its
 // graphs) builds partitions that carry the trigger like the old ones.
 func TestDropTriggerBelongsToItsDataflow(t *testing.T) {
 	st := dfStore(t, Config{Partitions: 2})

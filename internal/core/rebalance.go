@@ -60,8 +60,8 @@ const migrateChunk = 512
 var testHookAfterCopied func(slot int) error
 
 // Rebalance grows the store to target partitions online: new partition
-// workers are added at runtime (schema, procedures, and dataflows
-// replayed; replicated tables copied durably), then every slot whose
+// workers are added at runtime (synced to the Schema, procedures and
+// dataflows wired; replicated tables copied durably), then every slot whose
 // canonical owner changed is migrated under live load, one at a time. The
 // per-slot routing pause is bounded by the cutover barrier — bulk copying
 // happens against an MVCC snapshot with all workers running. Shrinking is
@@ -119,21 +119,16 @@ func (s *Store) Rebalance(target int) error {
 // are only written by coordinated transactions, so with all slots held no
 // coordinator is mid-protocol and partition 0's copies are stable (and
 // contain no uncommitted leg writes) while they are cloned onto the
-// newcomers. deployMu keeps concurrent Deploy / Pause / Resume from
-// fanning out over a list about to be extended. Runtime ExecScript racing
-// this step is not supported (DDL belongs before Start).
+// newcomers. deployMu keeps the Schema and the procedures still and keeps
+// concurrent Deploy / Pause / Resume from fanning out over a list about to
+// be extended.
 func (s *Store) addPartitions(target int) error {
 	s.deployMu.Lock()
 	defer s.deployMu.Unlock()
 	s.exclMu.Lock()
 	defer s.exclMu.Unlock()
 	parts := s.partList()
-
-	s.routeMu.RLock()
-	ddl := append([]string(nil), s.ddl...)
-	procs := append([]*pe.Procedure(nil), s.procs...)
-	graphs := parts[0].cat.Dataflows()
-	s.routeMu.RUnlock()
+	sch := s.schema.Load()
 
 	var added []*partition
 	ok := false
@@ -150,22 +145,17 @@ func (s *Store) addPartitions(target int) error {
 	}()
 	for idx := len(parts); idx < target; idx++ {
 		np := s.newPartition(idx)
-		for _, script := range ddl {
-			if err := np.ee.ExecScript(script); err != nil {
-				return fmt.Errorf("core: rebalance: DDL replay on partition %d: %w", idx, err)
-			}
+		if err := np.ee.Sync(sch); err != nil {
+			return fmt.Errorf("core: rebalance: schema on partition %d: %w", idx, err)
 		}
-		for _, proc := range procs {
+		for _, proc := range s.procs {
 			if err := np.pe.RegisterProcedure(proc); err != nil {
 				return fmt.Errorf("core: rebalance: procedure %q on partition %d: %w", proc.Name, idx, err)
 			}
 		}
-		for _, df := range graphs {
+		for _, df := range sch.Dataflows() {
 			if err := deployOnPartition(np, df); err != nil {
 				return fmt.Errorf("core: rebalance: dataflow %q on partition %d: %w", df.Name, idx, err)
-			}
-			if err := np.cat.RegisterDataflow(df); err != nil {
-				return err
 			}
 			if df.Paused {
 				np.pe.PauseGraph(df.Name)
@@ -259,7 +249,7 @@ func (s *Store) rehomePartials(src, dst *partition, slot int) error {
 				return false
 			}
 			// Hash exactly as the router did when it picked the source.
-			v, err := insertPartValue(rel, row[rel.PartCol])
+			v, err := insertPartValue(rel.RelDef, row[rel.PartCol])
 			return err == nil && catalog.SlotOf(v) == slot
 		})
 		if len(moved) == 0 {

@@ -49,16 +49,6 @@ func (s *Store) partitionFor(v types.Value) int {
 	return s.slots.Load().Partition(v)
 }
 
-// routingRelation resolves a relation for routing decisions, synchronized
-// against runtime DDL. The returned Relation's metadata fields (Kind,
-// PartCol, Schema) are immutable after creation; only the catalog map
-// itself needs the lock.
-func (s *Store) routingRelation(name string) *catalog.Relation {
-	s.routeMu.RLock()
-	defer s.routeMu.RUnlock()
-	return s.partList()[0].cat.Relation(name)
-}
-
 // callTarget picks the partition engine that owns a procedure invocation.
 // A missing partitioning parameter is an error, not a fallback: silently
 // running on partition 0 would write keyed rows to a partition that does
@@ -92,7 +82,8 @@ func (s *Store) Ingest(stream string, rows ...types.Row) error {
 	if len(s.partList()) == 1 {
 		return s.partList()[0].pe.Ingest(stream, rows...)
 	}
-	rel := s.routingRelation(stream)
+	sch := s.schema.Load()
+	rel := sch.Relation(stream)
 	if rel == nil || !rel.Partitioned() {
 		return s.partList()[0].pe.Ingest(stream, rows...)
 	}
@@ -102,10 +93,10 @@ func (s *Store) Ingest(stream string, rows ...types.Row) error {
 	// partition's full backlog can never reject its share after other
 	// partitions already queued theirs (a client retry would then
 	// duplicate rows). Unpaused ingest takes none of this.
-	if g := s.pausedGraphOf(stream); g != "" {
+	if g := sch.PausedGraph(stream); g != "" {
 		s.pauseGateMu.Lock()
 		defer s.pauseGateMu.Unlock()
-		if s.pausedGraphOf(stream) != "" { // still paused under the gate
+		if s.schema.Load().PausedGraph(stream) != "" { // still paused under the gate
 			backlog := 0
 			for _, p := range s.partList() {
 				backlog += p.pe.PartialLen(stream)
@@ -172,7 +163,7 @@ func (s *Store) Exec(sqlText string, params ...types.Value) (*pe.Result, error) 
 	}
 	switch st := stmt.(type) {
 	case *sql.Insert:
-		rel := s.routingRelation(st.Table)
+		rel := s.schema.Load().Relation(st.Table)
 		if rel == nil {
 			return s.partList()[0].pe.Exec(sqlText, params...) // engine produces the error
 		}
@@ -216,7 +207,7 @@ func (s *Store) Exec(sqlText string, params ...types.Value) (*pe.Result, error) 
 		// Re-keying a row would leave it on a partition that no longer owns
 		// its hash: keyed routing would miss it and routed INSERTs could
 		// duplicate its primary key store-wide.
-		if rel := s.routingRelation(st.Table); rel != nil && rel.Partitioned() {
+		if rel := s.schema.Load().Relation(st.Table); rel != nil && rel.Partitioned() {
 			partName := rel.Schema.Column(rel.PartCol).Name
 			for _, a := range st.Set {
 				if strings.EqualFold(a.Column, partName) {
@@ -238,14 +229,12 @@ func (s *Store) Exec(sqlText string, params ...types.Value) (*pe.Result, error) 
 		}
 		return s.routeWrite(st.Table, sqlText, params)
 	case *sql.Select:
-		// The broadcast branch would return only partition 0's result for a
-		// fanned-out read; reads belong to the snapshot read path.
+		// Reads belong to the snapshot read path.
 		return s.readLatest(true, st, sqlText, params)
 	default:
-		// Anything else ad-hoc applies to every schema replica. (The
-		// engine's prepared path rejects DDL, so this branch cannot mutate
-		// the catalog; runtime schema changes go through ExecScript.)
-		return s.broadcastExec(sqlText, params, false)
+		// DDL: the engine's prepared path refuses it, since the Schema
+		// changes only through ExecScript, before Start.
+		return s.partList()[0].pe.Exec(sqlText, params...)
 	}
 }
 
@@ -256,19 +245,17 @@ func (s *Store) Exec(sqlText string, params ...types.Value) (*pe.Result, error) 
 // partition 0 (unpartitioned stream target) still must not consult
 // partitioned relations, whose data partition 0 holds only a shard of.
 func (s *Store) vetWriteExprs(table string, exprs ...sql.Expr) error {
-	s.routeMu.RLock()
-	defer s.routeMu.RUnlock()
-	cat := s.partList()[0].cat
-	rel := cat.Relation(table)
+	sch := s.schema.Load()
+	rel := sch.Relation(table)
 	broadcast := rel == nil || rel.Partitioned() || rel.Kind == catalog.KindTable
-	return fanoutSubqueryCheck(cat, broadcast, exprs...)
+	return fanoutSubqueryCheck(sch, broadcast, exprs...)
 }
 
 // routeWrite routes an UPDATE / DELETE by its target relation. Writes that
 // touch every partition (hash-split data, replicated reference tables) run
 // as one coordinated transaction: all legs commit or none.
 func (s *Store) routeWrite(table, sqlText string, params []types.Value) (*pe.Result, error) {
-	rel := s.routingRelation(table)
+	rel := s.schema.Load().Relation(table)
 	switch {
 	case rel == nil:
 		return s.partList()[0].pe.Exec(sqlText, params...)
@@ -281,63 +268,10 @@ func (s *Store) routeWrite(table, sqlText string, params []types.Value) (*pe.Res
 	}
 }
 
-// broadcastExec runs the statement on every partition concurrently (the
-// partitions are independent serial engines, exactly like the Query
-// fan-out). With sum set the returned RowsAffected is the total across
-// partitions (hash-split data); without it partition 0's count stands for
-// the logical result (replicated data, where every partition affected the
-// same logical rows).
-//
-// Only Exec's default branch (statements the prepared path rejects anyway,
-// like DDL) still lands here: every routed DML write goes through the 2PC
-// coordinator (coordwrite.go) and commits atomically across partitions.
-// This uncoordinated fallback keeps its partial-apply guard as defense in
-// depth, though with every leg failing identically it should not trigger.
-func (s *Store) broadcastExec(sqlText string, params []types.Value, sum bool) (*pe.Result, error) {
-	results := make([]*pe.Result, len(s.partList()))
-	errs := make([]error, len(s.partList()))
-	var wg sync.WaitGroup
-	for i := range s.partList() {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = s.partList()[i].pe.Exec(sqlText, params...)
-		}(i)
-	}
-	wg.Wait()
-	applied := 0
-	var firstErr error
-	for _, err := range errs {
-		if err == nil {
-			applied++
-		} else if firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		if applied > 0 {
-			return nil, fmt.Errorf("core: broadcast statement failed on %d of %d partitions but committed on the rest "+
-				"(ad-hoc cross-partition writes are not atomic): %w", len(s.partList())-applied, len(s.partList()), firstErr)
-		}
-		return nil, firstErr
-	}
-	first := results[0]
-	if sum && first != nil {
-		total := 0
-		for _, res := range results {
-			if res != nil {
-				total += res.RowsAffected
-			}
-		}
-		first.RowsAffected = total
-	}
-	return first, nil
-}
-
 // insertColMap resolves the schema ordinal each supplied value of an
 // INSERT feeds (identical to the engine's plan-time mapping, recomputed
 // here because routing happens before any partition plans the statement).
-func insertColMap(ins *sql.Insert, rel *catalog.Relation) ([]int, error) {
+func insertColMap(ins *sql.Insert, rel *catalog.RelDef) ([]int, error) {
 	if len(ins.Columns) == 0 {
 		m := make([]int, rel.Schema.NumColumns())
 		for i := range m {
@@ -367,7 +301,7 @@ func insertColMap(ins *sql.Insert, rel *catalog.Relation) ([]int, error) {
 // declared type, mirroring ValidateRow — routing must hash what the
 // engine keeps ('5' and 5 land together; a defaulted key lands on the
 // default's owner, not hash(NULL)'s).
-func insertPartValue(rel *catalog.Relation, v types.Value) (types.Value, error) {
+func insertPartValue(rel *catalog.RelDef, v types.Value) (types.Value, error) {
 	col := rel.Schema.Column(rel.PartCol)
 	if v.IsNull() && col.HasDeflt {
 		v = col.Default
@@ -386,7 +320,7 @@ func insertPartValue(rel *catalog.Relation, v types.Value) (types.Value, error) 
 // INSERT ... VALUES into a partitioned relation. Tuples hashing to one
 // partition keep the routed fast path; a spanning set becomes a
 // coordinated transaction.
-func (s *Store) insertTargets(ins *sql.Insert, rel *catalog.Relation, colMap []int, params []types.Value) ([]int, error) {
+func (s *Store) insertTargets(ins *sql.Insert, rel *catalog.RelDef, colMap []int, params []types.Value) ([]int, error) {
 	pos := -1
 	for i, ord := range colMap {
 		if ord == rel.PartCol {
@@ -433,7 +367,7 @@ func singleTarget(targets []int) (int, bool) {
 // coordinated row-batch legs. Every value must be statically evaluable
 // (literal or parameter) — a spanning INSERT with computed expressions has
 // no single partition that could evaluate them.
-func (s *Store) staticInsertRows(ins *sql.Insert, rel *catalog.Relation, colMap []int, params []types.Value) ([]types.Row, error) {
+func (s *Store) staticInsertRows(ins *sql.Insert, rel *catalog.RelDef, colMap []int, params []types.Value) ([]types.Row, error) {
 	arity := rel.Schema.NumColumns()
 	rows := make([]types.Row, 0, len(ins.Rows))
 	for _, exprs := range ins.Rows {
@@ -623,17 +557,12 @@ func (s *Store) readLatest(fenced bool, sel *sql.Select, sqlText string, params 
 
 // readCut runs a parsed SELECT against a cut: plan it, then read partition
 // 0 alone or one leg per partition plus the merge. The legs execute on this
-// call's own goroutines at the cut's sequences. routeMu (shared) is held
-// throughout: planning and the legs read catalog maps and index sets, which
-// runtime DDL (ExecScript, under routeMu exclusively) would otherwise mutate
-// underneath them.
+// call's own goroutines at the cut's sequences.
 func (s *Store) readCut(c *snapCut, sel *sql.Select, sqlText string, params []types.Value) (*pe.Result, error) {
-	s.routeMu.RLock()
-	defer s.routeMu.RUnlock()
 	var plan selectPlan
 	if len(c.parts) > 1 { // one partition executes every statement whole
 		var err error
-		if plan, err = planSelect(c.parts[0].cat, sel, sqlText, false, params); err != nil {
+		if plan, err = planSelect(s.schema.Load(), sel, sqlText, false, params); err != nil {
 			return nil, err
 		}
 	}
@@ -683,10 +612,10 @@ type selectPlan struct {
 
 // planSelect plans a SELECT for a store of several partitions: the scope
 // check and the merge plan. text is the client's statement, sel's own or
-// the INSERT's whose source sel is (source). The caller holds routeMu.
-func planSelect(cat *catalog.Catalog, sel *sql.Select, text string, source bool, params []types.Value) (selectPlan, error) {
+// the INSERT's whose source sel is (source).
+func planSelect(sch *catalog.Schema, sel *sql.Select, text string, source bool, params []types.Value) (selectPlan, error) {
 	plan := selectPlan{sel: sel, text: text, source: source, params: params}
-	partitioned, err := queryScope(cat, sel)
+	partitioned, err := queryScope(sch, sel)
 	if err != nil || !partitioned {
 		return plan, err
 	}
@@ -724,16 +653,14 @@ func (sp *selectPlan) legPlan(eng *ee.Engine) (*ee.Prepared, error) {
 //     co-located everywhere.
 //   - Unpartitioned streams/windows exist only on partition 0, so joining
 //     them into a fan-out leaves legs 1..N-1 empty.
-//
-// The caller holds routeMu.
-func queryScope(cat *catalog.Catalog, sel *sql.Select) (partitioned bool, err error) {
+func queryScope(sch *catalog.Schema, sel *sql.Select) (partitioned bool, err error) {
 	isPart := func(name string) bool {
-		rel := cat.Relation(name)
+		rel := sch.Relation(name)
 		return rel != nil && rel.Partitioned()
 	}
 	nPart, nLocal := 0, 0 // partitioned refs; partition-0-only refs
 	classify := func(name string) {
-		rel := cat.Relation(name)
+		rel := sch.Relation(name)
 		if rel == nil {
 			return
 		}
@@ -767,7 +694,7 @@ func queryScope(cat *catalog.Catalog, sel *sql.Select) (partitioned bool, err er
 	// against partition-local data.
 	// Pinned streams/windows only break subqueries when the statement fans
 	// out; a query running solely on partition 0 sees them in full.
-	return partitioned, fanoutSubqueryCheck(cat, partitioned, selectExprs(sel)...)
+	return partitioned, fanoutSubqueryCheck(sch, partitioned, selectExprs(sel)...)
 }
 
 // fanoutSubqueryCheck rejects subqueries (recursively — WalkExpr does not
@@ -775,14 +702,13 @@ func queryScope(cat *catalog.Catalog, sel *sql.Select) (partitioned bool, err er
 // cannot see in full. Partitioned relations expose only the local shard in
 // every leg; with rejectLocal set, partition-0-pinned streams/windows are
 // also rejected because legs 1..N-1 see them empty (statements running
-// solely on partition 0 may pass rejectLocal=false). The caller must hold
-// routeMu (read) or otherwise own the catalog.
-func fanoutSubqueryCheck(cat *catalog.Catalog, rejectLocal bool, exprs ...sql.Expr) error {
+// solely on partition 0 may pass rejectLocal=false).
+func fanoutSubqueryCheck(sch *catalog.Schema, rejectLocal bool, exprs ...sql.Expr) error {
 	var subErr error
 	var checkExprs func(exprs ...sql.Expr)
 	var checkSubSelect func(q *sql.Select)
 	badRel := func(name string) {
-		rel := cat.Relation(name)
+		rel := sch.Relation(name)
 		if rel == nil {
 			return
 		}
@@ -819,9 +745,9 @@ func fanoutSubqueryCheck(cat *catalog.Catalog, rejectLocal bool, exprs ...sql.Ex
 // insert its own shard's rows. When the insert runs on partition 0 only,
 // partitioned sources are still wrong (partition 0 holds just its shard),
 // but pinned streams/windows are fine (partition 0 holds them in full).
-func vetSourceSelect(cat *catalog.Catalog, q *sql.Select, onlyReplicated bool) error {
+func vetSourceSelect(sch *catalog.Schema, q *sql.Select, onlyReplicated bool) error {
 	check := func(name string) error {
-		rel := cat.Relation(name)
+		rel := sch.Relation(name)
 		if rel == nil {
 			return nil
 		}
@@ -841,7 +767,7 @@ func vetSourceSelect(cat *catalog.Catalog, q *sql.Select, onlyReplicated bool) e
 			return err
 		}
 	}
-	return fanoutSubqueryCheck(cat, onlyReplicated, selectExprs(q)...)
+	return fanoutSubqueryCheck(sch, onlyReplicated, selectExprs(q)...)
 }
 
 // ---------- fan-out result merge ----------

@@ -2,6 +2,7 @@ package ee
 
 import (
 	"fmt"
+	"maps"
 	"sync/atomic"
 
 	"repro/internal/catalog"
@@ -195,10 +196,6 @@ func (e *Engine) PrepareCached(text string) (*Prepared, error) {
 	return e.Plan(PlanKey{Text: text}, func() (*Prepared, error) { return e.Prepare(text, nil) })
 }
 
-// InvalidateCache drops every cached plan, of every scope (called after
-// DDL).
-func (e *Engine) InvalidateCache() { e.plans.Clear() }
-
 // PlanCacheSize reports how many plans the cache holds and the most it
 // ever holds.
 func (e *Engine) PlanCacheSize() (n, limit int) { return e.plans.Len(), e.plans.Cap() }
@@ -247,114 +244,103 @@ func (e *Engine) ExecSQL(ctx *ExecCtx, text string, params ...types.Value) (*Res
 
 // ---------- DDL ----------
 
-// ExecDDL applies a DDL statement to the catalog. DDL is executed by the
-// partition engine between transactions, so no undo logging is needed.
-func (e *Engine) ExecDDL(stmt sql.Statement) error {
-	defer e.InvalidateCache()
-	switch s := stmt.(type) {
+// ExecDDL applies a script's DDL statements to a copy of s and returns the
+// copy; it touches nothing else, so a failing script leaves no trace. The
+// caller installs the result (Sync).
+func ExecDDL(s *catalog.Schema, stmts []sql.Statement) (*catalog.Schema, error) {
+	next := s.Clone()
+	for _, stmt := range stmts {
+		if err := applyDDL(next, stmt); err != nil {
+			return nil, err
+		}
+	}
+	return next, nil
+}
+
+func applyDDL(s *catalog.Schema, stmt sql.Statement) error {
+	switch st := stmt.(type) {
 	case *sql.CreateTable:
-		schema, err := schemaFromDefs(s.Name, s.Columns, s.PrimaryKey)
-		if err != nil {
-			return err
-		}
-		if s.IfNotExists && e.cat.Relation(s.Name) != nil {
-			return nil
-		}
-		rel, err := e.cat.CreateTable(schema)
-		if err != nil {
-			return err
-		}
-		if s.PartitionBy != "" {
-			return rel.SetPartitionColumn(s.PartitionBy, s.Partial)
-		}
-		return nil
+		return createRelation(s, catalog.KindTable, st)
 	case *sql.CreateStream:
-		schema, err := schemaFromDefs(s.Name, s.Columns, nil)
-		if err != nil {
-			return err
-		}
-		if s.IfNotExists && e.cat.Relation(s.Name) != nil {
-			return nil
-		}
-		rel, err := e.cat.CreateStream(schema)
-		if err != nil {
-			return err
-		}
-		if s.PartitionBy != "" {
-			return rel.SetPartitionColumn(s.PartitionBy, s.Partial)
-		}
-		return nil
+		return createRelation(s, catalog.KindStream, &sql.CreateTable{Name: st.Name, Columns: st.Columns,
+			PartitionBy: st.PartitionBy, Partial: st.Partial, IfNotExists: st.IfNotExists})
 	case *sql.CreateWindow:
-		src, err := e.cat.MustRelation(s.Stream)
-		if err != nil {
-			return err
-		}
-		spec := catalog.WindowSpec{
-			Rows:   s.Spec.Rows,
-			Size:   s.Spec.Size,
-			Slide:  s.Spec.Slide,
-			Source: s.Stream,
-		}
-		if !spec.Rows {
-			ord := src.Schema.ColumnIndex(s.Spec.TimeCol)
-			if ord < 0 {
-				return fmt.Errorf("ee: window %q: unknown time column %q", s.Name, s.Spec.TimeCol)
+		spec := catalog.WindowSpec{Rows: st.Spec.Rows, Size: st.Spec.Size, Slide: st.Spec.Slide, Source: st.Stream}
+		if src := s.Relation(st.Stream); src != nil && !spec.Rows {
+			if spec.TimeCol = src.Schema.ColumnIndex(st.Spec.TimeCol); spec.TimeCol < 0 {
+				return fmt.Errorf("ee: window %q: unknown time column %q", st.Name, st.Spec.TimeCol)
 			}
-			spec.TimeCol = ord
 		}
-		_, err = e.cat.CreateWindow(s.Name, spec)
+		_, err := s.CreateWindow(st.Name, spec)
 		return err
 	case *sql.CreateIndex:
-		rel, err := e.cat.MustRelation(s.Table)
-		if err != nil {
-			return err
-		}
-		ords := make([]int, 0, len(s.Columns))
-		for _, c := range s.Columns {
-			o := rel.Schema.ColumnIndex(c)
-			if o < 0 {
-				return fmt.Errorf("ee: index %q: unknown column %q", s.Name, c)
-			}
-			ords = append(ords, o)
-		}
-		_, err = rel.Table.CreateIndex(s.Name, ords, s.Unique)
-		return err
+		return s.CreateIndex(st.Name, st.Table, st.Columns, st.Unique)
 	case *sql.DeployDataflow:
 		return fmt.Errorf("ee: DEPLOY DATAFLOW needs the store's graph wiring; run it through the store's Query/Exec, not a DDL script")
 	case *sql.Drop:
-		if s.Kind == "TRIGGER" {
+		switch st.Kind {
+		case "TRIGGER":
 			// A trigger belongs to the dataflow that deployed it: dropped
-			// here, the graph would still list it and a partition added
-			// later would replay this script before redeploying the graph.
-			return fmt.Errorf("ee: DROP TRIGGER %s: a trigger belongs to its dataflow; remove it with UndeployDataflow", s.Name)
+			// here, the graph would still list it and a partition added later
+			// would carry it again.
+			return fmt.Errorf("ee: DROP TRIGGER %s: a trigger belongs to its dataflow; remove it with UndeployDataflow", st.Name)
+		case "INDEX":
+			return s.DropIndex(st.Name, st.IfExists)
+		case "STREAM":
+			return s.Drop(st.Name, catalog.KindStream, st.IfExists)
+		case "WINDOW":
+			return s.Drop(st.Name, catalog.KindWindow, st.IfExists)
+		default:
+			return s.Drop(st.Name, catalog.KindTable, st.IfExists)
 		}
-		rel := e.cat.Relation(s.Name)
-		if rel == nil && s.IfExists {
-			return nil
-		}
-		if err := e.cat.Drop(s.Name); err != nil {
-			return err
-		}
-		delete(e.triggers, rel)
-		delete(e.persistent, rel)
-		return nil
 	default:
 		return fmt.Errorf("ee: %T is not a DDL statement", stmt)
 	}
 }
 
-// ExecScript runs a semicolon-separated DDL script.
+// createRelation runs CREATE TABLE, or a CREATE STREAM given as a keyless
+// table statement.
+func createRelation(s *catalog.Schema, kind catalog.RelationKind, st *sql.CreateTable) error {
+	schema, err := schemaFromDefs(st.Name, st.Columns, st.PrimaryKey)
+	if err != nil {
+		return err
+	}
+	if st.IfNotExists && s.Relation(st.Name) != nil {
+		return nil
+	}
+	rel, err := s.Create(kind, schema)
+	if err != nil || st.PartitionBy == "" {
+		return err
+	}
+	return rel.SetPartitionColumn(st.PartitionBy, st.Partial)
+}
+
+// Sync installs a Schema on this engine's partition (catalog.Catalog.Sync)
+// and, when relations changed, drops every cached plan and the triggers and
+// persistence marks of relations that are gone.
+func (e *Engine) Sync(next *catalog.Schema) error {
+	changed, err := e.cat.Sync(next)
+	if err != nil || !changed {
+		return err
+	}
+	e.plans.Clear()
+	maps.DeleteFunc(e.triggers, func(rel *catalog.Relation, _ []*Trigger) bool { return e.cat.Relation(rel.Name) != rel })
+	maps.DeleteFunc(e.persistent, func(rel *catalog.Relation, _ bool) bool { return e.cat.Relation(rel.Name) != rel })
+	return nil
+}
+
+// ExecScript applies a semicolon-separated DDL script to this engine's
+// partition as a whole: every statement or none.
 func (e *Engine) ExecScript(script string) error {
 	stmts, err := sql.ParseScript(script)
 	if err != nil {
 		return err
 	}
-	for _, s := range stmts {
-		if err := e.ExecDDL(s); err != nil {
-			return err
-		}
+	next, err := ExecDDL(e.cat.Schema(), stmts)
+	if err != nil {
+		return err
 	}
-	return nil
+	return e.Sync(next)
 }
 
 func schemaFromDefs(name string, defs []sql.ColumnDef, pk []string) (*types.Schema, error) {

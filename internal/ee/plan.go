@@ -17,7 +17,7 @@ import (
 // (readRows) and the index an access path chose (accessRows, IndexByName,
 // which falls back to a scan when the index is gone). That is what lets a
 // trigger's plan, which no cache invalidation reaches, outlive DDL on other
-// relations; a cached plan is dropped with every DDL (InvalidateCache).
+// relations; a cached plan is dropped with every DDL (Sync).
 type Prepared struct {
 	Text    string
 	Columns []string // output column names (SELECT only)

@@ -31,7 +31,7 @@ func (e *Engine) admitToWindow(ctx *ExecCtx, rel *catalog.Relation, rows []types
 	if win == nil {
 		return fmt.Errorf("ee: relation %q is not a window", rel.Name)
 	}
-	if win.Spec.Rows {
+	if rel.Window.Rows {
 		return e.admitTupleWindow(ctx, rel, rows)
 	}
 	return e.admitTimeWindow(ctx, rel, rows)
@@ -54,7 +54,7 @@ func saveWindowMeta(ctx *ExecCtx, win *catalog.WindowState) {
 
 func (e *Engine) admitTupleWindow(ctx *ExecCtx, rel *catalog.Relation, rows []types.Row) error {
 	win := rel.Win
-	size, slide := win.Spec.Size, win.Spec.Slide
+	size, slide := rel.Window.Size, rel.Window.Slide
 	saveWindowMeta(ctx, win)
 	mem := &ctx.mem
 	var entered, evicted []types.Row
@@ -112,7 +112,7 @@ func (e *Engine) evictOldest(ctx *ExecCtx, rel *catalog.Relation, n int, evicted
 
 func (e *Engine) admitTimeWindow(ctx *ExecCtx, rel *catalog.Relation, rows []types.Row) error {
 	win := rel.Win
-	size, slide, tcol := win.Spec.Size, win.Spec.Slide, win.Spec.TimeCol
+	size, slide, tcol := rel.Window.Size, rel.Window.Slide, rel.Window.TimeCol
 	saveWindowMeta(ctx, win)
 	maxTS := win.Watermark
 	mem := &ctx.mem

@@ -19,6 +19,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"unsafe"
 
@@ -376,6 +377,15 @@ func (t *Table) CreateIndex(name string, cols []int, unique bool) (*Index, error
 	nw[len(cur)] = ix
 	t.indexes.Store(&nw)
 	return ix, nil
+}
+
+// DropIndex publishes the index list without the named secondary index (the
+// primary key's stays); a plan prepared earlier resolves its index by name
+// when it runs and scans instead. DDL only, before the partition starts.
+func (t *Table) DropIndex(name string) {
+	cur := t.idxs()
+	nw := slices.DeleteFunc(slices.Clone(cur), func(ix *Index) bool { return ix.Name() == name && ix != t.pk })
+	t.indexes.Store(&nw)
 }
 
 // Get returns the row stored under id (writer view: newest live version).

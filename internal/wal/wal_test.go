@@ -155,20 +155,24 @@ func TestRecordCodec(t *testing.T) {
 func snapshotCatalog(t *testing.T) *catalog.Catalog {
 	t.Helper()
 	cat := catalog.New()
+	sch := cat.Schema().Clone()
 	tblSchema := types.MustSchema("t", []types.Column{
 		{Name: "id", Type: types.TypeInt, NotNull: true},
 		{Name: "s", Type: types.TypeString},
 	}, []string{"id"})
-	if _, err := cat.CreateTable(tblSchema); err != nil {
+	if _, err := sch.Create(catalog.KindTable, tblSchema); err != nil {
 		t.Fatal(err)
 	}
 	strSchema := types.MustSchema("st", []types.Column{
 		{Name: "v", Type: types.TypeInt},
 	}, nil)
-	if _, err := cat.CreateStream(strSchema); err != nil {
+	if _, err := sch.Create(catalog.KindStream, strSchema); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cat.CreateWindow("w", catalog.WindowSpec{Rows: true, Size: 5, Slide: 2, Source: "st"}); err != nil {
+	if _, err := sch.CreateWindow("w", catalog.WindowSpec{Rows: true, Size: 5, Slide: 2, Source: "st"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cat.Sync(sch); err != nil {
 		t.Fatal(err)
 	}
 	return cat
