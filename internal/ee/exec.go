@@ -499,15 +499,15 @@ func subProbe(access *tableAccess, subs []subResult, tb *storage.Table) (ix *sto
 
 // lookupEach returns the ids live under any of keys (writer view) in row-id
 // order, the order a scan meets them.
-func lookupEach(mem *scratch, ix *storage.Index, keys []types.Value) []storage.RowID {
+func lookupEach(mem *scratch, tb *storage.Table, ix *storage.Index, keys []types.Value) []storage.RowID {
 	var ids []storage.RowID
 	var key [1]types.Value
-	var buf [8]storage.RowID
 	for _, k := range keys {
 		key[0] = k
-		for _, id := range ix.Lookup(key[:], buf[:0]) {
+		tb.Lookup(ix, key[:], func(id storage.RowID, _ types.Row) bool {
 			ids = mem.ids.push(ids, id)
-		}
+			return true
+		})
 	}
 	if len(keys) > 1 {
 		slices.Sort(ids)
@@ -549,16 +549,12 @@ func (e *Engine) accessRows(ctx *ExecCtx, access *tableAccess, ec *evalCtx, emit
 	// (possibly from a client goroutine, concurrently with the partition
 	// worker); everything else reads the writer's current view.
 	snap, seq := ctx.Snapshot, ctx.SnapshotSeq
-	byID := func(id storage.RowID) bool {
-		r, ok := tb.Get(id)
-		return !ok || emit(id, r)
-	}
 	// When the arm is planned but does not apply to this execution, the
 	// access has no other index bound and falls to the scan at the bottom.
 	if ix, keys, ok := subProbe(access, ec.subs, tb); ok {
 		if !snap {
-			for _, id := range lookupEach(&ctx.mem, ix, keys) {
-				if !byID(id) {
+			for _, id := range lookupEach(&ctx.mem, tb, ix, keys) {
+				if r, ok := tb.Get(id); ok && !emit(id, r) {
 					break
 				}
 			}
@@ -594,13 +590,8 @@ func (e *Engine) accessRows(ctx *ExecCtx, access *tableAccess, ec *evalCtx, emit
 		}
 		if snap {
 			tb.SnapshotLookup(ix, key, seq, emit)
-			return nil
-		}
-		var idBuf [8]storage.RowID
-		for _, id := range ix.Lookup(key, idBuf[:0]) {
-			if !byID(id) {
-				break
-			}
+		} else {
+			tb.Lookup(ix, key, emit)
 		}
 		return nil
 	case access.lo != nil || access.hi != nil:
@@ -628,8 +619,8 @@ func (e *Engine) accessRows(ctx *ExecCtx, access *tableAccess, ec *evalCtx, emit
 				return !inside(key) || emit(0, r)
 			})
 		}
-		ix.Range(lo, hi, func(key types.Row, id storage.RowID) bool {
-			return !inside(key) || byID(id)
+		tb.Range(ix, lo, hi, func(key types.Row, id storage.RowID, r types.Row) bool {
+			return !inside(key) || emit(id, r)
 		})
 		return nil
 	}

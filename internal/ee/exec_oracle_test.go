@@ -294,7 +294,7 @@ func (e *Engine) oracleAccessRows(ctx *ExecCtx, access *tableAccess, outer types
 			}
 			return rows, nil
 		}
-		for _, id := range lookupEach(new(scratch), ix, keys) {
+		for _, id := range lookupEach(new(scratch), tb, ix, keys) {
 			if r, ok := tb.Get(id); ok {
 				rows = append(rows, r)
 			}
@@ -321,13 +321,11 @@ func (e *Engine) oracleAccessRows(ctx *ExecCtx, access *tableAccess, outer types
 		if snap {
 			return snapshotLookup(tb, ix, key, seq), nil
 		}
-		ids := ix.Lookup(key, nil)
-		rows := make([]types.Row, 0, len(ids))
-		for _, id := range ids {
-			if r, ok := tb.Get(id); ok {
-				rows = append(rows, r)
-			}
-		}
+		var rows []types.Row
+		tb.Lookup(ix, key, func(_ storage.RowID, r types.Row) bool {
+			rows = append(rows, r)
+			return true
+		})
 		return rows, nil
 	}
 	if access.index != nil && (access.lo != nil || access.hi != nil) {
@@ -376,11 +374,8 @@ func (e *Engine) oracleAccessRows(ctx *ExecCtx, access *tableAccess, outer types
 				return true
 			})
 		} else {
-			ix.Range(lo, hi, func(key types.Row, id storage.RowID) bool {
-				if !inBounds(key) {
-					return true
-				}
-				if r, ok := tb.Get(id); ok {
+			tb.Range(ix, lo, hi, func(key types.Row, _ storage.RowID, r types.Row) bool {
+				if inBounds(key) {
 					rows = append(rows, r)
 				}
 				return true

@@ -296,16 +296,17 @@ func TestTwoWordPublishHammer(t *testing.T) {
 	}
 }
 
-// TestTableGCFreesReclaimedStubs covers both cold-slot free paths: a
-// superseded version evicted as a stub is freed directly when GC drops
-// it, and a slot superseded by a worker rehydration (Delete pre-faults
-// its target) is freed once the deferred-free watermark passes.
-func TestTableGCFreesReclaimedStubs(t *testing.T) {
+// TestTableColdSlotsFreedOnlyByDeferral: only live heads go cold, so GC
+// reclaims superseded versions from memory and frees no cold slot; the one
+// free path is the deferred one, a slot superseded by a worker
+// rehydration (Delete pre-faults its target) freed once the watermark
+// passes.
+func TestTableColdSlotsFreedOnlyByDeferral(t *testing.T) {
 	tb, cs := coldTable(t)
 	ids := fillVotes(t, tb, 8)
 
-	// Supersede 4 rows before eviction: their old versions evict as
-	// stubs and die at the update, so GC frees those slots directly.
+	// Supersede 4 rows before eviction: their old versions are dead and
+	// stay resident.
 	for i, id := range ids[:4] {
 		if err := tb.Update(id, types.Row{
 			types.NewInt(int64(i)), types.NewInt(9), types.Null,
@@ -314,28 +315,61 @@ func TestTableGCFreesReclaimedStubs(t *testing.T) {
 		}
 	}
 	tb.Clock().Publish()
-	tb.Evict(tb.Clock().Current(), 1<<30) // evicts old and new versions alike
-	cv, _, _ := tb.ColdStats()
-	if cv != 12 {
-		t.Fatalf("cold versions after eviction = %d, want 12", cv)
+	tb.Evict(tb.Clock().Current(), 1<<30)
+	if cv, _, _ := tb.ColdStats(); cv != 8 {
+		t.Fatalf("cold versions after eviction = %d, want the 8 live heads", cv)
 	}
-	tb.GC(tb.Clock().Current())
-	if cv, _, _ = tb.ColdStats(); cv != 8 {
-		t.Fatalf("cold versions after GC = %d, want 8", cv)
+	if rec, _ := tb.GC(tb.Clock().Current()); rec != 4 {
+		t.Fatalf("GC reclaimed %d versions, want 4", rec)
 	}
-	if frees := cs.Stats().Frees; frees != 4 {
-		t.Fatalf("direct frees = %d, want 4", frees)
+	if cv, _, fa := tb.ColdStats(); cv != 8 || fa != 0 || cs.Stats().Frees != 0 {
+		t.Fatalf("GC moved the cold store: %d cold versions, %d faults, %d frees", cv, fa, cs.Stats().Frees)
 	}
 
-	// Delete an evicted row: the worker faults it back in first (its
-	// undo image must be hot), deferring the old slot's free to the
+	// Delete an evicted row: the worker faults it back in first (GC will
+	// read its key columns), deferring the old slot's free to the
 	// watermark.
 	if err := tb.Delete(ids[5], nil); err != nil {
 		t.Fatal(err)
 	}
 	tb.Clock().Publish()
 	tb.ReleaseColdFrees(tb.Clock().Current())
-	if frees := cs.Stats().Frees; frees != 5 {
-		t.Fatalf("frees after deferred release = %d, want 5", frees)
+	if frees := cs.Stats().Frees; frees != 1 {
+		t.Fatalf("frees after deferred release = %d, want 1", frees)
+	}
+}
+
+// TestGCReadsNoColdRowOnNonKeyUpdate: a row is evicted, updated on a
+// column no index covers (the update faults the head in), and the new head
+// evicted in turn; the sweep that reclaims the old version reads neither
+// image from the cold store, because the new version is not rekeyed.
+func TestGCReadsNoColdRowOnNonKeyUpdate(t *testing.T) {
+	tb, _ := coldTable(t)
+	if _, err := tb.CreateIndex("by_candidate", []int{1}, false); err != nil {
+		t.Fatal(err)
+	}
+	ids := fillVotes(t, tb, 16)
+	clock := tb.Clock()
+	tb.Evict(clock.Current(), 1<<30)
+	for i, id := range ids {
+		if err := tb.Update(id, types.Row{types.NewInt(int64(i)), types.NewInt(int64(i % 3)), types.NewString("edited")}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clock.Publish()
+	if n, _ := tb.Evict(clock.Current(), 1<<30); n != len(ids) {
+		t.Fatalf("eviction took %d new heads, want %d", n, len(ids))
+	}
+	_, _, before := tb.ColdStats()
+	if rec, _ := tb.GC(clock.Current()); rec != len(ids) {
+		t.Fatalf("GC reclaimed %d versions, want %d", rec, len(ids))
+	}
+	if _, _, after := tb.ColdStats(); after != before {
+		t.Fatalf("the sweep read %d rows from the cold store", after-before)
+	}
+	for c := int64(0); c < 3; c++ {
+		if got := len(lookupIDs(tb, tb.IndexByName("by_candidate"), types.Row{types.NewInt(c)})); got != (16+2-int(c))/3 {
+			t.Fatalf("candidate %d: %d rows after the sweep", c, got)
+		}
 	}
 }

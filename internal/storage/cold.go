@@ -8,10 +8,13 @@ import (
 )
 
 // Anti-caching layer (DESIGN.md §7). Tables attached to a coldstore can
-// evict committed row versions older than the snapshot watermark out of
-// their in-memory version chains into cold pages, leaving a stub: the
+// evict a row's live head, committed at or below the snapshot watermark,
+// out of its in-memory version chain into cold pages, leaving a stub: the
 // rowVersion keeps its born/dead stamps (visibility never needs disk)
 // but its row pointer becomes nil and its cold word names the tuple.
+// Dead versions are never evicted — Delete and Update fault the head in
+// before ending it — so GC reads a reclaimed version's key columns from
+// memory.
 // The two words are published by one rule (rowVersion): eviction stores
 // cold, then nils rowp; rehydration stores rowp and leaves cold stale;
 // a reader loads rowp and reads cold only when rowp is nil. So a
@@ -36,8 +39,11 @@ import (
 //
 // Eviction itself runs only on the partition worker (at GC rhythm), so
 // the single-mutator invariant covers stubbing out versions too. Index
-// entries are untouched by eviction: they carry their own key copies
-// and only reference RowIDs.
+// entries are untouched by eviction: an entry is its own key copy and a
+// RowID. An index read resolves a candidate's version before checking it
+// carries the entry's key, so a row whose key moved and whose new head
+// went cold can cost a lookup under the old key one cold read, until GC
+// takes the old version and its entry.
 
 // budgetValueBytes is what one value counts for in the resident-bytes
 // ledger, the unit MemoryBudget is set in. It is the budget's unit, not
@@ -131,65 +137,65 @@ func (t *Table) faultHead(s *rowSlot) types.Row {
 	return row
 }
 
-// touch sets the slot's second-chance bit; the evictor clears it and
-// skips the slot once before evicting. Set on point accesses (Get,
+// touch sets the second-chance bit of the slot's head; the evictor clears
+// it and skips the row once before evicting. Set on point accesses (Get,
 // snapshot point reads, faults) but not on full scans, so one analytic
 // pass cannot flush the hot set.
-func (s *rowSlot) touch() { s.touched.Store(1) }
+func (s *rowSlot) touch() {
+	if h := s.head.Load(); h != nil {
+		h.touched.Store(1)
+	}
+}
 
-// Evict moves committed row versions into the cold store until roughly
-// `need` resident bytes are freed, round-robin from the last cursor
-// position with one clock (second-chance) pass per slot. Only versions
-// with born <= watermark qualify: they are published, stable (no undo
-// can touch them), and identical on every replica's logical timeline.
-// Worker-only. Each eviction stores the ref and then nils the row
-// pointer, and allocates nothing, so concurrent snapshot readers are
-// never blocked and never see a torn version — a reader that loaded the
-// row pointer just before the store keeps reading its row; one that loads
-// the nil after it finds the ref already there and faults read-through.
+// Evict moves live heads into the cold store until roughly `need` resident
+// bytes are freed, round-robin from the last cursor position with one
+// clock (second-chance) pass per slot. Only a committed live head born at
+// or below watermark qualifies: published, stable (no undo can touch it),
+// and identical on every replica's logical timeline. A dead version stays
+// resident until GC reclaims it and reads its key columns. Worker-only.
+// Each eviction stores the ref and then nils the row pointer, and
+// allocates nothing, so concurrent snapshot readers are never blocked and
+// never see a torn version — a reader that loaded the row pointer just
+// before the store keeps reading its row; one that loads the nil after it
+// finds the ref already there and faults read-through.
 func (t *Table) Evict(watermark Seq, need int64) (versions int, bytes int64) {
 	if t.cold == nil || need <= 0 {
 		return 0, 0
 	}
 	d := t.slots()
-	scanned := 0
-	for scanned < len(d) && bytes < need {
+	for scanned := 0; scanned < len(d) && bytes < need; scanned++ {
 		if t.evictCursor >= len(d) {
 			t.evictCursor = 0
 		}
-		s := d[t.evictCursor]
+		v := d[t.evictCursor].liveHead() // nil for a staged copy: its dead stamp is not SeqInf
 		t.evictCursor++
-		scanned++
-		if s.head.Load() == nil || s.isStaged() {
+		if v == nil {
 			continue
 		}
-		if s.touched.Load() == 1 {
-			s.touched.Store(0) // second chance
+		if v.touched.Load() == 1 {
+			v.touched.Store(0) // second chance
 			continue
 		}
-		for v := s.head.Load(); v != nil; v = v.next.Load() {
-			row := v.hotRow()
-			born := v.born.Load()
-			if row == nil || born > watermark || born == seqStaged {
-				continue
-			}
-			t.encBuf = types.EncodeRow(t.encBuf[:0], row)
-			if len(t.encBuf) > t.cold.MaxTuple() {
-				continue // oversized tuples stay hot
-			}
-			ref, err := t.cold.Put(t.encBuf)
-			if err != nil {
-				return versions, bytes // disk trouble: stop, stay hot
-			}
-			sz := rowMemSize(row)
-			v.cold.Store(uint64(ref))
-			v.rowp.Store(nil)
-			t.residentBytes.Add(-sz)
-			t.coldVers.Add(1)
-			t.coldEvictions.Add(1)
-			versions++
-			bytes += sz
+		row := v.hotRow()
+		if row == nil || v.born.Load() > watermark {
+			continue
 		}
+		t.encBuf = types.EncodeRow(t.encBuf[:0], row)
+		if len(t.encBuf) > t.cold.MaxTuple() {
+			continue // oversized tuples stay hot
+		}
+		ref, err := t.cold.Put(t.encBuf)
+		if err != nil {
+			return versions, bytes // disk trouble: stop, stay hot
+		}
+		sz := rowMemSize(row)
+		v.cold.Store(uint64(ref))
+		v.rowp.Store(nil)
+		t.residentBytes.Add(-sz)
+		t.coldVers.Add(1)
+		t.coldEvictions.Add(1)
+		versions++
+		bytes += sz
 	}
 	return versions, bytes
 }

@@ -287,8 +287,8 @@ func TestEpochReaderEvictorTruncateHammer(t *testing.T) {
 
 // TestEpochIndexNodeReuseAcrossHeightsHammer is the reuse hammer for the
 // variable-height index entries: every round the writer indexes the same
-// keys at heights that rotate within each height class, kills and GCs
-// them (unlink, retire) and advances the epoch, so nodes come back from
+// keys at heights that rotate within each height class, erases them
+// (unlink, retire) and advances the epoch, so nodes come back from
 // their class's pool to carry another key at another height — while
 // readers walk the list inside epochs. A node is rewritten with plain
 // stores on reuse, so under -race a node handed out before its last
@@ -324,7 +324,7 @@ func TestEpochIndexNodeReuseAcrossHeightsHammer(t *testing.T) {
 				}
 				g := em.Enter()
 				last, bad := int64(-1), ""
-				sl.scanAt(nil, nil, SeqInf, func(k types.Row, id RowID) bool {
+				sl.scan(nil, nil, func(k types.Row, id RowID) bool {
 					if key := k[0].Int(); len(k) != 1 || key <= last || key >= nKeys || id != RowID(key+1) {
 						bad = fmt.Sprintf("walk met key %v id %d after key %d", k, id, last)
 						return false
@@ -334,7 +334,7 @@ func TestEpochIndexNodeReuseAcrossHeightsHammer(t *testing.T) {
 					return true
 				})
 				k := rng.Int63n(nKeys)
-				if ids := sl.lookupAt(intKey(k), SeqInf, nil); len(ids) > 1 || (len(ids) == 1 && ids[0] != RowID(k+1)) {
+				if ids := sl.lookup(intKey(k), nil); len(ids) > 1 || (len(ids) == 1 && ids[0] != RowID(k+1)) {
 					bad = fmt.Sprintf("lookup(%d) = %v", k, ids)
 				}
 				g.Exit()
@@ -350,12 +350,11 @@ func TestEpochIndexNodeReuseAcrossHeightsHammer(t *testing.T) {
 	heightOf := map[*slNode]int{}
 	reusedAtOtherHeight := 0
 	for round := 0; round < rounds; round++ {
-		seq := Seq(2*round + 1)
 		for k := int64(0); k < nKeys; k++ {
 			h := (int(k) + round) % len(heights)
 			sl.rng = seeds[h]
-			if !sl.insert(intKey(k), RowID(k+1), seq, true) {
-				t.Fatalf("round %d: insert %d refused", round, k)
+			if sl.insert(intKey(k), RowID(k+1)) != nil {
+				t.Fatalf("round %d: insert %d met a linked node", round, k)
 			}
 			var update [maxLevel]*slNode
 			n := sl.find(intKey(k), &update)
@@ -365,13 +364,8 @@ func TestEpochIndexNodeReuseAcrossHeightsHammer(t *testing.T) {
 			heightOf[n] = heights[h]
 		}
 		for k := int64(0); k < nKeys; k++ {
-			if k%3 == 0 {
-				sl.eraseLive(intKey(k), RowID(k+1)) // the undo path unlinks too
-			} else {
-				sl.remove(intKey(k), RowID(k+1), seq+1)
-			}
+			sl.erase(intKey(k), RowID(k+1))
 		}
-		sl.gc(seq + 1)
 		if sl.length != 0 {
 			t.Fatalf("round %d: %d keys left linked", round, sl.length)
 		}

@@ -7,10 +7,10 @@ import (
 	"sync/atomic"
 )
 
-// Seq is a per-partition commit sequence number. Every row version and
-// index entry is stamped with the sequence interval [born, dead) during
-// which it is visible: a snapshot read at sequence s sees exactly the
-// versions with born <= s < dead.
+// Seq is a per-partition commit sequence number. Every row version is
+// stamped with the sequence interval [born, dead) during which it is
+// visible: a snapshot read at sequence s sees exactly the versions with
+// born <= s < dead. Index entries carry no stamps (index.go).
 //
 // The partition worker stamps in-flight writes with Current()+1 — the
 // pending sequence — and publishes them atomically at commit by advancing

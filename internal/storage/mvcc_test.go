@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -26,6 +27,16 @@ func snapshotLookup(tb *Table, ix *Index, key types.Row, seq Seq) []types.Row {
 		return true
 	})
 	return out
+}
+
+// lookupIDs collects the RowIDs the writer-view Lookup hands over.
+func lookupIDs(tb *Table, ix *Index, key types.Row) []RowID {
+	var ids []RowID
+	tb.Lookup(ix, key, func(id RowID, _ types.Row) bool {
+		ids = append(ids, id)
+		return true
+	})
+	return ids
 }
 
 func voteRow(phone, cand int64) types.Row {
@@ -130,8 +141,8 @@ func TestSnapshotReaderSurvivesDeleteAndGC(t *testing.T) {
 	if _, ok := tb.SnapshotGet(id, s); ok {
 		t.Fatal("row readable after reclaim (stale pin misuse should find nothing)")
 	}
-	if tb.PrimaryIndex().Len() != 0 {
-		t.Fatalf("index kept %d live refs", tb.PrimaryIndex().Len())
+	if n := tb.PrimaryIndex().sl.length; n != 0 {
+		t.Fatalf("index kept %d keys after their last version went", n)
 	}
 }
 
@@ -173,11 +184,13 @@ func TestRollbackInvisibleToSnapshots(t *testing.T) {
 	if versions != 2 || dead != 0 {
 		t.Fatalf("chains after rollback: versions=%d dead=%d", versions, dead)
 	}
-	if ids := tb.PrimaryIndex().Lookup(types.Row{types.NewInt(1)}, nil); len(ids) != 1 {
+	if ids := lookupIDs(tb, tb.PrimaryIndex(), types.Row{types.NewInt(1)}); len(ids) != 1 {
 		t.Fatalf("pk ref after rollback: %v", ids)
 	}
-	if ids := tb.PrimaryIndex().sl.lookupAt(types.Row{types.NewInt(9)}, clock.Current()+10, nil); len(ids) != 0 {
-		t.Fatalf("aborted insert left index ref: %v", ids)
+	for _, k := range []int64{3, 9} { // the aborted key move and the aborted insert
+		if ids := tb.PrimaryIndex().sl.lookup(types.Row{types.NewInt(k)}, nil); len(ids) != 0 {
+			t.Fatalf("aborted transaction left index entry (%d, %v)", k, ids)
+		}
 	}
 }
 
@@ -339,12 +352,12 @@ func TestSnapshotHammer(t *testing.T) {
 	}
 }
 
-// TestRollbackKeyPingPongKeepsPinnedIndexView regresses the revive-order
-// bug: an aborted transaction that moves an indexed key away and back
-// repeatedly (A->B->A->B) creates several dead refs sharing (id, dead
-// stamp); undo must revive the latest-born one at each step or the
-// surviving ref ends up with a pending born stamp, hiding a committed row
-// from pinned snapshots. Exercises a unique (pk) and a non-unique index.
+// TestRollbackKeyPingPongKeepsPinnedIndexView: an aborted transaction
+// that moves an indexed key away and back repeatedly (A->B->A->B) must
+// leave exactly the entry (A, id) behind — undo erases a key only when no
+// version left in the chain carries it — so the committed row stays
+// visible to pinned snapshots and to the writer, and B is gone. Exercises
+// a unique (pk) and a non-unique index.
 func TestRollbackKeyPingPongKeepsPinnedIndexView(t *testing.T) {
 	tb := NewTable(votesSchema(t))
 	if _, err := tb.CreateIndex("h", []int{0}, false); err != nil {
@@ -372,8 +385,16 @@ func TestRollbackKeyPingPongKeepsPinnedIndexView(t *testing.T) {
 		if rows := snapshotLookup(tb, ix, key, pin.Seq()); len(rows) != 1 || rows[0][1].Int() != 7 {
 			t.Fatalf("index %q: pinned lookup after ping-pong rollback = %v", ix.Name(), rows)
 		}
-		if ids := ix.Lookup(key, nil); len(ids) != 1 {
+		if ids := lookupIDs(tb, ix, key); len(ids) != 1 {
 			t.Fatalf("index %q: live refs = %v", ix.Name(), ids)
+		}
+		var entries [][2]int64
+		ix.sl.scan(nil, nil, func(k types.Row, eid RowID) bool {
+			entries = append(entries, [2]int64{k[0].Int(), int64(eid)})
+			return true
+		})
+		if want := [][2]int64{{1, int64(id)}}; !reflect.DeepEqual(entries, want) {
+			t.Fatalf("index %q: entries after ping-pong rollback = %v, want %v", ix.Name(), entries, want)
 		}
 	}
 	// And after the aborted stamps, a fresh commit + GC leaves one clean ref.
@@ -400,7 +421,7 @@ func TestSnapshotScanChunkingStaysConsistent(t *testing.T) {
 	pin := clock.AcquireSnapshot()
 	// Delete every third row and publish; the pinned scan must not notice.
 	for i := 0; i < n; i += 3 {
-		ids := tb.PrimaryIndex().Lookup(types.Row{types.NewInt(int64(i))}, nil)
+		ids := lookupIDs(tb, tb.PrimaryIndex(), types.Row{types.NewInt(int64(i))})
 		if err := tb.Delete(ids[0], nil); err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -9,52 +11,47 @@ import (
 )
 
 // skiplist is the ordered index: keys sorted by types.Row.Compare, each
-// key node holding the versioned refs indexed under it. A deterministic
-// xorshift generator drives level assignment so index shape (and therefore
+// key node holding the RowIDs indexed under it. A deterministic xorshift
+// generator drives level assignment so index shape (and therefore
 // benchmarks) are reproducible run to run.
 //
 // The structure is single-writer / many-reader with zero reader locks:
-// tower links are atomic pointers, a ref's dead stamp (inline or in the
-// overflow slice) is stored and loaded atomically, and the overflow slice
-// is otherwise only appended to beyond every reader's length or replaced
-// whole, so a snapshot reader traversing mid-mutation sees either the old
-// or the new state of any link or ref, never a torn one. Unlinked key nodes are epoch-retired
-// (epoch.go) — a straggling reader that entered before the unlink keeps a
-// fully intact node, including its outgoing links, until every such
-// reader exits.
+// tower links and a node's RowID list are atomic pointers, and a published
+// list is only appended to beyond every reader's length or replaced whole,
+// so a snapshot reader traversing mid-mutation sees either the old or the
+// new state of any link or list, never a torn one. Unlinked key nodes are
+// epoch-retired (epoch.go) — a straggling reader that entered before the
+// unlink keeps a fully intact node, including its outgoing links, until
+// every such reader exits.
 const maxLevel = 24
 
 // slNode is one key's index entry, a single allocation (DESIGN.md §1.6.1):
-// the key's first column, one ref and a tower of exactly as many lanes as
-// the node's height class all live in it, so the common entry — a
-// single-column key indexing one row — costs nothing beyond the node.
+// the key, one RowID and a tower of exactly as many lanes as the node's
+// height class all live in it, so the common entry — a single-column key
+// indexing one row — costs nothing beyond the node. An entry says only
+// that some version of the row carries the key; readers ask the version
+// chain whether it is visible (index.go).
 //
-// key, id and born are immutable once the node is published. The fields
-// are rewritten in place only between pool reuse and republication, when
-// the epoch grace period guarantees no reader holds the node — which is
-// also why a reader must not keep a key slice (it aliases k0) past its
+// k0, nk and id are immutable once the node is published. The fields are
+// rewritten in place only between pool reuse and republication, when the
+// epoch grace period guarantees no reader holds the node — which is also
+// why a reader must not keep a key slice (it aliases the node) past its
 // epoch.
 type slNode struct {
-	kp *types.Value // the key's columns: &k0, or a private clone when multi-column
-	k0 types.Value  // a single-column key, inline
+	// k0 is a single-column key itself; a multi-column key is a private
+	// clone of its columns, held here as a VARCHAR whose bytes are the
+	// clone's (key reads it back), so either way the key is one word pair
+	// that keeps what it points at alive.
+	k0 types.Value
 
-	// The inline ref, current while more is nil: the ref the node was
-	// created for. dead moves between SeqInf, a pending sequence and
-	// seqErased (the ref is gone and the node about to be unlinked). Once a
-	// second ref arrives the full list moves to more and these freeze.
+	// id is the node's first RowID, current while more is nil. Once a
+	// second arrives the full list moves to more and id freezes.
 	id   RowID
-	born Seq
-	dead atomic.Uint64
-	more atomic.Pointer[[]ixRef]
+	more atomic.Pointer[[]RowID]
 
 	nk    uint32 // key columns
 	class uint8  // index into slClasses: which tower follows
 }
-
-// seqErased in the inline dead stamp marks an emptied node. No sequence
-// stamps with it (the clock's pending sequence starts at 1), and as a dead
-// stamp it is visible to nobody.
-const seqErased Seq = 0
 
 // The node type family. A node's tower is allocated with the node, sized
 // by the drawn height rounded up to a class, and reached by offset from
@@ -112,6 +109,18 @@ func allocBytes(n uintptr) int64 {
 	return int64(cap(append([]byte(nil), make([]byte, n)...)))
 }
 
+// listBoxBytes is the box a published RowID list's header lives in.
+var listBoxBytes = allocBytes(unsafe.Sizeof([]RowID(nil)))
+
+// listBytes is what a published RowID list holds on the heap: its box and
+// its array, whose capacity append and slices.Grow round to a size class.
+func listBytes(p *[]RowID) int64 {
+	if p == nil {
+		return 0
+	}
+	return listBoxBytes + int64(cap(*p))*int64(unsafe.Sizeof(RowID(0)))
+}
+
 // classOf returns the smallest class whose tower holds lvl lanes.
 func classOf(lvl int) uint8 {
 	c := 0
@@ -129,59 +138,31 @@ func (n *slNode) lane(i int) *atomic.Pointer[slNode] {
 	return (*atomic.Pointer[slNode])(unsafe.Add(unsafe.Pointer(n), towerOff+uintptr(i)*laneSize))
 }
 
-// key returns the node's key. The slice aliases the node: valid inside
-// the caller's epoch only.
-func (n *slNode) key() types.Row { return unsafe.Slice(n.kp, n.nk) }
+// key returns the node's key. The slice aliases the node or its clone:
+// valid inside the caller's epoch only.
+func (n *slNode) key() types.Row {
+	if n.nk <= 1 {
+		return unsafe.Slice(&n.k0, n.nk)
+	}
+	return unsafe.Slice((*types.Value)(unsafe.Pointer(unsafe.StringData(n.k0.Str()))), n.nk)
+}
 
-// loadRefs returns the node's current refs: the overflow slice when one
-// was published, else the inline ref copied into buf (nothing when
-// erased). The result is immutable; callers must not modify it.
-func (n *slNode) loadRefs(buf *[1]ixRef) []ixRef {
+// ids returns the node's RowIDs: the published list, else the inline id
+// copied into buf. The result is immutable; callers must not modify it.
+func (n *slNode) ids(buf *[1]RowID) []RowID {
 	if p := n.more.Load(); p != nil {
 		return *p
 	}
-	d := n.dead.Load()
-	if d == seqErased {
-		return nil
-	}
-	buf[0] = ixRef{id: n.id, born: n.born, dead: d}
+	buf[0] = n.id
 	return buf[:]
-}
-
-// setDead restamps ref j of refs, the node's current refs, where it lies:
-// a delete under a key with a thousand refs writes one word, not a copy of
-// the list. Readers load the stamp atomically (ixRef.seenAt), and a reader
-// holding an older, shorter header of the same array sees the same ref.
-func (n *slNode) setDead(refs []ixRef, j int, dead Seq) {
-	if n.more.Load() == nil {
-		n.dead.Store(dead)
-		return
-	}
-	atomic.StoreUint64(&refs[j].dead, dead)
-}
-
-// shrink republishes the node's refs as nw — a fresh slice holding a
-// strict subset of them — and reports whether the node emptied. An inline
-// ref can only shrink to nothing. Fresh matters: insert appends to a
-// published slice in place (beyond every reader's length), which is only
-// safe while no shorter slice shares its backing array.
-func (n *slNode) shrink(nw []ixRef) bool {
-	if n.more.Load() == nil {
-		n.dead.Store(seqErased)
-		return true
-	}
-	p := new([]ixRef)
-	*p = nw
-	n.more.Store(p)
-	return len(nw) == 0
 }
 
 type skiplist struct {
 	head   *slNode
-	length int // worker-only: distinct keys with at least one ref
+	length int // worker-only: distinct keys
 	rng    uint64
 	em     *EpochManager
-	bytes  atomic.Int64 // heap bytes of linked nodes and their cloned keys
+	bytes  atomic.Int64 // heap bytes of linked nodes, their cloned keys and RowID lists
 }
 
 func newSkiplist(em *EpochManager) *skiplist {
@@ -233,35 +214,18 @@ func (s *skiplist) find(key types.Row, update *[maxLevel]*slNode) *slNode {
 	return nil
 }
 
-// insert adds a live ref for id under key in one descent. It reports
-// false, the list untouched, when unique is set and the key already holds
-// a live ref. key is copied, never retained.
-func (s *skiplist) insert(key types.Row, id RowID, born Seq, unique bool) bool {
+// insert returns key's node when it exists, leaving it as it is for the
+// caller to check and push to; otherwise it links a new node holding only
+// id, in the same descent, and returns nil. key is copied, never retained.
+func (s *skiplist) insert(key types.Row, id RowID) *slNode {
 	var update [maxLevel]*slNode
 	cand := s.findPredecessors(key, &update)
 	if cand != nil && cand.key().Compare(key) == 0 {
-		// Not loadRefs: its stack buffer would escape into the published slice.
-		ref := ixRef{id: id, born: born, dead: SeqInf}
-		var nw []ixRef
-		if p := cand.more.Load(); p != nil {
-			if unique && liveRef(*p) >= 0 {
-				return false
-			}
-			nw = append(*p, ref) // in place when capacity allows: see shrink
-		} else {
-			d := cand.dead.Load()
-			if unique && d == SeqInf {
-				return false
-			}
-			nw = []ixRef{{id: cand.id, born: cand.born, dead: d}, ref}
-		}
-		cand.more.Store(&nw)
-		return true
+		return cand
 	}
 	lvl := s.randLevel()
 	n := s.newNode(key, lvl)
-	n.id, n.born = id, born
-	n.dead.Store(SeqInf)
+	n.id = id
 	for i := 0; i < lvl; i++ {
 		n.lane(i).Store(update[i].lane(i).Load())
 	}
@@ -271,7 +235,24 @@ func (s *skiplist) insert(key types.Row, id RowID, born Seq, unique bool) bool {
 		update[i].lane(i).Store(n)
 	}
 	s.length++
-	return true
+	return nil
+}
+
+// push appends id to n's RowIDs: in place when the published list has room
+// (beyond every reader's length), else into a new array. Worker-only.
+func (s *skiplist) push(n *slNode, id RowID) {
+	if p := n.more.Load(); p != nil {
+		s.publish(n, append(*p, id))
+	} else {
+		s.publish(n, []RowID{n.id, id})
+	}
+}
+
+// publish makes nw n's RowID list, moving the charge of the list it
+// replaces to it.
+func (s *skiplist) publish(n *slNode, nw []RowID) {
+	s.bytes.Add(listBytes(&nw) - listBytes(n.more.Load()))
+	n.more.Store(&nw)
 }
 
 // newNode draws a node of lvl's class from its pool and installs a private
@@ -283,26 +264,26 @@ func (s *skiplist) newNode(key types.Row, lvl int) *slNode {
 	switch {
 	case len(key) == 1:
 		n.k0 = key[0]
-		n.kp = &n.k0
 	case len(key) > 1:
-		n.kp = &key.Clone()[0]
+		clone := key.Clone()
+		n.k0 = types.NewString(unsafe.String((*byte)(unsafe.Pointer(&clone[0])), len(clone)))
 	}
 	s.bytes.Add(n.heapBytes())
 	return n
 }
 
 // scrub clears a retired node once its grace period is over (freeBin), so
-// a pooled node keeps no key, ref list or chain of successors alive.
+// a pooled node keeps no key, RowID list or chain of successors alive.
 func (n *slNode) scrub() {
-	n.kp, n.k0 = nil, types.Value{}
+	n.k0 = types.Value{}
 	n.more.Store(nil)
 	for i := 0; i < slClasses[n.class].lanes; i++ {
 		n.lane(i).Store(nil)
 	}
 }
 
-// heapBytes is what the node holds on the heap: its allocation and a
-// cloned multi-column key. Overflow ref slices are not counted.
+// heapBytes is what the node itself holds on the heap: its allocation and
+// a cloned multi-column key. Its RowID list is charged as it is published.
 func (n *slNode) heapBytes() int64 {
 	b := slClasses[n.class].bytes
 	if n.nk > 1 {
@@ -311,56 +292,91 @@ func (n *slNode) heapBytes() int64 {
 	return b
 }
 
-// remove stamps the live ref for id dead at the given sequence. The node
-// stays linked for snapshot readers until gc reclaims its last ref.
-func (s *skiplist) remove(key types.Row, id RowID, dead Seq) bool {
+// erase removes id from key's node. Worker-only.
+func (s *skiplist) erase(key types.Row, id RowID) {
 	var update [maxLevel]*slNode
-	var one [1]ixRef
 	if n := s.find(key, &update); n != nil {
-		refs := n.loadRefs(&one)
-		if j := findRef(refs, id); j >= 0 {
-			n.setDead(refs, j, dead)
-			return true
-		}
+		s.without(n, &update, func(o RowID) bool { return o == id })
 	}
-	return false
 }
 
-// eraseLive physically removes the live ref for id (undo of insert),
-// unlinking and retiring the node when it empties.
-func (s *skiplist) eraseLive(key types.Row, id RowID) bool {
-	var update [maxLevel]*slNode
-	var one [1]ixRef
-	n := s.find(key, &update)
-	if n == nil {
-		return false
-	}
-	refs := n.loadRefs(&one)
-	j := findRef(refs, id)
-	if j < 0 {
-		return false
-	}
-	nw := make([]ixRef, 0, len(refs)-1)
-	nw = append(append(nw, refs[:j]...), refs[j+1:]...)
-	if n.shrink(nw) {
-		s.unlink(n, &update)
-	}
-	return true
-}
-
-// revive resets the ref for id stamped dead at exactly the given sequence
-// (the latest-born match — see reviveRef).
-func (s *skiplist) revive(key types.Row, id RowID, dead Seq) bool {
-	var update [maxLevel]*slNode
-	var one [1]ixRef
-	if n := s.find(key, &update); n != nil {
-		refs := n.loadRefs(&one)
-		if j := reviveRef(refs, id, dead); j >= 0 {
-			n.setDead(refs, j, SeqInf)
-			return true
+// without republishes n's RowIDs less those gone reports, unlinking and
+// retiring n when none is left; update holds n's predecessors, or is nil
+// and they are looked up only if needed. What remains is a fresh list,
+// never a shorter header on the old array: push appends in place, which is
+// only safe while no shorter list shares its array. Worker-only.
+func (s *skiplist) without(n *slNode, update *[maxLevel]*slNode, gone func(RowID) bool) {
+	var one [1]RowID
+	ids := n.ids(&one)
+	left := 0
+	for _, id := range ids {
+		if !gone(id) {
+			left++
 		}
 	}
-	return false
+	switch left {
+	case len(ids):
+	case 0:
+		if update == nil {
+			update = new([maxLevel]*slNode)
+			s.find(n.key(), update)
+		}
+		s.unlink(n, update)
+	default:
+		keep := slices.Grow([]RowID(nil), left) // capacity rounded to the size class, as listBytes counts it
+		for _, id := range ids {
+			if !gone(id) {
+				keep = append(keep, id)
+			}
+		}
+		s.publish(n, keep)
+	}
+}
+
+// goneID is an id a GC sweep takes from node n of list s.
+type goneID struct {
+	s  *skiplist
+	n  *slNode
+	id RowID
+}
+
+// collect is a sweep's erase: a node holding only its inline id is unlinked
+// at once, in the descent that found it, and an id in a list is appended
+// to gone for eraseGone. Worker-only.
+func (s *skiplist) collect(gone []goneID, key types.Row, id RowID) []goneID {
+	var update [maxLevel]*slNode
+	switch n := s.find(key, &update); {
+	case n == nil:
+	case n.more.Load() == nil:
+		s.without(n, &update, func(o RowID) bool { return o == id })
+	default:
+		gone = append(gone, goneID{s: s, n: n, id: id})
+	}
+	return gone
+}
+
+// eraseGone erases the list entries a sweep collected, grouped by node:
+// one new list per node however many of its ids leave, where erasing them
+// one at a time would copy a list of N ids N times. Worker-only.
+func eraseGone(gone []goneID) {
+	slices.SortFunc(gone, func(a, b goneID) int {
+		if c := cmp.Compare(uintptr(unsafe.Pointer(a.n)), uintptr(unsafe.Pointer(b.n))); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	for len(gone) > 0 {
+		j := 1
+		for j < len(gone) && gone[j].n == gone[0].n {
+			j++
+		}
+		group := gone[:j]
+		group[0].s.without(group[0].n, nil, func(id RowID) bool {
+			_, found := slices.BinarySearchFunc(group, id, func(g goneID, id RowID) int { return cmp.Compare(g.id, id) })
+			return found
+		})
+		gone = gone[j:]
+	}
 }
 
 // unlink removes an emptied node from every level (top-down, so higher
@@ -374,34 +390,25 @@ func (s *skiplist) unlink(n *slNode, update *[maxLevel]*slNode) {
 		}
 	}
 	s.length--
-	s.bytes.Add(-n.heapBytes())
+	s.bytes.Add(-n.heapBytes() - listBytes(n.more.Load()))
 	s.em.RetireSLNode(n)
 }
 
-// lookupAt appends to dst the ids visible under key at sequence seq; SeqInf
-// asks for the writer view (the live refs, pending ones included). Safe
-// from reader goroutines inside an epoch.
-func (s *skiplist) lookupAt(key types.Row, seq Seq, dst []RowID) []RowID {
+// lookup appends to dst the RowIDs entered under key. Safe from reader
+// goroutines inside an epoch.
+func (s *skiplist) lookup(key types.Row, dst []RowID) []RowID {
 	var update [maxLevel]*slNode
-	var one [1]ixRef
-	n := s.find(key, &update)
-	if n == nil {
-		return dst
-	}
-	refs := n.loadRefs(&one)
-	for i := range refs {
-		if refs[i].seenAt(seq) {
-			dst = append(dst, refs[i].id)
-		}
+	var one [1]RowID
+	if n := s.find(key, &update); n != nil {
+		dst = append(dst, n.ids(&one)...)
 	}
 	return dst
 }
 
-// scanAt visits refs seen at sequence seq (SeqInf: the writer view) with
-// keys in [lo, hi] (nil = unbounded) in ascending key order. The key
-// handed to fn aliases the node: fn must copy what it keeps. Safe from
-// reader goroutines inside an epoch.
-func (s *skiplist) scanAt(lo, hi types.Row, seq Seq, fn func(key types.Row, id RowID) bool) {
+// scan visits the entries with keys in [lo, hi] (nil = unbounded) in
+// ascending key order. The key handed to fn aliases the node: fn must copy
+// what it keeps. Safe from reader goroutines inside an epoch.
+func (s *skiplist) scan(lo, hi types.Row, fn func(key types.Row, id RowID) bool) {
 	var x *slNode
 	if lo == nil {
 		x = s.head.lane(0).Load()
@@ -409,50 +416,16 @@ func (s *skiplist) scanAt(lo, hi types.Row, seq Seq, fn func(key types.Row, id R
 		var update [maxLevel]*slNode
 		x = s.findPredecessors(lo, &update)
 	}
-	var one [1]ixRef
+	var one [1]RowID
 	for ; x != nil; x = x.lane(0).Load() {
 		key := x.key()
 		if hi != nil && key.Compare(hi) > 0 {
 			return
 		}
-		refs := x.loadRefs(&one)
-		for i := range refs {
-			if refs[i].seenAt(seq) && !fn(key, refs[i].id) {
+		for _, id := range x.ids(&one) {
+			if !fn(key, id) {
 				return
 			}
-		}
-	}
-}
-
-// gc drops refs dead at or below the watermark and unlinks emptied nodes.
-func (s *skiplist) gc(watermark Seq) {
-	var emptied []types.Row
-	var one [1]ixRef
-	for x := s.head.lane(0).Load(); x != nil; x = x.lane(0).Load() {
-		refs := x.loadRefs(&one)
-		kept := 0
-		for i := range refs {
-			if refs[i].dead > watermark {
-				kept++
-			}
-		}
-		if kept == len(refs) {
-			continue
-		}
-		nw := make([]ixRef, 0, kept)
-		for _, r := range refs {
-			if r.dead > watermark {
-				nw = append(nw, r)
-			}
-		}
-		if x.shrink(nw) {
-			emptied = append(emptied, x.key()) // stays intact: retired nodes are not reused inside this sweep
-		}
-	}
-	for _, key := range emptied {
-		var update [maxLevel]*slNode
-		if n := s.find(key, &update); n != nil && len(n.loadRefs(&one)) == 0 {
-			s.unlink(n, &update)
 		}
 	}
 }

@@ -44,19 +44,26 @@ type RowID uint64
 // and cold naming the tuple on disk. Two words, one rule: eviction stores
 // cold and then nils rowp; rehydration stores rowp and leaves cold stale;
 // a reader loads rowp and reads cold only when rowp is nil (payload).
-// width is written once, before the node is linked, and never again.
+// width and rekeyed are written once, before the node is linked, and never
+// again. rekeyed marks a version whose indexed columns differ from its
+// predecessor's (next) on some index, so GC knows, without reading either
+// image, which reclaimed versions can take an index key with them.
+// touched is the anti-caching second-chance bit of a live head; an update
+// carries it to the new head.
 //
 // Nodes are pooled: after being unlinked they are epoch-retired and only
 // rewritten for a new row once every reader that could hold one has left
 // its epoch — which is why every field a reader dereferences while the node
 // is linked, width aside, is atomic.
 type rowVersion struct {
-	born  atomic.Uint64
-	dead  atomic.Uint64
-	rowp  atomic.Pointer[types.Value]
-	cold  atomic.Uint64 // a coldstore.Ref, current only while rowp is nil
-	next  atomic.Pointer[rowVersion]
-	width uint32
+	born    atomic.Uint64
+	dead    atomic.Uint64
+	rowp    atomic.Pointer[types.Value]
+	cold    atomic.Uint64 // a coldstore.Ref, current only while rowp is nil
+	next    atomic.Pointer[rowVersion]
+	width   uint16 // types.MaxColumns bounds it
+	rekeyed bool
+	touched atomic.Uint32
 }
 
 // newRowVersion draws a pooled node and initializes it. Worker-only; the
@@ -65,7 +72,9 @@ func newRowVersion(row types.Row, born, dead Seq) *rowVersion {
 	v := versionPool.Get().(*rowVersion)
 	v.born.Store(born)
 	v.dead.Store(dead)
-	v.width = uint32(len(row))
+	v.width = uint16(len(row))
+	v.rekeyed = false
+	v.touched.Store(0)
 	v.rowp.Store(unsafe.SliceData(row))
 	v.next.Store(nil)
 	return v
@@ -105,14 +114,12 @@ func (v *rowVersion) payload() versionPayload {
 // newest first. A slot whose newest version is dead is a logical tombstone
 // retained for snapshot readers until the watermark passes; a slot whose
 // head is nil is empty (undone insert / unstaged copy): every path treats
-// it as missing, and the next directory rebuild drops it. touched is the
-// anti-caching second-chance bit. Slots are heap objects referenced from
-// the directory and never recycled, so stale readers always hold intact
-// memory.
+// it as missing, and the next directory rebuild drops it. Slots are heap
+// objects referenced from the directory and never recycled, so stale
+// readers always hold intact memory.
 type rowSlot struct {
-	id      RowID
-	head    atomic.Pointer[rowVersion]
-	touched atomic.Uint32
+	id   RowID
+	head atomic.Pointer[rowVersion]
 }
 
 // liveHead returns the newest version when it is live (writer view), else
@@ -346,9 +353,8 @@ func slotByID(d []*rowSlot, id RowID) *rowSlot {
 }
 
 // CreateIndex builds an index over the given column ordinals and backfills
-// it from live rows (each entry born at its row version's birth, so
-// snapshots of current rows resolve through the new index too). Unique
-// indexes reject duplicate keys. Worker-only (DDL).
+// it from live rows, so snapshots of current rows resolve through the new
+// index too. Unique indexes reject duplicate keys. Worker-only (DDL).
 func (t *Table) CreateIndex(name string, cols []int, unique bool) (*Index, error) {
 	for _, ix := range t.idxs() {
 		if ix.Name() == name {
@@ -367,7 +373,7 @@ func (t *Table) CreateIndex(name string, cols []int, unique bool) (*Index, error
 			continue
 		}
 		row := t.resolveVersion(h.payload())
-		if !ix.insert(row.Key(cols), s.id, h.born.Load()) {
+		if !t.enter(ix, row.Key(cols), s.id, false) {
 			return nil, fmt.Errorf("storage: backfilling %q: duplicate key %v", name, row.Key(cols))
 		}
 	}
@@ -397,7 +403,7 @@ func (t *Table) Get(id RowID) (types.Row, bool) {
 	if h == nil {
 		return nil, false
 	}
-	s.touch()
+	h.touched.Store(1)
 	if row := h.hotRow(); row != nil {
 		return row, true
 	}
@@ -423,27 +429,26 @@ func (t *Table) Insert(row types.Row, undo *UndoLog) (RowID, error) {
 	if err != nil {
 		return 0, err
 	}
-	ws := t.clock.WriteSeq()
 	id := t.nextID
 	// Indexes first: each checks its unique constraint in the descent that
-	// inserts. The refs are pending and name a RowID that has no slot yet,
-	// so no reader resolves them, and a violation takes back the ones
-	// already added — a failed insert leaves the table untouched.
+	// enters the key. The entries name a RowID that has no slot yet, so no
+	// reader resolves them, and a violation takes back the ones already
+	// added — a failed insert leaves the table untouched.
 	idxs := t.idxs()
 	for i, ix := range idxs {
 		var kb keyBuf
-		if ix.insert(ix.keyOf(validated, &kb), id, ws) {
+		if t.enter(ix, ix.keyOf(validated, &kb), id, false) {
 			continue
 		}
 		for _, done := range idxs[:i] {
-			done.eraseLive(done.keyOf(validated, &kb), id)
+			done.sl.erase(done.keyOf(validated, &kb), id)
 		}
 		return 0, fmt.Errorf("storage: %s: duplicate key %v for unique index %q",
 			t.name, validated.Key(ix.cols), ix.Name())
 	}
 	t.nextID++
 	s := &rowSlot{id: id}
-	s.head.Store(newRowVersion(validated, ws, SeqInf))
+	s.head.Store(newRowVersion(validated, t.clock.WriteSeq(), SeqInf))
 	t.appendSlot(s)
 	t.live.Add(1)
 	t.residentBytes.Add(rowMemSize(validated))
@@ -453,25 +458,19 @@ func (t *Table) Insert(row types.Row, undo *UndoLog) (RowID, error) {
 	return id, nil
 }
 
-// Delete ends the row's current version at the pending sequence and stamps
-// its index entries dead. The version chain is retained for snapshot
-// readers until the watermark passes. When undo is non-nil a compensating
-// revive is recorded.
+// Delete ends the row's current version at the pending sequence; the
+// indexes are not touched. The version chain, and with it the row's index
+// entries, is retained for snapshot readers until the watermark passes.
+// When undo is non-nil a compensating revive is recorded.
 func (t *Table) Delete(id RowID, undo *UndoLog) error {
 	s, h := t.liveSlot(id)
 	if h == nil {
 		return fmt.Errorf("storage: %s: delete of missing row %d", t.name, id)
 	}
-	row := h.hotRow()
-	if row == nil {
-		row = t.faultHead(s) // index removal needs the key columns
+	if h.hotRow() == nil {
+		t.faultHead(s) // a dead version is never cold: GC reads its key columns
 	}
-	ws := t.clock.WriteSeq()
-	for _, ix := range t.idxs() {
-		var kb keyBuf
-		ix.remove(ix.keyOf(row, &kb), id, ws)
-	}
-	h.dead.Store(ws)
+	h.dead.Store(t.clock.WriteSeq())
 	t.live.Add(-1)
 	t.deadVers.Add(1)
 	t.maybeGC()
@@ -482,9 +481,9 @@ func (t *Table) Delete(id RowID, undo *UndoLog) error {
 }
 
 // Update ends the current version at the pending sequence and prepends a
-// new one, revalidating and reindexing (index entries whose key is
-// unchanged carry over). When undo is non-nil a compensating restore is
-// recorded.
+// new one, revalidating and entering the new key in every index whose
+// columns moved (the old key stays with the old version). When undo is
+// non-nil a compensating restore is recorded.
 func (t *Table) Update(id RowID, newRow types.Row, undo *UndoLog) error {
 	s, h := t.liveSlot(id)
 	if h == nil {
@@ -498,32 +497,32 @@ func (t *Table) Update(id RowID, newRow types.Row, undo *UndoLog) error {
 	if old == nil {
 		old = t.faultHead(s) // reindexing and undo need the old image hot
 	}
-	// Re-index where the key moved: enter every new key first — the descent
-	// that inserts checks the unique constraint, and a violation takes back
-	// the pending refs already added, leaving the row as it was — then
-	// retire the old keys, which cannot fail.
-	ws := t.clock.WriteSeq()
+	// The descent that enters a new key checks the unique constraint, and a
+	// violation takes back the entries already added, leaving the row as it
+	// was.
 	idxs := t.idxs()
+	rekeyed := false
 	for i, ix := range idxs {
+		if ix.sameKey(old, validated) {
+			continue
+		}
+		rekeyed = true
 		var kb keyBuf
-		if ix.sameKey(old, validated) || ix.insert(ix.keyOf(validated, &kb), id, ws) {
+		if t.enter(ix, ix.keyOf(validated, &kb), id, true) {
 			continue
 		}
 		for _, done := range idxs[:i] {
 			if !done.sameKey(old, validated) {
-				done.eraseLive(done.keyOf(validated, &kb), id)
+				t.drop(done, done.keyOf(validated, &kb), id, h)
 			}
 		}
 		return fmt.Errorf("storage: %s: duplicate key %v for unique index %q",
 			t.name, validated.Key(ix.cols), ix.Name())
 	}
-	for _, ix := range idxs {
-		if !ix.sameKey(old, validated) {
-			var kb keyBuf
-			ix.remove(ix.keyOf(old, &kb), id, ws)
-		}
-	}
+	ws := t.clock.WriteSeq()
 	nv := newRowVersion(validated, ws, SeqInf)
+	nv.rekeyed = rekeyed
+	nv.touched.Store(h.touched.Load())
 	nv.next.Store(h)
 	// Stamp the old head dead, then swing the head pointer. A reader at a
 	// published sequence p < ws sees the old head as visible either way
@@ -537,6 +536,64 @@ func (t *Table) Update(id RowID, newRow types.Row, undo *UndoLog) error {
 		undo.push(undoEntry{table: t, kind: undoUpdate, id: id})
 	}
 	return nil
+}
+
+// enter adds (key, id) to ix unless it is there already, and reports
+// false — ix untouched — when ix is unique and another row's live version
+// carries key. The check runs only when the key's node exists. rekey says
+// id may already be under key (an Update moving a key back); an inserted
+// id is new to every index, and the list under a popular key is not
+// searched for it. Worker-only.
+func (t *Table) enter(ix *Index, key types.Row, id RowID, rekey bool) bool {
+	n := ix.sl.insert(key, id)
+	if n == nil {
+		return true
+	}
+	present := false
+	if ix.unique || rekey {
+		var one [1]RowID
+		for _, o := range n.ids(&one) {
+			if o == id {
+				present = true
+			} else if ix.unique {
+				if _, taken := t.keyed(ix, o, key); taken {
+					return false
+				}
+			}
+		}
+	}
+	if !present {
+		ix.sl.push(n, id)
+	}
+	return true
+}
+
+// drop erases (key, id) from ix unless a version of the chain from v on
+// still carries key: what undo does with the keys of the versions it
+// takes away. Worker-only.
+func (t *Table) drop(ix *Index, key types.Row, id RowID, v *rowVersion) {
+	if !t.kept(ix, key, v) {
+		ix.sl.erase(key, id)
+	}
+}
+
+// kept reports whether a version of the chain from v on carries key in ix.
+// Only a live head can be cold, and is read through. Worker-only.
+func (t *Table) kept(ix *Index, key types.Row, v *rowVersion) bool {
+	for ; v != nil; v = v.next.Load() {
+		if ix.matches(t.resolveVersion(v.payload()), key) {
+			return true
+		}
+	}
+	return false
+}
+
+// keyed returns row id's live version when it carries key in ix: the
+// writer view's recheck of an index entry. A cold head is faulted in, as
+// Get does. Worker-only.
+func (t *Table) keyed(ix *Index, id RowID, key types.Row) (types.Row, bool) {
+	row, ok := t.Get(id)
+	return row, ok && ix.matches(row, key)
 }
 
 // ---------- undo inverses ----------
@@ -562,7 +619,7 @@ func (t *Table) undoInsert(id RowID) {
 	row := h.hotRow() // pending versions are never evicted
 	for _, ix := range t.idxs() {
 		var kb keyBuf
-		ix.eraseLive(ix.keyOf(row, &kb), id)
+		ix.sl.erase(ix.keyOf(row, &kb), id)
 	}
 	s.head.Store(nil) // the slot stays, empty, until the next compaction
 	t.live.Add(-1)
@@ -572,25 +629,19 @@ func (t *Table) undoInsert(id RowID) {
 
 // undoDelete revives the version a pending Delete stamped (the RowID and
 // its position in scan order are preserved — streams' FIFO order survives
-// rollback).
+// rollback). Its index entries never left.
 func (t *Table) undoDelete(id RowID) {
 	s := slotByID(t.slots(), id)
 	if s == nil || s.head.Load() == nil {
 		panic(fmt.Sprintf("storage: %s: undo of delete: row %d vanished", t.name, id))
 	}
-	h := s.head.Load()
-	d := h.dead.Load()
-	row := h.hotRow() // faulted hot by the Delete being undone
-	for _, ix := range t.idxs() {
-		var kb keyBuf
-		ix.revive(ix.keyOf(row, &kb), id, d)
-	}
-	h.dead.Store(SeqInf)
+	s.head.Load().dead.Store(SeqInf)
 	t.live.Add(1)
 	t.deadVers.Add(-1)
 }
 
-// undoUpdate pops the version a pending Update prepended and revives its
+// undoUpdate pops the version a pending Update prepended, erasing the keys
+// it entered that no remaining version carries, and revives its
 // predecessor.
 func (t *Table) undoUpdate(id RowID) {
 	s := slotByID(t.slots(), id)
@@ -608,12 +659,10 @@ func (t *Table) undoUpdate(id RowID) {
 	newRow := newV.hotRow()
 	oldRow := oldV.hotRow() // faulted hot by the Update being undone
 	for _, ix := range t.idxs() {
-		if ix.sameKey(oldRow, newRow) {
-			continue
+		if !ix.sameKey(oldRow, newRow) {
+			var kb keyBuf
+			t.drop(ix, ix.keyOf(newRow, &kb), id, oldV)
 		}
-		var kb keyBuf
-		ix.eraseLive(ix.keyOf(newRow, &kb), id)
-		ix.revive(ix.keyOf(oldRow, &kb), id, oldV.dead.Load())
 	}
 	s.head.Store(oldV)
 	oldV.dead.Store(SeqInf)
@@ -640,6 +689,33 @@ func (t *Table) Scan(fn func(id RowID, row types.Row) bool) {
 			return
 		}
 	}
+}
+
+// Lookup hands fn the live rows whose key in ix is exactly key (writer
+// view, including the running transaction's own changes) and reports
+// whether fn let it finish. ix must be an index of this table; fn must not
+// mutate the table. Each entry is rechecked against its row's live version,
+// faulted in when cold as Get does, and that row is what fn gets. A probe
+// that finds a few rows allocates nothing. Worker-only.
+func (t *Table) Lookup(ix *Index, key types.Row, fn func(id RowID, row types.Row) bool) bool {
+	var buf [8]RowID
+	for _, id := range ix.sl.lookup(key, buf[:0]) {
+		if row, ok := t.keyed(ix, id, key); ok && !fn(id, row) {
+			return false
+		}
+	}
+	return true
+}
+
+// Range hands fn the live rows with lo <= key <= hi in key order (writer
+// view), each with its entry's key, rechecked as Lookup does. A nil bound
+// is unbounded on that side. key is valid during the callback only (it
+// aliases the index entry); fn must not mutate the table. Worker-only.
+func (t *Table) Range(ix *Index, lo, hi types.Row, fn func(key types.Row, id RowID, row types.Row) bool) {
+	ix.sl.scan(lo, hi, func(key types.Row, id RowID) bool {
+		row, ok := t.keyed(ix, id, key)
+		return !ok || fn(key, id, row)
+	})
 }
 
 // ScanRows returns all live rows in insertion order (copied slice headers;
@@ -785,18 +861,18 @@ func (t *Table) DeltaScan(from, to Seq, fn func(id RowID, row types.Row, born bo
 	}
 }
 
-// SnapshotLookup hands fn the rows indexed under exactly key in ix, as
+// SnapshotLookup hands fn the rows whose key in ix is exactly key, as
 // visible at sequence s, and reports whether fn let it finish. ix must be
-// an index of this table. Payloads are captured inside the epoch and fn
-// runs, stubs resolved, outside it; a lookup that finds a few rows
-// allocates nothing.
+// an index of this table. Payloads are captured inside the epoch; outside
+// it each is resolved, stubs included, and kept only when it carries key.
+// A lookup that finds a few rows allocates nothing.
 func (t *Table) SnapshotLookup(ix *Index, key types.Row, seq Seq, fn func(id RowID, row types.Row) bool) bool {
 	var idBuf [8]RowID
 	var hitBuf [8]snapHit
 	hits := hitBuf[:0]
 	g := t.clock.Epochs().Enter()
 	d := t.slots()
-	for _, id := range ix.sl.lookupAt(key, seq, idBuf[:0]) {
+	for _, id := range ix.sl.lookup(key, idBuf[:0]) {
 		if s := slotByID(d, id); s != nil {
 			if v := s.versionAt(seq); v != nil {
 				s.touch()
@@ -806,7 +882,7 @@ func (t *Table) SnapshotLookup(ix *Index, key types.Row, seq Seq, fn func(id Row
 	}
 	g.Exit()
 	for _, h := range hits {
-		if !fn(h.id, t.resolveVersion(h.pl)) {
+		if row := t.resolveVersion(h.pl); ix.matches(row, key) && !fn(h.id, row) {
 			return false
 		}
 	}
@@ -820,7 +896,8 @@ func (t *Table) SnapshotLookup(ix *Index, key types.Row, seq Seq, fn func(id Row
 // range — a wide range delays epoch advance (memory reuse) for the walk's
 // duration but never delays the writer. Pairs are captured in the epoch —
 // keys by value, since an index entry's key may be rewritten once the
-// epoch is left — and emitted (with cold page-in) outside it. The payload
+// epoch is left — and resolved (with cold page-in) outside it, where a row
+// whose version does not carry its entry's key is dropped. The payload
 // buffer starts in this frame; the keys are handed to fn and so cannot.
 func (t *Table) SnapshotRange(ix *Index, lo, hi types.Row, seq Seq, fn func(key types.Row, row types.Row) bool) error {
 	var hitBuf [64]snapHit
@@ -829,7 +906,7 @@ func (t *Table) SnapshotRange(ix *Index, lo, hi types.Row, seq Seq, fn func(key 
 	keys := make([]types.Value, 0, 16*nk) // hit i's key is keys[i*nk : (i+1)*nk]
 	g := t.clock.Epochs().Enter()
 	d := t.slots()
-	ix.sl.scanAt(lo, hi, seq, func(key types.Row, id RowID) bool {
+	ix.sl.scan(lo, hi, func(key types.Row, id RowID) bool {
 		s := slotByID(d, id)
 		if s == nil {
 			return true
@@ -844,7 +921,8 @@ func (t *Table) SnapshotRange(ix *Index, lo, hi types.Row, seq Seq, fn func(key 
 	})
 	g.Exit()
 	for i, h := range hits {
-		if !fn(keys[i*nk:(i+1)*nk:(i+1)*nk], t.resolveVersion(h.pl)) {
+		key := keys[i*nk : (i+1)*nk : (i+1)*nk]
+		if row := t.resolveVersion(h.pl); ix.matches(row, key) && !fn(key, row) {
 			return nil
 		}
 	}
@@ -947,7 +1025,7 @@ func (t *Table) PrecheckStaged() error {
 				continue
 			}
 			key := s.head.Load().hotRow().Key(ix.cols)
-			if _, exists := ix.LookupUnique(key); exists {
+			if !t.Lookup(ix, key, func(RowID, types.Row) bool { return false }) {
 				return fmt.Errorf("storage: %s: staged row collides on key %v of unique index %q",
 					t.name, key, ix.Name())
 			}
@@ -983,7 +1061,7 @@ func (t *Table) CommitStaged() int {
 		h.dead.Store(SeqInf)
 		h.born.Store(ws)
 		for _, ix := range t.idxs() {
-			if !ix.insert(row.Key(ix.cols), s.id, ws) {
+			if !t.enter(ix, row.Key(ix.cols), s.id, false) {
 				panic("storage: staged index insert failed after precheck: " + ix.Name())
 			}
 		}
@@ -1025,8 +1103,9 @@ func (t *Table) maybeGC() {
 	t.gcSweep(t.clock.Watermark())
 }
 
-// GC reclaims every version and index entry dead at or below watermark and
-// compacts away emptied slots, returning the number of row versions
+// GC reclaims every version dead at or below watermark, with each index
+// entry no kept version carries, and compacts away emptied slots,
+// returning the number of row versions
 // reclaimed and retained. Call from the partition worker (or any quiescent
 // point): it is a mutation. Concurrent snapshot readers are undisturbed —
 // unlinked nodes stay intact until their epoch grace period ends. A table
@@ -1052,6 +1131,7 @@ func (t *Table) gcSweep(watermark Seq) (reclaimed, retained int) {
 	em := t.clock.Epochs()
 	d := t.slots()
 	dropped := 0
+	var gone []goneID
 	for _, s := range d {
 		head := s.head.Load()
 		if head == nil {
@@ -1061,34 +1141,23 @@ func (t *Table) gcSweep(watermark Seq) (reclaimed, retained int) {
 		if head.dead.Load() <= watermark {
 			// The newest version is reclaimable, so the whole chain is:
 			// the slot is a fully expired tombstone.
-			for v := head; v != nil; v = v.next.Load() {
-				reclaimed++
-				t.reclaimVersion(v, em)
-			}
 			s.head.Store(nil)
+			reclaimed += t.reclaim(s.id, nil, head, nil, em, &gone)
 			dropped++
 			continue
 		}
 		kept := 1
-		pred := head
-		for {
-			v := pred.next.Load()
-			if v == nil {
-				break
-			}
-			if v.dead.Load() <= watermark {
+		for pred := head; pred.next.Load() != nil; pred = pred.next.Load() {
+			if v := pred.next.Load(); v.dead.Load() <= watermark {
 				pred.next.Store(nil)
-				for ; v != nil; v = v.next.Load() {
-					reclaimed++
-					t.reclaimVersion(v, em)
-				}
+				reclaimed += t.reclaim(s.id, head, v, pred, em, &gone)
 				break
 			}
-			pred = v
 			kept++
 		}
 		retained += kept
 	}
+	eraseGone(gone)
 	if dropped > 0 {
 		nd := make([]*rowSlot, 0, len(d)-dropped)
 		for _, s := range d {
@@ -1103,25 +1172,34 @@ func (t *Table) gcSweep(watermark Seq) (reclaimed, retained int) {
 	}
 	t.deadVers.Add(int64(-reclaimed))
 	t.gcMinDead = int(t.deadVers.Load()) * 2
-	for _, ix := range t.idxs() {
-		ix.gc(watermark)
-	}
 	return reclaimed, retained
 }
 
-// reclaimVersion settles a reclaimed version's ledger entry and retires
-// the node. A reclaimed stub's cold slot can be freed immediately: the
-// version is invisible at the watermark and every active pin is at or
-// above it, so no reader can hold its ref.
-func (t *Table) reclaimVersion(v *rowVersion, em *EpochManager) {
-	pl := v.payload()
-	if pl.cold != 0 {
-		t.cold.Free(pl.cold)
-		t.coldVers.Add(-1)
-	} else {
-		t.residentBytes.Add(-rowMemSize(pl.row))
+// reclaim retires the versions of row id's chain from v on, cut off below
+// newer (nil when the whole chain went, head nil with it), and returns how
+// many it took. Each index entry whose key no version kept from head on
+// carries goes with them: it is collected into gone, which the sweep
+// erases at its end. A version whose newer neighbour is not rekeyed has
+// that neighbour's keys, already kept or already collected, so it is not
+// even read — a run of non-key updates costs the indexes nothing. The
+// versions taken are resident: only a live head is evicted, and Delete and
+// Update fault the head in before ending it.
+func (t *Table) reclaim(id RowID, head, v, newer *rowVersion, em *EpochManager, gone *[]goneID) (n int) {
+	for ; v != nil; newer, v = v, v.next.Load() {
+		row := v.hotRow()
+		if newer == nil || newer.rekeyed {
+			for _, ix := range t.idxs() {
+				var kb keyBuf
+				if key := ix.keyOf(row, &kb); !t.kept(ix, key, head) {
+					*gone = ix.sl.collect(*gone, key, id)
+				}
+			}
+		}
+		t.residentBytes.Add(-rowMemSize(row))
+		em.RetireVersion(v)
+		n++
 	}
-	em.RetireVersion(v)
+	return n
 }
 
 // VersionStats reports the total retained versions and how many of them

@@ -18,7 +18,7 @@ func TestUndoInsert(t *testing.T) {
 	if tb.Count() != 0 {
 		t.Fatal("insert not undone")
 	}
-	if n := tb.PrimaryIndex().Lookup(types.Row{types.NewInt(1)}, nil); n != nil {
+	if n := tb.PrimaryIndex().sl.lookup(types.Row{types.NewInt(1)}, nil); n != nil {
 		t.Fatal("index not undone")
 	}
 }

@@ -23,9 +23,16 @@ type Schema struct {
 	relName string
 }
 
+// MaxColumns bounds a schema's width: a stored row version keeps its width
+// in 16 bits.
+const MaxColumns = 1<<16 - 1
+
 // NewSchema builds a schema. pk lists primary-key column names in key order;
 // it may be empty for keyless relations (streams usually are keyless).
 func NewSchema(relName string, cols []Column, pk []string) (*Schema, error) {
+	if len(cols) > MaxColumns {
+		return nil, fmt.Errorf("types: schema %q has %d columns, at most %d", relName, len(cols), MaxColumns)
+	}
 	s := &Schema{
 		cols:    append([]Column(nil), cols...),
 		byName:  make(map[string]int, len(cols)),

@@ -49,6 +49,9 @@ func TestSchemaErrors(t *testing.T) {
 	if _, err := NewSchema("t", []Column{{Name: "a", Type: TypeInt}}, []string{"b"}); err == nil {
 		t.Error("unknown pk column should fail")
 	}
+	if _, err := NewSchema("t", make([]Column, MaxColumns+1), nil); err == nil {
+		t.Errorf("a schema of %d columns should fail", MaxColumns+1)
+	}
 }
 
 func TestValidateRow(t *testing.T) {
