@@ -1,7 +1,6 @@
 // Ablation benchmarks for the design decisions DESIGN.md §5 calls out:
-// the scheduler's triggered-preemption policy, transport-level ingest
-// batching, and native windowing + EE triggers vs. client-emulated
-// window maintenance.
+// transport-level ingest batching, and native windowing + EE triggers vs.
+// client-emulated window maintenance.
 package sstore_test
 
 import (
@@ -12,82 +11,6 @@ import (
 	"repro/internal/apps/voter"
 	"repro/internal/workload"
 )
-
-// buildPipeline constructs a two-stage conflict-free workflow so both
-// scheduler modes are legal: in_s -> double -> out_s -> store.
-func buildPipeline(b *testing.B, mode interface{}) *sstore.Store {
-	b.Helper()
-	cfg := sstore.Config{}
-	if m, ok := mode.(int); ok && m == 1 {
-		cfg.Mode = sstore.ModeFIFO
-	}
-	st := sstore.Open(cfg)
-	if err := st.ExecScript(`
-		CREATE STREAM in_s (v BIGINT);
-		CREATE STREAM out_s (v BIGINT);
-		CREATE TABLE sink (v BIGINT);
-	`); err != nil {
-		b.Fatal(err)
-	}
-	if err := st.RegisterProcedure(&sstore.Procedure{
-		Name:     "double",
-		WriteSet: []string{"out_s"},
-		Handler: func(ctx *sstore.ProcCtx) error {
-			for _, r := range ctx.Batch {
-				if err := ctx.Emit("out_s", sstore.Row{sstore.Int(r[0].Int() * 2)}); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-	}); err != nil {
-		b.Fatal(err)
-	}
-	if err := st.RegisterProcedure(&sstore.Procedure{
-		Name:     "store",
-		WriteSet: []string{"sink"},
-		Handler: func(ctx *sstore.ProcCtx) error {
-			_, err := ctx.Exec("INSERT INTO sink SELECT v FROM batch")
-			return err
-		},
-	}); err != nil {
-		b.Fatal(err)
-	}
-	if err := st.Deploy(&sstore.Dataflow{
-		Name: "pipeline",
-		Nodes: []sstore.DataflowNode{
-			{Proc: "double", Input: "in_s", Batch: 8, Emits: []string{"out_s"}},
-			{Proc: "store", Input: "out_s", Batch: 8},
-		},
-	}); err != nil {
-		b.Fatal(err)
-	}
-	if err := st.Start(); err != nil {
-		b.Fatal(err)
-	}
-	return st
-}
-
-// BenchmarkAblationSchedulerMode compares ModeWorkflowSerial (triggered
-// work preempts, runs lock-free on the worker) against ModeFIFO (triggered
-// work re-enters the shared queue) on a conflict-free pipeline.
-func BenchmarkAblationSchedulerMode(b *testing.B) {
-	for m, name := range []string{"workflow-serial", "fifo"} {
-		b.Run(name, func(b *testing.B) {
-			st := buildPipeline(b, m)
-			defer st.Stop()
-			row := sstore.Row{sstore.Int(1)}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := st.Ingest("in_s", row); err != nil {
-					b.Fatal(err)
-				}
-			}
-			st.FlushBatches()
-			st.Drain()
-		})
-	}
-}
 
 // BenchmarkAblationIngestChunk sweeps the transport batching of the voter
 // feed: one client message per 1/8/64 votes (TE granularity unchanged).

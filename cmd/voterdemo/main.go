@@ -161,7 +161,8 @@ func printWorkflow() {
                                  trending table
 
 Shared writable tables force serial execution: SP1(b), SP2(b), SP3(b)
-complete before SP1(b+1) begins (ModeWorkflowSerial).
+complete before SP1(b+1) begins (each partition runs a chain to its end
+before the next batch).
 `)
 }
 

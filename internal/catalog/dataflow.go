@@ -28,12 +28,14 @@ type Dataflow struct {
 
 	// SerialTables is the deploy-time report of the paper's forced-serial
 	// constraint: tables writable by one node and touched by another, which
-	// require the workflow's procedures to execute serially
-	// (ModeWorkflowSerial provides that schedule). Computed by Deploy.
+	// require the workflow's procedures to execute serially (every
+	// partition runs a chain to its end before the next batch, so this is a
+	// report, never a rejection). Computed by Deploy.
 	SerialTables []string
 	// Paused is the lifecycle state: while paused, border ingest for the
-	// graph's streams queues (bounded) instead of dispatching batches. A
-	// durable store logs it, so a recovered store keeps the graph paused.
+	// graph's streams queues (bounded) instead of dispatching batches, and
+	// the graph's admitted executions wait behind the pause gate. A durable
+	// store logs it, so a recovered store keeps the graph paused.
 	Paused bool
 }
 

@@ -12,10 +12,11 @@ import (
 // TestCommitPoliciesAgree: a logged commit takes one path whatever the sync
 // policy (the worker appends, the acker acknowledges once the future
 // resolves; the policy decides only when that is). One script of keyed
-// calls, border batches through a deployed dataflow, a coordinated pair
-// insert and a checkpoint mid-way runs under each policy and log mode; after
-// a clean stop, recovery holds every acknowledged effect, and all six
-// recovered stores are identical.
+// calls, border batches through a deployed dataflow, one batch per
+// partition whose interior stage aborts, a coordinated pair insert and a
+// checkpoint mid-way runs under each policy and log mode; after a clean
+// stop, recovery holds every acknowledged effect and nothing of the aborted
+// stage, and all six recovered stores are identical.
 func TestCommitPoliciesAgree(t *testing.T) {
 	var first, firstName string
 	for _, sp := range []struct {
@@ -72,6 +73,18 @@ func commitPolicyScript(t *testing.T, cfg Config) string {
 		t.Fatal(err)
 	}
 	ingestKeys(t, st, keys, 1)
+	// One negative event per partition: its border TE commits and is
+	// logged, the apply TE it triggers aborts. Upstream backup re-derives
+	// that abort at replay. No triggered record follows, so LogAllTEs
+	// replay leaves the same tuple in derived as the live run did.
+	for part := 0; part < st.NumPartitions(); part++ {
+		k := keysOwnedBy(st, part, 1, 2000)[0]
+		if err := st.Ingest("events", types.Row{types.NewInt(k), types.NewInt(-1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.FlushBatches()
+	st.Drain()
 	pa, pb := keysOwnedBy(st, 0, 1, 1000)[0], keysOwnedBy(st, 1, 1, 1000)[0]
 	if err := st.MultiPartitionTxn(func(tx *MPTxn) error {
 		if _, err := tx.Exec(0, "INSERT INTO totals (k, n) VALUES (?, 1)", types.NewInt(pa)); err != nil {

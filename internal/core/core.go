@@ -60,13 +60,8 @@ type Config struct {
 	// LogMode selects upstream backup (border-only, default) or full
 	// per-TE logging.
 	LogMode pe.LogMode
-	// Mode selects the admission policy; ModeWorkflowSerial is the S-Store
-	// default.
-	Mode pe.SchedulerMode
 	// HStoreMode disables all streaming features — the §3.1 baseline.
 	HStoreMode bool
-	// ForceUnsafe permits ModeFIFO despite shared writable tables.
-	ForceUnsafe bool
 	// Partitions is the number of independent serial-execution partitions
 	// (the H-Store scale-out unit). 0 or 1 yields the classic
 	// single-partition engine; N > 1 hash-partitions PARTITION BY relations
@@ -370,9 +365,7 @@ func (s *Store) newPartition(idx int) *partition {
 	cat := catalog.New()
 	exec := ee.New(cat, s.met)
 	part := pe.New(exec, pe.Config{
-		Mode:         s.cfg.Mode,
 		HStoreMode:   s.cfg.HStoreMode,
-		ForceUnsafe:  s.cfg.ForceUnsafe,
 		MemoryBudget: s.partitionBudget(),
 	})
 	return &partition{idx: idx, cat: cat, ee: exec, pe: part, met: s.met}

@@ -149,13 +149,9 @@ func (s *Store) validateDataflow(df *Dataflow) (*Dataflow, error) {
 	}
 	// The paper's forced-serial constraint, surfaced at deploy time: tables
 	// writable by one node and touched by another force the workflow's
-	// procedures to execute serially. ModeWorkflowSerial provides that
-	// schedule; ModeFIFO cannot, so such a graph is rejected outright.
+	// procedures to execute serially. The partition's one schedule runs
+	// each chain to its end before the next batch, so this is a report.
 	norm.SerialTables = pe.SharedWritableTables(procs)
-	if len(norm.SerialTables) > 0 && s.cfg.Mode == pe.ModeFIFO && !s.cfg.ForceUnsafe {
-		return nil, fmt.Errorf("nodes share writable tables %v, which requires serial workflow execution; "+
-			"ModeFIFO would violate it (use ModeWorkflowSerial)", norm.SerialTables)
-	}
 	return norm, nil
 }
 
@@ -205,9 +201,10 @@ func undeployFromPartition(p *partition, df *Dataflow) {
 
 // PauseDataflow halts a graph with drain semantics: the pause gate cuts
 // the graph at every stream edge — border ingest queues (bounded; see
-// pe.Engine.Ingest) and PE-triggered emissions into its streams defer —
-// then PauseDataflow waits for the graph's admitted executions to finish
-// on every partition. Other graphs keep running; the wait is scoped to
+// pe.Engine.Ingest) and the workers defer the graph's queued batches and
+// triggered stages — then PauseDataflow waits until every admitted
+// execution of the graph has finished or been deferred on every
+// partition. Other graphs keep running; the wait is scoped to
 // this graph's in-flight work, not the whole partition. On a durable
 // store the pause is logged (coordinator log) before it takes effect, so
 // a crash cannot silently resume a paused graph: recovery restores the
@@ -344,8 +341,9 @@ func (s *Store) UndeployDataflow(name string) error {
 }
 
 // ResumeDataflow lifts a graph's pause gate on every partition and
-// dispatches the batches that queued while it was down — no tuple ingested
-// during the pause is lost.
+// re-admits what waited behind it — the deferred executions in the order
+// they were deferred, then the batches that queued at ingest — so no tuple
+// ingested during the pause is lost and workflow order holds.
 func (s *Store) ResumeDataflow(name string) error {
 	s.deployMu.Lock()
 	defer s.deployMu.Unlock()
@@ -456,12 +454,19 @@ func (s *Store) ExplainDataflow(name string) (string, error) {
 	}
 	fmt.Fprintf(&b, "  ordering constraints:\n")
 	fmt.Fprintf(&b, "    - natural order: border batches execute in per-partition arrival order\n")
-	if s.cfg.Mode == pe.ModeWorkflowSerial {
-		fmt.Fprintf(&b, "    - workflow order: triggered executions run before pending border work\n")
-	}
+	fmt.Fprintf(&b, "    - workflow order: triggered executions run before pending border work\n")
 	if len(df.SerialTables) > 0 {
 		fmt.Fprintf(&b, "    - serial execution forced: nodes share writable tables [%s]\n",
 			strings.Join(df.SerialTables, ", "))
+	}
+	if df.Paused {
+		// What the pause gate holds, where it holds it: tuples not yet cut
+		// into batches at ingest, executions the worker deferred.
+		for _, p := range s.partList() {
+			tuples, deferred := p.pe.Held(df.Name)
+			fmt.Fprintf(&b, "  held: partition %d: %d tuples queued at ingest, %d executions deferred\n",
+				p.idx, tuples, deferred)
+		}
 	}
 	gs := s.met.Graph(df.Name)
 	fmt.Fprintf(&b, "  stats: batches=%d triggered=%d latency p50=%s p99=%s\n",

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -216,33 +217,29 @@ func TestDeployRunsEndToEnd(t *testing.T) {
 }
 
 // TestDeploySerialConstraintReport checks the deploy-time shared-writable
-// report, and that ModeFIFO rejects such a graph outright.
+// report and its line in EXPLAIN DATAFLOW.
 func TestDeploySerialConstraintReport(t *testing.T) {
-	build := func(cfg Config) (*Store, error) {
-		st := Open(cfg)
-		if err := st.ExecScript(`
-			CREATE TABLE shared (k INT PRIMARY KEY, n BIGINT DEFAULT 0);
-			CREATE STREAM a (k INT);
-			CREATE STREAM b (k INT);
-		`); err != nil {
+	st := Open(Config{})
+	if err := st.ExecScript(`
+		CREATE TABLE shared (k INT PRIMARY KEY, n BIGINT DEFAULT 0);
+		CREATE STREAM a (k INT);
+		CREATE STREAM b (k INT);
+	`); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"w1", "w2"} {
+		if err := st.RegisterProcedure(&pe.Procedure{
+			Name:     name,
+			WriteSet: []string{"shared"},
+			Handler:  func(ctx *pe.ProcCtx) error { return nil },
+		}); err != nil {
 			t.Fatal(err)
 		}
-		for _, name := range []string{"w1", "w2"} {
-			if err := st.RegisterProcedure(&pe.Procedure{
-				Name:     name,
-				WriteSet: []string{"shared"},
-				Handler:  func(ctx *pe.ProcCtx) error { return nil },
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return st, st.Deploy(&Dataflow{Name: "g", Nodes: []DataflowNode{
-			{Proc: "w1", Input: "a", Batch: 1, Emits: []string{"b"}},
-			{Proc: "w2", Input: "b", Batch: 1},
-		}})
 	}
-	st, err := build(Config{})
-	if err != nil {
+	if err := st.Deploy(&Dataflow{Name: "g", Nodes: []DataflowNode{
+		{Proc: "w1", Input: "a", Batch: 1, Emits: []string{"b"}},
+		{Proc: "w2", Input: "b", Batch: 1},
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	df := st.Dataflows()[0]
@@ -255,10 +252,6 @@ func TestDeploySerialConstraintReport(t *testing.T) {
 	}
 	if !strings.Contains(text, "serial execution forced") || !strings.Contains(text, "shared") {
 		t.Fatalf("explain missing serial constraint:\n%s", text)
-	}
-	if _, err := build(Config{Mode: pe.ModeFIFO}); err == nil ||
-		!strings.Contains(err.Error(), "serial") {
-		t.Fatalf("ModeFIFO deploy over shared writable tables not rejected: %v", err)
 	}
 }
 
@@ -336,8 +329,9 @@ func TestPauseResumeLosesNoBatches(t *testing.T) {
 // TestPauseQueuesIngestAndDrains checks the drain semantics: pause cuts
 // the graph at its stream edges (admitted executions finish; a chain
 // caught mid-flight defers its downstream stage), subsequent ingest
-// queues without executing, the graph's state is frozen while paused, and
-// resume dispatches the deferred work plus the backlog with nothing lost.
+// queues without executing, the graph's state is frozen while paused,
+// EXPLAIN DATAFLOW shows what the gate holds, and resume dispatches the
+// deferred work plus the backlog with nothing lost.
 func TestPauseQueuesIngestAndDrains(t *testing.T) {
 	st := dfStore(t, Config{})
 	if err := st.Deploy(pipelineDF()); err != nil {
@@ -378,6 +372,19 @@ func TestPauseQueuesIngestAndDrains(t *testing.T) {
 	if state := show.Rows[0][1].Str(); state != "paused" {
 		t.Fatalf("state = %q, want paused", state)
 	}
+	// The gate holds the four tuples ingested while paused, and every chain
+	// of the first two batches (two tuples each) that has not reached the
+	// sink as one deferred execution.
+	var tuples, deferred int64
+	text := explainDataflow(t, st, "pipeline")
+	if _, err := fmt.Sscanf(text[strings.Index(text, "  held:"):],
+		"  held: partition 0: %d tuples queued at ingest, %d executions deferred", &tuples, &deferred); err != nil {
+		t.Fatalf("no held line (%v):\n%s", err, text)
+	}
+	if tuples != 4 || frozen+2*deferred != 4 {
+		t.Fatalf("gate holds %d tuples and %d executions with %d rows in sink, want 4 and %d",
+			tuples, deferred, frozen, (4-frozen)/2)
+	}
 	if err := st.ResumeDataflow("pipeline"); err != nil {
 		t.Fatal(err)
 	}
@@ -386,6 +393,19 @@ func TestPauseQueuesIngestAndDrains(t *testing.T) {
 	if got := res.Rows[0][0].Int(); got != 8 {
 		t.Fatalf("after resume: %d rows, want 8 (deferred + queued batches must dispatch)", got)
 	}
+	if text := explainDataflow(t, st, "pipeline"); strings.Contains(text, "held:") {
+		t.Fatalf("a running graph reports held work:\n%s", text)
+	}
+}
+
+// explainDataflow renders EXPLAIN DATAFLOW through the query path.
+func explainDataflow(t *testing.T, st *Store, name string) string {
+	t.Helper()
+	res, err := st.Query("EXPLAIN DATAFLOW " + name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Rows[0][0].Str()
 }
 
 // TestDataflowsSurviveRecovery checks the acceptance flow: a durable store

@@ -19,7 +19,8 @@ const partDDL = `
 `
 
 // buildPartApp is buildApp over hash-partitioned relations: events ->
-// ingest -> derived -> apply, with per-key state in totals.
+// ingest -> derived -> apply, with per-key state in totals. apply aborts
+// a batch holding a negative amount.
 func buildPartApp(t testing.TB, cfg Config) *Store {
 	t.Helper()
 	st := Open(cfg)
@@ -46,6 +47,9 @@ func buildPartApp(t testing.TB, cfg Config) *Store {
 		WriteSet: []string{"totals"},
 		Handler: func(ctx *pe.ProcCtx) error {
 			for _, r := range ctx.Batch {
+				if r[1].Int() < 0 {
+					return ctx.Abort("negative amount")
+				}
 				row, err := ctx.QueryRow("SELECT n FROM totals WHERE k = ?", r[0])
 				if err != nil {
 					return err

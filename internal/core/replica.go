@@ -136,7 +136,7 @@ type pendingRec struct {
 }
 
 // Follower is a read replica: a non-durable, never-started Store whose
-// state is maintained by replaying the primary's shipped WAL. Reads are
+// state is maintained by replay of the primary's shipped WAL. Reads are
 // served from MVCC snapshots (pe.Engine.QueryAtSeq needs no partition
 // worker); Promote turns it into a live primary.
 //

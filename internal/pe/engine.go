@@ -2,7 +2,6 @@ package pe
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -124,15 +123,10 @@ const ackQueueDepth = 4096
 
 // Config controls a partition engine instance.
 type Config struct {
-	// Mode selects the admission policy (see SchedulerMode).
-	Mode SchedulerMode
 	// HStoreMode disables the streaming machinery inside transactions (EE
 	// triggers and native window maintenance) and ignores stream bindings —
 	// the naïve baseline of §3.1. Clients must drive workflows themselves.
 	HStoreMode bool
-	// ForceUnsafe permits ModeFIFO even when a workflow's procedures share
-	// writable tables (used only by the scheduler ablation experiments).
-	ForceUnsafe bool
 	// MemoryBudget bounds the heap bytes of resident row versions across
 	// this partition's evictable tables (0 = unlimited). When exceeded,
 	// the evictor — running at the GC rhythm — moves cold committed
@@ -178,21 +172,23 @@ type Engine struct {
 	// ingestMu: dataflow deployment may add edges at runtime (under an
 	// all-partition barrier) while clients are inside Ingest.
 	bindings map[string]*binding
-	// pausedGraphs gates dispatch per dataflow: while a graph is paused,
-	// ingest into its streams queues tuples in partial (bounded by
-	// MaxPausedBacklog) without cutting batches, and PE-triggered
-	// emissions into its streams defer into pausedTriggered. Guarded by
-	// ingestMu.
+	// pausedGraphs is the pause gate, per dataflow: while a graph is
+	// paused, ingest into its streams queues tuples in partial (bounded by
+	// MaxPausedBacklog) without cutting batches, and the worker defers
+	// every execution the graph owns into deferred (see gate). nPaused
+	// mirrors len(pausedGraphs), so the worker reads one atomic while no
+	// graph is paused. Guarded by ingestMu.
 	pausedGraphs map[string]bool
-	// pausedTriggered holds the PE-triggered executions deferred while
-	// their graph was paused, in emission order; ResumeGraph dispatches
-	// them ahead of the queued border batches. Guarded by ingestMu.
-	pausedTriggered map[string][]*txnRequest
+	nPaused      atomic.Int32
+	// deferred holds each paused graph's executions in the order the
+	// worker reached them; ResumeGraph re-admits them in that order, ahead
+	// of the graph's queued border batches. Guarded by ingestMu.
+	deferred map[string][]*txnRequest
 
-	// graphInflight counts each graph's admitted-but-unfinished
-	// transaction executions; PauseDataflow's drain waits per graph on it
-	// instead of quiescing the whole partition (other graphs keep
-	// running).
+	// graphInflight counts each graph's admitted executions that have
+	// neither finished nor been deferred; PauseDataflow's drain waits per
+	// graph on it instead of quiescing the whole partition (other graphs
+	// keep running).
 	flightMu      sync.Mutex
 	flightCond    *sync.Cond
 	graphInflight map[string]int
@@ -220,15 +216,10 @@ type Engine struct {
 	started atomic.Bool
 	wg      sync.WaitGroup
 
-	// replayQueue collects triggered executions during recovery replay so
-	// they run inline instead of through the (stopped) worker.
-	replayQueue []*txnRequest
-	replaying   bool
-
-	// localTriggered is the partition worker's private queue of PE-
-	// triggered executions (they are produced and consumed by the worker,
-	// so no locking is needed). Used in ModeWorkflowSerial.
-	localTriggered []*txnRequest
+	// chain is the worker's private FIFO of PE-triggered executions:
+	// dispatchEmits appends, runChain drains it before the next request
+	// (produced and consumed in the worker's place, so no locking).
+	chain []*txnRequest
 
 	// The worker's transaction-execution state (DESIGN.md §1.6.3). The
 	// worker is one goroutine and nothing below outlives the TE that filled
@@ -264,19 +255,19 @@ const (
 // New creates a partition engine over an execution engine.
 func New(exec *ee.Engine, cfg Config) *Engine {
 	e := &Engine{
-		ee:              exec,
-		met:             exec.Metrics(),
-		clock:           exec.Catalog().Clock(),
-		cfg:             cfg,
-		sched:           newScheduler(cfg.Mode),
-		procs:           make(map[string]*Procedure),
-		bindings:        make(map[string]*binding),
-		pausedGraphs:    make(map[string]bool),
-		pausedTriggered: make(map[string][]*txnRequest),
-		graphInflight:   make(map[string]int),
-		partial:         make(map[string][]types.Row),
-		undo:            storage.NewUndoLog(),
-		newRows:         make(map[string][]types.Row, 1),
+		ee:            exec,
+		met:           exec.Metrics(),
+		clock:         exec.Catalog().Clock(),
+		cfg:           cfg,
+		sched:         newScheduler(),
+		procs:         make(map[string]*Procedure),
+		bindings:      make(map[string]*binding),
+		pausedGraphs:  make(map[string]bool),
+		deferred:      make(map[string][]*txnRequest),
+		graphInflight: make(map[string]int),
+		partial:       make(map[string][]types.Row),
+		undo:          storage.NewUndoLog(),
+		newRows:       make(map[string][]types.Row, 1),
 	}
 	e.onEmit, e.onBorderEmit = e.collectEmission, e.collectBorderEmission
 	e.ackCond = sync.NewCond(&e.ackMu)
@@ -285,8 +276,9 @@ func New(exec *ee.Engine, cfg Config) *Engine {
 }
 
 // graphTakeoff records one admitted execution for a graph's in-flight
-// count; graphDone retires it. WaitGraphIdle blocks until the graph has no
-// admitted-but-unfinished executions — the graph-scoped drain pause uses.
+// count; graphDone retires it when it executes or the pause gate defers it.
+// WaitGraphIdle blocks until the graph has no admitted execution left that
+// is neither finished nor deferred — the graph-scoped drain pause uses.
 func (e *Engine) graphTakeoff(name string) {
 	e.flightMu.Lock()
 	e.graphInflight[name]++
@@ -304,8 +296,9 @@ func (e *Engine) graphDone(name string) {
 }
 
 // WaitGraphIdle blocks until every admitted execution of the named graph
-// has finished. Descendants are counted before their parent retires, so a
-// chain keeps the count positive until its last running stage commits.
+// has finished or been deferred. Descendants are counted before their
+// parent retires, so a chain keeps the count positive until its last stage
+// commits or waits behind the gate.
 func (e *Engine) WaitGraphIdle(name string) {
 	e.flightMu.Lock()
 	for e.graphInflight[name] > 0 {
@@ -408,30 +401,34 @@ func (e *Engine) BoundGraph(stream string) (string, bool) {
 // Started reports whether the partition worker is running.
 func (e *Engine) Started() bool { return e.started.Load() }
 
-// PauseGraph gates dispatch for the named dataflow: subsequent ingest
-// into its streams queues tuples (bounded) instead of cutting batches,
-// and PE-triggered emissions into them defer (see dispatchEmits).
-// Executions already admitted finish — the store-level pause waits for
-// them with WaitGraphIdle after setting the gate.
+// PauseGraph closes the named dataflow's pause gate: subsequent ingest
+// into its streams queues tuples (bounded) instead of cutting batches, and
+// the worker defers every execution the graph owns — border batches
+// already queued and triggered stages alike — instead of running it (see
+// gate). An execution already past the gate finishes; the store-level
+// pause waits for those with WaitGraphIdle after closing the gate.
 func (e *Engine) PauseGraph(name string) {
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
 	e.pausedGraphs[name] = true
+	e.nPaused.Store(int32(len(e.pausedGraphs)))
 }
 
-// ResumeGraph lifts a dataflow's pause gate and dispatches everything
-// that queued while it was down: first the deferred PE-triggered work
-// (upstream of any border tuple that arrived during the pause), then
-// every full border batch.
+// ResumeGraph opens a dataflow's pause gate and re-admits everything that
+// waited behind it: first the deferred executions, in the order the worker
+// deferred them (a chain caught mid-flight resumes at the stage it stopped
+// at, before the batches that queued behind it), then every full border
+// batch that queued at ingest.
 func (e *Engine) ResumeGraph(name string) error {
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
 	delete(e.pausedGraphs, name)
-	deferred := e.pausedTriggered[name]
-	delete(e.pausedTriggered, name)
-	for i, tr := range deferred {
-		if !e.pushTracked(tr) {
-			e.pausedTriggered[name] = deferred[i:]
+	e.nPaused.Store(int32(len(e.pausedGraphs)))
+	deferred := e.deferred[name]
+	delete(e.deferred, name)
+	for i, r := range deferred {
+		if !e.pushTracked(r) {
+			e.deferred[name] = deferred[i:]
 			return fmt.Errorf("pe: engine stopped")
 		}
 	}
@@ -448,12 +445,27 @@ func (e *Engine) ResumeGraph(name string) error {
 
 // DropGraph discards a dataflow's pause gate and any work that deferred
 // behind it (undeploy: the graph is going away, so its queued batches and
-// deferred triggered executions go with it).
+// deferred executions go with it).
 func (e *Engine) DropGraph(name string) {
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
 	delete(e.pausedGraphs, name)
-	delete(e.pausedTriggered, name)
+	e.nPaused.Store(int32(len(e.pausedGraphs)))
+	delete(e.deferred, name)
+}
+
+// Held reports what a graph's pause gate holds on this partition: the
+// tuples queued at ingest on its border streams and the executions the
+// worker deferred.
+func (e *Engine) Held(graph string) (tuples, deferred int) {
+	e.ingestMu.Lock()
+	defer e.ingestMu.Unlock()
+	for _, b := range e.bindings {
+		if b.graph == graph {
+			tuples += len(e.partial[b.stream])
+		}
+	}
+	return tuples, len(e.deferred[graph])
 }
 
 // PartialLen reports the tuples buffered (partial batch + paused backlog)
@@ -471,8 +483,9 @@ func (e *Engine) PartialLen(stream string) int {
 // border tuples of stream selected by match. Slot migration uses it to
 // re-home a half-full batch's tuples along with their keys — left behind,
 // they would execute on the old owner at the next cut or flush and rebuild
-// migrated rows there. Paused dataflows keep their backlog (documented:
-// resume before rebalancing), and unbound streams buffer nothing.
+// migrated rows there. Paused dataflows keep their backlog and their
+// deferred executions (documented: resume before rebalancing), and unbound
+// streams buffer nothing.
 func (e *Engine) ExtractPartial(stream string, match func(types.Row) bool) []types.Row {
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
@@ -497,13 +510,10 @@ func (e *Engine) ExtractPartial(stream string, match func(types.Row) bool) []typ
 	return taken
 }
 
-// Start validates the workflow wiring and launches the partition worker.
+// Start launches the partition worker.
 func (e *Engine) Start() error {
 	if e.started.Load() {
 		return fmt.Errorf("pe: already started")
-	}
-	if err := e.validateWorkflows(); err != nil {
-		return err
 	}
 	// Publish once so data seeded before Start (DDL-time inserts, snapshot
 	// restore, direct EE writes) is visible to snapshot readers; those
@@ -555,39 +565,10 @@ func (e *Engine) errNotStarted() error {
 	return nil
 }
 
-// validateWorkflows detects shared writable tables among procedures
-// connected by stream bindings. Per the paper such workflows require
-// serial execution of the involved procedures, which ModeWorkflowSerial
-// provides; ModeFIFO is rejected unless ForceUnsafe.
-func (e *Engine) validateWorkflows() error {
-	if e.cfg.Mode == ModeWorkflowSerial || e.cfg.ForceUnsafe {
-		return nil
-	}
-	// Union the procedures reachable through bindings into one component
-	// (fine-grained components are unnecessary: any conflict anywhere is a
-	// rejection).
-	var procs []*Procedure
-	seen := map[string]bool{}
-	e.ingestMu.Lock()
-	for _, b := range e.bindings {
-		if !seen[b.proc.Name] {
-			seen[b.proc.Name] = true
-			procs = append(procs, b.proc)
-		}
-	}
-	e.ingestMu.Unlock()
-	sort.Slice(procs, func(i, j int) bool { return procs[i].Name < procs[j].Name })
-	if shared := SharedWritableTables(procs); len(shared) > 0 {
-		return fmt.Errorf("pe: workflow procedures share writable tables %v; "+
-			"ModeFIFO would violate the serial-execution requirement (use ModeWorkflowSerial)", shared)
-	}
-	return nil
-}
-
 // worker is the partition goroutine: it executes every transaction
-// serially. Triggered work is goroutine-local (PE triggers fire from this
-// goroutine), and client submissions are fetched in batches, so the
-// shared lock is touched once per burst rather than once per transaction.
+// serially. Client submissions are fetched in batches, so the shared lock
+// is touched once per burst rather than once per transaction, and each
+// request runs with the chain it starts (runChain).
 func (e *Engine) worker() {
 	defer e.wg.Done()
 	var pending []*txnRequest
@@ -598,20 +579,55 @@ func (e *Engine) worker() {
 		}
 		for i, r := range pending {
 			pending[i] = nil
-			e.executeRequest(r)
-			e.recycle(r)
-			// What r triggered runs, with what that triggers in turn, before
-			// the next request: workflow order (ModeWorkflowSerial).
-			for len(e.localTriggered) > 0 {
-				r = e.localTriggered[0]
-				n := copy(e.localTriggered, e.localTriggered[1:])
-				e.localTriggered[n] = nil
-				e.localTriggered = e.localTriggered[:n]
-				e.executeRequest(r)
-				e.recycle(r)
-			}
+			e.runChain(r)
 		}
 	}
+}
+
+// runChain executes r, then every PE-triggered execution its commit
+// started, and what those start in turn, in dispatch order, before
+// returning: the chain of batch b ends before the next request (batch b+1)
+// begins — the paper's workflow order. It is the one way work executes:
+// the worker runs every request through it, and so does Replay, so a
+// replayed record re-derives its chain exactly as it ran live. A triggered
+// execution that aborts is that execution's abort, here as live.
+func (e *Engine) runChain(r *txnRequest) {
+	e.runGated(r)
+	for i := 0; i < len(e.chain); i++ {
+		next := e.chain[i]
+		e.chain[i] = nil
+		e.runGated(next)
+	}
+	e.chain = retained(e.chain)
+}
+
+// runGated executes r unless the pause gate defers it.
+func (e *Engine) runGated(r *txnRequest) {
+	if e.gate(r) {
+		return
+	}
+	e.executeRequest(r)
+	e.recycle(r)
+}
+
+// gate is the pause gate, checked where work executes: an execution owned
+// by a paused graph joins the graph's deferred list, in the order the
+// worker reaches it, and leaves the graph's in-flight count, so the pause's
+// drain does not wait for it; ResumeGraph re-admits the list. With no graph
+// paused it costs one atomic load. Replayed executions never wait: the
+// log already fixed their order.
+func (e *Engine) gate(r *txnRequest) bool {
+	if e.nPaused.Load() == 0 || r.graph == "" || r.replay {
+		return false
+	}
+	e.ingestMu.Lock()
+	defer e.ingestMu.Unlock()
+	if !e.pausedGraphs[r.graph] {
+		return false
+	}
+	e.deferred[r.graph] = append(e.deferred[r.graph], r)
+	e.graphDone(r.graph)
+	return true
 }
 
 // acker delivers commit acknowledgements in LSN order: it waits on each
@@ -697,7 +713,7 @@ func (e *Engine) CallAsync(proc string, params ...types.Value) <-chan CallResult
 		return done
 	}
 	now := time.Now()
-	r := &txnRequest{kind: reqInvoke, proc: p, params: params, done: done, enqueued: now, origin: now}
+	r := &txnRequest{kind: reqInvoke, proc: p, params: params, done: done, origin: now}
 	if !e.sched.push(r) {
 		done <- CallResult{Err: fmt.Errorf("pe: engine stopped")}
 	}
@@ -751,7 +767,6 @@ func (e *Engine) cutBatchesLocked(b *binding) error {
 			batch:       batch,
 			batchID:     e.nextBatchID,
 			inputStream: b.stream,
-			enqueued:    now,
 			origin:      now,
 			stats:       b.stats,
 			graph:       b.graph,
@@ -768,12 +783,10 @@ func (e *Engine) cutBatchesLocked(b *binding) error {
 // pushTracked submits a graph-owned request, keeping its graph's
 // in-flight count consistent with the scheduler's acceptance.
 func (e *Engine) pushTracked(r *txnRequest) bool {
-	r.tracked = true
 	e.graphTakeoff(r.graph)
 	if e.sched.push(r) {
 		return true
 	}
-	r.tracked = false
 	e.graphDone(r.graph)
 	return false
 }
@@ -795,7 +808,7 @@ func (e *Engine) FlushBatches() {
 		now := time.Now()
 		e.pushTracked(&txnRequest{
 			kind: reqBorder, proc: b.proc, batch: pend, batchID: e.nextBatchID,
-			inputStream: b.stream, enqueued: now, origin: now, stats: b.stats,
+			inputStream: b.stream, origin: now, stats: b.stats,
 			graph: b.graph,
 		})
 		e.partial[stream] = nil
@@ -863,7 +876,7 @@ func (e *Engine) Exec(sqlText string, params ...types.Value) (*Result, error) {
 	}
 	e.met.ClientToPE.Add(1)
 	done := make(chan CallResult, 1)
-	r := &txnRequest{kind: reqExec, sqlText: sqlText, params: params, done: done, enqueued: time.Now()}
+	r := &txnRequest{kind: reqExec, sqlText: sqlText, params: params, done: done}
 	if !e.sched.push(r) {
 		return nil, fmt.Errorf("pe: engine stopped")
 	}
@@ -887,20 +900,9 @@ func (e *Engine) RunExclusive(fn func() error) error {
 }
 
 // Drain blocks until every queued request (including transitively triggered
-// ones) has executed. Partial ingest batches are not flushed; call
-// FlushBatches first if the input is complete.
-func (e *Engine) Drain() {
-	e.sched.mu.Lock()
-	e.sched.drainWaiters++
-	for !(len(e.sched.triggered) == 0 && len(e.sched.normal) == 0 && e.sched.idle) {
-		if e.sched.closed {
-			break
-		}
-		e.sched.cond.Wait()
-	}
-	e.sched.drainWaiters--
-	e.sched.mu.Unlock()
-}
+// ones) has executed, or waits behind a paused graph's gate. Partial ingest
+// batches are not flushed; call FlushBatches first if the input is complete.
+func (e *Engine) Drain() { e.sched.drain() }
 
 // ---------- transaction execution ----------
 
@@ -987,7 +989,7 @@ func ownResult(res *ee.Result) *Result {
 
 func (e *Engine) executeRequest(r *txnRequest) {
 	start := time.Now()
-	if r.tracked {
+	if r.graph != "" {
 		// Retire the graph's in-flight count whatever path this execution
 		// takes (commit, abort, panic recovery). Descendants are counted
 		// inside dispatchEmits, before this defer runs, so a chain never
@@ -1003,8 +1005,12 @@ func (e *Engine) executeRequest(r *txnRequest) {
 		r.respond(nil, r.fn())
 		return
 	}
-	if r.kind == reqMP {
+	switch r.kind {
+	case reqMP:
 		e.executeMP(r)
+		return
+	case reqLeg:
+		e.replayPreparedLeg(r)
 		return
 	}
 	ectx, undo := e.beginTE(), e.undo
@@ -1105,8 +1111,8 @@ func (e *Engine) executeRequest(r *txnRequest) {
 	}
 
 	// PE triggers: emitted batches become downstream transaction
-	// executions, enqueued ahead of pending border work (ModeWorkflowSerial)
-	// so the workflow chain for batch b completes before batch b+1 starts.
+	// executions, run by runChain before the next request, so the workflow
+	// chain for batch b completes before batch b+1 starts.
 	continued := e.dispatchEmits(r.batchID, r.origin, r.replay)
 
 	// Per-dataflow accounting. Latency is observed only where the chain
@@ -1311,29 +1317,26 @@ func (e *Engine) procPlan(p *Procedure, sqlText string) (*ee.Prepared, error) {
 // ---------- recovery replay ----------
 
 // Replay re-executes one logged record during recovery. The engine must
-// not be started. In LogBorderOnly mode, border records re-derive their
-// triggered descendants inline; in LogAllTEs mode triggered records come
-// from the log and PE triggers are suppressed for upstream records. A
-// RecPrepare leg is applied as given: whether its transaction committed is
-// the caller's knowledge (core's log applier owns the decision table).
+// not be started. The record runs through runChain, as it ran live: in
+// LogBorderOnly mode a record re-derives its triggered descendants, and one
+// that aborts aborts as it did live; in LogAllTEs mode triggered records
+// come from the log and a record's own emissions start no chain. The
+// replayed record itself must commit. A RecPrepare leg is applied as
+// given: whether its transaction committed is the caller's knowledge
+// (core's log applier owns the decision table).
 func (e *Engine) Replay(rec *LogRecord) error {
 	if e.started.Load() {
 		return fmt.Errorf("pe: replay requires a stopped engine")
 	}
+	r := &txnRequest{params: rec.Params, batch: rec.Batch, batchID: rec.BatchID,
+		inputStream: rec.InputStream, replay: true, done: make(chan CallResult, 1)}
+	what := rec.Proc
 	switch rec.Kind {
-	case RecPrepare:
-		return e.replayPreparedLeg(rec)
 	case RecDecide:
 		return nil // participant marker: nothing to execute
-	}
-	p := e.Procedure(rec.Proc)
-	if p == nil {
-		return fmt.Errorf("pe: replay references unknown procedure %q", rec.Proc)
-	}
-	r := &txnRequest{proc: p, params: rec.Params, batch: rec.Batch,
-		batchID: rec.BatchID, inputStream: rec.InputStream, replay: true,
-		done: make(chan CallResult, 1)}
-	switch rec.Kind {
+	case RecPrepare:
+		r.kind, r.ops = reqLeg, rec.Ops
+		what = fmt.Sprintf("prepared mp leg %d", rec.MPTxnID)
 	case RecCall:
 		r.kind = reqInvoke
 	case RecBorder:
@@ -1358,44 +1361,15 @@ func (e *Engine) Replay(rec *LogRecord) error {
 	default:
 		return fmt.Errorf("pe: unknown log record kind %d", rec.Kind)
 	}
-
-	// Collect re-derived descendants locally: they must never reach the
-	// scheduler (the worker is stopped, and in LogAllTEs mode they arrive
-	// as their own log records).
-	e.replaying = true
-	e.executeRequest(r)
-	cr := <-r.done
-	if cr.Err != nil {
-		e.replaying = false
-		e.replayQueue = nil
-		return fmt.Errorf("pe: replay of %s: %w", rec.Proc, cr.Err)
-	}
-	return e.drainReplayDerived()
-}
-
-// drainReplayDerived finishes one replayed record's derived work. In
-// LogAllTEs mode the triggered descendants arrive as their own log
-// records, so the queue is discarded; under upstream backup they are
-// re-derived inline, depth-first in FIFO order, exactly as
-// ModeWorkflowSerial would have run them.
-func (e *Engine) drainReplayDerived() error {
-	if e.logMode == LogAllTEs {
-		e.replayQueue = nil
-		e.replaying = false
-		return nil
-	}
-	for len(e.replayQueue) > 0 {
-		next := e.replayQueue[0]
-		e.replayQueue = e.replayQueue[1:]
-		next.done = make(chan CallResult, 1)
-		e.executeRequest(next)
-		if cr := <-next.done; cr.Err != nil {
-			e.replaying = false
-			e.replayQueue = nil
-			return fmt.Errorf("pe: replay of triggered %s: %w", next.proc.Name, cr.Err)
+	if r.kind != reqLeg {
+		if r.proc = e.Procedure(rec.Proc); r.proc == nil {
+			return fmt.Errorf("pe: replay references unknown procedure %q", rec.Proc)
 		}
 	}
-	e.replaying = false
+	e.runChain(r)
+	if cr := <-r.done; cr.Err != nil {
+		return fmt.Errorf("pe: replay of %s: %w", what, cr.Err)
+	}
 	return nil
 }
 

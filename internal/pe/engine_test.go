@@ -40,6 +40,12 @@ const counterDDL = `
 // appends (stage, value, seq) to log_t using a shared sequence counter.
 func registerChain(t testing.TB, e *Engine, batchSize int) {
 	t.Helper()
+	registerChainWith(t, e, batchSize, nil)
+}
+
+// registerChainWith is registerChain with a hook sp_a calls first.
+func registerChainWith(t testing.TB, e *Engine, batchSize int, hook func(*ProcCtx)) {
+	t.Helper()
 	appendLog := func(ctx *ProcCtx, stage string) error {
 		for _, row := range ctx.Batch {
 			res, err := ctx.Exec("SELECT n FROM counter WHERE id = 0")
@@ -69,6 +75,9 @@ func registerChain(t testing.TB, e *Engine, batchSize int) {
 		ReadSet:  []string{"counter"},
 		WriteSet: []string{"counter", "log_t"},
 		Handler: func(ctx *ProcCtx) error {
+			if hook != nil {
+				hook(ctx)
+			}
 			if err := appendLog(ctx, "a"); err != nil {
 				return err
 			}
@@ -103,19 +112,8 @@ func TestWorkflowChainOrdering(t *testing.T) {
 		must(t, e.Ingest("in_s", intRow(v)))
 	}
 	e.Drain()
-	res, err := e.Query("SELECT stage, v FROM log_t ORDER BY seq")
-	must(t, err)
-	// ModeWorkflowSerial: a(1) b(1) a(2) b(2) ... strictly interleaved.
-	want := []string{"a1", "b1", "a2", "b2", "a3", "b3", "a4", "b4", "a5", "b5"}
-	if len(res.Rows) != len(want) {
-		t.Fatalf("%d rows", len(res.Rows))
-	}
-	for i, r := range res.Rows {
-		got := fmt.Sprintf("%s%d", r[0].Str(), r[1].Int())
-		if got != want[i] {
-			t.Fatalf("position %d: %s want %s (full: %v)", i, got, want[i], res.Rows)
-		}
-	}
+	// Workflow order: a(1) b(1) a(2) b(2) ... strictly interleaved.
+	checkStages(t, e, "a1 b1 a2 b2 a3 b3 a4 b4 a5 b5")
 	// Stream tuples consumed by sp_b must be garbage collected.
 	if n, _ := e.Query("SELECT COUNT(*) FROM mid_s"); n.Rows[0][0].Int() != 0 {
 		t.Error("mid_s not GC'd")
@@ -127,6 +125,52 @@ func TestWorkflowChainOrdering(t *testing.T) {
 	if m.BatchesBorder != 5 || m.TriggeredTxns != 5 {
 		t.Errorf("border=%d triggered=%d", m.BatchesBorder, m.TriggeredTxns)
 	}
+}
+
+// checkStages compares the chain's execution order, as log_t recorded it,
+// with want ("a1 b1 ...").
+func checkStages(t *testing.T, e *Engine, want string) {
+	t.Helper()
+	res, err := e.Query("SELECT stage, v FROM log_t ORDER BY seq")
+	must(t, err)
+	var got []string
+	for _, r := range res.Rows {
+		got = append(got, fmt.Sprintf("%s%d", r[0].Str(), r[1].Int()))
+	}
+	if strings.Join(got, " ") != want {
+		t.Fatalf("stages ran as %s, want %s", strings.Join(got, " "), want)
+	}
+}
+
+// TestPauseKeepsWorkflowOrder: a pause that catches a chain between its
+// stages defers the rest of the chain and the batch queued behind it, and
+// resume runs them in that order, so batch 1's chain still ends before
+// batch 2 starts. sp_a(1) is parked inside its execution while batch 2 is
+// admitted and the gate closes.
+func TestPauseKeepsWorkflowOrder(t *testing.T) {
+	e := newTestPE(t, Config{}, counterDDL)
+	entered, release := make(chan struct{}), make(chan struct{})
+	registerChainWith(t, e, 1, func(ctx *ProcCtx) {
+		if ctx.Batch[0][0].Int() == 1 {
+			close(entered)
+			<-release
+		}
+	})
+	must(t, e.Start())
+	defer e.Stop()
+	must(t, e.Ingest("in_s", intRow(1)))
+	<-entered
+	must(t, e.Ingest("in_s", intRow(2))) // sp_a(2) queued behind sp_a(1)
+	e.PauseGraph("g")
+	close(release)
+	e.WaitGraphIdle("g")
+	if tuples, deferred := e.Held("g"); tuples != 0 || deferred != 2 {
+		t.Fatalf("gate holds %d tuples and %d executions, want 0 and 2 (sp_b(1), sp_a(2))", tuples, deferred)
+	}
+	checkStages(t, e, "a1")
+	must(t, e.ResumeGraph("g"))
+	e.Drain()
+	checkStages(t, e, "a1 b1 a2 b2")
 }
 
 func TestBatchSizeGrouping(t *testing.T) {
@@ -307,19 +351,6 @@ func TestBatchVisibleToSQL(t *testing.T) {
 	}
 }
 
-func TestFIFOModeRejectsSharedTables(t *testing.T) {
-	e := newTestPE(t, Config{Mode: ModeFIFO}, counterDDL)
-	registerChain(t, e, 1)
-	if err := e.Start(); err == nil || !strings.Contains(err.Error(), "share writable table") {
-		t.Fatalf("expected shared-table rejection, got %v", err)
-	}
-	// ForceUnsafe permits it (for the ablation).
-	e2 := newTestPE(t, Config{Mode: ModeFIFO, ForceUnsafe: true}, counterDDL)
-	registerChain(t, e2, 1)
-	must(t, e2.Start())
-	e2.Stop()
-}
-
 func TestHStoreModeRejectsBindings(t *testing.T) {
 	e := newTestPE(t, Config{HStoreMode: true}, counterDDL)
 	must(t, e.RegisterProcedure(&Procedure{Name: "p", Handler: func(*ProcCtx) error { return nil }}))
@@ -438,6 +469,50 @@ func TestReplayRebuildState(t *testing.T) {
 	}
 	if re.NextBatchID() != 3 {
 		t.Errorf("batch counter not restored: %d", re.NextBatchID())
+	}
+}
+
+// TestReplayOfDownstreamAbort: under upstream backup a border record's
+// re-derived interior TE that aborted live aborts again in replay — that
+// TE's abort, not a failed recovery — and the replayed store matches the
+// live one: the committed stage's rows, the aborted batches' tuples left
+// in the stream, and the abort count.
+func TestReplayOfDownstreamAbort(t *testing.T) {
+	var records []*LogRecord
+	logger := loggerFunc(func(rec *LogRecord) error {
+		records = append(records, cloneRecord(rec))
+		return nil
+	})
+	live := newTestPE(t, Config{}, counterDDL)
+	registerFlaky(t, live)
+	live.SetLogger(logger, LogBorderOnly)
+	must(t, live.Start())
+	for v := int64(1); v <= 6; v++ {
+		must(t, live.Ingest("in_s", intRow(v)))
+	}
+	live.Drain()
+	state := func(e *Engine) string {
+		var out []string
+		for _, q := range []string{"SELECT v FROM log_t ORDER BY v", "SELECT v FROM mid_s ORDER BY v"} {
+			res, err := queryStopped(e, q)
+			must(t, err)
+			out = append(out, rowsString(res.Rows))
+		}
+		return fmt.Sprintf("%s aborts=%d", strings.Join(out, " "), e.Metrics().TxnAborted.Load())
+	}
+	live.Stop()
+	want := state(live)
+	if want != "[(1) (3) (5)] [(2) (4) (6)] aborts=3" {
+		t.Fatalf("live run: %s", want)
+	}
+
+	re := newTestPE(t, Config{}, counterDDL)
+	registerFlaky(t, re)
+	for _, rec := range records {
+		must(t, re.Replay(rec))
+	}
+	if got := state(re); got != want {
+		t.Fatalf("replayed state %s, want %s", got, want)
 	}
 }
 

@@ -93,22 +93,19 @@ func TestLatencyObserved(t *testing.T) {
 	}
 }
 
-func TestDownstreamAbortDropsBatchOnly(t *testing.T) {
-	// A failing interior stage must not corrupt upstream state: the
-	// upstream commit stands, the downstream batch is dropped, and the
-	// engine keeps running.
-	e := newTestPE(t, Config{}, counterDDL)
+// registerFlaky wires in_s -> producer -> mid_s -> flaky, whose TE aborts
+// on an even value and records an odd one in log_t.
+func registerFlaky(t testing.TB, e *Engine) {
+	t.Helper()
 	must(t, e.RegisterProcedure(&Procedure{
 		Name: "producer",
 		Handler: func(ctx *ProcCtx) error {
 			return ctx.Emit("mid_s", ctx.Batch...)
 		},
 	}))
-	calls := 0
 	must(t, e.RegisterProcedure(&Procedure{
 		Name: "flaky",
 		Handler: func(ctx *ProcCtx) error {
-			calls++
 			if ctx.Batch[0][0].Int()%2 == 0 {
 				return fmt.Errorf("rejecting even value")
 			}
@@ -118,6 +115,14 @@ func TestDownstreamAbortDropsBatchOnly(t *testing.T) {
 	}))
 	must(t, e.BindStream("g", "in_s", "producer", 1))
 	must(t, e.BindStream("g", "mid_s", "flaky", 1))
+}
+
+func TestDownstreamAbortDropsBatchOnly(t *testing.T) {
+	// A failing interior stage must not corrupt upstream state: the
+	// upstream commit stands, the downstream batch is dropped, and the
+	// engine keeps running.
+	e := newTestPE(t, Config{}, counterDDL)
+	registerFlaky(t, e)
 	must(t, e.Start())
 	defer e.Stop()
 	for v := int64(1); v <= 6; v++ {
@@ -140,41 +145,4 @@ func TestDownstreamAbortDropsBatchOnly(t *testing.T) {
 	if res.Rows[0][0].Int() != 3 {
 		t.Fatalf("aborted batches in stream: %v", res.Rows)
 	}
-}
-
-func TestFIFOModeAllowedWithoutConflicts(t *testing.T) {
-	// A workflow whose stages share no writable tables is legal under
-	// ModeFIFO (the paper's serial requirement only applies to shared
-	// state).
-	e := newTestPE(t, Config{Mode: ModeFIFO}, counterDDL)
-	must(t, e.RegisterProcedure(&Procedure{
-		Name:     "stage_a",
-		WriteSet: []string{"mid_s"},
-		Handler:  func(ctx *ProcCtx) error { return ctx.Emit("mid_s", ctx.Batch...) },
-	}))
-	must(t, e.RegisterProcedure(&Procedure{
-		Name:     "stage_b",
-		WriteSet: []string{"log_t"},
-		Handler: func(ctx *ProcCtx) error {
-			_, err := ctx.Exec("INSERT INTO log_t VALUES ('b', ?, 0)", ctx.Batch[0][0])
-			return err
-		},
-	}))
-	must(t, e.BindStream("g", "in_s", "stage_a", 1))
-	must(t, e.BindStream("g", "mid_s", "stage_b", 1))
-	must(t, e.Start())
-	defer e.Stop()
-	for v := int64(1); v <= 10; v++ {
-		must(t, e.Ingest("in_s", intRow(v)))
-	}
-	e.Drain()
-	res, err := e.Query("SELECT COUNT(*) FROM log_t")
-	must(t, err)
-	if res.Rows[0][0].Int() != 10 {
-		t.Fatalf("fifo workflow lost tuples: %v", res.Rows)
-	}
-	// Natural order still holds per stage under FIFO.
-	res, err = e.Query("SELECT v FROM log_t ORDER BY seq")
-	must(t, err)
-	_ = res
 }

@@ -65,9 +65,11 @@ func lifetimeEngine(t *testing.T, cfg Config, logger Logger) *Engine {
 		}
 		return nil
 	}}))
-	must(t, e.BindStream("g", "in_s", "sp_in", 2))
+	// Three graphs, so a pause of g catches sp_in's chain at sp_mid while
+	// everything else keeps running.
+	must(t, e.BindStream("src", "in_s", "sp_in", 2))
 	must(t, e.BindStream("g", "mid_s", "sp_mid", 2))
-	must(t, e.BindStream("g", "noise_s", "sp_noise", 2))
+	must(t, e.BindStream("noise", "noise_s", "sp_noise", 2))
 	must(t, e.Start())
 	t.Cleanup(e.Stop)
 	for k := int64(1); k <= 3; k++ {
@@ -163,31 +165,30 @@ func TestAdHocExecResultSurvivesLaterTEs(t *testing.T) {
 	e.Drain()
 }
 
-// TestEmittedBatchSurvivesInterveningTE: in ModeFIFO a triggered execution
-// goes to the back of the queue, so an unrelated TE runs between the one
-// that emitted a batch and the one that consumes it. The consumer still
-// gets the rows that were emitted, and the ids it garbage-collects are
-// still theirs.
+// TestEmittedBatchSurvivesInterveningTE: the pause gate defers the
+// consumer of an emitted batch, and unrelated TEs — with emissions and
+// triggered executions of their own, on requests the worker recycles — run
+// before resume lets it execute. The consumer still gets the rows that were
+// emitted, and the ids it garbage-collects are still theirs.
 func TestEmittedBatchSurvivesInterveningTE(t *testing.T) {
-	e := lifetimeEngine(t, Config{Mode: ModeFIFO, ForceUnsafe: true}, nil)
-	// Park the worker so the border batch and the unrelated call are both
-	// queued before either runs: border, churn, then the border's triggered
-	// descendant behind churn (and churn's own behind that).
-	gate, parked := make(chan struct{}), make(chan struct{})
-	barrier := make(chan error, 1)
-	go func() {
-		barrier <- e.RunExclusive(func() error { close(parked); <-gate; return nil })
-	}()
-	<-parked
+	e := lifetimeEngine(t, Config{}, nil)
+	e.PauseGraph("g")
 	must(t, e.Ingest("in_s",
 		types.Row{types.NewInt(7), types.NewString("seven")},
 		types.Row{types.NewInt(8), types.NewString("eight")}))
-	churned := e.CallAsync("churn")
-	close(gate)
-	must(t, <-barrier)
-	if cr := <-churned; cr.Err != nil {
-		t.Fatal(cr.Err)
+	for i := 0; i < 8; i++ {
+		if _, err := e.Call("churn"); err != nil {
+			t.Fatal(err)
+		}
 	}
+	e.Drain()
+	if _, deferred := e.Held("g"); deferred != 1 {
+		t.Fatalf("%d executions deferred, want sp_mid's one", deferred)
+	}
+	if got := rowsString(exec(t, e, "SELECT k, v FROM sink ORDER BY k").Rows); got != "[]" {
+		t.Fatalf("sp_mid ran behind a closed gate: sink holds %s", got)
+	}
+	must(t, e.ResumeGraph("g"))
 	e.Drain()
 	if got := rowsString(exec(t, e, "SELECT k, v FROM sink ORDER BY k").Rows); got != "[(7, seven) (8, eight)]" {
 		t.Fatalf("sp_mid was handed %s", got)

@@ -120,7 +120,7 @@ func (e *Engine) EnlistMP(txnID uint64, logged bool) (*MPSession, error) {
 		published: make(chan struct{}),
 		done:      make(chan CallResult, 1),
 	}
-	r := &txnRequest{kind: reqMP, mp: s, done: s.done, enqueued: time.Now()}
+	r := &txnRequest{kind: reqMP, mp: s, done: s.done}
 	if !e.sched.push(r) {
 		return nil, fmt.Errorf("pe: engine stopped")
 	}
@@ -367,15 +367,16 @@ func (e *Engine) executeMP(r *txnRequest) {
 	}
 }
 
-// replayPreparedLeg re-executes a committed leg's ops during recovery.
-// The transaction committed before the crash, so the ops must re-apply
-// cleanly; an error here fails recovery loudly rather than diverging.
-// Stream emissions re-derive their triggered descendants exactly like the
-// live commit path (dispatchEmits) and the other replay kinds.
-func (e *Engine) replayPreparedLeg(rec *LogRecord) error {
+// replayPreparedLeg re-executes a committed leg's ops (a reqLeg request)
+// during recovery. The transaction committed before the crash, so the ops
+// must re-apply cleanly; an error fails recovery loudly rather than
+// diverging. Stream emissions re-derive their triggered descendants exactly
+// like the live commit path: dispatchEmits queues them, and the runChain
+// that called this runs them.
+func (e *Engine) replayPreparedLeg(r *txnRequest) {
 	ectx, undo := e.beginTE(), e.undo
 	ectx.OnStreamInsert = e.onEmit
-	for _, op := range rec.Ops {
+	for _, op := range r.ops {
 		var err error
 		if op.Table != "" {
 			_, err = e.ee.InsertRows(ectx, op.Table, op.Rows)
@@ -384,33 +385,37 @@ func (e *Engine) replayPreparedLeg(rec *LogRecord) error {
 		}
 		if err != nil {
 			undo.Rollback()
-			return fmt.Errorf("pe: replay of prepared mp leg %d: %w", rec.MPTxnID, err)
+			r.respond(nil, err)
+			return
 		}
 	}
 	e.commitPublish()
-	e.replaying = true
 	e.dispatchEmits(0, time.Time{}, true)
-	return e.drainReplayDerived()
+	r.respond(nil, nil)
 }
 
 // dispatchEmits turns the committed execution's stream emissions (e.emits)
 // into downstream transaction executions (PE triggers) — shared by the
-// local and multi-partition commit paths. Each batch and its ids are copied
-// into the request that carries them: it runs after this TE's memory has
-// been reused. origin is the chain root's admission time, inherited by
-// descendants for end-to-end latency accounting. Emissions into a paused
-// graph's streams defer until ResumeGraph (the pause gate for interior
-// edges and OLTP-entry emissions). The returned count is the descendants
-// this execution's chain continues into — zero means the chain ends here.
+// local and multi-partition commit paths, live and in replay. Each batch
+// and its ids are copied into the request that carries them: it runs
+// after this TE's memory has been reused. The requests join the worker's
+// chain, which runChain runs before the next request; each counts in its
+// graph's in-flight total from here. origin is the chain root's admission
+// time, inherited by descendants for end-to-end latency accounting. A
+// replayed record under LogAllTEs dispatches nothing: its descendants are
+// log records of their own. The returned count is the descendants this
+// execution's chain continues into — zero means the chain ends here.
 func (e *Engine) dispatchEmits(batchID uint64, origin time.Time, replay bool) int {
+	if replay && e.logMode == LogAllTEs {
+		return 0
+	}
 	continued := 0
 	for i := range e.emits {
 		em := &e.emits[i]
 		e.ingestMu.Lock()
 		b := e.bindings[strings.ToLower(em.stream)]
-		paused := b != nil && !e.replaying && e.pausedGraphs[b.graph]
+		e.ingestMu.Unlock()
 		if b == nil {
-			e.ingestMu.Unlock()
 			continue
 		}
 		tr := e.newTriggered()
@@ -419,29 +424,13 @@ func (e *Engine) dispatchEmits(batchID uint64, origin time.Time, replay bool) in
 		tr.batchID = batchID
 		tr.inputStream = em.stream
 		tr.gcIDs = append(tr.gcIDs, em.ids...)
-		tr.enqueued = time.Now()
 		tr.origin = origin
 		tr.stats = b.stats
 		tr.graph = b.graph
 		tr.replay = replay
-		if paused {
-			e.pausedTriggered[b.graph] = append(e.pausedTriggered[b.graph], tr)
-			e.ingestMu.Unlock()
-			continued++
-			continue
-		}
-		e.ingestMu.Unlock()
+		e.graphTakeoff(tr.graph)
+		e.chain = append(e.chain, tr)
 		continued++
-		switch {
-		case e.replaying:
-			e.replayQueue = append(e.replayQueue, tr)
-		case e.cfg.Mode == ModeWorkflowSerial:
-			tr.tracked = true
-			e.graphTakeoff(tr.graph)
-			e.localTriggered = append(e.localTriggered, tr)
-		default:
-			e.pushTracked(tr)
-		}
 	}
 	return continued
 }

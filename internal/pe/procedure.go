@@ -44,8 +44,7 @@ type Procedure struct {
 // SharedWritableTables reports the tables written by one of procs and
 // read or written by another — the paper's forced-serial constraint over
 // a workflow's procedures. Lowercased and sorted for deterministic
-// reports. Shared by Start-time workflow validation and deploy-time graph
-// validation.
+// reports. Deploy records it on the graph (Dataflow.SerialTables).
 func SharedWritableTables(procs []*Procedure) []string {
 	writes := map[string]string{} // table key -> writer proc
 	for _, p := range procs {

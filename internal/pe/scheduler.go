@@ -19,6 +19,7 @@ const (
 	reqExec                     // ad-hoc write statement (own transaction)
 	reqBarrier                  // drain marker
 	reqMP                       // multi-partition leg: park on the 2PC barrier
+	reqLeg                      // committed multi-partition leg re-applied at replay
 )
 
 // CallResult is the response to one request.
@@ -44,11 +45,11 @@ type txnRequest struct {
 	// execution must garbage-collect at commit.
 	inputStream string
 	gcIDs       []storage.RowID
-	sqlText     string // for reqExec
+	sqlText     string     // for reqExec
+	ops         []LoggedOp // for reqLeg
 	fn          func() error
 	mp          *MPSession // for reqMP
 	done        chan CallResult
-	enqueued    time.Time
 	// origin is the admission time of the chain's root request (border
 	// ingest or OLTP call); PE-triggered descendants inherit it, so the
 	// final stage's commit observes the workflow's end-to-end latency.
@@ -56,49 +57,32 @@ type txnRequest struct {
 	// stats is the owning dataflow's counter set (nil for OLTP calls,
 	// ad-hoc statements and replayed log records).
 	stats *metrics.GraphStats
-	// graph / tracked: the owning dataflow whose in-flight count this
-	// request was admitted under (see Engine.graphTakeoff); tracked
-	// requests retire the count when their execution finishes.
-	graph   string
-	tracked bool
-	replay  bool // true during recovery: do not re-log
+	// graph is the owning dataflow (empty for OLTP calls, ad-hoc statements
+	// and replayed log records). A request with a graph counts in that
+	// graph's in-flight total from admission until it executes or the
+	// pause gate defers it (see Engine.graphTakeoff).
+	graph  string
+	replay bool // true during recovery: do not re-log, never deferred
 	// recycle marks a request dispatchEmits made: the worker takes it back,
 	// buffers and all, once it has executed (Engine.recycle).
 	recycle bool
 }
 
-// SchedulerMode selects the admission policy.
-type SchedulerMode uint8
-
-const (
-	// ModeWorkflowSerial runs PE-triggered executions before any pending
-	// border/client work. With a workflow whose procedures share writable
-	// tables this yields the serial chain SP1(b), SP2(b), SP3(b) before
-	// SP1(b+1) — the schedule §3.1 requires.
-	ModeWorkflowSerial SchedulerMode = iota
-	// ModeFIFO admits strictly in arrival order (triggered executions go
-	// to the back). Legal only for workflows without shared writable
-	// tables; provided for the scheduler ablation.
-	ModeFIFO
-)
-
-// scheduler is the two-level priority FIFO feeding the partition worker.
-// PE-triggered work never passes through it in ModeWorkflowSerial — the
-// worker keeps those in a goroutine-local queue, so this lock only
-// synchronizes client submissions.
+// scheduler is the FIFO feeding the partition worker: client submissions,
+// border batches and resumed executions, in admission order. PE-triggered
+// work never passes through it — the worker runs a chain to its end before
+// it takes the next request (Engine.runChain).
 type scheduler struct {
 	mu           sync.Mutex
 	cond         *sync.Cond
-	triggered    []*txnRequest
-	normal       []*txnRequest
-	mode         SchedulerMode
+	queue        []*txnRequest
 	closed       bool
-	idle         bool // worker parked with both queues empty
+	idle         bool // worker parked with the queue empty
 	drainWaiters int
 }
 
-func newScheduler(mode SchedulerMode) *scheduler {
-	s := &scheduler{mode: mode}
+func newScheduler() *scheduler {
+	s := &scheduler{}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
@@ -109,27 +93,22 @@ func (s *scheduler) push(r *txnRequest) bool {
 	if s.closed {
 		return false
 	}
-	if r.kind == reqTriggered && s.mode == ModeWorkflowSerial {
-		s.triggered = append(s.triggered, r)
-	} else {
-		s.normal = append(s.normal, r)
-	}
+	s.queue = append(s.queue, r)
 	s.cond.Signal()
 	return true
 }
 
 // popAll blocks until work is available, then moves every queued request
-// into buf (triggered first) in one lock acquisition — the partition worker
-// then executes the batch without further synchronization.
+// into buf in one lock acquisition — the partition worker then executes the
+// batch without further synchronization.
 func (s *scheduler) popAll(buf []*txnRequest) ([]*txnRequest, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		if len(s.triggered) > 0 || len(s.normal) > 0 {
-			buf = append(buf, s.triggered...)
-			buf = append(buf, s.normal...)
-			s.triggered = s.triggered[:0]
-			s.normal = s.normal[:0]
+		if len(s.queue) > 0 {
+			buf = append(buf, s.queue...)
+			clear(s.queue)
+			s.queue = s.queue[:0]
 			return buf, true
 		}
 		if s.closed {
@@ -144,15 +123,22 @@ func (s *scheduler) popAll(buf []*txnRequest) ([]*txnRequest, bool) {
 	}
 }
 
+// drain blocks until the queue is empty and the worker has parked on it —
+// every request pushed before the call, with the chains it started, has
+// executed or been deferred by the pause gate — or the scheduler closes.
+func (s *scheduler) drain() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.drainWaiters++
+	for !s.closed && !(len(s.queue) == 0 && s.idle) {
+		s.cond.Wait()
+	}
+	s.drainWaiters--
+}
+
 func (s *scheduler) close() {
 	s.mu.Lock()
 	s.closed = true
 	s.cond.Broadcast()
 	s.mu.Unlock()
-}
-
-func (s *scheduler) pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.triggered) + len(s.normal)
 }

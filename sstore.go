@@ -45,8 +45,11 @@
 // statement (or sstorecli's dataflows command), render one with
 // EXPLAIN DATAFLOW <name>, and pause/resume one by name with
 // Store.PauseDataflow / Store.ResumeDataflow — while paused, border
-// ingest for the graph's streams queues and nothing is lost across the
-// pause. Store.UndeployDataflow removes a graph live: admitted work
+// ingest for the graph's streams queues, the graph's admitted executions
+// wait behind the pause gate (EXPLAIN DATAFLOW shows what it holds on each
+// partition), and resume runs them in the order they were held, so nothing
+// is lost across the pause and a workflow chain resumes where it stopped,
+// ahead of the batches behind it. Store.UndeployDataflow removes a graph live: admitted work
 // drains behind the pause gate, then the wiring and catalog entries
 // unwind on every partition (refused while another graph consumes one of
 // its streams — undeploy the consumer first). Multi-stage graphs add Emits
@@ -177,15 +180,6 @@ type Value = types.Value
 
 // Row is one tuple.
 type Row = types.Row
-
-// Scheduler modes (Config.Mode).
-const (
-	// ModeWorkflowSerial is the S-Store default: PE-triggered transactions
-	// run before pending border work, giving serial workflow chains.
-	ModeWorkflowSerial = pe.ModeWorkflowSerial
-	// ModeFIFO admits strictly in arrival order (ablation only).
-	ModeFIFO = pe.ModeFIFO
-)
 
 // Log modes (Config.LogMode).
 const (
