@@ -7,6 +7,7 @@
 package client
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -40,6 +41,9 @@ type Conn interface {
 type TCP struct {
 	mu   sync.Mutex
 	conn net.Conn
+	// in buffers the connection's reads: a response's header and payload
+	// arrive in one read(2).
+	in *bufio.Reader
 }
 
 // DialTCP connects to a server address.
@@ -48,7 +52,7 @@ func DialTCP(addr string) (*TCP, error) {
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
-	return &TCP{conn: conn}, nil
+	return &TCP{conn: conn, in: bufio.NewReader(conn)}, nil
 }
 
 func (c *TCP) roundTrip(req *wire.Request) (*wire.Response, error) {
@@ -57,7 +61,7 @@ func (c *TCP) roundTrip(req *wire.Request) (*wire.Response, error) {
 	if err := wire.WriteFrame(c.conn, wire.EncodeRequest(req)); err != nil {
 		return nil, err
 	}
-	payload, err := wire.ReadFrame(c.conn)
+	payload, err := wire.ReadFrame(c.in)
 	if err != nil {
 		return nil, err
 	}

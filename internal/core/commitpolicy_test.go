@@ -72,11 +72,11 @@ func commitPolicyScript(t *testing.T, cfg Config) string {
 	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	ingestKeys(t, st, keys, 1)
 	// One negative event per partition: its border TE commits and is
-	// logged, the apply TE it triggers aborts. Upstream backup re-derives
-	// that abort at replay. No triggered record follows, so LogAllTEs
-	// replay leaves the same tuple in derived as the live run did.
+	// logged, the apply TE it triggers aborts and leaves its tuple in
+	// derived. Upstream backup re-derives that abort at replay. The
+	// triggered records that follow must GC their own tuples at replay
+	// under LogAllTEs, not the aborted batch's older one.
 	for part := 0; part < st.NumPartitions(); part++ {
 		k := keysOwnedBy(st, part, 1, 2000)[0]
 		if err := st.Ingest("events", types.Row{types.NewInt(k), types.NewInt(-1)}); err != nil {
@@ -85,6 +85,7 @@ func commitPolicyScript(t *testing.T, cfg Config) string {
 	}
 	st.FlushBatches()
 	st.Drain()
+	ingestKeys(t, st, keys, 1)
 	pa, pb := keysOwnedBy(st, 0, 1, 1000)[0], keysOwnedBy(st, 1, 1, 1000)[0]
 	if err := st.MultiPartitionTxn(func(tx *MPTxn) error {
 		if _, err := tx.Exec(0, "INSERT INTO totals (k, n) VALUES (?, 1)", types.NewInt(pa)); err != nil {

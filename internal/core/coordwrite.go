@@ -23,50 +23,61 @@ import (
 // (hash-split data); without it, partition 0's count stands for the
 // logical result (replicated data).
 func (s *Store) coordExecAll(sqlText string, params []types.Value, sum bool) (*pe.Result, error) {
-	var results []*pe.Result
+	var legs []legFrag
 	err := s.runMP(false, func(tx *MPTxn) error {
 		var err error
-		results, err = tx.ExecAll(sqlText, params...)
+		legs, err = tx.sendEach(func(part int) (legFrag, error) { return tx.sendExec(part, sqlText, params...) })
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	first := results[0]
-	if sum && first != nil {
-		total := 0
-		for _, res := range results {
-			if res != nil {
-				total += res.RowsAffected
-			}
-		}
-		first.RowsAffected = total
-	}
-	return first, nil
+	return legsResult(legs, sum)
 }
 
 // coordInsertBuckets inserts per-partition row batches as one coordinated
 // transaction: the legs commit atomically or not at all.
 func (s *Store) coordInsertBuckets(table string, buckets map[int][]types.Row) (*pe.Result, error) {
-	total := 0
+	var legs []legFrag
 	err := s.runMP(false, func(tx *MPTxn) error {
+		legs = legs[:0]
 		for part := 0; part < tx.NumPartitions(); part++ {
-			rows := buckets[part]
-			if len(rows) == 0 {
-				continue
+			if rows := buckets[part]; len(rows) > 0 {
+				lf, err := tx.sendInsertRows(part, table, rows)
+				if err != nil {
+					return err
+				}
+				legs = append(legs, lf)
 			}
-			res, err := tx.InsertRows(part, table, rows)
-			if err != nil {
-				return err
-			}
-			total += res.RowsAffected
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &pe.Result{RowsAffected: total}, nil
+	return legsResult(legs, true)
+}
+
+// legsResult is a committed transaction's result from the write fragments
+// its handler queued and never waited for: each was answered before its
+// leg's vote, so nothing here waits. With sum set, RowsAffected totals the
+// legs; without it, the first leg's result stands for all (replicated
+// data: every leg applied the same rows).
+func legsResult(legs []legFrag, sum bool) (*pe.Result, error) {
+	results, err := waitAll(legs)
+	if err != nil {
+		return nil, err
+	}
+	if len(results) == 0 {
+		return &pe.Result{}, nil
+	}
+	first := results[0]
+	if sum {
+		for _, res := range results[1:] {
+			first.RowsAffected += res.RowsAffected
+		}
+	}
+	return first, nil
 }
 
 // execInsertSelect routes INSERT ... SELECT. The previously rejected
@@ -104,12 +115,16 @@ func (s *Store) execInsertSelect(ins *sql.Insert, rel *catalog.RelDef, sqlText s
 	if err != nil {
 		return nil, err
 	}
-	affected := 0
+	// The writes are queued and never waited for inside the handler: each
+	// leg's inserts ride its vote, and the counts are read after commit.
+	var legs []legFrag
+	sum := true
 	err = s.runMP(false, func(tx *MPTxn) error {
+		legs = legs[:0]
 		var src []types.Row
 		if srcPart {
-			results, err := tx.eachPartition(func(part int) (*pe.Result, error) {
-				return tx.queryLeg(part, &plan)
+			results, err := tx.eachPartition(func(part int) (legFrag, error) {
+				return tx.sendQueryLeg(part, &plan)
 			})
 			if err != nil {
 				return err
@@ -144,6 +159,13 @@ func (s *Store) execInsertSelect(ins *sql.Insert, rel *catalog.RelDef, sqlText s
 			}
 			full = append(full, row)
 		}
+		insert := func(part int, rows []types.Row) error {
+			lf, err := tx.sendInsertRows(part, rel.Name, rows)
+			if err == nil {
+				legs = append(legs, lf)
+			}
+			return err
+		}
 		switch {
 		case rel.Partitioned():
 			buckets := make(map[int][]types.Row)
@@ -157,35 +179,28 @@ func (s *Store) execInsertSelect(ins *sql.Insert, rel *catalog.RelDef, sqlText s
 				buckets[p] = append(buckets[p], row)
 			}
 			for part := 0; part < tx.NumPartitions(); part++ {
-				if len(buckets[part]) == 0 {
-					continue
+				if len(buckets[part]) > 0 {
+					if err := insert(part, buckets[part]); err != nil {
+						return err
+					}
 				}
-				res, err := tx.InsertRows(part, rel.Name, buckets[part])
-				if err != nil {
-					return err
-				}
-				affected += res.RowsAffected
 			}
 		case rel.Kind == catalog.KindTable:
 			// Replicated target: identical batch on every replica.
+			sum = false
 			for part := 0; part < tx.NumPartitions(); part++ {
-				if _, err := tx.InsertRows(part, rel.Name, full); err != nil {
+				if err := insert(part, full); err != nil {
 					return err
 				}
 			}
-			affected = len(full)
 		default:
 			// Pinned stream target fed from a partitioned source.
-			res, err := tx.InsertRows(0, rel.Name, full)
-			if err != nil {
-				return err
-			}
-			affected = res.RowsAffected
+			return insert(0, full)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &pe.Result{RowsAffected: affected}, nil
+	return legsResult(legs, sum)
 }

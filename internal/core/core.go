@@ -492,6 +492,7 @@ func (s *Store) StatsResult() *pe.Result {
 	ci("mp_concurrent", snap.MPConcurrent)
 	ci("mp_read_only_legs", snap.MPReadOnlyLegs)
 	ci("mp_one_phase", snap.MPOnePhase)
+	ci("mp_leg_waits", snap.MPLegWaits)
 	ci("mp_prepare_batches", snap.MPPrepareBatches)
 	cf("mp_prepare_batch_mean", snap.MPPrepareBatchMean)
 	ci("mp_decide_batches", snap.MPDecideBatches)

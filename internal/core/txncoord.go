@@ -246,11 +246,12 @@ func (tx *MPTxn) appendMarkers() error {
 }
 
 // MPTxn is the handle a coordinated transaction's handler works through.
-// Methods route fragments to partition legs; they may be called from the
-// handler goroutine or — for QueryAll — internal fan-out helpers, and are
-// safe for that concurrent use. Do not call Store query/exec methods from
-// inside the handler (the coordinator holds the enlisted partitions'
-// slots); use the MPTxn methods instead.
+// Methods route fragments to partition legs and are safe for concurrent
+// use; ExecAll and QueryAll queue a fragment on every leg before waiting
+// for any, so the legs run concurrently without a goroutine per leg. Do
+// not call Store query/exec methods from inside the handler (the
+// coordinator holds the enlisted partitions' slots); use the MPTxn methods
+// instead.
 type MPTxn struct {
 	s      *Store
 	id     uint64
@@ -273,8 +274,7 @@ type MPTxn struct {
 	held      []bool // slot i is acquired
 	requested []bool // slot i was needed at least once (retry pre-set)
 	maxHeld   int    // highest held slot index (-1 when none)
-	wrote     bool
-	err       error // sticky: poisons the transaction, forcing abort
+	err       error  // sticky: poisons the transaction, forcing abort
 }
 
 // NumPartitions returns the store's partition count.
@@ -451,53 +451,97 @@ func (tx *MPTxn) poison(err error) {
 	tx.mu.Unlock()
 }
 
+// legFrag is a fragment queued on one partition's leg and not yet waited
+// for. A coordinator queues every leg it knows up front before waiting for
+// any, so the legs run concurrently on their workers.
+type legFrag struct {
+	tx    *MPTxn
+	f     pe.Frag
+	write bool
+}
+
+// wait returns the fragment's result. A failed write poisons the
+// transaction, so it aborts even if the handler swallows the error.
+func (lf legFrag) wait() (*pe.Result, error) {
+	res, err := lf.f.Wait()
+	if err != nil && lf.write {
+		lf.tx.poison(err)
+	}
+	return res, err
+}
+
+// sendExec queues a write statement on partition part's leg.
+func (tx *MPTxn) sendExec(part int, sqlText string, params ...types.Value) (legFrag, error) {
+	sess, err := tx.session(part)
+	if err != nil {
+		return legFrag{}, err
+	}
+	return legFrag{tx: tx, f: sess.SendExec(sqlText, params...), write: true}, nil
+}
+
+// sendInsertRows queues a pre-evaluated row batch on partition part's leg.
+func (tx *MPTxn) sendInsertRows(part int, table string, rows []types.Row) (legFrag, error) {
+	sess, err := tx.session(part)
+	if err != nil {
+		return legFrag{}, err
+	}
+	return legFrag{tx: tx, f: sess.SendInsertRows(table, rows), write: true}, nil
+}
+
+// sendQuery queues a read on partition part's leg.
+func (tx *MPTxn) sendQuery(part int, sqlText string, params ...types.Value) (legFrag, error) {
+	sess, err := tx.session(part)
+	if err != nil {
+		return legFrag{}, err
+	}
+	p, err := tx.parts[part].ee.PrepareCached(sqlText)
+	if err != nil {
+		return legFrag{}, err
+	}
+	return legFrag{tx: tx, f: sess.SendQueryPlan(p, params...)}, nil
+}
+
+// sendQueryLeg queues a read of a router-planned leg (selectPlan.legPlan)
+// on partition part.
+func (tx *MPTxn) sendQueryLeg(part int, plan *selectPlan) (legFrag, error) {
+	sess, err := tx.session(part)
+	if err != nil {
+		return legFrag{}, err
+	}
+	leg, err := plan.legPlan(tx.parts[part].ee)
+	if err != nil {
+		return legFrag{}, err
+	}
+	return legFrag{tx: tx, f: sess.SendQueryPlan(leg, plan.params...)}, nil
+}
+
+// waitFor waits for a fragment that send queued.
+func waitFor(lf legFrag, err error) (*pe.Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	return lf.wait()
+}
+
 // Exec runs one write statement on partition part inside the transaction.
 // On a logged transaction the statement (with concrete parameters) becomes
 // part of the partition's PREPARE record and is re-executed at recovery,
 // so it must not depend on hidden nondeterminism.
 func (tx *MPTxn) Exec(part int, sqlText string, params ...types.Value) (*pe.Result, error) {
-	sess, err := tx.session(part)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sess.Exec(sqlText, params...)
-	if err != nil {
-		tx.poison(err)
-		return nil, err
-	}
-	tx.mu.Lock()
-	tx.wrote = true
-	tx.mu.Unlock()
-	return res, nil
+	return waitFor(tx.sendExec(part, sqlText, params...))
 }
 
 // InsertRows inserts a pre-evaluated row batch into a relation on
-// partition part (the router's coordinated INSERT legs).
+// partition part.
 func (tx *MPTxn) InsertRows(part int, table string, rows []types.Row) (*pe.Result, error) {
-	sess, err := tx.session(part)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sess.InsertRows(table, rows)
-	if err != nil {
-		tx.poison(err)
-		return nil, err
-	}
-	tx.mu.Lock()
-	tx.wrote = true
-	tx.mu.Unlock()
-	return res, nil
+	return waitFor(tx.sendInsertRows(part, table, rows))
 }
 
 // Query runs a read on partition part. The read sees the transaction's own
 // uncommitted writes and, because every enlisted worker is parked, a
 // stable snapshot of each partition.
 func (tx *MPTxn) Query(part int, sqlText string, params ...types.Value) (*pe.Result, error) {
-	sess, err := tx.session(part)
-	if err != nil {
-		return nil, err
-	}
-	return sess.Query(sqlText, params...)
+	return waitFor(tx.sendQuery(part, sqlText, params...))
 }
 
 // QueryRow is Query returning at most one row (nil when none matched).
@@ -512,25 +556,16 @@ func (tx *MPTxn) QueryRow(part int, sqlText string, params ...types.Value) (type
 	return res.Rows[0], nil
 }
 
-// queryLeg runs a read of a router-planned leg (selectPlan.legPlan) on
-// partition part.
+// queryLeg runs a read of a router-planned leg on partition part.
 func (tx *MPTxn) queryLeg(part int, plan *selectPlan) (*pe.Result, error) {
-	sess, err := tx.session(part)
-	if err != nil {
-		return nil, err
-	}
-	leg, err := plan.legPlan(tx.parts[part].ee)
-	if err != nil {
-		return nil, err
-	}
-	return sess.QueryPlan(leg, plan.params...)
+	return waitFor(tx.sendQueryLeg(part, plan))
 }
 
 // ExecAll runs the same write on every partition concurrently (enlisting
 // them all) — the coordinated form of a broadcast statement. Results come
 // back in partition order.
 func (tx *MPTxn) ExecAll(sqlText string, params ...types.Value) ([]*pe.Result, error) {
-	return tx.eachPartition(func(part int) (*pe.Result, error) { return tx.Exec(part, sqlText, params...) })
+	return tx.eachPartition(func(part int) (legFrag, error) { return tx.sendExec(part, sqlText, params...) })
 }
 
 // QueryAll runs the same read on every partition concurrently (enlisting
@@ -538,28 +573,48 @@ func (tx *MPTxn) ExecAll(sqlText string, params ...types.Value) ([]*pe.Result, e
 // the transactional analogue of the router's query fan-out; the caller
 // merges.
 func (tx *MPTxn) QueryAll(sqlText string, params ...types.Value) ([]*pe.Result, error) {
-	return tx.eachPartition(func(part int) (*pe.Result, error) { return tx.Query(part, sqlText, params...) })
+	return tx.eachPartition(func(part int) (legFrag, error) { return tx.sendQuery(part, sqlText, params...) })
 }
 
-// eachPartition runs fn for every partition concurrently and returns the
-// results in partition order, or the first error in that order.
-func (tx *MPTxn) eachPartition(fn func(part int) (*pe.Result, error)) ([]*pe.Result, error) {
-	n := len(tx.parts)
-	results := make([]*pe.Result, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = fn(i)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
+// sendEach queues send's fragment on every partition in ascending order
+// (so slots are acquired in order) and waits for none of them.
+func (tx *MPTxn) sendEach(send func(part int) (legFrag, error)) ([]legFrag, error) {
+	legs := make([]legFrag, len(tx.parts))
+	for part := range legs {
+		lf, err := send(part)
 		if err != nil {
 			return nil, err
 		}
+		legs[part] = lf
+	}
+	return legs, nil
+}
+
+// eachPartition queues send's fragment on every partition before waiting
+// for any, so the legs run concurrently, and returns the results in
+// partition order, or the first error in that order.
+func (tx *MPTxn) eachPartition(send func(part int) (legFrag, error)) ([]*pe.Result, error) {
+	legs, err := tx.sendEach(send)
+	if err != nil {
+		return nil, err
+	}
+	return waitAll(legs)
+}
+
+// waitAll waits for every leg's fragment, in order, and returns their
+// results, or the first error in that order.
+func waitAll(legs []legFrag) ([]*pe.Result, error) {
+	results := make([]*pe.Result, len(legs))
+	var first error
+	for i, lf := range legs {
+		res, err := lf.wait()
+		if err != nil && first == nil {
+			first = err
+		}
+		results[i] = res
+	}
+	if first != nil {
+		return nil, first
 	}
 	return results, nil
 }
@@ -772,72 +827,66 @@ func runMPHandler(fn func(tx *MPTxn) error, tx *MPTxn) (err error) {
 	return fn(tx)
 }
 
-// prepareAll collects every enlisted partition's vote in parallel. A vote
-// is a pure rendezvous — no log write: a writing leg hands its logged op
-// set back for the coordinator to append after all votes are in, and a
-// read-only leg votes yes and releases its worker on the spot (its slot
-// stays held until the decision window — releasing it early would let a
-// conflicting transaction slip between this transaction's reads and its
-// commit). Any non-nil vote is a veto.
+// prepareAll collects every enlisted partition's vote: it queues the vote
+// request on every leg (behind the fragments the handler left queued)
+// before waiting for any. A vote is a pure rendezvous — no log write: a
+// writing leg hands its logged op set back for the coordinator to append
+// after all votes are in, and a read-only leg votes yes and releases its
+// worker on the spot (its slot stays held until the decision window —
+// releasing it early would let a conflicting transaction slip between this
+// transaction's reads and its commit). Any non-nil vote is a veto; the
+// first in partition order is returned.
 func (tx *MPTxn) prepareAll() error {
-	var wg sync.WaitGroup
-	votes := make([]error, len(tx.sess))
+	for _, sess := range tx.sess {
+		if sess != nil {
+			sess.SendPrepare()
+		}
+	}
+	var veto error
 	for i, sess := range tx.sess {
 		if sess == nil {
 			continue
 		}
-		wg.Add(1)
-		go func(i int, sess *pe.MPSession) {
-			defer wg.Done()
-			votes[i] = sess.Prepare()
-		}(i, sess)
-	}
-	wg.Wait()
-	for i, err := range votes {
-		if err != nil {
-			return fmt.Errorf("core: mp prepare (partition %d): %w", i, err)
+		if err := sess.Prepare(); err != nil && veto == nil {
+			veto = fmt.Errorf("core: mp prepare (partition %d): %w", i, err)
 		}
 	}
-	return nil
+	return veto
 }
 
-// deliverAll sends the decision to every enlisted leg in parallel and
-// returns once each leg's in-memory state reflects it — the commit
-// publications happen inside this call, which the caller covers with the
-// publication lock. Read-only legs released at PREPARE are skipped.
+// deliverAll queues the decision on every enlisted leg, then waits until
+// each leg's in-memory state reflects it — the commit publications happen
+// inside this call, which the caller covers with the publication lock.
+// Read-only legs released at PREPARE are skipped.
 func (tx *MPTxn) deliverAll(commit bool) error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(tx.sess))
-	for i, sess := range tx.sess {
+	var errs []error
+	for _, sess := range tx.sess {
 		if sess == nil {
 			continue
 		}
-		wg.Add(1)
-		go func(i int, sess *pe.MPSession) {
-			defer wg.Done()
-			errs[i] = sess.Deliver(commit)
-		}(i, sess)
+		if err := sess.SendDecision(commit); err != nil {
+			errs = append(errs, err)
+		}
 	}
-	wg.Wait()
+	for _, sess := range tx.sess {
+		if sess != nil {
+			sess.Published()
+		}
+	}
 	return errors.Join(errs...)
 }
 
-// resolveAll waits for every delivered leg's final acknowledgement
-// (durability under group commit).
+// resolveAll waits for every delivered leg's final acknowledgement.
 func (tx *MPTxn) resolveAll() error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(tx.sess))
-	for i, sess := range tx.sess {
+	var errs []error
+	for _, sess := range tx.sess {
 		if sess == nil {
 			continue
 		}
-		wg.Add(1)
-		go func(i int, sess *pe.MPSession) {
-			defer wg.Done()
-			errs[i] = sess.Resolve()
-		}(i, sess)
+		if err := sess.Resolve(); err != nil {
+			errs = append(errs, err)
+		}
 	}
-	wg.Wait()
 	return errors.Join(errs...)
 }
 

@@ -65,6 +65,11 @@ type Metrics struct {
 	MPConcurrent   atomic.Int64
 	MPReadOnlyLegs atomic.Int64
 	MPOnePhase     atomic.Int64
+	// MPLegWaits counts the times a coordinator waited on a parked leg's
+	// worker. A leg whose fragments and vote were queued together costs two
+	// (the vote, the decision); a fragment whose result the handler needs
+	// before it goes on costs one more.
+	MPLegWaits atomic.Int64
 	// mpPrepareBatch / mpDecideBatch record how many 2PC force records each
 	// group-commit fsync covered: prepare batches per partition log, decide
 	// batches on the coordinator log. Means above 1 are the fsync
@@ -197,7 +202,7 @@ type Snapshot struct {
 	WalUnwaitedRecords                    int64
 	MPTxns, MPAborts, MPLegsCommitted     int64
 	MPConcurrent, MPReadOnlyLegs          int64
-	MPOnePhase                            int64
+	MPOnePhase, MPLegWaits                int64
 	MPPrepareBatches, MPDecideBatches     int64
 	MPPrepareBatchMean, MPDecideBatchMean float64
 	SnapshotReads                         int64
@@ -239,6 +244,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		MPConcurrent:        m.MPConcurrent.Load(),
 		MPReadOnlyLegs:      m.MPReadOnlyLegs.Load(),
 		MPOnePhase:          m.MPOnePhase.Load(),
+		MPLegWaits:          m.MPLegWaits.Load(),
 		MPPrepareBatches:    m.mpPrepareBatch.Count(),
 		MPDecideBatches:     m.mpDecideBatch.Count(),
 		MPPrepareBatchMean:  m.mpPrepareBatch.Mean(),
@@ -291,6 +297,7 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 	// MPConcurrent is a gauge: keep s's value, not a difference.
 	d.MPReadOnlyLegs -= prev.MPReadOnlyLegs
 	d.MPOnePhase -= prev.MPOnePhase
+	d.MPLegWaits -= prev.MPLegWaits
 	d.MPPrepareBatches -= prev.MPPrepareBatches
 	d.MPDecideBatches -= prev.MPDecideBatches
 	// Batch-size means keep s's values (cumulative averages).

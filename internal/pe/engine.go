@@ -1347,15 +1347,13 @@ func (e *Engine) Replay(rec *LogRecord) error {
 	case RecTriggered:
 		r.kind = reqTriggered
 		// In LogAllTEs mode the upstream record's re-run re-inserted the
-		// consumed tuples into the input stream; this TE must GC the
-		// oldest len(batch) of them, as the original execution did.
+		// consumed tuples into the input stream; this TE must GC them, as
+		// the original execution did. Age alone does not name them: an
+		// interior TE that aborted live left its batch in the stream ahead
+		// of this one.
 		if rec.InputStream != "" {
 			if rel := e.ee.Catalog().Relation(rec.InputStream); rel != nil {
-				need := len(rec.Batch)
-				rel.Table.Scan(func(id storage.RowID, _ types.Row) bool {
-					r.gcIDs = append(r.gcIDs, id)
-					return len(r.gcIDs) < need
-				})
+				r.gcIDs = consumedTuples(rel.Table, rec.Batch)
 			}
 		}
 	default:
@@ -1371,6 +1369,26 @@ func (e *Engine) Replay(rec *LogRecord) error {
 		return fmt.Errorf("pe: replay of %s: %w", what, cr.Err)
 	}
 	return nil
+}
+
+// consumedTuples names the stream tuples a replayed triggered batch
+// consumed: for each row of batch, the oldest tuple of the stream equal to
+// it, none taken twice. Equal rows are interchangeable, so the choice is
+// deterministic.
+func consumedTuples(stream *storage.Table, batch []types.Row) []storage.RowID {
+	ids := make([]storage.RowID, 0, len(batch))
+	taken := make([]bool, len(batch))
+	stream.Scan(func(id storage.RowID, row types.Row) bool {
+		for i, b := range batch {
+			if !taken[i] && b.Equal(row) {
+				taken[i] = true
+				ids = append(ids, id)
+				break
+			}
+		}
+		return len(ids) < len(batch)
+	})
+	return ids
 }
 
 // NextBatchID exposes the border batch counter for snapshots. It takes

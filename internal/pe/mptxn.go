@@ -3,6 +3,7 @@ package pe
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/ee"
@@ -18,15 +19,22 @@ import (
 // serializability is preserved: a multi-partition transaction is one entry
 // in every participant's serial history.
 //
+// The coordinator talks to the parked worker through one ordered inbox:
+// fragments, the PREPARE vote request and the decision are queued on it and
+// served in the order they were queued, each answered in place. A write
+// fragment that fails turns the leg's vote into a veto carrying its error,
+// so the coordinator can queue a leg's fragments and its vote back to back
+// and wait once: enlistment, fragments and vote ride one worker pickup, the
+// decision is the second.
+//
 // Durability follows presumed-abort 2PC, pipelined: the worker never
-// writes the log. Prepare is a rendezvous that hands the leg's
-// re-executable write ops back to the coordinator, which appends the
-// PREPARE record (and later the DECIDE marker) itself and waits for the
-// fsyncs only after this worker is released — the coordinator gates the
-// client acknowledgement on that durability chain, not the worker. The
-// worker is freed the moment the commit is delivered to memory. Abort
-// writes nothing: recovery treats a PREPARE with no commit decision as
-// aborted.
+// writes the log. The vote hands the leg's re-executable write ops back to
+// the coordinator, which appends the PREPARE record (and later the DECIDE
+// marker) itself and waits for the fsyncs only after this worker is
+// released — the coordinator gates the client acknowledgement on that
+// durability chain, not the worker. The worker is freed the moment the
+// commit is delivered to memory. Abort writes nothing: recovery treats a
+// PREPARE with no commit decision as aborted.
 
 // LoggedOp is one re-executable write of a prepared leg, in one of two
 // forms: an ad-hoc SQL statement with its parameters, or a raw row batch
@@ -39,86 +47,89 @@ type LoggedOp struct {
 	Rows   []types.Row
 }
 
-// mpReply carries one fragment's result back to the coordinator.
-type mpReply struct {
-	res *ee.Result
-	err error
-}
+// mpKind tags one entry of a leg's inbox.
+type mpKind uint8
 
-// mpFrag is one unit of work the coordinator sends to the parked worker.
-type mpFrag struct {
-	fn    func(ectx *ee.ExecCtx) (*ee.Result, error)
-	op    *LoggedOp // non-nil: append to the PREPARE record on success
-	write bool      // a write fragment disqualifies the read-only release
-	reply chan mpReply
-}
+const (
+	mpInsert mpKind = iota // row batch into a relation (a write)
+	mpExec                 // SQL statement with its parameters (a write)
+	mpQuery                // planned read
+	mpVote                 // PREPARE: end the fragment phase and vote
+	mpDecide               // the coordinator's decision
+)
 
-// prepReply is one partition's PREPARE vote. A readOnly vote means the leg
-// wrote nothing and its worker was released at PREPARE — the coordinator
-// must not deliver a decision to it.
-type prepReply struct {
+// mpMsg is one entry of a leg's inbox. The worker writes its answer into
+// the entry and hands the entry back on the session's replies channel.
+type mpMsg struct {
+	kind mpKind
+	// answered is the coordinator's: the entry's reply has been taken.
+	answered bool
+	commit   bool // mpDecide
+
+	sql    string
+	params []types.Value
+	plan   *ee.Prepared
+	table  string
+	rows   []types.Row
+
+	// The answer, written by the worker before it hands the entry back.
+	res      *ee.Result
 	err      error
-	readOnly bool
-	// ops is the leg's logged write set, handed to the coordinator so it
-	// can append (and force) the PREPARE record off the partition worker.
-	ops []LoggedOp
+	readOnly bool       // mpVote: the leg wrote nothing and was released
+	ops      []LoggedOp // mpVote: the leg's logged write set
 }
+
+// mpWindow bounds the entries a coordinator may have queued on one leg
+// without taking their replies. Both channels hold that many, so the worker
+// never blocks handing a reply back, and a coordinator that would exceed
+// the window takes the oldest reply first.
+const mpWindow = 8
 
 // MPSession is one partition's enlistment in a coordinated transaction.
-// All methods are called by the coordinator goroutine, strictly in the
-// order fragments → Prepare → Finish (Finish may come at any point after
-// enlistment on the abort path). The worker executes everything; the
-// session only carries the rendezvous channels.
+// The coordinator queues fragments, then the vote request, then the
+// decision (which may come at any point after enlistment on the abort
+// path); the worker executes everything. The coordinator side may be used
+// from several goroutines.
 type MPSession struct {
 	e      *Engine
 	txnID  uint64
 	logged bool
 
-	frags  chan mpFrag
-	prep   chan chan prepReply
-	decide chan bool
-	// published is closed once the delivered decision is reflected in
-	// memory (commit sequence published / rollback applied) — the point
-	// the coordinator's publication lock must cover; durability acks
-	// resolve later through done.
-	published chan struct{}
-	done      chan CallResult
+	inbox   chan *mpMsg
+	replies chan *mpMsg
+	done    chan CallResult
 
-	prepared bool
+	mu     sync.Mutex // the coordinator side below
+	queued int        // entries queued whose reply has not been taken
+	vote   mpMsg
+	decide mpMsg
+
+	voteSent bool
 	finished bool
-	// releasedPrep is set by Prepare when the worker took the read-only
-	// release: the leg is done, Deliver must not rendezvous with it.
+	// releasedPrep is set when the vote took the read-only release: the
+	// leg is done and no decision may be queued to it.
 	releasedPrep bool
-	// ops is the leg's logged write set as returned by the PREPARE vote;
-	// the coordinator appends it as the leg's PREPARE record.
-	ops []LoggedOp
 }
 
 // EnlistMP queues this partition's participation in coordinated transaction
 // txnID. The worker parks on the session when it reaches the request and
-// serves fragments until the decision. With logged set, write fragments are
-// recorded and forced to the command log at Prepare; unlogged sessions (ad-
-// hoc coordinated writes, which are never command-logged — matching
-// single-partition Exec) skip the log entirely and are atomic in memory
-// only.
+// serves its inbox until the decision; entries queued before it gets there
+// wait in the inbox and ride the same pickup. With logged set, write
+// fragments are recorded and handed to the coordinator with the vote;
+// unlogged sessions (ad-hoc coordinated writes, which are never
+// command-logged — matching single-partition Exec) skip the log entirely
+// and are atomic in memory only.
 func (e *Engine) EnlistMP(txnID uint64, logged bool) (*MPSession, error) {
 	if err := e.errNotStarted(); err != nil {
 		return nil, err
 	}
 	s := &MPSession{
-		e:      e,
-		txnID:  txnID,
-		logged: logged,
-		// frags is buffered one deep so the first fragment rides along
-		// with the enlistment: the coordinator queues it before the worker
-		// even reaches the request, and a woken worker executes
-		// enlist + first fragment in one pickup instead of parking on an
-		// empty session and waiting for a second rendezvous.
-		frags:     make(chan mpFrag, 1),
-		prep:      make(chan chan prepReply),
-		decide:    make(chan bool),
-		published: make(chan struct{}),
-		done:      make(chan CallResult, 1),
+		e:       e,
+		txnID:   txnID,
+		logged:  logged,
+		inbox:   make(chan *mpMsg, mpWindow),
+		replies: make(chan *mpMsg, mpWindow),
+		done:    make(chan CallResult, 1),
 	}
 	r := &txnRequest{kind: reqMP, mp: s, done: s.done}
 	if !e.sched.push(r) {
@@ -127,144 +138,177 @@ func (e *Engine) EnlistMP(txnID uint64, logged bool) (*MPSession, error) {
 	return s, nil
 }
 
-// run sends one fragment to the parked worker and waits for its result.
-func (s *MPSession) run(f mpFrag) (*Result, error) {
-	f.reply = make(chan mpReply, 1)
-	s.frags <- f
-	rep := <-f.reply
-	if rep.err != nil {
-		return nil, rep.err
+// send queues m on the inbox. Caller holds s.mu.
+func (s *MPSession) send(m *mpMsg) {
+	if s.queued == mpWindow {
+		s.e.met.MPLegWaits.Add(1)
+		s.take()
+	}
+	s.queued++
+	s.inbox <- m
+}
+
+// take receives the oldest queued entry's reply. Caller holds s.mu.
+func (s *MPSession) take() {
+	m := <-s.replies
+	m.answered = true
+	s.queued--
+}
+
+// await takes replies until m's is in: the worker answers in queue order,
+// so everything queued before m is answered too. Caller holds s.mu.
+func (s *MPSession) await(m *mpMsg) {
+	if m.answered {
+		return
+	}
+	s.e.met.MPLegWaits.Add(1)
+	for !m.answered {
+		s.take()
+	}
+}
+
+// Frag is a fragment queued on a leg. Its result is there once Wait
+// returns; a write fragment nobody waits for still counts, because its
+// failure vetoes the leg's vote.
+type Frag struct {
+	s *MPSession
+	m *mpMsg
+}
+
+// Wait returns the fragment's result, waiting for the worker if it has not
+// answered yet.
+func (f Frag) Wait() (*Result, error) {
+	f.s.mu.Lock()
+	f.s.await(f.m)
+	f.s.mu.Unlock()
+	if f.m.err != nil {
+		return nil, f.m.err
 	}
 	out := &Result{}
-	if rep.res != nil {
-		out.Columns = rep.res.Columns
-		out.Rows = rep.res.Rows
-		out.RowsAffected = rep.res.RowsAffected
+	if res := f.m.res; res != nil {
+		out.Columns = res.Columns
+		out.Rows = res.Rows
+		out.RowsAffected = res.RowsAffected
 	}
 	return out, nil
 }
 
-// Exec runs one SQL statement inside the leg's transaction context. On a
-// logged session the statement (with its concrete parameters) becomes part
-// of the PREPARE record, so it must be a write whose re-execution is
-// deterministic — which concrete-parameter DML is.
-func (s *MPSession) Exec(sqlText string, params ...types.Value) (*Result, error) {
-	var op *LoggedOp
-	if s.logged {
-		op = &LoggedOp{SQL: sqlText, Params: params}
+func (s *MPSession) queue(m *mpMsg) Frag {
+	s.mu.Lock()
+	s.send(m)
+	s.mu.Unlock()
+	return Frag{s: s, m: m}
+}
+
+// SendExec queues one SQL statement to run inside the leg's transaction
+// context. On a logged session the statement (with its concrete
+// parameters) becomes part of the PREPARE record, so it must be a write
+// whose re-execution is deterministic — which concrete-parameter DML is.
+func (s *MPSession) SendExec(sqlText string, params ...types.Value) Frag {
+	return s.queue(&mpMsg{kind: mpExec, sql: sqlText, params: params})
+}
+
+// SendQueryPlan queues a read of a plan the caller got from this
+// partition's execution engine. It sees the leg's own uncommitted writes;
+// reads are never logged.
+func (s *MPSession) SendQueryPlan(p *ee.Prepared, params ...types.Value) Frag {
+	return s.queue(&mpMsg{kind: mpQuery, plan: p, params: params})
+}
+
+// SendInsertRows queues a pre-evaluated row batch into a relation — the
+// router's coordinated INSERT form, which avoids re-serializing values
+// (timestamps have no SQL literal) and reuses the engine's default/NOT
+// NULL/coercion checks.
+func (s *MPSession) SendInsertRows(table string, rows []types.Row) Frag {
+	return s.queue(&mpMsg{kind: mpInsert, table: table, rows: rows})
+}
+
+// SendPrepare queues the vote request behind every queued fragment. It is
+// a no-op once queued, or after the decision.
+func (s *MPSession) SendPrepare() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.sendPrepare()
+}
+
+func (s *MPSession) sendPrepare() {
+	if s.voteSent || s.finished {
+		return
 	}
-	return s.run(mpFrag{
-		fn: func(ectx *ee.ExecCtx) (*ee.Result, error) {
-			return s.e.ee.ExecSQL(ectx, sqlText, params...)
-		},
-		op:    op,
-		write: true,
-	})
+	s.voteSent = true
+	s.vote.kind = mpVote
+	s.send(&s.vote)
 }
 
-// Query runs a read inside the leg's transaction context (it sees the
-// leg's own uncommitted writes). Reads are never logged.
-func (s *MPSession) Query(sqlText string, params ...types.Value) (*Result, error) {
-	p, err := s.e.ee.PrepareCached(sqlText)
-	if err != nil {
-		return nil, err
-	}
-	return s.QueryPlan(p, params...)
-}
-
-// QueryPlan is Query of a plan the caller got from this partition's
-// execution engine (the router's door for a leg it built the tree of).
-func (s *MPSession) QueryPlan(p *ee.Prepared, params ...types.Value) (*Result, error) {
-	return s.run(mpFrag{
-		fn: func(ectx *ee.ExecCtx) (*ee.Result, error) {
-			return s.e.ee.Execute(ectx, p, params...)
-		},
-	})
-}
-
-// InsertRows inserts a pre-evaluated row batch into a relation inside the
-// leg — the router's coordinated INSERT form, which avoids re-serializing
-// values (timestamps have no SQL literal) and reuses the engine's
-// default/NOT NULL/coercion checks.
-func (s *MPSession) InsertRows(table string, rows []types.Row) (*Result, error) {
-	var op *LoggedOp
-	if s.logged {
-		op = &LoggedOp{Table: table, Rows: rows}
-	}
-	return s.run(mpFrag{
-		fn: func(ectx *ee.ExecCtx) (*ee.Result, error) {
-			n, err := s.e.ee.InsertRows(ectx, table, rows)
-			if err != nil {
-				return nil, err
-			}
-			return &ee.Result{RowsAffected: n}, nil
-		},
-		op:    op,
-		write: true,
-	})
-}
-
-// Prepare ends the fragment phase and returns this partition's vote. A
-// nil vote means the leg is ready to commit; its logged write set is then
-// available through LoggedOps for the coordinator to append as the leg's
-// PREPARE record (the worker does not log it — appending and forcing the
-// vote is coordinator work, off the partition's serial slot). A non-nil
-// vote obliges the coordinator to abort. A leg that wrote nothing takes
-// the read-only 2PC optimization: it votes yes with no ops and its worker
-// is released immediately — no PREPARE record, no DECIDE, and Deliver
-// becomes a no-op for it. Writing legs keep their worker parked, waiting
-// for Finish.
+// Prepare ends the fragment phase and returns this partition's vote,
+// queuing the request first unless SendPrepare did. A nil vote means the
+// leg is ready to commit; its logged write set is then available through
+// LoggedOps for the coordinator to append as the leg's PREPARE record (the
+// worker does not log it — appending and forcing the vote is coordinator
+// work, off the partition's serial slot). A non-nil vote obliges the
+// coordinator to abort; a failed write fragment makes one that wraps its
+// error. A leg that wrote nothing takes the read-only 2PC optimization: it
+// votes yes with no ops and its worker is released immediately — no
+// PREPARE record, no DECIDE, and no decision is queued to it. Writing legs
+// keep their worker parked, waiting for the decision.
 func (s *MPSession) Prepare() error {
-	if s.prepared || s.finished {
-		return fmt.Errorf("pe: mp session already prepared")
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.finished && !s.voteSent {
+		return fmt.Errorf("pe: mp session already finished")
 	}
-	s.prepared = true
-	ch := make(chan prepReply, 1)
-	s.prep <- ch
-	rep := <-ch
-	if rep.readOnly {
-		s.releasedPrep = true
-	}
-	s.ops = rep.ops
-	return rep.err
+	s.sendPrepare()
+	s.awaitVote()
+	return s.vote.err
+}
+
+// awaitVote takes the vote's reply and records a read-only release. Caller
+// holds s.mu.
+func (s *MPSession) awaitVote() {
+	s.await(&s.vote)
+	s.releasedPrep = s.vote.readOnly
 }
 
 // LoggedOps returns the leg's logged write set — valid after a successful
 // Prepare. Nil for read-only, unlogged, or not-yet-prepared sessions. The
 // coordinator appends these as the leg's PREPARE record before delivering
 // the commit decision.
-func (s *MPSession) LoggedOps() []LoggedOp { return s.ops }
+func (s *MPSession) LoggedOps() []LoggedOp { return s.vote.ops }
 
-// Finish delivers the coordinator's decision and waits for the leg's
-// worker to wind down: on commit, after the effects publish (durability is
-// the coordinator's to settle afterwards); on abort, after the undo log is
-// rolled back. Finish is valid at any time after enlistment — aborting
-// mid-fragment-phase is the error path. It is Deliver followed by Resolve;
-// the coordinator calls the halves separately so its publication lock
-// covers only the in-memory window.
-func (s *MPSession) Finish(commit bool) error {
-	if err := s.Deliver(commit); err != nil {
-		return err
-	}
-	return s.Resolve()
-}
-
-// Deliver sends the decision to the parked worker and returns once the
-// leg's in-memory state reflects it — the commit sequence published (or
-// the rollback applied). Durability has not necessarily happened yet;
-// Resolve waits for that. A leg released at PREPARE (read-only
-// optimization) has no parked worker anymore: Deliver is a no-op for it.
-func (s *MPSession) Deliver(commit bool) error {
+// SendDecision queues the coordinator's decision. It is valid at any time
+// after enlistment — aborting mid-fragment-phase is the error path. A leg
+// released at PREPARE (read-only optimization) has no parked worker any
+// more: nothing is queued to it.
+func (s *MPSession) SendDecision(commit bool) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.finished {
 		return fmt.Errorf("pe: mp session already finished")
 	}
 	s.finished = true
+	if s.voteSent {
+		// The vote decides whether a worker is still parked to take it.
+		s.awaitVote()
+	}
 	if s.releasedPrep {
 		return nil
 	}
-	s.decide <- commit
-	<-s.published
+	s.decide = mpMsg{kind: mpDecide, commit: commit}
+	s.send(&s.decide)
 	return nil
+}
+
+// Published waits until the decision SendDecision queued is reflected in
+// the leg's memory — the commit sequence published, or the rollback
+// applied. Durability has not necessarily happened yet; the coordinator
+// settles it after the slots release. A no-op for a leg released at
+// PREPARE.
+func (s *MPSession) Published() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.finished && !s.releasedPrep {
+		s.await(&s.decide)
+	}
 }
 
 // Resolve waits for the worker's completion acknowledgement — sent as the
@@ -276,14 +320,10 @@ func (s *MPSession) Resolve() error {
 	return cr.Err
 }
 
-// ReleasedAtPrepare reports whether this leg took the read-only release:
-// it wrote nothing, voted yes, and freed its worker at PREPARE. Meaningful
-// after Prepare returned.
-func (s *MPSession) ReleasedAtPrepare() bool { return s.releasedPrep }
-
 // executeMP is the worker side of the barrier: it parks on the session,
-// serving fragments in its own serial slot, then resolves the decision.
-// Runs on the partition goroutine.
+// serving its inbox in order in its own serial slot, until the vote
+// releases a read-only leg or the decision resolves a writing one. Runs on
+// the partition goroutine.
 func (e *Engine) executeMP(r *txnRequest) {
 	s := r.mp
 	start := time.Now()
@@ -306,44 +346,41 @@ func (e *Engine) executeMP(r *txnRequest) {
 		ectx.OnStreamInsert = e.onEmit
 	}
 	var ops []LoggedOp
+	// failed is the leg's first failed write: the vote vetoes with it.
+	var failed error
 	wrote := false
 	for {
-		select {
-		case f := <-s.frags:
-			res, err := f.fn(ectx)
-			if err == nil && f.op != nil {
-				ops = append(ops, *f.op)
-			}
-			if f.write {
-				// Even a failed write disqualifies the read-only release:
-				// it may have left undo entries the abort path must roll
-				// back on this worker.
-				wrote = true
-			}
-			f.reply <- mpReply{res: res, err: err}
-		case reply := <-s.prep:
-			if !wrote {
+		m := <-s.inbox
+		switch m.kind {
+		case mpVote:
+			switch {
+			case failed != nil:
+				m.err = fmt.Errorf("pe: mp txn %d leg vetoes: %w", s.txnID, failed)
+			case !wrote:
 				// Read-only 2PC optimization: the leg has nothing to
 				// force and nothing to roll back — vote yes, skip the
 				// PREPARE force and the DECIDE marker entirely, and free
 				// the partition's serial slot one full phase early.
-				reply <- prepReply{readOnly: true}
+				m.readOnly = true
+				s.replies <- m
 				e.met.MPReadOnlyLegs.Add(1)
 				e.met.ObserveLatency(time.Since(start))
 				r.respond(nil, nil)
 				return
+			default:
+				// The vote hands the leg's logged ops to the coordinator,
+				// which appends the PREPARE record itself (the worker stays
+				// parked until the decision, so nothing else can slip a
+				// record into this partition's log ahead of it). Durability
+				// of the vote is the coordinator's to wait for — off this
+				// worker, off the partition's serial slot.
+				m.ops = ops
 			}
-			// The vote hands the leg's logged ops to the coordinator, which
-			// appends the PREPARE record itself (the worker stays parked
-			// until the decision, so nothing else can slip a record into
-			// this partition's log ahead of it). Durability of the vote is
-			// the coordinator's to wait for — off this worker, off the
-			// partition's serial slot.
-			reply <- prepReply{ops: ops}
-		case commit := <-s.decide:
-			if !commit {
+			s.replies <- m
+		case mpDecide:
+			if !m.commit {
 				undo.Rollback()
-				close(s.published) // nothing published; unblock Deliver
+				s.replies <- m // nothing published; the rollback is applied
 				e.met.TxnAborted.Add(1)
 				r.respond(nil, nil)
 				return
@@ -356,14 +393,49 @@ func (e *Engine) executeMP(r *txnRequest) {
 			// marker is likewise the coordinator's to append once the
 			// decision itself is durable.
 			e.commitPublish()
-			close(s.published) // in-memory commit visible; acks may lag
+			s.replies <- m // in-memory commit visible; acks may lag
 			e.met.TxnCommitted.Add(1)
 			e.met.MPLegsCommitted.Add(1)
 			e.dispatchEmits(0, r.origin, r.replay)
 			e.met.ObserveLatency(time.Since(start))
 			r.respond(nil, nil)
 			return
+		default:
+			m.res, m.err = e.runFragment(ectx, m)
+			if m.kind != mpQuery {
+				// Even a failed write disqualifies the read-only release:
+				// it may have left undo entries the abort path must roll
+				// back on this worker.
+				wrote = true
+				switch {
+				case m.err != nil:
+					if failed == nil {
+						failed = m.err
+					}
+				case s.logged && m.kind == mpInsert:
+					ops = append(ops, LoggedOp{Table: m.table, Rows: m.rows})
+				case s.logged:
+					ops = append(ops, LoggedOp{SQL: m.sql, Params: m.params})
+				}
+			}
+			s.replies <- m
 		}
+	}
+}
+
+// runFragment executes one fragment in the leg's context.
+func (e *Engine) runFragment(ectx *ee.ExecCtx, m *mpMsg) (*ee.Result, error) {
+	switch m.kind {
+	case mpInsert:
+		n, err := e.ee.InsertRows(ectx, m.table, m.rows)
+		if err != nil {
+			return nil, err
+		}
+		return &ee.Result{RowsAffected: n}, nil
+	case mpExec:
+		return e.ee.ExecSQL(ectx, m.sql, m.params...)
+	default:
+		return e.ee.Execute(ectx, m.plan, m.params...)
 	}
 }
 

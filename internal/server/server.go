@@ -5,6 +5,7 @@
 package server
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -136,8 +137,12 @@ func (s *Server) serve(conn net.Conn) {
 		s.mu.Unlock()
 		_ = conn.Close()
 	}()
+	// Frames are read through a buffer the connection owns: a request's
+	// header and payload, and requests a client pipelined, arrive in one
+	// read(2). Each response is one WriteFrame, one write(2).
+	in := bufio.NewReader(conn)
 	for {
-		payload, err := wire.ReadFrame(conn)
+		payload, err := wire.ReadFrame(in)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.ErrUnexpectedEOF) {
 				s.Logf("server: read: %v", err)

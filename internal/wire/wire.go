@@ -86,18 +86,20 @@ type Response struct {
 	RowsAffected int64
 }
 
-// WriteFrame writes one length-prefixed frame.
+// WriteFrame writes one length-prefixed frame in a single Write, so a frame
+// sent on a connection costs one write(2): header and payload leave
+// together.
 func WriteFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	frame := make([]byte, 4, 4+len(payload))
+	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
+	_, err := w.Write(append(frame, payload...))
 	return err
 }
 
-// ReadFrame reads one length-prefixed frame.
+// ReadFrame reads one length-prefixed frame. Connections read through a
+// bufio.Reader they own, so a frame that arrived whole costs one read(2)
+// for its header and payload together, and frames that arrived together
+// cost one between them.
 func ReadFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

@@ -1,8 +1,12 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/hex"
+	"io"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/types"
 )
@@ -100,3 +104,116 @@ func TestDecodeCorruption(t *testing.T) {
 		}
 	}
 }
+
+// countingWriter counts the Write calls a frame costs: on a connection each
+// is one write(2).
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+func TestWriteFrameIsOneWrite(t *testing.T) {
+	var w countingWriter
+	payloads := [][]byte{[]byte("abc"), {}, bytes.Repeat([]byte{7}, 70_000)}
+	for i, p := range payloads {
+		if err := WriteFrame(&w, p); err != nil {
+			t.Fatal(err)
+		}
+		if w.writes != i+1 {
+			t.Fatalf("after %d frames: %d writes, want one per frame", i+1, w.writes)
+		}
+	}
+	r := bufio.NewReader(&w.Buffer)
+	for _, want := range payloads {
+		got, err := ReadFrame(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("frame of %d bytes read back as %d bytes", len(want), len(got))
+		}
+	}
+}
+
+// countingReader counts the Read calls that reach the underlying source.
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// TestReadFrameBuffered reads frames through a connection-owned
+// bufio.Reader: two frames that arrived in one read cost that one read, and
+// a source that yields one byte per read still reassembles every frame.
+func TestReadFrameBuffered(t *testing.T) {
+	payloads := [][]byte{EncodeRequest(&Request{Kind: MsgCall, Target: "vote",
+		Params: types.Row{types.NewInt(1)}}), []byte("second"), {}}
+	var stream bytes.Buffer
+	for _, p := range payloads {
+		if err := WriteFrame(&stream, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wire := stream.Bytes()
+
+	src := &countingReader{r: bytes.NewReader(wire)}
+	r := bufio.NewReader(src)
+	for _, want := range payloads {
+		got, err := ReadFrame(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("frame %q want %q", got, want)
+		}
+	}
+	if src.reads != 1 {
+		t.Fatalf("three frames that arrived together cost %d reads, want 1", src.reads)
+	}
+
+	r = bufio.NewReader(iotest.OneByteReader(bytes.NewReader(wire)))
+	for _, want := range payloads {
+		got, err := ReadFrame(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("one byte at a time: frame %q want %q", got, want)
+		}
+	}
+	if _, err := ReadFrame(r); err != io.EOF {
+		t.Fatalf("read past the last frame: err = %v, want EOF", err)
+	}
+}
+
+// TestCodecBytesUnchanged pins the payload encodings: framing changes how
+// a payload travels, never its bytes.
+func TestCodecBytesUnchanged(t *testing.T) {
+	req := EncodeRequest(&Request{Kind: MsgExec, Target: "INSERT INTO pairs VALUES (?, ?, 1), (?, ?, 1)",
+		Params: types.Row{types.NewInt(1 << 40), types.NewInt(1<<40 + 1), types.NewString("x"), types.Null}})
+	resp := EncodeResponse(&Response{Kind: MsgResult, Columns: []string{"a", "b"},
+		Rows: []types.Row{{types.NewInt(-3), types.NewFloat(2.5)}}, RowsAffected: 2})
+	for _, c := range []struct {
+		name string
+		got  []byte
+		want string
+	}{{"request", req, goldenRequest}, {"response", resp, goldenResponse}} {
+		if hex.EncodeToString(c.got) != c.want {
+			t.Errorf("%s encodes as %x, want %s", c.name, c.got, c.want)
+		}
+	}
+}
+
+const (
+	goldenRequest  = "0a2d494e5345525420494e544f2070616972732056414c55455320283f2c203f2c2031292c20283f2c203f2c2031290402808080808040028280808080400401780000"
+	goldenResponse = "050002016101620102020503000000000000044004"
+)
