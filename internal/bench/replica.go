@@ -159,8 +159,6 @@ func runE12Mode(mode string, seed int64, keys, readersPerNode, replicas int, dur
 			st.Stop()
 		}
 	}()
-	// Seed rows through the logged path: replicas replay the WAL, so rows
-	// must be there (ad-hoc Exec is not command-logged by design).
 	for k := 0; k < keys; k++ {
 		if _, err := st.Call("put", types.NewInt(int64(k)), types.NewInt(0)); err != nil {
 			return E12Row{}, nil, err

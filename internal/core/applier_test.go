@@ -176,7 +176,7 @@ func recoverFollowPromoteAgree(t *testing.T, mode pe.LogMode) {
 
 	// A replicated table written by a coordinated transaction, a dataflow
 	// with border batches, single-partition calls, committed pair inserts,
-	// and a pause with its resume.
+	// ad-hoc writes of every shape, and a pause with its resume.
 	must(st.MultiPartitionTxn(func(tx *MPTxn) error {
 		_, err := tx.ExecAll("INSERT INTO ref VALUES (1, 10)")
 		return err
@@ -184,6 +184,7 @@ func recoverFollowPromoteAgree(t *testing.T, mode pe.LogMode) {
 	ingestKeys(t, st, 16, 2)
 	bumpAll()
 	mpPair(0, 1, 1000)
+	adHoc := adHocWrites(t, st, 5000)
 	must(st.PauseDataflow("events"))
 	must(st.ResumeDataflow("events"))
 
@@ -209,6 +210,9 @@ func recoverFollowPromoteAgree(t *testing.T, mode pe.LogMode) {
 	ingestKeys(t, st, 16, 1)
 	bumpAll()
 	mpPair(2, 3, 2000)
+	for k, n := range adHocWrites(t, st, 7000) {
+		adHoc[k] = n
+	}
 	must(st.PauseDataflow("events")) // still paused at the crash
 
 	// The crash state: an in-doubt PREPARE (no decision anywhere) with a
@@ -273,6 +277,11 @@ func recoverFollowPromoteAgree(t *testing.T, mode pe.LogMode) {
 	}
 	if _, ok := got[inDoubt]; ok {
 		t.Error("in-doubt leg resurrected")
+	}
+	for k, n := range adHoc {
+		if got[k] != n {
+			t.Errorf("ad-hoc write to totals[%d] recovered as %d, want %d", k, got[k], n)
+		}
 	}
 	if !strings.Contains(recovered, "paused: [events]") {
 		t.Errorf("pause did not survive:\n%s", recovered)

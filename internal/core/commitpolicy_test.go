@@ -13,10 +13,10 @@ import (
 // policy (the worker appends, the acker acknowledges once the future
 // resolves; the policy decides only when that is). One script of keyed
 // calls, border batches through a deployed dataflow, one batch per
-// partition whose interior stage aborts, a coordinated pair insert and a
-// checkpoint mid-way runs under each policy and log mode; after a clean
-// stop, recovery holds every acknowledged effect and nothing of the aborted
-// stage, and all six recovered stores are identical.
+// partition whose interior stage aborts, a coordinated pair insert, a
+// checkpoint mid-way and, after it, ad-hoc writes runs under each policy and
+// log mode; after a clean stop, recovery holds every acknowledged effect and
+// nothing of the aborted stage, and all six recovered stores are identical.
 func TestCommitPoliciesAgree(t *testing.T) {
 	var first, firstName string
 	for _, sp := range []struct {
@@ -97,6 +97,7 @@ func commitPolicyScript(t *testing.T, cfg Config) string {
 		t.Fatal(err)
 	}
 	bumpAll()
+	adHoc := adHocWrites(t, st, 5000)
 	if err := st.Stop(); err != nil {
 		t.Fatal(err)
 	}
@@ -110,8 +111,43 @@ func commitPolicyScript(t *testing.T, cfg Config) string {
 	for k := int64(0); k < keys; k++ {
 		want[k] = 3*2 + 2*100
 	}
+	for k, n := range adHoc {
+		want[k] = n
+	}
 	if got := totalsOf(re); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("recovered totals = %v\nwant %v", got, want)
 	}
 	return storeState(re)
+}
+
+// adHocWrites runs one of each ad-hoc write shape through st.Exec on totals,
+// with keys from base up, and returns the totals rows they leave: a keyed
+// INSERT (routed to its owner), a keyed UPDATE and DELETE (which the router
+// runs on every partition of a partitioned table), a two-row INSERT
+// spanning partitions 0 and 1, and a broadcast UPDATE. The store needs two
+// partitions or more.
+func adHocWrites(t *testing.T, st *Store, base int64) map[int64]int64 {
+	t.Helper()
+	on0, on1 := keysOwnedBy(st, 0, 2, base), keysOwnedBy(st, 1, 1, base)
+	x, y, z := on0[0], on0[1], on1[0]
+	for _, w := range []struct {
+		q        string
+		params   []types.Value
+		affected int
+	}{
+		{"INSERT INTO totals (k, n) VALUES (?, 5)", []types.Value{types.NewInt(x)}, 1},
+		{"UPDATE totals SET n = n + 1 WHERE k = ?", []types.Value{types.NewInt(x)}, 1},
+		{"INSERT INTO totals (k, n) VALUES (?, 1), (?, 1)", []types.Value{types.NewInt(y), types.NewInt(z)}, 2},
+		{"DELETE FROM totals WHERE k = ?", []types.Value{types.NewInt(y)}, 1},
+		{"UPDATE totals SET n = n * 2 WHERE k >= ?", []types.Value{types.NewInt(base)}, 2},
+	} {
+		res, err := st.Exec(w.q, w.params...)
+		if err != nil {
+			t.Fatalf("%s: %v", w.q, err)
+		}
+		if res.RowsAffected != w.affected {
+			t.Fatalf("%s affected %d rows, want %d", w.q, res.RowsAffected, w.affected)
+		}
+	}
+	return map[int64]int64{x: 12, z: 2}
 }

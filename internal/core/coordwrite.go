@@ -15,8 +15,6 @@ import (
 // INSERT ... SELECT in every routable direction — execute as coordinated
 // transactions, so a failing leg aborts every leg instead of leaving the
 // store partially applied (the pre-coordinator behavior this replaces).
-// Like single-partition ad-hoc Exec, these legs are not command-logged;
-// durable writes belong in stored procedures or MultiPartitionTxn.
 
 // coordExecAll runs one statement on every partition as a single
 // coordinated transaction. With sum set, RowsAffected totals the legs
@@ -24,7 +22,7 @@ import (
 // logical result (replicated data).
 func (s *Store) coordExecAll(sqlText string, params []types.Value, sum bool) (*pe.Result, error) {
 	var legs []legFrag
-	err := s.runMP(false, func(tx *MPTxn) error {
+	err := s.runMP(pe.AdHocProc, func(tx *MPTxn) error {
 		var err error
 		legs, err = tx.sendEach(func(part int) (legFrag, error) { return tx.sendExec(part, sqlText, params...) })
 		return err
@@ -39,7 +37,7 @@ func (s *Store) coordExecAll(sqlText string, params []types.Value, sum bool) (*p
 // transaction: the legs commit atomically or not at all.
 func (s *Store) coordInsertBuckets(table string, buckets map[int][]types.Row) (*pe.Result, error) {
 	var legs []legFrag
-	err := s.runMP(false, func(tx *MPTxn) error {
+	err := s.runMP(pe.AdHocProc, func(tx *MPTxn) error {
 		legs = legs[:0]
 		for part := 0; part < tx.NumPartitions(); part++ {
 			if rows := buckets[part]; len(rows) > 0 {
@@ -119,7 +117,7 @@ func (s *Store) execInsertSelect(ins *sql.Insert, rel *catalog.RelDef, sqlText s
 	// leg's inserts ride its vote, and the counts are read after commit.
 	var legs []legFrag
 	sum := true
-	err = s.runMP(false, func(tx *MPTxn) error {
+	err = s.runMP(pe.AdHocProc, func(tx *MPTxn) error {
 		legs = legs[:0]
 		var src []types.Row
 		if srcPart {

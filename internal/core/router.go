@@ -134,9 +134,9 @@ func (s *Store) Ingest(stream string, rows ...types.Row) error {
 	return nil
 }
 
-// Exec runs an ad-hoc DML statement as its own transaction (not command-
-// logged; durable writes belong in stored procedures), routed per the rules
-// at the top of this file.
+// Exec runs an ad-hoc DML statement as its own logged transaction, routed
+// per the rules at the top of this file. A SELECT takes the snapshot read
+// path and logs nothing.
 func (s *Store) Exec(sqlText string, params ...types.Value) (*pe.Result, error) {
 	// System statements run before the routing fence: DEPLOY takes the
 	// all-partition barrier and ALTER SYSTEM PARTITIONS takes routingMu
@@ -151,15 +151,18 @@ func (s *Store) Exec(sqlText string, params ...types.Value) (*pe.Result, error) 
 	// same order a cutover uses).
 	s.routingMu.RLock()
 	defer s.routingMu.RUnlock()
-	if len(s.partList()) == 1 {
-		return s.partList()[0].pe.Exec(sqlText, params...)
-	}
 	// ParseCached shares ASTs between calls; the fan-out planner below is
 	// read-only over the tree (it value-copies the Select before rewriting
 	// a leg), so sharing is safe.
 	stmt, err := sql.ParseCached(sqlText)
 	if err != nil {
 		return nil, err
+	}
+	if sel, ok := stmt.(*sql.Select); ok {
+		return s.readLatest(true, sel, sqlText, params)
+	}
+	if len(s.partList()) == 1 {
+		return s.partList()[0].pe.Exec(sqlText, params...)
 	}
 	switch st := stmt.(type) {
 	case *sql.Insert:
@@ -228,9 +231,6 @@ func (s *Store) Exec(sqlText string, params ...types.Value) (*pe.Result, error) 
 			return nil, err
 		}
 		return s.routeWrite(st.Table, sqlText, params)
-	case *sql.Select:
-		// Reads belong to the snapshot read path.
-		return s.readLatest(true, st, sqlText, params)
 	default:
 		// DDL: the engine's prepared path refuses it, since the Schema
 		// changes only through ExecScript, before Start.

@@ -189,11 +189,7 @@ func (tx *MPTxn) appendPrepares() error {
 		if len(ops) == 0 {
 			continue
 		}
-		p := tx.parts[i]
-		if p.log == nil {
-			continue
-		}
-		ack, err := p.Append(&pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: tx.id, Ops: ops}, true)
+		ack, err := tx.parts[i].Append(&pe.LogRecord{Kind: pe.RecPrepare, Proc: tx.proc, MPTxnID: tx.id, Ops: ops}, true)
 		if err != nil {
 			return fmt.Errorf("core: mp prepare append (partition %d): %w", i, err)
 		}
@@ -253,9 +249,11 @@ func (tx *MPTxn) appendMarkers() error {
 // coordinator holds the enlisted partitions' slots); use the MPTxn methods
 // instead.
 type MPTxn struct {
-	s      *Store
-	id     uint64
-	logged bool
+	s  *Store
+	id uint64
+	// proc is what the legs' PREPARE records name: pe.AdHocProc for a
+	// router write (its legs fire no PE trigger), empty for an application's.
+	proc string
 	// parts is the partition list captured at start — stable for the
 	// transaction's lifetime (the caller holds routingMu's read side, so a
 	// rebalance cutover cannot swap the list mid-transaction).
@@ -315,7 +313,7 @@ func (tx *MPTxn) session(part int) (*pe.MPSession, error) {
 			tx.maxHeld = part
 		}
 	}
-	sess, err := tx.parts[part].pe.EnlistMP(tx.id, tx.logged)
+	sess, err := tx.parts[part].pe.EnlistMP(tx.id, tx.proc == pe.AdHocProc)
 	if err != nil {
 		tx.err = err
 		return nil, err
@@ -414,7 +412,7 @@ func (tx *MPTxn) Enlist(parts ...int) error {
 		if tx.sess[p] != nil {
 			continue
 		}
-		sess, err := tx.parts[p].pe.EnlistMP(tx.id, tx.logged)
+		sess, err := tx.parts[p].pe.EnlistMP(tx.id, tx.proc == pe.AdHocProc)
 		if err != nil {
 			tx.err = err
 			return err
@@ -524,9 +522,9 @@ func waitFor(lf legFrag, err error) (*pe.Result, error) {
 }
 
 // Exec runs one write statement on partition part inside the transaction.
-// On a logged transaction the statement (with concrete parameters) becomes
-// part of the partition's PREPARE record and is re-executed at recovery,
-// so it must not depend on hidden nondeterminism.
+// On a durable store the statement (with concrete parameters) becomes part
+// of the partition's PREPARE record and is re-executed at recovery, so it
+// must not depend on hidden nondeterminism.
 func (tx *MPTxn) Exec(part int, sqlText string, params ...types.Value) (*pe.Result, error) {
 	return waitFor(tx.sendExec(part, sqlText, params...))
 }
@@ -640,13 +638,11 @@ func (s *Store) MultiPartitionTxn(fn func(tx *MPTxn) error) error {
 	// writes) already hold the read side and call runMP directly.
 	s.routingMu.RLock()
 	defer s.routingMu.RUnlock()
-	return s.runMP(true, fn)
+	return s.runMP("", fn)
 }
 
-// runMP is the coordinator. logged selects command logging for the legs
-// (ad-hoc router writes pass false: single-partition ad-hoc Exec is not
-// logged either, and the in-memory atomicity guarantees are identical).
-// Callers must hold routingMu's read side.
+// runMP is the coordinator; proc is what the legs' PREPARE records name
+// (MPTxn.proc). Callers must hold routingMu's read side.
 //
 // Each attempt acquires slots optimistically as fragments route; a slot-
 // order violation (errMPRetry) aborts the attempt's legs and reruns fn
@@ -654,7 +650,7 @@ func (s *Store) MultiPartitionTxn(fn func(tx *MPTxn) error) error {
 // Handlers are re-executable by the same determinism argument command
 // logging already relies on. After mpMaxTryAttempts the coordinator
 // pre-acquires all slots, which cannot fail.
-func (s *Store) runMP(logged bool, fn func(tx *MPTxn) error) error {
+func (s *Store) runMP(proc string, fn func(tx *MPTxn) error) error {
 	s.met.MPConcurrent.Add(1)
 	defer s.met.MPConcurrent.Add(-1)
 	parts := s.partList()
@@ -675,7 +671,7 @@ func (s *Store) runMP(logged bool, fn func(tx *MPTxn) error) error {
 				need[i] = true
 			}
 		}
-		err, retry := s.attemptMP(logged, fn, parts, need, admitDone)
+		err, retry := s.attemptMP(proc, fn, parts, need, admitDone)
 		if !retry {
 			return err
 		}
@@ -686,11 +682,11 @@ func (s *Store) runMP(logged bool, fn func(tx *MPTxn) error) error {
 // pre-acquiring the slots marked in need (ascending). retry reports a
 // slot-order violation; the caller reruns with need extended by every
 // partition this attempt requested.
-func (s *Store) attemptMP(logged bool, fn func(tx *MPTxn) error, parts []*partition, need []bool, admitDone func()) (err error, retry bool) {
+func (s *Store) attemptMP(proc string, fn func(tx *MPTxn) error, parts []*partition, need []bool, admitDone func()) (err error, retry bool) {
 	tx := &MPTxn{
 		s:         s,
 		id:        s.nextMPTxnID.Add(1),
-		logged:    logged,
+		proc:      proc,
 		parts:     parts,
 		sess:      make([]*pe.MPSession, len(parts)),
 		held:      make([]bool, len(parts)),

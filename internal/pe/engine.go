@@ -328,6 +328,9 @@ func (e *Engine) RegisterProcedure(p *Procedure) error {
 		return fmt.Errorf("pe: procedure needs a name and a handler")
 	}
 	key := strings.ToLower(p.Name)
+	if key == strings.ToLower(AdHocProc) {
+		return fmt.Errorf("pe: procedure name %q is reserved for ad-hoc writes", p.Name)
+	}
 	if _, dup := e.procs[key]; dup {
 		return fmt.Errorf("pe: procedure %q already registered", p.Name)
 	}
@@ -701,15 +704,20 @@ func (e *Engine) Call(proc string, params ...types.Value) (*Result, error) {
 // result; it lets clients pipeline requests (the H-Store baseline driver
 // depends on this to model asynchronous submission).
 func (e *Engine) CallAsync(proc string, params ...types.Value) <-chan CallResult {
+	return e.invoke(e.Procedure(proc), proc, params)
+}
+
+// invoke submits one invocation of p, which is nil when no procedure is
+// registered under name.
+func (e *Engine) invoke(p *Procedure, name string, params []types.Value) <-chan CallResult {
 	e.met.ClientToPE.Add(1)
 	done := make(chan CallResult, 1)
 	if err := e.errNotStarted(); err != nil {
 		done <- CallResult{Err: err}
 		return done
 	}
-	p := e.Procedure(proc)
 	if p == nil {
-		done <- CallResult{Err: fmt.Errorf("pe: unknown procedure %q", proc)}
+		done <- CallResult{Err: fmt.Errorf("pe: unknown procedure %q", name)}
 		return done
 	}
 	now := time.Now()
@@ -867,20 +875,11 @@ func (e *Engine) QueryPlanAtSeq(seq storage.Seq, p *ee.Prepared, params ...types
 	return &Result{Columns: res.Columns, Rows: res.Rows, RowsAffected: res.RowsAffected}, nil
 }
 
-// Exec runs an ad-hoc DML statement as its own transaction. Ad-hoc writes
-// are not command-logged — durable state changes belong in stored
-// procedures; Exec exists for setup, tooling, and tests.
+// Exec runs an ad-hoc write statement as a one-statement transaction: a
+// call of the built-in AdHocProc with the text and parameters as its
+// arguments, committed, logged and acknowledged like any Call.
 func (e *Engine) Exec(sqlText string, params ...types.Value) (*Result, error) {
-	if err := e.errNotStarted(); err != nil {
-		return nil, err
-	}
-	e.met.ClientToPE.Add(1)
-	done := make(chan CallResult, 1)
-	r := &txnRequest{kind: reqExec, sqlText: sqlText, params: params, done: done}
-	if !e.sched.push(r) {
-		return nil, fmt.Errorf("pe: engine stopped")
-	}
-	cr := <-done
+	cr := <-e.invoke(adHoc, AdHocProc, append([]types.Value{types.NewString(sqlText)}, params...))
 	return cr.Result, cr.Err
 }
 
@@ -978,8 +977,8 @@ func (e *Engine) beginTE() *ee.ExecCtx {
 }
 
 // ownResult copies a statement result out of the TE's memory into one the
-// receiver owns: the door for a Call's SetResult and an ad-hoc Exec's
-// result, whose readers are other goroutines running after later TEs.
+// receiver owns: the door for a Call's SetResult (an ad-hoc Exec's among
+// them), whose readers are other goroutines running after later TEs.
 func ownResult(res *ee.Result) *Result {
 	if res == nil {
 		return &Result{}
@@ -1014,20 +1013,6 @@ func (e *Engine) executeRequest(r *txnRequest) {
 		return
 	}
 	ectx, undo := e.beginTE(), e.undo
-	if r.kind == reqExec {
-		res, err := e.ee.ExecSQL(ectx, r.sqlText, r.params...)
-		if err != nil {
-			undo.Rollback()
-			e.met.TxnAborted.Add(1)
-			r.respond(nil, err)
-			return
-		}
-		e.commitPublish()
-		e.met.TxnCommitted.Add(1)
-		r.respond(ownResult(res), nil)
-		return
-	}
-
 	e.nextTxnID++
 	ectx.ProcName = r.proc.Name
 	ectx.OnStreamInsert = e.onEmit
@@ -1359,10 +1344,12 @@ func (e *Engine) Replay(rec *LogRecord) error {
 	default:
 		return fmt.Errorf("pe: unknown log record kind %d", rec.Kind)
 	}
-	if r.kind != reqLeg {
-		if r.proc = e.Procedure(rec.Proc); r.proc == nil {
-			return fmt.Errorf("pe: replay references unknown procedure %q", rec.Proc)
-		}
+	r.proc = e.Procedure(rec.Proc) // none for an application's prepared leg
+	if rec.Proc == AdHocProc {
+		r.proc = adHoc
+	}
+	if r.proc == nil && r.kind != reqLeg {
+		return fmt.Errorf("pe: replay references unknown procedure %q", rec.Proc)
 	}
 	e.runChain(r)
 	if cr := <-r.done; cr.Err != nil {

@@ -773,7 +773,8 @@ func TestResolvedFuturesAckInCommitOrder(t *testing.T) {
 			t.Fatalf("record kind %d logged under upstream backup", k)
 		}
 	}
-	if nCalls != calls || nBorders != calls/8 {
-		t.Fatalf("%d call and %d border records, want %d and %d", nCalls, nBorders, calls, calls/8)
+	// The seeding INSERT is an ad-hoc write, logged as a call of AdHocProc.
+	if nCalls != calls+1 || nBorders != calls/8 {
+		t.Fatalf("%d call and %d border records, want %d and %d", nCalls, nBorders, calls+1, calls/8)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/ee"
 	"repro/internal/types"
 )
 
@@ -70,14 +71,19 @@ func lifetimeEngine(t *testing.T, cfg Config, logger Logger) *Engine {
 	must(t, e.BindStream("src", "in_s", "sp_in", 2))
 	must(t, e.BindStream("g", "mid_s", "sp_mid", 2))
 	must(t, e.BindStream("noise", "noise_s", "sp_noise", 2))
-	must(t, e.Start())
-	t.Cleanup(e.Stop)
+	// Seeded before Start, straight into storage: an ad-hoc Exec is a logged
+	// commit, and a held logger would never acknowledge it.
+	var seed []types.Row
 	for k := int64(1); k <= 3; k++ {
-		exec(t, e, "INSERT INTO t VALUES (?, ?)", types.NewInt(k), types.NewString(fmt.Sprintf("row-%d", k)))
+		seed = append(seed, types.Row{types.NewInt(k), types.NewString(fmt.Sprintf("row-%d", k))})
 	}
 	for k := int64(100); k < 140; k++ {
-		exec(t, e, "INSERT INTO t VALUES (?, ?)", types.NewInt(k), types.NewString("other"))
+		seed = append(seed, types.Row{types.NewInt(k), types.NewString("other")})
 	}
+	_, err := e.ee.InsertRows(&ee.ExecCtx{}, "t", seed)
+	must(t, err)
+	must(t, e.Start())
+	t.Cleanup(e.Stop)
 	return e
 }
 

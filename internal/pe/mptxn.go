@@ -91,9 +91,9 @@ const mpWindow = 8
 // path); the worker executes everything. The coordinator side may be used
 // from several goroutines.
 type MPSession struct {
-	e      *Engine
-	txnID  uint64
-	logged bool
+	e     *Engine
+	txnID uint64
+	adHoc bool // a router leg, an ad-hoc write's share: it fires no PE trigger
 
 	inbox   chan *mpMsg
 	replies chan *mpMsg
@@ -114,19 +114,17 @@ type MPSession struct {
 // EnlistMP queues this partition's participation in coordinated transaction
 // txnID. The worker parks on the session when it reaches the request and
 // serves its inbox until the decision; entries queued before it gets there
-// wait in the inbox and ride the same pickup. With logged set, write
-// fragments are recorded and handed to the coordinator with the vote;
-// unlogged sessions (ad-hoc coordinated writes, which are never
-// command-logged — matching single-partition Exec) skip the log entirely
-// and are atomic in memory only.
-func (e *Engine) EnlistMP(txnID uint64, logged bool) (*MPSession, error) {
+// wait in the inbox and ride the same pickup. On an engine with a logger,
+// write fragments are recorded and handed to the coordinator with the vote.
+// adHoc marks a router leg of an ad-hoc write (see MPSession.adHoc).
+func (e *Engine) EnlistMP(txnID uint64, adHoc bool) (*MPSession, error) {
 	if err := e.errNotStarted(); err != nil {
 		return nil, err
 	}
 	s := &MPSession{
 		e:       e,
 		txnID:   txnID,
-		logged:  logged,
+		adHoc:   adHoc,
 		inbox:   make(chan *mpMsg, mpWindow),
 		replies: make(chan *mpMsg, mpWindow),
 		done:    make(chan CallResult, 1),
@@ -201,9 +199,9 @@ func (s *MPSession) queue(m *mpMsg) Frag {
 }
 
 // SendExec queues one SQL statement to run inside the leg's transaction
-// context. On a logged session the statement (with its concrete
-// parameters) becomes part of the PREPARE record, so it must be a write
-// whose re-execution is deterministic — which concrete-parameter DML is.
+// context. The statement (with its concrete parameters) becomes part of
+// the PREPARE record, so it must be a write whose re-execution is
+// deterministic — which concrete-parameter DML is.
 func (s *MPSession) SendExec(sqlText string, params ...types.Value) Frag {
 	return s.queue(&mpMsg{kind: mpExec, sql: sqlText, params: params})
 }
@@ -270,9 +268,9 @@ func (s *MPSession) awaitVote() {
 }
 
 // LoggedOps returns the leg's logged write set — valid after a successful
-// Prepare. Nil for read-only, unlogged, or not-yet-prepared sessions. The
-// coordinator appends these as the leg's PREPARE record before delivering
-// the commit decision.
+// Prepare. Nil for read-only or not-yet-prepared legs and on an engine with
+// no logger. The coordinator appends these as the leg's PREPARE record
+// before delivering the commit decision.
 func (s *MPSession) LoggedOps() []LoggedOp { return s.vote.ops }
 
 // SendDecision queues the coordinator's decision. It is valid at any time
@@ -337,14 +335,13 @@ func (e *Engine) executeMP(r *txnRequest) {
 		Undo:              undo,
 		DisableEETriggers: e.cfg.HStoreMode,
 	}
-	// Only logged (application-level) transactions drive workflows: they
-	// are procedure-like, and their replay re-derives the triggered work.
-	// Unlogged ad-hoc legs match single-partition ad-hoc Exec, which never
-	// fires PE triggers — the same statement must not behave differently
-	// just because its tuples happened to span partitions.
-	if s.logged {
+	// A router leg fires no PE trigger, like a single-partition Exec: a
+	// statement must not behave differently because its tuples span
+	// partitions. Application transactions drive workflows.
+	if !s.adHoc {
 		ectx.OnStreamInsert = e.onEmit
 	}
+	logged := e.logger != nil // a volatile store's legs collect no ops
 	var ops []LoggedOp
 	// failed is the leg's first failed write: the vote vetoes with it.
 	var failed error
@@ -412,9 +409,9 @@ func (e *Engine) executeMP(r *txnRequest) {
 					if failed == nil {
 						failed = m.err
 					}
-				case s.logged && m.kind == mpInsert:
+				case logged && m.kind == mpInsert:
 					ops = append(ops, LoggedOp{Table: m.table, Rows: m.rows})
-				case s.logged:
+				case logged:
 					ops = append(ops, LoggedOp{SQL: m.sql, Params: m.params})
 				}
 			}
@@ -444,10 +441,13 @@ func (e *Engine) runFragment(ectx *ee.ExecCtx, m *mpMsg) (*ee.Result, error) {
 // must re-apply cleanly; an error fails recovery loudly rather than
 // diverging. Stream emissions re-derive their triggered descendants exactly
 // like the live commit path: dispatchEmits queues them, and the runChain
-// that called this runs them.
+// that called this runs them. A router leg (its record names AdHocProc)
+// fires no PE trigger here either.
 func (e *Engine) replayPreparedLeg(r *txnRequest) {
 	ectx, undo := e.beginTE(), e.undo
-	ectx.OnStreamInsert = e.onEmit
+	if r.proc != adHoc {
+		ectx.OnStreamInsert = e.onEmit
+	}
 	for _, op := range r.ops {
 		var err error
 		if op.Table != "" {

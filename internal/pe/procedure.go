@@ -41,6 +41,21 @@ type Procedure struct {
 	PartitionParam int
 }
 
+// AdHocProc names the built-in procedure an ad-hoc write runs as
+// (Engine.Exec; params: the statement text, then its own parameters) in a
+// RecCall, and the legs of a coordinated ad-hoc write in their RecPrepare.
+// It cannot be registered or called: that would skip the router's checks.
+const AdHocProc = "@AdHoc"
+
+// adHoc runs its statement in the ad-hoc plan scope, outside any window's
+// procedure scope, and fires no PE trigger, live or at replay.
+var adHoc = &Procedure{Name: AdHocProc, Handler: func(ctx *ProcCtx) error {
+	ctx.ectx.ProcName, ctx.ectx.OnStreamInsert = "", nil
+	res, err := ctx.pe.ee.ExecSQL(ctx.ectx, ctx.Params[0].Str(), ctx.Params[1:]...)
+	ctx.SetResult(res)
+	return err
+}}
+
 // SharedWritableTables reports the tables written by one of procs and
 // read or written by another — the paper's forced-serial constraint over
 // a workflow's procedures. Lowercased and sorted for deterministic

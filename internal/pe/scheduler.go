@@ -16,7 +16,6 @@ const (
 	reqInvoke    reqKind = iota // direct OLTP procedure call
 	reqBorder                   // border (BSP) batch from client ingest
 	reqTriggered                // PE-triggered downstream (ISP) batch
-	reqExec                     // ad-hoc write statement (own transaction)
 	reqBarrier                  // drain marker
 	reqMP                       // multi-partition leg: park on the 2PC barrier
 	reqLeg                      // committed multi-partition leg re-applied at replay
@@ -45,7 +44,6 @@ type txnRequest struct {
 	// execution must garbage-collect at commit.
 	inputStream string
 	gcIDs       []storage.RowID
-	sqlText     string     // for reqExec
 	ops         []LoggedOp // for reqLeg
 	fn          func() error
 	mp          *MPSession // for reqMP

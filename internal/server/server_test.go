@@ -83,6 +83,39 @@ func TestTCPRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMsgCallRefusesAdHocProc: a wire call of the built-in procedure ad-hoc
+// writes run as is refused (it would skip the router's partition-key
+// checks) and writes nothing; the same statement through Exec commits.
+func TestMsgCallRefusesAdHocProc(t *testing.T) {
+	srv, _ := newServer(t)
+	c, err := client.DialTCP(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const insert = "INSERT INTO kv VALUES (1, 'x')"
+	if _, err := c.Call(pe.AdHocProc, types.NewString(insert)); err == nil {
+		t.Fatal("MsgCall ran the ad-hoc procedure")
+	}
+	count := func() int64 {
+		t.Helper()
+		resp, err := c.Query("SELECT COUNT(*) FROM kv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Rows[0][0].Int()
+	}
+	if n := count(); n != 0 {
+		t.Fatalf("a refused call left %d rows", n)
+	}
+	if _, err := c.Exec(insert); err != nil {
+		t.Fatal(err)
+	}
+	if n := count(); n != 1 {
+		t.Fatalf("Exec left %d rows, want 1", n)
+	}
+}
+
 func TestTCPIngestAndFlush(t *testing.T) {
 	srv, _ := newServer(t)
 	c, err := client.DialTCP(srv.Addr())
