@@ -21,6 +21,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -199,7 +200,7 @@ func (p *partition) force(rec *pe.LogRecord) error {
 // recover restores this partition from its snapshot + log segment, feeding
 // the applier (whose table already holds every decision the directory will
 // ever yield, so the stream is final), and opens the log for appending.
-func (p *partition) recover(cfg *Config, ap *applier) error {
+func (p *partition) recover(d *wal.Dir, cfg *Config, ap *applier) error {
 	logPath, snapPath := wal.PartitionPaths(cfg.Dir, p.idx)
 	meta, err := wal.LoadSnapshot(snapPath, p.cat)
 	switch {
@@ -223,15 +224,15 @@ func (p *partition) recover(cfg *Config, ap *applier) error {
 	if lastLSN < meta.LastLSN {
 		lastLSN = meta.LastLSN // log truncated at the last checkpoint
 	}
-	return p.openLog(cfg, logPath, lastLSN)
+	return p.openLog(d, cfg, logPath, lastLSN)
 }
 
-// openLog opens this partition's WAL segment for appending after lastLSN
-// and installs the partition as its engine's commit logger. The commit
-// daemon's sync-batch callback feeds the fsync counters and the PREPARE
-// batch-size histogram.
-func (p *partition) openLog(cfg *Config, path string, lastLSN uint64) (err error) {
-	p.log, err = wal.OpenLogOpts(path, lastLSN, cfg.logOptions(p.met, func(int) {
+// openLog opens this partition's WAL segment in d for appending after
+// lastLSN and installs the partition as its engine's commit logger. The
+// commit daemon's sync-batch callback feeds the fsync counters and the
+// PREPARE batch-size histogram.
+func (p *partition) openLog(d *wal.Dir, cfg *Config, path string, lastLSN uint64) (err error) {
+	p.log, err = d.OpenLog(path, lastLSN, cfg.logOptions(p.met, func(int) {
 		if n := p.pendPrep.Swap(0); n > 0 {
 			p.met.MPPrepareBatchSize().Observe(n)
 		}
@@ -316,6 +317,10 @@ type Store struct {
 	// count at first use.
 	mpAdmit     chan struct{}
 	mpAdmitOnce sync.Once
+	// dir is the durability directory every durable file is written
+	// through (nil without Config.Dir). Tests swap in a recording file
+	// system between Open and Start.
+	dir *wal.Dir
 	// coordLog holds the 2PC decision records (durable stores only).
 	coordLog *wal.Log
 	// schema is the published Schema: what the router plans against and
@@ -349,6 +354,9 @@ func Open(cfg Config) *Store {
 	}
 	cfg.Partitions = n
 	s := &Store{cfg: cfg, met: &metrics.Metrics{}}
+	if cfg.Dir != "" {
+		s.dir = wal.NewDir(cfg.Dir, wal.OS)
+	}
 	parts := make([]*partition, 0, n)
 	for i := 0; i < n; i++ {
 		parts = append(parts, s.newPartition(i))
@@ -667,7 +675,7 @@ func (s *Store) Recover() error {
 // wrote to.
 func (s *Store) recoverFrom(ap *applier, coordPath string, coordLSN uint64) (err error) {
 	for _, p := range s.partList() {
-		if err := p.recover(&s.cfg, ap); err != nil {
+		if err := p.recover(s.dir, &s.cfg, ap); err != nil {
 			return err
 		}
 	}
@@ -676,7 +684,7 @@ func (s *Store) recoverFrom(ap *applier, coordPath string, coordLSN uint64) (err
 	// coordinators (slot enlistment lets transactions over disjoint
 	// partition sets overlap) append their DECIDE forces, and those that
 	// arrive while one fsync runs share the next.
-	s.coordLog, err = wal.OpenLogOpts(coordPath, coordLSN, s.cfg.logOptions(s.met, func(n int) {
+	s.coordLog, err = s.dir.OpenLog(coordPath, coordLSN, s.cfg.logOptions(s.met, func(n int) {
 		s.met.MPDecideBatchSize().Observe(int64(n))
 	}))
 	if err != nil {
@@ -704,7 +712,7 @@ func (s *Store) recoverFrom(ap *applier, coordPath string, coordLSN uint64) (err
 	}
 	canonical := catalog.NewSlotTable(len(s.partList()))
 	s.slots.Store(canonical)
-	return wal.WriteSlots(wal.SlotsPath(s.cfg.Dir), canonical)
+	return wal.WriteSlots(s.dir, wal.SlotsPath(s.cfg.Dir), canonical)
 }
 
 // checkPartitionCount compares the directory's partition-count stamp with
@@ -728,7 +736,7 @@ func (s *Store) checkPartitionCount() error {
 		if disk < n {
 			// Growth: stamp the new count; Recover's canonical pass
 			// redistributes the rows exactly as a live Rebalance would.
-			return os.WriteFile(path, []byte(strconv.Itoa(n)+"\n"), 0o644)
+			return s.stampPartitions(n)
 		}
 		return nil
 	case os.IsNotExist(err):
@@ -736,10 +744,19 @@ func (s *Store) checkPartitionCount() error {
 		// (single-partition) version. Both are safe to stamp with the opened
 		// count — legacy single-partition rows are redistributed by the
 		// canonical pass like any other growth.
-		return os.WriteFile(path, []byte(strconv.Itoa(n)+"\n"), 0o644)
+		return s.stampPartitions(n)
 	default:
 		return fmt.Errorf("core: %s file: %w", partitionsFileName, err)
 	}
+}
+
+// stampPartitions durably replaces the directory's partition-count stamp
+// with n, so a crash leaves the old count or the new one, never neither.
+func (s *Store) stampPartitions(n int) error {
+	return s.dir.Replace(filepath.Join(s.cfg.Dir, partitionsFileName), func(w io.Writer) error {
+		_, err := io.WriteString(w, strconv.Itoa(n)+"\n")
+		return err
+	})
 }
 
 // migratedRels lists the relations whose rows move with their slot:
@@ -938,7 +955,7 @@ func (s *Store) Checkpoint() error {
 			if p.log != nil {
 				meta.LastLSN = p.log.LSN()
 			}
-			if err := wal.WriteSnapshot(snapPath, p.cat, meta); err != nil {
+			if err := wal.WriteSnapshot(s.dir, snapPath, p.cat, meta); err != nil {
 				return err
 			}
 			if p.log != nil {
@@ -951,7 +968,7 @@ func (s *Store) Checkpoint() error {
 		// coordinator log is truncated: truncation discards the slot-commit
 		// records, and the snapshots already reflect the migrated placement
 		// they described.
-		if err := wal.WriteSlots(wal.SlotsPath(s.cfg.Dir), s.slots.Load()); err != nil {
+		if err := wal.WriteSlots(s.dir, wal.SlotsPath(s.cfg.Dir), s.slots.Load()); err != nil {
 			return err
 		}
 		// The snapshots cover every delivered transaction: the barrier
@@ -1046,21 +1063,4 @@ func (s *Store) Drain() {
 	for _, p := range s.partList() {
 		p.pe.Drain()
 	}
-}
-
-// RemoveDurableState deletes the snapshots and logs of every partition
-// (test helper).
-func RemoveDurableState(dir string) error {
-	for _, pat := range []string{wal.DefaultLogName + "*", wal.DefaultSnapshotName + "*", wal.DefaultCoordLogName, wal.DefaultSlotsName, partitionsFileName, "cold-*.pages"} {
-		matches, err := filepath.Glob(filepath.Join(dir, pat))
-		if err != nil {
-			return err
-		}
-		for _, m := range matches {
-			if err := os.Remove(m); err != nil && !os.IsNotExist(err) {
-				return err
-			}
-		}
-	}
-	return nil
 }

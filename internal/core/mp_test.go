@@ -28,7 +28,7 @@ func appendRecords(t *testing.T, path string, recs ...*pe.LogRecord) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := wal.OpenLog(path, last, wal.SyncEveryRecord)
+	l, err := wal.OpenLogOpts(path, last, wal.Options{Policy: wal.SyncEveryRecord})
 	if err != nil {
 		t.Fatal(err)
 	}

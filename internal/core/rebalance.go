@@ -2,9 +2,6 @@ package core
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
-	"strconv"
 	"time"
 
 	"repro/internal/catalog"
@@ -85,8 +82,7 @@ func (s *Store) Rebalance(target int) error {
 		// Durable growth intent before anything moves: a crash mid-rebalance
 		// recovers by reopening with the new count, where the canonical
 		// recovery pass finishes the redistribution.
-		path := filepath.Join(s.cfg.Dir, partitionsFileName)
-		if err := os.WriteFile(path, []byte(strconv.Itoa(target)+"\n"), 0o644); err != nil {
+		if err := s.stampPartitions(target); err != nil {
 			return fmt.Errorf("core: rebalance: stamping partition count: %w", err)
 		}
 	}
@@ -103,7 +99,7 @@ func (s *Store) Rebalance(target int) error {
 	if s.cfg.Dir != "" {
 		// The table now equals the canonical assignment for target; stamp it
 		// so a restart that beats the next checkpoint can cross-check it.
-		if err := wal.WriteSlots(wal.SlotsPath(s.cfg.Dir), s.slots.Load()); err != nil {
+		if err := wal.WriteSlots(s.dir, wal.SlotsPath(s.cfg.Dir), s.slots.Load()); err != nil {
 			return err
 		}
 	}
@@ -166,7 +162,7 @@ func (s *Store) addPartitions(target int) error {
 		}
 		if s.cfg.Dir != "" {
 			logPath, _ := wal.PartitionPaths(s.cfg.Dir, idx)
-			if err := np.openLog(&s.cfg, logPath, 0); err != nil {
+			if err := np.openLog(s.dir, &s.cfg, logPath, 0); err != nil {
 				return fmt.Errorf("core: rebalance: opening log for partition %d: %w", idx, err)
 			}
 		}

@@ -1,9 +1,8 @@
 package core
 
 import (
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -20,18 +19,27 @@ import (
 // canonical assignment).
 func checkCanonical(t *testing.T, st *Store) {
 	t.Helper()
+	if err := misplacedRows(st); err != nil {
+		t.Error(err)
+	}
+}
+
+// misplacedRows reports the partitioned rows that sit off their owner.
+func misplacedRows(st *Store) error {
+	var errs []error
 	slots := st.slots.Load()
 	for _, p := range st.partList() {
 		for _, rel := range migratedRels(p.cat) {
 			col := rel.PartCol
 			rel.Table.Scan(func(_ storage.RowID, row types.Row) bool {
 				if owner := slots.Partition(row[col]); owner != p.idx {
-					t.Errorf("%s row %v on partition %d, owner is %d", rel.Name, row, p.idx, owner)
+					errs = append(errs, fmt.Errorf("%s row %v on partition %d, owner is %d", rel.Name, row, p.idx, owner))
 				}
 				return true
 			})
 		}
 	}
+	return errors.Join(errs...)
 }
 
 func TestRebalanceLive(t *testing.T) {
@@ -226,12 +234,16 @@ func TestRebalanceCrashBetweenCopiedAndCommit(t *testing.T) {
 // TestSlotMigrationLegDurableBeforeCommit: under SyncNever a migration's
 // prepared leg is still forced to disk before the coordinator log takes
 // RecSlotCommit, because recovery hands the slot to the destination (and
-// evicts it everywhere else) on the commit record alone. The crash image
-// holds what the OS has of each file after only the coordinator log was
-// flushed; every row, checkpointed before the rebalance, must recover.
+// evicts it everywhere else) on the commit record alone. A recording file
+// system follows Rebalance(2→4) and then a sync of the coordinator log,
+// which stands in for the OS writing that log back on its own. The
+// directory a crash leaves after any of those operations, in every image
+// variant, must reopen at four partitions with every row — all
+// checkpointed before the rebalance — on its canonical owner.
 func TestSlotMigrationLegDurableBeforeCommit(t *testing.T) {
-	dir, crashDir := t.TempDir(), t.TempDir()
+	dir := t.TempDir()
 	st := buildPartApp(t, Config{Dir: dir, Partitions: 2, Sync: wal.SyncNever})
+	fsys := recordStore(t, st)
 	if err := st.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -254,35 +266,24 @@ func TestSlotMigrationLegDurableBeforeCommit(t *testing.T) {
 	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	from := fsys.Len()
 	if err := st.Rebalance(4); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.coordLog.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
+	eachCrashImage(t, fsys, crashPoints(from, fsys.Len()), func(img string) error {
+		st2 := buildPartApp(t, Config{Dir: img, Partitions: 4, Sync: wal.SyncNever})
+		if err := st2.Start(); err != nil {
+			return err
 		}
-		if err := os.WriteFile(filepath.Join(crashDir, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
+		defer st2.Stop()
+		if got := totals(t, st2); fmt.Sprint(got) != fmt.Sprint(want) {
+			return fmt.Errorf("recovered totals = %v want %v", got, want)
 		}
-	}
-
-	st2 := buildPartApp(t, Config{Dir: crashDir, Partitions: 4, Sync: wal.SyncNever})
-	if err := st2.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Stop()
-	if got := totals(t, st2); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("recovered totals = %v want %v", got, want)
-	}
-	checkCanonical(t, st2)
+		return misplacedRows(st2)
+	})
 }
 
 // TestNullPartitionKeyDefault pins the routing contract for NULL partition

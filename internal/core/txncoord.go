@@ -70,7 +70,7 @@ import (
 // durability waits: the next coordinator enlists, executes, and appends
 // its own votes while the previous one is still waiting on the disk, so
 // PREPARE/DECIDE/commit records pool behind whichever fsync is in flight
-// in the store's directory (the logs take turns on the disk, wal.disks)
+// in the store's directory (the logs take turns on the disk, wal.Dir)
 // and share their log's next one — the force batching E11 measures. The
 // pool is as deep as the disk is busy; no force waits for a timer. The
 // read-only optimization removes two forces outright: a leg that wrote

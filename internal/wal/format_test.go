@@ -1,0 +1,121 @@
+package wal
+
+import (
+	"encoding/hex"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/catalog"
+	"repro/internal/types"
+)
+
+// TestDurableFormatsUnchanged pins the bytes of every durable file wal
+// writes — a log frame, a snapshot of two relations (one a window) and a
+// slot table — and reads each golden image back, so a directory an
+// earlier version wrote opens unchanged.
+func TestDurableFormatsUnchanged(t *testing.T) {
+	dir := t.TempDir()
+	d := NewDir(dir, OS)
+	read := func(path string) string {
+		t.Helper()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hex.EncodeToString(b)
+	}
+
+	logPath := filepath.Join(dir, DefaultLogName)
+	l, err := d.OpenLog(logPath, 41, Options{Policy: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append([]byte("golden")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := read(logPath); got != goldenFrame {
+		t.Errorf("log frame is %s, want %s", got, goldenFrame)
+	}
+
+	cat := goldenCatalog(t)
+	cat.Relation("st").Table.Insert(types.Row{types.NewInt(5)}, nil)
+	w := cat.Relation("w")
+	w.Table.Insert(types.Row{types.NewInt(4)}, nil)
+	w.Win.Admitted, w.Win.Watermark, w.Win.SlideCount = 2, 9, 1
+	w.Win.OwnerProc = "sp"
+	w.Win.Staged = []types.Row{{types.NewInt(6)}}
+	snapPath := filepath.Join(dir, DefaultSnapshotName)
+	meta := Snapshot{LastLSN: 7, NextBatchID: 3}
+	if err := WriteSnapshot(d, snapPath, cat, meta); err != nil {
+		t.Fatal(err)
+	}
+	if got := read(snapPath); got != goldenSnapshot {
+		t.Errorf("snapshot is %s, want %s", got, goldenSnapshot)
+	}
+
+	slots := catalog.NewSlotTable(2)
+	slots.Owner[5] = 0
+	slots.Parts = 3
+	slotsPath := SlotsPath(dir)
+	if err := WriteSlots(d, slotsPath, slots); err != nil {
+		t.Fatal(err)
+	}
+	if got := read(slotsPath); got != goldenSlots {
+		t.Errorf("slot table is %s, want %s", got, goldenSlots)
+	}
+
+	// The golden images, written by hand, read back.
+	old := t.TempDir()
+	for name, h := range map[string]string{DefaultLogName: goldenFrame, DefaultSnapshotName: goldenSnapshot, DefaultSlotsName: goldenSlots} {
+		b, _ := hex.DecodeString(h)
+		if err := os.WriteFile(filepath.Join(old, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var frames []string
+	if last, err := ScanLog(filepath.Join(old, DefaultLogName), func(lsn uint64, p []byte) error {
+		frames = append(frames, string(p))
+		return nil
+	}); err != nil || last != 42 || len(frames) != 1 || frames[0] != "golden" {
+		t.Errorf("golden log scans as %q up to LSN %d, %v", frames, last, err)
+	}
+	cat2 := goldenCatalog(t)
+	if got, err := LoadSnapshot(filepath.Join(old, DefaultSnapshotName), cat2); err != nil || got != meta {
+		t.Errorf("golden snapshot loads as %+v, %v", got, err)
+	}
+	w2 := cat2.Relation("w")
+	if cat2.Relation("st").Table.Count() != 1 || w2.Table.Count() != 1 || w2.Win.Admitted != 2 ||
+		w2.Win.Watermark != 9 || w2.Win.SlideCount != 1 || w2.Win.OwnerProc != "sp" || len(w2.Win.Staged) != 1 {
+		t.Errorf("golden snapshot restored %+v", w2.Win)
+	}
+	if got, err := LoadSlots(filepath.Join(old, DefaultSlotsName)); err != nil || *got != *slots {
+		t.Errorf("golden slot table loads as %v, %v", got, err)
+	}
+}
+
+// goldenCatalog is a stream and a row window over it.
+func goldenCatalog(t *testing.T) *catalog.Catalog {
+	t.Helper()
+	cat := catalog.New()
+	sch := cat.Schema().Clone()
+	if _, err := sch.Create(catalog.KindStream, types.MustSchema("st", []types.Column{{Name: "v", Type: types.TypeInt}}, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sch.CreateWindow("w", catalog.WindowSpec{Rows: true, Size: 3, Slide: 1, Source: "st"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cat.Sync(sch); err != nil {
+		t.Fatal(err)
+	}
+	return cat
+}
+
+const (
+	goldenFrame    = "0e00000000fcd54c2a00000000000000676f6c64656e"
+	goldenSnapshot = "515453530000000007000000000000000300000000000000020000000000000002000000000000007374010000000000000004000000000000000101020a01000000000000007702000000000000000400000000000000010102080200000000000000090000000000000001000000000000000200000000000000737004000000000000000101020cded9e764"
+	goldenSlots    = "d498cd9a0503800200010001000000010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001eaa741cd"
+)

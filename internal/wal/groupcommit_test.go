@@ -1,19 +1,21 @@
-package wal
+package wal_test
 
 import (
 	"errors"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/crashfs"
+	"repro/internal/wal"
 )
 
 // scanAll collects every intact payload in the log file.
 func scanAll(t *testing.T, path string) [][]byte {
 	t.Helper()
 	var got [][]byte
-	if _, err := ScanLog(path, func(_ uint64, p []byte) error {
+	if _, err := wal.ScanLog(path, func(_ uint64, p []byte) error {
 		got = append(got, append([]byte(nil), p...))
 		return nil
 	}); err != nil {
@@ -24,10 +26,7 @@ func scanAll(t *testing.T, path string) [][]byte {
 
 func TestSyncNeverBuffersWrites(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "x.log")
-	l, err := OpenLog(path, 0, SyncNever)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := openLog(t, path, wal.SyncNever)
 	for i := 0; i < 10; i++ {
 		if _, err := l.Append([]byte("buffered")); err != nil {
 			t.Fatal(err)
@@ -51,7 +50,7 @@ func TestSyncNeverBuffersWrites(t *testing.T) {
 
 func TestSyncNeverCloseFlushes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "x.log")
-	l, _ := OpenLog(path, 0, SyncNever)
+	l := openLog(t, path, wal.SyncNever)
 	l.Append([]byte("a"))
 	l.Append([]byte("b"))
 	if err := l.Close(); err != nil {
@@ -62,93 +61,56 @@ func TestSyncNeverCloseFlushes(t *testing.T) {
 	}
 }
 
-// syncHook replaces a log's fsync so a test decides when each one returns
-// and whether it fails. Every call is counted; while a gate is installed a
-// call announces itself on entered and blocks until the gate closes.
-type syncHook struct {
-	mu      sync.Mutex
-	calls   int
-	gate    chan struct{}
-	fail    error
-	entered chan struct{}
-	real    func() error
-}
-
-func hookSync(l *Log) *syncHook {
-	h := &syncHook{entered: make(chan struct{}, 64), real: l.sync}
-	l.sync = h.sync
-	return h
-}
-
-func (h *syncHook) sync() error {
-	h.mu.Lock()
-	h.calls++
-	gate, fail := h.gate, h.fail
-	h.mu.Unlock()
-	h.entered <- struct{}{}
-	if gate != nil {
-		<-gate
+// recorded returns a log directory written through a recording file
+// system, whose Syncs controls hold, fail and count a file's fsyncs.
+func recorded(t *testing.T) (*wal.Dir, *crashfs.FS, string) {
+	t.Helper()
+	dir := t.TempDir()
+	fsys, err := crashfs.New(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if fail != nil {
-		return fail
-	}
-	return h.real()
-}
-
-// hold makes the next fsyncs block; the returned func releases them (and
-// lets later ones through).
-func (h *syncHook) hold() (release func()) {
-	gate := make(chan struct{})
-	h.mu.Lock()
-	h.gate = gate
-	h.mu.Unlock()
-	return func() {
-		h.mu.Lock()
-		h.gate = nil
-		h.mu.Unlock()
-		close(gate)
-	}
-}
-
-func (h *syncHook) failWith(err error) {
-	h.mu.Lock()
-	h.fail = err
-	h.mu.Unlock()
-}
-
-func (h *syncHook) count() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.calls
+	return wal.NewDir(dir, fsys), fsys, dir
 }
 
 // awaitEntered waits for the next fsync to begin.
-func (h *syncHook) awaitEntered(t *testing.T) {
+func awaitEntered(t *testing.T, s *crashfs.Syncs) {
 	t.Helper()
 	select {
-	case <-h.entered:
+	case <-s.Entered():
 	case <-time.After(5 * time.Second):
 		t.Fatal("no fsync started")
 	}
 }
 
-// openGroup opens a group-commit log whose fsyncs go through a hook and
-// whose OnSyncBatch sizes arrive on the returned channel.
-func openGroup(t *testing.T) (*Log, *syncHook, <-chan int, string) {
+// openGroup opens a recorded group-commit log, returning the controls of
+// its fsyncs; its OnSyncBatch sizes arrive on the returned channel.
+func openGroup(t *testing.T) (*wal.Log, *crashfs.Syncs, <-chan int, string) {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "x.log")
+	d, fsys, dir := recorded(t)
+	path := filepath.Join(dir, "x.log")
 	batches := make(chan int, 64)
-	l, err := OpenLogOpts(path, 0, Options{
-		Policy:      SyncGroupCommit,
+	l, err := d.OpenLog(path, 0, wal.Options{
+		Policy:      wal.SyncGroupCommit,
 		OnSyncBatch: func(n int) { batches <- n },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return l, hookSync(l), batches, path
+	return l, fsys.Syncs(path), batches, path
 }
 
-func mustAsync(t *testing.T, l *Log, payload string) <-chan error {
+// openLog opens a log on the OS file system.
+func openLog(t *testing.T, path string, policy wal.SyncPolicy) *wal.Log {
+	t.Helper()
+	l, err := wal.OpenLogOpts(path, 0, wal.Options{Policy: policy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+func mustAsync(t *testing.T, l *wal.Log, payload string) <-chan error {
 	t.Helper()
 	_, ack, err := l.AppendAsync([]byte(payload))
 	if err != nil {
@@ -195,9 +157,9 @@ func unresolved(t *testing.T, ack <-chan error, why string) {
 func TestGroupCommitNoAckBeforeFsyncReturns(t *testing.T) {
 	l, h, _, path := openGroup(t)
 	defer l.Close()
-	release := h.hold()
+	release := h.Hold()
 	ack := mustAsync(t, l, "r")
-	h.awaitEntered(t) // no timer involved: the append itself started it
+	awaitEntered(t, h) // no timer involved: the append itself started it
 	unresolved(t, ack, "future resolved while its fsync was still running")
 	release()
 	awaitAck(t, ack)
@@ -211,9 +173,9 @@ func TestGroupCommitNoAckBeforeFsyncReturns(t *testing.T) {
 func TestGroupCommitBatchesBehindInFlightFsync(t *testing.T) {
 	l, h, batches, path := openGroup(t)
 	defer l.Close()
-	release := h.hold()
+	release := h.Hold()
 	first := mustAsync(t, l, "first")
-	h.awaitEntered(t)
+	awaitEntered(t, h)
 	const n = 5
 	var acks []<-chan error
 	for i := 0; i < n; i++ {
@@ -229,7 +191,7 @@ func TestGroupCommitBatchesBehindInFlightFsync(t *testing.T) {
 		awaitAck(t, ack)
 	}
 	awaitBatch(t, batches, n)
-	if got := h.count(); got != 2 {
+	if got := h.Count(); got != 2 {
 		t.Fatalf("%d fsyncs for one record plus %d behind it, want 2", got, n)
 	}
 	if got := len(scanAll(t, path)); got != n+1 {
@@ -237,7 +199,7 @@ func TestGroupCommitBatchesBehindInFlightFsync(t *testing.T) {
 	}
 }
 
-// A log fsyncs at most once per stalenessBound: a waiter on a quiet log is
+// A log fsyncs at most once per wal.StalenessBound: a waiter on a quiet log is
 // synced at once, one that arrives inside the period waits it out, and
 // everything appended during the wait rides that one fsync.
 func TestGroupCommitOneFsyncPerPeriod(t *testing.T) {
@@ -255,9 +217,9 @@ func TestGroupCommitOneFsyncPerPeriod(t *testing.T) {
 	awaitAck(t, third)
 	// Two fsyncs, unless this goroutine lost the CPU for a whole period
 	// between its appends; however many there were, they began a period apart.
-	d, n := time.Since(start), h.count()
-	if n < 2 || d < time.Duration(n-1)*stalenessBound {
-		t.Fatalf("%d fsyncs of one log began within %v; the period is %v", n, d, stalenessBound)
+	d, n := time.Since(start), h.Count()
+	if n < 2 || d < time.Duration(n-1)*wal.StalenessBound {
+		t.Fatalf("%d fsyncs of one log began within %v; the period is %v", n, d, wal.StalenessBound)
 	}
 	if n == 2 {
 		awaitBatch(t, batches, 3)
@@ -269,14 +231,14 @@ func TestGroupCommitOneFsyncPerPeriod(t *testing.T) {
 func TestGroupCommitIdleLogCostsNothing(t *testing.T) {
 	l, h, _, _ := openGroup(t)
 	defer l.Close()
-	time.Sleep(5 * stalenessBound)
-	if h.count() != 0 || l.wakeups.Load() != 0 {
-		t.Fatalf("idle log: %d fsyncs, %d wake-ups", h.count(), l.wakeups.Load())
+	time.Sleep(5 * wal.StalenessBound)
+	if h.Count() != 0 || wal.Wakeups(l) != 0 {
+		t.Fatalf("idle log: %d fsyncs, %d wake-ups", h.Count(), wal.Wakeups(l))
 	}
 	awaitAck(t, mustAsync(t, l, "r"))
-	time.Sleep(5 * stalenessBound)
-	if h.count() != 1 || l.wakeups.Load() != 1 {
-		t.Fatalf("one acked append then idle: %d fsyncs, %d wake-ups", h.count(), l.wakeups.Load())
+	time.Sleep(5 * wal.StalenessBound)
+	if h.Count() != 1 || wal.Wakeups(l) != 1 {
+		t.Fatalf("one acked append then idle: %d fsyncs, %d wake-ups", h.Count(), wal.Wakeups(l))
 	}
 }
 
@@ -291,17 +253,17 @@ func TestUnwaitedRecordRidesNextFsync(t *testing.T) {
 		t.Fatal(err)
 	}
 	awaitBatch(t, batches, 1)
-	if d := time.Since(start); d < stalenessBound {
-		t.Fatalf("un-waited record fsynced after %v, before the %v bound", d, stalenessBound)
+	if d := time.Since(start); d < wal.StalenessBound {
+		t.Fatalf("un-waited record fsynced after %v, before the %v bound", d, wal.StalenessBound)
 	}
 	if n := len(scanAll(t, path)); n != 1 {
 		t.Fatalf("%d records on disk after the bound", n)
 	}
 
-	release := h.hold()
+	release := h.Hold()
 	first := mustAsync(t, l, "first")
-	for h.count() < 2 { // the bound's fsync was the first
-		h.awaitEntered(t)
+	for h.Count() < 2 { // the bound's fsync was the first
+		awaitEntered(t, h)
 	}
 	if _, err := l.AppendUnwaited([]byte("rides")); err != nil {
 		t.Fatal(err)
@@ -312,8 +274,8 @@ func TestUnwaitedRecordRidesNextFsync(t *testing.T) {
 	awaitBatch(t, batches, 1)
 	awaitAck(t, waiter)
 	awaitBatch(t, batches, 2)
-	time.Sleep(5 * stalenessBound) // a bound left armed would fire here
-	if got := h.count(); got != 3 {
+	time.Sleep(5 * wal.StalenessBound) // a bound left armed would fire here
+	if got := h.Count(); got != 3 {
 		t.Fatalf("%d fsyncs, want 3 (bound, first, waiter+rider)", got)
 	}
 	if n := len(scanAll(t, path)); n != 4 {
@@ -325,34 +287,35 @@ func TestUnwaitedRecordRidesNextFsync(t *testing.T) {
 // is in flight a second log's daemon waits for it, and the batch it then
 // cuts holds everything that arrived meanwhile — one fsync, not one per
 // record. (This is what keeps 2PC forces pooling across a store's
-// partition and coordinator logs.)
+// partition and coordinator logs, which share their Dir.)
 func TestLogsOfOneDirectoryShareTheDisk(t *testing.T) {
-	dir := t.TempDir()
-	open := func(name string) (*Log, *syncHook, <-chan int) {
+	d, fsys, dir := recorded(t)
+	open := func(name string) (*wal.Log, *crashfs.Syncs, <-chan int) {
 		batches := make(chan int, 64)
-		l, err := OpenLogOpts(filepath.Join(dir, name), 0, Options{
-			Policy:      SyncGroupCommit,
+		path := filepath.Join(dir, name)
+		l, err := d.OpenLog(path, 0, wal.Options{
+			Policy:      wal.SyncGroupCommit,
 			OnSyncBatch: func(n int) { batches <- n },
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return l, hookSync(l), batches
+		return l, fsys.Syncs(path), batches
 	}
 	a, ha, _ := open("a.log")
 	defer a.Close()
 	b, hb, bBatches := open("b.log")
 	defer b.Close()
 
-	release := ha.hold()
+	release := ha.Hold()
 	inFlight := mustAsync(t, a, "a")
-	ha.awaitEntered(t)
+	awaitEntered(t, ha)
 	const n = 6
 	var acks []<-chan error
 	for i := 0; i < n; i++ {
 		acks = append(acks, mustAsync(t, b, "b"))
 	}
-	if hb.count() != 0 {
+	if hb.Count() != 0 {
 		t.Fatal("second log started an fsync while the first log's was in flight")
 	}
 	release()
@@ -361,7 +324,7 @@ func TestLogsOfOneDirectoryShareTheDisk(t *testing.T) {
 		awaitAck(t, ack)
 	}
 	awaitBatch(t, bBatches, n)
-	if got := hb.count(); got != 1 {
+	if got := hb.Count(); got != 1 {
 		t.Fatalf("%d fsyncs for %d records that queued behind another log's fsync, want 1", got, n)
 	}
 }
@@ -372,10 +335,10 @@ func TestGroupCommitFsyncErrorPoisons(t *testing.T) {
 	l, h, _, _ := openGroup(t)
 	defer l.Close()
 	boom := errors.New("disk on fire")
-	h.failWith(boom)
-	release := h.hold()
+	h.Fail(boom)
+	release := h.Hold()
 	first := mustAsync(t, l, "first")
-	h.awaitEntered(t)
+	awaitEntered(t, h)
 	if _, err := l.AppendUnwaited([]byte("rider")); err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +354,7 @@ func TestGroupCommitFsyncErrorPoisons(t *testing.T) {
 			t.Fatalf("future %d never resolved", i)
 		}
 	}
-	h.failWith(nil)
+	h.Fail(nil)
 	if _, _, err := l.AppendAsync([]byte("later")); !errors.Is(err, boom) {
 		t.Fatalf("AppendAsync on a poisoned log: %v", err)
 	}
@@ -410,25 +373,27 @@ func TestGroupCommitFsyncErrorPoisons(t *testing.T) {
 // after one fails, a retry must not report success.
 func TestFailedFsyncPoisonsOnEveryPath(t *testing.T) {
 	boom := errors.New("disk on fire")
-	for name, op := range map[string]func(l *Log) error{
-		"Sync":     func(l *Log) error { return l.Sync() },
-		"Truncate": func(l *Log) error { return l.Truncate() },
-		"Append":   func(l *Log) error { _, err := l.Append([]byte("r")); return err },
+	for name, op := range map[string]func(l *wal.Log) error{
+		"Sync":     func(l *wal.Log) error { return l.Sync() },
+		"Truncate": func(l *wal.Log) error { return l.Truncate() },
+		"Append":   func(l *wal.Log) error { _, err := l.Append([]byte("r")); return err },
 	} {
-		policy := SyncNever
+		policy := wal.SyncNever
 		if name == "Append" {
-			policy = SyncEveryRecord
+			policy = wal.SyncEveryRecord
 		}
-		l, err := OpenLog(filepath.Join(t.TempDir(), "x.log"), 0, policy)
+		d, fsys, dir := recorded(t)
+		path := filepath.Join(dir, "x.log")
+		l, err := d.OpenLog(path, 0, wal.Options{Policy: policy})
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := hookSync(l)
-		h.failWith(boom)
+		h := fsys.Syncs(path)
+		h.Fail(boom)
 		if err := op(l); !errors.Is(err, boom) {
 			t.Fatalf("%s with a failing fsync: %v", name, err)
 		}
-		h.failWith(nil)
+		h.Fail(nil)
 		if err := l.Sync(); !errors.Is(err, boom) {
 			t.Fatalf("Sync after a failed %s: %v, want the sticky error", name, err)
 		}
@@ -442,12 +407,12 @@ func TestFailedFsyncPoisonsOnEveryPath(t *testing.T) {
 func TestGroupCommitSyncNowDrains(t *testing.T) {
 	l, h, _, path := openGroup(t)
 	defer l.Close()
-	release := h.hold()
+	release := h.Hold()
 	var acks []<-chan error
 	for i := 0; i < 5; i++ {
 		acks = append(acks, mustAsync(t, l, "p"))
 	}
-	h.awaitEntered(t)
+	awaitEntered(t, h)
 	synced := make(chan error, 1)
 	go func() { synced <- l.SyncNow() }()
 	release()
@@ -472,9 +437,9 @@ func TestGroupCommitSyncNowDrains(t *testing.T) {
 
 func TestGroupCommitCloseResolvesPending(t *testing.T) {
 	l, h, _, path := openGroup(t)
-	release := h.hold()
+	release := h.Hold()
 	inFlight := mustAsync(t, l, "in flight")
-	h.awaitEntered(t)
+	awaitEntered(t, h)
 	straggler := mustAsync(t, l, "straggler")
 	if _, err := l.AppendUnwaited([]byte("un-waited")); err != nil {
 		t.Fatal(err)
@@ -503,9 +468,9 @@ func TestGroupCommitCloseResolvesPending(t *testing.T) {
 func TestGroupCommitTruncateKeepsLSNAndDrains(t *testing.T) {
 	l, h, _, path := openGroup(t)
 	defer l.Close()
-	release := h.hold()
+	release := h.Hold()
 	ack := mustAsync(t, l, "pre")
-	h.awaitEntered(t)
+	awaitEntered(t, h)
 	if _, err := l.AppendUnwaited([]byte("pre, un-waited")); err != nil {
 		t.Fatal(err)
 	}
@@ -545,8 +510,8 @@ func TestGroupCommitPlainAppendWaits(t *testing.T) {
 	if _, err := l.Append([]byte("sync-shim")); err != nil {
 		t.Fatal(err)
 	}
-	if h.count() != 1 {
-		t.Fatalf("%d fsyncs behind one synchronous Append", h.count())
+	if h.Count() != 1 {
+		t.Fatalf("%d fsyncs behind one synchronous Append", h.Count())
 	}
 	if n := len(scanAll(t, path)); n != 1 {
 		t.Fatalf("%d records on disk after synchronous Append", n)
@@ -554,12 +519,9 @@ func TestGroupCommitPlainAppendWaits(t *testing.T) {
 }
 
 func TestAppendAsyncOnSyncPoliciesResolvesImmediately(t *testing.T) {
-	for _, pol := range []SyncPolicy{SyncNever, SyncEveryRecord} {
+	for _, pol := range []wal.SyncPolicy{wal.SyncNever, wal.SyncEveryRecord} {
 		path := filepath.Join(t.TempDir(), "x.log")
-		l, err := OpenLog(path, 0, pol)
-		if err != nil {
-			t.Fatal(err)
-		}
+		l := openLog(t, path, pol)
 		lsn, ack, err := l.AppendAsync([]byte("x"))
 		if err != nil || lsn != 1 {
 			t.Fatalf("policy %d: lsn=%d err=%v", pol, lsn, err)

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -55,7 +54,7 @@ const stalenessBound = 2 * time.Millisecond
 // no batch limit.
 const DefaultGroupCommitMaxBatch = 64
 
-// Options configures OpenLogOpts.
+// Options configures a log (Dir.OpenLog).
 type Options struct {
 	// Policy selects when appended records are forced to stable storage.
 	Policy SyncPolicy
@@ -98,13 +97,10 @@ const (
 // daemon's state.
 type Log struct {
 	policy SyncPolicy
-	// sync forces the file to stable storage: f.Sync, except in tests,
-	// which substitute it to hold an fsync open or make it fail.
-	sync func() error
-	disk chan struct{} // the directory's token: held across a commit daemon's fsync (see disks)
+	disk   chan struct{} // the directory's token: held across a commit daemon's fsync (see Dir)
 
 	mu       sync.Mutex
-	f        *os.File
+	f        File
 	w        *bufio.Writer
 	lsn      uint64       // last assigned LSN
 	buf      []byte       // frame scratch, reused across appends
@@ -127,24 +123,12 @@ type Log struct {
 	onSyncBatch func(n int)
 }
 
-// OpenLog opens (creating if needed) the log at path and positions for
-// appending. startLSN is the LSN of the last record already in the file
-// (use ScanLog to discover it).
-func OpenLog(path string, startLSN uint64, policy SyncPolicy) (*Log, error) {
-	return OpenLogOpts(path, startLSN, Options{Policy: policy})
-}
-
-// OpenLogOpts opens a log with explicit options; SyncGroupCommit starts the
-// commit daemon, which runs until Close.
-func OpenLogOpts(path string, startLSN uint64, o Options) (*Log, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: open log: %w", err)
-	}
+// newLog wraps an open segment file (Dir.OpenLog) whose commit daemon
+// takes disk before each fsync.
+func newLog(f File, disk chan struct{}, startLSN uint64, o Options) *Log {
 	l := &Log{
 		policy: o.Policy,
-		sync:   f.Sync,
-		disk:   diskOf(path),
+		disk:   disk,
 		f:      f,
 		w:      bufio.NewWriterSize(f, 1<<16),
 		lsn:    startLSN,
@@ -158,22 +142,7 @@ func OpenLogOpts(path string, startLSN uint64, o Options) (*Log, error) {
 		l.done = make(chan struct{})
 		go l.daemon()
 	}
-	return l, nil
-}
-
-// disks holds one token per log directory: the logs of a store share a
-// device, so for the commit daemons "the disk is free" is a fact about the
-// directory, not the file. With the token a second log's waiters pool
-// while the first log's fsync runs (daemons fsyncing side by side
-// serialize in the journal anyway, pin a thread each, and a 4-partition
-// 2PC load collapsed to ~1.5 records per fsync); blocked senders queue
-// FIFO, so logs take turns. Entries are never removed: one channel per
-// directory ever opened.
-var disks sync.Map // directory -> chan struct{} (capacity 1)
-
-func diskOf(path string) chan struct{} {
-	d, _ := disks.LoadOrStore(filepath.Dir(path), make(chan struct{}, 1))
-	return d.(chan struct{})
+	return l
 }
 
 // GroupCommit reports whether the log batches fsyncs behind commit futures.
@@ -216,7 +185,7 @@ func (l *Log) flushLocked() error {
 // kernel may have dropped the dirty pages it could not write and a retry
 // that then succeeds proves nothing. Callers must not hold l.mu.
 func (l *Log) fsync() error {
-	err := l.sync()
+	err := l.f.Sync()
 	if err != nil {
 		l.mu.Lock()
 		if l.err == nil {
@@ -438,10 +407,7 @@ func (l *Log) Truncate() error {
 	l.mu.Lock()
 	err := l.flushLocked()
 	if err == nil {
-		err = l.f.Truncate(0)
-	}
-	if err == nil {
-		_, err = l.f.Seek(0, io.SeekStart)
+		err = l.f.Truncate(0) // the segment is open O_APPEND: the next write lands at 0
 	}
 	l.mu.Unlock()
 	if err != nil {
@@ -485,44 +451,71 @@ func (l *Log) Close() error {
 // or corrupt tail (the crash case) and returns the last LSN delivered
 // (0 when the log is empty or missing).
 func ScanLog(path string, fn func(lsn uint64, payload []byte) error) (uint64, error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, nil
+	s, err := openSegment(path)
+	if s == nil {
+		return 0, err
 	}
-	if err != nil {
-		return 0, fmt.Errorf("wal: open for scan: %w", err)
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return 0, fmt.Errorf("wal: stat for scan: %w", err)
-	}
-	left := st.Size() // bytes not yet consumed: no frame can claim more
+	defer s.f.Close()
 	var last uint64
-	var hdr [8]byte
 	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			return last, nil // clean EOF or torn header: stop
+		lsn, payload, ok := s.next()
+		if !ok {
+			return last, nil
 		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		want := binary.LittleEndian.Uint32(hdr[4:8])
-		if left -= 8; n < 8 || int64(n) > left {
-			return last, nil // length runs past the file: torn or corrupt tail
-		}
-		left -= int64(n)
-		body := make([]byte, n)
-		if _, err := io.ReadFull(f, body); err != nil {
-			return last, nil // torn payload
-		}
-		if crc32.ChecksumIEEE(body) != want {
-			return last, nil // corrupt record
-		}
-		lsn := binary.LittleEndian.Uint64(body[:8])
 		last = lsn
-		if err := fn(lsn, body[8:]); err != nil {
+		if err := fn(lsn, payload); err != nil {
 			return last, err
 		}
 	}
+}
+
+// segment reads a log file's frames in order; ScanLog and ReadFrames both
+// read through next, so both stop at the same frame.
+type segment struct {
+	f    *os.File
+	off  int64 // where the next frame starts
+	size int64 // the file's size when opened
+}
+
+// openSegment opens the log file at path for reading. A missing file is
+// no segment and no error.
+func openSegment(path string) (*segment, error) {
+	f, err := os.Open(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
+	if err == nil {
+		var st os.FileInfo
+		if st, err = f.Stat(); err == nil {
+			return &segment{f: f, size: st.Size()}, nil
+		}
+		f.Close()
+	}
+	return nil, fmt.Errorf("wal: open segment: %w", err)
+}
+
+// next reads the frame at off and moves past it, or reports !ok and stays:
+// at the end of the file, or at a torn or corrupt frame (a header or body
+// cut short, a length that runs past the end of the file, a CRC that does
+// not match), which is the tail a crash left.
+func (s *segment) next() (lsn uint64, payload []byte, ok bool) {
+	var hdr [8]byte
+	if _, err := s.f.ReadAt(hdr[:], s.off); err != nil {
+		return 0, nil, false
+	}
+	n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
+	if n < 8 || n > s.size-s.off-8 {
+		return 0, nil, false
+	}
+	body := make([]byte, n)
+	if _, err := s.f.ReadAt(body, s.off+8); err != nil {
+		return 0, nil, false
+	}
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(hdr[4:8]) {
+		return 0, nil, false
+	}
+	s.off += 8 + n
+	return binary.LittleEndian.Uint64(body[:8]), body[8:], true
 }
 
 // DefaultLogName and DefaultSnapshotName are the file names used inside a

@@ -19,12 +19,8 @@ package wal
 // detection).
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
 	"sync"
 )
 
@@ -97,167 +93,86 @@ func storeCursor(path string, lsn uint64, off int64) {
 // least one frame is returned when any qualifies), plus the last intact
 // LSN present in the whole segment (endLSN — the shipping horizon, used
 // for lag accounting; frames beyond the byte budget are skimmed, not
-// materialized). Like ScanLog it stops silently at a torn or corrupt
-// tail. A missing segment returns no frames and endLSN 0.
+// shipped). Like ScanLog it stops silently at a torn or corrupt tail. A
+// missing segment returns no frames and endLSN 0.
 func ReadFrames(path string, afterLSN uint64, maxBytes int) (frames []Frame, endLSN uint64, err error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, 0, nil
+	s, err := openSegment(path)
+	if s == nil {
+		return nil, 0, err
 	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("wal: open for ship: %w", err)
-	}
-	defer f.Close()
+	defer s.f.Close()
 	if maxBytes <= 0 {
 		maxBytes = 1 << 20
 	}
 	if afterLSN > 0 {
 		if off, ok := lookupCursor(path, afterLSN); ok {
-			if frames, endLSN, ok := readFromCursor(f, path, afterLSN, off, maxBytes); ok {
-				return frames, endLSN, nil
+			// Resume at the cached start of afterLSN's own frame. The frame
+			// must be intact with exactly that LSN — the cheap generation
+			// check that detects a truncated-and-restarted file.
+			s.off = off
+			if lsn, _, ok := s.next(); ok && lsn == afterLSN {
+				frames, endLSN = s.consume(path, maxBytes)
+				return frames, max(endLSN, afterLSN), nil
 			}
-			// Stale cursor (the file was rewritten under it): full scan.
+			s.off = 0 // stale cursor (the file was rewritten under it): full scan
 		}
 	}
-	return scanFrames(f, path, afterLSN, maxBytes)
-}
-
-// readFromCursor resumes at the cached start of afterLSN's own frame. The
-// frame is re-read and must be intact with exactly that LSN — the cheap
-// generation check that detects a truncated-and-restarted file. ok=false
-// means the cursor cannot be trusted and the caller must scan from zero.
-func readFromCursor(f *os.File, path string, afterLSN uint64, off int64, maxBytes int) (frames []Frame, endLSN uint64, ok bool) {
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		return nil, 0, false
-	}
-	lsn, _, err := readOneFrame(f)
-	if err != nil || lsn != afterLSN {
-		return nil, 0, false
-	}
-	// Positioned just past afterLSN's frame: everything from here is new.
-	frames, endLSN = consume(f, path, afterLSN, maxBytes)
-	if endLSN < afterLSN {
-		endLSN = afterLSN // no newer intact frame: the horizon is our own position
-	}
-	return frames, endLSN, true
-}
-
-// scanFrames is the from-zero path: skip to afterLSN (checking for a
-// truncation gap at the first frame), then consume the tail.
-func scanFrames(f *os.File, path string, afterLSN uint64, maxBytes int) (frames []Frame, endLSN uint64, err error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, 0, fmt.Errorf("wal: seek for ship: %w", err)
-	}
-	first := true
-	var off int64
-	for {
-		lsn, n, rerr := readOneFrame(f)
-		if rerr != nil {
-			// Clean EOF or torn tail before reaching afterLSN: nothing new.
-			if endLSN == 0 && !first {
-				endLSN = afterLSN
+	// From zero: skip to afterLSN (checking for a truncation gap at the
+	// first frame), then consume the tail.
+	for first := true; ; first = false {
+		start := s.off
+		lsn, _, ok := s.next()
+		if !ok {
+			// End of the intact frames before reaching afterLSN: nothing new.
+			if first {
+				return nil, 0, nil
 			}
-			return nil, endLSN, nil
+			return nil, afterLSN, nil
 		}
-		if first {
-			// A truncation (checkpoint) restarts the file at a later LSN; a
-			// reader positioned before that has an unshippable hole.
-			if afterLSN > 0 && lsn > afterLSN+1 {
-				return nil, 0, fmt.Errorf("%w (position %d, segment starts at %d)", ErrShipGap, afterLSN, lsn)
-			}
-			first = false
+		// A truncation (checkpoint) restarts the file at a later LSN; a
+		// reader positioned before that has an unshippable hole.
+		if first && afterLSN > 0 && lsn > afterLSN+1 {
+			return nil, 0, fmt.Errorf("%w (position %d, segment starts at %d)", ErrShipGap, afterLSN, lsn)
 		}
-		off += int64(8 + n)
-		if lsn >= afterLSN {
-			if lsn == afterLSN {
-				// Next frames are the new tail; consume from here. Cache
-				// afterLSN's own frame so idle polls skip this scan.
-				storeCursor(path, afterLSN, off-int64(8+n))
-				frames, endLSN = consume(f, path, afterLSN, maxBytes)
-				if endLSN < afterLSN {
-					endLSN = afterLSN
-				}
-				return frames, endLSN, nil
-			}
-			// afterLSN == 0 (or the exact frame predates the segment but no
-			// gap, i.e. lsn == afterLSN+1): rewind this frame and consume.
-			if _, err := f.Seek(off-int64(8+n), io.SeekStart); err != nil {
-				return nil, 0, fmt.Errorf("wal: seek for ship: %w", err)
-			}
-			frames, endLSN = consume(f, path, afterLSN, maxBytes)
-			if endLSN == 0 {
-				endLSN = afterLSN
-			}
-			return frames, endLSN, nil
+		if lsn < afterLSN {
+			continue
 		}
+		if lsn == afterLSN {
+			// Next frames are the new tail. Cache afterLSN's own frame so
+			// idle polls skip this scan.
+			storeCursor(path, afterLSN, start)
+		} else {
+			// afterLSN == 0, or the segment starts right after it: this
+			// frame is the first to ship.
+			s.off = start
+		}
+		frames, endLSN = s.consume(path, maxBytes)
+		return frames, max(endLSN, afterLSN), nil
 	}
 }
 
-// consume reads intact frames from the file's current position, shipping
-// those within budget and skimming the rest for the horizon. It caches a
-// cursor at the start of the last frame it shipped (or at afterLSN's frame
-// when nothing ships) so the next fetch seeks instead of scanning.
-func consume(f *os.File, path string, afterLSN uint64, maxBytes int) (frames []Frame, endLSN uint64) {
-	off, err := f.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return nil, 0
-	}
-	// The frame ending at off carries afterLSN (both callers position us
-	// there) — worth caching even if nothing new is intact yet.
+// consume reads the intact frames from off on, shipping those within
+// budget and skimming the rest for the horizon. It caches a cursor at the
+// start of the last frame it shipped so the next fetch seeks instead of
+// scanning.
+func (s *segment) consume(path string, maxBytes int) (frames []Frame, endLSN uint64) {
 	budget := maxBytes
 	cursorLSN, cursorOff := uint64(0), int64(0)
 	for {
-		frameStart := off
-		lsn, n, rerr := readOneFrameInto(f, budget > 0, &frames)
-		if rerr != nil {
-			break // clean EOF or torn/corrupt tail
+		start := s.off
+		lsn, payload, ok := s.next()
+		if !ok {
+			break
 		}
-		off = frameStart + int64(8+n)
 		endLSN = lsn
-		if lsn <= afterLSN {
-			continue // duplicate ground already covered (possible only at afterLSN+0)
-		}
 		if budget > 0 {
-			budget -= n
-			cursorLSN, cursorOff = lsn, frameStart
+			frames = append(frames, Frame{LSN: lsn, Payload: payload})
+			budget -= 8 + len(payload)
+			cursorLSN, cursorOff = lsn, start
 		}
 	}
 	if cursorLSN > 0 {
 		storeCursor(path, cursorLSN, cursorOff)
 	}
 	return frames, endLSN
-}
-
-// readOneFrame reads and validates one frame, returning its LSN and body
-// length without materializing the payload.
-func readOneFrame(f *os.File) (lsn uint64, n int, err error) {
-	var discard []Frame
-	return readOneFrameInto(f, false, &discard)
-}
-
-// readOneFrameInto reads one frame; when ship is true the payload is
-// appended to *frames. Any error means "stop tailing here" (EOF, torn
-// header/payload, bad CRC, implausible length).
-func readOneFrameInto(f *os.File, ship bool, frames *[]Frame) (lsn uint64, n int, err error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return 0, 0, err
-	}
-	ln := binary.LittleEndian.Uint32(hdr[0:4])
-	want := binary.LittleEndian.Uint32(hdr[4:8])
-	if ln < 8 || ln > 1<<30 {
-		return 0, 0, errors.New("wal: implausible frame length")
-	}
-	body := make([]byte, ln)
-	if _, err := io.ReadFull(f, body); err != nil {
-		return 0, 0, err
-	}
-	if crc32.ChecksumIEEE(body) != want {
-		return 0, 0, errors.New("wal: frame crc mismatch")
-	}
-	lsn = binary.LittleEndian.Uint64(body[:8])
-	if ship {
-		*frames = append(*frames, Frame{LSN: lsn, Payload: body[8:]})
-	}
-	return lsn, int(ln), nil
 }

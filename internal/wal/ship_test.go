@@ -2,8 +2,10 @@ package wal
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -13,7 +15,7 @@ import (
 func TestReadFramesTailAndResume(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ship.log")
-	l, err := OpenLog(path, 0, SyncEveryRecord)
+	l, err := OpenLogOpts(path, 0, Options{Policy: SyncEveryRecord})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +97,7 @@ func TestReadFramesTailAndResume(t *testing.T) {
 func TestReadFramesGapAfterTruncate(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "gap.log")
-	l, err := OpenLog(path, 0, SyncEveryRecord)
+	l, err := OpenLogOpts(path, 0, Options{Policy: SyncEveryRecord})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +141,7 @@ func TestReadFramesGapAfterTruncate(t *testing.T) {
 func TestReadFramesStaleCursorAfterTruncate(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "stale.log")
-	l, err := OpenLog(path, 0, SyncEveryRecord)
+	l, err := OpenLogOpts(path, 0, Options{Policy: SyncEveryRecord})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,5 +182,65 @@ func TestReadFramesStaleCursorAfterTruncate(t *testing.T) {
 	frames, end, err = ReadFrames(path, 7, 0)
 	if err != nil || len(frames) != 0 || end != 7 {
 		t.Fatalf("idle poll: %v %d %v", frames, end, err)
+	}
+}
+
+// TestFrameReadersStopAtTheSameFrame feeds ScanLog and ReadFrames the same
+// damaged segments: both read through one frame decoder, so both stop at
+// the first frame that is not whole and intact, and neither reads past it.
+func TestFrameReadersStopAtTheSameFrame(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "good.log")
+	l, err := OpenLogOpts(path, 0, Options{Policy: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"one", "two", "three"} {
+		if _, err := l.Append([]byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const second, third = 19, 38 // frame offsets: 16 bytes of header and LSN, then the payload
+	damage := func(f func(b []byte) []byte) []byte { return f(append([]byte(nil), good...)) }
+	for _, c := range []struct {
+		name string
+		data []byte
+		want []uint64
+	}{
+		{"intact", good, []uint64{1, 2, 3}},
+		{"torn header", good[:third+5], []uint64{1, 2}},
+		{"torn payload", good[:len(good)-2], []uint64{1, 2}},
+		{"bad crc", damage(func(b []byte) []byte { b[third+4] ^= 0xFF; return b }), []uint64{1, 2}},
+		{"bad crc mid-segment", damage(func(b []byte) []byte { b[second+17] ^= 0xFF; return b }), []uint64{1}},
+		{"length past end of file", damage(func(b []byte) []byte { b[third]++; return b }), []uint64{1, 2}},
+		{"huge length", damage(func(b []byte) []byte { b[third+3] = 0x7F; return b }), []uint64{1, 2}},
+	} {
+		p := filepath.Join(dir, strings.ReplaceAll(c.name, " ", "-")+".log")
+		if err := os.WriteFile(p, c.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var scanned []uint64
+		if _, err := ScanLog(p, func(lsn uint64, _ []byte) error { scanned = append(scanned, lsn); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		frames, end, err := ReadFrames(p, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var shipped []uint64
+		for _, f := range frames {
+			shipped = append(shipped, f.LSN)
+		}
+		want := fmt.Sprint(c.want)
+		if fmt.Sprint(scanned) != want || fmt.Sprint(shipped) != want || end != c.want[len(c.want)-1] {
+			t.Errorf("%s: ScanLog read %v, ReadFrames shipped %v up to %d; want %s", c.name, scanned, shipped, end, want)
+		}
 	}
 }

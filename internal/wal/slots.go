@@ -1,11 +1,9 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
-	"hash/crc32"
-	"os"
+	"io"
+	"io/fs"
 	"path/filepath"
 
 	"repro/internal/catalog"
@@ -25,52 +23,23 @@ func SlotsPath(dir string) string { return filepath.Join(dir, DefaultSlotsName) 
 // assignment for the stamped partition count).
 var ErrNoSlots = errors.New("wal: no slot table")
 
-// WriteSlots atomically persists the slot table (write-temp + rename, CRC
+// WriteSlots durably replaces the slot table at path, a file in d (CRC
 // trailer like the snapshots).
-func WriteSlots(path string, t *catalog.SlotTable) error {
-	body := t.Encode()
-	buf := make([]byte, 0, len(body)+4)
-	buf = append(buf, body...)
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc32.ChecksumIEEE(body))
-	buf = append(buf, tail[:]...)
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("wal: slot table create: %w", err)
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
+func WriteSlots(d *Dir, path string, t *catalog.SlotTable) error {
+	return d.Replace(path, withCRC(func(w io.Writer) error {
+		_, err := w.Write(t.Encode())
 		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("wal: slot table rename: %w", err)
-	}
-	return nil
+	}))
 }
 
 // LoadSlots reads a persisted slot table.
 func LoadSlots(path string) (*catalog.SlotTable, error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
+	body, err := readChecked(path)
+	if errors.Is(err, fs.ErrNotExist) {
 		return nil, ErrNoSlots
 	}
 	if err != nil {
-		return nil, fmt.Errorf("wal: slot table read: %w", err)
-	}
-	if len(data) < 4 {
-		return nil, fmt.Errorf("wal: slot table too short")
-	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(tail) {
-		return nil, fmt.Errorf("wal: slot table checksum mismatch (torn write?)")
+		return nil, err
 	}
 	return catalog.DecodeSlotTable(body)
 }

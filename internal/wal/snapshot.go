@@ -1,13 +1,11 @@
 package wal
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"os"
+	"io/fs"
 
 	"repro/internal/catalog"
 	"repro/internal/types"
@@ -26,72 +24,43 @@ type Snapshot struct {
 
 const snapshotMagic = 0x53535451 // "SSTQ"
 
-// WriteSnapshot atomically writes the snapshot of cat to path
-// (write-temp + rename).
-func WriteSnapshot(path string, cat *catalog.Catalog, meta Snapshot) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("wal: snapshot create: %w", err)
-	}
-	w := bufio.NewWriterSize(f, 1<<20)
-	crc := crc32.NewIEEE()
-	mw := io.MultiWriter(w, crc)
-
-	writeU64 := func(v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		mw.Write(b[:])
-	}
-	writeBytes := func(p []byte) {
-		writeU64(uint64(len(p)))
-		mw.Write(p)
-	}
-	writeU64(snapshotMagic)
-	writeU64(meta.LastLSN)
-	writeU64(meta.NextBatchID)
-
-	names := cat.Names()
-	writeU64(uint64(len(names)))
-	for _, name := range names {
-		rel := cat.Relation(name)
-		writeBytes([]byte(rel.Name))
-		writeU64(uint64(rel.Kind))
-		rows := rel.Table.ScanRows()
-		payload := types.EncodeRows(nil, rows)
-		writeBytes(payload)
-		if rel.Kind == catalog.KindWindow {
-			win := rel.Win
-			writeU64(uint64(win.Admitted))
-			writeU64(uint64(win.Watermark))
-			writeU64(uint64(win.SlideCount))
-			writeBytes([]byte(win.OwnerProc))
-			writeBytes(types.EncodeRows(nil, win.Staged))
+// WriteSnapshot durably replaces the snapshot at path, a file in d, with
+// the state of cat; a CRC-32 trailer covers the whole image.
+func WriteSnapshot(d *Dir, path string, cat *catalog.Catalog, meta Snapshot) error {
+	return d.Replace(path, withCRC(func(w io.Writer) error {
+		// w is buffered and keeps its first error, which Replace's flush
+		// reports: the writes below need no checks of their own.
+		u64 := make([]byte, 8)
+		writeU64 := func(v uint64) {
+			binary.LittleEndian.PutUint64(u64, v)
+			w.Write(u64)
 		}
-	}
-	// Trailer: CRC over everything written so far.
-	sum := crc.Sum32()
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], sum)
-	if _, err := w.Write(tail[:]); err != nil {
-		f.Close()
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("wal: snapshot rename: %w", err)
-	}
-	return nil
+		writeBytes := func(p []byte) {
+			writeU64(uint64(len(p)))
+			w.Write(p)
+		}
+		writeU64(snapshotMagic)
+		writeU64(meta.LastLSN)
+		writeU64(meta.NextBatchID)
+
+		names := cat.Names()
+		writeU64(uint64(len(names)))
+		for _, name := range names {
+			rel := cat.Relation(name)
+			writeBytes([]byte(rel.Name))
+			writeU64(uint64(rel.Kind))
+			writeBytes(types.EncodeRows(nil, rel.Table.ScanRows()))
+			if rel.Kind == catalog.KindWindow {
+				win := rel.Win
+				writeU64(uint64(win.Admitted))
+				writeU64(uint64(win.Watermark))
+				writeU64(uint64(win.SlideCount))
+				writeBytes([]byte(win.OwnerProc))
+				writeBytes(types.EncodeRows(nil, win.Staged))
+			}
+		}
+		return nil
+	}))
 }
 
 // ErrNoSnapshot reports that no snapshot file exists.
@@ -103,114 +72,80 @@ var ErrNoSnapshot = errors.New("wal: no snapshot")
 // incompatibly); relations in the catalog but not the snapshot are left
 // empty.
 func LoadSnapshot(path string, cat *catalog.Catalog) (Snapshot, error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
+	body, err := readChecked(path)
+	if errors.Is(err, fs.ErrNotExist) {
 		return Snapshot{}, ErrNoSnapshot
 	}
 	if err != nil {
-		return Snapshot{}, fmt.Errorf("wal: snapshot read: %w", err)
+		return Snapshot{}, err
 	}
-	if len(data) < 12 {
-		return Snapshot{}, fmt.Errorf("wal: snapshot too short")
-	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(tail) {
-		return Snapshot{}, fmt.Errorf("wal: snapshot checksum mismatch (torn write?)")
-	}
-	buf := body
-	readU64 := func() (uint64, error) {
-		if len(buf) < 8 {
-			return 0, io.ErrUnexpectedEOF
-		}
-		v := binary.LittleEndian.Uint64(buf)
-		buf = buf[8:]
-		return v, nil
-	}
-	readBytes := func() ([]byte, error) {
-		n, err := readU64()
-		if err != nil || uint64(len(buf)) < n {
-			return nil, io.ErrUnexpectedEOF
-		}
-		p := buf[:n]
-		buf = buf[n:]
-		return p, nil
-	}
-	magic, err := readU64()
-	if err != nil || magic != snapshotMagic {
+	r := &snapshotReader{buf: body}
+	if r.u64() != snapshotMagic {
 		return Snapshot{}, fmt.Errorf("wal: not a snapshot file")
 	}
 	var meta Snapshot
-	if meta.LastLSN, err = readU64(); err != nil {
-		return Snapshot{}, err
-	}
-	if meta.NextBatchID, err = readU64(); err != nil {
-		return Snapshot{}, err
-	}
-	nRel, err := readU64()
-	if err != nil {
-		return Snapshot{}, err
-	}
-	for i := uint64(0); i < nRel; i++ {
-		nameB, err := readBytes()
-		if err != nil {
-			return Snapshot{}, err
+	meta.LastLSN = r.u64()
+	meta.NextBatchID = r.u64()
+	for n := r.u64(); n > 0 && r.err == nil; n-- {
+		name, kind, payload := string(r.bytes()), catalog.RelationKind(r.u64()), r.bytes()
+		if r.err != nil {
+			break
 		}
-		kindU, err := readU64()
-		if err != nil {
-			return Snapshot{}, err
-		}
-		payload, err := readBytes()
-		if err != nil {
-			return Snapshot{}, err
-		}
-		rel := cat.Relation(string(nameB))
+		rel := cat.Relation(name)
 		if rel == nil {
-			return Snapshot{}, fmt.Errorf("wal: snapshot relation %q missing from catalog (run DDL before recovery)", nameB)
+			return Snapshot{}, fmt.Errorf("wal: snapshot relation %q missing from catalog (run DDL before recovery)", name)
 		}
-		if rel.Kind != catalog.RelationKind(kindU) {
-			return Snapshot{}, fmt.Errorf("wal: snapshot relation %q kind mismatch", nameB)
+		if rel.Kind != kind {
+			return Snapshot{}, fmt.Errorf("wal: snapshot relation %q kind mismatch", name)
 		}
 		rows, _, err := types.DecodeRows(payload)
 		if err != nil {
-			return Snapshot{}, fmt.Errorf("wal: snapshot rows of %q: %w", nameB, err)
+			return Snapshot{}, fmt.Errorf("wal: snapshot rows of %q: %w", name, err)
 		}
 		rel.Table.Truncate(nil)
-		for _, r := range rows {
-			if _, err := rel.Table.Insert(r, nil); err != nil {
-				return Snapshot{}, fmt.Errorf("wal: snapshot restore %q: %w", nameB, err)
+		for _, row := range rows {
+			if _, err := rel.Table.Insert(row, nil); err != nil {
+				return Snapshot{}, fmt.Errorf("wal: snapshot restore %q: %w", name, err)
 			}
 		}
-		if rel.Kind == catalog.KindWindow {
-			adm, err := readU64()
-			if err != nil {
+		if win := rel.Win; win != nil {
+			win.Admitted, win.Watermark, win.SlideCount = int64(r.u64()), int64(r.u64()), int64(r.u64())
+			win.OwnerProc = string(r.bytes())
+			if win.Staged, _, err = types.DecodeRows(r.bytes()); err != nil {
 				return Snapshot{}, err
 			}
-			wm, err := readU64()
-			if err != nil {
-				return Snapshot{}, err
-			}
-			sc, err := readU64()
-			if err != nil {
-				return Snapshot{}, err
-			}
-			owner, err := readBytes()
-			if err != nil {
-				return Snapshot{}, err
-			}
-			stagedB, err := readBytes()
-			if err != nil {
-				return Snapshot{}, err
-			}
-			staged, _, err := types.DecodeRows(stagedB)
-			if err != nil {
-				return Snapshot{}, err
-			}
-			rel.Win.Admitted = int64(adm)
-			rel.Win.Watermark = int64(wm)
-			rel.Win.SlideCount = int64(sc)
-			rel.Win.OwnerProc = string(owner)
-			rel.Win.Staged = staged
 		}
 	}
+	if r.err != nil {
+		return Snapshot{}, r.err
+	}
 	return meta, nil
+}
+
+// snapshotReader decodes a snapshot body; past its first short read every
+// read yields zero and err is io.ErrUnexpectedEOF.
+type snapshotReader struct {
+	buf []byte
+	err error
+}
+
+func (r *snapshotReader) u64() uint64 {
+	if len(r.buf) < 8 {
+		r.err, r.buf = io.ErrUnexpectedEOF, nil
+		return 0
+	}
+	v := binary.LittleEndian.Uint64(r.buf)
+	r.buf = r.buf[8:]
+	return v
+}
+
+func (r *snapshotReader) bytes() []byte {
+	n := r.u64()
+	if uint64(len(r.buf)) < n {
+		r.err, r.buf = io.ErrUnexpectedEOF, nil
+		return nil
+	}
+	p := r.buf[:n]
+	r.buf = r.buf[n:]
+	return p
 }

@@ -13,7 +13,7 @@ import (
 func TestLogAppendScanRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "x.log")
-	l, err := OpenLog(path, 0, SyncEveryRecord)
+	l, err := OpenLogOpts(path, 0, Options{Policy: SyncEveryRecord})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestScanMissingFile(t *testing.T) {
 func TestScanStopsAtTornTail(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "x.log")
-	l, _ := OpenLog(path, 0, SyncNever)
+	l, _ := OpenLogOpts(path, 0, Options{Policy: SyncNever})
 	_, _ = l.Append([]byte("good-record"))
 	_, _ = l.Append([]byte("will-be-torn"))
 	l.Close()
@@ -88,7 +88,7 @@ func TestScanStopsAtTornTail(t *testing.T) {
 func TestLogTruncateKeepsLSN(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "x.log")
-	l, _ := OpenLog(path, 0, SyncNever)
+	l, _ := OpenLogOpts(path, 0, Options{Policy: SyncNever})
 	_, _ = l.Append([]byte("a"))
 	_, _ = l.Append([]byte("b"))
 	if err := l.Truncate(); err != nil {
@@ -196,7 +196,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "snap.bin")
 	meta := Snapshot{LastLSN: 55, NextBatchID: 17}
-	if err := WriteSnapshot(path, cat, meta); err != nil {
+	if err := WriteSnapshot(NewDir(filepath.Dir(path), OS), path, cat, meta); err != nil {
 		t.Fatal(err)
 	}
 
@@ -226,7 +226,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestSnapshotCorruptionDetected(t *testing.T) {
 	cat := snapshotCatalog(t)
 	path := filepath.Join(t.TempDir(), "snap.bin")
-	if err := WriteSnapshot(path, cat, Snapshot{}); err != nil {
+	if err := WriteSnapshot(NewDir(filepath.Dir(path), OS), path, cat, Snapshot{}); err != nil {
 		t.Fatal(err)
 	}
 	data, _ := os.ReadFile(path)
@@ -240,7 +240,7 @@ func TestSnapshotCorruptionDetected(t *testing.T) {
 func TestSnapshotMissingRelationRejected(t *testing.T) {
 	cat := snapshotCatalog(t)
 	path := filepath.Join(t.TempDir(), "snap.bin")
-	if err := WriteSnapshot(path, cat, Snapshot{}); err != nil {
+	if err := WriteSnapshot(NewDir(filepath.Dir(path), OS), path, cat, Snapshot{}); err != nil {
 		t.Fatal(err)
 	}
 	empty := catalog.New()
