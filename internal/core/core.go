@@ -981,21 +981,20 @@ func (s *Store) Checkpoint() error {
 		// truncation is harmless on either side of it (the record is dead
 		// weight once the partition logs are empty). Truncate drains the
 		// coordinator log's own group-commit pipeline first.
+		//
+		// Pause state lives in the coordinator log, so the log that
+		// replaces it already holds a pause record for every paused graph:
+		// a crash leaves the old log or the new one, and the pause
+		// survives either way.
 		if s.coordLog != nil {
-			if err := s.coordLog.Truncate(); err != nil {
-				return err
-			}
-			// Pause state lives in the coordinator log and truncation just
-			// discarded it; re-stamp every currently paused graph so the
-			// pause still survives a crash after this checkpoint.
+			var paused [][]byte
 			for _, df := range s.schema.Load().Dataflows() {
-				if !df.Paused {
-					continue
+				if df.Paused {
+					paused = append(paused, wal.EncodeRecord(&pe.LogRecord{Kind: pe.RecPauseGraph, Proc: df.Name}))
 				}
-				payload := wal.EncodeRecord(&pe.LogRecord{Kind: pe.RecPauseGraph, Proc: df.Name})
-				if _, err := s.coordLog.Append(payload); err != nil {
-					return err
-				}
+			}
+			if err := s.coordLog.Truncate(paused...); err != nil {
+				return err
 			}
 		}
 		return nil

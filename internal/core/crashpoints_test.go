@@ -76,11 +76,12 @@ func kvRows(st *Store) (map[int64]int64, error) {
 // checkpoint (each snapshot and slot-table replacement — temp file, fsync,
 // rename, directory sync — and each log truncation). Before the
 // checkpoint, keyed calls, border batches and one coordinated pair are
-// durable. Every image in every variant must open and recover exactly what
-// was durable: nothing during creation, all of it during the checkpoint.
+// durable, and the dataflow is paused. Every image in every variant must
+// open and recover exactly what was durable: nothing during creation, all
+// of it, the pause included, during the checkpoint.
 func TestCheckpointCrashPoints(t *testing.T) {
 	cfg := Config{Dir: t.TempDir(), Partitions: 2, Sync: wal.SyncEveryRecord}
-	recovers := func(want map[int64]int64) func(img string) error {
+	recovers := func(want map[int64]int64, paused bool) func(img string) error {
 		return func(img string) error {
 			cfg := cfg
 			cfg.Dir = img
@@ -96,6 +97,9 @@ func TestCheckpointCrashPoints(t *testing.T) {
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				return fmt.Errorf("recovered %v, want %v", got, want)
 			}
+			if got := st.Dataflows()[0].Paused; got != paused {
+				return fmt.Errorf("recovered dataflow paused %v, want %v", got, paused)
+			}
 			return nil
 		}
 	}
@@ -105,7 +109,7 @@ func TestCheckpointCrashPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Stop()
-	eachCrashImage(t, fsys, crashPoints(0, fsys.Len()), recovers(map[int64]int64{}))
+	eachCrashImage(t, fsys, crashPoints(0, fsys.Len()), recovers(map[int64]int64{}, false))
 
 	for k := int64(0); k < 8; k++ {
 		if _, err := st.Call("put", types.NewInt(k), types.NewInt(k*10)); err != nil {
@@ -135,11 +139,14 @@ func TestCheckpointCrashPoints(t *testing.T) {
 	if len(want) != 16 {
 		t.Fatalf("%d rows before the checkpoint, want 16", len(want))
 	}
+	if err := st.PauseDataflow("feed"); err != nil {
+		t.Fatal(err)
+	}
 	from := fsys.Len()
 	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	eachCrashImage(t, fsys, crashPoints(from, fsys.Len()), recovers(want))
+	eachCrashImage(t, fsys, crashPoints(from, fsys.Len()), recovers(want, true))
 }
 
 // TestPartitionsStampUnchanged pins the PARTITIONS stamp's bytes — the

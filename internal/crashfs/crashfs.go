@@ -199,17 +199,6 @@ func (f *file) Write(p []byte) (int, error) {
 	return n, err
 }
 
-func (f *file) Truncate(size int64) error {
-	f.fs.mu.Lock()
-	defer f.fs.mu.Unlock()
-	if err := f.f.Truncate(size); err != nil {
-		return err
-	}
-	f.fs.record(&op{kind: opTruncate, name: f.name, ino: f.ino, off: size})
-	f.ino.size = size
-	return nil
-}
-
 // Sync covers what was written before it began, and is recorded when it
 // returns: a write made while it is held may or may not be covered, so the
 // image keeps it only as an unsynced write.

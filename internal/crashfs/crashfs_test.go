@@ -43,7 +43,8 @@ func TestImagesFollowTheModel(t *testing.T) {
 	must(fs.Rename(filepath.Join(dir, "stamp.tmp"), filepath.Join(dir, "stamp")))
 	renamed := fs.Len()
 	must(fs.SyncDir(dir))
-	must(log.Truncate(0))
+	_, err = fs.OpenFile(filepath.Join(dir, "log"), os.O_WRONLY|os.O_TRUNC, 0)
+	must(err)
 	truncated := fs.Len()
 
 	for _, c := range []struct {

@@ -13,11 +13,10 @@ import (
 )
 
 // File is a durable file as the code that writes it sees it: bytes go in,
-// Sync makes them durable, Truncate cuts the file. *os.File satisfies it.
+// Sync makes them durable. *os.File satisfies it.
 type File interface {
 	io.Writer
 	Sync() error
-	Truncate(size int64) error
 	Close() error
 }
 
@@ -98,7 +97,7 @@ func (d *Dir) OpenLog(path string, startLSN uint64, o Options) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: open log: %w", err)
 	}
-	return newLog(f, d.disk, startLSN, o), nil
+	return newLog(d, path, f, startLSN, o), nil
 }
 
 // OpenLogOpts opens the log segment at path through a Dir of its own on

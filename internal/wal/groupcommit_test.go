@@ -389,6 +389,9 @@ func TestFailedFsyncPoisonsOnEveryPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		h := fsys.Syncs(path)
+		if name == "Truncate" {
+			h = fsys.Syncs(path + ".tmp") // the file that replaces the segment
+		}
 		h.Fail(boom)
 		if err := op(l); !errors.Is(err, boom) {
 			t.Fatalf("%s with a failing fsync: %v", name, err)

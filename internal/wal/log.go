@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -97,8 +98,12 @@ const (
 // daemon's state.
 type Log struct {
 	policy SyncPolicy
-	disk   chan struct{} // the directory's token: held across a commit daemon's fsync (see Dir)
+	dir    *Dir   // the directory the segment lives in (Truncate replaces it there)
+	path   string // the segment's path
 
+	// fmu is held shared across every fsync of f and exclusively while
+	// Truncate swaps f for the file that replaced it.
+	fmu      sync.RWMutex
 	mu       sync.Mutex
 	f        File
 	w        *bufio.Writer
@@ -123,12 +128,13 @@ type Log struct {
 	onSyncBatch func(n int)
 }
 
-// newLog wraps an open segment file (Dir.OpenLog) whose commit daemon
-// takes disk before each fsync.
-func newLog(f File, disk chan struct{}, startLSN uint64, o Options) *Log {
+// newLog wraps the segment file f at path in d (Dir.OpenLog); its commit
+// daemon takes d's disk token before each fsync.
+func newLog(d *Dir, path string, f File, startLSN uint64, o Options) *Log {
 	l := &Log{
 		policy: o.Policy,
-		disk:   disk,
+		dir:    d,
+		path:   path,
 		f:      f,
 		w:      bufio.NewWriterSize(f, 1<<16),
 		lsn:    startLSN,
@@ -154,18 +160,24 @@ func (l *Log) appendFrame(payload []byte) (uint64, error) {
 		return 0, fmt.Errorf("wal: log poisoned by earlier failure: %w", l.err)
 	}
 	lsn := l.lsn + 1
-	b := binary.LittleEndian.AppendUint32(l.buf[:0], uint32(8+len(payload)))
-	b = append(b, 0, 0, 0, 0) // the CRC, once the bytes it covers are in place
-	b = binary.LittleEndian.AppendUint64(b, lsn)
-	b = append(b, payload...)
-	binary.LittleEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(b[8:]))
-	l.buf = b
-	if _, err := l.w.Write(b); err != nil {
+	l.buf = frame(l.buf[:0], lsn, payload)
+	if _, err := l.w.Write(l.buf); err != nil {
 		l.err = err
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
 	l.lsn = lsn
 	return lsn, nil
+}
+
+// frame appends to b the frame of one record.
+func frame(b []byte, lsn uint64, payload []byte) []byte {
+	start := len(b)
+	b = binary.LittleEndian.AppendUint32(b, uint32(8+len(payload)))
+	b = append(b, 0, 0, 0, 0) // the CRC, once the bytes it covers are in place
+	b = binary.LittleEndian.AppendUint64(b, lsn)
+	b = append(b, payload...)
+	binary.LittleEndian.PutUint32(b[start+4:start+8], crc32.ChecksumIEEE(b[start+8:]))
+	return b
 }
 
 // flushLocked drains the buffered writer to the OS. Caller holds l.mu.
@@ -185,7 +197,9 @@ func (l *Log) flushLocked() error {
 // kernel may have dropped the dirty pages it could not write and a retry
 // that then succeeds proves nothing. Callers must not hold l.mu.
 func (l *Log) fsync() error {
+	l.fmu.RLock()
 	err := l.f.Sync()
+	l.fmu.RUnlock()
 	if err != nil {
 		l.mu.Lock()
 		if l.err == nil {
@@ -336,7 +350,7 @@ func (l *Log) daemon() {
 // after an append that the previous fsync did not cover.)
 func (l *Log) syncBatch() bool {
 	time.Sleep(time.Until(l.lastSync.Add(stalenessBound))) // nothing to wait for on a quiet log
-	l.disk <- struct{}{}
+	l.dir.disk <- struct{}{}
 	l.lastSync = time.Now()
 	l.mu.Lock()
 	l.state = syncing // the bound's expiry lands here; a waiter set it already
@@ -347,7 +361,7 @@ func (l *Log) syncBatch() bool {
 	if err == nil && (n > 0 || len(batch) > 0) {
 		err = l.fsync()
 	}
-	<-l.disk
+	<-l.dir.disk
 	for _, ch := range batch {
 		ch <- err
 	}
@@ -394,26 +408,51 @@ func (l *Log) LSN() uint64 {
 	return l.lsn
 }
 
-// Truncate empties the log file after a successful snapshot. LSNs keep
-// increasing monotonically across truncation. Pending group-commit futures
-// are made durable and resolved first — their records are covered by the
-// snapshot the caller just wrote, but the futures themselves must complete.
-func (l *Log) Truncate() error {
+// Truncate empties the log after a successful snapshot, keeping only the
+// records in keep, which it appends after every record so far: LSNs keep
+// increasing across truncation. The segment is replaced through its Dir,
+// so a crash leaves the old segment or the new one with keep in it, never
+// an empty one. Pending group-commit futures are made durable and resolved
+// first — their records are covered by the snapshot the caller just wrote,
+// but the futures themselves must complete. An append racing Truncate
+// lands in the old segment or the new one.
+func (l *Log) Truncate(keep ...[]byte) error {
 	if l.policy == SyncGroupCommit {
 		if err := l.SyncNow(); err != nil {
 			return fmt.Errorf("wal: truncate: %w", err)
 		}
 	}
+	l.fmu.Lock()
+	defer l.fmu.Unlock()
 	l.mu.Lock()
+	defer l.mu.Unlock()
+	var frames []byte
+	lsn := l.lsn
+	for _, p := range keep {
+		lsn++
+		frames = frame(frames, lsn, p)
+	}
 	err := l.flushLocked()
 	if err == nil {
-		err = l.f.Truncate(0) // the segment is open O_APPEND: the next write lands at 0
+		err = l.dir.Replace(l.path, func(w io.Writer) error {
+			_, err := w.Write(frames)
+			return err
+		})
 	}
-	l.mu.Unlock()
+	var f File
+	if err == nil {
+		f, err = l.dir.fs.OpenFile(l.path, os.O_WRONLY|os.O_APPEND, 0)
+	}
 	if err != nil {
+		if l.err == nil {
+			l.err = err
+		}
 		return fmt.Errorf("wal: truncate: %w", err)
 	}
-	return l.fsync()
+	old := l.f
+	l.f, l.lsn = f, lsn
+	l.w.Reset(f)
+	return old.Close()
 }
 
 // Sync flushes buffered frames and forces the log to stable storage. It
