@@ -20,6 +20,7 @@ import (
 	"repro/internal/apps/bikeshare"
 	"repro/internal/apps/voter"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/pe"
 	"repro/internal/types"
 	"repro/internal/wal"
@@ -235,10 +236,10 @@ func BenchmarkE10Rebalance(b *testing.B) {
 		if sum != want || cnt != want || parts != to {
 			b.Fatalf("SUM(n)=%d COUNT(votes)=%d on %d partitions, want %d on %d", sum, cnt, parts, want, to)
 		}
-		b.ReportMetric(float64(snap.SlotRowsMoved), "rows-moved")
-		b.ReportMetric(float64(snap.SlotsMigrated), "slots-migrated")
-		b.ReportMetric(float64(snap.CutoverPauseP50.Microseconds()), "pause-p50-us")
-		b.ReportMetric(float64(snap.CutoverPauseP99.Microseconds()), "pause-p99-us")
+		b.ReportMetric(float64(snap[metrics.SlotRowsMoved]), "rows-moved")
+		b.ReportMetric(float64(snap[metrics.SlotsMigrated]), "slots-migrated")
+		b.ReportMetric(float64(snap.Duration(metrics.CutoverPauseP50).Microseconds()), "pause-p50-us")
+		b.ReportMetric(float64(snap.Duration(metrics.CutoverPauseP99).Microseconds()), "pause-p99-us")
 		b.ReportMetric(before, "votes/s-before")
 		b.ReportMetric(during, "votes/s-during")
 		b.ReportMetric(after, "votes/s-after")
@@ -287,19 +288,19 @@ func BenchmarkE11MPCommit(b *testing.B) {
 				switch {
 				case stored != 2*txns:
 					b.Fatalf("%d rows stored, want %d", stored, 2*txns)
-				case snap.MPTxns != wantMP:
-					b.Fatalf("mp_txns %d, want %d", snap.MPTxns, wantMP)
+				case snap[metrics.MPTxns] != wantMP:
+					b.Fatalf("mp_txns %d, want %d", snap[metrics.MPTxns], wantMP)
 				case mode == "multi" && prepares == 0:
 					b.Fatal("no PREPARE record logged")
-				case int64(math.Round(float64(snap.MPPrepareBatches)*snap.MPPrepareBatchMean)) != prepares:
+				case int64(math.Round(float64(snap[metrics.MPPrepareBatches])*snap.Mean(metrics.MPPrepareBatchMean))) != prepares:
 					b.Fatalf("%d prepare fsyncs of mean %.2f, but %d PREPARE records logged",
-						snap.MPPrepareBatches, snap.MPPrepareBatchMean, prepares)
+						snap[metrics.MPPrepareBatches], snap.Mean(metrics.MPPrepareBatchMean), prepares)
 				}
 				b.ReportMetric(float64(txns)/elapsed.Seconds(), "txns/s")
 				reportLatency(b, "", lats)
 				if mode == "multi" {
-					b.ReportMetric(snap.MPPrepareBatchMean, "prepare_batch_mean")
-					b.ReportMetric(snap.MPDecideBatchMean, "decide_batch_mean")
+					b.ReportMetric(snap.Mean(metrics.MPPrepareBatchMean), "prepare_batch_mean")
+					b.ReportMetric(snap.Mean(metrics.MPDecideBatchMean), "decide_batch_mean")
 				}
 			}
 		})

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/apps/bikeshare"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/types"
 	"repro/internal/workload"
 )
@@ -155,7 +156,7 @@ func printSummary(st *core.Store) {
 	alerts, _ := st.Query("SELECT COUNT(*) FROM alerts")
 	fmt.Println("=== simulation summary ===")
 	fmt.Printf("  txns committed=%d aborted=%d | tuples ingested=%d | window slides=%d\n",
-		m.TxnCommitted, m.TxnAborted, m.TuplesIngested, m.WindowSlides)
+		m[metrics.TxnCommitted], m[metrics.TxnAborted], m[metrics.TuplesIngested], m[metrics.WindowSlides])
 	if len(rides.Rows) > 0 && !rides.Rows[0][1].IsNull() {
 		fmt.Printf("  completed rides=%d, revenue=%d cents\n",
 			rides.Rows[0][0].Int(), rides.Rows[0][1].Int())

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/apps/voter"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/workload"
 )
 
@@ -89,9 +90,9 @@ func main() {
 	ssm, hsm := ss.Metrics().Snapshot(), hs.Metrics().Snapshot()
 	fmt.Println("=== throughput (votes/sec, in-process) ===")
 	fmt.Printf("  S-Store: %10.0f   (client->PE %d, PE->EE %d, EE-internal %d)\n",
-		ssTPS, ssm.ClientToPE, ssm.PEToEE, ssm.EEInternal)
+		ssTPS, ssm[metrics.ClientToPE], ssm[metrics.PEToEE], ssm[metrics.EEInternal])
 	fmt.Printf("  H-Store: %10.0f   (client->PE %d, PE->EE %d, EE-internal %d)\n",
-		hsTPS, hsm.ClientToPE, hsm.PEToEE, hsm.EEInternal)
+		hsTPS, hsm[metrics.ClientToPE], hsm[metrics.PEToEE], hsm[metrics.EEInternal])
 	fmt.Printf("  speedup: %.2fx\n\n", ssTPS/hsTPS)
 
 	var lb *core.Store

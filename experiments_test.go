@@ -15,6 +15,7 @@ import (
 	"repro/internal/apps/voter"
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/pe"
 	"repro/internal/server"
 	"repro/internal/types"
@@ -309,7 +310,7 @@ func E2TCP(seed int64, votes, pipeline, ssChunk int) ([]E2TCPRow, error) {
 			return err
 		}
 		el := time.Since(t0)
-		crossings := st.Metrics().Snapshot().ClientToPE
+		crossings := st.Metrics().Snapshot()[metrics.ClientToPE]
 		d, err := voter.Audit(st, oracle)
 		if err != nil {
 			return err
@@ -389,7 +390,7 @@ func E3(seed int64, votes int) ([]E3Row, error) {
 	row := func(st *core.Store, system string) E3Row {
 		m := st.Metrics().Snapshot()
 		st.Stop()
-		return E3Row{System: system, ClientToPE: per1k(m.ClientToPE), PEToEE: per1k(m.PEToEE), EEInternal: per1k(m.EEInternal)}
+		return E3Row{System: system, ClientToPE: per1k(m[metrics.ClientToPE]), PEToEE: per1k(m[metrics.PEToEE]), EEInternal: per1k(m[metrics.EEInternal])}
 	}
 	ss, err := newVoterSStore(cfg.Contestants)
 	if err != nil {
@@ -474,7 +475,7 @@ func E4(seed int64, stations, bikesPer, riders, ticks int) (*E4Result, error) {
 	res.Elapsed = time.Since(t0)
 
 	m := st.Metrics().Snapshot()
-	res.GPSTuples, res.WindowSlides = m.TuplesIngested, m.WindowSlides
+	res.GPSTuples, res.WindowSlides = m[metrics.TuplesIngested], m[metrics.WindowSlides]
 	if q, err := st.Query("SELECT COUNT(*) FROM alerts"); err == nil {
 		res.Alerts = q.Rows[0][0].Int()
 	}
@@ -531,7 +532,7 @@ func E5(dirA, dirB string, seed int64, votes int) ([]E5Row, error) {
 		if err != nil {
 			return E5Row{}, err
 		}
-		return E5Row{Mode: name, LogRecords: m.LogRecords, LogBytes: m.LogBytes, RecoveryDur: rec, StateEqual: d.IsClean()}, nil
+		return E5Row{Mode: name, LogRecords: m[metrics.LogRecords], LogBytes: m[metrics.LogBytes], RecoveryDur: rec, StateEqual: d.IsClean()}, nil
 	}
 	a, err := run(dirA, pe.LogBorderOnly, "upstream-backup")
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/wal"
 	"repro/internal/workload"
 )
@@ -86,7 +87,7 @@ func TestGlobalEliminationMatchesOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGlobalMatchesOracle(t, st, o, accepted, eliminations, elimTotals)
-	if st.Metrics().MPTxns.Load() == 0 {
+	if st.Metrics().Load(metrics.MPTxns) == 0 {
 		t.Fatal("no coordinated transactions ran; the test did not exercise 2PC")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/workload"
 )
 
@@ -320,7 +321,7 @@ func TestRoundTripAccounting(t *testing.T) {
 	if err := RunSStore(ss, votes); err != nil {
 		t.Fatal(err)
 	}
-	ssTrips := ss.Metrics().ClientToPE.Load()
+	ssTrips := ss.Metrics().Load(metrics.ClientToPE)
 	ss.Stop()
 
 	hs := newHStore(t, cfg.Contestants)
@@ -328,7 +329,7 @@ func TestRoundTripAccounting(t *testing.T) {
 	if err := cl.Run(votes); err != nil {
 		t.Fatal(err)
 	}
-	hsTrips := hs.Metrics().ClientToPE.Load()
+	hsTrips := hs.Metrics().Load(metrics.ClientToPE)
 	hs.Stop()
 
 	if ssTrips > int64(len(votes))+5 {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/pe"
 	"repro/internal/types"
 	"repro/internal/wal"
@@ -111,7 +112,7 @@ func TestAdHocStreamInsertFiresNoTrigger(t *testing.T) {
 			if got := totals(t, st); len(got) != 0 {
 				t.Fatalf("an ad-hoc insert fired the events trigger: totals = %v", got)
 			}
-			if n := st.Metrics().TriggeredTxns.Load(); n != 0 {
+			if n := st.Metrics().Load(metrics.TriggeredTxns); n != 0 {
 				t.Fatalf("%d triggered executions ran", n)
 			}
 			if err := st.Stop(); err != nil {
@@ -150,7 +151,7 @@ func TestAdHocReadsAndFailuresLogNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 			met := st.Metrics()
-			records, reads, commits := met.LogRecords.Load(), met.SnapshotReads.Load(), met.TxnCommitted.Load()
+			records, reads, commits := met.Load(metrics.LogRecords), met.Load(metrics.SnapshotReads), met.Load(metrics.TxnCommitted)
 			res, err := st.Exec("SELECT COUNT(*) FROM totals")
 			if err != nil {
 				t.Fatal(err)
@@ -158,7 +159,7 @@ func TestAdHocReadsAndFailuresLogNothing(t *testing.T) {
 			if n := res.Rows[0][0].Int(); n != 4 {
 				t.Fatalf("Exec of a SELECT counted %d rows, want 4", n)
 			}
-			if met.SnapshotReads.Load() == reads || met.TxnCommitted.Load() != commits {
+			if met.Load(metrics.SnapshotReads) == reads || met.Load(metrics.TxnCommitted) != commits {
 				t.Fatal("Exec of a SELECT ran as a transaction, not a snapshot read")
 			}
 			for _, q := range []string{
@@ -171,7 +172,7 @@ func TestAdHocReadsAndFailuresLogNothing(t *testing.T) {
 					t.Fatalf("%s succeeded", q)
 				}
 			}
-			if n := met.LogRecords.Load() - records; n != 0 {
+			if n := met.Load(metrics.LogRecords) - records; n != 0 {
 				t.Fatalf("a read and four failed writes appended %d log records", n)
 			}
 			if got := fmt.Sprint(totals(t, st)); got != "map[1:1 2:2 3:3 4:4]" {

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/pe"
 	"repro/internal/types"
 	"repro/internal/wal"
@@ -126,15 +127,15 @@ func TestAntiCacheEvictAndFaultEquivalence(t *testing.T) {
 	forceEvict(t, st)
 
 	snap := st.Metrics().Snapshot()
-	if snap.ColdEvictions == 0 {
+	if snap[metrics.ColdEvictions] == 0 {
 		t.Fatal("no evictions despite resident set over budget")
 	}
-	if snap.ColdResidentBytes > padBudget {
-		t.Fatalf("resident %d bytes, budget %d", snap.ColdResidentBytes, padBudget)
+	if snap[metrics.ColdResidentBytes] > padBudget {
+		t.Fatalf("resident %d bytes, budget %d", snap[metrics.ColdResidentBytes], padBudget)
 	}
 	checkPadRows(t, st, n)
 	forceEvict(t, st) // sync the per-table fault counters into metrics
-	if after := st.Metrics().Snapshot(); after.ColdFaults == 0 {
+	if after := st.Metrics().Snapshot(); after[metrics.ColdFaults] == 0 {
 		t.Fatal("reads over evicted rows recorded no cold faults")
 	}
 	// stats surface carries the three anti-caching rows, and beside them
@@ -179,7 +180,7 @@ func TestAntiCachePinnedSnapshotSeesEvictedVersions(t *testing.T) {
 	// The pinned versions are committed below the pin's sequence, so the
 	// evictor may (and under this budget will) move them to cold pages.
 	forceEvict(t, st)
-	if snap := st.Metrics().Snapshot(); snap.ColdEvictions == 0 {
+	if snap := st.Metrics().Snapshot(); snap[metrics.ColdEvictions] == 0 {
 		t.Fatal("no evictions despite resident set over budget")
 	}
 	res, err := st.QueryPinned(pin, "SELECT COUNT(*), SUM(v) FROM kvpad")
@@ -226,7 +227,7 @@ func TestAntiCacheCrashAfterEvictionLosesNoAckedWrites(t *testing.T) {
 	const n = 300
 	putPadRows(t, st, 0, n)
 	forceEvict(t, st)
-	if snap := st.Metrics().Snapshot(); snap.ColdEvictions == 0 {
+	if snap := st.Metrics().Snapshot(); snap[metrics.ColdEvictions] == 0 {
 		t.Fatal("no evictions despite resident set over budget")
 	}
 	if err := st.Checkpoint(); err != nil {
@@ -267,7 +268,7 @@ func TestAntiCacheFollowerUnaffectedByPrimaryEviction(t *testing.T) {
 	const n = 300
 	putPadRows(t, st, 0, n)
 	forceEvict(t, st)
-	if snap := st.Metrics().Snapshot(); snap.ColdEvictions == 0 {
+	if snap := st.Metrics().Snapshot(); snap[metrics.ColdEvictions] == 0 {
 		t.Fatal("no evictions despite resident set over budget")
 	}
 	putPadRows(t, st, n, n+50)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/types"
 )
 
@@ -56,11 +57,11 @@ func TestMPSpanningInsertTwoWaitsPerLeg(t *testing.T) {
 		}
 	}
 	d := st.Metrics().Snapshot().Delta(before)
-	if d.MPTxns != int64(len(ids)) || d.MPLegsCommitted != 2*int64(len(ids)) {
-		t.Fatalf("%d coordinated txns with %d legs, want %d and %d", d.MPTxns, d.MPLegsCommitted, len(ids), 2*len(ids))
+	if d[metrics.MPTxns] != int64(len(ids)) || d[metrics.MPLegsCommitted] != 2*int64(len(ids)) {
+		t.Fatalf("%d coordinated txns with %d legs, want %d and %d", d[metrics.MPTxns], d[metrics.MPLegsCommitted], len(ids), 2*len(ids))
 	}
-	if d.MPLegWaits != 2*d.MPLegsCommitted {
-		t.Fatalf("%d waits for %d legs, want 2 per leg", d.MPLegWaits, d.MPLegsCommitted)
+	if d[metrics.MPLegWaits] != 2*d[metrics.MPLegsCommitted] {
+		t.Fatalf("%d waits for %d legs, want 2 per leg", d[metrics.MPLegWaits], d[metrics.MPLegsCommitted])
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/ee"
@@ -101,7 +100,7 @@ type partition struct {
 	mpSlot sync.Mutex
 	// pendPrep counts PREPARE forces appended to this partition's log since
 	// the commit daemon's last fsync; the daemon's OnSyncBatch callback
-	// drains it into the MPPrepareBatchSize histogram.
+	// drains it into the PrepareBatch histogram.
 	pendPrep atomic.Int64
 	// specTail is the most recent coordinated transaction that published
 	// its writes on this partition while its durability was still settling
@@ -134,7 +133,7 @@ func (p *partition) Append(rec *pe.LogRecord, waited bool) (<-chan error, error)
 			return nil, err
 		}
 		p.met.ObserveLogged(len(payload))
-		p.met.WalUnwaitedRecords.Add(1)
+		p.met.Add(metrics.WalUnwaitedRecords, 1)
 		return nil, nil
 	}
 	_, ack, err := p.log.AppendAsync(payload)
@@ -234,7 +233,7 @@ func (p *partition) recover(d *wal.Dir, cfg *Config, ap *applier) error {
 func (p *partition) openLog(d *wal.Dir, cfg *Config, path string, lastLSN uint64) (err error) {
 	p.log, err = d.OpenLog(path, lastLSN, cfg.logOptions(p.met, func(int) {
 		if n := p.pendPrep.Swap(0); n > 0 {
-			p.met.MPPrepareBatchSize().Observe(n)
+			p.met.Observe(metrics.PrepareBatch, n)
 		}
 	}))
 	if err != nil {
@@ -252,8 +251,8 @@ func (cfg *Config) logOptions(met *metrics.Metrics, onSync func(n int)) wal.Opti
 	return wal.Options{
 		Policy: cfg.Sync,
 		OnSyncBatch: func(n int) {
-			met.WalFsyncs.Add(1)
-			met.WalFsyncRecords.Add(int64(n))
+			met.Add(metrics.WalFsyncs, 1)
+			met.Add(metrics.WalFsyncRecords, int64(n))
 			onSync(n)
 		},
 	}
@@ -452,18 +451,22 @@ func (s *Store) PEAt(i int) *pe.Engine { return s.partList()[i].pe }
 // Metrics returns the engine's counter set (shared by all partitions).
 func (s *Store) Metrics() *metrics.Metrics { return s.met }
 
-// unbudgetedBytes reports the partition's heap bytes outside the resident-
-// row ledger: the index entries of every relation and the page buffers of
-// the cold store's pool. Reads atomics and the pool's own lock only, so
-// any goroutine may call it.
-func (p *partition) unbudgetedBytes() (index, pool int64) {
+// readPerPartition fills v's per-partition metrics from the partition:
+// the heap outside the resident-row ledger (index entries, the cold
+// store's page buffers; DESIGN.md §7), the rows its access paths examined
+// and returned, its acker backlog and the executions its pause gates hold.
+// It reads atomics and takes short locks only, so any goroutine may call
+// it.
+func (p *partition) readPerPartition(v *metrics.Snapshot) {
 	for _, name := range p.cat.Names() {
-		index += p.cat.Relation(name).Table.IndexBytes()
+		v[metrics.IndexBytes] += p.cat.Relation(name).Table.IndexBytes()
 	}
 	if cs := p.cat.ColdStore(); cs != nil {
-		pool = int64(cs.Stats().PoolBytes)
+		v[metrics.ColdPoolBytes] = int64(cs.Stats().PoolBytes)
 	}
-	return index, pool
+	v[metrics.RowsExamined], v[metrics.RowsReturned] = p.ee.RowCounts()
+	v[metrics.AckBacklog] = int64(p.pe.AckBacklog())
+	v[metrics.DeferredExecutions] = int64(p.pe.DeferredExecutions())
 }
 
 // StatsResult renders a metrics snapshot as metric/value rows — the body of
@@ -471,92 +474,15 @@ func (p *partition) unbudgetedBytes() (index, pool int64) {
 // strings so counters, gauges, batch means, and latency quantiles share one
 // column.
 func (s *Store) StatsResult() *pe.Result {
-	snap := s.met.Snapshot()
-	res := &pe.Result{Columns: []string{"metric", "value"}}
-	add := func(name, val string) {
-		res.Rows = append(res.Rows, types.Row{types.NewString(name), types.NewString(val)})
-	}
-	ci := func(name string, v int64) { add(name, strconv.FormatInt(v, 10)) }
-	cf := func(name string, v float64) { add(name, strconv.FormatFloat(v, 'f', 2, 64)) }
-	cd := func(name string, v time.Duration) { add(name, v.String()) }
-	ci("txn_committed", snap.TxnCommitted)
-	ci("txn_aborted", snap.TxnAborted)
-	ci("client_to_pe", snap.ClientToPE)
-	ci("pe_to_ee", snap.PEToEE)
-	ci("ee_internal", snap.EEInternal)
-	ci("tuples_ingested", snap.TuplesIngested)
-	ci("batches_border", snap.BatchesBorder)
-	ci("triggered_txns", snap.TriggeredTxns)
-	ci("window_slides", snap.WindowSlides)
-	ci("stream_gc_tuples", snap.StreamGCTuples)
-	ci("log_records", snap.LogRecords)
-	ci("log_bytes", snap.LogBytes)
-	ci("wal_fsyncs", snap.WalFsyncs)
-	ci("wal_fsync_records", snap.WalFsyncRecords)
-	ci("wal_unwaited_records", snap.WalUnwaitedRecords)
-	ci("mp_txns", snap.MPTxns)
-	ci("mp_aborts", snap.MPAborts)
-	ci("mp_legs_committed", snap.MPLegsCommitted)
-	ci("mp_concurrent", snap.MPConcurrent)
-	ci("mp_read_only_legs", snap.MPReadOnlyLegs)
-	ci("mp_one_phase", snap.MPOnePhase)
-	ci("mp_leg_waits", snap.MPLegWaits)
-	ci("mp_prepare_batches", snap.MPPrepareBatches)
-	cf("mp_prepare_batch_mean", snap.MPPrepareBatchMean)
-	ci("mp_decide_batches", snap.MPDecideBatches)
-	cf("mp_decide_batch_mean", snap.MPDecideBatchMean)
-	ci("snapshot_reads", snap.SnapshotReads)
-	ci("gc_runs", snap.GCRuns)
-	ci("gc_versions_reclaimed", snap.GCVersionsReclaimed)
-	ci("versions_retained", snap.VersionsRetained)
-	ci("cold_evictions", snap.ColdEvictions)
-	ci("cold_faults", snap.ColdFaults)
-	ci("cold_resident_bytes", snap.ColdResidentBytes)
-	// What MemoryBudget does not govern (DESIGN.md §7), summed like the
-	// gauge above and then per partition, the scope the budget applies at.
 	parts := s.partList()
-	index, pool := make([]int64, len(parts)), make([]int64, len(parts))
-	var indexSum, poolSum int64
+	per := make([]metrics.Snapshot, len(parts))
 	for i, p := range parts {
-		index[i], pool[i] = p.unbudgetedBytes()
-		indexSum += index[i]
-		poolSum += pool[i]
+		p.readPerPartition(&per[i])
 	}
-	ci("index_bytes", indexSum)
-	ci("cold_pool_bytes", poolSum)
-	for i := range parts {
-		ci(fmt.Sprintf("index_bytes.p%d", i), index[i])
-		ci(fmt.Sprintf("cold_pool_bytes.p%d", i), pool[i])
-	}
-	// Rows the access paths handed to statements against rows SELECTs gave
-	// back: a read that examines far more than it returns is one to index.
-	examined, returned := make([]int64, len(parts)), make([]int64, len(parts))
-	var examinedSum, returnedSum int64
-	for i, p := range parts {
-		examined[i], returned[i] = p.ee.RowCounts()
-		examinedSum += examined[i]
-		returnedSum += returned[i]
-	}
-	ci("rows_examined", examinedSum)
-	ci("rows_returned", returnedSum)
-	for i := range parts {
-		ci(fmt.Sprintf("rows_examined.p%d", i), examined[i])
-		ci(fmt.Sprintf("rows_returned.p%d", i), returned[i])
-	}
-	ci("rebalances", snap.Rebalances)
-	ci("slots_migrated", snap.SlotsMigrated)
-	ci("slot_rows_moved", snap.SlotRowsMoved)
-	ci("repl_records_applied", snap.ReplRecordsApplied)
-	ci("repl_lag", snap.ReplLag)
-	ci("follower_reads", snap.FollowerReads)
-	ci("promotions", snap.Promotions)
-	ci("latency_count", snap.LatencyCount)
-	cd("latency_p50", snap.LatencyP50)
-	cd("latency_p99", snap.LatencyP99)
-	cd("latency_p9999", snap.LatencyP9999)
-	ci("cutover_pause_count", snap.CutoverPauseCount)
-	cd("cutover_pause_p50", snap.CutoverPauseP50)
-	cd("cutover_pause_p99", snap.CutoverPauseP99)
+	res := &pe.Result{Columns: []string{"metric", "value"}}
+	metrics.Rows(s.met.Snapshot(), per, func(name, val string) {
+		res.Rows = append(res.Rows, types.Row{types.NewString(name), types.NewString(val)})
+	})
 	res.RowsAffected = len(res.Rows)
 	return res
 }
@@ -685,7 +611,7 @@ func (s *Store) recoverFrom(ap *applier, coordPath string, coordLSN uint64) (err
 	// partition sets overlap) append their DECIDE forces, and those that
 	// arrive while one fsync runs share the next.
 	s.coordLog, err = s.dir.OpenLog(coordPath, coordLSN, s.cfg.logOptions(s.met, func(n int) {
-		s.met.MPDecideBatchSize().Observe(int64(n))
+		s.met.Observe(metrics.DecideBatch, int64(n))
 	}))
 	if err != nil {
 		return err
@@ -853,7 +779,7 @@ func (s *Store) rehomeMisplacedRows() error {
 		}); err != nil {
 			return err
 		}
-		s.met.SlotsMigrated.Add(1)
+		s.met.Add(metrics.SlotsMigrated, 1)
 	}
 	for _, d := range dels {
 		if err := d.rel.Table.Delete(d.id, nil); err != nil {
@@ -863,7 +789,7 @@ func (s *Store) rehomeMisplacedRows() error {
 	for _, p := range parts {
 		p.cat.Clock().Publish() // the source deletions above
 	}
-	s.met.SlotRowsMoved.Add(int64(len(dels)))
+	s.met.Add(metrics.SlotRowsMoved, int64(len(dels)))
 	return nil
 }
 

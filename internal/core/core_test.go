@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/pe"
 	"repro/internal/types"
 )
@@ -178,7 +179,7 @@ func TestRecoveryLogAllTEs(t *testing.T) {
 	}
 	ingestN(t, st, 8)
 	want := totals(t, st)
-	borderOnlyBytes := st.Metrics().LogBytes.Load()
+	borderOnlyBytes := st.Metrics().Load(metrics.LogBytes)
 	st.Stop()
 
 	st2 := buildApp(t, Config{Dir: dir, LogMode: pe.LogAllTEs})
@@ -197,7 +198,7 @@ func TestRecoveryLogAllTEs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ingestN(t, stUB, 8)
-	ubBytes := stUB.Metrics().LogBytes.Load()
+	ubBytes := stUB.Metrics().Load(metrics.LogBytes)
 	stUB.Stop()
 	if ubBytes >= borderOnlyBytes {
 		t.Errorf("upstream backup (%d B) should log less than per-TE logging (%d B)", ubBytes, borderOnlyBytes)

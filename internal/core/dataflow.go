@@ -389,8 +389,8 @@ func (s *Store) DataflowsResult() *pe.Result {
 			types.NewInt(int64(len(df.Triggers))),
 			types.NewInt(gs.Batches.Load()),
 			types.NewInt(gs.Triggered.Load()),
-			types.NewInt(gs.Latency().Quantile(0.50).Microseconds()),
-			types.NewInt(gs.Latency().Quantile(0.99).Microseconds()),
+			types.NewInt(time.Duration(gs.Latency.Quantile(0.50)).Microseconds()),
+			types.NewInt(time.Duration(gs.Latency.Quantile(0.99)).Microseconds()),
 		})
 	}
 	return res
@@ -471,8 +471,8 @@ func (s *Store) ExplainDataflow(name string) (string, error) {
 	gs := s.met.Graph(df.Name)
 	fmt.Fprintf(&b, "  stats: batches=%d triggered=%d latency p50=%s p99=%s\n",
 		gs.Batches.Load(), gs.Triggered.Load(),
-		gs.Latency().Quantile(0.50).Round(time.Microsecond),
-		gs.Latency().Quantile(0.99).Round(time.Microsecond))
+		time.Duration(gs.Latency.Quantile(0.50)).Round(time.Microsecond),
+		time.Duration(gs.Latency.Quantile(0.99)).Round(time.Microsecond))
 	return b.String(), nil
 }
 

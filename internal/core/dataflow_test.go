@@ -181,7 +181,7 @@ func TestDeployRunsEndToEnd(t *testing.T) {
 		t.Fatalf("graph counters not maintained: batches=%d triggered=%d",
 			gs.Batches.Load(), gs.Triggered.Load())
 	}
-	if gs.Latency().Count() == 0 {
+	if gs.Latency.Count() == 0 {
 		t.Fatal("graph latency histogram empty")
 	}
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/pe"
 	"repro/internal/types"
 	"repro/internal/wal"
@@ -172,7 +173,7 @@ func TestGroupCommitAckedSubsetRecovered(t *testing.T) {
 	for _, ch := range wave2 {
 		<-ch // let the engine finish cleanly; the copy is already taken
 	}
-	if n := st.Metrics().Snapshot().WalUnwaitedRecords; n != fed {
+	if n := st.Metrics().Snapshot()[metrics.WalUnwaitedRecords]; n != fed {
 		t.Fatalf("%d of the %d border batches were logged un-waited", n, fed)
 	}
 	if err := st.Stop(); err != nil {
@@ -215,15 +216,15 @@ func TestCheckpointBarrierHardensUnwaitedRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := st.Metrics().Snapshot()
-	if snap.WalUnwaitedRecords != fed || snap.LogRecords != fed {
-		t.Fatalf("logged %d records, %d un-waited; want %d of each", snap.LogRecords, snap.WalUnwaitedRecords, fed)
+	if snap[metrics.WalUnwaitedRecords] != fed || snap[metrics.LogRecords] != fed {
+		t.Fatalf("logged %d records, %d un-waited; want %d of each", snap[metrics.LogRecords], snap[metrics.WalUnwaitedRecords], fed)
 	}
-	if snap.WalFsyncRecords != snap.LogRecords {
+	if snap[metrics.WalFsyncRecords] != snap[metrics.LogRecords] {
 		t.Fatalf("checkpoint truncated the log with %d of %d records never covered by an fsync",
-			snap.LogRecords-snap.WalFsyncRecords, snap.LogRecords)
+			snap[metrics.LogRecords]-snap[metrics.WalFsyncRecords], snap[metrics.LogRecords])
 	}
-	if snap.WalFsyncs == 0 || snap.WalFsyncs > snap.WalFsyncRecords {
-		t.Fatalf("%d fsyncs for %d records", snap.WalFsyncs, snap.WalFsyncRecords)
+	if snap[metrics.WalFsyncs] == 0 || snap[metrics.WalFsyncs] > snap[metrics.WalFsyncRecords] {
+		t.Fatalf("%d fsyncs for %d records", snap[metrics.WalFsyncs], snap[metrics.WalFsyncRecords])
 	}
 	// The operator's view: the same three numbers in the stats result.
 	stats := map[string]string{}
@@ -231,7 +232,7 @@ func TestCheckpointBarrierHardensUnwaitedRecords(t *testing.T) {
 		stats[r[0].Str()] = r[1].Str()
 	}
 	for key, want := range map[string]int64{
-		"wal_fsyncs": snap.WalFsyncs, "wal_fsync_records": snap.WalFsyncRecords, "wal_unwaited_records": snap.WalUnwaitedRecords,
+		"wal_fsyncs": snap[metrics.WalFsyncs], "wal_fsync_records": snap[metrics.WalFsyncRecords], "wal_unwaited_records": snap[metrics.WalUnwaitedRecords],
 	} {
 		if stats[key] != fmt.Sprint(want) {
 			t.Fatalf("stats %s = %q, want %d", key, stats[key], want)

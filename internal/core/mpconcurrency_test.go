@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/pe"
 	"repro/internal/types"
 	"repro/internal/wal"
@@ -83,7 +84,7 @@ func TestMPDisjointSetsRunConcurrently(t *testing.T) {
 			case <-time.After(10 * time.Second):
 				return fmt.Errorf("rendezvous timed out: disjoint-set transactions did not overlap")
 			}
-			if g := st.Metrics().Snapshot().MPConcurrent; g > peak.Load() {
+			if g := st.Metrics().Snapshot()[metrics.MPConcurrent]; g > peak.Load() {
 				peak.Store(g)
 			}
 			return nil
@@ -190,9 +191,9 @@ func TestMPConflictingSetsSerializeWithoutDeadlock(t *testing.T) {
 	// its fsync is in flight and share the next one.
 	snap := st.Metrics().Snapshot()
 	t.Logf("prepare forces per fsync: mean %.2f over %d fsyncs (decide: %.2f)",
-		snap.MPPrepareBatchMean, snap.MPPrepareBatches, snap.MPDecideBatchMean)
-	if snap.MPPrepareBatchMean <= 1 {
-		t.Fatalf("mp_prepare_batch_mean = %.2f: no two PREPARE forces ever shared an fsync", snap.MPPrepareBatchMean)
+		snap.Mean(metrics.MPPrepareBatchMean), snap[metrics.MPPrepareBatches], snap.Mean(metrics.MPDecideBatchMean))
+	if snap.Mean(metrics.MPPrepareBatchMean) <= 1 {
+		t.Fatalf("mp_prepare_batch_mean = %.2f: no two PREPARE forces ever shared an fsync", snap.Mean(metrics.MPPrepareBatchMean))
 	}
 }
 
@@ -259,11 +260,11 @@ func TestMPReadOnlyLegAndOnePhaseSkipDecideForce(t *testing.T) {
 		}
 	}
 	d := st.Metrics().Snapshot().Delta(before)
-	if d.MPReadOnlyLegs != 3 {
-		t.Fatalf("MPReadOnlyLegs delta = %d, want 3", d.MPReadOnlyLegs)
+	if d[metrics.MPReadOnlyLegs] != 3 {
+		t.Fatalf("MPReadOnlyLegs delta = %d, want 3", d[metrics.MPReadOnlyLegs])
 	}
-	if d.MPOnePhase != 3 {
-		t.Fatalf("MPOnePhase delta = %d, want 3", d.MPOnePhase)
+	if d[metrics.MPOnePhase] != 3 {
+		t.Fatalf("MPOnePhase delta = %d, want 3", d[metrics.MPOnePhase])
 	}
 	if got := coordSize(); got != base {
 		t.Fatalf("one-phase commits grew coord.log from %d to %d bytes", base, got)
@@ -284,8 +285,8 @@ func TestMPReadOnlyLegAndOnePhaseSkipDecideForce(t *testing.T) {
 		t.Fatal(err)
 	}
 	d = st.Metrics().Snapshot().Delta(before)
-	if d.MPReadOnlyLegs != 2 {
-		t.Fatalf("read-only txn MPReadOnlyLegs delta = %d, want 2", d.MPReadOnlyLegs)
+	if d[metrics.MPReadOnlyLegs] != 2 {
+		t.Fatalf("read-only txn MPReadOnlyLegs delta = %d, want 2", d[metrics.MPReadOnlyLegs])
 	}
 	if got := coordSize(); got != base {
 		t.Fatalf("read-only transaction grew coord.log from %d to %d bytes", base, got)
@@ -316,8 +317,8 @@ func TestMPOnePhaseCommitRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := st.Metrics().Snapshot().Delta(before); d.MPOnePhase != 1 {
-		t.Fatalf("MPOnePhase delta = %d, want 1 (test precondition)", d.MPOnePhase)
+	if d := st.Metrics().Snapshot().Delta(before); d[metrics.MPOnePhase] != 1 {
+		t.Fatalf("MPOnePhase delta = %d, want 1 (test precondition)", d[metrics.MPOnePhase])
 	}
 	// The transaction is acknowledged: its marker force already resolved,
 	// so a crash-instant byte copy taken now must preserve the commit.

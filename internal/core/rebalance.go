@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/metrics"
 	"repro/internal/pe"
 	"repro/internal/storage"
 	"repro/internal/types"
@@ -104,7 +105,7 @@ func (s *Store) Rebalance(target int) error {
 		}
 	}
 	s.cfg.Partitions = target
-	s.met.Rebalances.Add(1)
+	s.met.Add(metrics.Rebalances, 1)
 	return nil
 }
 
@@ -453,8 +454,8 @@ func (s *Store) migrateSlot(slot, from, to int) error {
 		return fmt.Errorf("core: slot %d cutover: %w", slot, err)
 	}
 	release()
-	s.met.ObserveCutoverPause(pause)
-	s.met.SlotsMigrated.Add(1)
-	s.met.SlotRowsMoved.Add(int64(moved))
+	s.met.Observe(metrics.CutoverPause, int64(pause))
+	s.met.Add(metrics.SlotsMigrated, 1)
+	s.met.Add(metrics.SlotRowsMoved, int64(moved))
 	return nil
 }

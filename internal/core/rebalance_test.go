@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/metrics"
 	"repro/internal/pe"
 	"repro/internal/storage"
 	"repro/internal/types"
@@ -106,7 +107,7 @@ func TestRebalanceLive(t *testing.T) {
 			t.Fatalf("key %d total = %d want %d", k, got[k], want[k]+100+2)
 		}
 	}
-	if n := st.Metrics().Snapshot().Rebalances; n != 1 {
+	if n := st.Metrics().Snapshot()[metrics.Rebalances]; n != 1 {
 		t.Fatalf("Rebalances = %d", n)
 	}
 	res, err := pinned("SELECT k, n FROM totals ORDER BY k")
@@ -551,7 +552,7 @@ func TestRebalanceAddedPartitionsFeedPrepareBatchStats(t *testing.T) {
 		st.Stop()
 		t.Fatal(err)
 	}
-	before := st.Metrics().Snapshot().MPPrepareBatches
+	before := st.Metrics().Snapshot()[metrics.MPPrepareBatches]
 	k2, k3 := keysOwnedBy(st, 2, 1, 0)[0], keysOwnedBy(st, 3, 1, 0)[0]
 	err := st.MultiPartitionTxn(func(tx *MPTxn) error {
 		if _, err := tx.Exec(2, "INSERT INTO kv VALUES (?, 1)", types.NewInt(k2)); err != nil {
@@ -564,7 +565,7 @@ func TestRebalanceAddedPartitionsFeedPrepareBatchStats(t *testing.T) {
 	if serr := st.Stop(); err != nil || serr != nil {
 		t.Fatal(err, serr)
 	}
-	if got := st.Metrics().Snapshot().MPPrepareBatches; got == before {
+	if got := st.Metrics().Snapshot()[metrics.MPPrepareBatches]; got == before {
 		t.Errorf("PREPARE forces on added partitions observed no batch (count stays %d)", got)
 	}
 	for _, p := range st.partList()[2:] {

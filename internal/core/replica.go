@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/pe"
 	"repro/internal/types"
 	"repro/internal/wal"
@@ -222,7 +223,7 @@ func (f *Follower) setErr(err error) {
 
 // Lag returns the replication lag in log records, summed across streams
 // (horizon minus applied; LSNs are dense, so the difference counts records).
-func (f *Follower) Lag() int64 { return f.st.met.ReplLag.Load() }
+func (f *Follower) Lag() int64 { return f.st.met.Load(metrics.ReplLag) }
 
 // Applied returns the sum of applied LSNs across streams — a monotone
 // caught-up-ness score (see MostCaughtUp).
@@ -376,8 +377,8 @@ func (f *Follower) updateLag() {
 			lag += int64(h - a)
 		}
 	}
-	f.st.met.ReplLag.Store(lag)
-	f.st.met.ReplRecordsApplied.Store(f.ap.replayed)
+	f.st.met.Store(metrics.ReplLag, lag)
+	f.st.met.Store(metrics.ReplRecordsApplied, f.ap.replayed)
 }
 
 // Promote turns the follower into a live primary: stop the apply loop,
@@ -426,7 +427,7 @@ func (f *Follower) Promote() (*Store, error) {
 	if err := st.Start(); err != nil {
 		return nil, err
 	}
-	st.met.Promotions.Add(1)
+	st.met.Add(metrics.Promotions, 1)
 	return st, nil
 }
 
@@ -475,7 +476,7 @@ func (f *Follower) query(min []uint64, sqlText string, params []types.Value) (*p
 	if err != nil {
 		return nil, nil, err
 	}
-	f.st.met.FollowerReads.Add(1)
+	f.st.met.Add(metrics.FollowerReads, 1)
 	// Applied LSNs are stored after each record's publish, so state applied
 	// up to this vector is visible to the cut acquired below.
 	seen := make([]uint64, len(f.parts))

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/pe"
 	"repro/internal/types"
 	"repro/internal/wal"
@@ -178,7 +179,7 @@ func TestSnapshotReadConcurrentWith2PC(t *testing.T) {
 	if msg := readerErr.Load(); msg != nil {
 		t.Fatal(msg)
 	}
-	if st.Metrics().SnapshotReads.Load() == 0 {
+	if st.Metrics().Load(metrics.SnapshotReads) == 0 {
 		t.Fatal("fan-out reads did not use the snapshot path")
 	}
 }

@@ -1,0 +1,255 @@
+package core
+
+import (
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/pe"
+	"repro/internal/types"
+	"repro/internal/wal"
+)
+
+// statsGolden is every row StatsResult renders on a 2-partition store, in
+// order, with its value's format: int (base 10), mean (%.2f) or dur
+// (time.Duration.String). benchmark/harness reads rows by name with
+// ParseFloat and latency_p50 with time.ParseDuration.
+const statsGolden = `
+txn_committed int
+txn_aborted int
+client_to_pe int
+pe_to_ee int
+ee_internal int
+tuples_ingested int
+batches_border int
+triggered_txns int
+window_slides int
+stream_gc_tuples int
+log_records int
+log_bytes int
+wal_fsyncs int
+wal_fsync_records int
+wal_unwaited_records int
+mp_txns int
+mp_aborts int
+mp_legs_committed int
+mp_concurrent int
+mp_read_only_legs int
+mp_one_phase int
+mp_leg_waits int
+mp_prepare_batches int
+mp_prepare_batch_mean mean
+mp_decide_batches int
+mp_decide_batch_mean mean
+snapshot_reads int
+gc_runs int
+gc_versions_reclaimed int
+versions_retained int
+cold_evictions int
+cold_faults int
+cold_resident_bytes int
+index_bytes int
+index_bytes.p0 int
+index_bytes.p1 int
+cold_pool_bytes int
+cold_pool_bytes.p0 int
+cold_pool_bytes.p1 int
+rows_examined int
+rows_examined.p0 int
+rows_examined.p1 int
+rows_returned int
+rows_returned.p0 int
+rows_returned.p1 int
+ack_backlog int
+ack_backlog.p0 int
+ack_backlog.p1 int
+deferred_executions int
+deferred_executions.p0 int
+deferred_executions.p1 int
+rebalances int
+slots_migrated int
+slot_rows_moved int
+repl_records_applied int
+repl_lag int
+follower_reads int
+promotions int
+latency_count int
+latency_p50 dur
+latency_p99 dur
+latency_p9999 dur
+cutover_pause_count int
+cutover_pause_p50 dur
+cutover_pause_p99 dur
+`
+
+// TestStatsRowsGolden pins StatsResult's row names, their order and each
+// value's format, after traffic that moves counters, means and latencies.
+func TestStatsRowsGolden(t *testing.T) {
+	st := Open(Config{Partitions: 2})
+	if err := st.ExecScript(`CREATE TABLE kv (k BIGINT PRIMARY KEY, v BIGINT) PARTITION BY k;`); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Stop()
+	for k := 1; k <= 4; k++ {
+		if _, err := st.Exec("INSERT INTO kv VALUES (?, ?)", types.NewInt(int64(k)), types.NewInt(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st.Query("SELECT k FROM kv WHERE v = 1"); err != nil {
+		t.Fatal(err)
+	}
+	formats := map[string]*regexp.Regexp{
+		"int":  regexp.MustCompile(`^-?[0-9]+$`),
+		"mean": regexp.MustCompile(`^-?[0-9]+\.[0-9]{2}$`),
+		"dur":  regexp.MustCompile(`^(0s|([0-9.]+(h|m|s|ms|µs|ns))+)$`),
+	}
+	want := strings.Fields(statsGolden)
+	rows := st.StatsResult().Rows
+	if len(rows) != len(want)/2 {
+		t.Errorf("%d rows, want %d", len(rows), len(want)/2)
+	}
+	for i := 0; i < len(rows) && 2*i < len(want); i++ {
+		name, val := rows[i][0].Str(), rows[i][1].Str()
+		wantName, format := want[2*i], want[2*i+1]
+		if name != wantName {
+			t.Fatalf("row %d is %s, want %s", i, name, wantName)
+		}
+		if !formats[format].MatchString(val) {
+			t.Errorf("%s = %q, not a %s", name, val, format)
+		}
+		if _, err := time.ParseDuration(val); format == "dur" && err != nil {
+			t.Errorf("%s = %q: %v", name, val, err)
+		}
+	}
+}
+
+// statsRow reads one row of StatsResult.
+func statsRow(t *testing.T, st *Store, name string) string {
+	t.Helper()
+	for _, r := range st.StatsResult().Rows {
+		if r[0].Str() == name {
+			return r[1].Str()
+		}
+	}
+	t.Fatalf("no stats row %s", name)
+	return ""
+}
+
+// waitStatsRow polls a row until it reads want; the deadline only bounds
+// a failure.
+func waitStatsRow(t *testing.T, st *Store, name, want string) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); statsRow(t, st, name) != want; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s = %s, want %s", name, statsRow(t, st, name), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestAckBacklogGauge: with the partition log's fsync held, K durable
+// calls execute and wait on the acker, and ack_backlog counts them; once
+// the fsync is released and a barrier drains the acker, it reads 0.
+func TestAckBacklogGauge(t *testing.T) {
+	dir := t.TempDir()
+	st := buildKV(t, gcTestConfig(dir, 1))
+	fsys := recordStore(t, st)
+	if err := st.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Stop()
+	logPath, _ := wal.PartitionPaths(dir, 0)
+	release := fsys.Syncs(logPath).Hold()
+	const k = 5
+	calls := make([]<-chan pe.CallResult, k)
+	for i := range calls {
+		calls[i] = st.CallAsync("put", types.NewInt(int64(i)), types.NewInt(1))
+	}
+	waitStatsRow(t, st, "ack_backlog.p0", strconv.Itoa(k))
+	if got := statsRow(t, st, "ack_backlog"); got != strconv.Itoa(k) {
+		t.Fatalf("ack_backlog = %s, want %d", got, k)
+	}
+	release()
+	for _, c := range calls {
+		if cr := <-c; cr.Err != nil {
+			t.Fatal(cr.Err)
+		}
+	}
+	// A barrier waits until every queued commit has been acked.
+	if err := st.PEAt(0).RunExclusive(func() error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if got := statsRow(t, st, "ack_backlog.p0"); got != "0" {
+		t.Fatalf("ack_backlog.p0 = %s after the barrier, want 0", got)
+	}
+}
+
+// TestDeferredExecutionsGauge: a pause that catches a chain between its
+// stages holds the rest of the chain and the batch queued behind it (2
+// executions), and deferred_executions counts them until resume.
+func TestDeferredExecutionsGauge(t *testing.T) {
+	st := Open(Config{})
+	if err := st.ExecScript(`
+		CREATE STREAM in_s (v BIGINT);
+		CREATE STREAM mid_s (v BIGINT);
+	`); err != nil {
+		t.Fatal(err)
+	}
+	entered, unblock := make(chan struct{}), make(chan struct{})
+	for _, p := range []*pe.Procedure{{
+		Name:     "sp_a",
+		WriteSet: []string{"mid_s"},
+		Handler: func(ctx *pe.ProcCtx) error {
+			if ctx.Batch[0][0].Int() == 1 {
+				close(entered)
+				<-unblock
+			}
+			return ctx.Emit("mid_s", ctx.Batch[0])
+		},
+	}, {
+		Name:    "sp_b",
+		Handler: func(*pe.ProcCtx) error { return nil },
+	}} {
+		if err := st.RegisterProcedure(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Deploy(&Dataflow{Name: "g", Nodes: []DataflowNode{
+		{Proc: "sp_a", Input: "in_s", Batch: 1, Emits: []string{"mid_s"}},
+		{Proc: "sp_b", Input: "mid_s", Batch: 1},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Stop()
+	p0 := st.PEAt(0)
+	if err := st.Ingest("in_s", types.Row{types.NewInt(1)}); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	if err := st.Ingest("in_s", types.Row{types.NewInt(2)}); err != nil { // sp_a(2) queued behind sp_a(1)
+		t.Fatal(err)
+	}
+	p0.PauseGraph("g")
+	close(unblock)
+	p0.WaitGraphIdle("g")
+	for _, name := range []string{"deferred_executions", "deferred_executions.p0"} {
+		if got := statsRow(t, st, name); got != "2" {
+			t.Fatalf("%s = %s, want 2 (sp_b(1), sp_a(2))", name, got)
+		}
+	}
+	if err := p0.ResumeGraph("g"); err != nil {
+		t.Fatal(err)
+	}
+	st.Drain()
+	if got := statsRow(t, st, "deferred_executions.p0"); got != "0" {
+		t.Fatalf("deferred_executions.p0 = %s after resume, want 0", got)
+	}
+}

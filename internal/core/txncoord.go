@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/metrics"
 	"repro/internal/pe"
 	"repro/internal/types"
 	"repro/internal/wal"
@@ -651,8 +652,8 @@ func (s *Store) MultiPartitionTxn(fn func(tx *MPTxn) error) error {
 // logging already relies on. After mpMaxTryAttempts the coordinator
 // pre-acquires all slots, which cannot fail.
 func (s *Store) runMP(proc string, fn func(tx *MPTxn) error) error {
-	s.met.MPConcurrent.Add(1)
-	defer s.met.MPConcurrent.Add(-1)
+	s.met.Add(metrics.MPConcurrent, 1)
+	defer s.met.Add(metrics.MPConcurrent, -1)
 	parts := s.partList()
 	// Admission: bound the coordinators competing for enlistment slots
 	// (see mpAdmit). The token covers the slot-holding phase only —
@@ -728,10 +729,10 @@ func (s *Store) attemptMP(proc string, fn func(tx *MPTxn) error, parts []*partit
 		tx.deliverAll(false)
 		tx.releaseSlots()
 		tx.resolveAll()
-		s.met.MPAborts.Add(1)
+		s.met.Add(metrics.MPAborts, 1)
 		return ferr, false
 	}
-	s.met.MPTxns.Add(1)
+	s.met.Add(metrics.MPTxns, 1)
 	// Every vote is in: the transaction commits. The votes' PREPARE
 	// records are appended now — an append failure is still a clean
 	// abort, nothing has been delivered — but their fsyncs are NOT
@@ -741,7 +742,7 @@ func (s *Store) attemptMP(proc string, fn func(tx *MPTxn) error, parts []*partit
 		tx.deliverAll(false)
 		tx.releaseSlots()
 		tx.resolveAll()
-		s.met.MPAborts.Add(1)
+		s.met.Add(metrics.MPAborts, 1)
 		return err, false
 	}
 	// The durability future goes up on the written partitions before any
@@ -790,7 +791,7 @@ func (s *Store) attemptMP(proc string, fn func(tx *MPTxn) error, parts []*partit
 			// (appended after its vote is durable, in the same log) is
 			// the commit record; recovery finds it in the partition
 			// log's pre-scan. No coordinator force needed.
-			s.met.MPOnePhase.Add(1)
+			s.met.Add(metrics.MPOnePhase, 1)
 			derr2 = tx.appendMarkers()
 		} else if err := s.appendCoord(&pe.LogRecord{Kind: pe.RecDecide, MPTxnID: tx.id, Commit: true}); err != nil {
 			// Same poisoned-log shape as a failed vote force: the

@@ -206,9 +206,9 @@ func (e *Engine) PlanCacheSize() (n, limit int) { return e.plans.Len(), e.plans.
 // caller's variadic slice need not outlive the call.
 func (e *Engine) Execute(ctx *ExecCtx, p *Prepared, args ...types.Value) (*Result, error) {
 	if ctx.depth == 0 {
-		e.met.PEToEE.Add(1)
+		e.met.Add(metrics.PEToEE, 1)
 	} else {
-		e.met.EEInternal.Add(1)
+		e.met.Add(metrics.EEInternal, 1)
 	}
 	params := ctx.mem.vals.copyOf(args)
 	switch {
@@ -574,7 +574,7 @@ func (e *Engine) insertStream(ctx *ExecCtx, rel *catalog.Relation, rows []types.
 		validated[i], _ = rel.Table.Get(id)
 		ids[i] = id
 	}
-	e.met.TuplesIngested.Add(int64(len(rows)))
+	e.met.Add(metrics.TuplesIngested, int64(len(rows)))
 
 	if !ctx.DisableEETriggers {
 		for _, w := range rel.Windows {
@@ -597,7 +597,7 @@ func (e *Engine) insertStream(ctx *ExecCtx, rel *catalog.Relation, rows []types.
 				return 0, err
 			}
 		}
-		e.met.StreamGCTuples.Add(int64(len(ids)))
+		e.met.Add(metrics.StreamGCTuples, int64(len(ids)))
 	}
 	return len(rows), nil
 }
@@ -615,6 +615,6 @@ func (e *Engine) GCStreamRows(ctx *ExecCtx, stream string, ids []storage.RowID) 
 			return err
 		}
 	}
-	e.met.StreamGCTuples.Add(int64(len(ids)))
+	e.met.Add(metrics.StreamGCTuples, int64(len(ids)))
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/catalog"
+	"repro/internal/metrics"
 	"repro/internal/storage"
 	"repro/internal/types"
 )
@@ -85,7 +86,7 @@ func (e *Engine) admitTupleWindow(ctx *ExecCtx, rel *catalog.Relation, rows []ty
 		}
 		win.Staged = win.Staged[:0]
 		win.SlideCount++
-		e.met.WindowSlides.Add(1)
+		e.met.Add(metrics.WindowSlides, 1)
 	}
 	if len(entered) > 0 || len(evicted) > 0 {
 		return e.fireTriggers(ctx, rel, entered, evicted)
@@ -157,7 +158,7 @@ func (e *Engine) admitTimeWindow(ctx *ExecCtx, rel *catalog.Relation, rows []typ
 			}
 		}
 		win.SlideCount++
-		e.met.WindowSlides.Add(1)
+		e.met.Add(metrics.WindowSlides, 1)
 	}
 	if len(entered) > 0 || len(evictedRows) > 0 {
 		return e.fireTriggers(ctx, rel, entered, evictedRows)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/storage"
 	"repro/internal/types"
 )
@@ -153,7 +154,7 @@ func TestStreamImmediateGC(t *testing.T) {
 	if n := e.Catalog().Relation("s").Table.Count(); n != 0 {
 		t.Errorf("stream retains %d tuples", n)
 	}
-	if got := e.Metrics().StreamGCTuples.Load(); got != 3 {
+	if got := e.Metrics().Load(metrics.StreamGCTuples); got != 3 {
 		t.Errorf("gc counter = %d", got)
 	}
 }
@@ -232,7 +233,7 @@ func TestEETriggerChain(t *testing.T) {
 	}
 	// Whole chain is EE-internal: only the stream-GC machinery ran, so
 	// EEInternal should have counted the two trigger statements.
-	if got := e.Metrics().EEInternal.Load(); got < 2 {
+	if got := e.Metrics().Load(metrics.EEInternal); got < 2 {
 		t.Errorf("EE-internal statements = %d", got)
 	}
 }

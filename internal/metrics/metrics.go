@@ -2,136 +2,246 @@
 // round trips (client↔PE, PE↔EE), transaction outcomes, stream/window
 // activity, and latency histograms. Counters are atomic so reporting
 // goroutines can read while the partition engine writes.
+//
+// Each metric is declared once, as a Metric constant and its row in defs;
+// Snapshot, Delta and the stats rows iterate that table (DESIGN.md,
+// "Metrics and stats").
 package metrics
 
 import (
 	"fmt"
+	"math"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Metrics is one engine's counter set.
-type Metrics struct {
+// Metric names one metric; its declaration is its row in defs.
+type Metric int
+
+// The metrics, in the order the stats rows list them.
+const (
+	TxnCommitted Metric = iota
+	TxnAborted
 	// ClientToPE counts client→partition-engine round trips (one per
 	// request that crosses the client boundary). S-Store's push-based
 	// workflows remove the polling and per-stage invocation trips that the
 	// H-Store baseline pays (paper §3.1).
-	ClientToPE atomic.Int64
+	ClientToPE
 	// PEToEE counts statement executions crossing the partition-engine /
-	// execution-engine boundary. Native windowing and EE triggers keep
-	// chained work inside the EE, so S-Store pays fewer crossings.
-	PEToEE atomic.Int64
-	// EEInternal counts statements executed inside the EE by trigger
-	// chaining (no boundary crossing).
-	EEInternal atomic.Int64
-
-	TxnCommitted atomic.Int64
-	TxnAborted   atomic.Int64
-
-	TuplesIngested atomic.Int64
-	BatchesBorder  atomic.Int64 // border (BSP) transaction executions
-	TriggeredTxns  atomic.Int64 // PE-trigger (ISP) transaction executions
-	WindowSlides   atomic.Int64
-	StreamGCTuples atomic.Int64
-
-	LogRecords atomic.Int64
-	LogBytes   atomic.Int64
-	// Group-commit batching, observed rather than inferred: WalFsyncs
-	// counts commit-daemon fsyncs, WalFsyncRecords the records they made
-	// durable (records per fsync is their quotient), WalUnwaitedRecords
-	// the appends nobody waited on (border and triggered batches), which
-	// start no fsync of their own.
-	WalFsyncs          atomic.Int64
-	WalFsyncRecords    atomic.Int64
-	WalUnwaitedRecords atomic.Int64
-
-	// MPTxns counts coordinated multi-partition transactions (commit
-	// decisions); MPAborts counts coordinator aborts; MPLegsCommitted
-	// counts per-partition committed legs.
-	MPTxns          atomic.Int64
-	MPAborts        atomic.Int64
-	MPLegsCommitted atomic.Int64
-	// MPConcurrent is a gauge of in-flight multi-partition coordinators —
-	// under slot enlistment, transactions over disjoint partition sets
-	// overlap, so this exceeds 1 under concurrent MP load (the overlap the
-	// concurrency tests assert). MPReadOnlyLegs counts legs released at
-	// PREPARE by the read-only optimization (no DECIDE force, worker freed
-	// one phase early). MPOnePhase counts transactions that enlisted a
-	// single logged partition after routing and skipped the coordinator's
-	// decision force entirely.
-	MPConcurrent   atomic.Int64
-	MPReadOnlyLegs atomic.Int64
-	MPOnePhase     atomic.Int64
-	// MPLegWaits counts the times a coordinator waited on a parked leg's
-	// worker. A leg whose fragments and vote were queued together costs two
-	// (the vote, the decision); a fragment whose result the handler needs
-	// before it goes on costs one more.
-	MPLegWaits atomic.Int64
-	// mpPrepareBatch / mpDecideBatch record how many 2PC force records each
-	// group-commit fsync covered: prepare batches per partition log, decide
-	// batches on the coordinator log. Means above 1 are the fsync
+	// execution-engine boundary; EEInternal those that EE trigger chaining
+	// ran inside the EE, with no crossing.
+	PEToEE
+	EEInternal
+	TuplesIngested
+	BatchesBorder // border (BSP) transaction executions
+	TriggeredTxns // PE-trigger (ISP) transaction executions
+	WindowSlides
+	StreamGCTuples
+	LogRecords
+	LogBytes
+	// Group-commit batching, observed rather than inferred: commit-daemon
+	// fsyncs, the records they made durable, and the appends nobody waited
+	// on (border and triggered batches), which start no fsync of their own.
+	WalFsyncs
+	WalFsyncRecords
+	WalUnwaitedRecords
+	// Coordinated multi-partition transactions: commit decisions,
+	// coordinator aborts, committed legs, and (a gauge) the coordinators in
+	// flight, which exceeds 1 when transactions over disjoint partition
+	// sets overlap.
+	MPTxns
+	MPAborts
+	MPLegsCommitted
+	MPConcurrent
+	// MPReadOnlyLegs counts legs released at PREPARE (no DECIDE force);
+	// MPOnePhase transactions that enlisted one logged partition and skipped
+	// the decision force; MPLegWaits the coordinator's waits on a parked
+	// leg's worker (two per leg whose fragments and vote were queued
+	// together, one more per fragment whose result the handler needed).
+	MPReadOnlyLegs
+	MPOnePhase
+	MPLegWaits
+	// 2PC force records per group-commit fsync: PREPAREs per partition-log
+	// fsync and DECIDEs per coordinator-log fsync. Means above 1 are the
 	// amortization the batched-commit path buys.
-	mpPrepareBatch CountHist
-	mpDecideBatch  CountHist
+	MPPrepareBatches
+	MPPrepareBatchMean
+	MPDecideBatches
+	MPDecideBatchMean
+	SnapshotReads // read-only queries run against an MVCC snapshot
+	// Version GC: watermark sweeps, the versions they reclaimed, and (a
+	// gauge, kept by deltas so partitions sum) the versions left.
+	GCRuns
+	GCVersionsReclaimed
+	VersionsRetained
+	// Anti-caching: versions moved to the cold store, stub faults, and (a
+	// gauge) the heap bytes of resident versions of evictable tables.
+	ColdEvictions
+	ColdFaults
+	ColdResidentBytes
+	// Per partition, read from the partitions when the rows are rendered:
+	// the heap MemoryBudget does not govern (DESIGN.md §7); the rows the
+	// access paths handed to statements against those SELECTs gave back (a
+	// read that examines far more than it returns is one to index); the
+	// commits queued for the acker but not yet acked; and the executions
+	// paused dataflows hold.
+	IndexBytes
+	ColdPoolBytes
+	RowsExamined
+	RowsReturned
+	AckBacklog
+	DeferredExecutions
+	// Elastic repartitioning: completed Rebalance calls, slots whose owner
+	// moved, and the row images carried.
+	Rebalances
+	SlotsMigrated
+	SlotRowsMoved
+	// Replication: records a follower replayed, (a gauge) the records it
+	// trails the shipping horizon by, its snapshot reads, and promotions.
+	ReplRecordsApplied
+	ReplLag
+	FollowerReads
+	Promotions
+	LatencyCount
+	LatencyP50
+	LatencyP99
+	LatencyP9999
+	CutoverPauseCount
+	CutoverPauseP50
+	CutoverPauseP99
+	numMetrics
+)
 
-	// SnapshotReads counts read-only queries executed on the caller
-	// goroutine against an MVCC snapshot (off the serial partition
-	// worker).
-	SnapshotReads atomic.Int64
+// Kind is how a metric's value behaves under Delta and how it is rendered.
+type Kind uint8
 
-	// Version-chain / GC gauges: GCRuns counts watermark sweeps,
-	// GCVersionsReclaimed the row versions they reclaimed, and
-	// VersionsRetained the versions (live + awaiting-watermark) left in
-	// the store after the latest sweeps (a gauge, maintained by delta so
-	// partitions sharing this set sum correctly).
-	GCRuns              atomic.Int64
-	GCVersionsReclaimed atomic.Int64
-	VersionsRetained    atomic.Int64
+const (
+	// Counter only grows; Delta subtracts it. Rendered in base 10.
+	Counter Kind = iota
+	// Gauge is a level; Delta keeps the newer value. Rendered in base 10.
+	Gauge
+	// Mean is a histogram's running mean; Delta keeps the newer value.
+	// Rendered as %.2f.
+	Mean
+	// Quantile is a duration histogram's quantile; Delta keeps the newer
+	// value. Rendered by time.Duration.String.
+	Quantile
+)
 
-	// Elastic-repartitioning counters: Rebalances counts completed
-	// Store.Rebalance calls, SlotsMigrated the slots whose ownership moved
-	// (including recovery-time migrations), SlotRowsMoved the row images
-	// carried to their new partition.
-	Rebalances    atomic.Int64
-	SlotsMigrated atomic.Int64
-	SlotRowsMoved atomic.Int64
+// Hist names one histogram. A histogram is the source of the metrics that
+// name it in defs: its count (a Counter), its mean or its quantiles.
+type Hist uint8
 
-	// Anti-caching counters: ColdEvictions counts row versions moved to
-	// the cold store, ColdFaults the stub resolutions (reads that went to
-	// the cold store's buffer pool). ColdResidentBytes is a gauge of heap
-	// bytes held by in-memory versions of evictable tables (maintained by
-	// delta so partitions sharing this set sum correctly), which the
-	// evictor works to keep at the configured MemoryBudget.
-	ColdEvictions     atomic.Int64
-	ColdFaults        atomic.Int64
-	ColdResidentBytes atomic.Int64
+const (
+	noHist       Hist = iota
+	Latency           // committed transactions' latency, ns
+	CutoverPause      // a slot migration's worker pause, ns
+	PrepareBatch      // PREPARE forces per partition-log fsync
+	DecideBatch       // DECIDE forces per coordinator-log fsync
+	numHists
+)
 
-	// Replication counters: ReplRecordsApplied counts WAL records a
-	// follower replayed into its storage, FollowerReads the snapshot
-	// SELECTs served by a follower, Promotions the follower→primary
-	// promotions completed. ReplLag is a gauge of how many log records
-	// the follower still trails the shipping horizon by, summed across
-	// partition streams.
-	ReplRecordsApplied atomic.Int64
-	ReplLag            atomic.Int64
-	FollowerReads      atomic.Int64
-	Promotions         atomic.Int64
+type def struct {
+	name string // the stats row
+	kind Kind
+	// perPartition: the store reads the value from each partition; the
+	// rows are the sum, then name.p<i> per partition.
+	perPartition bool
+	hist         Hist    // noHist: the metric's own atomic
+	q            float64 // Quantile: which one
+}
 
-	latency Histogram
+var defs = [numMetrics]def{
+	TxnCommitted:        {name: "txn_committed"},
+	TxnAborted:          {name: "txn_aborted"},
+	ClientToPE:          {name: "client_to_pe"},
+	PEToEE:              {name: "pe_to_ee"},
+	EEInternal:          {name: "ee_internal"},
+	TuplesIngested:      {name: "tuples_ingested"},
+	BatchesBorder:       {name: "batches_border"},
+	TriggeredTxns:       {name: "triggered_txns"},
+	WindowSlides:        {name: "window_slides"},
+	StreamGCTuples:      {name: "stream_gc_tuples"},
+	LogRecords:          {name: "log_records"},
+	LogBytes:            {name: "log_bytes"},
+	WalFsyncs:           {name: "wal_fsyncs"},
+	WalFsyncRecords:     {name: "wal_fsync_records"},
+	WalUnwaitedRecords:  {name: "wal_unwaited_records"},
+	MPTxns:              {name: "mp_txns"},
+	MPAborts:            {name: "mp_aborts"},
+	MPLegsCommitted:     {name: "mp_legs_committed"},
+	MPConcurrent:        {name: "mp_concurrent", kind: Gauge},
+	MPReadOnlyLegs:      {name: "mp_read_only_legs"},
+	MPOnePhase:          {name: "mp_one_phase"},
+	MPLegWaits:          {name: "mp_leg_waits"},
+	MPPrepareBatches:    {name: "mp_prepare_batches", hist: PrepareBatch},
+	MPPrepareBatchMean:  {name: "mp_prepare_batch_mean", kind: Mean, hist: PrepareBatch},
+	MPDecideBatches:     {name: "mp_decide_batches", hist: DecideBatch},
+	MPDecideBatchMean:   {name: "mp_decide_batch_mean", kind: Mean, hist: DecideBatch},
+	SnapshotReads:       {name: "snapshot_reads"},
+	GCRuns:              {name: "gc_runs"},
+	GCVersionsReclaimed: {name: "gc_versions_reclaimed"},
+	VersionsRetained:    {name: "versions_retained", kind: Gauge},
+	ColdEvictions:       {name: "cold_evictions"},
+	ColdFaults:          {name: "cold_faults"},
+	ColdResidentBytes:   {name: "cold_resident_bytes", kind: Gauge},
+	IndexBytes:          {name: "index_bytes", kind: Gauge, perPartition: true},
+	ColdPoolBytes:       {name: "cold_pool_bytes", kind: Gauge, perPartition: true},
+	RowsExamined:        {name: "rows_examined", perPartition: true},
+	RowsReturned:        {name: "rows_returned", perPartition: true},
+	AckBacklog:          {name: "ack_backlog", kind: Gauge, perPartition: true},
+	DeferredExecutions:  {name: "deferred_executions", kind: Gauge, perPartition: true},
+	Rebalances:          {name: "rebalances"},
+	SlotsMigrated:       {name: "slots_migrated"},
+	SlotRowsMoved:       {name: "slot_rows_moved"},
+	ReplRecordsApplied:  {name: "repl_records_applied"},
+	ReplLag:             {name: "repl_lag", kind: Gauge},
+	FollowerReads:       {name: "follower_reads"},
+	Promotions:          {name: "promotions"},
+	LatencyCount:        {name: "latency_count", hist: Latency},
+	LatencyP50:          {name: "latency_p50", kind: Quantile, hist: Latency, q: 0.50},
+	LatencyP99:          {name: "latency_p99", kind: Quantile, hist: Latency, q: 0.99},
+	LatencyP9999:        {name: "latency_p9999", kind: Quantile, hist: Latency, q: 0.9999},
+	CutoverPauseCount:   {name: "cutover_pause_count", hist: CutoverPause},
+	CutoverPauseP50:     {name: "cutover_pause_p50", kind: Quantile, hist: CutoverPause, q: 0.50},
+	CutoverPauseP99:     {name: "cutover_pause_p99", kind: Quantile, hist: CutoverPause, q: 0.99},
+}
 
-	// cutoverPause records, per migrated slot, how long the cutover barrier
-	// held every partition worker parked — the moment routing flips. E10's
-	// acceptance bound compares its p99 against a 2ms pause budget.
-	cutoverPause Histogram
+// String is the metric's stats row name.
+func (k Metric) String() string { return defs[k].name }
+
+// Metrics is one store's counter set, shared by its partitions.
+type Metrics struct {
+	v     [numMetrics]atomic.Int64
+	hists [numHists]Histogram
 
 	// Per-dataflow counters, keyed by graph name. The set is shared by all
 	// partitions of a store, so each graph's counters aggregate across its
 	// hash shards.
 	graphMu sync.Mutex
 	graphs  map[string]*GraphStats
+}
+
+// Add adds n to a counter or gauge.
+func (m *Metrics) Add(k Metric, n int64) { m.v[k].Add(n) }
+
+// Store sets a counter or gauge.
+func (m *Metrics) Store(k Metric, n int64) { m.v[k].Store(n) }
+
+// Load reads a counter or gauge.
+func (m *Metrics) Load(k Metric) int64 { return m.v[k].Load() }
+
+// Observe records one sample in a histogram (a duration in ns, or a count).
+func (m *Metrics) Observe(h Hist, v int64) { m.hists[h].Observe(v) }
+
+// ObserveLogged counts one appended log record of n payload bytes (plus
+// the frame's length and CRC words).
+func (m *Metrics) ObserveLogged(n int) {
+	m.Add(LogRecords, 1)
+	m.Add(LogBytes, int64(n+8))
 }
 
 // GraphStats is one dataflow graph's counter set: its border batches, the
@@ -141,14 +251,8 @@ type Metrics struct {
 type GraphStats struct {
 	Batches   atomic.Int64 // border (BSP) transaction executions
 	Triggered atomic.Int64 // PE-triggered (ISP) transaction executions
-	latency   Histogram
+	Latency   Histogram    // ns
 }
-
-// ObserveLatency records one end-to-end observation for the graph.
-func (g *GraphStats) ObserveLatency(d time.Duration) { g.latency.Observe(d) }
-
-// Latency returns the graph's end-to-end latency histogram.
-func (g *GraphStats) Latency() *Histogram { return &g.latency }
 
 // Graph returns the named dataflow's counters, creating them on first use.
 func (m *Metrics) Graph(name string) *GraphStats {
@@ -165,209 +269,104 @@ func (m *Metrics) Graph(name string) *GraphStats {
 	return g
 }
 
-// ObserveLogged counts one appended log record of n payload bytes (plus
-// the frame's length and CRC words).
-func (m *Metrics) ObserveLogged(n int) {
-	m.LogRecords.Add(1)
-	m.LogBytes.Add(int64(n + 8))
-}
+// Snapshot is a point-in-time copy of every metric, indexed by Metric. A
+// Mean is held as its float64 bits (read it with Mean), a Quantile as
+// nanoseconds. A per-partition metric reads 0 here: the store fills it
+// from its partitions when it renders the rows.
+type Snapshot [numMetrics]int64
 
-// ObserveLatency records one transaction latency.
-func (m *Metrics) ObserveLatency(d time.Duration) { m.latency.Observe(d) }
-
-// Latency returns the latency histogram.
-func (m *Metrics) Latency() *Histogram { return &m.latency }
-
-// ObserveCutoverPause records one slot migration's worker-pause duration.
-func (m *Metrics) ObserveCutoverPause(d time.Duration) { m.cutoverPause.Observe(d) }
-
-// CutoverPause returns the slot-migration pause histogram.
-func (m *Metrics) CutoverPause() *Histogram { return &m.cutoverPause }
-
-// MPPrepareBatchSize returns the PREPARE-forces-per-fsync histogram.
-func (m *Metrics) MPPrepareBatchSize() *CountHist { return &m.mpPrepareBatch }
-
-// MPDecideBatchSize returns the DECIDE-forces-per-fsync histogram.
-func (m *Metrics) MPDecideBatchSize() *CountHist { return &m.mpDecideBatch }
-
-// Snapshot is a point-in-time copy of every counter.
-type Snapshot struct {
-	ClientToPE, PEToEE, EEInternal        int64
-	TxnCommitted, TxnAborted              int64
-	TuplesIngested                        int64
-	BatchesBorder, TriggeredTxns          int64
-	WindowSlides, StreamGCTuples          int64
-	LogRecords, LogBytes                  int64
-	WalFsyncs, WalFsyncRecords            int64
-	WalUnwaitedRecords                    int64
-	MPTxns, MPAborts, MPLegsCommitted     int64
-	MPConcurrent, MPReadOnlyLegs          int64
-	MPOnePhase, MPLegWaits                int64
-	MPPrepareBatches, MPDecideBatches     int64
-	MPPrepareBatchMean, MPDecideBatchMean float64
-	SnapshotReads                         int64
-	GCRuns, GCVersionsReclaimed           int64
-	VersionsRetained                      int64
-	Rebalances, SlotsMigrated             int64
-	SlotRowsMoved                         int64
-	ColdEvictions, ColdFaults             int64
-	ColdResidentBytes                     int64
-	ReplRecordsApplied, ReplLag           int64
-	FollowerReads, Promotions             int64
-	LatencyCount                          int64
-	LatencyP50, LatencyP99, LatencyP9999  time.Duration
-	CutoverPauseCount                     int64
-	CutoverPauseP50, CutoverPauseP99      time.Duration
-}
-
-// Snapshot captures the current counter values.
+// Snapshot captures the current values.
 func (m *Metrics) Snapshot() Snapshot {
-	return Snapshot{
-		ClientToPE:          m.ClientToPE.Load(),
-		PEToEE:              m.PEToEE.Load(),
-		EEInternal:          m.EEInternal.Load(),
-		TxnCommitted:        m.TxnCommitted.Load(),
-		TxnAborted:          m.TxnAborted.Load(),
-		TuplesIngested:      m.TuplesIngested.Load(),
-		BatchesBorder:       m.BatchesBorder.Load(),
-		TriggeredTxns:       m.TriggeredTxns.Load(),
-		WindowSlides:        m.WindowSlides.Load(),
-		StreamGCTuples:      m.StreamGCTuples.Load(),
-		LogRecords:          m.LogRecords.Load(),
-		LogBytes:            m.LogBytes.Load(),
-		WalFsyncs:           m.WalFsyncs.Load(),
-		WalFsyncRecords:     m.WalFsyncRecords.Load(),
-		WalUnwaitedRecords:  m.WalUnwaitedRecords.Load(),
-		MPTxns:              m.MPTxns.Load(),
-		MPAborts:            m.MPAborts.Load(),
-		MPLegsCommitted:     m.MPLegsCommitted.Load(),
-		MPConcurrent:        m.MPConcurrent.Load(),
-		MPReadOnlyLegs:      m.MPReadOnlyLegs.Load(),
-		MPOnePhase:          m.MPOnePhase.Load(),
-		MPLegWaits:          m.MPLegWaits.Load(),
-		MPPrepareBatches:    m.mpPrepareBatch.Count(),
-		MPDecideBatches:     m.mpDecideBatch.Count(),
-		MPPrepareBatchMean:  m.mpPrepareBatch.Mean(),
-		MPDecideBatchMean:   m.mpDecideBatch.Mean(),
-		SnapshotReads:       m.SnapshotReads.Load(),
-		GCRuns:              m.GCRuns.Load(),
-		GCVersionsReclaimed: m.GCVersionsReclaimed.Load(),
-		VersionsRetained:    m.VersionsRetained.Load(),
-		Rebalances:          m.Rebalances.Load(),
-		SlotsMigrated:       m.SlotsMigrated.Load(),
-		SlotRowsMoved:       m.SlotRowsMoved.Load(),
-		ColdEvictions:       m.ColdEvictions.Load(),
-		ColdFaults:          m.ColdFaults.Load(),
-		ColdResidentBytes:   m.ColdResidentBytes.Load(),
-		ReplRecordsApplied:  m.ReplRecordsApplied.Load(),
-		ReplLag:             m.ReplLag.Load(),
-		FollowerReads:       m.FollowerReads.Load(),
-		Promotions:          m.Promotions.Load(),
-		LatencyCount:        m.latency.Count(),
-		LatencyP50:          m.latency.Quantile(0.50),
-		LatencyP99:          m.latency.Quantile(0.99),
-		LatencyP9999:        m.latency.Quantile(0.9999),
-		CutoverPauseCount:   m.cutoverPause.Count(),
-		CutoverPauseP50:     m.cutoverPause.Quantile(0.50),
-		CutoverPauseP99:     m.cutoverPause.Quantile(0.99),
+	var s Snapshot
+	for k, d := range defs {
+		h := &m.hists[d.hist]
+		switch {
+		case d.hist == noHist:
+			s[k] = m.v[k].Load()
+		case d.kind == Mean:
+			s[k] = int64(math.Float64bits(h.Mean()))
+		case d.kind == Quantile:
+			s[k] = h.Quantile(d.q)
+		default:
+			s[k] = h.Count()
+		}
+	}
+	return s
+}
+
+// Delta returns s - prev for counters; gauges, means and quantiles keep s's
+// values.
+func (s Snapshot) Delta(prev Snapshot) Snapshot {
+	for k, d := range defs {
+		if d.kind == Counter {
+			s[k] -= prev[k]
+		}
+	}
+	return s
+}
+
+// Mean reads a Mean metric.
+func (s *Snapshot) Mean(k Metric) float64 { return math.Float64frombits(uint64(s[k])) }
+
+// Duration reads a Quantile metric.
+func (s *Snapshot) Duration(k Metric) time.Duration { return time.Duration(s[k]) }
+
+// Format renders a value as its stats row shows it.
+func (s *Snapshot) Format(k Metric) string {
+	switch defs[k].kind {
+	case Mean:
+		return strconv.FormatFloat(s.Mean(k), 'f', 2, 64)
+	case Quantile:
+		return s.Duration(k).String()
+	}
+	return strconv.FormatInt(s[k], 10)
+}
+
+// Rows emits the stats rows in registry order: one per metric, except
+// that a per-partition metric emits the sum over parts (partition i's
+// values, which s does not hold) and then name.p<i> for each partition.
+func Rows(s Snapshot, parts []Snapshot, emit func(name, value string)) {
+	for k, d := range defs {
+		if d.perPartition {
+			for i := range parts {
+				s[k] += parts[i][k]
+			}
+		}
+		emit(d.name, s.Format(Metric(k)))
+		if d.perPartition {
+			for i := range parts {
+				emit(fmt.Sprintf("%s.p%d", d.name, i), parts[i].Format(Metric(k)))
+			}
+		}
 	}
 }
 
-// Delta returns s - prev, counter-wise (latency quantiles keep s's values).
-func (s Snapshot) Delta(prev Snapshot) Snapshot {
-	d := s
-	d.ClientToPE -= prev.ClientToPE
-	d.PEToEE -= prev.PEToEE
-	d.EEInternal -= prev.EEInternal
-	d.TxnCommitted -= prev.TxnCommitted
-	d.TxnAborted -= prev.TxnAborted
-	d.TuplesIngested -= prev.TuplesIngested
-	d.BatchesBorder -= prev.BatchesBorder
-	d.TriggeredTxns -= prev.TriggeredTxns
-	d.WindowSlides -= prev.WindowSlides
-	d.StreamGCTuples -= prev.StreamGCTuples
-	d.LogRecords -= prev.LogRecords
-	d.LogBytes -= prev.LogBytes
-	d.WalFsyncs -= prev.WalFsyncs
-	d.WalFsyncRecords -= prev.WalFsyncRecords
-	d.WalUnwaitedRecords -= prev.WalUnwaitedRecords
-	d.MPTxns -= prev.MPTxns
-	d.MPAborts -= prev.MPAborts
-	d.MPLegsCommitted -= prev.MPLegsCommitted
-	// MPConcurrent is a gauge: keep s's value, not a difference.
-	d.MPReadOnlyLegs -= prev.MPReadOnlyLegs
-	d.MPOnePhase -= prev.MPOnePhase
-	d.MPLegWaits -= prev.MPLegWaits
-	d.MPPrepareBatches -= prev.MPPrepareBatches
-	d.MPDecideBatches -= prev.MPDecideBatches
-	// Batch-size means keep s's values (cumulative averages).
-	d.SnapshotReads -= prev.SnapshotReads
-	d.GCRuns -= prev.GCRuns
-	d.GCVersionsReclaimed -= prev.GCVersionsReclaimed
-	// VersionsRetained is a gauge: keep s's value, not a difference.
-	d.Rebalances -= prev.Rebalances
-	d.SlotsMigrated -= prev.SlotsMigrated
-	d.SlotRowsMoved -= prev.SlotRowsMoved
-	d.ColdEvictions -= prev.ColdEvictions
-	d.ColdFaults -= prev.ColdFaults
-	// ColdResidentBytes is a gauge: keep s's value, not a difference.
-	d.ReplRecordsApplied -= prev.ReplRecordsApplied
-	// ReplLag is a gauge: keep s's value, not a difference.
-	d.FollowerReads -= prev.FollowerReads
-	d.Promotions -= prev.Promotions
-	d.LatencyCount -= prev.LatencyCount
-	d.CutoverPauseCount -= prev.CutoverPauseCount
-	return d
-}
-
-// String renders a compact one-line summary.
-func (s Snapshot) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "txn=%d aborted=%d client->PE=%d PE->EE=%d EE-internal=%d",
-		s.TxnCommitted, s.TxnAborted, s.ClientToPE, s.PEToEE, s.EEInternal)
-	fmt.Fprintf(&b, " ingested=%d slides=%d gc=%d", s.TuplesIngested, s.WindowSlides, s.StreamGCTuples)
-	return b.String()
-}
-
-// Histogram is a concurrency-safe latency histogram with exponential
-// buckets from 1µs to ~17s.
+// Histogram records int64 samples: durations in nanoseconds, or counts such
+// as batch sizes. Count and Mean cover every sample since it was made.
+// Quantiles come from a reservoir that holds the first reservoirSize
+// samples exactly and, after that, is a ring each new sample overwrites in
+// turn, so past 4 096 samples a quantile describes only about the most
+// recent 4 096.
 type Histogram struct {
-	mu      sync.Mutex
-	buckets [64]int64
-	count   int64
-	sum     time.Duration
-	samples []time.Duration // reservoir for exact small-n quantiles
+	mu         sync.Mutex
+	count, sum int64
+	samples    []int64
 }
 
 const reservoirSize = 4096
 
-// Observe records one sample.
-func (h *Histogram) Observe(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
+// Observe records one sample; a negative one is recorded as 0.
+func (h *Histogram) Observe(v int64) {
+	v = max(v, 0)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.count++
-	h.sum += d
-	b := bucketOf(d)
-	h.buckets[b]++
+	h.sum += v
 	if len(h.samples) < reservoirSize {
-		h.samples = append(h.samples, d)
+		h.samples = append(h.samples, v)
 	} else {
-		// deterministic-enough replacement keyed by count
-		h.samples[int(h.count)%reservoirSize] = d
+		h.samples[int(h.count)%reservoirSize] = v
 	}
-}
-
-func bucketOf(d time.Duration) int {
-	us := d.Microseconds()
-	b := 0
-	for us > 0 && b < 63 {
-		us >>= 1
-		b++
-	}
-	return b
 }
 
 // Count returns the number of samples observed.
@@ -377,74 +376,8 @@ func (h *Histogram) Count() int64 {
 	return h.count
 }
 
-// Mean returns the mean latency.
-func (h *Histogram) Mean() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / time.Duration(h.count)
-}
-
-// Quantile returns the approximate q-quantile (exact while fewer than
-// reservoirSize samples have been observed).
-func (h *Histogram) Quantile(q float64) time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	s := append([]time.Duration(nil), h.samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := int(q * float64(len(s)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
-}
-
-// CountHist is a concurrency-safe histogram over dimensionless counts
-// (batch sizes), with the same reservoir scheme as Histogram.
-type CountHist struct {
-	mu      sync.Mutex
-	count   int64
-	sum     int64
-	max     int64
-	samples []int64
-}
-
-// Observe records one count sample.
-func (h *CountHist) Observe(n int64) {
-	if n < 0 {
-		n = 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.count++
-	h.sum += n
-	if n > h.max {
-		h.max = n
-	}
-	if len(h.samples) < reservoirSize {
-		h.samples = append(h.samples, n)
-	} else {
-		h.samples[int(h.count)%reservoirSize] = n
-	}
-}
-
-// Count returns the number of samples observed.
-func (h *CountHist) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Mean returns the mean count (0 with no samples).
-func (h *CountHist) Mean() float64 {
+// Mean returns the mean of every sample (0 with none).
+func (h *Histogram) Mean() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.count == 0 {
@@ -453,29 +386,14 @@ func (h *CountHist) Mean() float64 {
 	return float64(h.sum) / float64(h.count)
 }
 
-// Max returns the largest count observed.
-func (h *CountHist) Max() int64 {
+// Quantile returns the q-quantile of the reservoir (0 when empty).
+func (h *Histogram) Quantile(q float64) int64 {
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.max
-}
-
-// Quantile returns the approximate q-quantile (exact while fewer than
-// reservoirSize samples have been observed).
-func (h *CountHist) Quantile(q float64) int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
+	s := append([]int64(nil), h.samples...)
+	h.mu.Unlock()
+	if len(s) == 0 {
 		return 0
 	}
-	s := append([]int64(nil), h.samples...)
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := int(q * float64(len(s)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
+	return s[min(max(int(q*float64(len(s)-1)), 0), len(s)-1)]
 }

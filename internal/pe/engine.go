@@ -471,6 +471,24 @@ func (e *Engine) Held(graph string) (tuples, deferred int) {
 	return tuples, len(e.deferred[graph])
 }
 
+// DeferredExecutions counts the executions paused graphs hold on this
+// partition, over every graph.
+func (e *Engine) DeferredExecutions() (n int) {
+	e.ingestMu.Lock()
+	defer e.ingestMu.Unlock()
+	for _, d := range e.deferred {
+		n += len(d)
+	}
+	return n
+}
+
+// AckBacklog counts the commits queued for the acker but not yet acked.
+func (e *Engine) AckBacklog() int {
+	e.ackMu.Lock()
+	defer e.ackMu.Unlock()
+	return e.ackPending
+}
+
 // PartialLen reports the tuples buffered (partial batch + paused backlog)
 // for a stream — the router's store-wide paused-backlog accounting.
 func (e *Engine) PartialLen(stream string) int {
@@ -654,7 +672,7 @@ func (e *Engine) acker() {
 			// process must restart and recover; it must never false-ack.
 			pa.r.respond(nil, fmt.Errorf("pe: group commit: %w", err))
 		} else {
-			e.met.ObserveLatency(time.Since(pa.start))
+			e.met.Observe(metrics.Latency, int64(time.Since(pa.start)))
 			pa.r.respond(pa.out, nil)
 		}
 		e.ackMu.Lock()
@@ -710,7 +728,7 @@ func (e *Engine) CallAsync(proc string, params ...types.Value) <-chan CallResult
 // invoke submits one invocation of p, which is nil when no procedure is
 // registered under name.
 func (e *Engine) invoke(p *Procedure, name string, params []types.Value) <-chan CallResult {
-	e.met.ClientToPE.Add(1)
+	e.met.Add(metrics.ClientToPE, 1)
 	done := make(chan CallResult, 1)
 	if err := e.errNotStarted(); err != nil {
 		done <- CallResult{Err: err}
@@ -741,7 +759,7 @@ const MaxPausedBacklog = 1 << 16
 // stream's dataflow is paused, tuples queue (up to MaxPausedBacklog) and
 // are dispatched by ResumeGraph.
 func (e *Engine) Ingest(stream string, rows ...types.Row) error {
-	e.met.ClientToPE.Add(1)
+	e.met.Add(metrics.ClientToPE, 1)
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
 	b := e.bindings[strings.ToLower(stream)]
@@ -865,13 +883,13 @@ func (e *Engine) QueryAtSeq(seq storage.Seq, sqlText string, params ...types.Val
 // partition's execution engine: the router's door for a leg it built the
 // tree of.
 func (e *Engine) QueryPlanAtSeq(seq storage.Seq, p *ee.Prepared, params ...types.Value) (*Result, error) {
-	e.met.ClientToPE.Add(1)
+	e.met.Add(metrics.ClientToPE, 1)
 	ectx := &ee.ExecCtx{ReadOnly: true, Snapshot: true, SnapshotSeq: seq}
 	res, err := e.ee.Execute(ectx, p, params...)
 	if err != nil {
 		return nil, err
 	}
-	e.met.SnapshotReads.Add(1)
+	e.met.Add(metrics.SnapshotReads, 1)
 	return &Result{Columns: res.Columns, Rows: res.Rows, RowsAffected: res.RowsAffected}, nil
 }
 
@@ -1044,7 +1062,7 @@ func (e *Engine) executeRequest(r *txnRequest) {
 		ectx.OnStreamInsert = e.onEmit
 		if err != nil {
 			undo.Rollback()
-			e.met.TxnAborted.Add(1)
+			e.met.Add(metrics.TxnAborted, 1)
 			r.respond(nil, fmt.Errorf("pe: border ingest into %s: %w", r.inputStream, err))
 			return
 		}
@@ -1053,7 +1071,7 @@ func (e *Engine) executeRequest(r *txnRequest) {
 
 	if err := e.runHandler(r.proc, pctx); err != nil {
 		undo.Rollback()
-		e.met.TxnAborted.Add(1)
+		e.met.Add(metrics.TxnAborted, 1)
 		r.respond(nil, err)
 		return
 	}
@@ -1061,7 +1079,7 @@ func (e *Engine) executeRequest(r *txnRequest) {
 	if len(gcIDs) > 0 && r.inputStream != "" {
 		if err := e.ee.GCStreamRows(ectx, r.inputStream, gcIDs); err != nil {
 			undo.Rollback()
-			e.met.TxnAborted.Add(1)
+			e.met.Add(metrics.TxnAborted, 1)
 			r.respond(nil, fmt.Errorf("pe: gc of %s: %w", r.inputStream, err))
 			return
 		}
@@ -1075,24 +1093,24 @@ func (e *Engine) executeRequest(r *txnRequest) {
 	ack, lerr := e.logCommit(r)
 	if lerr != nil {
 		undo.Rollback()
-		e.met.TxnAborted.Add(1)
+		e.met.Add(metrics.TxnAborted, 1)
 		r.respond(nil, fmt.Errorf("pe: command log: %w", lerr))
 		return
 	}
 	e.commitPublish()
-	e.met.TxnCommitted.Add(1)
+	e.met.Add(metrics.TxnCommitted, 1)
 	switch r.kind {
 	case reqBorder:
-		e.met.BatchesBorder.Add(1)
+		e.met.Add(metrics.BatchesBorder, 1)
 	case reqTriggered:
-		e.met.TriggeredTxns.Add(1)
+		e.met.Add(metrics.TriggeredTxns, 1)
 	}
 	if ack == nil {
 		// Nothing waits on this commit's record (no log, or a
 		// responder-less border/triggered batch), so its latency is
 		// observed here, at commit; a commit that takes a future is
 		// observed by the acker, once durable.
-		e.met.ObserveLatency(time.Since(start))
+		e.met.Observe(metrics.Latency, int64(time.Since(start)))
 	}
 
 	// PE triggers: emitted batches become downstream transaction
@@ -1111,7 +1129,7 @@ func (e *Engine) executeRequest(r *txnRequest) {
 			r.stats.Triggered.Add(1)
 		}
 		if continued == 0 && !r.origin.IsZero() {
-			r.stats.ObserveLatency(time.Since(r.origin))
+			r.stats.Latency.Observe(int64(time.Since(r.origin)))
 		}
 	}
 	if r.done == nil {
@@ -1173,9 +1191,9 @@ func (e *Engine) runGC() {
 		reclaimed += rc
 		retained += rt
 	}
-	e.met.GCRuns.Add(1)
-	e.met.GCVersionsReclaimed.Add(int64(reclaimed))
-	e.met.VersionsRetained.Add(int64(retained - e.lastRetained))
+	e.met.Add(metrics.GCRuns, 1)
+	e.met.Add(metrics.GCVersionsReclaimed, int64(reclaimed))
+	e.met.Add(metrics.VersionsRetained, int64(retained-e.lastRetained))
 	e.lastRetained = retained
 	// Advance the reclamation epoch at the same rhythm: nodes the sweeps
 	// above unlinked re-enter the allocation pools two advances later, once
@@ -1220,9 +1238,9 @@ func (e *Engine) runEvict(wm storage.Seq) {
 			evictTot += uint64(n)
 		}
 	}
-	e.met.ColdEvictions.Add(int64(evictTot - e.lastColdEvict))
-	e.met.ColdFaults.Add(int64(faultTot - e.lastColdFault))
-	e.met.ColdResidentBytes.Add(resident - e.lastResident)
+	e.met.Add(metrics.ColdEvictions, int64(evictTot-e.lastColdEvict))
+	e.met.Add(metrics.ColdFaults, int64(faultTot-e.lastColdFault))
+	e.met.Add(metrics.ColdResidentBytes, resident-e.lastResident)
 	e.lastColdEvict = evictTot
 	e.lastColdFault = faultTot
 	e.lastResident = resident

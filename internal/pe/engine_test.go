@@ -122,8 +122,8 @@ func TestWorkflowChainOrdering(t *testing.T) {
 		t.Error("in_s retained rows (border batches are not stored)")
 	}
 	m := e.Metrics().Snapshot()
-	if m.BatchesBorder != 5 || m.TriggeredTxns != 5 {
-		t.Errorf("border=%d triggered=%d", m.BatchesBorder, m.TriggeredTxns)
+	if m[metrics.BatchesBorder] != 5 || m[metrics.TriggeredTxns] != 5 {
+		t.Errorf("border=%d triggered=%d", m[metrics.BatchesBorder], m[metrics.TriggeredTxns])
 	}
 }
 
@@ -182,12 +182,12 @@ func TestBatchSizeGrouping(t *testing.T) {
 		must(t, e.Ingest("in_s", intRow(v)))
 	}
 	e.Drain()
-	if got := e.Metrics().BatchesBorder.Load(); got != 2 {
+	if got := e.Metrics().Load(metrics.BatchesBorder); got != 2 {
 		t.Fatalf("border batches = %d, want 2 (partial must wait)", got)
 	}
 	e.FlushBatches()
 	e.Drain()
-	if got := e.Metrics().BatchesBorder.Load(); got != 3 {
+	if got := e.Metrics().Load(metrics.BatchesBorder); got != 3 {
 		t.Fatalf("after flush: %d", got)
 	}
 	res, _ := e.Query("SELECT COUNT(*) FROM log_t WHERE stage = 'a'")
@@ -299,10 +299,10 @@ func TestAbortRollsBackEverything(t *testing.T) {
 	}
 	e.Drain()
 	// Crucially: no downstream TE fired for the aborted emission.
-	if got := e.Metrics().TriggeredTxns.Load(); got != 0 {
+	if got := e.Metrics().Load(metrics.TriggeredTxns); got != 0 {
 		t.Errorf("aborted TE triggered %d downstream txns", got)
 	}
-	if e.Metrics().TxnAborted.Load() != 1 {
+	if e.Metrics().Load(metrics.TxnAborted) != 1 {
 		t.Error("abort not counted")
 	}
 }
@@ -498,7 +498,7 @@ func TestReplayOfDownstreamAbort(t *testing.T) {
 			must(t, err)
 			out = append(out, rowsString(res.Rows))
 		}
-		return fmt.Sprintf("%s aborts=%d", strings.Join(out, " "), e.Metrics().TxnAborted.Load())
+		return fmt.Sprintf("%s aborts=%d", strings.Join(out, " "), e.Metrics().Load(metrics.TxnAborted))
 	}
 	live.Stop()
 	want := state(live)
@@ -661,7 +661,7 @@ func TestUnwaitedCommitsSkipTheAckPipeline(t *testing.T) {
 	if queued != 0 {
 		t.Fatalf("%d responder-less commits crossed the acker", queued)
 	}
-	if n := e.met.Latency().Count(); n != 2*batches {
+	if n := e.met.Snapshot()[metrics.LatencyCount]; n != 2*batches {
 		t.Fatalf("latency observed for %d of %d commits nobody acks", n, 2*batches)
 	}
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/ee"
+	"repro/internal/metrics"
 	"repro/internal/types"
 )
 
@@ -88,8 +89,8 @@ func TestLatencyObserved(t *testing.T) {
 		}
 	}
 	s := e.Metrics().Snapshot()
-	if s.LatencyCount != 20 {
-		t.Fatalf("latency samples = %d", s.LatencyCount)
+	if s[metrics.LatencyCount] != 20 {
+		t.Fatalf("latency samples = %d", s[metrics.LatencyCount])
 	}
 }
 
@@ -134,7 +135,7 @@ func TestDownstreamAbortDropsBatchOnly(t *testing.T) {
 	if res.Rows[0][0].Int() != 3 { // odd values only
 		t.Fatalf("flaky stage processed %v", res.Rows)
 	}
-	if got := e.Metrics().TxnAborted.Load(); got != 3 {
+	if got := e.Metrics().Load(metrics.TxnAborted); got != 3 {
 		t.Fatalf("aborts = %d", got)
 	}
 	// Aborted batches' stream tuples leak only until their TE aborts: the

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/ee"
+	"repro/internal/metrics"
 	"repro/internal/types"
 )
 
@@ -139,7 +140,7 @@ func (e *Engine) EnlistMP(txnID uint64, adHoc bool) (*MPSession, error) {
 // send queues m on the inbox. Caller holds s.mu.
 func (s *MPSession) send(m *mpMsg) {
 	if s.queued == mpWindow {
-		s.e.met.MPLegWaits.Add(1)
+		s.e.met.Add(metrics.MPLegWaits, 1)
 		s.take()
 	}
 	s.queued++
@@ -159,7 +160,7 @@ func (s *MPSession) await(m *mpMsg) {
 	if m.answered {
 		return
 	}
-	s.e.met.MPLegWaits.Add(1)
+	s.e.met.Add(metrics.MPLegWaits, 1)
 	for !m.answered {
 		s.take()
 	}
@@ -360,8 +361,8 @@ func (e *Engine) executeMP(r *txnRequest) {
 				// the partition's serial slot one full phase early.
 				m.readOnly = true
 				s.replies <- m
-				e.met.MPReadOnlyLegs.Add(1)
-				e.met.ObserveLatency(time.Since(start))
+				e.met.Add(metrics.MPReadOnlyLegs, 1)
+				e.met.Observe(metrics.Latency, int64(time.Since(start)))
 				r.respond(nil, nil)
 				return
 			default:
@@ -378,7 +379,7 @@ func (e *Engine) executeMP(r *txnRequest) {
 			if !m.commit {
 				undo.Rollback()
 				s.replies <- m // nothing published; the rollback is applied
-				e.met.TxnAborted.Add(1)
+				e.met.Add(metrics.TxnAborted, 1)
 				r.respond(nil, nil)
 				return
 			}
@@ -391,10 +392,10 @@ func (e *Engine) executeMP(r *txnRequest) {
 			// decision itself is durable.
 			e.commitPublish()
 			s.replies <- m // in-memory commit visible; acks may lag
-			e.met.TxnCommitted.Add(1)
-			e.met.MPLegsCommitted.Add(1)
+			e.met.Add(metrics.TxnCommitted, 1)
+			e.met.Add(metrics.MPLegsCommitted, 1)
 			e.dispatchEmits(0, r.origin, r.replay)
-			e.met.ObserveLatency(time.Since(start))
+			e.met.Observe(metrics.Latency, int64(time.Since(start)))
 			r.respond(nil, nil)
 			return
 		default:

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/types"
 )
 
@@ -32,7 +33,7 @@ func TestMPLegServesInboxInOrder(t *testing.T) {
 		frags = append(frags, s.SendExec(q, types.NewInt(7)))
 	}
 	s.SendPrepare()
-	before := e.met.MPLegWaits.Load()
+	before := e.met.Load(metrics.MPLegWaits)
 	must(t, s.Prepare())
 	for i, f := range frags {
 		res, err := f.Wait()
@@ -43,7 +44,7 @@ func TestMPLegServesInboxInOrder(t *testing.T) {
 			t.Fatalf("fragment %d affected %d rows, want 1", i, res.RowsAffected)
 		}
 	}
-	if waits := e.met.MPLegWaits.Load() - before; waits != 1 {
+	if waits := e.met.Load(metrics.MPLegWaits) - before; waits != 1 {
 		t.Fatalf("fragments and vote took %d waits, want 1", waits)
 	}
 	ops := s.LoggedOps()

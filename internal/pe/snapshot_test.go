@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/types"
 )
 
@@ -45,7 +46,7 @@ func TestQueryRunsOffTheWorker(t *testing.T) {
 	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 10 {
 		t.Fatalf("snapshot read under a stalled worker: %v", res.Rows)
 	}
-	if got := e.Metrics().SnapshotReads.Load(); got == 0 {
+	if got := e.Metrics().Load(metrics.SnapshotReads); got == 0 {
 		t.Fatal("snapshot-read counter not bumped")
 	}
 	close(block)
@@ -111,7 +112,7 @@ func TestSnapshotPinSurvivesDeleteTruncateCheckpointGC(t *testing.T) {
 	if versions, dead := rel.Table.VersionStats(); versions != 0 || dead != 0 {
 		t.Fatalf("after release+GC: versions=%d dead=%d", versions, dead)
 	}
-	if got := e.Metrics().GCRuns.Load(); got < 2 {
+	if got := e.Metrics().Load(metrics.GCRuns); got < 2 {
 		t.Fatalf("GCRuns = %d", got)
 	}
 }
