@@ -1,7 +1,9 @@
 // Command sstored runs the S-Store server: it assembles an engine,
 // optionally installs one of the built-in demo applications (stored
 // procedures are compiled code, as in H-Store), recovers durable state,
-// and serves the wire protocol over TCP.
+// and serves the wire protocol over TCP. Once a durability failure stops
+// the store (core.Store.Failed), it exits non-zero without a checkpoint, so
+// that a supervisor restarts it into recovery.
 //
 // With -partitions > 1, ad-hoc statements that span partitions — multi-row
 // INSERTs across shards, INSERT ... SELECT, broadcast UPDATE / DELETE —
@@ -201,7 +203,11 @@ func main() {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
+	select {
+	case <-sig:
+	case <-st.Failed(): // fail-stop: no checkpoint of what the logs may not hold
+		log.Fatalf("sstored: %v", st.Err())
+	}
 	fmt.Println("sstored: shutting down")
 	srv.Close()
 	if *dir != "" {

@@ -108,6 +108,7 @@ type partition struct {
 	// it on this partition chain their client acks on it; nil once the
 	// outcome resolved.
 	specTail atomic.Pointer[mpOutcome]
+	fail     func(error) // the store's fail-stop (Store.fail)
 }
 
 // Append implements pe.Logger: serialize the record and append it to this
@@ -130,6 +131,7 @@ func (p *partition) Append(rec *pe.LogRecord, waited bool) (<-chan error, error)
 	payload := wal.EncodeRecord(rec)
 	if !waited {
 		if _, err := p.log.AppendUnwaited(payload); err != nil {
+			p.fail(err)
 			return nil, err
 		}
 		p.met.ObserveLogged(len(payload))
@@ -138,6 +140,7 @@ func (p *partition) Append(rec *pe.LogRecord, waited bool) (<-chan error, error)
 	}
 	_, ack, err := p.log.AppendAsync(payload)
 	if err != nil {
+		p.fail(err)
 		return nil, err
 	}
 	p.met.ObserveLogged(len(payload))
@@ -177,6 +180,9 @@ func (p *partition) SyncCommits() error {
 	return p.log.SyncNow()
 }
 
+// LogFailed implements pe.Logger: a commit future failed, so the store stops.
+func (p *partition) LogFailed(err error) { p.fail(err) }
+
 // force appends rec and returns once it is on stable storage, under every
 // sync policy: a write-ahead force, not a commit ack. A seed's or slot
 // migration's prepared leg goes through here before the coordinator log
@@ -191,6 +197,7 @@ func (p *partition) force(rec *pe.LogRecord) error {
 		return err
 	}
 	if err := p.log.SyncNow(); err != nil {
+		p.fail(err)
 		return err
 	}
 	return <-ack
@@ -342,6 +349,10 @@ type Store struct {
 	// be retried (replayed partitions would replay twice).
 	recovered  bool
 	recoverErr error
+	// failure is the sticky durability error (see Err), set once by fail;
+	// failed is closed when it is.
+	failure atomic.Pointer[error]
+	failed  chan struct{}
 }
 
 // Open creates a Store. Durability files are opened lazily by Recover /
@@ -352,7 +363,7 @@ func Open(cfg Config) *Store {
 		n = 1
 	}
 	cfg.Partitions = n
-	s := &Store{cfg: cfg, met: &metrics.Metrics{}}
+	s := &Store{cfg: cfg, met: &metrics.Metrics{}, failed: make(chan struct{})}
 	if cfg.Dir != "" {
 		s.dir = wal.NewDir(cfg.Dir, wal.OS)
 	}
@@ -375,7 +386,30 @@ func (s *Store) newPartition(idx int) *partition {
 		HStoreMode:   s.cfg.HStoreMode,
 		MemoryBudget: s.partitionBudget(),
 	})
-	return &partition{idx: idx, cat: cat, ee: exec, pe: part, met: s.met}
+	return &partition{idx: idx, cat: cat, ee: exec, pe: part, met: s.met, fail: s.fail}
+}
+
+// Err is nil while the store serves, else the first durability failure (a
+// log write, commit future, vote, decision or pause record not made
+// durable; on a follower, its divergence). The memory may then hold what
+// the logs do not, so every read and write is refused with it until a
+// restart recovers from the logs (fail-stop; DESIGN.md §1.4).
+func (s *Store) Err() error {
+	if p := s.failure.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// Failed is closed once Err is set.
+func (s *Store) Failed() <-chan struct{} { return s.failed }
+
+// fail stops the store with err unless it has already stopped.
+func (s *Store) fail(err error) {
+	err = fmt.Errorf("core: store stopped, restart it to recover: %w", err)
+	if s.failure.CompareAndSwap(nil, &err) {
+		close(s.failed)
+	}
 }
 
 // partitionBudget is each partition's share of the store-wide memory

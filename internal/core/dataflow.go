@@ -237,11 +237,13 @@ func (s *Store) logPauseState(kind pe.RecordKind, graph string) error {
 		return nil
 	}
 	payload := wal.EncodeRecord(&pe.LogRecord{Kind: kind, Proc: graph})
-	if _, err := s.coordLog.Append(payload); err != nil {
-		return fmt.Errorf("core: pause-state log: %w", err)
+	_, err := s.coordLog.Append(payload)
+	if err == nil {
+		err = s.coordLog.SyncNow()
 	}
-	if err := s.coordLog.SyncNow(); err != nil {
-		return fmt.Errorf("core: pause-state sync: %w", err)
+	if err != nil {
+		s.fail(err)
+		return fmt.Errorf("core: pause-state log: %w", err)
 	}
 	return nil
 }

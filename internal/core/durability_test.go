@@ -1,0 +1,513 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+
+	"repro/internal/pe"
+	"repro/internal/types"
+	"repro/internal/wal"
+)
+
+// The durability script checks what recovery promises (paper §2.4,
+// DESIGN.md §1.4): every acknowledged write survives, a coordinated
+// transaction is all or nothing, and each border batch's downstream effects
+// apply exactly once. A journal records where in the file operations each
+// write began and where its ack came back; one oracle (journal.check)
+// judges a recovered store.
+
+// span places a write in the recording: begun is the operation count when
+// it was issued, acked when its acknowledgement came back. A crash at
+// point p may keep it if begun < p, and must keep it if acked <= p.
+type span struct{ begun, acked int }
+
+// end is the crash point of a clean stop; never is past it: the ack of a
+// write never acknowledged, or the start of one that never began.
+const end, never = math.MaxInt - 1, math.MaxInt
+
+// count is how many of spans must (acked) and may (begun) survive a crash
+// at point p.
+func count(spans []span, p int) (acked, begun int) {
+	for _, s := range spans {
+		if s.acked <= p {
+			acked++
+		}
+		if s.begun < p {
+			begun++
+		}
+	}
+	return acked, begun
+}
+
+// journal is what the durability script did to a store.
+type journal struct {
+	mode   pe.LogMode
+	pos    func() int       // the recording's length; 0 without one
+	events map[int64]int64  // one event per key; a negative amount aborts apply
+	bumps  map[int64][]span // each key's bump calls
+	txns   []txn            // coordinated writes
+	adHoc  []adHocRun
+	pauses []span // pause, resume, pause, … of the events dataflow
+	// grown: a Rebalance ran. A migrated slot's stream tuples stay on the
+	// old owner and recovery evicts them there (ROADMAP, Known bugs), so an
+	// aborted event's tuple is only known to survive without one.
+	grown bool
+}
+
+// txn is a coordinated write: all of its totals rows or none.
+type txn struct {
+	rows map[int64]int64
+	span
+}
+
+// adHocRun is one adHocWrites sequence: the totals rows of its keys after
+// each statement (states[0] before the first), and each statement's span.
+type adHocRun struct {
+	keys   []int64
+	states []map[int64]int64
+	steps  []span
+}
+
+func newJournal(mode pe.LogMode, pos func() int) *journal {
+	return &journal{mode: mode, pos: pos, events: map[int64]int64{}, bumps: map[int64][]span{}}
+}
+
+func must(t testing.TB, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// do runs one write and returns where it began and where its ack came back.
+func (j *journal) do(t *testing.T, write func() error) span {
+	t.Helper()
+	s := span{begun: j.pos()}
+	must(t, write())
+	s.acked = j.pos()
+	return s
+}
+
+func keyRange(lo, hi int64) []int64 {
+	var keys []int64
+	for k := lo; k < hi; k++ {
+		keys = append(keys, k)
+	}
+	return keys
+}
+
+// ingest feeds one event of amount amt per key as border batches and waits
+// for their workflows.
+func (j *journal) ingest(t *testing.T, st *Store, keys []int64, amt int64) {
+	t.Helper()
+	for _, k := range keys {
+		j.events[k] = amt
+		must(t, st.Ingest("events", types.Row{types.NewInt(k), types.NewInt(amt)}))
+	}
+	st.FlushBatches()
+	st.Drain()
+}
+
+// bump pipelines one keyed bump call per key, then takes every ack.
+func (j *journal) bump(t *testing.T, st *Store, keys []int64) {
+	t.Helper()
+	begun := j.pos()
+	acks := make([]<-chan pe.CallResult, len(keys))
+	for i, k := range keys {
+		acks[i] = st.CallAsync("bump", types.NewInt(k))
+	}
+	for i, k := range keys {
+		cr := <-acks[i]
+		if cr.Err != nil || cr.Result.RowsAffected != 1 {
+			t.Fatalf("bump(%d) = %v, %v", k, cr.Result, cr.Err)
+		}
+		j.bumps[k] = append(j.bumps[k], span{begun, j.pos()})
+	}
+}
+
+// pair commits one coordinated transaction inserting a totals row on each
+// of partitions pa and pb.
+func (j *journal) pair(t *testing.T, st *Store, pa, pb int, start int64) {
+	t.Helper()
+	ka, kb := keysOwnedBy(st, pa, 1, start)[0], keysOwnedBy(st, pb, 1, start)[0]
+	s := j.do(t, func() error {
+		return st.MultiPartitionTxn(func(tx *MPTxn) error {
+			if _, err := tx.Exec(pa, "INSERT INTO totals (k, n) VALUES (?, 1)", types.NewInt(ka)); err != nil {
+				return err
+			}
+			_, err := tx.Exec(pb, "INSERT INTO totals (k, n) VALUES (?, 1)", types.NewInt(kb))
+			return err
+		})
+	})
+	j.txns = append(j.txns, txn{map[int64]int64{ka: 1, kb: 1}, s})
+}
+
+// pause pauses (on) or resumes the events dataflow.
+func (j *journal) pause(t *testing.T, st *Store, on bool) {
+	t.Helper()
+	op := st.ResumeDataflow
+	if on {
+		op = st.PauseDataflow
+	}
+	j.pauses = append(j.pauses, j.do(t, func() error { return op("events") }))
+}
+
+// adHocWrites runs one of each ad-hoc write shape through st.Exec on
+// totals, with keys from base up: a keyed INSERT (routed to its owner), a
+// keyed UPDATE and DELETE (which the router runs on every partition of a
+// partitioned table), a two-row INSERT spanning partitions 0 and 1, and a
+// broadcast UPDATE. The store needs two partitions or more, and no other
+// totals key at or above base.
+func (j *journal) adHocWrites(t *testing.T, st *Store, base int64) {
+	t.Helper()
+	on0, on1 := keysOwnedBy(st, 0, 2, base), keysOwnedBy(st, 1, 1, base)
+	x, y, z := on0[0], on0[1], on1[0]
+	run := adHocRun{keys: []int64{x, y, z}, states: []map[int64]int64{{}}}
+	for _, w := range []struct {
+		q        string
+		params   []types.Value
+		affected int
+		after    map[int64]int64
+	}{
+		{"INSERT INTO totals (k, n) VALUES (?, 5)", []types.Value{types.NewInt(x)}, 1, map[int64]int64{x: 5}},
+		{"UPDATE totals SET n = n + 1 WHERE k = ?", []types.Value{types.NewInt(x)}, 1, map[int64]int64{x: 6}},
+		{"INSERT INTO totals (k, n) VALUES (?, 1), (?, 1)", []types.Value{types.NewInt(y), types.NewInt(z)}, 2, map[int64]int64{x: 6, y: 1, z: 1}},
+		{"DELETE FROM totals WHERE k = ?", []types.Value{types.NewInt(y)}, 1, map[int64]int64{x: 6, z: 1}},
+		{"UPDATE totals SET n = n * 2 WHERE k >= ?", []types.Value{types.NewInt(base)}, 2, map[int64]int64{x: 12, z: 2}},
+	} {
+		run.steps = append(run.steps, j.do(t, func() error {
+			res, err := st.Exec(w.q, w.params...)
+			if err == nil && res.RowsAffected != w.affected {
+				err = fmt.Errorf("%s affected %d rows, want %d", w.q, res.RowsAffected, w.affected)
+			}
+			return err
+		}))
+		run.states = append(run.states, w.after)
+	}
+	j.adHoc = append(j.adHoc, run)
+}
+
+// phase1 is the part of the script every run drives, on a started
+// two-partition store: events, pipelined bumps, one interior abort per
+// partition, ad-hoc writes, a coordinated pair, a pause, a checkpoint
+// (after beforeCheckpoint) that must keep it, a resume, more calls and a
+// final pause.
+func (j *journal) phase1(t *testing.T, st *Store, beforeCheckpoint func()) {
+	t.Helper()
+	j.ingest(t, st, keyRange(0, 8), 1)
+	j.bump(t, st, keyRange(0, 8))
+	// The apply stage aborts on these and leaves them in derived. Under
+	// LogAllTEs replay, each later triggered record must GC its own tuple,
+	// not an aborted one.
+	j.ingest(t, st, []int64{keysOwnedBy(st, 0, 1, 500)[0], keysOwnedBy(st, 1, 1, 500)[0]}, -1)
+	j.ingest(t, st, keyRange(8, 16), 1)
+	j.adHocWrites(t, st, 5000)
+	j.pair(t, st, 0, 1, 1000)
+	j.pause(t, st, true)
+	beforeCheckpoint()
+	must(t, st.Checkpoint())
+	j.pause(t, st, false)
+	j.bump(t, st, keyRange(0, 16))
+	j.pause(t, st, true)
+}
+
+// phase2 resumes the dataflow, writes a replicated row and grows the store
+// to four partitions: the first Rebalance completes one slot migration and
+// aborts the second after its COPIED record (a BEGIN / COPIED pair with no
+// COMMIT stays in the coordinator log); the retry migrates the rest. Writes
+// land between and after the migrations, and a pause ends it.
+func (j *journal) phase2(t *testing.T, st *Store) {
+	t.Helper()
+	j.pause(t, st, false)
+	must(t, st.MultiPartitionTxn(func(tx *MPTxn) error { // seeded onto the new partitions
+		_, err := tx.ExecAll("INSERT INTO ref VALUES (1, 10)")
+		return err
+	}))
+	migrations := 0
+	testHookAfterCopied = func(int) error {
+		if migrations++; migrations == 2 {
+			return errors.New("injected abort after COPIED")
+		}
+		return nil
+	}
+	err := st.Rebalance(4)
+	testHookAfterCopied = nil
+	if err == nil || !strings.Contains(err.Error(), "injected abort") {
+		t.Fatalf("first rebalance err = %v", err)
+	}
+	j.bump(t, st, keyRange(0, 16))
+	must(t, st.Rebalance(4))
+	j.grown = true
+	j.ingest(t, st, keyRange(16, 24), 1)
+	j.bump(t, st, keyRange(0, 24))
+	j.pair(t, st, 2, 3, 2000)
+	j.adHocWrites(t, st, 7000)
+	j.pause(t, st, true)
+}
+
+// check is the oracle: what a store recovered from a crash at point p (end:
+// a clean stop) must hold. It reads storage, so the store must not run.
+func (j *journal) check(st *Store, p int) error {
+	totals := map[int64]int64{}
+	applied, pending := map[int64][]int64{}, map[int64][]int64{}
+	for _, part := range st.partList() {
+		for _, r := range part.cat.Relation("totals").Table.ScanRows() {
+			totals[r[0].Int()] = r[1].Int()
+		}
+		for _, r := range part.cat.Relation("applied").Table.ScanRows() {
+			applied[r[0].Int()] = append(applied[r[0].Int()], r[1].Int())
+		}
+		for _, r := range part.cat.Relation("derived").Table.ScanRows() {
+			pending[r[0].Int()] = append(pending[r[0].Int()], r[1].Int())
+		}
+	}
+	// Exactly once: an event is applied by one batch, or (aborted, or
+	// under LogAllTEs in flight at the crash) still waits in derived.
+	for k, amt := range j.events {
+		a, w := applied[k], pending[k]
+		switch {
+		case len(a)+len(w) > 1:
+			return fmt.Errorf("event %d applied by batches %v and waiting in derived as %v", k, a, w)
+		case len(w) == 1 && w[0] != 2*amt:
+			return fmt.Errorf("event %d of amount %d waits in derived as %d", k, amt, w[0])
+		case amt < 0 && len(a) > 0:
+			return fmt.Errorf("aborted event %d applied by batch %v", k, a)
+		case amt < 0 && p == end && len(w) == 0 && !j.grown:
+			return fmt.Errorf("aborted event %d left derived", k)
+		case amt > 0 && len(w) == 1 && (j.mode == pe.LogBorderOnly || p == end):
+			return fmt.Errorf("event %d never applied, waiting in derived", k)
+		case amt > 0 && p == end && len(a) == 0:
+			return fmt.Errorf("event %d lost", k)
+		}
+		delete(applied, k)
+		delete(pending, k)
+		// Acknowledged bumps survive: n is 2 per applied event plus 100
+		// per bump.
+		n, ok := totals[k]
+		delete(totals, k)
+		acked, begun := count(j.bumps[k], p)
+		if len(a) == 0 {
+			if ok || acked > 0 {
+				return fmt.Errorf("totals[%d] = %d (row %v) with no applied event and %d acked bumps", k, n, ok, acked)
+			}
+			continue
+		}
+		if b := (n - 2*amt) / 100; (n-2*amt)%100 != 0 || b < int64(acked) || b > int64(begun) {
+			return fmt.Errorf("totals[%d] = %d, want 2 + 100 × %d..%d bumps", k, n, acked, begun)
+		}
+	}
+	if len(applied)+len(pending) > 0 {
+		return fmt.Errorf("applied %v and derived %v hold events never ingested", applied, pending)
+	}
+	// All or nothing, and acknowledged means all.
+	for _, tx := range j.txns {
+		seen := 0
+		for k, n := range tx.rows {
+			if got, ok := totals[k]; ok {
+				if got != n {
+					return fmt.Errorf("coordinated row totals[%d] = %d, want %d", k, got, n)
+				}
+				seen++
+				delete(totals, k)
+			}
+		}
+		switch {
+		case seen > 0 && seen < len(tx.rows):
+			return fmt.Errorf("coordinated write %v half visible (%d of %d rows)", tx.rows, seen, len(tx.rows))
+		case seen == 0 && tx.acked <= p:
+			return fmt.Errorf("acknowledged coordinated write %v lost", tx.rows)
+		case seen > 0 && tx.begun >= p:
+			return fmt.Errorf("coordinated write %v visible before it began", tx.rows)
+		}
+	}
+	// Ad-hoc writes: the state after some statement between the last
+	// acknowledged one and the last begun one.
+	for _, run := range j.adHoc {
+		got := map[int64]int64{}
+		for _, k := range run.keys {
+			if n, ok := totals[k]; ok {
+				got[k] = n
+				delete(totals, k)
+			}
+		}
+		acked, begun := count(run.steps, p)
+		matched := false
+		for _, state := range run.states[acked : begun+1] {
+			matched = matched || fmt.Sprint(state) == fmt.Sprint(got)
+		}
+		if !matched {
+			return fmt.Errorf("ad-hoc rows %v match no state after statements %d..%d of %v", got, acked, begun, run.states)
+		}
+	}
+	if len(totals) > 0 {
+		return fmt.Errorf("totals holds rows no write made: %v", totals)
+	}
+	// The pause state of some operation between the last acknowledged and
+	// the last begun (odd: paused).
+	acked, begun := count(j.pauses, p)
+	if paused := st.schema.Load().Dataflow("events").Paused; acked == begun && paused != (acked%2 == 1) {
+		return fmt.Errorf("dataflow paused = %v after %d acknowledged pause / resume operations", paused, acked)
+	}
+	return nil
+}
+
+// growingSource ships a primary that grows to the follower's width later.
+type growingSource struct{ st *Store }
+
+func (s growingSource) FetchBatch(part int, afterLSN uint64, maxBytes int) (ReplBatch, error) {
+	return s.st.ReplicationBatch(part, afterLSN, maxBytes)
+}
+
+// TestCommitPoliciesAgree runs the whole script under each sync policy and
+// log mode, a clean stop, then three feeds of the log — recovery, a follower
+// declared final, a promoted follower — which must agree with each other,
+// with every other run and with the oracle.
+func TestCommitPoliciesAgree(t *testing.T) {
+	var first, firstName string
+	for _, pn := range []string{"never", "every", "group"} {
+		for _, mn := range []string{"border", "all"} {
+			name := pn + "/" + mn
+			t.Run(name, func(t *testing.T) {
+				got := durabilityEndOfRun(t, Config{Dir: t.TempDir(), Partitions: 2, Sync: syncPolicies[pn], LogMode: logModes[mn]}, false)
+				switch {
+				case first == "":
+					first, firstName = got, name
+				case got != first:
+					t.Errorf("recovered state differs from %s:\n--- %s\n%s--- %s\n%s", firstName, firstName, first, name, got)
+				}
+			})
+		}
+	}
+}
+
+// TestRecoverFollowPromoteAgree runs the whole script, then leaves the crash
+// state the pipelined commit path can leave behind — an in-doubt PREPARE with
+// a decided transaction's legs after it — and the three feeds must still
+// agree with each other and with the oracle.
+func TestRecoverFollowPromoteAgree(t *testing.T) {
+	for _, mn := range []string{"border", "all"} {
+		t.Run(map[string]string{"border": "LogBorderOnly", "all": "LogAllTEs"}[mn], func(t *testing.T) {
+			durabilityEndOfRun(t, Config{Dir: t.TempDir(), Partitions: 2, Sync: wal.SyncEveryRecord, LogMode: logModes[mn]}, true)
+		})
+	}
+}
+
+var (
+	syncPolicies = map[string]wal.SyncPolicy{"never": wal.SyncNever, "every": wal.SyncEveryRecord, "group": wal.SyncGroupCommit}
+	logModes     = map[string]pe.LogMode{"border": pe.LogBorderOnly, "all": pe.LogAllTEs}
+)
+
+// TestDurabilityScript runs phase 1 of the script under group commit in
+// each log mode, and the oracle on every crash point in every variant.
+func TestDurabilityScript(t *testing.T) {
+	for _, mn := range []string{"border", "all"} {
+		mode := logModes[mn]
+		t.Run("crash/"+mn, func(t *testing.T) {
+			cfg := Config{Dir: t.TempDir(), Partitions: 2, Sync: wal.SyncGroupCommit, LogMode: mode}
+			st := buildPartApp(t, cfg)
+			fsys := recordStore(t, st)
+			must(t, st.Start())
+			j := newJournal(mode, fsys.Len)
+			j.phase1(t, st, func() {})
+			must(t, st.Stop())
+			last := fsys.Len()
+			eachCrashImage(t, fsys, crashPoints(0, last), func(img string, p int) error {
+				cfg := cfg
+				cfg.Dir = img
+				re := buildPartApp(t, cfg)
+				if err := re.Recover(); err != nil {
+					return err
+				}
+				defer re.Stop()
+				if p == last {
+					p = end
+				}
+				return j.check(re, p)
+			})
+		})
+	}
+}
+
+// durabilityEndOfRun runs the whole script on a fresh durable store and
+// returns the state all three feeds agreed on. With inDoubt, it appends an
+// in-doubt and a decided PREPARE to the logs after the stop.
+func durabilityEndOfRun(t *testing.T, cfg Config, inDoubt bool) string {
+	st := buildPartApp(t, cfg)
+	must(t, st.Start())
+	var followers [2]*Follower
+	for i := range followers {
+		var err error
+		followers[i], err = NewFollower(buildPartApp(t, Config{Partitions: 4, LogMode: cfg.LogMode}), growingSource{st}, FollowerOpts{})
+		must(t, err)
+	}
+	j := newJournal(cfg.LogMode, func() int { return 0 })
+	// The checkpoint truncates the logs: the followers take everything
+	// before it first.
+	j.phase1(t, st, func() {
+		for _, l := range []*wal.Log{st.partList()[0].log, st.partList()[1].log, st.coordLog} {
+			must(t, l.Sync())
+		}
+		for _, f := range followers {
+			pollUntilIdle(t, f)
+			must(t, f.Err())
+		}
+	})
+	j.phase2(t, st)
+	must(t, st.Stop())
+
+	var decided0 int64
+	if inDoubt {
+		// The crash state: an in-doubt PREPARE (no decision anywhere) with a
+		// decided transaction's legs behind it, as the pipelined commit path
+		// can leave them. The in-doubt leg never began as far as the oracle
+		// goes: it must not appear.
+		var undecided int64
+		undecided, decided0 = keysOwnedBy(st, 0, 2, 3000)[0], keysOwnedBy(st, 0, 2, 3000)[1]
+		decided1 := keysOwnedBy(st, 1, 1, 3000)[0]
+		put := func(k int64) []pe.LoggedOp {
+			return []pe.LoggedOp{{SQL: "INSERT INTO totals (k, n) VALUES (?, 7)", Params: []types.Value{types.NewInt(k)}}}
+		}
+		logPath0, _ := wal.PartitionPaths(cfg.Dir, 0)
+		logPath1, _ := wal.PartitionPaths(cfg.Dir, 1)
+		appendRecords(t, logPath0,
+			&pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 9001, Ops: put(undecided)},
+			&pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 9002, Ops: put(decided0)})
+		appendRecords(t, logPath1, &pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 9002, Ops: put(decided1)})
+		appendRecords(t, wal.CoordPath(cfg.Dir), &pe.LogRecord{Kind: pe.RecDecide, MPTxnID: 9002, Commit: true})
+		j.txns = append(j.txns,
+			txn{map[int64]int64{undecided: 7}, span{never, never}},
+			txn{map[int64]int64{decided0: 7, decided1: 7}, span{}})
+	}
+
+	for _, f := range followers {
+		pollUntilIdle(t, f)
+		must(t, f.Err())
+	}
+	if _, ok := totalsOf(followers[0].st)[decided0]; inDoubt && ok {
+		t.Fatal("follower applied a record past an in-doubt prepare before its stream was final")
+	}
+	must(t, followers[0].settle())
+	followed := storeState(followers[0].st)
+	promoted, err := followers[1].Promote()
+	must(t, err)
+	must(t, promoted.Stop())
+	// Crash recovery last: it appends to the directory.
+	cfg.Partitions = 4
+	re := buildPartApp(t, cfg)
+	must(t, re.Recover())
+	defer re.Stop()
+	recovered := storeState(re)
+	if followed != recovered {
+		t.Errorf("follower (final drain) and crash recovery disagree:\n--- followed\n%s--- recovered\n%s", followed, recovered)
+	}
+	if got := storeState(promoted); got != recovered {
+		t.Errorf("promoted follower and crash recovery disagree:\n--- promoted\n%s--- recovered\n%s", got, recovered)
+	}
+	if err := j.check(re, end); err != nil {
+		t.Error(err)
+	}
+	return recovered
+}

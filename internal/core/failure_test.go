@@ -1,14 +1,64 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/pe"
 	"repro/internal/types"
 	"repro/internal/wal"
 )
+
+// TestFailedLogRefusesReads: a commit whose record could not be made
+// durable stops the store. The refused write is in memory but may not be
+// in the log, so from then on no door serves a read of it (or anything
+// else), writes are refused, Err wraps the fsync's error and Failed is
+// closed: the process must restart and recover from the log.
+func TestFailedLogRefusesReads(t *testing.T) {
+	st := buildKV(t, gcTestConfig(t.TempDir(), 1))
+	fsys := recordStore(t, st)
+	if err := st.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Stop()
+	if _, err := st.Exec("INSERT INTO kv VALUES (1, 1)"); err != nil {
+		t.Fatal(err)
+	}
+	fire := errors.New("disk on fire")
+	logPath, _ := wal.PartitionPaths(st.cfg.Dir, 0)
+	fsys.Syncs(logPath).Fail(fire)
+	if _, err := st.Exec("INSERT INTO kv VALUES (2, 2)"); !errors.Is(err, fire) {
+		t.Fatalf("write under a failing fsync returned %v", err)
+	}
+	select {
+	case <-st.Failed():
+	default:
+		t.Error("Failed is not closed after a durability failure")
+	}
+	if err := st.Err(); !errors.Is(err, fire) {
+		t.Errorf("Err() = %v, want it to wrap %v", err, fire)
+	}
+	pin := st.PinSnapshot()
+	defer pin.Release()
+	for door, read := range map[string]func() (*pe.Result, error){
+		"Query":       func() (*pe.Result, error) { return st.Query("SELECT k FROM kv") },
+		"Exec SELECT": func() (*pe.Result, error) { return st.Exec("SELECT k FROM kv") },
+		"QueryPinned": func() (*pe.Result, error) { return st.QueryPinned(pin, "SELECT k FROM kv") },
+	} {
+		if res, err := read(); err == nil {
+			t.Errorf("%s served %v after the log failed", door, res.Rows)
+		}
+	}
+	if _, err := st.Call("put", types.NewInt(3), types.NewInt(3)); err == nil {
+		t.Error("Call accepted after the log failed")
+	}
+	if err := st.Ingest("feed", types.Row{types.NewInt(4), types.NewInt(4)}); err == nil {
+		t.Error("Ingest accepted after the log failed")
+	}
+}
 
 // TestCrashBetweenSnapshotAndTruncate exercises the nastiest checkpoint
 // window: the snapshot is durable but the log was not yet truncated, so

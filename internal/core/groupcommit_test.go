@@ -354,31 +354,3 @@ func TestGroupCommitCheckpointUnderLoad(t *testing.T) {
 		t.Fatalf("recovered %d keys, want %d", len(got), writers*perWriter)
 	}
 }
-
-// TestGroupCommitExplicitSyncPoliciesAgree runs the same workload under
-// every sync policy and verifies identical recovered state after a clean
-// stop — group commit changes when durability happens, never what is
-// durable at a quiescent point.
-func TestGroupCommitExplicitSyncPoliciesAgree(t *testing.T) {
-	want := fmt.Sprint(map[int64]bool{0: true, 1: true, 2: true, 3: true, 4: true})
-	for _, pol := range []wal.SyncPolicy{wal.SyncNever, wal.SyncEveryRecord, wal.SyncGroupCommit} {
-		dir := t.TempDir()
-		cfg := gcTestConfig(dir, 1)
-		cfg.Sync = pol
-		st := buildKV(t, cfg)
-		if err := st.Start(); err != nil {
-			t.Fatal(err)
-		}
-		for k := int64(0); k < 5; k++ {
-			if _, err := st.Call("put", types.NewInt(k), types.NewInt(k)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := st.Stop(); err != nil {
-			t.Fatal(err)
-		}
-		if got := fmt.Sprint(recoveredKeys(t, dir, 1)); got != want {
-			t.Fatalf("policy %d recovered %s, want %s", pol, got, want)
-		}
-	}
-}

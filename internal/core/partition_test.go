@@ -16,11 +16,13 @@ const partDDL = `
 	CREATE TABLE ref (id INT PRIMARY KEY, v BIGINT);
 	CREATE STREAM events (k INT, amt BIGINT) PARTITION BY k;
 	CREATE STREAM derived (k INT, amt BIGINT) PARTITION BY k;
+	CREATE TABLE applied (k INT, b BIGINT) PARTITION BY k;
 `
 
 // buildPartApp is buildApp over hash-partitioned relations: events ->
 // ingest -> derived -> apply, with per-key state in totals. apply aborts
-// a batch holding a negative amount.
+// a batch holding a negative amount, and ledgers each row it applies in
+// applied with its border batch's id.
 func buildPartApp(t testing.TB, cfg Config) *Store {
 	t.Helper()
 	st := Open(cfg)
@@ -44,7 +46,7 @@ func buildPartApp(t testing.TB, cfg Config) *Store {
 	if err := st.RegisterProcedure(&pe.Procedure{
 		Name:     "apply",
 		ReadSet:  []string{"totals"},
-		WriteSet: []string{"totals"},
+		WriteSet: []string{"totals", "applied"},
 		Handler: func(ctx *pe.ProcCtx) error {
 			for _, r := range ctx.Batch {
 				if r[1].Int() < 0 {
@@ -59,6 +61,9 @@ func buildPartApp(t testing.TB, cfg Config) *Store {
 						return err
 					}
 				} else if _, err := ctx.Exec("UPDATE totals SET n = n + ? WHERE k = ?", r[1], r[0]); err != nil {
+					return err
+				}
+				if _, err := ctx.Exec("INSERT INTO applied (k, b) VALUES (?, ?)", r[0], types.NewInt(int64(ctx.BatchID))); err != nil {
 					return err
 				}
 			}

@@ -274,7 +274,7 @@ func TestSlotMigrationLegDurableBeforeCommit(t *testing.T) {
 	if err := st.coordLog.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	eachCrashImage(t, fsys, crashPoints(from, fsys.Len()), func(img string) error {
+	eachCrashImage(t, fsys, crashPoints(from, fsys.Len()), func(img string, _ int) error {
 		st2 := buildPartApp(t, Config{Dir: img, Partitions: 4, Sync: wal.SyncNever})
 		if err := st2.Start(); err != nil {
 			return err

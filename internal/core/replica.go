@@ -159,9 +159,6 @@ type Follower struct {
 	done     chan struct{}
 	running  atomic.Bool
 	promoted atomic.Bool
-
-	mu  sync.Mutex
-	err error // sticky fatal apply error (divergence: gap, decode, replay)
 }
 
 // NewFollower wires a follower replica over src. st must be a fresh,
@@ -206,20 +203,12 @@ func NewFollower(st *Store, src ReplicationSource, opts FollowerOpts) (*Follower
 // write to it or start it; Promote does that once.
 func (f *Follower) Store() *Store { return f.st }
 
-// Err returns the sticky fatal error, if replication has diverged.
-func (f *Follower) Err() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.err
-}
+// Err returns the sticky fatal error, if replication has diverged (a gap,
+// or a record that cannot decode, fold or replay): its store's Err, since
+// divergence stops the follower's store as a log failure stops a primary.
+func (f *Follower) Err() error { return f.st.Err() }
 
-func (f *Follower) setErr(err error) {
-	f.mu.Lock()
-	if f.err == nil {
-		f.err = err
-	}
-	f.mu.Unlock()
-}
+func (f *Follower) setErr(err error) { f.st.fail(err) }
 
 // Lag returns the replication lag in log records, summed across streams
 // (horizon minus applied; LSNs are dense, so the difference counts records).
@@ -463,11 +452,6 @@ func (f *Follower) Query(sqlText string, params ...types.Value) (*pe.Result, err
 func (f *Follower) query(min []uint64, sqlText string, params []types.Value) (*pe.Result, []uint64, error) {
 	if f.promoted.Load() {
 		return nil, nil, fmt.Errorf("core: follower was promoted; query the promoted store directly")
-	}
-	if err := f.Err(); err != nil {
-		// The replayed state stopped tracking the primary at an unknown
-		// distance; serving it would pass stale rows off as current.
-		return nil, nil, fmt.Errorf("core: follower diverged from its primary: %w", err)
 	}
 	if err := f.waitApplied(min); err != nil {
 		return nil, nil, err

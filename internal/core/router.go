@@ -54,6 +54,9 @@ func (s *Store) partitionFor(v types.Value) int {
 // running on partition 0 would write keyed rows to a partition that does
 // not own them.
 func (s *Store) callTarget(proc string, params []types.Value) (*pe.Engine, error) {
+	if err := s.Err(); err != nil {
+		return nil, err
+	}
 	p0 := s.partList()[0]
 	if len(s.partList()) == 1 {
 		return p0.pe, nil
@@ -79,6 +82,9 @@ func (s *Store) Ingest(stream string, rows ...types.Row) error {
 	// receiving its share.
 	s.routingMu.RLock()
 	defer s.routingMu.RUnlock()
+	if err := s.Err(); err != nil {
+		return err
+	}
 	if len(s.partList()) == 1 {
 		return s.partList()[0].pe.Ingest(stream, rows...)
 	}
@@ -144,6 +150,9 @@ func (s *Store) Exec(sqlText string, params ...types.Value) (*pe.Result, error) 
 	// shared side held.
 	if res, handled, err := s.systemStatement(sqlText); handled {
 		return res, err
+	}
+	if err := s.Err(); err != nil {
+		return nil, err
 	}
 	// The routing fence covers the whole statement: keyed INSERT routing
 	// resolves targets and enqueues under it, and the coordinated branches
@@ -559,6 +568,9 @@ func (s *Store) readLatest(fenced bool, sel *sql.Select, sqlText string, params 
 // 0 alone or one leg per partition plus the merge. The legs execute on this
 // call's own goroutines at the cut's sequences.
 func (s *Store) readCut(c *snapCut, sel *sql.Select, sqlText string, params []types.Value) (*pe.Result, error) {
+	if err := s.Err(); err != nil {
+		return nil, err
+	}
 	var plan selectPlan
 	if len(c.parts) > 1 { // one partition executes every statement whole
 		var err error

@@ -652,6 +652,9 @@ func (s *Store) MultiPartitionTxn(fn func(tx *MPTxn) error) error {
 // logging already relies on. After mpMaxTryAttempts the coordinator
 // pre-acquires all slots, which cannot fail.
 func (s *Store) runMP(proc string, fn func(tx *MPTxn) error) error {
+	if err := s.Err(); err != nil {
+		return err
+	}
 	s.met.Add(metrics.MPConcurrent, 1)
 	defer s.met.Add(metrics.MPConcurrent, -1)
 	parts := s.partList()
@@ -781,9 +784,8 @@ func (s *Store) attemptMP(proc string, fn func(tx *MPTxn) error, parts []*partit
 	var derr2 error
 	if verr := tx.waitVotes(); verr != nil {
 		// The legs already applied and published; a failed vote force
-		// cannot abort them. The log is poisoned — surface it loudly
-		// (this client and every chained successor fails rather than
-		// being acknowledged against maybe-lost state).
+		// cannot abort them. This client and every chained successor
+		// fails, and the store stops (below).
 		derr2 = fmt.Errorf("core: mp prepare force (legs committed, log poisoned): %w", verr)
 	} else if len(tx.prepParts) > 0 {
 		if len(tx.prepParts) == 1 {
@@ -794,9 +796,6 @@ func (s *Store) attemptMP(proc string, fn func(tx *MPTxn) error, parts []*partit
 			s.met.Add(metrics.MPOnePhase, 1)
 			derr2 = tx.appendMarkers()
 		} else if err := s.appendCoord(&pe.LogRecord{Kind: pe.RecDecide, MPTxnID: tx.id, Commit: true}); err != nil {
-			// Same poisoned-log shape as a failed vote force: the
-			// decision may not survive, so neither client nor chained
-			// successors may be acknowledged cleanly.
 			derr2 = fmt.Errorf("core: mp decision log (legs committed, coord log poisoned): %w", err)
 		} else {
 			// Decision durable: the markers appended now are redundant
@@ -805,6 +804,9 @@ func (s *Store) attemptMP(proc string, fn func(tx *MPTxn) error, parts []*partit
 			// first) and can never witness an undecided commit.
 			derr2 = tx.appendMarkers()
 		}
+	}
+	if derr2 != nil {
+		s.fail(derr2) // published legs whose durability failed: fail-stop
 	}
 	var oerr error
 	if tx.outcome != nil {
@@ -906,6 +908,7 @@ func (s *Store) appendCoord(rec *pe.LogRecord) error {
 	}
 	payload := wal.EncodeRecord(rec)
 	if _, err := s.coordLog.Append(payload); err != nil {
+		s.fail(err)
 		return err
 	}
 	s.met.ObserveLogged(len(payload))

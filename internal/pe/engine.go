@@ -101,10 +101,13 @@ type LogRecord struct {
 // within the log's staleness bound. A later future resolving proves it
 // durable. SyncCommits resolves every outstanding future before returning —
 // the barrier's drain; under SyncGroupCommit it does so by forcing
-// everything appended so far durable.
+// everything appended so far durable. LogFailed is told when a future
+// resolves with an error: the commit's effects are visible, its record may
+// not be durable, and the logger's owner must stop serving (fail-stop).
 type Logger interface {
 	Append(rec *LogRecord, waited bool) (<-chan error, error)
 	SyncCommits() error
+	LogFailed(err error)
 }
 
 // pendingAck is one commit awaiting its fsync: the transaction has executed
@@ -661,15 +664,9 @@ func (e *Engine) acker() {
 	for pa := range e.ackQ {
 		err := <-pa.ack
 		if err != nil {
-			// The transaction executed but its record never became durable:
-			// the client must not treat it as committed. Its in-memory
-			// effects cannot be rolled back here — later transactions have
-			// already executed on top — so the partition is left in a
-			// degraded state: the poisoned log fails every subsequent logged
-			// commit loudly, and the durable truth after a restart is the
-			// log (which ends before this record). This mirrors what a
-			// durability failure means for any command-logging system: the
-			// process must restart and recover; it must never false-ack.
+			// Executed but maybe not durable, with later transactions on
+			// top: never ack it, and stop the store before the client hears.
+			e.logger.LogFailed(err)
 			pa.r.respond(nil, fmt.Errorf("pe: group commit: %w", err))
 		} else {
 			e.met.Observe(metrics.Latency, int64(time.Since(pa.start)))

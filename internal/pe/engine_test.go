@@ -584,6 +584,8 @@ func (f loggerFunc) Append(rec *LogRecord, waited bool) (<-chan error, error) {
 
 func (f loggerFunc) SyncCommits() error { return nil }
 
+func (f loggerFunc) LogFailed(error) {}
+
 func cloneRecord(rec *LogRecord) *LogRecord {
 	c := *rec
 	c.Params = append([]types.Value(nil), rec.Params...)
@@ -617,6 +619,8 @@ func (l *heldLogger) Append(rec *LogRecord, waited bool) (<-chan error, error) {
 	l.futures = append(l.futures, ch)
 	return ch, nil
 }
+
+func (l *heldLogger) LogFailed(error) {}
 
 func (l *heldLogger) SyncCommits() error {
 	l.mu.Lock()
