@@ -29,6 +29,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/ee"
@@ -52,7 +53,7 @@ type Config struct {
 	// critical path), or SyncGroupCommit (the production choice: commits
 	// append and execution continues, a per-partition daemon starts an
 	// fsync as soon as a client is waiting and the disk is free, at most
-	// once per 2 ms on a busy log, covering everything appended meanwhile,
+	// once per 1 ms on a busy log, covering everything appended meanwhile,
 	// and clients are acknowledged when their commit future resolves — no
 	// knob; see DESIGN.md §1.4 and E7 in EXPERIMENTS.md for the throughput
 	// gap).
@@ -252,14 +253,15 @@ func (p *partition) openLog(d *wal.Dir, cfg *Config, path string, lastLSN uint64
 
 // logOptions carries the store's sync policy into one log's options
 // (partition segments and the coordinator log alike). Every group-commit
-// fsync is counted in met with the records it made durable, then handed to
-// onSync.
+// fsync is counted in met with the records it made durable and its
+// duration, then handed to onSync.
 func (cfg *Config) logOptions(met *metrics.Metrics, onSync func(n int)) wal.Options {
 	return wal.Options{
 		Policy: cfg.Sync,
-		OnSyncBatch: func(n int) {
+		OnSyncBatch: func(n int, took time.Duration) {
 			met.Add(metrics.WalFsyncs, 1)
 			met.Add(metrics.WalFsyncRecords, int64(n))
+			met.Observe(metrics.FsyncTime, int64(took))
 			onSync(n)
 		},
 	}

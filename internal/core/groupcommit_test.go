@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/crashfs"
 	"repro/internal/metrics"
 	"repro/internal/pe"
 	"repro/internal/types"
@@ -352,5 +353,66 @@ func TestGroupCommitCheckpointUnderLoad(t *testing.T) {
 	got := recoveredKeys(t, dir, parts)
 	if len(got) != writers*perWriter {
 		t.Fatalf("recovered %d keys, want %d", len(got), writers*perWriter)
+	}
+}
+
+// TestSnapshotReadSeesUnackedCommit pins the read guarantee under group
+// commit (DESIGN.md §1.4): a snapshot read does not wait for durability.
+// While the partition log's fsync is held, a Call has committed and Query
+// returns its row, yet the Call is not acked and a crash at that point
+// loses the row; once the fsync returns, the ack arrives and the row
+// survives a crash. The window is the wait for the fsync to start plus
+// the fsync.
+func TestSnapshotReadSeesUnackedCommit(t *testing.T) {
+	cfg := gcTestConfig(t.TempDir(), 1)
+	st := buildKV(t, cfg)
+	fsys := recordStore(t, st)
+	must(t, st.Start())
+	defer st.Stop()
+	logPath, _ := wal.PartitionPaths(cfg.Dir, 0)
+	syncs := fsys.Syncs(logPath)
+	before := syncs.Count()
+	var released sync.Once
+	hold := syncs.Hold()
+	release := func() { released.Do(hold) }
+	defer release() // before Stop, which would wait on the held fsync
+	ack := st.CallAsync("put", types.NewInt(7), types.NewInt(70))
+	for deadline := time.Now().Add(5 * time.Second); syncs.Count() == before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the call's fsync never began")
+		}
+	}
+	res, err := st.Query("SELECT v FROM kv WHERE k = 7")
+	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].Int() != 70 {
+		t.Fatalf("read of a committed, unacked row: %v, %v", res, err)
+	}
+	select {
+	case cr := <-ack:
+		t.Fatalf("call acked while its fsync was held: %v", cr.Err)
+	default:
+	}
+	crashImage := func() string {
+		img := t.TempDir() + "/image"
+		if err := fsys.Image(img, fsys.Len(), crashfs.Synced); err != nil {
+			t.Fatal(err)
+		}
+		return img
+	}
+	lost := crashImage()
+	release()
+	select {
+	case cr := <-ack:
+		if cr.Err != nil {
+			t.Fatal(cr.Err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no ack after the fsync returned")
+	}
+	kept := crashImage()
+	if recoveredKeys(t, lost, 1)[7] {
+		t.Error("a crash while the fsync was held kept the unacked row")
+	}
+	if !recoveredKeys(t, kept, 1)[7] {
+		t.Error("a crash after the ack lost the row")
 	}
 }

@@ -32,6 +32,8 @@ log_bytes int
 wal_fsyncs int
 wal_fsync_records int
 wal_unwaited_records int
+wal_fsync_p50 dur
+wal_fsync_p99 dur
 mp_txns int
 mp_aborts int
 mp_legs_committed int

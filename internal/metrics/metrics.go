@@ -44,10 +44,14 @@ const (
 	LogBytes
 	// Group-commit batching, observed rather than inferred: commit-daemon
 	// fsyncs, the records they made durable, and the appends nobody waited
-	// on (border and triggered batches), which start no fsync of their own.
+	// on (border and triggered batches), which start no fsync of their own;
+	// then how long those fsyncs took, which is what a durable commit waits
+	// for beyond its turn on the disk.
 	WalFsyncs
 	WalFsyncRecords
 	WalUnwaitedRecords
+	WalFsyncP50
+	WalFsyncP99
 	// Coordinated multi-partition transactions: commit decisions,
 	// coordinator aborts, committed legs, and (a gauge) the coordinators in
 	// flight, which exceeds 1 when transactions over disjoint partition
@@ -139,6 +143,7 @@ const (
 	noHist       Hist = iota
 	Latency           // committed transactions' latency, ns
 	CutoverPause      // a slot migration's worker pause, ns
+	FsyncTime         // one commit-daemon fsync, ns
 	PrepareBatch      // PREPARE forces per partition-log fsync
 	DecideBatch       // DECIDE forces per coordinator-log fsync
 	numHists
@@ -170,6 +175,8 @@ var defs = [numMetrics]def{
 	WalFsyncs:           {name: "wal_fsyncs"},
 	WalFsyncRecords:     {name: "wal_fsync_records"},
 	WalUnwaitedRecords:  {name: "wal_unwaited_records"},
+	WalFsyncP50:         {name: "wal_fsync_p50", kind: Quantile, hist: FsyncTime, q: 0.50},
+	WalFsyncP99:         {name: "wal_fsync_p99", kind: Quantile, hist: FsyncTime, q: 0.99},
 	MPTxns:              {name: "mp_txns"},
 	MPAborts:            {name: "mp_aborts"},
 	MPLegsCommitted:     {name: "mp_legs_committed"},

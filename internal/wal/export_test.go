@@ -3,5 +3,8 @@ package wal
 // Wakeups reports how many times l's commit daemon came off its select.
 func Wakeups(l *Log) int64 { return l.wakeups.Load() }
 
-// StalenessBound is the log's one time constant.
+// StalenessBound bounds how long an un-waited record stays buffered.
 const StalenessBound = stalenessBound
+
+// SyncPeriod is a busy log's fsync period.
+const SyncPeriod = syncPeriod

@@ -92,7 +92,7 @@ func openGroup(t *testing.T) (*wal.Log, *crashfs.Syncs, <-chan int, string) {
 	batches := make(chan int, 64)
 	l, err := d.OpenLog(path, 0, wal.Options{
 		Policy:      wal.SyncGroupCommit,
-		OnSyncBatch: func(n int) { batches <- n },
+		OnSyncBatch: func(n int, _ time.Duration) { batches <- n },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +199,7 @@ func TestGroupCommitBatchesBehindInFlightFsync(t *testing.T) {
 	}
 }
 
-// A log fsyncs at most once per wal.StalenessBound: a waiter on a quiet log is
+// A log fsyncs at most once per wal.SyncPeriod: a waiter on a quiet log is
 // synced at once, one that arrives inside the period waits it out, and
 // everything appended during the wait rides that one fsync.
 func TestGroupCommitOneFsyncPerPeriod(t *testing.T) {
@@ -218,11 +218,31 @@ func TestGroupCommitOneFsyncPerPeriod(t *testing.T) {
 	// Two fsyncs, unless this goroutine lost the CPU for a whole period
 	// between its appends; however many there were, they began a period apart.
 	d, n := time.Since(start), h.Count()
-	if n < 2 || d < time.Duration(n-1)*wal.StalenessBound {
-		t.Fatalf("%d fsyncs of one log began within %v; the period is %v", n, d, wal.StalenessBound)
+	if n < 2 || d < time.Duration(n-1)*wal.SyncPeriod {
+		t.Fatalf("%d fsyncs of one log began within %v; the period is %v", n, d, wal.SyncPeriod)
 	}
 	if n == 2 {
 		awaitBatch(t, batches, 3)
+	}
+}
+
+// A waiter on a busy log waits out the sync period, not the staleness
+// bound: sequential waited appends, each awaiting its ack before the next,
+// take one fsync apiece and finish well inside a bound per fsync.
+func TestGroupCommitWaiterWaitsPeriodNotBound(t *testing.T) {
+	l, h, _, _ := openGroup(t)
+	defer l.Close()
+	const n = 20
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		awaitAck(t, mustAsync(t, l, "waited"))
+	}
+	d := time.Since(start)
+	if got := h.Count(); got != n {
+		t.Fatalf("%d sequential waited appends took %d fsyncs", n, got)
+	}
+	if limit := (n - 1) * (wal.SyncPeriod + wal.StalenessBound) / 2; d >= limit {
+		t.Fatalf("%d sequential waited appends took %v, want under %v", n, d, limit)
 	}
 }
 
@@ -295,7 +315,7 @@ func TestLogsOfOneDirectoryShareTheDisk(t *testing.T) {
 		path := filepath.Join(dir, name)
 		l, err := d.OpenLog(path, 0, wal.Options{
 			Policy:      wal.SyncGroupCommit,
-			OnSyncBatch: func(n int) { batches <- n },
+			OnSyncBatch: func(n int, _ time.Duration) { batches <- n },
 		})
 		if err != nil {
 			t.Fatal(err)

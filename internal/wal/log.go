@@ -31,24 +31,26 @@ const (
 	// path of every commit.
 	SyncEveryRecord
 	// SyncGroupCommit batches fsyncs on demand: an append that somebody
-	// waits on returns a commit future and starts an fsync at once on a log
-	// that has been quiet; a busy log fsyncs once per stalenessBound, and
-	// each fsync covers everything appended since the previous one began.
-	// There is nothing to tune.
+	// waits on returns a commit future and starts an fsync as soon as the
+	// directory's disk is free on a log that has been quiet for a sync
+	// period; a busy log fsyncs once per syncPeriod, each fsync covering
+	// everything appended since the previous one began. There is nothing
+	// to tune.
 	SyncGroupCommit
 )
 
-// stalenessBound is the log's only time constant. It is the longest a
-// record nobody waits on (AppendUnwaited) stays buffered before the commit
-// daemon fsyncs it unprompted: the loss window for un-acked stream input,
-// and what a follower tailing the segment lags by. It is also a busy log's
-// fsync period, the shortest interval between the starts of two of its
-// fsyncs: a waiter on a log that has not fsynced for this long pays for its
-// own fsync and nothing else, one that finds the log inside its period
-// waits out the rest of it with whatever else arrives. Uncapped, a closed
-// loop of small commits fsyncs back to back, and its rate (and the CPU the
-// commit path takes from the workers) follows the host's speed of the minute.
+// stalenessBound is the longest a record nobody waits on (AppendUnwaited)
+// stays buffered before the commit daemon fsyncs it unprompted: the loss
+// window for un-acked stream input, and what a follower tailing an idle
+// primary's segment lags by. A waiter never waits for it.
 const stalenessBound = 2 * time.Millisecond
+
+// syncPeriod is a busy log's fsync period, the shortest interval between
+// the starts of two of its fsyncs: a waiter that finds the log inside it
+// waits out the rest with whatever else arrives. Uncapped, a closed loop of
+// small commits fsyncs back to back and its rate follows the host's speed
+// of the minute (DESIGN.md §1.4).
+const syncPeriod = time.Millisecond
 
 // DefaultGroupCommitMaxBatch is read only by the benchmark ladder, as the
 // number of appends it puts behind one timed fsync; the commit daemon has
@@ -61,10 +63,10 @@ type Options struct {
 	Policy SyncPolicy
 	// OnSyncBatch, when non-nil, is called by the commit daemon after each
 	// successful fsync with the number of records it made durable (never
-	// zero) — the observable batching behind the wal_fsync* counters and
-	// the 2PC force histograms. Called from the daemon goroutine; keep it
-	// cheap and non-blocking.
-	OnSyncBatch func(n int)
+	// zero) and how long the fsync took — the observable batching behind
+	// the wal_fsync* rows and the 2PC force histograms. Called from the
+	// daemon goroutine; keep it cheap and non-blocking.
+	OnSyncBatch func(n int, took time.Duration)
 }
 
 // commitState is the group-commit daemon's state (guarded by Log.mu).
@@ -125,7 +127,7 @@ type Log struct {
 	wakeups  atomic.Int64 // times the daemon came off its select (tests)
 
 	// onSyncBatch is Options.OnSyncBatch (nil when unset).
-	onSyncBatch func(n int)
+	onSyncBatch func(n int, took time.Duration)
 }
 
 // newLog wraps the segment file f at path in d (Dir.OpenLog); its commit
@@ -346,10 +348,10 @@ func (l *Log) daemon() {
 // arrived during the wait and while another log of the directory was
 // syncing; the fsync runs outside the lock so the appender keeps buffering
 // while the disk works, and a record buffered mid-fsync is covered by the
-// next one. (The bound's expiry never waits here: it fires a whole period
-// after an append that the previous fsync did not cover.)
+// next one. (The bound's expiry never waits here: the bound is longer than
+// the period.)
 func (l *Log) syncBatch() bool {
-	time.Sleep(time.Until(l.lastSync.Add(stalenessBound))) // nothing to wait for on a quiet log
+	time.Sleep(time.Until(l.lastSync.Add(syncPeriod))) // nothing to wait for on a quiet log
 	l.dir.disk <- struct{}{}
 	l.lastSync = time.Now()
 	l.mu.Lock()
@@ -358,15 +360,17 @@ func (l *Log) syncBatch() bool {
 	batch, n := l.pending, l.unsynced
 	l.pending, l.unsynced = nil, 0
 	l.mu.Unlock()
+	start := time.Now()
 	if err == nil && (n > 0 || len(batch) > 0) {
 		err = l.fsync()
 	}
+	took := time.Since(start)
 	<-l.dir.disk
 	for _, ch := range batch {
 		ch <- err
 	}
 	if err == nil && n > 0 && l.onSyncBatch != nil {
-		l.onSyncBatch(n)
+		l.onSyncBatch(n, took)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -199,7 +199,7 @@ const (
 	// while a commit daemon hardens batches, and clients are acknowledged
 	// when their commit future resolves. Nothing to tune: an fsync starts
 	// as soon as a client is waiting and the disk is free (at most once
-	// per 2ms on a busy log), and covers whatever was committed since the
+	// per 1ms on a busy log), and covers whatever was committed since the
 	// previous one began.
 	SyncGroupCommit = wal.SyncGroupCommit
 )
