@@ -300,7 +300,6 @@ func BenchmarkE11MPCommit(b *testing.B) {
 				reportLatency(b, "", lats)
 				if mode == "multi" {
 					b.ReportMetric(snap.Mean(metrics.MPPrepareBatchMean), "prepare_batch_mean")
-					b.ReportMetric(snap.Mean(metrics.MPDecideBatchMean), "decide_batch_mean")
 				}
 			}
 		})

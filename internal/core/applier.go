@@ -27,7 +27,8 @@ import (
 // ever exist is already in the table (final). A follower folds and applies
 // as frames arrive, and the pipelined commit path releases a transaction's
 // partition slots before its markers append, so records of successor
-// transactions can precede a RecDecide in a segment: a follower must never
+// transactions can precede a RecDecide in a segment, and a leg's decision
+// may arrive first in another partition's stream: a follower must never
 // infer an abort from what follows an unresolved RecPrepare. It stalls that
 // partition instead, and only promotion — when no decision can ever arrive
 // — presumes the leg aborted, exactly as recovery does.
@@ -38,10 +39,10 @@ import (
 type applier struct {
 	st *Store
 	// decisions holds the transaction ids with a durable commit decision: a
-	// coordinator RecDecide, a participant's in-stream marker (written only
-	// after the coordinator's force; for a one-phase transaction it IS the
-	// commit record), or a RecSlotCommit, which doubles as the decision for
-	// the migration's prepared leg. Absent = in doubt.
+	// RecDecide marker in any partition log (a coordinator appends one per
+	// writing leg once every vote is durable, so the first one decides), or
+	// a RecSlotCommit, which doubles as the decision for the migration's
+	// prepared leg. Absent = in doubt.
 	decisions map[uint64]bool
 	// slotMoves maps a committed slot-migration leg to its slot; slotOwner
 	// maps a slot to the destination of its last committed migration. A
@@ -106,9 +107,10 @@ func (a *applier) fold(rec *pe.LogRecord) error {
 }
 
 // foldFile folds every intact record of one log file and returns its last
-// LSN. A torn tail drops records whose force never completed; on the
-// coordinator log those are decisions of transactions that were never
-// acknowledged, and presuming them aborted is exactly right.
+// LSN. A torn tail drops records whose force never completed: a marker
+// lost there belongs to a transaction that was never acknowledged, and
+// presuming it aborted is exactly right unless another leg's marker
+// survived.
 func (a *applier) foldFile(path string) (uint64, error) {
 	return scanRecords(path, func(_ uint64, rec *pe.LogRecord) error { return a.fold(rec) })
 }
@@ -126,7 +128,7 @@ func scanRecords(path string, fn func(lsn uint64, rec *pe.LogRecord) error) (uin
 
 // apply replays one partition-log record, already folded, into p. An
 // in-doubt RecPrepare stalls the stream (nothing applied; retry the same
-// record once more of the coordinator stream is folded) unless the stream
+// record once more of the other streams is folded) unless the stream
 // is final, when the leg is dropped as presumed aborted: the records behind
 // it executed on the primary without ever reading its unpublished writes.
 func (a *applier) apply(p *partition, rec *pe.LogRecord, final bool) (stalled bool, err error) {
@@ -154,17 +156,23 @@ func (a *applier) apply(p *partition, rec *pe.LogRecord, final bool) (stalled bo
 }
 
 // finish is the endgame shared by crash recovery and promotion, run once
-// every stream has been applied with final set. Replayed partition logs
-// resurrect the source copies of committed slot migrations — the cutover's
-// source deletions are in-memory only; the slot-commit record is what makes
-// them durable — so each committed slot's rows are evicted from every
-// partition but its owner, and only for slots with a commit record: an
-// aborted migration's source copy is the authoritative one. Then the slots
-// route to their migrated owners, the replayed state is published to
-// snapshot readers, graphs paused in the log stay paused, and the 2PC id
-// counter restarts above everything the log has seen.
+// every stream has been applied with final set. First each partition runs
+// the re-derived executions replay still holds (LogAllTEs: their own
+// records never arrived), so every surviving border batch ends applied or
+// aborted in both modes. Replayed partition logs resurrect the source
+// copies of committed slot migrations — the cutover's source deletions are
+// in-memory only; the slot-commit record is what makes them durable — so
+// each committed slot's rows are evicted from every partition but its
+// owner, and only for slots with a commit record: an aborted migration's
+// source copy is the authoritative one. Then the slots route to their
+// migrated owners, the replayed state is published to snapshot readers,
+// graphs paused in the log stay paused, and the 2PC id counter restarts
+// above everything the log has seen.
 func (a *applier) finish() error {
 	s := a.st
+	for _, p := range s.partList() {
+		p.pe.FinishReplay()
+	}
 	if len(a.slotOwner) > 0 {
 		tbl := s.slots.Load().Clone()
 		for slot, owner := range a.slotOwner {
@@ -212,18 +220,25 @@ func evictSlots(rels []*catalog.Relation, drop func(slot int) bool) error {
 
 // installLeg is the seed feed: it puts ops onto a stopped partition the way
 // a coordinated write would have — a prepared leg forced into the
-// partition's log, then the decision record (a RecDecide, or the
-// RecSlotCommit of a recovery-time slot move; its MPTxnID is assigned here)
-// forced into the coordinator log, then the leg's replay — so a crash right after recovers
+// partition's log, then the record that decides it (its MPTxnID is
+// assigned here), then the leg's replay — so a crash right after recovers
 // the rows from the logs instead of having to re-detect that they are
-// missing. On a non-durable store only the replay happens.
+// missing. A seed's RecDecide is a marker forced into the same partition
+// log; a recovery-time slot move's RecSlotCommit goes to the coordinator
+// log, with the other slot migrations. The leg names AdHocProc, as a live
+// migration's does: rows it moves into a stream start no PE trigger. On a
+// non-durable store only the replay happens.
 func (s *Store) installLeg(p *partition, ops []pe.LoggedOp, decision *pe.LogRecord) error {
 	decision.MPTxnID = s.nextMPTxnID.Add(1)
-	leg := &pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: decision.MPTxnID, Ops: ops}
+	leg := &pe.LogRecord{Kind: pe.RecPrepare, Proc: pe.AdHocProc, MPTxnID: decision.MPTxnID, Ops: ops}
 	if err := p.force(leg); err != nil {
 		return err
 	}
-	if err := s.appendCoord(decision); err != nil {
+	decide := s.appendCoord
+	if decision.Kind == pe.RecDecide {
+		decide = p.force
+	}
+	if err := decide(decision); err != nil {
 		return err
 	}
 	return p.pe.Replay(leg)

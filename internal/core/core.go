@@ -186,9 +186,10 @@ func (p *partition) LogFailed(err error) { p.fail(err) }
 
 // force appends rec and returns once it is on stable storage, under every
 // sync policy: a write-ahead force, not a commit ack. A seed's or slot
-// migration's prepared leg goes through here before the coordinator log
-// takes its decision, because recovery takes slot ownership from the
-// decision alone. A no-op on a partition without a log (a volatile store).
+// migration's prepared leg goes through here before its decision is
+// written, because recovery takes slot ownership from the decision alone;
+// so does a seed's decision marker. A no-op on a partition without a log
+// (a volatile store).
 func (p *partition) force(rec *pe.LogRecord) error {
 	if p.log == nil {
 		return nil
@@ -329,7 +330,8 @@ type Store struct {
 	// through (nil without Config.Dir). Tests swap in a recording file
 	// system between Open and Start.
 	dir *wal.Dir
-	// coordLog holds the 2PC decision records (durable stores only).
+	// coordLog holds slot migrations and dataflow pauses (durable stores
+	// only).
 	coordLog *wal.Log
 	// schema is the published Schema: what the router plans against and
 	// what every partition's storage is synced to (publish).
@@ -641,14 +643,8 @@ func (s *Store) recoverFrom(ap *applier, coordPath string, coordLSN uint64) (err
 			return err
 		}
 	}
-	// The coordinator log follows the partition logs' sync policy. Under
-	// group commit it gets its own small commit loop: concurrent
-	// coordinators (slot enlistment lets transactions over disjoint
-	// partition sets overlap) append their DECIDE forces, and those that
-	// arrive while one fsync runs share the next.
-	s.coordLog, err = s.dir.OpenLog(coordPath, coordLSN, s.cfg.logOptions(s.met, func(n int) {
-		s.met.Observe(metrics.DecideBatch, int64(n))
-	}))
+	// The coordinator log follows the partition logs' sync policy.
+	s.coordLog, err = s.dir.OpenLog(coordPath, coordLSN, s.cfg.logOptions(s.met, func(int) {}))
 	if err != nil {
 		return err
 	}
@@ -911,6 +907,9 @@ func (s *Store) Checkpoint() error {
 		return fmt.Errorf("core: no durability directory configured")
 	}
 	return s.runExclusiveAll(func() error {
+		if err := decidePublished(s.partList()); err != nil {
+			return err
+		}
 		for _, p := range s.partList() {
 			_, snapPath := wal.PartitionPaths(s.cfg.Dir, p.idx)
 			meta := wal.Snapshot{NextBatchID: p.pe.NextBatchID()}
@@ -933,16 +932,13 @@ func (s *Store) Checkpoint() error {
 		if err := wal.WriteSlots(s.dir, wal.SlotsPath(s.cfg.Dir), s.slots.Load()); err != nil {
 			return err
 		}
-		// The snapshots cover every delivered transaction: the barrier
-		// holds every partition's enlistment slot, and a coordinator
-		// releases its slots only after delivery, so anything still
-		// mid-protocol here has not applied (its in-doubt PREPAREs died
-		// with the partition-log truncation above). A committed
-		// transaction whose decision force is still in flight is already
-		// in the snapshots; its straggler decision append racing this
-		// truncation is harmless on either side of it (the record is dead
-		// weight once the partition logs are empty). Truncate drains the
-		// coordinator log's own group-commit pipeline first.
+		// The snapshots cover every delivered transaction, each decided
+		// by decidePublished above: the barrier holds every partition's
+		// enlistment slot, and a coordinator releases its slots only after
+		// delivery, so anything still mid-protocol here has not applied
+		// (its in-doubt PREPAREs died with the partition-log truncation
+		// above). A coordinator's own markers may land on either side of a
+		// truncation; after it they are dead weight.
 		//
 		// Pause state lives in the coordinator log, so the log that
 		// replaces it already holds a pause record for every paused graph:

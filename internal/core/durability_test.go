@@ -44,17 +44,12 @@ func count(spans []span, p int) (acked, begun int) {
 
 // journal is what the durability script did to a store.
 type journal struct {
-	mode   pe.LogMode
 	pos    func() int       // the recording's length; 0 without one
 	events map[int64]int64  // one event per key; a negative amount aborts apply
 	bumps  map[int64][]span // each key's bump calls
 	txns   []txn            // coordinated writes
 	adHoc  []adHocRun
 	pauses []span // pause, resume, pause, … of the events dataflow
-	// grown: a Rebalance ran. A migrated slot's stream tuples stay on the
-	// old owner and recovery evicts them there (ROADMAP, Known bugs), so an
-	// aborted event's tuple is only known to survive without one.
-	grown bool
 }
 
 // txn is a coordinated write: all of its totals rows or none.
@@ -71,8 +66,8 @@ type adHocRun struct {
 	steps  []span
 }
 
-func newJournal(mode pe.LogMode, pos func() int) *journal {
-	return &journal{mode: mode, pos: pos, events: map[int64]int64{}, bumps: map[int64][]span{}}
+func newJournal(pos func() int) *journal {
+	return &journal{pos: pos, events: map[int64]int64{}, bumps: map[int64][]span{}}
 }
 
 func must(t testing.TB, err error) {
@@ -240,7 +235,6 @@ func (j *journal) phase2(t *testing.T, st *Store) {
 	}
 	j.bump(t, st, keyRange(0, 16))
 	must(t, st.Rebalance(4))
-	j.grown = true
 	j.ingest(t, st, keyRange(16, 24), 1)
 	j.bump(t, st, keyRange(0, 24))
 	j.pair(t, st, 2, 3, 2000)
@@ -264,8 +258,8 @@ func (j *journal) check(st *Store, p int) error {
 			pending[r[0].Int()] = append(pending[r[0].Int()], r[1].Int())
 		}
 	}
-	// Exactly once: an event is applied by one batch, or (aborted, or
-	// under LogAllTEs in flight at the crash) still waits in derived.
+	// Exactly once: an event is applied by one batch, or (aborted) still
+	// waits in derived.
 	for k, amt := range j.events {
 		a, w := applied[k], pending[k]
 		switch {
@@ -275,9 +269,9 @@ func (j *journal) check(st *Store, p int) error {
 			return fmt.Errorf("event %d of amount %d waits in derived as %d", k, amt, w[0])
 		case amt < 0 && len(a) > 0:
 			return fmt.Errorf("aborted event %d applied by batch %v", k, a)
-		case amt < 0 && p == end && len(w) == 0 && !j.grown:
+		case amt < 0 && p == end && len(w) == 0:
 			return fmt.Errorf("aborted event %d left derived", k)
-		case amt > 0 && len(w) == 1 && (j.mode == pe.LogBorderOnly || p == end):
+		case amt > 0 && len(w) == 1:
 			return fmt.Errorf("event %d never applied, waiting in derived", k)
 		case amt > 0 && p == end && len(a) == 0:
 			return fmt.Errorf("event %d lost", k)
@@ -404,13 +398,12 @@ var (
 // each log mode, and the oracle on every crash point in every variant.
 func TestDurabilityScript(t *testing.T) {
 	for _, mn := range []string{"border", "all"} {
-		mode := logModes[mn]
 		t.Run("crash/"+mn, func(t *testing.T) {
-			cfg := Config{Dir: t.TempDir(), Partitions: 2, Sync: wal.SyncGroupCommit, LogMode: mode}
+			cfg := Config{Dir: t.TempDir(), Partitions: 2, Sync: wal.SyncGroupCommit, LogMode: logModes[mn]}
 			st := buildPartApp(t, cfg)
 			fsys := recordStore(t, st)
 			must(t, st.Start())
-			j := newJournal(mode, fsys.Len)
+			j := newJournal(fsys.Len)
 			j.phase1(t, st, func() {})
 			must(t, st.Stop())
 			last := fsys.Len()
@@ -431,6 +424,43 @@ func TestDurabilityScript(t *testing.T) {
 	}
 }
 
+// TestCheckpointBetweenVotesAndMarkers checkpoints inside a coordinated
+// pair's commit, after its slots are released and its votes are durable,
+// before its markers are appended, and runs the oracle on every crash point
+// of the pair, the checkpoint and the stop, in every variant.
+func TestCheckpointBetweenVotesAndMarkers(t *testing.T) {
+	cfg := Config{Dir: t.TempDir(), Partitions: 2, Sync: wal.SyncGroupCommit}
+	st := buildPartApp(t, cfg)
+	fsys := recordStore(t, st)
+	must(t, st.Start())
+	j := newJournal(fsys.Len)
+	checkpoints := 0
+	testHookBeforeMarkers = func() {
+		checkpoints++
+		must(t, st.Checkpoint())
+	}
+	j.pair(t, st, 0, 1, 1000)
+	testHookBeforeMarkers = nil
+	must(t, st.Stop())
+	if checkpoints != 1 {
+		t.Fatalf("%d checkpoints inside the commit, want 1", checkpoints)
+	}
+	last := fsys.Len()
+	eachCrashImage(t, fsys, crashPoints(0, last), func(img string, p int) error {
+		cfg := cfg
+		cfg.Dir = img
+		re := buildPartApp(t, cfg)
+		if err := re.Recover(); err != nil {
+			return err
+		}
+		defer re.Stop()
+		if p == last {
+			p = end
+		}
+		return j.check(re, p)
+	})
+}
+
 // durabilityEndOfRun runs the whole script on a fresh durable store and
 // returns the state all three feeds agreed on. With inDoubt, it appends an
 // in-doubt and a decided PREPARE to the logs after the stop.
@@ -443,7 +473,7 @@ func durabilityEndOfRun(t *testing.T, cfg Config, inDoubt bool) string {
 		followers[i], err = NewFollower(buildPartApp(t, Config{Partitions: 4, LogMode: cfg.LogMode}), growingSource{st}, FollowerOpts{})
 		must(t, err)
 	}
-	j := newJournal(cfg.LogMode, func() int { return 0 })
+	j := newJournal(func() int { return 0 })
 	// The checkpoint truncates the logs: the followers take everything
 	// before it first.
 	j.phase1(t, st, func() {
@@ -462,8 +492,10 @@ func durabilityEndOfRun(t *testing.T, cfg Config, inDoubt bool) string {
 	if inDoubt {
 		// The crash state: an in-doubt PREPARE (no decision anywhere) with a
 		// decided transaction's legs behind it, as the pipelined commit path
-		// can leave them. The in-doubt leg never began as far as the oracle
-		// goes: it must not appear.
+		// can leave them. The decided transaction's only surviving marker is
+		// in partition 1's log, and partition 0's leg must apply by it. The
+		// in-doubt leg never began as far as the oracle goes: it must not
+		// appear.
 		var undecided int64
 		undecided, decided0 = keysOwnedBy(st, 0, 2, 3000)[0], keysOwnedBy(st, 0, 2, 3000)[1]
 		decided1 := keysOwnedBy(st, 1, 1, 3000)[0]
@@ -475,8 +507,9 @@ func durabilityEndOfRun(t *testing.T, cfg Config, inDoubt bool) string {
 		appendRecords(t, logPath0,
 			&pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 9001, Ops: put(undecided)},
 			&pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 9002, Ops: put(decided0)})
-		appendRecords(t, logPath1, &pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 9002, Ops: put(decided1)})
-		appendRecords(t, wal.CoordPath(cfg.Dir), &pe.LogRecord{Kind: pe.RecDecide, MPTxnID: 9002, Commit: true})
+		appendRecords(t, logPath1,
+			&pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 9002, Ops: put(decided1)},
+			&pe.LogRecord{Kind: pe.RecDecide, MPTxnID: 9002, Commit: true})
 		j.txns = append(j.txns,
 			txn{map[int64]int64{undecided: 7}, span{never, never}},
 			txn{map[int64]int64{decided0: 7, decided1: 7}, span{}})

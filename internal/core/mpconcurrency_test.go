@@ -190,19 +190,20 @@ func TestMPConflictingSetsSerializeWithoutDeadlock(t *testing.T) {
 	// released before durability, successors' PREPAREs reach a log while
 	// its fsync is in flight and share the next one.
 	snap := st.Metrics().Snapshot()
-	t.Logf("prepare forces per fsync: mean %.2f over %d fsyncs (decide: %.2f)",
-		snap.Mean(metrics.MPPrepareBatchMean), snap[metrics.MPPrepareBatches], snap.Mean(metrics.MPDecideBatchMean))
+	t.Logf("prepare forces per fsync: mean %.2f over %d fsyncs",
+		snap.Mean(metrics.MPPrepareBatchMean), snap[metrics.MPPrepareBatches])
 	if snap.Mean(metrics.MPPrepareBatchMean) <= 1 {
 		t.Fatalf("mp_prepare_batch_mean = %.2f: no two PREPARE forces ever shared an fsync", snap.Mean(metrics.MPPrepareBatchMean))
 	}
 }
 
-// TestMPReadOnlyLegAndOnePhaseSkipDecideForce pins the force accounting:
-// a leg that only read votes yes and releases at PREPARE (MPReadOnlyLegs),
-// and a transaction left with exactly one writing leg commits one-phase —
-// no coordinator decision record, so coord.log does not grow. A genuine
-// two-writer transaction still forces its decision.
-func TestMPReadOnlyLegAndOnePhaseSkipDecideForce(t *testing.T) {
+// TestMPCommitWritesNoCoordRecord pins the commit rule: a transaction's
+// DECIDE markers in its writing legs' own logs are its commit records, at
+// any leg count, so a two-writer commit leaves coord.log as it was and puts
+// one marker in each participant log. A leg that only read votes yes and
+// releases at PREPARE (MPReadOnlyLegs), and a transaction left with exactly
+// one writing leg commits one-phase (MPOnePhase).
+func TestMPCommitWritesNoCoordRecord(t *testing.T) {
 	const parts = 2
 	dir := t.TempDir()
 	st := buildKV(t, gcTestConfig(dir, parts))
@@ -221,7 +222,9 @@ func TestMPReadOnlyLegAndOnePhaseSkipDecideForce(t *testing.T) {
 	k0s := keysOwnedBy(st, 0, 4, 40000)
 	k1s := keysOwnedBy(st, 1, 4, 40000)
 
-	// Two writing legs: the decision must be forced to coord.log.
+	// Two writing legs: a marker in each partition log, nothing in
+	// coord.log.
+	base := coordSize()
 	err := st.MultiPartitionTxn(func(tx *MPTxn) error {
 		for _, k := range []int64{k0s[0], k1s[0]} {
 			owner := st.partitionFor(types.NewInt(k))
@@ -235,9 +238,26 @@ func TestMPReadOnlyLegAndOnePhaseSkipDecideForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := coordSize()
-	if base == 0 {
-		t.Fatal("two-writer MP transaction logged no coordinator decision")
+	if got := coordSize(); got != base {
+		t.Fatalf("a two-writer commit grew coord.log from %d to %d bytes", base, got)
+	}
+	for i, p := range st.partList() {
+		if err := p.log.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		logPath, _ := wal.PartitionPaths(dir, i)
+		markers := 0
+		if _, err := scanRecords(logPath, func(_ uint64, rec *pe.LogRecord) error {
+			if rec.Kind == pe.RecDecide && rec.Commit {
+				markers++
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if markers != 1 {
+			t.Fatalf("partition %d log holds %d commit markers, want 1", i, markers)
+		}
 	}
 
 	// One writing leg + one read-only leg, three times over: the reader

@@ -41,11 +41,12 @@ import (
 // bound S2 covers every pre-cutover write, and everything after the fence
 // routes by the new table.
 //
-// Not migrated: PARTIAL relations (partition-local partial state stays
-// put), windows (rebuilt by the stream flowing anew), and stream contents
-// (border tuples drain into their consumers before the barrier; recovery
-// rehomes any that were logged). Border backlogs of PAUSED dataflows are
-// not re-routed either — resume them before rebalancing.
+// Tables and streams migrate: border tuples drain into their consumers
+// before the barrier, so a stream holds only what an aborted execution
+// left behind, and that moves with its slot like a row. Not migrated:
+// PARTIAL relations (partition-local partial state stays put) and windows
+// (rebuilt by the stream flowing anew). Border backlogs of PAUSED
+// dataflows are not re-routed either — resume them before rebalancing.
 
 // migrateChunk bounds how many rows one destination-worker visit stages,
 // so the copy phase never parks the destination for long.
@@ -215,19 +216,6 @@ func (s *Store) addPartitions(target int) error {
 	return nil
 }
 
-// migratedTables is migratedRels restricted to base tables: live migration
-// does not copy stream contents (border tuples drain into their consumers
-// before the cutover barrier, so there is nothing routable left to move).
-func migratedTables(cat *catalog.Catalog) []*catalog.Relation {
-	var out []*catalog.Relation
-	for _, rel := range migratedRels(cat) {
-		if rel.Kind == catalog.KindTable {
-			out = append(out, rel)
-		}
-	}
-	return out
-}
-
 // rehomePartials moves the source's buffered partial border batches whose
 // tuples key to the migrated slot onto the destination. Queued FULL batches
 // drained into their consumers before the cutover barrier, but a half-full
@@ -265,7 +253,7 @@ func (s *Store) rehomePartials(src, dst *partition, slot int) error {
 func (s *Store) migrateSlot(slot, from, to int) error {
 	parts := s.partList()
 	src, dst := parts[from], parts[to]
-	rels := migratedTables(src.cat)
+	rels := migratedRels(src.cat)
 
 	id := s.nextMPTxnID.Add(1)
 
@@ -415,8 +403,10 @@ func (s *Store) migrateSlot(slot, from, to int) error {
 		// written even when empty: a destination can re-own a slot it held
 		// in an earlier epoch, and the leg's replay is what evicts the
 		// stale rows its own log re-creates — including when every row of
-		// the slot died while it lived elsewhere.
-		if err := dst.force(&pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: id, Ops: ops}); err != nil {
+		// the slot died while it lived elsewhere. Like a router write's,
+		// the leg names AdHocProc and fires no PE trigger at replay: the
+		// stream tuples it moves start nothing live either.
+		if err := dst.force(&pe.LogRecord{Kind: pe.RecPrepare, Proc: pe.AdHocProc, MPTxnID: id, Ops: ops}); err != nil {
 			return err
 		}
 		if err := mark(pe.RecSlotCommit); err != nil {

@@ -299,8 +299,9 @@ func (f *Follower) run() {
 // whether any frame was buffered or applied, plus the last fetch error
 // (heartbeat signal). Decode, fold and replay failures set the sticky error.
 func (f *Follower) pollOnce() (progress bool, fetchErr error) {
-	// Coordinator stream first: its decisions unblock stalled partitions in
-	// the same round.
+	// Coordinator stream first: its slot commits unblock stalled partitions
+	// in the same round. A marker folded from a later partition's stream
+	// unblocks an earlier one in the next round.
 	for _, strm := range f.streams {
 		batch, err := f.src.FetchBatch(strm.part, strm.fetched, f.opts.MaxBatchBytes)
 		if err != nil {

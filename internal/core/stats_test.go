@@ -43,8 +43,6 @@ mp_one_phase int
 mp_leg_waits int
 mp_prepare_batches int
 mp_prepare_batch_mean mean
-mp_decide_batches int
-mp_decide_batch_mean mean
 snapshot_reads int
 gc_runs int
 gc_versions_reclaimed int

@@ -60,12 +60,12 @@ import (
 //     durability future (mpOutcome) on those partitions, delivers the
 //     commit to memory under seqMu, and releases the slots.
 //   - Off the slots (the pipelined part): the coordinator waits for the
-//     vote appends to become durable, then settles the decision — one
-//     writing leg: the leg's own DECIDE marker is the commit record
-//     (one-phase commit, no coordinator force); two or more: a decision
-//     record in coord.log first, then redundant markers in each
-//     participant log — and finally resolves the outcome and acks the
-//     client.
+//     vote appends to become durable, then appends a DECIDE marker to
+//     each writing leg's log — the markers are the commit records: once
+//     every vote is durable, the first durable marker decides the whole
+//     transaction, whether it has one writing leg or many — and finally
+//     resolves the outcome and acks the client. Nothing is written to
+//     coord.log.
 //
 // Successive transactions on the same partitions therefore overlap their
 // durability waits: the next coordinator enlists, executes, and appends
@@ -78,11 +78,11 @@ import (
 // nothing votes yes and releases its worker at PREPARE (no PREPARE
 // record, no marker).
 //
-// The client ack is gated on the full chain — votes durable, decision
-// durable, markers durable, and every predecessor outcome this
-// transaction may have read resolved (see mpOutcome) — so pipelining
-// never acknowledges state that could vanish in a crash; un-acked
-// transactions recover by presumed abort.
+// The client ack is gated on the full chain — votes durable, markers
+// durable, and every predecessor outcome this transaction may have read
+// resolved (see mpOutcome) — so pipelining never acknowledges state that
+// could vanish in a crash; un-acked transactions recover by presumed
+// abort.
 //
 // Admission control (Store.mpAdmit) caps how many coordinators occupy
 // the slot-holding stretch at once. Unbounded admission is metastable:
@@ -99,10 +99,14 @@ import (
 // concurrently with the rest of the protocol.
 //
 // Recovery and followers read these records through the log applier
-// (applier.go): a logged PREPARE whose transaction id has a durable commit
-// decision (coordinator record, or the partition's own decide marker for
-// one-phase commits) is re-applied; one without is presumed aborted and
-// dropped once no decision can arrive any more.
+// (applier.go): a logged PREPARE whose transaction id has a durable DECIDE
+// marker in any partition log is re-applied; one without is presumed
+// aborted and dropped once no decision can arrive any more.
+
+// testHookBeforeMarkers, when set, runs on the coordinator's goroutine
+// once a committed transaction's votes are durable and before its markers
+// are appended; the crash-point tests checkpoint there.
+var testHookBeforeMarkers func()
 
 // errMPRetry is the internal sentinel a slot-order violation raises: the
 // attempt must abort and rerun with the needed slots pre-acquired. It
@@ -132,6 +136,11 @@ type mpOutcome struct {
 	done  chan struct{} // closed once err is final
 	err   error
 	preds []*mpOutcome // unresolved predecessors captured at install
+	// id and legs name the transaction and the partitions it prepared on,
+	// for a checkpoint that decides it before its coordinator does
+	// (decidePublished).
+	id   uint64
+	legs []*partition
 }
 
 // installOutcome publishes tx's durability future on every partition that
@@ -139,8 +148,9 @@ type mpOutcome struct {
 // still parked, so nothing can commit against the published state and miss
 // the dependency.
 func (tx *MPTxn) installOutcome() {
-	o := &mpOutcome{done: make(chan struct{})}
+	o := &mpOutcome{done: make(chan struct{}), id: tx.id}
 	for _, i := range tx.prepParts {
+		o.legs = append(o.legs, tx.parts[i])
 		if prev := tx.parts[i].specTail.Swap(o); prev != nil {
 			select {
 			case <-prev.done:
@@ -173,6 +183,50 @@ func (tx *MPTxn) resolveOutcome(err error) error {
 		tx.parts[i].specTail.CompareAndSwap(o, nil)
 	}
 	return err
+}
+
+// decidePublished forces a commit marker into every leg's log for each
+// transaction published on parts whose outcome has not resolved: its
+// coordinator is between releasing its slots and its own markers. A
+// checkpoint runs it under its barrier before writing any snapshot; the
+// votes were appended before the barrier, so once every leg's log syncs
+// they are durable and these markers say only what the coordinator's
+// will. Without them, a crash between two partitions' snapshots would
+// leave one leg in a new snapshot and the other an undecided PREPARE
+// beside an old one.
+func decidePublished(parts []*partition) error {
+	var todo []*mpOutcome
+	for _, p := range parts {
+		if o := p.specTail.Load(); o != nil {
+			todo = append(todo, o)
+		}
+	}
+	decided := map[*mpOutcome]bool{}
+	for len(todo) > 0 {
+		o := todo[len(todo)-1]
+		todo = todo[:len(todo)-1]
+		select {
+		case <-o.done:
+			continue // resolved, and so are its predecessors
+		default:
+		}
+		if decided[o] {
+			continue
+		}
+		decided[o] = true
+		todo = append(todo, o.preds...)
+		for _, p := range o.legs {
+			if err := p.log.SyncNow(); err != nil { // a vote that never became durable
+				return err
+			}
+		}
+		for _, p := range o.legs {
+			if err := p.force(&pe.LogRecord{Kind: pe.RecDecide, MPTxnID: o.id, Commit: true}); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // appendPrepares appends every writing leg's PREPARE record (the ops each
@@ -216,12 +270,12 @@ func (tx *MPTxn) waitVotes() error {
 }
 
 // appendMarkers appends the commit DECIDE marker to every prepared leg's
-// partition log and waits for durability. For a one-phase transaction the
-// single marker is the commit record itself; for multi-leg transactions
-// the markers are appended only after the coordinator's decision record is
-// durable, so a surviving marker always witnesses a decided commit (the
-// recovery pre-scan relies on that). The markers ride the partition
-// daemons' batches alongside successor transactions' votes and commits.
+// partition log and waits for durability. The markers are appended only
+// after every vote is durable, so a surviving marker always witnesses a
+// committed transaction: each one is a commit record, and recovery's
+// pre-scan folds them from every partition log before any leg replays.
+// The markers ride the partition daemons' batches alongside successor
+// transactions' votes and commits.
 func (tx *MPTxn) appendMarkers() error {
 	acks := make([]<-chan error, 0, len(tx.prepParts))
 	var errs []error
@@ -772,13 +826,13 @@ func (s *Store) attemptMP(proc string, fn func(tx *MPTxn) error, parts []*partit
 	// which batch into the same daemon fsyncs this transaction is about
 	// to wait on — while this coordinator settles durability off-slot.
 	// Crash safety rests on two rules. First, the client is acknowledged
-	// only after the full chain below resolves (votes durable, decision
-	// durable, markers durable, predecessor outcomes resolved), so an
-	// acked transaction always recovers committed. Second, anything that
-	// committed against this transaction's published-but-undurable state
-	// had its ack chained on this outcome, so the crash window exposes
-	// no acknowledged dependent either. Un-acked transactions recover by
-	// presumed abort: no decision record and no marker means aborted.
+	// only after the full chain below resolves (votes durable, markers
+	// durable, predecessor outcomes resolved), so an acked transaction
+	// always recovers committed. Second, anything that committed against
+	// this transaction's published-but-undurable state had its ack
+	// chained on this outcome, so the crash window exposes no
+	// acknowledged dependent either. Un-acked transactions recover by
+	// presumed abort: no marker in any partition log means aborted.
 	tx.releaseSlots()
 	admitDone()
 	var derr2 error
@@ -788,22 +842,16 @@ func (s *Store) attemptMP(proc string, fn func(tx *MPTxn) error, parts []*partit
 		// fails, and the store stops (below).
 		derr2 = fmt.Errorf("core: mp prepare force (legs committed, log poisoned): %w", verr)
 	} else if len(tx.prepParts) > 0 {
+		// Every vote is durable: each writing leg's DECIDE marker is a
+		// commit record, and the first one durable decides the whole
+		// transaction (recovery folds every partition log's markers).
 		if len(tx.prepParts) == 1 {
-			// One-phase commit: the single writing leg's DECIDE marker
-			// (appended after its vote is durable, in the same log) is
-			// the commit record; recovery finds it in the partition
-			// log's pre-scan. No coordinator force needed.
 			s.met.Add(metrics.MPOnePhase, 1)
-			derr2 = tx.appendMarkers()
-		} else if err := s.appendCoord(&pe.LogRecord{Kind: pe.RecDecide, MPTxnID: tx.id, Commit: true}); err != nil {
-			derr2 = fmt.Errorf("core: mp decision log (legs committed, coord log poisoned): %w", err)
-		} else {
-			// Decision durable: the markers appended now are redundant
-			// copies of it in each participant log (they make each leg
-			// self-resolving if the coordinator log is ever truncated
-			// first) and can never witness an undecided commit.
-			derr2 = tx.appendMarkers()
 		}
+		if testHookBeforeMarkers != nil {
+			testHookBeforeMarkers()
+		}
+		derr2 = tx.appendMarkers()
 	}
 	if derr2 != nil {
 		s.fail(derr2) // published legs whose durability failed: fail-stop
@@ -896,12 +944,10 @@ func (tx *MPTxn) finishAll(commit bool) error {
 	return errors.Join(derr, tx.resolveAll())
 }
 
-// appendCoord forces one record into the coordinator log: a commit
-// decision, a slot-migration step, a seed's decision. Non-durable stores
-// keep no coordinator log and skip it. Under group commit the append is a
-// waiter: it starts coord.log's fsync if none is running, else it shares
-// the next one with every other decision that arrived meanwhile — off the
-// enlistment-slot critical path either way.
+// appendCoord forces one slot-migration record into the coordinator log.
+// Non-durable stores keep no coordinator log and skip it. Under group
+// commit the append is a waiter: it starts coord.log's fsync if none is
+// running, else it shares the next one.
 func (s *Store) appendCoord(rec *pe.LogRecord) error {
 	if s.coordLog == nil {
 		return nil

@@ -60,21 +60,19 @@ const (
 	MPAborts
 	MPLegsCommitted
 	MPConcurrent
-	// MPReadOnlyLegs counts legs released at PREPARE (no DECIDE force);
-	// MPOnePhase transactions that enlisted one logged partition and skipped
-	// the decision force; MPLegWaits the coordinator's waits on a parked
-	// leg's worker (two per leg whose fragments and vote were queued
-	// together, one more per fragment whose result the handler needed).
+	// MPReadOnlyLegs counts legs released at PREPARE (no PREPARE record,
+	// no marker); MPOnePhase transactions with one writing leg, whose
+	// marker is their only commit record; MPLegWaits the coordinator's
+	// waits on a parked leg's worker (two per leg whose fragments and vote
+	// were queued together, one more per fragment whose result the handler
+	// needed).
 	MPReadOnlyLegs
 	MPOnePhase
 	MPLegWaits
-	// 2PC force records per group-commit fsync: PREPAREs per partition-log
-	// fsync and DECIDEs per coordinator-log fsync. Means above 1 are the
-	// amortization the batched-commit path buys.
+	// PREPARE records per partition-log group-commit fsync. A mean above 1
+	// is the amortization the batched-commit path buys.
 	MPPrepareBatches
 	MPPrepareBatchMean
-	MPDecideBatches
-	MPDecideBatchMean
 	SnapshotReads // read-only queries run against an MVCC snapshot
 	// Version GC: watermark sweeps, the versions they reclaimed, and (a
 	// gauge, kept by deltas so partitions sum) the versions left.
@@ -145,7 +143,6 @@ const (
 	CutoverPause      // a slot migration's worker pause, ns
 	FsyncTime         // one commit-daemon fsync, ns
 	PrepareBatch      // PREPARE forces per partition-log fsync
-	DecideBatch       // DECIDE forces per coordinator-log fsync
 	numHists
 )
 
@@ -186,8 +183,6 @@ var defs = [numMetrics]def{
 	MPLegWaits:          {name: "mp_leg_waits"},
 	MPPrepareBatches:    {name: "mp_prepare_batches", hist: PrepareBatch},
 	MPPrepareBatchMean:  {name: "mp_prepare_batch_mean", kind: Mean, hist: PrepareBatch},
-	MPDecideBatches:     {name: "mp_decide_batches", hist: DecideBatch},
-	MPDecideBatchMean:   {name: "mp_decide_batch_mean", kind: Mean, hist: DecideBatch},
 	SnapshotReads:       {name: "snapshot_reads"},
 	GCRuns:              {name: "gc_runs"},
 	GCVersionsReclaimed: {name: "gc_versions_reclaimed"},

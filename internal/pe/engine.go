@@ -2,6 +2,7 @@ package pe
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -37,13 +38,13 @@ const (
 	RecTriggered
 	// RecPrepare is a 2PC participant leg: the re-executable write ops of
 	// one partition's share of a multi-partition transaction, forced before
-	// the partition votes yes. Recovery applies it only when the
-	// coordinator's decision record says the transaction committed
-	// (presumed abort).
+	// the partition votes yes. Recovery applies it only when a decision
+	// record says the transaction committed (presumed abort).
 	RecPrepare
-	// RecDecide marks a 2PC resolution. In the coordinator's log it is the
-	// decision record recovery resolves in-doubt legs from; in a
-	// participant's log it is an unforced marker, skipped at replay.
+	// RecDecide is a 2PC commit record: a marker the coordinator appends
+	// to each writing leg's log once every vote is durable. Recovery
+	// resolves in-doubt legs from the markers of every partition log; it
+	// executes nothing at replay.
 	RecDecide
 	// RecSlotBegin / RecSlotCopied / RecSlotCommit narrate one routing
 	// slot's migration in the coordinator log (they never appear in a
@@ -223,6 +224,11 @@ type Engine struct {
 	// dispatchEmits appends, runChain drains it before the next request
 	// (produced and consumed in the worker's place, so no locking).
 	chain []*txnRequest
+	// held is replay's list, under LogAllTEs, of re-derived executions
+	// waiting for their own RecTriggered records (dispatchEmits): each
+	// record runs its execution with the exact stream tuples the parent's
+	// replay inserted. FinishReplay runs what is left.
+	held []*txnRequest
 
 	// The worker's transaction-execution state (DESIGN.md §1.6.3). The
 	// worker is one goroutine and nothing below outlives the TE that filled
@@ -1317,13 +1323,13 @@ func (e *Engine) procPlan(p *Procedure, sqlText string) (*ee.Prepared, error) {
 // ---------- recovery replay ----------
 
 // Replay re-executes one logged record during recovery. The engine must
-// not be started. The record runs through runChain, as it ran live: in
-// LogBorderOnly mode a record re-derives its triggered descendants, and one
-// that aborts aborts as it did live; in LogAllTEs mode triggered records
-// come from the log and a record's own emissions start no chain. The
-// replayed record itself must commit. A RecPrepare leg is applied as
-// given: whether its transaction committed is the caller's knowledge
-// (core's log applier owns the decision table).
+// not be started. The record runs through runChain, as it ran live, and
+// re-derives its triggered descendants in both modes: in LogBorderOnly
+// mode they run in its chain, and one that aborts aborts as it did live; in
+// LogAllTEs mode each is held until its own RecTriggered record runs it
+// (FinishReplay runs the rest). The replayed record itself must commit. A
+// RecPrepare leg is applied as given: whether its transaction committed is
+// the caller's knowledge (core's log applier owns the decision table).
 func (e *Engine) Replay(rec *LogRecord) error {
 	if e.started.Load() {
 		return fmt.Errorf("pe: replay requires a stopped engine")
@@ -1345,12 +1351,17 @@ func (e *Engine) Replay(rec *LogRecord) error {
 			e.nextBatchID = rec.BatchID
 		}
 	case RecTriggered:
+		if h := e.takeHeld(rec); h != nil {
+			h.done = r.done
+			r = h
+			break
+		}
+		// No held execution: a checkpoint truncated the parent's record,
+		// and the snapshot holds the tuples it left in the input stream but
+		// not the execution. This TE must GC them, as the original did. Age
+		// alone does not name them: an interior TE that aborted live left
+		// its batch in the stream ahead of this one.
 		r.kind = reqTriggered
-		// In LogAllTEs mode the upstream record's re-run re-inserted the
-		// consumed tuples into the input stream; this TE must GC them, as
-		// the original execution did. Age alone does not name them: an
-		// interior TE that aborted live left its batch in the stream ahead
-		// of this one.
 		if rec.InputStream != "" {
 			if rel := e.ee.Catalog().Relation(rec.InputStream); rel != nil {
 				r.gcIDs = consumedTuples(rel.Table, rec.Batch)
@@ -1366,11 +1377,40 @@ func (e *Engine) Replay(rec *LogRecord) error {
 	if r.proc == nil && r.kind != reqLeg {
 		return fmt.Errorf("pe: replay references unknown procedure %q", rec.Proc)
 	}
+	done := r.done // a held execution is recycled once it has run
 	e.runChain(r)
-	if cr := <-r.done; cr.Err != nil {
+	if cr := <-done; cr.Err != nil {
 		return fmt.Errorf("pe: replay of %s: %w", what, cr.Err)
 	}
 	return nil
+}
+
+// takeHeld removes and returns the held execution rec records: the first
+// with its procedure, input stream, batch id and rows.
+func (e *Engine) takeHeld(rec *LogRecord) *txnRequest {
+	for i, h := range e.held {
+		if h.proc.Name == rec.Proc && h.inputStream == rec.InputStream && h.batchID == rec.BatchID &&
+			slices.EqualFunc(h.batch, rec.Batch, types.Row.Equal) {
+			e.held = slices.Delete(e.held, i, i+1)
+			return h
+		}
+	}
+	return nil
+}
+
+// FinishReplay ends replay: it runs, in order and each with its chain, the
+// executions still held for a RecTriggered record that never came — a log
+// tail lost in a crash, or an execution that aborted live and aborts
+// again. They run as live work, logged like it, so a later recovery meets
+// their records where this one ran them. Call it once every record has
+// been replayed, before Start.
+func (e *Engine) FinishReplay() {
+	held := e.held
+	e.held = nil
+	for _, r := range held {
+		r.replay = false
+		e.runChain(r)
+	}
 }
 
 // consumedTuples names the stream tuples a replayed triggered batch

@@ -2,6 +2,7 @@ package pe
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -516,6 +517,8 @@ func TestReplayOfDownstreamAbort(t *testing.T) {
 	}
 }
 
+// TestReplayAllTEsMode replays a LogAllTEs log, whole and with its last
+// triggered record lost, to the live run's end state.
 func TestReplayAllTEsMode(t *testing.T) {
 	var records []*LogRecord
 	logger := loggerFunc(func(rec *LogRecord) error {
@@ -546,21 +549,48 @@ func TestReplayAllTEsMode(t *testing.T) {
 		t.Fatalf("kinds = %v", kinds)
 	}
 
-	re := build()
-	re.SetLogger(nil, LogAllTEs) // mode matters for replay semantics
-	re.logMode = LogAllTEs
-	for _, rec := range records {
-		must(t, re.Replay(rec))
-	}
-	got, err := queryStopped(re, "SELECT stage, v, seq FROM log_t ORDER BY seq")
-	must(t, err)
-	if len(got.Rows) != len(want.Rows) {
-		t.Fatalf("replayed %d rows want %d", len(got.Rows), len(want.Rows))
-	}
-	for i := range got.Rows {
-		if !got.Rows[i].Equal(want.Rows[i]) {
-			t.Fatalf("row %d: %v want %v", i, got.Rows[i], want.Rows[i])
+	// replay replays recs, then finishes with finishLog installed, and
+	// checks the end state against the live run's.
+	replay := func(recs []*LogRecord, finishLog Logger) {
+		t.Helper()
+		re := build()
+		re.SetLogger(nil, LogAllTEs) // mode matters for replay semantics
+		for _, rec := range recs {
+			must(t, re.Replay(rec))
 		}
+		re.SetLogger(finishLog, LogAllTEs)
+		re.FinishReplay()
+		got, err := queryStopped(re, "SELECT stage, v, seq FROM log_t ORDER BY seq")
+		must(t, err)
+		if len(got.Rows) != len(want.Rows) {
+			t.Fatalf("replayed %d rows want %d", len(got.Rows), len(want.Rows))
+		}
+		for i := range got.Rows {
+			if !got.Rows[i].Equal(want.Rows[i]) {
+				t.Fatalf("row %d: %v want %v", i, got.Rows[i], want.Rows[i])
+			}
+		}
+		if left, err := queryStopped(re, "SELECT v FROM mid_s"); err != nil || len(left.Rows) != 0 {
+			t.Fatalf("mid_s after replay = %v, %v; want empty", left, err)
+		}
+	}
+	replay(records, nil)
+
+	// The last triggered record lost, as a torn log tail loses it: its
+	// execution is re-derived from its border record, runs when replay
+	// finishes, and is logged again.
+	last := records[len(records)-1]
+	if last.Kind != RecTriggered {
+		t.Fatalf("last record is kind %d, want RecTriggered", last.Kind)
+	}
+	var relogged []*LogRecord
+	replay(records[:len(records)-1], loggerFunc(func(rec *LogRecord) error {
+		relogged = append(relogged, cloneRecord(rec))
+		return nil
+	}))
+	if len(relogged) != 1 || relogged[0].Kind != RecTriggered || relogged[0].Proc != last.Proc ||
+		relogged[0].BatchID != last.BatchID || !slices.EqualFunc(relogged[0].Batch, last.Batch, types.Row.Equal) {
+		t.Fatalf("finishing replay logged %+v, want the lost record %+v", relogged, last)
 	}
 }
 

@@ -442,8 +442,8 @@ func (e *Engine) runFragment(ectx *ee.ExecCtx, m *mpMsg) (*ee.Result, error) {
 // must re-apply cleanly; an error fails recovery loudly rather than
 // diverging. Stream emissions re-derive their triggered descendants exactly
 // like the live commit path: dispatchEmits queues them, and the runChain
-// that called this runs them. A router leg (its record names AdHocProc)
-// fires no PE trigger here either.
+// that called this runs them. A router leg, a slot migration's and a
+// seed's (their records name AdHocProc) fire no PE trigger here either.
 func (e *Engine) replayPreparedLeg(r *txnRequest) {
 	ectx, undo := e.beginTE(), e.undo
 	if r.proc != adHoc {
@@ -474,14 +474,13 @@ func (e *Engine) replayPreparedLeg(r *txnRequest) {
 // after this TE's memory has been reused. The requests join the worker's
 // chain, which runChain runs before the next request; each counts in its
 // graph's in-flight total from here. origin is the chain root's admission
-// time, inherited by descendants for end-to-end latency accounting. A
-// replayed record under LogAllTEs dispatches nothing: its descendants are
-// log records of their own. The returned count is the descendants this
-// execution's chain continues into — zero means the chain ends here.
+// time, inherited by descendants for end-to-end latency accounting. Replay
+// re-derives every emission in both modes; under LogAllTEs a descendant is
+// a log record of its own, so it is held until that record arrives
+// (Replay) or replay finishes (FinishReplay). The returned count is the
+// descendants this execution's chain continues into — zero means the chain
+// ends here.
 func (e *Engine) dispatchEmits(batchID uint64, origin time.Time, replay bool) int {
-	if replay && e.logMode == LogAllTEs {
-		return 0
-	}
 	continued := 0
 	for i := range e.emits {
 		em := &e.emits[i]
@@ -502,7 +501,11 @@ func (e *Engine) dispatchEmits(batchID uint64, origin time.Time, replay bool) in
 		tr.graph = b.graph
 		tr.replay = replay
 		e.graphTakeoff(tr.graph)
-		e.chain = append(e.chain, tr)
+		if replay && e.logMode == LogAllTEs {
+			e.held = append(e.held, tr)
+		} else {
+			e.chain = append(e.chain, tr)
+		}
 		continued++
 	}
 	return continued

@@ -228,21 +228,23 @@ func TestGroupCommitOneFsyncPerPeriod(t *testing.T) {
 
 // A waiter on a busy log waits out the sync period, not the staleness
 // bound: sequential waited appends, each awaiting its ack before the next,
-// take one fsync apiece and finish well inside a bound per fsync.
+// take one fsync apiece, every one started by its waiter and none by the
+// staleness timer, and the period is the shorter wait.
 func TestGroupCommitWaiterWaitsPeriodNotBound(t *testing.T) {
+	if wal.SyncPeriod >= wal.StalenessBound {
+		t.Fatalf("sync period %v is not shorter than the staleness bound %v", wal.SyncPeriod, wal.StalenessBound)
+	}
 	l, h, _, _ := openGroup(t)
 	defer l.Close()
 	const n = 20
-	start := time.Now()
 	for i := 0; i < n; i++ {
 		awaitAck(t, mustAsync(t, l, "waited"))
 	}
-	d := time.Since(start)
 	if got := h.Count(); got != n {
 		t.Fatalf("%d sequential waited appends took %d fsyncs", n, got)
 	}
-	if limit := (n - 1) * (wal.SyncPeriod + wal.StalenessBound) / 2; d >= limit {
-		t.Fatalf("%d sequential waited appends took %v, want under %v", n, d, limit)
+	if got := wal.BoundWakeups(l); got != 0 {
+		t.Fatalf("the staleness bound started %d of %d waited appends' fsyncs", got, n)
 	}
 }
 

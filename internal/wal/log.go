@@ -125,6 +125,7 @@ type Log struct {
 	done     chan struct{}
 	stop     sync.Once
 	wakeups  atomic.Int64 // times the daemon came off its select (tests)
+	bounded  atomic.Int64 // times the staleness bound woke it (tests)
 
 	// onSyncBatch is Options.OnSyncBatch (nil when unset).
 	onSyncBatch func(n int, took time.Duration)
@@ -331,6 +332,7 @@ func (l *Log) daemon() {
 		select {
 		case <-l.wake:
 		case <-l.bound.C:
+			l.bounded.Add(1)
 		case <-l.quit:
 			l.syncBatch() // resolve stragglers before Close proceeds
 			return
@@ -562,16 +564,15 @@ func (s *segment) next() (lsn uint64, payload []byte, ok bool) {
 }
 
 // DefaultLogName and DefaultSnapshotName are the file names used inside a
-// durability directory. DefaultCoordLogName holds the 2PC coordinator's
-// decision records — the authority recovery resolves in-doubt prepared
-// legs against.
+// durability directory. DefaultCoordLogName holds the store-wide records:
+// slot migrations and dataflow pauses.
 const (
 	DefaultLogName      = "command.log"
 	DefaultSnapshotName = "snapshot.bin"
 	DefaultCoordLogName = "coord.log"
 )
 
-// CoordPath resolves the coordinator decision log's location under dir.
+// CoordPath resolves the coordinator log's location under dir.
 func CoordPath(dir string) string {
 	return filepath.Join(dir, DefaultCoordLogName)
 }
