@@ -1,8 +1,6 @@
 package catalog
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math"
 
 	"repro/internal/types"
@@ -14,8 +12,8 @@ import (
 // partitions (elastic repartitioning) is a table update, not a rehash of
 // every row. The table is the single source of routing truth — ingest,
 // keyed procedure calls, DML routing, and query fan-out all resolve
-// ownership through it — and it is persisted with the WAL so ownership
-// survives a restart.
+// ownership through it. It is not a file: recovery derives ownership from
+// the logs' slot-commit records and then routes canonically.
 
 // NumSlots is the fixed size of the slot table. 256 slots bound migration
 // granularity to 1/256th of the keyspace per move while keeping the table
@@ -30,9 +28,6 @@ const NumSlots = 256
 type SlotTable struct {
 	// Owner[slot] is the partition index owning the slot.
 	Owner [NumSlots]uint16
-	// Parts is the partition count the table routes over (every Owner
-	// entry is < Parts; not every partition need own a slot mid-rebalance).
-	Parts int
 }
 
 // NewSlotTable builds the canonical assignment for a fresh store of n
@@ -43,7 +38,7 @@ func NewSlotTable(n int) *SlotTable {
 	if n < 1 {
 		n = 1
 	}
-	t := &SlotTable{Parts: n}
+	t := &SlotTable{}
 	for s := range t.Owner {
 		t.Owner[s] = uint16(s % n)
 	}
@@ -86,65 +81,6 @@ type SlotMove struct {
 	Slot int
 	From int
 	To   int
-}
-
-// slotTableMagic guards the persisted form ("SSLT").
-const slotTableMagic = 0x53534c54
-
-// Encode serializes the table (magic, parts, owners as uvarints).
-func (t *SlotTable) Encode() []byte {
-	buf := make([]byte, 0, 4+NumSlots)
-	buf = binary.AppendUvarint(buf, slotTableMagic)
-	buf = binary.AppendUvarint(buf, uint64(t.Parts))
-	buf = binary.AppendUvarint(buf, NumSlots)
-	for _, o := range t.Owner {
-		buf = binary.AppendUvarint(buf, uint64(o))
-	}
-	return buf
-}
-
-// DecodeSlotTable parses an encoded table, validating every owner against
-// the recorded partition count.
-func DecodeSlotTable(data []byte) (*SlotTable, error) {
-	buf := data
-	next := func() (uint64, error) {
-		v, n := binary.Uvarint(buf)
-		if n <= 0 {
-			return 0, fmt.Errorf("catalog: slot table truncated")
-		}
-		buf = buf[n:]
-		return v, nil
-	}
-	magic, err := next()
-	if err != nil || magic != slotTableMagic {
-		return nil, fmt.Errorf("catalog: not a slot table")
-	}
-	parts, err := next()
-	if err != nil {
-		return nil, err
-	}
-	if parts < 1 || parts > math.MaxUint16 {
-		return nil, fmt.Errorf("catalog: slot table has invalid partition count %d", parts)
-	}
-	nslots, err := next()
-	if err != nil {
-		return nil, err
-	}
-	if nslots != NumSlots {
-		return nil, fmt.Errorf("catalog: slot table has %d slots, this build uses %d", nslots, NumSlots)
-	}
-	t := &SlotTable{Parts: int(parts)}
-	for s := range t.Owner {
-		o, err := next()
-		if err != nil {
-			return nil, err
-		}
-		if o >= parts {
-			return nil, fmt.Errorf("catalog: slot %d owned by partition %d, table has %d partitions", s, o, parts)
-		}
-		t.Owner[s] = uint16(o)
-	}
-	return t, nil
 }
 
 // PartitionHash is FNV-1a over a canonical encoding of the value,

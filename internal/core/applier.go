@@ -15,8 +15,8 @@ import (
 // and the seeding of a new partition are the same machine fed from a file,
 // a socket, or partition 0's tables:
 //
-//	fold    every record of every stream (coordinator log and partition
-//	        segments alike) updates the state table below;
+//	fold    every record of every partition segment updates the state
+//	        table below;
 //	apply   a partition record is replayed into its partition, consulting
 //	        the table for 2PC legs;
 //	finish  the endgame once no more records can arrive;
@@ -44,12 +44,10 @@ type applier struct {
 	// a RecSlotCommit, which doubles as the decision for the migration's
 	// prepared leg. Absent = in doubt.
 	decisions map[uint64]bool
-	// slotMoves maps a committed slot-migration leg to its slot; slotOwner
-	// maps a slot to the destination of its last committed migration. A
-	// migration with BEGIN/COPIED but no COMMIT appears in neither: its
-	// source copy stays authoritative.
-	slotMoves map[uint64]int
-	slotOwner map[int]int
+	// slotMoves maps a committed slot-migration leg to its commit record. A
+	// migration with no commit record is not in it: its source copy stays
+	// authoritative.
+	slotMoves map[uint64]*pe.LogRecord
 	// paused is the set of dataflows with a pause record and no later resume.
 	paused map[string]bool
 	// maxMP is the largest 2PC transaction id seen in any stream. The store's
@@ -71,8 +69,7 @@ func newApplier(s *Store) *applier {
 	return &applier{
 		st:        s,
 		decisions: make(map[uint64]bool),
-		slotMoves: make(map[uint64]int),
-		slotOwner: make(map[int]int),
+		slotMoves: make(map[uint64]*pe.LogRecord),
 		paused:    make(map[string]bool),
 	}
 }
@@ -85,16 +82,13 @@ func (a *applier) fold(rec *pe.LogRecord) error {
 		if rec.Commit {
 			a.decisions[rec.MPTxnID] = true
 		}
-	case pe.RecSlotBegin, pe.RecSlotCommit:
+	case pe.RecSlotCommit:
 		if n := a.st.NumPartitions(); rec.ToPart >= n {
 			return fmt.Errorf("core: the log moves slot %d to partition %d, but this store has %d partitions; "+
 				"open it with Partitions: %d or more", rec.Slot, rec.ToPart, n, rec.ToPart+1)
 		}
-		if rec.Kind == pe.RecSlotCommit {
-			a.decisions[rec.MPTxnID] = true
-			a.slotMoves[rec.MPTxnID] = rec.Slot
-			a.slotOwner[rec.Slot] = rec.ToPart
-		}
+		a.decisions[rec.MPTxnID] = true
+		a.slotMoves[rec.MPTxnID] = rec
 	case pe.RecPauseGraph:
 		a.paused[rec.Proc] = true
 	case pe.RecResumeGraph:
@@ -133,8 +127,19 @@ func scanRecords(path string, fn func(lsn uint64, rec *pe.LogRecord) error) (uin
 // it executed on the primary without ever reading its unpublished writes.
 func (a *applier) apply(p *partition, rec *pe.LogRecord, final bool) (stalled bool, err error) {
 	switch rec.Kind {
-	case pe.RecDecide:
-		return false, nil // folded on arrival; the marker applies nothing
+	case pe.RecDecide, pe.RecPauseGraph, pe.RecResumeGraph:
+		return false, nil // folded on arrival; applies nothing
+	case pe.RecSlotCommit:
+		// Folded on arrival. In the source's log nothing after this record
+		// touches the slot, so the source's copy goes now: a follower then
+		// holds the slot's rows on one partition, not two until promotion.
+		if rec.FromPart == p.idx {
+			if err := evictSlots(migratedRels(p.cat), func(s int) bool { return s == rec.Slot }); err != nil {
+				return false, fmt.Errorf("core: replay of slot %d's move off partition %d: %w", rec.Slot, p.idx, err)
+			}
+			p.cat.Clock().Publish()
+		}
+		return false, nil
 	case pe.RecPrepare:
 		if !a.decisions[rec.MPTxnID] {
 			return !final, nil
@@ -145,9 +150,9 @@ func (a *applier) apply(p *partition, rec *pe.LogRecord, final bool) (stalled bo
 		// before the incoming leg replays: evict those stale copies first
 		// (the leg may even be empty — every row of the slot died while it
 		// lived elsewhere).
-		if slot, ok := a.slotMoves[rec.MPTxnID]; ok {
-			if err := evictSlots(migratedRels(p.cat), func(s int) bool { return s == slot }); err != nil {
-				return false, fmt.Errorf("core: replay of slot-move leg %d (slot %d): %w", rec.MPTxnID, slot, err)
+		if mv, ok := a.slotMoves[rec.MPTxnID]; ok {
+			if err := evictSlots(migratedRels(p.cat), func(s int) bool { return s == mv.Slot }); err != nil {
+				return false, fmt.Errorf("core: replay of slot-move leg %d (slot %d): %w", rec.MPTxnID, mv.Slot, err)
 			}
 		}
 	}
@@ -161,10 +166,13 @@ func (a *applier) apply(p *partition, rec *pe.LogRecord, final bool) (stalled bo
 // records never arrived), so every surviving border batch ends applied or
 // aborted in both modes. Replayed partition logs resurrect the source
 // copies of committed slot migrations — the cutover's source deletions are
-// in-memory only; the slot-commit record is what makes them durable — so
-// each committed slot's rows are evicted from every partition but its
-// owner, and only for slots with a commit record: an aborted migration's
-// source copy is the authoritative one. Then the slots route to their
+// in-memory only; the slot-commit record is what makes them durable, and
+// the source's own copy of it is not forced — so each committed slot's
+// rows are evicted from every partition but its owner, and only for slots
+// with a commit record: an aborted migration's source copy is the
+// authoritative one. A slot's owner is the destination of its committed
+// move with the largest id: ids only grow, across restarts too, and one
+// slot's moves sit in different logs. Then the slots route to their
 // migrated owners, the replayed state is published to snapshot readers,
 // graphs paused in the log stay paused, and the 2PC id counter restarts
 // above everything the log has seen.
@@ -173,15 +181,21 @@ func (a *applier) finish() error {
 	for _, p := range s.partList() {
 		p.pe.FinishReplay()
 	}
-	if len(a.slotOwner) > 0 {
+	if len(a.slotMoves) > 0 {
+		last := map[int]*pe.LogRecord{}
+		for _, mv := range a.slotMoves {
+			if l := last[mv.Slot]; l == nil || mv.MPTxnID > l.MPTxnID {
+				last[mv.Slot] = mv
+			}
+		}
 		tbl := s.slots.Load().Clone()
-		for slot, owner := range a.slotOwner {
-			tbl.Owner[slot] = uint16(owner)
+		for slot, mv := range last {
+			tbl.Owner[slot] = uint16(mv.ToPart)
 		}
 		for _, p := range s.partList() {
 			if err := evictSlots(migratedRels(p.cat), func(slot int) bool {
-				owner, moved := a.slotOwner[slot]
-				return moved && owner != p.idx
+				mv, moved := last[slot]
+				return moved && mv.ToPart != p.idx
 			}); err != nil {
 				return err
 			}
@@ -197,8 +211,8 @@ func (a *applier) finish() error {
 
 // evictSlots deletes every row of rels whose routing slot satisfies drop.
 // The deletions are in-memory only: which slots a partition has lost is
-// deterministic from the coordinator log's slot-commit records, so they
-// need no logging of their own.
+// deterministic from the slot-commit records, so they need no logging of
+// their own.
 func evictSlots(rels []*catalog.Relation, drop func(slot int) bool) error {
 	for _, rel := range rels {
 		col := rel.PartCol
@@ -219,26 +233,18 @@ func evictSlots(rels []*catalog.Relation, drop func(slot int) bool) error {
 }
 
 // installLeg is the seed feed: it puts ops onto a stopped partition the way
-// a coordinated write would have — a prepared leg forced into the
-// partition's log, then the record that decides it (its MPTxnID is
-// assigned here), then the leg's replay — so a crash right after recovers
+// a coordinated write would have — a prepared leg and the record that
+// decides it (a seed's RecDecide marker or a recovery-time slot move's
+// RecSlotCommit; its MPTxnID is assigned here) forced together into the
+// partition's log, then the leg's replay — so a crash right after recovers
 // the rows from the logs instead of having to re-detect that they are
-// missing. A seed's RecDecide is a marker forced into the same partition
-// log; a recovery-time slot move's RecSlotCommit goes to the coordinator
-// log, with the other slot migrations. The leg names AdHocProc, as a live
-// migration's does: rows it moves into a stream start no PE trigger. On a
-// non-durable store only the replay happens.
+// missing. The leg names AdHocProc, as a live migration's does: rows it
+// moves into a stream start no PE trigger. On a non-durable store only the
+// replay happens.
 func (s *Store) installLeg(p *partition, ops []pe.LoggedOp, decision *pe.LogRecord) error {
 	decision.MPTxnID = s.nextMPTxnID.Add(1)
 	leg := &pe.LogRecord{Kind: pe.RecPrepare, Proc: pe.AdHocProc, MPTxnID: decision.MPTxnID, Ops: ops}
-	if err := p.force(leg); err != nil {
-		return err
-	}
-	decide := s.appendCoord
-	if decision.Kind == pe.RecDecide {
-		decide = p.force
-	}
-	if err := decide(decision); err != nil {
+	if err := p.force(leg, decision); err != nil {
 		return err
 	}
 	return p.pe.Replay(leg)

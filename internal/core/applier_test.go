@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/pe"
 	"repro/internal/types"
 )
 
@@ -23,7 +24,7 @@ func pollUntilIdle(t *testing.T, f *Follower) {
 }
 
 // TestFollowerDivergesWhenPrimaryGrows: a follower cannot hold partitions
-// its store was not opened with, so the first coordinator record that names
+// its store was not opened with, so the first slot-commit record that names
 // one must stop it — sticky error naming both counts, reads refused,
 // promotion refused. Before the single fold, recovery made this check and
 // the follower did not: it kept reporting Err()==nil and Lag()==0 while
@@ -79,6 +80,41 @@ func TestFollowerDivergesWhenPrimaryGrows(t *testing.T) {
 	}
 }
 
+// TestFollowerHoldsMigratedRowsOnce: a follower evicts a migrated slot from
+// its source partition when it applies the source's copy of the slot's
+// commit record, so while it tails a primary that grows it holds every row
+// once, not on both partitions until promotion.
+func TestFollowerHoldsMigratedRowsOnce(t *testing.T) {
+	st := buildKV(t, gcTestConfig(t.TempDir(), 2))
+	must(t, st.Start())
+	defer st.Stop()
+	f, err := NewFollower(buildKV(t, Config{Partitions: 4}), growingSource{st}, FollowerOpts{})
+	must(t, err)
+	put := func(lo, hi int64) {
+		t.Helper()
+		for k := lo; k < hi; k++ {
+			if _, err := st.Call("put", types.NewInt(k), types.NewInt(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	put(0, 200)
+	must(t, st.Rebalance(4))
+	put(200, 220)
+	pollUntilIdle(t, f)
+	must(t, f.Err())
+	keys := keySet(t, f.Query)
+	twice := 0
+	for _, n := range keys {
+		if n > 1 {
+			twice++
+		}
+	}
+	if len(keys) != 220 || twice > 0 {
+		t.Fatalf("follower holds %d keys, %d of them more than once; want each of the 220 once", len(keys), twice)
+	}
+}
+
 // storeState renders everything the log applier is responsible for: each
 // relation's rows per partition (sorted), the slot-owner table, the paused
 // graphs, and the 2PC id counter. The store must have no running workers.
@@ -113,8 +149,8 @@ func storeState(st *Store) string {
 		}
 	}
 	slots := st.slots.Load()
-	fmt.Fprintf(&b, "slots: %d parts %v\npaused: %v gate %v\nnextMPTxnID: %d\n",
-		slots.Parts, slots.Owner, paused, gate, st.nextMPTxnID.Load())
+	fmt.Fprintf(&b, "slots: %v\npaused: %v gate %v\nnextMPTxnID: %d\n",
+		slots.Owner, paused, gate, st.nextMPTxnID.Load())
 	return b.String()
 }
 
@@ -127,4 +163,31 @@ func totalsOf(st *Store) map[int64]int64 {
 		}
 	}
 	return out
+}
+
+// TestSlotOwnerIsLatestMove: one slot's moves sit in different logs, and
+// recovery folds the logs in partition order, so the owner it routes to
+// and keeps the rows on is the destination of the move with the largest
+// id, not of the move folded last. Here a slot went 1 → 2 (id 1) and back
+// 2 → 1 (id 2), and partition 2's unforced source record of the move back
+// was lost: partition 1's log, folded first, holds the move back, and
+// partition 2's log, folded last, holds the move away.
+func TestSlotOwnerIsLatestMove(t *testing.T) {
+	st := buildPartApp(t, Config{Partitions: 3})
+	ap := newApplier(st)
+	for _, rec := range []*pe.LogRecord{
+		{Kind: pe.RecSlotCommit, Slot: 5, FromPart: 1, ToPart: 2, MPTxnID: 1}, // partition 1: source record
+		{Kind: pe.RecSlotCommit, Slot: 5, FromPart: 2, ToPart: 1, MPTxnID: 2}, // partition 1: the move back
+		{Kind: pe.RecSlotCommit, Slot: 5, FromPart: 1, ToPart: 2, MPTxnID: 1}, // partition 2: the move away
+	} {
+		if err := ap.fold(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ap.finish(); err != nil {
+		t.Fatal(err)
+	}
+	if owner := st.slots.Load().Owner[5]; owner != 1 {
+		t.Fatalf("slot 5 routes to partition %d, want 1", owner)
+	}
 }

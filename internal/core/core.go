@@ -184,25 +184,28 @@ func (p *partition) SyncCommits() error {
 // LogFailed implements pe.Logger: a commit future failed, so the store stops.
 func (p *partition) LogFailed(err error) { p.fail(err) }
 
-// force appends rec and returns once it is on stable storage, under every
-// sync policy: a write-ahead force, not a commit ack. A seed's or slot
-// migration's prepared leg goes through here before its decision is
-// written, because recovery takes slot ownership from the decision alone;
-// so does a seed's decision marker. A no-op on a partition without a log
-// (a volatile store).
-func (p *partition) force(rec *pe.LogRecord) error {
+// force appends recs and returns once they are on stable storage, under
+// every sync policy: a write-ahead force, not a commit ack. The records are
+// appended un-waited and one SyncNow covers them all (SyncEveryRecord also
+// syncs each append). A seed's or slot migration's prepared leg and the
+// record that decides it go through here together, so the decision is
+// durable only with its leg, and so do pause and resume records. None of
+// them acknowledges a client, so none is chained on specTail. A no-op on a
+// partition without a log (a volatile store).
+func (p *partition) force(recs ...*pe.LogRecord) error {
 	if p.log == nil {
 		return nil
 	}
-	ack, err := p.Append(rec, true)
-	if err != nil {
-		return err
+	for _, rec := range recs {
+		if _, err := p.Append(rec, false); err != nil {
+			return err
+		}
 	}
 	if err := p.log.SyncNow(); err != nil {
 		p.fail(err)
 		return err
 	}
-	return <-ack
+	return nil
 }
 
 // recover restores this partition from its snapshot + log segment, feeding
@@ -236,36 +239,27 @@ func (p *partition) recover(d *wal.Dir, cfg *Config, ap *applier) error {
 }
 
 // openLog opens this partition's WAL segment in d for appending after
-// lastLSN and installs the partition as its engine's commit logger. The
-// commit daemon's sync-batch callback feeds the fsync counters and the
-// PREPARE batch-size histogram.
+// lastLSN, under the store's sync policy, and installs the partition as its
+// engine's commit logger. Every group-commit fsync feeds the fsync counters
+// (the records it made durable and its duration) and the PREPARE
+// batch-size histogram.
 func (p *partition) openLog(d *wal.Dir, cfg *Config, path string, lastLSN uint64) (err error) {
-	p.log, err = d.OpenLog(path, lastLSN, cfg.logOptions(p.met, func(int) {
-		if n := p.pendPrep.Swap(0); n > 0 {
-			p.met.Observe(metrics.PrepareBatch, n)
-		}
-	}))
+	p.log, err = d.OpenLog(path, lastLSN, wal.Options{
+		Policy: cfg.Sync,
+		OnSyncBatch: func(n int, took time.Duration) {
+			p.met.Add(metrics.WalFsyncs, 1)
+			p.met.Add(metrics.WalFsyncRecords, int64(n))
+			p.met.Observe(metrics.FsyncTime, int64(took))
+			if n := p.pendPrep.Swap(0); n > 0 {
+				p.met.Observe(metrics.PrepareBatch, n)
+			}
+		},
+	})
 	if err != nil {
 		return err
 	}
 	p.pe.SetLogger(p, cfg.LogMode)
 	return nil
-}
-
-// logOptions carries the store's sync policy into one log's options
-// (partition segments and the coordinator log alike). Every group-commit
-// fsync is counted in met with the records it made durable and its
-// duration, then handed to onSync.
-func (cfg *Config) logOptions(met *metrics.Metrics, onSync func(n int)) wal.Options {
-	return wal.Options{
-		Policy: cfg.Sync,
-		OnSyncBatch: func(n int, took time.Duration) {
-			met.Add(metrics.WalFsyncs, 1)
-			met.Add(metrics.WalFsyncRecords, int64(n))
-			met.Observe(metrics.FsyncTime, int64(took))
-			onSync(n)
-		},
-	}
 }
 
 // Store is one S-Store instance: a router over Config.Partitions
@@ -330,15 +324,13 @@ type Store struct {
 	// through (nil without Config.Dir). Tests swap in a recording file
 	// system between Open and Start.
 	dir *wal.Dir
-	// coordLog holds slot migrations and dataflow pauses (durable stores
-	// only).
-	coordLog *wal.Log
 	// schema is the published Schema: what the router plans against and
 	// what every partition's storage is synced to (publish).
 	schema atomic.Pointer[catalog.Schema]
 	// deployMu serializes Schema publications (each derives its Schema from
-	// the current one) with each other, with Start, and with changes to the
-	// procedures and the partition set.
+	// the current one) with each other, with Start, with changes to the
+	// procedures and the partition set, and with Checkpoint: a pause or
+	// resume holds it from its record to its publication.
 	deployMu sync.Mutex
 	// pauseGateMu serializes spanning ingest into paused dataflows: the
 	// router checks the store-wide backlog bound and forwards the hash
@@ -583,6 +575,11 @@ func (s *Store) RegisterProcedure(proc *pe.Procedure) error {
 // rows on partitions that no longer own their key (N grew).
 const partitionsFileName = "PARTITIONS"
 
+// legacyCoordLog is the store-wide log earlier versions kept beside the
+// partition logs for slot migrations and dataflow pauses. Its records are
+// in no partition log, so Recover refuses a directory whose copy holds any.
+const legacyCoordLog = "coord.log"
+
 // Recover restores state from the durability directory: load each
 // partition's latest snapshot (if any), feed the log applier (applier.go)
 // the intact records of the directory's files, and finish as a promoted
@@ -598,26 +595,25 @@ func (s *Store) Recover() error {
 	if err := os.MkdirAll(s.cfg.Dir, 0o755); err != nil {
 		return fmt.Errorf("core: durability dir: %w", err) // nothing replayed: retryable
 	}
+	legacy := filepath.Join(s.cfg.Dir, legacyCoordLog)
+	last, err := wal.ScanLog(legacy, func(uint64, []byte) error { return nil })
+	switch {
+	case err != nil:
+		return fmt.Errorf("core: %w", err)
+	case last > 0:
+		return fmt.Errorf("core: %s holds slot-migration or pause records an earlier version wrote, "+
+			"which this version would lose: open the directory with that version, resume every dataflow, "+
+			"checkpoint and remove the file", legacy)
+	}
 	if err := s.checkPartitionCount(); err != nil {
 		return err // nothing replayed: retryable after fixing the config
 	}
-	// The on-disk slot table is advisory at recovery — the coordinator log's
-	// slot-commit records plus the canonical pass below are authoritative —
-	// but a corrupt file still signals a damaged directory.
-	if _, err := wal.LoadSlots(wal.SlotsPath(s.cfg.Dir)); err != nil && err != wal.ErrNoSlots {
-		return err // nothing replayed: retryable
-	}
-	// First pass: fold the coordinator log and then every partition log
-	// before any partition replays, so the decision table is complete (a
-	// one-phase transaction's only commit record is the decide marker in its
-	// leg's own segment, possibly after records of its successors) and the
-	// replay pass below can treat an undecided PREPARE as aborted for good.
+	// First pass: fold every partition log before any partition replays, so
+	// the decision table is complete (a transaction's commit record is a
+	// marker in some leg's own segment, possibly after records of its
+	// successors) and the replay pass below can treat an undecided PREPARE
+	// as aborted for good.
 	ap := newApplier(s)
-	coordPath := wal.CoordPath(s.cfg.Dir)
-	coordLSN, err := ap.foldFile(coordPath)
-	if err != nil {
-		return fmt.Errorf("core: coordinator log scan: %w", err) // nothing replayed: retryable
-	}
 	for _, p := range s.partList() {
 		logPath, _ := wal.PartitionPaths(s.cfg.Dir, p.idx)
 		if _, err := ap.foldFile(logPath); err != nil {
@@ -625,7 +621,7 @@ func (s *Store) Recover() error {
 		}
 	}
 	// From here on some partitions have replayed: a retry would double-apply.
-	if err := s.recoverFrom(ap, coordPath, coordLSN); err != nil {
+	if err := s.recoverFrom(ap); err != nil {
 		s.recoverErr = err
 		return err
 	}
@@ -637,16 +633,11 @@ func (s *Store) Recover() error {
 // through the folded applier, open the logs, finish, then the two passes
 // only recovery needs because only it can meet partitions the log never
 // wrote to.
-func (s *Store) recoverFrom(ap *applier, coordPath string, coordLSN uint64) (err error) {
+func (s *Store) recoverFrom(ap *applier) error {
 	for _, p := range s.partList() {
 		if err := p.recover(s.dir, &s.cfg, ap); err != nil {
 			return err
 		}
-	}
-	// The coordinator log follows the partition logs' sync policy.
-	s.coordLog, err = s.dir.OpenLog(coordPath, coordLSN, s.cfg.logOptions(s.met, func(int) {}))
-	if err != nil {
-		return err
 	}
 	if err := ap.finish(); err != nil {
 		return err
@@ -668,9 +659,8 @@ func (s *Store) recoverFrom(ap *applier, coordPath string, coordLSN uint64) (err
 	if err := s.rehomeMisplacedRows(); err != nil {
 		return err
 	}
-	canonical := catalog.NewSlotTable(len(s.partList()))
-	s.slots.Store(canonical)
-	return wal.WriteSlots(s.dir, wal.SlotsPath(s.cfg.Dir), canonical)
+	s.slots.Store(catalog.NewSlotTable(len(s.partList())))
+	return nil
 }
 
 // checkPartitionCount compares the directory's partition-count stamp with
@@ -880,12 +870,6 @@ func (s *Store) Stop() error {
 		}
 		p.log = nil
 	}
-	if s.coordLog != nil {
-		if err := s.coordLog.Close(); err != nil {
-			errs = append(errs, fmt.Errorf("core: coordinator log close: %w", err))
-		}
-		s.coordLog = nil
-	}
 	// Cold stores are volatile: Close removes the page file. Evicted
 	// stubs become unreadable past this point, like the closed logs.
 	for _, p := range s.partList() {
@@ -906,11 +890,33 @@ func (s *Store) Checkpoint() error {
 	if s.cfg.Dir == "" {
 		return fmt.Errorf("core: no durability directory configured")
 	}
+	// A pause or resume holds deployMu from its record to its publication,
+	// so the pause state the truncation keeps below is the logged one.
+	s.deployMu.Lock()
+	defer s.deployMu.Unlock()
 	return s.runExclusiveAll(func() error {
-		if err := decidePublished(s.partList()); err != nil {
+		parts := s.partList()
+		if err := decidePublished(parts); err != nil {
 			return err
 		}
-		for _, p := range s.partList() {
+		// Every log is durable and every snapshot written before any log
+		// is truncated. A slot move's commit record is forced in its
+		// destination's log, and until the source's snapshot no longer
+		// holds the slot, recovery needs that record to evict the source's
+		// copy. The source's own copy of the record is only appended, and
+		// recovery folds it from whichever logs a crash left untruncated:
+		// a slot moved there and back has only that copy to say where it
+		// went last.
+		for _, p := range parts {
+			if p.log == nil {
+				continue
+			}
+			if err := p.log.SyncNow(); err != nil {
+				p.fail(err)
+				return err
+			}
+		}
+		for _, p := range parts {
 			_, snapPath := wal.PartitionPaths(s.cfg.Dir, p.idx)
 			meta := wal.Snapshot{NextBatchID: p.pe.NextBatchID()}
 			if p.log != nil {
@@ -919,39 +925,29 @@ func (s *Store) Checkpoint() error {
 			if err := wal.WriteSnapshot(s.dir, snapPath, p.cat, meta); err != nil {
 				return err
 			}
-			if p.log != nil {
-				if err := p.log.Truncate(); err != nil {
-					return err
-				}
-			}
-		}
-		// The slot table is stamped beside the snapshots before the
-		// coordinator log is truncated: truncation discards the slot-commit
-		// records, and the snapshots already reflect the migrated placement
-		// they described.
-		if err := wal.WriteSlots(s.dir, wal.SlotsPath(s.cfg.Dir), s.slots.Load()); err != nil {
-			return err
 		}
 		// The snapshots cover every delivered transaction, each decided
 		// by decidePublished above: the barrier holds every partition's
 		// enlistment slot, and a coordinator releases its slots only after
 		// delivery, so anything still mid-protocol here has not applied
-		// (its in-doubt PREPAREs died with the partition-log truncation
-		// above). A coordinator's own markers may land on either side of a
-		// truncation; after it they are dead weight.
-		//
-		// Pause state lives in the coordinator log, so the log that
-		// replaces it already holds a pause record for every paused graph:
-		// a crash leaves the old log or the new one, and the pause
-		// survives either way.
-		if s.coordLog != nil {
-			var paused [][]byte
-			for _, df := range s.schema.Load().Dataflows() {
-				if df.Paused {
-					paused = append(paused, wal.EncodeRecord(&pe.LogRecord{Kind: pe.RecPauseGraph, Proc: df.Name}))
+		// (its in-doubt PREPAREs die with the truncation). A coordinator's
+		// own markers may land on either side of a truncation; after it
+		// they are dead weight. Partition 0's log keeps a pause record for
+		// every paused graph, so a crash leaves the old log or the new one
+		// and the pause survives either way.
+		for _, p := range parts {
+			if p.log == nil {
+				continue
+			}
+			var keep [][]byte
+			if p.idx == 0 {
+				for _, df := range s.schema.Load().Dataflows() {
+					if df.Paused {
+						keep = append(keep, wal.EncodeRecord(&pe.LogRecord{Kind: pe.RecPauseGraph, Proc: df.Name}))
+					}
 				}
 			}
-			if err := s.coordLog.Truncate(paused...); err != nil {
+			if err := p.log.Truncate(keep...); err != nil {
 				return err
 			}
 		}

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/crashfs"
+	"repro/internal/pe"
 	"repro/internal/wal"
 )
 
@@ -84,5 +86,24 @@ func TestPartitionsStampUnchanged(t *testing.T) {
 	}
 	if got := stamp(); got != "31320a" {
 		t.Errorf("stamp after Rebalance(12) is %s, want 31320a", got)
+	}
+}
+
+// TestRecoverRefusesLegacyCoordLog: earlier versions kept slot migrations
+// and pauses in a store-wide coord.log. Recover refuses a directory whose
+// coord.log holds a record, naming the file, and accepts an empty one.
+func TestRecoverRefusesLegacyCoordLog(t *testing.T) {
+	dir := t.TempDir()
+	legacy := filepath.Join(dir, legacyCoordLog)
+	must(t, os.WriteFile(legacy, nil, 0o644))
+	st := buildPartApp(t, Config{Dir: dir, Partitions: 2})
+	must(t, st.Start())
+	must(t, st.Stop())
+
+	appendRecords(t, legacy, &pe.LogRecord{Kind: pe.RecPauseGraph, Proc: "events"})
+	st = buildPartApp(t, Config{Dir: dir, Partitions: 2})
+	if err := st.Recover(); err == nil || !strings.Contains(err.Error(), legacy) {
+		st.Stop()
+		t.Fatalf("Recover with a legacy coord.log record: %v", err)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/pe"
 	"repro/internal/sql"
 	"repro/internal/types"
-	"repro/internal/wal"
 )
 
 // This file is the dataflow-graph deployment layer: the declarative
@@ -206,8 +205,8 @@ func undeployFromPartition(p *partition, df *Dataflow) {
 // execution of the graph has finished or been deferred on every
 // partition. Other graphs keep running; the wait is scoped to
 // this graph's in-flight work, not the whole partition. On a durable
-// store the pause is logged (coordinator log) before it takes effect, so
-// a crash cannot silently resume a paused graph: recovery restores the
+// store the pause is forced into partition 0's log before it takes effect,
+// so a crash cannot silently resume a paused graph: recovery restores the
 // gate (see applier.finish / restorePausedGraphs).
 func (s *Store) PauseDataflow(name string) error {
 	s.deployMu.Lock()
@@ -229,27 +228,27 @@ func (s *Store) PauseDataflow(name string) error {
 	return s.pauseAndDrain(df)
 }
 
+// testHookAfterPauseLogged, when set, runs after a pause or resume record
+// is durable and before the state it records is published.
+var testHookAfterPauseLogged func()
+
 // logPauseState forces one pause-lifecycle record (RecPauseGraph /
-// RecResumeGraph, graph name in Proc) to the coordinator log. A no-op on
-// non-durable stores and before recovery opens the log.
+// RecResumeGraph, graph name in Proc) into partition 0's log. A no-op on
+// non-durable stores and before recovery opens the log. The caller holds
+// deployMu until the state is published, so a Checkpoint's truncation
+// keeps what the log says.
 func (s *Store) logPauseState(kind pe.RecordKind, graph string) error {
-	if s.coordLog == nil {
-		return nil
-	}
-	payload := wal.EncodeRecord(&pe.LogRecord{Kind: kind, Proc: graph})
-	_, err := s.coordLog.Append(payload)
-	if err == nil {
-		err = s.coordLog.SyncNow()
-	}
-	if err != nil {
-		s.fail(err)
+	if err := s.partList()[0].force(&pe.LogRecord{Kind: kind, Proc: graph}); err != nil {
 		return fmt.Errorf("core: pause-state log: %w", err)
+	}
+	if hook := testHookAfterPauseLogged; hook != nil {
+		hook()
 	}
 	return nil
 }
 
 // restorePausedGraphs re-installs the pause gates the log applier collected
-// from the coordinator log (a pause record with no later resume). Runs
+// from partition 0's log (a pause record with no later resume). Runs
 // before Start. Records for graphs that are no longer deployed are stale
 // (undeploy logs a resume, but a crash can beat it) and are ignored.
 func (s *Store) restorePausedGraphs(paused map[string]bool) error {

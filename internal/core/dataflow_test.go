@@ -469,6 +469,42 @@ func TestDataflowsSurviveRecovery(t *testing.T) {
 	}
 }
 
+// TestCheckpointKeepsLoggedPauseState: a pause or resume is acknowledged
+// once its record is durable and its state published. A Checkpoint that
+// starts between the two waits for the publication, so the pause record
+// its truncation keeps in partition 0's log is the acknowledged state.
+func TestCheckpointKeepsLoggedPauseState(t *testing.T) {
+	for _, pause := range []bool{true, false} {
+		t.Run(map[bool]string{true: "pause", false: "resume"}[pause], func(t *testing.T) {
+			cfg := Config{Dir: t.TempDir(), Partitions: 2}
+			st := buildPartApp(t, cfg)
+			must(t, st.Start())
+			op := st.ResumeDataflow
+			if pause {
+				op = st.PauseDataflow
+			} else {
+				must(t, st.PauseDataflow("events"))
+			}
+			checkpointed := make(chan error, 1)
+			testHookAfterPauseLogged = func() {
+				testHookAfterPauseLogged = nil
+				go func() { checkpointed <- st.Checkpoint() }()
+			}
+			err := op("events")
+			testHookAfterPauseLogged = nil
+			must(t, err)
+			must(t, <-checkpointed)
+			must(t, st.Stop())
+			re := buildPartApp(t, cfg)
+			must(t, re.Recover())
+			defer re.Stop()
+			if got := re.schema.Load().Dataflow("events").Paused; got != pause {
+				t.Fatalf("recovered paused = %v after an acknowledged %s", got, t.Name())
+			}
+		})
+	}
+}
+
 // TestDropTriggerBelongsToItsDataflow: a trigger deployed with a graph is
 // removed only with the graph. A DDL script's DROP TRIGGER is refused, with
 // or without IF EXISTS, so the graph keeps listing what every partition

@@ -211,9 +211,9 @@ func (j *journal) phase1(t *testing.T, st *Store, beforeCheckpoint func()) {
 
 // phase2 resumes the dataflow, writes a replicated row and grows the store
 // to four partitions: the first Rebalance completes one slot migration and
-// aborts the second after its COPIED record (a BEGIN / COPIED pair with no
-// COMMIT stays in the coordinator log); the retry migrates the rest. Writes
-// land between and after the migrations, and a pause ends it.
+// aborts the second after its bulk copy (nothing of it is logged); the
+// retry migrates the rest. Writes land between and after the migrations,
+// and a pause ends it.
 func (j *journal) phase2(t *testing.T, st *Store) {
 	t.Helper()
 	j.pause(t, st, false)
@@ -222,14 +222,14 @@ func (j *journal) phase2(t *testing.T, st *Store) {
 		return err
 	}))
 	migrations := 0
-	testHookAfterCopied = func(int) error {
+	testHookAfterCopy = func(int) error {
 		if migrations++; migrations == 2 {
-			return errors.New("injected abort after COPIED")
+			return errors.New("injected abort after the copy")
 		}
 		return nil
 	}
 	err := st.Rebalance(4)
-	testHookAfterCopied = nil
+	testHookAfterCopy = nil
 	if err == nil || !strings.Contains(err.Error(), "injected abort") {
 		t.Fatalf("first rebalance err = %v", err)
 	}
@@ -477,8 +477,8 @@ func durabilityEndOfRun(t *testing.T, cfg Config, inDoubt bool) string {
 	// The checkpoint truncates the logs: the followers take everything
 	// before it first.
 	j.phase1(t, st, func() {
-		for _, l := range []*wal.Log{st.partList()[0].log, st.partList()[1].log, st.coordLog} {
-			must(t, l.Sync())
+		for _, p := range st.partList() {
+			must(t, p.log.Sync())
 		}
 		for _, f := range followers {
 			pollUntilIdle(t, f)

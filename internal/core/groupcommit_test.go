@@ -87,21 +87,8 @@ func recoveredKeys(t *testing.T, dir string, parts int) map[int64]bool {
 // bytes into dst, mid-write races and all — exactly what a crash preserves.
 // Reading while the engine appends may capture a torn final frame, which is
 // the torn-tail case recovery must drop.
-//
-// The coordinator log is copied FIRST: a decision record present in the
-// copy was forced before any partition log was read, and every PREPARE it
-// covers was forced before the decision — so the copy can never hold a
-// decision whose prepared legs it misses. (Copying it last could: a
-// transaction preparing after a partition's copy and deciding before the
-// coordinator's would recover half-applied, a state no single-instant
-// crash produces.)
 func copyDurableState(t *testing.T, src, dst string, parts int) {
 	t.Helper()
-	if data, err := os.ReadFile(wal.CoordPath(src)); err == nil {
-		if err := os.WriteFile(wal.CoordPath(dst), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 	for i := 0; i < parts; i++ {
 		logPath, _ := wal.PartitionPaths(src, i)
 		dstLog, _ := wal.PartitionPaths(dst, i)

@@ -90,8 +90,8 @@ func TestMPInDoubtLegAbortedOnRecovery(t *testing.T) {
 }
 
 // TestMPDecidedLegCompletedOnRecovery kills the store after the commit
-// decision is durable but before the legs applied: every partition log
-// ends with a PREPARE, and the coordinator log holds DECIDE-commit.
+// decision is durable but before the legs applied: partition 0's log ends
+// with a PREPARE, and partition 1's leg is followed by its DECIDE marker.
 // Recovery must complete the transaction on every partition.
 func TestMPDecidedLegCompletedOnRecovery(t *testing.T) {
 	const parts = 2
@@ -111,9 +111,8 @@ func TestMPDecidedLegCompletedOnRecovery(t *testing.T) {
 	logPath1, _ := wal.PartitionPaths(dir, 1)
 	appendRecords(t, logPath0, &pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 7,
 		Ops: []pe.LoggedOp{putOp(500, 1), putOp(501, 2)}})
-	appendRecords(t, logPath1, &pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 7,
-		Ops: []pe.LoggedOp{putOp(600, 3)}})
-	appendRecords(t, wal.CoordPath(dir),
+	appendRecords(t, logPath1,
+		&pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 7, Ops: []pe.LoggedOp{putOp(600, 3)}},
 		&pe.LogRecord{Kind: pe.RecDecide, MPTxnID: 7, Commit: true})
 	// A decision for a DIFFERENT transaction must not resurrect leg 99.
 	appendRecords(t, logPath0, &pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 99,

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"os"
+	"path/filepath"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,9 +26,9 @@ import (
 //   - Read-only legs release their worker at PREPARE with no forces; a
 //     transaction with exactly one writing leg commits one-phase, with no
 //     coordinator decision record at all.
-//   - Batched forces keep the crash contract: a torn coord.log tail (a
-//     batched DECIDE force caught mid-write) presumed-aborts its
-//     transaction; a one-phase commit recovers from the participant's
+//   - Batched forces keep the crash contract: a torn marker at a partition
+//     log's tail (a batched DECIDE force caught mid-write) presumed-aborts
+//     its transaction; a one-phase commit recovers from the participant's
 //     DECIDE marker alone.
 //
 // Publication ordering (assert with -race): commit effects of an MP
@@ -197,12 +199,15 @@ func TestMPConflictingSetsSerializeWithoutDeadlock(t *testing.T) {
 	}
 }
 
-// TestMPCommitWritesNoCoordRecord pins the commit rule: a transaction's
-// DECIDE markers in its writing legs' own logs are its commit records, at
-// any leg count, so a two-writer commit leaves coord.log as it was and puts
-// one marker in each participant log. A leg that only read votes yes and
-// releases at PREPARE (MPReadOnlyLegs), and a transaction left with exactly
-// one writing leg commits one-phase (MPOnePhase).
+// TestMPCommitWritesNoCoordRecord pins the commit rule and what a
+// durability directory holds. A transaction's DECIDE markers in its writing
+// legs' own logs are its commit records, at any leg count, so a two-writer
+// commit puts one marker in each participant log. A leg that only read
+// votes yes and releases at PREPARE (MPReadOnlyLegs), and a transaction
+// left with exactly one writing leg commits one-phase (MPOnePhase). After
+// those, a pause, a rebalance, a checkpoint and a stop, the directory holds
+// the PARTITIONS stamp and one command.log / snapshot.bin pair per
+// partition, and nothing store-wide.
 func TestMPCommitWritesNoCoordRecord(t *testing.T) {
 	const parts = 2
 	dir := t.TempDir()
@@ -210,21 +215,10 @@ func TestMPCommitWritesNoCoordRecord(t *testing.T) {
 	if err := st.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer st.Stop()
-
-	coordSize := func() int64 {
-		fi, err := os.Stat(wal.CoordPath(dir))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fi.Size()
-	}
 	k0s := keysOwnedBy(st, 0, 4, 40000)
 	k1s := keysOwnedBy(st, 1, 4, 40000)
 
-	// Two writing legs: a marker in each partition log, nothing in
-	// coord.log.
-	base := coordSize()
+	// Two writing legs: a marker in each partition log.
 	err := st.MultiPartitionTxn(func(tx *MPTxn) error {
 		for _, k := range []int64{k0s[0], k1s[0]} {
 			owner := st.partitionFor(types.NewInt(k))
@@ -237,9 +231,6 @@ func TestMPCommitWritesNoCoordRecord(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := coordSize(); got != base {
-		t.Fatalf("a two-writer commit grew coord.log from %d to %d bytes", base, got)
 	}
 	for i, p := range st.partList() {
 		if err := p.log.Sync(); err != nil {
@@ -261,8 +252,7 @@ func TestMPCommitWritesNoCoordRecord(t *testing.T) {
 	}
 
 	// One writing leg + one read-only leg, three times over: the reader
-	// releases at PREPARE, the writer commits one-phase, coord.log is
-	// untouched.
+	// releases at PREPARE, the writer commits one-phase.
 	before := st.Metrics().Snapshot()
 	for i := 1; i <= 3; i++ {
 		err := st.MultiPartitionTxn(func(tx *MPTxn) error {
@@ -286,9 +276,6 @@ func TestMPCommitWritesNoCoordRecord(t *testing.T) {
 	if d[metrics.MPOnePhase] != 3 {
 		t.Fatalf("MPOnePhase delta = %d, want 3", d[metrics.MPOnePhase])
 	}
-	if got := coordSize(); got != base {
-		t.Fatalf("one-phase commits grew coord.log from %d to %d bytes", base, got)
-	}
 
 	// Fully read-only coordinated transaction: both legs release at
 	// PREPARE, nothing forced anywhere.
@@ -308,8 +295,35 @@ func TestMPCommitWritesNoCoordRecord(t *testing.T) {
 	if d[metrics.MPReadOnlyLegs] != 2 {
 		t.Fatalf("read-only txn MPReadOnlyLegs delta = %d, want 2", d[metrics.MPReadOnlyLegs])
 	}
-	if got := coordSize(); got != base {
-		t.Fatalf("read-only transaction grew coord.log from %d to %d bytes", base, got)
+
+	if err := st.PauseDataflow("feed"); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Rebalance(4); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{partitionsFileName}
+	for i := 0; i < 4; i++ {
+		logPath, snapPath := wal.PartitionPaths(dir, i)
+		want = append(want, filepath.Base(logPath), filepath.Base(snapPath))
+	}
+	sort.Strings(want)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		got = append(got, e.Name())
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("durability directory holds %v, want %v", got, want)
 	}
 }
 
@@ -352,10 +366,10 @@ func TestMPOnePhaseCommitRecovered(t *testing.T) {
 	}
 }
 
-// TestMPTornCoordDecideTailPresumedAborts tears the last coord.log record
-// in half — a batched DECIDE force caught by the crash mid-write. Recovery
-// must drop the torn tail and presume-abort that transaction, while the
-// intact decision before it still commits.
+// TestMPTornCoordDecideTailPresumedAborts tears the last record of a
+// partition log in half — a DECIDE marker's force caught by the crash
+// mid-write. Recovery must drop the torn tail and presume-abort that
+// transaction, while the intact marker before it still commits.
 func TestMPTornCoordDecideTailPresumedAborts(t *testing.T) {
 	const parts = 2
 	dir := t.TempDir()
@@ -372,31 +386,30 @@ func TestMPTornCoordDecideTailPresumedAborts(t *testing.T) {
 
 	logPath0, _ := wal.PartitionPaths(dir, 0)
 	logPath1, _ := wal.PartitionPaths(dir, 1)
-	// Transaction 7: prepared on both partitions, decision intact.
+	// Transaction 7: prepared on both partitions, marker intact.
 	appendRecords(t, logPath0, &pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 7,
 		Ops: []pe.LoggedOp{putOp(500, 1)}})
-	appendRecords(t, logPath1, &pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 7,
-		Ops: []pe.LoggedOp{putOp(600, 2)}})
-	appendRecords(t, wal.CoordPath(dir),
+	appendRecords(t, logPath1,
+		&pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 7, Ops: []pe.LoggedOp{putOp(600, 2)}},
 		&pe.LogRecord{Kind: pe.RecDecide, MPTxnID: 7, Commit: true})
-	// Transaction 99: prepared on both partitions, decision TORN — the
+	// Transaction 99: prepared on both partitions, marker TORN — the
 	// crash hit while the batched force was writing the record.
 	appendRecords(t, logPath0, &pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 99,
 		Ops: []pe.LoggedOp{putOp(700, 3)}})
 	appendRecords(t, logPath1, &pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 99,
 		Ops: []pe.LoggedOp{putOp(800, 4)}})
-	fi, err := os.Stat(wal.CoordPath(dir))
+	fi, err := os.Stat(logPath1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	whole := fi.Size()
-	appendRecords(t, wal.CoordPath(dir),
+	appendRecords(t, logPath1,
 		&pe.LogRecord{Kind: pe.RecDecide, MPTxnID: 99, Commit: true})
-	fi, err = os.Stat(wal.CoordPath(dir))
+	fi, err = os.Stat(logPath1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(wal.CoordPath(dir), whole+(fi.Size()-whole)/2); err != nil {
+	if err := os.Truncate(logPath1, whole+(fi.Size()-whole)/2); err != nil {
 		t.Fatal(err)
 	}
 

@@ -16,23 +16,23 @@ import (
 // running store to a larger partition count and migrates slots to their
 // canonical owners one at a time, under live load. The protocol per slot:
 //
-//   1. BEGIN     — a RecSlotBegin record marks the migration in the
-//                  coordinator log (crash before COMMIT = presumed aborted).
-//   2. Copy      — the slot's rows are read from an MVCC snapshot of the
+//   1. Copy      — the slot's rows are read from an MVCC snapshot of the
 //                  source (pinned at S1; writers keep running) and staged on
 //                  the destination (StageInsert: in the heap, in no index,
 //                  visible at no sequence), in chunks on the destination's
-//                  worker so its single-mutator invariant holds.
-//   3. COPIED    — a RecSlotCopied record marks the bulk copy done.
-//   4. Cutover   — under the routing fence (routingMu) and an all-partition
+//                  worker so its single-mutator invariant holds. Nothing is
+//                  logged: a crash before the commit record presumes the
+//                  move aborted.
+//   2. Cutover   — under the routing fence (routingMu) and an all-partition
 //                  barrier: catch up the writes between S1 and the barrier
 //                  (DeltaScan), precheck constraints, force the staged rows
-//                  as a prepared leg into the destination's log, append
-//                  RecSlotCommit to the coordinator log (the commit point —
-//                  it doubles as the prepared leg's decision), flip the
-//                  staged rows live, MVCC-delete the source copies, and
-//                  publish the new slot table plus both partitions' commit
-//                  sequences in one seqMu write window.
+//                  as a prepared leg into the destination's log together
+//                  with RecSlotCommit (the commit point — it doubles as the
+//                  leg's decision), append the same record unforced to the
+//                  source's log (for its followers), flip the staged rows
+//                  live, MVCC-delete the source copies, and publish the new
+//                  slot table plus both partitions' commit sequences in one
+//                  seqMu write window.
 //
 // The barrier is entered only after every request already routed to the
 // source has drained: routing fast paths resolve-and-enqueue under
@@ -52,11 +52,11 @@ import (
 // so the copy phase never parks the destination for long.
 const migrateChunk = 512
 
-// testHookAfterCopied, when set, runs after a migration's COPIED record is
-// durable and before the cutover fence is taken. Returning an error aborts
-// the migration with its staged rows dropped — the crash-recovery tests
-// use it to strand a BEGIN/COPIED pair without a COMMIT.
-var testHookAfterCopied func(slot int) error
+// testHookAfterCopy, when set, runs after a migration's bulk copy and
+// before the cutover fence is taken. Returning an error aborts the
+// migration with its staged rows dropped — the crash-recovery tests use it
+// to strand a copied slot without a commit record.
+var testHookAfterCopy func(slot int) error
 
 // Rebalance grows the store to target partitions online: new partition
 // workers are added at runtime (synced to the Schema, procedures and
@@ -95,13 +95,6 @@ func (s *Store) Rebalance(target int) error {
 	}
 	for _, mv := range s.slots.Load().Moves(target) {
 		if err := s.migrateSlot(mv.Slot, mv.From, mv.To); err != nil {
-			return err
-		}
-	}
-	if s.cfg.Dir != "" {
-		// The table now equals the canonical assignment for target; stamp it
-		// so a restart that beats the next checkpoint can cross-check it.
-		if err := wal.WriteSlots(s.dir, wal.SlotsPath(s.cfg.Dir), s.slots.Load()); err != nil {
 			return err
 		}
 	}
@@ -203,11 +196,8 @@ func (s *Store) addPartitions(target int) error {
 	extended := make([]*partition, 0, target)
 	extended = append(extended, parts...)
 	extended = append(extended, added...)
-	ns := s.slots.Load().Clone()
-	ns.Parts = target
 	s.seqMu.Lock()
 	s.partsPtr.Store(&extended)
-	s.slots.Store(ns)
 	for _, np := range added {
 		np.cat.Clock().Publish()
 	}
@@ -248,22 +238,14 @@ func (s *Store) rehomePartials(src, dst *partition, slot int) error {
 }
 
 // migrateSlot moves one slot's rows from partition from to partition to
-// with the BEGIN / copy / COPIED / cutover protocol described at the top
-// of this file. Only the cutover pauses the store, and only for the delta.
+// with the copy / cutover protocol described at the top of this file. Only
+// the cutover pauses the store, and only for the delta.
 func (s *Store) migrateSlot(slot, from, to int) error {
 	parts := s.partList()
 	src, dst := parts[from], parts[to]
 	rels := migratedRels(src.cat)
 
 	id := s.nextMPTxnID.Add(1)
-
-	// mark forces one step of this migration into the coordinator log.
-	mark := func(kind pe.RecordKind) error {
-		return s.appendCoord(&pe.LogRecord{Kind: kind, Slot: slot, FromPart: from, ToPart: to, MPTxnID: id})
-	}
-	if err := mark(pe.RecSlotBegin); err != nil {
-		return err
-	}
 
 	// staged maps, per table, the source RowID of every copied row to its
 	// staged destination RowID, so catch-up can unstage rows that died
@@ -334,11 +316,7 @@ func (s *Store) migrateSlot(slot, from, to int) error {
 		}
 	}
 
-	if err := mark(pe.RecSlotCopied); err != nil {
-		abort()
-		return err
-	}
-	if hook := testHookAfterCopied; hook != nil {
+	if hook := testHookAfterCopy; hook != nil {
 		if err := hook(slot); err != nil {
 			abort()
 			return err
@@ -398,27 +376,33 @@ func (s *Store) migrateSlot(slot, from, to int) error {
 			ops = append(ops, pe.LoggedOp{Table: rel.Name, Rows: dstTable.StagedRows()})
 		}
 		// The staged images become a prepared leg in the destination's
-		// log, forced durable before the commit point; RecSlotCommit in
-		// the coordinator log doubles as its commit decision. The leg is
-		// written even when empty: a destination can re-own a slot it held
-		// in an earlier epoch, and the leg's replay is what evicts the
-		// stale rows its own log re-creates — including when every row of
-		// the slot died while it lived elsewhere. Like a router write's,
-		// the leg names AdHocProc and fires no PE trigger at replay: the
-		// stream tuples it moves start nothing live either.
-		if err := dst.force(&pe.LogRecord{Kind: pe.RecPrepare, Proc: pe.AdHocProc, MPTxnID: id, Ops: ops}); err != nil {
+		// log, forced with the RecSlotCommit that decides it: the move is
+		// decided once that force is durable. The leg is written even when
+		// empty: a destination can re-own a slot it held in an earlier
+		// epoch, and the leg's replay is what evicts the stale rows its
+		// own log re-creates — including when every row of the slot died
+		// while it lived elsewhere. Like a router write's, the leg names
+		// AdHocProc and fires no PE trigger at replay: the stream tuples
+		// it moves start nothing live either. The source's copy of the
+		// commit record follows every record that wrote the slot there,
+		// so a follower evicts the slot on it; recovery never needs it,
+		// so it is not forced.
+		commit := &pe.LogRecord{Kind: pe.RecSlotCommit, Slot: slot, FromPart: from, ToPart: to, MPTxnID: id}
+		if err := dst.force(&pe.LogRecord{Kind: pe.RecPrepare, Proc: pe.AdHocProc, MPTxnID: id, Ops: ops}, commit); err != nil {
 			return err
 		}
-		if err := mark(pe.RecSlotCommit); err != nil {
-			return err
+		if src.log != nil {
+			if _, err := src.Append(commit, false); err != nil {
+				return err
+			}
 		}
 		for _, rel := range rels {
 			moved += dst.cat.Relation(rel.Name).Table.CommitStaged()
 		}
 		// Source deletes are in-memory MVCC kills: readers pinned before the
 		// publication window below keep seeing the old versions, and the
-		// slot-commit record (plus the applier's eviction at finish) is what makes
-		// the removal durable.
+		// slot-commit record (the applier's eviction at finish) is what
+		// makes the removal durable.
 		if err := evictSlots(rels, func(sl int) bool { return sl == slot }); err != nil {
 			return err
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/crashfs"
 	"repro/internal/metrics"
 	"repro/internal/pe"
 	"repro/internal/storage"
@@ -61,7 +62,7 @@ func TestRebalanceLive(t *testing.T) {
 	defer pin.Release()
 	pinned := func(q string, p ...types.Value) (*pe.Result, error) { return st.QueryPinned(pin, q, p...) }
 	midMigration := 0
-	testHookAfterCopied = func(slot int) error {
+	testHookAfterCopy = func(slot int) error {
 		midMigration++
 		for k := int64(0); k < 16; k++ {
 			for _, query := range []func(string, ...types.Value) (*pe.Result, error){st.Query, pinned} {
@@ -77,7 +78,7 @@ func TestRebalanceLive(t *testing.T) {
 		return nil
 	}
 	err := st.Rebalance(4)
-	testHookAfterCopied = nil
+	testHookAfterCopy = nil
 	if err != nil || midMigration == 0 {
 		t.Fatalf("rebalance: %v, read mid-migration %d times", err, midMigration)
 	}
@@ -195,12 +196,11 @@ func TestRebalanceCrashBetweenCopiedAndCommit(t *testing.T) {
 	ingestKeys(t, st, 12, 2)
 	want := totals(t, st)
 
-	// Abort the first migration after its COPIED record is durable: the
-	// coordinator log keeps a BEGIN/COPIED pair with no COMMIT, the exact
-	// state a crash in that window leaves behind.
-	testHookAfterCopied = func(slot int) error { return fmt.Errorf("injected crash after COPIED") }
+	// Abort the first migration after its bulk copy: no log holds its
+	// commit record, the exact state a crash in that window leaves behind.
+	testHookAfterCopy = func(slot int) error { return fmt.Errorf("injected crash after the copy") }
 	err := st.Rebalance(4)
-	testHookAfterCopied = nil
+	testHookAfterCopy = nil
 	if err == nil || !strings.Contains(err.Error(), "injected crash") {
 		t.Fatalf("rebalance err = %v", err)
 	}
@@ -233,58 +233,122 @@ func TestRebalanceCrashBetweenCopiedAndCommit(t *testing.T) {
 }
 
 // TestSlotMigrationLegDurableBeforeCommit: under SyncNever a migration's
-// prepared leg is still forced to disk before the coordinator log takes
-// RecSlotCommit, because recovery hands the slot to the destination (and
-// evicts it everywhere else) on the commit record alone. A recording file
-// system follows Rebalance(2→4) and then a sync of the coordinator log,
-// which stands in for the OS writing that log back on its own. The
-// directory a crash leaves after any of those operations, in every image
-// variant, must reopen at four partitions with every row — all
-// checkpointed before the rebalance — on its canonical owner.
+// prepared leg and its RecSlotCommit are still forced into the
+// destination's log, together, because recovery hands the slot to the
+// destination (and evicts it everywhere else) on the commit record alone.
+// A recording file system follows growths ended by a Checkpoint, which must
+// make every log durable and write every snapshot before it truncates any
+// log: recovery folds the slot moves of every log a crash left untruncated.
+//
+// The first case is Rebalance(2→3), which moves slots both to a lower and
+// to a higher partition index. A destination's truncated log would
+// otherwise drop the commit record a source still recovering from its old
+// snapshot needs.
+//
+// The second case is Rebalance(2→3) and then Rebalance(3→4), which moves a
+// slot back to the lower index it left and is aborted right after, so
+// nothing forces the higher partition's log after the unforced source copy
+// of that move's commit record. Were that copy lost once the lower
+// partition's log is truncated, recovery would fold only the first move and
+// evict the slot from the one snapshot that holds it.
+//
+// The directory a crash leaves after any operation of the first case's
+// growth and checkpoint, or of the second case's second growth and
+// checkpoint, in every image variant, must reopen with every row on its
+// canonical owner.
 func TestSlotMigrationLegDurableBeforeCommit(t *testing.T) {
-	dir := t.TempDir()
-	st := buildPartApp(t, Config{Dir: dir, Partitions: 2, Sync: wal.SyncNever})
-	fsys := recordStore(t, st)
-	if err := st.Start(); err != nil {
-		t.Fatal(err)
+	// start opens a two-partition store on a recording file system with
+	// rows in every slot of slots, checkpointed.
+	start := func(slots ...int) (*Store, *crashfs.FS, map[int64]int64) {
+		st := buildPartApp(t, Config{Dir: t.TempDir(), Partitions: 2, Sync: wal.SyncNever})
+		fsys := recordStore(t, st)
+		if err := st.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Stop() })
+		ingestKeys(t, st, 12, 2)
+		for _, slot := range slots {
+			k := int64(0)
+			for catalog.SlotOf(types.NewInt(k)) != slot {
+				k++
+			}
+			if err := st.Ingest("events", types.Row{types.NewInt(k), types.NewInt(1)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st.FlushBatches()
+		st.Drain()
+		want := totals(t, st)
+		if err := st.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		return st, fsys, want
 	}
-	defer st.Stop()
-	ingestKeys(t, st, 12, 2)
+	recovers := func(partitions int, want map[int64]int64) func(string, int) error {
+		return func(img string, _ int) error {
+			st2 := buildPartApp(t, Config{Dir: img, Partitions: partitions, Sync: wal.SyncNever})
+			if err := st2.Start(); err != nil {
+				return err
+			}
+			defer st2.Stop()
+			if got := totals(t, st2); fmt.Sprint(got) != fmt.Sprint(want) {
+				return fmt.Errorf("recovered totals = %v want %v", got, want)
+			}
+			return misplacedRows(st2)
+		}
+	}
+
+	two := catalog.NewSlotTable(2)
+	moves := two.Moves(3)
+	if moves[0].To < moves[0].From || moves[1].To > moves[1].From {
+		t.Fatalf("moves %v do not go both ways", moves[:2])
+	}
+	// back is the first slot the second growth returns to the lower index
+	// it owned before the first; the move after it is aborted.
+	again := catalog.NewSlotTable(3).Moves(4)
+	back, abortAt := -1, -1
+	for i, mv := range again[:len(again)-1] {
+		if mv.To < mv.From && int(two.Owner[mv.Slot]) == mv.To {
+			back, abortAt = mv.Slot, again[i+1].Slot
+			break
+		}
+	}
+	if back < 0 {
+		t.Fatal("no slot moves there and back")
+	}
+
 	// The last slot to move gets a row too: nothing after its cutover
 	// flushes the destination's log on its own account.
-	moves := st.slots.Load().Moves(4)
-	last := moves[len(moves)-1].Slot
-	k := int64(0)
-	for catalog.SlotOf(types.NewInt(k)) != last {
-		k++
-	}
-	if err := st.Ingest("events", types.Row{types.NewInt(k), types.NewInt(1)}); err != nil {
+	st, fsys, want := start(moves[len(moves)-1].Slot)
+	from := fsys.Len()
+	if err := st.Rebalance(3); err != nil {
 		t.Fatal(err)
 	}
-	st.FlushBatches()
-	st.Drain()
-	want := totals(t, st)
 	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	from := fsys.Len()
-	if err := st.Rebalance(4); err != nil {
+	eachCrashImage(t, fsys, crashPoints(from, fsys.Len()), recovers(3, want))
+
+	st, fsys, want = start(back)
+	if err := st.Rebalance(3); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.coordLog.Sync(); err != nil {
+	from = fsys.Len()
+	testHookAfterCopy = func(slot int) error {
+		if slot == abortAt {
+			return fmt.Errorf("injected crash after slot %d's copy", slot)
+		}
+		return nil
+	}
+	err := st.Rebalance(4)
+	testHookAfterCopy = nil
+	if err == nil || !strings.Contains(err.Error(), "injected crash") {
+		t.Fatalf("rebalance err = %v", err)
+	}
+	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	eachCrashImage(t, fsys, crashPoints(from, fsys.Len()), func(img string, _ int) error {
-		st2 := buildPartApp(t, Config{Dir: img, Partitions: 4, Sync: wal.SyncNever})
-		if err := st2.Start(); err != nil {
-			return err
-		}
-		defer st2.Stop()
-		if got := totals(t, st2); fmt.Sprint(got) != fmt.Sprint(want) {
-			return fmt.Errorf("recovered totals = %v want %v", got, want)
-		}
-		return misplacedRows(st2)
-	})
+	eachCrashImage(t, fsys, crashPoints(from, fsys.Len()), recovers(4, want))
 }
 
 // TestNullPartitionKeyDefault pins the routing contract for NULL partition

@@ -1,12 +1,12 @@
 package core
 
 // This file is the socket feed of the log applier (applier.go): a follower
-// replica tails each partition segment plus the coordinator log of a
-// primary, hands the hardened records to the same applier crash recovery
-// uses, and serves snapshot SELECTs from the replayed state. What is left
-// here is what only a follower has: cursors into streams that have not
-// ended yet, fetching, lag accounting, read sessions, and the decision to
-// declare the streams final (Promote).
+// replica tails each partition segment of a primary, hands the hardened
+// records to the same applier crash recovery uses, and serves snapshot
+// SELECTs from the replayed state. What is left here is what only a
+// follower has: cursors into streams that have not ended yet, fetching,
+// lag accounting, read sessions, and the decision to declare the streams
+// final (Promote).
 //
 // Known limits, by design: a follower must attach before the primary's
 // first checkpoint (truncation discards the log prefix a late follower
@@ -15,10 +15,9 @@ package core
 // reports the first slot move it has no partition for; re-seed a wider
 // follower); cross-partition reads on a follower see each partition's
 // prefix at an independent point (per-partition consistent prefix, not a
-// cross-partition atomic cut), and a slot migrated on the primary is
-// visible on both its old and its new partition until promotion evicts the
-// source copy; and a promoted store runs non-durable (its state was never
-// logged locally) — re-point clients and schedule a re-seeded standby.
+// cross-partition atomic cut); and a promoted store runs non-durable (its
+// state was never logged locally) — re-point clients and schedule a
+// re-seeded standby.
 
 import (
 	"errors"
@@ -32,10 +31,6 @@ import (
 	"repro/internal/types"
 	"repro/internal/wal"
 )
-
-// CoordStream is the pseudo-partition index of the coordinator log in the
-// replication protocol (partition streams use their real index ≥ 0).
-const CoordStream = -1
 
 // ReplBatch is one fetch's worth of shipped WAL: the intact frames past the
 // follower's position and the segment's current horizon LSN (for lag
@@ -62,24 +57,19 @@ func (s StoreSource) FetchBatch(part int, afterLSN uint64, maxBytes int) (ReplBa
 	return s.St.ReplicationBatch(part, afterLSN, maxBytes)
 }
 
-// ReplicationBatch reads hardened WAL frames for one partition stream
-// (CoordStream for the coordinator log) past afterLSN. It reads the segment
-// file directly rather than hooking the log writer: the read is race-free
-// against Stop, ships only what an fsync made real, and keeps working after
-// the primary process died — which is exactly when a promoting follower
-// drains the tail.
+// ReplicationBatch reads hardened WAL frames for one partition stream past
+// afterLSN. It reads the segment file directly rather than hooking the log
+// writer: the read is race-free against Stop, ships only what an fsync made
+// real, and keeps working after the primary process died — which is
+// exactly when a promoting follower drains the tail.
 func (s *Store) ReplicationBatch(part int, afterLSN uint64, maxBytes int) (ReplBatch, error) {
 	if s.cfg.Dir == "" {
 		return ReplBatch{}, fmt.Errorf("core: replication requires a durable primary (no Dir configured)")
 	}
-	var path string
-	if part == CoordStream {
-		path = wal.CoordPath(s.cfg.Dir)
-	} else if part < 0 || part >= len(s.partList()) {
+	if part < 0 || part >= len(s.partList()) {
 		return ReplBatch{}, fmt.Errorf("core: replication fetch for partition %d of %d", part, len(s.partList()))
-	} else {
-		path, _ = wal.PartitionPaths(s.cfg.Dir, part)
 	}
+	path, _ := wal.PartitionPaths(s.cfg.Dir, part)
 	frames, end, err := wal.ReadFrames(path, afterLSN, maxBytes)
 	if err != nil {
 		return ReplBatch{}, err
@@ -124,7 +114,7 @@ type FollowerOpts struct {
 // replStream is one shipped log's cursor state. Owned by the apply
 // goroutine except applied, which readers poll for session waits.
 type replStream struct {
-	part    int           // partition index, or CoordStream
+	part    int           // partition index
 	fetched uint64        // last LSN buffered from the source
 	applied atomic.Uint64 // last LSN applied (or resolved) into storage
 	horizon uint64        // last LSN known present in the segment
@@ -151,8 +141,7 @@ type Follower struct {
 
 	// Owned by the apply goroutine, then by Promote once it has joined it.
 	ap      *applier
-	streams []*replStream // the coordinator stream, then one per partition
-	parts   []*replStream // streams[1:]
+	streams []*replStream // one per partition
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -184,18 +173,16 @@ func NewFollower(st *Store, src ReplicationSource, opts FollowerOpts) (*Follower
 		opts.ReadTimeout = 5 * time.Second
 	}
 	f := &Follower{
-		st:      st,
-		src:     src,
-		opts:    opts,
-		ap:      newApplier(st),
-		streams: []*replStream{{part: CoordStream}},
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		st:   st,
+		src:  src,
+		opts: opts,
+		ap:   newApplier(st),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 	for _, p := range st.partList() {
 		f.streams = append(f.streams, &replStream{part: p.idx})
 	}
-	f.parts = f.streams[1:]
 	return f, nil
 }
 
@@ -299,9 +286,8 @@ func (f *Follower) run() {
 // whether any frame was buffered or applied, plus the last fetch error
 // (heartbeat signal). Decode, fold and replay failures set the sticky error.
 func (f *Follower) pollOnce() (progress bool, fetchErr error) {
-	// Coordinator stream first: its slot commits unblock stalled partitions
-	// in the same round. A marker folded from a later partition's stream
-	// unblocks an earlier one in the next round.
+	// A marker folded from a later partition's stream unblocks an earlier
+	// one in the next round.
 	for _, strm := range f.streams {
 		batch, err := f.src.FetchBatch(strm.part, strm.fetched, f.opts.MaxBatchBytes)
 		if err != nil {
@@ -317,11 +303,7 @@ func (f *Follower) pollOnce() (progress bool, fetchErr error) {
 				f.setErr(fmt.Errorf("core: replicated record at LSN %d (stream %d): %w", fr.LSN, strm.part, err))
 				return progress, fetchErr
 			}
-			if strm.part == CoordStream {
-				strm.applied.Store(fr.LSN) // the fold consumed it; nothing to apply
-			} else {
-				strm.pending = append(strm.pending, pendingRec{lsn: fr.LSN, rec: rec})
-			}
+			strm.pending = append(strm.pending, pendingRec{lsn: fr.LSN, rec: rec})
 			strm.fetched = fr.LSN
 			progress = true
 		}
@@ -339,7 +321,7 @@ func (f *Follower) pollOnce() (progress bool, fetchErr error) {
 	return progress, fetchErr
 }
 
-// drainPending applies a partition stream's buffered records in log order,
+// drainPending applies a stream's buffered records in log order,
 // stopping where the applier stalls.
 func (f *Follower) drainPending(strm *replStream, final bool) (applied bool, err error) {
 	for len(strm.pending) > 0 {
@@ -427,7 +409,7 @@ func (f *Follower) Promote() (*Store, error) {
 // slots already sit on their new owners, so unlike recovery nothing is
 // rehomed.
 func (f *Follower) settle() error {
-	for _, strm := range f.parts {
+	for _, strm := range f.streams {
 		if _, err := f.drainPending(strm, true); err != nil {
 			return err
 		}
@@ -464,8 +446,8 @@ func (f *Follower) query(min []uint64, sqlText string, params []types.Value) (*p
 	f.st.met.Add(metrics.FollowerReads, 1)
 	// Applied LSNs are stored after each record's publish, so state applied
 	// up to this vector is visible to the cut acquired below.
-	seen := make([]uint64, len(f.parts))
-	for i, strm := range f.parts {
+	seen := make([]uint64, len(f.streams))
+	for i, strm := range f.streams {
 		seen[i] = strm.applied.Load()
 	}
 	res, err := f.st.readLatest(false, sel, sqlText, params)
@@ -481,12 +463,12 @@ func (f *Follower) waitApplied(min []uint64) error {
 	if len(min) == 0 {
 		return nil
 	}
-	if len(min) > len(f.parts) {
-		return fmt.Errorf("core: session LSN vector has %d partitions, follower has %d", len(min), len(f.parts))
+	if len(min) > len(f.streams) {
+		return fmt.Errorf("core: session LSN vector has %d partitions, follower has %d", len(min), len(f.streams))
 	}
 	deadline := time.Now().Add(f.opts.ReadTimeout)
 	for i, want := range min {
-		strm := f.parts[i]
+		strm := f.streams[i]
 		for strm.applied.Load() < want {
 			if err := f.Err(); err != nil {
 				return err

@@ -199,16 +199,15 @@ func TestFollowerStallsInDoubtPrepare(t *testing.T) {
 
 	// Hand-crafted crash state. Partition 0: an in-doubt PREPARE (txn 99,
 	// key 777 — no decision anywhere) followed by a decided PREPARE (txn
-	// 101, key 887). Partition 1: txn 101's other leg (key 888). The
-	// coordinator log holds the commit decision for 101 only.
+	// 101, key 887). Partition 1: txn 101's other leg (key 888) and its
+	// commit marker, the only decision anywhere.
 	logPath0, _ := wal.PartitionPaths(dir, 0)
 	logPath1, _ := wal.PartitionPaths(dir, 1)
 	appendRecords(t, logPath0,
 		&pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 99, Ops: []pe.LoggedOp{putOp(777, 777)}},
 		&pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 101, Ops: []pe.LoggedOp{putOp(887, 887)}})
 	appendRecords(t, logPath1,
-		&pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 101, Ops: []pe.LoggedOp{putOp(888, 888)}})
-	appendRecords(t, wal.CoordPath(dir),
+		&pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 101, Ops: []pe.LoggedOp{putOp(888, 888)}},
 		&pe.LogRecord{Kind: pe.RecDecide, MPTxnID: 101, Commit: true})
 
 	f := kvFollower(t, st, parts)

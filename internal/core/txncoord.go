@@ -9,7 +9,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/pe"
 	"repro/internal/types"
-	"repro/internal/wal"
 )
 
 // This file is the cross-partition transaction coordinator: a lightweight
@@ -64,8 +63,7 @@ import (
 //     each writing leg's log — the markers are the commit records: once
 //     every vote is durable, the first durable marker decides the whole
 //     transaction, whether it has one writing leg or many — and finally
-//     resolves the outcome and acks the client. Nothing is written to
-//     coord.log.
+//     resolves the outcome and acks the client.
 //
 // Successive transactions on the same partitions therefore overlap their
 // durability waits: the next coordinator enlists, executes, and appends
@@ -942,23 +940,6 @@ func (tx *MPTxn) resolveAll() error {
 func (tx *MPTxn) finishAll(commit bool) error {
 	derr := tx.deliverAll(commit)
 	return errors.Join(derr, tx.resolveAll())
-}
-
-// appendCoord forces one slot-migration record into the coordinator log.
-// Non-durable stores keep no coordinator log and skip it. Under group
-// commit the append is a waiter: it starts coord.log's fsync if none is
-// running, else it shares the next one.
-func (s *Store) appendCoord(rec *pe.LogRecord) error {
-	if s.coordLog == nil {
-		return nil
-	}
-	payload := wal.EncodeRecord(rec)
-	if _, err := s.coordLog.Append(payload); err != nil {
-		s.fail(err)
-		return err
-	}
-	s.met.ObserveLogged(len(payload))
-	return nil
 }
 
 // acquireAllSlots locks every partition's enlistment slot in ascending

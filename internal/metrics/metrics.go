@@ -44,7 +44,8 @@ const (
 	LogBytes
 	// Group-commit batching, observed rather than inferred: commit-daemon
 	// fsyncs, the records they made durable, and the appends nobody waited
-	// on (border and triggered batches), which start no fsync of their own;
+	// on (border and triggered batches, and the records of a force, which
+	// its one SyncNow makes durable), which start no fsync of their own;
 	// then how long those fsyncs took, which is what a durable commit waits
 	// for beyond its turn on the disk.
 	WalFsyncs

@@ -46,22 +46,20 @@ const (
 	// resolves in-doubt legs from the markers of every partition log; it
 	// executes nothing at replay.
 	RecDecide
-	// RecSlotBegin / RecSlotCopied / RecSlotCommit narrate one routing
-	// slot's migration in the coordinator log (they never appear in a
-	// partition log). RecSlotCommit is the atomic cutover point: it doubles
-	// as the commit decision for the migration's RecPrepare leg in the
-	// target partition's log, and recovery applies its ownership change to
-	// the slot table. A BEGIN or COPIED with no COMMIT is an interrupted
-	// migration — presumed aborted, ownership unchanged.
-	RecSlotBegin
-	RecSlotCopied
-	RecSlotCommit
+	// RecSlotCommit decides one routing slot's migration: forced into the
+	// destination's log together with the migration's RecPrepare leg, whose
+	// decision it doubles as, and appended unforced to the source's log,
+	// where a follower evicts the source's copy on it. Recovery takes slot
+	// ownership from it. It executes nothing at replay. Kinds 6 and 7 are
+	// retired; the kinds from here on keep the byte values earlier logs hold.
+	RecSlotCommit RecordKind = 8
 	// RecPauseGraph / RecResumeGraph make a dataflow's pause state durable
-	// (coordinator log only; Proc carries the graph name). Recovery replays
-	// them in order: a pause with no later resume restores the pause gate,
-	// so a paused graph does not silently resume ingesting after a crash.
-	RecPauseGraph
-	RecResumeGraph
+	// (forced into partition 0's log; Proc carries the graph name).
+	// Recovery folds them in order: a pause with no later resume restores
+	// the pause gate, so a paused graph does not silently resume ingesting
+	// after a crash. They execute nothing at replay.
+	RecPauseGraph  RecordKind = 9
+	RecResumeGraph RecordKind = 10
 )
 
 // LogRecord is one command-log entry: enough to re-execute the client
@@ -80,7 +78,7 @@ type LogRecord struct {
 	Ops     []LoggedOp // RecPrepare: the leg's writes, in execution order
 	Commit  bool       // RecDecide: true = commit
 
-	// Slot-migration fields (RecSlotBegin / RecSlotCopied / RecSlotCommit).
+	// Slot-migration fields (RecSlotCommit).
 	Slot     int
 	FromPart int
 	ToPart   int

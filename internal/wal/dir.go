@@ -136,7 +136,7 @@ func (d *Dir) Replace(path string, write func(w io.Writer) error) error {
 }
 
 // withCRC frames what write produces with a CRC-32 trailer over it, the
-// framing readChecked verifies (snapshots and the slot table).
+// framing readChecked verifies (snapshots).
 func withCRC(write func(w io.Writer) error) func(w io.Writer) error {
 	return func(w io.Writer) error {
 		crc := crc32.NewIEEE()

@@ -2,18 +2,21 @@ package wal
 
 import (
 	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/pe"
 	"repro/internal/types"
 )
 
 // TestDurableFormatsUnchanged pins the bytes of every durable file wal
-// writes — a log frame, a snapshot of two relations (one a window) and a
-// slot table — and reads each golden image back, so a directory an
-// earlier version wrote opens unchanged.
+// writes — a log frame and a snapshot of two relations (one a window) —
+// and of the records whose kinds outlived the coordinator log, and reads
+// each golden image back, so a directory an earlier version wrote opens
+// unchanged.
 func TestDurableFormatsUnchanged(t *testing.T) {
 	dir := t.TempDir()
 	d := NewDir(dir, OS)
@@ -40,6 +43,22 @@ func TestDurableFormatsUnchanged(t *testing.T) {
 	if got := read(logPath); got != goldenFrame {
 		t.Errorf("log frame is %s, want %s", got, goldenFrame)
 	}
+	for _, g := range []struct {
+		hex string
+		rec pe.LogRecord
+	}{
+		{"08000000000005010207", pe.LogRecord{Kind: pe.RecSlotCommit, Slot: 5, FromPart: 1, ToPart: 2, MPTxnID: 7}},
+		{"09016700000000", pe.LogRecord{Kind: pe.RecPauseGraph, Proc: "g"}},
+		{"0a016700000000", pe.LogRecord{Kind: pe.RecResumeGraph, Proc: "g"}},
+	} {
+		if got := hex.EncodeToString(EncodeRecord(&g.rec)); got != g.hex {
+			t.Errorf("record %+v encodes as %s, want %s", g.rec, got, g.hex)
+		}
+		b, _ := hex.DecodeString(g.hex)
+		if rec, err := DecodeRecord(b); err != nil || fmt.Sprint(*rec) != fmt.Sprint(g.rec) {
+			t.Errorf("golden record %s decodes as %+v, %v", g.hex, rec, err)
+		}
+	}
 
 	cat := goldenCatalog(t)
 	cat.Relation("st").Table.Insert(types.Row{types.NewInt(5)}, nil)
@@ -57,20 +76,9 @@ func TestDurableFormatsUnchanged(t *testing.T) {
 		t.Errorf("snapshot is %s, want %s", got, goldenSnapshot)
 	}
 
-	slots := catalog.NewSlotTable(2)
-	slots.Owner[5] = 0
-	slots.Parts = 3
-	slotsPath := SlotsPath(dir)
-	if err := WriteSlots(d, slotsPath, slots); err != nil {
-		t.Fatal(err)
-	}
-	if got := read(slotsPath); got != goldenSlots {
-		t.Errorf("slot table is %s, want %s", got, goldenSlots)
-	}
-
 	// The golden images, written by hand, read back.
 	old := t.TempDir()
-	for name, h := range map[string]string{DefaultLogName: goldenFrame, DefaultSnapshotName: goldenSnapshot, DefaultSlotsName: goldenSlots} {
+	for name, h := range map[string]string{DefaultLogName: goldenFrame, DefaultSnapshotName: goldenSnapshot} {
 		b, _ := hex.DecodeString(h)
 		if err := os.WriteFile(filepath.Join(old, name), b, 0o644); err != nil {
 			t.Fatal(err)
@@ -91,9 +99,6 @@ func TestDurableFormatsUnchanged(t *testing.T) {
 	if cat2.Relation("st").Table.Count() != 1 || w2.Table.Count() != 1 || w2.Win.Admitted != 2 ||
 		w2.Win.Watermark != 9 || w2.Win.SlideCount != 1 || w2.Win.OwnerProc != "sp" || len(w2.Win.Staged) != 1 {
 		t.Errorf("golden snapshot restored %+v", w2.Win)
-	}
-	if got, err := LoadSlots(filepath.Join(old, DefaultSlotsName)); err != nil || *got != *slots {
-		t.Errorf("golden slot table loads as %v, %v", got, err)
 	}
 }
 
@@ -117,5 +122,4 @@ func goldenCatalog(t *testing.T) *catalog.Catalog {
 const (
 	goldenFrame    = "0e00000000fcd54c2a00000000000000676f6c64656e"
 	goldenSnapshot = "515453530000000007000000000000000300000000000000020000000000000002000000000000007374010000000000000004000000000000000101020a01000000000000007702000000000000000400000000000000010102080200000000000000090000000000000001000000000000000200000000000000737004000000000000000101020cded9e764"
-	goldenSlots    = "d498cd9a0503800200010001000000010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001000100010001eaa741cd"
 )

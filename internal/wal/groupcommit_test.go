@@ -309,7 +309,7 @@ func TestUnwaitedRecordRidesNextFsync(t *testing.T) {
 // is in flight a second log's daemon waits for it, and the batch it then
 // cuts holds everything that arrived meanwhile — one fsync, not one per
 // record. (This is what keeps 2PC forces pooling across a store's
-// partition and coordinator logs, which share their Dir.)
+// partition logs, which share their Dir.)
 func TestLogsOfOneDirectoryShareTheDisk(t *testing.T) {
 	d, fsys, dir := recorded(t)
 	open := func(name string) (*wal.Log, *crashfs.Syncs, <-chan int) {

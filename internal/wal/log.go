@@ -564,18 +564,11 @@ func (s *segment) next() (lsn uint64, payload []byte, ok bool) {
 }
 
 // DefaultLogName and DefaultSnapshotName are the file names used inside a
-// durability directory. DefaultCoordLogName holds the store-wide records:
-// slot migrations and dataflow pauses.
+// durability directory.
 const (
 	DefaultLogName      = "command.log"
 	DefaultSnapshotName = "snapshot.bin"
-	DefaultCoordLogName = "coord.log"
 )
-
-// CoordPath resolves the coordinator log's location under dir.
-func CoordPath(dir string) string {
-	return filepath.Join(dir, DefaultCoordLogName)
-}
 
 // Paths resolves the standard file locations under dir.
 func Paths(dir string) (logPath, snapPath string) {

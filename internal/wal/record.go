@@ -21,14 +21,13 @@ import (
 //	            form 0 = sql str + params row, form 1 = table str + rows)
 //	RecDecide:  mpTxnID uvarint | commit u8
 //
-// The slot-migration kinds (coordinator log only) append:
+// A slot migration's commit record appends:
 //
-//	RecSlotBegin/Copied/Commit: slot uvarint | from uvarint | to uvarint |
-//	                            mpTxnID uvarint
+//	RecSlotCommit: slot uvarint | from uvarint | to uvarint | mpTxnID uvarint
 //
-// The dataflow pause kinds (RecPauseGraph / RecResumeGraph, coordinator
-// log only) carry the graph name in the proc field of the common prefix
-// and append nothing.
+// The dataflow pause kinds (RecPauseGraph / RecResumeGraph, partition 0's
+// log) carry the graph name in the proc field of the common prefix and
+// append nothing.
 func EncodeRecord(rec *pe.LogRecord) []byte {
 	buf := make([]byte, 0, 64)
 	buf = append(buf, byte(rec.Kind))
@@ -59,7 +58,7 @@ func EncodeRecord(rec *pe.LogRecord) []byte {
 		} else {
 			buf = append(buf, 0)
 		}
-	case pe.RecSlotBegin, pe.RecSlotCopied, pe.RecSlotCommit:
+	case pe.RecSlotCommit:
 		buf = binary.AppendUvarint(buf, uint64(rec.Slot))
 		buf = binary.AppendUvarint(buf, uint64(rec.FromPart))
 		buf = binary.AppendUvarint(buf, uint64(rec.ToPart))
@@ -157,7 +156,7 @@ func DecodeRecord(payload []byte) (*pe.LogRecord, error) {
 			return nil, io.ErrUnexpectedEOF
 		}
 		rec.Commit = buf[0] == 1
-	case pe.RecSlotBegin, pe.RecSlotCopied, pe.RecSlotCommit:
+	case pe.RecSlotCommit:
 		vals := make([]uint64, 4)
 		for i := range vals {
 			v, n := binary.Uvarint(buf)

@@ -58,10 +58,10 @@ const (
 	// MsgUnpinSnapshot releases the session's snapshot pin, if any.
 	MsgUnpinSnapshot
 	// MsgReplFetch is the replication channel: Params carry
-	// [partition, afterLSN, maxBytes] (partition -1 is the coordinator log)
-	// and the response's first row is the segment horizon [endLSN], followed
-	// by one [lsn, payload] row per shipped frame. A remote follower drives
-	// its apply loop with these fetches.
+	// [partition, afterLSN, maxBytes] and the response's first row is the
+	// segment horizon [endLSN], followed by one [lsn, payload] row per
+	// shipped frame. A remote follower drives its apply loop with these
+	// fetches.
 	MsgReplFetch
 )
 
