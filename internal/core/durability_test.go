@@ -461,6 +461,83 @@ func TestCheckpointBetweenVotesAndMarkers(t *testing.T) {
 	})
 }
 
+// buildAbortApp is buildPartApp's dataflow with an apply whose abort
+// depends on state: it aborts a row whose key has no totals row yet, and
+// adds to the row otherwise.
+func buildAbortApp(t testing.TB, cfg Config) *Store {
+	t.Helper()
+	st := Open(cfg)
+	must(t, st.ExecScript(partDDL))
+	must(t, st.RegisterProcedure(ingestProc()))
+	must(t, st.RegisterProcedure(&pe.Procedure{
+		Name:     "apply",
+		ReadSet:  []string{"totals"},
+		WriteSet: []string{"totals"},
+		Handler: func(ctx *pe.ProcCtx) error {
+			for _, r := range ctx.Batch {
+				res, err := ctx.Exec("UPDATE totals SET n = n + ? WHERE k = ?", r[1], r[0])
+				if err != nil {
+					return err
+				}
+				if res.RowsAffected == 0 {
+					return ctx.Abort("no totals row")
+				}
+			}
+			return nil
+		},
+	}))
+	must(t, st.Deploy(eventsDF()))
+	return st
+}
+
+// TestLiveInteriorAbortStaysAborted: a border batch's two apply stages
+// abort live (no totals row), then an ad-hoc insert creates the row they
+// needed. Recovery must not run them after that insert: under LogAllTEs
+// their RecAborted records drop them, under LogBorderOnly replay re-derives
+// them where they ran. Every crash point in every variant recovers one of
+// the three states the run passed through, and a clean stop the last.
+func TestLiveInteriorAbortStaysAborted(t *testing.T) {
+	for _, mn := range []string{"border", "all"} {
+		t.Run(mn, func(t *testing.T) {
+			cfg := Config{Dir: t.TempDir(), Partitions: 1, Sync: wal.SyncGroupCommit, LogMode: logModes[mn]}
+			st := buildAbortApp(t, cfg)
+			fsys := recordStore(t, st)
+			must(t, st.Start())
+			must(t, st.Ingest("events", types.Row{types.NewInt(1), types.NewInt(5)}, types.Row{types.NewInt(1), types.NewInt(5)}))
+			st.Drain()
+			if _, err := st.Exec("INSERT INTO totals (k, n) VALUES (1, 0)"); err != nil {
+				t.Fatal(err)
+			}
+			state := func(st *Store) string {
+				return fmt.Sprint(st.partList()[0].cat.Relation("totals").Table.ScanRows(), " ",
+					st.partList()[0].cat.Relation("derived").Table.ScanRows())
+			}
+			const none, derived, live = "[] []", "[] [(1, 10) (1, 10)]", "[(1, 0)] [(1, 10) (1, 10)]"
+			if got := state(st); got != live {
+				t.Fatalf("live state %s, want %s", got, live)
+			}
+			must(t, st.Stop())
+			last := fsys.Len()
+			eachCrashImage(t, fsys, crashPoints(0, last), func(img string, p int) error {
+				cfg := cfg
+				cfg.Dir = img
+				re := buildAbortApp(t, cfg)
+				if err := re.Recover(); err != nil {
+					return err
+				}
+				defer re.Stop()
+				switch got := state(re); {
+				case p == last && got != live:
+					return fmt.Errorf("recovered %s after a clean stop, want %s", got, live)
+				case got != none && got != derived && got != live:
+					return fmt.Errorf("recovered %s", got)
+				}
+				return nil
+			})
+		})
+	}
+}
+
 // durabilityEndOfRun runs the whole script on a fresh durable store and
 // returns the state all three feeds agreed on. With inDoubt, it appends an
 // in-doubt and a decided PREPARE to the logs after the stop.

@@ -29,18 +29,7 @@ func buildPartApp(t testing.TB, cfg Config) *Store {
 	if err := st.ExecScript(partDDL); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.RegisterProcedure(&pe.Procedure{
-		Name:     "ingest",
-		WriteSet: []string{"derived"},
-		Handler: func(ctx *pe.ProcCtx) error {
-			for _, r := range ctx.Batch {
-				if err := ctx.Emit("derived", types.Row{r[0], types.NewInt(r[1].Int() * 2)}); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-	}); err != nil {
+	if err := st.RegisterProcedure(ingestProc()); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.RegisterProcedure(&pe.Procedure{
@@ -92,6 +81,23 @@ func buildPartApp(t testing.TB, cfg Config) *Store {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// ingestProc is the border stage of buildPartApp's dataflow: each event
+// (k, amt) becomes (k, 2·amt) on derived.
+func ingestProc() *pe.Procedure {
+	return &pe.Procedure{
+		Name:     "ingest",
+		WriteSet: []string{"derived"},
+		Handler: func(ctx *pe.ProcCtx) error {
+			for _, r := range ctx.Batch {
+				if err := ctx.Emit("derived", types.Row{r[0], types.NewInt(r[1].Int() * 2)}); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+	}
 }
 
 func ingestKeys(t testing.TB, st *Store, keys int, perKey int) {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/pe"
 	"repro/internal/types"
 	"repro/internal/wal"
@@ -79,6 +80,12 @@ latency_count int
 latency_p50 dur
 latency_p99 dur
 latency_p9999 dur
+queue_wait_p50 dur
+queue_wait_p99 dur
+execute_p50 dur
+execute_p99 dur
+durable_wait_p50 dur
+durable_wait_p99 dur
 cutover_pause_count int
 cutover_pause_p50 dur
 cutover_pause_p99 dur
@@ -251,5 +258,88 @@ func TestDeferredExecutionsGauge(t *testing.T) {
 	st.Drain()
 	if got := statsRow(t, st, "deferred_executions.p0"); got != "0" {
 		t.Fatalf("deferred_executions.p0 = %s after resume, want 0", got)
+	}
+}
+
+// TestCommitStages: a commit's latency is its execution plus its durable
+// wait, sample by sample. With the partition log's fsync held for a known
+// time after a durable call has committed in memory, the durable wait
+// covers the hold and the execution does not; on a volatile store nothing
+// waits for a log, so the durable wait is 0. A replayed record is not a
+// commit anyone waited for: recovering a border batch with its chain and an
+// ad-hoc insert observes nothing, in both log modes.
+func TestCommitStages(t *testing.T) {
+	const hold = 50 * time.Millisecond
+	t.Run("durable", func(t *testing.T) {
+		cfg := gcTestConfig(t.TempDir(), 1)
+		st := buildKV(t, cfg)
+		fsys := recordStore(t, st)
+		must(t, st.Start())
+		defer st.Stop()
+		logPath, _ := wal.PartitionPaths(cfg.Dir, 0)
+		release := fsys.Syncs(logPath).Hold()
+		ack := st.CallAsync("put", types.NewInt(7), types.NewInt(70))
+		// Queued for the acker: committed in memory, its fsync held.
+		waitStatsRow(t, st, "ack_backlog.p0", "1")
+		time.Sleep(hold)
+		release()
+		if cr := <-ack; cr.Err != nil {
+			t.Fatal(cr.Err)
+		}
+		// The acker observes after it responds: a barrier waits for it.
+		must(t, st.PEAt(0).RunExclusive(func() error { return nil }))
+		s := st.Metrics().Snapshot()
+		lat, exec, durable := s.Duration(metrics.LatencyP50), s.Duration(metrics.ExecuteP50), s.Duration(metrics.DurableWaitP50)
+		if n := s[metrics.LatencyCount]; n != 1 {
+			t.Fatalf("latency_count = %d, want 1", n)
+		}
+		if durable < hold || exec >= hold {
+			t.Errorf("durable_wait %v, execute %v: want the %v hold in the durable wait alone", durable, exec, hold)
+		}
+		if exec+durable != lat {
+			t.Errorf("execute %v + durable_wait %v != latency %v", exec, durable, lat)
+		}
+	})
+	t.Run("volatile", func(t *testing.T) {
+		st := buildKV(t, Config{Partitions: 1})
+		must(t, st.Start())
+		defer st.Stop()
+		for k := int64(0); k < 8; k++ {
+			if _, err := st.Call("put", types.NewInt(k), types.NewInt(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s := st.Metrics().Snapshot()
+		if n := s[metrics.LatencyCount]; n != 8 {
+			t.Fatalf("latency_count = %d, want 8", n)
+		}
+		if d := s.Duration(metrics.DurableWaitP99); d != 0 {
+			t.Errorf("durable_wait_p99 = %v on a volatile store, want 0", d)
+		}
+		if exec, lat := s.Duration(metrics.ExecuteP50), s.Duration(metrics.LatencyP50); exec != lat {
+			t.Errorf("execute_p50 %v != latency_p50 %v with no durable wait", exec, lat)
+		}
+	})
+	for _, mn := range []string{"border", "all"} {
+		t.Run("replayed/"+mn, func(t *testing.T) {
+			cfg := Config{Dir: t.TempDir(), Partitions: 1, LogMode: logModes[mn]}
+			st := buildPartApp(t, cfg)
+			must(t, st.Start())
+			must(t, st.Ingest("events", types.Row{types.NewInt(1), types.NewInt(5)}, types.Row{types.NewInt(1), types.NewInt(5)}))
+			st.Drain()
+			if _, err := st.Exec("INSERT INTO totals (k, n) VALUES (2, 0)"); err != nil {
+				t.Fatal(err)
+			}
+			must(t, st.Stop())
+			re := buildPartApp(t, cfg)
+			must(t, re.Recover())
+			defer re.Stop()
+			if got := totalsOf(re); got[1] != 20 || len(got) != 2 {
+				t.Fatalf("recovered totals %v", got)
+			}
+			if n := re.Metrics().Snapshot()[metrics.LatencyCount]; n != 0 {
+				t.Errorf("latency_count = %d after recovery, want 0", n)
+			}
+		})
 	}
 }

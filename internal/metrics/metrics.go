@@ -112,6 +112,15 @@ const (
 	LatencyP50
 	LatencyP99
 	LatencyP9999
+	// A commit's latency in stages (DESIGN.md, "Metrics and stats"): the
+	// wait in the partition's queue, the execution to its in-memory commit,
+	// and the wait from there to the ack, for its record to be durable.
+	QueueWaitP50
+	QueueWaitP99
+	ExecuteP50
+	ExecuteP99
+	DurableWaitP50
+	DurableWaitP99
 	CutoverPauseCount
 	CutoverPauseP50
 	CutoverPauseP99
@@ -141,6 +150,9 @@ type Hist uint8
 const (
 	noHist       Hist = iota
 	Latency           // committed transactions' latency, ns
+	QueueWait         // a request's wait from admission to execution, ns
+	Execute           // execution start to in-memory commit, ns
+	DurableWait       // in-memory commit to ack, ns
 	CutoverPause      // a slot migration's worker pause, ns
 	FsyncTime         // one commit-daemon fsync, ns
 	PrepareBatch      // PREPARE forces per partition-log fsync
@@ -208,6 +220,12 @@ var defs = [numMetrics]def{
 	LatencyP50:          {name: "latency_p50", kind: Quantile, hist: Latency, q: 0.50},
 	LatencyP99:          {name: "latency_p99", kind: Quantile, hist: Latency, q: 0.99},
 	LatencyP9999:        {name: "latency_p9999", kind: Quantile, hist: Latency, q: 0.9999},
+	QueueWaitP50:        {name: "queue_wait_p50", kind: Quantile, hist: QueueWait, q: 0.50},
+	QueueWaitP99:        {name: "queue_wait_p99", kind: Quantile, hist: QueueWait, q: 0.99},
+	ExecuteP50:          {name: "execute_p50", kind: Quantile, hist: Execute, q: 0.50},
+	ExecuteP99:          {name: "execute_p99", kind: Quantile, hist: Execute, q: 0.99},
+	DurableWaitP50:      {name: "durable_wait_p50", kind: Quantile, hist: DurableWait, q: 0.50},
+	DurableWaitP99:      {name: "durable_wait_p99", kind: Quantile, hist: DurableWait, q: 0.99},
 	CutoverPauseCount:   {name: "cutover_pause_count", hist: CutoverPause},
 	CutoverPauseP50:     {name: "cutover_pause_p50", kind: Quantile, hist: CutoverPause, q: 0.50},
 	CutoverPauseP99:     {name: "cutover_pause_p99", kind: Quantile, hist: CutoverPause, q: 0.99},

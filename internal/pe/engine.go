@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/ee"
 	"repro/internal/metrics"
@@ -60,6 +59,12 @@ const (
 	// after a crash. They execute nothing at replay.
 	RecPauseGraph  RecordKind = 9
 	RecResumeGraph RecordKind = 10
+	// RecAborted records, under LogAllTEs, a triggered execution that
+	// aborted live: appended un-waited where it aborted, with the common
+	// fields of the RecTriggered record it would have written. Replay drops
+	// the held execution it names, so the execution does not run at the end
+	// of replay against state later records changed. It executes nothing.
+	RecAborted RecordKind = 11
 )
 
 // LogRecord is one command-log entry: enough to re-execute the client
@@ -113,10 +118,9 @@ type Logger interface {
 // and its record is appended, but the client is not acknowledged until the
 // commit future resolves.
 type pendingAck struct {
-	r     *txnRequest
-	out   *Result // the worker's copy: later TEs reuse what it was copied from
-	ack   <-chan error
-	start time.Time
+	r   *txnRequest
+	out *Result // the worker's copy: later TEs reuse what it was copied from
+	ack <-chan error
 }
 
 // ackQueueDepth bounds the in-flight commit pipeline; a full queue applies
@@ -223,9 +227,10 @@ type Engine struct {
 	// (produced and consumed in the worker's place, so no locking).
 	chain []*txnRequest
 	// held is replay's list, under LogAllTEs, of re-derived executions
-	// waiting for their own RecTriggered records (dispatchEmits): each
-	// record runs its execution with the exact stream tuples the parent's
-	// replay inserted. FinishReplay runs what is left.
+	// waiting for their own RecTriggered or RecAborted records
+	// (dispatchEmits): a RecTriggered record runs its execution with the
+	// exact stream tuples the parent's replay inserted, a RecAborted record
+	// drops it. FinishReplay runs what is left.
 	held []*txnRequest
 
 	// The worker's transaction-execution state (DESIGN.md §1.6.3). The
@@ -673,8 +678,9 @@ func (e *Engine) acker() {
 			e.logger.LogFailed(err)
 			pa.r.respond(nil, fmt.Errorf("pe: group commit: %w", err))
 		} else {
-			e.met.Observe(metrics.Latency, int64(time.Since(pa.start)))
+			acked := now()
 			pa.r.respond(pa.out, nil)
+			e.observe(pa.r, acked)
 		}
 		e.ackMu.Lock()
 		e.ackPending--
@@ -687,11 +693,29 @@ func (e *Engine) acker() {
 
 // queueAck hands a committed request to the acker. Called only by the
 // partition worker.
-func (e *Engine) queueAck(r *txnRequest, out *Result, ack <-chan error, start time.Time) {
+func (e *Engine) queueAck(r *txnRequest, out *Result, ack <-chan error) {
 	e.ackMu.Lock()
 	e.ackPending++
 	e.ackMu.Unlock()
-	e.ackQ <- pendingAck{r: r, out: out, ack: ack, start: start}
+	e.ackQ <- pendingAck{r: r, out: out, ack: ack}
+}
+
+// observe records one commit's stages from the stamps its request carries,
+// acked being when its client was (or, with nobody waiting, could have
+// been) acknowledged: the queue wait for a request that crossed the
+// scheduler, the execution, the durable wait and their sum, latency. The
+// acker calls it for a commit that took a future, the worker for every
+// other; a replayed record observes nothing.
+func (e *Engine) observe(r *txnRequest, acked stamp) {
+	if r.replay {
+		return
+	}
+	if r.kind != reqTriggered && r.origin != 0 {
+		e.met.Observe(metrics.QueueWait, int64(r.started-r.origin))
+	}
+	e.met.Observe(metrics.Execute, int64(r.committed-r.started))
+	e.met.Observe(metrics.DurableWait, int64(acked-r.committed))
+	e.met.Observe(metrics.Latency, int64(acked-r.started))
 }
 
 // drainAcks forces every outstanding commit durable and waits for its
@@ -739,8 +763,7 @@ func (e *Engine) invoke(p *Procedure, name string, params []types.Value) <-chan 
 		done <- CallResult{Err: fmt.Errorf("pe: unknown procedure %q", name)}
 		return done
 	}
-	now := time.Now()
-	r := &txnRequest{kind: reqInvoke, proc: p, params: params, done: done, origin: now}
+	r := &txnRequest{kind: reqInvoke, proc: p, params: params, done: done, origin: now()}
 	if !e.sched.push(r) {
 		done <- CallResult{Err: fmt.Errorf("pe: engine stopped")}
 	}
@@ -787,14 +810,13 @@ func (e *Engine) cutBatchesLocked(b *binding) error {
 		batch := pend[:b.batchSize:b.batchSize]
 		pend = pend[b.batchSize:]
 		e.nextBatchID++
-		now := time.Now()
 		r := &txnRequest{
 			kind:        reqBorder,
 			proc:        b.proc,
 			batch:       batch,
 			batchID:     e.nextBatchID,
 			inputStream: b.stream,
-			origin:      now,
+			origin:      now(),
 			stats:       b.stats,
 			graph:       b.graph,
 		}
@@ -832,10 +854,9 @@ func (e *Engine) FlushBatches() {
 			continue
 		}
 		e.nextBatchID++
-		now := time.Now()
 		e.pushTracked(&txnRequest{
 			kind: reqBorder, proc: b.proc, batch: pend, batchID: e.nextBatchID,
-			inputStream: b.stream, origin: now, stats: b.stats,
+			inputStream: b.stream, origin: now(), stats: b.stats,
 			graph: b.graph,
 		})
 		e.partial[stream] = nil
@@ -1006,7 +1027,7 @@ func ownResult(res *ee.Result) *Result {
 }
 
 func (e *Engine) executeRequest(r *txnRequest) {
-	start := time.Now()
+	r.started = now()
 	if r.graph != "" {
 		// Retire the graph's in-flight count whatever path this execution
 		// takes (commit, abort, panic recovery). Descendants are counted
@@ -1025,13 +1046,15 @@ func (e *Engine) executeRequest(r *txnRequest) {
 	}
 	switch r.kind {
 	case reqMP:
-		e.executeMP(r)
+		if e.executeMP(r) {
+			e.observe(r, r.committed)
+		}
 		return
 	case reqLeg:
 		e.replayPreparedLeg(r)
 		return
 	}
-	ectx, undo := e.beginTE(), e.undo
+	ectx := e.beginTE()
 	e.nextTxnID++
 	ectx.ProcName = r.proc.Name
 	ectx.OnStreamInsert = e.onEmit
@@ -1062,26 +1085,20 @@ func (e *Engine) executeRequest(r *txnRequest) {
 		_, err := e.ee.InsertRows(ectx, r.inputStream, r.batch)
 		ectx.OnStreamInsert = e.onEmit
 		if err != nil {
-			undo.Rollback()
-			e.met.Add(metrics.TxnAborted, 1)
-			r.respond(nil, fmt.Errorf("pe: border ingest into %s: %w", r.inputStream, err))
+			e.abort(r, fmt.Errorf("pe: border ingest into %s: %w", r.inputStream, err))
 			return
 		}
 		gcIDs = e.borderIDs
 	}
 
 	if err := e.runHandler(r.proc, pctx); err != nil {
-		undo.Rollback()
-		e.met.Add(metrics.TxnAborted, 1)
-		r.respond(nil, err)
+		e.abort(r, err)
 		return
 	}
 	// Garbage-collect the consumed upstream batch atomically with commit.
 	if len(gcIDs) > 0 && r.inputStream != "" {
 		if err := e.ee.GCStreamRows(ectx, r.inputStream, gcIDs); err != nil {
-			undo.Rollback()
-			e.met.Add(metrics.TxnAborted, 1)
-			r.respond(nil, fmt.Errorf("pe: gc of %s: %w", r.inputStream, err))
+			e.abort(r, fmt.Errorf("pe: gc of %s: %w", r.inputStream, err))
 			return
 		}
 	}
@@ -1093,25 +1110,17 @@ func (e *Engine) executeRequest(r *txnRequest) {
 	// takes no future at all.
 	ack, lerr := e.logCommit(r)
 	if lerr != nil {
-		undo.Rollback()
-		e.met.Add(metrics.TxnAborted, 1)
-		r.respond(nil, fmt.Errorf("pe: command log: %w", lerr))
+		e.abort(r, fmt.Errorf("pe: command log: %w", lerr))
 		return
 	}
 	e.commitPublish()
+	r.committed = now()
 	e.met.Add(metrics.TxnCommitted, 1)
 	switch r.kind {
 	case reqBorder:
 		e.met.Add(metrics.BatchesBorder, 1)
 	case reqTriggered:
 		e.met.Add(metrics.TriggeredTxns, 1)
-	}
-	if ack == nil {
-		// Nothing waits on this commit's record (no log, or a
-		// responder-less border/triggered batch), so its latency is
-		// observed here, at commit; a commit that takes a future is
-		// observed by the acker, once durable.
-		e.met.Observe(metrics.Latency, int64(time.Since(start)))
 	}
 
 	// PE triggers: emitted batches become downstream transaction
@@ -1129,21 +1138,38 @@ func (e *Engine) executeRequest(r *txnRequest) {
 		case reqTriggered:
 			r.stats.Triggered.Add(1)
 		}
-		if continued == 0 && !r.origin.IsZero() {
-			r.stats.Latency.Observe(int64(time.Since(r.origin)))
+		if continued == 0 && r.origin != 0 {
+			r.stats.Latency.Observe(int64(r.committed - r.origin))
 		}
 	}
-	if r.done == nil {
-		return
-	}
 	// The response leaves the worker here, and with it the TE: the acker
-	// delivers after later TEs have run.
-	out := ownResult(pctx.out)
+	// delivers after later TEs have run, and observes the commit once it
+	// is durable. A commit nothing waits on (no log, or a responder-less
+	// border or triggered batch) is acknowledged, and observed, here.
 	if ack != nil {
-		e.queueAck(r, out, ack, start)
+		e.queueAck(r, ownResult(pctx.out), ack)
 		return
 	}
-	r.respond(out, nil)
+	if r.done != nil {
+		r.respond(ownResult(pctx.out), nil)
+	}
+	e.observe(r, r.committed)
+}
+
+// abort rolls back r's execution and reports err to whoever waits. Under
+// LogAllTEs a live triggered execution's abort is logged (RecAborted,
+// un-waited, like the RecTriggered its commit would have appended), so
+// replay drops the execution it re-derives instead of running it after
+// every later record.
+func (e *Engine) abort(r *txnRequest, err error) {
+	e.undo.Rollback()
+	e.met.Add(metrics.TxnAborted, 1)
+	if r.kind == reqTriggered && e.logMode == LogAllTEs && e.logger != nil && !r.replay {
+		// A failed append has stopped the store (Logger.Append's owner).
+		_, _ = e.logger.Append(&LogRecord{Kind: RecAborted, Proc: r.proc.Name, Batch: r.batch,
+			BatchID: r.batchID, InputStream: r.inputStream}, false)
+	}
+	r.respond(nil, err)
 }
 
 // commitPublish is the in-memory commit point: it publishes the pending
@@ -1324,10 +1350,11 @@ func (e *Engine) procPlan(p *Procedure, sqlText string) (*ee.Prepared, error) {
 // not be started. The record runs through runChain, as it ran live, and
 // re-derives its triggered descendants in both modes: in LogBorderOnly
 // mode they run in its chain, and one that aborts aborts as it did live; in
-// LogAllTEs mode each is held until its own RecTriggered record runs it
-// (FinishReplay runs the rest). The replayed record itself must commit. A
-// RecPrepare leg is applied as given: whether its transaction committed is
-// the caller's knowledge (core's log applier owns the decision table).
+// LogAllTEs mode each is held until its own RecTriggered record runs it or
+// its RecAborted record drops it (FinishReplay runs the rest). The replayed
+// record itself must commit. A RecPrepare leg is applied as given: whether
+// its transaction committed is the caller's knowledge (core's log applier
+// owns the decision table).
 func (e *Engine) Replay(rec *LogRecord) error {
 	if e.started.Load() {
 		return fmt.Errorf("pe: replay requires a stopped engine")
@@ -1338,6 +1365,12 @@ func (e *Engine) Replay(rec *LogRecord) error {
 	switch rec.Kind {
 	case RecDecide:
 		return nil // participant marker: nothing to execute
+	case RecAborted:
+		// It aborted live: it does not run, and leaves its graph's count.
+		if h := e.takeHeld(rec); h != nil {
+			e.graphDone(h.graph)
+		}
+		return nil
 	case RecPrepare:
 		r.kind, r.ops = reqLeg, rec.Ops
 		what = fmt.Sprintf("prepared mp leg %d", rec.MPTxnID)
@@ -1397,11 +1430,11 @@ func (e *Engine) takeHeld(rec *LogRecord) *txnRequest {
 }
 
 // FinishReplay ends replay: it runs, in order and each with its chain, the
-// executions still held for a RecTriggered record that never came — a log
-// tail lost in a crash, or an execution that aborted live and aborts
-// again. They run as live work, logged like it, so a later recovery meets
-// their records where this one ran them. Call it once every record has
-// been replayed, before Start.
+// executions still held for a RecTriggered or RecAborted record that never
+// came — a log tail lost in a crash, which lost every record after theirs
+// too, so they run at their live position. They run as live work, logged
+// like it, so a later recovery meets their records where this one ran
+// them. Call it once every record has been replayed, before Start.
 func (e *Engine) FinishReplay() {
 	held := e.held
 	e.held = nil

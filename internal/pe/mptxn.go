@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/ee"
 	"repro/internal/metrics"
@@ -130,7 +129,7 @@ func (e *Engine) EnlistMP(txnID uint64, adHoc bool) (*MPSession, error) {
 		replies: make(chan *mpMsg, mpWindow),
 		done:    make(chan CallResult, 1),
 	}
-	r := &txnRequest{kind: reqMP, mp: s, done: s.done}
+	r := &txnRequest{kind: reqMP, mp: s, done: s.done, origin: now()}
 	if !e.sched.push(r) {
 		return nil, fmt.Errorf("pe: engine stopped")
 	}
@@ -321,11 +320,11 @@ func (s *MPSession) Resolve() error {
 
 // executeMP is the worker side of the barrier: it parks on the session,
 // serving its inbox in order in its own serial slot, until the vote
-// releases a read-only leg or the decision resolves a writing one. Runs on
-// the partition goroutine.
-func (e *Engine) executeMP(r *txnRequest) {
+// releases a read-only leg or the decision resolves a writing one. It
+// reports whether the leg committed (a read-only release counts), with
+// r.committed stamped. Runs on the partition goroutine.
+func (e *Engine) executeMP(r *txnRequest) bool {
 	s := r.mp
-	start := time.Now()
 	// The worker's undo log and emission list, but a context of the leg's
 	// own: fragment results cross to the coordinator's goroutine, which may
 	// read them after this worker has moved on, so their memory is never
@@ -361,10 +360,10 @@ func (e *Engine) executeMP(r *txnRequest) {
 				// the partition's serial slot one full phase early.
 				m.readOnly = true
 				s.replies <- m
+				r.committed = now()
 				e.met.Add(metrics.MPReadOnlyLegs, 1)
-				e.met.Observe(metrics.Latency, int64(time.Since(start)))
 				r.respond(nil, nil)
-				return
+				return true
 			default:
 				// The vote hands the leg's logged ops to the coordinator,
 				// which appends the PREPARE record itself (the worker stays
@@ -381,7 +380,7 @@ func (e *Engine) executeMP(r *txnRequest) {
 				s.replies <- m // nothing published; the rollback is applied
 				e.met.Add(metrics.TxnAborted, 1)
 				r.respond(nil, nil)
-				return
+				return false
 			}
 			// The coordinator delivers commit only after every leg's
 			// PREPARE record is appended (though not necessarily durable
@@ -392,12 +391,12 @@ func (e *Engine) executeMP(r *txnRequest) {
 			// decision itself is durable.
 			e.commitPublish()
 			s.replies <- m // in-memory commit visible; acks may lag
+			r.committed = now()
 			e.met.Add(metrics.TxnCommitted, 1)
 			e.met.Add(metrics.MPLegsCommitted, 1)
 			e.dispatchEmits(0, r.origin, r.replay)
-			e.met.Observe(metrics.Latency, int64(time.Since(start)))
 			r.respond(nil, nil)
-			return
+			return true
 		default:
 			m.res, m.err = e.runFragment(ectx, m)
 			if m.kind != mpQuery {
@@ -463,7 +462,7 @@ func (e *Engine) replayPreparedLeg(r *txnRequest) {
 		}
 	}
 	e.commitPublish()
-	e.dispatchEmits(0, time.Time{}, true)
+	e.dispatchEmits(0, 0, true)
 	r.respond(nil, nil)
 }
 
@@ -480,7 +479,7 @@ func (e *Engine) replayPreparedLeg(r *txnRequest) {
 // (Replay) or replay finishes (FinishReplay). The returned count is the
 // descendants this execution's chain continues into — zero means the chain
 // ends here.
-func (e *Engine) dispatchEmits(batchID uint64, origin time.Time, replay bool) int {
+func (e *Engine) dispatchEmits(batchID uint64, origin stamp, replay bool) int {
 	continued := 0
 	for i := range e.emits {
 		em := &e.emits[i]

@@ -48,10 +48,14 @@ type txnRequest struct {
 	fn          func() error
 	mp          *MPSession // for reqMP
 	done        chan CallResult
-	// origin is the admission time of the chain's root request (border
-	// ingest or OLTP call); PE-triggered descendants inherit it, so the
-	// final stage's commit observes the workflow's end-to-end latency.
-	origin time.Time
+	// origin is the queue stamp of a request that crosses the scheduler (a
+	// call, a border batch, resumed work, an MP leg): its admission.
+	// PE-triggered descendants inherit their chain root's, so the final
+	// stage's commit observes the workflow's end-to-end latency. started
+	// and committed are the worker's stamps at execution start and at the
+	// in-memory commit; Engine.observe turns the three and the ack's into
+	// the stage rows.
+	origin, started, committed stamp
 	// stats is the owning dataflow's counter set (nil for OLTP calls,
 	// ad-hoc statements and replayed log records).
 	stats *metrics.GraphStats
@@ -65,6 +69,17 @@ type txnRequest struct {
 	// buffers and all, once it has executed (Engine.recycle).
 	recycle bool
 }
+
+// A stamp is an instant on the monotonic clock, in nanoseconds since
+// stampBase; 0 is no stamp. Two stamps subtract to a span. A request
+// carries three: one word each, not a time.Time's three, so it stays in
+// its allocation size class.
+type stamp int64
+
+var stampBase = time.Now()
+
+// now stamps the present.
+func now() stamp { return stamp(time.Since(stampBase)) + 1 }
 
 // scheduler is the FIFO feeding the partition worker: client submissions,
 // border batches and resumed executions, in admission order. PE-triggered

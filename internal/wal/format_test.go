@@ -14,9 +14,9 @@ import (
 
 // TestDurableFormatsUnchanged pins the bytes of every durable file wal
 // writes — a log frame and a snapshot of two relations (one a window) —
-// and of the records whose kinds outlived the coordinator log, and reads
-// each golden image back, so a directory an earlier version wrote opens
-// unchanged.
+// and of the records whose kinds outlived the coordinator log or came after
+// it, and reads each golden image back, so a directory an earlier version
+// wrote opens unchanged.
 func TestDurableFormatsUnchanged(t *testing.T) {
 	dir := t.TempDir()
 	d := NewDir(dir, OS)
@@ -50,6 +50,8 @@ func TestDurableFormatsUnchanged(t *testing.T) {
 		{"08000000000005010207", pe.LogRecord{Kind: pe.RecSlotCommit, Slot: 5, FromPart: 1, ToPart: 2, MPTxnID: 7}},
 		{"09016700000000", pe.LogRecord{Kind: pe.RecPauseGraph, Proc: "g"}},
 		{"0a016700000000", pe.LogRecord{Kind: pe.RecResumeGraph, Proc: "g"}},
+		{"0b017003017300010202020214", pe.LogRecord{Kind: pe.RecAborted, Proc: "p", BatchID: 3, InputStream: "s",
+			Batch: []types.Row{{types.NewInt(1), types.NewInt(10)}}}},
 	} {
 		if got := hex.EncodeToString(EncodeRecord(&g.rec)); got != g.hex {
 			t.Errorf("record %+v encodes as %s, want %s", g.rec, got, g.hex)

@@ -27,7 +27,9 @@ import (
 //
 // The dataflow pause kinds (RecPauseGraph / RecResumeGraph, partition 0's
 // log) carry the graph name in the proc field of the common prefix and
-// append nothing.
+// append nothing. So does RecAborted (LogAllTEs: a triggered execution that
+// aborted live), whose common prefix is the RecTriggered record's its
+// commit would have written.
 func EncodeRecord(rec *pe.LogRecord) []byte {
 	buf := make([]byte, 0, 64)
 	buf = append(buf, byte(rec.Kind))
