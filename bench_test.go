@@ -11,6 +11,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -672,6 +673,90 @@ func BenchmarkOLTPCall(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkCheckpoint measures what a checkpoint holds (DESIGN.md §1.4): 4
+// partitions and 200 000 rows, with one goroutine calling a keyed procedure
+// in a closed loop while each Checkpoint runs. hold-ns is the longest call
+// latency among the calls that overlap a checkpoint, the worst over the
+// checkpoints; calls-during is the calls acknowledged while one ran, per
+// checkpoint.
+func BenchmarkCheckpoint(b *testing.B) {
+	const rows, chunk = 200_000, 1000
+	st := sstore.Open(sstore.Config{Dir: b.TempDir(), Partitions: 4})
+	if err := st.ExecScript("CREATE TABLE kv (k BIGINT PRIMARY KEY, v BIGINT) PARTITION BY k"); err != nil {
+		b.Fatal(err)
+	}
+	if err := st.RegisterProcedure(&sstore.Procedure{
+		Name:           "bump",
+		WriteSet:       []string{"kv"},
+		PartitionParam: 1,
+		Handler: func(ctx *sstore.ProcCtx) error {
+			_, err := ctx.Exec("UPDATE kv SET v = v + 1 WHERE k = ?", ctx.Params[0])
+			return err
+		},
+	}); err != nil {
+		b.Fatal(err)
+	}
+	if err := st.Start(); err != nil {
+		b.Fatal(err)
+	}
+	defer st.Stop()
+	insert := "INSERT INTO kv VALUES (?, 0)" + strings.Repeat(", (?, 0)", chunk-1)
+	params := make([]sstore.Value, chunk)
+	for k := 0; k < rows; k += chunk {
+		for i := range params {
+			params[i] = sstore.Int(int64(k + i))
+		}
+		if _, err := st.Exec(insert, params...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var hold time.Duration
+	calls := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		type call struct{ start, end time.Time }
+		var log []call
+		stop, running, done := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+		go func() {
+			for k := 0; ; k++ {
+				select {
+				case <-stop:
+					done <- nil
+					return
+				default:
+				}
+				start := time.Now()
+				if _, err := st.Call("bump", sstore.Int(int64(k*7919%rows))); err != nil {
+					done <- err
+					return
+				}
+				log = append(log, call{start, time.Now()})
+				if k == 0 {
+					close(running)
+				}
+			}
+		}()
+		<-running
+		from := time.Now()
+		err := st.Checkpoint()
+		to := time.Now()
+		close(stop)
+		if err := errors.Join(err, <-done); err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range log {
+			if c.start.Before(to) && c.end.After(from) {
+				hold = max(hold, c.end.Sub(c.start))
+			}
+			if c.end.After(from) && c.end.Before(to) {
+				calls++
+			}
+		}
+	}
+	b.ReportMetric(float64(hold.Nanoseconds()), "hold-ns")
+	b.ReportMetric(float64(calls)/float64(b.N), "calls-during")
 }
 
 // BenchmarkWindowSlide measures native tuple-window maintenance per tuple.

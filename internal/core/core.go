@@ -208,22 +208,17 @@ func (p *partition) force(recs ...*pe.LogRecord) error {
 	return nil
 }
 
-// recover restores this partition from its snapshot + log segment, feeding
-// the applier (whose table already holds every decision the directory will
-// ever yield, so the stream is final), and opens the log for appending.
-func (p *partition) recover(d *wal.Dir, cfg *Config, ap *applier) error {
-	logPath, snapPath := wal.PartitionPaths(cfg.Dir, p.idx)
-	meta, err := wal.LoadSnapshot(snapPath, p.cat)
-	switch {
-	case err == nil:
-		p.pe.SetNextBatchID(meta.NextBatchID)
-	case err == wal.ErrNoSnapshot:
-		meta = wal.Snapshot{}
-	default:
-		return err
-	}
+// recover replays this partition's log past its snapshot, already loaded
+// into the catalog (snap), feeding the applier (whose table already holds
+// every decision the directory will ever yield, so the stream is final),
+// and opens the log for appending. The snapshot's deferred executions are
+// restored first: they come before every record after the cut.
+func (p *partition) recover(d *wal.Dir, cfg *Config, ap *applier, snap wal.Snapshot) error {
+	logPath, _ := wal.PartitionPaths(cfg.Dir, p.idx)
+	p.pe.SetNextBatchID(snap.NextBatchID)
+	p.pe.Restore(snap.Records)
 	lastLSN, err := scanRecords(logPath, func(lsn uint64, rec *pe.LogRecord) error {
-		if lsn <= meta.LastLSN {
+		if lsn <= snap.LastLSN {
 			return nil // already covered by the snapshot
 		}
 		_, err := ap.apply(p, rec, true)
@@ -232,8 +227,8 @@ func (p *partition) recover(d *wal.Dir, cfg *Config, ap *applier) error {
 	if err != nil {
 		return fmt.Errorf("core: log replay (partition %d): %w", p.idx, err)
 	}
-	if lastLSN < meta.LastLSN {
-		lastLSN = meta.LastLSN // log truncated at the last checkpoint
+	if lastLSN < snap.LastLSN {
+		lastLSN = snap.LastLSN // the checkpoint dropped every record
 	}
 	return p.openLog(d, cfg, logPath, lastLSN)
 }
@@ -284,7 +279,8 @@ type Store struct {
 	// be in flight toward a partition that just lost the slot. Ordered
 	// before exclMu; never acquired inside a partition worker.
 	routingMu sync.RWMutex
-	// rebalanceMu serializes Rebalance calls end to end.
+	// rebalanceMu serializes Rebalance calls end to end, and Checkpoint
+	// calls against them.
 	rebalanceMu sync.Mutex
 	// exclMu serializes all-partition barriers against each other: two
 	// interleaved barrier acquisitions over the same partition set would
@@ -292,8 +288,8 @@ type Store struct {
 	// mpSlot (ascending) before parking the workers, so it also excludes
 	// the 2PC coordinators — which no longer take exclMu themselves: a
 	// coordinator holds only the slots of the partitions its legs touch.
-	// Lock order store-wide: deployMu and routingMu (never both) < exclMu <
-	// mpSlots (ascending) < worker barriers < seqMu.
+	// Lock order store-wide: rebalanceMu < deployMu and routingMu (never
+	// both) < exclMu < mpSlots (ascending) < worker barriers < seqMu.
 	exclMu sync.Mutex
 	// seqMu makes the cross-partition snapshot cut atomic against 2PC
 	// commit publication: acquireCut pins one committed sequence per
@@ -608,20 +604,33 @@ func (s *Store) Recover() error {
 	if err := s.checkPartitionCount(); err != nil {
 		return err // nothing replayed: retryable after fixing the config
 	}
-	// First pass: fold every partition log before any partition replays, so
-	// the decision table is complete (a transaction's commit record is a
-	// marker in some leg's own segment, possibly after records of its
-	// successors) and the replay pass below can treat an undecided PREPARE
-	// as aborted for good.
+	// First pass: load every snapshot and fold every partition log before
+	// any partition replays, so the decision table is complete (a
+	// transaction's commit record is a marker in some leg's own segment,
+	// possibly after records of its successors) and the replay pass below
+	// can treat an undecided PREPARE as aborted for good. A snapshot's
+	// pause records are the state its log's dropped prefix ended in, so
+	// they fold before the log. A retry loads the snapshots again.
 	ap := newApplier(s)
-	for _, p := range s.partList() {
-		logPath, _ := wal.PartitionPaths(s.cfg.Dir, p.idx)
+	snaps := make([]wal.Snapshot, len(s.partList()))
+	for i, p := range s.partList() {
+		logPath, snapPath := wal.PartitionPaths(s.cfg.Dir, p.idx)
+		snap, err := wal.LoadSnapshot(snapPath, p.cat)
+		if err != nil && err != wal.ErrNoSnapshot {
+			return err
+		}
+		for _, rec := range snap.Records {
+			if err := ap.fold(rec); err != nil {
+				return err
+			}
+		}
 		if _, err := ap.foldFile(logPath); err != nil {
 			return fmt.Errorf("core: log pre-scan (partition %d): %w", p.idx, err) // nothing replayed: retryable
 		}
+		snaps[i] = snap
 	}
 	// From here on some partitions have replayed: a retry would double-apply.
-	if err := s.recoverFrom(ap); err != nil {
+	if err := s.recoverFrom(ap, snaps); err != nil {
 		s.recoverErr = err
 		return err
 	}
@@ -633,9 +642,9 @@ func (s *Store) Recover() error {
 // through the folded applier, open the logs, finish, then the two passes
 // only recovery needs because only it can meet partitions the log never
 // wrote to.
-func (s *Store) recoverFrom(ap *applier) error {
-	for _, p := range s.partList() {
-		if err := p.recover(s.dir, &s.cfg, ap); err != nil {
+func (s *Store) recoverFrom(ap *applier, snaps []wal.Snapshot) error {
+	for i, p := range s.partList() {
+		if err := p.recover(s.dir, &s.cfg, ap, snaps[i]); err != nil {
 			return err
 		}
 	}
@@ -882,31 +891,43 @@ func (s *Store) Stop() error {
 	return errors.Join(errs...)
 }
 
-// Checkpoint writes a snapshot of every partition at a store-wide quiescent
-// point and truncates the command logs (H-Store's periodic snapshotting).
-// All partitions are held at their barrier simultaneously, so the snapshot
-// set is a consistent cut across the store.
+// testHookAfterCut, when set, runs in Checkpoint once the cut is taken and
+// the workers run again, before any snapshot is written.
+var testHookAfterCut func()
+
+// Checkpoint writes a snapshot of every partition at one store-wide cut and
+// drops from each log the records the snapshot covers (H-Store's periodic
+// snapshotting). The workers are held only to take the cut (DESIGN.md
+// §1.4): each partition's pin, log LSN, border batch counter, window slide
+// state and deferred executions, and partition 0's paused graphs. The
+// snapshots are encoded from the pins after the workers run again, every
+// snapshot is written before any log drops its prefix, and each log keeps
+// the records after its cut.
 func (s *Store) Checkpoint() error {
 	if s.cfg.Dir == "" {
 		return fmt.Errorf("core: no durability directory configured")
 	}
-	// A pause or resume holds deployMu from its record to its publication,
-	// so the pause state the truncation keeps below is the logged one.
+	// Rebalance's order. Neither a slot move nor a pause or resume lands
+	// between the cut and the prefix drop, and a pause or resume holds
+	// deployMu from its record to its publication, so the paused graphs
+	// the cut holds are the logged ones.
+	s.rebalanceMu.Lock()
+	defer s.rebalanceMu.Unlock()
 	s.deployMu.Lock()
 	defer s.deployMu.Unlock()
-	return s.runExclusiveAll(func() error {
-		parts := s.partList()
+	var parts []*partition
+	var cuts []*wal.Cut
+	var ends []wal.Pos // each log's end at the cut
+	err := s.runExclusiveAll(func() error {
+		parts = s.partList()
 		if err := decidePublished(parts); err != nil {
 			return err
 		}
-		// Every log is durable and every snapshot written before any log
-		// is truncated. A slot move's commit record is forced in its
-		// destination's log, and until the source's snapshot no longer
-		// holds the slot, recovery needs that record to evict the source's
-		// copy. The source's own copy of the record is only appended, and
-		// recovery folds it from whichever logs a crash left untruncated:
-		// a slot moved there and back has only that copy to say where it
-		// went last.
+		// Every log is durable at the cut. A slot move's commit record is
+		// forced in its destination's log; the source's own copy is only
+		// appended, and recovery folds it from whichever logs a crash left
+		// whole: a slot moved there and back has only that copy to say
+		// where it went last.
 		for _, p := range parts {
 			if p.log == nil {
 				continue
@@ -916,43 +937,56 @@ func (s *Store) Checkpoint() error {
 				return err
 			}
 		}
+		// The barrier holds every partition's enlistment slot, and a
+		// coordinator releases its slots only after delivery, so each
+		// delivered transaction is decided by decidePublished above and
+		// anything still mid-protocol has not applied. A coordinator's own
+		// markers may land on either side of the cut; after it they are
+		// dead weight.
 		for _, p := range parts {
-			_, snapPath := wal.PartitionPaths(s.cfg.Dir, p.idx)
 			meta := wal.Snapshot{NextBatchID: p.pe.NextBatchID()}
+			var end wal.Pos
 			if p.log != nil {
-				meta.LastLSN = p.log.LSN()
+				end = p.log.End()
 			}
-			if err := wal.WriteSnapshot(s.dir, snapPath, p.cat, meta); err != nil {
-				return err
-			}
-		}
-		// The snapshots cover every delivered transaction, each decided
-		// by decidePublished above: the barrier holds every partition's
-		// enlistment slot, and a coordinator releases its slots only after
-		// delivery, so anything still mid-protocol here has not applied
-		// (its in-doubt PREPAREs die with the truncation). A coordinator's
-		// own markers may land on either side of a truncation; after it
-		// they are dead weight. Partition 0's log keeps a pause record for
-		// every paused graph, so a crash leaves the old log or the new one
-		// and the pause survives either way.
-		for _, p := range parts {
-			if p.log == nil {
-				continue
-			}
-			var keep [][]byte
+			meta.LastLSN = end.LSN
 			if p.idx == 0 {
 				for _, df := range s.schema.Load().Dataflows() {
 					if df.Paused {
-						keep = append(keep, wal.EncodeRecord(&pe.LogRecord{Kind: pe.RecPauseGraph, Proc: df.Name}))
+						meta.Records = append(meta.Records, &pe.LogRecord{Kind: pe.RecPauseGraph, Proc: df.Name})
 					}
 				}
 			}
-			if err := p.log.Truncate(keep...); err != nil {
-				return err
-			}
+			meta.Records = append(meta.Records, p.pe.Deferred()...)
+			cuts = append(cuts, wal.TakeCut(p.cat, p.pe.AcquireSnapshot(), meta))
+			ends = append(ends, end)
 		}
 		return nil
 	})
+	for i, c := range cuts {
+		defer parts[i].pe.ReleaseSnapshot(c.Pin)
+	}
+	if err != nil {
+		return err
+	}
+	if hook := testHookAfterCut; hook != nil {
+		hook()
+	}
+	for i, p := range parts {
+		_, snapPath := wal.PartitionPaths(s.cfg.Dir, p.idx)
+		if err := wal.WriteSnapshot(s.dir, snapPath, cuts[i]); err != nil {
+			return err
+		}
+	}
+	for i, p := range parts {
+		if p.log == nil {
+			continue
+		}
+		if err := p.log.Truncate(ends[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Call invokes a stored procedure (one OLTP transaction) on its owning

@@ -235,8 +235,8 @@ var testHookAfterPauseLogged func()
 // logPauseState forces one pause-lifecycle record (RecPauseGraph /
 // RecResumeGraph, graph name in Proc) into partition 0's log. A no-op on
 // non-durable stores and before recovery opens the log. The caller holds
-// deployMu until the state is published, so a Checkpoint's truncation
-// keeps what the log says.
+// deployMu until the state is published, so the paused graphs a
+// Checkpoint's cut holds are what the log says.
 func (s *Store) logPauseState(kind pe.RecordKind, graph string) error {
 	if err := s.partList()[0].force(&pe.LogRecord{Kind: kind, Proc: graph}); err != nil {
 		return fmt.Errorf("core: pause-state log: %w", err)

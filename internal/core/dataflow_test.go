@@ -471,8 +471,8 @@ func TestDataflowsSurviveRecovery(t *testing.T) {
 
 // TestCheckpointKeepsLoggedPauseState: a pause or resume is acknowledged
 // once its record is durable and its state published. A Checkpoint that
-// starts between the two waits for the publication, so the pause record
-// its truncation keeps in partition 0's log is the acknowledged state.
+// starts between the two waits for the publication, so the paused graphs
+// its cut writes into partition 0's snapshot are the acknowledged state.
 func TestCheckpointKeepsLoggedPauseState(t *testing.T) {
 	for _, pause := range []bool{true, false} {
 		t.Run(map[bool]string{true: "pause", false: "resume"}[pause], func(t *testing.T) {

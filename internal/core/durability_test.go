@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/pe"
 	"repro/internal/types"
@@ -188,8 +190,9 @@ func (j *journal) adHocWrites(t *testing.T, st *Store, base int64) {
 // phase1 is the part of the script every run drives, on a started
 // two-partition store: events, pipelined bumps, one interior abort per
 // partition, ad-hoc writes, a coordinated pair, a pause, a checkpoint
-// (after beforeCheckpoint) that must keep it, a resume, more calls and a
-// final pause.
+// (after beforeCheckpoint) that must keep it, with bumps on both partitions
+// and a coordinated pair committed between its cut and its snapshots, a
+// resume, more calls and a final pause.
 func (j *journal) phase1(t *testing.T, st *Store, beforeCheckpoint func()) {
 	t.Helper()
 	j.ingest(t, st, keyRange(0, 8), 1)
@@ -203,7 +206,13 @@ func (j *journal) phase1(t *testing.T, st *Store, beforeCheckpoint func()) {
 	j.pair(t, st, 0, 1, 1000)
 	j.pause(t, st, true)
 	beforeCheckpoint()
-	must(t, st.Checkpoint())
+	testHookAfterCut = func() {
+		j.bump(t, st, keyRange(0, 16))
+		j.pair(t, st, 0, 1, 1500)
+	}
+	err := st.Checkpoint()
+	testHookAfterCut = nil
+	must(t, err)
 	j.pause(t, st, false)
 	j.bump(t, st, keyRange(0, 16))
 	j.pause(t, st, true)
@@ -445,6 +454,129 @@ func TestCheckpointBetweenVotesAndMarkers(t *testing.T) {
 	if checkpoints != 1 {
 		t.Fatalf("%d checkpoints inside the commit, want 1", checkpoints)
 	}
+	last := fsys.Len()
+	eachCrashImage(t, fsys, crashPoints(0, last), func(img string, p int) error {
+		cfg := cfg
+		cfg.Dir = img
+		re := buildPartApp(t, cfg)
+		if err := re.Recover(); err != nil {
+			return err
+		}
+		defer re.Stop()
+		if p == last {
+			p = end
+		}
+		return j.check(re, p)
+	})
+}
+
+// TestCheckpointInsidePausedChain checkpoints while a pause holds the rest
+// of a chain: the pause lands while a border batch's ingest stage runs, so
+// the apply execution it triggers is deferred, and the snapshot must carry
+// it. Ingest queued behind the pause after the checkpoint is
+// upstream backup's and is lost at the stop. The oracle runs on every
+// crash point in every variant, and the clean stop's image, started and
+// resumed, has applied the batch once.
+func TestCheckpointInsidePausedChain(t *testing.T) {
+	for _, mn := range []string{"border", "all"} {
+		t.Run(mn, func(t *testing.T) {
+			cfg := Config{Dir: t.TempDir(), Partitions: 1, Sync: wal.SyncGroupCommit, LogMode: logModes[mn]}
+			st := buildPartApp(t, cfg)
+			fsys := recordStore(t, st)
+			must(t, st.Start())
+			j := newJournal(fsys.Len)
+			event := func(k int64) types.Row { return types.Row{types.NewInt(k), types.NewInt(5)} }
+			entered, release := make(chan struct{}), make(chan struct{})
+			testHookIngest = func() {
+				close(entered)
+				<-release
+			}
+			j.events[1], j.events[2] = 5, 5
+			must(t, st.Ingest("events", event(1), event(2)))
+			<-entered
+			testHookIngest = nil
+			begun := fsys.Len()
+			paused := make(chan error, 1)
+			go func() { paused <- st.PauseDataflow("events") }()
+			for !st.schema.Load().Dataflow("events").Paused {
+				time.Sleep(100 * time.Microsecond)
+			}
+			close(release)
+			must(t, <-paused)
+			j.pauses = append(j.pauses, span{begun, fsys.Len()})
+			if _, deferred := st.partList()[0].pe.Held("events"); deferred != 1 {
+				t.Fatalf("%d executions deferred behind the pause, want 1", deferred)
+			}
+			must(t, st.Checkpoint())
+			must(t, st.Ingest("events", event(3), event(4)))
+			must(t, st.Stop())
+			last := fsys.Len()
+			eachCrashImage(t, fsys, crashPoints(0, last), func(img string, p int) error {
+				cfg := cfg
+				cfg.Dir = img
+				re := buildPartApp(t, cfg)
+				if err := re.Recover(); err != nil {
+					return err
+				}
+				defer re.Stop()
+				if p < last {
+					return j.check(re, p)
+				}
+				if err := j.check(re, end); err != nil {
+					return err
+				}
+				if err := re.Start(); err != nil {
+					return err
+				}
+				if err := re.ResumeDataflow("events"); err != nil {
+					return err
+				}
+				re.Drain()
+				derived := re.partList()[0].cat.Relation("derived").Table.ScanRows()
+				if got := fmt.Sprint(totalsOf(re), derived); got != "map[1:10 2:10] []" {
+					return fmt.Errorf("resumed store holds totals and derived %s", got)
+				}
+				return nil
+			})
+		})
+	}
+}
+
+// TestCheckpointAfterTornTail recovers a store whose logs end in a torn
+// frame, commits, and checkpoints with calls and a coordinated pair
+// committed after the cut: the records after the recovery follow the last
+// intact frame, and the ones after the cut survive the prefix drop. The
+// oracle runs on every crash point in every variant of the recovered run.
+func TestCheckpointAfterTornTail(t *testing.T) {
+	cfg := Config{Dir: t.TempDir(), Partitions: 2, Sync: wal.SyncGroupCommit}
+	st := buildPartApp(t, cfg)
+	must(t, st.Start())
+	j := newJournal(func() int { return -1 }) // before the recording: kept at every point
+	j.ingest(t, st, keyRange(0, 8), 1)
+	j.bump(t, st, keyRange(0, 8))
+	must(t, st.Stop())
+	for i := 0; i < cfg.Partitions; i++ {
+		logPath, _ := wal.PartitionPaths(cfg.Dir, i)
+		f, err := os.OpenFile(logPath, os.O_WRONLY|os.O_APPEND, 0)
+		must(t, err)
+		_, err = f.Write([]byte{64, 0, 0, 0, 1, 2, 3}) // a frame header whose body never landed
+		must(t, errors.Join(err, f.Close()))
+	}
+	re := buildPartApp(t, cfg)
+	fsys := recordStore(t, re)
+	must(t, re.Recover())
+	must(t, re.Start())
+	j.pos = fsys.Len
+	j.bump(t, re, keyRange(0, 8))
+	testHookAfterCut = func() {
+		j.bump(t, re, keyRange(0, 8))
+		j.pair(t, re, 0, 1, 1000)
+	}
+	err := re.Checkpoint()
+	testHookAfterCut = nil
+	must(t, err)
+	j.bump(t, re, keyRange(0, 8))
+	must(t, re.Stop())
 	last := fsys.Len()
 	eachCrashImage(t, fsys, crashPoints(0, last), func(img string, p int) error {
 		cfg := cfg

@@ -83,6 +83,9 @@ func buildPartApp(t testing.TB, cfg Config) *Store {
 	return st
 }
 
+// testHookIngest, when set, runs in ingestProc before it emits.
+var testHookIngest func()
+
 // ingestProc is the border stage of buildPartApp's dataflow: each event
 // (k, amt) becomes (k, 2·amt) on derived.
 func ingestProc() *pe.Procedure {
@@ -90,6 +93,9 @@ func ingestProc() *pe.Procedure {
 		Name:     "ingest",
 		WriteSet: []string{"derived"},
 		Handler: func(ctx *pe.ProcCtx) error {
+			if hook := testHookIngest; hook != nil {
+				hook()
+			}
 			for _, r := range ctx.Batch {
 				if err := ctx.Emit("derived", types.Row{r[0], types.NewInt(r[1].Int() * 2)}); err != nil {
 					return err

@@ -226,9 +226,9 @@ type Engine struct {
 	// dispatchEmits appends, runChain drains it before the next request
 	// (produced and consumed in the worker's place, so no locking).
 	chain []*txnRequest
-	// held is replay's list, under LogAllTEs, of re-derived executions
-	// waiting for their own RecTriggered or RecAborted records
-	// (dispatchEmits): a RecTriggered record runs its execution with the
+	// held is replay's list, under LogAllTEs, of re-derived or restored
+	// executions waiting for their own RecTriggered or RecAborted records
+	// (trigger): a RecTriggered record runs its execution with the
 	// exact stream tuples the parent's replay inserted, a RecAborted record
 	// drops it. FinishReplay runs what is left.
 	held []*txnRequest
@@ -626,6 +626,12 @@ func (e *Engine) worker() {
 // execution that aborts is that execution's abort, here as live.
 func (e *Engine) runChain(r *txnRequest) {
 	e.runGated(r)
+	e.drainChain()
+}
+
+// drainChain runs the worker's chain to its end, what each execution
+// appends included.
+func (e *Engine) drainChain() {
 	for i := 0; i < len(e.chain); i++ {
 		next := e.chain[i]
 		e.chain[i] = nil
@@ -720,8 +726,8 @@ func (e *Engine) observe(r *txnRequest, acked stamp) {
 
 // drainAcks forces every outstanding commit durable and waits for its
 // acknowledgement to be delivered. Runs on the partition worker at barrier
-// points (checkpoint), so the snapshot+truncate that follows never destroys
-// a log record whose future is still pending.
+// points (a checkpoint's cut), so no commit the cut holds is waiting on a
+// future.
 func (e *Engine) drainAcks() {
 	if e.ackQ == nil {
 		return
@@ -924,7 +930,7 @@ func (e *Engine) Exec(sqlText string, params ...types.Value) (*Result, error) {
 }
 
 // RunExclusive executes fn on the partition goroutine with no transaction
-// running — the quiescent point snapshots are taken at.
+// running — the quiescent point a checkpoint's cut is taken at.
 func (e *Engine) RunExclusive(fn func() error) error {
 	if err := e.errNotStarted(); err != nil {
 		return err
@@ -1387,15 +1393,17 @@ func (e *Engine) Replay(rec *LogRecord) error {
 			r = h
 			break
 		}
-		// No held execution: a checkpoint truncated the parent's record,
-		// and the snapshot holds the tuples it left in the input stream but
-		// not the execution. This TE must GC them, as the original did. Age
-		// alone does not name them: an interior TE that aborted live left
-		// its batch in the stream ahead of this one.
+		// No held execution: a checkpoint dropped the parent's record, and
+		// the snapshot holds the tuples it left in the input stream but not
+		// the execution. A snapshot now carries its deferred executions
+		// (Restore holds them), but one an earlier version wrote does not,
+		// so this stays. This TE must GC the tuples, as the original did.
+		// Age alone does not name them: an interior TE that aborted live
+		// left its batch in the stream ahead of this one.
 		r.kind = reqTriggered
 		if rec.InputStream != "" {
 			if rel := e.ee.Catalog().Relation(rec.InputStream); rel != nil {
-				r.gcIDs = consumedTuples(rel.Table, rec.Batch)
+				r.gcIDs = consumedTuples(rel.Table, rec.Batch, map[storage.RowID]bool{})
 			}
 		}
 	default:
@@ -1444,18 +1452,23 @@ func (e *Engine) FinishReplay() {
 	}
 }
 
-// consumedTuples names the stream tuples a replayed triggered batch
-// consumed: for each row of batch, the oldest tuple of the stream equal to
-// it, none taken twice. Equal rows are interchangeable, so the choice is
+// consumedTuples names the stream tuples a replayed or restored triggered
+// batch consumed: for each row of batch, the oldest tuple of the stream
+// equal to it, none taken twice and none that named holds; it adds the
+// ones it names to named. Equal rows are interchangeable, so the choice is
 // deterministic.
-func consumedTuples(stream *storage.Table, batch []types.Row) []storage.RowID {
+func consumedTuples(stream *storage.Table, batch []types.Row, named map[storage.RowID]bool) []storage.RowID {
 	ids := make([]storage.RowID, 0, len(batch))
 	taken := make([]bool, len(batch))
 	stream.Scan(func(id storage.RowID, row types.Row) bool {
+		if named[id] {
+			return true
+		}
 		for i, b := range batch {
 			if !taken[i] && b.Equal(row) {
 				taken[i] = true
 				ids = append(ids, id)
+				named[id] = true
 				break
 			}
 		}
@@ -1464,11 +1477,56 @@ func consumedTuples(stream *storage.Table, batch []types.Row) []storage.RowID {
 	return ids
 }
 
-// NextBatchID exposes the border batch counter for snapshots. It takes
-// ingestMu: a checkpoint barrier stops the worker, but client goroutines
-// may still be buffering partial batches (and cutting full ones) under
-// that lock; a batch cut after this read executes after the barrier and
-// lands in the truncated log, so replay re-derives any higher ID.
+// Deferred returns, for a checkpoint's cut, the triggered executions the
+// paused graphs hold, as the RecTriggered records their commits would
+// append, each graph's in the order the worker deferred them. A deferred
+// border batch is left out: nothing logged it yet, so, like the tuples
+// queued at ingest, it is upstream backup's until it runs. The caller holds
+// the worker.
+func (e *Engine) Deferred() []*LogRecord {
+	e.ingestMu.Lock()
+	defer e.ingestMu.Unlock()
+	var recs []*LogRecord
+	for _, deferred := range e.deferred {
+		for _, r := range deferred {
+			if r.kind == reqTriggered {
+				recs = append(recs, &LogRecord{Kind: RecTriggered, Proc: r.proc.Name,
+					Batch: slices.Clone(r.batch), BatchID: r.batchID, InputStream: r.inputStream})
+			}
+		}
+	}
+	return recs
+}
+
+// Restore re-creates, before the first replayed record, the deferred
+// executions a snapshot holds (Deferred's records; recs' other kinds are
+// not executions), each over the oldest tuples of its input stream equal to
+// its batch (consumedTuples). Each is placed where replay places one it
+// re-derives (trigger): under LogBorderOnly it runs now, in the chain, as
+// its parent's replay would have run it; under LogAllTEs it is held for its
+// own RecTriggered or RecAborted record, and FinishReplay runs the rest.
+// An execution whose stream no graph consumes any more is dropped, as its
+// parent's replay would drop it.
+func (e *Engine) Restore(recs []*LogRecord) {
+	named := map[storage.RowID]bool{}
+	for _, rec := range recs {
+		e.ingestMu.Lock()
+		b := e.bindings[strings.ToLower(rec.InputStream)]
+		e.ingestMu.Unlock()
+		if rec.Kind != RecTriggered || b == nil {
+			continue
+		}
+		ids := consumedTuples(e.ee.Catalog().Relation(rec.InputStream).Table, rec.Batch, named)
+		e.trigger(b, rec.InputStream, rec.Batch, ids, rec.BatchID, 0, true)
+	}
+	e.drainChain()
+}
+
+// NextBatchID exposes the border batch counter for a checkpoint's cut. It
+// takes ingestMu: the cut holds the worker, but client goroutines may still
+// be buffering partial batches (and cutting full ones) under that lock; a
+// batch cut after this read executes after the cut, so its record stays in
+// the log and replay re-derives any higher ID.
 func (e *Engine) NextBatchID() uint64 {
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()

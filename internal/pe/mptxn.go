@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/ee"
 	"repro/internal/metrics"
+	"repro/internal/storage"
 	"repro/internal/types"
 )
 
@@ -470,15 +471,10 @@ func (e *Engine) replayPreparedLeg(r *txnRequest) {
 // into downstream transaction executions (PE triggers) — shared by the
 // local and multi-partition commit paths, live and in replay. Each batch
 // and its ids are copied into the request that carries them: it runs
-// after this TE's memory has been reused. The requests join the worker's
-// chain, which runChain runs before the next request; each counts in its
-// graph's in-flight total from here. origin is the chain root's admission
-// time, inherited by descendants for end-to-end latency accounting. Replay
-// re-derives every emission in both modes; under LogAllTEs a descendant is
-// a log record of its own, so it is held until that record arrives
-// (Replay) or replay finishes (FinishReplay). The returned count is the
-// descendants this execution's chain continues into — zero means the chain
-// ends here.
+// after this TE's memory has been reused. origin is the chain root's
+// admission time, inherited by descendants for end-to-end latency
+// accounting. The returned count is the descendants this execution's chain
+// continues into — zero means the chain ends here.
 func (e *Engine) dispatchEmits(batchID uint64, origin stamp, replay bool) int {
 	continued := 0
 	for i := range e.emits {
@@ -489,25 +485,35 @@ func (e *Engine) dispatchEmits(batchID uint64, origin stamp, replay bool) int {
 		if b == nil {
 			continue
 		}
-		tr := e.newTriggered()
-		tr.proc = b.proc
-		tr.batch = append(tr.batch, em.rows...)
-		tr.batchID = batchID
-		tr.inputStream = em.stream
-		tr.gcIDs = append(tr.gcIDs, em.ids...)
-		tr.origin = origin
-		tr.stats = b.stats
-		tr.graph = b.graph
-		tr.replay = replay
-		e.graphTakeoff(tr.graph)
-		if replay && e.logMode == LogAllTEs {
-			e.held = append(e.held, tr)
-		} else {
-			e.chain = append(e.chain, tr)
-		}
+		e.trigger(b, em.stream, em.rows, em.ids, batchID, origin, replay)
 		continued++
 	}
 	return continued
+}
+
+// trigger places one execution of b's procedure over rows, the tuples ids
+// of stream: in the worker's chain, which runChain runs before the next
+// request, or, when replay re-derives it under LogAllTEs, where a
+// descendant is a log record of its own, held until that record arrives
+// (Replay) or replay finishes (FinishReplay). It counts in its graph's
+// in-flight total from here.
+func (e *Engine) trigger(b *binding, stream string, rows []types.Row, ids []storage.RowID, batchID uint64, origin stamp, replay bool) {
+	tr := e.newTriggered()
+	tr.proc = b.proc
+	tr.batch = append(tr.batch, rows...)
+	tr.batchID = batchID
+	tr.inputStream = stream
+	tr.gcIDs = append(tr.gcIDs, ids...)
+	tr.origin = origin
+	tr.stats = b.stats
+	tr.graph = b.graph
+	tr.replay = replay
+	e.graphTakeoff(tr.graph)
+	if replay && e.logMode == LogAllTEs {
+		e.held = append(e.held, tr)
+	} else {
+		e.chain = append(e.chain, tr)
+	}
 }
 
 // newTriggered returns an empty reqTriggered request, a recycled one when

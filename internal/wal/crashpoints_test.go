@@ -12,13 +12,15 @@ import (
 
 // TestLogCrashPoints runs one script under each sync policy on a recording
 // file system — waited appends (several in flight at once), un-waited
-// appends, SyncNow, a Truncate and appends after it — and reads the log a
-// crash would leave after every operation, in every image variant. Each
-// time ScanLog must return a contiguous run of LSNs that holds every
-// record acknowledged before the crash and, once the truncation's fsync
-// has returned, nothing from before it. An acknowledgement is what the
-// policy promises: a resolved future under group commit, a returned
-// append under every-record, and a returned SyncNow under all three.
+// appends, SyncNow, a Truncate with records appended after its drop point,
+// and appends after it — and reads the log a crash would leave after every
+// operation, in every image variant. Each time ScanLog must return a
+// contiguous run of LSNs, the one ReadFrames ships, that holds every record
+// acknowledged before the crash and, once the truncation's fsync has
+// returned, nothing at or below its drop point and every record after it,
+// each under its own LSN. An acknowledgement is what the policy promises: a
+// resolved future under group commit, a returned append under
+// every-record, and a returned SyncNow under all three.
 func TestLogCrashPoints(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -81,8 +83,12 @@ func logCrashPoints(t *testing.T, policy wal.SyncPolicy) {
 	waited(1)
 	syncNow()
 	unwaited(2)
-	truncLSN, truncFrom := l.LSN(), fsys.Len()
-	if err := l.Truncate(); err != nil {
+	trunc := l.End()
+	truncLSN := trunc.LSN
+	unwaited(2)
+	waited(1)
+	keptLSN, truncFrom := l.LSN(), fsys.Len()
+	if err := l.Truncate(trunc); err != nil {
 		t.Fatal(err)
 	}
 	truncDone := fsys.Len()
@@ -96,24 +102,14 @@ func logCrashPoints(t *testing.T, policy wal.SyncPolicy) {
 
 	base := t.TempDir()
 	for p := 0; p <= fsys.Len(); p++ {
-		// The records this point must hold: from the first of the log's
-		// current epoch up to the last one acknowledged.
-		first, need := uint64(1), uint64(0)
-		if p >= truncFrom {
-			first = truncLSN + 1
-		}
-		for _, a := range acks {
-			if a.point <= p && a.lsn >= first {
-				need = max(need, a.lsn)
-			}
-		}
 		for _, v := range crashfs.Variants {
 			img := filepath.Join(base, fmt.Sprintf("%d-%s", p, v))
 			if err := fsys.Image(img, p, v); err != nil {
 				t.Fatal(err)
 			}
+			path := filepath.Join(img, wal.DefaultLogName)
 			var run []uint64
-			if _, err := wal.ScanLog(filepath.Join(img, wal.DefaultLogName), func(lsn uint64, b []byte) error {
+			if _, err := wal.ScanLog(path, func(lsn uint64, b []byte) error {
 				if string(b) != payload(lsn) {
 					return fmt.Errorf("LSN %d holds %q", lsn, b)
 				}
@@ -121,6 +117,31 @@ func logCrashPoints(t *testing.T, policy wal.SyncPolicy) {
 				return nil
 			}); err != nil {
 				t.Fatalf("%s, %s image: %v", fsys.Describe(p), v, err)
+			}
+			var shipped []uint64
+			frames, _, err := wal.ReadFrames(path, 0, 0)
+			for _, f := range frames {
+				shipped = append(shipped, f.LSN)
+			}
+			if err != nil || fmt.Sprint(shipped) != fmt.Sprint(run) {
+				t.Fatalf("%s, %s image: ReadFrames ships %v, %v; ScanLog reads %v", fsys.Describe(p), v, shipped, err, run)
+			}
+			// The segment starts at LSN 1 until the truncation's rename
+			// may have landed, and after the drop point once it is durable.
+			// It holds every record acknowledged from its start on, and
+			// once the truncation is durable every record it kept.
+			first := uint64(1)
+			if p >= truncDone || (p >= truncFrom && len(run) > 0 && run[0] == truncLSN+1) {
+				first = truncLSN + 1
+			}
+			need := uint64(0)
+			for _, a := range acks {
+				if a.point <= p && a.lsn >= first {
+					need = max(need, a.lsn)
+				}
+			}
+			if p >= truncDone {
+				need = max(need, keptLSN)
 			}
 			bad := ""
 			for i := 1; i < len(run); i++ {
@@ -130,10 +151,10 @@ func logCrashPoints(t *testing.T, policy wal.SyncPolicy) {
 			}
 			switch {
 			case bad != "":
-			case need > 0 && (len(run) == 0 || run[0] != first || run[len(run)-1] < need):
-				bad = fmt.Sprintf("missing acknowledged records %d..%d", first, need)
-			case p >= truncDone && len(run) > 0 && run[0] <= truncLSN:
-				bad = fmt.Sprintf("holds records the durable truncation after LSN %d removed", truncLSN)
+			case len(run) > 0 && run[0] != first:
+				bad = fmt.Sprintf("starts at LSN %d, want %d", run[0], first)
+			case need > 0 && (len(run) == 0 || run[len(run)-1] < need):
+				bad = fmt.Sprintf("missing records %d..%d", first, need)
 			}
 			if bad != "" {
 				t.Fatalf("%s, %s image: log reads LSNs %v: %s", fsys.Describe(p), v, run, bad)

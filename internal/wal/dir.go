@@ -82,9 +82,12 @@ func NewDir(path string, fsys FS) *Dir {
 
 // OpenLog opens (creating if needed) the log segment at path, a file in d,
 // and positions for appending after startLSN, the LSN of the last record
-// already in the file (ScanLog discovers it). SyncGroupCommit starts the
-// commit daemon, which runs until Close.
+// already in the file (ScanLog discovers it). A torn tail a crash left is
+// cut off first, through Replace, so a record appended from here on follows
+// the last intact one and every reader reaches it. SyncGroupCommit starts
+// the commit daemon, which runs until Close.
 func (d *Dir) OpenLog(path string, startLSN uint64, o Options) (*Log, error) {
+	var size int64
 	f, err := d.fs.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
 	switch {
 	case err == nil: // a new segment: its directory entry is durable before its first record
@@ -92,12 +95,32 @@ func (d *Dir) OpenLog(path string, startLSN uint64, o Options) (*Log, error) {
 			f.Close()
 		}
 	case errors.Is(err, fs.ErrExist):
-		f, err = d.fs.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+		if size, err = d.trimTornTail(path); err == nil {
+			f, err = d.fs.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+		}
 	}
 	if err != nil {
 		return nil, fmt.Errorf("wal: open log: %w", err)
 	}
-	return newLog(d, path, f, startLSN, o), nil
+	return newLog(d, path, f, startLSN, size, o), nil
+}
+
+// trimTornTail replaces the segment at path with its intact frames when
+// bytes follow them, and returns the length of those frames.
+func (d *Dir) trimTornTail(path string) (int64, error) {
+	s, err := openSegment(path)
+	if s == nil {
+		return 0, err
+	}
+	defer s.f.Close()
+	for _, _, ok := s.next(); ok; _, _, ok = s.next() {
+	}
+	if s.off == s.size {
+		return s.size, nil
+	}
+	return s.off, d.Replace(path, func(w io.Writer) error {
+		return copyRange(w, path, 0, s.off)
+	})
 }
 
 // OpenLogOpts opens the log segment at path through a Dir of its own on

@@ -13,10 +13,11 @@ import (
 )
 
 // TestDurableFormatsUnchanged pins the bytes of every durable file wal
-// writes — a log frame and a snapshot of two relations (one a window) —
-// and of the records whose kinds outlived the coordinator log or came after
-// it, and reads each golden image back, so a directory an earlier version
-// wrote opens unchanged.
+// writes — a log frame and a snapshot of two relations (one a window),
+// without and with a trailing section for a paused graph and a deferred
+// execution — and of the records whose kinds outlived the coordinator log
+// or came after it, and reads each golden image back, so a directory an
+// earlier version wrote opens unchanged.
 func TestDurableFormatsUnchanged(t *testing.T) {
 	dir := t.TempDir()
 	d := NewDir(dir, OS)
@@ -71,16 +72,28 @@ func TestDurableFormatsUnchanged(t *testing.T) {
 	w.Win.Staged = []types.Row{{types.NewInt(6)}}
 	snapPath := filepath.Join(dir, DefaultSnapshotName)
 	meta := Snapshot{LastLSN: 7, NextBatchID: 3}
-	if err := WriteSnapshot(d, snapPath, cat, meta); err != nil {
+	if err := WriteSnapshot(d, snapPath, cutOf(cat, meta)); err != nil {
 		t.Fatal(err)
 	}
 	if got := read(snapPath); got != goldenSnapshot {
 		t.Errorf("snapshot is %s, want %s", got, goldenSnapshot)
 	}
+	// The same state with a paused graph and a deferred execution: the
+	// image gains a trailing section of their records.
+	held := meta
+	held.Records = []*pe.LogRecord{{Kind: pe.RecPauseGraph, Proc: "g"}, {Kind: pe.RecTriggered, Proc: "p",
+		BatchID: 3, InputStream: "st", Batch: []types.Row{{types.NewInt(5)}}}}
+	heldPath := filepath.Join(dir, "held.bin")
+	if err := WriteSnapshot(d, heldPath, cutOf(cat, held)); err != nil {
+		t.Fatal(err)
+	}
+	if got := read(heldPath); got != goldenHeldSnapshot {
+		t.Errorf("snapshot with held work is %s, want %s", got, goldenHeldSnapshot)
+	}
 
 	// The golden images, written by hand, read back.
 	old := t.TempDir()
-	for name, h := range map[string]string{DefaultLogName: goldenFrame, DefaultSnapshotName: goldenSnapshot} {
+	for name, h := range map[string]string{DefaultLogName: goldenFrame, DefaultSnapshotName: goldenSnapshot, "held.bin": goldenHeldSnapshot} {
 		b, _ := hex.DecodeString(h)
 		if err := os.WriteFile(filepath.Join(old, name), b, 0o644); err != nil {
 			t.Fatal(err)
@@ -93,15 +106,27 @@ func TestDurableFormatsUnchanged(t *testing.T) {
 	}); err != nil || last != 42 || len(frames) != 1 || frames[0] != "golden" {
 		t.Errorf("golden log scans as %q up to LSN %d, %v", frames, last, err)
 	}
-	cat2 := goldenCatalog(t)
-	if got, err := LoadSnapshot(filepath.Join(old, DefaultSnapshotName), cat2); err != nil || got != meta {
-		t.Errorf("golden snapshot loads as %+v, %v", got, err)
+	for name, want := range map[string]Snapshot{DefaultSnapshotName: meta, "held.bin": held} {
+		cat2 := goldenCatalog(t)
+		if got, err := LoadSnapshot(filepath.Join(old, name), cat2); err != nil || snapshotString(got) != snapshotString(want) {
+			t.Errorf("golden %s loads as %+v, %v", name, got, err)
+		}
+		w2 := cat2.Relation("w")
+		if cat2.Relation("st").Table.Count() != 1 || w2.Table.Count() != 1 || w2.Win.Admitted != 2 ||
+			w2.Win.Watermark != 9 || w2.Win.SlideCount != 1 || w2.Win.OwnerProc != "sp" || len(w2.Win.Staged) != 1 {
+			t.Errorf("golden %s restored %+v", name, w2.Win)
+		}
 	}
-	w2 := cat2.Relation("w")
-	if cat2.Relation("st").Table.Count() != 1 || w2.Table.Count() != 1 || w2.Win.Admitted != 2 ||
-		w2.Win.Watermark != 9 || w2.Win.SlideCount != 1 || w2.Win.OwnerProc != "sp" || len(w2.Win.Staged) != 1 {
-		t.Errorf("golden snapshot restored %+v", w2.Win)
+}
+
+// snapshotString renders a snapshot's metadata, each record as its
+// encoding.
+func snapshotString(s Snapshot) string {
+	out := fmt.Sprint(s.LastLSN, " ", s.NextBatchID)
+	for _, rec := range s.Records {
+		out += " " + hex.EncodeToString(EncodeRecord(rec))
 	}
+	return out
 }
 
 // goldenCatalog is a stream and a row window over it.
@@ -122,6 +147,7 @@ func goldenCatalog(t *testing.T) *catalog.Catalog {
 }
 
 const (
-	goldenFrame    = "0e00000000fcd54c2a00000000000000676f6c64656e"
-	goldenSnapshot = "515453530000000007000000000000000300000000000000020000000000000002000000000000007374010000000000000004000000000000000101020a01000000000000007702000000000000000400000000000000010102080200000000000000090000000000000001000000000000000200000000000000737004000000000000000101020cded9e764"
+	goldenFrame        = "0e00000000fcd54c2a00000000000000676f6c64656e"
+	goldenHeldSnapshot = "515453530000000007000000000000000300000000000000020000000000000002000000000000007374010000000000000004000000000000000101020a01000000000000007702000000000000000400000000000000010102080200000000000000090000000000000001000000000000000200000000000000737004000000000000000101020c02000000000000000700000000000000090167000000000c0000000000000003017003027374000101020ab2e0aeb5"
+	goldenSnapshot     = "515453530000000007000000000000000300000000000000020000000000000002000000000000007374010000000000000004000000000000000101020a01000000000000007702000000000000000400000000000000010102080200000000000000090000000000000001000000000000000200000000000000737004000000000000000101020cded9e764"
 )

@@ -397,7 +397,7 @@ func TestFailedFsyncPoisonsOnEveryPath(t *testing.T) {
 	boom := errors.New("disk on fire")
 	for name, op := range map[string]func(l *wal.Log) error{
 		"Sync":     func(l *wal.Log) error { return l.Sync() },
-		"Truncate": func(l *wal.Log) error { return l.Truncate() },
+		"Truncate": func(l *wal.Log) error { return l.Truncate(l.End()) },
 		"Append":   func(l *wal.Log) error { _, err := l.Append([]byte("r")); return err },
 	} {
 		policy := wal.SyncNever
@@ -499,8 +499,12 @@ func TestGroupCommitTruncateKeepsLSNAndDrains(t *testing.T) {
 	if _, err := l.AppendUnwaited([]byte("pre, un-waited")); err != nil {
 		t.Fatal(err)
 	}
+	at := l.End()
+	if at.LSN != 2 {
+		t.Fatalf("end LSN = %d before truncate", at.LSN)
+	}
 	truncated := make(chan error, 1)
-	go func() { truncated <- l.Truncate() }()
+	go func() { truncated <- l.Truncate(at) }()
 	release()
 	if err := <-truncated; err != nil {
 		t.Fatal(err)

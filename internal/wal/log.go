@@ -89,9 +89,10 @@ const (
 // [len u32][crc32 u32][lsn u64][payload] with the CRC covering lsn+payload;
 // a torn tail is detected and ignored at read time, which is exactly the
 // semantics command logging needs (the interrupted transaction never
-// acked, so dropping it is correct). Carrying the LSN in the frame makes
-// replay robust to a crash between snapshot-write and log-truncate: stale
-// records are recognizable by LSN and skipped.
+// acked, so dropping it is correct). A record keeps its LSN for life, in
+// the frame: a checkpoint's Truncate drops the prefix a snapshot covers and
+// copies the records after it as they are, and replay skips by LSN what a
+// crash between snapshot-write and Truncate left behind.
 //
 // Appends go through a buffered writer, so even SyncNever pays one write(2)
 // per flush rather than per record; Sync, Truncate, and Close flush first.
@@ -110,6 +111,7 @@ type Log struct {
 	f        File
 	w        *bufio.Writer
 	lsn      uint64       // last assigned LSN
+	size     int64        // the segment's length, buffered frames included
 	buf      []byte       // frame scratch, reused across appends
 	pending  []chan error // futures the next fsync resolves (append order)
 	unsynced int          // records buffered since the last fsync began
@@ -131,9 +133,9 @@ type Log struct {
 	onSyncBatch func(n int, took time.Duration)
 }
 
-// newLog wraps the segment file f at path in d (Dir.OpenLog); its commit
-// daemon takes d's disk token before each fsync.
-func newLog(d *Dir, path string, f File, startLSN uint64, o Options) *Log {
+// newLog wraps the segment file f at path in d (Dir.OpenLog), size bytes
+// long; its commit daemon takes d's disk token before each fsync.
+func newLog(d *Dir, path string, f File, startLSN uint64, size int64, o Options) *Log {
 	l := &Log{
 		policy: o.Policy,
 		dir:    d,
@@ -141,6 +143,7 @@ func newLog(d *Dir, path string, f File, startLSN uint64, o Options) *Log {
 		f:      f,
 		w:      bufio.NewWriterSize(f, 1<<16),
 		lsn:    startLSN,
+		size:   size,
 	}
 	if o.Policy == SyncGroupCommit {
 		l.onSyncBatch = o.OnSyncBatch
@@ -168,7 +171,7 @@ func (l *Log) appendFrame(payload []byte) (uint64, error) {
 		l.err = err
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
-	l.lsn = lsn
+	l.lsn, l.size = lsn, l.size+int64(len(l.buf))
 	return lsn, nil
 }
 
@@ -414,15 +417,30 @@ func (l *Log) LSN() uint64 {
 	return l.lsn
 }
 
-// Truncate empties the log after a successful snapshot, keeping only the
-// records in keep, which it appends after every record so far: LSNs keep
-// increasing across truncation. The segment is replaced through its Dir,
-// so a crash leaves the old segment or the new one with keep in it, never
-// an empty one. Pending group-commit futures are made durable and resolved
-// first — their records are covered by the snapshot the caller just wrote,
-// but the futures themselves must complete. An append racing Truncate
-// lands in the old segment or the new one.
-func (l *Log) Truncate(keep ...[]byte) error {
+// Pos is a point in a log segment: the LSN of the last record before it and
+// the offset where the next record's frame starts.
+type Pos struct {
+	LSN uint64
+	off int64
+}
+
+// End returns the position after the last appended record.
+func (l *Log) End() Pos {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return Pos{l.lsn, l.size}
+}
+
+// Truncate drops the records before at, a position End returned since the
+// log's last Truncate, which a snapshot now covers, and keeps every record
+// after it with its LSN: the segment is replaced through its Dir by one
+// holding the segment's bytes from at on, so a crash leaves the old segment
+// or the new one, and the records after at are in both. Nothing before at
+// is read. Pending group-commit futures are made durable and resolved
+// first. Appends wait while the bytes after at are copied and the new
+// segment is made durable; one racing Truncate lands in the old segment
+// before the copy or in the new one after it.
+func (l *Log) Truncate(at Pos) error {
 	if l.policy == SyncGroupCommit {
 		if err := l.SyncNow(); err != nil {
 			return fmt.Errorf("wal: truncate: %w", err)
@@ -432,17 +450,10 @@ func (l *Log) Truncate(keep ...[]byte) error {
 	defer l.fmu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var frames []byte
-	lsn := l.lsn
-	for _, p := range keep {
-		lsn++
-		frames = frame(frames, lsn, p)
-	}
 	err := l.flushLocked()
 	if err == nil {
 		err = l.dir.Replace(l.path, func(w io.Writer) error {
-			_, err := w.Write(frames)
-			return err
+			return copyRange(w, l.path, at.off, l.size)
 		})
 	}
 	var f File
@@ -456,9 +467,23 @@ func (l *Log) Truncate(keep ...[]byte) error {
 		return fmt.Errorf("wal: truncate: %w", err)
 	}
 	old := l.f
-	l.f, l.lsn = f, lsn
+	l.f, l.size = f, l.size-at.off
 	l.w.Reset(f)
 	return old.Close()
+}
+
+// copyRange copies the bytes [from, to) of the file at path to w.
+func copyRange(w io.Writer, path string, from, to int64) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	n, err := io.Copy(w, io.NewSectionReader(f, from, to-from))
+	if err == nil && n != to-from {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // Sync flushes buffered frames and forces the log to stable storage. It

@@ -106,7 +106,7 @@ func TestReadFramesGapAfterTruncate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Truncate(); err != nil {
+	if err := l.Truncate(l.End()); err != nil {
 		t.Fatal(err)
 	}
 	// LSNs continue past the truncation; the file now starts at 6.
@@ -159,7 +159,7 @@ func TestReadFramesStaleCursorAfterTruncate(t *testing.T) {
 	}
 
 	// Checkpoint: the file restarts at LSN 7; every cached offset is junk.
-	if err := l.Truncate(); err != nil {
+	if err := l.Truncate(l.End()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Append([]byte("after-checkpoint")); err != nil {
