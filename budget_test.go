@@ -86,3 +86,44 @@ func TestOLTPCallAllocBudget(t *testing.T) {
 		t.Fatalf("%.0f allocations per call, budget %d", got, budget)
 	}
 }
+
+// TestKeyedQueryAllocBudget: kv-mixed's point read on two partitions. The
+// key names its owner, so the statement runs there alone: no leg
+// goroutines, no merge (a fan-out read 26).
+func TestKeyedQueryAllocBudget(t *testing.T) {
+	st := sstore.Open(sstore.Config{Partitions: 2})
+	if err := st.ExecScript("CREATE TABLE kv (k BIGINT PRIMARY KEY, grp INT, n BIGINT, v VARCHAR) PARTITION BY k"); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Stop()
+	const keys = 1000
+	for k := int64(0); k < keys; k++ {
+		if _, err := st.Exec("INSERT INTO kv VALUES (?, ?, ?, ?)",
+			sstore.Int(k), sstore.Int(k%100), sstore.Int(0), sstore.Str("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	params := make([]sstore.Value, keys)
+	for k := range params {
+		params[k] = sstore.Int(int64(k))
+	}
+	k := 0
+	read := func() {
+		k = (k + 1) % keys
+		res, err := st.Query("SELECT k, grp, n, v FROM kv WHERE k = ?", params[k])
+		if err != nil || len(res.Rows) != 1 {
+			t.Fatalf("point read of %d: %v, %v", k, res, err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		read()
+	}
+	// Measured 9, and 10 under the race detector.
+	const budget = 10
+	if got := testing.AllocsPerRun(1000, read); got > budget {
+		t.Fatalf("%.0f allocations per keyed read, budget %d", got, budget)
+	}
+}

@@ -53,7 +53,7 @@ type Config struct {
 	// critical path), or SyncGroupCommit (the production choice: commits
 	// append and execution continues, a per-partition daemon starts an
 	// fsync as soon as a client is waiting and the disk is free, at most
-	// once per 1 ms on a busy log, covering everything appended meanwhile,
+	// once per 500 µs on a busy log, covering everything appended meanwhile,
 	// and clients are acknowledged when their commit future resolves — no
 	// knob; see DESIGN.md §1.4 and E7 in EXPERIMENTS.md for the throughput
 	// gap).

@@ -16,7 +16,11 @@ import (
 // the shared ee evaluator). Any drift between the two evaluators shows up
 // as a row-set mismatch. The four-partition answer is asked through every
 // door of the snapshot read path: Store.Query, QueryPinned on a fresh pin,
-// and Query on a caught-up follower.
+// and Query on a caught-up follower. Keyed rows bind the partition key by
+// equality: the primary's doors read the key's owner alone, the follower
+// fans out, so a shape only the merge refuses (OFFSET) is answered by the
+// primary's doors and refused by the follower's; a value that must not
+// prune is refused by every door.
 func TestMergeDifferentialOneVsManyPartitions(t *testing.T) {
 	build := func(cfg Config) *Store {
 		st := Open(cfg)
@@ -81,10 +85,13 @@ func TestMergeDifferentialOneVsManyPartitions(t *testing.T) {
 		{"Follower.Query", f.Query},
 	}
 
-	queries := []struct {
-		sql    string
-		params []types.Value
-	}{
+	type query struct {
+		sql     string
+		params  []types.Value
+		keyed   bool // answered only where the key names one partition
+		fansOut bool // an OFFSET shape every four-partition door refuses
+	}
+	queries := []query{
 		{sql: "SELECT g, COUNT(*) FROM m GROUP BY g HAVING COUNT(*) > 7"},
 		{sql: "SELECT g, SUM(v) FROM m GROUP BY g HAVING SUM(v) > 20"},
 		{sql: "SELECT g FROM m GROUP BY g HAVING SUM(v) > 20"},
@@ -127,6 +134,34 @@ func TestMergeDifferentialOneVsManyPartitions(t *testing.T) {
 		{sql: "SELECT g, SUM(v), SUM(v) / COUNT(v) FROM m GROUP BY g HAVING SUM(v) > 15"},
 		{sql: "SELECT g, SUM(v) % 5 FROM m GROUP BY g ORDER BY g LIMIT 4"},
 		{sql: "SELECT g, SUM(v) / COUNT(v) AS r FROM m GROUP BY g HAVING COUNT(*) > 7 ORDER BY g"},
+		// Keyed reads: the key in every spelling the router recognizes,
+		// beside other conjuncts and under aggregation, and values that
+		// must not prune (NULL; '5' and 5.5 against BIGINT k).
+		{sql: "SELECT k, g, v FROM m WHERE ? = k", params: []types.Value{types.NewInt(5)}},
+		{sql: "SELECT m.k, m.v FROM m WHERE m.k = ?", params: []types.Value{types.NewInt(5)}},
+		{sql: "SELECT x.k, x.v FROM m x WHERE x.k = ?", params: []types.Value{types.NewInt(5)}},
+		{sql: "SELECT k, v FROM m WHERE k = ? AND v > 2", params: []types.Value{types.NewInt(5)}},
+		{sql: "SELECT k, v FROM m WHERE k = ? AND v > 2", params: []types.Value{types.NewInt(1)}},
+		{sql: "SELECT COUNT(*), SUM(v) FROM m WHERE k = ?", params: []types.Value{types.NewInt(5)}},
+		{sql: "SELECT COUNT(*), SUM(v) FROM m WHERE k = ?", params: []types.Value{types.NewInt(1000)}},
+		{sql: "SELECT k FROM m WHERE k = ?", params: []types.Value{types.Null}},
+		{sql: "SELECT k, v FROM m WHERE k = ?", params: []types.Value{types.NewString("5")}},
+		{sql: "SELECT k, v FROM m WHERE k = ?", params: []types.Value{types.NewFloat(5.0)}},
+		{sql: "SELECT k, v FROM m WHERE k = ?", params: []types.Value{types.NewFloat(5.5)}},
+		{sql: "SELECT k, v FROM m WHERE k = 5"},
+		{sql: "SELECT k, v FROM m WHERE k = ? ORDER BY k LIMIT 5 OFFSET 1", params: []types.Value{types.NewInt(5)}, keyed: true},
+		{sql: "SELECT k, v FROM m WHERE k = ? ORDER BY k LIMIT 5 OFFSET 0", params: []types.Value{types.NewInt(5)}, keyed: true},
+		{sql: "SELECT k FROM m WHERE ? = k LIMIT 1 OFFSET 0", params: []types.Value{types.NewInt(5)}, keyed: true},
+		{sql: "SELECT m.k FROM m WHERE m.k = ? LIMIT 1 OFFSET 0", params: []types.Value{types.NewInt(5)}, keyed: true},
+		{sql: "SELECT x.k FROM m x WHERE v >= 0 AND x.k = ? LIMIT 1 OFFSET 0", params: []types.Value{types.NewInt(5)}, keyed: true},
+		{sql: "SELECT k FROM m WHERE k = ? LIMIT 1 OFFSET 0", params: []types.Value{types.NewFloat(5.0)}, keyed: true},
+		{sql: "SELECT k FROM m WHERE k = ? LIMIT 1 OFFSET 0", params: []types.Value{types.NewString("5")}, fansOut: true},
+		{sql: "SELECT k FROM m WHERE k = ? LIMIT 1 OFFSET 0", params: []types.Value{types.NewFloat(5.5)}, fansOut: true},
+		{sql: "SELECT k FROM m WHERE k = ? LIMIT 1 OFFSET 0", params: []types.Value{types.Null}, fansOut: true},
+		{sql: "SELECT k FROM m WHERE k = ? OR v = 2 LIMIT 1 OFFSET 0", params: []types.Value{types.NewInt(5)}, fansOut: true},
+	}
+	for k := int64(0); k <= 48; k++ { // every loaded key and one absent
+		queries = append(queries, query{sql: "SELECT k, g, v FROM m WHERE k = ?", params: []types.Value{types.NewInt(k)}})
 	}
 	for _, q := range queries {
 		a, err := one.Query(q.sql, q.params...)
@@ -135,6 +170,12 @@ func TestMergeDifferentialOneVsManyPartitions(t *testing.T) {
 		}
 		for _, d := range doors {
 			b, err := d.query(q.sql, q.params...)
+			if q.fansOut || q.keyed && d.name == "Follower.Query" {
+				if err == nil {
+					t.Errorf("%s answered %q %v, which only a keyed read can", d.name, q.sql, q.params)
+				}
+				continue
+			}
 			if err != nil {
 				t.Fatalf("4 partitions, %s: %s: %v", d.name, q.sql, err)
 			}

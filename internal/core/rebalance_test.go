@@ -125,6 +125,115 @@ func TestRebalanceLive(t *testing.T) {
 	}
 }
 
+// TestKeyedReadAcrossRebalance: a SELECT binding the partition key reads
+// the partition that owns the key in the cut's slot table, not the live
+// one. A pin taken on two partitions keeps naming one of its two after a
+// rebalance to four has moved the key, a fresh cut names the new owner, a
+// follower fans out, and readers running through the rebalance never miss
+// a row. Every answer equals the one-partition store's.
+func TestKeyedReadAcrossRebalance(t *testing.T) {
+	const keys = 64
+	load := func(st *Store) {
+		t.Helper()
+		must(t, st.Start())
+		for k := int64(0); k < keys; k++ {
+			if _, err := st.Call("put", types.NewInt(k), types.NewInt(10*k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const point = "SELECT k, v FROM kv WHERE k = ?"
+	one := buildKV(t, Config{})
+	load(one)
+	defer one.Stop()
+	want := make([]string, keys+1) // and one absent key
+	for k := range want {
+		res, err := one.Query(point, types.NewInt(int64(k)))
+		must(t, err)
+		want[k] = fmt.Sprint(res.Rows)
+	}
+
+	t.Run("doors", func(t *testing.T) {
+		st := buildKV(t, gcTestConfig(t.TempDir(), 2))
+		load(st)
+		defer st.Stop()
+		pin := st.PinSnapshot()
+		defer pin.Release()
+		must(t, st.Rebalance(4))
+		f, err := NewFollower(buildKV(t, Config{Partitions: 4}), growingSource{st}, FollowerOpts{})
+		must(t, err)
+		pollUntilIdle(t, f)
+		must(t, f.Err())
+		doors := []struct {
+			name  string
+			query func(string, ...types.Value) (*pe.Result, error)
+		}{
+			{"QueryPinned on the old pin", func(q string, p ...types.Value) (*pe.Result, error) { return st.QueryPinned(pin, q, p...) }},
+			{"Store.Query", st.Query},
+			{"Follower.Query", f.Query},
+		}
+		for k := range want {
+			for _, d := range doors {
+				res, err := d.query(point, types.NewInt(int64(k)))
+				if err != nil {
+					t.Fatalf("%s: key %d: %v", d.name, k, err)
+				}
+				if got := fmt.Sprint(res.Rows); got != want[k] {
+					t.Errorf("%s: key %d reads %s, one partition reads %s", d.name, k, got, want[k])
+				}
+			}
+		}
+	})
+
+	t.Run("concurrent", func(t *testing.T) {
+		st := buildKV(t, Config{Partitions: 2})
+		load(st)
+		defer st.Stop()
+		stop := make(chan struct{})
+		errCh := make(chan error, 2)
+		var wg sync.WaitGroup
+		read := func(pinned bool) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := i % keys
+				var res *pe.Result
+				var err error
+				if pinned {
+					pin := st.PinSnapshot()
+					res, err = st.QueryPinned(pin, point, types.NewInt(int64(k)))
+					pin.Release()
+				} else {
+					res, err = st.Query(point, types.NewInt(int64(k)))
+				}
+				if err == nil && fmt.Sprint(res.Rows) != want[k] {
+					err = fmt.Errorf("key %d reads %v during the rebalance, want %s", k, res.Rows, want[k])
+				}
+				if err != nil {
+					errCh <- err
+					return
+				}
+			}
+		}
+		wg.Add(2)
+		go read(false)
+		go read(true)
+		err := st.Rebalance(4)
+		close(stop)
+		wg.Wait()
+		must(t, err)
+		select {
+		case err := <-errCh:
+			t.Fatal(err)
+		default:
+		}
+	})
+}
+
 func TestRebalanceReplicatedAndNoop(t *testing.T) {
 	st := buildPartApp(t, Config{Partitions: 2})
 	if err := st.Start(); err != nil {

@@ -28,9 +28,11 @@ import (
 //     DELETE on partitioned tables (each partition touches only its local
 //     rows), and broadcasts writes to unpartitioned tables, which are
 //     treated as replicated reference data.
-//   - Query fans out to all partitions when a partitioned relation is
-//     referenced and merges the per-partition results (concatenation,
-//     re-aggregation of COUNT/SUM/MIN/MAX, global re-sort, LIMIT).
+//   - Query reads the key's owner alone when the WHERE binds a partitioned
+//     table's key by equality; otherwise it fans out to all partitions when
+//     a partitioned relation is referenced and merges the per-partition
+//     results (concatenation, re-aggregation of COUNT/SUM/MIN/MAX, global
+//     re-sort, LIMIT).
 //
 // Keys do not map to partitions directly: catalog.PartitionHash (FNV-1a
 // over a canonical, cross-process-stable encoding) buckets every key into
@@ -463,9 +465,10 @@ func (s *Store) systemStatement(sqlText string) (*pe.Result, bool, error) {
 }
 
 // Query runs an ad-hoc read-only query at the latest committed cut.
-// Queries touching only unpartitioned relations run on partition 0; queries
-// over partitioned relations fan out to every partition and the results are
-// merged (see mergePlan for the supported shapes).
+// Queries touching only unpartitioned relations run on partition 0, and a
+// query binding a partitioned table's key by equality on the key's owner;
+// other queries over partitioned relations fan out to every partition and
+// the results are merged (see mergePlan for the supported shapes).
 func (s *Store) Query(sqlText string, params ...types.Value) (*pe.Result, error) {
 	if res, handled, err := s.systemStatement(sqlText); handled {
 		return res, err
@@ -502,10 +505,12 @@ func parseSelect(sqlText, refusal string) (*sql.Select, error) {
 
 // snapCut is the partition list plus one storage.SnapPin per partition;
 // results and errs are the fan-out's leg slots, kept beside the pins so
-// that a pooled cut makes a steady read load allocation-free.
+// that a pooled cut makes a steady read load allocation-free. slots is the
+// slot table the cut's data is placed by, nil on a follower's cut.
 type snapCut struct {
 	parts   []*partition
 	pins    []storage.SnapPin
+	slots   *catalog.SlotTable
 	results []*pe.Result
 	errs    []error
 }
@@ -519,15 +524,21 @@ var cutPool = sync.Pool{New: func() any { return new(snapCut) }}
 // partition or on none. The partition list is captured inside the same hold:
 // a rebalance publishes an extended list, the new slot table, and the
 // migrated partitions' commit sequences in one seqMu write-side window, so
-// list and vector always describe the same cut.
+// list and vector always describe the same cut. The slot table is taken in
+// the same hold, so a keyed read names the partition that holds its key at
+// this cut's sequences, not at the live table's.
 //
 // A follower does not: its apply goroutine publishes a coordinated
 // transaction's legs at independent moments, so its cut is a consistent
 // prefix per partition, not an atomic cross-partition one (see replica.go).
+// Its slot table changes only when the log ends (applier.finish), not when
+// a slot move's records are applied, so its cut records none and every
+// read over a partitioned relation fans out.
 func (s *Store) acquireCut(c *snapCut, fenced bool) {
 	if fenced {
 		s.seqMu.RLock()
 		defer s.seqMu.RUnlock()
+		c.slots = s.slots.Load()
 	}
 	c.parts = s.partList()
 	n := len(c.parts)
@@ -551,7 +562,7 @@ func (c *snapCut) release() {
 		c.results[i] = nil
 		c.errs[i] = nil
 	}
-	c.parts = nil
+	c.parts, c.slots = nil, nil
 }
 
 // readLatest is the per-statement door: acquire a pooled cut, read, release.
@@ -564,22 +575,34 @@ func (s *Store) readLatest(fenced bool, sel *sql.Select, sqlText string, params 
 	return res, err
 }
 
-// readCut runs a parsed SELECT against a cut: plan it, then read partition
-// 0 alone or one leg per partition plus the merge. The legs execute on this
-// call's own goroutines at the cut's sequences.
+// readCut runs a parsed SELECT against a cut: plan it, then read one
+// partition, or one leg per partition plus the merge. A statement whose
+// rows all live on one partition (no partitioned relation: partition 0; its
+// key bound: the key's owner) runs there as written, on this goroutine; the
+// legs of a fan-out execute on this call's own goroutines. Either way at
+// the cut's sequences.
 func (s *Store) readCut(c *snapCut, sel *sql.Select, sqlText string, params []types.Value) (*pe.Result, error) {
 	if err := s.Err(); err != nil {
 		return nil, err
 	}
-	var plan selectPlan
-	if len(c.parts) > 1 { // one partition executes every statement whole
-		var err error
-		if plan, err = planSelect(s.schema.Load(), sel, sqlText, false, params); err != nil {
-			return nil, err
-		}
-	}
-	if plan.merge == nil {
+	if len(c.parts) == 1 { // one partition executes every statement whole
 		return c.parts[0].pe.QueryAtSeq(c.pins[0].Seq(), sqlText, params...)
+	}
+	sch := s.schema.Load()
+	ref, err := queryScope(sch, sel)
+	if err != nil {
+		return nil, err
+	}
+	i, whole := 0, ref == nil
+	if !whole && c.slots != nil {
+		i, whole = keyedPartition(sch, c.slots, ref, sel.Where, params)
+	}
+	if whole {
+		return c.parts[i].pe.QueryAtSeq(c.pins[i].Seq(), sqlText, params...)
+	}
+	plan, err := mergeSelect(sel, sqlText, false, params)
+	if err != nil {
+		return nil, err
 	}
 	var wg sync.WaitGroup
 	for i := range c.parts {
@@ -601,6 +624,75 @@ func (s *Store) readCut(c *snapCut, sel *sql.Select, sqlText string, params []ty
 		}
 	}
 	return plan.merge.merge(sel, c.results, params)
+}
+
+// keyedPartition reports the partition of slots that holds every row a
+// SELECT can return: one whose WHERE has a top-level conjunct binding ref's
+// partition column by equality to a literal or parameter. The column is
+// named unqualified or by ref's qualifier (its alias, else its name), which
+// is how the engine resolves it; a name the engine finds ambiguous fails
+// the same way on one partition as on all. Only a table the rebalance keeps
+// placed by its key qualifies: a PARTIAL table holds any key anywhere, and
+// a stream or window holds what was emitted or admitted where it ran.
+func keyedPartition(sch *catalog.Schema, slots *catalog.SlotTable, ref *sql.TableRef, where sql.Expr, params []types.Value) (int, bool) {
+	rel := sch.Relation(ref.Name)
+	if rel.Kind != catalog.KindTable || rel.Partial {
+		return 0, false
+	}
+	qual := ref.Alias
+	if qual == "" {
+		qual = ref.Name
+	}
+	col := rel.Schema.Column(rel.PartCol)
+	k, ok := keyBinding(where, qual, col.Name, col.Type, params)
+	if !ok {
+		return 0, false
+	}
+	return slots.Partition(k), true
+}
+
+// keyBinding finds a top-level conjunct of e that is col = v or v = col,
+// col naming the partition column and v a literal or parameter usable as a
+// key, and returns v coerced to the column's type.
+func keyBinding(e sql.Expr, qual, col string, typ types.Type, params []types.Value) (types.Value, bool) {
+	b, ok := e.(*sql.Binary)
+	if !ok {
+		return types.Null, false
+	}
+	switch b.Op {
+	case "AND":
+		if k, ok := keyBinding(b.L, qual, col, typ, params); ok {
+			return k, true
+		}
+		return keyBinding(b.R, qual, col, typ, params)
+	case "=":
+		if k, ok := boundKey(b.L, b.R, qual, col, typ, params); ok {
+			return k, true
+		}
+		return boundKey(b.R, b.L, qual, col, typ, params)
+	}
+	return types.Null, false
+}
+
+// boundKey reports the key x binds when c names col. The value must be
+// non-NULL and survive coercion to the column's type unchanged (a BIGINT
+// key bound to 5.0 qualifies; to 5.5 or '5' it does not), so every row
+// equal to it hashes to its slot: catalog.PartitionHash collapses what
+// Compare equates.
+func boundKey(c, x sql.Expr, qual, col string, typ types.Type, params []types.Value) (types.Value, bool) {
+	ref, ok := c.(*sql.ColumnRef)
+	if !ok || !strings.EqualFold(ref.Column, col) || (ref.Table != "" && !strings.EqualFold(ref.Table, qual)) {
+		return types.Null, false
+	}
+	v, err := sql.StaticValue(x, params)
+	if err != nil || v.IsNull() {
+		return types.Null, false
+	}
+	k, err := types.Coerce(v, typ)
+	if err != nil || k.Compare(v) != 0 {
+		return types.Null, false
+	}
+	return k, true
 }
 
 // selectPlan is how a SELECT runs across partitions. A nil merge means it
@@ -626,13 +718,17 @@ type selectPlan struct {
 // check and the merge plan. text is the client's statement, sel's own or
 // the INSERT's whose source sel is (source).
 func planSelect(sch *catalog.Schema, sel *sql.Select, text string, source bool, params []types.Value) (selectPlan, error) {
-	plan := selectPlan{sel: sel, text: text, source: source, params: params}
-	partitioned, err := queryScope(sch, sel)
-	if err != nil || !partitioned {
-		return plan, err
+	ref, err := queryScope(sch, sel)
+	if err != nil || ref == nil {
+		return selectPlan{sel: sel, text: text, source: source, params: params}, err
 	}
-	plan.merge, err = mergePlan(sel, params)
-	return plan, err
+	return mergeSelect(sel, text, source, params)
+}
+
+// mergeSelect plans a SELECT over a partitioned relation: legs and merge.
+func mergeSelect(sel *sql.Select, text string, source bool, params []types.Value) (selectPlan, error) {
+	merge, err := mergePlan(sel, params)
+	return selectPlan{merge: merge, sel: sel, text: text, source: source, params: params}, err
 }
 
 // legPlan returns a partition's plan of the leg. The client's own SELECT
@@ -654,8 +750,9 @@ func (sp *selectPlan) legPlan(eng *ee.Engine) (*ee.Prepared, error) {
 	})
 }
 
-// queryScope reports whether the select references any partitioned
-// relation, and rejects shapes a fan-out would silently evaluate wrong:
+// queryScope returns the select's one partitioned relation (nil when it
+// references none), and rejects shapes a fan-out would silently evaluate
+// wrong:
 //
 //   - Subqueries over partitioned relations see only partition-local data
 //     inside each leg.
@@ -665,40 +762,37 @@ func (sp *selectPlan) legPlan(eng *ee.Engine) (*ee.Prepared, error) {
 //     co-located everywhere.
 //   - Unpartitioned streams/windows exist only on partition 0, so joining
 //     them into a fan-out leaves legs 1..N-1 empty.
-func queryScope(sch *catalog.Schema, sel *sql.Select) (partitioned bool, err error) {
-	isPart := func(name string) bool {
-		rel := sch.Relation(name)
-		return rel != nil && rel.Partitioned()
-	}
+func queryScope(sch *catalog.Schema, sel *sql.Select) (*sql.TableRef, error) {
+	var part *sql.TableRef
 	nPart, nLocal := 0, 0 // partitioned refs; partition-0-only refs
-	classify := func(name string) {
-		rel := sch.Relation(name)
-		if rel == nil {
-			return
-		}
+	classify := func(ref *sql.TableRef) bool {
+		rel := sch.Relation(ref.Name)
 		switch {
+		case rel == nil:
 		case rel.Partitioned():
+			part = ref
 			nPart++
+			return true
 		case rel.Kind != catalog.KindTable:
 			nLocal++ // unpartitioned stream/window: data on partition 0 only
 		}
+		return false
 	}
-	classify(sel.From.Name)
-	for _, j := range sel.Joins {
-		classify(j.Table.Name)
+	classify(&sel.From)
+	for i := range sel.Joins {
+		j := &sel.Joins[i]
 		// LEFT JOIN onto a partitioned right side NULL-extends the outer
 		// row on every leg that does not own the match — the merge would
 		// keep both the real match and the spurious NULL row.
-		if j.Left && isPart(j.Table.Name) {
-			return false, fmt.Errorf("core: LEFT JOIN onto partitioned relation %q is not supported across partitions (non-owning partitions would emit spurious NULL-extended rows)", j.Table.Name)
+		if classify(&j.Table) && j.Left {
+			return nil, fmt.Errorf("core: LEFT JOIN onto partitioned relation %q is not supported across partitions (non-owning partitions would emit spurious NULL-extended rows)", j.Table.Name)
 		}
 	}
-	partitioned = nPart > 0
 	if nPart > 1 {
-		return false, fmt.Errorf("core: joining two partitioned relations is not supported across partitions (cross-partition matches would be lost); join against replicated tables or query per partition")
+		return nil, fmt.Errorf("core: joining two partitioned relations is not supported across partitions (cross-partition matches would be lost); join against replicated tables or query per partition")
 	}
 	if nPart > 0 && nLocal > 0 {
-		return false, fmt.Errorf("core: joining a partitioned relation with an unpartitioned stream or window is not supported across partitions (its tuples live on partition 0 only)")
+		return nil, fmt.Errorf("core: joining a partitioned relation with an unpartitioned stream or window is not supported across partitions (its tuples live on partition 0 only)")
 	}
 	// Subqueries anywhere in the statement (WHERE, HAVING, projection, JOIN
 	// ON — and nested inside other subqueries) must not touch partitioned or
@@ -706,7 +800,7 @@ func queryScope(sch *catalog.Schema, sel *sql.Select) (partitioned bool, err err
 	// against partition-local data.
 	// Pinned streams/windows only break subqueries when the statement fans
 	// out; a query running solely on partition 0 sees them in full.
-	return partitioned, fanoutSubqueryCheck(sch, partitioned, selectExprs(sel)...)
+	return part, fanoutSubqueryCheck(sch, part != nil, selectExprs(sel)...)
 }
 
 // fanoutSubqueryCheck rejects subqueries (recursively — WalkExpr does not
@@ -1083,7 +1177,8 @@ func (m *queryMerge) havingResolver(sel *sql.Select) func(sql.Expr) (int, bool, 
 // cross-partition subquery guards share, so a future clause only needs
 // threading in here.
 func selectExprs(q *sql.Select) []sql.Expr {
-	exprs := []sql.Expr{q.Where, q.Having}
+	exprs := make([]sql.Expr, 0, 2+len(q.Items)+len(q.Joins))
+	exprs = append(exprs, q.Where, q.Having)
 	for _, it := range q.Items {
 		exprs = append(exprs, it.Expr)
 	}

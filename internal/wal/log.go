@@ -50,7 +50,7 @@ const stalenessBound = 2 * time.Millisecond
 // waits out the rest with whatever else arrives. Uncapped, a closed loop of
 // small commits fsyncs back to back and its rate follows the host's speed
 // of the minute (DESIGN.md §1.4).
-const syncPeriod = time.Millisecond
+const syncPeriod = 500 * time.Microsecond
 
 // DefaultGroupCommitMaxBatch is read only by the benchmark ladder, as the
 // number of appends it puts behind one timed fsync; the commit daemon has

@@ -63,7 +63,8 @@
 // the H-Store mold, each with its own catalog replica, engine goroutine,
 // and WAL segment. Declare a hash key with PARTITION BY on tables and
 // streams; Ingest and keyed Calls (Procedure.PartitionParam) route to the
-// owning partition, ad-hoc queries fan out and merge:
+// owning partition, and so does an ad-hoc query whose WHERE binds a table's
+// key by equality; other ad-hoc queries fan out and merge:
 //
 //	st := sstore.Open(sstore.Config{Partitions: 4})
 //	st.ExecScript(`CREATE STREAM readings (sensor INT, v FLOAT) PARTITION BY sensor;`)
@@ -199,7 +200,7 @@ const (
 	// while a commit daemon hardens batches, and clients are acknowledged
 	// when their commit future resolves. Nothing to tune: an fsync starts
 	// as soon as a client is waiting and the disk is free (at most once
-	// per 1ms on a busy log), and covers whatever was committed since the
+	// per 500 µs on a busy log), and covers whatever was committed since the
 	// previous one began.
 	SyncGroupCommit = wal.SyncGroupCommit
 )
