@@ -841,3 +841,18 @@ func BenchmarkAdHocQuery(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkServerRoundTrip times kv-mixed's three reads over loopback TCP
+// (kvOverTCP) with B/op and allocs/op, every goroutine's, client included.
+func BenchmarkServerRoundTrip(b *testing.B) {
+	reads := kvOverTCP(b)
+	for _, name := range []string{"point", "range", "agg"} {
+		b.Run(name, func(b *testing.B) {
+			read := reads[name]
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				read()
+			}
+		})
+	}
+}

@@ -578,9 +578,9 @@ func (s *Store) readLatest(fenced bool, sel *sql.Select, sqlText string, params 
 // readCut runs a parsed SELECT against a cut: plan it, then read one
 // partition, or one leg per partition plus the merge. A statement whose
 // rows all live on one partition (no partitioned relation: partition 0; its
-// key bound: the key's owner) runs there as written, on this goroutine; the
-// legs of a fan-out execute on this call's own goroutines. Either way at
-// the cut's sequences.
+// key bound: the key's owner) runs there as written, on this goroutine; of
+// a fan-out's legs, partition 0's runs on this goroutine and each other on
+// one of this call's own. Either way at the cut's sequences.
 func (s *Store) readCut(c *snapCut, sel *sql.Select, sqlText string, params []types.Value) (*pe.Result, error) {
 	if err := s.Err(); err != nil {
 		return nil, err
@@ -604,19 +604,23 @@ func (s *Store) readCut(c *snapCut, sel *sql.Select, sqlText string, params []ty
 	if err != nil {
 		return nil, err
 	}
+	read := func(i int) {
+		p := c.parts[i]
+		leg, err := plan.legPlan(p.ee)
+		if err == nil {
+			c.results[i], err = p.pe.QueryPlanAtSeq(c.pins[i].Seq(), leg, plan.params...)
+		}
+		c.errs[i] = err
+	}
 	var wg sync.WaitGroup
-	for i := range c.parts {
+	for i := 1; i < len(c.parts); i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p := c.parts[i]
-			leg, err := plan.legPlan(p.ee)
-			if err == nil {
-				c.results[i], err = p.pe.QueryPlanAtSeq(c.pins[i].Seq(), leg, plan.params...)
-			}
-			c.errs[i] = err
+			read(i)
 		}(i)
 	}
+	read(0)
 	wg.Wait()
 	for _, err := range c.errs {
 		if err != nil {

@@ -344,3 +344,86 @@ func TestHavingParamsSurviveLegRewrite(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotReadResultSurvivesLaterReads: a snapshot read runs in an
+// execution context that the next read reuses, so the Result it returns
+// must own its rows. A range read (two legs and a merge) and a keyed read
+// (one partition) are kept while four goroutines run reads of other shapes
+// through the same contexts; the kept rows must not change.
+func TestSnapshotReadResultSurvivesLaterReads(t *testing.T) {
+	st := Open(Config{Partitions: 2})
+	if err := st.ExecScript(`
+		CREATE TABLE kv (k BIGINT PRIMARY KEY, grp INT, n BIGINT, v VARCHAR) PARTITION BY k;
+		CREATE INDEX kv_by_grp ON kv (grp);`); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Stop()
+	const keys = 200
+	val := func(k int64) string { return fmt.Sprintf("v%03d", k) }
+	for k := int64(0); k < keys; k++ {
+		if _, err := st.Exec("INSERT INTO kv VALUES (?, ?, ?, ?)",
+			types.NewInt(k), types.NewInt(k%10), types.NewInt(k*k), types.NewString(val(k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng, err := st.Query("SELECT k, n, v FROM kv WHERE k BETWEEN ? AND ? ORDER BY k", types.NewInt(20), types.NewInt(69))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := st.Query("SELECT k, grp, n, v FROM kv WHERE k = ?", types.NewInt(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		if len(rng.Rows) != 50 || len(key.Rows) != 1 {
+			t.Fatalf("%s: kept %d range rows and %d keyed rows", when, len(rng.Rows), len(key.Rows))
+		}
+		for i, r := range rng.Rows {
+			k := int64(20 + i)
+			if len(r) != 3 || r[0].Int() != k || r[1].Int() != k*k || r[2].Str() != val(k) {
+				t.Fatalf("%s: kept range row %d = %v", when, i, r)
+			}
+		}
+		if r := key.Rows[0]; len(r) != 4 || r[0].Int() != 7 || r[1].Int() != 7 || r[2].Int() != 49 || r[3].Str() != val(7) {
+			t.Fatalf("%s: kept keyed row = %v", when, r)
+		}
+	}
+	check("before")
+	shapes := []struct {
+		sql    string
+		params func(i int64) []types.Value
+	}{
+		{"SELECT k, grp, n, v FROM kv WHERE k = ?", func(i int64) []types.Value { return []types.Value{types.NewInt(i % keys)} }},
+		{"SELECT k, n, v FROM kv WHERE k BETWEEN ? AND ? ORDER BY k DESC", func(i int64) []types.Value {
+			return []types.Value{types.NewInt(i % 150), types.NewInt(i%150 + 40)}
+		}},
+		{"SELECT COUNT(*), SUM(n) FROM kv WHERE grp = ?", func(i int64) []types.Value { return []types.Value{types.NewInt(i % 10)} }},
+		{"SELECT grp, MAX(v) FROM kv GROUP BY grp ORDER BY grp", func(int64) []types.Value { return nil }},
+		{"SELECT v, k, n FROM kv WHERE grp = ? ORDER BY n DESC LIMIT 3", func(i int64) []types.Value { return []types.Value{types.NewInt(i % 10)} }},
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := int64(0); g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; i < 1000; i += 4 {
+				s := shapes[i%int64(len(shapes))]
+				if _, err := st.Query(s.sql, s.params(i)...); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	check("after 1000 later reads")
+}

@@ -113,14 +113,14 @@ func (e *Engine) runSelect(ctx *ExecCtx, plan *selectPlan, params []types.Value,
 		// their output rows and keys, and the heap, are reserved as one piece
 		// each, which on a fresh context is then all it allocates for them.
 		ctx.mem.vals.reserve(width + (int(n)+1)*(len(plan.projs)+len(plan.orderBy)))
-		x.outs = make([]outRow, 0, n)
+		x.outs = ctx.mem.outs.take(int(n))[:0]
 	}
 	if width > 0 {
 		x.joined = ctx.mem.vals.take(width)
 	}
 	if plan.grouped {
 		if len(plan.groupKeys) == 0 {
-			x.states = make([]aggState, len(plan.aggs))
+			x.states = ctx.mem.aggs.take(len(plan.aggs))
 		} else {
 			x.groups = make(map[uint64][]*aggGroup)
 			x.key = make(types.Row, len(plan.groupKeys))
@@ -265,7 +265,7 @@ func (x *selectRun) fold() bool {
 			}
 		}
 		if g == nil {
-			g = &aggGroup{key: x.ctx.mem.vals.copyOf(x.key), states: make([]aggState, len(plan.aggs))}
+			g = &aggGroup{key: x.ctx.mem.vals.copyOf(x.key), states: x.ctx.mem.aggs.take(len(plan.aggs))}
 			x.groups[h] = append(x.groups[h], g)
 			x.order = append(x.order, g)
 		}
@@ -367,7 +367,7 @@ func (x *selectRun) project() bool {
 	o := outRow{out: out, keys: x.keys, seq: x.arrived}
 	switch {
 	case x.bound < 0 || int64(len(x.outs)) < x.bound:
-		x.outs = append(x.outs, o)
+		x.outs = x.ctx.mem.outs.push(x.outs, o)
 		if int64(len(x.outs)) == x.bound {
 			for i := len(x.outs)/2 - 1; i >= 0; i-- {
 				x.siftDown(i)
@@ -563,7 +563,7 @@ func (e *Engine) accessRows(ctx *ExecCtx, access *tableAccess, ec *evalCtx, emit
 		var key [1]types.Value
 		for _, k := range keys {
 			key[0] = k
-			if !tb.SnapshotLookup(ix, key[:], seq, emit) {
+			if !tb.SnapshotLookup(ix, key[:], seq, &ctx.mem.hits, emit) {
 				break
 			}
 		}
@@ -589,7 +589,7 @@ func (e *Engine) accessRows(ctx *ExecCtx, access *tableAccess, ec *evalCtx, emit
 			key = append(key, v)
 		}
 		if snap {
-			tb.SnapshotLookup(ix, key, seq, emit)
+			tb.SnapshotLookup(ix, key, seq, &ctx.mem.hits, emit)
 		} else {
 			tb.Lookup(ix, key, emit)
 		}

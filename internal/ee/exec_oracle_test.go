@@ -31,7 +31,7 @@ func snapshotRows(tb *storage.Table, seq storage.Seq) []types.Row {
 
 func snapshotLookup(tb *storage.Table, ix *storage.Index, key types.Row, seq storage.Seq) []types.Row {
 	var out []types.Row
-	tb.SnapshotLookup(ix, key, seq, func(_ storage.RowID, r types.Row) bool {
+	tb.SnapshotLookup(ix, key, seq, new(storage.LookupBuf), func(_ storage.RowID, r types.Row) bool {
 		out = append(out, r)
 		return true
 	})

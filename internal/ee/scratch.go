@@ -11,10 +11,11 @@ import (
 // before storage takes its own copy, INSERT's evaluated rows, match lists,
 // a window slide's entered / evicted lists, the statement's parameters. An
 // ExecCtx carries a scratch all of that is taken from. The owner of a
-// long-lived context (the partition worker) calls ExecCtx.Reset between
-// TEs and the memory is used again; a context nobody resets (a snapshot
-// read, an MP leg, a seeding loop) just keeps taking fresh chunks, and the
-// garbage collector frees the old ones once their results are dropped.
+// long-lived context (the partition worker, the snapshot-read pool) calls
+// ExecCtx.Reset between executions and the memory is used again; a context
+// nobody resets (an MP leg, a seeding loop) just keeps taking fresh chunks,
+// and the garbage collector frees the old ones once their results are
+// dropped.
 //
 // The contract this puts on callers: a *Result, its rows, and every row a
 // trigger body or OnStreamInsert hook is handed are valid until the
@@ -43,9 +44,9 @@ type slab[T any] struct {
 
 // reserve makes room for n more elements in the current chunk, starting a
 // new one if it must. A slab's first chunk is the first request, exactly,
-// and chunks double from there: a snapshot read on a fresh context pays for
-// what it returns, not for a vote's worth of scratch, and a reused context
-// settles on one chunk that holds a whole TE.
+// and chunks double from there: a read on a fresh context pays for what it
+// returns, not for a vote's worth of scratch, and a reused context settles
+// on one chunk that holds a whole TE.
 func (s *slab[T]) reserve(n int) {
 	if cap(s.buf)-len(s.buf) < n {
 		s.buf = make([]T, 0, max(n, min(2*cap(s.buf), scratchRetain)))
@@ -138,8 +139,11 @@ type scratch struct {
 	ids     slab[storage.RowID]
 	results slab[Result]
 	subs    slab[subResult]
+	outs    slab[outRow] // ORDER BY heaps
+	aggs    slab[aggState]
 	runs    stack[selectRun]
 	ecs     stack[evalCtx]
+	hits    storage.LookupBuf // a snapshot lookup's id and hit lists
 }
 
 func (m *scratch) reset() {
@@ -148,6 +152,8 @@ func (m *scratch) reset() {
 	m.ids.reset()
 	m.results.reset()
 	m.subs.reset()
+	m.outs.reset()
+	m.aggs.reset()
 }
 
 // result returns a Result header from the scratch.

@@ -909,17 +909,28 @@ func (e *Engine) QueryAtSeq(seq storage.Seq, sqlText string, params ...types.Val
 
 // QueryPlanAtSeq is QueryAtSeq of a plan the caller got from this
 // partition's execution engine: the router's door for a leg it built the
-// tree of.
+// tree of. The read runs in a context taken from snapCtxs and reset before
+// it goes back, so its rows are copied out first, in one block: the Result
+// is the caller's.
 func (e *Engine) QueryPlanAtSeq(seq storage.Seq, p *ee.Prepared, params ...types.Value) (*Result, error) {
 	e.met.Add(metrics.ClientToPE, 1)
-	ectx := &ee.ExecCtx{ReadOnly: true, Snapshot: true, SnapshotSeq: seq}
+	ectx := snapCtxs.Get().(*ee.ExecCtx)
+	ectx.ReadOnly, ectx.Snapshot, ectx.SnapshotSeq = true, true, seq
+	var out *Result
 	res, err := e.ee.Execute(ectx, p, params...)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		e.met.Add(metrics.SnapshotReads, 1)
+		out = &Result{Columns: res.Columns, Rows: types.CloneRows(res.Rows), RowsAffected: res.RowsAffected}
 	}
-	e.met.Add(metrics.SnapshotReads, 1)
-	return &Result{Columns: res.Columns, Rows: res.Rows, RowsAffected: res.RowsAffected}, nil
+	ectx.Reset()
+	snapCtxs.Put(ectx)
+	return out, err
 }
+
+// snapCtxs holds reset execution contexts for snapshot reads: a read reuses
+// the frames, scratch and result header an earlier one grew, on any
+// partition, instead of allocating them again.
+var snapCtxs = sync.Pool{New: func() any { return new(ee.ExecCtx) }}
 
 // Exec runs an ad-hoc write statement as a one-statement transaction: a
 // call of the built-in AdHocProc with the text and parameters as its

@@ -139,8 +139,10 @@ func (s *Server) serve(conn net.Conn) {
 	}()
 	// Frames are read through a buffer the connection owns: a request's
 	// header and payload, and requests a client pipelined, arrive in one
-	// read(2). Each response is one WriteFrame, one write(2).
+	// read(2). Each response is built as a whole frame, header reserved, in
+	// a second buffer the connection keeps (out) and leaves in one write(2).
 	in := bufio.NewReader(conn)
+	var out []byte
 	for {
 		payload, err := wire.ReadFrame(in)
 		if err != nil {
@@ -154,13 +156,20 @@ func (s *Server) serve(conn net.Conn) {
 			s.Logf("server: bad frame: %v", err)
 			return
 		}
-		resp := s.dispatch(req, sess)
-		if err := wire.WriteFrame(conn, wire.EncodeResponse(resp)); err != nil {
+		out = wire.AppendResponseFrame(out[:0], s.dispatch(req, sess))
+		if _, err := conn.Write(out); err != nil {
 			s.Logf("server: write: %v", err)
 			return
 		}
+		if cap(out) > respRetain {
+			out = nil // one large scan does not keep its size for the connection's life
+		}
 	}
 }
+
+// respRetain is the largest response buffer a connection keeps between
+// responses.
+const respRetain = 64 << 10
 
 func (s *Server) dispatch(req *wire.Request, sess *session) *wire.Response {
 	fail := func(err error) *wire.Response {

@@ -106,7 +106,7 @@ func indexDifferential(t *testing.T, seed int64) {
 				})
 				for k := int64(-1); k <= n; k++ {
 					var got []hit
-					tb.SnapshotLookup(ix, intKey(k), seq, func(id RowID, row types.Row) bool {
+					tb.SnapshotLookup(ix, intKey(k), seq, new(LookupBuf), func(id RowID, row types.Row) bool {
 						got = append(got, hit{key: k, id: id, row: row.String()})
 						return true
 					})

@@ -22,7 +22,7 @@ func snapshotRows(tb *Table, seq Seq) []types.Row {
 
 func snapshotLookup(tb *Table, ix *Index, key types.Row, seq Seq) []types.Row {
 	var out []types.Row
-	tb.SnapshotLookup(ix, key, seq, func(_ RowID, r types.Row) bool {
+	tb.SnapshotLookup(ix, key, seq, new(LookupBuf), func(_ RowID, r types.Row) bool {
 		out = append(out, r)
 		return true
 	})

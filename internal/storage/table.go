@@ -861,18 +861,32 @@ func (t *Table) DeltaScan(from, to Seq, fn func(id RowID, row types.Row, born bo
 	}
 }
 
+// LookupBuf is room a caller lends SnapshotLookup for its lists of ids and
+// hits, which then cost nothing once the buffer has grown to the caller's
+// largest lookup. The zero value is ready. A lookup takes the lists out
+// while it runs, so one nested in its fn (a join's inner probe) grows lists
+// of its own and never overwrites the outer one's.
+type LookupBuf struct {
+	ids  []RowID
+	hits []snapHit
+}
+
+// lookupRetain bounds, in entries, the lists a LookupBuf keeps, so one wide
+// lookup does not pin its size for the life of the buffer.
+const lookupRetain = 2048
+
 // SnapshotLookup hands fn the rows whose key in ix is exactly key, as
 // visible at sequence s, and reports whether fn let it finish. ix must be
-// an index of this table. Payloads are captured inside the epoch; outside
-// it each is resolved, stubs included, and kept only when it carries key.
-// A lookup that finds a few rows allocates nothing.
-func (t *Table) SnapshotLookup(ix *Index, key types.Row, seq Seq, fn func(id RowID, row types.Row) bool) bool {
-	var idBuf [8]RowID
-	var hitBuf [8]snapHit
-	hits := hitBuf[:0]
+// an index of this table. Payloads are captured inside the epoch in buf's
+// lists; outside it each is resolved, stubs included, and kept only when
+// it carries key.
+func (t *Table) SnapshotLookup(ix *Index, key types.Row, seq Seq, buf *LookupBuf, fn func(id RowID, row types.Row) bool) bool {
+	ids, hits := buf.ids[:0], buf.hits[:0]
+	buf.ids, buf.hits = nil, nil
 	g := t.clock.Epochs().Enter()
 	d := t.slots()
-	for _, id := range ix.sl.lookup(key, idBuf[:0]) {
+	ids = ix.sl.lookup(key, ids)
+	for _, id := range ids {
 		if s := slotByID(d, id); s != nil {
 			if v := s.versionAt(seq); v != nil {
 				s.touch()
@@ -881,12 +895,19 @@ func (t *Table) SnapshotLookup(ix *Index, key types.Row, seq Seq, fn func(id Row
 		}
 	}
 	g.Exit()
+	done := true
 	for _, h := range hits {
 		if row := t.resolveVersion(h.pl); ix.matches(row, key) && !fn(h.id, row) {
-			return false
+			done = false
+			break
 		}
 	}
-	return true
+	clear(hits) // no payload stays reachable from the buffer
+	if cap(ids) > lookupRetain || cap(hits) > lookupRetain {
+		ids, hits = nil, nil
+	}
+	buf.ids, buf.hits = ids[:0], hits[:0]
+	return done
 }
 
 // SnapshotRange iterates (key, row) pairs with lo <= key <= hi in key

@@ -153,8 +153,21 @@ func DecodeRequest(payload []byte) (*Request, error) {
 }
 
 // EncodeResponse serializes a response frame payload.
-func EncodeResponse(resp *Response) []byte {
-	buf := make([]byte, 0, 64)
+func EncodeResponse(resp *Response) []byte { return AppendResponse(make([]byte, 0, 64), resp) }
+
+// AppendResponseFrame appends resp to buf as one length-prefixed frame: the
+// header is reserved, the payload encoded behind it and its length patched
+// in, so a frame is built once, in a buffer the caller keeps, and sent with
+// one Write.
+func AppendResponseFrame(buf []byte, resp *Response) []byte {
+	start := len(buf)
+	buf = AppendResponse(append(buf, 0, 0, 0, 0), resp)
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
+	return buf
+}
+
+// AppendResponse appends a response frame payload to buf.
+func AppendResponse(buf []byte, resp *Response) []byte {
 	buf = append(buf, byte(resp.Kind))
 	buf = appendString(buf, resp.Err)
 	buf = binary.AppendUvarint(buf, uint64(len(resp.Columns)))

@@ -217,3 +217,24 @@ const (
 	goldenRequest  = "0a2d494e5345525420494e544f2070616972732056414c55455320283f2c203f2c2031292c20283f2c203f2c2031290402808080808040028280808080400401780000"
 	goldenResponse = "050002016101620102020503000000000000044004"
 )
+
+// TestAppendResponseFrame: a frame appended behind another reads back as
+// the same bytes WriteFrame sends of the encoded payload.
+func TestAppendResponseFrame(t *testing.T) {
+	resps := []*Response{
+		{Kind: MsgResult, Columns: []string{"a", "b"},
+			Rows: []types.Row{{types.NewInt(-3), types.NewFloat(2.5)}}, RowsAffected: 2},
+		{Kind: MsgError, Err: "boom"},
+	}
+	var want bytes.Buffer
+	var got []byte
+	for _, resp := range resps {
+		if err := WriteFrame(&want, EncodeResponse(resp)); err != nil {
+			t.Fatal(err)
+		}
+		got = AppendResponseFrame(got, resp)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("appended frames %x, want %x", got, want.Bytes())
+	}
+}
