@@ -25,7 +25,7 @@ import (
 
 // globalDDL is the partitioned OLTP schema plus per-partition partial
 // rows for the global accepted-vote total (id is a dummy key; each
-// partition holds one partial row, merged by fan-out SUM).
+// partition holds one partial row; a SUM over the table adds them).
 const globalDDL = oltpDDL + `
 	CREATE TABLE totals_g (id INT PRIMARY KEY, n BIGINT DEFAULT 0) PARTITION BY id PARTIAL;
 `

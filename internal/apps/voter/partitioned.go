@@ -18,7 +18,7 @@ import (
 // partitionedDDL declares the hash-partitioned Voter schema. votes and the
 // two streams are split by phone; contestants is replicated reference
 // data; vote_counts and trending hold partition-local partials — they are
-// declared PARTITION BY so ad-hoc queries fan out and re-aggregate them.
+// declared PARTITION BY so ad-hoc queries aggregate every partition's.
 const partitionedDDL = `
 	CREATE TABLE contestants (id INT PRIMARY KEY, name VARCHAR NOT NULL);
 	CREATE TABLE votes (phone BIGINT PRIMARY KEY, contestant INT NOT NULL, ts BIGINT) PARTITION BY phone;

@@ -43,10 +43,11 @@ type RelDef struct {
 	// Partial marks a partitioned relation declared PARTITION BY ... PARTIAL:
 	// its rows are partition-local partial state (e.g. per-partition partial
 	// aggregates maintained by procedures routed on a different key), so
-	// every partition may legitimately hold a row for any key. Fan-out
-	// queries re-aggregate partials; elastic repartitioning must leave their
-	// rows where they are — rehoming them by partition key would collide
-	// unique indexes and double-count aggregates.
+	// every partition may legitimately hold a row for any key. A read walks
+	// every partition's rows, so no key names one owner; elastic
+	// repartitioning must leave their rows where they are — rehoming them
+	// by partition key would collide unique indexes and double-count
+	// aggregates.
 	Partial bool
 
 	// Window is a window's specification (KindWindow only).

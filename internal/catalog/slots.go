@@ -11,7 +11,7 @@ import (
 // the slot maps to its owning partition, so moving a slot between
 // partitions (elastic repartitioning) is a table update, not a rehash of
 // every row. The table is the single source of routing truth — ingest,
-// keyed procedure calls, DML routing, and query fan-out all resolve
+// keyed procedure calls, DML routing, and keyed reads all resolve
 // ownership through it. It is not a file: recovery derives ownership from
 // the logs' slot-commit records and then routes canonically.
 

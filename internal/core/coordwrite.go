@@ -78,23 +78,15 @@ func legsResult(legs []legFrag, sum bool) (*pe.Result, error) {
 	return first, nil
 }
 
-// execInsertSelect routes INSERT ... SELECT. The previously rejected
-// shapes — partitioned target, partitioned or pinned source feeding a
-// replicated target — materialize the source rows and insert them through
-// the coordinator, with the read and the writes inside one transaction
-// (every enlisted partition is parked, so the rows inserted are exactly
-// the rows read). Shapes that were already routable keep their old plans.
+// execInsertSelect routes INSERT ... SELECT. A source that reads a
+// partitioned relation, and a pinned source feeding a replicated target,
+// are read once over a cut and their rows inserted through the
+// coordinator, with the read and the writes inside one transaction. Every
+// other shape runs as written: on partition 0 (pinned target, local
+// source) or broadcast to every replica (replicated target and source).
 func (s *Store) execInsertSelect(ins *sql.Insert, rel *catalog.RelDef, sqlText string, params []types.Value) (*pe.Result, error) {
-	// Scope, merge plan and leg of the source come from the read path's
-	// planner; the legs below run on the enlisted workers' views instead of
-	// a snapshot cut.
 	sch := s.schema.Load()
-	plan, err := planSelect(sch, ins.Query, sqlText, true, params)
-	if err != nil {
-		return nil, err
-	}
-	srcPart := plan.merge != nil
-	if !rel.Partitioned() && !srcPart {
+	if !rel.Partitioned() && vetSourceSelect(sch, ins.Query, false) == nil {
 		if rel.Kind != catalog.KindTable {
 			// Pinned stream target, partition-0 source: everything local.
 			return s.partList()[0].pe.Exec(sqlText, params...)
@@ -108,7 +100,12 @@ func (s *Store) execInsertSelect(ins *sql.Insert, rel *catalog.RelDef, sqlText s
 			return s.coordExecAll(sqlText, params, false)
 		}
 	}
-
+	// The source is planned as the INSERT's text would plan it, but not
+	// cached: the plan cache holds a text's own parse.
+	source, err := s.partList()[0].ee.PrepareTree(ins.Query, sqlText, nil)
+	if err != nil {
+		return nil, err
+	}
 	colMap, err := insertColMap(ins, rel)
 	if err != nil {
 		return nil, err
@@ -119,25 +116,9 @@ func (s *Store) execInsertSelect(ins *sql.Insert, rel *catalog.RelDef, sqlText s
 	sum := true
 	err = s.runMP(pe.AdHocProc, func(tx *MPTxn) error {
 		legs = legs[:0]
-		var src []types.Row
-		if srcPart {
-			results, err := tx.eachPartition(func(part int) (legFrag, error) {
-				return tx.sendQueryLeg(part, &plan)
-			})
-			if err != nil {
-				return err
-			}
-			merged, err := plan.merge.merge(ins.Query, results, params)
-			if err != nil {
-				return err
-			}
-			src = merged.Rows
-		} else {
-			res, err := tx.queryLeg(0, &plan)
-			if err != nil {
-				return err
-			}
-			src = res.Rows
+		src, err := tx.readCut(source, params)
+		if err != nil {
+			return err
 		}
 		if len(src) == 0 {
 			return nil

@@ -269,7 +269,7 @@ type Store struct {
 	partsPtr atomic.Pointer[[]*partition]
 	// slots is the published routing slot table (see catalog.SlotTable):
 	// the single source of routing truth for ingest, keyed procedure calls,
-	// DML routing, and query fan-out. Like partsPtr it is swapped
+	// DML routing, and keyed reads. Like partsPtr it is swapped
 	// atomically — one slot's ownership changes per migration cutover.
 	slots atomic.Pointer[catalog.SlotTable]
 	// routingMu fences route-and-enqueue sequences against slot-migration
@@ -1021,9 +1021,10 @@ func (s *Store) FlushBatches() {
 
 // Explain returns the physical plan the engine would execute for a SQL
 // statement (access paths, join order, grouping). Planning runs on
-// partition 0's goroutine — all partitions share the same schema, so the
-// plan is representative — and never races with execution. The body of a
-// deployed EE trigger explains as compiled for that trigger.
+// partition 0's goroutine and never races with execution; a read is one
+// plan over every partition (readCut), so on a store of several each
+// access also names the partitions it reads. The body of a deployed EE
+// trigger explains as compiled for that trigger.
 // "EXPLAIN DATAFLOW <name>" shapes (the leading EXPLAIN already stripped
 // by the caller) render the named dataflow graph instead.
 func (s *Store) Explain(sqlText string) (string, error) {
@@ -1031,15 +1032,16 @@ func (s *Store) Explain(sqlText string) (string, error) {
 		strings.EqualFold(fields[0], "DATAFLOW") {
 		return s.ExplainDataflow(fields[1])
 	}
-	p0 := s.partList()[0]
+	parts := s.partList()
+	p0 := parts[0]
 	if !p0.pe.Started() {
 		// Set-up is single-threaded (Deploy wires triggers the same way).
-		return p0.ee.ExplainSQL(sqlText)
+		return p0.ee.ExplainSQL(sqlText, len(parts))
 	}
 	var out string
 	err := p0.pe.RunExclusive(func() error {
 		var err error
-		out, err = p0.ee.ExplainSQL(sqlText)
+		out, err = p0.ee.ExplainSQL(sqlText, len(parts))
 		return err
 	})
 	return out, err

@@ -8,9 +8,9 @@ import (
 	"repro/internal/types"
 )
 
-// Read-path benchmarks: pin every partition, run the leg on the fan-out
-// workers, merge (or read the key's owner alone). allocs/op is what the
-// pooled cut (cutPool) keeps down.
+// Read-path benchmarks: pin every partition and run one plan over the cut,
+// which reads every partition (or the key's owner alone). allocs/op is
+// what the pooled cut (cutPool) keeps down.
 
 func BenchmarkFanoutScanQuery(b *testing.B) {
 	st := buildPartApp(b, Config{Partitions: 4})
@@ -54,9 +54,9 @@ func BenchmarkFanoutAggQuery(b *testing.B) {
 
 // BenchmarkPointQuery is kv-mixed's point read on 1 000 keys: a SELECT
 // binding the partition key reads the key's owner alone at its pin, so its
-// cost does not grow with the partition count. pins/op is the partition
-// snapshots the statement is executed at (snapshot_reads): 1 on every
-// count; a fan-out reads one per partition.
+// cost does not grow with the partition count. pins/op is snapshot_reads
+// per read, which counts one per read statement whatever partitions it
+// walks.
 func BenchmarkPointQuery(b *testing.B) {
 	for _, n := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("partitions=%d", n), func(b *testing.B) {

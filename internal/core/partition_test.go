@@ -169,8 +169,7 @@ func TestPartitionedQueryMerge(t *testing.T) {
 		t.Fatalf("global agg = %v", res.Rows)
 	}
 
-	// GROUP BY merge: per-key groups recombine (each key lives on exactly
-	// one partition here, but the merge path is exercised regardless).
+	// GROUP BY over the key: each group lives on one partition.
 	res, err = st.Query("SELECT k, SUM(n) FROM totals GROUP BY k ORDER BY k")
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +201,7 @@ func TestPartitionedQueryMerge(t *testing.T) {
 		t.Fatalf("min/max = %v", res.Rows)
 	}
 
-	// AVG pushdown: rewritten into SUM/COUNT per leg and recombined.
+	// AVG over every partition's rows.
 	res, err = st.Query("SELECT AVG(n) FROM totals")
 	if err != nil {
 		t.Fatal(err)
@@ -211,8 +210,7 @@ func TestPartitionedQueryMerge(t *testing.T) {
 		t.Fatalf("AVG(n) = %v want 4", got)
 	}
 
-	// LIMIT under GROUP BY: withheld from the legs (a per-leg LIMIT would
-	// truncate partial groups) and applied to the merged, ordered result.
+	// LIMIT under GROUP BY, applied to the ordered groups.
 	res, err = st.Query("SELECT k, SUM(n) FROM totals GROUP BY k ORDER BY k LIMIT 2")
 	if err != nil {
 		t.Fatal(err)
@@ -420,63 +418,6 @@ func TestPartitionHashDeterministic(t *testing.T) {
 	}
 }
 
-// TestPartitionedMergeRejections pins the shapes the fan-out merge must
-// reject loudly instead of combining wrong (DESIGN.md §4.2).
-func TestPartitionedMergeRejections(t *testing.T) {
-	st := buildPartApp(t, Config{Partitions: 4})
-	if err := st.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer st.Stop()
-	ingestKeys(t, st, 8, 1)
-
-	// GROUP BY key missing from the projection would collapse all groups.
-	if _, err := st.Query("SELECT COUNT(*) FROM totals GROUP BY k"); err == nil ||
-		!strings.Contains(err.Error(), "bare column") {
-		t.Fatalf("hidden GROUP BY key err = %v", err)
-	}
-
-	// An alias shadowing a different expression (the engine groups by the
-	// source column, the merge would re-group on the projected value).
-	if _, err := st.Query("SELECT k % 3 AS k, SUM(n) FROM totals GROUP BY k"); err == nil ||
-		!strings.Contains(err.Error(), "bare column") {
-		t.Fatalf("alias-shadowed GROUP BY key err = %v", err)
-	}
-
-	// GROUP BY without aggregates re-deduplicates instead of concatenating
-	// duplicate per-partition group rows.
-	res, err := st.Query("SELECT k FROM totals GROUP BY k ORDER BY k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 8 {
-		t.Fatalf("grouped keys = %v", res.Rows)
-	}
-	for i, r := range res.Rows {
-		if r[0].Int() != int64(i) {
-			t.Fatalf("grouped keys = %v", res.Rows)
-		}
-	}
-
-	// Self-join of a partitioned relation loses cross-partition pairs.
-	if _, err := st.Query("SELECT COUNT(*) FROM totals a JOIN totals b ON a.n = b.n"); err == nil ||
-		!strings.Contains(err.Error(), "joining two partitioned") {
-		t.Fatalf("partitioned join err = %v", err)
-	}
-
-	// Joining against a replicated reference table is co-located and fine.
-	if _, err := st.Exec("INSERT INTO ref VALUES (0, 1)"); err != nil {
-		t.Fatal(err)
-	}
-	res, err = st.Query("SELECT COUNT(*) FROM totals t JOIN ref r ON r.id = 0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rows[0][0].Int() != 8 {
-		t.Fatalf("replicated join count = %v", res.Rows)
-	}
-}
-
 // TestCallMissingPartitionParam pins that a keyed procedure invoked with
 // too few parameters errors instead of silently running on partition 0.
 func TestCallMissingPartitionParam(t *testing.T) {
@@ -522,59 +463,6 @@ func TestPartitionCountMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestHavingAndSubqueryRejections pins merge-unsafe shapes (and that
-// aggregate HAVING, now executed above the merge, still rejects forms the
-// merged row cannot resolve).
-func TestHavingAndSubqueryRejections(t *testing.T) {
-	st := buildPartApp(t, Config{Partitions: 4})
-	if err := st.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer st.Stop()
-	ingestKeys(t, st, 6, 1)
-
-	// Aggregate HAVING executes after the fan-out merge; a group key it
-	// references must be projected for the merged row to carry it.
-	if _, err := st.Query("SELECT SUM(n) FROM totals GROUP BY k HAVING k > 1"); err == nil ||
-		!strings.Contains(err.Error(), "projected") {
-		t.Fatalf("unprojected HAVING key err = %v", err)
-	}
-
-	// Subquery over a partitioned relation inside a JOIN ON clause.
-	if _, err := st.Query(
-		"SELECT COUNT(*) FROM totals t JOIN ref r ON r.id IN (SELECT k FROM totals)"); err == nil ||
-		!strings.Contains(err.Error(), "subquery over partitioned") {
-		t.Fatalf("join-on subquery err = %v", err)
-	}
-
-	// Partitioned relation joined inside a subquery whose FROM is not
-	// partitioned.
-	if _, err := st.Query(
-		"SELECT k FROM totals WHERE k IN (SELECT r.id FROM ref r JOIN derived d ON d.k = r.id)"); err == nil ||
-		!strings.Contains(err.Error(), "subquery over partitioned") {
-		t.Fatalf("nested-join subquery err = %v", err)
-	}
-}
-
-// TestSubqueryOverPinnedStreamRejected pins that a fan-out query cannot
-// consult an unpartitioned stream in a subquery: its tuples exist only on
-// partition 0, so legs 1..N-1 would see it empty.
-func TestSubqueryOverPinnedStreamRejected(t *testing.T) {
-	st := buildPartApp(t, Config{Partitions: 4})
-	if err := st.ExecScript("CREATE STREAM alerts (id INT)"); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer st.Stop()
-	ingestKeys(t, st, 4, 1)
-	if _, err := st.Query("SELECT k FROM totals WHERE k IN (SELECT id FROM alerts)"); err == nil ||
-		!strings.Contains(err.Error(), "partition 0 only") {
-		t.Fatalf("pinned-stream subquery err = %v", err)
-	}
-}
-
 // TestConcurrentRoutingUnderRace drives routed ingest, keyed calls,
 // broadcast writes, and fan-out queries from concurrent goroutines; its
 // value is under -race, where it verifies the router's synchronization.
@@ -609,9 +497,8 @@ func TestConcurrentRoutingUnderRace(t *testing.T) {
 	st.Drain()
 }
 
-// TestRound4Guards pins the fourth review round: LEFT JOIN onto a
-// partitioned right side, Exec(SELECT) completeness, partition-column
-// UPDATE, and legacy-directory partition stamping.
+// TestRound4Guards pins LEFT JOIN onto a partitioned right side, Exec(SELECT)
+// completeness and the refusal of a partition-column UPDATE.
 func TestRound4Guards(t *testing.T) {
 	st := buildPartApp(t, Config{Partitions: 4})
 	if err := st.Start(); err != nil {
@@ -623,21 +510,23 @@ func TestRound4Guards(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// LEFT JOIN with a partitioned right side would emit spurious NULL
-	// rows from non-owning legs.
-	if _, err := st.Query("SELECT r.id, t.n FROM ref r LEFT JOIN totals t ON t.k = r.id"); err == nil ||
-		!strings.Contains(err.Error(), "LEFT JOIN onto partitioned") {
-		t.Fatalf("left join err = %v", err)
+	// LEFT JOIN with a partitioned right side: one row, its match, and no
+	// NULL-extended copy from a partition that does not hold the key.
+	res, err := st.Query("SELECT r.id, t.n FROM ref r LEFT JOIN totals t ON t.k = r.id")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The mirrored direction (partitioned left, replicated right) is
-	// leg-safe and keeps working.
+	if len(res.Rows) != 1 || res.Rows[0][1].IsNull() {
+		t.Fatalf("left join onto totals = %v", res.Rows)
+	}
+	// The mirrored direction (partitioned left, replicated right).
 	if _, err := st.Query("SELECT t.k FROM totals t LEFT JOIN ref r ON r.id = t.k"); err != nil {
 		t.Fatal(err)
 	}
 
-	// Exec of a SELECT must return the complete fanned-out result, not
-	// partition 0's shard.
-	res, err := st.Exec("SELECT k FROM totals")
+	// Exec of a SELECT must return every partition's rows, not partition
+	// 0's shard.
+	res, err = st.Exec("SELECT k FROM totals")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -727,8 +616,8 @@ func TestWritePathSubqueryGuards(t *testing.T) {
 	defer st.Stop()
 	ingestKeys(t, st, 8, 1)
 
-	// DELETE with a subquery over a partitioned relation: each leg would
-	// see only its shard of the subquery result.
+	// DELETE with a subquery over a partitioned relation: the broadcast
+	// write's leg on each partition would see only its shard of it.
 	if _, err := st.Exec("DELETE FROM totals WHERE k IN (SELECT k FROM derived)"); err == nil ||
 		!strings.Contains(err.Error(), "subquery over partitioned") {
 		t.Fatalf("delete subquery err = %v", err)
@@ -751,9 +640,9 @@ func TestWritePathSubqueryGuards(t *testing.T) {
 	}
 
 	// INSERT ... SELECT from a partitioned source into a replicated table:
-	// the coordinator materializes the merged source rows once and applies
-	// the identical batch to every replica — each must hold ALL source
-	// rows, not its shard.
+	// the coordinator reads the source once over a cut and applies the
+	// identical batch to every replica — each must hold ALL source rows,
+	// not its shard.
 	if _, err := st.Exec("INSERT INTO ref SELECT k + 100, n FROM totals"); err != nil {
 		t.Fatal(err)
 	}
@@ -822,7 +711,8 @@ func TestFanoutLimitCoercion(t *testing.T) {
 
 // TestStatsRowsExaminedAndReturned: the stats surface says how many rows
 // statements read and how many SELECTs gave back, per store and per
-// partition. A fan-out COUNT(*) examines every row and returns one per leg.
+// partition. A COUNT(*) over four partitions examines every row and
+// returns one.
 func TestStatsRowsExaminedAndReturned(t *testing.T) {
 	st := buildPartApp(t, Config{Partitions: 4})
 	if err := st.Start(); err != nil {
@@ -851,8 +741,8 @@ func TestStatsRowsExaminedAndReturned(t *testing.T) {
 	if d := after["rows_examined"] - before["rows_examined"]; d != 64 {
 		t.Errorf("COUNT(*) over 64 rows examined %d", d)
 	}
-	if d := after["rows_returned"] - before["rows_returned"]; d != 4 {
-		t.Errorf("COUNT(*) on 4 partitions returned %d leg rows", d)
+	if d := after["rows_returned"] - before["rows_returned"]; d != 1 {
+		t.Errorf("COUNT(*) on 4 partitions returned %d rows", d)
 	}
 	var examined, returned int64
 	for i := 0; i < 4; i++ {

@@ -52,8 +52,7 @@ func (s *Store) QueryPinned(pin *SnapshotPin, sqlText string, params ...types.Va
 	if pin == nil || pin.s != s {
 		return nil, fmt.Errorf("core: snapshot pin does not belong to this store")
 	}
-	sel, err := parseSelect(sqlText, "core: pinned queries must be SELECT statements")
-	if err != nil {
+	if err := parseSelect(sqlText, "core: pinned queries must be SELECT statements"); err != nil {
 		return nil, err
 	}
 	// The pin's mutex is held for the whole read so a concurrent Release
@@ -63,5 +62,5 @@ func (s *Store) QueryPinned(pin *SnapshotPin, sqlText string, params ...types.Va
 	if pin.released {
 		return nil, fmt.Errorf("core: snapshot pin was released")
 	}
-	return s.readCut(&pin.cut, sel, sqlText, params)
+	return s.readCut(&pin.cut, sqlText, params)
 }

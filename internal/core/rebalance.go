@@ -188,7 +188,7 @@ func (s *Store) addPartitions(target int) error {
 		}
 	}
 
-	// Publish the extended list in one seqMu write window: fan-out readers
+	// Publish the extended list in one seqMu write window: readers
 	// capture the partition list and pin commit sequences under seqMu's
 	// read side, so they see the new partitions together with their
 	// published clocks or not at all. Routing needs no fence here — the
@@ -407,7 +407,7 @@ func (s *Store) migrateSlot(slot, from, to int) error {
 			return err
 		}
 		// One seqMu write window publishes the ownership flip and both
-		// partitions' commit sequences together: a fan-out reader sees the
+		// partitions' commit sequences together: a reader sees the
 		// slot's rows on the source or on the destination, never both.
 		ns := s.slots.Load().Clone()
 		ns.Owner[slot] = uint16(to)

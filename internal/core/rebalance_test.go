@@ -129,8 +129,9 @@ func TestRebalanceLive(t *testing.T) {
 // the partition that owns the key in the cut's slot table, not the live
 // one. A pin taken on two partitions keeps naming one of its two after a
 // rebalance to four has moved the key, a fresh cut names the new owner, a
-// follower fans out, and readers running through the rebalance never miss
-// a row. Every answer equals the one-partition store's.
+// follower reads every partition, and readers running through the
+// rebalance (keyed, range and aggregate) never miss or repeat a row. Every
+// answer equals the one-partition store's.
 func TestKeyedReadAcrossRebalance(t *testing.T) {
 	const keys = 64
 	load := func(st *Store) {
@@ -142,15 +143,28 @@ func TestKeyedReadAcrossRebalance(t *testing.T) {
 			}
 		}
 	}
-	const point = "SELECT k, v FROM kv WHERE k = ?"
+	const (
+		point = "SELECT k, v FROM kv WHERE k = ?"
+		span  = "SELECT k, v FROM kv WHERE k BETWEEN ? AND ? ORDER BY k"
+		agg   = "SELECT COUNT(*), SUM(v), MAX(k) FROM kv WHERE k >= ?"
+	)
 	one := buildKV(t, Config{})
 	load(one)
 	defer one.Stop()
+	answer := func(q string, params ...types.Value) string {
+		res, err := one.Query(q, params...)
+		must(t, err)
+		return fmt.Sprint(res.Rows)
+	}
 	want := make([]string, keys+1) // and one absent key
 	for k := range want {
-		res, err := one.Query(point, types.NewInt(int64(k)))
-		must(t, err)
-		want[k] = fmt.Sprint(res.Rows)
+		want[k] = answer(point, types.NewInt(int64(k)))
+	}
+	// The range and aggregate readers' statements, by i % keys.
+	spans, aggs := make([]string, keys), make([]string, keys)
+	for k := range spans {
+		spans[k] = answer(span, types.NewInt(int64(k)), types.NewInt(int64(k+9)))
+		aggs[k] = answer(agg, types.NewInt(int64(k)))
 	}
 
 	t.Run("doors", func(t *testing.T) {
@@ -190,9 +204,11 @@ func TestKeyedReadAcrossRebalance(t *testing.T) {
 		load(st)
 		defer st.Stop()
 		stop := make(chan struct{})
-		errCh := make(chan error, 2)
+		errCh := make(chan error, 4)
 		var wg sync.WaitGroup
-		read := func(pinned bool) {
+		// read runs one statement shape through the rebalance; stmt names
+		// its text, parameters and one partition's answer for key k.
+		read := func(pinned bool, stmt func(k int64) (string, []types.Value, string)) {
 			defer wg.Done()
 			for i := 0; ; i++ {
 				select {
@@ -200,18 +216,18 @@ func TestKeyedReadAcrossRebalance(t *testing.T) {
 					return
 				default:
 				}
-				k := i % keys
+				q, params, want := stmt(int64(i % keys))
 				var res *pe.Result
 				var err error
 				if pinned {
 					pin := st.PinSnapshot()
-					res, err = st.QueryPinned(pin, point, types.NewInt(int64(k)))
+					res, err = st.QueryPinned(pin, q, params...)
 					pin.Release()
 				} else {
-					res, err = st.Query(point, types.NewInt(int64(k)))
+					res, err = st.Query(q, params...)
 				}
-				if err == nil && fmt.Sprint(res.Rows) != want[k] {
-					err = fmt.Errorf("key %d reads %v during the rebalance, want %s", k, res.Rows, want[k])
+				if err == nil && fmt.Sprint(res.Rows) != want {
+					err = fmt.Errorf("%s %v reads %v during the rebalance, want %s", q, params, res.Rows, want)
 				}
 				if err != nil {
 					errCh <- err
@@ -219,9 +235,20 @@ func TestKeyedReadAcrossRebalance(t *testing.T) {
 				}
 			}
 		}
-		wg.Add(2)
-		go read(false)
-		go read(true)
+		keyed := func(k int64) (string, []types.Value, string) {
+			return point, []types.Value{types.NewInt(k)}, want[k]
+		}
+		ranged := func(k int64) (string, []types.Value, string) {
+			return span, []types.Value{types.NewInt(k), types.NewInt(k + 9)}, spans[k]
+		}
+		summed := func(k int64) (string, []types.Value, string) {
+			return agg, []types.Value{types.NewInt(k)}, aggs[k]
+		}
+		wg.Add(4)
+		go read(false, keyed)
+		go read(true, keyed)
+		go read(false, ranged)
+		go read(true, summed)
 		err := st.Rebalance(4)
 		close(stop)
 		wg.Wait()

@@ -439,8 +439,7 @@ func (f *Follower) query(min []uint64, sqlText string, params []types.Value) (*p
 	if err := f.waitApplied(min); err != nil {
 		return nil, nil, err
 	}
-	sel, err := parseSelect(sqlText, "core: follower replica is read-only; only SELECT is supported")
-	if err != nil {
+	if err := parseSelect(sqlText, "core: follower replica is read-only; only SELECT is supported"); err != nil {
 		return nil, nil, err
 	}
 	f.st.met.Add(metrics.FollowerReads, 1)
@@ -450,7 +449,7 @@ func (f *Follower) query(min []uint64, sqlText string, params []types.Value) (*p
 	for i, strm := range f.streams {
 		seen[i] = strm.applied.Load()
 	}
-	res, err := f.st.readLatest(false, sel, sqlText, params)
+	res, err := f.st.readLatest(false, sqlText, params)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -16,12 +16,11 @@ var sharedTreeRun atomic.Int64
 
 // TestSharedStatementTreesAcrossGoroutines runs the same 30 statement texts
 // from 8 goroutines against a 4-partition store whose caches are all cold:
-// plain and rewritten fan-out legs planned from one shared parse on every
-// partition at once, and procedure statements planned on the workers while
-// snapshot readers plan beside them. Trees from the parse cache are shared
-// by all of them and must only be read (run it under -race); every
-// goroutine must get the same answer for every text, and the fan-out
-// answers must be those of a one-partition store.
+// reads planned from one shared parse at once, and procedure statements
+// planned on the workers while snapshot readers plan beside them. Trees
+// from the parse cache are shared by all of them and must only be read
+// (run it under -race); every goroutine must get the same answer for every
+// text, and the answers must be those of a one-partition store.
 func TestSharedStatementTreesAcrossGoroutines(t *testing.T) {
 	run := sharedTreeRun.Add(1)
 	text := func(format string) string {

@@ -12,9 +12,9 @@ import (
 	"repro/internal/wal"
 )
 
-// TestDistributedHavingPostMerge exercises HAVING above the fan-out merge
-// with groups that genuinely span partitions (grouped by the non-partition
-// column n, which every key shares), where per-leg filtering would return
+// TestDistributedHavingPostMerge exercises HAVING over groups that span
+// partitions (grouped by the non-partition column n, which every key
+// shares), where filtering each partition's partial groups would return
 // the wrong answer.
 func TestDistributedHavingPostMerge(t *testing.T) {
 	st := buildPartApp(t, Config{Partitions: 4})
@@ -24,8 +24,8 @@ func TestDistributedHavingPostMerge(t *testing.T) {
 	defer st.Stop()
 	ingestKeys(t, st, 6, 2) // 6 keys, each totals.n = 4, spread over 4 partitions
 
-	// COUNT(*) = 6 only exists globally; every leg's partial count is
-	// smaller, so a leg-side HAVING would discard the group.
+	// COUNT(*) = 6 only exists globally; every partition's partial count
+	// is smaller.
 	res, err := st.Query("SELECT n, COUNT(*) FROM totals GROUP BY n HAVING COUNT(*) > 4")
 	if err != nil {
 		t.Fatal(err)
@@ -34,8 +34,7 @@ func TestDistributedHavingPostMerge(t *testing.T) {
 		t.Fatalf("spanning-group HAVING = %v", res.Rows)
 	}
 
-	// Hidden aggregate: SUM(n) is not projected, rides as a hidden merge
-	// column, and the result is trimmed back to the client projection.
+	// An aggregate HAVING reads that the projection leaves out.
 	res, err = st.Query("SELECT n FROM totals GROUP BY n HAVING SUM(n) > 20")
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +46,7 @@ func TestDistributedHavingPostMerge(t *testing.T) {
 		t.Fatalf("hidden column leaked: %v", res.Columns)
 	}
 
-	// AVG in HAVING decomposes into hidden SUM + COUNT like projected AVG.
+	// AVG in HAVING.
 	res, err = st.Query("SELECT n FROM totals GROUP BY n HAVING AVG(n) >= 4")
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +55,7 @@ func TestDistributedHavingPostMerge(t *testing.T) {
 		t.Fatalf("AVG HAVING = %v", res.Rows)
 	}
 
-	// Parameterized HAVING binds against the merged rows.
+	// Parameterized HAVING.
 	res, err = st.Query("SELECT n, COUNT(*) FROM totals GROUP BY n HAVING COUNT(*) > ?", types.NewInt(4))
 	if err != nil {
 		t.Fatal(err)
@@ -68,8 +67,7 @@ func TestDistributedHavingPostMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Aggregate HAVING combined with key HAVING, ORDER BY and LIMIT: the
-	// whole filter runs post-merge, then order and limit re-apply.
+	// Aggregate HAVING combined with key HAVING, ORDER BY and LIMIT.
 	res, err = st.Query("SELECT k, SUM(n) FROM totals GROUP BY k HAVING SUM(n) >= 4 AND k >= 2 ORDER BY k LIMIT 3")
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +76,7 @@ func TestDistributedHavingPostMerge(t *testing.T) {
 		t.Fatalf("combined HAVING+LIMIT = %v", res.Rows)
 	}
 
-	// Global aggregate with LIMIT (stripped from legs, re-applied).
+	// Global aggregate with LIMIT.
 	res, err = st.Query("SELECT COUNT(*) FROM totals LIMIT 1")
 	if err != nil {
 		t.Fatal(err)
@@ -290,14 +288,12 @@ func TestFanoutReadDoesNotEnqueueOnWorkers(t *testing.T) {
 	}
 }
 
-// TestHavingParamsSurviveLegRewrite pins parameter binding through a
-// rewritten fan-out leg: the rewrite duplicates a '?' (AVG's SUM and hidden
-// COUNT), moves one ahead of another (a hidden HAVING aggregate appended to
-// the projection) or drops one (the stripped HAVING), and the legs and the
-// post-merge HAVING evaluator all bind the client's parameter slice. Values
-// of every type bind, TIMESTAMP included. Two partitions must answer as one
-// does.
-func TestHavingParamsSurviveLegRewrite(t *testing.T) {
+// TestParamsBindThroughCrossPartitionAvgAndHaving pins parameter binding in
+// a read over two partitions: parameters inside an AVG's argument, in a
+// HAVING over an aggregate the projection leaves out, and in WHERE all
+// bind the client's values, of every type, TIMESTAMP included. Two
+// partitions must answer as one does.
+func TestParamsBindThroughCrossPartitionAvgAndHaving(t *testing.T) {
 	build := func(parts int) *Store {
 		st := Open(Config{Partitions: parts})
 		if err := st.ExecScript(`CREATE TABLE ev (id BIGINT PRIMARY KEY, g BIGINT, n BIGINT, at TIMESTAMP) PARTITION BY id;`); err != nil {
@@ -347,7 +343,7 @@ func TestHavingParamsSurviveLegRewrite(t *testing.T) {
 
 // TestSnapshotReadResultSurvivesLaterReads: a snapshot read runs in an
 // execution context that the next read reuses, so the Result it returns
-// must own its rows. A range read (two legs and a merge) and a keyed read
+// must own its rows. A range read (both partitions) and a keyed read
 // (one partition) are kept while four goroutines run reads of other shapes
 // through the same contexts; the kept rows must not change.
 func TestSnapshotReadResultSurvivesLaterReads(t *testing.T) {

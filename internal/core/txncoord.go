@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/ee"
 	"repro/internal/metrics"
 	"repro/internal/pe"
 	"repro/internal/types"
@@ -90,11 +91,11 @@ import (
 // slot stretch, never the durability tail — keeps slot queues shallow
 // while leaving the pipeline depth unbounded.
 //
-// Commit publication and fan-out reads: fan-out reads never take slots —
-// they pin per-partition MVCC snapshot sequences under seqMu, whose
-// exclusive side covers only the commit delivery window, so a distributed
-// read sees a coordinated transaction entirely or not at all while running
-// concurrently with the rest of the protocol.
+// Commit publication and snapshot reads: a read never takes slots — it
+// pins per-partition MVCC snapshot sequences under seqMu, whose exclusive
+// side covers only the commit delivery window, so a read over several
+// partitions sees a coordinated transaction entirely or not at all while
+// running concurrently with the rest of the protocol.
 //
 // Recovery and followers read these records through the log applier
 // (applier.go): a logged PREPARE whose transaction id has a durable DECIDE
@@ -552,18 +553,34 @@ func (tx *MPTxn) sendQuery(part int, sqlText string, params ...types.Value) (leg
 	return legFrag{tx: tx, f: sess.SendQueryPlan(p, params...)}, nil
 }
 
-// sendQueryLeg queues a read of a router-planned leg (selectPlan.legPlan)
-// on partition part.
-func (tx *MPTxn) sendQueryLeg(part int, plan *selectPlan) (legFrag, error) {
-	sess, err := tx.session(part)
-	if err != nil {
-		return legFrag{}, err
+// readCut reads a plan over a cut of the whole store taken inside the
+// transaction, once it holds every slot and every worker is serving its
+// leg: commits publish at execute time (pe.Engine), so the cut holds every
+// commit serialized before the transaction on any partition, and nothing
+// else commits until the decision. The rows are the caller's.
+func (tx *MPTxn) readCut(p *ee.Prepared, params []types.Value) ([]types.Row, error) {
+	entered, err := tx.sendEach(func(part int) (legFrag, error) {
+		sess, err := tx.session(part)
+		if err != nil {
+			return legFrag{}, err
+		}
+		return legFrag{tx: tx, f: sess.SendEnter()}, nil
+	})
+	if err == nil {
+		_, err = waitAll(entered)
 	}
-	leg, err := plan.legPlan(tx.parts[part].ee)
 	if err != nil {
-		return legFrag{}, err
+		return nil, err
 	}
-	return legFrag{tx: tx, f: sess.SendQueryPlan(leg, plan.params...)}, nil
+	c := cutPool.Get().(*snapCut)
+	tx.s.acquireCut(c, true)
+	res, err := tx.parts[0].pe.QueryCut(&c.cut, p, params...)
+	c.release()
+	cutPool.Put(c)
+	if err != nil {
+		return nil, err
+	}
+	return res.Rows, nil
 }
 
 // waitFor waits for a fragment that send queued.
@@ -607,11 +624,6 @@ func (tx *MPTxn) QueryRow(part int, sqlText string, params ...types.Value) (type
 	return res.Rows[0], nil
 }
 
-// queryLeg runs a read of a router-planned leg on partition part.
-func (tx *MPTxn) queryLeg(part int, plan *selectPlan) (*pe.Result, error) {
-	return waitFor(tx.sendQueryLeg(part, plan))
-}
-
 // ExecAll runs the same write on every partition concurrently (enlisting
 // them all) — the coordinated form of a broadcast statement. Results come
 // back in partition order.
@@ -621,8 +633,7 @@ func (tx *MPTxn) ExecAll(sqlText string, params ...types.Value) ([]*pe.Result, e
 
 // QueryAll runs the same read on every partition concurrently (enlisting
 // them all) and returns the per-partition results in partition order —
-// the transactional analogue of the router's query fan-out; the caller
-// merges.
+// the caller combines them.
 func (tx *MPTxn) QueryAll(sqlText string, params ...types.Value) ([]*pe.Result, error) {
 	return tx.eachPartition(func(part int) (legFrag, error) { return tx.sendQuery(part, sqlText, params...) })
 }
@@ -811,7 +822,7 @@ func (s *Store) attemptMP(proc string, fn func(tx *MPTxn) error, parts []*partit
 	}
 	// Commit publication window: every leg publishes its partition's
 	// commit sequence during delivery, and holding seqMu exclusively
-	// keeps a fan-out reader's snapshot vector from cutting between two
+	// keeps a reader's snapshot vector from cutting between two
 	// legs' publications (all-or-nothing visibility). The lock covers
 	// only the in-memory window — durability resolves after it is
 	// released, so snapshot readers are never parked behind the disk.

@@ -125,6 +125,10 @@ type ExecCtx struct {
 	// so GC cannot outrun the read.
 	Snapshot    bool
 	SnapshotSeq storage.Seq
+	// Cut, on a snapshot context, replaces SnapshotSeq: the statement reads
+	// every partition's relations, each at its own pinned sequence, as one
+	// store (see accessRows).
+	Cut *Cut
 
 	// NewRows holds the transient relations the caller supplies by name
 	// (a procedure's input "batch"). Keys are lowercase: statements bind
@@ -161,17 +165,27 @@ type Result struct {
 	RowsAffected int
 }
 
+// Cut is what a snapshot read spanning partitions sees: each partition's
+// catalog and the sequence pinned on it, in partition order, and the slot
+// table that placed the rows at those sequences (nil on a follower, whose
+// cut fixes none, so no keyed access narrows).
+type Cut struct {
+	Parts []CutPart
+	Slots *catalog.SlotTable
+}
+
+// CutPart is one partition of a Cut.
+type CutPart struct {
+	Cat *catalog.Catalog
+	Seq storage.Seq
+}
+
 // PlanKey names one statement tree in the plan cache: the scope it is
-// planned in and the text it came from. One key names exactly one tree.
-// The scopes are ad-hoc (the zero Proc and Leg: the tree is the text's
-// parse), a procedure's (Proc: the tree is the text's parse, planned with
-// the procedure's transient relations), and a router leg's (Leg: the tree
-// is one the router built from the client's statement Text — a rewritten
-// fan-out leg or an INSERT … SELECT's source — and depends on that text
-// alone, never on parameter values).
+// planned in and the text it came from, whose parse the tree is. The
+// scopes are ad-hoc (the zero Proc) and a procedure's (Proc: planned with
+// the procedure's transient relations).
 type PlanKey struct {
 	Proc string
-	Leg  bool
 	Text string
 }
 

@@ -523,6 +523,13 @@ func lookupEach(mem *scratch, tb *storage.Table, ix *storage.Index, keys []types
 // The keys are computed before the first emit, so emit may reuse ec. id is
 // the RowID UPDATE and DELETE mutate by, a writer-view notion: transients
 // and snapshot ranges emit zero.
+//
+// On a context with a Cut the relation is the store's: a partitioned one is
+// every partition's table, walked in partition order, each at its own pin;
+// an unpartitioned one is partition 0's (a replicated table is the same
+// everywhere, a stream or window without a key lives there). An access that
+// binds a placed table's partition key by equality reads the key's owner
+// alone (see owner).
 func (e *Engine) accessRows(ctx *ExecCtx, access *tableAccess, ec *evalCtx, emit func(id storage.RowID, row types.Row) bool) error {
 	if access.transient {
 		// Bound at prepare time; an empty delta (EXPIRED while a window
@@ -540,25 +547,131 @@ func (e *Engine) accessRows(ctx *ExecCtx, access *tableAccess, ec *evalCtx, emit
 		}
 		return nil
 	}
-	rel, err := e.readRows(ctx, access)
-	if err != nil {
+	var buf [4]types.Value
+	pr, ok, err := bindProbe(access, ec, buf[:0])
+	if !ok {
 		return err
 	}
-	tb := rel.Table
+	cut := ctx.Cut
+	if cut == nil {
+		rel, err := e.readRows(ctx, access)
+		if err != nil {
+			return err
+		}
+		walkTable(ctx, access, &pr, ec.subs, rel.Table, ctx.SnapshotSeq, emit)
+		return nil
+	}
+	first, last := 0, 0
+	if access.spread && len(cut.Parts) > 1 {
+		first, last = 0, len(cut.Parts)-1
+		if i, ok := access.owner(cut.Slots, ec); ok {
+			first, last = i, i
+		}
+	}
+	if first == last {
+		part := &cut.Parts[first]
+		rel, err := part.Cat.MustRelation(access.relName)
+		if err != nil {
+			return err
+		}
+		walkTable(ctx, access, &pr, ec.subs, rel.Table, part.Seq, emit)
+		return nil
+	}
+	more := true
+	each := func(id storage.RowID, r types.Row) bool {
+		more = emit(id, r)
+		return more
+	}
+	for i := first; i <= last && more; i++ {
+		part := &cut.Parts[i]
+		rel, err := part.Cat.MustRelation(access.relName)
+		if err != nil {
+			return err
+		}
+		walkTable(ctx, access, &pr, ec.subs, rel.Table, part.Seq, each)
+	}
+	return nil
+}
+
+// owner reports the partition that holds every row the access can match:
+// one whose relation is a table placed by its key and whose probe binds
+// the key to a value that survives coercion to the column's type
+// unchanged (a BIGINT key bound to 5.0 qualifies; to 5.5, '5' or NULL it
+// does not), so every row equal to it hashes to its slot:
+// catalog.PartitionHash collapses what Compare equates.
+func (a *tableAccess) owner(slots *catalog.SlotTable, ec *evalCtx) (int, bool) {
+	if a.partKey == nil || slots == nil {
+		return 0, false
+	}
+	v, err := a.partKey.eval(ec)
+	if err != nil || v.IsNull() {
+		return 0, false
+	}
+	k, err := types.Coerce(v, a.partType)
+	if err != nil || k.Compare(v) != 0 {
+		return 0, false
+	}
+	return slots.Partition(k), true
+}
+
+// probe is one execution's index key or range bounds, computed from the
+// access's expressions before any table is walked.
+type probe struct {
+	key    types.Row // equality probe
+	lo, hi types.Row // range bounds; nil is unbounded
+}
+
+// bindProbe computes the probe values of access into buf, an empty slice
+// with room for a key. ok is false when the access can match nothing (a
+// key or bound is NULL) or an expression failed (err).
+func bindProbe(access *tableAccess, ec *evalCtx, buf types.Row) (pr probe, ok bool, err error) {
+	if access.index == nil || access.fromSub {
+		return pr, true, nil
+	}
+	if access.eqKey != nil {
+		for _, kc := range access.eqKey {
+			v, err := kc.eval(ec)
+			if err != nil || v.IsNull() {
+				return pr, false, err // = NULL matches nothing
+			}
+			buf = append(buf, v)
+		}
+		pr.key = buf
+		return pr, true, nil
+	}
+	buf = buf[:2]
+	if access.lo != nil {
+		if buf[0], err = access.lo.eval(ec); err != nil || buf[0].IsNull() {
+			return pr, false, err // a comparison with NULL matches nothing
+		}
+		pr.lo = buf[0:1]
+	}
+	if access.hi != nil {
+		if buf[1], err = access.hi.eval(ec); err != nil || buf[1].IsNull() {
+			return pr, false, err
+		}
+		pr.hi = buf[1:2]
+	}
+	return pr, true, nil
+}
+
+// walkTable emits the rows of one table through the access path, at seq on
+// a snapshot context and in the writer's view otherwise.
+func walkTable(ctx *ExecCtx, access *tableAccess, pr *probe, subs []subResult, tb *storage.Table, seq storage.Seq, emit func(id storage.RowID, row types.Row) bool) {
 	// Snapshot contexts read the versions visible at the pinned sequence
 	// (possibly from a client goroutine, concurrently with the partition
 	// worker); everything else reads the writer's current view.
-	snap, seq := ctx.Snapshot, ctx.SnapshotSeq
+	snap := ctx.Snapshot
 	// When the arm is planned but does not apply to this execution, the
 	// access has no other index bound and falls to the scan at the bottom.
-	if ix, keys, ok := subProbe(access, ec.subs, tb); ok {
+	if ix, keys, ok := subProbe(access, subs, tb); ok {
 		if !snap {
 			for _, id := range lookupEach(&ctx.mem, tb, ix, keys) {
 				if r, ok := tb.Get(id); ok && !emit(id, r) {
 					break
 				}
 			}
-			return nil
+			return
 		}
 		var key [1]types.Value
 		for _, k := range keys {
@@ -567,7 +680,7 @@ func (e *Engine) accessRows(ctx *ExecCtx, access *tableAccess, ec *evalCtx, emit
 				break
 			}
 		}
-		return nil
+		return
 	}
 	var ix *storage.Index
 	if access.index != nil && !access.fromSub {
@@ -575,61 +688,36 @@ func (e *Engine) accessRows(ctx *ExecCtx, access *tableAccess, ec *evalCtx, emit
 	}
 	switch {
 	case ix == nil:
-	case access.eqKey != nil:
-		var buf [4]types.Value
-		key := buf[:0]
-		for _, kc := range access.eqKey {
-			v, err := kc.eval(ec)
-			if err != nil {
-				return err
-			}
-			if v.IsNull() {
-				return nil // = NULL matches nothing
-			}
-			key = append(key, v)
-		}
+	case pr.key != nil:
 		if snap {
-			tb.SnapshotLookup(ix, key, seq, &ctx.mem.hits, emit)
+			tb.SnapshotLookup(ix, pr.key, seq, &ctx.mem.hits, emit)
 		} else {
-			tb.Lookup(ix, key, emit)
+			tb.Lookup(ix, pr.key, emit)
 		}
-		return nil
-	case access.lo != nil || access.hi != nil:
-		var bounds [2]types.Value
-		var lo, hi types.Row
-		if access.lo != nil {
-			if bounds[0], err = access.lo.eval(ec); err != nil || bounds[0].IsNull() {
-				return err // a comparison with NULL matches nothing
-			}
-			lo = bounds[0:1]
-		}
-		if access.hi != nil {
-			if bounds[1], err = access.hi.eval(ec); err != nil || bounds[1].IsNull() {
-				return err
-			}
-			hi = bounds[1:2]
-		}
+		return
+	case pr.lo != nil || pr.hi != nil:
+		lo, hi := pr.lo, pr.hi
 		// The index walks [lo, hi]; an exclusive bound drops its own key.
 		inside := func(key types.Row) bool {
 			return !(lo != nil && !access.loInc && key[0].Compare(lo[0]) == 0) &&
 				!(hi != nil && !access.hiInc && key[0].Compare(hi[0]) == 0)
 		}
 		if snap {
-			return tb.SnapshotRange(ix, lo, hi, seq, func(key, r types.Row) bool {
+			tb.SnapshotRange(ix, lo, hi, seq, func(key, r types.Row) bool {
 				return !inside(key) || emit(0, r)
 			})
+			return
 		}
 		tb.Range(ix, lo, hi, func(key types.Row, id storage.RowID, r types.Row) bool {
 			return !inside(key) || emit(id, r)
 		})
-		return nil
+		return
 	}
 	if snap {
 		tb.SnapshotScan(seq, emit)
 	} else {
 		tb.Scan(emit)
 	}
-	return nil
 }
 
 // ---------- aggregation ----------

@@ -727,7 +727,7 @@ func differential(t *testing.T, seed int64, n int, cold bool) {
 	check := func(s *stmt, view string, ctx *ExecCtx, want string) {
 		t.Helper()
 		if got := outcome(e.Execute(ctx, s.p, s.params...)); got != want {
-			t.Fatalf("seed %d, %s: %s %v\nplan:\n%sgot  %s\nwant %s", seed, view, s.sql, s.params, s.p.Explain(), got, want)
+			t.Fatalf("seed %d, %s: %s %v\nplan:\n%sgot  %s\nwant %s", seed, view, s.sql, s.params, s.p.Explain(1), got, want)
 		}
 	}
 	gen := &stmtGen{r: rand.New(rand.NewSource(seed))}

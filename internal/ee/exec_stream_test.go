@@ -128,7 +128,7 @@ func TestExplainNamesTheArmThatRuns(t *testing.T) {
 	} {
 		for _, verb := range []string{"SELECT k FROM kv", "UPDATE kv SET v = v + 1", "DELETE FROM kv"} {
 			q := verb + " WHERE " + arm.where
-			plan, err := e.ExplainSQL(q)
+			plan, err := e.ExplainSQL(q, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

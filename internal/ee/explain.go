@@ -7,17 +7,20 @@ import (
 
 // Explain renders the physical plan of a prepared statement: access paths,
 // join order, grouping, ordering, and DML targets. The format is stable
-// enough for tests to assert on access-path choices.
-func (p *Prepared) Explain() string {
+// enough for tests to assert on access-path choices. parts is the number
+// of partitions a read spans: past one, every access of a SELECT (and of
+// an INSERT's source) also names what it reads over the cut — every
+// partition, the key's owner, or partition 0 (accessRows).
+func (p *Prepared) Explain(parts int) string {
 	var b strings.Builder
 	switch {
 	case p.sel != nil:
-		explainSelect(&b, p.sel, 0)
+		explainSelect(&b, p.sel, 0, parts)
 	case p.ins != nil:
 		fmt.Fprintf(&b, "INSERT into %s", p.ins.relName)
 		if p.ins.query != nil {
 			b.WriteString(" from query:\n")
-			explainSelect(&b, p.ins.query, 1)
+			explainSelect(&b, p.ins.query, 1, parts)
 		} else {
 			fmt.Fprintf(&b, " (%d literal rows)\n", len(p.ins.rows))
 		}
@@ -25,19 +28,19 @@ func (p *Prepared) Explain() string {
 		fmt.Fprintf(&b, "UPDATE %s (%d assignments)\n", p.upd.relName, len(p.upd.sets))
 		writeIndent(&b, 1)
 		b.WriteString("scan: " + describeAccess(&p.upd.access) + "\n")
-		explainSubs(&b, p.upd.subs, 1)
+		explainSubs(&b, p.upd.subs, 1, 1)
 	case p.del != nil:
 		fmt.Fprintf(&b, "DELETE from %s\n", p.del.relName)
 		writeIndent(&b, 1)
 		b.WriteString("scan: " + describeAccess(&p.del.access) + "\n")
-		explainSubs(&b, p.del.subs, 1)
+		explainSubs(&b, p.del.subs, 1, 1)
 	default:
 		b.WriteString("(empty statement)\n")
 	}
 	return b.String()
 }
 
-func explainSelect(b *strings.Builder, plan *selectPlan, depth int) {
+func explainSelect(b *strings.Builder, plan *selectPlan, depth, parts int) {
 	writeIndent(b, depth)
 	b.WriteString("SELECT")
 	if plan.distinct {
@@ -45,14 +48,14 @@ func explainSelect(b *strings.Builder, plan *selectPlan, depth int) {
 	}
 	fmt.Fprintf(b, " (%d output columns)\n", len(plan.projs))
 	writeIndent(b, depth+1)
-	b.WriteString("scan: " + describeAccess(&plan.src.base) + "\n")
+	b.WriteString("scan: " + describeAccess(&plan.src.base) + reach(&plan.src.base, parts) + "\n")
 	for _, js := range plan.src.joins {
 		writeIndent(b, depth+1)
 		kind := "join"
 		if js.left {
 			kind = "left join"
 		}
-		fmt.Fprintf(b, "%s: %s\n", kind, describeAccess(&js.access))
+		fmt.Fprintf(b, "%s: %s%s\n", kind, describeAccess(&js.access), reach(&js.access, parts))
 	}
 	if plan.where != nil {
 		writeIndent(b, depth+1)
@@ -74,14 +77,29 @@ func explainSelect(b *strings.Builder, plan *selectPlan, depth int) {
 		writeIndent(b, depth+1)
 		b.WriteString("limit/offset\n")
 	}
-	explainSubs(b, plan.subs, depth+1)
+	explainSubs(b, plan.subs, depth+1, parts)
 }
 
-func explainSubs(b *strings.Builder, subs []*selectPlan, depth int) {
+func explainSubs(b *strings.Builder, subs []*selectPlan, depth, parts int) {
 	for i, sub := range subs {
 		writeIndent(b, depth)
 		fmt.Fprintf(b, "subquery %d (materialized once):\n", i)
-		explainSelect(b, sub, depth+1)
+		explainSelect(b, sub, depth+1, parts)
+	}
+}
+
+// reach names the partitions of a cut of parts that an access reads, or
+// nothing on one partition.
+func reach(a *tableAccess, parts int) string {
+	switch {
+	case parts < 2 || a.transient:
+		return ""
+	case !a.spread:
+		return ", reads partition 0"
+	case a.partKey != nil:
+		return ", reads the key's owner"
+	default:
+		return fmt.Sprintf(", reads every partition (%d)", parts)
 	}
 }
 
@@ -117,16 +135,17 @@ func writeIndent(b *strings.Builder, depth int) {
 	}
 }
 
-// ExplainSQL prepares a statement and returns its plan description. Text
-// that is the body of a registered EE trigger is explained as compiled for
-// that trigger: it reads the firing's transients, which only bind there,
-// and the compiled plan is the one that runs.
-func (e *Engine) ExplainSQL(text string) (string, error) {
+// ExplainSQL prepares a statement and returns its plan description as a
+// read over parts partitions runs it (Prepared.Explain). Text that is the
+// body of a registered EE trigger is explained as compiled for that
+// trigger: it reads the firing's transients, which only bind there, the
+// compiled plan is the one that runs, and it runs on one partition.
+func (e *Engine) ExplainSQL(text string, parts int) (string, error) {
 	for _, trs := range e.triggers {
 		for _, tr := range trs {
 			for _, p := range tr.Stmts {
 				if p.Text == text {
-					return p.Explain(), nil
+					return p.Explain(1), nil
 				}
 			}
 		}
@@ -135,5 +154,5 @@ func (e *Engine) ExplainSQL(text string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return p.Explain(), nil
+	return p.Explain(parts), nil
 }

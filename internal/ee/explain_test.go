@@ -45,7 +45,7 @@ func TestExplainAccessPaths(t *testing.T) {
 		},
 	}
 	for _, c := range cases {
-		got, err := e.ExplainSQL(c.sql)
+		got, err := e.ExplainSQL(c.sql, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", c.sql, err)
 		}
@@ -59,11 +59,11 @@ func TestExplainAccessPaths(t *testing.T) {
 
 func TestExplainInsert(t *testing.T) {
 	e := newTestEngine(t, demoSchema)
-	got, err := e.ExplainSQL("INSERT INTO votes VALUES (1, 2, 3)")
+	got, err := e.ExplainSQL("INSERT INTO votes VALUES (1, 2, 3)", 1)
 	if err != nil || !strings.Contains(got, "INSERT into votes (1 literal rows)") {
 		t.Fatalf("explain insert: %q %v", got, err)
 	}
-	got, err = e.ExplainSQL("INSERT INTO votes SELECT phone, candidate, ts FROM votes")
+	got, err = e.ExplainSQL("INSERT INTO votes SELECT phone, candidate, ts FROM votes", 1)
 	if err != nil || !strings.Contains(got, "from query") {
 		t.Fatalf("explain insert-select: %q %v", got, err)
 	}

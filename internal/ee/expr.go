@@ -617,18 +617,6 @@ type slotExpr struct{ slot int }
 
 func (e slotExpr) eval(ec *evalCtx) (types.Value, error) { return ec.row[e.slot], nil }
 
-// resolvedExpr reads a caller-resolved slot. Unlike slotExpr it bounds-checks:
-// the row shape is owned by the caller (e.g. the distributed-query merge),
-// not by this planner.
-type resolvedExpr struct{ slot int }
-
-func (e resolvedExpr) eval(ec *evalCtx) (types.Value, error) {
-	if e.slot >= len(ec.row) {
-		return types.Null, fmt.Errorf("ee: resolved column %d out of range for %d-wide row", e.slot, len(ec.row))
-	}
-	return ec.row[e.slot], nil
-}
-
 // ---------- compilation ----------
 
 // exprCompiler compiles sql.Expr trees against a scope. When aggSlots is
@@ -641,21 +629,9 @@ type exprCompiler struct {
 	aggSlots map[sql.Expr]int // aggregate FuncCall node -> slot
 	groupBy  []sql.Expr       // GROUP BY expressions (slot = position)
 	subplan  func(*sql.Select) (int, error)
-	// resolve, when non-nil, maps whole subexpressions to row slots before
-	// structural compilation — the hook external row shapes (the
-	// cross-partition merge) compile against. ok=false falls through to
-	// normal compilation of the node.
-	resolve func(sql.Expr) (int, bool, error)
 }
 
 func (c *exprCompiler) compile(e sql.Expr) (compiled, error) {
-	if c.resolve != nil {
-		if pos, ok, err := c.resolve(e); err != nil {
-			return nil, err
-		} else if ok {
-			return resolvedExpr{slot: pos}, nil
-		}
-	}
 	if c.aggSlots != nil {
 		// Whole-expression match against GROUP BY entries.
 		for i, g := range c.groupBy {
@@ -677,11 +653,6 @@ func (c *exprCompiler) compile(e sql.Expr) (compiled, error) {
 	case *sql.ColumnRef:
 		if c.aggSlots != nil {
 			return nil, fmt.Errorf("ee: column %q must appear in GROUP BY or inside an aggregate", x.Column)
-		}
-		if c.scope == nil {
-			// Resolver-only compilation: any column the resolver did not
-			// place has no row slot to read.
-			return nil, fmt.Errorf("ee: column %q cannot be evaluated in this context", x.Column)
 		}
 		slot, _, err := c.scope.resolve(x.Table, x.Column)
 		if err != nil {
@@ -822,36 +793,6 @@ func checkArity(name string, n int) error {
 	}
 	return nil
 }
-
-// ---------- resolver-based compilation (exported) ----------
-
-// CompiledExpr is an expression compiled by CompileResolved: it evaluates
-// against a caller-shaped row with the engine's semantics (three-valued
-// logic, NULL-propagating comparisons and arithmetic, float widening).
-type CompiledExpr func(row types.Row, params []types.Value) (types.Value, error)
-
-// CompileResolved compiles e for evaluation over rows whose shape the
-// caller owns. resolve maps whole subexpressions to row positions (ok=true)
-// — e.g. the distributed-query merge places projected group keys and hidden
-// aggregates — and everything it declines compiles structurally with the
-// engine's operator semantics, so external evaluation (distributed HAVING)
-// cannot drift from single-partition execution. Column references the
-// resolver declines are compile errors: there is no table scope here.
-func CompileResolved(e sql.Expr, resolve func(sql.Expr) (int, bool, error)) (CompiledExpr, error) {
-	c := &exprCompiler{resolve: resolve}
-	comp, err := c.compile(e)
-	if err != nil {
-		return nil, err
-	}
-	return func(row types.Row, params []types.Value) (types.Value, error) {
-		ec := evalCtx{row: row, params: params}
-		return comp.eval(&ec)
-	}, nil
-}
-
-// ExprEqual reports structural equality of two expressions (function names
-// compare case-insensitively, mirroring the parser's keyword handling).
-func ExprEqual(a, b sql.Expr) bool { return exprEqual(a, b) }
 
 // exprEqual reports structural equality of two expressions (used to match
 // select-list expressions against GROUP BY entries).

@@ -61,6 +61,14 @@ type tableAccess struct {
 	// scanWhy says, for EXPLAIN, why a full scan with an IN-subquery
 	// conjunct on this relation is not driven from that subquery.
 	scanWhy string
+	// spread marks a partitioned relation: over a Cut each partition holds
+	// a share of it. partKey, when set, is the value a top-level equality
+	// conjunct binds the partition key of a table placed by that key (not
+	// PARTIAL) to, and partType the key's declared type: the access then
+	// reads the key's owner alone (tableAccess.owner).
+	spread   bool
+	partKey  compiled
+	partType types.Type
 }
 
 type joinStep struct {
@@ -272,7 +280,7 @@ func (pl *planner) resolveRelation(name string) (tableAccess, error) {
 	if err != nil {
 		return tableAccess{}, err
 	}
-	return tableAccess{relName: name, schema: rel.Schema}, nil
+	return tableAccess{relName: name, schema: rel.Schema, spread: rel.Partitioned()}, nil
 }
 
 func (pl *planner) planSource(from sql.TableRef, joins []sql.JoinClause, where sql.Expr) (sourcePlan, error) {
@@ -427,6 +435,11 @@ func (pl *planner) chooseAccessPath(access *tableAccess, conjuncts []sql.Expr, q
 					inCol = ord
 				}
 			}
+		}
+	}
+	if e, ok := eq[rel.PartCol]; ok && rel.Kind == catalog.KindTable && !rel.Partial {
+		if k, err := outerCmp.compile(e); err == nil {
+			access.partKey, access.partType = k, access.schema.Column(rel.PartCol).Type
 		}
 	}
 	// Try full-equality probes, preferring unique indexes.
@@ -639,9 +652,8 @@ func (pl *planner) planSelect(s *sql.Select) (*selectPlan, []string, error) {
 }
 
 // compileOrder compiles one ORDER BY key. A bare integer literal is a
-// 1-based output ordinal (standard SQL, and what the distributed merge's
-// sortRows resolves — the two paths must order identically); a bare
-// identifier matching a select-item alias sorts by that output expression.
+// 1-based output ordinal (standard SQL); a bare identifier matching a
+// select-item alias sorts by that output expression.
 func (pl *planner) compileOrder(e sql.Expr, cmp *exprCompiler, items []sql.Expr, s *sql.Select, plan *selectPlan) (compiled, error) {
 	if lit, ok := e.(*sql.Literal); ok && lit.Value.Type() == types.TypeInt {
 		n := int(lit.Value.Int())

@@ -114,14 +114,14 @@ func (pp *probePair) sameTarget() {
 // lacking the indexes, must never plan the arm).
 func (pp *probePair) plans(q, want string) {
 	pp.t.Helper()
-	got, err := pp.probe.ExplainSQL(q)
+	got, err := pp.probe.ExplainSQL(q, 1)
 	if err != nil {
 		pp.t.Fatalf("explain %s: %v", q, err)
 	}
 	if !strings.Contains(got, want) {
 		pp.t.Fatalf("probe engine planned %q without %q:\n%s", q, want, got)
 	}
-	got, err = pp.scan.ExplainSQL(q)
+	got, err = pp.scan.ExplainSQL(q, 1)
 	if err != nil {
 		pp.t.Fatalf("explain %s: %v", q, err)
 	}
@@ -268,8 +268,8 @@ func TestSubqueryProbeIndexDroppedAfterPrepare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(pu.Explain(), viaC) || !strings.Contains(ps.Explain(), viaC) {
-		t.Fatalf("not planned as a probe:\n%s%s", pu.Explain(), ps.Explain())
+	if !strings.Contains(pu.Explain(1), viaC) || !strings.Contains(ps.Explain(1), viaC) {
+		t.Fatalf("not planned as a probe:\n%s%s", pu.Explain(1), ps.Explain(1))
 	}
 	rows := mustExec(t, pp.probe, pp.pctx, "SELECT id, c, f, tag, n FROM target ORDER BY id").Rows
 	if err := pp.probe.ExecScript("DROP TABLE target; " +
@@ -391,11 +391,11 @@ func newTrendPair(t *testing.T, window string) *trendPair {
 		}
 		mustExec(t, e, ctx, "INSERT INTO seen VALUES (101), (102), (3)")
 	}
-	plan, err := tp.probe.ExplainSQL(trendBodies[0])
+	plan, err := tp.probe.ExplainSQL(trendBodies[0], 1)
 	if err != nil || !strings.Contains(plan, "trend via index trend_pkey (probe from subquery 0)") {
 		t.Fatalf("probe engine's trigger body: %v\n%s", err, plan)
 	}
-	plan, err = tp.scan.ExplainSQL(trendBodies[0])
+	plan, err = tp.scan.ExplainSQL(trendBodies[0], 1)
 	if err != nil || !strings.Contains(plan, "trend (full scan), not driven from its IN-subquery: no single-column index on c") {
 		t.Fatalf("scan engine's trigger body: %v\n%s", err, plan)
 	}

@@ -893,8 +893,7 @@ func (e *Engine) AcquireSnapshot() storage.SnapPin { return e.clock.AcquireSnaps
 func (e *Engine) ReleaseSnapshot(pin storage.SnapPin) { e.clock.ReleaseSnapshot(pin) }
 
 // QueryAtSeq runs a read-only statement on the caller's goroutine at a
-// pinned sequence: the one snapshot read, which Query and every leg of the
-// router's read path end in. The caller must hold a pin on seq
+// pinned sequence of this partition. The caller must hold a pin on seq
 // (AcquireSnapshot) for the duration. It touches only immutable plans and
 // versioned storage, never the partition worker, so it is also safe on an
 // engine that was never started: a follower replica, whose records arrive
@@ -904,18 +903,23 @@ func (e *Engine) QueryAtSeq(seq storage.Seq, sqlText string, params ...types.Val
 	if err != nil {
 		return nil, err
 	}
-	return e.QueryPlanAtSeq(seq, p, params...)
+	return e.query(nil, seq, p, params)
 }
 
-// QueryPlanAtSeq is QueryAtSeq of a plan the caller got from this
-// partition's execution engine: the router's door for a leg it built the
-// tree of. The read runs in a context taken from snapCtxs and reset before
-// it goes back, so its rows are copied out first, in one block: the Result
-// is the caller's.
-func (e *Engine) QueryPlanAtSeq(seq storage.Seq, p *ee.Prepared, params ...types.Value) (*Result, error) {
+// QueryCut is QueryAtSeq of a plan from this partition's execution engine
+// over a cut of the whole store (ee.Cut): the router's one snapshot read.
+// The caller holds the cut's pins for the duration.
+func (e *Engine) QueryCut(cut *ee.Cut, p *ee.Prepared, params ...types.Value) (*Result, error) {
+	return e.query(cut, 0, p, params)
+}
+
+// query runs a snapshot read in a context taken from snapCtxs and reset
+// before it goes back, so its rows are copied out first, in one block: the
+// Result is the caller's.
+func (e *Engine) query(cut *ee.Cut, seq storage.Seq, p *ee.Prepared, params []types.Value) (*Result, error) {
 	e.met.Add(metrics.ClientToPE, 1)
 	ectx := snapCtxs.Get().(*ee.ExecCtx)
-	ectx.ReadOnly, ectx.Snapshot, ectx.SnapshotSeq = true, true, seq
+	ectx.ReadOnly, ectx.Snapshot, ectx.SnapshotSeq, ectx.Cut = true, true, seq, cut
 	var out *Result
 	res, err := e.ee.Execute(ectx, p, params...)
 	if err == nil {

@@ -55,6 +55,7 @@ const (
 	mpInsert mpKind = iota // row batch into a relation (a write)
 	mpExec                 // SQL statement with its parameters (a write)
 	mpQuery                // planned read
+	mpEnter                // nothing: answered once the worker serves the leg
 	mpVote                 // PREPARE: end the fragment phase and vote
 	mpDecide               // the coordinator's decision
 )
@@ -212,6 +213,14 @@ func (s *MPSession) SendExec(sqlText string, params ...types.Value) Frag {
 // reads are never logged.
 func (s *MPSession) SendQueryPlan(p *ee.Prepared, params ...types.Value) Frag {
 	return s.queue(&mpMsg{kind: mpQuery, plan: p, params: params})
+}
+
+// SendEnter queues an entry that does nothing: once it is answered, the
+// worker is serving this leg, so everything the partition committed before
+// the transaction is published and nothing else commits there until the
+// decision.
+func (s *MPSession) SendEnter() Frag {
+	return s.queue(&mpMsg{kind: mpEnter})
 }
 
 // SendInsertRows queues a pre-evaluated row batch into a relation — the
@@ -398,6 +407,8 @@ func (e *Engine) executeMP(r *txnRequest) bool {
 			e.dispatchEmits(0, r.origin, r.replay)
 			r.respond(nil, nil)
 			return true
+		case mpEnter:
+			s.replies <- m
 		default:
 			m.res, m.err = e.runFragment(ectx, m)
 			if m.kind != mpQuery {

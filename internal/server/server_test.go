@@ -216,6 +216,50 @@ func TestExplainOverTCP(t *testing.T) {
 	}
 }
 
+// TestExplainNamesWhatAReadTouches: on a store of several partitions, EXPLAIN
+// of a SELECT names for each access what it reads over the cut — every
+// partition for a range, the key's owner for a keyed read, partition 0 for
+// a replicated table joined in.
+func TestExplainNamesWhatAReadTouches(t *testing.T) {
+	st := core.Open(core.Config{Partitions: 3})
+	if err := st.ExecScript(`
+		CREATE TABLE pkv (k BIGINT PRIMARY KEY, v BIGINT) PARTITION BY k;
+		CREATE TABLE names (v BIGINT PRIMARY KEY, name VARCHAR);`); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Start(); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(st)
+	srv.Logf = t.Logf
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close(); st.Stop() })
+	c, err := client.DialTCP(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, tc := range []struct{ sql, want string }{
+		{"SELECT k, v FROM pkv WHERE k BETWEEN ? AND ? ORDER BY k",
+			"scan: pkv via index pkv_pkey (bounded range), reads every partition (3)\n"},
+		{"SELECT v FROM pkv WHERE k = ?",
+			"scan: pkv via index pkv_pkey (equality probe), reads the key's owner\n"},
+		{"SELECT p.k, n.name FROM pkv p JOIN names n ON n.v = p.v",
+			"scan: pkv (full scan), reads every partition (3)\n" +
+				"  join: names via index names_pkey (equality probe), reads partition 0\n"},
+	} {
+		plan, err := c.Explain(tc.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plan, tc.want) {
+			t.Errorf("EXPLAIN %s:\n%swant a line %q", tc.sql, plan, tc.want)
+		}
+	}
+}
+
 // TestTCPExecSpanningWrite drives an ad-hoc multi-partition write over the
 // wire: the spanning INSERT must commit atomically through the server's
 // coordinator, and a failing statement must leave nothing behind.

@@ -254,7 +254,7 @@ type ColumnDef struct {
 // data). Partial marks a partitioned relation whose rows are deliberately
 // partition-local partial state (e.g. per-partition partial aggregates
 // maintained by procedures routed on a different key): every partition may
-// hold a row for every key, fan-out queries re-aggregate them, and elastic
+// hold a row for every key, a read aggregates every partition's, and elastic
 // repartitioning must not move their rows between partitions.
 type CreateTable struct {
 	Name        string

@@ -13,8 +13,7 @@ import "sync"
 //
 // Cached Statements are shared between goroutines. Callers MUST treat them
 // as immutable — anything that needs to rewrite an AST must copy the nodes
-// it changes first (the router's fan-out planner does: it copies the Select
-// value and builds new nodes for a rewritten leg).
+// it changes first.
 
 // parserPool recycles parser structs — and, through them, token-slice
 // backing arrays — between parses. Parsers are zeroed before reuse; only

@@ -20,6 +20,7 @@ package storage
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -918,13 +919,13 @@ func (t *Table) SnapshotLookup(ix *Index, key types.Row, seq Seq, buf *LookupBuf
 // duration but never delays the writer. Pairs are captured in the epoch —
 // keys by value, since an index entry's key may be rewritten once the
 // epoch is left — and resolved (with cold page-in) outside it, where a row
-// whose version does not carry its entry's key is dropped. The payload
-// buffer starts in this frame; the keys are handed to fn and so cannot.
+// whose version does not carry its entry's key is dropped. The capture
+// lists come from rangeBufs, so the key fn is handed is valid only until
+// fn returns.
 func (t *Table) SnapshotRange(ix *Index, lo, hi types.Row, seq Seq, fn func(key types.Row, row types.Row) bool) error {
-	var hitBuf [64]snapHit
-	hits := hitBuf[:0]
+	buf := rangeBufs.Get().(*rangeBuf)
+	hits, keys := buf.hits, buf.keys // hit i's key is keys[i*nk : (i+1)*nk]
 	nk := len(ix.cols)
-	keys := make([]types.Value, 0, 16*nk) // hit i's key is keys[i*nk : (i+1)*nk]
 	g := t.clock.Epochs().Enter()
 	d := t.slots()
 	ix.sl.scan(lo, hi, func(key types.Row, id RowID) bool {
@@ -944,17 +945,33 @@ func (t *Table) SnapshotRange(ix *Index, lo, hi types.Row, seq Seq, fn func(key 
 	for i, h := range hits {
 		key := keys[i*nk : (i+1)*nk : (i+1)*nk]
 		if row := t.resolveVersion(h.pl); ix.matches(row, key) && !fn(key, row) {
-			return nil
+			break
 		}
+	}
+	// Nothing a walk captured stays reachable from the pool, and one wide
+	// walk does not pin its size there.
+	clear(hits)
+	clear(keys)
+	if cap(hits) <= lookupRetain && cap(keys) <= lookupRetain {
+		buf.hits, buf.keys = hits[:0], keys[:0]
+		rangeBufs.Put(buf)
 	}
 	return nil
 }
+
+// rangeBuf holds a SnapshotRange's capture lists between walks.
+type rangeBuf struct {
+	hits []snapHit
+	keys []types.Value
+}
+
+var rangeBufs = sync.Pool{New: func() any { return new(rangeBuf) }}
 
 // ---------- staged versions (slot migration) ----------
 //
 // Slot migration bulk-copies a slot's rows into the target partition while
 // both partitions keep serving traffic. The copies must not be visible on
-// the target before the atomic cutover — a fan-out query snapshotting both
+// the target before the atomic cutover — a query snapshotting both
 // partitions mid-copy would count every copied row twice. Staged versions
 // solve this: the row occupies a heap slot and a RowID but its visibility
 // interval is empty, so neither snapshot readers nor the writer view see

@@ -63,8 +63,10 @@
 // the H-Store mold, each with its own catalog replica, engine goroutine,
 // and WAL segment. Declare a hash key with PARTITION BY on tables and
 // streams; Ingest and keyed Calls (Procedure.PartitionParam) route to the
-// owning partition, and so does an ad-hoc query whose WHERE binds a table's
-// key by equality; other ad-hoc queries fan out and merge:
+// owning partition. An ad-hoc query is one plan over every partition: it
+// reads a partitioned relation on each (or on the key's owner, when the
+// query binds a table's key by equality) and answers what one partition
+// would:
 //
 //	st := sstore.Open(sstore.Config{Partitions: 4})
 //	st.ExecScript(`CREATE STREAM readings (sensor INT, v FLOAT) PARTITION BY sensor;`)
@@ -79,7 +81,7 @@
 // reopening a durable store with a larger Partitions count redistributes
 // at recovery. Shrinking is not supported. Tables declared PARTITION BY
 // col PARTIAL hold deliberate partition-local partial state (for example
-// per-partition counts merged by SUM at query time); they are exempt from
+// per-partition counts summed at query time); they are exempt from
 // migration, and procedures maintaining them should upsert so partials
 // self-initialize on partitions added later. See DESIGN.md §4.5 and the
 // E10 experiment.
@@ -92,7 +94,7 @@
 // worker, so reads scale with client cores, never block behind writes or
 // an in-flight cross-partition transaction, and always see a consistent
 // committed state (per partition, and as a consistent cut across
-// partitions for fan-out queries). Writes, stored procedures, and the
+// partitions). Writes, stored procedures, and the
 // dataflow hot path keep H-Store's serial execution untouched; old row
 // versions are reclaimed by a watermark GC once no reader can see them.
 // See DESIGN.md §1.6.
