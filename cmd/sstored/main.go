@@ -22,10 +22,12 @@
 // the primary's WAL over the wire (the primary must be durable), serves
 // snapshot SELECTs from the replayed state, and — when the primary stops
 // answering for -heartbeat-timeout — promotes itself to a live primary and
-// starts accepting writes. The follower must be started with the same
-// schema flags (-app / -ddl / -partitions / -log-all-tes) as the primary:
+// starts accepting writes. With -dir it logs what it applies there,
+// restarts from it, and once promoted is a durable primary. The follower
+// must be started with the same schema flags (-app / -ddl / -partitions /
+// -log-all-tes) as the primary:
 //
-//	sstored -addr 127.0.0.1:7478 -app voter -follow 127.0.0.1:7477
+//	sstored -addr 127.0.0.1:7478 -app voter -dir /var/lib/sstore-f -sync group -follow 127.0.0.1:7477
 package main
 
 import (
@@ -62,7 +64,7 @@ func main() {
 		stations  = flag.Int("stations", 20, "bikeshare: number of stations")
 		parts     = flag.Int("partitions", 1, "number of serial-execution partitions (PARTITION BY relations hash-split across them)")
 		memBudget = flag.Int64("memory-budget", 0, "anti-caching: resident-row heap budget in bytes across all base tables (0 = unlimited; cold tuples spill to a page store under -dir)")
-		follow    = flag.String("follow", "", "primary address to follow as a read replica (WAL shipping; implies volatile)")
+		follow    = flag.String("follow", "", "primary address to follow as a read replica (WAL shipping)")
 		hbTO      = flag.Duration("heartbeat-timeout", 3*time.Second, "follower: promote to primary after the primary is unreachable this long (0 = never auto-promote)")
 		replPoll  = flag.Duration("repl-poll", 0, "follower: idle delay between WAL fetch rounds (0 = default)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060) with mutex and block profiling enabled")
@@ -80,11 +82,6 @@ func main() {
 				log.Printf("sstored: pprof: %v", err)
 			}
 		}()
-	}
-
-	if *follow != "" && *dir != "" {
-		log.Printf("sstored: -follow ignores -dir %q; a follower's state comes from the shipped WAL", *dir)
-		*dir = ""
 	}
 
 	cfg := core.Config{
@@ -156,13 +153,14 @@ func main() {
 		}
 	}
 	var srv *server.Server
+	var fol *core.Follower
 	if *follow != "" {
 		src, err := client.DialTCP(*follow)
 		if err != nil {
 			log.Fatalf("sstored: follow %s: %v", *follow, err)
 		}
 		var fsrv *server.Server
-		fol, err := core.NewFollower(st, src, core.FollowerOpts{
+		fol, err = core.NewFollower(st, src, core.FollowerOpts{
 			PollInterval:     *replPoll,
 			HeartbeatTimeout: *hbTO,
 			OnPromote: func(_ *core.Store, perr error) {
@@ -194,8 +192,8 @@ func main() {
 		log.Fatalf("sstored: %v", err)
 	}
 	if *follow != "" {
-		fmt.Printf("sstored following %s on %s (app=%s, partitions=%d, read replica)\n",
-			*follow, srv.Addr(), *app, st.NumPartitions())
+		fmt.Printf("sstored following %s on %s (app=%s, partitions=%d, durable=%v, read replica)\n",
+			*follow, srv.Addr(), *app, st.NumPartitions(), *dir != "")
 	} else {
 		fmt.Printf("sstored listening on %s (app=%s, partitions=%d, durable=%v)\n",
 			srv.Addr(), *app, st.NumPartitions(), *dir != "")
@@ -210,6 +208,14 @@ func main() {
 	}
 	fmt.Println("sstored: shutting down")
 	srv.Close()
+	if fol != nil { // an unpromoted follower's state is its log: no checkpoint
+		if err := fol.Stop(); err != nil {
+			log.Printf("sstored: shutdown: %v", err)
+		}
+		if !fol.Promoted() {
+			return
+		}
+	}
 	if *dir != "" {
 		if err := st.Checkpoint(); err != nil {
 			log.Printf("sstored: final checkpoint: %v", err)

@@ -10,6 +10,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"time"
 
@@ -191,6 +192,11 @@ func (c *TCP) FetchBatch(part int, afterLSN uint64, maxBytes int) (core.ReplBatc
 	resp, err := c.roundTrip(&wire.Request{Kind: wire.MsgReplFetch, Params: types.Row{
 		types.NewInt(int64(part)), types.NewInt(int64(afterLSN)), types.NewInt(int64(maxBytes)),
 	}})
+	if err != nil && resp != nil {
+		if rest, gap := strings.CutPrefix(resp.Err, wal.ErrShipGap.Error()); gap {
+			err = fmt.Errorf("server: %w%s", wal.ErrShipGap, rest) // never taken for the primary being down
+		}
+	}
 	if err != nil {
 		return core.ReplBatch{}, err
 	}

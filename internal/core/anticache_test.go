@@ -263,7 +263,7 @@ func TestAntiCacheFollowerUnaffectedByPrimaryEviction(t *testing.T) {
 	if err := f.Run(); err != nil {
 		t.Fatal(err)
 	}
-	defer f.Store().Stop()
+	defer f.Stop()
 
 	const n = 300
 	putPadRows(t, st, 0, n)

@@ -31,19 +31,20 @@ import (
 // may arrive first in another partition's stream: a follower must never
 // infer an abort from what follows an unresolved RecPrepare. It stalls that
 // partition instead, and only promotion — when no decision can ever arrive
-// — presumes the leg aborted, exactly as recovery does.
+// — presumes the leg aborted, and logs it (finish), as recovery does.
 
 // applier is the state table plus the store it applies into. It is owned by
 // one goroutine at a time (Recover's caller, or a follower's apply loop and
 // then its promoter); nothing in it is shared with the partition engines.
 type applier struct {
 	st *Store
-	// decisions holds the transaction ids with a durable commit decision: a
-	// RecDecide marker in any partition log (a coordinator appends one per
-	// writing leg once every vote is durable, so the first one decides), or
-	// a RecSlotCommit, which doubles as the decision for the migration's
-	// prepared leg. Absent = in doubt.
+	// decisions holds the transaction ids with a durable decision, true for
+	// commit: a RecDecide marker in any partition log (a coordinator appends
+	// a commit marker per writing leg once every vote is durable, so the
+	// first one decides; finish logs presumed aborts), or a RecSlotCommit,
+	// the decision for a migration's prepared leg. Absent = in doubt.
 	decisions map[uint64]bool
+	presumed  map[int][]*pe.LogRecord // per partition: the aborts finish logs for dropped legs
 	// slotMoves maps a committed slot-migration leg to its commit record. A
 	// migration with no commit record is not in it: its source copy stays
 	// authoritative.
@@ -70,6 +71,7 @@ func newApplier(s *Store) *applier {
 		st:        s,
 		decisions: make(map[uint64]bool),
 		slotMoves: make(map[uint64]*pe.LogRecord),
+		presumed:  make(map[int][]*pe.LogRecord),
 		paused:    make(map[string]bool),
 	}
 }
@@ -79,9 +81,7 @@ func newApplier(s *Store) *applier {
 func (a *applier) fold(rec *pe.LogRecord) error {
 	switch rec.Kind {
 	case pe.RecDecide:
-		if rec.Commit {
-			a.decisions[rec.MPTxnID] = true
-		}
+		a.decisions[rec.MPTxnID] = a.decisions[rec.MPTxnID] || rec.Commit
 	case pe.RecSlotCommit:
 		if n := a.st.NumPartitions(); rec.ToPart >= n {
 			return fmt.Errorf("core: the log moves slot %d to partition %d, but this store has %d partitions; "+
@@ -106,25 +106,75 @@ func (a *applier) fold(rec *pe.LogRecord) error {
 // presuming it aborted is exactly right unless another leg's marker
 // survived.
 func (a *applier) foldFile(path string) (uint64, error) {
-	return scanRecords(path, func(_ uint64, rec *pe.LogRecord) error { return a.fold(rec) })
+	return wal.ScanLog(path, func(_ uint64, payload []byte) error {
+		rec, err := wal.DecodeRecord(payload)
+		if err == nil {
+			err = a.fold(rec)
+		}
+		return err
+	})
 }
 
-// scanRecords decodes each intact record of a log file for fn.
-func scanRecords(path string, fn func(lsn uint64, rec *pe.LogRecord) error) (uint64, error) {
-	return wal.ScanLog(path, func(lsn uint64, payload []byte) error {
+// replay is the one per-partition replay loop: it feeds the log at path
+// past snap (loaded into the partition, its deferred executions restored
+// first) through strm's pending list, so a stream that is not final keeps
+// what stalls there, as live. strm ends after the log's last record, whose
+// payload it keeps in check (empty if the log holds none).
+func (a *applier) replay(path string, snap wal.Snapshot, strm *replStream, final bool) error {
+	p := a.st.partList()[strm.part]
+	p.pe.SetNextBatchID(snap.NextBatchID)
+	p.pe.Restore(snap.Records)
+	strm.fetched = snap.LastLSN
+	var last []byte
+	_, err := wal.ScanLog(path, func(lsn uint64, payload []byte) error {
+		last = append(last[:0], payload...)
+		if lsn <= snap.LastLSN {
+			return nil // already covered by the snapshot
+		}
 		rec, err := wal.DecodeRecord(payload)
 		if err != nil {
 			return err
 		}
-		return fn(lsn, rec)
+		strm.pending = append(strm.pending, pendingRec{lsn: lsn, rec: rec})
+		strm.fetched = lsn
+		_, err = a.drain(strm, final)
+		return err
 	})
+	if err != nil {
+		return fmt.Errorf("core: log replay (partition %d): %w", strm.part, err)
+	}
+	if strm.fetched > 0 {
+		strm.check = append([]byte{}, last...)
+	}
+	return nil
+}
+
+// drain applies a stream's pending records in log order, stopping where
+// the applier stalls.
+func (a *applier) drain(strm *replStream, final bool) (applied bool, err error) {
+	p := a.st.partList()[strm.part]
+	for len(strm.pending) > 0 {
+		pr := strm.pending[0]
+		stalled, err := a.apply(p, pr.rec, final)
+		if err != nil {
+			return applied, fmt.Errorf("core: replay at LSN %d (partition %d): %w", pr.lsn, strm.part, err)
+		}
+		if stalled {
+			break
+		}
+		strm.pending = strm.pending[1:]
+		strm.applied.Store(pr.lsn)
+		applied = true
+	}
+	return applied, nil
 }
 
 // apply replays one partition-log record, already folded, into p. An
 // in-doubt RecPrepare stalls the stream (nothing applied; retry the same
 // record once more of the other streams is folded) unless the stream
 // is final, when the leg is dropped as presumed aborted: the records behind
-// it executed on the primary without ever reading its unpublished writes.
+// it executed on the primary without ever reading its unpublished writes,
+// as a leg decided abort is.
 func (a *applier) apply(p *partition, rec *pe.LogRecord, final bool) (stalled bool, err error) {
 	switch rec.Kind {
 	case pe.RecDecide, pe.RecPauseGraph, pe.RecResumeGraph:
@@ -141,8 +191,12 @@ func (a *applier) apply(p *partition, rec *pe.LogRecord, final bool) (stalled bo
 		}
 		return false, nil
 	case pe.RecPrepare:
-		if !a.decisions[rec.MPTxnID] {
-			return !final, nil
+		commit, decided := a.decisions[rec.MPTxnID]
+		if !decided && final {
+			a.presumed[p.idx] = append(a.presumed[p.idx], &pe.LogRecord{Kind: pe.RecDecide, MPTxnID: rec.MPTxnID})
+		}
+		if !commit {
+			return !decided && !final, nil
 		}
 		// A slot-move leg is the complete authoritative content of its slot
 		// at cutover time. A partition can re-own a slot it held in an
@@ -175,7 +229,8 @@ func (a *applier) apply(p *partition, rec *pe.LogRecord, final bool) (stalled bo
 // slot's moves sit in different logs. Then the slots route to their
 // migrated owners, the replayed state is published to snapshot readers,
 // graphs paused in the log stay paused, and the 2PC id counter restarts
-// above everything the log has seen.
+// above everything the log has seen. Last, each presumed abort is forced
+// into its leg's log before Start; a crash first leaves the leg in doubt.
 func (a *applier) finish() error {
 	s := a.st
 	for _, p := range s.partList() {
@@ -206,7 +261,17 @@ func (a *applier) finish() error {
 		p.cat.Clock().Publish()
 	}
 	s.nextMPTxnID.Store(a.maxMP)
-	return s.restorePausedGraphs(a.paused)
+	if err := s.restorePausedGraphs(a.paused); err != nil {
+		return err
+	}
+	for _, p := range s.partList() {
+		if recs := a.presumed[p.idx]; len(recs) > 0 {
+			if err := p.force(recs...); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // evictSlots deletes every row of rels whose routing slot satisfies drop.

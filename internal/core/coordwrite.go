@@ -86,7 +86,7 @@ func legsResult(legs []legFrag, sum bool) (*pe.Result, error) {
 // source) or broadcast to every replica (replicated target and source).
 func (s *Store) execInsertSelect(ins *sql.Insert, rel *catalog.RelDef, sqlText string, params []types.Value) (*pe.Result, error) {
 	sch := s.schema.Load()
-	if !rel.Partitioned() && vetSourceSelect(sch, ins.Query, false) == nil {
+	if !rel.Partitioned() && localSource(sch, ins.Query, false) {
 		if rel.Kind != catalog.KindTable {
 			// Pinned stream target, partition-0 source: everything local.
 			return s.partList()[0].pe.Exec(sqlText, params...)
@@ -96,7 +96,7 @@ func (s *Store) execInsertSelect(ins *sql.Insert, rel *catalog.RelDef, sqlText s
 		// (coordinated, so replicas cannot diverge on a failing leg). A
 		// pinned source lives on partition 0 only — fall through to
 		// materialization.
-		if vetSourceSelect(sch, ins.Query, true) == nil {
+		if localSource(sch, ins.Query, true) {
 			return s.coordExecAll(sqlText, params, false)
 		}
 	}

@@ -208,36 +208,12 @@ func (p *partition) force(recs ...*pe.LogRecord) error {
 	return nil
 }
 
-// recover replays this partition's log past its snapshot, already loaded
-// into the catalog (snap), feeding the applier (whose table already holds
-// every decision the directory will ever yield, so the stream is final),
-// and opens the log for appending. The snapshot's deferred executions are
-// restored first: they come before every record after the cut.
-func (p *partition) recover(d *wal.Dir, cfg *Config, ap *applier, snap wal.Snapshot) error {
-	logPath, _ := wal.PartitionPaths(cfg.Dir, p.idx)
-	p.pe.SetNextBatchID(snap.NextBatchID)
-	p.pe.Restore(snap.Records)
-	lastLSN, err := scanRecords(logPath, func(lsn uint64, rec *pe.LogRecord) error {
-		if lsn <= snap.LastLSN {
-			return nil // already covered by the snapshot
-		}
-		_, err := ap.apply(p, rec, true)
-		return err
-	})
-	if err != nil {
-		return fmt.Errorf("core: log replay (partition %d): %w", p.idx, err)
-	}
-	if lastLSN < snap.LastLSN {
-		lastLSN = snap.LastLSN // the checkpoint dropped every record
-	}
-	return p.openLog(d, cfg, logPath, lastLSN)
-}
-
 // openLog opens this partition's WAL segment in d for appending after
-// lastLSN, under the store's sync policy, and installs the partition as its
-// engine's commit logger. Every group-commit fsync feeds the fsync counters
-// (the records it made durable and its duration) and the PREPARE
-// batch-size histogram.
+// lastLSN, under the store's sync policy. Every group-commit fsync feeds
+// the fsync counters (the records it made durable and its duration) and
+// the PREPARE batch-size histogram. The caller makes the partition its
+// engine's commit logger (a follower's partition logs shipped frames
+// instead, until Promote).
 func (p *partition) openLog(d *wal.Dir, cfg *Config, path string, lastLSN uint64) (err error) {
 	p.log, err = d.OpenLog(path, lastLSN, wal.Options{
 		Policy: cfg.Sync,
@@ -250,11 +226,7 @@ func (p *partition) openLog(d *wal.Dir, cfg *Config, path string, lastLSN uint64
 			}
 		},
 	})
-	if err != nil {
-		return err
-	}
-	p.pe.SetLogger(p, cfg.LogMode)
-	return nil
+	return err
 }
 
 // Store is one S-Store instance: a router over Config.Partitions
@@ -588,46 +560,9 @@ func (s *Store) Recover() error {
 	if s.recoverErr != nil {
 		return fmt.Errorf("core: an earlier recovery failed partway (%w); open a fresh Store", s.recoverErr)
 	}
-	if err := os.MkdirAll(s.cfg.Dir, 0o755); err != nil {
-		return fmt.Errorf("core: durability dir: %w", err) // nothing replayed: retryable
-	}
-	legacy := filepath.Join(s.cfg.Dir, legacyCoordLog)
-	last, err := wal.ScanLog(legacy, func(uint64, []byte) error { return nil })
-	switch {
-	case err != nil:
-		return fmt.Errorf("core: %w", err)
-	case last > 0:
-		return fmt.Errorf("core: %s holds slot-migration or pause records an earlier version wrote, "+
-			"which this version would lose: open the directory with that version, resume every dataflow, "+
-			"checkpoint and remove the file", legacy)
-	}
-	if err := s.checkPartitionCount(); err != nil {
-		return err // nothing replayed: retryable after fixing the config
-	}
-	// First pass: load every snapshot and fold every partition log before
-	// any partition replays, so the decision table is complete (a
-	// transaction's commit record is a marker in some leg's own segment,
-	// possibly after records of its successors) and the replay pass below
-	// can treat an undecided PREPARE as aborted for good. A snapshot's
-	// pause records are the state its log's dropped prefix ended in, so
-	// they fold before the log. A retry loads the snapshots again.
-	ap := newApplier(s)
-	snaps := make([]wal.Snapshot, len(s.partList()))
-	for i, p := range s.partList() {
-		logPath, snapPath := wal.PartitionPaths(s.cfg.Dir, p.idx)
-		snap, err := wal.LoadSnapshot(snapPath, p.cat)
-		if err != nil && err != wal.ErrNoSnapshot {
-			return err
-		}
-		for _, rec := range snap.Records {
-			if err := ap.fold(rec); err != nil {
-				return err
-			}
-		}
-		if _, err := ap.foldFile(logPath); err != nil {
-			return fmt.Errorf("core: log pre-scan (partition %d): %w", p.idx, err) // nothing replayed: retryable
-		}
-		snaps[i] = snap
+	ap, snaps, err := s.loadDir()
+	if err != nil {
+		return err // nothing replayed: retryable
 	}
 	// From here on some partitions have replayed: a retry would double-apply.
 	if err := s.recoverFrom(ap, snaps); err != nil {
@@ -638,15 +573,87 @@ func (s *Store) Recover() error {
 	return nil
 }
 
-// recoverFrom is Recover past the point of no retry: replay every partition
-// through the folded applier, open the logs, finish, then the two passes
-// only recovery needs because only it can meet partitions the log never
-// wrote to.
-func (s *Store) recoverFrom(ap *applier, snaps []wal.Snapshot) error {
+// replayDir replays each partition's log past its snapshot through ap on
+// its stream in strms, final or not, and opens the log after the stream's
+// last LSN; it does not make the partition its engine's logger.
+func (s *Store) replayDir(ap *applier, snaps []wal.Snapshot, strms []*replStream, final bool) error {
 	for i, p := range s.partList() {
-		if err := p.recover(s.dir, &s.cfg, ap, snaps[i]); err != nil {
+		logPath, _ := wal.PartitionPaths(s.cfg.Dir, p.idx)
+		if err := ap.replay(logPath, snaps[i], strms[i], final); err != nil {
 			return err
 		}
+		if err := p.openLog(s.dir, &s.cfg, logPath, strms[i].fetched); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// newStreams returns one fresh stream cursor per partition.
+func (s *Store) newStreams() []*replStream {
+	strms := make([]*replStream, len(s.partList()))
+	for i := range strms {
+		strms[i] = &replStream{part: i}
+	}
+	return strms
+}
+
+// loadDir is recovery's first pass, which replays nothing: check the
+// directory's partition-count stamp, load every snapshot and fold every
+// partition log before any partition replays, so the decision table is
+// complete (a transaction's commit record is a marker in some leg's own
+// segment, possibly after records of its successors) and a final replay
+// can treat an undecided PREPARE as aborted for good. A snapshot's pause
+// records are the state its log's dropped prefix ended in, so they fold
+// before the log. A retry loads the snapshots again.
+func (s *Store) loadDir() (*applier, []wal.Snapshot, error) {
+	if err := os.MkdirAll(s.cfg.Dir, 0o755); err != nil {
+		return nil, nil, fmt.Errorf("core: durability dir: %w", err)
+	}
+	legacy := filepath.Join(s.cfg.Dir, legacyCoordLog)
+	last, err := wal.ScanLog(legacy, func(uint64, []byte) error { return nil })
+	switch {
+	case err != nil:
+		return nil, nil, fmt.Errorf("core: %w", err)
+	case last > 0:
+		return nil, nil, fmt.Errorf("core: %s holds slot-migration or pause records an earlier version wrote, "+
+			"which this version would lose: open the directory with that version, resume every dataflow, "+
+			"checkpoint and remove the file", legacy)
+	}
+	if err := s.checkPartitionCount(); err != nil {
+		return nil, nil, err
+	}
+	ap := newApplier(s)
+	snaps := make([]wal.Snapshot, len(s.partList()))
+	for i, p := range s.partList() {
+		logPath, snapPath := wal.PartitionPaths(s.cfg.Dir, p.idx)
+		snap, err := wal.LoadSnapshot(snapPath, p.cat)
+		if err != nil && err != wal.ErrNoSnapshot {
+			return nil, nil, err
+		}
+		for _, rec := range snap.Records {
+			if err := ap.fold(rec); err != nil {
+				return nil, nil, err
+			}
+		}
+		if _, err := ap.foldFile(logPath); err != nil {
+			return nil, nil, fmt.Errorf("core: log pre-scan (partition %d): %w", p.idx, err)
+		}
+		snaps[i] = snap
+	}
+	return ap, snaps, nil
+}
+
+// recoverFrom is Recover past the point of no retry: replay every partition
+// through the folded applier as a final stream, open the logs, finish,
+// then the two passes only recovery needs because only it can meet
+// partitions the log never wrote to.
+func (s *Store) recoverFrom(ap *applier, snaps []wal.Snapshot) error {
+	if err := s.replayDir(ap, snaps, s.newStreams(), true); err != nil {
+		return err
+	}
+	for _, p := range s.partList() {
+		p.pe.SetLogger(p, s.cfg.LogMode)
 	}
 	if err := ap.finish(); err != nil {
 		return err
@@ -902,7 +909,7 @@ var testHookAfterCut func()
 // state and deferred executions, and partition 0's paused graphs. The
 // snapshots are encoded from the pins after the workers run again, every
 // snapshot is written before any log drops its prefix, and each log keeps
-// the records after its cut.
+// its cut's last record, which a restarted follower checks, and those after.
 func (s *Store) Checkpoint() error {
 	if s.cfg.Dir == "" {
 		return fmt.Errorf("core: no durability directory configured")
@@ -982,7 +989,7 @@ func (s *Store) Checkpoint() error {
 		if p.log == nil {
 			continue
 		}
-		if err := p.log.Truncate(ends[i]); err != nil {
+		if err := p.log.Truncate(ends[i].Back()); err != nil {
 			return err
 		}
 	}

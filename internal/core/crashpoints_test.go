@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/crashfs"
 	"repro/internal/pe"
+	"repro/internal/types"
 	"repro/internal/wal"
 )
 
@@ -106,4 +107,181 @@ func TestRecoverRefusesLegacyCoordLog(t *testing.T) {
 		st.Stop()
 		t.Fatalf("Recover with a legacy coord.log record: %v", err)
 	}
+}
+
+// kvRows reads the kv table straight from a stopped store's storage.
+func kvRows(st *Store) map[int64]int64 {
+	out := map[int64]int64{}
+	for _, p := range st.partList() {
+		for _, row := range p.cat.Relation("kv").Table.ScanRows() {
+			out[row[0].Int()] = row[1].Int()
+		}
+	}
+	return out
+}
+
+// checkKV compares a recovered kv table with the puts that made it: every
+// key of before, and of after each put acked by crash point p, with no put
+// begun at or after p and no key none of them wrote.
+func checkKV(got, before map[int64]int64, after map[int64]span, p int) error {
+	for k, v := range got {
+		s, late := after[k]
+		switch {
+		case !late && before[k] != v, late && k != v:
+			return fmt.Errorf("key %d holds %d", k, v)
+		case late && s.begun >= p:
+			return fmt.Errorf("key %d, put after the crash, is present", k)
+		}
+	}
+	for k := range before {
+		if _, ok := got[k]; !ok {
+			return fmt.Errorf("acked key %d lost", k)
+		}
+	}
+	for k, s := range after {
+		if _, ok := got[k]; !ok && s.acked <= p {
+			return fmt.Errorf("acked key %d lost", k)
+		}
+	}
+	return nil
+}
+
+// putAll puts each key (value = key) into st and returns where each put
+// began and was acked in fsys's recording.
+func putAll(t *testing.T, st *Store, fsys *crashfs.FS, keys []int64) map[int64]span {
+	t.Helper()
+	spans := map[int64]span{}
+	for _, k := range keys {
+		s := span{begun: fsys.Len()}
+		_, err := st.Call("put", types.NewInt(k), types.NewInt(k))
+		must(t, err)
+		s.acked = fsys.Len()
+		spans[k] = s
+	}
+	return spans
+}
+
+// TestPresumedAbortCrashPoints crashes a recovery that presumes an in-doubt
+// leg aborted at every point of its own writes (the abort marker it forces
+// into the leg's log), and of the puts the recovered store then acks, in
+// every variant, and recovers each image again: the leg never appears and
+// every acked key does.
+func TestPresumedAbortCrashPoints(t *testing.T) {
+	const parts = 2
+	cfg := gcTestConfig(t.TempDir(), parts)
+	st := buildKV(t, cfg)
+	must(t, st.Start())
+	before := map[int64]int64{}
+	for k := range int64(10) {
+		_, err := st.Call("put", types.NewInt(k), types.NewInt(k))
+		must(t, err)
+		before[k] = k
+	}
+	must(t, st.Stop())
+	logPath0, _ := wal.PartitionPaths(cfg.Dir, 0)
+	appendRecords(t, logPath0, &pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 99, Ops: []pe.LoggedOp{putOp(777, 777)}})
+
+	st = buildKV(t, cfg)
+	fsys := recordStore(t, st)
+	must(t, st.Start())
+	after := putAll(t, st, fsys, []int64{100, 101, 102, 103})
+	must(t, st.Stop())
+	var aborts int
+	_, err := scanRecords(logPath0, func(_ uint64, rec *pe.LogRecord) error {
+		if rec.Kind == pe.RecDecide && rec.MPTxnID == 99 && !rec.Commit {
+			aborts++
+		}
+		return nil
+	})
+	must(t, err)
+	if aborts != 1 {
+		t.Fatalf("recovery logged %d aborts of the in-doubt leg, want 1", aborts)
+	}
+	eachCrashImage(t, fsys, crashPoints(0, fsys.Len()), func(img string, p int) error {
+		cfg := cfg
+		cfg.Dir = img
+		re := buildKV(t, cfg)
+		if err := re.Recover(); err != nil {
+			return err
+		}
+		defer re.Stop()
+		return checkKV(kvRows(re), before, after, p)
+	})
+}
+
+// TestDurableFollowerCrashPoints: a durable follower follows a durable
+// primary through puts and a coordinated pair, is promoted, takes puts and
+// stops. At every point of its directory's writes, in every variant, an
+// image cut before the promotion restarts as a follower, tails to the end
+// and equals a recovery of the primary, and an image cut after it recovers
+// every write acked before and after the promotion, and nothing else.
+func TestDurableFollowerCrashPoints(t *testing.T) {
+	const parts = 2
+	st := buildKV(t, gcTestConfig(t.TempDir(), parts))
+	must(t, st.Start())
+	fcfg := gcTestConfig(t.TempDir(), parts)
+	fst := buildKV(t, fcfg)
+	fsys := recordStore(t, fst)
+	f, err := NewFollower(fst, StoreSource{St: st}, FollowerOpts{})
+	must(t, err)
+	before := map[int64]int64{}
+	for k := range int64(12) {
+		_, err := st.Call("put", types.NewInt(k), types.NewInt(k))
+		must(t, err)
+		before[k] = k
+		if k%4 == 3 {
+			pollUntilIdle(t, f)
+		}
+	}
+	ka, kb := keysOwnedBy(st, 0, 1, 500)[0], keysOwnedBy(st, 1, 1, 500)[0]
+	must(t, st.MultiPartitionTxn(func(tx *MPTxn) error {
+		if _, err := tx.Exec(0, "INSERT INTO kv VALUES (?, ?)", types.NewInt(ka), types.NewInt(ka)); err != nil {
+			return err
+		}
+		_, err := tx.Exec(1, "INSERT INTO kv VALUES (?, ?)", types.NewInt(kb), types.NewInt(kb))
+		return err
+	}))
+	before[ka], before[kb] = ka, kb
+	pollUntilIdle(t, f)
+	must(t, f.Err())
+	must(t, st.Stop())
+	promoted, err := f.Promote()
+	must(t, err)
+	promotedAt := fsys.Len()
+	after := putAll(t, promoted, fsys, []int64{1000, 1001, 1002, 1003, 1004})
+	must(t, promoted.Stop())
+
+	t.Logf("%d crash points, promotion after %d", fsys.Len(), promotedAt)
+	re := buildKV(t, st.cfg)
+	must(t, re.Recover())
+	want := storeState(re)
+	must(t, re.Stop())
+	eachCrashImage(t, fsys, crashPoints(0, fsys.Len()), func(img string, p int) error {
+		cfg := fcfg
+		cfg.Dir = img
+		if p > promotedAt {
+			re := buildKV(t, cfg)
+			if err := re.Recover(); err != nil {
+				return err
+			}
+			defer re.Stop()
+			return checkKV(kvRows(re), before, after, p)
+		}
+		f, err := NewFollower(buildKV(t, cfg), StoreSource{St: st}, FollowerOpts{})
+		if err != nil {
+			return err
+		}
+		defer f.Stop()
+		pollUntilIdle(t, f)
+		if err := f.Err(); err != nil {
+			return err
+		}
+		if err := f.settle(); err != nil {
+			return err
+		}
+		if got := storeState(f.st); got != want {
+			return fmt.Errorf("restarted follower holds\n%s\nrecovery of the primary\n%s", got, want)
+		}
+		return nil
+	})
 }

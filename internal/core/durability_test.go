@@ -671,16 +671,23 @@ func TestLiveInteriorAbortStaysAborted(t *testing.T) {
 }
 
 // durabilityEndOfRun runs the whole script on a fresh durable store and
-// returns the state all three feeds agreed on. With inDoubt, it appends an
+// returns the state all three feeds agreed on. The followers are durable:
+// each is stopped after phase 1 and restarted on its directory, where it
+// must hold the state it stopped with. With inDoubt, it appends an
 // in-doubt and a decided PREPARE to the logs after the stop.
 func durabilityEndOfRun(t *testing.T, cfg Config, inDoubt bool) string {
 	st := buildPartApp(t, cfg)
 	must(t, st.Start())
 	var followers [2]*Follower
-	for i := range followers {
+	dirs := [2]string{t.TempDir(), t.TempDir()}
+	follow := func(i int) {
 		var err error
-		followers[i], err = NewFollower(buildPartApp(t, Config{Partitions: 4, LogMode: cfg.LogMode}), growingSource{st}, FollowerOpts{})
+		fcfg := Config{Dir: dirs[i], Partitions: 4, Sync: cfg.Sync, LogMode: cfg.LogMode}
+		followers[i], err = NewFollower(buildPartApp(t, fcfg), growingSource{st}, FollowerOpts{})
 		must(t, err)
+	}
+	for i := range followers {
+		follow(i)
 	}
 	j := newJournal(func() int { return 0 })
 	// The checkpoint truncates the logs: the followers take everything
@@ -694,6 +701,16 @@ func durabilityEndOfRun(t *testing.T, cfg Config, inDoubt bool) string {
 			must(t, f.Err())
 		}
 	})
+	for i, f := range followers {
+		pollUntilIdle(t, f)
+		must(t, f.Err())
+		stopped := storeState(f.st)
+		must(t, f.Stop())
+		follow(i)
+		if got := storeState(followers[i].st); got != stopped {
+			t.Fatalf("follower %d restarted as\n%s, stopped as\n%s", i, got, stopped)
+		}
+	}
 	j.phase2(t, st)
 	must(t, st.Stop())
 
@@ -733,6 +750,7 @@ func durabilityEndOfRun(t *testing.T, cfg Config, inDoubt bool) string {
 	}
 	must(t, followers[0].settle())
 	followed := storeState(followers[0].st)
+	must(t, followers[0].Stop())
 	promoted, err := followers[1].Promote()
 	must(t, err)
 	must(t, promoted.Stop())

@@ -98,7 +98,7 @@ func TestMergeDifferentialOneVsManyPartitions(t *testing.T) {
 	if err := f.Run(); err != nil {
 		t.Fatal(err)
 	}
-	defer f.Store().Stop()
+	defer f.Stop()
 	rs := f.Session()
 	rs.Forward(four.LSNVector())
 	if _, err := rs.Query("SELECT COUNT(*) FROM m"); err != nil { // waits until caught up

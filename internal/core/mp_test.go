@@ -42,6 +42,17 @@ func appendRecords(t *testing.T, path string, recs ...*pe.LogRecord) {
 	}
 }
 
+// scanRecords decodes each intact record of a log file for fn.
+func scanRecords(path string, fn func(lsn uint64, rec *pe.LogRecord) error) (uint64, error) {
+	return wal.ScanLog(path, func(lsn uint64, payload []byte) error {
+		rec, err := wal.DecodeRecord(payload)
+		if err != nil {
+			return err
+		}
+		return fn(lsn, rec)
+	})
+}
+
 func putOp(k, v int64) pe.LoggedOp {
 	return pe.LoggedOp{SQL: "INSERT INTO kv VALUES (?, ?)",
 		Params: []types.Value{types.NewInt(k), types.NewInt(v)}}

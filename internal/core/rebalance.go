@@ -160,6 +160,7 @@ func (s *Store) addPartitions(target int) error {
 			if err := np.openLog(s.dir, &s.cfg, logPath, 0); err != nil {
 				return fmt.Errorf("core: rebalance: opening log for partition %d: %w", idx, err)
 			}
+			np.pe.SetLogger(np, s.cfg.LogMode)
 		}
 		added = append(added, np)
 	}

@@ -8,18 +8,20 @@ package core
 // lag accounting, read sessions, and the decision to declare the streams
 // final (Promote).
 //
-// Known limits, by design: a follower must attach before the primary's
-// first checkpoint (truncation discards the log prefix a late follower
-// would need — ErrShipGap reports the hole; re-seed with a fresh follower);
-// it cannot follow a primary past its own partition count (the applier
-// reports the first slot move it has no partition for; re-seed a wider
-// follower); cross-partition reads on a follower see each partition's
-// prefix at an independent point (per-partition consistent prefix, not a
-// cross-partition atomic cut); and a promoted store runs non-durable (its
-// state was never logged locally) — re-point clients and schedule a
-// re-seeded standby.
+// A durable follower (one with a Dir) logs and forces each fetched batch
+// under the primary's LSNs before applying it, restarts from its directory
+// with its streams not final, and at promotion hands its logs to engines.
+//
+// Known limits, by design: a follower must attach, and restart, while the
+// source still holds its position (a checkpoint keeps its cut's last
+// record, so a follower stopped at the cut restarts; ErrShipGap, over the
+// wire too, reports a truncated one: re-seed); it cannot follow a primary
+// past its own partition count (re-seed a wider follower); and its
+// cross-partition reads see each partition's prefix at an independent
+// point, not an atomic cut.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -119,6 +121,9 @@ type replStream struct {
 	applied atomic.Uint64 // last LSN applied (or resolved) into storage
 	horizon uint64        // last LSN known present in the segment
 	pending []pendingRec  // fetched but not yet applied (stalled behind an in-doubt prepare)
+	// check is a restarted follower's own record at fetched, which the
+	// source's frame there must match first; nil once checked, or if none.
+	check []byte
 }
 
 type pendingRec struct {
@@ -126,9 +131,9 @@ type pendingRec struct {
 	rec *pe.LogRecord
 }
 
-// Follower is a read replica: a non-durable, never-started Store whose
-// state is maintained by replay of the primary's shipped WAL. Reads are
-// served from MVCC snapshots (pe.Engine.QueryAtSeq needs no partition
+// Follower is a read replica: a never-started Store kept by replay of the
+// primary's shipped WAL, logged in its own directory if it has one. Reads
+// are served from MVCC snapshots (pe.Engine.QueryAtSeq needs no partition
 // worker); Promote turns it into a live primary.
 //
 // The follower Store must be opened with the same DDL, procedures,
@@ -147,16 +152,15 @@ type Follower struct {
 	stopOnce sync.Once
 	done     chan struct{}
 	running  atomic.Bool
-	promoted atomic.Bool
+	life     sync.Mutex // serializes Promote and Stop
+	stopped  bool
+	promoted atomic.Bool // set once Promote has succeeded
 }
 
-// NewFollower wires a follower replica over src. st must be a fresh,
-// non-durable (Dir == ""), never-started Store with the primary's schema
-// already applied; call Run to start replication.
+// NewFollower wires a follower replica over src. st must be a never-started
+// Store with the primary's schema already applied (a durable one recovers
+// from its directory first); call Run to start replication.
 func NewFollower(st *Store, src ReplicationSource, opts FollowerOpts) (*Follower, error) {
-	if st.cfg.Dir != "" {
-		return nil, fmt.Errorf("core: follower store must be non-durable (Dir set to %q); its state comes from the shipped WAL", st.cfg.Dir)
-	}
 	if st.partList()[0].pe.Started() {
 		return nil, fmt.Errorf("core: follower store must not be started; replay requires stopped partition engines")
 	}
@@ -173,21 +177,34 @@ func NewFollower(st *Store, src ReplicationSource, opts FollowerOpts) (*Follower
 		opts.ReadTimeout = 5 * time.Second
 	}
 	f := &Follower{
-		st:   st,
-		src:  src,
-		opts: opts,
-		ap:   newApplier(st),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		st:      st,
+		src:     src,
+		opts:    opts,
+		streams: st.newStreams(),
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
-	for _, p := range st.partList() {
-		f.streams = append(f.streams, &replStream{part: p.idx})
+	if st.cfg.Dir == "" {
+		f.ap = newApplier(st)
+		return f, nil
 	}
+	// Recover's passes with the streams not final (what stalls stays
+	// pending); no engine logs to the logs until Promote.
+	ap, snaps, err := st.loadDir()
+	if err == nil {
+		err = st.replayDir(ap, snaps, f.streams, false)
+	}
+	if err != nil {
+		st.recoverErr = err
+		st.Stop() // closes the logs opened so far
+		return nil, err
+	}
+	f.ap, st.recovered = ap, true
 	return f, nil
 }
 
 // Store exposes the follower's underlying store (stats, catalog). Do not
-// write to it or start it; Promote does that once.
+// write to it or start it (Promote does), nor stop it unpromoted (Stop does).
 func (f *Follower) Store() *Store { return f.st }
 
 // Err returns the sticky fatal error, if replication has diverged (a gap,
@@ -254,9 +271,6 @@ func (f *Follower) run() {
 		switch {
 		case ferr == nil:
 			downSince = time.Time{}
-		case errors.Is(ferr, wal.ErrShipGap):
-			f.setErr(ferr)
-			return
 		case f.opts.HeartbeatTimeout > 0:
 			if downSince.IsZero() {
 				downSince = time.Now()
@@ -284,33 +298,46 @@ func (f *Follower) run() {
 
 // pollOnce runs one fetch-and-apply round over every stream. It returns
 // whether any frame was buffered or applied, plus the last fetch error
-// (heartbeat signal). Decode, fold and replay failures set the sticky error.
+// (heartbeat signal). Divergence and apply failures set the sticky error.
 func (f *Follower) pollOnce() (progress bool, fetchErr error) {
 	// A marker folded from a later partition's stream unblocks an earlier
 	// one in the next round.
 	for _, strm := range f.streams {
-		batch, err := f.src.FetchBatch(strm.part, strm.fetched, f.opts.MaxBatchBytes)
-		if err != nil {
+		after := strm.fetched
+		if strm.check != nil {
+			after-- // fetch the frame at fetched too, to check it
+		}
+		batch, err := f.src.FetchBatch(strm.part, after, f.opts.MaxBatchBytes)
+		if errors.Is(err, wal.ErrShipGap) {
+			f.setErr(err) // the source no longer holds this position
+			return progress, err
+		} else if err != nil {
 			fetchErr = err
 			continue
 		}
-		for _, fr := range batch.Frames {
-			rec, err := wal.DecodeRecord(fr.Payload)
-			if err == nil {
-				err = f.ap.fold(rec)
-			}
-			if err != nil {
-				f.setErr(fmt.Errorf("core: replicated record at LSN %d (stream %d): %w", fr.LSN, strm.part, err))
+		frames := batch.Frames
+		if strm.check != nil {
+			if len(frames) == 0 || frames[0].LSN != strm.fetched {
+				f.setErr(fmt.Errorf("core: partition %d's source holds no record at LSN %d to check its log against: %w",
+					strm.part, strm.fetched, wal.ErrShipGap))
 				return progress, fetchErr
 			}
-			strm.pending = append(strm.pending, pendingRec{lsn: fr.LSN, rec: rec})
-			strm.fetched = fr.LSN
-			progress = true
+			if !bytes.Equal(frames[0].Payload, strm.check) {
+				f.setErr(fmt.Errorf("core: partition %d's log diverges from its source at LSN %d: "+
+					"the directory was promoted or follows another primary", strm.part, strm.fetched))
+				return progress, fetchErr
+			}
+			strm.check, frames = nil, frames[1:]
 		}
+		if err := f.take(strm, frames); err != nil {
+			f.setErr(err)
+			return progress, fetchErr
+		}
+		progress = progress || len(frames) > 0
 		if batch.EndLSN > strm.horizon {
 			strm.horizon = batch.EndLSN
 		}
-		applied, err := f.drainPending(strm, false)
+		applied, err := f.ap.drain(strm, false)
 		if err != nil {
 			f.setErr(err)
 			return progress, fetchErr
@@ -321,23 +348,30 @@ func (f *Follower) pollOnce() (progress bool, fetchErr error) {
 	return progress, fetchErr
 }
 
-// drainPending applies a stream's buffered records in log order,
-// stopping where the applier stalls.
-func (f *Follower) drainPending(strm *replStream, final bool) (applied bool, err error) {
-	for len(strm.pending) > 0 {
-		pr := strm.pending[0]
-		stalled, err := f.ap.apply(f.st.partList()[strm.part], pr.rec, final)
-		if err != nil {
-			return applied, fmt.Errorf("core: replica replay at LSN %d (partition %d): %w", pr.lsn, strm.part, err)
+// take buffers shipped frames on strm: appended to the partition's own log
+// and forced when it has one, and only then folded, so whatever the
+// follower applies is already on its disk.
+func (f *Follower) take(strm *replStream, frames []wal.Frame) error {
+	if l := f.st.partList()[strm.part].log; l != nil && len(frames) > 0 {
+		if err := l.AppendFrames(frames); err != nil {
+			return err
 		}
-		if stalled {
-			break
+		if err := l.SyncNow(); err != nil {
+			return err
 		}
-		strm.pending = strm.pending[1:]
-		strm.applied.Store(pr.lsn)
-		applied = true
 	}
-	return applied, nil
+	for _, fr := range frames {
+		rec, err := wal.DecodeRecord(fr.Payload)
+		if err == nil {
+			err = f.ap.fold(rec)
+		}
+		if err != nil {
+			return fmt.Errorf("core: replicated record at LSN %d (stream %d): %w", fr.LSN, strm.part, err)
+		}
+		strm.pending = append(strm.pending, pendingRec{lsn: fr.LSN, rec: rec})
+		strm.fetched = fr.LSN
+	}
+	return nil
 }
 
 // updateLag refreshes the replication gauges: lag is the records known
@@ -356,61 +390,83 @@ func (f *Follower) updateLag() {
 // Promote turns the follower into a live primary: stop the apply loop,
 // drain every stream to its end (file reads outlive the primary process, so
 // an in-process drain reaches the hardened tail even after a crash),
-// resolve in-doubt 2PC state exactly as crash recovery would, and start the
+// resolve in-doubt 2PC state exactly as crash recovery would, make each
+// partition its engine's logger on the log it already has, and start the
 // partition workers. The returned Store is the follower's own store, now
-// serving reads and writes — non-durable (see the file comment), so
-// schedule a re-seeded standby behind it.
+// serving reads and writes; a crash of a durable one is a Recover.
 //
 // Every acknowledged write survives promotion: an ack implies the record
 // was fsynced on the primary, fsynced records are exactly what FetchBatch
 // ships, and the drain loops until the segments are dry.
 func (f *Follower) Promote() (*Store, error) {
-	f.stopOnce.Do(func() { close(f.stop) })
-	if f.running.Load() {
-		<-f.done
-	}
-	if !f.promoted.CompareAndSwap(false, true) {
+	f.life.Lock()
+	defer f.life.Unlock()
+	switch {
+	case f.stopped:
+		return nil, fmt.Errorf("core: follower was stopped")
+	case f.promoted.Load():
 		return nil, fmt.Errorf("core: follower already promoted")
 	}
-	if err := f.Err(); err != nil {
-		return nil, fmt.Errorf("core: cannot promote a diverged follower: %w", err)
-	}
+	f.halt()
 	// Final drain: pull until a full round moves nothing. Fetch errors stop
 	// a round from progressing (a dead wire source), which ends the loop
-	// with whatever was already hardened and shipped.
-	for {
-		progress, ferr := f.pollOnce()
+	// with whatever was already hardened and shipped; a gap or a divergence
+	// is sticky and refuses promotion.
+	for progress := true; ; progress, _ = f.pollOnce() {
 		if err := f.Err(); err != nil {
 			return nil, fmt.Errorf("core: cannot promote a diverged follower: %w", err)
-		}
-		if ferr != nil && errors.Is(ferr, wal.ErrShipGap) {
-			f.setErr(ferr)
-			return nil, fmt.Errorf("core: cannot promote a diverged follower: %w", ferr)
 		}
 		if !progress {
 			break
 		}
 	}
-	if err := f.settle(); err != nil {
-		f.setErr(err)
+	err := f.settle()
+	if err == nil {
+		err = f.st.Start()
+	}
+	if err != nil {
+		f.setErr(err) // a failed promotion is not retried; Stop closes the store
 		return nil, err
 	}
-	st := f.st
-	if err := st.Start(); err != nil {
-		return nil, err
+	f.promoted.Store(true)
+	f.st.met.Add(metrics.Promotions, 1)
+	return f.st, nil
+}
+
+// Stop ends a follower that was not promoted: it joins the apply loop,
+// then stops the store, which syncs and closes its logs. Once Promote has
+// succeeded, Stop does nothing: the promoted store is the caller's to stop.
+func (f *Follower) Stop() error {
+	f.life.Lock()
+	defer f.life.Unlock()
+	if f.stopped || f.promoted.Load() {
+		return nil
 	}
-	st.met.Add(metrics.Promotions, 1)
-	return st, nil
+	f.stopped = true
+	f.halt()
+	return f.st.Stop()
+}
+
+// Promoted reports whether Promote has succeeded.
+func (f *Follower) Promoted() bool { return f.promoted.Load() }
+
+// halt stops the apply loop and waits for it to exit.
+func (f *Follower) halt() {
+	f.stopOnce.Do(func() { close(f.stop) })
+	if f.running.Load() {
+		<-f.done
+	}
 }
 
 // settle declares the streams final: the records stalled behind in-doubt
 // prepares apply (the prepares themselves presumed aborted), then the
 // applier finishes exactly as crash recovery does. The rows of migrated
 // slots already sit on their new owners, so unlike recovery nothing is
-// rehomed.
+// rehomed. Last, each partition becomes its engine's logger on the log it
+// already has.
 func (f *Follower) settle() error {
 	for _, strm := range f.streams {
-		if _, err := f.drainPending(strm, true); err != nil {
+		if _, err := f.ap.drain(strm, true); err != nil {
 			return err
 		}
 	}
@@ -418,6 +474,11 @@ func (f *Follower) settle() error {
 		return err
 	}
 	f.updateLag()
+	for _, p := range f.st.partList() {
+		if p.log != nil {
+			p.pe.SetLogger(p, f.st.cfg.LogMode)
+		}
+	}
 	return nil
 }
 

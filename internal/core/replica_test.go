@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"sync"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/pe"
 	"repro/internal/types"
 	"repro/internal/wal"
@@ -57,7 +59,7 @@ func TestFollowerReplicatesAndServesReads(t *testing.T) {
 	if err := f.Run(); err != nil {
 		t.Fatal(err)
 	}
-	defer f.Store().Stop()
+	defer f.Stop()
 
 	const n = 60
 	for k := int64(0); k < n; k++ {
@@ -142,7 +144,7 @@ func TestFollowerAppliesMultiPartitionWrites(t *testing.T) {
 	if err := f.Run(); err != nil {
 		t.Fatal(err)
 	}
-	defer f.Store().Stop()
+	defer f.Stop()
 
 	// Each transaction writes one row to each partition; single-partition
 	// puts interleave so the decided legs apply amid ordinary records.
@@ -179,8 +181,9 @@ func TestFollowerAppliesMultiPartitionWrites(t *testing.T) {
 // under pipelined commit: slots release before markers append, so records
 // can follow an undecided PREPARE in a partition segment. The follower must
 // stall that stream — never inferring an abort — while still applying other
-// streams; only promotion presumes the in-doubt leg aborted, and the
-// stalled successors (whose decisions did arrive) apply then.
+// streams, and a durable follower restarted on its directory stalls there
+// again; only promotion presumes the in-doubt leg aborted, and the stalled
+// successors (whose decisions did arrive) apply then.
 func TestFollowerStallsInDoubtPrepare(t *testing.T) {
 	const parts = 2
 	dir := t.TempDir()
@@ -210,7 +213,9 @@ func TestFollowerStallsInDoubtPrepare(t *testing.T) {
 		&pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 101, Ops: []pe.LoggedOp{putOp(888, 888)}},
 		&pe.LogRecord{Kind: pe.RecDecide, MPTxnID: 101, Commit: true})
 
-	f := kvFollower(t, st, parts)
+	fcfg := gcTestConfig(t.TempDir(), parts)
+	f, err := NewFollower(buildKV(t, fcfg), StoreSource{St: st}, FollowerOpts{})
+	must(t, err)
 	if err := f.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -227,12 +232,19 @@ func TestFollowerStallsInDoubtPrepare(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	keys := keySet(t, f.Query)
-	if keys[777] != 0 {
-		t.Fatal("in-doubt prepare was applied by a running follower")
-	}
-	if keys[887] != 0 {
-		t.Fatal("follower applied a record past an in-doubt prepare (inferred an abort it must not)")
+	for restarted := range 2 {
+		keys := keySet(t, f.Query)
+		if keys[777] != 0 || keys[888] != 1 {
+			t.Fatalf("follower (restarted %d times) holds 777 %d times, 888 %d times", restarted, keys[777], keys[888])
+		}
+		if keys[887] != 0 {
+			t.Fatal("follower applied a record past an in-doubt prepare (inferred an abort it must not)")
+		}
+		if restarted == 0 {
+			must(t, f.Stop())
+			f, err = NewFollower(buildKV(t, fcfg), StoreSource{St: st}, FollowerOpts{})
+			must(t, err)
+		}
 	}
 
 	// Promotion: txn 99 is presumed aborted, txn 101's stalled leg applies.
@@ -241,7 +253,7 @@ func TestFollowerStallsInDoubtPrepare(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer promoted.Stop()
-	keys = keySet(t, promoted.Query)
+	keys := keySet(t, promoted.Query)
 	if keys[777] != 0 {
 		t.Fatal("presumed-abort leg resurrected at promotion")
 	}
@@ -252,6 +264,139 @@ func TestFollowerStallsInDoubtPrepare(t *testing.T) {
 		if keys[k] != 1 {
 			t.Fatalf("acked key %d lost across promotion", k)
 		}
+	}
+}
+
+// TestFollowerTailsPastPresumedAbort: a recovery that presumes an in-doubt
+// leg aborted logs the abort, so a follower attached afterwards applies
+// every acked write behind the leg's PREPARE. Without the marker the leg
+// stays in doubt in the log for good, and the follower stalls that
+// partition until it is promoted.
+func TestFollowerTailsPastPresumedAbort(t *testing.T) {
+	const parts = 2
+	dir := t.TempDir()
+	st := buildKV(t, gcTestConfig(dir, parts))
+	must(t, st.Start())
+	must(t, st.Stop())
+	logPath0, _ := wal.PartitionPaths(dir, 0)
+	appendRecords(t, logPath0, &pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 99, Ops: []pe.LoggedOp{putOp(777, 777)}})
+	st = buildKV(t, gcTestConfig(dir, parts))
+	must(t, st.Start())
+	defer st.Stop()
+	const n = 40
+	for k := int64(0); k < n; k++ {
+		_, err := st.Call("put", types.NewInt(k), types.NewInt(k))
+		must(t, err)
+	}
+	f, err := NewFollower(buildKV(t, Config{Partitions: parts}), StoreSource{St: st}, FollowerOpts{ReadTimeout: 3 * time.Second})
+	must(t, err)
+	must(t, f.Run())
+	defer f.Stop()
+	rs := f.Session()
+	rs.Forward(st.LSNVector())
+	keys := keySet(t, rs.Query)
+	if len(keys) != n || keys[777] != 0 {
+		t.Fatalf("follower holds %d keys (777: %d), want the %d acked", len(keys), keys[777], n)
+	}
+	if lag := f.Lag(); lag != 0 {
+		t.Fatalf("repl_lag = %d on a caught-up follower", lag)
+	}
+}
+
+// TestFollowerRefusesDivergedDirectory: a follower directory whose last
+// record differs from its source's record at that LSN (here it was
+// promoted and took a put while the primary took another) is refused with
+// an error naming the partition and the LSN, not extended.
+func TestFollowerRefusesDivergedDirectory(t *testing.T) {
+	const parts = 2
+	st := buildKV(t, gcTestConfig(t.TempDir(), parts))
+	must(t, st.Start())
+	defer st.Stop()
+	for k := int64(0); k < 10; k++ {
+		_, err := st.Call("put", types.NewInt(k), types.NewInt(k))
+		must(t, err)
+	}
+	fcfg := gcTestConfig(t.TempDir(), parts)
+	f, err := NewFollower(buildKV(t, fcfg), StoreSource{St: st}, FollowerOpts{})
+	must(t, err)
+	pollUntilIdle(t, f)
+	must(t, f.Err())
+	promoted, err := f.Promote()
+	must(t, err)
+	k := keysOwnedBy(st, 0, 1, 100)[0]
+	_, err = promoted.Call("put", types.NewInt(k), types.NewInt(1))
+	must(t, err)
+	must(t, promoted.Stop())
+	_, err = st.Call("put", types.NewInt(k), types.NewInt(2))
+	must(t, err)
+
+	f, err = NewFollower(buildKV(t, fcfg), StoreSource{St: st}, FollowerOpts{})
+	must(t, err)
+	pollUntilIdle(t, f)
+	want := fmt.Sprintf("partition 0's log diverges from its source at LSN %d", st.LSNVector()[0])
+	if err := f.Err(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("follower of a diverged directory: err = %v, want %q", err, want)
+	}
+	if _, err := f.Promote(); err == nil {
+		t.Fatal("a diverged follower was promoted")
+	}
+	// A failed promotion leaves the follower to Stop, which closes its logs.
+	must(t, f.Stop())
+	for _, p := range f.Store().partList() {
+		if p.log != nil {
+			t.Fatalf("partition %d's log is open after Stop of a follower that failed to promote", p.idx)
+		}
+	}
+}
+
+// TestNewFollowerClosesLogsOnFailure: a durable follower whose replay fails
+// on partition 1 closes the log it already opened for partition 0.
+func TestNewFollowerClosesLogsOnFailure(t *testing.T) {
+	cfg := gcTestConfig(t.TempDir(), 2)
+	path, _ := wal.PartitionPaths(cfg.Dir, 1)
+	l, err := wal.OpenLogOpts(path, 0, wal.Options{Policy: wal.SyncEveryRecord})
+	must(t, err)
+	_, err = l.Append(wal.EncodeRecord(&pe.LogRecord{Kind: pe.RecCall, Proc: "no_such_proc"}))
+	must(t, err)
+	must(t, l.Close())
+	st := buildKV(t, cfg)
+	if _, err := NewFollower(st, StoreSource{St: st}, FollowerOpts{}); err == nil {
+		t.Fatal("a follower replayed a call of an unknown procedure")
+	}
+	if p := st.partList()[0]; p.log != nil {
+		t.Fatal("partition 0's log is open after NewFollower failed")
+	}
+}
+
+// TestDurableFollowerCountsItsFsyncs: a durable follower forces what it
+// applies through its own logs, so its stats show its own wal_fsyncs; a
+// volatile one shows none.
+func TestDurableFollowerCountsItsFsyncs(t *testing.T) {
+	const parts = 2
+	st := buildKV(t, gcTestConfig(t.TempDir(), parts))
+	must(t, st.Start())
+	defer st.Stop()
+	for k := int64(0); k < 10; k++ {
+		_, err := st.Call("put", types.NewInt(k), types.NewInt(k))
+		must(t, err)
+	}
+	for _, cfg := range []Config{{Partitions: parts}, gcTestConfig(t.TempDir(), parts)} {
+		f, err := NewFollower(buildKV(t, cfg), StoreSource{St: st}, FollowerOpts{})
+		must(t, err)
+		pollUntilIdle(t, f)
+		if keys := keySet(t, f.Query); len(keys) != 10 {
+			t.Fatalf("follower holds %d keys, want 10", len(keys))
+		}
+		// The fsync is counted after the force that waited on it returns.
+		deadline := time.Now().Add(5 * time.Second)
+		fsyncs := func() int64 { return f.Store().Metrics().Load(metrics.WalFsyncs) }
+		for cfg.Dir != "" && fsyncs() == 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if got := fsyncs(); (got > 0) != (cfg.Dir != "") {
+			t.Errorf("follower with Dir %q counts %d wal_fsyncs", cfg.Dir, got)
+		}
+		must(t, f.Stop())
 	}
 }
 
@@ -411,11 +556,6 @@ func TestFollowerRejectsMisconfiguration(t *testing.T) {
 	}
 	defer st.Stop()
 
-	durable := buildKV(t, gcTestConfig(t.TempDir(), parts))
-	if _, err := NewFollower(durable, StoreSource{St: st}, FollowerOpts{}); err == nil ||
-		!strings.Contains(err.Error(), "non-durable") {
-		t.Fatalf("durable follower err = %v", err)
-	}
 	started := buildKV(t, Config{Partitions: parts})
 	if err := started.Start(); err != nil {
 		t.Fatal(err)

@@ -621,35 +621,25 @@ func fanoutSubqueryCheck(sch *catalog.Schema, rejectLocal bool, exprs ...sql.Exp
 	return subErr
 }
 
-// vetSourceSelect guards INSERT ... SELECT routing: when the insert is
-// broadcast to every replica (onlyReplicated), the SELECT must read
-// replicated tables exclusively, or the replicas diverge — each would
-// insert its own shard's rows. When the insert runs on partition 0 only,
-// partitioned sources are still wrong (partition 0 holds just its shard),
-// but pinned streams/windows are fine (partition 0 holds them in full).
-func vetSourceSelect(sch *catalog.Schema, q *sql.Select, onlyReplicated bool) error {
-	check := func(name string) error {
+// localSource reports whether an INSERT ... SELECT's source runs as
+// written where the insert runs: it reads no partitioned relation (a leg
+// holds just its shard), and when the insert is broadcast to every replica
+// (onlyReplicated), replicated tables only, or the replicas diverge (a
+// stream's or window's tuples live on partition 0 only).
+func localSource(sch *catalog.Schema, q *sql.Select, onlyReplicated bool) bool {
+	local := func(name string) bool {
 		rel := sch.Relation(name)
-		if rel == nil {
-			return nil
-		}
-		if rel.Partitioned() {
-			return fmt.Errorf("core: INSERT ... SELECT from partitioned relation %q is not routable; insert per partition", name)
-		}
-		if onlyReplicated && rel.Kind != catalog.KindTable {
-			return fmt.Errorf("core: INSERT ... SELECT from stream/window %q into a replicated table is not routable (its tuples live on partition 0 only)", name)
-		}
-		return nil
+		return rel == nil || !rel.Partitioned() && (!onlyReplicated || rel.Kind == catalog.KindTable)
 	}
-	if err := check(q.From.Name); err != nil {
-		return err
+	if !local(q.From.Name) {
+		return false
 	}
 	for _, j := range q.Joins {
-		if err := check(j.Table.Name); err != nil {
-			return err
+		if !local(j.Table.Name) {
+			return false
 		}
 	}
-	return fanoutSubqueryCheck(sch, onlyReplicated, selectExprs(q)...)
+	return fanoutSubqueryCheck(sch, onlyReplicated, selectExprs(q)...) == nil
 }
 
 // selectExprs collects every expression position of a Select (WHERE,

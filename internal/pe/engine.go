@@ -40,10 +40,11 @@ const (
 	// the partition votes yes. Recovery applies it only when a decision
 	// record says the transaction committed (presumed abort).
 	RecPrepare
-	// RecDecide is a 2PC commit record: a marker the coordinator appends
-	// to each writing leg's log once every vote is durable. Recovery
-	// resolves in-doubt legs from the markers of every partition log; it
-	// executes nothing at replay.
+	// RecDecide is a 2PC decision record: a commit marker the coordinator
+	// appends to each writing leg's log once every vote is durable, or the
+	// abort recovery (or a promotion) forces into the log of a leg it
+	// presumed aborted. Recovery resolves in-doubt legs from the markers of
+	// every partition log; it executes nothing at replay.
 	RecDecide
 	// RecSlotCommit decides one routing slot's migration: forced into the
 	// destination's log together with the migration's RecPrepare leg, whose

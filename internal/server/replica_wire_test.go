@@ -1,8 +1,11 @@
 package server
 
 import (
+	"errors"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -180,6 +183,225 @@ func TestFollowerOverWire(t *testing.T) {
 	}
 	if stats["follower_reads"] == 0 {
 		t.Fatal("follower_reads not counted over the wire")
+	}
+}
+
+// recordingSource records every afterLSN a follower asks of its source.
+type recordingSource struct {
+	core.ReplicationSource
+	mu    sync.Mutex
+	asked map[int][]uint64
+}
+
+func (r *recordingSource) FetchBatch(part int, afterLSN uint64, maxBytes int) (core.ReplBatch, error) {
+	r.mu.Lock()
+	r.asked[part] = append(r.asked[part], afterLSN)
+	r.mu.Unlock()
+	return r.ReplicationSource.FetchBatch(part, afterLSN, maxBytes)
+}
+
+// TestDurableFollowerRestartsOverWire stops a durable follower of a primary
+// over the wire and reopens it on its directory while the primary takes
+// more writes: it resumes each partition at its log's last LSN (asking for
+// the frame there first, to check it) and reaches the primary's state.
+func TestDurableFollowerRestartsOverWire(t *testing.T) {
+	const parts = 2
+	st := durableKV(t, t.TempDir(), parts)
+	if err := st.Start(); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(st)
+	listen(t, srv)
+	t.Cleanup(func() { srv.Close(); st.Stop() })
+	pc, err := client.DialTCP(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	put := func(lo, hi int64) {
+		for k := lo; k < hi; k++ {
+			if _, err := pc.Call("put", types.NewInt(k), types.NewInt(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// follow runs a durable follower on fdir, fronted by its own server,
+	// until it holds want rows.
+	fdir := t.TempDir()
+	follow := func(want int64) (*core.Follower, *recordingSource, *Server) {
+		conn, err := client.DialTCP(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		src := &recordingSource{ReplicationSource: conn, asked: map[int][]uint64{}}
+		f, err := core.NewFollower(durableKV(t, fdir, parts), src, core.FollowerOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Run(); err != nil {
+			t.Fatal(err)
+		}
+		fsrv := NewFollower(f)
+		listen(t, fsrv)
+		fc, err := client.DialTCP(fsrv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fc.Close()
+		waitCount(t, fc, want)
+		return f, src, fsrv
+	}
+
+	put(0, 30)
+	f, _, fsrv := follow(30)
+	fsrv.Close()
+	if err := f.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	var last [parts]uint64
+	for p := range parts {
+		path, _ := wal.PartitionPaths(fdir, p)
+		if last[p], err = wal.ScanLog(path, func(uint64, []byte) error { return nil }); err != nil || last[p] == 0 {
+			t.Fatalf("follower log %d ends at LSN %d, %v", p, last[p], err)
+		}
+	}
+	put(30, 45)
+	f, src, fsrv := follow(45)
+	defer fsrv.Close()
+	defer f.Stop()
+	src.mu.Lock()
+	defer src.mu.Unlock()
+	for p := range parts {
+		asked := src.asked[p]
+		if len(asked) == 0 || asked[0] != last[p]-1 {
+			t.Fatalf("partition %d: restarted follower asked first after %v, want %d (its last LSN %d, checked)", p, asked, last[p]-1, last[p])
+		}
+		for _, a := range asked[1:] {
+			if a < last[p] {
+				t.Fatalf("partition %d: restarted follower asked after LSN %d, behind its log's %d", p, a, last[p])
+			}
+		}
+	}
+	sum, err := f.Query("SELECT COUNT(*), SUM(v) FROM kv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Rows[0][0].Int() != 45 || sum.Rows[0][1].Int() != 44*45/2 {
+		t.Fatalf("restarted follower holds %v, want [45 %d]", sum.Rows, 44*45/2)
+	}
+}
+
+// TestDurableFollowerAcrossPrimaryRestart stops a durable follower, stops
+// its primary the way sstored does on SIGTERM (checkpoint, then stop) and
+// restarts both with a short heartbeat: the checkpoint kept the record at
+// its cut, so the follower checks its log against it and tails on. Then the
+// follower is stopped again while the primary writes and checkpoints past
+// it: restarted, it reports the gap, sticky over the wire, and never
+// promotes itself while its primary serves.
+func TestDurableFollowerAcrossPrimaryRestart(t *testing.T) {
+	const parts = 2
+	const heartbeat = 100 * time.Millisecond
+	pdir, fdir := t.TempDir(), t.TempDir()
+	var st *core.Store
+	var srv *Server
+	var pc *client.TCP
+	startPrimary := func() {
+		st = durableKV(t, pdir, parts)
+		if err := st.Start(); err != nil {
+			t.Fatal(err)
+		}
+		srv = New(st)
+		listen(t, srv)
+		var err error
+		if pc, err = client.DialTCP(srv.Addr()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stopPrimary := func() {
+		pc.Close()
+		srv.Close()
+		if err := st.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Stop(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put := func(lo, hi int64) {
+		for k := lo; k < hi; k++ {
+			if _, err := pc.Call("put", types.NewInt(k), types.NewInt(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var promotions atomic.Int32
+	follow := func() *core.Follower {
+		conn, err := client.DialTCP(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		f, err := core.NewFollower(durableKV(t, fdir, parts), conn, core.FollowerOpts{
+			HeartbeatTimeout: heartbeat,
+			OnPromote:        func(*core.Store, error) { promotions.Add(1) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	count := func(f *core.Follower, want int64) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+			res, err := f.Query("SELECT COUNT(*) FROM kv")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Rows[0][0].Int(); got == want {
+				return
+			} else if time.Now().After(deadline) {
+				t.Fatalf("follower holds %d rows, want %d", got, want)
+			}
+		}
+	}
+	startPrimary()
+	put(0, 20)
+	f := follow()
+	count(f, 20)
+	if err := f.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	stopPrimary()
+	startPrimary()
+	defer func() { pc.Close(); srv.Close(); st.Stop() }()
+	f = follow()
+	put(20, 30)
+	count(f, 30)
+	time.Sleep(3 * heartbeat)
+	if err := f.Err(); err != nil || f.Promoted() || promotions.Load() != 0 {
+		t.Fatalf("follower after its primary's restart: err %v, promoted %v (%d calls)", err, f.Promoted(), promotions.Load())
+	}
+	if err := f.Stop(); err != nil {
+		t.Fatal(err)
+	}
+
+	put(30, 40)
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	f = follow()
+	defer f.Stop()
+	time.Sleep(5 * heartbeat)
+	err := f.Err()
+	if !errors.Is(err, wal.ErrShipGap) || strings.Contains(err.Error(), "diverges") {
+		t.Fatalf("follower restarted behind its primary's checkpoint: err %v, want a gap", err)
+	}
+	if f.Promoted() || promotions.Load() != 0 {
+		t.Fatalf("follower behind a gap promoted itself (%d calls) while its primary serves", promotions.Load())
 	}
 }
 

@@ -87,7 +87,8 @@ func NewDir(path string, fsys FS) *Dir {
 // the last intact one and every reader reaches it. SyncGroupCommit starts
 // the commit daemon, which runs until Close.
 func (d *Dir) OpenLog(path string, startLSN uint64, o Options) (*Log, error) {
-	var size int64
+	var size, last int64
+	var lastLSN uint64
 	f, err := d.fs.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
 	switch {
 	case err == nil: // a new segment: its directory entry is durable before its first record
@@ -95,30 +96,39 @@ func (d *Dir) OpenLog(path string, startLSN uint64, o Options) (*Log, error) {
 			f.Close()
 		}
 	case errors.Is(err, fs.ErrExist):
-		if size, err = d.trimTornTail(path); err == nil {
+		if size, lastLSN, last, err = d.trimTornTail(path); err == nil {
 			f, err = d.fs.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 		}
 	}
 	if err != nil {
 		return nil, fmt.Errorf("wal: open log: %w", err)
 	}
-	return newLog(d, path, f, startLSN, size, o), nil
+	if lastLSN != startLSN {
+		last = size // the segment does not hold startLSN's frame
+	}
+	return newLog(d, path, f, startLSN, size, last, o), nil
 }
 
 // trimTornTail replaces the segment at path with its intact frames when
-// bytes follow them, and returns the length of those frames.
-func (d *Dir) trimTornTail(path string) (int64, error) {
+// bytes follow them, and returns the length of those frames and the LSN and
+// offset of the last.
+func (d *Dir) trimTornTail(path string) (size int64, lastLSN uint64, last int64, err error) {
 	s, err := openSegment(path)
 	if s == nil {
-		return 0, err
+		return 0, 0, 0, err
 	}
 	defer s.f.Close()
-	for _, _, ok := s.next(); ok; _, _, ok = s.next() {
+	for off := s.off; ; off = s.off {
+		lsn, _, ok := s.next()
+		if !ok {
+			break
+		}
+		lastLSN, last = lsn, off
 	}
 	if s.off == s.size {
-		return s.size, nil
+		return s.size, lastLSN, last, nil
 	}
-	return s.off, d.Replace(path, func(w io.Writer) error {
+	return s.off, lastLSN, last, d.Replace(path, func(w io.Writer) error {
 		return copyRange(w, path, 0, s.off)
 	})
 }

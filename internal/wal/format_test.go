@@ -48,6 +48,8 @@ func TestDurableFormatsUnchanged(t *testing.T) {
 		hex string
 		rec pe.LogRecord
 	}{
+		{"0500000000000701", pe.LogRecord{Kind: pe.RecDecide, MPTxnID: 7, Commit: true}},
+		{"0500000000000700", pe.LogRecord{Kind: pe.RecDecide, MPTxnID: 7}},
 		{"08000000000005010207", pe.LogRecord{Kind: pe.RecSlotCommit, Slot: 5, FromPart: 1, ToPart: 2, MPTxnID: 7}},
 		{"09016700000000", pe.LogRecord{Kind: pe.RecPauseGraph, Proc: "g"}},
 		{"0a016700000000", pe.LogRecord{Kind: pe.RecResumeGraph, Proc: "g"}},

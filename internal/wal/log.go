@@ -112,6 +112,7 @@ type Log struct {
 	w        *bufio.Writer
 	lsn      uint64       // last assigned LSN
 	size     int64        // the segment's length, buffered frames included
+	last     int64        // where lsn's frame starts, or size if the segment holds none
 	buf      []byte       // frame scratch, reused across appends
 	pending  []chan error // futures the next fsync resolves (append order)
 	unsynced int          // records buffered since the last fsync began
@@ -135,7 +136,7 @@ type Log struct {
 
 // newLog wraps the segment file f at path in d (Dir.OpenLog), size bytes
 // long; its commit daemon takes d's disk token before each fsync.
-func newLog(d *Dir, path string, f File, startLSN uint64, size int64, o Options) *Log {
+func newLog(d *Dir, path string, f File, startLSN uint64, size, last int64, o Options) *Log {
 	l := &Log{
 		policy: o.Policy,
 		dir:    d,
@@ -144,6 +145,7 @@ func newLog(d *Dir, path string, f File, startLSN uint64, size int64, o Options)
 		w:      bufio.NewWriterSize(f, 1<<16),
 		lsn:    startLSN,
 		size:   size,
+		last:   last,
 	}
 	if o.Policy == SyncGroupCommit {
 		l.onSyncBatch = o.OnSyncBatch
@@ -160,18 +162,17 @@ func newLog(d *Dir, path string, f File, startLSN uint64, size int64, o Options)
 // GroupCommit reports whether the log batches fsyncs behind commit futures.
 func (l *Log) GroupCommit() bool { return l.policy == SyncGroupCommit }
 
-// appendFrame encodes and buffers one record. Caller holds l.mu.
-func (l *Log) appendFrame(payload []byte) (uint64, error) {
+// appendFrame encodes and buffers one record under lsn. Caller holds l.mu.
+func (l *Log) appendFrame(lsn uint64, payload []byte) (uint64, error) {
 	if l.err != nil {
 		return 0, fmt.Errorf("wal: log poisoned by earlier failure: %w", l.err)
 	}
-	lsn := l.lsn + 1
 	l.buf = frame(l.buf[:0], lsn, payload)
 	if _, err := l.w.Write(l.buf); err != nil {
 		l.err = err
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
-	l.lsn, l.size = lsn, l.size+int64(len(l.buf))
+	l.lsn, l.size, l.last = lsn, l.size+int64(len(l.buf)), l.size
 	return lsn, nil
 }
 
@@ -232,7 +233,7 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 		return lsn, nil
 	}
 	l.mu.Lock()
-	lsn, err := l.appendFrame(payload)
+	lsn, err := l.appendFrame(l.lsn+1, payload)
 	if err == nil && l.policy == SyncEveryRecord {
 		if err = l.flushLocked(); err != nil {
 			err = fmt.Errorf("wal: flush: %w", err)
@@ -273,6 +274,23 @@ func (l *Log) AppendAsync(payload []byte) (uint64, <-chan error, error) {
 	return lsn, ch, nil
 }
 
+// AppendFrames buffers frames another log shipped, each under the LSN it
+// carries, refusing one that is not the next; the caller forces them.
+func (l *Log) AppendFrames(frames []Frame) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, fr := range frames {
+		if fr.LSN != l.lsn+1 {
+			return fmt.Errorf("wal: shipped frame has LSN %d, the log's next is %d", fr.LSN, l.lsn+1)
+		}
+		if _, err := l.appendFrame(fr.LSN, fr.Payload); err != nil {
+			return err
+		}
+		l.unsynced++
+	}
+	return nil
+}
+
 // AppendUnwaited appends one record that nobody blocks on (a border batch:
 // upstream backup covers it until it is durable). Under SyncGroupCommit it
 // starts no fsync of its own: the record rides the next one any waiter
@@ -291,7 +309,7 @@ func (l *Log) AppendUnwaited(payload []byte) (uint64, error) {
 func (l *Log) appendGroup(payload []byte, ch chan error) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	lsn, err := l.appendFrame(payload)
+	lsn, err := l.appendFrame(l.lsn+1, payload)
 	if err != nil {
 		return 0, err
 	}
@@ -420,16 +438,22 @@ func (l *Log) LSN() uint64 {
 // Pos is a point in a log segment: the LSN of the last record before it and
 // the offset where the next record's frame starts.
 type Pos struct {
-	LSN uint64
-	off int64
+	LSN  uint64
+	off  int64
+	last int64 // where the frame of LSN starts, or off if the segment holds none
 }
 
 // End returns the position after the last appended record.
 func (l *Log) End() Pos {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return Pos{l.lsn, l.size}
+	return Pos{l.lsn, l.size, l.last}
 }
+
+// Back returns the position before at's last record (at itself if the
+// segment holds none), for a Truncate that keeps that record; its LSN is
+// at's.
+func (at Pos) Back() Pos { return Pos{at.LSN, at.last, at.last} }
 
 // Truncate drops the records before at, a position End returned since the
 // log's last Truncate, which a snapshot now covers, and keeps every record
@@ -467,7 +491,7 @@ func (l *Log) Truncate(at Pos) error {
 		return fmt.Errorf("wal: truncate: %w", err)
 	}
 	old := l.f
-	l.f, l.size = f, l.size-at.off
+	l.f, l.size, l.last = f, l.size-at.off, max(l.last, at.off)-at.off
 	l.w.Reset(f)
 	return old.Close()
 }
@@ -517,9 +541,9 @@ func (l *Log) Close() error {
 }
 
 // ScanLog reads every intact record from path, calling fn(lsn, payload)
-// with the LSN stored in each record's frame. It stops silently at a torn
-// or corrupt tail (the crash case) and returns the last LSN delivered
-// (0 when the log is empty or missing).
+// with the LSN stored in each record's frame; payload is valid only until
+// fn returns. It stops silently at a torn or corrupt tail (the crash case)
+// and returns the last LSN delivered (0 when the log is empty or missing).
 func ScanLog(path string, fn func(lsn uint64, payload []byte) error) (uint64, error) {
 	s, err := openSegment(path)
 	if s == nil {
@@ -539,12 +563,14 @@ func ScanLog(path string, fn func(lsn uint64, payload []byte) error) (uint64, er
 	}
 }
 
-// segment reads a log file's frames in order; ScanLog and ReadFrames both
-// read through next, so both stop at the same frame.
+// segment reads a log file's frames in order through a buffer; ScanLog and
+// ReadFrames both read through next, so both stop at the same frame.
 type segment struct {
-	f    *os.File
-	off  int64 // where the next frame starts
-	size int64 // the file's size when opened
+	f      *os.File
+	off    int64 // where the next frame starts
+	size   int64 // the file's size when opened
+	buf    []byte
+	bufOff int64 // the file offset of buf[0]
 }
 
 // openSegment opens the log file at path for reading. A missing file is
@@ -567,25 +593,40 @@ func openSegment(path string) (*segment, error) {
 // next reads the frame at off and moves past it, or reports !ok and stays:
 // at the end of the file, or at a torn or corrupt frame (a header or body
 // cut short, a length that runs past the end of the file, a CRC that does
-// not match), which is the tail a crash left.
+// not match), which is the tail a crash left. payload lives until the next.
 func (s *segment) next() (lsn uint64, payload []byte, ok bool) {
-	var hdr [8]byte
-	if _, err := s.f.ReadAt(hdr[:], s.off); err != nil {
+	hdr, ok := s.read(s.off, 8)
+	if !ok {
 		return 0, nil, false
 	}
-	n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
+	n, crc := int64(binary.LittleEndian.Uint32(hdr[0:4])), binary.LittleEndian.Uint32(hdr[4:8])
 	if n < 8 || n > s.size-s.off-8 {
 		return 0, nil, false
 	}
-	body := make([]byte, n)
-	if _, err := s.f.ReadAt(body, s.off+8); err != nil {
-		return 0, nil, false
-	}
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(hdr[4:8]) {
+	body, ok := s.read(s.off+8, n)
+	if !ok || crc32.ChecksumIEEE(body) != crc {
 		return 0, nil, false
 	}
 	s.off += 8 + n
 	return binary.LittleEndian.Uint64(body[:8]), body[8:], true
+}
+
+const segmentBuf = 64 << 10
+
+// read returns the n bytes at off, refilling the buffer from off when it
+// does not hold them all.
+func (s *segment) read(off, n int64) ([]byte, bool) {
+	if off < s.bufOff || off+n > s.bufOff+int64(len(s.buf)) {
+		if size := max(n, segmentBuf); int64(cap(s.buf)) < size {
+			s.buf = make([]byte, size)
+		}
+		m, _ := s.f.ReadAt(s.buf[:cap(s.buf)], off)
+		s.buf, s.bufOff = s.buf[:m], off
+		if int64(m) < n {
+			return nil, false
+		}
+	}
+	return s.buf[off-s.bufOff : off-s.bufOff+n], true
 }
 
 // DefaultLogName and DefaultSnapshotName are the file names used inside a

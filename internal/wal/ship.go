@@ -19,6 +19,7 @@ package wal
 // detection).
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -166,7 +167,7 @@ func (s *segment) consume(path string, maxBytes int) (frames []Frame, endLSN uin
 		}
 		endLSN = lsn
 		if budget > 0 {
-			frames = append(frames, Frame{LSN: lsn, Payload: payload})
+			frames = append(frames, Frame{LSN: lsn, Payload: bytes.Clone(payload)})
 			budget -= 8 + len(payload)
 			cursorLSN, cursorOff = lsn, start
 		}

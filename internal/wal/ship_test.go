@@ -244,3 +244,93 @@ func TestFrameReadersStopAtTheSameFrame(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendFramesCopiesTheSegment: a follower's log that takes a primary's
+// shipped frames holds the primary's bytes, LSNs included, and refuses a
+// frame that is not the next one.
+func TestAppendFramesCopiesTheSegment(t *testing.T) {
+	dir := t.TempDir()
+	src, dst := filepath.Join(dir, "src.log"), filepath.Join(dir, "dst.log")
+	l, err := OpenLogOpts(src, 0, Options{Policy: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 5 {
+		if _, err := l.Append([]byte(strings.Repeat("x", i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	frames, _, err := ReadFrames(src, 0, 0)
+	if err != nil || len(frames) != 5 {
+		t.Fatalf("read %d frames, %v", len(frames), err)
+	}
+	f, err := OpenLogOpts(dst, 0, Options{Policy: SyncGroupCommit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.AppendFrames(frames[:2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.AppendFrames(frames[3:]); err == nil || !strings.Contains(err.Error(), "LSN 4") {
+		t.Fatalf("out-of-sequence frame err = %v", err)
+	}
+	if err := f.AppendFrames(frames[2:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.SyncNow(); err != nil {
+		t.Fatal(err)
+	}
+	if lsn := f.LSN(); lsn != 5 {
+		t.Fatalf("follower log LSN = %d, want 5", lsn)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	a, _ := os.ReadFile(src)
+	b, _ := os.ReadFile(dst)
+	if string(a) != string(b) {
+		t.Fatalf("follower segment differs from the shipped one:\n%x\n%x", a, b)
+	}
+}
+
+// TestScanThroughReadBuffer reads frames larger than the read buffer and
+// frames that straddle its refills, by scan and by cursor resume.
+func TestScanThroughReadBuffer(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "big.log")
+	l, err := OpenLogOpts(path, 0, Options{Policy: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := []int{10, segmentBuf - 30, 100, 3 * segmentBuf, 7, segmentBuf, 1}
+	payload := func(i int) []byte { return []byte(strings.Repeat(string(rune('a'+i)), sizes[i])) }
+	for i := range sizes {
+		if _, err := l.Append(payload(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	if last, err := ScanLog(path, func(lsn uint64, p []byte) error {
+		if string(p) != string(payload(int(lsn-1))) {
+			return fmt.Errorf("LSN %d holds %d bytes, want %d", lsn, len(p), sizes[lsn-1])
+		}
+		n++
+		return nil
+	}); err != nil || n != len(sizes) || last != uint64(len(sizes)) {
+		t.Fatalf("scan: %d frames up to LSN %d, %v", n, last, err)
+	}
+	for after := range uint64(len(sizes)) {
+		for range 2 { // the second read resumes at the cached cursor
+			frames, end, err := ReadFrames(path, after, 1)
+			if err != nil || end != uint64(len(sizes)) || len(frames) != 1 || frames[0].LSN != after+1 ||
+				string(frames[0].Payload) != string(payload(int(after))) {
+				t.Fatalf("read after %d: %d frames, end %d, %v", after, len(frames), end, err)
+			}
+		}
+	}
+}

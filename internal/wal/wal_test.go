@@ -113,6 +113,53 @@ func TestLogTruncateKeepsLSN(t *testing.T) {
 	}
 }
 
+// TestTruncateBackKeepsLastRecord truncates to End().Back(), as a
+// checkpoint does: the segment keeps the cut's last record, also after a
+// reopen (which finds that record's frame by scanning), and keeps nothing
+// when it never held the record at its start LSN.
+func TestTruncateBackKeepsLastRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x.log")
+	lsns := func() (got []uint64) {
+		if _, err := ScanLog(path, func(lsn uint64, p []byte) error {
+			if string(p) != string(rune('a'+lsn-1)) {
+				t.Fatalf("LSN %d holds %q", lsn, p)
+			}
+			got = append(got, lsn)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	step := func(start uint64, appends string, want string) {
+		t.Helper()
+		l, err := OpenLogOpts(path, start, Options{Policy: SyncEveryRecord})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range appends {
+			if _, err := l.Append([]byte{byte(p)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Truncate(l.End().Back()); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(lsns()); got != want {
+			t.Fatalf("after truncating at LSN %d the log holds %s, want %s", start+uint64(len(appends)), got, want)
+		}
+	}
+	step(0, "", "[]")
+	step(0, "ab", "[2]")
+	step(2, "", "[2]") // reopened: the frame of LSN 2 is found by scanning
+	step(2, "cd", "[4]")
+	step(5, "", "[]") // the segment does not hold LSN 5
+	step(5, "fg", "[7]")
+}
+
 // TestReopenAfterTornTail reopens a log whose last frame a crash tore: the
 // records appended after the reopen follow the last intact one, so a scan
 // reaches them, and a later Truncate keeps the records after its position
