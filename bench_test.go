@@ -301,6 +301,8 @@ func BenchmarkE11MPCommit(b *testing.B) {
 				reportLatency(b, "", lats)
 				if mode == "multi" {
 					b.ReportMetric(snap.Mean(metrics.MPPrepareBatchMean), "prepare_batch_mean")
+					b.ReportMetric(float64(snap.Duration(metrics.MPVoteWaitP50).Microseconds()), "mp_vote_wait_p50-us")
+					b.ReportMetric(float64(snap.Duration(metrics.MPMarkerWaitP50).Microseconds()), "mp_marker_wait_p50-us")
 				}
 			}
 		})

@@ -94,15 +94,17 @@ func (s *Store) LSNVector() []uint64 {
 	return vec
 }
 
+// A follower's fixed limits: one fetch's payload, and how long a session
+// read waits for the follower to catch up to its LSN vector.
+const (
+	followerBatchBytes  = 1 << 20
+	followerReadTimeout = 5 * time.Second
+)
+
 // FollowerOpts tunes a follower replica.
 type FollowerOpts struct {
 	// PollInterval is the idle delay between fetch rounds (default 2ms).
 	PollInterval time.Duration
-	// MaxBatchBytes bounds one fetch's payload (default 1MiB).
-	MaxBatchBytes int
-	// ReadTimeout bounds how long a session read waits for the follower to
-	// catch up to its LSN vector (default 5s).
-	ReadTimeout time.Duration
 	// HeartbeatTimeout > 0 arms auto-promotion: when every fetch has failed
 	// for this long (the primary is unreachable — a wire source), the
 	// follower promotes itself and reports through OnPromote. Zero leaves
@@ -169,12 +171,6 @@ func NewFollower(st *Store, src ReplicationSource, opts FollowerOpts) (*Follower
 	}
 	if opts.PollInterval <= 0 {
 		opts.PollInterval = 2 * time.Millisecond
-	}
-	if opts.MaxBatchBytes <= 0 {
-		opts.MaxBatchBytes = 1 << 20
-	}
-	if opts.ReadTimeout <= 0 {
-		opts.ReadTimeout = 5 * time.Second
 	}
 	f := &Follower{
 		st:      st,
@@ -307,7 +303,7 @@ func (f *Follower) pollOnce() (progress bool, fetchErr error) {
 		if strm.check != nil {
 			after-- // fetch the frame at fetched too, to check it
 		}
-		batch, err := f.src.FetchBatch(strm.part, after, f.opts.MaxBatchBytes)
+		batch, err := f.src.FetchBatch(strm.part, after, followerBatchBytes)
 		if errors.Is(err, wal.ErrShipGap) {
 			f.setErr(err) // the source no longer holds this position
 			return progress, err
@@ -526,7 +522,7 @@ func (f *Follower) waitApplied(min []uint64) error {
 	if len(min) > len(f.streams) {
 		return fmt.Errorf("core: session LSN vector has %d partitions, follower has %d", len(min), len(f.streams))
 	}
-	deadline := time.Now().Add(f.opts.ReadTimeout)
+	deadline := time.Now().Add(followerReadTimeout)
 	for i, want := range min {
 		strm := f.streams[i]
 		for strm.applied.Load() < want {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -288,7 +289,7 @@ func TestFollowerTailsPastPresumedAbort(t *testing.T) {
 		_, err := st.Call("put", types.NewInt(k), types.NewInt(k))
 		must(t, err)
 	}
-	f, err := NewFollower(buildKV(t, Config{Partitions: parts}), StoreSource{St: st}, FollowerOpts{ReadTimeout: 3 * time.Second})
+	f, err := NewFollower(buildKV(t, Config{Partitions: parts}), StoreSource{St: st}, FollowerOpts{})
 	must(t, err)
 	must(t, f.Run())
 	defer f.Stop()
@@ -300,6 +301,37 @@ func TestFollowerTailsPastPresumedAbort(t *testing.T) {
 	}
 	if lag := f.Lag(); lag != 0 {
 		t.Fatalf("repl_lag = %d on a caught-up follower", lag)
+	}
+}
+
+// TestFollowerShipGapFromZero: a follower that attaches at LSN 0 to a
+// primary that checkpointed is not shipped the log's surviving suffix as if
+// it were the whole log. The first frame is past LSN 1, so the stream stops
+// with ErrShipGap, and Promote refuses.
+func TestFollowerShipGapFromZero(t *testing.T) {
+	st := buildKV(t, gcTestConfig(t.TempDir(), 1))
+	must(t, st.Start())
+	defer st.Stop()
+	for k := int64(0); k < 15; k++ {
+		if k == 10 {
+			must(t, st.Checkpoint())
+		}
+		_, err := st.Call("put", types.NewInt(k), types.NewInt(k))
+		must(t, err)
+	}
+	f := kvFollower(t, st, 1)
+	must(t, f.Run())
+	defer f.Stop()
+	for deadline := time.Now().Add(10 * time.Second); f.Err() == nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no error after 10s; the follower holds %d of 15 keys", len(keySet(t, f.Query)))
+		}
+	}
+	if err := f.Err(); !errors.Is(err, wal.ErrShipGap) {
+		t.Fatalf("follower error %v, want ErrShipGap", err)
+	}
+	if _, err := f.Promote(); !errors.Is(err, wal.ErrShipGap) {
+		t.Fatalf("Promote = %v, want a refusal with ErrShipGap", err)
 	}
 }
 

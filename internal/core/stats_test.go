@@ -86,6 +86,16 @@ execute_p50 dur
 execute_p99 dur
 durable_wait_p50 dur
 durable_wait_p99 dur
+mp_latency_p50 dur
+mp_latency_p99 dur
+mp_slot_wait_p50 dur
+mp_slot_wait_p99 dur
+mp_execute_p50 dur
+mp_execute_p99 dur
+mp_vote_wait_p50 dur
+mp_vote_wait_p99 dur
+mp_marker_wait_p50 dur
+mp_marker_wait_p99 dur
 cutover_pause_count int
 cutover_pause_p50 dur
 cutover_pause_p99 dur
@@ -339,6 +349,97 @@ func TestCommitStages(t *testing.T) {
 			}
 			if n := re.Metrics().Snapshot()[metrics.LatencyCount]; n != 0 {
 				t.Errorf("latency_count = %d after recovery, want 0", n)
+			}
+		})
+	}
+}
+
+// TestCoordinatedCommitStages: a coordinated write is observed once, by its
+// coordinator, as its latency and four stages that sum to it, sample by
+// sample. Holding one leg's vote fsync for a known time after the slots
+// release lands in mp_vote_wait alone; holding the markers' fsync lands in
+// mp_marker_wait alone. Its legs ack nobody, so latency and durable_wait
+// do not move.
+func TestCoordinatedCommitStages(t *testing.T) {
+	const hold = 50 * time.Millisecond
+	for _, held := range []string{"vote", "marker"} {
+		t.Run(held, func(t *testing.T) {
+			cfg := gcTestConfig(t.TempDir(), 2)
+			st := buildKV(t, cfg)
+			fsys := recordStore(t, st)
+			must(t, st.Start())
+			defer st.Stop()
+			barrier := func() {
+				for i := range st.partList() {
+					must(t, st.PEAt(i).RunExclusive(func() error { return nil }))
+				}
+			}
+			for k := int64(0); k < 8; k++ {
+				if _, err := st.Call("put", types.NewInt(k), types.NewInt(k)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			barrier()
+			before := st.Metrics().Snapshot()
+			logPath, _ := wal.PartitionPaths(cfg.Dir, 1)
+			syncs := fsys.Syncs(logPath)
+			drain := func() {
+				for len(syncs.Entered()) > 0 {
+					<-syncs.Entered()
+				}
+			}
+			// holdNext holds the next fsync of partition 1's log until hold
+			// has passed since after (nil: since the fsync began) returns.
+			holdNext := func(after func()) {
+				drain()
+				release := syncs.Hold()
+				go func() {
+					<-syncs.Entered()
+					if after != nil {
+						after()
+					}
+					time.Sleep(hold)
+					release()
+				}()
+			}
+			if held == "vote" {
+				// The vote's fsync begins once its PREPARE is appended; the
+				// hold counts from the slots' release, where the vote wait
+				// begins.
+				slot := &st.partList()[1].mpSlot
+				holdNext(func() { slot.Lock(); slot.Unlock() })
+			} else {
+				testHookBeforeMarkers = func() { holdNext(nil) }
+				defer func() { testHookBeforeMarkers = nil }()
+			}
+			if _, err := st.Exec("UPDATE kv SET v = v + 1"); err != nil {
+				t.Fatal(err)
+			}
+			barrier() // the legs observe after the decision's reply
+			s := st.Metrics().Snapshot()
+			if n := s[metrics.MPTxns] - before[metrics.MPTxns]; n != 1 {
+				t.Fatalf("%d coordinated commits, want 1", n)
+			}
+			for _, m := range []metrics.Metric{metrics.LatencyCount, metrics.DurableWaitP50, metrics.DurableWaitP99} {
+				if s[m] != before[m] {
+					t.Errorf("%s moved from %d to %d: a leg observed a commit", m, before[m], s[m])
+				}
+			}
+			lat := s.Duration(metrics.MPLatencyP50)
+			stages := map[metrics.Metric]time.Duration{}
+			var sum time.Duration
+			for _, m := range []metrics.Metric{metrics.MPSlotWaitP50, metrics.MPExecuteP50, metrics.MPVoteWaitP50, metrics.MPMarkerWaitP50} {
+				stages[m] = s.Duration(m)
+				sum += stages[m]
+			}
+			if sum != lat {
+				t.Errorf("stages %v sum to %v, not mp_latency %v", stages, sum, lat)
+			}
+			heldIn := map[string]metrics.Metric{"vote": metrics.MPVoteWaitP50, "marker": metrics.MPMarkerWaitP50}[held]
+			for m, d := range stages {
+				if (m == heldIn) != (d >= hold) {
+					t.Errorf("%s = %v: want the %v hold in %s alone (%v)", m, d, hold, heldIn, stages)
+				}
 			}
 		})
 	}

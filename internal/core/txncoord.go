@@ -320,6 +320,10 @@ type MPTxn struct {
 	prepParts []int
 	voteAcks  []<-chan error
 	outcome   *mpOutcome
+	// The committing attempt's stages on pe's clock, coordinator-goroutine
+	// only: entry to runMP, the handler's start, the slots' release and
+	// every vote durable. observe turns them into the mp_* samples.
+	entry, handled, released, votesDurable pe.Stamp
 
 	mu        sync.Mutex
 	sess      []*pe.MPSession
@@ -715,6 +719,7 @@ func (s *Store) MultiPartitionTxn(fn func(tx *MPTxn) error) error {
 // logging already relies on. After mpMaxTryAttempts the coordinator
 // pre-acquires all slots, which cannot fail.
 func (s *Store) runMP(proc string, fn func(tx *MPTxn) error) error {
+	entry := pe.Now()
 	if err := s.Err(); err != nil {
 		return err
 	}
@@ -738,7 +743,7 @@ func (s *Store) runMP(proc string, fn func(tx *MPTxn) error) error {
 				need[i] = true
 			}
 		}
-		err, retry := s.attemptMP(proc, fn, parts, need, admitDone)
+		err, retry := s.attemptMP(proc, fn, parts, need, admitDone, entry)
 		if !retry {
 			return err
 		}
@@ -748,10 +753,12 @@ func (s *Store) runMP(proc string, fn func(tx *MPTxn) error) error {
 // attemptMP runs one optimistic attempt of a coordinated transaction,
 // pre-acquiring the slots marked in need (ascending). retry reports a
 // slot-order violation; the caller reruns with need extended by every
-// partition this attempt requested.
-func (s *Store) attemptMP(proc string, fn func(tx *MPTxn) error, parts []*partition, need []bool, admitDone func()) (err error, retry bool) {
+// partition this attempt requested. The attempt that commits observes the
+// transaction, from entry (runMP's) to its ack, when it returns.
+func (s *Store) attemptMP(proc string, fn func(tx *MPTxn) error, parts []*partition, need []bool, admitDone func(), entry pe.Stamp) (err error, retry bool) {
 	tx := &MPTxn{
 		s:         s,
+		entry:     entry,
 		id:        s.nextMPTxnID.Add(1),
 		proc:      proc,
 		parts:     parts,
@@ -769,6 +776,7 @@ func (s *Store) attemptMP(proc string, fn func(tx *MPTxn) error, parts []*partit
 		}
 	}
 
+	tx.handled = pe.Now()
 	ferr := runMPHandler(fn, tx)
 	tx.mu.Lock()
 	if ferr == nil {
@@ -843,9 +851,12 @@ func (s *Store) attemptMP(proc string, fn func(tx *MPTxn) error, parts []*partit
 	// acknowledged dependent either. Un-acked transactions recover by
 	// presumed abort: no marker in any partition log means aborted.
 	tx.releaseSlots()
+	tx.released = pe.Now()
 	admitDone()
 	var derr2 error
-	if verr := tx.waitVotes(); verr != nil {
+	verr := tx.waitVotes()
+	tx.votesDurable = pe.Now()
+	if verr != nil {
 		// The legs already applied and published; a failed vote force
 		// cannot abort them. This client and every chained successor
 		// fails, and the store stops (below).
@@ -869,7 +880,22 @@ func (s *Store) attemptMP(proc string, fn func(tx *MPTxn) error, parts []*partit
 	if tx.outcome != nil {
 		oerr = tx.resolveOutcome(derr2)
 	}
-	return errors.Join(derr, oerr, tx.resolveAll()), false
+	if err = errors.Join(derr, oerr, tx.resolveAll()); err == nil {
+		tx.observe()
+	}
+	return err, false
+}
+
+// observe records a committed transaction, acked now: one sample of its
+// latency and one of each stage, which sum to it.
+func (tx *MPTxn) observe() {
+	acked := pe.Now()
+	m := tx.s.met
+	m.Observe(metrics.MPLatency, int64(acked-tx.entry))
+	m.Observe(metrics.MPSlotWait, int64(tx.handled-tx.entry))
+	m.Observe(metrics.MPExecute, int64(tx.released-tx.handled))
+	m.Observe(metrics.MPVoteWait, int64(tx.votesDurable-tx.released))
+	m.Observe(metrics.MPMarkerWait, int64(acked-tx.votesDurable))
 }
 
 // runMPHandler executes fn, converting panics into aborts so a buggy

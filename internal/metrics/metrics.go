@@ -121,6 +121,20 @@ const (
 	ExecuteP99
 	DurableWaitP50
 	DurableWaitP99
+	// A coordinated write's latency, observed by its coordinator from entry
+	// to ack, and its four stages, which sum to it: the wait for slots
+	// (admission and slot-order reruns), the handler to the slots' release,
+	// the wait for every vote to be durable, then for the markers.
+	MPLatencyP50
+	MPLatencyP99
+	MPSlotWaitP50
+	MPSlotWaitP99
+	MPExecuteP50
+	MPExecuteP99
+	MPVoteWaitP50
+	MPVoteWaitP99
+	MPMarkerWaitP50
+	MPMarkerWaitP99
 	CutoverPauseCount
 	CutoverPauseP50
 	CutoverPauseP99
@@ -153,6 +167,11 @@ const (
 	QueueWait         // a request's wait from admission to execution, ns
 	Execute           // execution start to in-memory commit, ns
 	DurableWait       // in-memory commit to ack, ns
+	MPLatency         // a coordinated write's entry to ack, ns
+	MPSlotWait        // its entry to the committing attempt's handler, ns
+	MPExecute         // its handler to the slots' release, ns
+	MPVoteWait        // its slots' release to every vote durable, ns
+	MPMarkerWait      // its votes durable to ack, ns
 	CutoverPause      // a slot migration's worker pause, ns
 	FsyncTime         // one commit-daemon fsync, ns
 	PrepareBatch      // PREPARE forces per partition-log fsync
@@ -226,6 +245,16 @@ var defs = [numMetrics]def{
 	ExecuteP99:          {name: "execute_p99", kind: Quantile, hist: Execute, q: 0.99},
 	DurableWaitP50:      {name: "durable_wait_p50", kind: Quantile, hist: DurableWait, q: 0.50},
 	DurableWaitP99:      {name: "durable_wait_p99", kind: Quantile, hist: DurableWait, q: 0.99},
+	MPLatencyP50:        {name: "mp_latency_p50", kind: Quantile, hist: MPLatency, q: 0.50},
+	MPLatencyP99:        {name: "mp_latency_p99", kind: Quantile, hist: MPLatency, q: 0.99},
+	MPSlotWaitP50:       {name: "mp_slot_wait_p50", kind: Quantile, hist: MPSlotWait, q: 0.50},
+	MPSlotWaitP99:       {name: "mp_slot_wait_p99", kind: Quantile, hist: MPSlotWait, q: 0.99},
+	MPExecuteP50:        {name: "mp_execute_p50", kind: Quantile, hist: MPExecute, q: 0.50},
+	MPExecuteP99:        {name: "mp_execute_p99", kind: Quantile, hist: MPExecute, q: 0.99},
+	MPVoteWaitP50:       {name: "mp_vote_wait_p50", kind: Quantile, hist: MPVoteWait, q: 0.50},
+	MPVoteWaitP99:       {name: "mp_vote_wait_p99", kind: Quantile, hist: MPVoteWait, q: 0.99},
+	MPMarkerWaitP50:     {name: "mp_marker_wait_p50", kind: Quantile, hist: MPMarkerWait, q: 0.50},
+	MPMarkerWaitP99:     {name: "mp_marker_wait_p99", kind: Quantile, hist: MPMarkerWait, q: 0.99},
 	CutoverPauseCount:   {name: "cutover_pause_count", hist: CutoverPause},
 	CutoverPauseP50:     {name: "cutover_pause_p50", kind: Quantile, hist: CutoverPause, q: 0.50},
 	CutoverPauseP99:     {name: "cutover_pause_p99", kind: Quantile, hist: CutoverPause, q: 0.99},

@@ -685,7 +685,7 @@ func (e *Engine) acker() {
 			e.logger.LogFailed(err)
 			pa.r.respond(nil, fmt.Errorf("pe: group commit: %w", err))
 		} else {
-			acked := now()
+			acked := Now()
 			pa.r.respond(pa.out, nil)
 			e.observe(pa.r, acked)
 		}
@@ -712,8 +712,10 @@ func (e *Engine) queueAck(r *txnRequest, out *Result, ack <-chan error) {
 // been) acknowledged: the queue wait for a request that crossed the
 // scheduler, the execution, the durable wait and their sum, latency. The
 // acker calls it for a commit that took a future, the worker for every
-// other; a replayed record observes nothing.
-func (e *Engine) observe(r *txnRequest, acked stamp) {
+// other; a replayed record observes nothing, and a 2PC leg only its queue
+// wait and execution, its worker's hold: the coordinator acks the write,
+// so it observes it (core.MPTxn.observe).
+func (e *Engine) observe(r *txnRequest, acked Stamp) {
 	if r.replay {
 		return
 	}
@@ -721,6 +723,9 @@ func (e *Engine) observe(r *txnRequest, acked stamp) {
 		e.met.Observe(metrics.QueueWait, int64(r.started-r.origin))
 	}
 	e.met.Observe(metrics.Execute, int64(r.committed-r.started))
+	if r.kind == reqMP {
+		return // a leg acks nobody: its coordinator observes the write
+	}
 	e.met.Observe(metrics.DurableWait, int64(acked-r.committed))
 	e.met.Observe(metrics.Latency, int64(acked-r.started))
 }
@@ -770,7 +775,7 @@ func (e *Engine) invoke(p *Procedure, name string, params []types.Value) <-chan 
 		done <- CallResult{Err: fmt.Errorf("pe: unknown procedure %q", name)}
 		return done
 	}
-	r := &txnRequest{kind: reqInvoke, proc: p, params: params, done: done, origin: now()}
+	r := &txnRequest{kind: reqInvoke, proc: p, params: params, done: done, origin: Now()}
 	if !e.sched.push(r) {
 		done <- CallResult{Err: fmt.Errorf("pe: engine stopped")}
 	}
@@ -823,7 +828,7 @@ func (e *Engine) cutBatchesLocked(b *binding) error {
 			batch:       batch,
 			batchID:     e.nextBatchID,
 			inputStream: b.stream,
-			origin:      now(),
+			origin:      Now(),
 			stats:       b.stats,
 			graph:       b.graph,
 		}
@@ -863,7 +868,7 @@ func (e *Engine) FlushBatches() {
 		e.nextBatchID++
 		e.pushTracked(&txnRequest{
 			kind: reqBorder, proc: b.proc, batch: pend, batchID: e.nextBatchID,
-			inputStream: b.stream, origin: now(), stats: b.stats,
+			inputStream: b.stream, origin: Now(), stats: b.stats,
 			graph: b.graph,
 		})
 		e.partial[stream] = nil
@@ -1049,7 +1054,7 @@ func ownResult(res *ee.Result) *Result {
 }
 
 func (e *Engine) executeRequest(r *txnRequest) {
-	r.started = now()
+	r.started = Now()
 	if r.graph != "" {
 		// Retire the graph's in-flight count whatever path this execution
 		// takes (commit, abort, panic recovery). Descendants are counted
@@ -1136,7 +1141,7 @@ func (e *Engine) executeRequest(r *txnRequest) {
 		return
 	}
 	e.commitPublish()
-	r.committed = now()
+	r.committed = Now()
 	e.met.Add(metrics.TxnCommitted, 1)
 	switch r.kind {
 	case reqBorder:

@@ -131,7 +131,7 @@ func (e *Engine) EnlistMP(txnID uint64, adHoc bool) (*MPSession, error) {
 		replies: make(chan *mpMsg, mpWindow),
 		done:    make(chan CallResult, 1),
 	}
-	r := &txnRequest{kind: reqMP, mp: s, done: s.done, origin: now()}
+	r := &txnRequest{kind: reqMP, mp: s, done: s.done, origin: Now()}
 	if !e.sched.push(r) {
 		return nil, fmt.Errorf("pe: engine stopped")
 	}
@@ -370,7 +370,7 @@ func (e *Engine) executeMP(r *txnRequest) bool {
 				// the partition's serial slot one full phase early.
 				m.readOnly = true
 				s.replies <- m
-				r.committed = now()
+				r.committed = Now()
 				e.met.Add(metrics.MPReadOnlyLegs, 1)
 				r.respond(nil, nil)
 				return true
@@ -401,7 +401,7 @@ func (e *Engine) executeMP(r *txnRequest) bool {
 			// decision itself is durable.
 			e.commitPublish()
 			s.replies <- m // in-memory commit visible; acks may lag
-			r.committed = now()
+			r.committed = Now()
 			e.met.Add(metrics.TxnCommitted, 1)
 			e.met.Add(metrics.MPLegsCommitted, 1)
 			e.dispatchEmits(0, r.origin, r.replay)
@@ -486,7 +486,7 @@ func (e *Engine) replayPreparedLeg(r *txnRequest) {
 // admission time, inherited by descendants for end-to-end latency
 // accounting. The returned count is the descendants this execution's chain
 // continues into — zero means the chain ends here.
-func (e *Engine) dispatchEmits(batchID uint64, origin stamp, replay bool) int {
+func (e *Engine) dispatchEmits(batchID uint64, origin Stamp, replay bool) int {
 	continued := 0
 	for i := range e.emits {
 		em := &e.emits[i]
@@ -508,7 +508,7 @@ func (e *Engine) dispatchEmits(batchID uint64, origin stamp, replay bool) int {
 // descendant is a log record of its own, held until that record arrives
 // (Replay) or replay finishes (FinishReplay). It counts in its graph's
 // in-flight total from here.
-func (e *Engine) trigger(b *binding, stream string, rows []types.Row, ids []storage.RowID, batchID uint64, origin stamp, replay bool) {
+func (e *Engine) trigger(b *binding, stream string, rows []types.Row, ids []storage.RowID, batchID uint64, origin Stamp, replay bool) {
 	tr := e.newTriggered()
 	tr.proc = b.proc
 	tr.batch = append(tr.batch, rows...)

@@ -55,7 +55,7 @@ type txnRequest struct {
 	// and committed are the worker's stamps at execution start and at the
 	// in-memory commit; Engine.observe turns the three and the ack's into
 	// the stage rows.
-	origin, started, committed stamp
+	origin, started, committed Stamp
 	// stats is the owning dataflow's counter set (nil for OLTP calls,
 	// ad-hoc statements and replayed log records).
 	stats *metrics.GraphStats
@@ -70,16 +70,17 @@ type txnRequest struct {
 	recycle bool
 }
 
-// A stamp is an instant on the monotonic clock, in nanoseconds since
+// A Stamp is an instant on the monotonic clock, in nanoseconds since
 // stampBase; 0 is no stamp. Two stamps subtract to a span. A request
 // carries three: one word each, not a time.Time's three, so it stays in
-// its allocation size class.
-type stamp int64
+// its allocation size class. The coordinator stamps a coordinated write's
+// stages on the same clock (core.MPTxn).
+type Stamp int64
 
 var stampBase = time.Now()
 
-// now stamps the present.
-func now() stamp { return stamp(time.Since(stampBase)) + 1 }
+// Now stamps the present.
+func Now() Stamp { return Stamp(time.Since(stampBase)) + 1 }
 
 // scheduler is the FIFO feeding the partition worker: client submissions,
 // border batches and resumed executions, in admission order. PE-triggered

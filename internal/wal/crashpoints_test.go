@@ -1,6 +1,7 @@
 package wal_test
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -118,13 +119,23 @@ func logCrashPoints(t *testing.T, policy wal.SyncPolicy) {
 			}); err != nil {
 				t.Fatalf("%s, %s image: %v", fsys.Describe(p), v, err)
 			}
+			// A reader positioned just before the segment's first record
+			// is shipped what ScanLog reads; one at 0 before a segment that
+			// starts later has a gap.
 			var shipped []uint64
-			frames, _, err := wal.ReadFrames(path, 0, 0)
+			after := uint64(0)
+			if len(run) > 0 {
+				after = run[0] - 1
+			}
+			frames, _, err := wal.ReadFrames(path, after, 0)
 			for _, f := range frames {
 				shipped = append(shipped, f.LSN)
 			}
 			if err != nil || fmt.Sprint(shipped) != fmt.Sprint(run) {
 				t.Fatalf("%s, %s image: ReadFrames ships %v, %v; ScanLog reads %v", fsys.Describe(p), v, shipped, err, run)
+			}
+			if _, _, err := wal.ReadFrames(path, 0, 0); (after > 0) != errors.Is(err, wal.ErrShipGap) {
+				t.Fatalf("%s, %s image: ReadFrames from 0 = %v on a segment starting at %d", fsys.Describe(p), v, err, after+1)
 			}
 			// The segment starts at LSN 1 until the truncation's rename
 			// may have landed, and after the drop point once it is durable.

@@ -131,8 +131,8 @@ func ReadFrames(path string, afterLSN uint64, maxBytes int) (frames []Frame, end
 			return nil, afterLSN, nil
 		}
 		// A truncation (checkpoint) restarts the file at a later LSN; a
-		// reader positioned before that has an unshippable hole.
-		if first && afterLSN > 0 && lsn > afterLSN+1 {
+		// reader positioned before that, at 0 too, has an unshippable hole.
+		if first && lsn > afterLSN+1 {
 			return nil, 0, fmt.Errorf("%w (position %d, segment starts at %d)", ErrShipGap, afterLSN, lsn)
 		}
 		if lsn < afterLSN {
@@ -143,8 +143,8 @@ func ReadFrames(path string, afterLSN uint64, maxBytes int) (frames []Frame, end
 			// idle polls skip this scan.
 			storeCursor(path, afterLSN, start)
 		} else {
-			// afterLSN == 0, or the segment starts right after it: this
-			// frame is the first to ship.
+			// The segment starts right after afterLSN: this frame is the
+			// first to ship.
 			s.off = start
 		}
 		frames, endLSN = s.consume(path, maxBytes)

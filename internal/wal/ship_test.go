@@ -126,10 +126,10 @@ func TestReadFramesGapAfterTruncate(t *testing.T) {
 	if err != nil || len(frames) != 1 || frames[0].LSN != 6 || end != 6 {
 		t.Fatalf("resume at cut: %v %d %v", frames, end, err)
 	}
-	// A fresh reader (afterLSN 0) attaches wherever the segment now starts.
-	frames, _, err = ReadFrames(path, 0, 0)
-	if err != nil || len(frames) != 1 {
-		t.Fatalf("fresh attach: %v %v", frames, err)
+	// A fresh reader (afterLSN 0) has lost records 1..5: a gap too, not the
+	// surviving suffix shipped as if it were the whole log.
+	if frames, _, err := ReadFrames(path, 0, 0); !errors.Is(err, ErrShipGap) {
+		t.Fatalf("fresh attach: %v %v, want ErrShipGap", frames, err)
 	}
 }
 
