@@ -134,19 +134,21 @@ func TestKeyedQueryAllocBudget(t *testing.T) {
 	}
 }
 
-// kv-mixed's statements over the wire (benchmark/sut), on a 216-byte value.
+// kv-mixed's statements over the wire (benchmark/sut), on a 216-byte value,
+// and mp-pair's fan-out count of a whole table.
 const (
 	wireKeys   = 1000
 	wireGroups = 10 // a grp aggregate reads 50 rows on each of 2 partitions
 	wirePoint  = "SELECT k, grp, n, v FROM kv WHERE k = ?"
 	wireRange  = "SELECT k, n, v FROM kv WHERE k BETWEEN ? AND ? ORDER BY k"
 	wireAgg    = "SELECT COUNT(*), SUM(n) FROM kv WHERE grp = ?"
+	wireCount  = "SELECT COUNT(*) FROM kv"
 )
 
 // kvOverTCP serves kv-mixed's table, wireKeys rows on two partitions, from
 // a server on loopback TCP, and returns the reads a client connected to it
-// makes: a point read, a 50-row ordered range and a grp aggregate, each
-// checked, each on the next key.
+// makes: a point read, a 50-row ordered range, a grp aggregate and a count
+// of the table, each checked, each on the next key.
 func kvOverTCP(tb testing.TB) map[string]func() {
 	st := sstore.Open(sstore.Config{Partitions: 2})
 	if err := st.ExecScript(`
@@ -196,6 +198,12 @@ func kvOverTCP(tb testing.TB) map[string]func() {
 			resp, err := c.Query(wireRange, params[k], params[k+49])
 			if err != nil || len(resp.Rows) != 50 || resp.Rows[49][0].Int() != int64(k+49) {
 				tb.Fatalf("range read from %d: %v, %v", k, resp, err)
+			}
+		},
+		"count": func() {
+			resp, err := c.Query(wireCount)
+			if err != nil || len(resp.Rows) != 1 || resp.Rows[0][0].Int() != wireKeys {
+				tb.Fatalf("count: %v, %v", resp, err)
 			}
 		},
 		"agg": func() {

@@ -753,3 +753,46 @@ func TestStatsRowsExaminedAndReturned(t *testing.T) {
 		t.Errorf("per-partition rows do not add up: %v", after)
 	}
 }
+
+// TestReadChargesRowsToEachPartition: a read over every partition charges
+// the rows it walks or counts on each partition to that partition's
+// rows_examined, not to the partition that runs its plan.
+func TestReadChargesRowsToEachPartition(t *testing.T) {
+	st := Open(Config{Partitions: 4})
+	if err := st.ExecScript(`CREATE TABLE kv (k BIGINT PRIMARY KEY, v BIGINT) PARTITION BY k;`); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Stop()
+	for k := range 64 {
+		if _, err := st.Exec("INSERT INTO kv VALUES (?, ?)", types.NewInt(int64(k)), types.NewInt(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parts := st.partList()
+	examined := func() []int64 {
+		out := make([]int64, len(parts))
+		for i, p := range parts {
+			out[i], _ = p.ee.RowCounts()
+		}
+		return out
+	}
+	for _, q := range []string{"SELECT COUNT(*) FROM kv", "SELECT SUM(v) FROM kv"} {
+		before := examined()
+		if _, err := st.Query(q); err != nil {
+			t.Fatal(err)
+		}
+		after := examined()
+		for i, p := range parts {
+			rel, err := p.cat.MustRelation("kv")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d, rows := after[i]-before[i], int64(rel.Table.Count()); d != rows {
+				t.Errorf("partition %d holds %d rows, and %s charged it %d examined", i, rows, q, d)
+			}
+		}
+	}
+}

@@ -495,7 +495,7 @@ func parseSelect(sqlText, refusal string) error {
 // transaction's fragment phase) proceed concurrently.
 
 // snapCut is the partition list plus one storage.SnapPin per partition,
-// and the ee.Cut a read executes over: each partition's catalog at its
+// and the ee.Cut a read executes over: each partition's engine at its
 // pin's sequence, and the slot table the cut's data is placed by (nil on a
 // follower's cut). A pooled cut makes a steady read load allocation-free.
 type snapCut struct {
@@ -538,7 +538,7 @@ func (s *Store) acquireCut(c *snapCut, fenced bool) {
 	c.pins, c.cut.Parts = c.pins[:n], c.cut.Parts[:n]
 	for i, p := range c.parts {
 		c.pins[i] = p.pe.AcquireSnapshot()
-		c.cut.Parts[i] = ee.CutPart{Cat: p.cat, Seq: c.pins[i].Seq()}
+		c.cut.Parts[i] = ee.CutPart{Eng: p.ee, Seq: c.pins[i].Seq()}
 	}
 }
 

@@ -53,9 +53,11 @@ type Engine struct {
 	// cycles (insert into s from a trigger on s).
 	MaxTriggerDepth int
 
-	// rowsExamined counts the rows access paths handed to statements,
-	// rowsReturned the rows SELECTs gave back. Each statement adds its own
-	// tally once, when it ends: snapshot reads run on client goroutines.
+	// rowsExamined counts the rows access paths handed to statements from
+	// this engine's tables, and the rows a count access counted there;
+	// rowsReturned counts the rows its SELECTs gave back. Each table walk
+	// adds its tally once, when it ends: snapshot reads run on client
+	// goroutines, and a read over a cut walks other partitions' tables.
 	rowsExamined, rowsReturned atomic.Int64
 }
 
@@ -90,8 +92,8 @@ func (e *Engine) Catalog() *catalog.Catalog { return e.cat }
 // Metrics returns the engine's counters.
 func (e *Engine) Metrics() *metrics.Metrics { return e.met }
 
-// RowCounts reports how many rows this engine's statements examined and
-// how many its SELECTs returned. Safe from any goroutine.
+// RowCounts reports how many rows statements examined in this engine's
+// tables and how many its SELECTs returned. Safe from any goroutine.
 func (e *Engine) RowCounts() (examined, returned int64) {
 	return e.rowsExamined.Load(), e.rowsReturned.Load()
 }
@@ -166,7 +168,7 @@ type Result struct {
 }
 
 // Cut is what a snapshot read spanning partitions sees: each partition's
-// catalog and the sequence pinned on it, in partition order, and the slot
+// engine and the sequence pinned on it, in partition order, and the slot
 // table that placed the rows at those sequences (nil on a follower, whose
 // cut fixes none, so no keyed access narrows).
 type Cut struct {
@@ -174,9 +176,10 @@ type Cut struct {
 	Slots *catalog.SlotTable
 }
 
-// CutPart is one partition of a Cut.
+// CutPart is one partition of a Cut: its engine, whose catalog holds its
+// relations and whose rows_examined its walks are charged to, and its pin.
 type CutPart struct {
-	Cat *catalog.Catalog
+	Eng *Engine
 	Seq storage.Seq
 }
 
@@ -490,12 +493,9 @@ func (e *Engine) fireTriggers(ctx *ExecCtx, rel *catalog.Relation, inserted, exp
 
 // ---------- relation access helpers ----------
 
-// readRows returns the rows visible for a table access, enforcing window
-// scope on window reads.
+// readRows returns a stored access's relation in this engine's catalog,
+// enforcing window scope on window reads.
 func (e *Engine) readRows(ctx *ExecCtx, access *tableAccess) (*catalog.Relation, error) {
-	if access.transient {
-		return nil, nil
-	}
 	rel, err := e.cat.MustRelation(access.relName)
 	if err != nil {
 		return nil, err

@@ -31,7 +31,7 @@ type selectRun struct {
 	ec   evalCtx // params and subs; row is set before each evaluation
 	err  error   // first failure inside a callback, which stops the scan
 
-	examined int64     // rows the producer emitted
+	examined int64     // rows the base relation's producer emitted
 	joined   types.Row // the current joined row, one segment per relation
 
 	// fold sink.
@@ -126,10 +126,19 @@ func (e *Engine) runSelect(ctx *ExecCtx, plan *selectPlan, params []types.Value,
 			x.key = make(types.Row, len(plan.groupKeys))
 		}
 	}
-	if err := e.accessRows(ctx, &plan.src.base, &x.ec, x.onBase); err != nil {
+	if plan.count {
+		// The one group's every aggregate is COUNT(*): the count of the
+		// relation, which storage keeps or tallies without a row.
+		n, err := e.countRows(ctx, &plan.src.base, &x.ec)
+		if err != nil {
+			x.fail(err)
+		}
+		for i := range x.states {
+			x.states[i].count = n
+		}
+	} else if err := e.accessRows(ctx, &plan.src.base, &x.ec, &x.examined, x.onBase); err != nil {
 		x.fail(err)
 	}
-	e.rowsExamined.Add(x.examined)
 	if x.err == nil && plan.grouped {
 		x.emitGroups()
 	}
@@ -192,9 +201,10 @@ func (x *selectRun) join(i, off int) bool {
 	js := &x.plan.src.joins[i]
 	end := off + js.access.schema.NumColumns()
 	matched, more := false, true
+	var examined int64
 	x.ec.row = x.joined[:off]
-	err := x.e.accessRows(x.ctx, &js.access, &x.ec, func(_ storage.RowID, in types.Row) bool {
-		x.examined++
+	err := x.e.accessRows(x.ctx, &js.access, &x.ec, &examined, func(_ storage.RowID, in types.Row) bool {
+		examined++
 		copy(x.joined[off:end], in)
 		if js.on != nil {
 			x.ec.row = x.joined[:end]
@@ -524,27 +534,19 @@ func lookupEach(mem *scratch, tb *storage.Table, ix *storage.Index, keys []types
 // the RowID UPDATE and DELETE mutate by, a writer-view notion: transients
 // and snapshot ranges emit zero.
 //
-// On a context with a Cut the relation is the store's: a partitioned one is
-// every partition's table, walked in partition order, each at its own pin;
-// an unpartitioned one is partition 0's (a replicated table is the same
-// everywhere, a stream or window without a key lives there). An access that
-// binds a placed table's partition key by equality reads the key's owner
-// alone (see owner).
-func (e *Engine) accessRows(ctx *ExecCtx, access *tableAccess, ec *evalCtx, emit func(id storage.RowID, row types.Row) bool) error {
+// emit adds one to *examined for every row it is handed (a counter of the
+// caller's, so no wrapper sits between producer and sink), and what each
+// table's walk added there is charged as examined to the engine whose table
+// it walked (see tables).
+func (e *Engine) accessRows(ctx *ExecCtx, access *tableAccess, ec *evalCtx, examined *int64, emit func(id storage.RowID, row types.Row) bool) error {
 	if access.transient {
-		// Bound at prepare time; an empty delta (EXPIRED while a window
-		// fills) is just empty.
-		var rows []types.Row
-		if access.delta >= 0 {
-			rows = ctx.deltas[access.delta]
-		} else {
-			rows = ctx.NewRows[access.relName]
-		}
-		for _, r := range rows {
+		start := *examined
+		for _, r := range transientRows(ctx, access) {
 			if !emit(0, r) {
 				break
 			}
 		}
+		e.rowsExamined.Add(*examined - start)
 		return nil
 	}
 	var buf [4]types.Value
@@ -552,45 +554,84 @@ func (e *Engine) accessRows(ctx *ExecCtx, access *tableAccess, ec *evalCtx, emit
 	if !ok {
 		return err
 	}
-	cut := ctx.Cut
-	if cut == nil {
-		rel, err := e.readRows(ctx, access)
+	var own [1]CutPart
+	for _, part := range e.tables(ctx, access, ec, &own) {
+		rel, err := part.Eng.readRows(ctx, access)
 		if err != nil {
 			return err
 		}
-		walkTable(ctx, access, &pr, ec.subs, rel.Table, ctx.SnapshotSeq, emit)
-		return nil
-	}
-	first, last := 0, 0
-	if access.spread && len(cut.Parts) > 1 {
-		first, last = 0, len(cut.Parts)-1
-		if i, ok := access.owner(cut.Slots, ec); ok {
-			first, last = i, i
+		start := *examined
+		more := walkTable(ctx, access, &pr, ec.subs, rel.Table, part.Seq, emit)
+		part.Eng.rowsExamined.Add(*examined - start)
+		if !more {
+			break
 		}
-	}
-	if first == last {
-		part := &cut.Parts[first]
-		rel, err := part.Cat.MustRelation(access.relName)
-		if err != nil {
-			return err
-		}
-		walkTable(ctx, access, &pr, ec.subs, rel.Table, part.Seq, emit)
-		return nil
-	}
-	more := true
-	each := func(id storage.RowID, r types.Row) bool {
-		more = emit(id, r)
-		return more
-	}
-	for i := first; i <= last && more; i++ {
-		part := &cut.Parts[i]
-		rel, err := part.Cat.MustRelation(access.relName)
-		if err != nil {
-			return err
-		}
-		walkTable(ctx, access, &pr, ec.subs, rel.Table, part.Seq, each)
 	}
 	return nil
+}
+
+// countRows is the count access (selectPlan.count): the number of rows
+// accessRows would emit for an access without a probe, taken from storage
+// with no row read. The writer view is the table's live count; a snapshot
+// tallies the versions visible at its pin (Table.SnapshotCount). The rows
+// counted are charged as examined, as a walk charges them.
+func (e *Engine) countRows(ctx *ExecCtx, access *tableAccess, ec *evalCtx) (int64, error) {
+	if access.transient {
+		n := int64(len(transientRows(ctx, access)))
+		e.rowsExamined.Add(n)
+		return n, nil
+	}
+	var total int64
+	var own [1]CutPart
+	for _, part := range e.tables(ctx, access, ec, &own) {
+		rel, err := part.Eng.readRows(ctx, access)
+		if err != nil {
+			return 0, err
+		}
+		n := int64(rel.Table.Count())
+		if ctx.Snapshot {
+			n = int64(rel.Table.SnapshotCount(part.Seq))
+		}
+		part.Eng.rowsExamined.Add(n)
+		total += n
+	}
+	return total, nil
+}
+
+// transientRows returns a transient access's rows, bound at prepare time;
+// an empty delta (EXPIRED while a window fills) is just empty.
+func transientRows(ctx *ExecCtx, access *tableAccess) []types.Row {
+	if access.delta >= 0 {
+		return ctx.deltas[access.delta]
+	}
+	return ctx.NewRows[access.relName]
+}
+
+// tables returns the partitions whose table of a stored relation an access
+// reads, each with the sequence to read it at, in partition order; the
+// caller resolves each table in its engine's catalog (readRows) and charges
+// what it reads there to that engine.
+//
+// On a context with a Cut the relation is the store's: a partitioned one is
+// every partition's table, each at its own pin; an unpartitioned one is
+// partition 0's (a replicated table is the same everywhere, a stream or
+// window without a key lives there). An access that binds a placed table's
+// partition key by equality reads the key's owner alone (see owner).
+// Without a Cut it is this engine's own table, at the context's pin or in
+// the writer's view, returned in own.
+func (e *Engine) tables(ctx *ExecCtx, access *tableAccess, ec *evalCtx, own *[1]CutPart) []CutPart {
+	cut := ctx.Cut
+	if cut == nil {
+		own[0] = CutPart{Eng: e, Seq: ctx.SnapshotSeq}
+		return own[:]
+	}
+	if !access.spread || len(cut.Parts) < 2 {
+		return cut.Parts[:1]
+	}
+	if i, ok := access.owner(cut.Slots, ec); ok {
+		return cut.Parts[i : i+1]
+	}
+	return cut.Parts
 }
 
 // owner reports the partition that holds every row the access can match:
@@ -656,8 +697,9 @@ func bindProbe(access *tableAccess, ec *evalCtx, buf types.Row) (pr probe, ok bo
 }
 
 // walkTable emits the rows of one table through the access path, at seq on
-// a snapshot context and in the writer's view otherwise.
-func walkTable(ctx *ExecCtx, access *tableAccess, pr *probe, subs []subResult, tb *storage.Table, seq storage.Seq, emit func(id storage.RowID, row types.Row) bool) {
+// a snapshot context and in the writer's view otherwise, and reports
+// whether emit let it finish.
+func walkTable(ctx *ExecCtx, access *tableAccess, pr *probe, subs []subResult, tb *storage.Table, seq storage.Seq, emit func(id storage.RowID, row types.Row) bool) bool {
 	// Snapshot contexts read the versions visible at the pinned sequence
 	// (possibly from a client goroutine, concurrently with the partition
 	// worker); everything else reads the writer's current view.
@@ -668,19 +710,19 @@ func walkTable(ctx *ExecCtx, access *tableAccess, pr *probe, subs []subResult, t
 		if !snap {
 			for _, id := range lookupEach(&ctx.mem, tb, ix, keys) {
 				if r, ok := tb.Get(id); ok && !emit(id, r) {
-					break
+					return false
 				}
 			}
-			return
+			return true
 		}
 		var key [1]types.Value
 		for _, k := range keys {
 			key[0] = k
 			if !tb.SnapshotLookup(ix, key[:], seq, &ctx.mem.hits, emit) {
-				break
+				return false
 			}
 		}
-		return
+		return true
 	}
 	var ix *storage.Index
 	if access.index != nil && !access.fromSub {
@@ -690,11 +732,9 @@ func walkTable(ctx *ExecCtx, access *tableAccess, pr *probe, subs []subResult, t
 	case ix == nil:
 	case pr.key != nil:
 		if snap {
-			tb.SnapshotLookup(ix, pr.key, seq, &ctx.mem.hits, emit)
-		} else {
-			tb.Lookup(ix, pr.key, emit)
+			return tb.SnapshotLookup(ix, pr.key, seq, &ctx.mem.hits, emit)
 		}
-		return
+		return tb.Lookup(ix, pr.key, emit)
 	case pr.lo != nil || pr.hi != nil:
 		lo, hi := pr.lo, pr.hi
 		// The index walks [lo, hi]; an exclusive bound drops its own key.
@@ -702,22 +742,24 @@ func walkTable(ctx *ExecCtx, access *tableAccess, pr *probe, subs []subResult, t
 			return !(lo != nil && !access.loInc && key[0].Compare(lo[0]) == 0) &&
 				!(hi != nil && !access.hiInc && key[0].Compare(hi[0]) == 0)
 		}
+		more := true
 		if snap {
 			tb.SnapshotRange(ix, lo, hi, seq, func(key, r types.Row) bool {
-				return !inside(key) || emit(0, r)
+				more = !inside(key) || emit(0, r)
+				return more
 			})
-			return
+			return more
 		}
 		tb.Range(ix, lo, hi, func(key types.Row, id storage.RowID, r types.Row) bool {
-			return !inside(key) || emit(id, r)
+			more = !inside(key) || emit(id, r)
+			return more
 		})
-		return
+		return more
 	}
 	if snap {
-		tb.SnapshotScan(seq, emit)
-	} else {
-		tb.Scan(emit)
+		return tb.SnapshotScan(seq, emit)
 	}
+	return tb.Scan(emit)
 }
 
 // ---------- aggregation ----------
@@ -877,7 +919,7 @@ func (e *Engine) collectMatches(ctx *ExecCtx, access *tableAccess, where compile
 	var rows []types.Row
 	var examined int64
 	var whereErr error
-	err := e.accessRows(ctx, access, ec, func(id storage.RowID, r types.Row) bool {
+	err := e.accessRows(ctx, access, ec, &examined, func(id storage.RowID, r types.Row) bool {
 		examined++
 		if where != nil {
 			ec.row = r
@@ -894,7 +936,6 @@ func (e *Engine) collectMatches(ctx *ExecCtx, access *tableAccess, where compile
 		rows = mem.rows.push(rows, r)
 		return true
 	})
-	e.rowsExamined.Add(examined)
 	if err == nil {
 		err = whereErr
 	}

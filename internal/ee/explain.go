@@ -5,12 +5,12 @@ import (
 	"strings"
 )
 
-// Explain renders the physical plan of a prepared statement: access paths,
-// join order, grouping, ordering, and DML targets. The format is stable
-// enough for tests to assert on access-path choices. parts is the number
-// of partitions a read spans: past one, every access of a SELECT (and of
-// an INSERT's source) also names what it reads over the cut — every
-// partition, the key's owner, or partition 0 (accessRows).
+// Explain renders the physical plan of a prepared statement: access paths
+// (or the count access), join order, grouping, ordering, and DML targets.
+// The format is stable enough for tests to assert on access-path choices.
+// parts is the number of partitions a read spans: past one, every access
+// of a SELECT (and of an INSERT's source) also names what it reads over the
+// cut — every partition, the key's owner, or partition 0 (accessRows).
 func (p *Prepared) Explain(parts int) string {
 	var b strings.Builder
 	switch {
@@ -48,7 +48,11 @@ func explainSelect(b *strings.Builder, plan *selectPlan, depth, parts int) {
 	}
 	fmt.Fprintf(b, " (%d output columns)\n", len(plan.projs))
 	writeIndent(b, depth+1)
-	b.WriteString("scan: " + describeAccess(&plan.src.base) + reach(&plan.src.base, parts) + "\n")
+	if plan.count {
+		b.WriteString("count: " + describeCount(&plan.src.base) + reach(&plan.src.base, parts) + "\n")
+	} else {
+		b.WriteString("scan: " + describeAccess(&plan.src.base) + reach(&plan.src.base, parts) + "\n")
+	}
 	for _, js := range plan.src.joins {
 		writeIndent(b, depth+1)
 		kind := "join"
@@ -127,6 +131,14 @@ func describeAccess(a *tableAccess) string {
 	default:
 		return fmt.Sprintf("%s (full scan)", a.relName)
 	}
+}
+
+// describeCount names a count access's relation: counted, not scanned.
+func describeCount(a *tableAccess) string {
+	if a.transient {
+		return fmt.Sprintf("%s (transient batch, counted by its length)", a.relName)
+	}
+	return fmt.Sprintf("%s (counted by storage, no row read)", a.relName)
 }
 
 func writeIndent(b *strings.Builder, depth int) {

@@ -36,6 +36,14 @@ func TestExplainAccessPaths(t *testing.T) {
 			[]string{"aggregate: 1 keys, 1 aggregates", "sort: 1 keys", "limit/offset"},
 		},
 		{
+			"SELECT COUNT(*) FROM votes HAVING COUNT(*) > 1 LIMIT 1",
+			[]string{"count: votes (counted by storage, no row read)", "aggregate: 0 keys, 2 aggregates, having"},
+		},
+		{
+			"SELECT COUNT(*), COUNT(ts) FROM votes",
+			[]string{"scan: votes (full scan)"},
+		},
+		{
 			"UPDATE votes SET ts = 0 WHERE phone = 5",
 			[]string{"UPDATE votes", "via index votes_pkey (equality probe)"},
 		},

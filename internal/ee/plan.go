@@ -117,6 +117,11 @@ type selectPlan struct {
 	orderBy   []orderSpec
 	limit     compiled
 	offset    compiled
+	// count marks a count access: the plan reads one stored or transient
+	// relation with no WHERE, join, GROUP BY key or index probe, and its
+	// every aggregate is a plain COUNT(*), so the one group's counts are
+	// the relation's row count (countRows) and no row is read.
+	count bool
 }
 
 type insertPlan struct {
@@ -648,7 +653,23 @@ func (pl *planner) planSelect(s *sql.Select) (*selectPlan, []string, error) {
 			return nil, nil, fmt.Errorf("OFFSET: %w", err)
 		}
 	}
+	plan.count = plan.countsRows()
 	return plan, colNames, nil
+}
+
+// countsRows reports whether the plan qualifies as a count access (see
+// selectPlan.count).
+func (p *selectPlan) countsRows() bool {
+	if len(p.aggs) == 0 || len(p.groupKeys) > 0 || p.where != nil ||
+		len(p.src.joins) > 0 || p.src.base.index != nil {
+		return false
+	}
+	for _, a := range p.aggs {
+		if a.kind != aggCount || a.arg != nil || a.distinct {
+			return false
+		}
+	}
+	return true
 }
 
 // compileOrder compiles one ORDER BY key. A bare integer literal is a

@@ -218,8 +218,8 @@ func TestExplainOverTCP(t *testing.T) {
 
 // TestExplainNamesWhatAReadTouches: on a store of several partitions, EXPLAIN
 // of a SELECT names for each access what it reads over the cut — every
-// partition for a range, the key's owner for a keyed read, partition 0 for
-// a replicated table joined in.
+// partition for a range or a count, the key's owner for a keyed read,
+// partition 0 for a replicated table counted or joined in.
 func TestExplainNamesWhatAReadTouches(t *testing.T) {
 	st := core.Open(core.Config{Partitions: 3})
 	if err := st.ExecScript(`
@@ -246,6 +246,10 @@ func TestExplainNamesWhatAReadTouches(t *testing.T) {
 			"scan: pkv via index pkv_pkey (bounded range), reads every partition (3)\n"},
 		{"SELECT v FROM pkv WHERE k = ?",
 			"scan: pkv via index pkv_pkey (equality probe), reads the key's owner\n"},
+		{"SELECT COUNT(*) FROM pkv",
+			"count: pkv (counted by storage, no row read), reads every partition (3)\n"},
+		{"SELECT COUNT(*) FROM names",
+			"count: names (counted by storage, no row read), reads partition 0\n"},
 		{"SELECT p.k, n.name FROM pkv p JOIN names n ON n.v = p.v",
 			"scan: pkv (full scan), reads every partition (3)\n" +
 				"  join: names via index names_pkey (equality probe), reads partition 0\n"},

@@ -259,6 +259,11 @@ func TestSnapshotHammer(t *testing.T) {
 					errs <- fmt.Errorf("reader: inconsistent snapshot at seq %d: %d rows consistent=%v", s, len(seen), consistent)
 					return
 				}
+				if n := tb.SnapshotCount(s); n != nRows {
+					clock.ReleaseSnapshot(pin)
+					errs <- fmt.Errorf("reader: SnapshotCount at seq %d = %d, the scan saw %d", s, n, nRows)
+					return
+				}
 				// Point probe and range probe agree with the scan.
 				k := rng.Int63n(int64(nRows))
 				if rows := snapshotLookup(tb, pk, types.Row{types.NewInt(k)}, s); len(rows) != 1 || rows[0][1].Int() != gen {
@@ -406,8 +411,9 @@ func TestRollbackKeyPingPongKeepsPinnedIndexView(t *testing.T) {
 }
 
 // TestSnapshotScanChunkingStaysConsistent pushes a table past the chunked
-// scan's re-lock boundary and checks a pinned scan still sees exactly the
-// pinned state while the writer mutates and GCs between chunks.
+// scan's re-lock boundary and checks a pinned scan, and a pinned count,
+// still see exactly the pinned state while the writer mutates and GCs
+// between chunks.
 func TestSnapshotScanChunkingStaysConsistent(t *testing.T) {
 	tb := NewTable(votesSchema(t))
 	clock := tb.Clock()
@@ -429,14 +435,14 @@ func TestSnapshotScanChunkingStaysConsistent(t *testing.T) {
 	clock.Publish()
 	got := 0
 	tb.SnapshotScan(pin.Seq(), func(_ RowID, _ types.Row) bool { got++; return true })
-	if got != n {
-		t.Fatalf("pinned chunked scan saw %d rows, want %d", got, n)
+	if got != n || tb.SnapshotCount(pin.Seq()) != n {
+		t.Fatalf("pinned chunked scan saw %d rows, count %d, want %d", got, tb.SnapshotCount(pin.Seq()), n)
 	}
 	clock.ReleaseSnapshot(pin)
 	tb.GC(clock.Watermark())
 	got = 0
 	tb.SnapshotScan(clock.Current(), func(_ RowID, _ types.Row) bool { got++; return true })
-	if want := n - (n+2)/3; got != want {
-		t.Fatalf("post-GC scan saw %d rows, want %d", got, want)
+	if want := n - (n+2)/3; got != want || tb.SnapshotCount(clock.Current()) != want || tb.Count() != want {
+		t.Fatalf("post-GC scan saw %d rows, count %d, live %d, want %d", got, tb.SnapshotCount(clock.Current()), tb.Count(), want)
 	}
 }

@@ -228,7 +228,8 @@ func (t *Table) Schema() *types.Schema { return t.schema }
 // Clock returns the commit clock the table stamps versions from.
 func (t *Table) Clock() *PartitionClock { return t.clock }
 
-// Count returns the number of live rows (writer view).
+// Count returns the number of live rows (writer view): the rows Scan
+// emits, the running transaction's own writes included.
 func (t *Table) Count() int { return int(t.live.Load()) }
 
 // PrimaryIndex returns the primary-key index, or nil for keyless tables.
@@ -675,21 +676,23 @@ func (t *Table) undoUpdate(id RowID) {
 // ---------- writer-view reads ----------
 
 // Scan iterates live rows in insertion (RowID) order — the writer's view,
-// including the running transaction's own uncommitted changes. The
-// callback returns false to stop early and must not mutate the table.
+// including the running transaction's own uncommitted changes — and
+// reports whether fn let it finish. The callback returns false to stop
+// early and must not mutate the table.
 // Evicted rows are resolved read-through without rehydrating the chain
 // (and without setting the touch bit), so a full scan — a checkpoint,
 // say — neither blows the memory budget nor flushes the hot set.
-func (t *Table) Scan(fn func(id RowID, row types.Row) bool) {
+func (t *Table) Scan(fn func(id RowID, row types.Row) bool) bool {
 	for _, s := range t.slots() {
 		h := s.liveHead()
 		if h == nil {
 			continue
 		}
 		if !fn(s.id, t.resolveVersion(h.payload())) {
-			return
+			return false
 		}
 	}
+	return true
 }
 
 // Lookup hands fn the live rows whose key in ix is exactly key (writer
@@ -789,8 +792,9 @@ type snapHit struct {
 const snapshotScanChunk = 256
 
 // SnapshotScan iterates the rows visible at sequence s in insertion
-// (RowID) order. Safe from any goroutine. The epoch is re-entered every
-// snapshotScanChunk slots, resuming by RowID (the directory stays
+// (RowID) order and reports whether fn let it finish. Safe from any
+// goroutine. The epoch is re-entered every snapshotScanChunk slots,
+// resuming by RowID (the directory stays
 // id-sorted across compaction); the view remains consistent because
 // visibility is purely sequence-based — the caller's pin keeps every
 // visible version alive, slots reclaimed between chunks held nothing
@@ -800,7 +804,7 @@ const snapshotScanChunk = 256
 // never delays epoch advance and a callback that stops the scan leaves no
 // guard behind; captured cold refs stay readable because the caller's pin
 // keeps the watermark from passing them (see cold.go).
-func (t *Table) SnapshotScan(seq Seq, fn func(id RowID, row types.Row) bool) {
+func (t *Table) SnapshotScan(seq Seq, fn func(id RowID, row types.Row) bool) bool {
 	em := t.clock.Epochs()
 	var afterID RowID // resume: first slot with id > afterID
 	var buf [snapshotScanChunk]snapHit
@@ -822,11 +826,40 @@ func (t *Table) SnapshotScan(seq Seq, fn func(id RowID, row types.Row) bool) {
 		g.Exit()
 		for i := range buf[:n] {
 			if !fn(buf[i].id, t.resolveVersion(buf[i].pl)) {
-				return
+				return false
 			}
 		}
 		if end == len(d) {
-			return
+			return true
+		}
+	}
+}
+
+// SnapshotCount returns the number of rows visible at sequence seq: the
+// rows SnapshotScan would emit. It walks the directory in the same
+// epoch-bounded chunks but only resolves each slot's visible version, so
+// it captures no payload, faults in no cold row and touches nothing. Safe
+// from any goroutine; the caller holds a pin at seq, as for SnapshotScan.
+func (t *Table) SnapshotCount(seq Seq) int {
+	em := t.clock.Epochs()
+	var afterID RowID
+	n := 0
+	for {
+		g := em.Enter()
+		d := t.slots()
+		lo := slotSearch(d, afterID+1)
+		end := min(lo+snapshotScanChunk, len(d))
+		for _, s := range d[lo:end] {
+			if s.versionAt(seq) != nil {
+				n++
+			}
+		}
+		if end > lo {
+			afterID = d[end-1].id
+		}
+		g.Exit()
+		if end == len(d) {
+			return n
 		}
 	}
 }
