@@ -115,7 +115,7 @@ func checkPadRows(t testing.TB, st *Store, n int64) {
 // TestAntiCacheEvictAndFaultEquivalence: a store over budget evicts down
 // to it, and every read path — snapshot scans, snapshot point reads,
 // worker point reads — returns identical data before and after eviction,
-// faulting cold tuples back through the buffer pool.
+// faulting cold tuples back from the cold store.
 func TestAntiCacheEvictAndFaultEquivalence(t *testing.T) {
 	st := buildPadKV(t, Config{MemoryBudget: padBudget})
 	if err := st.Start(); err != nil {
@@ -138,8 +138,8 @@ func TestAntiCacheEvictAndFaultEquivalence(t *testing.T) {
 	if after := st.Metrics().Snapshot(); after[metrics.ColdFaults] == 0 {
 		t.Fatal("reads over evicted rows recorded no cold faults")
 	}
-	// stats surface carries the three anti-caching rows, and beside them
-	// what the budget does not count: n index entries and a filled pool
+	// stats surface carries the three anti-caching rows, beside them what
+	// the budget does not count (n index entries), and the fault I/O
 	stats := st.StatsResult()
 	seen := map[string]string{}
 	for _, r := range stats.Rows {
@@ -151,9 +151,14 @@ func TestAntiCacheEvictAndFaultEquivalence(t *testing.T) {
 		}
 	}
 	// (an index entry is at least a one-lane node, 48 B)
-	for name, per := range map[string]int64{"index_bytes": 48, "index_bytes.p0": 48, "cold_pool_bytes": 64, "cold_pool_bytes.p0": 64} {
+	for name, per := range map[string]int64{"index_bytes": 48, "index_bytes.p0": 48} {
 		if v, err := strconv.ParseInt(seen[name], 10, 64); err != nil || v < n*per {
 			t.Fatalf("stats row %s = %q, want at least %d bytes", name, seen[name], n*per)
+		}
+	}
+	for _, name := range []string{"cold_read_bytes", "cold_read_bytes.p0"} {
+		if v, err := strconv.ParseInt(seen[name], 10, 64); err != nil || v <= 0 {
+			t.Fatalf("stats row %s = %q after cold faults, want bytes read", name, seen[name])
 		}
 	}
 }

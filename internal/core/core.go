@@ -450,8 +450,8 @@ func (s *Store) PEAt(i int) *pe.Engine { return s.partList()[i].pe }
 func (s *Store) Metrics() *metrics.Metrics { return s.met }
 
 // readPerPartition fills v's per-partition metrics from the partition:
-// the heap outside the resident-row ledger (index entries, the cold
-// store's page buffers; DESIGN.md §7), the rows its access paths examined
+// the index heap outside the resident-row ledger (DESIGN.md §7), the bytes
+// its cold file served to faults, the rows its access paths examined
 // and returned, its acker backlog and the executions its pause gates hold.
 // It reads atomics and takes short locks only, so any goroutine may call
 // it.
@@ -460,7 +460,7 @@ func (p *partition) readPerPartition(v *metrics.Snapshot) {
 		v[metrics.IndexBytes] += p.cat.Relation(name).Table.IndexBytes()
 	}
 	if cs := p.cat.ColdStore(); cs != nil {
-		v[metrics.ColdPoolBytes] = int64(cs.Stats().PoolBytes)
+		v[metrics.ColdReadBytes] = int64(cs.Stats().ReadBytes)
 	}
 	v[metrics.RowsExamined], v[metrics.RowsReturned] = p.ee.RowCounts()
 	v[metrics.AckBacklog] = int64(p.pe.AckBacklog())

@@ -54,9 +54,9 @@ cold_resident_bytes int
 index_bytes int
 index_bytes.p0 int
 index_bytes.p1 int
-cold_pool_bytes int
-cold_pool_bytes.p0 int
-cold_pool_bytes.p1 int
+cold_read_bytes int
+cold_read_bytes.p0 int
+cold_read_bytes.p1 int
 rows_examined int
 rows_examined.p0 int
 rows_examined.p1 int

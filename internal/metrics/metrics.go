@@ -86,13 +86,14 @@ const (
 	ColdFaults
 	ColdResidentBytes
 	// Per partition, read from the partitions when the rows are rendered:
-	// the heap MemoryBudget does not govern (DESIGN.md §7); the rows the
+	// the index heap MemoryBudget does not govern (DESIGN.md §7); the bytes
+	// the cold file served to faults (beside cold_faults); the rows the
 	// access paths handed to statements against those SELECTs gave back (a
 	// read that examines far more than it returns is one to index); the
 	// commits queued for the acker but not yet acked; and the executions
 	// paused dataflows hold.
 	IndexBytes
-	ColdPoolBytes
+	ColdReadBytes
 	RowsExamined
 	RowsReturned
 	AckBacklog
@@ -223,7 +224,7 @@ var defs = [numMetrics]def{
 	ColdFaults:          {name: "cold_faults"},
 	ColdResidentBytes:   {name: "cold_resident_bytes", kind: Gauge},
 	IndexBytes:          {name: "index_bytes", kind: Gauge, perPartition: true},
-	ColdPoolBytes:       {name: "cold_pool_bytes", kind: Gauge, perPartition: true},
+	ColdReadBytes:       {name: "cold_read_bytes", perPartition: true},
 	RowsExamined:        {name: "rows_examined", perPartition: true},
 	RowsReturned:        {name: "rows_returned", perPartition: true},
 	AckBacklog:          {name: "ack_backlog", kind: Gauge, perPartition: true},

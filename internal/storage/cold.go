@@ -24,7 +24,7 @@ import (
 // eviction of the same version; it names the same image, and its slot
 // is freed only by a later DeferFree at a sequence at or above every
 // pin, or by GC once the version is invisible to every pin. Readers
-// that hit a stub fault the tuple back in through the buffer pool:
+// that hit a stub read the tuple's bytes back from the cold store:
 //
 //   - The partition worker (writer view: Get, Update, Delete) faults
 //     synchronously and reinstalls the row in the chain, so a tuple the
@@ -33,9 +33,10 @@ import (
 //     snapshot reader may have captured the stub's ref before the
 //     reinstall.
 //   - Snapshot readers resolve stubs read-through: they capture the
-//     payload inside their epoch, leave it, and decode from the buffer
-//     pool privately — page I/O never delays the writer or epoch
-//     advance, and never mutates the chain.
+//     payload inside their epoch, leave it, and decode a private copy —
+//     cold I/O never delays the writer or epoch advance, and never
+//     mutates the chain. A walk resolves its stubs a window at a time as
+//     one batch read (resolveCold).
 //
 // Eviction itself runs only on the partition worker (at GC rhythm), so
 // the single-mutator invariant covers stubbing out versions too. Index
@@ -86,24 +87,62 @@ func (t *Table) ColdStats() (coldVersions int, evictions, faults uint64) {
 	return int(t.coldVers.Load()), t.coldEvictions.Load(), t.coldFaults.Load()
 }
 
-// readCold resolves a stub read-through: decode the tuple from the
-// buffer pool without touching the version chain. Safe from any
-// goroutine; must not be called inside an epoch guard (pool I/O can
+// readCold resolves a stub read-through: read the tuple's bytes and
+// decode them, without touching the version chain. Safe from any
+// goroutine; must not be called inside an epoch guard (cold I/O can
 // block, stalling epoch advance). Failure here means the anti-caching
 // invariants broke (a ref freed while still reachable, or a torn page)
 // — not a recoverable condition.
 func (t *Table) readCold(ref coldstore.Ref) types.Row {
 	t.coldFaults.Add(1)
-	view, release, err := t.cold.View(ref)
+	var scratch [512]byte
+	tuple, err := t.cold.Read(ref, scratch[:0])
 	if err != nil {
 		panic("storage: " + t.name + ": cold fault: " + err.Error())
 	}
-	row, _, derr := types.DecodeRow(view)
-	release()
-	if derr != nil {
-		panic("storage: " + t.name + ": cold tuple decode: " + derr.Error())
+	return t.decodeCold(tuple)
+}
+
+// decodeCold decodes an evicted tuple's bytes into a fresh row.
+func (t *Table) decodeCold(tuple []byte) types.Row {
+	row, _, err := types.DecodeRow(tuple)
+	if err != nil {
+		panic("storage: " + t.name + ": cold tuple decode: " + err.Error())
 	}
 	return row
+}
+
+// coldWindow is how many captured hits a walk resolves ahead of its
+// callback: their stubs are read as one batch, so a walk its callback
+// stops early has read at most one window it did not need.
+const coldWindow = 64
+
+// resolveCold replaces the cold payloads among hits, at most coldWindow of
+// them, with their decoded rows, read in one ReadBatch. A table with no
+// cold store attached has none and returns at once. Call outside any
+// epoch guard.
+func (t *Table) resolveCold(hits []snapHit) {
+	if t.cold == nil {
+		return
+	}
+	var fs [coldWindow]coldstore.Fetch
+	n := 0
+	for i := range hits {
+		if pl := hits[i].pl; pl.row == nil && pl.cold != 0 {
+			fs[n] = coldstore.Fetch{Ref: pl.cold, At: i}
+			n++
+		}
+	}
+	if n == 0 {
+		return
+	}
+	t.coldFaults.Add(uint64(n))
+	err := t.cold.ReadBatch(fs[:n], func(at int, tuple []byte) {
+		hits[at].pl.row = t.decodeCold(tuple)
+	})
+	if err != nil {
+		panic("storage: " + t.name + ": cold fault: " + err.Error())
+	}
 }
 
 // resolveVersion returns the row image of a captured payload, faulting
@@ -117,7 +156,7 @@ func (t *Table) resolveVersion(pl versionPayload) types.Row {
 
 // faultHead rehydrates the newest version of the slot into the chain and
 // returns its row. Worker-only (single-mutator): the version cannot
-// change between the pool read and the reinstall, which is one atomic
+// change between the cold read and the reinstall, which is one atomic
 // store of rowp — cold is left stale and width untouched (the decoded row
 // has the width the version was stored with). The superseded cold slot is
 // deferred-freed at the current sequence — any snapshot reader that

@@ -1,8 +1,7 @@
-// Package coldstore implements the on-disk half of anti-caching: a
-// page store of slotted 32 KB pages fronted by a clock-replacement
-// buffer pool with pinned views. The MVCC tables evict cold committed
+// Package coldstore implements the on-disk half of anti-caching: a file
+// of packed 32 KB pages of tuples. The MVCC tables evict cold committed
 // row versions here (see storage's anti-caching layer) and fault them
-// back in through the pool on access.
+// back in, one tuple's bytes at a time.
 //
 // Crash-consistency contract (DESIGN.md §7): the cold store is a
 // volatile, disk-resident extension of main memory. Every evicted
@@ -12,93 +11,82 @@
 // story; the cold store only has to be internally consistent while the
 // process lives.
 //
-// Concurrency: a single mutex guards store metadata and pool state.
-// Page I/O happens under the mutex — faults serialize against each
-// other but never against the partition worker, which does not take
-// this lock on its hot path. Views (zero-copy reads) pin their frame so
-// clock replacement cannot steal a page while a reader is decoding from
-// it; pins are released by the returned release func, after which the
-// slice must not be touched.
+// Concurrency: a single mutex guards store metadata and the open fill
+// page, the one page held in memory. Reads of any other page run outside
+// the mutex, each one pread of exactly the bytes asked for, because those
+// bytes cannot change under them: a tuple's bytes are never rewritten
+// between Put and its deferred Free; a page is written with one pwrite
+// before it stops being the fill page; and a page is reused only once
+// every tuple on it has been freed behind the snapshot watermark, which
+// no reader that holds one of its refs has passed.
 package coldstore
 
 import (
-	"encoding/binary"
+	"cmp"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
+	"sync/atomic"
 )
 
-// Ref names one stored tuple: page id in the upper 48 bits, slot index
-// in the lower 16. The zero Ref is invalid (page ids start at 1), so a
-// zero value in a row version means "not evicted".
+// Ref names one stored tuple: page id in the upper 32 bits, the tuple's
+// byte offset on the page in the next 16 and its length in the lower 16.
+// The zero Ref is invalid (page ids start at 1), so a zero value in a row
+// version means "not evicted". Refs sort by page, then offset.
 type Ref uint64
 
-// makeRef packs a page id and slot index.
-func makeRef(pid uint64, slot int) Ref { return Ref(pid<<16 | uint64(slot)&0xffff) }
+// makeRef packs a page id, offset and length.
+func makeRef(pid uint64, off, n int) Ref { return Ref(pid<<32 | uint64(off)<<16 | uint64(n)) }
 
 // Page returns the page id of the ref.
-func (r Ref) Page() uint64 { return uint64(r) >> 16 }
+func (r Ref) Page() uint64 { return uint64(r) >> 32 }
 
-// Slot returns the slot index of the ref.
-func (r Ref) Slot() int { return int(uint64(r) & 0xffff) }
+// Off returns the tuple's byte offset on its page.
+func (r Ref) Off() int { return int(uint64(r) >> 16 & 0xffff) }
 
-// Page layout: a 4-byte header (nslots, freeEnd as little-endian
-// uint16s), a slot directory growing up from the header (4 bytes per
-// slot: offset, length), and tuple data growing down from the end of
-// the page. Slots are never reused individually; a page returns to the
-// free list whole once every tuple on it has been freed, which keeps
-// refs stable for the deferred-free discipline the tables rely on.
+// Len returns the tuple's length in bytes.
+func (r Ref) Len() int { return int(uint64(r) & 0xffff) }
+
 const (
-	pageHeader  = 4
-	slotDirEnt  = 4
 	defaultPage = 32 * 1024
+	// coalesceGap is how far apart two tuples of one page in a ReadBatch
+	// may lie and still share one pread: reading a few KiB more costs less
+	// than a second call.
+	coalesceGap = 4 * 1024
 )
 
 // Options configures Open.
 type Options struct {
 	// PageSize is the on-disk page size in bytes (default 32 KB, max 64 KB
-	// because slot offsets are uint16).
+	// because a Ref's offset and length are 16 bits).
 	PageSize int
-	// PoolPages caps the buffer pool (default 64 pages = 2 MB at the
-	// default page size). Pool memory is bounded and separate from the
-	// table-resident budget the evictor maintains.
-	PoolPages int
 }
 
-// Store is an on-disk page store with an in-memory buffer pool.
+// Store is an on-disk page store with one page open in memory for Puts.
 type Store struct {
-	mu sync.Mutex
-
-	f        *os.File
+	f        *os.File // set by Open, never reassigned: readers use it unlocked
 	path     string
 	pageSize int
-	poolCap  int
 
+	// fillPage is the page accepting Puts (0 = none). It changes under mu
+	// and only after the page it replaces is on disk, so a reader that
+	// loads another page id may pread that page without the mutex.
+	fillPage atomic.Uint64
+	reads    atomic.Uint64 // preads serving faults
+	rbytes   atomic.Uint64 // bytes those preads returned
+
+	mu       sync.Mutex
+	fill     []byte // the fill page's bytes; tuples are packed from 0
+	used     int    // bytes of fill in use
+	closed   bool
 	npages   uint64   // highest allocated page id
 	freeList []uint64 // whole pages available for reuse
-	fillPage uint64   // page currently accepting Puts (0 = none)
 	liveCnt  map[uint64]int
-
-	frames map[uint64]*frame
-	clock  []*frame // clock order for replacement
-	hand   int
-	// spare is the last frame dropped from the pool, unpinned: the next
-	// install takes it — struct and page buffer — instead of allocating,
-	// so a full pool serves misses without allocating at all.
-	spare *frame
-
-	pending []deferredFree
+	pending  []deferredFree
 
 	// stats (guarded by mu)
-	puts, frees, pageReads, pageWrites, poolEvictions uint64
-}
-
-type frame struct {
-	pid   uint64
-	data  []byte
-	pins  int
-	ref   bool // clock second-chance bit
-	dirty bool
+	puts, frees, pageWrites uint64
 }
 
 type deferredFree struct {
@@ -116,13 +104,6 @@ func Open(path string, opts Options) (*Store, error) {
 	if ps < 512 || ps > 64*1024 {
 		return nil, fmt.Errorf("coldstore: page size %d out of range [512, 65536]", ps)
 	}
-	pool := opts.PoolPages
-	if pool == 0 {
-		pool = 64
-	}
-	if pool < 2 {
-		pool = 2
-	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("coldstore: %w", err)
@@ -131,59 +112,53 @@ func Open(path string, opts Options) (*Store, error) {
 		f:        f,
 		path:     path,
 		pageSize: ps,
-		poolCap:  pool,
+		fill:     make([]byte, ps),
 		liveCnt:  make(map[uint64]int),
-		frames:   make(map[uint64]*frame),
 	}, nil
 }
 
 // MaxTuple returns the largest tuple Put accepts; bigger rows stay hot.
-func (s *Store) MaxTuple() int { return s.pageSize - pageHeader - slotDirEnt }
+// A tuple always leaves a byte of its page free, so an offset fits in 16
+// bits.
+func (s *Store) MaxTuple() int { return s.pageSize - 1 }
 
-// Put stores one encoded tuple and returns its ref. The write lands in
-// the buffer pool; it reaches disk only when clock replacement evicts
-// the dirty page (never fsynced — see the package contract).
+// pageOff is the file offset of page pid.
+func (s *Store) pageOff(pid uint64) int64 { return int64(pid-1) * int64(s.pageSize) }
+
+// Put stores one encoded tuple and returns its ref. The tuple lands on
+// the fill page in memory; it reaches disk when that page is sealed
+// (never fsynced — see the package contract).
 func (s *Store) Put(tuple []byte) (Ref, error) {
 	if len(tuple) > s.MaxTuple() {
 		return 0, fmt.Errorf("coldstore: tuple of %d bytes exceeds page capacity %d", len(tuple), s.MaxTuple())
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	fr, err := s.fillFrame(len(tuple))
-	if err != nil {
-		return 0, err
+	pid := s.fillPage.Load()
+	if pid == 0 || s.pageSize-s.used <= len(tuple) {
+		var err error
+		if pid, err = s.openFillPage(); err != nil {
+			return 0, err
+		}
 	}
-	d := fr.data
-	nslots := int(binary.LittleEndian.Uint16(d[0:]))
-	freeEnd := int(binary.LittleEndian.Uint16(d[2:]))
-	off := freeEnd - len(tuple)
-	copy(d[off:freeEnd], tuple)
-	binary.LittleEndian.PutUint16(d[pageHeader+nslots*slotDirEnt:], uint16(off))
-	binary.LittleEndian.PutUint16(d[pageHeader+nslots*slotDirEnt+2:], uint16(len(tuple)))
-	binary.LittleEndian.PutUint16(d[0:], uint16(nslots+1))
-	binary.LittleEndian.PutUint16(d[2:], uint16(off))
-	fr.dirty = true
-	s.liveCnt[fr.pid]++
+	off := s.used
+	s.used += copy(s.fill[off:], tuple)
+	s.liveCnt[pid]++
 	s.puts++
-	return makeRef(fr.pid, nslots), nil
+	return makeRef(pid, off, len(tuple)), nil
 }
 
-// fillFrame returns the frame of the current fill page, allocating a
-// fresh page when none is open or the tuple does not fit. Caller holds mu.
-func (s *Store) fillFrame(need int) (*frame, error) {
-	if s.fillPage != 0 {
-		fr, err := s.frame(s.fillPage)
-		if err != nil {
-			return nil, err
+// openFillPage seals the open fill page, if any, with one pwrite of its
+// used bytes, and opens a freed page or a new one at the end of the file.
+// A failed pwrite leaves the page open and served from memory, so no
+// stored tuple is lost. Caller holds mu.
+func (s *Store) openFillPage() (uint64, error) {
+	if pid := s.fillPage.Load(); pid != 0 {
+		if _, err := s.f.WriteAt(s.fill[:s.used], s.pageOff(pid)); err != nil {
+			return 0, fmt.Errorf("coldstore: write page %d: %w", pid, err)
 		}
-		d := fr.data
-		nslots := int(binary.LittleEndian.Uint16(d[0:]))
-		freeEnd := int(binary.LittleEndian.Uint16(d[2:]))
-		if freeEnd-(pageHeader+nslots*slotDirEnt)-slotDirEnt >= need {
-			return fr, nil
-		}
+		s.pageWrites++
 	}
-	// Allocate: reuse a freed page or extend the file.
 	var pid uint64
 	if n := len(s.freeList); n > 0 {
 		pid = s.freeList[n-1]
@@ -192,55 +167,83 @@ func (s *Store) fillFrame(need int) (*frame, error) {
 		s.npages++
 		pid = s.npages
 	}
-	fr, err := s.install(pid, true)
-	if err != nil {
-		return nil, err
-	}
-	binary.LittleEndian.PutUint16(fr.data[0:], 0)
-	binary.LittleEndian.PutUint16(fr.data[2:], uint16(s.pageSize))
-	fr.dirty = true
-	s.fillPage = pid
-	return fr, nil
+	s.used = 0
+	s.fillPage.Store(pid)
+	return pid, nil
 }
 
-// View returns a zero-copy view of the tuple at ref plus a release func
-// that unpins the underlying frame. The slice is valid only until
-// release is called.
-func (s *Store) View(ref Ref) ([]byte, func(), error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fr, err := s.frame(ref.Page())
-	if err != nil {
-		return nil, nil, err
-	}
-	d := fr.data
-	nslots := int(binary.LittleEndian.Uint16(d[0:]))
-	if ref.Slot() >= nslots {
-		return nil, nil, fmt.Errorf("coldstore: ref %x: slot %d out of range (page has %d)", uint64(ref), ref.Slot(), nslots)
-	}
-	off := int(binary.LittleEndian.Uint16(d[pageHeader+ref.Slot()*slotDirEnt:]))
-	ln := int(binary.LittleEndian.Uint16(d[pageHeader+ref.Slot()*slotDirEnt+2:]))
-	fr.pins++
-	release := func() {
+// readAt fills dst with the bytes at off of page pid: copied from the open
+// fill page under mu, or read with one pread outside it.
+func (s *Store) readAt(dst []byte, pid uint64, off int) error {
+	if pid == s.fillPage.Load() {
 		s.mu.Lock()
-		fr.pins--
-		s.mu.Unlock()
+		if pid == s.fillPage.Load() {
+			copy(dst, s.fill[off:])
+			s.mu.Unlock()
+			return nil
+		}
+		s.mu.Unlock() // sealed since the load: it is on disk
 	}
-	return d[off : off+ln], release, nil
+	if _, err := s.f.ReadAt(dst, s.pageOff(pid)+int64(off)); err != nil {
+		return fmt.Errorf("coldstore: read page %d at %d: %w", pid, off, err)
+	}
+	s.reads.Add(1)
+	s.rbytes.Add(uint64(len(dst)))
+	return nil
 }
 
 // Read copies the tuple at ref into buf (grown as needed) and returns it.
 func (s *Store) Read(ref Ref, buf []byte) ([]byte, error) {
-	view, release, err := s.View(ref)
-	if err != nil {
+	buf = slices.Grow(buf[:0], ref.Len())[:ref.Len()]
+	if err := s.readAt(buf, ref.Page(), ref.Off()); err != nil {
 		return nil, err
 	}
-	buf = append(buf[:0], view...)
-	release()
 	return buf, nil
 }
 
-// Free releases the tuple at ref. Slots are not reused individually;
+// Fetch is one tuple of a ReadBatch: its ref and the caller's name for it.
+type Fetch struct {
+	Ref Ref
+	At  int
+}
+
+// batchBufs holds ReadBatch's span buffers between calls.
+var batchBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// ReadBatch reads the tuples of fs and calls fn(At, tuple) for each, in
+// ref order: it sorts fs by ref, and tuples of one page that lie within
+// coalesceGap of each other share one pread. tuple is valid only until fn
+// returns.
+func (s *Store) ReadBatch(fs []Fetch, fn func(at int, tuple []byte)) error {
+	slices.SortFunc(fs, func(a, b Fetch) int { return cmp.Compare(a.Ref, b.Ref) })
+	bp := batchBufs.Get().(*[]byte)
+	defer batchBufs.Put(bp)
+	for i := 0; i < len(fs); {
+		first := fs[i].Ref
+		end := first.Off() + first.Len()
+		j := i + 1
+		for ; j < len(fs); j++ {
+			r := fs[j].Ref
+			if r.Page() != first.Page() || r.Off() > end+coalesceGap {
+				break
+			}
+			end = max(end, r.Off()+r.Len())
+		}
+		span := slices.Grow((*bp)[:0], end-first.Off())[:end-first.Off()]
+		*bp = span
+		if err := s.readAt(span, first.Page(), first.Off()); err != nil {
+			return err
+		}
+		for _, f := range fs[i:j] {
+			at := f.Ref.Off() - first.Off()
+			fn(f.At, span[at:at+f.Ref.Len()])
+		}
+		i = j
+	}
+	return nil
+}
+
+// Free releases the tuple at ref. Space is not reused tuple by tuple;
 // once a page's live count reaches zero the whole page returns to the
 // free list. Callers must guarantee no concurrent reader can still hold
 // the ref (the tables enforce this with the snapshot watermark).
@@ -258,17 +261,8 @@ func (s *Store) freeLocked(ref Ref) {
 		return
 	}
 	delete(s.liveCnt, pid)
-	if _, ok := s.frames[pid]; ok {
-		// Empty pages carry no data worth writing back: drop the frame.
-		for i, fr := range s.clock {
-			if fr.pid == pid {
-				s.dropFrame(i)
-				break
-			}
-		}
-	}
-	if pid == s.fillPage {
-		s.fillPage = 0
+	if pid == s.fillPage.Load() {
+		s.fillPage.Store(0) // its bytes are never needed: drop them unwritten
 	}
 	s.freeList = append(s.freeList, pid)
 }
@@ -301,138 +295,45 @@ func (s *Store) ReleaseFreed(watermark uint64) int {
 	return n
 }
 
-// frame returns the pooled frame for pid, faulting it in from disk if
-// needed. Caller holds mu.
-func (s *Store) frame(pid uint64) (*frame, error) {
-	if fr, ok := s.frames[pid]; ok {
-		fr.ref = true
-		return fr, nil
-	}
-	return s.install(pid, false)
-}
-
-// install adds a frame for pid, evicting per clock policy when the pool
-// is full and taking over the victim's frame and page buffer; fresh pages
-// skip the disk read (the caller initialises the header — whatever the
-// buffer held before lies beyond it). Caller holds mu.
-func (s *Store) install(pid uint64, fresh bool) (*frame, error) {
-	for len(s.frames) >= s.poolCap {
-		if !s.evictOne() {
-			break // every frame pinned; let the pool run over briefly
-		}
-	}
-	fr := s.spare
-	if fr == nil {
-		fr = &frame{data: make([]byte, s.pageSize)}
-	}
-	s.spare = nil
-	*fr = frame{pid: pid, data: fr.data, ref: true}
-	if !fresh {
-		if _, err := s.f.ReadAt(fr.data, int64(pid-1)*int64(s.pageSize)); err != nil {
-			s.spare = fr
-			return nil, fmt.Errorf("coldstore: read page %d: %w", pid, err)
-		}
-		s.pageReads++
-	}
-	s.frames[pid] = fr
-	s.clock = append(s.clock, fr)
-	return fr, nil
-}
-
-// evictOne runs one clock sweep and evicts a victim frame, writing it
-// back if dirty. Returns false when every frame is pinned. Caller holds mu.
-func (s *Store) evictOne() bool {
-	for pass := 0; pass < 2*len(s.clock); pass++ {
-		if s.hand >= len(s.clock) {
-			s.hand = 0
-		}
-		fr := s.clock[s.hand]
-		if fr.pins > 0 {
-			s.hand++
-			continue
-		}
-		if fr.ref {
-			fr.ref = false
-			s.hand++
-			continue
-		}
-		if fr.dirty {
-			if _, err := s.f.WriteAt(fr.data, int64(fr.pid-1)*int64(s.pageSize)); err != nil {
-				// A failed writeback must not lose the page (it is the only
-				// copy until checkpoint); keep the frame and try another.
-				s.hand++
-				continue
-			}
-			s.pageWrites++
-		}
-		s.dropFrame(s.hand)
-		s.poolEvictions++
-		return true
-	}
-	return false
-}
-
-// dropFrame removes the frame at clock position i from the pool without
-// writeback, keeping it as the spare unless a View still pins it (a pinned
-// buffer belongs to its reader until released). Caller holds mu.
-func (s *Store) dropFrame(i int) {
-	fr := s.clock[i]
-	delete(s.frames, fr.pid)
-	s.clock = append(s.clock[:i], s.clock[i+1:]...)
-	if s.hand > i {
-		s.hand--
-	}
-	if fr.pins == 0 {
-		s.spare = fr
-	}
-}
-
 // Stats is a point-in-time snapshot of store counters.
 type Stats struct {
-	Pages         uint64 // pages allocated in the file
-	FreePages     int    // whole pages on the free list
-	PoolPages     int    // frames resident in the buffer pool
-	PoolBytes     int    // page buffers the pool holds, the spare included
-	PendingFrees  int    // refs awaiting the watermark
-	Puts          uint64
-	Frees         uint64
-	PageReads     uint64 // pool misses served from disk
-	PageWrites    uint64 // dirty writebacks
-	PoolEvictions uint64
+	Pages        uint64 // pages allocated in the file
+	FreePages    int    // whole pages on the free list
+	PendingFrees int    // refs awaiting the watermark
+	Puts         uint64
+	Frees        uint64
+	Reads        uint64 // preads serving reads (the fill page needs none)
+	ReadBytes    uint64 // bytes those preads returned
+	PageWrites   uint64 // fill pages sealed to the file
 }
 
 // Stats returns current counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	bufs := len(s.frames)
-	if s.spare != nil {
-		bufs++
-	}
 	return Stats{
-		Pages:         s.npages,
-		FreePages:     len(s.freeList),
-		PoolPages:     len(s.frames),
-		PoolBytes:     bufs * s.pageSize,
-		PendingFrees:  len(s.pending),
-		Puts:          s.puts,
-		Frees:         s.frees,
-		PageReads:     s.pageReads,
-		PageWrites:    s.pageWrites,
-		PoolEvictions: s.poolEvictions,
+		Pages:        s.npages,
+		FreePages:    len(s.freeList),
+		PendingFrees: len(s.pending),
+		Puts:         s.puts,
+		Frees:        s.frees,
+		Reads:        s.reads.Load(),
+		ReadBytes:    s.rbytes.Load(),
+		PageWrites:   s.pageWrites,
 	}
 }
 
 // Close closes and removes the cold file: its contents are meaningless
 // to any future process (volatile contract), so nothing is left behind.
+// A read after Close fails.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.f == nil {
+	if s.closed {
 		return nil
 	}
+	s.closed = true
 	err := s.f.Close()
-	s.f = nil
 	if rmErr := os.Remove(s.path); err == nil {
 		err = rmErr
 	}

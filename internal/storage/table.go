@@ -824,9 +824,13 @@ func (t *Table) SnapshotScan(seq Seq, fn func(id RowID, row types.Row) bool) boo
 			afterID = d[end-1].id
 		}
 		g.Exit()
-		for i := range buf[:n] {
-			if !fn(buf[i].id, t.resolveVersion(buf[i].pl)) {
-				return false
+		for w := 0; w < n; w += coldWindow {
+			win := buf[w:min(w+coldWindow, n)]
+			t.resolveCold(win)
+			for i := range win {
+				if !fn(win[i].id, t.resolveVersion(win[i].pl)) {
+					return false
+				}
 			}
 		}
 		if end == len(d) {
@@ -930,10 +934,15 @@ func (t *Table) SnapshotLookup(ix *Index, key types.Row, seq Seq, buf *LookupBuf
 	}
 	g.Exit()
 	done := true
-	for _, h := range hits {
-		if row := t.resolveVersion(h.pl); ix.matches(row, key) && !fn(h.id, row) {
-			done = false
-			break
+walk:
+	for w := 0; w < len(hits); w += coldWindow {
+		win := hits[w:min(w+coldWindow, len(hits))]
+		t.resolveCold(win)
+		for _, h := range win {
+			if row := t.resolveVersion(h.pl); ix.matches(row, key) && !fn(h.id, row) {
+				done = false
+				break walk
+			}
 		}
 	}
 	clear(hits) // no payload stays reachable from the buffer
@@ -975,10 +984,15 @@ func (t *Table) SnapshotRange(ix *Index, lo, hi types.Row, seq Seq, fn func(key 
 		return true
 	})
 	g.Exit()
-	for i, h := range hits {
-		key := keys[i*nk : (i+1)*nk : (i+1)*nk]
-		if row := t.resolveVersion(h.pl); ix.matches(row, key) && !fn(key, row) {
-			break
+walk:
+	for w := 0; w < len(hits); w += coldWindow {
+		win := hits[w:min(w+coldWindow, len(hits))]
+		t.resolveCold(win)
+		for i, h := range win {
+			key := keys[(w+i)*nk : (w+i+1)*nk : (w+i+1)*nk]
+			if row := t.resolveVersion(h.pl); ix.matches(row, key) && !fn(key, row) {
+				break walk
+			}
 		}
 	}
 	// Nothing a walk captured stays reachable from the pool, and one wide
@@ -1184,7 +1198,7 @@ func (t *Table) maybeGC() {
 // periodic sweeps cost mostly-read tables nothing.
 func (t *Table) GC(watermark Seq) (reclaimed, retained int) {
 	if t.deadVers.Load() == 0 {
-		return 0, t.Count()
+		return 0, t.Count() + t.StagedCount()
 	}
 	return t.gcSweep(watermark)
 }

@@ -429,6 +429,41 @@ func TestStoredRowFootprint(t *testing.T) {
 	runtime.KeepAlive(tb)
 }
 
+// TestGCRetainedCountsStagedVersions: GC's retained count is the versions
+// a sweep keeps, staged ones included, whether or not the table has dead
+// versions to sweep.
+func TestGCRetainedCountsStagedVersions(t *testing.T) {
+	tb := NewTable(votesSchema(t))
+	clock := tb.Clock()
+	var ids []RowID
+	for k := int64(1); k <= 3; k++ {
+		id, err := tb.Insert(voteRow(k, 0), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	clock.Publish()
+	for k := int64(10); k < 15; k++ {
+		if _, err := tb.StageInsert(voteRow(k, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	versions, _ := tb.VersionStats()
+	if _, retained := tb.GC(clock.Watermark()); retained != 8 || versions != 8 {
+		t.Fatalf("3 live and 5 staged rows, no dead version: GC retained %d, VersionStats %d, want 8", retained, versions)
+	}
+	pin := clock.AcquireSnapshot()
+	if err := tb.Update(ids[0], voteRow(1, 1), nil); err != nil {
+		t.Fatal(err)
+	}
+	clock.Publish()
+	if _, retained := tb.GC(clock.Watermark()); retained != 9 {
+		t.Fatalf("and one pinned dead version: GC retained %d, want 9", retained)
+	}
+	clock.ReleaseSnapshot(pin)
+}
+
 func mustInsert(t testing.TB, tb *Table, phone, cand int64) RowID {
 	t.Helper()
 	id, err := tb.Insert(types.Row{types.NewInt(phone), types.NewInt(cand), types.Null}, nil)

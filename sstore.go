@@ -107,15 +107,15 @@
 // worker evicts cold committed versions — least recently touched first,
 // via a per-tuple clock bit — into 32 KiB slotted pages at GC rhythm,
 // leaving in-memory stubs that keep their MVCC visibility stamps. Reads
-// that hit a stub fault the tuple back through a pinned clock-replacement
-// buffer pool: the serial worker rehydrates it into the version chain,
+// that hit a stub read just the tuple's bytes back, outside the cold
+// store's lock: the serial worker rehydrates it into the version chain,
 // while snapshot readers decode read-through without stalling the worker.
 // The cold store is deliberately volatile (never fsynced); recovery
 // re-derives evicted data from the checkpoint + command-log replay, so
 // durability guarantees are unchanged. Watch the cold_evictions /
-// cold_faults / cold_resident_bytes rows of Store.StatsResult — and
-// index_bytes / cold_pool_bytes, the memory the budget does not govern —
-// and see DESIGN.md §7.
+// cold_faults / cold_resident_bytes rows of Store.StatsResult — with
+// cold_read_bytes, the bytes those faults read, and index_bytes, the
+// memory the budget does not govern — and see DESIGN.md §7.
 //
 // Work that genuinely spans partitions runs through the two-phase-commit
 // coordinator: ad-hoc multi-row INSERTs spanning shards, INSERT ... SELECT,
