@@ -103,6 +103,9 @@ type partition struct {
 	// the commit daemon's last fsync; the daemon's OnSyncBatch callback
 	// drains it into the PrepareBatch histogram.
 	pendPrep atomic.Int64
+	// periodWaits counts the commit daemon's fsyncs that began under the
+	// sync period (wal_period_waits.p<i>).
+	periodWaits atomic.Int64
 	// specTail is the most recent coordinated transaction that published
 	// its writes on this partition while its durability was still settling
 	// (pipelined 2PC — see mpOutcome in txncoord.go). Commits that follow
@@ -210,15 +213,18 @@ func (p *partition) force(recs ...*pe.LogRecord) error {
 
 // openLog opens this partition's WAL segment in d for appending after
 // lastLSN, under the store's sync policy. Every group-commit fsync feeds
-// the fsync counters (the records it made durable and its duration) and
-// the PREPARE batch-size histogram. The caller makes the partition its
-// engine's commit logger (a follower's partition logs shipped frames
-// instead, until Promote).
+// the fsync counters (the records it made durable, its duration and
+// whether it waited out the sync period) and the PREPARE batch-size
+// histogram. The caller makes the partition its engine's commit logger (a
+// follower's partition logs shipped frames instead, until Promote).
 func (p *partition) openLog(d *wal.Dir, cfg *Config, path string, lastLSN uint64) (err error) {
 	p.log, err = d.OpenLog(path, lastLSN, wal.Options{
 		Policy: cfg.Sync,
-		OnSyncBatch: func(n int, took time.Duration) {
+		OnSyncBatch: func(n int, took time.Duration, waited bool) {
 			p.met.Add(metrics.WalFsyncs, 1)
+			if waited {
+				p.periodWaits.Add(1)
+			}
 			p.met.Add(metrics.WalFsyncRecords, int64(n))
 			p.met.Observe(metrics.FsyncTime, int64(took))
 			if n := p.pendPrep.Swap(0); n > 0 {
@@ -450,12 +456,14 @@ func (s *Store) PEAt(i int) *pe.Engine { return s.partList()[i].pe }
 func (s *Store) Metrics() *metrics.Metrics { return s.met }
 
 // readPerPartition fills v's per-partition metrics from the partition:
-// the index heap outside the resident-row ledger (DESIGN.md §7), the bytes
-// its cold file served to faults, the rows its access paths examined
-// and returned, its acker backlog and the executions its pause gates hold.
+// its log's fsyncs that waited out the sync period, the index heap outside
+// the resident-row ledger (DESIGN.md §7), the bytes its cold file served
+// to faults, the rows its access paths examined and returned, its acker
+// backlog and the executions its pause gates hold.
 // It reads atomics and takes short locks only, so any goroutine may call
 // it.
 func (p *partition) readPerPartition(v *metrics.Snapshot) {
+	v[metrics.WalPeriodWaits] = p.periodWaits.Load()
 	for _, name := range p.cat.Names() {
 		v[metrics.IndexBytes] += p.cat.Relation(name).Table.IndexBytes()
 	}

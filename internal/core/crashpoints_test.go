@@ -2,10 +2,14 @@ package core
 
 import (
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/crashfs"
@@ -36,27 +40,70 @@ func crashPoints(from, to int) []int {
 }
 
 // eachCrashImage builds the image of every point in every variant and
-// runs check on it; each failure is reported with its point and variant.
+// runs check on it, on the test's goroutine; each failure is reported with
+// its point and variant.
 func eachCrashImage(t *testing.T, fsys *crashfs.FS, points []int, check func(dir string, p int) error) {
 	t.Helper()
+	crashImages(t, fsys, points, 1, check)
+}
+
+// eachCrashImageConcurrently is eachCrashImage with GOMAXPROCS images
+// checked at a time, so check must report only through its error, never
+// through t.
+func eachCrashImageConcurrently(t *testing.T, fsys *crashfs.FS, points []int, check func(dir string, p int) error) {
+	t.Helper()
+	crashImages(t, fsys, points, runtime.GOMAXPROCS(0), check)
+}
+
+// crashImages checks the images of points on the test's goroutine and
+// workers-1 more, each taking the next point not yet taken, and gives up
+// after 20 failed images.
+func crashImages(t *testing.T, fsys *crashfs.FS, points []int, workers int, check func(dir string, p int) error) {
+	t.Helper()
+	const maxFailures = 20
 	base := t.TempDir()
-	failed := 0
-	for _, p := range points {
-		for _, v := range crashfs.Variants {
-			img := filepath.Join(base, fmt.Sprintf("%d-%s", p, v))
-			if err := fsys.Image(img, p, v); err != nil {
-				t.Fatal(err)
-			}
-			if err := check(img, p); err != nil {
-				t.Errorf("crash at %s, %s image: %v", fsys.Describe(p), v, err)
-				if failed++; failed == 20 {
-					t.Fatal("giving up after 20 failed images")
+	var (
+		mu       sync.Mutex
+		failures []string
+		next     atomic.Int64
+	)
+	gaveUp := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(failures) >= maxFailures
+	}
+	work := func() {
+		for i := next.Add(1) - 1; i < int64(len(points)) && !gaveUp(); i = next.Add(1) - 1 {
+			p := points[i]
+			for _, v := range crashfs.Variants {
+				img := filepath.Join(base, fmt.Sprintf("%d-%s", p, v))
+				err := fsys.Image(img, p, v)
+				if err == nil {
+					err = check(img, p)
+				}
+				if err = errors.Join(err, os.RemoveAll(img)); err != nil {
+					mu.Lock()
+					failures = append(failures, fmt.Sprintf("crash at %s, %s image: %v", fsys.Describe(p), v, err))
+					mu.Unlock()
 				}
 			}
-			if err := os.RemoveAll(img); err != nil {
-				t.Fatal(err)
-			}
 		}
+	}
+	var wg sync.WaitGroup
+	for range workers - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for _, f := range failures {
+		t.Error(f)
+	}
+	if len(failures) >= maxFailures {
+		t.Fatalf("giving up after %d failed images", maxFailures)
 	}
 }
 

@@ -26,12 +26,21 @@ func gcTestConfig(dir string, parts int) Config {
 // are commits nobody waits on.
 func buildKV(t *testing.T, cfg Config) *Store {
 	t.Helper()
+	st, err := kvStore(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// kvStore is buildKV for a goroutine that must not call t.Fatal.
+func kvStore(cfg Config) (*Store, error) {
 	st := Open(cfg)
 	if err := st.ExecScript(`
 		CREATE TABLE kv (k BIGINT PRIMARY KEY, v BIGINT) PARTITION BY k;
 		CREATE STREAM feed (k BIGINT, v BIGINT) PARTITION BY k;
 	`); err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	if err := st.RegisterProcedure(&pe.Procedure{
 		Name:     "absorb",
@@ -45,10 +54,10 @@ func buildKV(t *testing.T, cfg Config) *Store {
 			return nil
 		},
 	}); err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	if err := st.Deploy(&Dataflow{Name: "feed", Nodes: []DataflowNode{{Proc: "absorb", Input: "feed", Batch: 1}}}); err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	if err := st.RegisterProcedure(&pe.Procedure{
 		Name:           "put",
@@ -59,9 +68,9 @@ func buildKV(t *testing.T, cfg Config) *Store {
 			return err
 		},
 	}); err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	return st
+	return st, nil
 }
 
 // recoveredKeys recovers a store from dir and returns the set of kv keys.

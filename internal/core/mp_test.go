@@ -195,53 +195,67 @@ func mpPutPair(st *Store, k int64) error {
 }
 
 // TestMPCrashCopyNeverPartial runs coordinated pair-writes under group
-// commit, snapshots the durability directory mid-flight (the crash), and
-// requires recovery to hold every acknowledged pair completely and no pair
-// partially — the 2PC atomicity contract across the whole crash window
-// (before prepare, between prepare and decide, after decide).
+// commit, wave 1 one after another and wave 2 all in flight together, and
+// crashes the history at every point from the end of wave 1 to its end, in
+// every variant: recovery must hold every pair acked by the crash whole and
+// no pair partially — the 2PC atomicity contract across the whole crash
+// window (before prepare, between prepare and decide, after decide).
 func TestMPCrashCopyNeverPartial(t *testing.T) {
 	const parts = 3
 	const pairs = 120
-	dir, crashDir := t.TempDir(), t.TempDir()
-	st := buildKV(t, gcTestConfig(dir, parts))
-	if err := st.Start(); err != nil {
-		t.Fatal(err)
-	}
+	cfg := gcTestConfig(t.TempDir(), parts)
+	st := buildKV(t, cfg)
+	fsys := recordStore(t, st)
+	must(t, st.Start())
 
-	// Wave 1 is acked before the crash point: its pairs are durable by
-	// contract. Wave 2 is mid-flight while the copy is taken.
+	var mu sync.Mutex
+	acked := make(map[int64]int, 2*pairs) // pair → the point its ack followed
 	for k := int64(pairBase); k < pairBase+pairs; k++ {
-		if err := mpPutPair(st, k); err != nil {
-			t.Fatal(err)
-		}
+		must(t, mpPutPair(st, k))
+		acked[k] = fsys.Len()
 	}
+	wave1 := fsys.Len()
 	var wg sync.WaitGroup
 	for k := int64(pairBase + pairs); k < pairBase+2*pairs; k++ {
 		wg.Add(1)
 		go func(k int64) {
 			defer wg.Done()
-			_ = mpPutPair(st, k) // may or may not survive the crash
+			if mpPutPair(st, k) == nil {
+				at := fsys.Len()
+				mu.Lock()
+				acked[k] = at
+				mu.Unlock()
+			}
 		}(k)
 	}
-	copyDurableState(t, dir, crashDir, parts)
 	wg.Wait()
-	if err := st.Stop(); err != nil {
-		t.Fatal(err)
-	}
+	must(t, st.Stop())
 
-	got := recoveredKeys(t, crashDir, parts)
-	for k := int64(pairBase); k < pairBase+pairs; k++ {
-		if !got[k] || !got[k+pairOffset] {
-			t.Fatalf("acked pair %d incomplete after crash recovery (k=%v, k'=%v)",
-				k, got[k], got[k+pairOffset])
+	t.Logf("%d crash points from the end of wave 1 (%d)", fsys.Len()-wave1+1, wave1)
+	eachCrashImageConcurrently(t, fsys, crashPoints(wave1, fsys.Len()), func(img string, p int) error {
+		cfg := cfg
+		cfg.Dir = img
+		re, err := kvStore(cfg)
+		if err != nil {
+			return err
 		}
-	}
-	for k := int64(pairBase); k < pairBase+2*pairs; k++ {
-		if got[k] != got[k+pairOffset] {
-			t.Fatalf("pair %d recovered partially: k=%v k'=%v — 2PC atomicity violated",
-				k, got[k], got[k+pairOffset])
+		if err := re.Recover(); err != nil {
+			return err
 		}
-	}
+		defer re.Stop()
+		got := kvRows(re)
+		for k := int64(pairBase); k < pairBase+2*pairs; k++ {
+			_, a := got[k]
+			_, b := got[k+pairOffset]
+			if at, ok := acked[k]; ok && at <= p && !(a && b) {
+				return fmt.Errorf("pair %d, acked at point %d, incomplete (k=%v, k'=%v)", k, at, a, b)
+			}
+			if a != b {
+				return fmt.Errorf("pair %d recovered partially: k=%v k'=%v — 2PC atomicity violated", k, a, b)
+			}
+		}
+		return nil
+	})
 }
 
 // TestMPRaceHammer runs coordinated transactions, single-partition calls,

@@ -33,6 +33,9 @@ log_bytes int
 wal_fsyncs int
 wal_fsync_records int
 wal_unwaited_records int
+wal_period_waits int
+wal_period_waits.p0 int
+wal_period_waits.p1 int
 wal_fsync_p50 dur
 wal_fsync_p99 dur
 mp_txns int
@@ -204,6 +207,60 @@ func TestAckBacklogGauge(t *testing.T) {
 	if got := statsRow(t, st, "ack_backlog.p0"); got != "0" {
 		t.Fatalf("ack_backlog.p0 = %s after the barrier, want 0", got)
 	}
+}
+
+// TestWalPeriodWaitsRow: on a 1-partition durable store, sequential calls
+// never batch, so wal_period_waits stays 0. With the log's fsync held, two
+// calls queue behind it and the next fsync covers both: the log is
+// batching, and the call after them raises the row by exactly 1.
+func TestWalPeriodWaitsRow(t *testing.T) {
+	dir := t.TempDir()
+	st := buildKV(t, gcTestConfig(dir, 1))
+	fsys := recordStore(t, st)
+	must(t, st.Start())
+	defer st.Stop()
+	put := func(k int64) <-chan pe.CallResult {
+		return st.CallAsync("put", types.NewInt(k), types.NewInt(1))
+	}
+	acked := func(c <-chan pe.CallResult) {
+		t.Helper()
+		if cr := <-c; cr.Err != nil {
+			t.Fatal(cr.Err)
+		}
+	}
+	rows := func(want string) {
+		t.Helper()
+		for _, name := range []string{"wal_period_waits", "wal_period_waits.p0"} {
+			if got := statsRow(t, st, name); got != want {
+				t.Fatalf("%s = %s, want %s", name, got, want)
+			}
+		}
+	}
+	for k := range int64(10) {
+		acked(put(k))
+	}
+	rows("0")
+
+	logPath, _ := wal.PartitionPaths(dir, 0)
+	syncs := fsys.Syncs(logPath)
+	release := syncs.Hold()
+	began := syncs.Count()
+	first := put(10)
+	for deadline := time.Now().Add(10 * time.Second); syncs.Count() == began; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the held call's fsync never began")
+		}
+	}
+	behind := []<-chan pe.CallResult{put(11), put(12)}
+	waitStatsRow(t, st, "ack_backlog.p0", "3") // both appended behind the held fsync
+	release()
+	acked(first)
+	for _, c := range behind {
+		acked(c)
+	}
+	acked(put(13)) // behind a two-record fsync: waits out the period
+	acked(put(14)) // its fsync reported before this one began
+	rows("1")
 }
 
 // TestDeferredExecutionsGauge: a pause that catches a chain between its

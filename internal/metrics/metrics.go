@@ -46,11 +46,14 @@ const (
 	// fsyncs, the records they made durable, and the appends nobody waited
 	// on (border and triggered batches, and the records of a force, which
 	// its one SyncNow makes durable), which start no fsync of their own;
+	// per partition, the fsyncs that waited out the sync period because the
+	// log was batching (its fsync before covered more than one record);
 	// then how long those fsyncs took, which is what a durable commit waits
 	// for beyond its turn on the disk.
 	WalFsyncs
 	WalFsyncRecords
 	WalUnwaitedRecords
+	WalPeriodWaits
 	WalFsyncP50
 	WalFsyncP99
 	// Coordinated multi-partition transactions: commit decisions,
@@ -205,6 +208,7 @@ var defs = [numMetrics]def{
 	WalFsyncs:           {name: "wal_fsyncs"},
 	WalFsyncRecords:     {name: "wal_fsync_records"},
 	WalUnwaitedRecords:  {name: "wal_unwaited_records"},
+	WalPeriodWaits:      {name: "wal_period_waits", perPartition: true},
 	WalFsyncP50:         {name: "wal_fsync_p50", kind: Quantile, hist: FsyncTime, q: 0.50},
 	WalFsyncP99:         {name: "wal_fsync_p99", kind: Quantile, hist: FsyncTime, q: 0.99},
 	MPTxns:              {name: "mp_txns"},

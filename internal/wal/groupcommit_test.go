@@ -92,7 +92,7 @@ func openGroup(t *testing.T) (*wal.Log, *crashfs.Syncs, <-chan int, string) {
 	batches := make(chan int, 64)
 	l, err := d.OpenLog(path, 0, wal.Options{
 		Policy:      wal.SyncGroupCommit,
-		OnSyncBatch: func(n int, _ time.Duration) { batches <- n },
+		OnSyncBatch: func(n int, _ time.Duration, _ bool) { batches <- n },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -199,37 +199,80 @@ func TestGroupCommitBatchesBehindInFlightFsync(t *testing.T) {
 	}
 }
 
-// A log fsyncs at most once per wal.SyncPeriod: a waiter on a quiet log is
-// synced at once, one that arrives inside the period waits it out, and
-// everything appended during the wait rides that one fsync.
-func TestGroupCommitOneFsyncPerPeriod(t *testing.T) {
-	l, h, batches, _ := openGroup(t)
+// A closed loop never batches: each waited append is acked before the next
+// is made, so every fsync covers one record and the next waiter's fsync
+// starts as soon as the disk is free, with no period waited out.
+func TestGroupCommitClosedLoopWaitsNoPeriod(t *testing.T) {
+	l, h, _, _ := openGroup(t)
 	defer l.Close()
-	start := time.Now()
-	awaitAck(t, mustAsync(t, l, "quiet log"))
-	awaitBatch(t, batches, 1)
-	second := mustAsync(t, l, "inside the period")
-	if _, err := l.AppendUnwaited([]byte("rider")); err != nil {
-		t.Fatal(err)
+	const n = 20
+	for i := 0; i < n; i++ {
+		awaitAck(t, mustAsync(t, l, "waited"))
 	}
-	third := mustAsync(t, l, "inside the period too")
-	awaitAck(t, second)
-	awaitAck(t, third)
-	// Two fsyncs, unless this goroutine lost the CPU for a whole period
-	// between its appends; however many there were, they began a period apart.
-	d, n := time.Since(start), h.Count()
-	if n < 2 || d < time.Duration(n-1)*wal.SyncPeriod {
-		t.Fatalf("%d fsyncs of one log began within %v; the period is %v", n, d, wal.SyncPeriod)
+	if got := h.Count(); got != n {
+		t.Fatalf("%d sequential waited appends took %d fsyncs", n, got)
 	}
-	if n == 2 {
-		awaitBatch(t, batches, 3)
+	if got := wal.PeriodWaits(l); got != 0 {
+		t.Fatalf("a closed loop of %d waited appends waited out the period %d times", n, got)
 	}
 }
 
-// A waiter on a busy log waits out the sync period, not the staleness
-// bound: sequential waited appends, each awaiting its ack before the next,
-// take one fsync apiece, every one started by its waiter and none by the
-// staleness timer, and the period is the shorter wait.
+// A log whose last fsync covered more than one record is batching: its next
+// waiter waits out the sync period, exactly once, and a record appended
+// while the daemon waits (for the period, then for the disk) rides the
+// same fsync.
+func TestGroupCommitBatchingLogWaitsPeriod(t *testing.T) {
+	d, fsys, dir := recorded(t)
+	path := filepath.Join(dir, "x.log")
+	batches := make(chan int, 64)
+	l, err := d.OpenLog(path, 0, wal.Options{
+		Policy:      wal.SyncGroupCommit,
+		OnSyncBatch: func(n int, _ time.Duration, _ bool) { batches <- n },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	h := fsys.Syncs(path)
+	release := h.Hold()
+	first := mustAsync(t, l, "first")
+	awaitEntered(t, h)
+	behind := []<-chan error{mustAsync(t, l, "behind"), mustAsync(t, l, "behind")}
+	start := time.Now() // before the fsync of the two behind the first began
+	release()
+	awaitAck(t, first)
+	awaitBatch(t, batches, 1)
+	for _, ack := range behind {
+		awaitAck(t, ack)
+	}
+	awaitBatch(t, batches, 2)
+	if got := wal.PeriodWaits(l); got != 0 {
+		t.Fatalf("%d period waits before the log batched", got)
+	}
+
+	releaseDisk := wal.HoldDisk(d)
+	waiter := mustAsync(t, l, "waiter")
+	if _, err := l.AppendUnwaited([]byte("rider")); err != nil {
+		t.Fatal(err)
+	}
+	releaseDisk()
+	awaitAck(t, waiter)
+	awaitBatch(t, batches, 2)
+	if got := wal.PeriodWaits(l); got != 1 {
+		t.Fatalf("the waiter behind a two-record fsync waited out the period %d times, want 1", got)
+	}
+	if got := h.Count(); got != 3 {
+		t.Fatalf("%d fsyncs, want 3 (first, the two behind it, waiter+rider)", got)
+	}
+	if d := time.Since(start); d < wal.SyncPeriod {
+		t.Fatalf("the fsync after a two-record fsync began %v after it, inside the %v period", d, wal.SyncPeriod)
+	}
+}
+
+// A waiter never waits for the staleness bound: sequential waited appends,
+// each awaiting its ack before the next, take one fsync apiece, every one
+// started by its waiter and none by the staleness timer, and the period,
+// the longest a waiter on a batching log waits, is the shorter wait.
 func TestGroupCommitWaiterWaitsPeriodNotBound(t *testing.T) {
 	if wal.SyncPeriod >= wal.StalenessBound {
 		t.Fatalf("sync period %v is not shorter than the staleness bound %v", wal.SyncPeriod, wal.StalenessBound)
@@ -317,7 +360,7 @@ func TestLogsOfOneDirectoryShareTheDisk(t *testing.T) {
 		path := filepath.Join(dir, name)
 		l, err := d.OpenLog(path, 0, wal.Options{
 			Policy:      wal.SyncGroupCommit,
-			OnSyncBatch: func(n int, _ time.Duration) { batches <- n },
+			OnSyncBatch: func(n int, _ time.Duration, _ bool) { batches <- n },
 		})
 		if err != nil {
 			t.Fatal(err)

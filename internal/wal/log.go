@@ -32,10 +32,10 @@ const (
 	SyncEveryRecord
 	// SyncGroupCommit batches fsyncs on demand: an append that somebody
 	// waits on returns a commit future and starts an fsync as soon as the
-	// directory's disk is free on a log that has been quiet for a sync
-	// period; a busy log fsyncs once per syncPeriod, each fsync covering
-	// everything appended since the previous one began. There is nothing
-	// to tune.
+	// directory's disk is free, unless the log is batching (its last fsync
+	// covered more than one record): then it fsyncs once per syncPeriod,
+	// each fsync covering everything appended since the previous one
+	// began. There is nothing to tune.
 	SyncGroupCommit
 )
 
@@ -45,11 +45,13 @@ const (
 // primary's segment lags by. A waiter never waits for it.
 const stalenessBound = 2 * time.Millisecond
 
-// syncPeriod is a busy log's fsync period, the shortest interval between
-// the starts of two of its fsyncs: a waiter that finds the log inside it
-// waits out the rest with whatever else arrives. Uncapped, a closed loop of
-// small commits fsyncs back to back and its rate follows the host's speed
-// of the minute (DESIGN.md §1.4).
+// syncPeriod is a batching log's fsync period: after an fsync that covered
+// more than one record, the next begins no sooner than syncPeriod after it
+// did, and its waiter waits out the rest with whatever else arrives. After
+// an fsync that covered one record or none nobody arrived while it ran, so
+// waiting would collect nobody and the next waiter's fsync starts as soon
+// as the disk is free. Uncapped, a busy log fsyncs back to back and its
+// rate follows the host's speed of the minute (DESIGN.md §1.4).
 const syncPeriod = 500 * time.Microsecond
 
 // DefaultGroupCommitMaxBatch is read only by the benchmark ladder, as the
@@ -63,10 +65,12 @@ type Options struct {
 	Policy SyncPolicy
 	// OnSyncBatch, when non-nil, is called by the commit daemon after each
 	// successful fsync with the number of records it made durable (never
-	// zero) and how long the fsync took — the observable batching behind
-	// the wal_fsync* rows and the 2PC force histograms. Called from the
-	// daemon goroutine; keep it cheap and non-blocking.
-	OnSyncBatch func(n int, took time.Duration)
+	// zero), how long the fsync took and whether it began under the sync
+	// period (the log was batching, so the daemon first waited out what was
+	// left of the period) — the observable batching behind the wal_fsync*
+	// and wal_period_waits rows and the 2PC force histograms. Called from
+	// the daemon goroutine; keep it cheap and non-blocking.
+	OnSyncBatch func(n int, took time.Duration, waited bool)
 }
 
 // commitState is the group-commit daemon's state (guarded by Log.mu).
@@ -80,8 +84,8 @@ const (
 	// timer runs and nothing else will wake the daemon.
 	armed
 	// syncing: a waiter appeared or the bound expired. The daemon fsyncs,
-	// one period after another, until an fsync returns with no waiter left
-	// behind.
+	// a period apart while the log is batching, until an fsync returns with
+	// no waiter left behind.
 	syncing
 )
 
@@ -124,14 +128,16 @@ type Log struct {
 	wake     chan struct{} // one token per transition into syncing
 	bound    *time.Timer   // staleness timer, running only while armed
 	lastSync time.Time     // when the daemon last took the disk (daemon only)
+	batching bool          // its fsync then covered more than one record (daemon only)
 	quit     chan struct{}
 	done     chan struct{}
 	stop     sync.Once
 	wakeups  atomic.Int64 // times the daemon came off its select (tests)
 	bounded  atomic.Int64 // times the staleness bound woke it (tests)
+	periods  atomic.Int64 // fsyncs it began by waiting out the period (tests)
 
 	// onSyncBatch is Options.OnSyncBatch (nil when unset).
-	onSyncBatch func(n int, took time.Duration)
+	onSyncBatch func(n int, took time.Duration, waited bool)
 }
 
 // newLog wraps the segment file f at path in d (Dir.OpenLog), size bytes
@@ -364,17 +370,21 @@ func (l *Log) daemon() {
 	}
 }
 
-// syncBatch waits out the log's period and then for the disk, flushes
-// buffered frames, fsyncs once, resolves every future the fsync covered and
-// picks the next state, reporting whether another fsync must follow. The
-// batch is cut only once the disk is free, so it holds everything that
-// arrived during the wait and while another log of the directory was
-// syncing; the fsync runs outside the lock so the appender keeps buffering
-// while the disk works, and a record buffered mid-fsync is covered by the
-// next one. (The bound's expiry never waits here: the bound is longer than
-// the period.)
+// syncBatch waits out the log's period if it is batching, then waits for
+// the disk, flushes buffered frames, fsyncs once, resolves every future
+// the fsync covered and picks the next state, reporting whether another
+// fsync must follow. The batch is cut only once the disk is free, so it
+// holds everything that arrived during the waits and while another log of
+// the directory was syncing; the fsync runs outside the lock so the
+// appender keeps buffering while the disk works, and a record buffered
+// mid-fsync is covered by the next one. (The bound's expiry never waits
+// here: the bound is longer than the period.)
 func (l *Log) syncBatch() bool {
-	time.Sleep(time.Until(l.lastSync.Add(syncPeriod))) // nothing to wait for on a quiet log
+	waited := l.batching
+	if waited {
+		l.periods.Add(1)
+		time.Sleep(time.Until(l.lastSync.Add(syncPeriod)))
+	}
 	l.dir.disk <- struct{}{}
 	l.lastSync = time.Now()
 	l.mu.Lock()
@@ -383,6 +393,7 @@ func (l *Log) syncBatch() bool {
 	batch, n := l.pending, l.unsynced
 	l.pending, l.unsynced = nil, 0
 	l.mu.Unlock()
+	l.batching = n > 1
 	start := time.Now()
 	if err == nil && (n > 0 || len(batch) > 0) {
 		err = l.fsync()
@@ -393,7 +404,7 @@ func (l *Log) syncBatch() bool {
 		ch <- err
 	}
 	if err == nil && n > 0 && l.onSyncBatch != nil {
-		l.onSyncBatch(n, took)
+		l.onSyncBatch(n, took, waited)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
