@@ -323,6 +323,11 @@ type Store struct {
 	// failed is closed when it is.
 	failure atomic.Pointer[error]
 	failed  chan struct{}
+	// pins holds the live session pins (PinSnapshot to Release), so stats
+	// can show the oldest one's age; a per-statement read's cut is not in
+	// it.
+	pinMu sync.Mutex
+	pins  map[*SnapshotPin]struct{}
 }
 
 // Open creates a Store. Durability files are opened lazily by Recover /
@@ -333,7 +338,7 @@ func Open(cfg Config) *Store {
 		n = 1
 	}
 	cfg.Partitions = n
-	s := &Store{cfg: cfg, met: &metrics.Metrics{}, failed: make(chan struct{})}
+	s := &Store{cfg: cfg, met: &metrics.Metrics{}, failed: make(chan struct{}), pins: map[*SnapshotPin]struct{}{}}
 	if cfg.Dir != "" {
 		s.dir = wal.NewDir(cfg.Dir, wal.OS)
 	}
@@ -459,7 +464,8 @@ func (s *Store) Metrics() *metrics.Metrics { return s.met }
 // its log's fsyncs that waited out the sync period, the index heap outside
 // the resident-row ledger (DESIGN.md §7), the bytes its cold file served
 // to faults, the rows its access paths examined and returned, its acker
-// backlog and the executions its pause gates hold.
+// backlog, the executions its pause gates hold and how far its GC
+// watermark trails its clock.
 // It reads atomics and takes short locks only, so any goroutine may call
 // it.
 func (p *partition) readPerPartition(v *metrics.Snapshot) {
@@ -473,6 +479,9 @@ func (p *partition) readPerPartition(v *metrics.Snapshot) {
 	v[metrics.RowsExamined], v[metrics.RowsReturned] = p.ee.RowCounts()
 	v[metrics.AckBacklog] = int64(p.pe.AckBacklog())
 	v[metrics.DeferredExecutions] = int64(p.pe.DeferredExecutions())
+	clock := p.cat.Clock()
+	wm := clock.Watermark() // before Current, which can only have grown since
+	v[metrics.GCWatermarkLag] = int64(clock.Current() - wm)
 }
 
 // StatsResult renders a metrics snapshot as metric/value rows — the body of
@@ -485,8 +494,10 @@ func (s *Store) StatsResult() *pe.Result {
 	for i, p := range parts {
 		p.readPerPartition(&per[i])
 	}
+	snap := s.met.Snapshot()
+	snap[metrics.OldestPinAgeMs] = s.oldestPinAge().Milliseconds()
 	res := &pe.Result{Columns: []string{"metric", "value"}}
-	metrics.Rows(s.met.Snapshot(), per, func(name, val string) {
+	metrics.Rows(snap, per, func(name, val string) {
 		res.Rows = append(res.Rows, types.Row{types.NewString(name), types.NewString(val)})
 	})
 	res.RowsAffected = len(res.Rows)

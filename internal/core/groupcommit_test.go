@@ -1,8 +1,8 @@
 package core
 
 import (
+	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"testing"
 	"time"
@@ -76,118 +76,119 @@ func kvStore(cfg Config) (*Store, error) {
 // recoveredKeys recovers a store from dir and returns the set of kv keys.
 func recoveredKeys(t *testing.T, dir string, parts int) map[int64]bool {
 	t.Helper()
-	st := buildKV(t, gcTestConfig(dir, parts))
-	if err := st.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer st.Stop()
-	res, err := st.Query("SELECT k FROM kv")
+	keys, err := recoverKeys(dir, parts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return keys
+}
+
+// recoverKeys is recoveredKeys for a goroutine that must not call t.Fatal.
+func recoverKeys(dir string, parts int) (map[int64]bool, error) {
+	st, err := kvStore(gcTestConfig(dir, parts))
+	if err != nil {
+		return nil, err
+	}
+	if err := st.Start(); err != nil {
+		return nil, err
+	}
+	res, err := st.Query("SELECT k FROM kv")
+	if err = errors.Join(err, st.Stop()); err != nil {
+		return nil, err
 	}
 	keys := make(map[int64]bool, len(res.Rows))
 	for _, r := range res.Rows {
 		keys[r[0].Int()] = true
 	}
-	return keys
-}
-
-// copyDurableState snapshots the durability directory's current on-disk
-// bytes into dst, mid-write races and all — exactly what a crash preserves.
-// Reading while the engine appends may capture a torn final frame, which is
-// the torn-tail case recovery must drop.
-func copyDurableState(t *testing.T, src, dst string, parts int) {
-	t.Helper()
-	for i := 0; i < parts; i++ {
-		logPath, _ := wal.PartitionPaths(src, i)
-		dstLog, _ := wal.PartitionPaths(dst, i)
-		data, err := os.ReadFile(logPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(dstLog, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stamp, err := os.ReadFile(src + "/PARTITIONS")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(dst+"/PARTITIONS", stamp, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	return keys, nil
 }
 
 // TestGroupCommitAckedSubsetRecovered is the command-log contract under
-// group commit: every transaction acknowledged to a client before the
-// crash point must be recovered (acked ⊆ recovered), while unacked work
-// may be silently dropped (torn-tail rule). An ack also proves everything
-// logged before it on the same partition: border batches take no future
-// and start no fsync, yet every one that committed ahead of an acked call
-// must be recovered with it. The "crash" is a byte-level copy of the log
-// segments taken while the second wave of calls is still in flight.
+// group commit: every transaction acknowledged to a client by the crash
+// point must be recovered (acked ⊆ recovered), while unacked work may be
+// silently dropped (torn-tail rule). An ack also proves everything logged
+// before it on the same partition: border batches take no future and
+// start no fsync, yet every one that committed ahead of an acked call
+// must be recovered with it. The history is crashed at every point, in
+// every variant.
 func TestGroupCommitAckedSubsetRecovered(t *testing.T) {
 	const parts = 2
 	const wave = 200
 	const fed = 60 // keys fedBase.., one un-waited border batch each
 	const fedBase = 1_000_000
-	dir, crashDir := t.TempDir(), t.TempDir()
-	st := buildKV(t, gcTestConfig(dir, parts))
-	if err := st.Start(); err != nil {
-		t.Fatal(err)
-	}
+	st := buildKV(t, gcTestConfig(t.TempDir(), parts))
+	fsys := recordStore(t, st)
+	must(t, st.Start())
 
-	// Wave 0: border batches, queued on both partitions ahead of wave 1.
-	// Nothing acknowledges them; wave 1's acks are their only witness.
-	acked := make(map[int64]bool, wave+fed)
+	// Wave 0: border batches, queued on both partitions ahead of every
+	// put. Nothing acknowledges them; the puts' acks are their only
+	// witness.
 	for k := int64(fedBase); k < fedBase+fed; k++ {
-		if err := st.Ingest("feed", types.Row{types.NewInt(k), types.NewInt(k)}); err != nil {
-			t.Fatal(err)
-		}
-		acked[k] = true
+		must(t, st.Ingest("feed", types.Row{types.NewInt(k), types.NewInt(k)}))
 	}
 
-	// Wave 1: fire and wait for every acknowledgement. These are durable by
-	// contract the moment the ack arrives.
-	var pending []<-chan pe.CallResult
-	for k := int64(0); k < wave; k++ {
-		pending = append(pending, st.CallAsync("put", types.NewInt(k), types.NewInt(k*10)))
-	}
-	for k, ch := range pending {
-		if cr := <-ch; cr.Err != nil {
-			t.Fatalf("wave-1 put %d: %v", k, cr.Err)
+	// Waves 1 and 2: all of a wave's puts in flight together, the second
+	// wave after every ack of the first. A put counts as acked from the
+	// point its ack followed.
+	acked := make(map[int64]int, 2*wave+fed) // key → the point its ack followed
+	var mu sync.Mutex
+	putWave := func(from, to int64) {
+		var wg sync.WaitGroup
+		for k := from; k < to; k++ {
+			ch := st.CallAsync("put", types.NewInt(k), types.NewInt(k*10))
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if cr := <-ch; cr.Err == nil {
+					at := fsys.Len()
+					mu.Lock()
+					acked[k] = at
+					mu.Unlock()
+				}
+			}()
 		}
-		acked[int64(k)] = true
+		wg.Wait()
 	}
-
-	// Wave 2: in flight while the "crash" snapshot is taken. None of these
-	// are in the acked set; any prefix of them may survive.
-	var wave2 []<-chan pe.CallResult
-	for k := int64(wave); k < 2*wave; k++ {
-		wave2 = append(wave2, st.CallAsync("put", types.NewInt(k), types.NewInt(k*10)))
+	putWave(0, wave)
+	if len(acked) != wave {
+		t.Fatalf("%d of the %d wave-1 puts were acked", len(acked), wave)
 	}
-	copyDurableState(t, dir, crashDir, parts)
-	for _, ch := range wave2 {
-		<-ch // let the engine finish cleanly; the copy is already taken
-	}
+	putWave(wave, 2*wave)
 	if n := st.Metrics().Snapshot()[metrics.WalUnwaitedRecords]; n != fed {
 		t.Fatalf("%d of the %d border batches were logged un-waited", n, fed)
 	}
-	if err := st.Stop(); err != nil {
-		t.Fatal(err)
+	must(t, st.Stop())
+	// A border batch is acked by the first ack on its partition.
+	firstAck := make([]int, parts)
+	for i := range firstAck {
+		firstAck[i] = fsys.Len() + 1
+	}
+	for k, at := range acked {
+		i := st.partitionFor(types.NewInt(k))
+		firstAck[i] = min(firstAck[i], at)
+	}
+	for k := int64(fedBase); k < fedBase+fed; k++ {
+		acked[k] = firstAck[st.partitionFor(types.NewInt(k))]
 	}
 
-	got := recoveredKeys(t, crashDir, parts)
-	for k := range acked {
-		if !got[k] {
-			t.Fatalf("key %d was acked before the crash but not recovered (acked ⊄ recovered)", k)
+	t.Logf("%d crash points", fsys.Len()+1)
+	eachCrashImageConcurrently(t, fsys, crashPoints(0, fsys.Len()), func(img string, p int) error {
+		got, err := recoverKeys(img, parts)
+		if err != nil {
+			return err
 		}
-	}
-	for k := range got {
-		if (k < 0 || k >= 2*wave) && !acked[k] {
-			t.Fatalf("recovered key %d was never written", k)
+		for k, at := range acked {
+			if at <= p && !got[k] {
+				return fmt.Errorf("key %d, acked at point %d, not recovered (acked ⊄ recovered)", k, at)
+			}
 		}
-	}
+		for k := range got {
+			if (k < 0 || k >= 2*wave) && (k < fedBase || k >= fedBase+fed) {
+				return fmt.Errorf("recovered key %d was never written", k)
+			}
+		}
+		return nil
+	})
 }
 
 // TestCheckpointBarrierHardensUnwaitedRecords: the checkpoint barrier
@@ -252,42 +253,41 @@ func TestCheckpointBarrierHardensUnwaitedRecords(t *testing.T) {
 	}
 }
 
-// TestGroupCommitTornTailDropped chops bytes off a mid-run log copy and
-// verifies recovery still succeeds, dropping only the torn suffix.
+// TestGroupCommitTornTailDropped crashes a run of acked puts at every
+// point, in every variant (Torn cuts the last unsynced frame mid-write),
+// and verifies recovery still succeeds with a prefix of the puts, no
+// holes, covering every put acked by the crash.
 func TestGroupCommitTornTailDropped(t *testing.T) {
-	dir, crashDir := t.TempDir(), t.TempDir()
-	st := buildKV(t, gcTestConfig(dir, 1))
-	if err := st.Start(); err != nil {
-		t.Fatal(err)
+	const puts = 50
+	st := buildKV(t, gcTestConfig(t.TempDir(), 1))
+	fsys := recordStore(t, st)
+	must(t, st.Start())
+	var acked [puts]int // put k's ack followed point acked[k]
+	for k := range int64(puts) {
+		_, err := st.Call("put", types.NewInt(k), types.NewInt(k))
+		must(t, err)
+		acked[k] = fsys.Len()
 	}
-	for k := int64(0); k < 50; k++ {
-		if _, err := st.Call("put", types.NewInt(k), types.NewInt(k)); err != nil {
-			t.Fatal(err)
+	must(t, st.Stop())
+
+	eachCrashImageConcurrently(t, fsys, crashPoints(0, fsys.Len()), func(img string, p int) error {
+		got, err := recoverKeys(img, 1)
+		if err != nil {
+			return err
 		}
-	}
-	copyDurableState(t, dir, crashDir, 1)
-	if err := st.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	// Tear the copied log mid-frame.
-	logPath, _ := wal.Paths(crashDir)
-	data, err := os.ReadFile(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(logPath, data[:len(data)-7], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got := recoveredKeys(t, crashDir, 1)
-	if len(got) == 0 || len(got) >= 50 {
-		t.Fatalf("torn-tail recovery kept %d of 50 records; want a proper prefix", len(got))
-	}
-	// The survivors must be exactly the keys 0..n-1 (log order), no holes.
-	for k := int64(0); k < int64(len(got)); k++ {
-		if !got[k] {
-			t.Fatalf("recovered set has a hole at key %d: %v", k, got)
+		// The survivors must be exactly the keys 0..n-1 (log order).
+		for k := range int64(len(got)) {
+			if !got[k] {
+				return fmt.Errorf("recovered %d keys with a hole at key %d", len(got), k)
+			}
 		}
-	}
+		for k, at := range acked {
+			if at <= p && k >= len(got) {
+				return fmt.Errorf("put %d, acked at point %d, not recovered (%d keys)", k, at, len(got))
+			}
+		}
+		return nil
+	})
 }
 
 // TestGroupCommitCheckpointUnderLoad hammers CallAsync across partitions

@@ -327,43 +327,52 @@ func TestMPCommitWritesNoCoordRecord(t *testing.T) {
 	}
 }
 
-// TestMPOnePhaseCommitRecovered crashes right after a one-phase commit is
-// acknowledged. There is no coordinator decision record for it — the
-// writing leg's ack-gated DECIDE marker in its own partition log IS the
-// commit record — so recovery's participant-marker pre-scan must find it
-// and complete the leg.
+// TestMPOnePhaseCommitRecovered crashes a run of one-phase commits at
+// every point, in every variant. There is no coordinator decision record
+// for them — the writing leg's ack-gated DECIDE marker in its own
+// partition log IS the commit record — so recovery's participant-marker
+// pre-scan must find it and complete the leg once the commit is acked,
+// and nothing else is recovered.
 func TestMPOnePhaseCommitRecovered(t *testing.T) {
 	const parts = 2
-	dir, crashDir := t.TempDir(), t.TempDir()
-	st := buildKV(t, gcTestConfig(dir, parts))
-	if err := st.Start(); err != nil {
-		t.Fatal(err)
+	const txns = 4
+	st := buildKV(t, gcTestConfig(t.TempDir(), parts))
+	fsys := recordStore(t, st)
+	must(t, st.Start())
+	acked := make(map[int64]int, txns) // key → the point its ack followed
+	for _, k := range keysOwnedBy(st, 0, txns, 50000) {
+		before := st.Metrics().Snapshot()
+		must(t, st.MultiPartitionTxn(func(tx *MPTxn) error {
+			if _, err := tx.Query(1, "SELECT k FROM kv"); err != nil {
+				return err
+			}
+			_, err := tx.Exec(0, "INSERT INTO kv VALUES (?, ?)", types.NewInt(k), types.NewInt(k))
+			return err
+		}))
+		acked[k] = fsys.Len()
+		if d := st.Metrics().Snapshot().Delta(before); d[metrics.MPOnePhase] != 1 {
+			t.Fatalf("MPOnePhase delta = %d, want 1 (test precondition)", d[metrics.MPOnePhase])
+		}
 	}
-	k := keysOwnedBy(st, 0, 1, 50000)[0]
-	before := st.Metrics().Snapshot()
-	err := st.MultiPartitionTxn(func(tx *MPTxn) error {
-		if _, err := tx.Query(1, "SELECT k FROM kv"); err != nil {
+	must(t, st.Stop())
+
+	eachCrashImageConcurrently(t, fsys, crashPoints(0, fsys.Len()), func(img string, p int) error {
+		got, err := recoverKeys(img, parts)
+		if err != nil {
 			return err
 		}
-		_, err := tx.Exec(0, "INSERT INTO kv VALUES (?, ?)", types.NewInt(k), types.NewInt(k))
-		return err
+		for k := range got {
+			if _, ok := acked[k]; !ok {
+				return fmt.Errorf("recovered key %d was never written", k)
+			}
+		}
+		for k, at := range acked {
+			if at <= p && !got[k] {
+				return fmt.Errorf("one-phase commit of key %d, acked at point %d, lost at recovery", k, at)
+			}
+		}
+		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := st.Metrics().Snapshot().Delta(before); d[metrics.MPOnePhase] != 1 {
-		t.Fatalf("MPOnePhase delta = %d, want 1 (test precondition)", d[metrics.MPOnePhase])
-	}
-	// The transaction is acknowledged: its marker force already resolved,
-	// so a crash-instant byte copy taken now must preserve the commit.
-	copyDurableState(t, dir, crashDir, parts)
-	if err := st.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	got := recoveredKeys(t, crashDir, parts)
-	if !got[k] {
-		t.Fatalf("acked one-phase commit lost at recovery: %v", got)
-	}
 }
 
 // TestMPTornCoordDecideTailPresumedAborts tears the last record of a

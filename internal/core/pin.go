@@ -11,6 +11,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/pe"
 	"repro/internal/types"
@@ -20,8 +21,9 @@ import (
 // sequence per partition, taken atomically against 2PC publication. Pins
 // hold the GC watermark on every partition — release them promptly.
 type SnapshotPin struct {
-	s   *Store
-	cut snapCut
+	s     *Store
+	cut   snapCut
+	taken time.Time
 
 	mu       sync.Mutex // serializes queries on the pin and guards released
 	released bool
@@ -29,9 +31,24 @@ type SnapshotPin struct {
 
 // PinSnapshot acquires a snapshot pin at the latest committed cut.
 func (s *Store) PinSnapshot() *SnapshotPin {
-	pin := &SnapshotPin{s: s}
+	pin := &SnapshotPin{s: s, taken: time.Now()}
 	s.acquireCut(&pin.cut, true)
+	s.pinMu.Lock()
+	s.pins[pin] = struct{}{}
+	s.pinMu.Unlock()
 	return pin
+}
+
+// oldestPinAge is how long the oldest live session pin has been held, 0
+// with none.
+func (s *Store) oldestPinAge() time.Duration {
+	s.pinMu.Lock()
+	defer s.pinMu.Unlock()
+	var age time.Duration
+	for pin := range s.pins {
+		age = max(age, time.Since(pin.taken))
+	}
+	return age
 }
 
 // Release drops the pin. Idempotent.
@@ -41,6 +58,9 @@ func (pin *SnapshotPin) Release() {
 	if !pin.released {
 		pin.released = true
 		pin.cut.release()
+		pin.s.pinMu.Lock()
+		delete(pin.s.pins, pin)
+		pin.s.pinMu.Unlock()
 	}
 }
 

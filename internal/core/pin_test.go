@@ -80,8 +80,9 @@ func TestSnapshotPinStableAcrossWrites(t *testing.T) {
 }
 
 // TestSnapshotPinConcurrentReadsAndRelease hammers one pin from several
-// reader goroutines racing a writer and a late release: every successful
-// read must return the pinned cut, and reads after release fail cleanly.
+// reader goroutines racing a writer, stats reads and a late release: every
+// successful read must return the pinned cut, and reads after release fail
+// cleanly.
 func TestSnapshotPinConcurrentReadsAndRelease(t *testing.T) {
 	const parts = 2
 	st := buildKV(t, Config{Partitions: parts})
@@ -94,6 +95,18 @@ func TestSnapshotPinConcurrentReadsAndRelease(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	stop, statsDone := make(chan struct{}), make(chan struct{})
+	go func() { // stats reads the live pins while one is taken and released
+		defer close(statsDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				st.StatsResult()
+			}
+		}
+	}()
 	pin := st.PinSnapshot()
 	done := make(chan struct{})
 	go func() {
@@ -116,6 +129,8 @@ func TestSnapshotPinConcurrentReadsAndRelease(t *testing.T) {
 	}
 	<-done
 	pin.Release()
+	close(stop)
+	<-statsDone
 	if _, err := st.QueryPinned(pin, "SELECT COUNT(*) FROM kv"); err == nil {
 		t.Fatal("read on released pin succeeded")
 	}

@@ -51,6 +51,10 @@ snapshot_reads int
 gc_runs int
 gc_versions_reclaimed int
 versions_retained int
+gc_watermark_lag int
+gc_watermark_lag.p0 int
+gc_watermark_lag.p1 int
+oldest_pin_age_ms int
 cold_evictions int
 cold_faults int
 cold_resident_bytes int

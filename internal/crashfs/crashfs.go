@@ -8,7 +8,7 @@
 // The model of what a crash keeps:
 //   - a file keeps the bytes its last completed fsync covered (the writes
 //     and truncates made before that fsync began), plus some prefix of the
-//     ones after;
+//     ones after, the last of which may have landed only in part;
 //   - a create or rename is durable once a directory sync has completed
 //     after it; later ones survive as a prefix.
 //
@@ -315,8 +315,11 @@ const (
 	Half
 	// All keeps every write and every directory operation.
 	All
-	// Torn is All with the last unsynced write of each file cut in half:
-	// a frame torn mid-write.
+	// Torn is All with the last unsynced write of each file landed only
+	// in its first half, its second half reading as zeros, as when the
+	// file's size reached the disk before all its blocks: a frame torn
+	// mid-write whose length still fits in the file, so only its CRC
+	// tells it apart.
 	Torn
 )
 
@@ -419,7 +422,7 @@ func (ino *inode) content(p, synced int, v Variant) []byte {
 		case opWrite:
 			data := o.data
 			if v == Torn && i == len(ops)-1 && i >= synced {
-				data = data[:len(data)/2]
+				data = append(data[:len(data)/2:len(data)/2], make([]byte, len(data)-len(data)/2)...)
 			}
 			if end := o.off + int64(len(data)); end > int64(len(b)) {
 				b = append(b, make([]byte, end-int64(len(b)))...)

@@ -56,7 +56,7 @@ func TestImagesFollowTheModel(t *testing.T) {
 		{logWritten, Synced, "log=abcd stamp=old"},
 		{logWritten, Half, "log=abcd stamp=old"},
 		{logWritten, All, "log=abcdefgh stamp=old"},
-		{logWritten, Torn, "log=abcdef stamp=old"},
+		{logWritten, Torn, "log=abcdef\x00\x00 stamp=old"},
 		// The rename is not durable until the directory sync.
 		{renamed, Synced, "log=abcd stamp=old"},
 		{renamed, Half, "log=abcd stamp=old stamp.tmp=new"},

@@ -83,6 +83,12 @@ const (
 	GCRuns
 	GCVersionsReclaimed
 	VersionsRetained
+	// Why GC stopped, read when the rows are rendered: per partition, the
+	// sequences its GC watermark trails its published clock by (a held
+	// snapshot keeps it back), and store-wide, the milliseconds the oldest
+	// held session pin (MsgPinSnapshot) has been held, 0 with none.
+	GCWatermarkLag
+	OldestPinAgeMs
 	// Anti-caching: versions moved to the cold store, stub faults, and (a
 	// gauge) the heap bytes of resident versions of evictable tables.
 	ColdEvictions
@@ -224,6 +230,8 @@ var defs = [numMetrics]def{
 	GCRuns:              {name: "gc_runs"},
 	GCVersionsReclaimed: {name: "gc_versions_reclaimed"},
 	VersionsRetained:    {name: "versions_retained", kind: Gauge},
+	GCWatermarkLag:      {name: "gc_watermark_lag", kind: Gauge, perPartition: true},
+	OldestPinAgeMs:      {name: "oldest_pin_age_ms", kind: Gauge},
 	ColdEvictions:       {name: "cold_evictions"},
 	ColdFaults:          {name: "cold_faults"},
 	ColdResidentBytes:   {name: "cold_resident_bytes", kind: Gauge},
@@ -326,8 +334,8 @@ func (m *Metrics) Graph(name string) *GraphStats {
 
 // Snapshot is a point-in-time copy of every metric, indexed by Metric. A
 // Mean is held as its float64 bits (read it with Mean), a Quantile as
-// nanoseconds. A per-partition metric reads 0 here: the store fills it
-// from its partitions when it renders the rows.
+// nanoseconds. A per-partition metric, and OldestPinAgeMs, read 0 here:
+// the store fills them when it renders the rows.
 type Snapshot [numMetrics]int64
 
 // Snapshot captures the current values.

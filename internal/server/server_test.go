@@ -1,9 +1,11 @@
 package server
 
 import (
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/client"
 	"repro/internal/core"
@@ -442,5 +444,75 @@ func TestRebalanceOverWire(t *testing.T) {
 	}
 	if q.Rows[0][0].Int() != 32 || q.Rows[0][1].Int() != 4960 {
 		t.Fatalf("post-rebalance data: %v", q.Rows)
+	}
+}
+
+// TestGCStallRowsOverWire is an operator's view of why GC stopped: while
+// one session holds a snapshot pin and another commits writes, the
+// partition's gc_watermark_lag grows with the writes and oldest_pin_age_ms
+// with the hold, and releasing the pin brings both back to 0.
+func TestGCStallRowsOverWire(t *testing.T) {
+	srv, _ := newServer(t)
+	pinner, err := client.DialTCP(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pinner.Close()
+	writer, err := client.DialTCP(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer writer.Close()
+	stats := func() (lag, age int64) {
+		t.Helper()
+		resp, err := writer.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := map[string]string{}
+		for _, r := range resp.Rows {
+			rows[r[0].Str()] = r[1].Str()
+		}
+		if rows["gc_watermark_lag"] != rows["gc_watermark_lag.p0"] {
+			t.Fatalf("gc_watermark_lag %q, its one partition's %q", rows["gc_watermark_lag"], rows["gc_watermark_lag.p0"])
+		}
+		lag, err = strconv.ParseInt(rows["gc_watermark_lag"], 10, 64)
+		if err != nil {
+			t.Fatalf("gc_watermark_lag: %v", err)
+		}
+		age, err = strconv.ParseInt(rows["oldest_pin_age_ms"], 10, 64)
+		if err != nil {
+			t.Fatalf("oldest_pin_age_ms: %v", err)
+		}
+		return lag, age
+	}
+	put := func(from int64) {
+		t.Helper()
+		for k := from; k < from+5; k++ {
+			if _, err := writer.Call("put", types.NewInt(k), types.NewString("a")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		time.Sleep(5 * time.Millisecond) // the pin ages by at least 5 ms
+	}
+
+	if err := pinner.PinSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	put(0)
+	lag1, age1 := stats()
+	put(100)
+	lag2, age2 := stats()
+	if lag1 < 5 || lag2 < lag1+5 {
+		t.Errorf("gc_watermark_lag read %d after 5 writes and %d after 10, want both to count the writes", lag1, lag2)
+	}
+	if age1 < 5 || age2 < age1+5 {
+		t.Errorf("oldest_pin_age_ms read %d, then %d 5 ms later", age1, age2)
+	}
+	if err := pinner.UnpinSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if lag, age := stats(); lag != 0 || age != 0 {
+		t.Errorf("after the unpin gc_watermark_lag = %d, oldest_pin_age_ms = %d, want 0 and 0", lag, age)
 	}
 }
