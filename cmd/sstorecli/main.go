@@ -4,18 +4,21 @@
 //
 // Input lines are dispatched by shape:
 //
-//	SELECT ...                ad-hoc query
-//	DEPLOY DATAFLOW g (...)   deploy a workflow graph (see sql.DeployDataflow)
 //	exec <sql>                ad-hoc DML (atomic across partitions when it spans them)
 //	call <proc> [args...]     stored procedure invocation
 //	ingest <stream> v1,v2,... one tuple onto a stream
 //	flush                     dispatch partial batches
-//	dataflows                 list deployed dataflow graphs
-//	explain dataflow <name>   render a graph: nodes, edges, constraints
-//	pause <name>              pause a dataflow (border ingest queues)
-//	resume <name>             resume a paused dataflow
-//	partitions <n>            grow the server to n partitions (live rebalance)
+//	stats                     metrics snapshot
 //	quit
+//
+// Any other line is sent as a query: a SELECT, or a system statement —
+//
+//	SHOW DATAFLOWS                      list deployed dataflow graphs
+//	EXPLAIN DATAFLOW <name>             render a graph: nodes, edges, constraints
+//	EXPLAIN <statement>                 the plan the engine would run
+//	DEPLOY DATAFLOW g (...)             deploy a workflow graph (see sql.DeployDataflow)
+//	ALTER DATAFLOW <name> PAUSE|RESUME  pause a dataflow (border ingest queues) or resume it
+//	ALTER SYSTEM PARTITIONS <n>         grow the server to n partitions (live rebalance)
 //
 // Arguments parse as int, then float, then string.
 package main
@@ -59,50 +62,9 @@ func main() {
 			if err := c.Flush(); err != nil {
 				fmt.Println("error:", err)
 			}
-		case strings.EqualFold(line, "dataflows"):
-			resp, err := c.Dataflows()
-			printResp(resp, err)
 		case strings.EqualFold(line, "stats"):
 			resp, err := c.Stats()
 			printResp(resp, err)
-		case strings.HasPrefix(strings.ToLower(line), "explain dataflow "):
-			text, err := c.ExplainDataflow(strings.TrimSpace(line[len("explain dataflow "):]))
-			if err != nil {
-				fmt.Println("error:", err)
-			} else {
-				fmt.Print(text)
-			}
-		case strings.HasPrefix(strings.ToLower(line), "pause "):
-			if err := c.PauseDataflow(strings.TrimSpace(line[len("pause "):])); err != nil {
-				fmt.Println("error:", err)
-			} else {
-				fmt.Println("paused")
-			}
-		case strings.HasPrefix(strings.ToLower(line), "resume "):
-			if err := c.ResumeDataflow(strings.TrimSpace(line[len("resume "):])); err != nil {
-				fmt.Println("error:", err)
-			} else {
-				fmt.Println("resumed")
-			}
-		case strings.HasPrefix(strings.ToLower(line), "partitions "):
-			n, err := strconv.Atoi(strings.TrimSpace(line[len("partitions "):]))
-			if err != nil {
-				fmt.Println("usage: partitions <n>")
-				break
-			}
-			got, err := c.Rebalance(n)
-			if err != nil {
-				fmt.Println("error:", err)
-			} else {
-				fmt.Printf("rebalanced to %d partitions\n", got)
-			}
-		case strings.HasPrefix(strings.ToLower(line), "explain "):
-			plan, err := c.Explain(strings.TrimSpace(line[len("explain "):]))
-			if err != nil {
-				fmt.Println("error:", err)
-			} else {
-				fmt.Print(plan)
-			}
 		case strings.HasPrefix(strings.ToLower(line), "call "):
 			fields := strings.Fields(line)
 			if len(fields) < 2 {

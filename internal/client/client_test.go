@@ -3,7 +3,6 @@ package client
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/pe"
@@ -167,59 +166,23 @@ func TestTCPClientPartitionedServer(t *testing.T) {
 	}
 }
 
-func TestLoopbackRoundTrips(t *testing.T) {
-	_, st := startServer(t, 1)
-	lb := &Loopback{St: st, RTT: time.Millisecond}
-	t0 := time.Now()
-	if _, err := lb.Call("put", types.NewInt(42), types.NewString("lb")); err != nil {
-		t.Fatal(err)
-	}
-	if time.Since(t0) < time.Millisecond {
-		t.Fatal("loopback did not charge its RTT")
-	}
-	resp, err := lb.Query("SELECT v FROM kv WHERE k = 42")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Rows[0][0].Str() != "lb" {
-		t.Fatalf("rows = %v", resp.Rows)
-	}
-	if err := lb.Ingest("feed", types.Row{types.NewInt(43), types.NewString("lb2")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := lb.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	resp, err = lb.Query("SELECT COUNT(*) FROM kv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Rows[0][0].Int() != 2 {
-		t.Fatalf("count = %v", resp.Rows)
-	}
-	// Loopback failures mirror the TCP shape: error plus MsgError response.
-	resp, err = lb.Call("nosuch")
-	if err == nil || resp == nil || resp.Kind != wire.MsgError {
-		t.Fatalf("resp = %v err = %v", resp, err)
-	}
-	if err := lb.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestExplainAndConnInterface(t *testing.T) {
+// TestExplainStatement: EXPLAIN is a statement the client sends through
+// Query; the plan comes back as one row of one plan column.
+func TestExplainStatement(t *testing.T) {
 	srv, _ := startServer(t, 1)
 	c, err := DialTCP(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var conn Conn = c // both transports satisfy the shared interface
-	defer conn.Close()
-	plan, err := c.Explain("SELECT v FROM kv WHERE k = 5")
+	defer c.Close()
+	resp, err := c.Query("EXPLAIN SELECT v FROM kv WHERE k = 5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(plan, "kv") {
+	if len(resp.Columns) != 1 || resp.Columns[0] != "plan" || len(resp.Rows) != 1 {
+		t.Fatalf("EXPLAIN answered %v %v", resp.Columns, resp.Rows)
+	}
+	if plan := resp.Rows[0][0].Str(); !strings.Contains(plan, "kv") {
 		t.Fatalf("plan = %q", plan)
 	}
 }

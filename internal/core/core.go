@@ -74,9 +74,10 @@ type Config struct {
 	// a cold-tuple page store — a file under Dir, or a temp file when the
 	// store is non-durable — and the partition worker moves cold committed
 	// versions past the snapshot watermark to cold pages at GC rhythm,
-	// faulting them back through a clock buffer pool on access. The cold
-	// store is volatile by design: recovery re-derives evicted data from
-	// the checkpoint + log replay, so cold pages are never fsynced.
+	// faulting one back on access by reading its bytes alone from the page
+	// file (there is no buffer pool). The cold store is volatile by design:
+	// recovery re-derives evicted data from the checkpoint + log replay, so
+	// cold pages are never fsynced.
 	// 0 disables anti-caching (every table fully memory-resident).
 	MemoryBudget int64
 }
@@ -1051,13 +1052,7 @@ func (s *Store) FlushBatches() {
 // plan over every partition (readCut), so on a store of several each
 // access also names the partitions it reads. The body of a deployed EE
 // trigger explains as compiled for that trigger.
-// "EXPLAIN DATAFLOW <name>" shapes (the leading EXPLAIN already stripped
-// by the caller) render the named dataflow graph instead.
 func (s *Store) Explain(sqlText string) (string, error) {
-	if fields := strings.Fields(strings.TrimSuffix(strings.TrimSpace(sqlText), ";")); len(fields) == 2 &&
-		strings.EqualFold(fields[0], "DATAFLOW") {
-		return s.ExplainDataflow(fields[1])
-	}
 	parts := s.partList()
 	p0 := parts[0]
 	if !p0.pe.Started() {

@@ -405,7 +405,9 @@ func (s *Store) staticInsertRows(ins *sql.Insert, rel *catalog.RelDef, colMap []
 //
 //	SHOW DATAFLOWS
 //	EXPLAIN DATAFLOW <name>
+//	EXPLAIN <statement>
 //	DEPLOY DATAFLOW <graph>
+//	ALTER DATAFLOW <name> PAUSE|RESUME
 //	ALTER SYSTEM PARTITIONS <n>
 //
 // Everything else, which is every statement on a hot path, is turned away
@@ -432,6 +434,13 @@ func (s *Store) systemStatement(sqlText string) (*pe.Result, bool, error) {
 		}
 		return &pe.Result{Columns: []string{"dataflow"},
 			Rows: []types.Row{{types.NewString(text)}}}, true, nil
+	case len(fields) > 1 && is(0, "EXPLAIN"):
+		plan, err := s.Explain(strings.TrimSpace(text[len(word):]))
+		if err != nil {
+			return nil, true, err
+		}
+		return &pe.Result{Columns: []string{"plan"},
+			Rows: []types.Row{{types.NewString(plan)}}}, true, nil
 	case is(0, "DEPLOY") && is(1, "DATAFLOW"):
 		stmt, err := sql.Parse(sqlText)
 		if err != nil {
@@ -446,6 +455,18 @@ func (s *Store) systemStatement(sqlText string) (*pe.Result, bool, error) {
 		}
 		return &pe.Result{Columns: []string{"deployed"},
 			Rows: []types.Row{{types.NewString(dd.Name)}}, RowsAffected: 1}, true, nil
+	case len(fields) == 4 && is(0, "ALTER") && is(1, "DATAFLOW"):
+		op, state := s.PauseDataflow, "paused"
+		if is(3, "RESUME") {
+			op, state = s.ResumeDataflow, "running"
+		} else if !is(3, "PAUSE") {
+			return nil, true, fmt.Errorf("core: ALTER DATAFLOW: unknown action %q (want PAUSE or RESUME)", fields[3])
+		}
+		if err := op(fields[2]); err != nil {
+			return nil, true, err
+		}
+		return &pe.Result{Columns: []string{"dataflow", "state"},
+			Rows: []types.Row{{types.NewString(fields[2]), types.NewString(state)}}}, true, nil
 	case len(fields) == 4 && is(0, "ALTER") && is(1, "SYSTEM") && is(2, "PARTITIONS"):
 		// Rebalance takes routingMu itself.
 		n, err := strconv.Atoi(fields[3])

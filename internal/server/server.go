@@ -11,7 +11,6 @@ import (
 	"io"
 	"log"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -172,9 +171,6 @@ func (s *Server) serve(conn net.Conn) {
 const respRetain = 64 << 10
 
 func (s *Server) dispatch(req *wire.Request, sess *session) *wire.Response {
-	fail := func(err error) *wire.Response {
-		return &wire.Response{Kind: wire.MsgError, Err: err.Error()}
-	}
 	if f := s.fol.Load(); f != nil {
 		return s.dispatchFollower(req, sess, f)
 	}
@@ -182,95 +178,27 @@ func (s *Server) dispatch(req *wire.Request, sess *session) *wire.Response {
 	case wire.MsgPing:
 		return &wire.Response{Kind: wire.MsgPong}
 	case wire.MsgCall:
-		res, err := s.st.Call(req.Target, req.Params...)
-		if err != nil {
-			return fail(err)
-		}
-		return &wire.Response{Kind: wire.MsgResult, Columns: res.Columns,
-			Rows: res.Rows, RowsAffected: int64(res.RowsAffected)}
+		return result(s.st.Call(req.Target, req.Params...))
 	case wire.MsgIngest:
 		if err := s.st.Ingest(req.Target, req.Rows...); err != nil {
 			return fail(err)
 		}
 		return &wire.Response{Kind: wire.MsgResult, RowsAffected: int64(len(req.Rows))}
 	case wire.MsgQuery:
-		var res *pe.Result
-		var err error
 		if sess.pin != nil {
-			res, err = s.st.QueryPinned(sess.pin, req.Target, req.Params...)
-		} else {
-			res, err = s.st.Query(req.Target, req.Params...)
+			return result(s.st.QueryPinned(sess.pin, req.Target, req.Params...))
 		}
-		if err != nil {
-			return fail(err)
-		}
-		return &wire.Response{Kind: wire.MsgResult, Columns: res.Columns,
-			Rows: res.Rows, RowsAffected: int64(res.RowsAffected)}
+		return result(s.st.Query(req.Target, req.Params...))
 	case wire.MsgExec:
-		res, err := s.st.Exec(req.Target, req.Params...)
-		if err != nil {
-			return fail(err)
-		}
-		return &wire.Response{Kind: wire.MsgResult, Columns: res.Columns,
-			Rows: res.Rows, RowsAffected: int64(res.RowsAffected)}
+		return result(s.st.Exec(req.Target, req.Params...))
 	case wire.MsgFlush:
 		s.st.FlushBatches()
 		s.st.Drain()
 		return &wire.Response{Kind: wire.MsgResult}
-	case wire.MsgExplain:
-		plan, err := s.st.Explain(req.Target)
-		if err != nil {
-			return fail(err)
-		}
-		return &wire.Response{Kind: wire.MsgResult, Columns: []string{"plan"},
-			Rows: []types.Row{{types.NewString(plan)}}}
 	case wire.MsgDataflows:
-		if req.Target == "" {
-			res := s.st.DataflowsResult()
-			return &wire.Response{Kind: wire.MsgResult, Columns: res.Columns,
-				Rows: res.Rows, RowsAffected: int64(res.RowsAffected)}
-		}
-		text, err := s.st.ExplainDataflow(req.Target)
-		if err != nil {
-			return fail(err)
-		}
-		return &wire.Response{Kind: wire.MsgResult, Columns: []string{"dataflow"},
-			Rows: []types.Row{{types.NewString(text)}}}
-	case wire.MsgDataflowCtl:
-		if len(req.Params) != 1 {
-			return fail(fmt.Errorf("server: dataflow control needs an action parameter"))
-		}
-		var err error
-		switch action := req.Params[0].Str(); strings.ToLower(action) {
-		case "pause":
-			err = s.st.PauseDataflow(req.Target)
-		case "resume":
-			err = s.st.ResumeDataflow(req.Target)
-		default:
-			err = fmt.Errorf("server: unknown dataflow action %q (want pause or resume)", action)
-		}
-		if err != nil {
-			return fail(err)
-		}
-		return &wire.Response{Kind: wire.MsgResult}
-	case wire.MsgAdmin:
-		switch strings.ToLower(req.Target) {
-		case "partitions":
-			if len(req.Params) != 1 {
-				return fail(fmt.Errorf("server: partitions needs a target count parameter"))
-			}
-			if err := s.st.Rebalance(int(req.Params[0].Int())); err != nil {
-				return fail(err)
-			}
-			return &wire.Response{Kind: wire.MsgResult, Columns: []string{"partitions"},
-				Rows: []types.Row{{types.NewInt(int64(s.st.NumPartitions()))}}}
-		default:
-			return fail(fmt.Errorf("server: unknown admin verb %q", req.Target))
-		}
+		return result(s.st.DataflowsResult(), nil)
 	case wire.MsgStats:
-		res := s.st.StatsResult()
-		return &wire.Response{Kind: wire.MsgResult, Columns: res.Columns,
-			Rows: res.Rows, RowsAffected: int64(res.RowsAffected)}
+		return result(s.st.StatsResult(), nil)
 	case wire.MsgPinSnapshot:
 		if sess.pin != nil {
 			sess.pin.Release() // re-pin replaces the session's cut
@@ -290,19 +218,33 @@ func (s *Server) dispatch(req *wire.Request, sess *session) *wire.Response {
 	}
 }
 
+// result turns an engine result into its response: the rows as MsgResult,
+// or err as MsgError.
+func result(res *pe.Result, err error) *wire.Response {
+	if err != nil {
+		return fail(err)
+	}
+	return &wire.Response{Kind: wire.MsgResult, Columns: res.Columns,
+		Rows: res.Rows, RowsAffected: int64(res.RowsAffected)}
+}
+
+func fail(err error) *wire.Response {
+	return &wire.Response{Kind: wire.MsgError, Err: err.Error()}
+}
+
 // replFetch answers one replication fetch: Params = [partition, afterLSN,
-// maxBytes]; the response's first row is the segment horizon, then one
-// [lsn, payload] row per frame (payloads travel as strings — Go strings
-// carry arbitrary bytes).
+// maxBytes], all BIGINT; the response's first row is the segment horizon,
+// then one [lsn, payload] row per frame (payloads travel as strings — Go
+// strings carry arbitrary bytes).
 func (s *Server) replFetch(req *wire.Request) *wire.Response {
-	if len(req.Params) != 3 {
-		return &wire.Response{Kind: wire.MsgError,
-			Err: "server: repl fetch needs [partition, afterLSN, maxBytes] parameters"}
+	if len(req.Params) != 3 || req.Params[0].Type() != types.TypeInt ||
+		req.Params[1].Type() != types.TypeInt || req.Params[2].Type() != types.TypeInt {
+		return fail(errors.New("server: repl fetch needs BIGINT [partition, afterLSN, maxBytes] parameters"))
 	}
 	batch, err := s.st.ReplicationBatch(int(req.Params[0].Int()),
 		uint64(req.Params[1].Int()), int(req.Params[2].Int()))
 	if err != nil {
-		return &wire.Response{Kind: wire.MsgError, Err: err.Error()}
+		return fail(err)
 	}
 	rows := make([]types.Row, 0, len(batch.Frames)+1)
 	rows = append(rows, types.Row{types.NewInt(int64(batch.EndLSN))})
@@ -324,18 +266,10 @@ func (s *Server) dispatchFollower(req *wire.Request, sess *session, f *core.Foll
 		if sess.rs == nil {
 			sess.rs = f.Session()
 		}
-		res, err := sess.rs.Query(req.Target, req.Params...)
-		if err != nil {
-			return &wire.Response{Kind: wire.MsgError, Err: err.Error()}
-		}
-		return &wire.Response{Kind: wire.MsgResult, Columns: res.Columns,
-			Rows: res.Rows, RowsAffected: int64(res.RowsAffected)}
+		return result(sess.rs.Query(req.Target, req.Params...))
 	case wire.MsgStats:
-		res := f.Store().StatsResult()
-		return &wire.Response{Kind: wire.MsgResult, Columns: res.Columns,
-			Rows: res.Rows, RowsAffected: int64(res.RowsAffected)}
+		return result(f.Store().StatsResult(), nil)
 	default:
-		return &wire.Response{Kind: wire.MsgError,
-			Err: "server: this node is a read-only replica (follower mode)"}
+		return fail(errors.New("server: this node is a read-only replica (follower mode)"))
 	}
 }

@@ -1,6 +1,9 @@
 package server
 
 import (
+	"bufio"
+	"fmt"
+	"net"
 	"strconv"
 	"strings"
 	"sync"
@@ -11,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/pe"
 	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 func newServer(t *testing.T) (*Server, *core.Store) {
@@ -181,22 +185,17 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
-func TestLoopbackConn(t *testing.T) {
-	_, st := newServer(t)
-	lb := &client.Loopback{St: st}
-	if _, err := lb.Call("put", types.NewInt(9), types.NewString("lb")); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := lb.Query("SELECT v FROM kv WHERE k = 9")
+// explain runs EXPLAIN <stmt> over c and returns the plan, the one row of
+// the response's one plan column.
+func explain(c *client.TCP, stmt string) (string, error) {
+	resp, err := c.Query("EXPLAIN " + stmt)
 	if err != nil {
-		t.Fatal(err)
+		return "", err
 	}
-	if resp.Rows[0][0].Str() != "lb" {
-		t.Fatalf("rows: %v", resp.Rows)
+	if len(resp.Columns) != 1 || resp.Columns[0] != "plan" || len(resp.Rows) != 1 {
+		return "", fmt.Errorf("EXPLAIN answered %v %v, want one plan row", resp.Columns, resp.Rows)
 	}
-	if err := lb.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	return resp.Rows[0][0].Str(), nil
 }
 
 func TestExplainOverTCP(t *testing.T) {
@@ -206,14 +205,14 @@ func TestExplainOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	plan, err := c.Explain("SELECT v FROM kv WHERE k = 1")
+	plan, err := explain(c, "SELECT v FROM kv WHERE k = 1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(plan, "kv_pkey") || !strings.Contains(plan, "equality probe") {
 		t.Fatalf("plan: %s", plan)
 	}
-	if _, err := c.Explain("SELECT nope FROM kv"); err == nil {
+	if _, err := explain(c, "SELECT nope FROM kv"); err == nil {
 		t.Fatal("bad explain accepted")
 	}
 }
@@ -256,7 +255,7 @@ func TestExplainNamesWhatAReadTouches(t *testing.T) {
 			"scan: pkv (full scan), reads every partition (3)\n" +
 				"  join: names via index names_pkey (equality probe), reads partition 0\n"},
 	} {
-		plan, err := c.Explain(tc.sql)
+		plan, err := explain(c, tc.sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,16 +329,17 @@ func TestDataflowsOverWire(t *testing.T) {
 	if len(resp.Rows) != 1 || resp.Rows[0][0].Str() != "feed" {
 		t.Fatalf("dataflows over wire: %v", resp.Rows)
 	}
-	text, err := c.ExplainDataflow("feed")
+	resp, err = c.Query("EXPLAIN DATAFLOW feed")
 	if err != nil {
 		t.Fatal(err)
 	}
+	text := resp.Rows[0][0].Str()
 	for _, want := range []string{"DATAFLOW feed", "absorb", "<- feed [batch 2] (border)"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("explain over wire missing %q:\n%s", want, text)
 		}
 	}
-	// SHOW DATAFLOWS / EXPLAIN DATAFLOW also work as plain query text.
+	// SHOW DATAFLOWS is the listing's statement spelling.
 	resp, err = c.Query("SHOW DATAFLOWS")
 	if err != nil {
 		t.Fatal(err)
@@ -353,8 +353,12 @@ func TestDataflowsOverWire(t *testing.T) {
 	}
 
 	// Pause over the wire: subsequent ingest queues server-side.
-	if err := c.PauseDataflow("feed"); err != nil {
+	resp, err = c.Exec("ALTER DATAFLOW feed PAUSE")
+	if err != nil {
 		t.Fatal(err)
+	}
+	if got := fmt.Sprint(resp.Columns, resp.Rows); got != "[dataflow state] [(feed, paused)]" {
+		t.Fatalf("ALTER DATAFLOW ... PAUSE answered %s", got)
 	}
 	for i := 0; i < 4; i++ {
 		if err := c.Ingest("feed", types.Row{types.NewInt(int64(i)), types.NewString("x")}); err != nil {
@@ -372,7 +376,7 @@ func TestDataflowsOverWire(t *testing.T) {
 	if state := resp.Rows[0][1].Str(); state != "paused" {
 		t.Fatalf("state over wire = %q, want paused", state)
 	}
-	if err := c.ResumeDataflow("feed"); err != nil {
+	if _, err := c.Exec("ALTER DATAFLOW feed RESUME"); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Flush(); err != nil {
@@ -385,9 +389,13 @@ func TestDataflowsOverWire(t *testing.T) {
 	if n := resp.Rows[0][0].Int(); n != 4 {
 		t.Fatalf("after resume: %d rows, want 4 (pause lost tuples)", n)
 	}
-	if err := c.PauseDataflow("nosuch"); err == nil ||
+	if _, err := c.Exec("ALTER DATAFLOW nosuch PAUSE"); err == nil ||
 		!strings.Contains(err.Error(), "unknown dataflow") {
 		t.Fatalf("pause of unknown dataflow: %v", err)
+	}
+	if _, err := c.Exec("ALTER DATAFLOW feed STOP"); err == nil ||
+		!strings.Contains(err.Error(), "unknown action") {
+		t.Fatalf("ALTER DATAFLOW with an unknown action: %v", err)
 	}
 }
 
@@ -417,23 +425,23 @@ func TestRebalanceOverWire(t *testing.T) {
 		}
 	}
 
-	// The dedicated admin frame...
-	n, err := c.Rebalance(4)
+	// The statement grows the store through Query...
+	resp, err := c.Query("ALTER SYSTEM PARTITIONS 4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 4 || st.NumPartitions() != 4 {
+	if n := resp.Rows[0][0].Int(); n != 4 || st.NumPartitions() != 4 {
 		t.Fatalf("rebalanced to %d (store has %d)", n, st.NumPartitions())
 	}
-	// ...and the SQL spelling, routed through Exec like any statement.
-	resp, err := c.Exec("ALTER SYSTEM PARTITIONS 5")
+	// ...and through Exec, like any statement.
+	resp, err = c.Exec("ALTER SYSTEM PARTITIONS 5")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(resp.Rows) != 1 || resp.Rows[0][0].Int() != 5 {
 		t.Fatalf("ALTER SYSTEM response: %v", resp.Rows)
 	}
-	if _, err := c.Rebalance(2); err == nil ||
+	if _, err := c.Exec("ALTER SYSTEM PARTITIONS 2"); err == nil ||
 		!strings.Contains(err.Error(), "shrinking the partition count is not supported") {
 		t.Fatalf("shrink err = %v", err)
 	}
@@ -514,5 +522,49 @@ func TestGCStallRowsOverWire(t *testing.T) {
 	}
 	if lag, age := stats(); lag != 0 || age != 0 {
 		t.Errorf("after the unpin gc_watermark_lag = %d, oldest_pin_age_ms = %d, want 0 and 0", lag, age)
+	}
+}
+
+// TestMalformedFramesAnswerError: a frame the server cannot act on — a
+// replication fetch whose partition is not a BIGINT, a retired kind's byte,
+// an unknown byte — is answered MsgError on its connection, which then
+// serves the next request; no frame brings the server down.
+func TestMalformedFramesAnswerError(t *testing.T) {
+	srv, _ := newServer(t)
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	in := bufio.NewReader(conn)
+	send := func(req *wire.Request) *wire.Response {
+		t.Helper()
+		if err := wire.WriteFrame(conn, wire.EncodeRequest(req)); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := wire.ReadFrame(in)
+		if err != nil {
+			t.Fatalf("kind %d: %v", req.Kind, err)
+		}
+		resp, err := wire.DecodeResponse(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	for _, req := range []*wire.Request{
+		{Kind: wire.MsgReplFetch, Params: types.Row{types.NewString("0"), types.NewInt(0), types.NewInt(1 << 20)}},
+		{Kind: wire.MsgReplFetch, Params: types.Row{types.NewInt(0), types.NewInt(0), types.Null}},
+		{Kind: 9, Target: "SELECT v FROM kv"},
+		{Kind: 12, Target: "feed", Params: types.Row{types.NewInt(1)}},
+		{Kind: 13, Target: "partitions", Params: types.Row{types.NewString("two")}},
+		{Kind: 200, Target: "feed"},
+	} {
+		if resp := send(req); resp.Kind != wire.MsgError {
+			t.Errorf("kind %d %v answered kind %d, want MsgError", req.Kind, req.Params, resp.Kind)
+		}
+	}
+	if resp := send(&wire.Request{Kind: wire.MsgPing}); resp.Kind != wire.MsgPong {
+		t.Fatalf("ping after malformed frames answered kind %d", resp.Kind)
 	}
 }

@@ -1,10 +1,10 @@
 // Package wire defines the binary client/server protocol: length-prefixed
-// frames carrying procedure calls, stream ingests, ad-hoc queries, and
+// frames carrying procedure calls, stream ingests, ad-hoc statements, and
 // their responses. The engine is a client-server system like H-Store; the
-// protocol is deliberately small — a handful of message types over TCP —
-// and shared by the real network transport (internal/server,
-// internal/client) and the in-process loopback used for reproducible
-// round-trip experiments.
+// protocol is deliberately small — a handful of message types over TCP,
+// spoken by internal/server and internal/client. Administration (EXPLAIN,
+// ALTER DATAFLOW, ALTER SYSTEM PARTITIONS, ...) travels as statements in
+// MsgQuery and MsgExec, not as kinds of its own.
 package wire
 
 import (
@@ -18,51 +18,42 @@ import (
 // MsgKind tags a frame.
 type MsgKind uint8
 
-// Frame kinds.
+// Frame kinds. Each keeps its byte value on the wire, and a new kind takes
+// a byte never used: 9, 12 and 13 are retired, so a frame an older client
+// sends with one is answered MsgError, never taken for another kind.
 const (
-	MsgCall   MsgKind = iota + 1 // procedure invocation
-	MsgIngest                    // stream tuple push
-	MsgQuery                     // ad-hoc read-only SQL
-	MsgFlush                     // flush partial border batches
-	MsgResult                    // success response with rows
-	MsgError                     // failure response
-	MsgPing                      // liveness check
-	MsgPong
-	MsgExplain // plan introspection for a SQL statement
+	MsgCall   MsgKind = 1 // procedure invocation
+	MsgIngest MsgKind = 2 // stream tuple push
+	MsgQuery  MsgKind = 3 // ad-hoc read-only SQL
+	MsgFlush  MsgKind = 4 // flush partial border batches
+	MsgResult MsgKind = 5 // success response with rows
+	MsgError  MsgKind = 6 // failure response
+	MsgPing   MsgKind = 7 // liveness check
+	MsgPong   MsgKind = 8
 	// MsgExec is an ad-hoc DML statement. On a partitioned store the
 	// router runs spanning writes through the 2PC coordinator, so a remote
 	// client's multi-partition statement commits atomically or not at all.
-	MsgExec
-	// MsgDataflows is dataflow introspection: with an empty Target it
-	// returns the SHOW DATAFLOWS listing (one row per deployed graph);
-	// with Target set it returns the EXPLAIN DATAFLOW rendering of that
-	// graph as a single text row.
-	MsgDataflows
-	// MsgDataflowCtl drives the per-graph lifecycle: Target names the
-	// dataflow and Params[0] is the action, "pause" or "resume".
-	MsgDataflowCtl
-	// MsgAdmin is an administrative command. Target is the verb; today only
-	// "partitions" (elastic growth) with Params[0] the target partition
-	// count — the server rebalances live and returns the new count.
-	MsgAdmin
+	MsgExec MsgKind = 10
+	// MsgDataflows returns the SHOW DATAFLOWS listing: one row per deployed
+	// graph.
+	MsgDataflows MsgKind = 11
 	// MsgStats asks for a metrics snapshot. The response carries one
 	// name/value row per counter, so operators can watch MP commit
-	// concurrency and force-batch sizes live from sstorecli. New kinds are
-	// appended here to keep existing byte values stable on the wire.
-	MsgStats
+	// concurrency and force-batch sizes live from sstorecli.
+	MsgStats MsgKind = 14
 	// MsgPinSnapshot pins a session-scoped cross-partition snapshot: every
 	// MsgQuery on the connection then reads the pinned cut until
 	// MsgUnpinSnapshot (or disconnect) releases it. Re-pinning replaces the
 	// session's pin.
-	MsgPinSnapshot
+	MsgPinSnapshot MsgKind = 15
 	// MsgUnpinSnapshot releases the session's snapshot pin, if any.
-	MsgUnpinSnapshot
+	MsgUnpinSnapshot MsgKind = 16
 	// MsgReplFetch is the replication channel: Params carry
 	// [partition, afterLSN, maxBytes] and the response's first row is the
 	// segment horizon [endLSN], followed by one [lsn, payload] row per
 	// shipped frame. A remote follower drives its apply loop with these
 	// fetches.
-	MsgReplFetch
+	MsgReplFetch MsgKind = 17
 )
 
 // MaxFrame bounds a frame to keep a corrupt length prefix from allocating

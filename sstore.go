@@ -42,9 +42,9 @@
 //	st.Ingest("readings", sstore.Row{sstore.Int(1), sstore.Float(250)})
 //
 // Deployed graphs are catalog objects: list them with the SHOW DATAFLOWS
-// statement (or sstorecli's dataflows command), render one with
-// EXPLAIN DATAFLOW <name>, and pause/resume one by name with
-// Store.PauseDataflow / Store.ResumeDataflow — while paused, border
+// statement, render one with EXPLAIN DATAFLOW <name>, and pause/resume one
+// by name with Store.PauseDataflow / Store.ResumeDataflow (the statement
+// ALTER DATAFLOW <name> PAUSE|RESUME from a wire client) — while paused, border
 // ingest for the graph's streams queues, the graph's admitted executions
 // wait behind the pause gate (EXPLAIN DATAFLOW shows what it holds on each
 // partition), and resume runs them in the order they were held, so nothing
@@ -74,7 +74,7 @@
 // Routing goes through a 256-entry slot table (hash -> slot -> partition)
 // rather than hash%N arithmetic, which makes the partition count elastic:
 // Store.Rebalance(n) — also reachable as the ALTER SYSTEM PARTITIONS n
-// statement or sstorecli's partitions verb — grows a running store,
+// statement, from sstorecli too — grows a running store,
 // adding partition workers and migrating slots one at a time under live
 // load (MVCC snapshot copy, catch-up replay, a sub-millisecond cutover
 // barrier per slot). The migration is WAL-logged and crash-safe, and
