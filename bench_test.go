@@ -841,12 +841,12 @@ func BenchmarkAdHocQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkServerRoundTrip times kv-mixed's three reads and mp-pair's
-// whole-table count over loopback TCP (kvOverTCP) with B/op and allocs/op,
-// every goroutine's, client included.
+// BenchmarkServerRoundTrip times kv-mixed's three reads, mp-pair's
+// whole-table count and its pair write over loopback TCP (kvOverTCP) with
+// B/op and allocs/op, every goroutine's, client included.
 func BenchmarkServerRoundTrip(b *testing.B) {
 	reads := kvOverTCP(b)
-	for _, name := range []string{"point", "range", "agg", "count"} {
+	for _, name := range []string{"point", "range", "agg", "count", "pair"} {
 		b.Run(name, func(b *testing.B) {
 			read := reads[name]
 			b.ReportAllocs()

@@ -7,7 +7,9 @@ import (
 
 	sstore "repro"
 	"repro/internal/apps/voter"
+	"repro/internal/catalog"
 	"repro/internal/client"
+	"repro/internal/metrics"
 	"repro/internal/server"
 )
 
@@ -134,6 +136,65 @@ func TestKeyedQueryAllocBudget(t *testing.T) {
 	}
 }
 
+// pairWrite is mp-pair's write (benchmark/sut): two rows whose ids hash to
+// different partitions of two, each naming the other, inserted as one
+// coordinated transaction.
+const pairWrite = "INSERT INTO pairs VALUES (?, ?, 1), (?, ?, 1)"
+
+// pairIDs returns a function yielding the next two ids owned by different
+// partitions of a two-partition store.
+func pairIDs() func() (a, b sstore.Value) {
+	slots := catalog.NewSlotTable(2)
+	next := int64(0)
+	return func() (sstore.Value, sstore.Value) {
+		next++
+		a, b := sstore.Int(next), sstore.Int(next+1)
+		for slots.Partition(b) == slots.Partition(a) {
+			next++
+			b = sstore.Int(next + 1)
+		}
+		next++
+		return a, b
+	}
+}
+
+// TestCoordinatedWriteAllocBudget: mp-pair's write on two partitions, a
+// 2PC through the coordinator, routed and answered in process. What is
+// left is the router's (the statement's parameters, the evaluated rows,
+// their targets) and what the legs store; the coordinator's transaction,
+// its sessions and a leg's context are reused. It read 51 before that.
+func TestCoordinatedWriteAllocBudget(t *testing.T) {
+	st := sstore.Open(sstore.Config{Partitions: 2})
+	if err := st.ExecScript("CREATE TABLE pairs (id BIGINT PRIMARY KEY, peer BIGINT, n BIGINT) PARTITION BY id"); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Stop()
+	ids := pairIDs()
+	write := func() {
+		a, b := ids()
+		if res, err := st.Exec(pairWrite, a, b, b, a); err != nil || res.RowsAffected != 2 {
+			t.Fatalf("pair write: %v, %v", res, err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		write()
+	}
+	txns := st.Metrics().Load(metrics.MPTxns)
+	const runs = 1000
+	// Measured 17, and 21 under the race detector, whose sync.Pool drops a
+	// quarter of the sessions and transactions it is given back.
+	const budget = 21
+	if got := testing.AllocsPerRun(runs, write); got > budget {
+		t.Fatalf("%.0f allocations per coordinated write, budget %d", got, budget)
+	}
+	if n := st.Metrics().Load(metrics.MPTxns) - txns; n != runs+1 {
+		t.Fatalf("%d coordinated transactions for %d writes", n, runs+1)
+	}
+}
+
 // kv-mixed's statements over the wire (benchmark/sut), on a 216-byte value,
 // and mp-pair's fan-out count of a whole table.
 const (
@@ -145,15 +206,17 @@ const (
 	wireCount  = "SELECT COUNT(*) FROM kv"
 )
 
-// kvOverTCP serves kv-mixed's table, wireKeys rows on two partitions, from
-// a server on loopback TCP, and returns the reads a client connected to it
-// makes: a point read, a 50-row ordered range, a grp aggregate and a count
-// of the table, each checked, each on the next key.
+// kvOverTCP serves kv-mixed's table, wireKeys rows on two partitions, and
+// mp-pair's, from a server on loopback TCP, and returns the statements a
+// client connected to it makes: a point read, a 50-row ordered range, a
+// grp aggregate and a count of the table, each checked, each on the next
+// key, and a pair write.
 func kvOverTCP(tb testing.TB) map[string]func() {
 	st := sstore.Open(sstore.Config{Partitions: 2})
 	if err := st.ExecScript(`
 		CREATE TABLE kv (k BIGINT PRIMARY KEY, grp INT, n BIGINT, v VARCHAR) PARTITION BY k;
-		CREATE INDEX kv_by_grp ON kv (grp);`); err != nil {
+		CREATE INDEX kv_by_grp ON kv (grp);
+		CREATE TABLE pairs (id BIGINT PRIMARY KEY, peer BIGINT, n BIGINT) PARTITION BY id;`); err != nil {
 		tb.Fatal(err)
 	}
 	if err := st.Start(); err != nil {
@@ -180,6 +243,7 @@ func kvOverTCP(tb testing.TB) map[string]func() {
 	for k := range params {
 		params[k] = sstore.Int(int64(k))
 	}
+	ids := pairIDs()
 	k := 0
 	next := func(span int) int {
 		k = (k + 1) % (wireKeys - span)
@@ -211,6 +275,13 @@ func kvOverTCP(tb testing.TB) map[string]func() {
 			resp, err := c.Query(wireAgg, params[k%wireGroups])
 			if err != nil || len(resp.Rows) != 1 || resp.Rows[0][0].Int() != wireKeys/wireGroups {
 				tb.Fatalf("grp aggregate of %d: %v, %v", k%wireGroups, resp, err)
+			}
+		},
+		"pair": func() {
+			a, b := ids()
+			resp, err := c.Exec(pairWrite, a, b, b, a)
+			if err != nil || resp.RowsAffected != 2 {
+				tb.Fatalf("pair write: %v, %v", resp, err)
 			}
 		},
 	}

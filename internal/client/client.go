@@ -42,7 +42,7 @@ func (c *TCP) roundTrip(req *wire.Request) (*wire.Response, error) {
 	if err := wire.WriteFrame(c.conn, wire.EncodeRequest(req)); err != nil {
 		return nil, err
 	}
-	payload, err := wire.ReadFrame(c.in)
+	payload, err := wire.ReadFrame(c.in, nil)
 	if err != nil {
 		return nil, err
 	}

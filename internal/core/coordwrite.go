@@ -21,24 +21,27 @@ import (
 // (hash-split data); without it, partition 0's count stands for the
 // logical result (replicated data).
 func (s *Store) coordExecAll(sqlText string, params []types.Value, sum bool) (*pe.Result, error) {
-	var legs []legFrag
+	n := 0
 	err := s.runMP(pe.AdHocProc, func(tx *MPTxn) error {
-		var err error
-		legs, err = tx.sendEach(func(part int) (legFrag, error) { return tx.sendExec(part, sqlText, params...) })
+		legs, err := tx.sendEach(func(part int) (legFrag, error) { return tx.sendExec(part, sqlText, params...) })
+		if err == nil {
+			n, err = tx.legsAffected(legs, sum)
+		}
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return legsResult(legs, sum)
+	return &pe.Result{RowsAffected: n}, nil
 }
 
 // coordInsertBuckets inserts per-partition row batches as one coordinated
 // transaction: the legs commit atomically or not at all.
 func (s *Store) coordInsertBuckets(table string, buckets map[int][]types.Row) (*pe.Result, error) {
-	var legs []legFrag
+	n := 0
 	err := s.runMP(pe.AdHocProc, func(tx *MPTxn) error {
-		legs = legs[:0]
+		var buf [2]legFrag // a pair's legs stay on the stack
+		legs := buf[:0]
 		for part := 0; part < tx.NumPartitions(); part++ {
 			if rows := buckets[part]; len(rows) > 0 {
 				lf, err := tx.sendInsertRows(part, table, rows)
@@ -48,34 +51,38 @@ func (s *Store) coordInsertBuckets(table string, buckets map[int][]types.Row) (*
 				legs = append(legs, lf)
 			}
 		}
-		return nil
+		var err error
+		n, err = tx.legsAffected(legs, true)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return legsResult(legs, true)
+	return &pe.Result{RowsAffected: n}, nil
 }
 
-// legsResult is a committed transaction's result from the write fragments
-// its handler queued and never waited for: each was answered before its
-// leg's vote, so nothing here waits. With sum set, RowsAffected totals the
-// legs; without it, the first leg's result stands for all (replicated
-// data: every leg applied the same rows).
-func legsResult(legs []legFrag, sum bool) (*pe.Result, error) {
-	results, err := waitAll(legs)
-	if err != nil {
-		return nil, err
+// legsAffected ends a router handler: it collects every leg's vote, which
+// the write fragments the handler queued and never waited for ride, so
+// their counts are in with no wait of their own, and reads the counts
+// while the legs are still the coordinator's (resolveAll lets go of
+// them). A veto is returned as the handler's error. With sum set, the
+// count totals the legs; without it, the first leg's stands for all
+// (replicated data: every leg applied the same rows).
+func (tx *MPTxn) legsAffected(legs []legFrag, sum bool) (int, error) {
+	if err := tx.prepareAll(); err != nil {
+		return 0, err
 	}
-	if len(results) == 0 {
-		return &pe.Result{}, nil
-	}
-	first := results[0]
-	if sum {
-		for _, res := range results[1:] {
-			first.RowsAffected += res.RowsAffected
+	n := 0
+	for i, lf := range legs {
+		c, err := lf.wait()
+		if err != nil {
+			return 0, err
+		}
+		if sum || i == 0 {
+			n += c
 		}
 	}
-	return first, nil
+	return n, nil
 }
 
 // execInsertSelect routes INSERT ... SELECT. A source that reads a
@@ -110,12 +117,12 @@ func (s *Store) execInsertSelect(ins *sql.Insert, rel *catalog.RelDef, sqlText s
 	if err != nil {
 		return nil, err
 	}
-	// The writes are queued and never waited for inside the handler: each
-	// leg's inserts ride its vote, and the counts are read after commit.
-	var legs []legFrag
-	sum := true
+	// The writes are queued and never waited for: each leg's inserts ride
+	// its vote, and legsAffected reads the counts once the votes are in.
+	n := 0
 	err = s.runMP(pe.AdHocProc, func(tx *MPTxn) error {
-		legs = legs[:0]
+		var legs []legFrag
+		sum := true
 		src, err := tx.readCut(source, params)
 		if err != nil {
 			return err
@@ -174,12 +181,15 @@ func (s *Store) execInsertSelect(ins *sql.Insert, rel *catalog.RelDef, sqlText s
 			}
 		default:
 			// Pinned stream target fed from a partitioned source.
-			return insert(0, full)
+			if err := insert(0, full); err != nil {
+				return err
+			}
 		}
-		return nil
+		n, err = tx.legsAffected(legs, sum)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return legsResult(legs, sum)
+	return &pe.Result{RowsAffected: n}, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -111,5 +112,60 @@ func BenchmarkMPPairInsert(b *testing.B) {
 		if _, err := st.Exec(pairInsert, x, y, y, x); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestMPLegResultSurvivesLaterTxns: a leg runs in its worker's own context,
+// which the worker resets for its next transaction, so the rows a leg's
+// read hands the coordinator are copied out. Kept past their transaction,
+// they read the same after 1 000 later coordinated writes on the same
+// partitions, each of which reads its own rows back through its legs.
+func TestMPLegResultSurvivesLaterTxns(t *testing.T) {
+	st := buildPairs(t)
+	defer st.Stop()
+	ids := pairIDs(st, 1008)
+	for _, p := range ids[:8] {
+		a, b := types.NewInt(p[0]), types.NewInt(p[1])
+		if _, err := st.Exec(pairInsert, a, b, b, a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const read = "SELECT id, peer, n FROM pairs ORDER BY id"
+	var kept [2][]types.Row
+	if err := st.MultiPartitionTxn(func(tx *MPTxn) error {
+		for part := range kept {
+			res, err := tx.Query(part, read)
+			if err != nil {
+				return err
+			}
+			kept[part] = res.Rows
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprint(kept)
+	if len(kept[0]) != 8 || len(kept[1]) != 8 {
+		t.Fatalf("legs read %d and %d rows, want 8 each", len(kept[0]), len(kept[1]))
+	}
+	for _, p := range ids[8:] {
+		if err := st.MultiPartitionTxn(func(tx *MPTxn) error {
+			for i, id := range p {
+				part := tx.PartitionFor(types.NewInt(id))
+				if _, err := tx.Exec(part, "INSERT INTO pairs VALUES (?, ?, 2)", types.NewInt(id), types.NewInt(p[1-i])); err != nil {
+					return err
+				}
+				row, err := tx.QueryRow(part, "SELECT n, peer, id FROM pairs WHERE id = ?", types.NewInt(id))
+				if err != nil || len(row) != 3 || row[2].Int() != id {
+					return fmt.Errorf("read back %d: %v, %v", id, row, err)
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fmt.Sprint(kept); got != want {
+		t.Fatalf("a leg's rows changed after later transactions:\n%s\nwant\n%s", got, want)
 	}
 }

@@ -464,11 +464,10 @@ func (s *Store) Metrics() *metrics.Metrics { return s.met }
 // readPerPartition fills v's per-partition metrics from the partition:
 // its log's fsyncs that waited out the sync period, the index heap outside
 // the resident-row ledger (DESIGN.md §7), the bytes its cold file served
-// to faults, the rows its access paths examined and returned, its acker
-// backlog, the executions its pause gates hold and how far its GC
-// watermark trails its clock.
-// It reads atomics and takes short locks only, so any goroutine may call
-// it.
+// to faults, the rows its access paths examined, its acker backlog, the
+// executions its pause gates hold and how far its GC watermark trails its
+// clock. It reads atomics and takes short locks only, so any goroutine may
+// call it.
 func (p *partition) readPerPartition(v *metrics.Snapshot) {
 	v[metrics.WalPeriodWaits] = p.periodWaits.Load()
 	for _, name := range p.cat.Names() {
@@ -477,7 +476,7 @@ func (p *partition) readPerPartition(v *metrics.Snapshot) {
 	if cs := p.cat.ColdStore(); cs != nil {
 		v[metrics.ColdReadBytes] = int64(cs.Stats().ReadBytes)
 	}
-	v[metrics.RowsExamined], v[metrics.RowsReturned] = p.ee.RowCounts()
+	v[metrics.RowsExamined] = p.ee.RowsExamined()
 	v[metrics.AckBacklog] = int64(p.pe.AckBacklog())
 	v[metrics.DeferredExecutions] = int64(p.pe.DeferredExecutions())
 	clock := p.cat.Clock()
@@ -497,6 +496,7 @@ func (s *Store) StatsResult() *pe.Result {
 	}
 	snap := s.met.Snapshot()
 	snap[metrics.OldestPinAgeMs] = s.oldestPinAge().Milliseconds()
+	metrics.ReadRuntime(&snap)
 	res := &pe.Result{Columns: []string{"metric", "value"}}
 	metrics.Rows(snap, per, func(name, val string) {
 		res.Rows = append(res.Rows, types.Row{types.NewString(name), types.NewString(val)})

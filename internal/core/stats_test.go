@@ -68,8 +68,6 @@ rows_examined int
 rows_examined.p0 int
 rows_examined.p1 int
 rows_returned int
-rows_returned.p0 int
-rows_returned.p1 int
 ack_backlog int
 ack_backlog.p0 int
 ack_backlog.p1 int
@@ -106,6 +104,8 @@ mp_marker_wait_p99 dur
 cutover_pause_count int
 cutover_pause_p50 dur
 cutover_pause_p99 dur
+go_gc_cycles int
+go_alloc_bytes int
 `
 
 // TestStatsRowsGolden pins StatsResult's row names, their order and each

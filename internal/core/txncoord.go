@@ -324,6 +324,10 @@ type MPTxn struct {
 	// only: entry to runMP, the handler's start, the slots' release and
 	// every vote durable. observe turns them into the mp_* samples.
 	entry, handled, released, votesDurable pe.Stamp
+	// need marks the slots the next attempt pre-acquires (runMP), and
+	// admitted that the coordinator still holds its admission token.
+	need     []bool
+	admitted bool
 
 	mu        sync.Mutex
 	sess      []*pe.MPSession
@@ -331,6 +335,56 @@ type MPTxn struct {
 	requested []bool // slot i was needed at least once (retry pre-set)
 	maxHeld   int    // highest held slot index (-1 when none)
 	err       error  // sticky: poisons the transaction, forcing abort
+}
+
+// mpTxns recycles transaction handles, their per-partition slices
+// included: runMP takes one and puts it back when the transaction is over.
+var mpTxns = sync.Pool{New: func() any { return new(MPTxn) }}
+
+// newMPTxn takes a handle for a transaction over parts, entered at entry,
+// holding an admission token.
+func (s *Store) newMPTxn(proc string, parts []*partition, entry pe.Stamp) *MPTxn {
+	tx := mpTxns.Get().(*MPTxn)
+	if n := len(parts); cap(tx.sess) < n {
+		tx.sess, tx.held, tx.requested, tx.need = make([]*pe.MPSession, n), make([]bool, n), make([]bool, n), make([]bool, n)
+	} else {
+		tx.sess, tx.held, tx.requested, tx.need = tx.sess[:n], tx.held[:n], tx.requested[:n], tx.need[:n]
+	}
+	tx.s, tx.proc, tx.parts, tx.entry, tx.admitted = s, proc, parts, entry, true
+	return tx
+}
+
+// begin readies tx for an attempt: a new id, no slot held but those need
+// marks (taken by the attempt), no session, nothing logged.
+func (tx *MPTxn) begin() {
+	tx.id = tx.s.nextMPTxnID.Add(1)
+	clear(tx.sess)
+	clear(tx.held)
+	clear(tx.requested)
+	clear(tx.voteAcks)
+	tx.prepParts, tx.voteAcks = tx.prepParts[:0], tx.voteAcks[:0]
+	tx.outcome, tx.err, tx.maxHeld = nil, nil, -1
+}
+
+// admitDone hands the admission token back, once: as soon as the slots
+// release, or when the transaction ends if that comes first.
+func (tx *MPTxn) admitDone() {
+	if tx.admitted {
+		tx.admitted = false
+		<-tx.s.mpAdmit
+	}
+}
+
+// free ends the transaction: the token goes back if it has not, and the
+// emptied handle goes back to mpTxns. Nothing may touch tx afterwards.
+func (tx *MPTxn) free() {
+	tx.admitDone()
+	clear(tx.sess)
+	clear(tx.need)
+	clear(tx.voteAcks)
+	*tx = MPTxn{sess: tx.sess, held: tx.held, requested: tx.requested, need: tx.need,
+		prepParts: tx.prepParts, voteAcks: tx.voteAcks}
+	mpTxns.Put(tx)
 }
 
 // NumPartitions returns the store's partition count.
@@ -516,14 +570,23 @@ type legFrag struct {
 	write bool
 }
 
-// wait returns the fragment's result. A failed write poisons the
-// transaction, so it aborts even if the handler swallows the error.
-func (lf legFrag) wait() (*pe.Result, error) {
-	res, err := lf.f.Wait()
+// wait returns the number of rows the fragment affected. A failed write
+// poisons the transaction, so it aborts even if the handler swallows the
+// error.
+func (lf legFrag) wait() (int, error) {
+	n, err := lf.f.Wait()
 	if err != nil && lf.write {
 		lf.tx.poison(err)
 	}
-	return res, err
+	return n, err
+}
+
+// result is wait returning the fragment's whole result, rows included.
+func (lf legFrag) result() (*pe.Result, error) {
+	if _, err := lf.wait(); err != nil {
+		return nil, err
+	}
+	return lf.f.Result()
 }
 
 // sendExec queues a write statement on partition part's leg.
@@ -570,8 +633,8 @@ func (tx *MPTxn) readCut(p *ee.Prepared, params []types.Value) ([]types.Row, err
 		}
 		return legFrag{tx: tx, f: sess.SendEnter()}, nil
 	})
-	if err == nil {
-		_, err = waitAll(entered)
+	for i := 0; err == nil && i < len(entered); i++ {
+		_, err = entered[i].wait()
 	}
 	if err != nil {
 		return nil, err
@@ -592,7 +655,7 @@ func waitFor(lf legFrag, err error) (*pe.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return lf.wait()
+	return lf.result()
 }
 
 // Exec runs one write statement on partition part inside the transaction.
@@ -673,7 +736,7 @@ func waitAll(legs []legFrag) ([]*pe.Result, error) {
 	results := make([]*pe.Result, len(legs))
 	var first error
 	for i, lf := range legs {
-		res, err := lf.wait()
+		res, err := lf.result()
 		if err != nil && first == nil {
 			first = err
 		}
@@ -691,7 +754,8 @@ func waitAll(legs []legFrag) ([]*pe.Result, error) {
 // decision (no other execution interleaves), and on a durable store the
 // writes are command-logged through 2PC PREPARE/DECIDE records so recovery
 // resolves them atomically too. Returning an error from fn — or any failed
-// write fragment — aborts every leg.
+// write fragment — aborts every leg. tx is valid until fn returns; the
+// results its methods return are the caller's.
 //
 // Transactions over disjoint partition sets run concurrently; overlapping
 // sets serialize on the shared partitions only. The per-partition fast
@@ -728,49 +792,39 @@ func (s *Store) runMP(proc string, fn func(tx *MPTxn) error) error {
 	parts := s.partList()
 	// Admission: bound the coordinators competing for enlistment slots
 	// (see mpAdmit). The token covers the slot-holding phase only —
-	// attemptMP hands it back as soon as the slots release, so the
+	// attempt hands it back as soon as the slots release, so the
 	// durability tail pipelines without consuming a token.
 	s.mpAdmitOnce.Do(func() {
 		s.mpAdmit = make(chan struct{}, len(parts))
 	})
 	s.mpAdmit <- struct{}{}
-	admitDone := sync.OnceFunc(func() { <-s.mpAdmit })
-	defer admitDone()
-	need := make([]bool, len(parts))
+	tx := s.newMPTxn(proc, parts, entry)
+	defer tx.free()
 	for attempt := 0; ; attempt++ {
 		if attempt == mpMaxTryAttempts {
-			for i := range need {
-				need[i] = true
+			for i := range tx.need {
+				tx.need[i] = true
 			}
 		}
-		err, retry := s.attemptMP(proc, fn, parts, need, admitDone, entry)
+		err, retry := tx.attempt(fn)
 		if !retry {
 			return err
 		}
 	}
 }
 
-// attemptMP runs one optimistic attempt of a coordinated transaction,
-// pre-acquiring the slots marked in need (ascending). retry reports a
+// attempt runs one optimistic attempt of a coordinated transaction,
+// pre-acquiring the slots marked in tx.need (ascending). retry reports a
 // slot-order violation; the caller reruns with need extended by every
 // partition this attempt requested. The attempt that commits observes the
 // transaction, from entry (runMP's) to its ack, when it returns.
-func (s *Store) attemptMP(proc string, fn func(tx *MPTxn) error, parts []*partition, need []bool, admitDone func(), entry pe.Stamp) (err error, retry bool) {
-	tx := &MPTxn{
-		s:         s,
-		entry:     entry,
-		id:        s.nextMPTxnID.Add(1),
-		proc:      proc,
-		parts:     parts,
-		sess:      make([]*pe.MPSession, len(parts)),
-		held:      make([]bool, len(parts)),
-		requested: make([]bool, len(parts)),
-		maxHeld:   -1,
-	}
+func (tx *MPTxn) attempt(fn func(tx *MPTxn) error) (err error, retry bool) {
+	s := tx.s
+	tx.begin()
 	defer tx.releaseSlots() // no-op on the paths that released already
-	for i, n := range need {
+	for i, n := range tx.need {
 		if n {
-			parts[i].mpSlot.Lock()
+			tx.parts[i].mpSlot.Lock()
 			tx.held[i] = true
 			tx.maxHeld = i
 		}
@@ -788,7 +842,7 @@ func (s *Store) attemptMP(proc string, fn func(tx *MPTxn) error, parts []*partit
 		// transaction has not failed, it is being re-ordered.
 		for i, r := range tx.requested {
 			if r {
-				need[i] = true
+				tx.need[i] = true
 			}
 		}
 		tx.mu.Unlock()
@@ -852,7 +906,7 @@ func (s *Store) attemptMP(proc string, fn func(tx *MPTxn) error, parts []*partit
 	// presumed abort: no marker in any partition log means aborted.
 	tx.releaseSlots()
 	tx.released = pe.Now()
-	admitDone()
+	tx.admitDone()
 	var derr2 error
 	verr := tx.waitVotes()
 	tx.votesDurable = pe.Now()
@@ -880,7 +934,8 @@ func (s *Store) attemptMP(proc string, fn func(tx *MPTxn) error, parts []*partit
 	if tx.outcome != nil {
 		oerr = tx.resolveOutcome(derr2)
 	}
-	if err = errors.Join(derr, oerr, tx.resolveAll()); err == nil {
+	tx.resolveAll()
+	if err = errors.Join(derr, oerr); err == nil {
 		tx.observe()
 	}
 	return err, false
@@ -958,25 +1013,23 @@ func (tx *MPTxn) deliverAll(commit bool) error {
 	return errors.Join(errs...)
 }
 
-// resolveAll waits for every delivered leg's final acknowledgement.
-func (tx *MPTxn) resolveAll() error {
-	var errs []error
-	for _, sess := range tx.sess {
-		if sess == nil {
-			continue
-		}
-		if err := sess.Resolve(); err != nil {
-			errs = append(errs, err)
+// resolveAll waits for every delivered leg's final acknowledgement and
+// lets go of the sessions: no fragment of the transaction is read after.
+func (tx *MPTxn) resolveAll() {
+	for i, sess := range tx.sess {
+		if sess != nil {
+			sess.Resolve()
+			tx.sess[i] = nil
 		}
 	}
-	return errors.Join(errs...)
 }
 
 // finishAll is deliverAll + resolveAll — the abort path, which needs no
 // publication lock (rollbacks publish nothing).
 func (tx *MPTxn) finishAll(commit bool) error {
 	derr := tx.deliverAll(commit)
-	return errors.Join(derr, tx.resolveAll())
+	tx.resolveAll()
+	return derr
 }
 
 // acquireAllSlots locks every partition's enlistment slot in ascending

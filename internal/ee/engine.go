@@ -54,11 +54,12 @@ type Engine struct {
 	MaxTriggerDepth int
 
 	// rowsExamined counts the rows access paths handed to statements from
-	// this engine's tables, and the rows a count access counted there;
-	// rowsReturned counts the rows its SELECTs gave back. Each table walk
-	// adds its tally once, when it ends: snapshot reads run on client
-	// goroutines, and a read over a cut walks other partitions' tables.
-	rowsExamined, rowsReturned atomic.Int64
+	// this engine's tables, and the rows a count access counted there.
+	// Each table walk adds its tally once, when it ends: snapshot reads run
+	// on client goroutines, and a read over a cut walks other partitions'
+	// tables. The rows a SELECT gives back are the store's
+	// (metrics.RowsReturned): every read runs on partition 0's engine.
+	rowsExamined atomic.Int64
 }
 
 // Trigger is an EE trigger: statements executed inside the running
@@ -92,11 +93,9 @@ func (e *Engine) Catalog() *catalog.Catalog { return e.cat }
 // Metrics returns the engine's counters.
 func (e *Engine) Metrics() *metrics.Metrics { return e.met }
 
-// RowCounts reports how many rows statements examined in this engine's
-// tables and how many its SELECTs returned. Safe from any goroutine.
-func (e *Engine) RowCounts() (examined, returned int64) {
-	return e.rowsExamined.Load(), e.rowsReturned.Load()
-}
+// RowsExamined reports how many rows statements examined in this engine's
+// tables. Safe from any goroutine.
+func (e *Engine) RowsExamined() int64 { return e.rowsExamined.Load() }
 
 // MarkStreamPersistent tells the EE that a stream's tuples are consumed by
 // a downstream PE trigger and must be retained until that consumer's

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"repro/internal/catalog"
+	"repro/internal/metrics"
 	"repro/internal/storage"
 	"repro/internal/types"
 )
@@ -77,7 +78,7 @@ func (e *Engine) execSelect(ctx *ExecCtx, p *Prepared, params []types.Value) (*R
 	if rows == nil {
 		rows = []types.Row{}
 	}
-	e.rowsReturned.Add(int64(len(rows)))
+	e.met.Add(metrics.RowsReturned, int64(len(rows)))
 	return ctx.mem.result(p.Columns, rows, len(rows)), nil
 }
 

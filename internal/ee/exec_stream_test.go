@@ -86,9 +86,9 @@ func TestEarlyStopLeavesNoGuard(t *testing.T) {
 		{"SELECT k FROM t WHERE k BETWEEN 10 AND 90000 LIMIT 4", 4},
 	} {
 		for _, ctx := range []*ExecCtx{snap, {ReadOnly: true}} {
-			before, _ := e.RowCounts()
+			before := e.RowsExamined()
 			res := mustExec(t, e, ctx, c.q)
-			after, _ := e.RowCounts()
+			after := e.RowsExamined()
 			if len(res.Rows) == 0 || after-before != c.examined {
 				t.Errorf("%s (snapshot %v): %d rows, %d examined, want %d examined", c.q, ctx.Snapshot, len(res.Rows), after-before, c.examined)
 			}
@@ -136,9 +136,9 @@ func TestExplainNamesTheArmThatRuns(t *testing.T) {
 				t.Errorf("EXPLAIN %s does not name %q:\n%s", q, arm.plan, plan)
 			}
 			ctx := freshCtx()
-			before, _ := e.RowCounts()
+			before := e.RowsExamined()
 			mustExec(t, e, ctx, q)
-			after, _ := e.RowCounts()
+			after := e.RowsExamined()
 			ctx.Undo.Rollback()
 			if after-before != arm.examined {
 				t.Errorf("%s examined %d rows, its plan %q reads %d", q, after-before, arm.plan, arm.examined)

@@ -11,6 +11,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	rtmetrics "runtime/metrics"
 	"sort"
 	"strconv"
 	"sync"
@@ -97,10 +98,10 @@ const (
 	// Per partition, read from the partitions when the rows are rendered:
 	// the index heap MemoryBudget does not govern (DESIGN.md §7); the bytes
 	// the cold file served to faults (beside cold_faults); the rows the
-	// access paths handed to statements against those SELECTs gave back (a
-	// read that examines far more than it returns is one to index); the
-	// commits queued for the acker but not yet acked; and the executions
-	// paused dataflows hold.
+	// access paths handed to statements; then, store-wide, the rows SELECTs
+	// gave back (a read that examines far more than it returns is one to
+	// index); per partition again, the commits queued for the acker but not
+	// yet acked; and the executions paused dataflows hold.
 	IndexBytes
 	ColdReadBytes
 	RowsExamined
@@ -148,6 +149,12 @@ const (
 	CutoverPauseCount
 	CutoverPauseP50
 	CutoverPauseP99
+	// The Go runtime's, read from runtime/metrics only when the rows are
+	// rendered (ReadRuntime): the process's completed GC cycles and the
+	// bytes it has allocated on the heap, both since it started. Per
+	// operation, they are what a path's garbage costs.
+	GoGCCycles
+	GoAllocBytes
 	numMetrics
 )
 
@@ -238,7 +245,7 @@ var defs = [numMetrics]def{
 	IndexBytes:          {name: "index_bytes", kind: Gauge, perPartition: true},
 	ColdReadBytes:       {name: "cold_read_bytes", perPartition: true},
 	RowsExamined:        {name: "rows_examined", perPartition: true},
-	RowsReturned:        {name: "rows_returned", perPartition: true},
+	RowsReturned:        {name: "rows_returned"},
 	AckBacklog:          {name: "ack_backlog", kind: Gauge, perPartition: true},
 	DeferredExecutions:  {name: "deferred_executions", kind: Gauge, perPartition: true},
 	Rebalances:          {name: "rebalances"},
@@ -271,6 +278,17 @@ var defs = [numMetrics]def{
 	CutoverPauseCount:   {name: "cutover_pause_count", hist: CutoverPause},
 	CutoverPauseP50:     {name: "cutover_pause_p50", kind: Quantile, hist: CutoverPause, q: 0.50},
 	CutoverPauseP99:     {name: "cutover_pause_p99", kind: Quantile, hist: CutoverPause, q: 0.99},
+	GoGCCycles:          {name: "go_gc_cycles"},
+	GoAllocBytes:        {name: "go_alloc_bytes"},
+}
+
+// ReadRuntime fills s's Go runtime metrics from runtime/metrics. A
+// Snapshot leaves them 0: the store reads them when it renders the rows.
+func ReadRuntime(s *Snapshot) {
+	samples := [...]rtmetrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}, {Name: "/gc/heap/allocs:bytes"}}
+	rtmetrics.Read(samples[:])
+	s[GoGCCycles] = int64(samples[0].Value.Uint64())
+	s[GoAllocBytes] = int64(samples[1].Value.Uint64())
 }
 
 // String is the metric's stats row name.
@@ -334,8 +352,8 @@ func (m *Metrics) Graph(name string) *GraphStats {
 
 // Snapshot is a point-in-time copy of every metric, indexed by Metric. A
 // Mean is held as its float64 bits (read it with Mean), a Quantile as
-// nanoseconds. A per-partition metric, and OldestPinAgeMs, read 0 here:
-// the store fills them when it renders the rows.
+// nanoseconds. A per-partition metric, OldestPinAgeMs and the Go runtime
+// metrics read 0 here: the store fills them when it renders the rows.
 type Snapshot [numMetrics]int64
 
 // Snapshot captures the current values.

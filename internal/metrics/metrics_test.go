@@ -93,7 +93,7 @@ func TestRowsPerPartition(t *testing.T) {
 			t.Errorf("%s = %q, want %q", name, rows[name], want)
 		}
 	}
-	if len(order) != int(numMetrics)+8*2 {
+	if len(order) != int(numMetrics)+7*2 {
 		t.Errorf("%d rows, want one per metric plus two per per-partition metric", len(order))
 	}
 }

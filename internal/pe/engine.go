@@ -1027,8 +1027,8 @@ func retained[T any](buf []T) []T {
 // beginTE readies the worker's TE state for the next execution and returns
 // its EE context. What the previous TE left in it is gone after this: its
 // results, rows and lists were either consumed or copied out at one of the
-// three doors (ownResult for a response, dispatchEmits for a downstream
-// batch and its ids).
+// doors (ownResult for a response, runFragment for a 2PC leg's answer,
+// dispatchEmits for a downstream batch and its ids).
 func (e *Engine) beginTE() *ee.ExecCtx {
 	e.undo.Release()
 	for i := range e.emits {

@@ -1,9 +1,11 @@
 package pe
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/ee"
 	"repro/internal/metrics"
@@ -74,8 +76,12 @@ type mpMsg struct {
 	table  string
 	rows   []types.Row
 
-	// The answer, written by the worker before it hands the entry back.
-	res      *ee.Result
+	// The answer, written by the worker before it hands the entry back: a
+	// fragment's count and, for a statement that returns rows, its columns
+	// and a copy of its rows (runFragment).
+	n        int
+	cols     []string
+	out      []types.Row
 	err      error
 	readOnly bool       // mpVote: the leg wrote nothing and was released
 	ops      []LoggedOp // mpVote: the leg's logged write set
@@ -87,11 +93,26 @@ type mpMsg struct {
 // the window takes the oldest reply first.
 const mpWindow = 8
 
+// mpInlineFrags is how many fragment entries a session carries inline; a
+// leg queued more takes the rest from the heap. A router leg queues one.
+const mpInlineFrags = 4
+
+// errFragmentPhaseOver answers a fragment queued after the leg's vote or
+// decision: the worker may have left the leg, so nothing would serve it.
+var errFragmentPhaseOver = errors.New("pe: mp fragment queued after the leg's vote or decision")
+
 // MPSession is one partition's enlistment in a coordinated transaction.
 // The coordinator queues fragments, then the vote request, then the
 // decision (which may come at any point after enlistment on the abort
 // path); the worker executes everything. The coordinator side may be used
 // from several goroutines.
+//
+// A session is recycled: its channels, its vote, decision and inline
+// fragment entries and the request that parks the worker on it are used
+// again by a later enlistment. Two parties hold it, the worker until it has
+// finished with the request (Engine.recycle) and the coordinator until
+// Resolve returns; the last one out empties it and returns it to
+// mpSessions. Neither touches it, nor a Frag of it, after letting go.
 type MPSession struct {
 	e     *Engine
 	txnID uint64
@@ -99,18 +120,41 @@ type MPSession struct {
 
 	inbox   chan *mpMsg
 	replies chan *mpMsg
-	done    chan CallResult
+	done    chan struct{} // the worker has left the leg
+	req     txnRequest    // the leg's entry in the worker's queue
+	refs    atomic.Int32  // holders left: worker and coordinator
 
 	mu     sync.Mutex // the coordinator side below
 	queued int        // entries queued whose reply has not been taken
 	vote   mpMsg
 	decide mpMsg
+	frags  [mpInlineFrags]mpMsg
+	nfrags int // inline entries in use
 
 	voteSent bool
 	finished bool
 	// releasedPrep is set when the vote took the read-only release: the
 	// leg is done and no decision may be queued to it.
 	releasedPrep bool
+}
+
+// mpSessions holds emptied sessions, channels included, for EnlistMP.
+var mpSessions = sync.Pool{New: func() any {
+	return &MPSession{
+		inbox:   make(chan *mpMsg, mpWindow),
+		replies: make(chan *mpMsg, mpWindow),
+		done:    make(chan struct{}, 1),
+	}
+}}
+
+// release lets go of the session for one of its two holders. The last one
+// out empties it — both channels are drained by then: every entry queued
+// was served and every reply taken — and returns it to mpSessions.
+func (s *MPSession) release() {
+	if s.refs.Add(-1) == 0 {
+		*s = MPSession{inbox: s.inbox, replies: s.replies, done: s.done}
+		mpSessions.Put(s)
+	}
 }
 
 // EnlistMP queues this partition's participation in coordinated transaction
@@ -123,16 +167,11 @@ func (e *Engine) EnlistMP(txnID uint64, adHoc bool) (*MPSession, error) {
 	if err := e.errNotStarted(); err != nil {
 		return nil, err
 	}
-	s := &MPSession{
-		e:       e,
-		txnID:   txnID,
-		adHoc:   adHoc,
-		inbox:   make(chan *mpMsg, mpWindow),
-		replies: make(chan *mpMsg, mpWindow),
-		done:    make(chan CallResult, 1),
-	}
-	r := &txnRequest{kind: reqMP, mp: s, done: s.done, origin: Now()}
-	if !e.sched.push(r) {
+	s := mpSessions.Get().(*MPSession)
+	s.e, s.txnID, s.adHoc = e, txnID, adHoc
+	s.refs.Store(2)
+	s.req.kind, s.req.mp, s.req.origin = reqMP, s, Now()
+	if !e.sched.push(&s.req) {
 		return nil, fmt.Errorf("pe: engine stopped")
 	}
 	return s, nil
@@ -169,35 +208,52 @@ func (s *MPSession) await(m *mpMsg) {
 
 // Frag is a fragment queued on a leg. Its result is there once Wait
 // returns; a write fragment nobody waits for still counts, because its
-// failure vetoes the leg's vote.
+// failure vetoes the leg's vote. A Frag is valid until its session's
+// coordinator resolves it.
 type Frag struct {
 	s *MPSession
 	m *mpMsg
 }
 
-// Wait returns the fragment's result, waiting for the worker if it has not
-// answered yet.
-func (f Frag) Wait() (*Result, error) {
+// Wait returns the number of rows the fragment affected, waiting for the
+// worker if it has not answered yet.
+func (f Frag) Wait() (int, error) {
 	f.s.mu.Lock()
 	f.s.await(f.m)
 	f.s.mu.Unlock()
-	if f.m.err != nil {
-		return nil, f.m.err
-	}
-	out := &Result{}
-	if res := f.m.res; res != nil {
-		out.Columns = res.Columns
-		out.Rows = res.Rows
-		out.RowsAffected = res.RowsAffected
-	}
-	return out, nil
+	return f.m.n, f.m.err
 }
 
-func (s *MPSession) queue(m *mpMsg) Frag {
+// Result is Wait returning the fragment's whole result: its count and the
+// columns and rows of a statement that returns rows, which are the
+// caller's.
+func (f Frag) Result() (*Result, error) {
+	n, err := f.Wait()
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Columns: f.m.cols, Rows: f.m.out, RowsAffected: n}, nil
+}
+
+// queue copies m into an entry, one of the session's inline entries while
+// they last, and sends it unless the fragment phase is over.
+func (s *MPSession) queue(m mpMsg) Frag {
 	s.mu.Lock()
-	s.send(m)
-	s.mu.Unlock()
-	return Frag{s: s, m: m}
+	defer s.mu.Unlock()
+	var e *mpMsg
+	if s.nfrags < len(s.frags) {
+		e = &s.frags[s.nfrags]
+		s.nfrags++
+	} else {
+		e = new(mpMsg)
+	}
+	*e = m
+	if s.voteSent || s.finished {
+		e.answered, e.err = true, errFragmentPhaseOver
+	} else {
+		s.send(e)
+	}
+	return Frag{s: s, m: e}
 }
 
 // SendExec queues one SQL statement to run inside the leg's transaction
@@ -205,14 +261,14 @@ func (s *MPSession) queue(m *mpMsg) Frag {
 // the PREPARE record, so it must be a write whose re-execution is
 // deterministic — which concrete-parameter DML is.
 func (s *MPSession) SendExec(sqlText string, params ...types.Value) Frag {
-	return s.queue(&mpMsg{kind: mpExec, sql: sqlText, params: params})
+	return s.queue(mpMsg{kind: mpExec, sql: sqlText, params: params})
 }
 
 // SendQueryPlan queues a read of a plan the caller got from this
 // partition's execution engine. It sees the leg's own uncommitted writes;
 // reads are never logged.
 func (s *MPSession) SendQueryPlan(p *ee.Prepared, params ...types.Value) Frag {
-	return s.queue(&mpMsg{kind: mpQuery, plan: p, params: params})
+	return s.queue(mpMsg{kind: mpQuery, plan: p, params: params})
 }
 
 // SendEnter queues an entry that does nothing: once it is answered, the
@@ -220,7 +276,7 @@ func (s *MPSession) SendQueryPlan(p *ee.Prepared, params ...types.Value) Frag {
 // the transaction is published and nothing else commits there until the
 // decision.
 func (s *MPSession) SendEnter() Frag {
-	return s.queue(&mpMsg{kind: mpEnter})
+	return s.queue(mpMsg{kind: mpEnter})
 }
 
 // SendInsertRows queues a pre-evaluated row batch into a relation — the
@@ -228,7 +284,7 @@ func (s *MPSession) SendEnter() Frag {
 // (timestamps have no SQL literal) and reuses the engine's default/NOT
 // NULL/coercion checks.
 func (s *MPSession) SendInsertRows(table string, rows []types.Row) Frag {
-	return s.queue(&mpMsg{kind: mpInsert, table: table, rows: rows})
+	return s.queue(mpMsg{kind: mpInsert, table: table, rows: rows})
 }
 
 // SendPrepare queues the vote request behind every queued fragment. It is
@@ -321,30 +377,23 @@ func (s *MPSession) Published() {
 
 // Resolve waits for the worker's completion acknowledgement — sent as the
 // worker unparks, right after the delivered decision is reflected in
-// memory. It carries execution errors only; durability is settled by the
-// coordinator after the slots release.
-func (s *MPSession) Resolve() error {
-	cr := <-s.done
-	return cr.Err
+// memory (or at a read-only release) — and lets go of the session: the
+// coordinator must not touch it, or a Frag of it, afterwards. Durability
+// is settled by the coordinator after the slots release.
+func (s *MPSession) Resolve() {
+	<-s.done
+	s.release()
 }
 
 // executeMP is the worker side of the barrier: it parks on the session,
 // serving its inbox in order in its own serial slot, until the vote
 // releases a read-only leg or the decision resolves a writing one. It
 // reports whether the leg committed (a read-only release counts), with
-// r.committed stamped. Runs on the partition goroutine.
+// r.committed stamped. Runs on the partition goroutine, in its own TE
+// state: what a fragment hands back is copied out by runFragment.
 func (e *Engine) executeMP(r *txnRequest) bool {
 	s := r.mp
-	// The worker's undo log and emission list, but a context of the leg's
-	// own: fragment results cross to the coordinator's goroutine, which may
-	// read them after this worker has moved on, so their memory is never
-	// reset, only dropped.
-	e.beginTE()
-	undo := e.undo
-	ectx := &ee.ExecCtx{
-		Undo:              undo,
-		DisableEETriggers: e.cfg.HStoreMode,
-	}
+	ectx, undo := e.beginTE(), e.undo
 	// A router leg fires no PE trigger, like a single-partition Exec: a
 	// statement must not behave differently because its tuples span
 	// partitions. Application transactions drive workflows.
@@ -372,7 +421,7 @@ func (e *Engine) executeMP(r *txnRequest) bool {
 				s.replies <- m
 				r.committed = Now()
 				e.met.Add(metrics.MPReadOnlyLegs, 1)
-				r.respond(nil, nil)
+				s.done <- struct{}{}
 				return true
 			default:
 				// The vote hands the leg's logged ops to the coordinator,
@@ -389,7 +438,7 @@ func (e *Engine) executeMP(r *txnRequest) bool {
 				undo.Rollback()
 				s.replies <- m // nothing published; the rollback is applied
 				e.met.Add(metrics.TxnAborted, 1)
-				r.respond(nil, nil)
+				s.done <- struct{}{}
 				return false
 			}
 			// The coordinator delivers commit only after every leg's
@@ -405,12 +454,12 @@ func (e *Engine) executeMP(r *txnRequest) bool {
 			e.met.Add(metrics.TxnCommitted, 1)
 			e.met.Add(metrics.MPLegsCommitted, 1)
 			e.dispatchEmits(0, r.origin, r.replay)
-			r.respond(nil, nil)
+			s.done <- struct{}{}
 			return true
 		case mpEnter:
 			s.replies <- m
 		default:
-			m.res, m.err = e.runFragment(ectx, m)
+			m.err = e.runFragment(ectx, m)
 			if m.kind != mpQuery {
 				// Even a failed write disqualifies the read-only release:
 				// it may have left undo entries the abort path must roll
@@ -432,20 +481,28 @@ func (e *Engine) executeMP(r *txnRequest) bool {
 	}
 }
 
-// runFragment executes one fragment in the leg's context.
-func (e *Engine) runFragment(ectx *ee.ExecCtx, m *mpMsg) (*ee.Result, error) {
+// runFragment executes one fragment in the leg's context and writes its
+// answer into m. That context is the worker's, reset at its next TE while
+// the coordinator may still hold the answer, so this is a door of its own,
+// beside ownResult: a statement's rows are copied out, a row batch's count
+// is all it answers.
+func (e *Engine) runFragment(ectx *ee.ExecCtx, m *mpMsg) error {
+	var res *ee.Result
+	var err error
 	switch m.kind {
 	case mpInsert:
-		n, err := e.ee.InsertRows(ectx, m.table, m.rows)
-		if err != nil {
-			return nil, err
-		}
-		return &ee.Result{RowsAffected: n}, nil
+		m.n, err = e.ee.InsertRows(ectx, m.table, m.rows)
+		return err
 	case mpExec:
-		return e.ee.ExecSQL(ectx, m.sql, m.params...)
+		res, err = e.ee.ExecSQL(ectx, m.sql, m.params...)
 	default:
-		return e.ee.Execute(ectx, m.plan, m.params...)
+		res, err = e.ee.Execute(ectx, m.plan, m.params...)
 	}
+	if err != nil {
+		return err
+	}
+	m.n, m.cols, m.out = res.RowsAffected, res.Columns, types.CloneRows(res.Rows)
+	return nil
 }
 
 // replayPreparedLeg re-executes a committed leg's ops (a reqLeg request)
@@ -542,7 +599,13 @@ func (e *Engine) newTriggered() *txnRequest {
 // recycle takes an executed request back for newTriggered. Only the worker
 // calls it, after executeRequest: nothing refers to a triggered request
 // once it has run (it has no responder, so it never reaches the acker).
+// An MP leg's request is its session's, and the worker lets go of the
+// session here, the last it touches either.
 func (e *Engine) recycle(r *txnRequest) {
+	if r.kind == reqMP {
+		r.mp.release()
+		return
+	}
 	if !r.recycle || len(e.freeReqs) == freeReqsMax {
 		return
 	}

@@ -46,7 +46,7 @@ type txnRequest struct {
 	gcIDs       []storage.RowID
 	ops         []LoggedOp // for reqLeg
 	fn          func() error
-	mp          *MPSession // for reqMP
+	mp          *MPSession // for reqMP, whose request this is (MPSession.req)
 	done        chan CallResult
 	// origin is the queue stamp of a request that crosses the scheduler (a
 	// call, a border batch, resumed work, an MP leg): its admission.

@@ -138,12 +138,14 @@ func (s *Server) serve(conn net.Conn) {
 	}()
 	// Frames are read through a buffer the connection owns: a request's
 	// header and payload, and requests a client pipelined, arrive in one
-	// read(2). Each response is built as a whole frame, header reserved, in
-	// a second buffer the connection keeps (out) and leaves in one write(2).
+	// read(2). Each request's payload lands in a buffer the connection
+	// keeps (frame; the decoded request holds no byte of it), and each
+	// response is built as a whole frame, header reserved, in another (out)
+	// and leaves in one write(2).
 	in := bufio.NewReader(conn)
-	var out []byte
+	var frame, out []byte
 	for {
-		payload, err := wire.ReadFrame(in)
+		payload, err := wire.ReadFrame(in, frame)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.ErrUnexpectedEOF) {
 				s.Logf("server: read: %v", err)
@@ -160,14 +162,20 @@ func (s *Server) serve(conn net.Conn) {
 			s.Logf("server: write: %v", err)
 			return
 		}
+		// One large ingest batch or scan does not keep its size for the
+		// connection's life.
+		frame = payload
+		if cap(frame) > respRetain {
+			frame = nil
+		}
 		if cap(out) > respRetain {
-			out = nil // one large scan does not keep its size for the connection's life
+			out = nil
 		}
 	}
 }
 
-// respRetain is the largest response buffer a connection keeps between
-// responses.
+// respRetain is the largest request or response buffer a connection keeps
+// between requests.
 const respRetain = 64 << 10
 
 func (s *Server) dispatch(req *wire.Request, sess *session) *wire.Response {

@@ -542,7 +542,7 @@ func TestMalformedFramesAnswerError(t *testing.T) {
 		if err := wire.WriteFrame(conn, wire.EncodeRequest(req)); err != nil {
 			t.Fatal(err)
 		}
-		payload, err := wire.ReadFrame(in)
+		payload, err := wire.ReadFrame(in, nil)
 		if err != nil {
 			t.Fatalf("kind %d: %v", req.Kind, err)
 		}

@@ -87,11 +87,13 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one length-prefixed frame. Connections read through a
-// bufio.Reader they own, so a frame that arrived whole costs one read(2)
-// for its header and payload together, and frames that arrived together
-// cost one between them.
-func ReadFrame(r io.Reader) ([]byte, error) {
+// ReadFrame reads one length-prefixed frame and returns its payload, in
+// buf when buf's capacity holds it (a connection passes the last payload
+// back once it has decoded it; the decoders copy everything they keep).
+// Connections read through a bufio.Reader they own, so a frame that
+// arrived whole costs one read(2) for its header and payload together,
+// and frames that arrived together cost one between them.
+func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -100,7 +102,11 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	if n > MaxFrame {
 		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
-	payload := make([]byte, n)
+	payload := buf[:0]
+	if uint32(cap(buf)) < n {
+		payload = make([]byte, n)
+	}
+	payload = payload[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, err
 	}

@@ -44,6 +44,27 @@ func TestRequestCodec(t *testing.T) {
 	}
 }
 
+// TestDecodedRequestOwnsItsBytes: a server reads every request of a
+// connection into one buffer, so a decoded request must hold no byte of
+// the payload it came from. Overwriting the payload, as the next frame
+// does, changes nothing decoded from it.
+func TestDecodedRequestOwnsItsBytes(t *testing.T) {
+	req := &Request{Kind: MsgExec, Target: "INSERT INTO t VALUES (?, ?)",
+		Params: types.Row{types.NewString("param"), types.NewInt(7)},
+		Rows:   []types.Row{{types.NewString("row"), types.NewFloat(1.5)}}}
+	payload := EncodeRequest(req)
+	got, err := DecodeRequest(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range payload {
+		payload[i] = 0xff
+	}
+	if got.Target != req.Target || !got.Params.Equal(req.Params) || !got.Rows[0].Equal(req.Rows[0]) {
+		t.Fatalf("decoded request changed with its payload: %+v", got)
+	}
+}
+
 func TestResponseCodec(t *testing.T) {
 	resps := []*Response{
 		{Kind: MsgResult, Columns: []string{"a", "b"},
@@ -72,7 +93,7 @@ func TestFrameIO(t *testing.T) {
 		}
 	}
 	for _, want := range payloads {
-		got, err := ReadFrame(&buf)
+		got, err := ReadFrame(&buf, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,12 +101,12 @@ func TestFrameIO(t *testing.T) {
 			t.Fatalf("frame %q want %q", got, want)
 		}
 	}
-	if _, err := ReadFrame(&buf); err == nil {
+	if _, err := ReadFrame(&buf, nil); err == nil {
 		t.Fatal("read past end")
 	}
 	// absurd length prefix rejected
 	huge := []byte{0xFF, 0xFF, 0xFF, 0xFF}
-	if _, err := ReadFrame(bytes.NewReader(huge)); err == nil {
+	if _, err := ReadFrame(bytes.NewReader(huge), nil); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 }
@@ -130,7 +151,7 @@ func TestWriteFrameIsOneWrite(t *testing.T) {
 	}
 	r := bufio.NewReader(&w.Buffer)
 	for _, want := range payloads {
-		got, err := ReadFrame(r)
+		got, err := ReadFrame(r, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +189,7 @@ func TestReadFrameBuffered(t *testing.T) {
 	src := &countingReader{r: bytes.NewReader(wire)}
 	r := bufio.NewReader(src)
 	for _, want := range payloads {
-		got, err := ReadFrame(r)
+		got, err := ReadFrame(r, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +203,7 @@ func TestReadFrameBuffered(t *testing.T) {
 
 	r = bufio.NewReader(iotest.OneByteReader(bytes.NewReader(wire)))
 	for _, want := range payloads {
-		got, err := ReadFrame(r)
+		got, err := ReadFrame(r, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +211,7 @@ func TestReadFrameBuffered(t *testing.T) {
 			t.Fatalf("one byte at a time: frame %q want %q", got, want)
 		}
 	}
-	if _, err := ReadFrame(r); err != io.EOF {
+	if _, err := ReadFrame(r, nil); err != io.EOF {
 		t.Fatalf("read past the last frame: err = %v, want EOF", err)
 	}
 }
@@ -236,5 +257,25 @@ func TestAppendResponseFrame(t *testing.T) {
 	}
 	if !bytes.Equal(got, want.Bytes()) {
 		t.Fatalf("appended frames %x, want %x", got, want.Bytes())
+	}
+}
+
+// TestReadFrameReusesBuffer: a payload that fits the buffer passed in is
+// read into it; a larger one gets a buffer of its own.
+func TestReadFrameReusesBuffer(t *testing.T) {
+	var stream bytes.Buffer
+	for _, p := range [][]byte{[]byte("short"), bytes.Repeat([]byte("x"), 100)} {
+		if err := WriteFrame(&stream, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf := make([]byte, 0, 16)
+	got, err := ReadFrame(&stream, buf)
+	if err != nil || string(got) != "short" || &got[0] != &buf[:1][0] {
+		t.Fatalf("short frame: %q, %v, in the buffer given: %v", got, err, err == nil && &got[0] == &buf[:1][0])
+	}
+	got, err = ReadFrame(&stream, buf)
+	if err != nil || !bytes.Equal(got, bytes.Repeat([]byte("x"), 100)) || string(buf[:5]) != "short" {
+		t.Fatalf("long frame: %d bytes, %v; the buffer given holds %q", len(got), err, buf[:5])
 	}
 }
