@@ -6,6 +6,7 @@
 package sstore_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -278,7 +279,7 @@ func BenchmarkE11MPCommit(b *testing.B) {
 					b.Fatal(err)
 				}
 				snap := st.Metrics().Snapshot() // after Stop: every fsync's batch is counted
-				prepares, err := countPrepares(dir, partitions)
+				prepares, err := countPrepares(dir)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -353,23 +354,19 @@ func putPairMP(st *core.Store, i int64, txns int) error {
 	})
 }
 
-// countPrepares counts the PREPARE records in a stopped store's partition
-// logs.
-func countPrepares(dir string, partitions int) (int64, error) {
+// countPrepares counts the PREPARE records in a stopped store's log, each
+// record behind its partition tag (a uvarint).
+func countPrepares(dir string) (int64, error) {
 	var n int64
-	for p := range partitions {
-		path, _ := wal.PartitionPaths(dir, p)
-		if _, err := wal.ScanLog(path, func(_ uint64, payload []byte) error {
-			rec, err := wal.DecodeRecord(payload)
-			if err == nil && rec.Kind == pe.RecPrepare {
-				n++
-			}
-			return err
-		}); err != nil {
-			return 0, err
+	_, err := wal.ScanLog(wal.LogPath(dir), func(_ uint64, payload []byte) error {
+		_, tag := binary.Uvarint(payload)
+		rec, err := wal.DecodeRecord(payload[max(tag, 0):])
+		if err == nil && rec.Kind == pe.RecPrepare {
+			n++
 		}
-	}
-	return n, nil
+		return err
+	})
+	return n, err
 }
 
 // ---------- E12: WAL-shipped read replicas and failover ----------

@@ -13,7 +13,7 @@ import (
 // every row. The table is the single source of routing truth — ingest,
 // keyed procedure calls, DML routing, and keyed reads all resolve
 // ownership through it. It is not a file: recovery derives ownership from
-// the logs' slot-commit records and then routes canonically.
+// the log's slot-commit records and then routes canonically.
 
 // NumSlots is the fixed size of the slot table. 256 slots bound migration
 // granularity to 1/256th of the keyspace per move while keeping the table

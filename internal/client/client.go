@@ -113,9 +113,9 @@ func (c *TCP) UnpinSnapshot() error {
 
 // FetchBatch implements core.ReplicationSource over the wire: a follower
 // sstored drives its apply loop with these fetches against the primary.
-func (c *TCP) FetchBatch(part int, afterLSN uint64, maxBytes int) (core.ReplBatch, error) {
+func (c *TCP) FetchBatch(afterLSN uint64, maxBytes int) (core.ReplBatch, error) {
 	resp, err := c.roundTrip(&wire.Request{Kind: wire.MsgReplFetch, Params: types.Row{
-		types.NewInt(int64(part)), types.NewInt(int64(afterLSN)), types.NewInt(int64(maxBytes)),
+		types.NewInt(int64(afterLSN)), types.NewInt(int64(maxBytes)),
 	}})
 	if err != nil && resp != nil {
 		if rest, gap := strings.CutPrefix(resp.Err, wal.ErrShipGap.Error()); gap {

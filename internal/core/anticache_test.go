@@ -279,7 +279,7 @@ func TestAntiCacheFollowerUnaffectedByPrimaryEviction(t *testing.T) {
 	putPadRows(t, st, n, n+50)
 
 	rs := f.Session()
-	rs.Forward(st.LSNVector())
+	rs.Forward(st.LSN())
 	res, err := rs.Query("SELECT COUNT(*), SUM(v) FROM kvpad")
 	if err != nil {
 		t.Fatal(err)

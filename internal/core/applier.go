@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/catalog"
@@ -15,23 +16,22 @@ import (
 // and the seeding of a new partition are the same machine fed from a file,
 // a socket, or partition 0's tables:
 //
-//	fold    every record of every partition segment updates the state
-//	        table below;
-//	apply   a partition record is replayed into its partition, consulting
-//	        the table for 2PC legs;
+//	fold    every record of the log updates the state table below;
+//	apply   a record is replayed into the partition it is tagged with,
+//	        consulting the table for 2PC legs;
 //	finish  the endgame once no more records can arrive;
 //	seed    new rows enter a stopped partition as a decided prepared leg.
 //
 // The feeds differ only in when they know the stream has ended. Recovery
-// folds whole files before applying anything, so every decision that will
-// ever exist is already in the table (final). A follower folds and applies
-// as frames arrive, and the pipelined commit path releases a transaction's
-// partition slots before its markers append, so records of successor
-// transactions can precede a RecDecide in a segment, and a leg's decision
-// may arrive first in another partition's stream: a follower must never
-// infer an abort from what follows an unresolved RecPrepare. It stalls that
-// partition instead, and only promotion — when no decision can ever arrive
-// — presumes the leg aborted, and logs it (finish), as recovery does.
+// folds the whole log before applying anything, so every decision that
+// will ever exist is already in the table (final). A follower folds and
+// applies as frames arrive, and the pipelined commit path releases a
+// transaction's partition slots before its markers append, so records of
+// successor transactions can precede a RecDecide in the log: a follower
+// must never infer an abort from what follows an unresolved RecPrepare. It
+// stalls that partition's records instead, the other partitions' applying
+// past them, and only promotion — when no decision can ever arrive —
+// presumes the leg aborted, and logs it (finish), as recovery does.
 
 // applier is the state table plus the store it applies into. It is owned by
 // one goroutine at a time (Recover's caller, or a follower's apply loop and
@@ -39,7 +39,7 @@ import (
 type applier struct {
 	st *Store
 	// decisions holds the transaction ids with a durable decision, true for
-	// commit: a RecDecide marker in any partition log (a coordinator appends
+	// commit: a RecDecide marker under any partition (a coordinator appends
 	// a commit marker per writing leg once every vote is durable, so the
 	// first one decides; finish logs presumed aborts), or a RecSlotCommit,
 	// the decision for a migration's prepared leg. Absent = in doubt.
@@ -49,6 +49,9 @@ type applier struct {
 	// migration with no commit record is not in it: its source copy stays
 	// authoritative.
 	slotMoves map[uint64]*pe.LogRecord
+	// snaps are the partitions' snapshots (recovery's file feed): a record
+	// at or below its partition's LastLSN is covered.
+	snaps []wal.Snapshot
 	// paused is the set of dataflows with a pause record and no later resume.
 	paused map[string]bool
 	// maxMP is the largest 2PC transaction id seen in any stream. The store's
@@ -100,89 +103,114 @@ func (a *applier) fold(rec *pe.LogRecord) error {
 	return nil
 }
 
-// foldFile folds every intact record of one log file and returns its last
-// LSN. A torn tail drops records whose force never completed: a marker
-// lost there belongs to a transaction that was never acknowledged, and
-// presuming it aborted is exactly right unless another leg's marker
-// survived.
-func (a *applier) foldFile(path string) (uint64, error) {
-	return wal.ScanLog(path, func(_ uint64, payload []byte) error {
-		rec, err := wal.DecodeRecord(payload)
+// entry decodes one record of a log of part (see logFile): behind its
+// partition's tag (encodeEntry) in the store's log. A partition this store
+// does not have is a divergence.
+func (a *applier) entry(payload []byte, part int) (int, *pe.LogRecord, error) {
+	if part < 0 {
+		tag, n := binary.Uvarint(payload)
+		if n <= 0 || tag >= uint64(a.st.NumPartitions()) {
+			return 0, nil, fmt.Errorf("core: the log holds a record of partition %d, but this store has %d partitions; "+
+				"open it with Partitions: %d or more", tag, a.st.NumPartitions(), tag+1)
+		}
+		part, payload = int(tag), payload[n:]
+	}
+	rec, err := wal.DecodeRecord(payload)
+	return part, rec, err
+}
+
+// foldFile folds every intact record of one log file. A torn tail drops
+// records whose force never completed: a marker lost there belongs to a
+// transaction that was never acknowledged, and presuming it aborted is
+// exactly right unless another leg's marker survived.
+func (a *applier) foldFile(lf logFile) error {
+	_, err := wal.ScanLog(lf.path, func(_ uint64, payload []byte) error {
+		_, rec, err := a.entry(payload, lf.part)
 		if err == nil {
 			err = a.fold(rec)
 		}
 		return err
 	})
-}
-
-// replay is the one per-partition replay loop: it feeds the log at path
-// past snap (loaded into the partition, its deferred executions restored
-// first) through strm's pending list, so a stream that is not final keeps
-// what stalls there, as live. strm ends after the log's last record, whose
-// payload it keeps in check (empty if the log holds none).
-func (a *applier) replay(path string, snap wal.Snapshot, strm *replStream, final bool) error {
-	p := a.st.partList()[strm.part]
-	p.pe.SetNextBatchID(snap.NextBatchID)
-	p.pe.Restore(snap.Records)
-	strm.fetched = snap.LastLSN
-	var last []byte
-	_, err := wal.ScanLog(path, func(lsn uint64, payload []byte) error {
-		last = append(last[:0], payload...)
-		if lsn <= snap.LastLSN {
-			return nil // already covered by the snapshot
-		}
-		rec, err := wal.DecodeRecord(payload)
-		if err != nil {
-			return err
-		}
-		strm.pending = append(strm.pending, pendingRec{lsn: lsn, rec: rec})
-		strm.fetched = lsn
-		_, err = a.drain(strm, final)
-		return err
-	})
 	if err != nil {
-		return fmt.Errorf("core: log replay (partition %d): %w", strm.part, err)
-	}
-	if strm.fetched > 0 {
-		strm.check = append([]byte{}, last...)
+		return fmt.Errorf("core: log pre-scan: %w", err)
 	}
 	return nil
 }
 
-// drain applies a stream's pending records in log order, stopping where
-// the applier stalls.
+// replay is the one replay loop: it feeds each record of a log file past
+// its partition's snapshot through strm's pending list, so a stream that
+// is not final keeps what stalls there, as live. strm ends after the
+// file's last record, whose payload it keeps in check (nil if the file
+// holds none).
+func (a *applier) replay(lf logFile, strm *replStream, final bool) error {
+	strm.check = nil
+	_, err := wal.ScanLog(lf.path, func(lsn uint64, payload []byte) error {
+		strm.check = append(strm.check[:0], payload...)
+		strm.fetched = max(strm.fetched, lsn)
+		part, rec, err := a.entry(payload, lf.part)
+		if err != nil || lsn <= a.snaps[part].LastLSN {
+			return err // or already covered by the snapshot
+		}
+		strm.pending = append(strm.pending, pendingRec{lsn: lsn, part: part, rec: rec})
+		_, err = a.drain(strm, final)
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("core: log replay: %w", err)
+	}
+	return nil
+}
+
+// drain applies a stream's pending records in log order, each on its own
+// partition. A record that stalls stays pending, and so does every later
+// record of its partition; the other partitions' records apply past it.
+// The stream has applied everything before its first pending record.
 func (a *applier) drain(strm *replStream, final bool) (applied bool, err error) {
-	p := a.st.partList()[strm.part]
-	for len(strm.pending) > 0 {
-		pr := strm.pending[0]
-		stalled, err := a.apply(p, pr.rec, final)
-		if err != nil {
-			return applied, fmt.Errorf("core: replay at LSN %d (partition %d): %w", pr.lsn, strm.part, err)
+	parts := a.st.partList()
+	var stalled []bool // by partition, made at the first stall
+	kept := strm.pending[:0]
+	for _, pr := range strm.pending {
+		if stalled == nil || !stalled[pr.part] {
+			st, err := a.apply(parts[pr.part], pr.rec, final)
+			if err != nil { // a divergence: the stream is done
+				return applied, fmt.Errorf("core: replay at LSN %d (partition %d): %w", pr.lsn, pr.part, err)
+			}
+			if !st {
+				applied = true
+				continue
+			}
+			if stalled == nil {
+				stalled = make([]bool, len(parts))
+			}
+			stalled[pr.part] = true
 		}
-		if stalled {
-			break
-		}
-		strm.pending = strm.pending[1:]
-		strm.applied.Store(pr.lsn)
-		applied = true
+		kept = append(kept, pr)
+	}
+	clear(strm.pending[len(kept):])
+	strm.pending = kept
+	if len(kept) > 0 {
+		strm.applied.Store(kept[0].lsn - 1)
+	} else {
+		strm.applied.Store(strm.fetched)
 	}
 	return applied, nil
 }
 
-// apply replays one partition-log record, already folded, into p. An
-// in-doubt RecPrepare stalls the stream (nothing applied; retry the same
-// record once more of the other streams is folded) unless the stream
-// is final, when the leg is dropped as presumed aborted: the records behind
-// it executed on the primary without ever reading its unpublished writes,
-// as a leg decided abort is.
+// apply replays one record, already folded, into its partition p. An
+// in-doubt RecPrepare stalls p (nothing applied; retry the same record once
+// more of the stream is folded) unless the stream is final, when the leg is
+// dropped as presumed aborted: p's records behind it executed on the
+// primary without ever reading its unpublished writes, as a leg decided
+// abort is.
 func (a *applier) apply(p *partition, rec *pe.LogRecord, final bool) (stalled bool, err error) {
 	switch rec.Kind {
 	case pe.RecDecide, pe.RecPauseGraph, pe.RecResumeGraph:
 		return false, nil // folded on arrival; applies nothing
 	case pe.RecSlotCommit:
-		// Folded on arrival. In the source's log nothing after this record
-		// touches the slot, so the source's copy goes now: a follower then
-		// holds the slot's rows on one partition, not two until promotion.
+		// Folded on arrival. Nothing the source logs after its copy of
+		// this record touches the slot, so the source's rows of it go now:
+		// a follower then holds them on one partition, not two until
+		// promotion.
 		if rec.FromPart == p.idx {
 			if err := evictSlots(migratedRels(p.cat), func(s int) bool { return s == rec.Slot }); err != nil {
 				return false, fmt.Errorf("core: replay of slot %d's move off partition %d: %w", rec.Slot, p.idx, err)
@@ -200,7 +228,7 @@ func (a *applier) apply(p *partition, rec *pe.LogRecord, final bool) (stalled bo
 		}
 		// A slot-move leg is the complete authoritative content of its slot
 		// at cutover time. A partition can re-own a slot it held in an
-		// earlier epoch, and its own log then re-creates the slot's rows
+		// earlier epoch, and its own records then re-create the slot's rows
 		// before the incoming leg replays: evict those stale copies first
 		// (the leg may even be empty — every row of the slot died while it
 		// lived elsewhere).
@@ -218,19 +246,19 @@ func (a *applier) apply(p *partition, rec *pe.LogRecord, final bool) (stalled bo
 // every stream has been applied with final set. First each partition runs
 // the re-derived executions replay still holds (LogAllTEs: their own
 // records never arrived), so every surviving border batch ends applied or
-// aborted in both modes. Replayed partition logs resurrect the source
-// copies of committed slot migrations — the cutover's source deletions are
+// aborted in both modes. The replayed log resurrects the source copies of committed slot migrations — the cutover's source deletions are
 // in-memory only; the slot-commit record is what makes them durable, and
 // the source's own copy of it is not forced — so each committed slot's
 // rows are evicted from every partition but its owner, and only for slots
 // with a commit record: an aborted migration's source copy is the
 // authoritative one. A slot's owner is the destination of its committed
 // move with the largest id: ids only grow, across restarts too, and one
-// slot's moves sit in different logs. Then the slots route to their
+// slot's moves are logged under different partitions. Then the slots route to their
 // migrated owners, the replayed state is published to snapshot readers,
 // graphs paused in the log stay paused, and the 2PC id counter restarts
 // above everything the log has seen. Last, each presumed abort is forced
-// into its leg's log before Start; a crash first leaves the leg in doubt.
+// under its leg's partition before Start; a crash first leaves the leg in
+// doubt.
 func (a *applier) finish() error {
 	s := a.st
 	for _, p := range s.partList() {
@@ -300,9 +328,9 @@ func evictSlots(rels []*catalog.Relation, drop func(slot int) bool) error {
 // installLeg is the seed feed: it puts ops onto a stopped partition the way
 // a coordinated write would have — a prepared leg and the record that
 // decides it (a seed's RecDecide marker or a recovery-time slot move's
-// RecSlotCommit; its MPTxnID is assigned here) forced together into the
-// partition's log, then the leg's replay — so a crash right after recovers
-// the rows from the logs instead of having to re-detect that they are
+// RecSlotCommit; its MPTxnID is assigned here) forced together under the
+// partition, then the leg's replay — so a crash right after recovers the
+// rows from the log instead of having to re-detect that they are
 // missing. The leg names AdHocProc, as a live migration's does: rows it
 // moves into a stream start no PE trigger. On a non-durable store only the
 // replay happens.
@@ -316,7 +344,7 @@ func (s *Store) installLeg(p *partition, ops []pe.LoggedOp, decision *pe.LogReco
 }
 
 // seedReplicated copies partition 0's replicated tables onto p where p's
-// copy is empty — the state of a partition with no log to replay.
+// copy is empty — the state of a partition with no record to replay.
 // Replicated writes reach every partition through one coordinated
 // transaction, so an empty copy beside a non-empty partition 0 can only
 // mean the partition is new. The caller keeps partition 0 free of

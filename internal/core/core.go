@@ -7,8 +7,9 @@
 //
 // A Store owns one Schema (catalog.Schema: relations, indexes, windows,
 // dataflows) over Config.Partitions partitions, each the H-Store unit of
-// serial execution with its own storage for that Schema, execution engine,
-// partition-engine goroutine, and WAL segment. A thin router (router.go)
+// serial execution with its own storage for that Schema, execution engine
+// and partition-engine goroutine; every partition appends to the store's
+// one command log, each record tagged with its partition. A thin router (router.go)
 // dispatches client requests to the owning partition by hashing the
 // relation's PARTITION BY column (or a procedure's partitioning parameter),
 // fans ad-hoc queries out across partitions and merges the results, and
@@ -19,6 +20,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -44,15 +46,15 @@ import (
 
 // Config configures a Store.
 type Config struct {
-	// Dir enables durability when non-empty: a command log and snapshots
-	// are kept there (one segment pair per partition), and Recover()
-	// restores state from them.
+	// Dir enables durability when non-empty: the store's command log and
+	// a snapshot per partition are kept there, and Recover() restores
+	// state from them.
 	Dir string
 	// Sync selects the log fsync policy: SyncNever (default; benchmarks on
 	// tmpfs-like media), SyncEveryRecord (one fsync on every commit's
 	// critical path), or SyncGroupCommit (the production choice: commits
-	// append and execution continues, a per-partition daemon starts an
-	// fsync as soon as a client is waiting and the disk is free, at most
+	// append and execution continues, the log's daemon starts an fsync as
+	// soon as a client is waiting and its previous fsync returned, at most
 	// once per 500 µs on a busy log, covering everything appended meanwhile,
 	// and clients are acknowledged when their commit future resolves — no
 	// knob; see DESIGN.md §1.4 and E7 in EXPERIMENTS.md for the throughput
@@ -83,15 +85,14 @@ type Config struct {
 }
 
 // partition is one serial-execution unit: storage for the store's Schema +
-// EE + PE + WAL segment. Triggers, procedures, and bindings are wired on
-// every partition; data is split by the router.
+// EE + PE, logging to the store's log. Triggers, procedures, and bindings
+// are wired on every partition; data is split by the router.
 type partition struct {
 	idx int
 	cat *catalog.Catalog
 	ee  *ee.Engine
 	pe  *pe.Engine
-	met *metrics.Metrics // shared across partitions
-	log *wal.Log
+	st  *Store
 	// mpSlot is this partition's 2PC enlistment slot: a coordinator holds
 	// it from the partition's enlistment until the decision is delivered,
 	// and all-partition barriers (checkpoint, rebalance cutover) hold every
@@ -100,24 +101,22 @@ type partition struct {
 	// partition sets run concurrently where the old global mpMu serialized
 	// them store-wide.
 	mpSlot sync.Mutex
-	// pendPrep counts PREPARE forces appended to this partition's log since
-	// the commit daemon's last fsync; the daemon's OnSyncBatch callback
-	// drains it into the PrepareBatch histogram.
-	pendPrep atomic.Int64
-	// periodWaits counts the commit daemon's fsyncs that began under the
-	// sync period (wal_period_waits.p<i>).
-	periodWaits atomic.Int64
 	// specTail is the most recent coordinated transaction that published
 	// its writes on this partition while its durability was still settling
 	// (pipelined 2PC — see mpOutcome in txncoord.go). Commits that follow
 	// it on this partition chain their client acks on it; nil once the
 	// outcome resolved.
 	specTail atomic.Pointer[mpOutcome]
-	fail     func(error) // the store's fail-stop (Store.fail)
 }
 
-// Append implements pe.Logger: serialize the record and append it to this
-// partition's log segment. A waited record returns the commit future the
+// encodeEntry is the payload of rec in the store's log: the partition it
+// belongs to as a uvarint, then its wal.EncodeRecord bytes.
+func encodeEntry(part int, rec *pe.LogRecord) []byte {
+	return wal.AppendRecord(binary.AppendUvarint(make([]byte, 0, 64), uint64(part)), rec)
+}
+
+// Append implements pe.Logger: serialize the record under this partition's
+// tag and append it to the store's log. A waited record returns the commit future the
 // client is acknowledged on. A record nobody waits on (a border or
 // triggered batch) is buffered, counted and returns no future, so there is
 // nothing to chain on specTail either: no client ack to hold back.
@@ -130,25 +129,26 @@ type partition struct {
 // — their ordering is the coordinator's business, and chaining a
 // transaction's marker on its own outcome would deadlock.
 func (p *partition) Append(rec *pe.LogRecord, waited bool) (<-chan error, error) {
-	if rec.Kind == pe.RecPrepare && p.log.GroupCommit() {
-		p.pendPrep.Add(1)
+	log := p.st.log
+	if rec.Kind == pe.RecPrepare && log.GroupCommit() {
+		p.st.pendPrep.Add(1)
 	}
-	payload := wal.EncodeRecord(rec)
+	payload := encodeEntry(p.idx, rec)
 	if !waited {
-		if _, err := p.log.AppendUnwaited(payload); err != nil {
-			p.fail(err)
+		if _, err := log.AppendUnwaited(payload); err != nil {
+			p.st.fail(err)
 			return nil, err
 		}
-		p.met.ObserveLogged(len(payload))
-		p.met.Add(metrics.WalUnwaitedRecords, 1)
+		p.st.met.ObserveLogged(len(payload))
+		p.st.met.Add(metrics.WalUnwaitedRecords, 1)
 		return nil, nil
 	}
-	_, ack, err := p.log.AppendAsync(payload)
+	_, ack, err := log.AppendAsync(payload)
 	if err != nil {
-		p.fail(err)
+		p.st.fail(err)
 		return nil, err
 	}
-	p.met.ObserveLogged(len(payload))
+	p.st.met.ObserveLogged(len(payload))
 	if rec.Kind != pe.RecPrepare && rec.Kind != pe.RecDecide {
 		if tail := p.specTail.Load(); tail != nil {
 			select {
@@ -179,25 +179,26 @@ func (p *partition) Append(rec *pe.LogRecord, waited bool) (<-chan error, error)
 // — durable to resolve them; under the other policies every future resolved
 // at its append, so there is nothing to wait for.
 func (p *partition) SyncCommits() error {
-	if !p.log.GroupCommit() {
+	if !p.st.log.GroupCommit() {
 		return nil
 	}
-	return p.log.SyncNow()
+	return p.st.log.SyncNow()
 }
 
 // LogFailed implements pe.Logger: a commit future failed, so the store stops.
-func (p *partition) LogFailed(err error) { p.fail(err) }
+func (p *partition) LogFailed(err error) { p.st.fail(err) }
 
-// force appends recs and returns once they are on stable storage, under
-// every sync policy: a write-ahead force, not a commit ack. The records are
+// force appends recs and returns once they, and everything logged before
+// them, are on stable storage, under every sync policy: a write-ahead
+// force, not a commit ack. The records are
 // appended un-waited and one SyncNow covers them all (SyncEveryRecord also
 // syncs each append). A seed's or slot migration's prepared leg and the
 // record that decides it go through here together, so the decision is
 // durable only with its leg, and so do pause and resume records. None of
 // them acknowledges a client, so none is chained on specTail. A no-op on a
-// partition without a log (a volatile store).
+// store without a log (a volatile store).
 func (p *partition) force(recs ...*pe.LogRecord) error {
-	if p.log == nil {
+	if p.st.log == nil {
 		return nil
 	}
 	for _, rec := range recs {
@@ -205,31 +206,31 @@ func (p *partition) force(recs ...*pe.LogRecord) error {
 			return err
 		}
 	}
-	if err := p.log.SyncNow(); err != nil {
-		p.fail(err)
+	if err := p.st.log.SyncNow(); err != nil {
+		p.st.fail(err)
 		return err
 	}
 	return nil
 }
 
-// openLog opens this partition's WAL segment in d for appending after
-// lastLSN, under the store's sync policy. Every group-commit fsync feeds
-// the fsync counters (the records it made durable, its duration and
-// whether it waited out the sync period) and the PREPARE batch-size
-// histogram. The caller makes the partition its engine's commit logger (a
-// follower's partition logs shipped frames instead, until Promote).
-func (p *partition) openLog(d *wal.Dir, cfg *Config, path string, lastLSN uint64) (err error) {
-	p.log, err = d.OpenLog(path, lastLSN, wal.Options{
-		Policy: cfg.Sync,
+// openLog opens the store's log for appending after lastLSN, under the
+// store's sync policy. Every group-commit fsync feeds the fsync counters
+// (the records it made durable, its duration and whether it waited out the
+// sync period) and the PREPARE batch-size histogram. The caller makes the
+// partitions their engines' commit loggers (a follower logs shipped frames
+// instead, until Promote).
+func (s *Store) openLog(lastLSN uint64) (err error) {
+	s.log, err = s.dir.OpenLog(wal.LogPath(s.cfg.Dir), lastLSN, wal.Options{
+		Policy: s.cfg.Sync,
 		OnSyncBatch: func(n int, took time.Duration, waited bool) {
-			p.met.Add(metrics.WalFsyncs, 1)
+			s.met.Add(metrics.WalFsyncs, 1)
 			if waited {
-				p.periodWaits.Add(1)
+				s.met.Add(metrics.WalPeriodWaits, 1)
 			}
-			p.met.Add(metrics.WalFsyncRecords, int64(n))
-			p.met.Observe(metrics.FsyncTime, int64(took))
-			if n := p.pendPrep.Swap(0); n > 0 {
-				p.met.Observe(metrics.PrepareBatch, n)
+			s.met.Add(metrics.WalFsyncRecords, int64(n))
+			s.met.Observe(metrics.FsyncTime, int64(took))
+			if n := s.pendPrep.Swap(0); n > 0 {
+				s.met.Observe(metrics.PrepareBatch, n)
 			}
 		},
 	})
@@ -281,7 +282,7 @@ type Store struct {
 	// resolve after the lock is released).
 	seqMu sync.RWMutex
 	// nextMPTxnID numbers coordinated transactions; recovery restarts it
-	// above every id seen in any log segment. Atomic: concurrent
+	// above every id seen in the log. Atomic: concurrent
 	// coordinators allocate ids lock-free.
 	nextMPTxnID atomic.Uint64
 	// mpAdmit bounds how many coordinators are in the slot-holding phase
@@ -299,6 +300,16 @@ type Store struct {
 	// through (nil without Config.Dir). Tests swap in a recording file
 	// system between Open and Start.
 	dir *wal.Dir
+	// log is the store's one command log, every partition's records in
+	// one order (nil without Config.Dir, until recovery opens it and after
+	// Stop). pendPrep counts the PREPARE records appended since its
+	// daemon's last fsync, which OnSyncBatch drains into the PrepareBatch
+	// histogram.
+	log      *wal.Log
+	pendPrep atomic.Int64
+	// lastCheckpoint is when the last Checkpoint finished (UnixNano; 0:
+	// none since Open).
+	lastCheckpoint atomic.Int64
 	// schema is the published Schema: what the router plans against and
 	// what every partition's storage is synced to (publish).
 	schema atomic.Pointer[catalog.Schema]
@@ -362,7 +373,7 @@ func (s *Store) newPartition(idx int) *partition {
 		HStoreMode:   s.cfg.HStoreMode,
 		MemoryBudget: s.partitionBudget(),
 	})
-	return &partition{idx: idx, cat: cat, ee: exec, pe: part, met: s.met, fail: s.fail}
+	return &partition{idx: idx, cat: cat, ee: exec, pe: part, st: s}
 }
 
 // Err is nil while the store serves, else the first durability failure (a
@@ -403,7 +414,7 @@ func (s *Store) partitionBudget() int64 {
 
 // attachColdStore opens the partition's cold-tuple page store and wires
 // it into the catalog (idempotent). Durable stores keep the file beside
-// the WAL segments; non-durable stores use a temp file. Either way the
+// the log; non-durable stores use a temp file. Either way the
 // store is volatile — Open truncates, Close removes.
 func (s *Store) attachColdStore(p *partition) error {
 	if s.cfg.MemoryBudget <= 0 || p.cat.ColdStore() != nil {
@@ -462,14 +473,13 @@ func (s *Store) PEAt(i int) *pe.Engine { return s.partList()[i].pe }
 func (s *Store) Metrics() *metrics.Metrics { return s.met }
 
 // readPerPartition fills v's per-partition metrics from the partition:
-// its log's fsyncs that waited out the sync period, the index heap outside
+// the index heap outside
 // the resident-row ledger (DESIGN.md §7), the bytes its cold file served
 // to faults, the rows its access paths examined, its acker backlog, the
 // executions its pause gates hold and how far its GC watermark trails its
 // clock. It reads atomics and takes short locks only, so any goroutine may
 // call it.
 func (p *partition) readPerPartition(v *metrics.Snapshot) {
-	v[metrics.WalPeriodWaits] = p.periodWaits.Load()
 	for _, name := range p.cat.Names() {
 		v[metrics.IndexBytes] += p.cat.Relation(name).Table.IndexBytes()
 	}
@@ -496,6 +506,14 @@ func (s *Store) StatsResult() *pe.Result {
 	}
 	snap := s.met.Snapshot()
 	snap[metrics.OldestPinAgeMs] = s.oldestPinAge().Milliseconds()
+	if at := s.lastCheckpoint.Load(); at != 0 {
+		snap[metrics.LastCheckpointAgeMs] = time.Since(time.Unix(0, at)).Milliseconds()
+	}
+	if s.cfg.Dir != "" {
+		if fi, err := os.Stat(wal.LogPath(s.cfg.Dir)); err == nil {
+			snap[metrics.LogBytesSinceCut] = fi.Size()
+		}
+	}
 	metrics.ReadRuntime(&snap)
 	res := &pe.Result{Columns: []string{"metric", "value"}}
 	metrics.Rows(snap, per, func(name, val string) {
@@ -559,20 +577,30 @@ func (s *Store) RegisterProcedure(proc *pe.Procedure) error {
 
 // partitionsFileName records the partition count a durability directory
 // was written with. Hash ownership depends on N, so reopening with a
-// different count would silently orphan WAL segments (N shrank) or strand
+// different count would silently orphan logged records (N shrank) or strand
 // rows on partitions that no longer own their key (N grew).
 const partitionsFileName = "PARTITIONS"
 
 // legacyCoordLog is the store-wide log earlier versions kept beside the
 // partition logs for slot migrations and dataflow pauses. Its records are
-// in no partition log, so Recover refuses a directory whose copy holds any.
+// in no other log, so Recover refuses a directory whose copy holds any.
 const legacyCoordLog = "coord.log"
+
+// logFile is a log recovery reads: the store's one log (part < 0), or one
+// of the layout earlier versions wrote, one log per partition (command.log,
+// command.log.<part>), whose records are untagged, all partition part's,
+// and under LSNs of their own.
+type logFile struct {
+	path string
+	part int
+}
 
 // Recover restores state from the durability directory: load each
 // partition's latest snapshot (if any), feed the log applier (applier.go)
-// the intact records of the directory's files, and finish as a promoted
-// follower would. Must run after DDL + procedure registration and before
-// Start.
+// the intact records of the directory's log, and finish as a promoted
+// follower would. A directory of the earlier layout is recovered from its
+// logs, then checkpointed, and the old logs removed, before Recover
+// returns. Must run after DDL + procedure registration and before Start.
 func (s *Store) Recover() error {
 	if s.cfg.Dir == "" || s.recovered {
 		return nil
@@ -580,12 +608,12 @@ func (s *Store) Recover() error {
 	if s.recoverErr != nil {
 		return fmt.Errorf("core: an earlier recovery failed partway (%w); open a fresh Store", s.recoverErr)
 	}
-	ap, snaps, err := s.loadDir()
+	ap, logs, err := s.loadDir()
 	if err != nil {
 		return err // nothing replayed: retryable
 	}
 	// From here on some partitions have replayed: a retry would double-apply.
-	if err := s.recoverFrom(ap, snaps); err != nil {
+	if err := s.recoverFrom(ap, logs); err != nil {
 		s.recoverErr = err
 		return err
 	}
@@ -593,61 +621,55 @@ func (s *Store) Recover() error {
 	return nil
 }
 
-// replayDir replays each partition's log past its snapshot through ap on
-// its stream in strms, final or not, and opens the log after the stream's
-// last LSN; it does not make the partition its engine's logger.
-func (s *Store) replayDir(ap *applier, snaps []wal.Snapshot, strms []*replStream, final bool) error {
+// replayDir restores every partition's snapshot state, replays logs past
+// the snapshots through ap on strm, final or not, and opens the store's
+// log after the last LSN; it does not make the partitions their engines'
+// loggers.
+func (s *Store) replayDir(ap *applier, logs []logFile, strm *replStream, final bool) error {
 	for i, p := range s.partList() {
-		logPath, _ := wal.PartitionPaths(s.cfg.Dir, p.idx)
-		if err := ap.replay(logPath, snaps[i], strms[i], final); err != nil {
-			return err
-		}
-		if err := p.openLog(s.dir, &s.cfg, logPath, strms[i].fetched); err != nil {
+		p.pe.SetNextBatchID(ap.snaps[i].NextBatchID)
+		p.pe.Restore(ap.snaps[i].Records)
+		strm.fetched = max(strm.fetched, ap.snaps[i].LastLSN)
+	}
+	for _, lf := range logs {
+		if err := ap.replay(lf, strm, final); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-// newStreams returns one fresh stream cursor per partition.
-func (s *Store) newStreams() []*replStream {
-	strms := make([]*replStream, len(s.partList()))
-	for i := range strms {
-		strms[i] = &replStream{part: i}
-	}
-	return strms
+	return s.openLog(strm.fetched)
 }
 
 // loadDir is recovery's first pass, which replays nothing: check the
 // directory's partition-count stamp, load every snapshot and fold every
-// partition log before any partition replays, so the decision table is
-// complete (a transaction's commit record is a marker in some leg's own
-// segment, possibly after records of its successors) and a final replay
-// can treat an undecided PREPARE as aborted for good. A snapshot's pause
-// records are the state its log's dropped prefix ended in, so they fold
-// before the log. A retry loads the snapshots again.
-func (s *Store) loadDir() (*applier, []wal.Snapshot, error) {
+// log record before any partition replays, so the decision table is
+// complete (a transaction's commit record is a marker that may follow
+// records of its successors) and a final replay can treat an undecided
+// PREPARE as aborted for good. A snapshot's pause records are the state
+// the log's dropped prefix ended in, so they fold before the log. It
+// returns the logs to replay: the earlier layout's it finds, then the
+// store's, which opened above all their LSNs. A retry loads the snapshots
+// again.
+func (s *Store) loadDir() (*applier, []logFile, error) {
 	if err := os.MkdirAll(s.cfg.Dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("core: durability dir: %w", err)
 	}
-	legacy := filepath.Join(s.cfg.Dir, legacyCoordLog)
-	last, err := wal.ScanLog(legacy, func(uint64, []byte) error { return nil })
+	legacyCoord := filepath.Join(s.cfg.Dir, legacyCoordLog)
+	last, err := wal.ScanLog(legacyCoord, func(uint64, []byte) error { return nil })
 	switch {
 	case err != nil:
 		return nil, nil, fmt.Errorf("core: %w", err)
 	case last > 0:
 		return nil, nil, fmt.Errorf("core: %s holds slot-migration or pause records an earlier version wrote, "+
 			"which this version would lose: open the directory with that version, resume every dataflow, "+
-			"checkpoint and remove the file", legacy)
+			"checkpoint and remove the file", legacyCoord)
 	}
 	if err := s.checkPartitionCount(); err != nil {
 		return nil, nil, err
 	}
 	ap := newApplier(s)
-	snaps := make([]wal.Snapshot, len(s.partList()))
+	var logs []logFile
 	for i, p := range s.partList() {
-		logPath, snapPath := wal.PartitionPaths(s.cfg.Dir, p.idx)
-		snap, err := wal.LoadSnapshot(snapPath, p.cat)
+		snap, err := wal.LoadSnapshot(wal.SnapshotPath(s.cfg.Dir, i), p.cat)
 		if err != nil && err != wal.ErrNoSnapshot {
 			return nil, nil, err
 		}
@@ -656,20 +678,32 @@ func (s *Store) loadDir() (*applier, []wal.Snapshot, error) {
 				return nil, nil, err
 			}
 		}
-		if _, err := ap.foldFile(logPath); err != nil {
-			return nil, nil, fmt.Errorf("core: log pre-scan (partition %d): %w", p.idx, err)
+		ap.snaps = append(ap.snaps, snap)
+		old := filepath.Join(s.cfg.Dir, "command.log")
+		if i > 0 {
+			old += "." + strconv.Itoa(i)
 		}
-		snaps[i] = snap
+		if _, err := os.Stat(old); err == nil {
+			logs = append(logs, logFile{old, i})
+		}
 	}
-	return ap, snaps, nil
+	logs = append(logs, logFile{wal.LogPath(s.cfg.Dir), -1})
+	for _, lf := range logs {
+		if err := ap.foldFile(lf); err != nil {
+			return nil, nil, err
+		}
+	}
+	return ap, logs, nil
 }
 
-// recoverFrom is Recover past the point of no retry: replay every partition
-// through the folded applier as a final stream, open the logs, finish,
-// then the two passes only recovery needs because only it can meet
-// partitions the log never wrote to.
-func (s *Store) recoverFrom(ap *applier, snaps []wal.Snapshot) error {
-	if err := s.replayDir(ap, snaps, s.newStreams(), true); err != nil {
+// recoverFrom is Recover past the point of no retry: replay logs through
+// the folded applier as a final stream, open the log, finish, then the two
+// passes only recovery needs because only it can meet partitions the log
+// never wrote to. Last, a directory of the earlier layout is checkpointed
+// and its logs removed, so the store appends to its one log beside no
+// other.
+func (s *Store) recoverFrom(ap *applier, logs []logFile) error {
+	if err := s.replayDir(ap, logs, &replStream{}, true); err != nil {
 		return err
 	}
 	for _, p := range s.partList() {
@@ -679,7 +713,7 @@ func (s *Store) recoverFrom(ap *applier, snaps []wal.Snapshot) error {
 		return err
 	}
 	// A partition added by reopening with a larger Partitions count (or by
-	// an interrupted live rebalance) replayed an empty log: seed its
+	// an interrupted live rebalance) has no record in the log: seed its
 	// replicated tables from partition 0 before any rows are rehomed onto it.
 	for _, p := range s.partList()[1:] {
 		if err := s.seedReplicated(p); err != nil {
@@ -696,6 +730,17 @@ func (s *Store) recoverFrom(ap *applier, snaps []wal.Snapshot) error {
 		return err
 	}
 	s.slots.Store(catalog.NewSlotTable(len(s.partList())))
+	if len(logs) == 1 {
+		return nil
+	}
+	if err := s.checkpoint(func(cut func() error) error { return cut() }); err != nil {
+		return err
+	}
+	for _, lf := range logs[:len(logs)-1] {
+		if err := s.dir.Remove(lf.path); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -854,7 +899,7 @@ func (s *Store) rehomeMisplacedRows() error {
 // Start launches the partition workers. When durability is configured but
 // Recover was not called, Start calls it.
 func (s *Store) Start() error {
-	if s.cfg.Dir != "" && s.recovered && s.partList()[0].log == nil {
+	if s.cfg.Dir != "" && s.recovered && s.log == nil {
 		// Stop closed the logs; restarting this Store would silently run
 		// with no command log (acked commits lost on crash), and
 		// re-running Recover would replay the log on top of live state.
@@ -886,25 +931,22 @@ func (s *Store) Start() error {
 	return nil
 }
 
-// Stop stops every partition worker and closes the log segments, reporting
-// any sync/close failure (a dropped fsync at shutdown is data loss under
+// Stop stops every partition worker and closes the log, reporting any
+// sync/close failure (a dropped fsync at shutdown is data loss under
 // SyncNever, so callers should check).
 func (s *Store) Stop() error {
 	for _, p := range s.partList() {
 		p.pe.Stop()
 	}
 	var errs []error
-	for _, p := range s.partList() {
-		if p.log == nil {
-			continue
+	if s.log != nil {
+		if err := s.log.Sync(); err != nil {
+			errs = append(errs, fmt.Errorf("core: log sync: %w", err))
 		}
-		if err := p.log.Sync(); err != nil {
-			errs = append(errs, fmt.Errorf("core: log sync (partition %d): %w", p.idx, err))
+		if err := s.log.Close(); err != nil {
+			errs = append(errs, fmt.Errorf("core: log close: %w", err))
 		}
-		if err := p.log.Close(); err != nil {
-			errs = append(errs, fmt.Errorf("core: log close (partition %d): %w", p.idx, err))
-		}
-		p.log = nil
+		s.log = nil
 	}
 	// Cold stores are volatile: Close removes the page file. Evicted
 	// stubs become unreadable past this point, like the closed logs.
@@ -923,17 +965,24 @@ func (s *Store) Stop() error {
 var testHookAfterCut func()
 
 // Checkpoint writes a snapshot of every partition at one store-wide cut and
-// drops from each log the records the snapshot covers (H-Store's periodic
+// drops from the log the records the snapshots cover (H-Store's periodic
 // snapshotting). The workers are held only to take the cut (DESIGN.md
-// §1.4): each partition's pin, log LSN, border batch counter, window slide
-// state and deferred executions, and partition 0's paused graphs. The
-// snapshots are encoded from the pins after the workers run again, every
-// snapshot is written before any log drops its prefix, and each log keeps
-// its cut's last record, which a restarted follower checks, and those after.
+// §1.4): the log's end, each partition's pin, border batch counter, window
+// slide state and deferred executions, and partition 0's paused graphs.
+// The snapshots are encoded from the pins after the workers run again,
+// every snapshot is written before the log drops its prefix, and the log
+// keeps its cut's last record, which a restarted follower checks, and
+// those after.
 func (s *Store) Checkpoint() error {
 	if s.cfg.Dir == "" {
 		return fmt.Errorf("core: no durability directory configured")
 	}
+	return s.checkpoint(s.runExclusiveAll)
+}
+
+// checkpoint is Checkpoint with its cut taken under barrier: the workers'
+// on a started store, none on one recovery holds.
+func (s *Store) checkpoint(barrier func(cut func() error) error) error {
 	// Rebalance's order. Neither a slot move nor a pause or resume lands
 	// between the cut and the prefix drop, and a pause or resume holds
 	// deployMu from its record to its publication, so the paused graphs
@@ -944,25 +993,18 @@ func (s *Store) Checkpoint() error {
 	defer s.deployMu.Unlock()
 	var parts []*partition
 	var cuts []*wal.Cut
-	var ends []wal.Pos // each log's end at the cut
-	err := s.runExclusiveAll(func() error {
+	var end wal.Pos // the log's end at the cut
+	err := barrier(func() error {
 		parts = s.partList()
-		if err := decidePublished(parts); err != nil {
+		// The log is durable at the cut, a slot move's two commit records
+		// with it: the one forced under the destination, and the source's
+		// copy, appended after it unforced, on which a follower drops the
+		// source's rows of the slot.
+		if err := parts[0].force(); err != nil {
 			return err
 		}
-		// Every log is durable at the cut. A slot move's commit record is
-		// forced in its destination's log; the source's own copy is only
-		// appended, and recovery folds it from whichever logs a crash left
-		// whole: a slot moved there and back has only that copy to say
-		// where it went last.
-		for _, p := range parts {
-			if p.log == nil {
-				continue
-			}
-			if err := p.log.SyncNow(); err != nil {
-				p.fail(err)
-				return err
-			}
+		if err := decidePublished(parts); err != nil {
+			return err
 		}
 		// The barrier holds every partition's enlistment slot, and a
 		// coordinator releases its slots only after delivery, so each
@@ -970,13 +1012,9 @@ func (s *Store) Checkpoint() error {
 		// anything still mid-protocol has not applied. A coordinator's own
 		// markers may land on either side of the cut; after it they are
 		// dead weight.
+		end = s.log.End()
 		for _, p := range parts {
-			meta := wal.Snapshot{NextBatchID: p.pe.NextBatchID()}
-			var end wal.Pos
-			if p.log != nil {
-				end = p.log.End()
-			}
-			meta.LastLSN = end.LSN
+			meta := wal.Snapshot{NextBatchID: p.pe.NextBatchID(), LastLSN: end.LSN}
 			if p.idx == 0 {
 				for _, df := range s.schema.Load().Dataflows() {
 					if df.Paused {
@@ -986,7 +1024,6 @@ func (s *Store) Checkpoint() error {
 			}
 			meta.Records = append(meta.Records, p.pe.Deferred()...)
 			cuts = append(cuts, wal.TakeCut(p.cat, p.pe.AcquireSnapshot(), meta))
-			ends = append(ends, end)
 		}
 		return nil
 	})
@@ -1000,19 +1037,15 @@ func (s *Store) Checkpoint() error {
 		hook()
 	}
 	for i, p := range parts {
-		_, snapPath := wal.PartitionPaths(s.cfg.Dir, p.idx)
-		if err := wal.WriteSnapshot(s.dir, snapPath, cuts[i]); err != nil {
+		if err := wal.WriteSnapshot(s.dir, wal.SnapshotPath(s.cfg.Dir, p.idx), cuts[i]); err != nil {
 			return err
 		}
 	}
-	for i, p := range parts {
-		if p.log == nil {
-			continue
-		}
-		if err := p.log.Truncate(ends[i].Back()); err != nil {
-			return err
-		}
+	if err := s.log.Truncate(end.Back()); err != nil {
+		return err
 	}
+	s.met.Add(metrics.Checkpoints, 1)
+	s.lastCheckpoint.Store(time.Now().UnixNano())
 	return nil
 }
 

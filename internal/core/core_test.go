@@ -9,6 +9,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/pe"
 	"repro/internal/types"
+	"repro/internal/wal"
 )
 
 const testDDL = `
@@ -215,7 +216,7 @@ func TestRecoveryIgnoresTornTail(t *testing.T) {
 	st.Stop()
 
 	// Tear the log tail: recovery must still come up with a prefix.
-	logPath := dir + "/command.log"
+	logPath := wal.LogPath(dir)
 	data, err := readFile(logPath)
 	if err != nil {
 		t.Fatal(err)

@@ -148,7 +148,7 @@ func TestRecoverRefusesLegacyCoordLog(t *testing.T) {
 	must(t, st.Start())
 	must(t, st.Stop())
 
-	appendRecords(t, legacy, &pe.LogRecord{Kind: pe.RecPauseGraph, Proc: "events"})
+	appendPayloads(t, legacy, wal.EncodeRecord(&pe.LogRecord{Kind: pe.RecPauseGraph, Proc: "events"}))
 	st = buildPartApp(t, Config{Dir: dir, Partitions: 2})
 	if err := st.Recover(); err == nil || !strings.Contains(err.Error(), legacy) {
 		st.Stop()
@@ -225,8 +225,7 @@ func TestPresumedAbortCrashPoints(t *testing.T) {
 		before[k] = k
 	}
 	must(t, st.Stop())
-	logPath0, _ := wal.PartitionPaths(cfg.Dir, 0)
-	appendRecords(t, logPath0, &pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 99, Ops: []pe.LoggedOp{putOp(777, 777)}})
+	appendRecords(t, cfg.Dir, 0, &pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 99, Ops: []pe.LoggedOp{putOp(777, 777)}})
 
 	st = buildKV(t, cfg)
 	fsys := recordStore(t, st)
@@ -234,8 +233,8 @@ func TestPresumedAbortCrashPoints(t *testing.T) {
 	after := putAll(t, st, fsys, []int64{100, 101, 102, 103})
 	must(t, st.Stop())
 	var aborts int
-	_, err := scanRecords(logPath0, func(_ uint64, rec *pe.LogRecord) error {
-		if rec.Kind == pe.RecDecide && rec.MPTxnID == 99 && !rec.Commit {
+	_, err := scanRecords(cfg.Dir, func(_ uint64, part int, rec *pe.LogRecord) error {
+		if part == 0 && rec.Kind == pe.RecDecide && rec.MPTxnID == 99 && !rec.Commit {
 			aborts++
 		}
 		return nil

@@ -360,8 +360,8 @@ func (j *journal) check(st *Store, p int) error {
 // growingSource ships a primary that grows to the follower's width later.
 type growingSource struct{ st *Store }
 
-func (s growingSource) FetchBatch(part int, afterLSN uint64, maxBytes int) (ReplBatch, error) {
-	return s.st.ReplicationBatch(part, afterLSN, maxBytes)
+func (s growingSource) FetchBatch(afterLSN uint64, maxBytes int) (ReplBatch, error) {
+	return s.st.ReplicationBatch(afterLSN, maxBytes)
 }
 
 // TestCommitPoliciesAgree runs the whole script under each sync policy and
@@ -555,13 +555,10 @@ func TestCheckpointAfterTornTail(t *testing.T) {
 	j.ingest(t, st, keyRange(0, 8), 1)
 	j.bump(t, st, keyRange(0, 8))
 	must(t, st.Stop())
-	for i := 0; i < cfg.Partitions; i++ {
-		logPath, _ := wal.PartitionPaths(cfg.Dir, i)
-		f, err := os.OpenFile(logPath, os.O_WRONLY|os.O_APPEND, 0)
-		must(t, err)
-		_, err = f.Write([]byte{64, 0, 0, 0, 1, 2, 3}) // a frame header whose body never landed
-		must(t, errors.Join(err, f.Close()))
-	}
+	f, err := os.OpenFile(wal.LogPath(cfg.Dir), os.O_WRONLY|os.O_APPEND, 0)
+	must(t, err)
+	_, err = f.Write([]byte{64, 0, 0, 0, 1, 2, 3}) // a frame header whose body never landed
+	must(t, errors.Join(err, f.Close()))
 	re := buildPartApp(t, cfg)
 	fsys := recordStore(t, re)
 	must(t, re.Recover())
@@ -572,7 +569,7 @@ func TestCheckpointAfterTornTail(t *testing.T) {
 		j.bump(t, re, keyRange(0, 8))
 		j.pair(t, re, 0, 1, 1000)
 	}
-	err := re.Checkpoint()
+	err = re.Checkpoint()
 	testHookAfterCut = nil
 	must(t, err)
 	j.bump(t, re, keyRange(0, 8))
@@ -693,9 +690,7 @@ func durabilityEndOfRun(t *testing.T, cfg Config, inDoubt bool) string {
 	// The checkpoint truncates the logs: the followers take everything
 	// before it first.
 	j.phase1(t, st, func() {
-		for _, p := range st.partList() {
-			must(t, p.log.Sync())
-		}
+		must(t, st.log.Sync())
 		for _, f := range followers {
 			pollUntilIdle(t, f)
 			must(t, f.Err())
@@ -728,12 +723,10 @@ func durabilityEndOfRun(t *testing.T, cfg Config, inDoubt bool) string {
 		put := func(k int64) []pe.LoggedOp {
 			return []pe.LoggedOp{{SQL: "INSERT INTO totals (k, n) VALUES (?, 7)", Params: []types.Value{types.NewInt(k)}}}
 		}
-		logPath0, _ := wal.PartitionPaths(cfg.Dir, 0)
-		logPath1, _ := wal.PartitionPaths(cfg.Dir, 1)
-		appendRecords(t, logPath0,
+		appendRecords(t, cfg.Dir, 0,
 			&pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 9001, Ops: put(undecided)},
 			&pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 9002, Ops: put(decided0)})
-		appendRecords(t, logPath1,
+		appendRecords(t, cfg.Dir, 1,
 			&pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 9002, Ops: put(decided1)},
 			&pe.LogRecord{Kind: pe.RecDecide, MPTxnID: 9002, Commit: true})
 		j.txns = append(j.txns,

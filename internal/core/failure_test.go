@@ -28,7 +28,7 @@ func TestFailedLogRefusesReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	fire := errors.New("disk on fire")
-	logPath, _ := wal.PartitionPaths(st.cfg.Dir, 0)
+	logPath := wal.LogPath(st.cfg.Dir)
 	fsys.Syncs(logPath).Fail(fire)
 	if _, err := st.Exec("INSERT INTO kv VALUES (2, 2)"); !errors.Is(err, fire) {
 		t.Fatalf("write under a failing fsync returned %v", err)
@@ -106,7 +106,7 @@ func TestRecoveryWithCorruptSnapshotFailsLoudly(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Stop()
-	_, snapPath := wal.Paths(dir)
+	snapPath := wal.SnapshotPath(dir, 0)
 	data, _ := os.ReadFile(snapPath)
 	data[len(data)/3] ^= 0xFF
 	os.WriteFile(snapPath, data, 0o644)

@@ -236,14 +236,12 @@ func TestCheckpointBarrierHardensUnwaitedRecords(t *testing.T) {
 			t.Fatalf("stats %s = %q, want %d", key, stats[key], want)
 		}
 	}
-	// Each log keeps only its cut's last record, which a restarted
+	// The log keeps only its cut's last record, which a restarted
 	// follower checks its own log against.
-	for i, cut := range st.LSNVector() {
-		logPath, _ := wal.PartitionPaths(dir, i)
-		var kept []uint64
-		if _, err := wal.ScanLog(logPath, func(lsn uint64, _ []byte) error { kept = append(kept, lsn); return nil }); err != nil || fmt.Sprint(kept) != fmt.Sprint([]uint64{cut}) {
-			t.Fatalf("partition %d log after checkpoint at LSN %d holds LSNs %v, err %v", i, cut, kept, err)
-		}
+	cut := st.LSN()
+	var kept []uint64
+	if _, err := wal.ScanLog(wal.LogPath(dir), func(lsn uint64, _ []byte) error { kept = append(kept, lsn); return nil }); err != nil || fmt.Sprint(kept) != fmt.Sprint([]uint64{cut}) {
+		t.Fatalf("log after checkpoint at LSN %d holds LSNs %v, err %v", cut, kept, err)
 	}
 	if err := st.Stop(); err != nil {
 		t.Fatal(err)
@@ -368,7 +366,7 @@ func TestSnapshotReadSeesUnackedCommit(t *testing.T) {
 	fsys := recordStore(t, st)
 	must(t, st.Start())
 	defer st.Stop()
-	logPath, _ := wal.PartitionPaths(cfg.Dir, 0)
+	logPath := wal.LogPath(cfg.Dir)
 	syncs := fsys.Syncs(logPath)
 	before := syncs.Count()
 	var released sync.Once

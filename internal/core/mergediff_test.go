@@ -100,7 +100,7 @@ func TestMergeDifferentialOneVsManyPartitions(t *testing.T) {
 	}
 	defer f.Stop()
 	rs := f.Session()
-	rs.Forward(four.LSNVector())
+	rs.Forward(four.LSN())
 	if _, err := rs.Query("SELECT COUNT(*) FROM m"); err != nil { // waits until caught up
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"sync"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/pe"
 	"repro/internal/types"
 	"repro/internal/wal"
@@ -19,10 +21,21 @@ import (
 // leg, mid-flight byte copy) the same way the torn-tail tests do — by
 // operating on the log files directly.
 
-// appendRecords appends encoded partition-engine records to a log file,
+// appendRecords appends partition part's records to the store's log in dir,
 // continuing from the file's current last LSN (what a crashed process
 // would have written next).
-func appendRecords(t *testing.T, path string, recs ...*pe.LogRecord) {
+func appendRecords(t *testing.T, dir string, part int, recs ...*pe.LogRecord) {
+	t.Helper()
+	var payloads [][]byte
+	for _, rec := range recs {
+		payloads = append(payloads, encodeEntry(part, rec))
+	}
+	appendPayloads(t, wal.LogPath(dir), payloads...)
+}
+
+// appendPayloads appends payloads to the log file at path after its last
+// LSN.
+func appendPayloads(t *testing.T, path string, payloads ...[]byte) {
 	t.Helper()
 	last, err := wal.ScanLog(path, func(uint64, []byte) error { return nil })
 	if err != nil {
@@ -32,8 +45,8 @@ func appendRecords(t *testing.T, path string, recs ...*pe.LogRecord) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range recs {
-		if _, err := l.Append(wal.EncodeRecord(rec)); err != nil {
+	for _, payload := range payloads {
+		if _, err := l.Append(payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -42,14 +55,15 @@ func appendRecords(t *testing.T, path string, recs ...*pe.LogRecord) {
 	}
 }
 
-// scanRecords decodes each intact record of a log file for fn.
-func scanRecords(path string, fn func(lsn uint64, rec *pe.LogRecord) error) (uint64, error) {
-	return wal.ScanLog(path, func(lsn uint64, payload []byte) error {
-		rec, err := wal.DecodeRecord(payload)
+// scanRecords decodes each intact record of the store's log in dir for fn.
+func scanRecords(dir string, fn func(lsn uint64, part int, rec *pe.LogRecord) error) (uint64, error) {
+	return wal.ScanLog(wal.LogPath(dir), func(lsn uint64, payload []byte) error {
+		part, n := binary.Uvarint(payload)
+		rec, err := wal.DecodeRecord(payload[max(n, 0):])
 		if err != nil {
 			return err
 		}
-		return fn(lsn, rec)
+		return fn(lsn, int(part), rec)
 	})
 }
 
@@ -82,11 +96,9 @@ func TestMPInDoubtLegAbortedOnRecovery(t *testing.T) {
 	// The crash point: partition 0 prepared leg (777, 777) for transaction
 	// 99, partition 1 prepared (778, 778) — and the coordinator died before
 	// forcing a decision.
-	logPath0, _ := wal.PartitionPaths(dir, 0)
-	logPath1, _ := wal.PartitionPaths(dir, 1)
-	appendRecords(t, logPath0, &pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 99,
+	appendRecords(t, dir, 0, &pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 99,
 		Ops: []pe.LoggedOp{putOp(777, 777)}})
-	appendRecords(t, logPath1, &pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 99,
+	appendRecords(t, dir, 1, &pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 99,
 		Ops: []pe.LoggedOp{putOp(778, 778)}})
 
 	got := recoveredKeys(t, dir, parts)
@@ -118,15 +130,13 @@ func TestMPDecidedLegCompletedOnRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	logPath0, _ := wal.PartitionPaths(dir, 0)
-	logPath1, _ := wal.PartitionPaths(dir, 1)
-	appendRecords(t, logPath0, &pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 7,
+	appendRecords(t, dir, 0, &pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 7,
 		Ops: []pe.LoggedOp{putOp(500, 1), putOp(501, 2)}})
-	appendRecords(t, logPath1,
+	appendRecords(t, dir, 1,
 		&pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 7, Ops: []pe.LoggedOp{putOp(600, 3)}},
 		&pe.LogRecord{Kind: pe.RecDecide, MPTxnID: 7, Commit: true})
 	// A decision for a DIFFERENT transaction must not resurrect leg 99.
-	appendRecords(t, logPath0, &pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 99,
+	appendRecords(t, dir, 0, &pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 99,
 		Ops: []pe.LoggedOp{putOp(900, 9)}})
 
 	got := recoveredKeys(t, dir, parts)
@@ -200,6 +210,12 @@ func mpPutPair(st *Store, k int64) error {
 // every variant: recovery must hold every pair acked by the crash whole and
 // no pair partially — the 2PC atomicity contract across the whole crash
 // window (before prepare, between prepare and decide, after decide).
+//
+// Wave 2's history is sized in records, not time: the log's daemon is
+// held in an fsync that covers nothing until every PREPARE of wave 2 is
+// appended, and again from the last vote made durable until every marker
+// is, so the votes land in one fsync and the markers in one more, and
+// every run has as many crash points.
 func TestMPCrashCopyNeverPartial(t *testing.T) {
 	const parts = 3
 	const pairs = 120
@@ -215,19 +231,88 @@ func TestMPCrashCopyNeverPartial(t *testing.T) {
 		acked[k] = fsys.Len()
 	}
 	wave1 := fsys.Len()
+
+	// Wave 2 logs one PREPARE and one marker per writing leg.
+	legs := int64(0)
+	for k := int64(pairBase + pairs); k < pairBase+2*pairs; k++ {
+		legs++
+		if st.partitionFor(types.NewInt(k)) != st.partitionFor(types.NewInt(k+pairOffset)) {
+			legs++
+		}
+	}
+	syncs := fsys.Syncs(wal.LogPath(cfg.Dir))
+	// stall holds the daemon in an fsync that covers nothing, so what is
+	// appended until release waits for the one fsync after it.
+	stall := func() (release func()) {
+		for len(syncs.Entered()) > 0 {
+			<-syncs.Entered()
+		}
+		hold := syncs.Hold()
+		synced := make(chan error, 1)
+		go func() { synced <- st.log.SyncNow() }()
+		<-syncs.Entered()
+		return func() {
+			hold()
+			if err := <-synced; err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	logged := func(want int64) {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); st.met.Load(metrics.LogRecords) < want; time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d records logged, want %d", st.met.Load(metrics.LogRecords), want)
+			}
+		}
+	}
+	// The last coordinator whose votes are durable stalls the daemon before
+	// any marker is appended.
+	var (
+		votesDurable int
+		stalled      = sync.NewCond(&mu)
+		markers      = make(chan func(), 1)
+	)
+	arrive := func() {
+		mu.Lock()
+		defer mu.Unlock()
+		if votesDurable++; votesDurable == pairs {
+			markers <- stall()
+			stalled.Broadcast()
+		}
+	}
+	testHookBeforeMarkers = func() {
+		arrive()
+		mu.Lock()
+		for votesDurable < pairs {
+			stalled.Wait()
+		}
+		mu.Unlock()
+	}
+	defer func() { testHookBeforeMarkers = nil }()
+
+	before := st.met.Load(metrics.LogRecords)
+	votes := stall()
 	var wg sync.WaitGroup
 	for k := int64(pairBase + pairs); k < pairBase+2*pairs; k++ {
 		wg.Add(1)
 		go func(k int64) {
 			defer wg.Done()
-			if mpPutPair(st, k) == nil {
-				at := fsys.Len()
-				mu.Lock()
-				acked[k] = at
-				mu.Unlock()
+			if err := mpPutPair(st, k); err != nil {
+				t.Errorf("pair %d: %v", k, err)
+				arrive() // so no coordinator waits for it
+				return
 			}
+			at := fsys.Len()
+			mu.Lock()
+			acked[k] = at
+			mu.Unlock()
 		}(k)
 	}
+	logged(before + legs)
+	votes()
+	logged(before + 2*legs)
+	(<-markers)()
 	wg.Wait()
 	must(t, st.Stop())
 

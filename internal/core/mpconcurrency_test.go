@@ -202,12 +202,11 @@ func TestMPConflictingSetsSerializeWithoutDeadlock(t *testing.T) {
 // TestMPCommitWritesNoCoordRecord pins the commit rule and what a
 // durability directory holds. A transaction's DECIDE markers in its writing
 // legs' own logs are its commit records, at any leg count, so a two-writer
-// commit puts one marker in each participant log. A leg that only read
+// commit puts one marker under each participant. A leg that only read
 // votes yes and releases at PREPARE (MPReadOnlyLegs), and a transaction
 // left with exactly one writing leg commits one-phase (MPOnePhase). After
 // those, a pause, a rebalance, a checkpoint and a stop, the directory holds
-// the PARTITIONS stamp and one command.log / snapshot.bin pair per
-// partition, and nothing store-wide.
+// the PARTITIONS stamp, the one log and a snapshot per partition.
 func TestMPCommitWritesNoCoordRecord(t *testing.T) {
 	const parts = 2
 	dir := t.TempDir()
@@ -218,7 +217,7 @@ func TestMPCommitWritesNoCoordRecord(t *testing.T) {
 	k0s := keysOwnedBy(st, 0, 4, 40000)
 	k1s := keysOwnedBy(st, 1, 4, 40000)
 
-	// Two writing legs: a marker in each partition log.
+	// Two writing legs: a marker under each partition.
 	err := st.MultiPartitionTxn(func(tx *MPTxn) error {
 		for _, k := range []int64{k0s[0], k1s[0]} {
 			owner := st.partitionFor(types.NewInt(k))
@@ -232,23 +231,20 @@ func TestMPCommitWritesNoCoordRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range st.partList() {
-		if err := p.log.Sync(); err != nil {
-			t.Fatal(err)
+	if err := st.log.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	markers := make([]int, parts)
+	if _, err := scanRecords(dir, func(_ uint64, part int, rec *pe.LogRecord) error {
+		if rec.Kind == pe.RecDecide && rec.Commit {
+			markers[part]++
 		}
-		logPath, _ := wal.PartitionPaths(dir, i)
-		markers := 0
-		if _, err := scanRecords(logPath, func(_ uint64, rec *pe.LogRecord) error {
-			if rec.Kind == pe.RecDecide && rec.Commit {
-				markers++
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if markers != 1 {
-			t.Fatalf("partition %d log holds %d commit markers, want 1", i, markers)
-		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(markers) != "[1 1]" {
+		t.Fatalf("the log holds %v commit markers by partition, want one each", markers)
 	}
 
 	// One writing leg + one read-only leg, three times over: the reader
@@ -308,10 +304,9 @@ func TestMPCommitWritesNoCoordRecord(t *testing.T) {
 	if err := st.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{partitionsFileName}
+	want := []string{partitionsFileName, wal.LogName}
 	for i := 0; i < 4; i++ {
-		logPath, snapPath := wal.PartitionPaths(dir, i)
-		want = append(want, filepath.Base(logPath), filepath.Base(snapPath))
+		want = append(want, filepath.Base(wal.SnapshotPath(dir, i)))
 	}
 	sort.Strings(want)
 	entries, err := os.ReadDir(dir)
@@ -393,26 +388,25 @@ func TestMPTornCoordDecideTailPresumedAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	logPath0, _ := wal.PartitionPaths(dir, 0)
-	logPath1, _ := wal.PartitionPaths(dir, 1)
+	logPath1 := wal.LogPath(dir)
 	// Transaction 7: prepared on both partitions, marker intact.
-	appendRecords(t, logPath0, &pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 7,
+	appendRecords(t, dir, 0, &pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 7,
 		Ops: []pe.LoggedOp{putOp(500, 1)}})
-	appendRecords(t, logPath1,
+	appendRecords(t, dir, 1,
 		&pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 7, Ops: []pe.LoggedOp{putOp(600, 2)}},
 		&pe.LogRecord{Kind: pe.RecDecide, MPTxnID: 7, Commit: true})
 	// Transaction 99: prepared on both partitions, marker TORN — the
 	// crash hit while the batched force was writing the record.
-	appendRecords(t, logPath0, &pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 99,
+	appendRecords(t, dir, 0, &pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 99,
 		Ops: []pe.LoggedOp{putOp(700, 3)}})
-	appendRecords(t, logPath1, &pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 99,
+	appendRecords(t, dir, 1, &pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 99,
 		Ops: []pe.LoggedOp{putOp(800, 4)}})
 	fi, err := os.Stat(logPath1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	whole := fi.Size()
-	appendRecords(t, logPath1,
+	appendRecords(t, dir, 1,
 		&pe.LogRecord{Kind: pe.RecDecide, MPTxnID: 99, Commit: true})
 	fi, err = os.Stat(logPath1)
 	if err != nil {

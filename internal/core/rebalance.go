@@ -9,7 +9,6 @@ import (
 	"repro/internal/pe"
 	"repro/internal/storage"
 	"repro/internal/types"
-	"repro/internal/wal"
 )
 
 // This file is online elastic repartitioning: Store.Rebalance grows a
@@ -122,18 +121,6 @@ func (s *Store) addPartitions(target int) error {
 	sch := s.schema.Load()
 
 	var added []*partition
-	ok := false
-	defer func() {
-		if ok {
-			return
-		}
-		for _, np := range added {
-			if np.log != nil {
-				np.log.Close()
-				np.log = nil
-			}
-		}
-	}()
 	for idx := len(parts); idx < target; idx++ {
 		np := s.newPartition(idx)
 		if err := np.ee.Sync(sch); err != nil {
@@ -155,11 +142,7 @@ func (s *Store) addPartitions(target int) error {
 		if err := s.attachColdStore(np); err != nil {
 			return fmt.Errorf("core: rebalance: partition %d: %w", idx, err)
 		}
-		if s.cfg.Dir != "" {
-			logPath, _ := wal.PartitionPaths(s.cfg.Dir, idx)
-			if err := np.openLog(s.dir, &s.cfg, logPath, 0); err != nil {
-				return fmt.Errorf("core: rebalance: opening log for partition %d: %w", idx, err)
-			}
+		if s.log != nil {
 			np.pe.SetLogger(np, s.cfg.LogMode)
 		}
 		added = append(added, np)
@@ -203,7 +186,6 @@ func (s *Store) addPartitions(target int) error {
 		np.cat.Clock().Publish()
 	}
 	s.seqMu.Unlock()
-	ok = true
 	return nil
 }
 
@@ -392,7 +374,7 @@ func (s *Store) migrateSlot(slot, from, to int) error {
 		if err := dst.force(&pe.LogRecord{Kind: pe.RecPrepare, Proc: pe.AdHocProc, MPTxnID: id, Ops: ops}, commit); err != nil {
 			return err
 		}
-		if src.log != nil {
+		if s.log != nil {
 			if _, err := src.Append(commit, false); err != nil {
 				return err
 			}

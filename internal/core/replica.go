@@ -1,24 +1,24 @@
 package core
 
 // This file is the socket feed of the log applier (applier.go): a follower
-// replica tails each partition segment of a primary, hands the hardened
-// records to the same applier crash recovery uses, and serves snapshot
-// SELECTs from the replayed state. What is left here is what only a
-// follower has: cursors into streams that have not ended yet, fetching,
-// lag accounting, read sessions, and the decision to declare the streams
-// final (Promote).
+// replica tails the primary's one log, hands the hardened records to the
+// same applier crash recovery uses, and serves snapshot SELECTs from the
+// replayed state. What is left here is what only a follower has: a cursor
+// into a stream that has not ended yet, fetching, lag accounting, read
+// sessions, and the decision to declare the stream final (Promote).
 //
 // A durable follower (one with a Dir) logs and forces each fetched batch
 // under the primary's LSNs before applying it, restarts from its directory
-// with its streams not final, and at promotion hands its logs to engines.
+// with its stream not final, and at promotion hands its log to engines.
 //
 // Known limits, by design: a follower must attach, and restart, while the
 // source still holds its position (a checkpoint keeps its cut's last
 // record, so a follower stopped at the cut restarts; ErrShipGap, over the
 // wire too, reports a truncated one: re-seed); it cannot follow a primary
-// past its own partition count (re-seed a wider follower); and its
-// cross-partition reads see each partition's prefix at an independent
-// point, not an atomic cut.
+// past its own partition count (re-seed a wider follower); and while a
+// partition stalls behind an in-doubt PREPARE the others apply past it,
+// so a cross-partition read sees each partition at its own point of the
+// log until the decision arrives, not an atomic cut.
 
 import (
 	"bytes"
@@ -35,7 +35,7 @@ import (
 )
 
 // ReplBatch is one fetch's worth of shipped WAL: the intact frames past the
-// follower's position and the segment's current horizon LSN (for lag
+// follower's position and the log's current horizon LSN (for lag
 // accounting; the horizon may be beyond the last returned frame when the
 // byte budget truncated the batch).
 type ReplBatch struct {
@@ -47,7 +47,7 @@ type ReplBatch struct {
 // StoreSource (in-process replica sets) and client.TCP (a second sstored
 // following over the wire).
 type ReplicationSource interface {
-	FetchBatch(part int, afterLSN uint64, maxBytes int) (ReplBatch, error)
+	FetchBatch(afterLSN uint64, maxBytes int) (ReplBatch, error)
 }
 
 // StoreSource adapts a durable primary Store into a ReplicationSource for
@@ -55,43 +55,35 @@ type ReplicationSource interface {
 type StoreSource struct{ St *Store }
 
 // FetchBatch implements ReplicationSource.
-func (s StoreSource) FetchBatch(part int, afterLSN uint64, maxBytes int) (ReplBatch, error) {
-	return s.St.ReplicationBatch(part, afterLSN, maxBytes)
+func (s StoreSource) FetchBatch(afterLSN uint64, maxBytes int) (ReplBatch, error) {
+	return s.St.ReplicationBatch(afterLSN, maxBytes)
 }
 
-// ReplicationBatch reads hardened WAL frames for one partition stream past
-// afterLSN. It reads the segment file directly rather than hooking the log
+// ReplicationBatch reads the hardened WAL frames of the store's log past
+// afterLSN. It reads the log file directly rather than hooking the log
 // writer: the read is race-free against Stop, ships only what an fsync made
 // real, and keeps working after the primary process died — which is
 // exactly when a promoting follower drains the tail.
-func (s *Store) ReplicationBatch(part int, afterLSN uint64, maxBytes int) (ReplBatch, error) {
+func (s *Store) ReplicationBatch(afterLSN uint64, maxBytes int) (ReplBatch, error) {
 	if s.cfg.Dir == "" {
 		return ReplBatch{}, fmt.Errorf("core: replication requires a durable primary (no Dir configured)")
 	}
-	if part < 0 || part >= len(s.partList()) {
-		return ReplBatch{}, fmt.Errorf("core: replication fetch for partition %d of %d", part, len(s.partList()))
-	}
-	path, _ := wal.PartitionPaths(s.cfg.Dir, part)
-	frames, end, err := wal.ReadFrames(path, afterLSN, maxBytes)
+	frames, end, err := wal.ReadFrames(wal.LogPath(s.cfg.Dir), afterLSN, maxBytes)
 	if err != nil {
 		return ReplBatch{}, err
 	}
 	return ReplBatch{Frames: frames, EndLSN: end}, nil
 }
 
-// LSNVector returns the last allocated LSN of every partition log — the
-// write position a ReplicaSession forwards to get read-your-writes on a
-// follower. An acknowledged write's record is at or before this position on
-// its partition.
-func (s *Store) LSNVector() []uint64 {
-	parts := s.partList()
-	vec := make([]uint64, len(parts))
-	for i, p := range parts {
-		if p.log != nil {
-			vec[i] = p.log.LSN()
-		}
+// LSN returns the LSN of the last record appended to the store's log (0
+// without one) — the write position a ReplicaSession forwards to get
+// read-your-writes on a follower. An acknowledged write's record is at or
+// before it.
+func (s *Store) LSN() uint64 {
+	if s.log == nil {
+		return 0
 	}
-	return vec
+	return s.log.LSN()
 }
 
 // A follower's fixed limits: one fetch's payload, and how long a session
@@ -115,22 +107,23 @@ type FollowerOpts struct {
 	OnPromote func(st *Store, err error)
 }
 
-// replStream is one shipped log's cursor state. Owned by the apply
+// replStream is the shipped log's cursor state. Owned by the apply
 // goroutine except applied, which readers poll for session waits.
 type replStream struct {
-	part    int           // partition index
 	fetched uint64        // last LSN buffered from the source
-	applied atomic.Uint64 // last LSN applied (or resolved) into storage
-	horizon uint64        // last LSN known present in the segment
-	pending []pendingRec  // fetched but not yet applied (stalled behind an in-doubt prepare)
+	applied atomic.Uint64 // every record up to it is applied (or resolved) into storage
+	horizon uint64        // last LSN known present in the source's log
+	pending []pendingRec  // fetched but not yet applied (its partition stalled behind an in-doubt prepare)
 	// check is a restarted follower's own record at fetched, which the
 	// source's frame there must match first; nil once checked, or if none.
 	check []byte
 }
 
+// pendingRec is a fetched record and the partition it is tagged with.
 type pendingRec struct {
-	lsn uint64
-	rec *pe.LogRecord
+	lsn  uint64
+	part int
+	rec  *pe.LogRecord
 }
 
 // Follower is a read replica: a never-started Store kept by replay of the
@@ -147,8 +140,8 @@ type Follower struct {
 	opts FollowerOpts
 
 	// Owned by the apply goroutine, then by Promote once it has joined it.
-	ap      *applier
-	streams []*replStream // one per partition
+	ap   *applier
+	strm *replStream
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -173,26 +166,29 @@ func NewFollower(st *Store, src ReplicationSource, opts FollowerOpts) (*Follower
 		opts.PollInterval = 2 * time.Millisecond
 	}
 	f := &Follower{
-		st:      st,
-		src:     src,
-		opts:    opts,
-		streams: st.newStreams(),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		st:   st,
+		src:  src,
+		opts: opts,
+		strm: &replStream{},
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 	if st.cfg.Dir == "" {
 		f.ap = newApplier(st)
 		return f, nil
 	}
-	// Recover's passes with the streams not final (what stalls stays
-	// pending); no engine logs to the logs until Promote.
-	ap, snaps, err := st.loadDir()
+	// Recover's passes with the stream not final (what stalls stays
+	// pending); no engine logs to the log until Promote.
+	ap, logs, err := st.loadDir()
+	if err == nil && len(logs) > 1 {
+		err = fmt.Errorf("core: %s holds one log per partition, as followers of earlier versions wrote; re-seed the follower", st.cfg.Dir)
+	}
 	if err == nil {
-		err = st.replayDir(ap, snaps, f.streams, false)
+		err = st.replayDir(ap, logs, f.strm, false)
 	}
 	if err != nil {
 		st.recoverErr = err
-		st.Stop() // closes the logs opened so far
+		st.Stop() // closes the log if replay got to open it
 		return nil, err
 	}
 	f.ap, st.recovered = ap, true
@@ -210,19 +206,13 @@ func (f *Follower) Err() error { return f.st.Err() }
 
 func (f *Follower) setErr(err error) { f.st.fail(err) }
 
-// Lag returns the replication lag in log records, summed across streams
-// (horizon minus applied; LSNs are dense, so the difference counts records).
+// Lag returns the replication lag in log records (horizon minus applied;
+// LSNs are dense, so the difference counts records).
 func (f *Follower) Lag() int64 { return f.st.met.Load(metrics.ReplLag) }
 
-// Applied returns the sum of applied LSNs across streams — a monotone
-// caught-up-ness score (see MostCaughtUp).
-func (f *Follower) Applied() uint64 {
-	var total uint64
-	for _, strm := range f.streams {
-		total += strm.applied.Load()
-	}
-	return total
-}
+// Applied returns the LSN up to which the follower has applied the log — a
+// monotone caught-up-ness score (see MostCaughtUp).
+func (f *Follower) Applied() uint64 { return f.strm.applied.Load() }
 
 // MostCaughtUp picks the follower with the highest applied position — the
 // promotion candidate that minimizes lost (never-acked) tail work.
@@ -292,63 +282,55 @@ func (f *Follower) run() {
 	}
 }
 
-// pollOnce runs one fetch-and-apply round over every stream. It returns
-// whether any frame was buffered or applied, plus the last fetch error
-// (heartbeat signal). Divergence and apply failures set the sticky error.
+// pollOnce runs one fetch-and-apply round. It returns whether any frame
+// was buffered or applied, plus the fetch error (heartbeat signal).
+// Divergence and apply failures set the sticky error.
 func (f *Follower) pollOnce() (progress bool, fetchErr error) {
-	// A marker folded from a later partition's stream unblocks an earlier
-	// one in the next round.
-	for _, strm := range f.streams {
-		after := strm.fetched
-		if strm.check != nil {
-			after-- // fetch the frame at fetched too, to check it
+	strm := f.strm
+	after := strm.fetched
+	if strm.check != nil {
+		after-- // fetch the frame at fetched too, to check it
+	}
+	batch, err := f.src.FetchBatch(after, followerBatchBytes)
+	if errors.Is(err, wal.ErrShipGap) {
+		f.setErr(err) // the source no longer holds this position
+		return false, err
+	} else if err != nil {
+		return false, err
+	}
+	frames := batch.Frames
+	if strm.check != nil {
+		if len(frames) == 0 || frames[0].LSN != strm.fetched {
+			f.setErr(fmt.Errorf("core: the source holds no record at LSN %d to check the log against: %w",
+				strm.fetched, wal.ErrShipGap))
+			return false, nil
 		}
-		batch, err := f.src.FetchBatch(strm.part, after, followerBatchBytes)
-		if errors.Is(err, wal.ErrShipGap) {
-			f.setErr(err) // the source no longer holds this position
-			return progress, err
-		} else if err != nil {
-			fetchErr = err
-			continue
+		if !bytes.Equal(frames[0].Payload, strm.check) {
+			f.setErr(fmt.Errorf("core: the log diverges from its source at LSN %d: "+
+				"the directory was promoted or follows another primary", strm.fetched))
+			return false, nil
 		}
-		frames := batch.Frames
-		if strm.check != nil {
-			if len(frames) == 0 || frames[0].LSN != strm.fetched {
-				f.setErr(fmt.Errorf("core: partition %d's source holds no record at LSN %d to check its log against: %w",
-					strm.part, strm.fetched, wal.ErrShipGap))
-				return progress, fetchErr
-			}
-			if !bytes.Equal(frames[0].Payload, strm.check) {
-				f.setErr(fmt.Errorf("core: partition %d's log diverges from its source at LSN %d: "+
-					"the directory was promoted or follows another primary", strm.part, strm.fetched))
-				return progress, fetchErr
-			}
-			strm.check, frames = nil, frames[1:]
-		}
-		if err := f.take(strm, frames); err != nil {
-			f.setErr(err)
-			return progress, fetchErr
-		}
-		progress = progress || len(frames) > 0
-		if batch.EndLSN > strm.horizon {
-			strm.horizon = batch.EndLSN
-		}
-		applied, err := f.ap.drain(strm, false)
-		if err != nil {
-			f.setErr(err)
-			return progress, fetchErr
-		}
-		progress = progress || applied
+		strm.check, frames = nil, frames[1:]
+	}
+	if err := f.take(frames); err != nil {
+		f.setErr(err)
+		return false, nil
+	}
+	strm.horizon = max(strm.horizon, batch.EndLSN)
+	applied, err := f.ap.drain(strm, false)
+	if err != nil {
+		f.setErr(err)
+		return false, nil
 	}
 	f.updateLag()
-	return progress, fetchErr
+	return len(frames) > 0 || applied, nil
 }
 
-// take buffers shipped frames on strm: appended to the partition's own log
-// and forced when it has one, and only then folded, so whatever the
-// follower applies is already on its disk.
-func (f *Follower) take(strm *replStream, frames []wal.Frame) error {
-	if l := f.st.partList()[strm.part].log; l != nil && len(frames) > 0 {
+// take buffers shipped frames: appended to the follower's own log and
+// forced when it has one, and only then folded, so whatever the follower
+// applies is already on its disk.
+func (f *Follower) take(frames []wal.Frame) error {
+	if l := f.st.log; l != nil && len(frames) > 0 {
 		if err := l.AppendFrames(frames); err != nil {
 			return err
 		}
@@ -357,27 +339,25 @@ func (f *Follower) take(strm *replStream, frames []wal.Frame) error {
 		}
 	}
 	for _, fr := range frames {
-		rec, err := wal.DecodeRecord(fr.Payload)
+		part, rec, err := f.ap.entry(fr.Payload, -1)
 		if err == nil {
 			err = f.ap.fold(rec)
 		}
 		if err != nil {
-			return fmt.Errorf("core: replicated record at LSN %d (stream %d): %w", fr.LSN, strm.part, err)
+			return fmt.Errorf("core: replicated record at LSN %d: %w", fr.LSN, err)
 		}
-		strm.pending = append(strm.pending, pendingRec{lsn: fr.LSN, rec: rec})
-		strm.fetched = fr.LSN
+		f.strm.pending = append(f.strm.pending, pendingRec{lsn: fr.LSN, part: part, rec: rec})
+		f.strm.fetched = fr.LSN
 	}
 	return nil
 }
 
 // updateLag refreshes the replication gauges: lag is the records known
-// hardened on the primary but not yet applied here, summed across streams.
+// hardened on the primary but not yet applied here.
 func (f *Follower) updateLag() {
 	lag := int64(0)
-	for _, strm := range f.streams {
-		if h, a := strm.horizon, strm.applied.Load(); h > a {
-			lag += int64(h - a)
-		}
+	if h, a := f.strm.horizon, f.strm.applied.Load(); h > a {
+		lag = int64(h - a)
 	}
 	f.st.met.Store(metrics.ReplLag, lag)
 	f.st.met.Store(metrics.ReplRecordsApplied, f.ap.replayed)
@@ -393,7 +373,7 @@ func (f *Follower) updateLag() {
 //
 // Every acknowledged write survives promotion: an ack implies the record
 // was fsynced on the primary, fsynced records are exactly what FetchBatch
-// ships, and the drain loops until the segments are dry.
+// ships, and the drain loops until the log is dry.
 func (f *Follower) Promote() (*Store, error) {
 	f.life.Lock()
 	defer f.life.Unlock()
@@ -454,24 +434,22 @@ func (f *Follower) halt() {
 	}
 }
 
-// settle declares the streams final: the records stalled behind in-doubt
+// settle declares the stream final: the records stalled behind in-doubt
 // prepares apply (the prepares themselves presumed aborted), then the
 // applier finishes exactly as crash recovery does. The rows of migrated
 // slots already sit on their new owners, so unlike recovery nothing is
-// rehomed. Last, each partition becomes its engine's logger on the log it
-// already has.
+// rehomed. Last, each partition becomes its engine's logger on the log the
+// follower already has.
 func (f *Follower) settle() error {
-	for _, strm := range f.streams {
-		if _, err := f.ap.drain(strm, true); err != nil {
-			return err
-		}
+	if _, err := f.ap.drain(f.strm, true); err != nil {
+		return err
 	}
 	if err := f.ap.finish(); err != nil {
 		return err
 	}
 	f.updateLag()
-	for _, p := range f.st.partList() {
-		if p.log != nil {
+	if f.st.log != nil {
+		for _, p := range f.st.partList() {
 			p.pe.SetLogger(p, f.st.cfg.LogMode)
 		}
 	}
@@ -479,100 +457,80 @@ func (f *Follower) settle() error {
 }
 
 // Query runs a read-only SELECT against the follower's replayed state (no
-// session ordering constraint — a consistent prefix per partition).
+// session ordering constraint).
 func (f *Follower) Query(sqlText string, params ...types.Value) (*pe.Result, error) {
-	res, _, err := f.query(nil, sqlText, params)
+	res, _, err := f.query(0, sqlText, params)
 	return res, err
 }
 
 // query is the follower's door to the snapshot read path: wait for the
 // session's LSN floor, then read a cut of the replayed state. It returns the
-// applied-LSN vector observed before the cut, which the session folds back
-// in for monotonic reads.
-func (f *Follower) query(min []uint64, sqlText string, params []types.Value) (*pe.Result, []uint64, error) {
+// applied LSN observed before the cut, which the session folds back in for
+// monotonic reads.
+func (f *Follower) query(min uint64, sqlText string, params []types.Value) (*pe.Result, uint64, error) {
 	if f.promoted.Load() {
-		return nil, nil, fmt.Errorf("core: follower was promoted; query the promoted store directly")
+		return nil, 0, fmt.Errorf("core: follower was promoted; query the promoted store directly")
 	}
 	if err := f.waitApplied(min); err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
 	if err := parseSelect(sqlText, "core: follower replica is read-only; only SELECT is supported"); err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
 	f.st.met.Add(metrics.FollowerReads, 1)
-	// Applied LSNs are stored after each record's publish, so state applied
-	// up to this vector is visible to the cut acquired below.
-	seen := make([]uint64, len(f.streams))
-	for i, strm := range f.streams {
-		seen[i] = strm.applied.Load()
-	}
+	// The applied LSN is stored after each record's publish, so state
+	// applied up to it is visible to the cut acquired below.
+	seen := f.strm.applied.Load()
 	res, err := f.st.readLatest(false, sqlText, params)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
 	return res, seen, nil
 }
 
-// waitApplied blocks until every partition stream has applied at least its
-// entry in min (a primary LSNVector), within the read timeout.
-func (f *Follower) waitApplied(min []uint64) error {
-	if len(min) == 0 {
-		return nil
-	}
-	if len(min) > len(f.streams) {
-		return fmt.Errorf("core: session LSN vector has %d partitions, follower has %d", len(min), len(f.streams))
-	}
+// waitApplied blocks until the follower has applied the log up to min (a
+// primary's LSN), within the read timeout.
+func (f *Follower) waitApplied(min uint64) error {
 	deadline := time.Now().Add(followerReadTimeout)
-	for i, want := range min {
-		strm := f.streams[i]
-		for strm.applied.Load() < want {
-			if err := f.Err(); err != nil {
-				return err
-			}
-			if f.promoted.Load() {
-				return fmt.Errorf("core: follower was promoted; query the promoted store directly")
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("core: replica read timed out waiting for LSN %d on partition %d (applied %d)", want, i, strm.applied.Load())
-			}
-			time.Sleep(100 * time.Microsecond)
+	for f.strm.applied.Load() < min {
+		if err := f.Err(); err != nil {
+			return err
 		}
+		if f.promoted.Load() {
+			return fmt.Errorf("core: follower was promoted; query the promoted store directly")
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("core: replica read timed out waiting for LSN %d (applied %d)", min, f.strm.applied.Load())
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 	return nil
 }
 
 // ReplicaSession orders one client's follower reads: Forward installs a
-// floor (the primary's LSNVector after a write, for read-your-writes), and
-// each successful Query raises the floor to the state it observed
-// (monotonic reads across queries).
+// floor (the primary's LSN after a write, for read-your-writes), and each
+// successful Query raises the floor to the state it observed (monotonic
+// reads across queries).
 type ReplicaSession struct {
 	f   *Follower
 	mu  sync.Mutex
-	min []uint64
+	min uint64
 }
 
 // Session opens a read session on the follower.
 func (f *Follower) Session() *ReplicaSession { return &ReplicaSession{f: f} }
 
-// Forward raises the session's LSN floor (entries merge by max; a shorter
-// vector leaves later partitions unconstrained).
-func (rs *ReplicaSession) Forward(vec []uint64) {
+// Forward raises the session's LSN floor to lsn if it is lower.
+func (rs *ReplicaSession) Forward(lsn uint64) {
 	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if len(vec) > len(rs.min) {
-		rs.min = append(rs.min, make([]uint64, len(vec)-len(rs.min))...)
-	}
-	for i, v := range vec {
-		if v > rs.min[i] {
-			rs.min[i] = v
-		}
-	}
+	rs.min = max(rs.min, lsn)
+	rs.mu.Unlock()
 }
 
 // Query runs a SELECT no staler than the session floor.
 func (rs *ReplicaSession) Query(sqlText string, params ...types.Value) (*pe.Result, error) {
 	rs.mu.Lock()
-	min := append([]uint64(nil), rs.min...)
+	min := rs.min
 	rs.mu.Unlock()
 	res, seen, err := rs.f.query(min, sqlText, params)
 	if err != nil {

@@ -69,7 +69,7 @@ func TestFollowerReplicatesAndServesReads(t *testing.T) {
 		}
 	}
 	rs := f.Session()
-	rs.Forward(st.LSNVector())
+	rs.Forward(st.LSN())
 	res, err := rs.Query("SELECT COUNT(*), SUM(v) FROM kv")
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestFollowerReplicatesAndServesReads(t *testing.T) {
 	if _, err := st.Call("put", types.NewInt(1000), types.NewInt(7)); err != nil {
 		t.Fatal(err)
 	}
-	rs.Forward(st.LSNVector())
+	rs.Forward(st.LSN())
 	if keys := keySet(t, rs.Query); keys[1000] != 1 {
 		t.Fatalf("read-your-writes: key 1000 missing after Forward (keys=%d)", len(keys))
 	}
@@ -168,7 +168,7 @@ func TestFollowerAppliesMultiPartitionWrites(t *testing.T) {
 		total++
 	}
 	rs := f.Session()
-	rs.Forward(st.LSNVector())
+	rs.Forward(st.LSN())
 	res, err := rs.Query("SELECT COUNT(*), SUM(v) FROM kv")
 	if err != nil {
 		t.Fatal(err)
@@ -205,12 +205,10 @@ func TestFollowerStallsInDoubtPrepare(t *testing.T) {
 	// key 777 — no decision anywhere) followed by a decided PREPARE (txn
 	// 101, key 887). Partition 1: txn 101's other leg (key 888) and its
 	// commit marker, the only decision anywhere.
-	logPath0, _ := wal.PartitionPaths(dir, 0)
-	logPath1, _ := wal.PartitionPaths(dir, 1)
-	appendRecords(t, logPath0,
+	appendRecords(t, dir, 0,
 		&pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 99, Ops: []pe.LoggedOp{putOp(777, 777)}},
 		&pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 101, Ops: []pe.LoggedOp{putOp(887, 887)}})
-	appendRecords(t, logPath1,
+	appendRecords(t, dir, 1,
 		&pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 101, Ops: []pe.LoggedOp{putOp(888, 888)}},
 		&pe.LogRecord{Kind: pe.RecDecide, MPTxnID: 101, Commit: true})
 
@@ -279,8 +277,7 @@ func TestFollowerTailsPastPresumedAbort(t *testing.T) {
 	st := buildKV(t, gcTestConfig(dir, parts))
 	must(t, st.Start())
 	must(t, st.Stop())
-	logPath0, _ := wal.PartitionPaths(dir, 0)
-	appendRecords(t, logPath0, &pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 99, Ops: []pe.LoggedOp{putOp(777, 777)}})
+	appendRecords(t, dir, 0, &pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 99, Ops: []pe.LoggedOp{putOp(777, 777)}})
 	st = buildKV(t, gcTestConfig(dir, parts))
 	must(t, st.Start())
 	defer st.Stop()
@@ -294,7 +291,7 @@ func TestFollowerTailsPastPresumedAbort(t *testing.T) {
 	must(t, f.Run())
 	defer f.Stop()
 	rs := f.Session()
-	rs.Forward(st.LSNVector())
+	rs.Forward(st.LSN())
 	keys := keySet(t, rs.Query)
 	if len(keys) != n || keys[777] != 0 {
 		t.Fatalf("follower holds %d keys (777: %d), want the %d acked", len(keys), keys[777], n)
@@ -365,38 +362,31 @@ func TestFollowerRefusesDivergedDirectory(t *testing.T) {
 	f, err = NewFollower(buildKV(t, fcfg), StoreSource{St: st}, FollowerOpts{})
 	must(t, err)
 	pollUntilIdle(t, f)
-	want := fmt.Sprintf("partition 0's log diverges from its source at LSN %d", st.LSNVector()[0])
+	want := fmt.Sprintf("the log diverges from its source at LSN %d", st.LSN())
 	if err := f.Err(); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("follower of a diverged directory: err = %v, want %q", err, want)
 	}
 	if _, err := f.Promote(); err == nil {
 		t.Fatal("a diverged follower was promoted")
 	}
-	// A failed promotion leaves the follower to Stop, which closes its logs.
+	// A failed promotion leaves the follower to Stop, which closes its log.
 	must(t, f.Stop())
-	for _, p := range f.Store().partList() {
-		if p.log != nil {
-			t.Fatalf("partition %d's log is open after Stop of a follower that failed to promote", p.idx)
-		}
+	if f.Store().log != nil {
+		t.Fatal("the log is open after Stop of a follower that failed to promote")
 	}
 }
 
 // TestNewFollowerClosesLogsOnFailure: a durable follower whose replay fails
-// on partition 1 closes the log it already opened for partition 0.
+// on partition 1 leaves no log open.
 func TestNewFollowerClosesLogsOnFailure(t *testing.T) {
 	cfg := gcTestConfig(t.TempDir(), 2)
-	path, _ := wal.PartitionPaths(cfg.Dir, 1)
-	l, err := wal.OpenLogOpts(path, 0, wal.Options{Policy: wal.SyncEveryRecord})
-	must(t, err)
-	_, err = l.Append(wal.EncodeRecord(&pe.LogRecord{Kind: pe.RecCall, Proc: "no_such_proc"}))
-	must(t, err)
-	must(t, l.Close())
+	appendRecords(t, cfg.Dir, 1, &pe.LogRecord{Kind: pe.RecCall, Proc: "no_such_proc"})
 	st := buildKV(t, cfg)
 	if _, err := NewFollower(st, StoreSource{St: st}, FollowerOpts{}); err == nil {
 		t.Fatal("a follower replayed a call of an unknown procedure")
 	}
-	if p := st.partList()[0]; p.log != nil {
-		t.Fatal("partition 0's log is open after NewFollower failed")
+	if st.log != nil {
+		t.Fatal("the log is open after NewFollower failed")
 	}
 }
 
@@ -578,8 +568,7 @@ func TestFollowerReadsVsWriterVsPromotionHammer(t *testing.T) {
 	}
 }
 
-// TestFollowerRejectsMisconfiguration pins the constructor's guardrails and
-// the session-vector shape check.
+// TestFollowerRejectsMisconfiguration pins the constructor's guardrails.
 func TestFollowerRejectsMisconfiguration(t *testing.T) {
 	const parts = 2
 	st := buildKV(t, gcTestConfig(t.TempDir(), parts))
@@ -605,17 +594,8 @@ func TestFollowerRejectsMisconfiguration(t *testing.T) {
 
 	// Replication needs a durable primary.
 	volatile := buildKV(t, Config{Partitions: parts})
-	if _, err := volatile.ReplicationBatch(0, 0, 0); err == nil ||
+	if _, err := volatile.ReplicationBatch(0, 0); err == nil ||
 		!strings.Contains(err.Error(), "durable primary") {
 		t.Fatalf("volatile primary fetch err = %v", err)
-	}
-
-	// An over-wide session vector is rejected rather than hanging.
-	f := kvFollower(t, st, parts)
-	rs := f.Session()
-	rs.Forward(make([]uint64, parts+3))
-	if _, err := rs.Query("SELECT COUNT(*) FROM kv"); err == nil ||
-		!strings.Contains(err.Error(), "LSN vector") {
-		t.Fatalf("wide vector err = %v", err)
 	}
 }

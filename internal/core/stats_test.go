@@ -1,6 +1,7 @@
 package core
 
 import (
+	"os"
 	"regexp"
 	"strconv"
 	"strings"
@@ -34,10 +35,11 @@ wal_fsyncs int
 wal_fsync_records int
 wal_unwaited_records int
 wal_period_waits int
-wal_period_waits.p0 int
-wal_period_waits.p1 int
 wal_fsync_p50 dur
 wal_fsync_p99 dur
+checkpoints int
+last_checkpoint_age_ms int
+log_bytes_since_cut int
 mp_txns int
 mp_aborts int
 mp_legs_committed int
@@ -187,7 +189,7 @@ func TestAckBacklogGauge(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Stop()
-	logPath, _ := wal.PartitionPaths(dir, 0)
+	logPath := wal.LogPath(dir)
 	release := fsys.Syncs(logPath).Hold()
 	const k = 5
 	calls := make([]<-chan pe.CallResult, k)
@@ -234,10 +236,8 @@ func TestWalPeriodWaitsRow(t *testing.T) {
 	}
 	rows := func(want string) {
 		t.Helper()
-		for _, name := range []string{"wal_period_waits", "wal_period_waits.p0"} {
-			if got := statsRow(t, st, name); got != want {
-				t.Fatalf("%s = %s, want %s", name, got, want)
-			}
+		if got := statsRow(t, st, "wal_period_waits"); got != want {
+			t.Fatalf("wal_period_waits = %s, want %s", got, want)
 		}
 	}
 	for k := range int64(10) {
@@ -245,7 +245,7 @@ func TestWalPeriodWaitsRow(t *testing.T) {
 	}
 	rows("0")
 
-	logPath, _ := wal.PartitionPaths(dir, 0)
+	logPath := wal.LogPath(dir)
 	syncs := fsys.Syncs(logPath)
 	release := syncs.Hold()
 	began := syncs.Count()
@@ -265,6 +265,51 @@ func TestWalPeriodWaitsRow(t *testing.T) {
 	acked(put(13)) // behind a two-record fsync: waits out the period
 	acked(put(14)) // its fsync reported before this one began
 	rows("1")
+}
+
+// TestCheckpointRows: checkpoints counts the checkpoints taken and
+// last_checkpoint_age_ms reads 0 before the first; log_bytes_since_cut is
+// the log's length, which every logged write grows and a checkpoint cuts
+// to the one record its cut keeps.
+func TestCheckpointRows(t *testing.T) {
+	dir := t.TempDir()
+	st := buildKV(t, gcTestConfig(dir, 2))
+	must(t, st.Start())
+	defer st.Stop()
+	row := func(name string) int64 {
+		t.Helper()
+		v, err := strconv.ParseInt(statsRow(t, st, name), 10, 64)
+		must(t, err)
+		return v
+	}
+	logged := func() (size int64, records int) {
+		t.Helper()
+		must(t, st.log.Sync())
+		fi, err := os.Stat(wal.LogPath(dir))
+		must(t, err)
+		_, err = wal.ScanLog(wal.LogPath(dir), func(uint64, []byte) error { records++; return nil })
+		must(t, err)
+		return fi.Size(), records
+	}
+	if n, age := row("checkpoints"), row("last_checkpoint_age_ms"); n != 0 || age != 0 {
+		t.Fatalf("before any checkpoint: checkpoints %d, last_checkpoint_age_ms %d", n, age)
+	}
+	for k := range int64(10) {
+		_, err := st.Call("put", types.NewInt(k), types.NewInt(k))
+		must(t, err)
+	}
+	size, records := logged()
+	if got := row("log_bytes_since_cut"); got != size || records != 10 {
+		t.Fatalf("log_bytes_since_cut %d, the log holds %d bytes in %d records after 10 puts", got, size, records)
+	}
+	must(t, st.Checkpoint())
+	cut, records := logged()
+	if got := row("log_bytes_since_cut"); got != cut || records != 1 || cut >= size {
+		t.Fatalf("log_bytes_since_cut %d after a checkpoint, the log holds %d bytes in %d records (%d before)", got, cut, records, size)
+	}
+	if n, age := row("checkpoints"), row("last_checkpoint_age_ms"); n != 1 || age < 0 || age > time.Minute.Milliseconds() {
+		t.Fatalf("after one checkpoint: checkpoints %d, last_checkpoint_age_ms %d", n, age)
+	}
 }
 
 // TestDeferredExecutionsGauge: a pause that catches a chain between its
@@ -347,7 +392,7 @@ func TestCommitStages(t *testing.T) {
 		fsys := recordStore(t, st)
 		must(t, st.Start())
 		defer st.Stop()
-		logPath, _ := wal.PartitionPaths(cfg.Dir, 0)
+		logPath := wal.LogPath(cfg.Dir)
 		release := fsys.Syncs(logPath).Hold()
 		ack := st.CallAsync("put", types.NewInt(7), types.NewInt(70))
 		// Queued for the acker: committed in memory, its fsync held.
@@ -442,7 +487,7 @@ func TestCoordinatedCommitStages(t *testing.T) {
 			}
 			barrier()
 			before := st.Metrics().Snapshot()
-			logPath, _ := wal.PartitionPaths(cfg.Dir, 1)
+			logPath := wal.LogPath(cfg.Dir)
 			syncs := fsys.Syncs(logPath)
 			drain := func() {
 				for len(syncs.Entered()) > 0 {

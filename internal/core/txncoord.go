@@ -69,9 +69,8 @@ import (
 // Successive transactions on the same partitions therefore overlap their
 // durability waits: the next coordinator enlists, executes, and appends
 // its own votes while the previous one is still waiting on the disk, so
-// PREPARE/DECIDE/commit records pool behind whichever fsync is in flight
-// in the store's directory (the logs take turns on the disk, wal.Dir)
-// and share their log's next one — the force batching E11 measures. The
+// PREPARE/DECIDE/commit records pool behind the fsync in flight and share
+// the store log's next one — the force batching E11 measures. The
 // pool is as deep as the disk is busy; no force waits for a timer. The
 // read-only optimization removes two forces outright: a leg that wrote
 // nothing votes yes and releases its worker at PREPARE (no PREPARE
@@ -99,7 +98,7 @@ import (
 //
 // Recovery and followers read these records through the log applier
 // (applier.go): a logged PREPARE whose transaction id has a durable DECIDE
-// marker in any partition log is re-applied; one without is presumed
+// marker anywhere in the log is re-applied; one without is presumed
 // aborted and dropped once no decision can arrive any more.
 
 // testHookBeforeMarkers, when set, runs on the coordinator's goroutine
@@ -184,11 +183,11 @@ func (tx *MPTxn) resolveOutcome(err error) error {
 	return err
 }
 
-// decidePublished forces a commit marker into every leg's log for each
+// decidePublished forces a commit marker under every leg for each
 // transaction published on parts whose outcome has not resolved: its
 // coordinator is between releasing its slots and its own markers. A
-// checkpoint runs it under its barrier before writing any snapshot; the
-// votes were appended before the barrier, so once every leg's log syncs
+// checkpoint runs it under its barrier before writing any snapshot, once
+// it has synced the log: the votes were appended before the barrier, so
 // they are durable and these markers say only what the coordinator's
 // will. Without them, a crash between two partitions' snapshots would
 // leave one leg in a new snapshot and the other an undecided PREPARE
@@ -215,11 +214,6 @@ func decidePublished(parts []*partition) error {
 		decided[o] = true
 		todo = append(todo, o.preds...)
 		for _, p := range o.legs {
-			if err := p.log.SyncNow(); err != nil { // a vote that never became durable
-				return err
-			}
-		}
-		for _, p := range o.legs {
 			if err := p.force(&pe.LogRecord{Kind: pe.RecDecide, MPTxnID: o.id, Commit: true}); err != nil {
 				return err
 			}
@@ -229,11 +223,12 @@ func decidePublished(parts []*partition) error {
 }
 
 // appendPrepares appends every writing leg's PREPARE record (the ops each
-// vote handed back) to its partition's log and kicks the log's daemon. The
-// appends are not yet durable — the returned futures in voteAcks resolve
-// when they are, and waitVotes collects them after the slots release.
-// Append order is safe: each leg's worker is still parked, so nothing else
-// can put a later record into that partition's log first.
+// vote handed back) under its partition and kicks the log's daemon. The
+// appends are not yet durable — the last one's future, voteAck, resolves
+// once they all are (the log resolves futures in append order), and
+// waitVotes waits for it after the slots release. Append order is safe:
+// each leg's worker is still parked, so nothing else can log a later
+// record of that partition first.
 func (tx *MPTxn) appendPrepares() error {
 	for i, sess := range tx.sess {
 		if sess == nil {
@@ -247,8 +242,7 @@ func (tx *MPTxn) appendPrepares() error {
 		if err != nil {
 			return fmt.Errorf("core: mp prepare append (partition %d): %w", i, err)
 		}
-		tx.prepParts = append(tx.prepParts, i)
-		tx.voteAcks = append(tx.voteAcks, ack)
+		tx.prepParts, tx.voteAck = append(tx.prepParts, i), ack
 	}
 	return nil
 }
@@ -259,40 +253,31 @@ func (tx *MPTxn) appendPrepares() error {
 // votes, which batch into the same daemon fsyncs) while this transaction
 // waits only for the disk.
 func (tx *MPTxn) waitVotes() error {
-	var errs []error
-	for k, ack := range tx.voteAcks {
-		if err := <-ack; err != nil {
-			errs = append(errs, fmt.Errorf("core: mp prepare force (partition %d): %w", tx.prepParts[k], err))
-		}
+	if tx.voteAck == nil {
+		return nil
 	}
-	return errors.Join(errs...)
+	if err := <-tx.voteAck; err != nil {
+		return fmt.Errorf("core: mp prepare force: %w", err)
+	}
+	return nil
 }
 
-// appendMarkers appends the commit DECIDE marker to every prepared leg's
-// partition log and waits for durability. The markers are appended only
-// after every vote is durable, so a surviving marker always witnesses a
-// committed transaction: each one is a commit record, and recovery's
-// pre-scan folds them from every partition log before any leg replays.
-// The markers ride the partition daemons' batches alongside successor
-// transactions' votes and commits.
+// appendMarkers appends the commit DECIDE marker under every prepared leg
+// and waits for the last one's future, which resolves once they all are
+// durable. The markers are appended only after every vote is durable, so a
+// surviving marker always witnesses a committed transaction: each one is a
+// commit record, and recovery's pre-scan folds every marker in the log
+// before any leg replays. The markers ride the log daemon's batches
+// alongside successor transactions' votes and commits.
 func (tx *MPTxn) appendMarkers() error {
-	acks := make([]<-chan error, 0, len(tx.prepParts))
-	var errs []error
+	var ack <-chan error
 	for _, i := range tx.prepParts {
-		p := tx.parts[i]
-		ack, err := p.Append(&pe.LogRecord{Kind: pe.RecDecide, MPTxnID: tx.id, Commit: true}, true)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("core: mp decide marker append (partition %d): %w", i, err))
-			continue
-		}
-		acks = append(acks, ack)
-	}
-	for _, ack := range acks {
-		if err := <-ack; err != nil {
-			errs = append(errs, err)
+		var err error
+		if ack, err = tx.parts[i].Append(&pe.LogRecord{Kind: pe.RecDecide, MPTxnID: tx.id, Commit: true}, true); err != nil {
+			return fmt.Errorf("core: mp decide marker append (partition %d): %w", i, err)
 		}
 	}
-	return errors.Join(errs...)
+	return <-ack
 }
 
 // MPTxn is the handle a coordinated transaction's handler works through.
@@ -313,12 +298,13 @@ type MPTxn struct {
 	// rebalance cutover cannot swap the list mid-transaction).
 	parts []*partition
 
-	// prepParts/voteAcks track the writing legs whose PREPARE records were
-	// appended (futures resolve when the votes are durable); outcome is the
-	// transaction's durability future installed on those partitions for
-	// successor-ack chaining. Coordinator-goroutine-only, set post-handler.
+	// prepParts tracks the writing legs whose PREPARE records were
+	// appended, and voteAck is the last one's future (resolved when every
+	// vote is durable); outcome is the transaction's durability future
+	// installed on those partitions for successor-ack chaining.
+	// Coordinator-goroutine-only, set post-handler.
 	prepParts []int
-	voteAcks  []<-chan error
+	voteAck   <-chan error
 	outcome   *mpOutcome
 	// The committing attempt's stages on pe's clock, coordinator-goroutine
 	// only: entry to runMP, the handler's start, the slots' release and
@@ -361,8 +347,7 @@ func (tx *MPTxn) begin() {
 	clear(tx.sess)
 	clear(tx.held)
 	clear(tx.requested)
-	clear(tx.voteAcks)
-	tx.prepParts, tx.voteAcks = tx.prepParts[:0], tx.voteAcks[:0]
+	tx.prepParts, tx.voteAck = tx.prepParts[:0], nil
 	tx.outcome, tx.err, tx.maxHeld = nil, nil, -1
 }
 
@@ -381,9 +366,7 @@ func (tx *MPTxn) free() {
 	tx.admitDone()
 	clear(tx.sess)
 	clear(tx.need)
-	clear(tx.voteAcks)
-	*tx = MPTxn{sess: tx.sess, held: tx.held, requested: tx.requested, need: tx.need,
-		prepParts: tx.prepParts, voteAcks: tx.voteAcks}
+	*tx = MPTxn{sess: tx.sess, held: tx.held, requested: tx.requested, need: tx.need, prepParts: tx.prepParts}
 	mpTxns.Put(tx)
 }
 
@@ -903,7 +886,7 @@ func (tx *MPTxn) attempt(fn func(tx *MPTxn) error) (err error, retry bool) {
 	// this transaction's published-but-undurable state had its ack
 	// chained on this outcome, so the crash window exposes no
 	// acknowledged dependent either. Un-acked transactions recover by
-	// presumed abort: no marker in any partition log means aborted.
+	// presumed abort: no marker in the log means aborted.
 	tx.releaseSlots()
 	tx.released = pe.Now()
 	tx.admitDone()
@@ -918,7 +901,7 @@ func (tx *MPTxn) attempt(fn func(tx *MPTxn) error) (err error, retry bool) {
 	} else if len(tx.prepParts) > 0 {
 		// Every vote is durable: each writing leg's DECIDE marker is a
 		// commit record, and the first one durable decides the whole
-		// transaction (recovery folds every partition log's markers).
+		// transaction (recovery folds every marker in the log).
 		if len(tx.prepParts) == 1 {
 			s.met.Add(metrics.MPOnePhase, 1)
 		}

@@ -9,8 +9,8 @@
 //   - a file keeps the bytes its last completed fsync covered (the writes
 //     and truncates made before that fsync began), plus some prefix of the
 //     ones after, the last of which may have landed only in part;
-//   - a create or rename is durable once a directory sync has completed
-//     after it; later ones survive as a prefix.
+//   - a create, rename or remove is durable once a directory sync has
+//     completed after it; later ones survive as a prefix.
 //
 // The real files are never fsynced: what a crash keeps is decided by the
 // log, not by the disk.
@@ -31,6 +31,7 @@ type kind uint8
 const (
 	opCreate   kind = iota // a directory entry for a new file
 	opRename               // a directory entry moves to another name
+	opRemove               // a directory entry goes
 	opSyncDir              // the directory's entries become durable
 	opWrite                // bytes land in a file
 	opTruncate             // a file is cut (or extended) to a size
@@ -38,7 +39,7 @@ const (
 	opClose
 )
 
-var kindNames = [...]string{"create", "rename", "syncdir", "write", "truncate", "sync", "close"}
+var kindNames = [...]string{"create", "rename", "remove", "syncdir", "write", "truncate", "sync", "close"}
 
 // op is one recorded operation.
 type op struct {
@@ -65,7 +66,7 @@ type FS struct {
 
 	mu      sync.Mutex
 	log     []*op
-	dirOps  []*op             // creates and renames, in log order
+	dirOps  []*op             // creates, renames and removes, in log order
 	initial map[string]*inode // the namespace when made: durable
 	names   map[string]*inode // the namespace now
 	syncs   map[string]*Syncs
@@ -110,7 +111,7 @@ func (fs *FS) record(o *op) {
 	switch o.kind {
 	case opWrite, opTruncate:
 		o.ino.ops = append(o.ino.ops, o)
-	case opCreate, opRename:
+	case opCreate, opRename, opRemove:
 		fs.dirOps = append(fs.dirOps, o)
 	}
 }
@@ -159,6 +160,22 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 	delete(fs.names, from)
 	fs.names[to] = ino
 	fs.record(&op{kind: opRename, name: from, to: to, ino: ino})
+	return nil
+}
+
+// Remove implements wal.FS.
+func (fs *FS) Remove(path string) error {
+	name, err := fs.name(path)
+	if err != nil {
+		return err
+	}
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if err := os.Remove(path); err != nil {
+		return err
+	}
+	fs.record(&op{kind: opRemove, name: name, ino: fs.names[name]})
+	delete(fs.names, name)
 	return nil
 }
 
@@ -394,12 +411,15 @@ func (fs *FS) Image(dst string, p int, v Variant) error {
 	}
 	done := countBefore(fs.dirOps, p)
 	for _, o := range fs.dirOps[:dirSynced+v.keep(done-dirSynced)] {
-		if o.kind == opRename {
+		switch o.kind {
+		case opRename:
 			delete(names, o.name)
 			names[o.to] = o.ino
-			continue
+		case opRemove:
+			delete(names, o.name)
+		default:
+			names[o.name] = o.ino
 		}
-		names[o.name] = o.ino
 	}
 	if err := os.Mkdir(dst, 0o755); err != nil {
 		return err

@@ -47,16 +47,22 @@ const (
 	// fsyncs, the records they made durable, and the appends nobody waited
 	// on (border and triggered batches, and the records of a force, which
 	// its one SyncNow makes durable), which start no fsync of their own;
-	// per partition, the fsyncs that waited out the sync period because the
-	// log was batching (its fsync before covered more than one record);
-	// then how long those fsyncs took, which is what a durable commit waits
-	// for beyond its turn on the disk.
+	// the fsyncs that waited out the sync period because the log was
+	// batching (its fsync before covered more than one record); then how
+	// long those fsyncs took, which is what a durable commit waits for
+	// beyond the fsync in flight.
 	WalFsyncs
 	WalFsyncRecords
 	WalUnwaitedRecords
 	WalPeriodWaits
 	WalFsyncP50
 	WalFsyncP99
+	// Checkpoints completed, then, read when the rows are rendered, the
+	// milliseconds since the last one (0: none since the store opened) and
+	// the log's length, what a recovery replays past the snapshots.
+	Checkpoints
+	LastCheckpointAgeMs
+	LogBytesSinceCut
 	// Coordinated multi-partition transactions: commit decisions,
 	// coordinator aborts, committed legs, and (a gauge) the coordinators in
 	// flight, which exceeds 1 when transactions over disjoint partition
@@ -221,9 +227,12 @@ var defs = [numMetrics]def{
 	WalFsyncs:           {name: "wal_fsyncs"},
 	WalFsyncRecords:     {name: "wal_fsync_records"},
 	WalUnwaitedRecords:  {name: "wal_unwaited_records"},
-	WalPeriodWaits:      {name: "wal_period_waits", perPartition: true},
+	WalPeriodWaits:      {name: "wal_period_waits"},
 	WalFsyncP50:         {name: "wal_fsync_p50", kind: Quantile, hist: FsyncTime, q: 0.50},
 	WalFsyncP99:         {name: "wal_fsync_p99", kind: Quantile, hist: FsyncTime, q: 0.99},
+	Checkpoints:         {name: "checkpoints"},
+	LastCheckpointAgeMs: {name: "last_checkpoint_age_ms", kind: Gauge},
+	LogBytesSinceCut:    {name: "log_bytes_since_cut", kind: Gauge},
 	MPTxns:              {name: "mp_txns"},
 	MPAborts:            {name: "mp_aborts"},
 	MPLegsCommitted:     {name: "mp_legs_committed"},
@@ -352,8 +361,9 @@ func (m *Metrics) Graph(name string) *GraphStats {
 
 // Snapshot is a point-in-time copy of every metric, indexed by Metric. A
 // Mean is held as its float64 bits (read it with Mean), a Quantile as
-// nanoseconds. A per-partition metric, OldestPinAgeMs and the Go runtime
-// metrics read 0 here: the store fills them when it renders the rows.
+// nanoseconds. A per-partition metric, OldestPinAgeMs, LastCheckpointAgeMs,
+// LogBytesSinceCut and the Go runtime metrics read 0 here: the store fills
+// them when it renders the rows.
 type Snapshot [numMetrics]int64
 
 // Snapshot captures the current values.

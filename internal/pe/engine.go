@@ -41,10 +41,10 @@ const (
 	// record says the transaction committed (presumed abort).
 	RecPrepare
 	// RecDecide is a 2PC decision record: a commit marker the coordinator
-	// appends to each writing leg's log once every vote is durable, or the
-	// abort recovery (or a promotion) forces into the log of a leg it
-	// presumed aborted. Recovery resolves in-doubt legs from the markers of
-	// every partition log; it executes nothing at replay.
+	// logs under each writing leg once every vote is durable, or the abort
+	// recovery (or a promotion) forces under a leg it presumed aborted.
+	// Recovery resolves in-doubt legs from every marker in the log; it
+	// executes nothing at replay.
 	RecDecide
 	// RecSlotCommit decides one routing slot's migration: forced into the
 	// destination's log together with the migration's RecPrepare leg, whose

@@ -427,7 +427,7 @@ func (e *Engine) executeMP(r *txnRequest) bool {
 				// The vote hands the leg's logged ops to the coordinator,
 				// which appends the PREPARE record itself (the worker stays
 				// parked until the decision, so nothing else can slip a
-				// record into this partition's log ahead of it). Durability
+				// record of this partition into the log ahead of it). Durability
 				// of the vote is the coordinator's to wait for — off this
 				// worker, off the partition's serial slot.
 				m.ops = ops

@@ -98,7 +98,7 @@ func TestFollowerOverWire(t *testing.T) {
 
 	// The raw fetch surface first: frames are dense from LSN 1 and the
 	// horizon row matches, so the wire framing loses nothing.
-	batch, err := pc.FetchBatch(0, 0, 1<<20)
+	batch, err := pc.FetchBatch(0, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +109,6 @@ func TestFollowerOverWire(t *testing.T) {
 		if fr.LSN != uint64(i+1) || len(fr.Payload) == 0 {
 			t.Fatalf("frame %d: lsn %d, %d payload bytes", i, fr.LSN, len(fr.Payload))
 		}
-	}
-	if _, err := pc.FetchBatch(99, 0, 1<<20); err == nil {
-		t.Fatal("fetch of out-of-range partition succeeded")
 	}
 
 	// Follower fed by its own TCP connection — the sstored -follow shape.
@@ -190,20 +187,20 @@ func TestFollowerOverWire(t *testing.T) {
 type recordingSource struct {
 	core.ReplicationSource
 	mu    sync.Mutex
-	asked map[int][]uint64
+	asked []uint64
 }
 
-func (r *recordingSource) FetchBatch(part int, afterLSN uint64, maxBytes int) (core.ReplBatch, error) {
+func (r *recordingSource) FetchBatch(afterLSN uint64, maxBytes int) (core.ReplBatch, error) {
 	r.mu.Lock()
-	r.asked[part] = append(r.asked[part], afterLSN)
+	r.asked = append(r.asked, afterLSN)
 	r.mu.Unlock()
-	return r.ReplicationSource.FetchBatch(part, afterLSN, maxBytes)
+	return r.ReplicationSource.FetchBatch(afterLSN, maxBytes)
 }
 
 // TestDurableFollowerRestartsOverWire stops a durable follower of a primary
 // over the wire and reopens it on its directory while the primary takes
-// more writes: it resumes each partition at its log's last LSN (asking for
-// the frame there first, to check it) and reaches the primary's state.
+// more writes: it resumes at its log's last LSN (asking for the frame there
+// first, to check it) and reaches the primary's state.
 func TestDurableFollowerRestartsOverWire(t *testing.T) {
 	const parts = 2
 	st := durableKV(t, t.TempDir(), parts)
@@ -234,7 +231,7 @@ func TestDurableFollowerRestartsOverWire(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { conn.Close() })
-		src := &recordingSource{ReplicationSource: conn, asked: map[int][]uint64{}}
+		src := &recordingSource{ReplicationSource: conn}
 		f, err := core.NewFollower(durableKV(t, fdir, parts), src, core.FollowerOpts{})
 		if err != nil {
 			t.Fatal(err)
@@ -259,12 +256,9 @@ func TestDurableFollowerRestartsOverWire(t *testing.T) {
 	if err := f.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	var last [parts]uint64
-	for p := range parts {
-		path, _ := wal.PartitionPaths(fdir, p)
-		if last[p], err = wal.ScanLog(path, func(uint64, []byte) error { return nil }); err != nil || last[p] == 0 {
-			t.Fatalf("follower log %d ends at LSN %d, %v", p, last[p], err)
-		}
+	last, err := wal.ScanLog(wal.LogPath(fdir), func(uint64, []byte) error { return nil })
+	if err != nil || last == 0 {
+		t.Fatalf("follower log ends at LSN %d, %v", last, err)
 	}
 	put(30, 45)
 	f, src, fsrv := follow(45)
@@ -272,15 +266,12 @@ func TestDurableFollowerRestartsOverWire(t *testing.T) {
 	defer f.Stop()
 	src.mu.Lock()
 	defer src.mu.Unlock()
-	for p := range parts {
-		asked := src.asked[p]
-		if len(asked) == 0 || asked[0] != last[p]-1 {
-			t.Fatalf("partition %d: restarted follower asked first after %v, want %d (its last LSN %d, checked)", p, asked, last[p]-1, last[p])
-		}
-		for _, a := range asked[1:] {
-			if a < last[p] {
-				t.Fatalf("partition %d: restarted follower asked after LSN %d, behind its log's %d", p, a, last[p])
-			}
+	if len(src.asked) == 0 || src.asked[0] != last-1 {
+		t.Fatalf("restarted follower asked first after %v, want %d (its last LSN %d, checked)", src.asked, last-1, last)
+	}
+	for _, a := range src.asked[1:] {
+		if a < last {
+			t.Fatalf("restarted follower asked after LSN %d, behind its log's %d", a, last)
 		}
 	}
 	sum, err := f.Query("SELECT COUNT(*), SUM(v) FROM kv")

@@ -240,17 +240,15 @@ func fail(err error) *wire.Response {
 	return &wire.Response{Kind: wire.MsgError, Err: err.Error()}
 }
 
-// replFetch answers one replication fetch: Params = [partition, afterLSN,
-// maxBytes], all BIGINT; the response's first row is the segment horizon,
-// then one [lsn, payload] row per frame (payloads travel as strings — Go
-// strings carry arbitrary bytes).
+// replFetch answers one replication fetch: Params = [afterLSN, maxBytes],
+// both BIGINT; the response's first row is the log's horizon, then one
+// [lsn, payload] row per frame (payloads travel as strings — Go strings
+// carry arbitrary bytes).
 func (s *Server) replFetch(req *wire.Request) *wire.Response {
-	if len(req.Params) != 3 || req.Params[0].Type() != types.TypeInt ||
-		req.Params[1].Type() != types.TypeInt || req.Params[2].Type() != types.TypeInt {
-		return fail(errors.New("server: repl fetch needs BIGINT [partition, afterLSN, maxBytes] parameters"))
+	if len(req.Params) != 2 || req.Params[0].Type() != types.TypeInt || req.Params[1].Type() != types.TypeInt {
+		return fail(errors.New("server: repl fetch needs BIGINT [afterLSN, maxBytes] parameters"))
 	}
-	batch, err := s.st.ReplicationBatch(int(req.Params[0].Int()),
-		uint64(req.Params[1].Int()), int(req.Params[2].Int()))
+	batch, err := s.st.ReplicationBatch(uint64(req.Params[0].Int()), int(req.Params[1].Int()))
 	if err != nil {
 		return fail(err)
 	}

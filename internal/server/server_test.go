@@ -553,8 +553,9 @@ func TestMalformedFramesAnswerError(t *testing.T) {
 		return resp
 	}
 	for _, req := range []*wire.Request{
-		{Kind: wire.MsgReplFetch, Params: types.Row{types.NewString("0"), types.NewInt(0), types.NewInt(1 << 20)}},
-		{Kind: wire.MsgReplFetch, Params: types.Row{types.NewInt(0), types.NewInt(0), types.Null}},
+		{Kind: wire.MsgReplFetch, Params: types.Row{types.NewString("0"), types.NewInt(1 << 20)}},
+		{Kind: wire.MsgReplFetch, Params: types.Row{types.NewInt(0), types.Null}},
+		{Kind: wire.MsgReplFetch, Params: types.Row{types.NewInt(0), types.NewInt(0), types.NewInt(1 << 20)}},
 		{Kind: 9, Target: "SELECT v FROM kv"},
 		{Kind: 12, Target: "feed", Params: types.Row{types.NewInt(1)}},
 		{Kind: 13, Target: "partitions", Params: types.Row{types.NewString("two")}},

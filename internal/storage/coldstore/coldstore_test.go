@@ -374,18 +374,28 @@ func TestConcurrentReaders(t *testing.T) {
 // pin, and so reuses pages under them. A reader only reads refs it
 // captured while pinned, as the tables' readers do; every read must
 // return the tuple it captured (run under -race in CI).
+//
+// What it bounds is counted in steps, not in time: the writer waits while
+// its retirements run more than lagLimit ahead of the oldest pin, and it
+// finishes only after every reader has read. So at most 65 live tuples,
+// lagLimit+1 retired at the last release and 16 retired since hold a page,
+// and the file grows to at most one page more than that, however long the
+// scheduler leaves a pinned reader off a CPU.
 func TestReadersVsPutSealFreeReuse(t *testing.T) {
+	const readers, lagLimit = 4, 256
 	s := openTest(t, Options{PageSize: 512})
 	type entry struct {
 		ref  Ref
 		want []byte
 	}
 	var (
-		mu   sync.Mutex
-		live []entry
-		seq  uint64 = 1
-		pins        = map[int]uint64{}
-		stop        = make(chan struct{})
+		mu       sync.Mutex
+		unpinned = sync.NewCond(&mu) // a reader let go of its pin
+		live     []entry
+		seq      uint64       = 1
+		pins                  = map[int]uint64{}
+		rounds   [readers]int // reads each reader finished
+		stop     = make(chan struct{})
 	)
 	watermark := func() uint64 { // caller holds mu
 		w := seq + 1
@@ -395,7 +405,7 @@ func TestReadersVsPutSealFreeReuse(t *testing.T) {
 		return w
 	}
 	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
+	for g := 0; g < readers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
@@ -433,6 +443,10 @@ func TestReadersVsPutSealFreeReuse(t *testing.T) {
 				}
 				mu.Lock()
 				delete(pins, g)
+				if len(got) > 0 {
+					rounds[g]++
+				}
+				unpinned.Broadcast()
 				mu.Unlock()
 				if t.Failed() {
 					return
@@ -450,6 +464,9 @@ func TestReadersVsPutSealFreeReuse(t *testing.T) {
 		mu.Lock()
 		live = append(live, entry{ref, tup})
 		if len(live) > 64 { // retire one: no later pin can capture it
+			for seq+1-watermark() > lagLimit {
+				unpinned.Wait()
+			}
 			k := rng.Intn(len(live))
 			seq++
 			s.DeferFree(live[k].ref, seq)
@@ -461,10 +478,18 @@ func TestReadersVsPutSealFreeReuse(t *testing.T) {
 		}
 		mu.Unlock()
 	}
+	mu.Lock()
+	for g := 0; g < readers && !t.Failed(); g++ {
+		for rounds[g] == 0 {
+			unpinned.Wait()
+		}
+	}
+	mu.Unlock()
 	close(stop)
 	wg.Wait()
 	// Without page reuse the tuples would fill ~2 900 pages.
-	if st := s.Stats(); st.Frees == 0 || st.Reads == 0 || st.Pages > 1000 {
-		t.Fatalf("the hammer freed %d tuples, read %d times and grew to %d pages", st.Frees, st.Reads, st.Pages)
+	const maxPages = 65 + (lagLimit + 1) + 16 + 1
+	if st := s.Stats(); st.Frees == 0 || st.Reads == 0 || st.Pages > maxPages {
+		t.Fatalf("the hammer freed %d tuples, read %d times and grew to %d pages (at most %d)", st.Frees, st.Reads, st.Pages, maxPages)
 	}
 }

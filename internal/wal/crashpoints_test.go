@@ -33,7 +33,7 @@ func TestLogCrashPoints(t *testing.T) {
 
 func logCrashPoints(t *testing.T, policy wal.SyncPolicy) {
 	d, fsys, dir := recorded(t)
-	path := filepath.Join(dir, wal.DefaultLogName)
+	path := filepath.Join(dir, wal.LogName)
 	l, err := d.OpenLog(path, 0, wal.Options{Policy: policy})
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func logCrashPoints(t *testing.T, policy wal.SyncPolicy) {
 			if err := fsys.Image(img, p, v); err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join(img, wal.DefaultLogName)
+			path := filepath.Join(img, wal.LogName)
 			var run []uint64
 			if _, err := wal.ScanLog(path, func(lsn uint64, b []byte) error {
 				if string(b) != payload(lsn) {

@@ -26,6 +26,7 @@ type File interface {
 type FS interface {
 	OpenFile(path string, flag int, perm os.FileMode) (File, error)
 	Rename(oldpath, newpath string) error
+	Remove(path string) error
 	// SyncDir makes the directory's entries (creates and renames) durable.
 	SyncDir(path string) error
 }
@@ -45,6 +46,8 @@ func (osFS) OpenFile(path string, flag int, perm os.FileMode) (File, error) {
 
 func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
 
+func (osFS) Remove(path string) error { return os.Remove(path) }
+
 func (osFS) SyncDir(path string) error {
 	d, err := os.Open(path)
 	if err != nil {
@@ -54,30 +57,24 @@ func (osFS) SyncDir(path string) error {
 }
 
 // Dir is a durability directory. Every durable write to a file in it goes
-// through one of its two doors, which hold the ordering rules:
+// through one of its doors, which hold the ordering rules:
 //
 //   - OpenLog opens an append-only log segment; a segment it creates has
 //     its directory entry synced before the log takes a record.
 //   - Replace swaps in a whole file: the new bytes are written to a temp
 //     file and fsynced, renamed over the old name, and the directory is
 //     synced, so a crash leaves the old file or the new one, never a mix.
+//   - Remove deletes a file, then syncs the directory.
 //
 // Reads need no door: recovery reads what a crash left with plain file I/O.
-//
-// A Dir is also its disk's token. The logs opened through it share a
-// device, so a commit daemon takes the token for its fsync and the logs
-// take turns (FIFO): a second log's waiters pool while the first log's
-// fsync runs, where fsyncing side by side collapsed a 4-partition 2PC load
-// to ~1.5 records per fsync.
 type Dir struct {
 	path string
 	fs   FS
-	disk chan struct{}
 }
 
 // NewDir returns the durability directory at path, written through fsys.
 func NewDir(path string, fsys FS) *Dir {
-	return &Dir{path: path, fs: fsys, disk: make(chan struct{}, 1)}
+	return &Dir{path: path, fs: fsys}
 }
 
 // OpenLog opens (creating if needed) the log segment at path, a file in d,
@@ -166,6 +163,14 @@ func (d *Dir) Replace(path string, write func(w io.Writer) error) error {
 		return fmt.Errorf("wal: replace %s: %w", filepath.Base(path), err)
 	}
 	return nil
+}
+
+// Remove deletes the file at path, a file in d, then syncs the directory.
+func (d *Dir) Remove(path string) error {
+	if err := d.fs.Remove(path); err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	return d.fs.SyncDir(d.path)
 }
 
 // withCRC frames what write produces with a CRC-32 trailer over it, the

@@ -10,13 +10,6 @@ func BoundWakeups(l *Log) int64 { return l.bounded.Load() }
 // period, the one after each fsync that covered more than one record.
 func PeriodWaits(l *Log) int64 { return l.periods.Load() }
 
-// HoldDisk takes d's disk token, as a commit daemon does around its fsync,
-// until release is called: meanwhile no log of d starts an fsync.
-func HoldDisk(d *Dir) (release func()) {
-	d.disk <- struct{}{}
-	return func() { <-d.disk }
-}
-
 // StalenessBound bounds how long an un-waited record stays buffered.
 const StalenessBound = stalenessBound
 

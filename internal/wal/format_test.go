@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"os"
@@ -17,7 +18,8 @@ import (
 // without and with a trailing section for a paused graph and a deferred
 // execution — and of the records whose kinds outlived the coordinator log
 // or came after it, and reads each golden image back, so a directory an
-// earlier version wrote opens unchanged.
+// earlier version wrote opens unchanged — and of a record tagged with its
+// partition, as a store's one log carries it.
 func TestDurableFormatsUnchanged(t *testing.T) {
 	dir := t.TempDir()
 	d := NewDir(dir, OS)
@@ -30,7 +32,7 @@ func TestDurableFormatsUnchanged(t *testing.T) {
 		return hex.EncodeToString(b)
 	}
 
-	logPath := filepath.Join(dir, DefaultLogName)
+	logPath := filepath.Join(dir, LogName)
 	l, err := d.OpenLog(logPath, 41, Options{Policy: SyncNever})
 	if err != nil {
 		t.Fatal(err)
@@ -65,6 +67,18 @@ func TestDurableFormatsUnchanged(t *testing.T) {
 		}
 	}
 
+	// A record as a store's one log carries it: its partition as a uvarint,
+	// then the record.
+	if got := hex.EncodeToString(AppendRecord(binary.AppendUvarint(nil, 2), &pe.LogRecord{Kind: pe.RecDecide, MPTxnID: 7, Commit: true})); got != goldenTagged {
+		t.Errorf("tagged record encodes as %s, want %s", got, goldenTagged)
+	}
+	b, _ := hex.DecodeString(goldenTagged)
+	if part, n := binary.Uvarint(b); part != 2 || n != 1 {
+		t.Errorf("golden tagged record names partition %d (%d bytes)", part, n)
+	} else if rec, err := DecodeRecord(b[n:]); err != nil || rec.Kind != pe.RecDecide || rec.MPTxnID != 7 || !rec.Commit {
+		t.Errorf("golden tagged record decodes as %+v, %v", rec, err)
+	}
+
 	cat := goldenCatalog(t)
 	cat.Relation("st").Table.Insert(types.Row{types.NewInt(5)}, nil)
 	w := cat.Relation("w")
@@ -72,7 +86,7 @@ func TestDurableFormatsUnchanged(t *testing.T) {
 	w.Win.Admitted, w.Win.Watermark, w.Win.SlideCount = 2, 9, 1
 	w.Win.OwnerProc = "sp"
 	w.Win.Staged = []types.Row{{types.NewInt(6)}}
-	snapPath := filepath.Join(dir, DefaultSnapshotName)
+	snapPath := filepath.Join(dir, SnapshotName)
 	meta := Snapshot{LastLSN: 7, NextBatchID: 3}
 	if err := WriteSnapshot(d, snapPath, cutOf(cat, meta)); err != nil {
 		t.Fatal(err)
@@ -95,20 +109,20 @@ func TestDurableFormatsUnchanged(t *testing.T) {
 
 	// The golden images, written by hand, read back.
 	old := t.TempDir()
-	for name, h := range map[string]string{DefaultLogName: goldenFrame, DefaultSnapshotName: goldenSnapshot, "held.bin": goldenHeldSnapshot} {
+	for name, h := range map[string]string{LogName: goldenFrame, SnapshotName: goldenSnapshot, "held.bin": goldenHeldSnapshot} {
 		b, _ := hex.DecodeString(h)
 		if err := os.WriteFile(filepath.Join(old, name), b, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var frames []string
-	if last, err := ScanLog(filepath.Join(old, DefaultLogName), func(lsn uint64, p []byte) error {
+	if last, err := ScanLog(filepath.Join(old, LogName), func(lsn uint64, p []byte) error {
 		frames = append(frames, string(p))
 		return nil
 	}); err != nil || last != 42 || len(frames) != 1 || frames[0] != "golden" {
 		t.Errorf("golden log scans as %q up to LSN %d, %v", frames, last, err)
 	}
-	for name, want := range map[string]Snapshot{DefaultSnapshotName: meta, "held.bin": held} {
+	for name, want := range map[string]Snapshot{SnapshotName: meta, "held.bin": held} {
 		cat2 := goldenCatalog(t)
 		if got, err := LoadSnapshot(filepath.Join(old, name), cat2); err != nil || snapshotString(got) != snapshotString(want) {
 			t.Errorf("golden %s loads as %+v, %v", name, got, err)
@@ -149,6 +163,7 @@ func goldenCatalog(t *testing.T) *catalog.Catalog {
 }
 
 const (
+	goldenTagged       = "020500000000000701"
 	goldenFrame        = "0e00000000fcd54c2a00000000000000676f6c64656e"
 	goldenHeldSnapshot = "515453530000000007000000000000000300000000000000020000000000000002000000000000007374010000000000000004000000000000000101020a01000000000000007702000000000000000400000000000000010102080200000000000000090000000000000001000000000000000200000000000000737004000000000000000101020c02000000000000000700000000000000090167000000000c0000000000000003017003027374000101020ab2e0aeb5"
 	goldenSnapshot     = "515453530000000007000000000000000300000000000000020000000000000002000000000000007374010000000000000004000000000000000101020a01000000000000007702000000000000000400000000000000010102080200000000000000090000000000000001000000000000000200000000000000737004000000000000000101020cded9e764"

@@ -218,22 +218,11 @@ func TestGroupCommitClosedLoopWaitsNoPeriod(t *testing.T) {
 }
 
 // A log whose last fsync covered more than one record is batching: its next
-// waiter waits out the sync period, exactly once, and a record appended
-// while the daemon waits (for the period, then for the disk) rides the
-// same fsync.
+// waiter waits out the sync period, exactly once, and an un-waited record
+// appended before it, which wakes no daemon, rides the same fsync.
 func TestGroupCommitBatchingLogWaitsPeriod(t *testing.T) {
-	d, fsys, dir := recorded(t)
-	path := filepath.Join(dir, "x.log")
-	batches := make(chan int, 64)
-	l, err := d.OpenLog(path, 0, wal.Options{
-		Policy:      wal.SyncGroupCommit,
-		OnSyncBatch: func(n int, _ time.Duration, _ bool) { batches <- n },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l, h, batches, _ := openGroup(t)
 	defer l.Close()
-	h := fsys.Syncs(path)
 	release := h.Hold()
 	first := mustAsync(t, l, "first")
 	awaitEntered(t, h)
@@ -250,12 +239,10 @@ func TestGroupCommitBatchingLogWaitsPeriod(t *testing.T) {
 		t.Fatalf("%d period waits before the log batched", got)
 	}
 
-	releaseDisk := wal.HoldDisk(d)
-	waiter := mustAsync(t, l, "waiter")
 	if _, err := l.AppendUnwaited([]byte("rider")); err != nil {
 		t.Fatal(err)
 	}
-	releaseDisk()
+	waiter := mustAsync(t, l, "waiter")
 	awaitAck(t, waiter)
 	awaitBatch(t, batches, 2)
 	if got := wal.PeriodWaits(l); got != 1 {
@@ -345,52 +332,6 @@ func TestUnwaitedRecordRidesNextFsync(t *testing.T) {
 	}
 	if n := len(scanAll(t, path)); n != 4 {
 		t.Fatalf("%d records on disk", n)
-	}
-}
-
-// The logs of one directory take turns on the disk: while one log's fsync
-// is in flight a second log's daemon waits for it, and the batch it then
-// cuts holds everything that arrived meanwhile — one fsync, not one per
-// record. (This is what keeps 2PC forces pooling across a store's
-// partition logs, which share their Dir.)
-func TestLogsOfOneDirectoryShareTheDisk(t *testing.T) {
-	d, fsys, dir := recorded(t)
-	open := func(name string) (*wal.Log, *crashfs.Syncs, <-chan int) {
-		batches := make(chan int, 64)
-		path := filepath.Join(dir, name)
-		l, err := d.OpenLog(path, 0, wal.Options{
-			Policy:      wal.SyncGroupCommit,
-			OnSyncBatch: func(n int, _ time.Duration, _ bool) { batches <- n },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return l, fsys.Syncs(path), batches
-	}
-	a, ha, _ := open("a.log")
-	defer a.Close()
-	b, hb, bBatches := open("b.log")
-	defer b.Close()
-
-	release := ha.Hold()
-	inFlight := mustAsync(t, a, "a")
-	awaitEntered(t, ha)
-	const n = 6
-	var acks []<-chan error
-	for i := 0; i < n; i++ {
-		acks = append(acks, mustAsync(t, b, "b"))
-	}
-	if hb.Count() != 0 {
-		t.Fatal("second log started an fsync while the first log's was in flight")
-	}
-	release()
-	awaitAck(t, inFlight)
-	for _, ack := range acks {
-		awaitAck(t, ack)
-	}
-	awaitBatch(t, bBatches, n)
-	if got := hb.Count(); got != 1 {
-		t.Fatalf("%d fsyncs for %d records that queued behind another log's fsync, want 1", got, n)
 	}
 }
 

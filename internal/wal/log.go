@@ -32,8 +32,8 @@ const (
 	SyncEveryRecord
 	// SyncGroupCommit batches fsyncs on demand: an append that somebody
 	// waits on returns a commit future and starts an fsync as soon as the
-	// directory's disk is free, unless the log is batching (its last fsync
-	// covered more than one record): then it fsyncs once per syncPeriod,
+	// log's previous one has returned, unless the log is batching (its last
+	// fsync covered more than one record): then it fsyncs once per syncPeriod,
 	// each fsync covering everything appended since the previous one
 	// began. There is nothing to tune.
 	SyncGroupCommit
@@ -50,7 +50,7 @@ const stalenessBound = 2 * time.Millisecond
 // did, and its waiter waits out the rest with whatever else arrives. After
 // an fsync that covered one record or none nobody arrived while it ran, so
 // waiting would collect nobody and the next waiter's fsync starts as soon
-// as the disk is free. Uncapped, a busy log fsyncs back to back and its
+// as the one before it has returned. Uncapped, a busy log fsyncs back to back and its
 // rate follows the host's speed of the minute (DESIGN.md §1.4).
 const syncPeriod = 500 * time.Microsecond
 
@@ -127,7 +127,7 @@ type Log struct {
 	// group-commit daemon plumbing (nil unless policy is SyncGroupCommit).
 	wake     chan struct{} // one token per transition into syncing
 	bound    *time.Timer   // staleness timer, running only while armed
-	lastSync time.Time     // when the daemon last took the disk (daemon only)
+	lastSync time.Time     // when the daemon's last fsync began (daemon only)
 	batching bool          // its fsync then covered more than one record (daemon only)
 	quit     chan struct{}
 	done     chan struct{}
@@ -141,7 +141,7 @@ type Log struct {
 }
 
 // newLog wraps the segment file f at path in d (Dir.OpenLog), size bytes
-// long; its commit daemon takes d's disk token before each fsync.
+// long.
 func newLog(d *Dir, path string, f File, startLSN uint64, size, last int64, o Options) *Log {
 	l := &Log{
 		policy: o.Policy,
@@ -370,22 +370,20 @@ func (l *Log) daemon() {
 	}
 }
 
-// syncBatch waits out the log's period if it is batching, then waits for
-// the disk, flushes buffered frames, fsyncs once, resolves every future
-// the fsync covered and picks the next state, reporting whether another
-// fsync must follow. The batch is cut only once the disk is free, so it
-// holds everything that arrived during the waits and while another log of
-// the directory was syncing; the fsync runs outside the lock so the
-// appender keeps buffering while the disk works, and a record buffered
-// mid-fsync is covered by the next one. (The bound's expiry never waits
-// here: the bound is longer than the period.)
+// syncBatch waits out the log's period if it is batching, then flushes
+// buffered frames, fsyncs once, resolves every future the fsync covered
+// and picks the next state, reporting whether another fsync must follow.
+// The batch is cut only after the wait, so it holds everything that
+// arrived during it; the fsync runs outside the lock so the appenders keep
+// buffering while the disk works, and a record buffered mid-fsync is
+// covered by the next one. (The bound's expiry never waits here: the bound
+// is longer than the period.)
 func (l *Log) syncBatch() bool {
 	waited := l.batching
 	if waited {
 		l.periods.Add(1)
 		time.Sleep(time.Until(l.lastSync.Add(syncPeriod)))
 	}
-	l.dir.disk <- struct{}{}
 	l.lastSync = time.Now()
 	l.mu.Lock()
 	l.state = syncing // the bound's expiry lands here; a waiter set it already
@@ -399,7 +397,6 @@ func (l *Log) syncBatch() bool {
 		err = l.fsync()
 	}
 	took := time.Since(start)
-	<-l.dir.disk
 	for _, ch := range batch {
 		ch <- err
 	}
@@ -640,26 +637,21 @@ func (s *segment) read(off, n int64) ([]byte, bool) {
 	return s.buf[off-s.bufOff : off-s.bufOff+n], true
 }
 
-// DefaultLogName and DefaultSnapshotName are the file names used inside a
-// durability directory.
+// LogName is the file name of a durability directory's one command log,
+// and SnapshotName that of partition 0's snapshot.
 const (
-	DefaultLogName      = "command.log"
-	DefaultSnapshotName = "snapshot.bin"
+	LogName      = "store.log"
+	SnapshotName = "snapshot.bin"
 )
 
-// Paths resolves the standard file locations under dir.
-func Paths(dir string) (logPath, snapPath string) {
-	return filepath.Join(dir, DefaultLogName), filepath.Join(dir, DefaultSnapshotName)
-}
+// LogPath is the command log's path under dir.
+func LogPath(dir string) string { return filepath.Join(dir, LogName) }
 
-// PartitionPaths resolves the per-partition file locations under dir.
-// Partition 0 keeps the legacy unsuffixed names so single-partition
-// durability directories written by earlier versions recover unchanged;
-// partitions 1..N-1 append ".<idx>" to each name.
-func PartitionPaths(dir string, idx int) (logPath, snapPath string) {
+// SnapshotPath is partition idx's snapshot path under dir: partition 0's
+// is unsuffixed, partitions 1..N-1 append ".<idx>".
+func SnapshotPath(dir string, idx int) string {
 	if idx == 0 {
-		return Paths(dir)
+		return filepath.Join(dir, SnapshotName)
 	}
-	return filepath.Join(dir, fmt.Sprintf("%s.%d", DefaultLogName, idx)),
-		filepath.Join(dir, fmt.Sprintf("%s.%d", DefaultSnapshotName, idx))
+	return filepath.Join(dir, fmt.Sprintf("%s.%d", SnapshotName, idx))
 }

@@ -25,13 +25,15 @@ import (
 //
 //	RecSlotCommit: slot uvarint | from uvarint | to uvarint | mpTxnID uvarint
 //
-// The dataflow pause kinds (RecPauseGraph / RecResumeGraph, partition 0's
-// log) carry the graph name in the proc field of the common prefix and
+// The dataflow pause kinds (RecPauseGraph / RecResumeGraph, logged under
+// partition 0) carry the graph name in the proc field of the common prefix and
 // append nothing. So does RecAborted (LogAllTEs: a triggered execution that
 // aborted live), whose common prefix is the RecTriggered record's its
 // commit would have written.
-func EncodeRecord(rec *pe.LogRecord) []byte {
-	buf := make([]byte, 0, 64)
+func EncodeRecord(rec *pe.LogRecord) []byte { return AppendRecord(make([]byte, 0, 64), rec) }
+
+// AppendRecord appends rec's EncodeRecord bytes to buf.
+func AppendRecord(buf []byte, rec *pe.LogRecord) []byte {
 	buf = append(buf, byte(rec.Kind))
 	buf = appendString(buf, rec.Proc)
 	buf = binary.AppendUvarint(buf, rec.BatchID)

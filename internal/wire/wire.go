@@ -49,9 +49,9 @@ const (
 	// MsgUnpinSnapshot releases the session's snapshot pin, if any.
 	MsgUnpinSnapshot MsgKind = 16
 	// MsgReplFetch is the replication channel: Params carry
-	// [partition, afterLSN, maxBytes] and the response's first row is the
-	// segment horizon [endLSN], followed by one [lsn, payload] row per
-	// shipped frame. A remote follower drives its apply loop with these
+	// [afterLSN, maxBytes] and the response's first row is the log's
+	// horizon [endLSN], followed by one [lsn, payload] row per shipped
+	// frame. A remote follower drives its apply loop with these
 	// fetches.
 	MsgReplFetch MsgKind = 17
 )

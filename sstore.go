@@ -198,12 +198,12 @@ const (
 	SyncNever = wal.SyncNever
 	// SyncEveryRecord fsyncs on every commit's critical path.
 	SyncEveryRecord = wal.SyncEveryRecord
-	// SyncGroupCommit batches fsyncs per partition: execution keeps going
+	// SyncGroupCommit batches the store log's fsyncs: execution keeps going
 	// while a commit daemon hardens batches, and clients are acknowledged
 	// when their commit future resolves. Nothing to tune: an fsync starts
-	// as soon as a client is waiting and the disk is free (at most once
-	// per 500 µs on a busy log), and covers whatever was committed since the
-	// previous one began.
+	// as soon as a client is waiting and the previous one returned (at most
+	// once per 500 µs on a busy log), and covers whatever was committed
+	// since the previous one began.
 	SyncGroupCommit = wal.SyncGroupCommit
 )
 
