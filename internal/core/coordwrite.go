@@ -23,37 +23,17 @@ import (
 func (s *Store) coordExecAll(sqlText string, params []types.Value, sum bool) (*pe.Result, error) {
 	n := 0
 	err := s.runMP(pe.AdHocProc, func(tx *MPTxn) error {
-		legs, err := tx.sendEach(func(part int) (legFrag, error) { return tx.sendExec(part, sqlText, params...) })
-		if err == nil {
-			n, err = tx.legsAffected(legs, sum)
+		res, err := tx.ExecAll(sqlText, params...)
+		if err != nil {
+			return err
 		}
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &pe.Result{RowsAffected: n}, nil
-}
-
-// coordInsertBuckets inserts per-partition row batches as one coordinated
-// transaction: the legs commit atomically or not at all.
-func (s *Store) coordInsertBuckets(table string, buckets map[int][]types.Row) (*pe.Result, error) {
-	n := 0
-	err := s.runMP(pe.AdHocProc, func(tx *MPTxn) error {
-		var buf [2]legFrag // a pair's legs stay on the stack
-		legs := buf[:0]
-		for part := 0; part < tx.NumPartitions(); part++ {
-			if rows := buckets[part]; len(rows) > 0 {
-				lf, err := tx.sendInsertRows(part, table, rows)
-				if err != nil {
-					return err
-				}
-				legs = append(legs, lf)
+		n = 0
+		for i, r := range res {
+			if sum || i == 0 {
+				n += r.RowsAffected
 			}
 		}
-		var err error
-		n, err = tx.legsAffected(legs, true)
-		return err
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -61,28 +41,51 @@ func (s *Store) coordInsertBuckets(table string, buckets map[int][]types.Row) (*
 	return &pe.Result{RowsAffected: n}, nil
 }
 
-// legsAffected ends a router handler: it collects every leg's vote, which
-// the write fragments the handler queued and never waited for ride, so
-// their counts are in with no wait of their own, and reads the counts
-// while the legs are still the coordinator's (resolveAll lets go of
-// them). A veto is returned as the handler's error. With sum set, the
-// count totals the legs; without it, the first leg's stands for all
-// (replicated data: every leg applied the same rows).
-func (tx *MPTxn) legsAffected(legs []legFrag, sum bool) (int, error) {
-	if err := tx.prepareAll(); err != nil {
-		return 0, err
+// bucketRows groups rows into buckets, indexed by partition, by the
+// partition targets names for each, in statement order within a bucket.
+// The buckets share one array, so a statement's buckets cost one
+// allocation however many partitions they span.
+func bucketRows(buckets [][]types.Row, rows []types.Row, targets []int) {
+	grouped := make([]types.Row, 0, len(rows))
+	for part := range buckets {
+		from := len(grouped)
+		for i, t := range targets {
+			if t == part {
+				grouped = append(grouped, rows[i])
+			}
+		}
+		buckets[part] = grouped[from:len(grouped):len(grouped)]
 	}
+}
+
+// coordInsertBuckets inserts per-partition row batches, indexed by
+// partition, as one coordinated transaction: the legs commit atomically or
+// not at all.
+func (s *Store) coordInsertBuckets(table string, buckets [][]types.Row) (*pe.Result, error) {
 	n := 0
-	for i, lf := range legs {
-		c, err := lf.wait()
+	err := s.runMP(pe.AdHocProc, func(tx *MPTxn) error {
+		var buf [2]*pe.MPSession // a pair's legs stay on the stack
+		legs, err := tx.legs(buf[:0], func(part int) bool { return len(buckets[part]) > 0 })
 		if err != nil {
-			return 0, err
+			return err
 		}
-		if sum || i == 0 {
-			n += c
+		n = 0
+		for _, rows := range buckets {
+			if len(rows) == 0 {
+				continue
+			}
+			c, err := tx.insertRows(legs[0], table, rows)
+			if err != nil {
+				return err
+			}
+			legs, n = legs[1:], n+c
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return n, nil
+	return &pe.Result{RowsAffected: n}, nil
 }
 
 // execInsertSelect routes INSERT ... SELECT. A source that reads a
@@ -117,12 +120,9 @@ func (s *Store) execInsertSelect(ins *sql.Insert, rel *catalog.RelDef, sqlText s
 	if err != nil {
 		return nil, err
 	}
-	// The writes are queued and never waited for: each leg's inserts ride
-	// its vote, and legsAffected reads the counts once the votes are in.
 	n := 0
 	err = s.runMP(pe.AdHocProc, func(tx *MPTxn) error {
-		var legs []legFrag
-		sum := true
+		n = 0
 		src, err := tx.readCut(source, params)
 		if err != nil {
 			return err
@@ -145,16 +145,23 @@ func (s *Store) execInsertSelect(ins *sql.Insert, rel *catalog.RelDef, sqlText s
 			}
 			full = append(full, row)
 		}
-		insert := func(part int, rows []types.Row) error {
-			lf, err := tx.sendInsertRows(part, rel.Name, rows)
-			if err == nil {
-				legs = append(legs, lf)
+		// readCut holds every leg's engine, so no insert waits on a worker.
+		// count says whether a leg's rows add to the statement's count: a
+		// replicated target's replicas after the first repeat it.
+		insert := func(part int, rows []types.Row, count bool) error {
+			sess, err := tx.session(part)
+			if err != nil {
+				return err
+			}
+			c, err := tx.insertRows(sess, rel.Name, rows)
+			if count {
+				n += c
 			}
 			return err
 		}
 		switch {
 		case rel.Partitioned():
-			buckets := make(map[int][]types.Row)
+			buckets := make([][]types.Row, tx.NumPartitions())
 			for _, row := range full {
 				v, err := insertPartValue(rel, row[rel.PartCol])
 				if err != nil {
@@ -164,29 +171,25 @@ func (s *Store) execInsertSelect(ins *sql.Insert, rel *catalog.RelDef, sqlText s
 				p := tx.PartitionFor(v)
 				buckets[p] = append(buckets[p], row)
 			}
-			for part := 0; part < tx.NumPartitions(); part++ {
-				if len(buckets[part]) > 0 {
-					if err := insert(part, buckets[part]); err != nil {
+			for part, rows := range buckets {
+				if len(rows) > 0 {
+					if err := insert(part, rows, true); err != nil {
 						return err
 					}
 				}
 			}
 		case rel.Kind == catalog.KindTable:
 			// Replicated target: identical batch on every replica.
-			sum = false
 			for part := 0; part < tx.NumPartitions(); part++ {
-				if err := insert(part, full); err != nil {
+				if err := insert(part, full, part == 0); err != nil {
 					return err
 				}
 			}
 		default:
 			// Pinned stream target fed from a partitioned source.
-			if err := insert(0, full); err != nil {
-				return err
-			}
+			return insert(0, full, true)
 		}
-		n, err = tx.legsAffected(legs, sum)
-		return err
+		return nil
 	})
 	if err != nil {
 		return nil, err

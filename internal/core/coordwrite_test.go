@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/pe"
 	"repro/internal/types"
 )
 
@@ -38,14 +40,14 @@ func buildPairs(tb testing.TB) *Store {
 	return st
 }
 
-// TestMPSpanningInsertTwoWaitsPerLeg: a router-issued spanning INSERT
-// queues each leg's rows and its vote before waiting, so the coordinator
-// waits on each leg's worker twice — once for the vote, once for the
-// decision — where fragment, vote and decision used to cost three.
-func TestMPSpanningInsertTwoWaitsPerLeg(t *testing.T) {
+// TestMPPairOnIdlePartitionsParksNoWorker: a router-issued spanning
+// INSERT whose partitions are idle borrows each worker's engine and runs
+// its legs on the coordinator: no worker is parked, and every leg commits.
+func TestMPPairOnIdlePartitionsParksNoWorker(t *testing.T) {
 	st := buildPairs(t)
 	defer st.Stop()
 	ids := pairIDs(st, 8)
+	st.Drain() // the workers sleep
 	before := st.Metrics().Snapshot()
 	for _, p := range ids {
 		a, b := types.NewInt(p[0]), types.NewInt(p[1])
@@ -61,8 +63,77 @@ func TestMPSpanningInsertTwoWaitsPerLeg(t *testing.T) {
 	if d[metrics.MPTxns] != int64(len(ids)) || d[metrics.MPLegsCommitted] != 2*int64(len(ids)) {
 		t.Fatalf("%d coordinated txns with %d legs, want %d and %d", d[metrics.MPTxns], d[metrics.MPLegsCommitted], len(ids), 2*len(ids))
 	}
-	if d[metrics.MPLegWaits] != 2*d[metrics.MPLegsCommitted] {
-		t.Fatalf("%d waits for %d legs, want 2 per leg", d[metrics.MPLegWaits], d[metrics.MPLegsCommitted])
+	if d[metrics.MPLegsParked] != 0 {
+		t.Fatalf("pairs on idle partitions parked %d workers, want 0", d[metrics.MPLegsParked])
+	}
+}
+
+// TestMPPairParksBusyLeg: a pair write one of whose partitions is running
+// a call parks that worker. The write enlists both legs before it waits on
+// the park, so no fragment of it runs — neither leg inserts its row —
+// until the call ahead finishes; then it commits both legs, one of them
+// parked.
+func TestMPPairParksBusyLeg(t *testing.T) {
+	st := Open(Config{Partitions: 2})
+	if err := st.ExecScript(`CREATE TABLE pairs (id BIGINT PRIMARY KEY, peer BIGINT, n BIGINT) PARTITION BY id;`); err != nil {
+		t.Fatal(err)
+	}
+	entered, gate := make(chan struct{}), make(chan struct{})
+	if err := st.RegisterProcedure(&pe.Procedure{Name: "hold", PartitionParam: 1, Handler: func(*pe.ProcCtx) error {
+		close(entered)
+		<-gate
+		return nil
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Stop()
+	p := pairIDs(st, 1)[0]
+	a, b := types.NewInt(p[0]), types.NewInt(p[1])
+	st.Drain()                      // a's owner sleeps: its leg borrows the engine
+	held := st.CallAsync("hold", b) // b's owner runs the call
+	<-entered
+	before := st.Metrics().Snapshot()
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := st.Exec(pairInsert, a, b, b, a)
+		wrote <- err
+	}()
+	for st.Metrics().Load(metrics.MPLegsParked) == before[metrics.MPLegsParked] {
+		runtime.Gosched()
+	}
+	for i := 0; i < 100; i++ {
+		runtime.Gosched()
+	}
+	rows := func() (n [2]int) {
+		for i := range n {
+			n[i] = st.PEAt(i).EE().Catalog().Relation("pairs").Table.Count()
+		}
+		return n
+	}
+	select {
+	case err := <-wrote:
+		t.Fatalf("the pair write returned (%v) while its leg's worker was busy", err)
+	default:
+	}
+	if n := rows(); n != [2]int{} {
+		t.Fatalf("a fragment ran before the parked worker handed its engine over: rows %v", n)
+	}
+	close(gate)
+	if cr := <-held; cr.Err != nil {
+		t.Fatal(cr.Err)
+	}
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	d := st.Metrics().Snapshot().Delta(before)
+	if d[metrics.MPLegsParked] != 1 || d[metrics.MPLegsCommitted] != 2 {
+		t.Fatalf("%d legs parked, %d committed; want 1 and 2", d[metrics.MPLegsParked], d[metrics.MPLegsCommitted])
+	}
+	if n := rows(); n != [2]int{1, 1} {
+		t.Fatalf("rows per partition %v after the commit, want one each", n)
 	}
 }
 

@@ -176,13 +176,14 @@ func (p *partition) Append(rec *pe.LogRecord, waited bool) (<-chan error, error)
 // SyncCommits implements pe.Logger: resolve every outstanding commit future
 // (the barrier's drain). Only a group-commit log has futures waiting on an
 // fsync, and it forces its pending batch — records nobody waited on included
-// — durable to resolve them; under the other policies every future resolved
-// at its append, so there is nothing to wait for.
+// — durable to resolve them (an idle one syncs nothing); under the other
+// policies every future resolved at its append, so there is nothing to wait
+// for.
 func (p *partition) SyncCommits() error {
 	if !p.st.log.GroupCommit() {
 		return nil
 	}
-	return p.st.log.SyncNow()
+	return p.st.log.SyncPending()
 }
 
 // LogFailed implements pe.Logger: a commit future failed, so the store stops.
@@ -191,8 +192,8 @@ func (p *partition) LogFailed(err error) { p.st.fail(err) }
 // force appends recs and returns once they, and everything logged before
 // them, are on stable storage, under every sync policy: a write-ahead
 // force, not a commit ack. The records are
-// appended un-waited and one SyncNow covers them all (SyncEveryRecord also
-// syncs each append). A seed's or slot migration's prepared leg and the
+// appended un-waited and one fsync covers them all (SyncEveryRecord also
+// syncs each append); with no record and nothing pending it syncs nothing. A seed's or slot migration's prepared leg and the
 // record that decides it go through here together, so the decision is
 // durable only with its leg, and so do pause and resume records. None of
 // them acknowledges a client, so none is chained on specTail. A no-op on a
@@ -206,7 +207,7 @@ func (p *partition) force(recs ...*pe.LogRecord) error {
 			return err
 		}
 	}
-	if err := p.st.log.SyncNow(); err != nil {
+	if err := p.st.log.SyncPending(); err != nil {
 		p.st.fail(err)
 		return err
 	}

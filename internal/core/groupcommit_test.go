@@ -191,11 +191,11 @@ func TestGroupCommitAckedSubsetRecovered(t *testing.T) {
 	})
 }
 
-// TestCheckpointBarrierHardensUnwaitedRecords: the checkpoint barrier
-// (drainAcks → SyncCommits) is a waiter like any other, so records nobody
-// waited on are on disk — counted by an fsync — before the snapshot is cut
-// and the log truncated; the barrier does not depend on the staleness
-// bound having expired.
+// TestCheckpointBarrierHardensUnwaitedRecords: the checkpoint's force at
+// its cut is a waiter like any other, so records nobody waited on are on
+// disk — counted by an fsync — before the snapshot is cut and the log
+// truncated; the barrier does not depend on the staleness bound having
+// expired.
 func TestCheckpointBarrierHardensUnwaitedRecords(t *testing.T) {
 	const parts = 2
 	const fed = 40
@@ -248,6 +248,43 @@ func TestCheckpointBarrierHardensUnwaitedRecords(t *testing.T) {
 	}
 	if got := recoveredKeys(t, dir, parts); len(got) != fed {
 		t.Fatalf("recovered %d keys from the checkpoint, want %d", len(got), fed)
+	}
+}
+
+// TestCheckpointSyncsTheLogOnce: a checkpoint makes the store's one log
+// durable at its cut once, not once per partition's barrier: on an idle
+// 4-partition store, whose acked puts are durable already, it fsyncs the
+// log not at all, and with records nobody waited on pending, at most once
+// (none if the staleness bound's fsync got there first).
+func TestCheckpointSyncsTheLogOnce(t *testing.T) {
+	cfg := gcTestConfig(t.TempDir(), 4)
+	st := buildKV(t, cfg)
+	fsys := recordStore(t, st)
+	must(t, st.Start())
+	defer st.Stop()
+	syncs := fsys.Syncs(wal.LogPath(cfg.Dir))
+	checkpoint := func() int {
+		before := syncs.Count()
+		must(t, st.Checkpoint())
+		return syncs.Count() - before
+	}
+	for k := int64(0); k < 8; k++ {
+		if _, err := st.Call("put", types.NewInt(k), types.NewInt(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := checkpoint(); n != 0 {
+		t.Fatalf("a checkpoint of an idle store synced the log %d times, want 0", n)
+	}
+	for k := int64(0); k < 8; k++ {
+		must(t, st.Ingest("feed", types.Row{types.NewInt(100 + k), types.NewInt(k)}))
+	}
+	st.Drain()
+	if n := checkpoint(); n > 1 {
+		t.Fatalf("a checkpoint with un-waited records pending synced the log %d times, want at most 1", n)
+	}
+	if n := checkpoint(); n != 0 {
+		t.Fatalf("a checkpoint right after a checkpoint synced the log %d times, want 0", n)
 	}
 }
 

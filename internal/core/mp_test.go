@@ -650,6 +650,71 @@ func TestInsertSelectIntoPartitioned(t *testing.T) {
 	}
 }
 
+// TestMPLentLegChainRunsBeforeNextRequest: an application leg on an idle
+// partition borrows its engine and inserts into a stream a dataflow is
+// bound to. A call queued on that partition while the leg holds the engine
+// runs after the engine comes back, and only after the TE the leg's commit
+// triggered: workflow order holds on a lent engine as on a parked one.
+func TestMPLentLegChainRunsBeforeNextRequest(t *testing.T) {
+	st := Open(Config{Partitions: 2})
+	if err := st.ExecScript(`
+		CREATE TABLE tally (k BIGINT PRIMARY KEY, n BIGINT) PARTITION BY k;
+		CREATE STREAM sigs (k BIGINT) PARTITION BY k;
+	`); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*pe.Procedure{
+		{Name: "absorb", WriteSet: []string{"tally"}, Handler: func(ctx *pe.ProcCtx) error {
+			for _, r := range ctx.Batch {
+				if _, err := ctx.Exec("INSERT INTO tally VALUES (?, 1)", r[0]); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{Name: "probe", PartitionParam: 1, Handler: func(ctx *pe.ProcCtx) error {
+			res, err := ctx.Query("SELECT COUNT(*) FROM tally WHERE k = ?", ctx.Params[0])
+			ctx.SetResult(res)
+			return err
+		}},
+	} {
+		if err := st.RegisterProcedure(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Deploy(&Dataflow{Name: "sigs", Nodes: []DataflowNode{{Proc: "absorb", Input: "sigs", Batch: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Stop()
+	k := types.NewInt(keysOwnedBy(st, 1, 1, 0)[0])
+	st.Drain() // the workers sleep: the leg borrows partition 1's engine
+	before := st.Metrics().Snapshot()
+	var probe <-chan pe.CallResult
+	if err := st.MultiPartitionTxn(func(tx *MPTxn) error {
+		if _, err := tx.Exec(1, "INSERT INTO sigs (k) VALUES (?)", k); err != nil {
+			return err
+		}
+		probe = st.PEAt(1).CallAsync("probe", k)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	cr := <-probe
+	if cr.Err != nil {
+		t.Fatal(cr.Err)
+	}
+	if n := cr.Result.Rows[0][0].Int(); n != 1 {
+		t.Fatalf("the call queued behind the leg saw %d tally rows, want the triggered TE's 1", n)
+	}
+	d := st.Metrics().Snapshot().Delta(before)
+	if d[metrics.MPLegsParked] != 0 || d[metrics.TriggeredTxns] != 1 {
+		t.Fatalf("%d legs parked, %d triggered TEs; want a lent leg and 1", d[metrics.MPLegsParked], d[metrics.TriggeredTxns])
+	}
+}
+
 // TestMPReplayRederivesTriggeredWork pins that a recovered multi-partition
 // leg re-derives its workflow consequences: the leg emitted into a bound
 // stream, whose triggered downstream transaction (not logged under

@@ -209,10 +209,14 @@ func (s *Store) Exec(sqlText string, params ...types.Value) (*pe.Result, error) 
 		if err != nil {
 			return nil, err
 		}
-		buckets := make(map[int][]types.Row)
-		for i, row := range rows {
-			buckets[targets[i]] = append(buckets[targets[i]], row)
+		var inline [8][]types.Row // a store of up to 8 partitions buckets on the stack
+		buckets := inline[:0]
+		if n := len(s.partList()); n <= len(inline) {
+			buckets = inline[:n]
+		} else {
+			buckets = make([][]types.Row, n)
 		}
+		bucketRows(buckets, rows, targets)
 		return s.coordInsertBuckets(rel.Name, buckets)
 	case *sql.Update:
 		// Re-keying a row would leave it on a partition that no longer owns

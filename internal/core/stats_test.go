@@ -46,7 +46,7 @@ mp_legs_committed int
 mp_concurrent int
 mp_read_only_legs int
 mp_one_phase int
-mp_leg_waits int
+mp_legs_parked int
 mp_prepare_batches int
 mp_prepare_batch_mean mean
 snapshot_reads int

@@ -44,21 +44,24 @@ import (
 //   Every blocking slot wait is therefore by a goroutine whose held slots
 //   are all smaller than the one it waits for. A waits-for cycle would
 //   need some participant waiting on a slot smaller than one it holds —
-//   impossible. Slot holders always make progress: fragment execution and
-//   prepare/decide rendezvous complete because each enlisted worker is
-//   dedicated to the transaction, and the group-commit daemons resolve
-//   force futures independently of any coordination lock.
+//   impossible. Slot holders always make progress: a leg runs on the
+//   coordinator's own goroutine once its worker lends or hands over the
+//   engine, which a worker does as soon as it is idle or reaches the leg,
+//   and the group-commit daemons resolve force futures independently of
+//   any coordination lock.
 //
 // Pipelined 2PC: no fsync is ever awaited while a slot is held. The
 // protocol runs in two stretches —
 //
-//   - Under the slots (the serial part): the handler executes fragments
-//     through the parked workers; prepareAll collects votes as pure
-//     rendezvous (each writing leg hands its logged ops back, forcing
-//     nothing); the coordinator appends the PREPARE records to the
-//     participant logs (append, not fsync), installs the transaction's
-//     durability future (mpOutcome) on those partitions, delivers the
-//     commit to memory under seqMu, and releases the slots.
+//   - Under the slots (the serial part): the coordinator holds each
+//     enlisted partition's engine (an idle worker lends it, a busy one
+//     hands it over on reaching the leg; pe.MPSession) and runs the
+//     handler's fragments on it itself; prepareAll collects the votes,
+//     forcing nothing (each writing leg hands its logged ops back); the
+//     coordinator appends the PREPARE records to the log (append, not
+//     fsync), installs the transaction's durability future (mpOutcome)
+//     on those partitions, publishes every leg's commit under seqMu,
+//     gives the engines back without waiting, and releases the slots.
 //   - Off the slots (the pipelined part): the coordinator waits for the
 //     vote appends to become durable, then appends a DECIDE marker to
 //     each writing leg's log — the markers are the commit records: once
@@ -73,7 +76,7 @@ import (
 // the store log's next one — the force batching E11 measures. The
 // pool is as deep as the disk is busy; no force waits for a timer. The
 // read-only optimization removes two forces outright: a leg that wrote
-// nothing votes yes and releases its worker at PREPARE (no PREPARE
+// nothing votes yes and gives its engine back at PREPARE (no PREPARE
 // record, no marker).
 //
 // The client ack is gated on the full chain — votes durable, markers
@@ -142,9 +145,9 @@ type mpOutcome struct {
 }
 
 // installOutcome publishes tx's durability future on every partition that
-// got a PREPARE record. Must run before deliverAll(true) — the workers are
-// still parked, so nothing can commit against the published state and miss
-// the dependency.
+// got a PREPARE record. Must run before deliverAll(true) — the transaction
+// still holds the engines, so nothing can commit against the published
+// state and miss the dependency.
 func (tx *MPTxn) installOutcome() {
 	o := &mpOutcome{done: make(chan struct{}), id: tx.id}
 	for _, i := range tx.prepParts {
@@ -227,8 +230,8 @@ func decidePublished(parts []*partition) error {
 // appends are not yet durable — the last one's future, voteAck, resolves
 // once they all are (the log resolves futures in append order), and
 // waitVotes waits for it after the slots release. Append order is safe:
-// each leg's worker is still parked, so nothing else can log a later
-// record of that partition first.
+// the coordinator still holds each leg's engine, so nothing else can log
+// a later record of that partition first.
 func (tx *MPTxn) appendPrepares() error {
 	for i, sess := range tx.sess {
 		if sess == nil {
@@ -282,11 +285,11 @@ func (tx *MPTxn) appendMarkers() error {
 
 // MPTxn is the handle a coordinated transaction's handler works through.
 // Methods route fragments to partition legs and are safe for concurrent
-// use; ExecAll and QueryAll queue a fragment on every leg before waiting
-// for any, so the legs run concurrently without a goroutine per leg. Do
-// not call Store query/exec methods from inside the handler (the
-// coordinator holds the enlisted partitions' slots); use the MPTxn methods
-// instead.
+// use; a fragment runs on the caller's goroutine, on its partition's
+// engine. ExecAll and QueryAll enlist every leg before they wait for any
+// busy worker. Do not call Store query/exec methods from inside the
+// handler (the coordinator holds the enlisted partitions' slots); use the
+// MPTxn methods instead.
 type MPTxn struct {
 	s  *Store
 	id uint64
@@ -378,7 +381,8 @@ func (tx *MPTxn) NumPartitions() int { return len(tx.parts) }
 func (tx *MPTxn) PartitionFor(v types.Value) int { return tx.s.slots.Load().Partition(v) }
 
 // session lazily acquires partition part's enlistment slot and enlists the
-// partition, parking its worker on the 2PC barrier. Slots already held
+// partition (pe.Engine.EnlistMP: the engine is lent, or the worker is
+// queued the leg and parks on it when it gets there). Slots already held
 // (pre-acquired on a retry) enlist directly. An in-order slot (above every
 // held one) is acquired blocking; an out-of-order slot is TryLock-only —
 // failure poisons the transaction with errMPRetry and the coordinator
@@ -544,82 +548,67 @@ func (tx *MPTxn) poison(err error) {
 	tx.mu.Unlock()
 }
 
-// legFrag is a fragment queued on one partition's leg and not yet waited
-// for. A coordinator queues every leg it knows up front before waiting for
-// any, so the legs run concurrently on their workers.
-type legFrag struct {
-	tx    *MPTxn
-	f     pe.Frag
-	write bool
+// legs enlists, in ascending order, every partition want accepts (every
+// partition when want is nil) before it waits for any parked worker to
+// hand its engine over, then holds every leg's engine: once it returns, no
+// fragment of the caller's waits on a worker. The sessions are appended to
+// buf in partition order.
+func (tx *MPTxn) legs(buf []*pe.MPSession, want func(part int) bool) ([]*pe.MPSession, error) {
+	n := len(buf)
+	for part := range tx.parts {
+		if want != nil && !want(part) {
+			continue
+		}
+		sess, err := tx.session(part)
+		if err != nil {
+			return nil, err
+		}
+		buf = append(buf, sess)
+	}
+	for _, sess := range buf[n:] {
+		if err := sess.Enter(); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
-// wait returns the number of rows the fragment affected. A failed write
-// poisons the transaction, so it aborts even if the handler swallows the
-// error.
-func (lf legFrag) wait() (int, error) {
-	n, err := lf.f.Wait()
-	if err != nil && lf.write {
-		lf.tx.poison(err)
+// exec runs a write statement on a leg. A failed write poisons the
+// transaction, so it aborts even if the handler swallows the error.
+func (tx *MPTxn) exec(sess *pe.MPSession, sqlText string, params []types.Value) (*pe.Result, error) {
+	res, err := sess.Exec(sqlText, params...)
+	if err != nil {
+		tx.poison(err)
+	}
+	return res, err
+}
+
+// insertRows inserts a row batch on a leg, poisoning the transaction if it
+// fails.
+func (tx *MPTxn) insertRows(sess *pe.MPSession, table string, rows []types.Row) (int, error) {
+	n, err := sess.InsertRows(table, rows)
+	if err != nil {
+		tx.poison(err)
 	}
 	return n, err
 }
 
-// result is wait returning the fragment's whole result, rows included.
-func (lf legFrag) result() (*pe.Result, error) {
-	if _, err := lf.wait(); err != nil {
-		return nil, err
-	}
-	return lf.f.Result()
-}
-
-// sendExec queues a write statement on partition part's leg.
-func (tx *MPTxn) sendExec(part int, sqlText string, params ...types.Value) (legFrag, error) {
-	sess, err := tx.session(part)
-	if err != nil {
-		return legFrag{}, err
-	}
-	return legFrag{tx: tx, f: sess.SendExec(sqlText, params...), write: true}, nil
-}
-
-// sendInsertRows queues a pre-evaluated row batch on partition part's leg.
-func (tx *MPTxn) sendInsertRows(part int, table string, rows []types.Row) (legFrag, error) {
-	sess, err := tx.session(part)
-	if err != nil {
-		return legFrag{}, err
-	}
-	return legFrag{tx: tx, f: sess.SendInsertRows(table, rows), write: true}, nil
-}
-
-// sendQuery queues a read on partition part's leg.
-func (tx *MPTxn) sendQuery(part int, sqlText string, params ...types.Value) (legFrag, error) {
-	sess, err := tx.session(part)
-	if err != nil {
-		return legFrag{}, err
-	}
+// query runs a read on partition part's leg.
+func (tx *MPTxn) query(part int, sess *pe.MPSession, sqlText string, params []types.Value) (*pe.Result, error) {
 	p, err := tx.parts[part].ee.PrepareCached(sqlText)
 	if err != nil {
-		return legFrag{}, err
+		return nil, err
 	}
-	return legFrag{tx: tx, f: sess.SendQueryPlan(p, params...)}, nil
+	return sess.QueryPlan(p, params...)
 }
 
 // readCut reads a plan over a cut of the whole store taken inside the
-// transaction, once it holds every slot and every worker is serving its
-// leg: commits publish at execute time (pe.Engine), so the cut holds every
+// transaction, once it holds every slot and every partition's engine:
+// commits publish at execute time (pe.Engine), so the cut holds every
 // commit serialized before the transaction on any partition, and nothing
 // else commits until the decision. The rows are the caller's.
 func (tx *MPTxn) readCut(p *ee.Prepared, params []types.Value) ([]types.Row, error) {
-	entered, err := tx.sendEach(func(part int) (legFrag, error) {
-		sess, err := tx.session(part)
-		if err != nil {
-			return legFrag{}, err
-		}
-		return legFrag{tx: tx, f: sess.SendEnter()}, nil
-	})
-	for i := 0; err == nil && i < len(entered); i++ {
-		_, err = entered[i].wait()
-	}
-	if err != nil {
+	if _, err := tx.legs(nil, nil); err != nil {
 		return nil, err
 	}
 	c := cutPool.Get().(*snapCut)
@@ -633,33 +622,41 @@ func (tx *MPTxn) readCut(p *ee.Prepared, params []types.Value) ([]types.Row, err
 	return res.Rows, nil
 }
 
-// waitFor waits for a fragment that send queued.
-func waitFor(lf legFrag, err error) (*pe.Result, error) {
-	if err != nil {
-		return nil, err
-	}
-	return lf.result()
-}
-
 // Exec runs one write statement on partition part inside the transaction.
 // On a durable store the statement (with concrete parameters) becomes part
 // of the partition's PREPARE record and is re-executed at recovery, so it
 // must not depend on hidden nondeterminism.
 func (tx *MPTxn) Exec(part int, sqlText string, params ...types.Value) (*pe.Result, error) {
-	return waitFor(tx.sendExec(part, sqlText, params...))
+	sess, err := tx.session(part)
+	if err != nil {
+		return nil, err
+	}
+	return tx.exec(sess, sqlText, params)
 }
 
 // InsertRows inserts a pre-evaluated row batch into a relation on
 // partition part.
 func (tx *MPTxn) InsertRows(part int, table string, rows []types.Row) (*pe.Result, error) {
-	return waitFor(tx.sendInsertRows(part, table, rows))
+	sess, err := tx.session(part)
+	if err != nil {
+		return nil, err
+	}
+	n, err := tx.insertRows(sess, table, rows)
+	if err != nil {
+		return nil, err
+	}
+	return &pe.Result{RowsAffected: n}, nil
 }
 
 // Query runs a read on partition part. The read sees the transaction's own
-// uncommitted writes and, because every enlisted worker is parked, a
-// stable snapshot of each partition.
+// uncommitted writes and, because the transaction holds every enlisted
+// partition's serial slot, a stable snapshot of each partition.
 func (tx *MPTxn) Query(part int, sqlText string, params ...types.Value) (*pe.Result, error) {
-	return waitFor(tx.sendQuery(part, sqlText, params...))
+	sess, err := tx.session(part)
+	if err != nil {
+		return nil, err
+	}
+	return tx.query(part, sess, sqlText, params)
 }
 
 // QueryRow is Query returning at most one row (nil when none matched).
@@ -674,59 +671,36 @@ func (tx *MPTxn) QueryRow(part int, sqlText string, params ...types.Value) (type
 	return res.Rows[0], nil
 }
 
-// ExecAll runs the same write on every partition concurrently (enlisting
-// them all) — the coordinated form of a broadcast statement. Results come
-// back in partition order.
+// ExecAll runs the same write on every partition (enlisting them all) —
+// the coordinated form of a broadcast statement. Results come back in
+// partition order.
 func (tx *MPTxn) ExecAll(sqlText string, params ...types.Value) ([]*pe.Result, error) {
-	return tx.eachPartition(func(part int) (legFrag, error) { return tx.sendExec(part, sqlText, params...) })
+	return tx.eachPartition(func(_ int, sess *pe.MPSession) (*pe.Result, error) {
+		return tx.exec(sess, sqlText, params)
+	})
 }
 
-// QueryAll runs the same read on every partition concurrently (enlisting
-// them all) and returns the per-partition results in partition order —
-// the caller combines them.
+// QueryAll runs the same read on every partition (enlisting them all) and
+// returns the per-partition results in partition order — the caller
+// combines them.
 func (tx *MPTxn) QueryAll(sqlText string, params ...types.Value) ([]*pe.Result, error) {
-	return tx.eachPartition(func(part int) (legFrag, error) { return tx.sendQuery(part, sqlText, params...) })
+	return tx.eachPartition(func(part int, sess *pe.MPSession) (*pe.Result, error) {
+		return tx.query(part, sess, sqlText, params)
+	})
 }
 
-// sendEach queues send's fragment on every partition in ascending order
-// (so slots are acquired in order) and waits for none of them.
-func (tx *MPTxn) sendEach(send func(part int) (legFrag, error)) ([]legFrag, error) {
-	legs := make([]legFrag, len(tx.parts))
-	for part := range legs {
-		lf, err := send(part)
-		if err != nil {
-			return nil, err
-		}
-		legs[part] = lf
-	}
-	return legs, nil
-}
-
-// eachPartition queues send's fragment on every partition before waiting
-// for any, so the legs run concurrently, and returns the results in
-// partition order, or the first error in that order.
-func (tx *MPTxn) eachPartition(send func(part int) (legFrag, error)) ([]*pe.Result, error) {
-	legs, err := tx.sendEach(send)
+// eachPartition enlists every partition, then runs fn on each leg in
+// partition order and returns the results, stopping at the first error.
+func (tx *MPTxn) eachPartition(fn func(part int, sess *pe.MPSession) (*pe.Result, error)) ([]*pe.Result, error) {
+	legs, err := tx.legs(nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	return waitAll(legs)
-}
-
-// waitAll waits for every leg's fragment, in order, and returns their
-// results, or the first error in that order.
-func waitAll(legs []legFrag) ([]*pe.Result, error) {
 	results := make([]*pe.Result, len(legs))
-	var first error
-	for i, lf := range legs {
-		res, err := lf.result()
-		if err != nil && first == nil {
-			first = err
+	for part, sess := range legs {
+		if results[part], err = fn(part, sess); err != nil {
+			return nil, err
 		}
-		results[i] = res
-	}
-	if first != nil {
-		return nil, first
 	}
 	return results, nil
 }
@@ -829,7 +803,7 @@ func (tx *MPTxn) attempt(fn func(tx *MPTxn) error) (err error, retry bool) {
 			}
 		}
 		tx.mu.Unlock()
-		tx.finishAll(false)
+		tx.deliverAll(false)
 		return nil, true
 	}
 	tx.mu.Unlock()
@@ -839,7 +813,6 @@ func (tx *MPTxn) attempt(fn func(tx *MPTxn) error) (err error, retry bool) {
 	if ferr != nil {
 		tx.deliverAll(false)
 		tx.releaseSlots()
-		tx.resolveAll()
 		s.met.Add(metrics.MPAborts, 1)
 		return ferr, false
 	}
@@ -852,30 +825,24 @@ func (tx *MPTxn) attempt(fn func(tx *MPTxn) error) (err error, retry bool) {
 	if err := tx.appendPrepares(); err != nil {
 		tx.deliverAll(false)
 		tx.releaseSlots()
-		tx.resolveAll()
 		s.met.Add(metrics.MPAborts, 1)
 		return err, false
 	}
 	// The durability future goes up on the written partitions before any
 	// of this transaction's state becomes visible: everything that
 	// subsequently commits on those partitions chains its own client ack
-	// on this outcome (see mpOutcome). Install while the workers are
-	// still parked so no commit can slip between publication and the
-	// dependency becoming observable.
+	// on this outcome (see mpOutcome). Install while the transaction
+	// still holds the engines so no commit can slip between publication
+	// and the dependency becoming observable.
 	if len(tx.prepParts) > 0 {
 		tx.installOutcome()
 	}
-	// Commit publication window: every leg publishes its partition's
-	// commit sequence during delivery, and holding seqMu exclusively
-	// keeps a reader's snapshot vector from cutting between two
-	// legs' publications (all-or-nothing visibility). The lock covers
-	// only the in-memory window — durability resolves after it is
-	// released, so snapshot readers are never parked behind the disk.
-	s.seqMu.Lock()
-	derr := tx.deliverAll(true)
-	s.seqMu.Unlock()
+	// Commit publication window (deliverAll): the legs publish under
+	// seqMu, and durability resolves after it is released, so snapshot
+	// readers are never parked behind the disk.
+	tx.deliverAll(true)
 	// Slots release before every durability wait: the partitions'
-	// in-memory state is committed and their workers are free, so the
+	// in-memory state is committed and their engines are back, so the
 	// next coordinator enlists, executes, and appends its own votes —
 	// which batch into the same daemon fsyncs this transaction is about
 	// to wait on — while this coordinator settles durability off-slot.
@@ -917,11 +884,10 @@ func (tx *MPTxn) attempt(fn func(tx *MPTxn) error) (err error, retry bool) {
 	if tx.outcome != nil {
 		oerr = tx.resolveOutcome(derr2)
 	}
-	tx.resolveAll()
-	if err = errors.Join(derr, oerr); err == nil {
+	if oerr == nil {
 		tx.observe()
 	}
-	return err, false
+	return oerr, false
 }
 
 // observe records a committed transaction, acked now: one sample of its
@@ -937,7 +903,7 @@ func (tx *MPTxn) observe() {
 }
 
 // runMPHandler executes fn, converting panics into aborts so a buggy
-// handler cannot leave partition workers parked forever.
+// handler cannot keep partition engines from their workers forever.
 func runMPHandler(fn func(tx *MPTxn) error, tx *MPTxn) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -947,21 +913,14 @@ func runMPHandler(fn func(tx *MPTxn) error, tx *MPTxn) (err error) {
 	return fn(tx)
 }
 
-// prepareAll collects every enlisted partition's vote: it queues the vote
-// request on every leg (behind the fragments the handler left queued)
-// before waiting for any. A vote is a pure rendezvous — no log write: a
-// writing leg hands its logged op set back for the coordinator to append
-// after all votes are in, and a read-only leg votes yes and releases its
-// worker on the spot (its slot stays held until the decision window —
-// releasing it early would let a conflicting transaction slip between this
-// transaction's reads and its commit). Any non-nil vote is a veto; the
-// first in partition order is returned.
+// prepareAll collects every enlisted partition's vote. A vote writes no
+// log: a writing leg hands its logged op set back for the coordinator to
+// append after all votes are in, and a read-only leg votes yes and its
+// engine goes back on the spot (its slot stays held until the decision
+// window — releasing it early would let a conflicting transaction slip
+// between this transaction's reads and its commit). Any non-nil vote is a
+// veto; the first in partition order is returned.
 func (tx *MPTxn) prepareAll() error {
-	for _, sess := range tx.sess {
-		if sess != nil {
-			sess.SendPrepare()
-		}
-	}
 	var veto error
 	for i, sess := range tx.sess {
 		if sess == nil {
@@ -974,45 +933,31 @@ func (tx *MPTxn) prepareAll() error {
 	return veto
 }
 
-// deliverAll queues the decision on every enlisted leg, then waits until
-// each leg's in-memory state reflects it — the commit publications happen
-// inside this call, which the caller covers with the publication lock.
+// deliverAll applies the decision on every enlisted leg, then gives every
+// engine back and lets go of the sessions: no fragment of the transaction
+// is read after. A commit publishes every leg's sequence under seqMu held
+// exclusively, which keeps a reader's snapshot vector from cutting between
+// two legs' publications (all-or-nothing visibility); the lock covers the
+// publications alone. Rollbacks publish nothing and take no lock.
 // Read-only legs released at PREPARE are skipped.
-func (tx *MPTxn) deliverAll(commit bool) error {
-	var errs []error
-	for _, sess := range tx.sess {
-		if sess == nil {
-			continue
-		}
-		if err := sess.SendDecision(commit); err != nil {
-			errs = append(errs, err)
-		}
+func (tx *MPTxn) deliverAll(commit bool) {
+	if commit {
+		tx.s.seqMu.Lock()
 	}
 	for _, sess := range tx.sess {
 		if sess != nil {
-			sess.Published()
+			sess.Decide(commit)
 		}
 	}
-	return errors.Join(errs...)
-}
-
-// resolveAll waits for every delivered leg's final acknowledgement and
-// lets go of the sessions: no fragment of the transaction is read after.
-func (tx *MPTxn) resolveAll() {
+	if commit {
+		tx.s.seqMu.Unlock()
+	}
 	for i, sess := range tx.sess {
 		if sess != nil {
-			sess.Resolve()
+			sess.Release()
 			tx.sess[i] = nil
 		}
 	}
-}
-
-// finishAll is deliverAll + resolveAll — the abort path, which needs no
-// publication lock (rollbacks publish nothing).
-func (tx *MPTxn) finishAll(commit bool) error {
-	derr := tx.deliverAll(commit)
-	tx.resolveAll()
-	return derr
 }
 
 // acquireAllSlots locks every partition's enlistment slot in ascending

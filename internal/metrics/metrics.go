@@ -73,13 +73,12 @@ const (
 	MPConcurrent
 	// MPReadOnlyLegs counts legs released at PREPARE (no PREPARE record,
 	// no marker); MPOnePhase transactions with one writing leg, whose
-	// marker is their only commit record; MPLegWaits the coordinator's
-	// waits on a parked leg's worker (two per leg whose fragments and vote
-	// were queued together, one more per fragment whose result the handler
-	// needed).
+	// marker is their only commit record; MPLegsParked the legs that found
+	// their worker busy and parked it (the rest borrowed an idle worker's
+	// engine).
 	MPReadOnlyLegs
 	MPOnePhase
-	MPLegWaits
+	MPLegsParked
 	// PREPARE records per partition-log group-commit fsync. A mean above 1
 	// is the amortization the batched-commit path buys.
 	MPPrepareBatches
@@ -239,7 +238,7 @@ var defs = [numMetrics]def{
 	MPConcurrent:        {name: "mp_concurrent", kind: Gauge},
 	MPReadOnlyLegs:      {name: "mp_read_only_legs"},
 	MPOnePhase:          {name: "mp_one_phase"},
-	MPLegWaits:          {name: "mp_leg_waits"},
+	MPLegsParked:        {name: "mp_legs_parked"},
 	MPPrepareBatches:    {name: "mp_prepare_batches", hist: PrepareBatch},
 	MPPrepareBatchMean:  {name: "mp_prepare_batch_mean", kind: Mean, hist: PrepareBatch},
 	SnapshotReads:       {name: "snapshot_reads"},

@@ -240,8 +240,8 @@ type Engine struct {
 	// its scratch, the procedure context handed to the handler, the undo
 	// log, the transient-relation map, the stream emissions awaiting
 	// dispatch, the border batch's own tuple ids, and the two stream-insert
-	// hooks (bound once, in New). Replay and the MP barrier run on the same
-	// state: they execute in the worker's place, never beside it.
+	// hooks (bound once, in New). Replay and a 2PC leg's coordinator run on
+	// the same state: they execute in the worker's place, never beside it.
 	ectx         ee.ExecCtx
 	pctx         ProcCtx
 	undo         *storage.UndoLog
@@ -611,6 +611,7 @@ func (e *Engine) worker() {
 		if pending, ok = e.sched.popAll(pending[:0]); !ok {
 			return
 		}
+		e.drainChain() // what a lent engine's 2PC leg triggered comes first
 		for i, r := range pending {
 			pending[i] = nil
 			e.runChain(r)
@@ -713,8 +714,9 @@ func (e *Engine) queueAck(r *txnRequest, out *Result, ack <-chan error) {
 // scheduler, the execution, the durable wait and their sum, latency. The
 // acker calls it for a commit that took a future, the worker for every
 // other; a replayed record observes nothing, and a 2PC leg only its queue
-// wait and execution, its worker's hold: the coordinator acks the write,
-// so it observes it (core.MPTxn.observe).
+// wait and execution, its hold on the engine (observed where the engine
+// goes back): the coordinator acks the write, so it observes it
+// (core.MPTxn.observe).
 func (e *Engine) observe(r *txnRequest, acked Stamp) {
 	if r.replay {
 		return
@@ -733,9 +735,10 @@ func (e *Engine) observe(r *txnRequest, acked Stamp) {
 // drainAcks forces every outstanding commit durable and waits for its
 // acknowledgement to be delivered. Runs on the partition worker at barrier
 // points (a checkpoint's cut), so no commit the cut holds is waiting on a
-// future.
+// future. A partition with nothing unacknowledged syncs nothing: the
+// store's one log is the checkpoint's to force, once.
 func (e *Engine) drainAcks() {
-	if e.ackQ == nil {
+	if e.ackQ == nil || e.AckBacklog() == 0 {
 		return
 	}
 	_ = e.logger.SyncCommits() // resolves every future; errors reach clients via the acker
@@ -879,7 +882,7 @@ func (e *Engine) FlushBatches() {
 // against an MVCC snapshot pinned at the latest committed sequence: it never
 // enters the partition's serial queue, so reads scale with client cores, see
 // only committed state, and are not delayed by running transactions (or a
-// parked 2PC leg). A statement that is not a SELECT fails in the execution
+// 2PC leg's hold). A statement that is not a SELECT fails in the execution
 // engine's read-only context and changes nothing.
 func (e *Engine) Query(sqlText string, params ...types.Value) (*Result, error) {
 	if err := e.errNotStarted(); err != nil {
@@ -1027,7 +1030,7 @@ func retained[T any](buf []T) []T {
 // beginTE readies the worker's TE state for the next execution and returns
 // its EE context. What the previous TE left in it is gone after this: its
 // results, rows and lists were either consumed or copied out at one of the
-// doors (ownResult for a response, runFragment for a 2PC leg's answer,
+// doors (ownResult for a response or a 2PC leg's fragment,
 // dispatchEmits for a downstream batch and its ids).
 func (e *Engine) beginTE() *ee.ExecCtx {
 	e.undo.Release()

@@ -85,14 +85,19 @@ func Now() Stamp { return Stamp(time.Since(stampBase)) + 1 }
 // scheduler is the FIFO feeding the partition worker: client submissions,
 // border batches and resumed executions, in admission order. PE-triggered
 // work never passes through it — the worker runs a chain to its end before
-// it takes the next request (Engine.runChain).
+// it takes the next request (Engine.runChain). It also lends the worker's
+// engine to a 2PC coordinator while the worker sleeps (lend / giveBack).
 type scheduler struct {
-	mu           sync.Mutex
-	cond         *sync.Cond
-	queue        []*txnRequest
-	closed       bool
-	idle         bool // worker parked with the queue empty
-	drainWaiters int
+	mu     sync.Mutex
+	cond   *sync.Cond
+	queue  []*txnRequest
+	closed bool
+	idle   bool // worker parked with the queue empty
+	// lent: a coordinator holds the sleeping worker's engine; chained: the
+	// engine came back with triggered work for the worker to run first.
+	// Either one keeps the worker busy for popAll and drain.
+	lent, chained bool
+	drainWaiters  int
 }
 
 func newScheduler() *scheduler {
@@ -114,19 +119,23 @@ func (s *scheduler) push(r *txnRequest) bool {
 
 // popAll blocks until work is available, then moves every queued request
 // into buf in one lock acquisition — the partition worker then executes the
-// batch without further synchronization.
+// batch without further synchronization. While the engine is lent it
+// waits; the engine's return with a chain wakes it with an empty batch.
 func (s *scheduler) popAll(buf []*txnRequest) ([]*txnRequest, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		if len(s.queue) > 0 {
-			buf = append(buf, s.queue...)
-			clear(s.queue)
-			s.queue = s.queue[:0]
-			return buf, true
-		}
-		if s.closed {
-			return nil, false
+		if !s.lent {
+			if len(s.queue) > 0 || s.chained {
+				s.chained = false
+				buf = append(buf, s.queue...)
+				clear(s.queue)
+				s.queue = s.queue[:0]
+				return buf, true
+			}
+			if s.closed {
+				return nil, false
+			}
 		}
 		s.idle = true
 		if s.drainWaiters > 0 {
@@ -137,14 +146,40 @@ func (s *scheduler) popAll(buf []*txnRequest) ([]*txnRequest, bool) {
 	}
 }
 
+// lend hands the engine to the caller if the worker is asleep with nothing
+// to do, without waking it: the caller owns the engine's transaction state
+// until giveBack. The mutex orders the worker's last use before the
+// caller's first.
+func (s *scheduler) lend() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.idle || s.lent || s.chained || s.closed || len(s.queue) > 0 {
+		return false
+	}
+	s.lent = true
+	return true
+}
+
+// giveBack returns a lent engine, chained when it carries triggered work
+// for the worker. The worker is woken only if something waits for it.
+func (s *scheduler) giveBack(chained bool) {
+	s.mu.Lock()
+	s.lent, s.chained = false, chained
+	if chained || s.closed || len(s.queue) > 0 || s.drainWaiters > 0 {
+		s.cond.Broadcast()
+	}
+	s.mu.Unlock()
+}
+
 // drain blocks until the queue is empty and the worker has parked on it —
 // every request pushed before the call, with the chains it started, has
-// executed or been deferred by the pause gate — or the scheduler closes.
+// executed or been deferred by the pause gate — or the scheduler closes;
+// either way, not while the engine is lent.
 func (s *scheduler) drain() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.drainWaiters++
-	for !s.closed && !(len(s.queue) == 0 && s.idle) {
+	for s.lent || !s.closed && !(len(s.queue) == 0 && s.idle && !s.chained) {
 		s.cond.Wait()
 	}
 	s.drainWaiters--

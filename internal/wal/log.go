@@ -397,24 +397,26 @@ func (l *Log) syncBatch() bool {
 		err = l.fsync()
 	}
 	took := time.Since(start)
-	for _, ch := range batch {
-		ch <- err
-	}
-	if err == nil && n > 0 && l.onSyncBatch != nil {
-		l.onSyncBatch(n, took, waited)
-	}
+	// The next state is settled before any waiter hears: one that returns
+	// finds the log parked if nothing came after (SyncPending).
 	l.mu.Lock()
-	defer l.mu.Unlock()
+	more := len(l.pending) > 0
 	switch {
-	case len(l.pending) > 0:
-		return true
+	case more:
 	case l.unsynced > 0 && l.err == nil:
 		l.state = armed
 		l.bound.Reset(stalenessBound)
 	default:
 		l.state = parked
 	}
-	return false
+	l.mu.Unlock()
+	for _, ch := range batch {
+		ch <- err
+	}
+	if err == nil && n > 0 && l.onSyncBatch != nil {
+		l.onSyncBatch(n, took, waited)
+	}
+	return more
 }
 
 // SyncNow forces everything appended so far to stable storage, resolving
@@ -434,6 +436,22 @@ func (l *Log) SyncNow() error {
 	l.waitLocked(ch)
 	l.mu.Unlock()
 	return <-ch
+}
+
+// SyncPending is SyncNow for a log that may have nothing to sync: under
+// group commit it returns at once when the daemon is parked and nothing
+// was appended since its last fsync began, so everything is durable
+// already. A barrier on an idle store then costs no fsync.
+func (l *Log) SyncPending() error {
+	if l.policy == SyncGroupCommit {
+		l.mu.Lock()
+		settled, err := l.state == parked && l.unsynced == 0, l.err
+		l.mu.Unlock()
+		if settled {
+			return err
+		}
+	}
+	return l.SyncNow()
 }
 
 // LSN returns the LSN of the last appended record.
@@ -474,7 +492,7 @@ func (at Pos) Back() Pos { return Pos{at.LSN, at.last, at.last} }
 // before the copy or in the new one after it.
 func (l *Log) Truncate(at Pos) error {
 	if l.policy == SyncGroupCommit {
-		if err := l.SyncNow(); err != nil {
+		if err := l.SyncPending(); err != nil {
 			return fmt.Errorf("wal: truncate: %w", err)
 		}
 	}
