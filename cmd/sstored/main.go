@@ -19,13 +19,13 @@
 //	    larger than 64 MiB of resident rows spill cold tuples to disk
 //
 // With -follow, sstored runs as a read replica of another sstored: it tails
-// the primary's WAL over the wire (the primary must be durable), serves
-// snapshot SELECTs from the replayed state, and — when the primary stops
-// answering for -heartbeat-timeout — promotes itself to a live primary and
-// starts accepting writes. With -dir it logs what it applies there,
-// restarts from it, and once promoted is a durable primary. The follower
-// must be started with the same schema flags (-app / -ddl / -partitions /
-// -log-all-tes) as the primary:
+// the primary's WAL over the wire (the primary must be durable), re-dials
+// it after a cut or a restart, serves snapshot SELECTs from the replayed
+// state, and promotes only on ALTER SYSTEM PROMOTE (sstorecli), then takes
+// writes. With -dir it logs what it applies there, restarts from it, and
+// once promoted is a durable primary. The follower must be started with
+// the same schema flags (-app / -ddl / -partitions / -log-all-tes) as the
+// primary:
 //
 //	sstored -addr 127.0.0.1:7478 -app voter -dir /var/lib/sstore-f -sync group -follow 127.0.0.1:7477
 package main
@@ -65,8 +65,6 @@ func main() {
 		parts     = flag.Int("partitions", 1, "number of serial-execution partitions (PARTITION BY relations hash-split across them)")
 		memBudget = flag.Int64("memory-budget", 0, "anti-caching: resident-row heap budget in bytes across all base tables (0 = unlimited; cold tuples spill to a page store under -dir)")
 		follow    = flag.String("follow", "", "primary address to follow as a read replica (WAL shipping)")
-		hbTO      = flag.Duration("heartbeat-timeout", 3*time.Second, "follower: promote to primary after the primary is unreachable this long (0 = never auto-promote)")
-		replPoll  = flag.Duration("repl-poll", 0, "follower: idle delay between WAL fetch rounds (0 = default)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060) with mutex and block profiling enabled")
 	)
 	flag.Parse()
@@ -159,26 +157,11 @@ func main() {
 		if err != nil {
 			log.Fatalf("sstored: follow %s: %v", *follow, err)
 		}
-		var fsrv *server.Server
-		fol, err = core.NewFollower(st, src, core.FollowerOpts{
-			PollInterval:     *replPoll,
-			HeartbeatTimeout: *hbTO,
-			OnPromote: func(_ *core.Store, perr error) {
-				if perr != nil {
-					log.Printf("sstored: auto-promotion failed: %v", perr)
-					return
-				}
-				if fsrv != nil {
-					fsrv.ClearFollower()
-				}
-				fmt.Println("sstored: primary unreachable; promoted to primary, accepting writes")
-			},
-		})
+		fol, err = core.NewFollower(st, src)
 		if err != nil {
 			log.Fatalf("sstored: follower: %v", err)
 		}
 		srv = server.NewFollower(fol)
-		fsrv = srv
 		if err := fol.Run(); err != nil {
 			log.Fatalf("sstored: follower: %v", err)
 		}

@@ -1,7 +1,9 @@
 // Package client is the TCP client for the wire protocol. Administration
 // is a statement sent through Query or Exec (EXPLAIN <statement>, EXPLAIN
 // DATAFLOW <name>, ALTER DATAFLOW <name> PAUSE|RESUME, ALTER SYSTEM
-// PARTITIONS <n>, ...), not a method of its own.
+// PARTITIONS <n>, ALTER SYSTEM PROMOTE, ...), not a method of its own.
+// Only FetchBatch re-dials: a call or a pin on a connection a fetch
+// dropped fails, and never moves to a new one unseen.
 package client
 
 import (
@@ -10,6 +12,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/types"
@@ -17,28 +20,44 @@ import (
 	"repro/internal/wire"
 )
 
+// fetchTimeout bounds a dial, and a replication fetch's exchange.
+const fetchTimeout = 2 * time.Second
+
 // TCP is a synchronous wire-protocol client; one request in flight per
 // connection (open several connections to pipeline).
 type TCP struct {
-	mu   sync.Mutex
-	conn net.Conn
+	addr string
+	mu   sync.Mutex // one exchange at a time
 	// in buffers the connection's reads: a response's header and payload
 	// arrive in one read(2).
 	in *bufio.Reader
+	// dropped is set, under mu, when a fetch failed on conn and closed it;
+	// the next fetch re-dials. conn changes under mu and connMu, and Close
+	// takes only connMu.
+	dropped bool
+	connMu  sync.Mutex
+	conn    net.Conn
+	closed  bool
 }
 
 // DialTCP connects to a server address.
 func DialTCP(addr string) (*TCP, error) {
-	conn, err := net.Dial("tcp", addr)
+	conn, err := net.DialTimeout("tcp", addr, fetchTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
-	return &TCP{conn: conn, in: bufio.NewReader(conn)}, nil
+	return &TCP{addr: addr, conn: conn, in: bufio.NewReader(conn)}, nil
 }
 
 func (c *TCP) roundTrip(req *wire.Request) (*wire.Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.exchange(req)
+}
+
+// exchange sends req and reads its response (nil if the connection
+// failed); the caller holds mu.
+func (c *TCP) exchange(req *wire.Request) (*wire.Response, error) {
 	if err := wire.WriteFrame(c.conn, wire.EncodeRequest(req)); err != nil {
 		return nil, err
 	}
@@ -113,16 +132,38 @@ func (c *TCP) UnpinSnapshot() error {
 
 // FetchBatch implements core.ReplicationSource over the wire: a follower
 // sstored drives its apply loop with these fetches against the primary.
+// One fetch's dial and exchange are bounded by fetchTimeout; it re-dials a
+// connection the last fetch dropped, and drops one its exchange fails on (a
+// server's MsgError is an answer).
 func (c *TCP) FetchBatch(afterLSN uint64, maxBytes int) (core.ReplBatch, error) {
-	resp, err := c.roundTrip(&wire.Request{Kind: wire.MsgReplFetch, Params: types.Row{
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.dropped {
+		conn, err := net.DialTimeout("tcp", c.addr, fetchTimeout)
+		if err != nil {
+			return core.ReplBatch{}, fmt.Errorf("client: %w", err)
+		}
+		c.connMu.Lock()
+		c.conn, c.in, c.dropped = conn, bufio.NewReader(conn), false
+		if c.closed {
+			conn.Close() // the exchange fails, and drops it again
+		}
+		c.connMu.Unlock()
+	}
+	_ = c.conn.SetDeadline(time.Now().Add(fetchTimeout)) // fails only on a closed conn, as the exchange will
+	resp, err := c.exchange(&wire.Request{Kind: wire.MsgReplFetch, Params: types.Row{
 		types.NewInt(int64(afterLSN)), types.NewInt(int64(maxBytes)),
 	}})
-	if err != nil && resp != nil {
+	if resp == nil && err != nil {
+		c.conn.Close()
+		c.dropped = true
+		return core.ReplBatch{}, err
+	}
+	_ = c.conn.SetDeadline(time.Time{})
+	if err != nil {
 		if rest, gap := strings.CutPrefix(resp.Err, wal.ErrShipGap.Error()); gap {
 			err = fmt.Errorf("server: %w%s", wal.ErrShipGap, rest) // never taken for the primary being down
 		}
-	}
-	if err != nil {
 		return core.ReplBatch{}, err
 	}
 	if len(resp.Rows) == 0 {
@@ -153,7 +194,13 @@ func (c *TCP) Ping() error {
 	return nil
 }
 
-// Close closes the connection; the server releases its session pin.
-func (c *TCP) Close() error { return c.conn.Close() }
+// Close closes the connection for good; the server releases its session
+// pin.
+func (c *TCP) Close() error {
+	c.connMu.Lock()
+	defer c.connMu.Unlock()
+	c.closed = true
+	return c.conn.Close()
+}
 
 var _ core.ReplicationSource = (*TCP)(nil)

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"net"
 	"strings"
 	"testing"
 
@@ -184,5 +185,60 @@ func TestExplainStatement(t *testing.T) {
 	}
 	if plan := resp.Rows[0][0].Str(); !strings.Contains(plan, "kv") {
 		t.Fatalf("plan = %q", plan)
+	}
+}
+
+// TestFetchErrorsAndClose: a server's MsgError answers a fetch and keeps
+// the connection; Close ends a fetch a silent peer holds, and the client
+// stays closed: neither a call nor a fetch gets a connection again.
+func TestFetchErrorsAndClose(t *testing.T) {
+	srv, _ := startServer(t, 1)
+	c, err := DialTCP(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.FetchBatch(0, 1<<10); err == nil || !strings.Contains(err.Error(), "durable primary") {
+		t.Fatalf("fetch from a volatile store: err %v", err)
+	}
+	if _, err := c.Call("put", types.NewInt(1), types.NewString("a")); err != nil {
+		t.Fatalf("call after an answered fetch: %v", err)
+	}
+
+	silent, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	accepted := make(chan net.Conn, 4)
+	go func() {
+		for {
+			conn, err := silent.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- conn
+		}
+	}()
+	h, err := DialTCP(silent.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := <-accepted
+	defer held.Close()
+	done := make(chan error, 1)
+	go func() {
+		_, err := h.FetchBatch(0, 1<<10)
+		done <- err
+	}()
+	h.Close()
+	if err := <-done; err == nil {
+		t.Fatal("a fetch on a closed client succeeded")
+	}
+	if _, err := h.FetchBatch(0, 1<<10); err == nil {
+		t.Fatal("a fetch after Close succeeded")
+	}
+	if _, err := h.Call("put", types.NewInt(2), types.NewString("b")); err == nil {
+		t.Fatal("a call after Close succeeded")
 	}
 }

@@ -261,7 +261,7 @@ func TestAntiCacheFollowerUnaffectedByPrimaryEviction(t *testing.T) {
 	}
 	defer st.Stop()
 	fst := buildPadKV(t, Config{}) // follower: no budget, fully resident
-	f, err := NewFollower(fst, StoreSource{St: st}, FollowerOpts{})
+	f, err := NewFollower(fst, st)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,12 +140,12 @@ func (a *applier) foldFile(lf logFile) error {
 // replay is the one replay loop: it feeds each record of a log file past
 // its partition's snapshot through strm's pending list, so a stream that
 // is not final keeps what stalls there, as live. strm ends after the
-// file's last record, whose payload it keeps in check (nil if the file
-// holds none).
+// file's last record, whose payload it keeps in last, to check the source's
+// frame against (nil and nothing to check if the file holds none).
 func (a *applier) replay(lf logFile, strm *replStream, final bool) error {
-	strm.check = nil
+	strm.last, strm.check = nil, false
 	_, err := wal.ScanLog(lf.path, func(lsn uint64, payload []byte) error {
-		strm.check = append(strm.check[:0], payload...)
+		strm.last, strm.check = append(strm.last[:0], payload...), true
 		strm.fetched = max(strm.fetched, lsn)
 		part, rec, err := a.entry(payload, lf.part)
 		if err != nil || lsn <= a.snaps[part].LastLSN {

@@ -88,7 +88,7 @@ func TestFollowerHoldsMigratedRowsOnce(t *testing.T) {
 	st := buildKV(t, gcTestConfig(t.TempDir(), 2))
 	must(t, st.Start())
 	defer st.Stop()
-	f, err := NewFollower(buildKV(t, Config{Partitions: 4}), growingSource{st}, FollowerOpts{})
+	f, err := NewFollower(buildKV(t, Config{Partitions: 4}), growingSource{st})
 	must(t, err)
 	put := func(lo, hi int64) {
 		t.Helper()

@@ -311,6 +311,10 @@ type Store struct {
 	// lastCheckpoint is when the last Checkpoint finished (UnixNano; 0:
 	// none since Open).
 	lastCheckpoint atomic.Int64
+	// follower replays into this store (nil: none); lastFetch is when its
+	// source last answered (UnixNano; 0: never).
+	follower  *Follower
+	lastFetch atomic.Int64
 	// schema is the published Schema: what the router plans against and
 	// what every partition's storage is synced to (publish).
 	schema atomic.Pointer[catalog.Schema]
@@ -509,6 +513,9 @@ func (s *Store) StatsResult() *pe.Result {
 	snap[metrics.OldestPinAgeMs] = s.oldestPinAge().Milliseconds()
 	if at := s.lastCheckpoint.Load(); at != 0 {
 		snap[metrics.LastCheckpointAgeMs] = time.Since(time.Unix(0, at)).Milliseconds()
+	}
+	if at := s.lastFetch.Load(); at != 0 {
+		snap[metrics.ReplLastFetchAgeMs] = time.Since(time.Unix(0, at)).Milliseconds()
 	}
 	if s.cfg.Dir != "" {
 		if fi, err := os.Stat(wal.LogPath(s.cfg.Dir)); err == nil {

@@ -268,7 +268,7 @@ func TestDurableFollowerCrashPoints(t *testing.T) {
 	fcfg := gcTestConfig(t.TempDir(), parts)
 	fst := buildKV(t, fcfg)
 	fsys := recordStore(t, fst)
-	f, err := NewFollower(fst, StoreSource{St: st}, FollowerOpts{})
+	f, err := NewFollower(fst, st)
 	must(t, err)
 	before := map[int64]int64{}
 	for k := range int64(12) {
@@ -313,7 +313,7 @@ func TestDurableFollowerCrashPoints(t *testing.T) {
 			defer re.Stop()
 			return checkKV(kvRows(re), before, after, p)
 		}
-		f, err := NewFollower(buildKV(t, cfg), StoreSource{St: st}, FollowerOpts{})
+		f, err := NewFollower(buildKV(t, cfg), st)
 		if err != nil {
 			return err
 		}

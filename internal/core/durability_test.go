@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/crashfs"
 	"repro/internal/pe"
 	"repro/internal/types"
 	"repro/internal/wal"
@@ -361,7 +363,7 @@ func (j *journal) check(st *Store, p int) error {
 type growingSource struct{ st *Store }
 
 func (s growingSource) FetchBatch(afterLSN uint64, maxBytes int) (ReplBatch, error) {
-	return s.st.ReplicationBatch(afterLSN, maxBytes)
+	return s.st.FetchBatch(afterLSN, maxBytes)
 }
 
 // TestCommitPoliciesAgree runs the whole script under each sync policy and
@@ -403,8 +405,21 @@ var (
 	logModes     = map[string]pe.LogMode{"border": pe.LogBorderOnly, "all": pe.LogAllTEs}
 )
 
+// imageSource ships a crash image's log as a primary's server reads its
+// own: the image is the primary that died there.
+type imageSource struct{ dir string }
+
+func (s imageSource) FetchBatch(afterLSN uint64, maxBytes int) (ReplBatch, error) {
+	frames, end, err := wal.ReadFrames(wal.LogPath(s.dir), afterLSN, maxBytes)
+	return ReplBatch{Frames: frames, EndLSN: end}, err
+}
+
 // TestDurabilityScript runs phase 1 of the script under group commit in
-// each log mode, and the oracle on every crash point in every variant.
+// each log mode, and the oracle on every crash point in every variant, on
+// the image's recovery and on a volatile follower of the image promoted
+// there, which must hold what recovery holds. Where the checkpoint has cut
+// the log's head off, the follower reports the gap instead and is not
+// promoted.
 func TestDurabilityScript(t *testing.T) {
 	for _, mn := range []string{"border", "all"} {
 		t.Run("crash/"+mn, func(t *testing.T) {
@@ -416,7 +431,16 @@ func TestDurabilityScript(t *testing.T) {
 			j.phase1(t, st, func() {})
 			must(t, st.Stop())
 			last := fsys.Len()
+			promotions := 0
 			eachCrashImage(t, fsys, crashPoints(0, last), func(img string, p int) error {
+				if p == last {
+					p = end
+				}
+				// The follower first: recovery appends to the image.
+				promoted, err := promoteImage(t, Config{Partitions: 2, LogMode: cfg.LogMode}, img)
+				if err != nil {
+					return err
+				}
 				cfg := cfg
 				cfg.Dir = img
 				re := buildPartApp(t, cfg)
@@ -424,13 +448,54 @@ func TestDurabilityScript(t *testing.T) {
 					return err
 				}
 				defer re.Stop()
-				if p == last {
-					p = end
+				if err := j.check(re, p); err != nil {
+					return err
 				}
-				return j.check(re, p)
+				if promoted == nil {
+					return nil
+				}
+				promotions++
+				if err := j.check(promoted, p); err != nil {
+					return fmt.Errorf("promoted follower: %w", err)
+				}
+				if got, want := storeState(promoted), storeState(re); got != want {
+					return fmt.Errorf("promoted follower and recovery disagree:\n--- promoted\n%s--- recovered\n%s", got, want)
+				}
+				return nil
 			})
+			if promotions == 0 {
+				t.Fatal("no image promoted a follower")
+			}
+			t.Logf("%d of %d images promoted a follower", promotions, len(crashfs.Variants)*(last+1))
 		})
 	}
+}
+
+// promoteImage feeds a follower opened with cfg the log of the crash image
+// at dir, promotes it and stops it, so its storage can be read. It returns
+// nil and no error when the image's log no longer starts at its first
+// record (a checkpoint cut it), which the follower must report as a gap.
+func promoteImage(t *testing.T, cfg Config, dir string) (*Store, error) {
+	f, err := NewFollower(buildPartApp(t, cfg), imageSource{dir})
+	if err != nil {
+		return nil, err
+	}
+	promoted, err := f.Promote()
+	if errors.Is(err, wal.ErrShipGap) {
+		first := uint64(0)
+		_, serr := wal.ScanLog(wal.LogPath(dir), func(lsn uint64, _ []byte) error {
+			first = cmp.Or(first, lsn)
+			return nil
+		})
+		if serr != nil || first <= 1 {
+			return nil, fmt.Errorf("follower reports a gap in a log that starts at LSN %d: %w", first, err)
+		}
+		return nil, f.Stop()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return promoted, promoted.Stop()
 }
 
 // TestCheckpointBetweenVotesAndMarkers checkpoints inside a coordinated
@@ -680,7 +745,7 @@ func durabilityEndOfRun(t *testing.T, cfg Config, inDoubt bool) string {
 	follow := func(i int) {
 		var err error
 		fcfg := Config{Dir: dirs[i], Partitions: 4, Sync: cfg.Sync, LogMode: cfg.LogMode}
-		followers[i], err = NewFollower(buildPartApp(t, fcfg), growingSource{st}, FollowerOpts{})
+		followers[i], err = NewFollower(buildPartApp(t, fcfg), growingSource{st})
 		must(t, err)
 	}
 	for i := range followers {

@@ -91,7 +91,7 @@ func TestMergeDifferentialOneVsManyPartitions(t *testing.T) {
 	defer four.Stop()
 	pin := four.PinSnapshot()
 	defer pin.Release()
-	f, err := NewFollower(build(Config{Partitions: 4}), StoreSource{St: four}, FollowerOpts{})
+	f, err := NewFollower(build(Config{Partitions: 4}), four)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -174,7 +174,7 @@ func TestKeyedReadAcrossRebalance(t *testing.T) {
 		pin := st.PinSnapshot()
 		defer pin.Release()
 		must(t, st.Rebalance(4))
-		f, err := NewFollower(buildKV(t, Config{Partitions: 4}), growingSource{st}, FollowerOpts{})
+		f, err := NewFollower(buildKV(t, Config{Partitions: 4}), growingSource{st})
 		must(t, err)
 		pollUntilIdle(t, f)
 		must(t, f.Err())

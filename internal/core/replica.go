@@ -11,6 +11,11 @@ package core
 // under the primary's LSNs before applying it, restarts from its directory
 // with its stream not final, and at promotion hands its log to engines.
 //
+// A failed fetch is retried, never taken for a dead primary: only the
+// operator promotes (Promote, ALTER SYSTEM PROMOTE). The first answer after
+// it must hold the frame at the follower's position, as after a restart,
+// so another log at a re-dialed address is never tailed.
+//
 // Known limits, by design: a follower must attach, and restart, while the
 // source still holds its position (a checkpoint keeps its cut's last
 // record, so a follower stopped at the cut restarts; ErrShipGap, over the
@@ -44,35 +49,23 @@ type ReplBatch struct {
 }
 
 // ReplicationSource feeds a follower hardened WAL frames. Implementations:
-// StoreSource (in-process replica sets) and client.TCP (a second sstored
-// following over the wire).
+// a durable primary *Store (in-process replica sets) and client.TCP (a
+// second sstored following over the wire).
 type ReplicationSource interface {
 	FetchBatch(afterLSN uint64, maxBytes int) (ReplBatch, error)
 }
 
-// StoreSource adapts a durable primary Store into a ReplicationSource for
-// in-process followers.
-type StoreSource struct{ St *Store }
-
-// FetchBatch implements ReplicationSource.
-func (s StoreSource) FetchBatch(afterLSN uint64, maxBytes int) (ReplBatch, error) {
-	return s.St.ReplicationBatch(afterLSN, maxBytes)
-}
-
-// ReplicationBatch reads the hardened WAL frames of the store's log past
+// FetchBatch reads the hardened WAL frames of the store's log past
 // afterLSN. It reads the log file directly rather than hooking the log
 // writer: the read is race-free against Stop, ships only what an fsync made
 // real, and keeps working after the primary process died — which is
 // exactly when a promoting follower drains the tail.
-func (s *Store) ReplicationBatch(afterLSN uint64, maxBytes int) (ReplBatch, error) {
+func (s *Store) FetchBatch(afterLSN uint64, maxBytes int) (ReplBatch, error) {
 	if s.cfg.Dir == "" {
 		return ReplBatch{}, fmt.Errorf("core: replication requires a durable primary (no Dir configured)")
 	}
 	frames, end, err := wal.ReadFrames(wal.LogPath(s.cfg.Dir), afterLSN, maxBytes)
-	if err != nil {
-		return ReplBatch{}, err
-	}
-	return ReplBatch{Frames: frames, EndLSN: end}, nil
+	return ReplBatch{Frames: frames, EndLSN: end}, err
 }
 
 // LSN returns the LSN of the last record appended to the store's log (0
@@ -86,26 +79,19 @@ func (s *Store) LSN() uint64 {
 	return s.log.LSN()
 }
 
-// A follower's fixed limits: one fetch's payload, and how long a session
-// read waits for the follower to catch up to its LSN vector.
+// errReadOnlyReplica refuses a follower's every statement but SELECT and
+// ALTER SYSTEM PROMOTE.
+var errReadOnlyReplica = errors.New("core: this node is a read-only replica; it runs SELECT and ALTER SYSTEM PROMOTE")
+
+// A follower's fixed limits: one fetch's payload, the idle delay between
+// fetches, the delay after a failed one, and how long a session read waits
+// for the follower to catch up to its LSN vector.
 const (
 	followerBatchBytes  = 1 << 20
+	followerPoll        = 2 * time.Millisecond
+	followerRetry       = 50 * time.Millisecond
 	followerReadTimeout = 5 * time.Second
 )
-
-// FollowerOpts tunes a follower replica.
-type FollowerOpts struct {
-	// PollInterval is the idle delay between fetch rounds (default 2ms).
-	PollInterval time.Duration
-	// HeartbeatTimeout > 0 arms auto-promotion: when every fetch has failed
-	// for this long (the primary is unreachable — a wire source), the
-	// follower promotes itself and reports through OnPromote. Zero leaves
-	// promotion explicit (in-process sources can read the dead primary's
-	// files forever, so "unreachable" never happens there).
-	HeartbeatTimeout time.Duration
-	// OnPromote is called after an automatic promotion completes (or fails).
-	OnPromote func(st *Store, err error)
-}
 
 // replStream is the shipped log's cursor state. Owned by the apply
 // goroutine except applied, which readers poll for session waits.
@@ -114,9 +100,11 @@ type replStream struct {
 	applied atomic.Uint64 // every record up to it is applied (or resolved) into storage
 	horizon uint64        // last LSN known present in the source's log
 	pending []pendingRec  // fetched but not yet applied (its partition stalled behind an in-doubt prepare)
-	// check is a restarted follower's own record at fetched, which the
-	// source's frame there must match first; nil once checked, or if none.
-	check []byte
+	// last is the payload of the record at fetched (nil if none). check
+	// asks the source's next answer to hold that same frame first: set at
+	// a restart and after every failed fetch, cleared once it matched.
+	last  []byte
+	check bool
 }
 
 // pendingRec is a fetched record and the partition it is tagged with.
@@ -129,15 +117,15 @@ type pendingRec struct {
 // Follower is a read replica: a never-started Store kept by replay of the
 // primary's shipped WAL, logged in its own directory if it has one. Reads
 // are served from MVCC snapshots (pe.Engine.QueryAtSeq needs no partition
-// worker); Promote turns it into a live primary.
+// worker); Promote, or the statement ALTER SYSTEM PROMOTE, turns it into a
+// live primary. Nothing else does.
 //
 // The follower Store must be opened with the same DDL, procedures,
 // dataflows, and partition count as the primary — replay executes the
 // primary's logged procedure invocations against the local catalog.
 type Follower struct {
-	st   *Store
-	src  ReplicationSource
-	opts FollowerOpts
+	st  *Store
+	src ReplicationSource
 
 	// Owned by the apply goroutine, then by Promote once it has joined it.
 	ap   *applier
@@ -155,24 +143,21 @@ type Follower struct {
 // NewFollower wires a follower replica over src. st must be a never-started
 // Store with the primary's schema already applied (a durable one recovers
 // from its directory first); call Run to start replication.
-func NewFollower(st *Store, src ReplicationSource, opts FollowerOpts) (*Follower, error) {
+func NewFollower(st *Store, src ReplicationSource) (*Follower, error) {
 	if st.partList()[0].pe.Started() {
 		return nil, fmt.Errorf("core: follower store must not be started; replay requires stopped partition engines")
 	}
-	if ss, ok := src.(StoreSource); ok && ss.St.NumPartitions() != st.NumPartitions() {
-		return nil, fmt.Errorf("core: follower has %d partitions, primary has %d; counts must match", st.NumPartitions(), ss.St.NumPartitions())
-	}
-	if opts.PollInterval <= 0 {
-		opts.PollInterval = 2 * time.Millisecond
+	if ps, ok := src.(*Store); ok && ps.NumPartitions() != st.NumPartitions() {
+		return nil, fmt.Errorf("core: follower has %d partitions, primary has %d; counts must match", st.NumPartitions(), ps.NumPartitions())
 	}
 	f := &Follower{
 		st:   st,
 		src:  src,
-		opts: opts,
 		strm: &replStream{},
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
+	st.follower = f
 	if st.cfg.Dir == "" {
 		f.ap = newApplier(st)
 		return f, nil
@@ -204,28 +189,13 @@ func (f *Follower) Store() *Store { return f.st }
 // divergence stops the follower's store as a log failure stops a primary.
 func (f *Follower) Err() error { return f.st.Err() }
 
-func (f *Follower) setErr(err error) { f.st.fail(err) }
-
 // Lag returns the replication lag in log records (horizon minus applied;
 // LSNs are dense, so the difference counts records).
 func (f *Follower) Lag() int64 { return f.st.met.Load(metrics.ReplLag) }
 
 // Applied returns the LSN up to which the follower has applied the log — a
-// monotone caught-up-ness score (see MostCaughtUp).
+// monotone caught-up-ness score: promote the follower with the highest.
 func (f *Follower) Applied() uint64 { return f.strm.applied.Load() }
-
-// MostCaughtUp picks the follower with the highest applied position — the
-// promotion candidate that minimizes lost (never-acked) tail work.
-func MostCaughtUp(fs []*Follower) *Follower {
-	var best *Follower
-	var bestApplied uint64
-	for _, f := range fs {
-		if a := f.Applied(); best == nil || a > bestApplied {
-			best, bestApplied = f, a
-		}
-	}
-	return best
-}
 
 // Run starts the apply loop. One background goroutine owns all replication
 // state; reads run on caller goroutines against MVCC snapshots, exactly as
@@ -243,83 +213,68 @@ func (f *Follower) Run() error {
 
 func (f *Follower) run() {
 	defer close(f.done)
-	var downSince time.Time
-	for {
+	for wait := time.Duration(0); ; {
 		select {
 		case <-f.stop:
 			return
-		default:
+		case <-time.After(wait):
 		}
-		progress, ferr := f.pollOnce()
-		if f.Err() != nil {
-			return // diverged: hold state for inspection, refuse promotion
-		}
+		progress, err := f.pollOnce()
 		switch {
-		case ferr == nil:
-			downSince = time.Time{}
-		case f.opts.HeartbeatTimeout > 0:
-			if downSince.IsZero() {
-				downSince = time.Now()
-			} else if time.Since(downSince) >= f.opts.HeartbeatTimeout {
-				// Primary unreachable past the heartbeat window: take over.
-				// Promote joins this goroutine via done, so hand off first.
-				go func() {
-					st, err := f.Promote()
-					if f.opts.OnPromote != nil {
-						f.opts.OnPromote(st, err)
-					}
-				}()
-				return
-			}
-		}
-		if !progress {
-			select {
-			case <-f.stop:
-				return
-			case <-time.After(f.opts.PollInterval):
-			}
+		case f.Err() != nil:
+			return // diverged: hold state for inspection, refuse promotion
+		case err != nil:
+			wait = followerRetry
+		case progress:
+			wait = 0
+		default:
+			wait = followerPoll
 		}
 	}
 }
 
 // pollOnce runs one fetch-and-apply round. It returns whether any frame
-// was buffered or applied, plus the fetch error (heartbeat signal).
-// Divergence and apply failures set the sticky error.
+// was buffered or applied, plus the fetch error, after which the next
+// answer is checked against the frame at fetched: it may come from another
+// log. Divergence and apply failures set the sticky error.
 func (f *Follower) pollOnce() (progress bool, fetchErr error) {
 	strm := f.strm
 	after := strm.fetched
-	if strm.check != nil {
+	if strm.check {
 		after-- // fetch the frame at fetched too, to check it
 	}
 	batch, err := f.src.FetchBatch(after, followerBatchBytes)
-	if errors.Is(err, wal.ErrShipGap) {
-		f.setErr(err) // the source no longer holds this position
-		return false, err
-	} else if err != nil {
+	if err != nil {
+		f.st.met.Add(metrics.ReplFetchErrors, 1)
+		strm.check = strm.last != nil
+		if errors.Is(err, wal.ErrShipGap) {
+			f.st.fail(err) // the source no longer holds this position
+		}
 		return false, err
 	}
+	f.st.lastFetch.Store(time.Now().UnixNano())
 	frames := batch.Frames
-	if strm.check != nil {
+	if strm.check {
 		if len(frames) == 0 || frames[0].LSN != strm.fetched {
-			f.setErr(fmt.Errorf("core: the source holds no record at LSN %d to check the log against: %w",
+			f.st.fail(fmt.Errorf("core: the source holds no record at LSN %d to check the log against: %w",
 				strm.fetched, wal.ErrShipGap))
 			return false, nil
 		}
-		if !bytes.Equal(frames[0].Payload, strm.check) {
-			f.setErr(fmt.Errorf("core: the log diverges from its source at LSN %d: "+
+		if !bytes.Equal(frames[0].Payload, strm.last) {
+			f.st.fail(fmt.Errorf("core: the log diverges from its source at LSN %d: "+
 				"the directory was promoted or follows another primary", strm.fetched))
 			return false, nil
 		}
-		strm.check, frames = nil, frames[1:]
+		strm.check, frames = false, frames[1:]
 	}
 	if err := f.take(frames); err != nil {
-		f.setErr(err)
+		f.st.fail(err)
 		return false, nil
 	}
 	strm.horizon = max(strm.horizon, batch.EndLSN)
 	applied, err := f.ap.drain(strm, false)
 	if err != nil {
-		f.setErr(err)
+		f.st.fail(err)
 		return false, nil
 	}
 	f.updateLag()
@@ -347,7 +302,7 @@ func (f *Follower) take(frames []wal.Frame) error {
 			return fmt.Errorf("core: replicated record at LSN %d: %w", fr.LSN, err)
 		}
 		f.strm.pending = append(f.strm.pending, pendingRec{lsn: fr.LSN, part: part, rec: rec})
-		f.strm.fetched = fr.LSN
+		f.strm.fetched, f.strm.last = fr.LSN, fr.Payload
 	}
 	return nil
 }
@@ -384,10 +339,11 @@ func (f *Follower) Promote() (*Store, error) {
 		return nil, fmt.Errorf("core: follower already promoted")
 	}
 	f.halt()
-	// Final drain: pull until a full round moves nothing. Fetch errors stop
-	// a round from progressing (a dead wire source), which ends the loop
-	// with whatever was already hardened and shipped; a gap or a divergence
-	// is sticky and refuses promotion.
+	// Final drain: pull until a full round moves nothing. A fetch error
+	// stops a round from progressing (a dead wire source, whose fetch and
+	// re-dial are bounded in time), which ends the loop with whatever was
+	// already hardened and shipped; a gap or a divergence is sticky and
+	// refuses promotion.
 	for progress := true; ; progress, _ = f.pollOnce() {
 		if err := f.Err(); err != nil {
 			return nil, fmt.Errorf("core: cannot promote a diverged follower: %w", err)
@@ -401,7 +357,7 @@ func (f *Follower) Promote() (*Store, error) {
 		err = f.st.Start()
 	}
 	if err != nil {
-		f.setErr(err) // a failed promotion is not retried; Stop closes the store
+		f.st.fail(err) // a failed promotion is not retried; Stop closes the store
 		return nil, err
 	}
 	f.promoted.Store(true)
@@ -457,7 +413,7 @@ func (f *Follower) settle() error {
 }
 
 // Query runs a read-only SELECT against the follower's replayed state (no
-// session ordering constraint).
+// session ordering constraint), or ALTER SYSTEM PROMOTE.
 func (f *Follower) Query(sqlText string, params ...types.Value) (*pe.Result, error) {
 	res, _, err := f.query(0, sqlText, params)
 	return res, err
@@ -468,13 +424,16 @@ func (f *Follower) Query(sqlText string, params ...types.Value) (*pe.Result, err
 // applied LSN observed before the cut, which the session folds back in for
 // monotonic reads.
 func (f *Follower) query(min uint64, sqlText string, params []types.Value) (*pe.Result, uint64, error) {
+	if res, handled, err := f.st.systemStatement(sqlText); handled {
+		return res, 0, err
+	}
 	if f.promoted.Load() {
 		return nil, 0, fmt.Errorf("core: follower was promoted; query the promoted store directly")
 	}
 	if err := f.waitApplied(min); err != nil {
 		return nil, 0, err
 	}
-	if err := parseSelect(sqlText, "core: follower replica is read-only; only SELECT is supported"); err != nil {
+	if err := parseSelect(sqlText, errReadOnlyReplica.Error()); err != nil {
 		return nil, 0, err
 	}
 	f.st.met.Add(metrics.FollowerReads, 1)

@@ -22,7 +22,7 @@ import (
 func kvFollower(t *testing.T, primary *Store, parts int) *Follower {
 	t.Helper()
 	fst := buildKV(t, Config{Partitions: parts})
-	f, err := NewFollower(fst, StoreSource{St: primary}, FollowerOpts{})
+	f, err := NewFollower(fst, primary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestFollowerStallsInDoubtPrepare(t *testing.T) {
 		&pe.LogRecord{Kind: pe.RecDecide, MPTxnID: 101, Commit: true})
 
 	fcfg := gcTestConfig(t.TempDir(), parts)
-	f, err := NewFollower(buildKV(t, fcfg), StoreSource{St: st}, FollowerOpts{})
+	f, err := NewFollower(buildKV(t, fcfg), st)
 	must(t, err)
 	if err := f.Run(); err != nil {
 		t.Fatal(err)
@@ -241,7 +241,7 @@ func TestFollowerStallsInDoubtPrepare(t *testing.T) {
 		}
 		if restarted == 0 {
 			must(t, f.Stop())
-			f, err = NewFollower(buildKV(t, fcfg), StoreSource{St: st}, FollowerOpts{})
+			f, err = NewFollower(buildKV(t, fcfg), st)
 			must(t, err)
 		}
 	}
@@ -286,7 +286,7 @@ func TestFollowerTailsPastPresumedAbort(t *testing.T) {
 		_, err := st.Call("put", types.NewInt(k), types.NewInt(k))
 		must(t, err)
 	}
-	f, err := NewFollower(buildKV(t, Config{Partitions: parts}), StoreSource{St: st}, FollowerOpts{})
+	f, err := NewFollower(buildKV(t, Config{Partitions: parts}), st)
 	must(t, err)
 	must(t, f.Run())
 	defer f.Stop()
@@ -346,7 +346,7 @@ func TestFollowerRefusesDivergedDirectory(t *testing.T) {
 		must(t, err)
 	}
 	fcfg := gcTestConfig(t.TempDir(), parts)
-	f, err := NewFollower(buildKV(t, fcfg), StoreSource{St: st}, FollowerOpts{})
+	f, err := NewFollower(buildKV(t, fcfg), st)
 	must(t, err)
 	pollUntilIdle(t, f)
 	must(t, f.Err())
@@ -359,7 +359,7 @@ func TestFollowerRefusesDivergedDirectory(t *testing.T) {
 	_, err = st.Call("put", types.NewInt(k), types.NewInt(2))
 	must(t, err)
 
-	f, err = NewFollower(buildKV(t, fcfg), StoreSource{St: st}, FollowerOpts{})
+	f, err = NewFollower(buildKV(t, fcfg), st)
 	must(t, err)
 	pollUntilIdle(t, f)
 	want := fmt.Sprintf("the log diverges from its source at LSN %d", st.LSN())
@@ -382,7 +382,7 @@ func TestNewFollowerClosesLogsOnFailure(t *testing.T) {
 	cfg := gcTestConfig(t.TempDir(), 2)
 	appendRecords(t, cfg.Dir, 1, &pe.LogRecord{Kind: pe.RecCall, Proc: "no_such_proc"})
 	st := buildKV(t, cfg)
-	if _, err := NewFollower(st, StoreSource{St: st}, FollowerOpts{}); err == nil {
+	if _, err := NewFollower(st, st); err == nil {
 		t.Fatal("a follower replayed a call of an unknown procedure")
 	}
 	if st.log != nil {
@@ -403,7 +403,7 @@ func TestDurableFollowerCountsItsFsyncs(t *testing.T) {
 		must(t, err)
 	}
 	for _, cfg := range []Config{{Partitions: parts}, gcTestConfig(t.TempDir(), parts)} {
-		f, err := NewFollower(buildKV(t, cfg), StoreSource{St: st}, FollowerOpts{})
+		f, err := NewFollower(buildKV(t, cfg), st)
 		must(t, err)
 		pollUntilIdle(t, f)
 		if keys := keySet(t, f.Query); len(keys) != 10 {
@@ -582,19 +582,19 @@ func TestFollowerRejectsMisconfiguration(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer started.Stop()
-	if _, err := NewFollower(started, StoreSource{St: st}, FollowerOpts{}); err == nil ||
+	if _, err := NewFollower(started, st); err == nil ||
 		!strings.Contains(err.Error(), "must not be started") {
 		t.Fatalf("started follower err = %v", err)
 	}
 	narrow := buildKV(t, Config{Partitions: parts + 1})
-	if _, err := NewFollower(narrow, StoreSource{St: st}, FollowerOpts{}); err == nil ||
+	if _, err := NewFollower(narrow, st); err == nil ||
 		!strings.Contains(err.Error(), "counts must match") {
 		t.Fatalf("partition-mismatch err = %v", err)
 	}
 
 	// Replication needs a durable primary.
 	volatile := buildKV(t, Config{Partitions: parts})
-	if _, err := volatile.ReplicationBatch(0, 0); err == nil ||
+	if _, err := volatile.FetchBatch(0, 0); err == nil ||
 		!strings.Contains(err.Error(), "durable primary") {
 		t.Fatalf("volatile primary fetch err = %v", err)
 	}

@@ -413,6 +413,7 @@ func (s *Store) staticInsertRows(ins *sql.Insert, rel *catalog.RelDef, colMap []
 //	DEPLOY DATAFLOW <graph>
 //	ALTER DATAFLOW <name> PAUSE|RESUME
 //	ALTER SYSTEM PARTITIONS <n>
+//	ALTER SYSTEM PROMOTE (on a follower's store, the only one it takes)
 //
 // Everything else, which is every statement on a hot path, is turned away
 // on its first keyword without being split.
@@ -428,7 +429,18 @@ func (s *Store) systemStatement(sqlText string) (*pe.Result, bool, error) {
 	}
 	fields := strings.Fields(strings.TrimSuffix(text, ";"))
 	is := func(i int, kw string) bool { return i < len(fields) && strings.EqualFold(fields[i], kw) }
-	switch {
+	switch f := s.follower; {
+	case len(fields) == 3 && is(0, "ALTER") && is(1, "SYSTEM") && is(2, "PROMOTE"):
+		if f == nil {
+			return nil, true, errors.New("core: ALTER SYSTEM PROMOTE: this store is a primary")
+		}
+		if _, err := f.Promote(); err != nil {
+			return nil, true, err
+		}
+		return &pe.Result{Columns: []string{"promoted_at_lsn"},
+			Rows: []types.Row{{types.NewInt(int64(f.Applied()))}}, RowsAffected: 1}, true, nil
+	case f != nil && !f.Promoted():
+		return nil, true, errReadOnlyReplica
 	case len(fields) == 2 && is(0, "SHOW") && is(1, "DATAFLOWS"):
 		return s.DataflowsResult(), true, nil
 	case len(fields) == 3 && is(0, "EXPLAIN") && is(1, "DATAFLOW"):

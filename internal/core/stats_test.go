@@ -81,6 +81,8 @@ slots_migrated int
 slot_rows_moved int
 repl_records_applied int
 repl_lag int
+repl_fetch_errors int
+repl_last_fetch_age_ms int
 follower_reads int
 promotions int
 latency_count int

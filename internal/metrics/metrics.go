@@ -119,9 +119,12 @@ const (
 	SlotsMigrated
 	SlotRowsMoved
 	// Replication: records a follower replayed, (a gauge) the records it
-	// trails the shipping horizon by, its snapshot reads, and promotions.
+	// trails the shipping horizon by, its failed fetches, (a gauge) the age
+	// of its last answered fetch, its snapshot reads, and promotions.
 	ReplRecordsApplied
 	ReplLag
+	ReplFetchErrors
+	ReplLastFetchAgeMs
 	FollowerReads
 	Promotions
 	LatencyCount
@@ -261,6 +264,8 @@ var defs = [numMetrics]def{
 	SlotRowsMoved:       {name: "slot_rows_moved"},
 	ReplRecordsApplied:  {name: "repl_records_applied"},
 	ReplLag:             {name: "repl_lag", kind: Gauge},
+	ReplFetchErrors:     {name: "repl_fetch_errors"},
+	ReplLastFetchAgeMs:  {name: "repl_last_fetch_age_ms", kind: Gauge},
 	FollowerReads:       {name: "follower_reads"},
 	Promotions:          {name: "promotions"},
 	LatencyCount:        {name: "latency_count", hist: Latency},
@@ -361,7 +366,7 @@ func (m *Metrics) Graph(name string) *GraphStats {
 // Snapshot is a point-in-time copy of every metric, indexed by Metric. A
 // Mean is held as its float64 bits (read it with Mean), a Quantile as
 // nanoseconds. A per-partition metric, OldestPinAgeMs, LastCheckpointAgeMs,
-// LogBytesSinceCut and the Go runtime metrics read 0 here: the store fills
+// LogBytesSinceCut, ReplLastFetchAgeMs and the Go runtime metrics read 0 here: the store fills
 // them when it renders the rows.
 type Snapshot [numMetrics]int64
 

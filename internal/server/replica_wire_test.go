@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -118,7 +117,7 @@ func TestFollowerOverWire(t *testing.T) {
 	}
 	defer src.Close()
 	fst := durableKV(t, "", parts)
-	f, err := core.NewFollower(fst, src, core.FollowerOpts{})
+	f, err := core.NewFollower(fst, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +231,7 @@ func TestDurableFollowerRestartsOverWire(t *testing.T) {
 		}
 		t.Cleanup(func() { conn.Close() })
 		src := &recordingSource{ReplicationSource: conn}
-		f, err := core.NewFollower(durableKV(t, fdir, parts), src, core.FollowerOpts{})
+		f, err := core.NewFollower(durableKV(t, fdir, parts), src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,17 +282,17 @@ func TestDurableFollowerRestartsOverWire(t *testing.T) {
 	}
 }
 
-// TestDurableFollowerAcrossPrimaryRestart stops a durable follower, stops
-// its primary the way sstored does on SIGTERM (checkpoint, then stop) and
-// restarts both with a short heartbeat: the checkpoint kept the record at
-// its cut, so the follower checks its log against it and tails on. Then the
-// follower is stopped again while the primary writes and checkpoints past
-// it: restarted, it reports the gap, sticky over the wire, and never
-// promotes itself while its primary serves.
+// TestDurableFollowerAcrossPrimaryRestart keeps a durable follower running
+// while its primary stops the way sstored does on SIGTERM (checkpoint, then
+// stop) and restarts on the same address: the follower's fetches fail, it
+// re-dials, checks the frame at its position against the record the
+// checkpoint kept at its cut, and tails on, never promoting itself. Then
+// the follower is stopped while the primary writes and checkpoints past
+// it: restarted, it reports the gap, sticky over the wire.
 func TestDurableFollowerAcrossPrimaryRestart(t *testing.T) {
 	const parts = 2
-	const heartbeat = 100 * time.Millisecond
 	pdir, fdir := t.TempDir(), t.TempDir()
+	addr := "127.0.0.1:0"
 	var st *core.Store
 	var srv *Server
 	var pc *client.TCP
@@ -303,9 +302,13 @@ func TestDurableFollowerAcrossPrimaryRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 		srv = New(st)
-		listen(t, srv)
+		srv.Logf = t.Logf
+		if err := srv.Listen(addr); err != nil {
+			t.Fatal(err)
+		}
+		addr = srv.Addr()
 		var err error
-		if pc, err = client.DialTCP(srv.Addr()); err != nil {
+		if pc, err = client.DialTCP(addr); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -326,17 +329,13 @@ func TestDurableFollowerAcrossPrimaryRestart(t *testing.T) {
 			}
 		}
 	}
-	var promotions atomic.Int32
 	follow := func() *core.Follower {
-		conn, err := client.DialTCP(srv.Addr())
+		conn, err := client.DialTCP(addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { conn.Close() })
-		f, err := core.NewFollower(durableKV(t, fdir, parts), conn, core.FollowerOpts{
-			HeartbeatTimeout: heartbeat,
-			OnPromote:        func(*core.Store, error) { promotions.Add(1) },
-		})
+		f, err := core.NewFollower(durableKV(t, fdir, parts), conn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,36 +344,24 @@ func TestDurableFollowerAcrossPrimaryRestart(t *testing.T) {
 		}
 		return f
 	}
-	count := func(f *core.Follower, want int64) {
-		t.Helper()
-		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(2 * time.Millisecond) {
-			res, err := f.Query("SELECT COUNT(*) FROM kv")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := res.Rows[0][0].Int(); got == want {
-				return
-			} else if time.Now().After(deadline) {
-				t.Fatalf("follower holds %d rows, want %d", got, want)
-			}
-		}
-	}
 	startPrimary()
 	put(0, 20)
 	f := follow()
-	count(f, 20)
-	if err := f.Stop(); err != nil {
-		t.Fatal(err)
-	}
+	waitApplied(t, f, st.LSN())
 	stopPrimary()
 	startPrimary()
 	defer func() { pc.Close(); srv.Close(); st.Stop() }()
-	f = follow()
 	put(20, 30)
-	count(f, 30)
-	time.Sleep(3 * heartbeat)
-	if err := f.Err(); err != nil || f.Promoted() || promotions.Load() != 0 {
-		t.Fatalf("follower after its primary's restart: err %v, promoted %v (%d calls)", err, f.Promoted(), promotions.Load())
+	waitApplied(t, f, st.LSN())
+	if n := statValue(t, f.Store(), "repl_fetch_errors"); n < 1 {
+		t.Fatalf("repl_fetch_errors = %d across its primary's restart, want >= 1", n)
+	}
+	res, err := f.Query("SELECT COUNT(*), SUM(v) FROM kv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rows[0][0].Int() != 30 || res.Rows[0][1].Int() != 29*30/2 {
+		t.Fatalf("follower across its primary's restart holds %v, want [30 %d]", res.Rows, 29*30/2)
 	}
 	if err := f.Stop(); err != nil {
 		t.Fatal(err)
@@ -386,21 +373,64 @@ func TestDurableFollowerAcrossPrimaryRestart(t *testing.T) {
 	}
 	f = follow()
 	defer f.Stop()
-	time.Sleep(5 * heartbeat)
-	err := f.Err()
+	err = waitErr(t, f)
 	if !errors.Is(err, wal.ErrShipGap) || strings.Contains(err.Error(), "diverges") {
 		t.Fatalf("follower restarted behind its primary's checkpoint: err %v, want a gap", err)
 	}
-	if f.Promoted() || promotions.Load() != 0 {
-		t.Fatalf("follower behind a gap promoted itself (%d calls) while its primary serves", promotions.Load())
+	if f.Promoted() {
+		t.Fatal("follower behind a gap promoted itself while its primary serves")
 	}
 }
 
-// TestFollowerAutoPromoteOverWire kills the primary under a heartbeat-armed
-// follower: the fetch failures trip auto-promotion, ClearFollower flips the
-// replica server to primary dispatch, and the promoted node serves both the
-// replicated history and new writes.
-func TestFollowerAutoPromoteOverWire(t *testing.T) {
+// waitApplied waits until f has applied the log up to lsn, with its
+// error nil all along; the deadline only bounds a failure.
+func waitApplied(t *testing.T, f *core.Follower, lsn uint64) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); f.Applied() < lsn; time.Sleep(time.Millisecond) {
+		if err := f.Err(); err != nil {
+			t.Fatalf("follower at LSN %d of %d: %v", f.Applied(), lsn, err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("follower at LSN %d, want %d", f.Applied(), lsn)
+		}
+	}
+	if f.Promoted() {
+		t.Fatal("follower promoted itself")
+	}
+}
+
+// waitErr waits until f reports its sticky error and returns it.
+func waitErr(t *testing.T, f *core.Follower) error {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); f.Err() == nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower at LSN %d reports no error", f.Applied())
+		}
+	}
+	return f.Err()
+}
+
+// statValue reads one integer row of a store's stats.
+func statValue(t *testing.T, st *core.Store, name string) int64 {
+	t.Helper()
+	for _, r := range st.StatsResult().Rows {
+		if r[0].Str() == name {
+			v, err := strconv.ParseInt(r[1].Str(), 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("no stats row %s", name)
+	return 0
+}
+
+// TestFollowerPromotesByStatementOverWire kills the primary under a
+// follower, which goes on re-dialing and never promotes itself. ALTER
+// SYSTEM PROMOTE sent to the follower's server promotes it, and the same
+// connection then takes writes and reads the replicated history with them.
+func TestFollowerPromotesByStatementOverWire(t *testing.T) {
 	const parts = 2
 	st := durableKV(t, t.TempDir(), parts)
 	if err := st.Start(); err != nil {
@@ -418,6 +448,9 @@ func TestFollowerAutoPromoteOverWire(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if _, err := pc.Exec("ALTER SYSTEM PROMOTE"); err == nil || !strings.Contains(err.Error(), "is a primary") {
+		t.Fatalf("ALTER SYSTEM PROMOTE on the primary: err %v", err)
+	}
 	pc.Close()
 
 	src, err := client.DialTCP(srv.Addr())
@@ -425,25 +458,14 @@ func TestFollowerAutoPromoteOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	fst := durableKV(t, "", parts)
-	promoted := make(chan error, 1)
-	var fsrv *Server
-	f, err := core.NewFollower(fst, src, core.FollowerOpts{
-		HeartbeatTimeout: 100 * time.Millisecond,
-		OnPromote: func(_ *core.Store, err error) {
-			if err == nil {
-				fsrv.ClearFollower()
-			}
-			promoted <- err
-		},
-	})
+	f, err := core.NewFollower(durableKV(t, "", parts), src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Run(); err != nil {
 		t.Fatal(err)
 	}
-	fsrv = NewFollower(f)
+	fsrv := NewFollower(f)
 	listen(t, fsrv)
 	t.Cleanup(fsrv.Close)
 
@@ -453,33 +475,47 @@ func TestFollowerAutoPromoteOverWire(t *testing.T) {
 	}
 	defer fc.Close()
 	waitCount(t, fc, 50)
+	if _, err := fc.Exec("ALTER SYSTEM PARTITIONS 4"); err == nil || !strings.Contains(err.Error(), "read-only replica") {
+		t.Fatalf("another system statement on the follower: err %v", err)
+	}
 
-	// Primary dies. The follower's fetches now fail until the heartbeat
-	// window elapses and it takes over.
+	// The primary dies. The follower's fetches fail, and it waits for the
+	// operator.
+	lsn := st.LSN()
 	srv.Close()
 	if err := st.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case err := <-promoted:
-		if err != nil {
-			t.Fatalf("auto-promotion failed: %v", err)
+	for deadline := time.Now().Add(10 * time.Second); statValue(t, f.Store(), "repl_fetch_errors") < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the follower's fetches from a dead primary never failed")
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("auto-promotion never fired")
+	}
+	if f.Promoted() || f.Err() != nil {
+		t.Fatalf("follower of a dead primary: promoted %v, err %v", f.Promoted(), f.Err())
+	}
+	resp, err := fc.Exec("ALTER SYSTEM PROMOTE")
+	if err != nil {
+		t.Fatalf("ALTER SYSTEM PROMOTE: %v", err)
+	}
+	if !f.Promoted() || resp.Rows[0][0].Int() != int64(lsn) {
+		t.Fatalf("promoted %v at LSN %v, want LSN %d", f.Promoted(), resp.Rows, lsn)
 	}
 	t.Cleanup(func() { f.Store().Stop() })
 
-	// The same server (and even the same connection) now accepts writes.
+	// The same connection now accepts writes.
 	if _, err := fc.Call("put", types.NewInt(500), types.NewInt(1)); err != nil {
 		t.Fatalf("write after promotion: %v", err)
 	}
-	resp, err := fc.Query("SELECT COUNT(*), SUM(v) FROM kv")
+	resp, err = fc.Query("SELECT COUNT(*), SUM(v) FROM kv")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Rows[0][0].Int() != 51 || resp.Rows[0][1].Int() != 51 {
 		t.Fatalf("promoted state: %v", resp.Rows)
+	}
+	if _, err := fc.Query("ALTER SYSTEM PROMOTE"); err == nil || !strings.Contains(err.Error(), "already promoted") {
+		t.Fatalf("ALTER SYSTEM PROMOTE on the promoted node: err %v", err)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"log"
 	"net"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/pe"
@@ -25,10 +24,9 @@ type Server struct {
 	st *core.Store
 	ln net.Listener
 
-	// fol, when set, puts the server in read-replica mode: queries are
-	// served by the follower, writes are rejected, and ClearFollower (after
-	// promotion) atomically switches the server to full primary dispatch.
-	fol atomic.Pointer[core.Follower]
+	// fol, when set and not yet promoted, puts the server in read-replica
+	// mode: queries are served by the follower, writes are rejected.
+	fol *core.Follower
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -59,18 +57,14 @@ func New(st *core.Store) *Server {
 }
 
 // NewFollower creates a server in read-replica mode: reads are served by
-// the follower's replayed state, writes are rejected. After the follower
-// promotes, call ClearFollower to switch live connections to full primary
-// dispatch of the promoted store.
+// the follower's replayed state, and writes are rejected until ALTER
+// SYSTEM PROMOTE (or Follower.Promote) promotes it. Then live connections
+// get full primary dispatch of the promoted store.
 func NewFollower(f *core.Follower) *Server {
 	s := New(f.Store())
-	s.fol.Store(f)
+	s.fol = f
 	return s
 }
-
-// ClearFollower leaves read-replica mode (the follower was promoted; its
-// store — which this server already fronts — is now the primary).
-func (s *Server) ClearFollower() { s.fol.Store(nil) }
 
 // Listen binds addr (e.g. "127.0.0.1:7477") and begins accepting.
 func (s *Server) Listen(addr string) error {
@@ -179,8 +173,20 @@ func (s *Server) serve(conn net.Conn) {
 const respRetain = 64 << 10
 
 func (s *Server) dispatch(req *wire.Request, sess *session) *wire.Response {
-	if f := s.fol.Load(); f != nil {
-		return s.dispatchFollower(req, sess, f)
+	if f := s.fol; f != nil && !f.Promoted() {
+		// A read replica: reads (with per-connection session ordering)
+		// and ALTER SYSTEM PROMOTE go to the follower, liveness and stats
+		// pass, and everything that would mutate state is rejected.
+		switch req.Kind {
+		case wire.MsgQuery, wire.MsgExec:
+			if sess.rs == nil {
+				sess.rs = f.Session()
+			}
+			return result(sess.rs.Query(req.Target, req.Params...))
+		case wire.MsgPing, wire.MsgStats:
+		default:
+			return fail(errors.New("server: this node is a read-only replica (follower mode)"))
+		}
 	}
 	switch req.Kind {
 	case wire.MsgPing:
@@ -248,7 +254,7 @@ func (s *Server) replFetch(req *wire.Request) *wire.Response {
 	if len(req.Params) != 2 || req.Params[0].Type() != types.TypeInt || req.Params[1].Type() != types.TypeInt {
 		return fail(errors.New("server: repl fetch needs BIGINT [afterLSN, maxBytes] parameters"))
 	}
-	batch, err := s.st.ReplicationBatch(uint64(req.Params[0].Int()), int(req.Params[1].Int()))
+	batch, err := s.st.FetchBatch(uint64(req.Params[0].Int()), int(req.Params[1].Int()))
 	if err != nil {
 		return fail(err)
 	}
@@ -259,23 +265,4 @@ func (s *Server) replFetch(req *wire.Request) *wire.Response {
 	}
 	return &wire.Response{Kind: wire.MsgResult, Columns: []string{"lsn", "payload"},
 		Rows: rows, RowsAffected: int64(len(batch.Frames))}
-}
-
-// dispatchFollower serves a connection while the server fronts a read
-// replica: liveness, reads (with per-connection session ordering), and
-// stats pass through; everything that would mutate state is rejected.
-func (s *Server) dispatchFollower(req *wire.Request, sess *session, f *core.Follower) *wire.Response {
-	switch req.Kind {
-	case wire.MsgPing:
-		return &wire.Response{Kind: wire.MsgPong}
-	case wire.MsgQuery:
-		if sess.rs == nil {
-			sess.rs = f.Session()
-		}
-		return result(sess.rs.Query(req.Target, req.Params...))
-	case wire.MsgStats:
-		return result(f.Store().StatsResult(), nil)
-	default:
-		return fail(errors.New("server: this node is a read-only replica (follower mode)"))
-	}
 }
