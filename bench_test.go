@@ -256,10 +256,10 @@ func BenchmarkE10Rebalance(b *testing.B) {
 // group-commit store. single: a routed procedure whose rows share the
 // partition key. multi: a coordinated transaction whose rows hash
 // independently, so usually onto two partitions (2PC). The multi mode
-// reports how many PREPARE and DECIDE records each fsync covered. The
+// reports how many coordinated-commit records each fsync covered. The
 // oracle counts: every acked pair is stored, every multi transaction is
-// one coordinated commit, and the PREPARE fsyncs account for exactly the
-// PREPARE records in the logs.
+// one coordinated commit that logs one record, and the batches' records
+// (prepare_batch_mean × batches) are exactly the records in the log.
 func BenchmarkE11MPCommit(b *testing.B) {
 	const txns, partitions = 2000, 4
 	for _, mode := range []string{"single", "multi"} {
@@ -280,7 +280,7 @@ func BenchmarkE11MPCommit(b *testing.B) {
 					b.Fatal(err)
 				}
 				snap := st.Metrics().Snapshot() // after Stop: every fsync's batch is counted
-				prepares, err := countPrepares(dir)
+				records, err := countCoordCommits(dir)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -293,18 +293,17 @@ func BenchmarkE11MPCommit(b *testing.B) {
 					b.Fatalf("%d rows stored, want %d", stored, 2*txns)
 				case snap[metrics.MPTxns] != wantMP:
 					b.Fatalf("mp_txns %d, want %d", snap[metrics.MPTxns], wantMP)
-				case mode == "multi" && prepares == 0:
-					b.Fatal("no PREPARE record logged")
-				case int64(math.Round(float64(snap[metrics.MPPrepareBatches])*snap.Mean(metrics.MPPrepareBatchMean))) != prepares:
-					b.Fatalf("%d prepare fsyncs of mean %.2f, but %d PREPARE records logged",
-						snap[metrics.MPPrepareBatches], snap.Mean(metrics.MPPrepareBatchMean), prepares)
+				case records != wantMP:
+					b.Fatalf("%d coordinated-commit records logged, want %d", records, wantMP)
+				case int64(math.Round(float64(snap[metrics.MPPrepareBatches])*snap.Mean(metrics.MPPrepareBatchMean))) != records:
+					b.Fatalf("%d fsyncs of mean %.2f coordinated commits, but %d records logged",
+						snap[metrics.MPPrepareBatches], snap.Mean(metrics.MPPrepareBatchMean), records)
 				}
 				b.ReportMetric(float64(txns)/elapsed.Seconds(), "txns/s")
 				reportLatency(b, "", lats)
 				if mode == "multi" {
 					b.ReportMetric(snap.Mean(metrics.MPPrepareBatchMean), "prepare_batch_mean")
-					b.ReportMetric(float64(snap.Duration(metrics.MPVoteWaitP50).Microseconds()), "mp_vote_wait_p50-us")
-					b.ReportMetric(float64(snap.Duration(metrics.MPMarkerWaitP50).Microseconds()), "mp_marker_wait_p50-us")
+					b.ReportMetric(float64(snap.Duration(metrics.MPDurableWaitP50).Microseconds()), "mp_durable_wait_p50-us")
 				}
 			}
 		})
@@ -355,14 +354,14 @@ func putPairMP(st *core.Store, i int64, txns int) error {
 	})
 }
 
-// countPrepares counts the PREPARE records in a stopped store's log, each
-// record behind its partition tag (a uvarint).
-func countPrepares(dir string) (int64, error) {
+// countCoordCommits counts the coordinated-commit records in a stopped
+// store's log, each record behind its partition tag (a uvarint).
+func countCoordCommits(dir string) (int64, error) {
 	var n int64
 	_, err := wal.ScanLog(wal.LogPath(dir), func(_ uint64, payload []byte) error {
 		_, tag := binary.Uvarint(payload)
 		rec, err := wal.DecodeRecord(payload[max(tag, 0):])
-		if err == nil && rec.Kind == pe.RecPrepare {
+		if err == nil && rec.Kind == pe.RecCoordCommit {
 			n++
 		}
 		return err

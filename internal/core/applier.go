@@ -17,47 +17,45 @@ import (
 // a socket, or partition 0's tables:
 //
 //	fold    every record of the log updates the state table below;
-//	apply   a record is replayed into the partition it is tagged with,
-//	        consulting the table for 2PC legs;
+//	apply   a record is replayed into the partition it is tagged with, a
+//	        coordinated commit into each of its legs' partitions;
 //	finish  the endgame once no more records can arrive;
-//	seed    new rows enter a stopped partition as a decided prepared leg.
+//	seed    new rows enter a stopped partition as a coordinated commit.
 //
-// The feeds differ only in when they know the stream has ended. Recovery
-// folds the whole log before applying anything, so every decision that
-// will ever exist is already in the table (final). A follower folds and
-// applies as frames arrive, and the pipelined commit path releases a
-// transaction's partition slots before its markers append, so records of
-// successor transactions can precede a RecDecide in the log: a follower
-// must never infer an abort from what follows an unresolved RecPrepare. It
-// stalls that partition's records instead, the other partitions' applying
-// past them, and only promotion — when no decision can ever arrive —
-// presumes the leg aborted, and logs it (finish), as recovery does.
+// A coordinated commit is one record, so every record applies as it
+// arrives: a follower never waits for a decision. Only the two-phase
+// records earlier versions wrote (a PREPARE per leg, decided by a DECIDE
+// marker or a slot commit that may come later) need the whole log folded
+// before a leg applies, and only crash recovery reads them, whose log is
+// final: an undecided leg is dropped, and Recover checkpoints after
+// replaying any of them, so they never reach a follower. A follower that
+// meets one stops and must be re-seeded.
 
 // applier is the state table plus the store it applies into. It is owned by
 // one goroutine at a time (Recover's caller, or a follower's apply loop and
 // then its promoter); nothing in it is shared with the partition engines.
 type applier struct {
 	st *Store
-	// decisions holds the transaction ids with a durable decision, true for
-	// commit: a RecDecide marker under any partition (a coordinator appends
-	// a commit marker per writing leg once every vote is durable, so the
-	// first one decides; finish logs presumed aborts), or a RecSlotCommit,
-	// the decision for a migration's prepared leg. Absent = in doubt.
+	// decisions holds the ids of the earlier versions' two-phase
+	// transactions with a durable decision, true for commit: a RecDecide
+	// marker under any partition, or a RecSlotCommit. Absent = undecided,
+	// which recovery takes for aborted.
 	decisions map[uint64]bool
-	presumed  map[int][]*pe.LogRecord // per partition: the aborts finish logs for dropped legs
-	// slotMoves maps a committed slot-migration leg to its commit record. A
-	// migration with no commit record is not in it: its source copy stays
-	// authoritative.
+	// slotMoves maps each slot move's transaction id to its record (a
+	// RecCoordCommit with Move, or an earlier RecSlotCommit). An aborted
+	// move logged nothing: its source copy stays authoritative.
 	slotMoves map[uint64]*pe.LogRecord
 	// snaps are the partitions' snapshots (recovery's file feed): a record
 	// at or below its partition's LastLSN is covered.
 	snaps []wal.Snapshot
 	// paused is the set of dataflows with a pause record and no later resume.
 	paused map[string]bool
-	// maxMP is the largest 2PC transaction id seen in any stream. The store's
-	// id counter restarts above it so a new decision can never resurrect an
-	// old in-doubt leg.
+	// maxMP is the largest coordinated transaction id seen in any stream.
+	// The store's id counter restarts above it.
 	maxMP uint64
+	// twoPhase counts the earlier versions' two-phase records applied past
+	// the snapshots; Recover checkpoints when there were any.
+	twoPhase int
 	// replayed counts records executed through pe.Replay (a follower reports
 	// it as repl_records_applied).
 	replayed int64
@@ -74,7 +72,6 @@ func newApplier(s *Store) *applier {
 		st:        s,
 		decisions: make(map[uint64]bool),
 		slotMoves: make(map[uint64]*pe.LogRecord),
-		presumed:  make(map[int][]*pe.LogRecord),
 		paused:    make(map[string]bool),
 	}
 }
@@ -83,12 +80,23 @@ func newApplier(s *Store) *applier {
 // a divergence: the stream describes a store this one cannot become.
 func (a *applier) fold(rec *pe.LogRecord) error {
 	switch rec.Kind {
+	case pe.RecCoordCommit:
+		for _, leg := range rec.Legs {
+			if err := a.hasPart(uint64(leg.Part)); err != nil {
+				return err
+			}
+		}
+		if rec.Move {
+			if err := a.hasPart(uint64(rec.FromPart)); err != nil {
+				return err
+			}
+			a.slotMoves[rec.MPTxnID] = rec
+		}
 	case pe.RecDecide:
 		a.decisions[rec.MPTxnID] = a.decisions[rec.MPTxnID] || rec.Commit
 	case pe.RecSlotCommit:
-		if n := a.st.NumPartitions(); rec.ToPart >= n {
-			return fmt.Errorf("core: the log moves slot %d to partition %d, but this store has %d partitions; "+
-				"open it with Partitions: %d or more", rec.Slot, rec.ToPart, n, rec.ToPart+1)
+		if err := a.hasPart(uint64(rec.ToPart)); err != nil {
+			return err
 		}
 		a.decisions[rec.MPTxnID] = true
 		a.slotMoves[rec.MPTxnID] = rec
@@ -109,9 +117,11 @@ func (a *applier) fold(rec *pe.LogRecord) error {
 func (a *applier) entry(payload []byte, part int) (int, *pe.LogRecord, error) {
 	if part < 0 {
 		tag, n := binary.Uvarint(payload)
-		if n <= 0 || tag >= uint64(a.st.NumPartitions()) {
-			return 0, nil, fmt.Errorf("core: the log holds a record of partition %d, but this store has %d partitions; "+
-				"open it with Partitions: %d or more", tag, a.st.NumPartitions(), tag+1)
+		if n <= 0 {
+			return 0, nil, fmt.Errorf("core: a log record has no partition tag")
+		}
+		if err := a.hasPart(tag); err != nil {
+			return 0, nil, err
 		}
 		part, payload = int(tag), payload[n:]
 	}
@@ -119,10 +129,18 @@ func (a *applier) entry(payload []byte, part int) (int, *pe.LogRecord, error) {
 	return part, rec, err
 }
 
+// hasPart is the divergence of a record that names partition part, which
+// this store does not have; nil if it has it.
+func (a *applier) hasPart(part uint64) error {
+	if n := uint64(a.st.NumPartitions()); part >= n {
+		return fmt.Errorf("core: the log holds a record of partition %d, but this store has %d partitions; "+
+			"open it with Partitions: %d or more", part, n, part+1)
+	}
+	return nil
+}
+
 // foldFile folds every intact record of one log file. A torn tail drops
-// records whose force never completed: a marker lost there belongs to a
-// transaction that was never acknowledged, and presuming it aborted is
-// exactly right unless another leg's marker survived.
+// records whose force never completed, none of which was acknowledged.
 func (a *applier) foldFile(lf logFile) error {
 	_, err := wal.ScanLog(lf.path, func(_ uint64, payload []byte) error {
 		_, rec, err := a.entry(payload, lf.part)
@@ -137,22 +155,19 @@ func (a *applier) foldFile(lf logFile) error {
 	return nil
 }
 
-// replay is the one replay loop: it feeds each record of a log file past
-// its partition's snapshot through strm's pending list, so a stream that
-// is not final keeps what stalls there, as live. strm ends after the
-// file's last record, whose payload it keeps in last, to check the source's
-// frame against (nil and nothing to check if the file holds none).
+// replay is the one replay loop: it applies each record of a log file,
+// folded already, past the snapshots. strm ends after the file's last
+// record, whose payload it keeps in last, to check the source's frame
+// against (nil and nothing to check if the file holds none).
 func (a *applier) replay(lf logFile, strm *replStream, final bool) error {
 	strm.last, strm.check = nil, false
 	_, err := wal.ScanLog(lf.path, func(lsn uint64, payload []byte) error {
 		strm.last, strm.check = append(strm.last[:0], payload...), true
-		strm.fetched = max(strm.fetched, lsn)
 		part, rec, err := a.entry(payload, lf.part)
-		if err != nil || lsn <= a.snaps[part].LastLSN {
-			return err // or already covered by the snapshot
+		if err == nil {
+			err = a.apply(lsn, part, rec, final)
 		}
-		strm.pending = append(strm.pending, pendingRec{lsn: lsn, part: part, rec: rec})
-		_, err = a.drain(strm, final)
+		strm.applied.Store(max(strm.applied.Load(), lsn))
 		return err
 	})
 	if err != nil {
@@ -161,104 +176,118 @@ func (a *applier) replay(lf logFile, strm *replStream, final bool) error {
 	return nil
 }
 
-// drain applies a stream's pending records in log order, each on its own
-// partition. A record that stalls stays pending, and so does every later
-// record of its partition; the other partitions' records apply past it.
-// The stream has applied everything before its first pending record.
-func (a *applier) drain(strm *replStream, final bool) (applied bool, err error) {
-	parts := a.st.partList()
-	var stalled []bool // by partition, made at the first stall
-	kept := strm.pending[:0]
-	for _, pr := range strm.pending {
-		if stalled == nil || !stalled[pr.part] {
-			st, err := a.apply(parts[pr.part], pr.rec, final)
-			if err != nil { // a divergence: the stream is done
-				return applied, fmt.Errorf("core: replay at LSN %d (partition %d): %w", pr.lsn, pr.part, err)
-			}
-			if !st {
-				applied = true
-				continue
-			}
-			if stalled == nil {
-				stalled = make([]bool, len(parts))
-			}
-			stalled[pr.part] = true
-		}
-		kept = append(kept, pr)
-	}
-	clear(strm.pending[len(kept):])
-	strm.pending = kept
-	if len(kept) > 0 {
-		strm.applied.Store(kept[0].lsn - 1)
-	} else {
-		strm.applied.Store(strm.fetched)
-	}
-	return applied, nil
+// covered reports whether partition part's snapshot holds the record at
+// lsn.
+func (a *applier) covered(part int, lsn uint64) bool {
+	return part < len(a.snaps) && lsn <= a.snaps[part].LastLSN
 }
 
-// apply replays one record, already folded, into its partition p. An
-// in-doubt RecPrepare stalls p (nothing applied; retry the same record once
-// more of the stream is folded) unless the stream is final, when the leg is
-// dropped as presumed aborted: p's records behind it executed on the
-// primary without ever reading its unpublished writes, as a leg decided
-// abort is.
-func (a *applier) apply(p *partition, rec *pe.LogRecord, final bool) (stalled bool, err error) {
+// apply replays one record at lsn, already folded, into the partition part
+// it is tagged with, unless that partition's snapshot covers it; a
+// coordinated commit applies each leg its partition's snapshot does not
+// cover. An earlier version's two-phase record applies only on a final
+// stream (recovery); a follower stops on it. The error is a divergence.
+func (a *applier) apply(lsn uint64, part int, rec *pe.LogRecord, final bool) error {
 	switch rec.Kind {
-	case pe.RecDecide, pe.RecPauseGraph, pe.RecResumeGraph:
-		return false, nil // folded on arrival; applies nothing
-	case pe.RecSlotCommit:
-		// Folded on arrival. Nothing the source logs after its copy of
-		// this record touches the slot, so the source's rows of it go now:
-		// a follower then holds them on one partition, not two until
-		// promotion.
-		if rec.FromPart == p.idx {
-			if err := evictSlots(migratedRels(p.cat), func(s int) bool { return s == rec.Slot }); err != nil {
-				return false, fmt.Errorf("core: replay of slot %d's move off partition %d: %w", rec.Slot, p.idx, err)
+	case pe.RecCoordCommit:
+		return a.applyCommit(lsn, rec)
+	case pe.RecPauseGraph, pe.RecResumeGraph:
+		return nil // folded on arrival; applies nothing
+	}
+	if a.covered(part, lsn) {
+		return nil
+	}
+	p := a.st.partList()[part]
+	switch rec.Kind {
+	case pe.RecPrepare, pe.RecDecide, pe.RecSlotCommit:
+		if !final {
+			return fmt.Errorf("core: the log holds a two-phase record (kind %d, LSN %d) an earlier version wrote, "+
+				"which a follower cannot apply: re-seed the follower", rec.Kind, lsn)
+		}
+		a.twoPhase++
+		return a.applyTwoPhase(p, rec)
+	}
+	a.replayed++
+	if err := p.pe.Replay(rec); err != nil {
+		return fmt.Errorf("core: replay at LSN %d (partition %d): %w", lsn, part, err)
+	}
+	return nil
+}
+
+// applyCommit replays a coordinated commit's legs, each on its partition
+// unless its snapshot covers the record. A slot move's leg is the slot's
+// complete content at the cutover: the destination first drops the rows of
+// the slot it holds from an earlier ownership, which its own records
+// re-created, and the source drops the slot's rows last — nothing it logs
+// after the move touches the slot.
+func (a *applier) applyCommit(lsn uint64, rec *pe.LogRecord) error {
+	parts := a.st.partList()
+	a.replayed++
+	for _, leg := range rec.Legs {
+		if a.covered(leg.Part, lsn) {
+			continue
+		}
+		p := parts[leg.Part]
+		if rec.Move {
+			if err := evictSlot(p, rec.Slot); err != nil {
+				return err
 			}
-			p.cat.Clock().Publish()
 		}
-		return false, nil
-	case pe.RecPrepare:
-		commit, decided := a.decisions[rec.MPTxnID]
-		if !decided && final {
-			a.presumed[p.idx] = append(a.presumed[p.idx], &pe.LogRecord{Kind: pe.RecDecide, MPTxnID: rec.MPTxnID})
+		if err := p.pe.Replay(legRecord(rec, leg)); err != nil {
+			return fmt.Errorf("core: replay at LSN %d (partition %d): %w", lsn, leg.Part, err)
 		}
-		if !commit {
-			return !decided && !final, nil
-		}
-		// A slot-move leg is the complete authoritative content of its slot
-		// at cutover time. A partition can re-own a slot it held in an
-		// earlier epoch, and its own records then re-create the slot's rows
-		// before the incoming leg replays: evict those stale copies first
-		// (the leg may even be empty — every row of the slot died while it
-		// lived elsewhere).
-		if mv, ok := a.slotMoves[rec.MPTxnID]; ok {
-			if err := evictSlots(migratedRels(p.cat), func(s int) bool { return s == mv.Slot }); err != nil {
-				return false, fmt.Errorf("core: replay of slot-move leg %d (slot %d): %w", rec.MPTxnID, mv.Slot, err)
-			}
+	}
+	if rec.Move && !a.covered(rec.FromPart, lsn) {
+		return evictSlot(parts[rec.FromPart], rec.Slot)
+	}
+	return nil
+}
+
+// legRecord is what pe.Replay is handed for one leg of rec.
+func legRecord(rec *pe.LogRecord, leg pe.Leg) *pe.LogRecord {
+	return &pe.LogRecord{Kind: pe.RecCoordCommit, Proc: rec.Proc, MPTxnID: rec.MPTxnID, Ops: leg.Ops}
+}
+
+// applyTwoPhase replays one of an earlier version's two-phase records at
+// recovery, with the whole log folded: a prepared leg applies if a decision
+// committed it and is dropped if none did, a slot-move leg as applyCommit's
+// does, and the source's copy of a slot commit drops the slot's rows.
+func (a *applier) applyTwoPhase(p *partition, rec *pe.LogRecord) error {
+	switch {
+	case rec.Kind == pe.RecSlotCommit && rec.FromPart == p.idx:
+		return evictSlot(p, rec.Slot)
+	case rec.Kind != pe.RecPrepare || !a.decisions[rec.MPTxnID]:
+		return nil
+	}
+	if mv, ok := a.slotMoves[rec.MPTxnID]; ok {
+		if err := evictSlot(p, mv.Slot); err != nil {
+			return err
 		}
 	}
 	a.replayed++
-	return false, p.pe.Replay(rec)
+	return p.pe.Replay(rec)
+}
+
+// evictSlot drops partition p's rows of slot and publishes the deletions.
+func evictSlot(p *partition, slot int) error {
+	if err := evictSlots(migratedRels(p.cat), func(s int) bool { return s == slot }); err != nil {
+		return fmt.Errorf("core: replay of slot %d's move (partition %d): %w", slot, p.idx, err)
+	}
+	p.cat.Clock().Publish()
+	return nil
 }
 
 // finish is the endgame shared by crash recovery and promotion, run once
-// every stream has been applied with final set. First each partition runs
-// the re-derived executions replay still holds (LogAllTEs: their own
-// records never arrived), so every surviving border batch ends applied or
-// aborted in both modes. The replayed log resurrects the source copies of committed slot migrations — the cutover's source deletions are
-// in-memory only; the slot-commit record is what makes them durable, and
-// the source's own copy of it is not forced — so each committed slot's
-// rows are evicted from every partition but its owner, and only for slots
-// with a commit record: an aborted migration's source copy is the
-// authoritative one. A slot's owner is the destination of its committed
-// move with the largest id: ids only grow, across restarts too, and one
-// slot's moves are logged under different partitions. Then the slots route to their
-// migrated owners, the replayed state is published to snapshot readers,
-// graphs paused in the log stay paused, and the 2PC id counter restarts
-// above everything the log has seen. Last, each presumed abort is forced
-// under its leg's partition before Start; a crash first leaves the leg in
-// doubt.
+// every record has been applied. First each partition runs the re-derived
+// executions replay still holds (LogAllTEs: their own records never
+// arrived), so every surviving border batch ends applied or aborted in both
+// modes. Then each moved slot's rows are evicted from every partition but
+// its owner: a slot's owner is the destination of its move with the largest
+// id (ids only grow, across restarts too), and a recovery-time move can
+// leave the slot's rows on several sources. Then the slots route to their
+// owners, the replayed state is published to snapshot readers, graphs
+// paused in the log stay paused, and the id counter restarts above
+// everything the log has seen.
 func (a *applier) finish() error {
 	s := a.st
 	for _, p := range s.partList() {
@@ -289,17 +318,7 @@ func (a *applier) finish() error {
 		p.cat.Clock().Publish()
 	}
 	s.nextMPTxnID.Store(a.maxMP)
-	if err := s.restorePausedGraphs(a.paused); err != nil {
-		return err
-	}
-	for _, p := range s.partList() {
-		if recs := a.presumed[p.idx]; len(recs) > 0 {
-			if err := p.force(recs...); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return s.restorePausedGraphs(a.paused)
 }
 
 // evictSlots deletes every row of rels whose routing slot satisfies drop.
@@ -326,21 +345,19 @@ func evictSlots(rels []*catalog.Relation, drop func(slot int) bool) error {
 }
 
 // installLeg is the seed feed: it puts ops onto a stopped partition the way
-// a coordinated write would have — a prepared leg and the record that
-// decides it (a seed's RecDecide marker or a recovery-time slot move's
-// RecSlotCommit; its MPTxnID is assigned here) forced together under the
-// partition, then the leg's replay — so a crash right after recovers the
-// rows from the log instead of having to re-detect that they are
-// missing. The leg names AdHocProc, as a live migration's does: rows it
-// moves into a stream start no PE trigger. On a non-durable store only the
-// replay happens.
-func (s *Store) installLeg(p *partition, ops []pe.LoggedOp, decision *pe.LogRecord) error {
-	decision.MPTxnID = s.nextMPTxnID.Add(1)
-	leg := &pe.LogRecord{Kind: pe.RecPrepare, Proc: pe.AdHocProc, MPTxnID: decision.MPTxnID, Ops: ops}
-	if err := p.force(leg, decision); err != nil {
+// a coordinated write would have — one coordinated-commit record, its
+// MPTxnID assigned here, forced, then the leg's replay — so a crash right
+// after recovers the rows from the log instead of having to re-detect that
+// they are missing. rec carries the one leg, p's, and for a recovery-time
+// slot move the move. The record names AdHocProc, as a live migration's
+// does: rows it moves into a stream start no PE trigger. On a non-durable
+// store only the replay happens.
+func (s *Store) installLeg(p *partition, rec *pe.LogRecord) error {
+	rec.Kind, rec.Proc, rec.MPTxnID = pe.RecCoordCommit, pe.AdHocProc, s.nextMPTxnID.Add(1)
+	if err := p.force(rec); err != nil {
 		return err
 	}
-	return p.pe.Replay(leg)
+	return p.pe.Replay(legRecord(rec, rec.Legs[0]))
 }
 
 // seedReplicated copies partition 0's replicated tables onto p where p's
@@ -364,5 +381,5 @@ func (s *Store) seedReplicated(p *partition) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	return s.installLeg(p, ops, &pe.LogRecord{Kind: pe.RecDecide, Commit: true})
+	return s.installLeg(p, &pe.LogRecord{Legs: []pe.Leg{{Part: p.idx, Ops: ops}}})
 }

@@ -101,12 +101,6 @@ type partition struct {
 	// partition sets run concurrently where the old global mpMu serialized
 	// them store-wide.
 	mpSlot sync.Mutex
-	// specTail is the most recent coordinated transaction that published
-	// its writes on this partition while its durability was still settling
-	// (pipelined 2PC — see mpOutcome in txncoord.go). Commits that follow
-	// it on this partition chain their client acks on it; nil once the
-	// outcome resolved.
-	specTail atomic.Pointer[mpOutcome]
 }
 
 // encodeEntry is the payload of rec in the store's log: the partition it
@@ -116,59 +110,33 @@ func encodeEntry(part int, rec *pe.LogRecord) []byte {
 }
 
 // Append implements pe.Logger: serialize the record under this partition's
-// tag and append it to the store's log. A waited record returns the commit future the
-// client is acknowledged on. A record nobody waits on (a border or
-// triggered batch) is buffered, counted and returns no future, so there is
-// nothing to chain on specTail either: no client ack to hold back.
-//
-// When a pipelined coordinated transaction has published on this partition
-// but is not yet durable (specTail), an ordinary commit's future is chained
-// on that outcome too: this commit may have read the predecessor's state,
-// so its client must not be acknowledged before the predecessor is safe.
-// The 2PC protocol's own records (PREPARE votes, DECIDE markers) are exempt
-// — their ordering is the coordinator's business, and chaining a
-// transaction's marker on its own outcome would deadlock.
+// tag and append it to the store's log. A waited record returns the commit
+// future the client is acknowledged on. It resolves only once every earlier
+// record is durable too, so a commit that read a coordinated write's
+// published state, whose record was appended first, is acknowledged only
+// once that write is durable, and fails if it failed (txncoord.go). A
+// record nobody waits on (a border or triggered batch) is buffered, counted
+// and returns no future.
 func (p *partition) Append(rec *pe.LogRecord, waited bool) (<-chan error, error) {
 	log := p.st.log
-	if rec.Kind == pe.RecPrepare && log.GroupCommit() {
-		p.st.pendPrep.Add(1)
+	if rec.Kind == pe.RecCoordCommit && log.GroupCommit() {
+		p.st.pendCoord.Add(1)
 	}
 	payload := encodeEntry(p.idx, rec)
-	if !waited {
-		if _, err := log.AppendUnwaited(payload); err != nil {
-			p.st.fail(err)
-			return nil, err
-		}
-		p.st.met.ObserveLogged(len(payload))
-		p.st.met.Add(metrics.WalUnwaitedRecords, 1)
-		return nil, nil
+	var ack <-chan error
+	var err error
+	if waited {
+		_, ack, err = log.AppendAsync(payload)
+	} else {
+		_, err = log.AppendUnwaited(payload)
 	}
-	_, ack, err := log.AppendAsync(payload)
 	if err != nil {
 		p.st.fail(err)
 		return nil, err
 	}
 	p.st.met.ObserveLogged(len(payload))
-	if rec.Kind != pe.RecPrepare && rec.Kind != pe.RecDecide {
-		if tail := p.specTail.Load(); tail != nil {
-			select {
-			case <-tail.done:
-				if tail.err == nil {
-					return ack, nil // already settled cleanly: no chaining needed
-				}
-			default:
-			}
-			chained := make(chan error, 1)
-			go func() {
-				<-tail.done
-				err := <-ack
-				if tail.err != nil && err == nil {
-					err = fmt.Errorf("core: commit read state of an mp txn whose durability failed: %w", tail.err)
-				}
-				chained <- err
-			}()
-			return chained, nil
-		}
+	if !waited {
+		p.st.met.Add(metrics.WalUnwaitedRecords, 1)
 	}
 	return ack, nil
 }
@@ -191,13 +159,11 @@ func (p *partition) LogFailed(err error) { p.st.fail(err) }
 
 // force appends recs and returns once they, and everything logged before
 // them, are on stable storage, under every sync policy: a write-ahead
-// force, not a commit ack. The records are
-// appended un-waited and one fsync covers them all (SyncEveryRecord also
-// syncs each append); with no record and nothing pending it syncs nothing. A seed's or slot migration's prepared leg and the
-// record that decides it go through here together, so the decision is
-// durable only with its leg, and so do pause and resume records. None of
-// them acknowledges a client, so none is chained on specTail. A no-op on a
-// store without a log (a volatile store).
+// force, not a commit ack. The records are appended un-waited and one
+// fsync covers them all (SyncEveryRecord also syncs each append); with no
+// record and nothing pending it syncs nothing. A seed's or a slot move's
+// commit record goes through here, and so do pause and resume records. A
+// no-op on a store without a log (a volatile store).
 func (p *partition) force(recs ...*pe.LogRecord) error {
 	if p.st.log == nil {
 		return nil
@@ -217,7 +183,7 @@ func (p *partition) force(recs ...*pe.LogRecord) error {
 // openLog opens the store's log for appending after lastLSN, under the
 // store's sync policy. Every group-commit fsync feeds the fsync counters
 // (the records it made durable, its duration and whether it waited out the
-// sync period) and the PREPARE batch-size histogram. The caller makes the
+// sync period) and the coordinated-commit batch-size histogram. The caller makes the
 // partitions their engines' commit loggers (a follower logs shipped frames
 // instead, until Promote).
 func (s *Store) openLog(lastLSN uint64) (err error) {
@@ -230,7 +196,7 @@ func (s *Store) openLog(lastLSN uint64) (err error) {
 			}
 			s.met.Add(metrics.WalFsyncRecords, int64(n))
 			s.met.Observe(metrics.FsyncTime, int64(took))
-			if n := s.pendPrep.Swap(0); n > 0 {
+			if n := s.pendCoord.Swap(0); n > 0 {
 				s.met.Observe(metrics.PrepareBatch, n)
 			}
 		},
@@ -279,8 +245,8 @@ type Store struct {
 	// read sees a coordinated write on every partition or on none. Held
 	// only for the acquisition / in-memory publication window — snapshot
 	// reads run concurrently with the rest of the 2PC protocol (fragments,
-	// prepare votes, even the decided legs' durability fsyncs, which
-	// resolve after the lock is released).
+	// votes, even the commit record's fsync, which resolves after the lock
+	// is released).
 	seqMu sync.RWMutex
 	// nextMPTxnID numbers coordinated transactions; recovery restarts it
 	// above every id seen in the log. Atomic: concurrent
@@ -303,11 +269,11 @@ type Store struct {
 	dir *wal.Dir
 	// log is the store's one command log, every partition's records in
 	// one order (nil without Config.Dir, until recovery opens it and after
-	// Stop). pendPrep counts the PREPARE records appended since its
-	// daemon's last fsync, which OnSyncBatch drains into the PrepareBatch
-	// histogram.
-	log      *wal.Log
-	pendPrep atomic.Int64
+	// Stop). pendCoord counts the coordinated-commit records appended since
+	// its daemon's last fsync, which OnSyncBatch drains into the
+	// PrepareBatch histogram.
+	log       *wal.Log
+	pendCoord atomic.Int64
 	// lastCheckpoint is when the last Checkpoint finished (UnixNano; 0:
 	// none since Open).
 	lastCheckpoint atomic.Int64
@@ -382,8 +348,8 @@ func (s *Store) newPartition(idx int) *partition {
 }
 
 // Err is nil while the store serves, else the first durability failure (a
-// log write, commit future, vote, decision or pause record not made
-// durable; on a follower, its divergence). The memory may then hold what
+// log write, commit future or pause record not made durable; on a
+// follower, its divergence). The memory may then hold what
 // the logs do not, so every read and write is refused with it until a
 // restart recovers from the logs (fail-stop; DESIGN.md §1.4).
 func (s *Store) Err() error {
@@ -608,7 +574,8 @@ type logFile struct {
 // the intact records of the directory's log, and finish as a promoted
 // follower would. A directory of the earlier layout is recovered from its
 // logs, then checkpointed, and the old logs removed, before Recover
-// returns. Must run after DDL + procedure registration and before Start.
+// returns; so is a log that holds the two-phase records earlier versions
+// wrote. Must run after DDL + procedure registration and before Start.
 func (s *Store) Recover() error {
 	if s.cfg.Dir == "" || s.recovered {
 		return nil
@@ -637,24 +604,24 @@ func (s *Store) replayDir(ap *applier, logs []logFile, strm *replStream, final b
 	for i, p := range s.partList() {
 		p.pe.SetNextBatchID(ap.snaps[i].NextBatchID)
 		p.pe.Restore(ap.snaps[i].Records)
-		strm.fetched = max(strm.fetched, ap.snaps[i].LastLSN)
+		strm.applied.Store(max(strm.applied.Load(), ap.snaps[i].LastLSN))
 	}
 	for _, lf := range logs {
 		if err := ap.replay(lf, strm, final); err != nil {
 			return err
 		}
 	}
-	return s.openLog(strm.fetched)
+	return s.openLog(strm.applied.Load())
 }
 
 // loadDir is recovery's first pass, which replays nothing: check the
 // directory's partition-count stamp, load every snapshot and fold every
-// log record before any partition replays, so the decision table is
-// complete (a transaction's commit record is a marker that may follow
-// records of its successors) and a final replay can treat an undecided
-// PREPARE as aborted for good. A snapshot's pause records are the state
-// the log's dropped prefix ended in, so they fold before the log. It
-// returns the logs to replay: the earlier layout's it finds, then the
+// log record before any partition replays, so the decision table of an
+// earlier version's two-phase records is complete (a transaction's commit
+// marker may follow records of its successors) and a final replay can treat
+// an undecided PREPARE as aborted for good. A snapshot's pause records are
+// the state the log's dropped prefix ended in, so they fold before the log.
+// It returns the logs to replay: the earlier layout's it finds, then the
 // store's, which opened above all their LSNs. A retry loads the snapshots
 // again.
 func (s *Store) loadDir() (*applier, []logFile, error) {
@@ -709,7 +676,8 @@ func (s *Store) loadDir() (*applier, []logFile, error) {
 // passes only recovery needs because only it can meet partitions the log
 // never wrote to. Last, a directory of the earlier layout is checkpointed
 // and its logs removed, so the store appends to its one log beside no
-// other.
+// other, and a log with two-phase records is checkpointed, so no follower
+// is shipped one.
 func (s *Store) recoverFrom(ap *applier, logs []logFile) error {
 	if err := s.replayDir(ap, logs, &replStream{}, true); err != nil {
 		return err
@@ -732,13 +700,13 @@ func (s *Store) recoverFrom(ap *applier, logs []logFile) error {
 	// partition count lives elsewhere. This is what turns reopening with a
 	// larger Partitions into a recovery-time rebalance: rows sit wherever the
 	// old count (or an interrupted migration) left them, and every move is
-	// made durable through the same prepared-leg + slot-commit records a live
-	// migration writes before the source copies are dropped from memory.
+	// made durable through the same one record a live migration writes
+	// before the source copies are dropped from memory.
 	if err := s.rehomeMisplacedRows(); err != nil {
 		return err
 	}
 	s.slots.Store(catalog.NewSlotTable(len(s.partList())))
-	if len(logs) == 1 {
+	if len(logs) == 1 && ap.twoPhase == 0 {
 		return nil
 	}
 	if err := s.checkpoint(func(cut func() error) error { return cut() }); err != nil {
@@ -883,11 +851,10 @@ func (s *Store) rehomeMisplacedRows() error {
 		for _, name := range names {
 			ops = append(ops, pe.LoggedOp{Table: name, Rows: mv.rows[name]})
 		}
-		// Durability order matches a live migration: the destination's
-		// prepared leg first, then the slot-commit record that decides it.
-		if err := s.installLeg(dst, ops, &pe.LogRecord{
-			Kind: pe.RecSlotCommit, Slot: slot, FromPart: mv.from, ToPart: dst.idx,
-		}); err != nil {
+		// One record, as a live migration's: the destination's leg and
+		// the move.
+		if err := s.installLeg(dst, &pe.LogRecord{Legs: []pe.Leg{{Part: dst.idx, Ops: ops}},
+			Move: true, Slot: slot, FromPart: mv.from, ToPart: dst.idx}); err != nil {
 			return err
 		}
 		s.met.Add(metrics.SlotsMigrated, 1)
@@ -1004,22 +971,14 @@ func (s *Store) checkpoint(barrier func(cut func() error) error) error {
 	var end wal.Pos // the log's end at the cut
 	err := barrier(func() error {
 		parts = s.partList()
-		// The log is durable at the cut, a slot move's two commit records
-		// with it: the one forced under the destination, and the source's
-		// copy, appended after it unforced, on which a follower drops the
-		// source's rows of the slot.
+		// The log is durable at the cut. The barrier holds every
+		// partition's enlistment slot, and a coordinator appends its record
+		// before it publishes and releases its slots only after, so every
+		// coordinated write the snapshots hold has its record before the
+		// cut, and anything still mid-protocol has not applied.
 		if err := parts[0].force(); err != nil {
 			return err
 		}
-		if err := decidePublished(parts); err != nil {
-			return err
-		}
-		// The barrier holds every partition's enlistment slot, and a
-		// coordinator releases its slots only after delivery, so each
-		// delivered transaction is decided by decidePublished above and
-		// anything still mid-protocol has not applied. A coordinator's own
-		// markers may land on either side of the cut; after it they are
-		// dead weight.
 		end = s.log.End()
 		for _, p := range parts {
 			meta := wal.Snapshot{NextBatchID: p.pe.NextBatchID(), LastLSN: end.LSN}

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/crashfs"
+	"repro/internal/metrics"
 	"repro/internal/pe"
 	"repro/internal/types"
 	"repro/internal/wal"
@@ -208,11 +209,12 @@ func putAll(t *testing.T, st *Store, fsys *crashfs.FS, keys []int64) map[int64]s
 	return spans
 }
 
-// TestPresumedAbortCrashPoints crashes a recovery that presumes an in-doubt
-// leg aborted at every point of its own writes (the abort marker it forces
-// into the leg's log), and of the puts the recovered store then acks, in
-// every variant, and recovers each image again: the leg never appears and
-// every acked key does.
+// TestPresumedAbortCrashPoints crashes a recovery that presumes an earlier
+// version's undecided PREPARE aborted at every point of its own writes (the
+// checkpoint it takes after replaying a two-phase record), and of the puts
+// and the coordinated pair the recovered store then acks, in every variant,
+// and recovers each image again: the leg never appears, every acked key
+// does, and the pair is whole or absent.
 func TestPresumedAbortCrashPoints(t *testing.T) {
 	const parts = 2
 	cfg := gcTestConfig(t.TempDir(), parts)
@@ -230,19 +232,15 @@ func TestPresumedAbortCrashPoints(t *testing.T) {
 	st = buildKV(t, cfg)
 	fsys := recordStore(t, st)
 	must(t, st.Start())
-	after := putAll(t, st, fsys, []int64{100, 101, 102, 103})
-	must(t, st.Stop())
-	var aborts int
-	_, err := scanRecords(cfg.Dir, func(_ uint64, part int, rec *pe.LogRecord) error {
-		if part == 0 && rec.Kind == pe.RecDecide && rec.MPTxnID == 99 && !rec.Commit {
-			aborts++
-		}
-		return nil
-	})
-	must(t, err)
-	if aborts != 1 {
-		t.Fatalf("recovery logged %d aborts of the in-doubt leg, want 1", aborts)
+	if n := st.Metrics().Snapshot()[metrics.Checkpoints]; n != 1 {
+		t.Fatalf("recovery of a two-phase record took %d checkpoints, want 1", n)
 	}
+	after := putAll(t, st, fsys, []int64{100, 101, 102, 103})
+	pair := span{begun: fsys.Len()}
+	must(t, mpPutPair(st, pairBase))
+	pair.acked = fsys.Len()
+	after[pairBase], after[pairBase+pairOffset] = pair, pair
+	must(t, st.Stop())
 	eachCrashImage(t, fsys, crashPoints(0, fsys.Len()), func(img string, p int) error {
 		cfg := cfg
 		cfg.Dir = img
@@ -251,7 +249,13 @@ func TestPresumedAbortCrashPoints(t *testing.T) {
 			return err
 		}
 		defer re.Stop()
-		return checkKV(kvRows(re), before, after, p)
+		got := kvRows(re)
+		_, a := got[pairBase]
+		_, b := got[pairBase+pairOffset]
+		if a != b {
+			return fmt.Errorf("the pair recovered partially: %v", got)
+		}
+		return checkKV(got, before, after, p)
 	})
 }
 

@@ -389,9 +389,10 @@ func TestCommitPoliciesAgree(t *testing.T) {
 }
 
 // TestRecoverFollowPromoteAgree runs the whole script, then leaves the crash
-// state the pipelined commit path can leave behind — an in-doubt PREPARE with
-// a decided transaction's legs after it — and the three feeds must still
-// agree with each other and with the oracle.
+// state an earlier version's pipelined commit could leave behind — an
+// undecided PREPARE with a decided transaction's legs after it. Recovery
+// must agree with the oracle, and the followers must refuse the records
+// and their promotion.
 func TestRecoverFollowPromoteAgree(t *testing.T) {
 	for _, mn := range []string{"border", "all"} {
 		t.Run(map[string]string{"border": "LogBorderOnly", "all": "LogAllTEs"}[mn], func(t *testing.T) {
@@ -498,23 +499,24 @@ func promoteImage(t *testing.T, cfg Config, dir string) (*Store, error) {
 	return promoted, promoted.Stop()
 }
 
-// TestCheckpointBetweenVotesAndMarkers checkpoints inside a coordinated
-// pair's commit, after its slots are released and its votes are durable,
-// before its markers are appended, and runs the oracle on every crash point
-// of the pair, the checkpoint and the stop, in every variant.
-func TestCheckpointBetweenVotesAndMarkers(t *testing.T) {
+// TestCheckpointBetweenAppendAndFsync checkpoints inside a coordinated
+// pair's commit, after its record is appended and its slots are released,
+// before its coordinator waits for the record's fsync, and runs the oracle
+// on every crash point of the pair, the checkpoint and the stop, in every
+// variant.
+func TestCheckpointBetweenAppendAndFsync(t *testing.T) {
 	cfg := Config{Dir: t.TempDir(), Partitions: 2, Sync: wal.SyncGroupCommit}
 	st := buildPartApp(t, cfg)
 	fsys := recordStore(t, st)
 	must(t, st.Start())
 	j := newJournal(fsys.Len)
 	checkpoints := 0
-	testHookBeforeMarkers = func() {
+	testHookBeforeDurable = func() {
 		checkpoints++
 		must(t, st.Checkpoint())
 	}
 	j.pair(t, st, 0, 1, 1000)
-	testHookBeforeMarkers = nil
+	testHookBeforeDurable = nil
 	must(t, st.Stop())
 	if checkpoints != 1 {
 		t.Fatalf("%d checkpoints inside the commit, want 1", checkpoints)
@@ -735,9 +737,10 @@ func TestLiveInteriorAbortStaysAborted(t *testing.T) {
 // durabilityEndOfRun runs the whole script on a fresh durable store and
 // returns the state all three feeds agreed on. The followers are durable:
 // each is stopped after phase 1 and restarted on its directory, where it
-// must hold the state it stopped with. With inDoubt, it appends an
-// in-doubt and a decided PREPARE to the logs after the stop.
-func durabilityEndOfRun(t *testing.T, cfg Config, inDoubt bool) string {
+// must hold the state it stopped with. With twoPhase, it appends an earlier
+// version's two-phase records to the log after the stop: the followers
+// refuse them, and only recovery is checked.
+func durabilityEndOfRun(t *testing.T, cfg Config, twoPhase bool) string {
 	st := buildPartApp(t, cfg)
 	must(t, st.Start())
 	var followers [2]*Follower
@@ -774,16 +777,14 @@ func durabilityEndOfRun(t *testing.T, cfg Config, inDoubt bool) string {
 	j.phase2(t, st)
 	must(t, st.Stop())
 
-	var decided0 int64
-	if inDoubt {
-		// The crash state: an in-doubt PREPARE (no decision anywhere) with a
-		// decided transaction's legs behind it, as the pipelined commit path
-		// can leave them. The decided transaction's only surviving marker is
-		// in partition 1's log, and partition 0's leg must apply by it. The
-		// in-doubt leg never began as far as the oracle goes: it must not
-		// appear.
-		var undecided int64
-		undecided, decided0 = keysOwnedBy(st, 0, 2, 3000)[0], keysOwnedBy(st, 0, 2, 3000)[1]
+	if twoPhase {
+		// The crash state an earlier version's pipelined commit could leave:
+		// an undecided PREPARE (no decision anywhere) with a decided
+		// transaction's legs behind it. The decided transaction's only
+		// surviving marker is under partition 1, and partition 0's leg must
+		// apply by it. The undecided leg never began as far as the oracle
+		// goes: it must not appear.
+		undecided, decided0 := keysOwnedBy(st, 0, 2, 3000)[0], keysOwnedBy(st, 0, 2, 3000)[1]
 		decided1 := keysOwnedBy(st, 1, 1, 3000)[0]
 		put := func(k int64) []pe.LoggedOp {
 			return []pe.LoggedOp{{SQL: "INSERT INTO totals (k, n) VALUES (?, 7)", Params: []types.Value{types.NewInt(k)}}}
@@ -801,28 +802,40 @@ func durabilityEndOfRun(t *testing.T, cfg Config, inDoubt bool) string {
 
 	for _, f := range followers {
 		pollUntilIdle(t, f)
-		must(t, f.Err())
+		if err := f.Err(); (err != nil) != twoPhase || twoPhase && !strings.Contains(err.Error(), "re-seed") {
+			t.Fatalf("follower error %v after the log (two-phase records: %v)", err, twoPhase)
+		}
 	}
-	if _, ok := totalsOf(followers[0].st)[decided0]; inDoubt && ok {
-		t.Fatal("follower applied a record past an in-doubt prepare before its stream was final")
+	var followed string
+	var promoted *Store
+	if twoPhase {
+		for _, f := range followers {
+			if p, err := f.Promote(); err == nil {
+				p.Stop()
+				t.Fatal("a follower that met a two-phase record was promoted")
+			}
+			must(t, f.Stop())
+		}
+	} else {
+		must(t, followers[0].settle())
+		followed = storeState(followers[0].st)
+		must(t, followers[0].Stop())
+		var err error
+		promoted, err = followers[1].Promote()
+		must(t, err)
+		must(t, promoted.Stop())
 	}
-	must(t, followers[0].settle())
-	followed := storeState(followers[0].st)
-	must(t, followers[0].Stop())
-	promoted, err := followers[1].Promote()
-	must(t, err)
-	must(t, promoted.Stop())
 	// Crash recovery last: it appends to the directory.
 	cfg.Partitions = 4
 	re := buildPartApp(t, cfg)
 	must(t, re.Recover())
 	defer re.Stop()
 	recovered := storeState(re)
-	if followed != recovered {
+	if !twoPhase && followed != recovered {
 		t.Errorf("follower (final drain) and crash recovery disagree:\n--- followed\n%s--- recovered\n%s", followed, recovered)
 	}
-	if got := storeState(promoted); got != recovered {
-		t.Errorf("promoted follower and crash recovery disagree:\n--- promoted\n%s--- recovered\n%s", got, recovered)
+	if !twoPhase && storeState(promoted) != recovered {
+		t.Errorf("promoted follower and crash recovery disagree:\n--- promoted\n%s--- recovered\n%s", storeState(promoted), recovered)
 	}
 	if err := j.check(re, end); err != nil {
 		t.Error(err)

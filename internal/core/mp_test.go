@@ -2,7 +2,9 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,10 +18,10 @@ import (
 )
 
 // This file is the 2PC crash/race battery: every test pins one clause of
-// the coordinator's contract. The crash tests construct the exact on-disk
-// states a kill leaves behind (in-doubt PREPARE, decided-but-unapplied
-// leg, mid-flight byte copy) the same way the torn-tail tests do — by
-// operating on the log files directly.
+// the coordinator's contract. The crash tests take the states a kill
+// leaves behind from crashfs, or, for an earlier version's two-phase
+// records (an in-doubt PREPARE, a decided-but-unapplied leg), write them
+// into the log by hand.
 
 // appendRecords appends partition part's records to the store's log in dir,
 // continuing from the file's current last LSN (what a crashed process
@@ -72,9 +74,9 @@ func putOp(k, v int64) pe.LoggedOp {
 		Params: []types.Value{types.NewInt(k), types.NewInt(v)}}
 }
 
-// TestMPInDoubtLegAbortedOnRecovery kills the store between prepare and
-// decide: a partition log ends with a PREPARE record and the coordinator
-// log holds no decision for it. Recovery must presume abort — the prepared
+// TestMPInDoubtLegAbortedOnRecovery recovers an earlier version's kill
+// between prepare and decide: the log ends with a PREPARE record of each
+// partition and holds no decision for it. Recovery must presume abort — the prepared
 // leg's writes never appear — while everything acknowledged before still
 // recovers.
 func TestMPInDoubtLegAbortedOnRecovery(t *testing.T) {
@@ -112,10 +114,10 @@ func TestMPInDoubtLegAbortedOnRecovery(t *testing.T) {
 	}
 }
 
-// TestMPDecidedLegCompletedOnRecovery kills the store after the commit
-// decision is durable but before the legs applied: partition 0's log ends
-// with a PREPARE, and partition 1's leg is followed by its DECIDE marker.
-// Recovery must complete the transaction on every partition.
+// TestMPDecidedLegCompletedOnRecovery recovers an earlier version's kill
+// after the commit decision was durable: partition 0's PREPARE, then
+// partition 1's followed by its DECIDE marker. Recovery must complete the
+// transaction on every partition.
 func TestMPDecidedLegCompletedOnRecovery(t *testing.T) {
 	const parts = 2
 	dir := t.TempDir()
@@ -208,14 +210,14 @@ func mpPutPair(st *Store, k int64) error {
 // commit, wave 1 one after another and wave 2 all in flight together, and
 // crashes the history at every point from the end of wave 1 to its end, in
 // every variant: recovery must hold every pair acked by the crash whole and
-// no pair partially — the 2PC atomicity contract across the whole crash
-// window (before prepare, between prepare and decide, after decide).
+// no pair partially — the atomicity of the one commit record across the
+// whole crash window (before its append, torn, written but not synced,
+// durable).
 //
-// Wave 2's history is sized in records, not time: the log's daemon is
-// held in an fsync that covers nothing until every PREPARE of wave 2 is
-// appended, and again from the last vote made durable until every marker
-// is, so the votes land in one fsync and the markers in one more, and
-// every run has as many crash points.
+// Wave 2's history is sized in records, not time: the log's daemon is held
+// in an fsync that covers nothing until every coordinator of wave 2 has
+// appended its record and released its slots, so the records land in one
+// fsync and every run has as many crash points.
 func TestMPCrashCopyNeverPartial(t *testing.T) {
 	const parts = 3
 	const pairs = 120
@@ -232,67 +234,26 @@ func TestMPCrashCopyNeverPartial(t *testing.T) {
 	}
 	wave1 := fsys.Len()
 
-	// Wave 2 logs one PREPARE and one marker per writing leg.
-	legs := int64(0)
-	for k := int64(pairBase + pairs); k < pairBase+2*pairs; k++ {
-		legs++
-		if st.partitionFor(types.NewInt(k)) != st.partitionFor(types.NewInt(k+pairOffset)) {
-			legs++
-		}
-	}
 	syncs := fsys.Syncs(wal.LogPath(cfg.Dir))
-	// stall holds the daemon in an fsync that covers nothing, so what is
-	// appended until release waits for the one fsync after it.
-	stall := func() (release func()) {
-		for len(syncs.Entered()) > 0 {
-			<-syncs.Entered()
-		}
-		hold := syncs.Hold()
-		synced := make(chan error, 1)
-		go func() { synced <- st.log.SyncNow() }()
+	for len(syncs.Entered()) > 0 {
 		<-syncs.Entered()
-		return func() {
-			hold()
-			if err := <-synced; err != nil {
-				t.Error(err)
-			}
-		}
 	}
-	logged := func(want int64) {
-		t.Helper()
-		for deadline := time.Now().Add(30 * time.Second); st.met.Load(metrics.LogRecords) < want; time.Sleep(100 * time.Microsecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("%d records logged, want %d", st.met.Load(metrics.LogRecords), want)
-			}
-		}
-	}
-	// The last coordinator whose votes are durable stalls the daemon before
-	// any marker is appended.
-	var (
-		votesDurable int
-		stalled      = sync.NewCond(&mu)
-		markers      = make(chan func(), 1)
-	)
+	// Hold the daemon in an fsync that covers nothing, so what is appended
+	// until release waits for the one fsync after it.
+	release := syncs.Hold()
+	synced := make(chan error, 1)
+	go func() { synced <- st.log.SyncNow() }()
+	<-syncs.Entered()
+	var appended atomic.Int64
+	allAppended := make(chan struct{})
 	arrive := func() {
-		mu.Lock()
-		defer mu.Unlock()
-		if votesDurable++; votesDurable == pairs {
-			markers <- stall()
-			stalled.Broadcast()
+		if appended.Add(1) == pairs {
+			close(allAppended)
 		}
 	}
-	testHookBeforeMarkers = func() {
-		arrive()
-		mu.Lock()
-		for votesDurable < pairs {
-			stalled.Wait()
-		}
-		mu.Unlock()
-	}
-	defer func() { testHookBeforeMarkers = nil }()
+	testHookBeforeDurable = arrive
+	defer func() { testHookBeforeDurable = nil }()
 
-	before := st.met.Load(metrics.LogRecords)
-	votes := stall()
 	var wg sync.WaitGroup
 	for k := int64(pairBase + pairs); k < pairBase+2*pairs; k++ {
 		wg.Add(1)
@@ -300,7 +261,7 @@ func TestMPCrashCopyNeverPartial(t *testing.T) {
 			defer wg.Done()
 			if err := mpPutPair(st, k); err != nil {
 				t.Errorf("pair %d: %v", k, err)
-				arrive() // so no coordinator waits for it
+				arrive() // so the daemon is not held for it
 				return
 			}
 			at := fsys.Len()
@@ -309,10 +270,9 @@ func TestMPCrashCopyNeverPartial(t *testing.T) {
 			mu.Unlock()
 		}(k)
 	}
-	logged(before + legs)
-	votes()
-	logged(before + 2*legs)
-	(<-markers)()
+	<-allAppended
+	release()
+	must(t, <-synced)
 	wg.Wait()
 	must(t, st.Stop())
 
@@ -343,6 +303,102 @@ func TestMPCrashCopyNeverPartial(t *testing.T) {
 	})
 }
 
+// TestCoordinatedCommitIsOneRecord counts a durable coordinated pair
+// write's log work: each one appends exactly one record, and a put that
+// follows it on one of its partitions while the record's fsync is held
+// starts no goroutine to wait for it.
+func TestCoordinatedCommitIsOneRecord(t *testing.T) {
+	cfg := gcTestConfig(t.TempDir(), 2)
+	st := buildKV(t, cfg)
+	fsys := recordStore(t, st)
+	must(t, st.Start())
+	defer st.Stop()
+	ka, kb := keysOwnedBy(st, 0, 6, 0), keysOwnedBy(st, 1, 5, 0)
+	pair := func(i int) error {
+		return st.MultiPartitionTxn(func(tx *MPTxn) error {
+			if _, err := tx.Exec(0, "INSERT INTO kv VALUES (?, 0)", types.NewInt(ka[i])); err != nil {
+				return err
+			}
+			_, err := tx.Exec(1, "INSERT INTO kv VALUES (?, 0)", types.NewInt(kb[i]))
+			return err
+		})
+	}
+	for i := range 4 {
+		before := st.met.Load(metrics.LogRecords)
+		must(t, pair(i))
+		if n := st.met.Load(metrics.LogRecords) - before; n != 1 {
+			t.Fatalf("pair write %d logged %d records, want 1", i, n)
+		}
+	}
+
+	syncs := fsys.Syncs(wal.LogPath(cfg.Dir))
+	for len(syncs.Entered()) > 0 {
+		<-syncs.Entered()
+	}
+	release := syncs.Hold()
+	paired := make(chan error, 1)
+	go func() { paired <- pair(4) }()
+	<-syncs.Entered() // the pair's record is appended, its fsync held
+	goroutines := runtime.NumGoroutine()
+	put := st.CallAsync("put", types.NewInt(ka[5]), types.NewInt(0))
+	for deadline := time.Now().Add(10 * time.Second); st.PEAt(0).AckBacklog() == 0; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("the put never reached its acker")
+		}
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Errorf("the put behind a pair's held record started %d goroutines", n-goroutines)
+	}
+	release()
+	must(t, <-paired)
+	if cr := <-put; cr.Err != nil {
+		t.Fatal(cr.Err)
+	}
+}
+
+// TestFailedCommitForceFailsItsSuccessor: a put that runs on a partition
+// after a coordinated pair published its leg there may have read it, so
+// when the fsync that would make the pair's record durable fails, the put
+// fails too, and the store stops. The put is queued once the record's
+// fsync has begun, held, and set to fail; the verdict waits on no timer.
+func TestFailedCommitForceFailsItsSuccessor(t *testing.T) {
+	cfg := gcTestConfig(t.TempDir(), 2)
+	st := buildKV(t, cfg)
+	fsys := recordStore(t, st)
+	must(t, st.Start())
+	defer st.Stop()
+	ka, kb := keysOwnedBy(st, 0, 2, 0), keysOwnedBy(st, 1, 1, 0)[0]
+	syncs := fsys.Syncs(wal.LogPath(cfg.Dir))
+	for len(syncs.Entered()) > 0 {
+		<-syncs.Entered()
+	}
+	injected := errors.New("injected fsync failure")
+	syncs.Fail(injected)
+	release := syncs.Hold()
+	paired := make(chan error, 1)
+	go func() {
+		paired <- st.MultiPartitionTxn(func(tx *MPTxn) error {
+			if _, err := tx.Exec(0, "INSERT INTO kv VALUES (?, 0)", types.NewInt(ka[0])); err != nil {
+				return err
+			}
+			_, err := tx.Exec(1, "INSERT INTO kv VALUES (?, 0)", types.NewInt(kb))
+			return err
+		})
+	}()
+	<-syncs.Entered() // the pair's record is appended, its fsync held
+	put := st.CallAsync("put", types.NewInt(ka[1]), types.NewInt(0))
+	release()
+	if err := <-paired; !errors.Is(err, injected) {
+		t.Errorf("the pair returned %v, want the fsync's error", err)
+	}
+	if cr := <-put; !errors.Is(cr.Err, injected) {
+		t.Errorf("the put after it returned %v, want the fsync's error", cr.Err)
+	}
+	if err := st.Err(); !errors.Is(err, injected) {
+		t.Errorf("the store reports %v, want it stopped by the fsync's error", err)
+	}
+}
+
 // TestMPRaceHammer runs coordinated transactions, single-partition calls,
 // fan-out readers, and checkpoint barriers concurrently (run under -race).
 // It pins liveness (no deadlock between the coordinator's partition holds,
@@ -362,18 +418,33 @@ func TestMPRaceHammer(t *testing.T) {
 	errCh := make(chan error, 16)
 	var wg sync.WaitGroup
 	var stop atomic.Bool
+	// The pairs committed and the pair writers done, for the checkpoints
+	// to space themselves by.
+	var (
+		pmu             sync.Mutex
+		paired, writers int
+		progressed      = sync.NewCond(&pmu)
+	)
+	progress := func(pair, done int) {
+		pmu.Lock()
+		paired, writers = paired+pair, writers+done
+		progressed.Broadcast()
+		pmu.Unlock()
+	}
 
 	// Coordinated pair writers.
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer progress(0, 1)
 			for i := 0; i < pairs/2; i++ {
 				k := int64(pairBase + w*(pairs/2) + i)
 				if err := mpPutPair(st, k); err != nil {
 					errCh <- fmt.Errorf("mp pair %d: %w", k, err)
 					return
 				}
+				progress(1, 0)
 			}
 		}(w)
 	}
@@ -392,16 +463,21 @@ func TestMPRaceHammer(t *testing.T) {
 		}(w)
 	}
 	// Checkpoint barriers (all-slot holds) interleaved with the
-	// coordinators' per-partition slot enlistments.
+	// coordinators' per-partition slot enlistments: one every tenth of the
+	// pairs.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 5; i++ {
+			pmu.Lock()
+			for paired < i*pairs/10 && writers < 2 {
+				progressed.Wait()
+			}
+			pmu.Unlock()
 			if err := st.Checkpoint(); err != nil {
 				errCh <- fmt.Errorf("checkpoint: %w", err)
 				return
 			}
-			time.Sleep(time.Millisecond)
 		}
 	}()
 	// Fan-out reader asserting pair atomicity: the count of keys in the MP

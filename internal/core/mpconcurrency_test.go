@@ -23,13 +23,13 @@ import (
 //   - Transactions over overlapping sets serialize on the contended slots
 //     in canonical (ascending-partition) order and never deadlock, even
 //     when callers touch partitions in opposite orders.
-//   - Read-only legs release their worker at PREPARE with no forces; a
-//     transaction with exactly one writing leg commits one-phase, with no
-//     coordinator decision record at all.
-//   - Batched forces keep the crash contract: a torn marker at a partition
-//     log's tail (a batched DECIDE force caught mid-write) presumed-aborts
-//     its transaction; a one-phase commit recovers from the participant's
-//     DECIDE marker alone.
+//   - Read-only legs release their worker at their vote with no forces; a
+//     transaction logs one record that carries its writing legs, and one
+//     with exactly one writing leg counts as one-phase.
+//   - Batched forces keep the crash contract: a one-phase commit recovers
+//     from its record, and an earlier version's torn marker at the log's
+//     tail (a batched DECIDE force caught mid-write) presumed-aborts its
+//     transaction.
 //
 // Publication ordering (assert with -race): commit effects of an MP
 // transaction are published to readers under seqMu — the coordinator locks
@@ -117,12 +117,15 @@ func TestMPDisjointSetsRunConcurrently(t *testing.T) {
 // SAME two partitions in opposite touch orders. The out-of-order side
 // cannot block (TryLock + retry with the accumulated need-set acquired
 // ascending), so every transaction eventually commits in canonical slot
-// order and nothing deadlocks.
+// order and nothing deadlocks. The log's first fsync is held until every
+// worker's first transaction has appended its record and released its
+// slots, so those records pool behind it whatever the scheduler does.
 func TestMPConflictingSetsSerializeWithoutDeadlock(t *testing.T) {
 	const parts = 3
 	const perWorker = 40
 	dir := t.TempDir()
 	st := buildKV(t, gcTestConfig(dir, parts))
+	fsys := recordStore(t, st)
 	if err := st.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -143,6 +146,16 @@ func TestMPConflictingSetsSerializeWithoutDeadlock(t *testing.T) {
 		keysets[w] = pair
 	}
 
+	release := fsys.Syncs(wal.LogPath(dir)).Hold()
+	var appended atomic.Int64
+	pooled := make(chan struct{})
+	testHookBeforeDurable = func() {
+		if appended.Add(1) == int64(len(orders)) {
+			release()
+			close(pooled)
+		}
+	}
+	defer func() { testHookBeforeDurable = nil }()
 	var wg sync.WaitGroup
 	errCh := make(chan error, len(orders))
 	for w := range orders {
@@ -177,6 +190,11 @@ func TestMPConflictingSetsSerializeWithoutDeadlock(t *testing.T) {
 		t.Fatal("conflicting-set MP transactions deadlocked")
 	}
 	select {
+	case <-pooled:
+	default:
+		t.Fatal("the workers' first records never pooled behind the held fsync")
+	}
+	select {
 	case err := <-errCh:
 		t.Fatal(err)
 	default:
@@ -189,22 +207,22 @@ func TestMPConflictingSetsSerializeWithoutDeadlock(t *testing.T) {
 		t.Fatalf("expected %d committed keys, got %d", want, len(res.Rows))
 	}
 	// Force pooling survives without a commit timer: with the slots
-	// released before durability, successors' PREPAREs reach a log while
+	// released before durability, successors' records reach the log while
 	// its fsync is in flight and share the next one.
 	snap := st.Metrics().Snapshot()
-	t.Logf("prepare forces per fsync: mean %.2f over %d fsyncs",
+	t.Logf("coordinated commits per fsync: mean %.2f over %d fsyncs",
 		snap.Mean(metrics.MPPrepareBatchMean), snap[metrics.MPPrepareBatches])
 	if snap.Mean(metrics.MPPrepareBatchMean) <= 1 {
-		t.Fatalf("mp_prepare_batch_mean = %.2f: no two PREPARE forces ever shared an fsync", snap.Mean(metrics.MPPrepareBatchMean))
+		t.Fatalf("mp_prepare_batch_mean = %.2f: no two coordinated commits ever shared an fsync", snap.Mean(metrics.MPPrepareBatchMean))
 	}
 }
 
 // TestMPCommitWritesNoCoordRecord pins the commit rule and what a
-// durability directory holds. A transaction's DECIDE markers in its writing
-// legs' own logs are its commit records, at any leg count, so a two-writer
-// commit puts one marker under each participant. A leg that only read
-// votes yes and releases at PREPARE (MPReadOnlyLegs), and a transaction
-// left with exactly one writing leg commits one-phase (MPOnePhase). After
+// durability directory holds. A transaction's one record in the store's log
+// is its commit record, at any leg count, so a two-writer commit logs one
+// record with a leg under each participant. A leg that only read votes yes
+// and releases at its vote (MPReadOnlyLegs), and a transaction left with
+// exactly one writing leg commits one-phase (MPOnePhase). After
 // those, a pause, a rebalance, a checkpoint and a stop, the directory holds
 // the PARTITIONS stamp, the one log and a snapshot per partition.
 func TestMPCommitWritesNoCoordRecord(t *testing.T) {
@@ -217,7 +235,7 @@ func TestMPCommitWritesNoCoordRecord(t *testing.T) {
 	k0s := keysOwnedBy(st, 0, 4, 40000)
 	k1s := keysOwnedBy(st, 1, 4, 40000)
 
-	// Two writing legs: a marker under each partition.
+	// Two writing legs: one record, a leg under each partition.
 	err := st.MultiPartitionTxn(func(tx *MPTxn) error {
 		for _, k := range []int64{k0s[0], k1s[0]} {
 			owner := st.partitionFor(types.NewInt(k))
@@ -234,21 +252,25 @@ func TestMPCommitWritesNoCoordRecord(t *testing.T) {
 	if err := st.log.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	markers := make([]int, parts)
-	if _, err := scanRecords(dir, func(_ uint64, part int, rec *pe.LogRecord) error {
-		if rec.Kind == pe.RecDecide && rec.Commit {
-			markers[part]++
+	var legs [][]int
+	if _, err := scanRecords(dir, func(_ uint64, _ int, rec *pe.LogRecord) error {
+		if rec.Kind == pe.RecCoordCommit {
+			var parts []int
+			for _, leg := range rec.Legs {
+				parts = append(parts, leg.Part)
+			}
+			legs = append(legs, parts)
 		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(markers) != "[1 1]" {
-		t.Fatalf("the log holds %v commit markers by partition, want one each", markers)
+	if fmt.Sprint(legs) != "[[0 1]]" {
+		t.Fatalf("the log holds coordinated commits with legs on %v, want one with a leg on each partition", legs)
 	}
 
 	// One writing leg + one read-only leg, three times over: the reader
-	// releases at PREPARE, the writer commits one-phase.
+	// releases at its vote, the writer commits one-phase.
 	before := st.Metrics().Snapshot()
 	for i := 1; i <= 3; i++ {
 		err := st.MultiPartitionTxn(func(tx *MPTxn) error {
@@ -273,8 +295,8 @@ func TestMPCommitWritesNoCoordRecord(t *testing.T) {
 		t.Fatalf("MPOnePhase delta = %d, want 3", d[metrics.MPOnePhase])
 	}
 
-	// Fully read-only coordinated transaction: both legs release at
-	// PREPARE, nothing forced anywhere.
+	// Fully read-only coordinated transaction: both legs release at their
+	// votes, nothing logged anywhere.
 	before = st.Metrics().Snapshot()
 	err = st.MultiPartitionTxn(func(tx *MPTxn) error {
 		for p := 0; p < parts; p++ {
@@ -323,11 +345,9 @@ func TestMPCommitWritesNoCoordRecord(t *testing.T) {
 }
 
 // TestMPOnePhaseCommitRecovered crashes a run of one-phase commits at
-// every point, in every variant. There is no coordinator decision record
-// for them — the writing leg's ack-gated DECIDE marker in its own
-// partition log IS the commit record — so recovery's participant-marker
-// pre-scan must find it and complete the leg once the commit is acked,
-// and nothing else is recovered.
+// every point, in every variant. Each logs one record with one leg, so
+// recovery must complete the leg once the commit is acked, and nothing
+// else is recovered.
 func TestMPOnePhaseCommitRecovered(t *testing.T) {
 	const parts = 2
 	const txns = 4
@@ -370,9 +390,9 @@ func TestMPOnePhaseCommitRecovered(t *testing.T) {
 	})
 }
 
-// TestMPTornCoordDecideTailPresumedAborts tears the last record of a
-// partition log in half — a DECIDE marker's force caught by the crash
-// mid-write. Recovery must drop the torn tail and presume-abort that
+// TestMPTornCoordDecideTailPresumedAborts tears the last record of a log an
+// earlier version wrote in half — a DECIDE marker's force caught by the
+// crash mid-write. Recovery must drop the torn tail and presume-abort that
 // transaction, while the intact marker before it still commits.
 func TestMPTornCoordDecideTailPresumedAborts(t *testing.T) {
 	const parts = 2

@@ -62,15 +62,15 @@ func TestOneLogPerStore(t *testing.T) {
 		t.Fatalf("the directory holds logs %v, want one", got)
 	}
 	parts := map[int]bool{}
-	_, err := scanRecords(cfg.Dir, func(_ uint64, part int, rec *pe.LogRecord) error {
-		if rec.Kind == pe.RecPrepare {
-			parts[part] = true
+	_, err := scanRecords(cfg.Dir, func(_ uint64, _ int, rec *pe.LogRecord) error {
+		for _, leg := range rec.Legs {
+			parts[leg.Part] = true
 		}
 		return nil
 	})
 	must(t, err)
 	if len(parts) != 4 {
-		t.Fatalf("the log holds PREPAREs of partitions %v, want all 4", parts)
+		t.Fatalf("the log holds coordinated legs of partitions %v, want all 4", parts)
 	}
 
 	cfg.Partitions = 4

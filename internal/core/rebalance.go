@@ -20,18 +20,16 @@ import (
 //                  the destination (StageInsert: in the heap, in no index,
 //                  visible at no sequence), in chunks on the destination's
 //                  worker so its single-mutator invariant holds. Nothing is
-//                  logged: a crash before the commit record presumes the
-//                  move aborted.
+//                  logged: a crash before the commit record leaves the
+//                  slot on its source.
 //   2. Cutover   — under the routing fence (routingMu) and an all-partition
 //                  barrier: catch up the writes between S1 and the barrier
-//                  (DeltaScan), precheck constraints, force the staged rows
-//                  as a prepared leg into the destination's log together
-//                  with RecSlotCommit (the commit point — it doubles as the
-//                  leg's decision), append the same record unforced to the
-//                  source's log (for its followers), flip the staged rows
-//                  live, MVCC-delete the source copies, and publish the new
-//                  slot table plus both partitions' commit sequences in one
-//                  seqMu write window.
+//                  (DeltaScan), precheck constraints, force one
+//                  coordinated-commit record that carries the staged rows
+//                  as the destination's leg and names the move (the commit
+//                  point), flip the staged rows live, MVCC-delete the
+//                  source copies, and publish the new slot table plus both
+//                  partitions' commit sequences in one seqMu write window.
 //
 // The barrier is entered only after every request already routed to the
 // source has drained: routing fast paths resolve-and-enqueue under
@@ -358,34 +356,26 @@ func (s *Store) migrateSlot(slot, from, to int) error {
 			}
 			ops = append(ops, pe.LoggedOp{Table: rel.Name, Rows: dstTable.StagedRows()})
 		}
-		// The staged images become a prepared leg in the destination's
-		// log, forced with the RecSlotCommit that decides it: the move is
-		// decided once that force is durable. The leg is written even when
-		// empty: a destination can re-own a slot it held in an earlier
-		// epoch, and the leg's replay is what evicts the stale rows its
-		// own log re-creates — including when every row of the slot died
-		// while it lived elsewhere. Like a router write's, the leg names
-		// AdHocProc and fires no PE trigger at replay: the stream tuples
-		// it moves start nothing live either. The source's copy of the
-		// commit record follows every record that wrote the slot there,
-		// so a follower evicts the slot on it; recovery never needs it,
-		// so it is not forced.
-		commit := &pe.LogRecord{Kind: pe.RecSlotCommit, Slot: slot, FromPart: from, ToPart: to, MPTxnID: id}
-		if err := dst.force(&pe.LogRecord{Kind: pe.RecPrepare, Proc: pe.AdHocProc, MPTxnID: id, Ops: ops}, commit); err != nil {
+		// The staged images become the destination's leg of one record
+		// that names the move: the move is decided once it is durable. It
+		// follows every record that wrote the slot on the source, so the
+		// source drops the slot's rows when it applies. The leg is written
+		// even when empty: a destination can re-own a slot it held in an
+		// earlier epoch, and the leg's replay is what evicts the stale rows
+		// its own records re-create — including when every row of the slot
+		// died while it lived elsewhere. Like a router write's, the record
+		// names AdHocProc and fires no PE trigger at replay: the stream
+		// tuples it moves start nothing live either.
+		if err := dst.force(&pe.LogRecord{Kind: pe.RecCoordCommit, Proc: pe.AdHocProc, MPTxnID: id,
+			Legs: []pe.Leg{{Part: to, Ops: ops}}, Move: true, Slot: slot, FromPart: from, ToPart: to}); err != nil {
 			return err
-		}
-		if s.log != nil {
-			if _, err := src.Append(commit, false); err != nil {
-				return err
-			}
 		}
 		for _, rel := range rels {
 			moved += dst.cat.Relation(rel.Name).Table.CommitStaged()
 		}
 		// Source deletes are in-memory MVCC kills: readers pinned before the
 		// publication window below keep seeing the old versions, and the
-		// slot-commit record (the applier's eviction at finish) is what
-		// makes the removal durable.
+		// move's record is what makes the removal durable.
 		if err := evictSlots(rels, func(sl int) bool { return sl == slot }); err != nil {
 			return err
 		}

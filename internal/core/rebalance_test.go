@@ -369,24 +369,21 @@ func TestRebalanceCrashBetweenCopiedAndCommit(t *testing.T) {
 }
 
 // TestSlotMigrationLegDurableBeforeCommit: under SyncNever a migration's
-// prepared leg and its RecSlotCommit are still forced into the
-// destination's log, together, because recovery hands the slot to the
-// destination (and evicts it everywhere else) on the commit record alone.
-// A recording file system follows growths ended by a Checkpoint, which must
-// make every log durable and write every snapshot before it truncates any
-// log: recovery folds the slot moves of every log a crash left untruncated.
+// one record (the destination's leg and the move) is still forced, because
+// recovery hands the slot to the destination (and evicts it everywhere
+// else) on that record alone. A recording file system follows growths
+// ended by a Checkpoint, which must make the log durable and write every
+// snapshot before it truncates the log: recovery folds every slot move a
+// crash left untruncated.
 //
 // The first case is Rebalance(2→3), which moves slots both to a lower and
-// to a higher partition index. A destination's truncated log would
-// otherwise drop the commit record a source still recovering from its old
-// snapshot needs.
+// to a higher partition index. A truncated log would otherwise drop the
+// move a source still recovering from its old snapshot needs.
 //
 // The second case is Rebalance(2→3) and then Rebalance(3→4), which moves a
-// slot back to the lower index it left and is aborted right after, so
-// nothing forces the higher partition's log after the unforced source copy
-// of that move's commit record. Were that copy lost once the lower
-// partition's log is truncated, recovery would fold only the first move and
-// evict the slot from the one snapshot that holds it.
+// slot back to the lower index it left and is aborted right after. Were
+// the move back lost once the log is truncated, recovery would fold only
+// the first move and evict the slot from the one snapshot that holds it.
 //
 // The directory a crash leaves after any operation of the first case's
 // growth and checkpoint, or of the second case's second growth and
@@ -740,7 +737,8 @@ func TestRebalanceMigrateBackRestart(t *testing.T) {
 
 // TestRebalanceAddedPartitionsFeedPrepareBatchStats: a partition added by
 // Rebalance logs to the store's log, whose commit daemon's sync-batch
-// callback drains pendPrep into the PREPARE batch-size histogram. Added
+// callback drains pendCoord into the coordinated-commit batch-size
+// histogram. Added
 // partitions used to open logs of their own, with an options literal
 // that lacked the callback.
 func TestRebalanceAddedPartitionsFeedPrepareBatchStats(t *testing.T) {
@@ -766,9 +764,9 @@ func TestRebalanceAddedPartitionsFeedPrepareBatchStats(t *testing.T) {
 		t.Fatal(err, serr)
 	}
 	if got := st.Metrics().Snapshot()[metrics.MPPrepareBatches]; got == before {
-		t.Errorf("PREPARE forces on added partitions observed no batch (count stays %d)", got)
+		t.Errorf("coordinated commits on added partitions observed no batch (count stays %d)", got)
 	}
-	if n := st.pendPrep.Load(); n != 0 {
-		t.Errorf("pendPrep = %d, never drained", n)
+	if n := st.pendCoord.Load(); n != 0 {
+		t.Errorf("pendCoord = %d, never drained", n)
 	}
 }

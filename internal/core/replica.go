@@ -20,10 +20,10 @@ package core
 // source still holds its position (a checkpoint keeps its cut's last
 // record, so a follower stopped at the cut restarts; ErrShipGap, over the
 // wire too, reports a truncated one: re-seed); it cannot follow a primary
-// past its own partition count (re-seed a wider follower); and while a
-// partition stalls behind an in-doubt PREPARE the others apply past it,
-// so a cross-partition read sees each partition at its own point of the
-// log until the decision arrives, not an atomic cut.
+// past its own partition count (re-seed a wider follower), nor a log that
+// holds an earlier version's two-phase records (re-seed); and a
+// coordinated commit's legs apply one partition after another, so a
+// cross-partition read may see some of them, not an atomic cut.
 
 import (
 	"bytes"
@@ -96,22 +96,13 @@ const (
 // replStream is the shipped log's cursor state. Owned by the apply
 // goroutine except applied, which readers poll for session waits.
 type replStream struct {
-	fetched uint64        // last LSN buffered from the source
-	applied atomic.Uint64 // every record up to it is applied (or resolved) into storage
+	applied atomic.Uint64 // every record up to it is taken and applied into storage
 	horizon uint64        // last LSN known present in the source's log
-	pending []pendingRec  // fetched but not yet applied (its partition stalled behind an in-doubt prepare)
-	// last is the payload of the record at fetched (nil if none). check
+	// last is the payload of the record at applied (nil if none). check
 	// asks the source's next answer to hold that same frame first: set at
 	// a restart and after every failed fetch, cleared once it matched.
 	last  []byte
 	check bool
-}
-
-// pendingRec is a fetched record and the partition it is tagged with.
-type pendingRec struct {
-	lsn  uint64
-	part int
-	rec  *pe.LogRecord
 }
 
 // Follower is a read replica: a never-started Store kept by replay of the
@@ -162,8 +153,8 @@ func NewFollower(st *Store, src ReplicationSource) (*Follower, error) {
 		f.ap = newApplier(st)
 		return f, nil
 	}
-	// Recover's passes with the stream not final (what stalls stays
-	// pending); no engine logs to the log until Promote.
+	// Recover's passes with the stream not final; no engine logs to the
+	// log until Promote.
 	ap, logs, err := st.loadDir()
 	if err == nil && len(logs) > 1 {
 		err = fmt.Errorf("core: %s holds one log per partition, as followers of earlier versions wrote; re-seed the follower", st.cfg.Dir)
@@ -234,14 +225,15 @@ func (f *Follower) run() {
 }
 
 // pollOnce runs one fetch-and-apply round. It returns whether any frame
-// was buffered or applied, plus the fetch error, after which the next
-// answer is checked against the frame at fetched: it may come from another
+// was applied, plus the fetch error, after which the next
+// answer is checked against the frame at applied: it may come from another
 // log. Divergence and apply failures set the sticky error.
 func (f *Follower) pollOnce() (progress bool, fetchErr error) {
 	strm := f.strm
-	after := strm.fetched
+	at := strm.applied.Load()
+	after := at
 	if strm.check {
-		after-- // fetch the frame at fetched too, to check it
+		after-- // fetch the frame at applied too, to check it
 	}
 	batch, err := f.src.FetchBatch(after, followerBatchBytes)
 	if err != nil {
@@ -255,14 +247,14 @@ func (f *Follower) pollOnce() (progress bool, fetchErr error) {
 	f.st.lastFetch.Store(time.Now().UnixNano())
 	frames := batch.Frames
 	if strm.check {
-		if len(frames) == 0 || frames[0].LSN != strm.fetched {
+		if len(frames) == 0 || frames[0].LSN != at {
 			f.st.fail(fmt.Errorf("core: the source holds no record at LSN %d to check the log against: %w",
-				strm.fetched, wal.ErrShipGap))
+				at, wal.ErrShipGap))
 			return false, nil
 		}
 		if !bytes.Equal(frames[0].Payload, strm.last) {
 			f.st.fail(fmt.Errorf("core: the log diverges from its source at LSN %d: "+
-				"the directory was promoted or follows another primary", strm.fetched))
+				"the directory was promoted or follows another primary", at))
 			return false, nil
 		}
 		strm.check, frames = false, frames[1:]
@@ -272,18 +264,13 @@ func (f *Follower) pollOnce() (progress bool, fetchErr error) {
 		return false, nil
 	}
 	strm.horizon = max(strm.horizon, batch.EndLSN)
-	applied, err := f.ap.drain(strm, false)
-	if err != nil {
-		f.st.fail(err)
-		return false, nil
-	}
 	f.updateLag()
-	return len(frames) > 0 || applied, nil
+	return len(frames) > 0, nil
 }
 
-// take buffers shipped frames: appended to the follower's own log and
-// forced when it has one, and only then folded, so whatever the follower
-// applies is already on its disk.
+// take applies shipped frames: appended to the follower's own log and
+// forced when it has one, and only then folded and applied, so whatever
+// the follower applies is already on its disk.
 func (f *Follower) take(frames []wal.Frame) error {
 	if l := f.st.log; l != nil && len(frames) > 0 {
 		if err := l.AppendFrames(frames); err != nil {
@@ -298,11 +285,14 @@ func (f *Follower) take(frames []wal.Frame) error {
 		if err == nil {
 			err = f.ap.fold(rec)
 		}
+		if err == nil {
+			err = f.ap.apply(fr.LSN, part, rec, false)
+		}
 		if err != nil {
 			return fmt.Errorf("core: replicated record at LSN %d: %w", fr.LSN, err)
 		}
-		f.strm.pending = append(f.strm.pending, pendingRec{lsn: fr.LSN, part: part, rec: rec})
-		f.strm.fetched, f.strm.last = fr.LSN, fr.Payload
+		f.strm.last = fr.Payload
+		f.strm.applied.Store(fr.LSN)
 	}
 	return nil
 }
@@ -321,7 +311,7 @@ func (f *Follower) updateLag() {
 // Promote turns the follower into a live primary: stop the apply loop,
 // drain every stream to its end (file reads outlive the primary process, so
 // an in-process drain reaches the hardened tail even after a crash),
-// resolve in-doubt 2PC state exactly as crash recovery would, make each
+// finish exactly as crash recovery would, make each
 // partition its engine's logger on the log it already has, and start the
 // partition workers. The returned Store is the follower's own store, now
 // serving reads and writes; a crash of a durable one is a Recover.
@@ -390,16 +380,11 @@ func (f *Follower) halt() {
 	}
 }
 
-// settle declares the stream final: the records stalled behind in-doubt
-// prepares apply (the prepares themselves presumed aborted), then the
-// applier finishes exactly as crash recovery does. The rows of migrated
-// slots already sit on their new owners, so unlike recovery nothing is
-// rehomed. Last, each partition becomes its engine's logger on the log the
-// follower already has.
+// settle declares the stream final: the applier finishes exactly as crash
+// recovery does. The rows of migrated slots already sit on their new
+// owners, so unlike recovery nothing is rehomed. Last, each partition
+// becomes its engine's logger on the log the follower already has.
 func (f *Follower) settle() error {
-	if _, err := f.ap.drain(f.strm, true); err != nil {
-		return err
-	}
 	if err := f.ap.finish(); err != nil {
 		return err
 	}

@@ -130,10 +130,9 @@ func TestFollowerReplicatesAndServesReads(t *testing.T) {
 }
 
 // TestFollowerAppliesMultiPartitionWrites ships logged 2PC work
-// (MultiPartitionTxn — the command-logged coordinated path): each leg's
-// partition record is a PREPARE whose decision travels on the coordinator
-// stream, so the follower must stall every leg until its decision arrives
-// and then apply it. The session read sees both legs of every transaction.
+// (MultiPartitionTxn — the command-logged coordinated path): each
+// transaction is one record, which the follower applies on both legs'
+// partitions. The session read sees both legs of every transaction.
 func TestFollowerAppliesMultiPartitionWrites(t *testing.T) {
 	const parts = 2
 	st := buildKV(t, gcTestConfig(t.TempDir(), parts))
@@ -178,33 +177,26 @@ func TestFollowerAppliesMultiPartitionWrites(t *testing.T) {
 	}
 }
 
-// TestFollowerStallsInDoubtPrepare is the correctness heart of shipping
-// under pipelined commit: slots release before markers append, so records
-// can follow an undecided PREPARE in a partition segment. The follower must
-// stall that stream — never inferring an abort — while still applying other
-// streams, and a durable follower restarted on its directory stalls there
-// again; only promotion presumes the in-doubt leg aborted, and the stalled
-// successors (whose decisions did arrive) apply then.
-func TestFollowerStallsInDoubtPrepare(t *testing.T) {
+// TestFollowerRefusesTwoPhaseRecords: a follower applies each record as it
+// arrives, so it cannot apply an earlier version's two-phase records, whose
+// decision may come later in the log. A live follower that meets one stops
+// with an error that says to re-seed it, and refuses promotion; a durable
+// follower whose directory holds one refuses to restart; a recovery of the
+// primary applies the decided transaction and drops the undecided one.
+func TestFollowerRefusesTwoPhaseRecords(t *testing.T) {
 	const parts = 2
 	dir := t.TempDir()
 	st := buildKV(t, gcTestConfig(dir, parts))
-	if err := st.Start(); err != nil {
-		t.Fatal(err)
-	}
+	must(t, st.Start())
 	for k := int64(0); k < 10; k++ {
-		if _, err := st.Call("put", types.NewInt(k), types.NewInt(k)); err != nil {
-			t.Fatal(err)
-		}
+		_, err := st.Call("put", types.NewInt(k), types.NewInt(k))
+		must(t, err)
 	}
-	if err := st.Stop(); err != nil {
-		t.Fatal(err)
-	}
+	must(t, st.Stop())
 
-	// Hand-crafted crash state. Partition 0: an in-doubt PREPARE (txn 99,
-	// key 777 — no decision anywhere) followed by a decided PREPARE (txn
-	// 101, key 887). Partition 1: txn 101's other leg (key 888) and its
-	// commit marker, the only decision anywhere.
+	// An earlier version's crash state. Partition 0: an undecided PREPARE
+	// (txn 99, key 777) followed by a decided one (txn 101, key 887).
+	// Partition 1: txn 101's other leg (key 888) and its commit marker.
 	appendRecords(t, dir, 0,
 		&pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 99, Ops: []pe.LoggedOp{putOp(777, 777)}},
 		&pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 101, Ops: []pe.LoggedOp{putOp(887, 887)}})
@@ -212,92 +204,32 @@ func TestFollowerStallsInDoubtPrepare(t *testing.T) {
 		&pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 101, Ops: []pe.LoggedOp{putOp(888, 888)}},
 		&pe.LogRecord{Kind: pe.RecDecide, MPTxnID: 101, Commit: true})
 
+	reseed := func(err error) bool { return err != nil && strings.Contains(err.Error(), "re-seed") }
 	fcfg := gcTestConfig(t.TempDir(), parts)
 	f, err := NewFollower(buildKV(t, fcfg), st)
 	must(t, err)
-	if err := f.Run(); err != nil {
-		t.Fatal(err)
+	pollUntilIdle(t, f)
+	if err := f.Err(); !reseed(err) {
+		t.Fatalf("follower past a two-phase record reports %v, want a re-seed error", err)
+	}
+	if keys := kvRows(f.st); len(keys) != 10 {
+		t.Fatalf("follower holds %d keys, want the 10 before the two-phase records", len(keys))
+	}
+	if promoted, err := f.Promote(); err == nil {
+		promoted.Stop()
+		t.Fatal("a follower that met a two-phase record was promoted")
+	}
+	must(t, f.Stop())
+	if f, err := NewFollower(buildKV(t, fcfg), st); !reseed(err) {
+		if err == nil {
+			f.Stop()
+		}
+		t.Fatalf("restart on a directory with a two-phase record: %v, want a re-seed error", err)
 	}
 
-	// Partition 1's decided leg applies (proving the loop is live) while
-	// partition 0 stays stalled behind txn 99.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if keys := keySet(t, f.Query); keys[888] == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("decided leg on partition 1 never applied")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	for restarted := range 2 {
-		keys := keySet(t, f.Query)
-		if keys[777] != 0 || keys[888] != 1 {
-			t.Fatalf("follower (restarted %d times) holds 777 %d times, 888 %d times", restarted, keys[777], keys[888])
-		}
-		if keys[887] != 0 {
-			t.Fatal("follower applied a record past an in-doubt prepare (inferred an abort it must not)")
-		}
-		if restarted == 0 {
-			must(t, f.Stop())
-			f, err = NewFollower(buildKV(t, fcfg), st)
-			must(t, err)
-		}
-	}
-
-	// Promotion: txn 99 is presumed aborted, txn 101's stalled leg applies.
-	promoted, err := f.Promote()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer promoted.Stop()
-	keys := keySet(t, promoted.Query)
-	if keys[777] != 0 {
-		t.Fatal("presumed-abort leg resurrected at promotion")
-	}
-	if keys[887] != 1 || keys[888] != 1 {
-		t.Fatalf("decided txn 101 incomplete after promotion: 887=%d 888=%d", keys[887], keys[888])
-	}
-	for k := int64(0); k < 10; k++ {
-		if keys[k] != 1 {
-			t.Fatalf("acked key %d lost across promotion", k)
-		}
-	}
-}
-
-// TestFollowerTailsPastPresumedAbort: a recovery that presumes an in-doubt
-// leg aborted logs the abort, so a follower attached afterwards applies
-// every acked write behind the leg's PREPARE. Without the marker the leg
-// stays in doubt in the log for good, and the follower stalls that
-// partition until it is promoted.
-func TestFollowerTailsPastPresumedAbort(t *testing.T) {
-	const parts = 2
-	dir := t.TempDir()
-	st := buildKV(t, gcTestConfig(dir, parts))
-	must(t, st.Start())
-	must(t, st.Stop())
-	appendRecords(t, dir, 0, &pe.LogRecord{Kind: pe.RecPrepare, MPTxnID: 99, Ops: []pe.LoggedOp{putOp(777, 777)}})
-	st = buildKV(t, gcTestConfig(dir, parts))
-	must(t, st.Start())
-	defer st.Stop()
-	const n = 40
-	for k := int64(0); k < n; k++ {
-		_, err := st.Call("put", types.NewInt(k), types.NewInt(k))
-		must(t, err)
-	}
-	f, err := NewFollower(buildKV(t, Config{Partitions: parts}), st)
-	must(t, err)
-	must(t, f.Run())
-	defer f.Stop()
-	rs := f.Session()
-	rs.Forward(st.LSN())
-	keys := keySet(t, rs.Query)
-	if len(keys) != n || keys[777] != 0 {
-		t.Fatalf("follower holds %d keys (777: %d), want the %d acked", len(keys), keys[777], n)
-	}
-	if lag := f.Lag(); lag != 0 {
-		t.Fatalf("repl_lag = %d on a caught-up follower", lag)
+	got := recoveredKeys(t, dir, parts)
+	if got[777] || !got[887] || !got[888] || len(got) != 12 {
+		t.Fatalf("recovery holds %v, want the 10 puts and txn 101", got)
 	}
 }
 

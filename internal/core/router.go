@@ -75,7 +75,10 @@ func (s *Store) callTarget(proc string, params []types.Value) (*pe.Engine, error
 // Ingest pushes tuples onto a bound border stream, hash-splitting them
 // across partitions when the stream declares PARTITION BY. Relative order
 // is preserved within each partition (the paper's per-partition natural
-// order; there is no cross-partition order, exactly as in H-Store).
+// order; there is no cross-partition order, exactly as in H-Store). Every
+// row is checked against the stream's schema first, as its insert will
+// check it: a row that does not fit fails the call, and nothing of it is
+// enqueued.
 func (s *Store) Ingest(stream string, rows ...types.Row) error {
 	// Route-and-enqueue under the routing fence: a cutover cannot flip a
 	// slot's owner between the hash decision below and the owning worker
@@ -85,12 +88,16 @@ func (s *Store) Ingest(stream string, rows ...types.Row) error {
 	if err := s.Err(); err != nil {
 		return err
 	}
-	if len(s.partList()) == 1 {
-		return s.partList()[0].pe.Ingest(stream, rows...)
-	}
 	sch := s.schema.Load()
 	rel := sch.Relation(stream)
-	if rel == nil || !rel.Partitioned() {
+	if rel != nil {
+		for _, r := range rows {
+			if err := rel.Schema.CheckRow(r); err != nil {
+				return fmt.Errorf("core: ingest into %s: %w", stream, err)
+			}
+		}
+	}
+	if len(s.partList()) == 1 || rel == nil || !rel.Partitioned() {
 		return s.partList()[0].pe.Ingest(stream, rows...)
 	}
 	// Router-level pause gate: a spanning batch into a paused dataflow
@@ -115,10 +122,6 @@ func (s *Store) Ingest(stream string, rows ...types.Row) error {
 	}
 	buckets := make([][]types.Row, len(s.partList()))
 	for _, r := range rows {
-		if rel.PartCol >= len(r) {
-			return fmt.Errorf("core: ingest into %s: row has %d columns, partition column is #%d",
-				stream, len(r), rel.PartCol+1)
-		}
 		// Hash the key as the engine will store it (defaults applied,
 		// coerced), or the tuple would live on a partition keyed reads and
 		// routed INSERTs never consult.

@@ -101,10 +101,8 @@ mp_slot_wait_p50 dur
 mp_slot_wait_p99 dur
 mp_execute_p50 dur
 mp_execute_p99 dur
-mp_vote_wait_p50 dur
-mp_vote_wait_p99 dur
-mp_marker_wait_p50 dur
-mp_marker_wait_p99 dur
+mp_durable_wait_p50 dur
+mp_durable_wait_p99 dur
 cutover_pause_count int
 cutover_pause_p50 dur
 cutover_pause_p99 dur
@@ -463,15 +461,33 @@ func TestCommitStages(t *testing.T) {
 }
 
 // TestCoordinatedCommitStages: a coordinated write is observed once, by its
-// coordinator, as its latency and four stages that sum to it, sample by
-// sample. Holding one leg's vote fsync for a known time after the slots
-// release lands in mp_vote_wait alone; holding the markers' fsync lands in
-// mp_marker_wait alone. Its legs ack nobody, so latency and durable_wait
-// do not move.
+// coordinator, as its latency and three stages that sum to it, sample by
+// sample. Holding its record's fsync for a known time after the slots
+// release lands in mp_durable_wait alone, with two writing legs or one
+// (one-phase). Its legs ack nobody, so latency and durable_wait do not
+// move.
 func TestCoordinatedCommitStages(t *testing.T) {
 	const hold = 50 * time.Millisecond
-	for _, held := range []string{"vote", "marker"} {
-		t.Run(held, func(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		write    func(st *Store) error
+		onePhase int64
+	}{
+		{"two-legs", func(st *Store) error {
+			_, err := st.Exec("UPDATE kv SET v = v + 1")
+			return err
+		}, 0},
+		{"one-leg", func(st *Store) error {
+			return st.MultiPartitionTxn(func(tx *MPTxn) error {
+				if _, err := tx.Query(1, "SELECT k FROM kv"); err != nil {
+					return err
+				}
+				_, err := tx.Exec(0, "UPDATE kv SET v = v + 1")
+				return err
+			})
+		}, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
 			cfg := gcTestConfig(t.TempDir(), 2)
 			st := buildKV(t, cfg)
 			fsys := recordStore(t, st)
@@ -489,44 +505,30 @@ func TestCoordinatedCommitStages(t *testing.T) {
 			}
 			barrier()
 			before := st.Metrics().Snapshot()
-			logPath := wal.LogPath(cfg.Dir)
-			syncs := fsys.Syncs(logPath)
-			drain := func() {
-				for len(syncs.Entered()) > 0 {
-					<-syncs.Entered()
-				}
+			syncs := fsys.Syncs(wal.LogPath(cfg.Dir))
+			for len(syncs.Entered()) > 0 {
+				<-syncs.Entered()
 			}
-			// holdNext holds the next fsync of partition 1's log until hold
-			// has passed since after (nil: since the fsync began) returns.
-			holdNext := func(after func()) {
-				drain()
-				release := syncs.Hold()
-				go func() {
-					<-syncs.Entered()
-					if after != nil {
-						after()
-					}
-					time.Sleep(hold)
-					release()
-				}()
-			}
-			if held == "vote" {
-				// The vote's fsync begins once its PREPARE is appended; the
-				// hold counts from the slots' release, where the vote wait
-				// begins.
-				slot := &st.partList()[1].mpSlot
-				holdNext(func() { slot.Lock(); slot.Unlock() })
-			} else {
-				testHookBeforeMarkers = func() { holdNext(nil) }
-				defer func() { testHookBeforeMarkers = nil }()
-			}
-			if _, err := st.Exec("UPDATE kv SET v = v + 1"); err != nil {
-				t.Fatal(err)
-			}
+			// Hold the record's fsync, which begins once the record is
+			// appended, until hold has passed since the slots' release,
+			// where the durable wait begins.
+			release := syncs.Hold()
+			slot := &st.partList()[1].mpSlot
+			go func() {
+				<-syncs.Entered()
+				slot.Lock()
+				slot.Unlock()
+				time.Sleep(hold)
+				release()
+			}()
+			must(t, c.write(st))
 			barrier() // the legs observe after the decision's reply
 			s := st.Metrics().Snapshot()
 			if n := s[metrics.MPTxns] - before[metrics.MPTxns]; n != 1 {
 				t.Fatalf("%d coordinated commits, want 1", n)
+			}
+			if n := s[metrics.MPOnePhase] - before[metrics.MPOnePhase]; n != c.onePhase {
+				t.Fatalf("%d one-phase commits, want %d", n, c.onePhase)
 			}
 			for _, m := range []metrics.Metric{metrics.LatencyCount, metrics.DurableWaitP50, metrics.DurableWaitP99} {
 				if s[m] != before[m] {
@@ -536,17 +538,16 @@ func TestCoordinatedCommitStages(t *testing.T) {
 			lat := s.Duration(metrics.MPLatencyP50)
 			stages := map[metrics.Metric]time.Duration{}
 			var sum time.Duration
-			for _, m := range []metrics.Metric{metrics.MPSlotWaitP50, metrics.MPExecuteP50, metrics.MPVoteWaitP50, metrics.MPMarkerWaitP50} {
+			for _, m := range []metrics.Metric{metrics.MPSlotWaitP50, metrics.MPExecuteP50, metrics.MPDurableWaitP50} {
 				stages[m] = s.Duration(m)
 				sum += stages[m]
 			}
 			if sum != lat {
 				t.Errorf("stages %v sum to %v, not mp_latency %v", stages, sum, lat)
 			}
-			heldIn := map[string]metrics.Metric{"vote": metrics.MPVoteWaitP50, "marker": metrics.MPMarkerWaitP50}[held]
 			for m, d := range stages {
-				if (m == heldIn) != (d >= hold) {
-					t.Errorf("%s = %v: want the %v hold in %s alone (%v)", m, d, hold, heldIn, stages)
+				if (m == metrics.MPDurableWaitP50) != (d >= hold) {
+					t.Errorf("%s = %v: want the %v hold in mp_durable_wait alone (%v)", m, d, hold, stages)
 				}
 			}
 		})

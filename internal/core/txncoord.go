@@ -50,40 +50,34 @@ import (
 //   and the group-commit daemons resolve force futures independently of
 //   any coordination lock.
 //
-// Pipelined 2PC: no fsync is ever awaited while a slot is held. The
-// protocol runs in two stretches —
+// One record: a coordinated commit appends one log record and waits for
+// no fsync while it holds a slot. The protocol runs in two stretches —
 //
 //   - Under the slots (the serial part): the coordinator holds each
 //     enlisted partition's engine (an idle worker lends it, a busy one
 //     hands it over on reaching the leg; pe.MPSession) and runs the
 //     handler's fragments on it itself; prepareAll collects the votes,
 //     forcing nothing (each writing leg hands its logged ops back); the
-//     coordinator appends the PREPARE records to the log (append, not
-//     fsync), installs the transaction's durability future (mpOutcome)
-//     on those partitions, publishes every leg's commit under seqMu,
-//     gives the engines back without waiting, and releases the slots.
-//   - Off the slots (the pipelined part): the coordinator waits for the
-//     vote appends to become durable, then appends a DECIDE marker to
-//     each writing leg's log — the markers are the commit records: once
-//     every vote is durable, the first durable marker decides the whole
-//     transaction, whether it has one writing leg or many — and finally
-//     resolves the outcome and acks the client.
+//     coordinator appends one record carrying every writing leg's ops
+//     under its partition (logCommit: append, not fsync), publishes every
+//     leg's commit under seqMu, gives the engines back without waiting,
+//     and releases the slots.
+//   - Off the slots: the coordinator waits for that record's future and
+//     acks the client.
 //
-// Successive transactions on the same partitions therefore overlap their
-// durability waits: the next coordinator enlists, executes, and appends
-// its own votes while the previous one is still waiting on the disk, so
-// PREPARE/DECIDE/commit records pool behind the fsync in flight and share
-// the store log's next one — the force batching E11 measures. The
-// pool is as deep as the disk is busy; no force waits for a timer. The
-// read-only optimization removes two forces outright: a leg that wrote
-// nothing votes yes and gives its engine back at PREPARE (no PREPARE
-// record, no marker).
-//
-// The client ack is gated on the full chain — votes durable, markers
-// durable, and every predecessor outcome this transaction may have read
-// resolved (see mpOutcome) — so pipelining never acknowledges state that
-// could vanish in a crash; un-acked transactions recover by presumed
-// abort.
+// The record is the decision: a torn copy applies no leg at recovery and
+// an intact one applies every leg, so a crash leaves a coordinated write
+// whole or absent. Nothing else is needed to chain the commits that
+// follow: one that runs on a leg's partition after the engine came back
+// appends its own record after this one, in the same log, and the log
+// resolves futures in LSN order and fails every future after a failed
+// fsync (wal.Log). Its ack therefore implies this record is durable, and a
+// failure here fails it too. Successive transactions overlap their
+// durability waits: the next coordinator enlists, executes and appends
+// while the previous one waits on the disk, so the records pool behind the
+// fsync in flight and share the log's next one — the batching E11
+// measures. A leg that wrote nothing votes yes and gives its engine back at
+// once, and a transaction that wrote nothing logs nothing.
 //
 // Admission control (Store.mpAdmit) caps how many coordinators occupy
 // the slot-holding stretch at once. Unbounded admission is metastable:
@@ -99,15 +93,14 @@ import (
 // partitions sees a coordinated transaction entirely or not at all while
 // running concurrently with the rest of the protocol.
 //
-// Recovery and followers read these records through the log applier
-// (applier.go): a logged PREPARE whose transaction id has a durable DECIDE
-// marker anywhere in the log is re-applied; one without is presumed
-// aborted and dropped once no decision can arrive any more.
+// Recovery and followers apply the record through the log applier
+// (applier.go), each leg on its partition.
 
-// testHookBeforeMarkers, when set, runs on the coordinator's goroutine
-// once a committed transaction's votes are durable and before its markers
-// are appended; the crash-point tests checkpoint there.
-var testHookBeforeMarkers func()
+// testHookBeforeDurable, when set, runs on the coordinator's goroutine
+// once a committed transaction's record is appended and its slots are
+// released, before it waits for the record's fsync; the crash-point tests
+// checkpoint there.
+var testHookBeforeDurable func()
 
 // errMPRetry is the internal sentinel a slot-order violation raises: the
 // attempt must abort and rerun with the needed slots pre-acquired. It
@@ -121,166 +114,31 @@ var errMPRetry = errors.New("core: mp slot order retry")
 // subject to TryLock failure).
 const mpMaxTryAttempts = 3
 
-// mpOutcome is a committed multi-partition transaction's durability future.
-// It is installed on every partition the transaction wrote (replacing, and
-// chaining to, the previous occupant) before the commit is delivered to
-// memory and the slots release. Anything that subsequently commits on one
-// of those partitions — a successor coordinated transaction or an ordinary
-// single-partition write — may have read this transaction's published but
-// not-yet-durable state, so its own client acknowledgement must wait for
-// this outcome too (resolved err == nil) or fail loudly (err != nil: the
-// store's logs are poisoned and the observed state may not survive a
-// restart). This is the speculation chain that lets the slots release
-// before the PREPARE forces resolve: pipelined 2PC with acknowledgement
-// dependencies instead of slot-held fsyncs.
-type mpOutcome struct {
-	done  chan struct{} // closed once err is final
-	err   error
-	preds []*mpOutcome // unresolved predecessors captured at install
-	// id and legs name the transaction and the partitions it prepared on,
-	// for a checkpoint that decides it before its coordinator does
-	// (decidePublished).
-	id   uint64
-	legs []*partition
-}
-
-// installOutcome publishes tx's durability future on every partition that
-// got a PREPARE record. Must run before deliverAll(true) — the transaction
-// still holds the engines, so nothing can commit against the published
-// state and miss the dependency.
-func (tx *MPTxn) installOutcome() {
-	o := &mpOutcome{done: make(chan struct{}), id: tx.id}
-	for _, i := range tx.prepParts {
-		o.legs = append(o.legs, tx.parts[i])
-		if prev := tx.parts[i].specTail.Swap(o); prev != nil {
-			select {
-			case <-prev.done:
-				if prev.err != nil {
-					o.preds = append(o.preds, prev)
-				}
-			default:
-				o.preds = append(o.preds, prev)
-			}
-		}
-	}
-	tx.outcome = o
-}
-
-// resolveOutcome finalizes tx's durability future: it waits for every
-// captured predecessor (transitively ordering the speculation chain), folds
-// their failures into err, resolves the future, and clears the partitions'
-// tails when still pointing here. Returns the final error the client sees.
-func (tx *MPTxn) resolveOutcome(err error) error {
-	o := tx.outcome
-	for _, p := range o.preds {
-		<-p.done
-		if p.err != nil && err == nil {
-			err = fmt.Errorf("core: mp txn read state of a predecessor whose durability failed: %w", p.err)
-		}
-	}
-	o.err = err
-	close(o.done)
-	for _, i := range tx.prepParts {
-		tx.parts[i].specTail.CompareAndSwap(o, nil)
-	}
-	return err
-}
-
-// decidePublished forces a commit marker under every leg for each
-// transaction published on parts whose outcome has not resolved: its
-// coordinator is between releasing its slots and its own markers. A
-// checkpoint runs it under its barrier before writing any snapshot, once
-// it has synced the log: the votes were appended before the barrier, so
-// they are durable and these markers say only what the coordinator's
-// will. Without them, a crash between two partitions' snapshots would
-// leave one leg in a new snapshot and the other an undecided PREPARE
-// beside an old one.
-func decidePublished(parts []*partition) error {
-	var todo []*mpOutcome
-	for _, p := range parts {
-		if o := p.specTail.Load(); o != nil {
-			todo = append(todo, o)
-		}
-	}
-	decided := map[*mpOutcome]bool{}
-	for len(todo) > 0 {
-		o := todo[len(todo)-1]
-		todo = todo[:len(todo)-1]
-		select {
-		case <-o.done:
-			continue // resolved, and so are its predecessors
-		default:
-		}
-		if decided[o] {
-			continue
-		}
-		decided[o] = true
-		todo = append(todo, o.preds...)
-		for _, p := range o.legs {
-			if err := p.force(&pe.LogRecord{Kind: pe.RecDecide, MPTxnID: o.id, Commit: true}); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// appendPrepares appends every writing leg's PREPARE record (the ops each
-// vote handed back) under its partition and kicks the log's daemon. The
-// appends are not yet durable — the last one's future, voteAck, resolves
-// once they all are (the log resolves futures in append order), and
-// waitVotes waits for it after the slots release. Append order is safe:
-// the coordinator still holds each leg's engine, so nothing else can log
-// a later record of that partition first.
-func (tx *MPTxn) appendPrepares() error {
+// logCommit appends the transaction's one record: every writing leg's ops
+// (the ops each vote handed back) under its partition, the record tagged
+// with the first writing leg's. Its future, ack, resolves once the record
+// is durable. Append order is safe: the coordinator still holds each leg's
+// engine, so nothing else can log a later commit of those partitions
+// first. A transaction that wrote nothing logs nothing.
+func (tx *MPTxn) logCommit() error {
 	for i, sess := range tx.sess {
-		if sess == nil {
-			continue
+		if sess != nil && len(sess.LoggedOps()) > 0 {
+			tx.written = append(tx.written, pe.Leg{Part: i, Ops: sess.LoggedOps()})
 		}
-		ops := sess.LoggedOps()
-		if len(ops) == 0 {
-			continue
-		}
-		ack, err := tx.parts[i].Append(&pe.LogRecord{Kind: pe.RecPrepare, Proc: tx.proc, MPTxnID: tx.id, Ops: ops}, true)
-		if err != nil {
-			return fmt.Errorf("core: mp prepare append (partition %d): %w", i, err)
-		}
-		tx.prepParts, tx.voteAck = append(tx.prepParts, i), ack
 	}
-	return nil
-}
-
-// waitVotes blocks until every PREPARE record appended by appendPrepares
-// is durable — the classic 2PC forced-vote wait, except the enlistment
-// slots were already released: successors execute (and append their own
-// votes, which batch into the same daemon fsyncs) while this transaction
-// waits only for the disk.
-func (tx *MPTxn) waitVotes() error {
-	if tx.voteAck == nil {
+	if len(tx.written) == 0 {
 		return nil
 	}
-	if err := <-tx.voteAck; err != nil {
-		return fmt.Errorf("core: mp prepare force: %w", err)
+	rec := &pe.LogRecord{Kind: pe.RecCoordCommit, Proc: tx.proc, MPTxnID: tx.id, Legs: tx.written}
+	ack, err := tx.parts[tx.written[0].Part].Append(rec, true)
+	if err != nil {
+		return fmt.Errorf("core: mp commit append: %w", err)
 	}
+	if len(tx.written) == 1 {
+		tx.s.met.Add(metrics.MPOnePhase, 1)
+	}
+	tx.ack = ack
 	return nil
-}
-
-// appendMarkers appends the commit DECIDE marker under every prepared leg
-// and waits for the last one's future, which resolves once they all are
-// durable. The markers are appended only after every vote is durable, so a
-// surviving marker always witnesses a committed transaction: each one is a
-// commit record, and recovery's pre-scan folds every marker in the log
-// before any leg replays. The markers ride the log daemon's batches
-// alongside successor transactions' votes and commits.
-func (tx *MPTxn) appendMarkers() error {
-	var ack <-chan error
-	for _, i := range tx.prepParts {
-		var err error
-		if ack, err = tx.parts[i].Append(&pe.LogRecord{Kind: pe.RecDecide, MPTxnID: tx.id, Commit: true}, true); err != nil {
-			return fmt.Errorf("core: mp decide marker append (partition %d): %w", i, err)
-		}
-	}
-	return <-ack
 }
 
 // MPTxn is the handle a coordinated transaction's handler works through.
@@ -293,26 +151,23 @@ func (tx *MPTxn) appendMarkers() error {
 type MPTxn struct {
 	s  *Store
 	id uint64
-	// proc is what the legs' PREPARE records name: pe.AdHocProc for a
-	// router write (its legs fire no PE trigger), empty for an application's.
+	// proc is what the commit record names: pe.AdHocProc for a router
+	// write (its legs fire no PE trigger), empty for an application's.
 	proc string
 	// parts is the partition list captured at start — stable for the
 	// transaction's lifetime (the caller holds routingMu's read side, so a
 	// rebalance cutover cannot swap the list mid-transaction).
 	parts []*partition
 
-	// prepParts tracks the writing legs whose PREPARE records were
-	// appended, and voteAck is the last one's future (resolved when every
-	// vote is durable); outcome is the transaction's durability future
-	// installed on those partitions for successor-ack chaining.
-	// Coordinator-goroutine-only, set post-handler.
-	prepParts []int
-	voteAck   <-chan error
-	outcome   *mpOutcome
+	// written are the writing legs the commit record carries, and ack is
+	// its future (nil: nothing logged). Coordinator-goroutine-only, set
+	// post-handler.
+	written []pe.Leg
+	ack     <-chan error
 	// The committing attempt's stages on pe's clock, coordinator-goroutine
-	// only: entry to runMP, the handler's start, the slots' release and
-	// every vote durable. observe turns them into the mp_* samples.
-	entry, handled, released, votesDurable pe.Stamp
+	// only: entry to runMP, the handler's start and the slots' release.
+	// observe turns them into the mp_* samples.
+	entry, handled, released pe.Stamp
 	// need marks the slots the next attempt pre-acquires (runMP), and
 	// admitted that the coordinator still holds its admission token.
 	need     []bool
@@ -350,8 +205,7 @@ func (tx *MPTxn) begin() {
 	clear(tx.sess)
 	clear(tx.held)
 	clear(tx.requested)
-	tx.prepParts, tx.voteAck = tx.prepParts[:0], nil
-	tx.outcome, tx.err, tx.maxHeld = nil, nil, -1
+	tx.written, tx.ack, tx.err, tx.maxHeld = tx.written[:0], nil, nil, -1
 }
 
 // admitDone hands the admission token back, once: as soon as the slots
@@ -369,7 +223,8 @@ func (tx *MPTxn) free() {
 	tx.admitDone()
 	clear(tx.sess)
 	clear(tx.need)
-	*tx = MPTxn{sess: tx.sess, held: tx.held, requested: tx.requested, need: tx.need, prepParts: tx.prepParts}
+	clear(tx.written)
+	*tx = MPTxn{sess: tx.sess, held: tx.held, requested: tx.requested, need: tx.need, written: tx.written[:0]}
 	mpTxns.Put(tx)
 }
 
@@ -537,7 +392,7 @@ func (tx *MPTxn) releaseSlots() {
 
 // poison records a write-fragment failure. A failed write may have been
 // statement-level rolled back in memory, but it was never recorded in the
-// leg's PREPARE ops — committing anyway could diverge recovered state from
+// leg's logged ops — committing anyway could diverge recovered state from
 // memory, so the transaction is forced to abort even if the handler
 // swallows the error.
 func (tx *MPTxn) poison(err error) {
@@ -624,8 +479,8 @@ func (tx *MPTxn) readCut(p *ee.Prepared, params []types.Value) ([]types.Row, err
 
 // Exec runs one write statement on partition part inside the transaction.
 // On a durable store the statement (with concrete parameters) becomes part
-// of the partition's PREPARE record and is re-executed at recovery, so it
-// must not depend on hidden nondeterminism.
+// of the commit record and is re-executed at recovery, so it must not
+// depend on hidden nondeterminism.
 func (tx *MPTxn) Exec(part int, sqlText string, params ...types.Value) (*pe.Result, error) {
 	sess, err := tx.session(part)
 	if err != nil {
@@ -709,8 +564,8 @@ func (tx *MPTxn) eachPartition(fn func(part int, sess *pe.MPSession) (*pe.Result
 // every write either commits on all partitions it touched or on none, the
 // enlisted partitions' serial slots are held from enlistment until the
 // decision (no other execution interleaves), and on a durable store the
-// writes are command-logged through 2PC PREPARE/DECIDE records so recovery
-// resolves them atomically too. Returning an error from fn — or any failed
+// writes are command-logged as one record, so recovery applies them
+// atomically too. Returning an error from fn — or any failed
 // write fragment — aborts every leg. tx is valid until fn returns; the
 // results its methods return are the caller's.
 //
@@ -730,7 +585,7 @@ func (s *Store) MultiPartitionTxn(fn func(tx *MPTxn) error) error {
 	return s.runMP("", fn)
 }
 
-// runMP is the coordinator; proc is what the legs' PREPARE records name
+// runMP is the coordinator; proc is what the commit record names
 // (MPTxn.proc). Callers must hold routingMu's read side.
 //
 // Each attempt acquires slots optimistically as fragments route; a slot-
@@ -817,77 +672,40 @@ func (tx *MPTxn) attempt(fn func(tx *MPTxn) error) (err error, retry bool) {
 		return ferr, false
 	}
 	s.met.Add(metrics.MPTxns, 1)
-	// Every vote is in: the transaction commits. The votes' PREPARE
-	// records are appended now — an append failure is still a clean
-	// abort, nothing has been delivered — but their fsyncs are NOT
-	// waited for under the slots. That wait moves below, after release:
-	// pipelined 2PC.
-	if err := tx.appendPrepares(); err != nil {
+	// Every vote is in: the transaction commits. Its record is appended
+	// now — an append failure is still a clean abort, nothing has been
+	// delivered — but its fsync is not waited for under the slots.
+	if err := tx.logCommit(); err != nil {
 		tx.deliverAll(false)
 		tx.releaseSlots()
 		s.met.Add(metrics.MPAborts, 1)
 		return err, false
 	}
-	// The durability future goes up on the written partitions before any
-	// of this transaction's state becomes visible: everything that
-	// subsequently commits on those partitions chains its own client ack
-	// on this outcome (see mpOutcome). Install while the transaction
-	// still holds the engines so no commit can slip between publication
-	// and the dependency becoming observable.
-	if len(tx.prepParts) > 0 {
-		tx.installOutcome()
-	}
 	// Commit publication window (deliverAll): the legs publish under
 	// seqMu, and durability resolves after it is released, so snapshot
-	// readers are never parked behind the disk.
+	// readers are never parked behind the disk. Then the slots release:
+	// the next coordinator enlists, executes and appends its own record,
+	// which batches into the fsync this transaction is about to wait on.
+	// The client is acknowledged only once the record is durable.
 	tx.deliverAll(true)
-	// Slots release before every durability wait: the partitions'
-	// in-memory state is committed and their engines are back, so the
-	// next coordinator enlists, executes, and appends its own votes —
-	// which batch into the same daemon fsyncs this transaction is about
-	// to wait on — while this coordinator settles durability off-slot.
-	// Crash safety rests on two rules. First, the client is acknowledged
-	// only after the full chain below resolves (votes durable, markers
-	// durable, predecessor outcomes resolved), so an acked transaction
-	// always recovers committed. Second, anything that committed against
-	// this transaction's published-but-undurable state had its ack
-	// chained on this outcome, so the crash window exposes no
-	// acknowledged dependent either. Un-acked transactions recover by
-	// presumed abort: no marker in the log means aborted.
 	tx.releaseSlots()
 	tx.released = pe.Now()
 	tx.admitDone()
-	var derr2 error
-	verr := tx.waitVotes()
-	tx.votesDurable = pe.Now()
-	if verr != nil {
-		// The legs already applied and published; a failed vote force
-		// cannot abort them. This client and every chained successor
-		// fails, and the store stops (below).
-		derr2 = fmt.Errorf("core: mp prepare force (legs committed, log poisoned): %w", verr)
-	} else if len(tx.prepParts) > 0 {
-		// Every vote is durable: each writing leg's DECIDE marker is a
-		// commit record, and the first one durable decides the whole
-		// transaction (recovery folds every marker in the log).
-		if len(tx.prepParts) == 1 {
-			s.met.Add(metrics.MPOnePhase, 1)
+	if tx.ack != nil {
+		if testHookBeforeDurable != nil {
+			testHookBeforeDurable()
 		}
-		if testHookBeforeMarkers != nil {
-			testHookBeforeMarkers()
+		if err := <-tx.ack; err != nil {
+			// The legs already applied and published; a failed force
+			// cannot abort them. This client and every commit after it
+			// fails, and the store stops.
+			err = fmt.Errorf("core: mp commit force (legs committed, log poisoned): %w", err)
+			s.fail(err)
+			return err, false
 		}
-		derr2 = tx.appendMarkers()
 	}
-	if derr2 != nil {
-		s.fail(derr2) // published legs whose durability failed: fail-stop
-	}
-	var oerr error
-	if tx.outcome != nil {
-		oerr = tx.resolveOutcome(derr2)
-	}
-	if oerr == nil {
-		tx.observe()
-	}
-	return oerr, false
+	tx.observe()
+	return nil, false
 }
 
 // observe records a committed transaction, acked now: one sample of its
@@ -898,8 +716,7 @@ func (tx *MPTxn) observe() {
 	m.Observe(metrics.MPLatency, int64(acked-tx.entry))
 	m.Observe(metrics.MPSlotWait, int64(tx.handled-tx.entry))
 	m.Observe(metrics.MPExecute, int64(tx.released-tx.handled))
-	m.Observe(metrics.MPVoteWait, int64(tx.votesDurable-tx.released))
-	m.Observe(metrics.MPMarkerWait, int64(acked-tx.votesDurable))
+	m.Observe(metrics.MPDurableWait, int64(acked-tx.released))
 }
 
 // runMPHandler executes fn, converting panics into aborts so a buggy
@@ -915,7 +732,7 @@ func runMPHandler(fn func(tx *MPTxn) error, tx *MPTxn) (err error) {
 
 // prepareAll collects every enlisted partition's vote. A vote writes no
 // log: a writing leg hands its logged op set back for the coordinator to
-// append after all votes are in, and a read-only leg votes yes and its
+// log after all votes are in, and a read-only leg votes yes and its
 // engine goes back on the spot (its slot stays held until the decision
 // window — releasing it early would let a conflicting transaction slip
 // between this transaction's reads and its commit). Any non-nil vote is a
@@ -939,7 +756,7 @@ func (tx *MPTxn) prepareAll() error {
 // exclusively, which keeps a reader's snapshot vector from cutting between
 // two legs' publications (all-or-nothing visibility); the lock covers the
 // publications alone. Rollbacks publish nothing and take no lock.
-// Read-only legs released at PREPARE are skipped.
+// Read-only legs released at their vote are skipped.
 func (tx *MPTxn) deliverAll(commit bool) {
 	if commit {
 		tx.s.seqMu.Lock()

@@ -71,16 +71,15 @@ const (
 	MPAborts
 	MPLegsCommitted
 	MPConcurrent
-	// MPReadOnlyLegs counts legs released at PREPARE (no PREPARE record,
-	// no marker); MPOnePhase transactions with one writing leg, whose
-	// marker is their only commit record; MPLegsParked the legs that found
-	// their worker busy and parked it (the rest borrowed an idle worker's
-	// engine).
+	// MPReadOnlyLegs counts legs released at their vote (nothing logged);
+	// MPOnePhase commits with one writing leg; MPLegsParked the legs that
+	// found their worker busy and parked it (the rest borrowed an idle
+	// worker's engine).
 	MPReadOnlyLegs
 	MPOnePhase
 	MPLegsParked
-	// PREPARE records per partition-log group-commit fsync. A mean above 1
-	// is the amortization the batched-commit path buys.
+	// Coordinated-commit records per group-commit fsync of the log. A mean
+	// above 1 is the amortization the batched-commit path buys.
 	MPPrepareBatches
 	MPPrepareBatchMean
 	SnapshotReads // read-only queries run against an MVCC snapshot
@@ -141,19 +140,17 @@ const (
 	DurableWaitP50
 	DurableWaitP99
 	// A coordinated write's latency, observed by its coordinator from entry
-	// to ack, and its four stages, which sum to it: the wait for slots
+	// to ack, and its three stages, which sum to it: the wait for slots
 	// (admission and slot-order reruns), the handler to the slots' release,
-	// the wait for every vote to be durable, then for the markers.
+	// and the wait for its record to be durable.
 	MPLatencyP50
 	MPLatencyP99
 	MPSlotWaitP50
 	MPSlotWaitP99
 	MPExecuteP50
 	MPExecuteP99
-	MPVoteWaitP50
-	MPVoteWaitP99
-	MPMarkerWaitP50
-	MPMarkerWaitP99
+	MPDurableWaitP50
+	MPDurableWaitP99
 	CutoverPauseCount
 	CutoverPauseP50
 	CutoverPauseP99
@@ -187,19 +184,18 @@ const (
 type Hist uint8
 
 const (
-	noHist       Hist = iota
-	Latency           // committed transactions' latency, ns
-	QueueWait         // a request's wait from admission to execution, ns
-	Execute           // execution start to in-memory commit, ns
-	DurableWait       // in-memory commit to ack, ns
-	MPLatency         // a coordinated write's entry to ack, ns
-	MPSlotWait        // its entry to the committing attempt's handler, ns
-	MPExecute         // its handler to the slots' release, ns
-	MPVoteWait        // its slots' release to every vote durable, ns
-	MPMarkerWait      // its votes durable to ack, ns
-	CutoverPause      // a slot migration's worker pause, ns
-	FsyncTime         // one commit-daemon fsync, ns
-	PrepareBatch      // PREPARE forces per partition-log fsync
+	noHist        Hist = iota
+	Latency            // committed transactions' latency, ns
+	QueueWait          // a request's wait from admission to execution, ns
+	Execute            // execution start to in-memory commit, ns
+	DurableWait        // in-memory commit to ack, ns
+	MPLatency          // a coordinated write's entry to ack, ns
+	MPSlotWait         // its entry to the committing attempt's handler, ns
+	MPExecute          // its handler to the slots' release, ns
+	MPDurableWait      // its slots' release to ack: its record durable, ns
+	CutoverPause       // a slot migration's worker pause, ns
+	FsyncTime          // one commit-daemon fsync, ns
+	PrepareBatch       // coordinated-commit records per log fsync
 	numHists
 )
 
@@ -284,10 +280,8 @@ var defs = [numMetrics]def{
 	MPSlotWaitP99:       {name: "mp_slot_wait_p99", kind: Quantile, hist: MPSlotWait, q: 0.99},
 	MPExecuteP50:        {name: "mp_execute_p50", kind: Quantile, hist: MPExecute, q: 0.50},
 	MPExecuteP99:        {name: "mp_execute_p99", kind: Quantile, hist: MPExecute, q: 0.99},
-	MPVoteWaitP50:       {name: "mp_vote_wait_p50", kind: Quantile, hist: MPVoteWait, q: 0.50},
-	MPVoteWaitP99:       {name: "mp_vote_wait_p99", kind: Quantile, hist: MPVoteWait, q: 0.99},
-	MPMarkerWaitP50:     {name: "mp_marker_wait_p50", kind: Quantile, hist: MPMarkerWait, q: 0.50},
-	MPMarkerWaitP99:     {name: "mp_marker_wait_p99", kind: Quantile, hist: MPMarkerWait, q: 0.99},
+	MPDurableWaitP50:    {name: "mp_durable_wait_p50", kind: Quantile, hist: MPDurableWait, q: 0.50},
+	MPDurableWaitP99:    {name: "mp_durable_wait_p99", kind: Quantile, hist: MPDurableWait, q: 0.99},
 	CutoverPauseCount:   {name: "cutover_pause_count", hist: CutoverPause},
 	CutoverPauseP50:     {name: "cutover_pause_p50", kind: Quantile, hist: CutoverPause, q: 0.50},
 	CutoverPauseP99:     {name: "cutover_pause_p99", kind: Quantile, hist: CutoverPause, q: 0.99},

@@ -35,23 +35,13 @@ const (
 	RecCall RecordKind = iota + 1
 	RecBorder
 	RecTriggered
-	// RecPrepare is a 2PC participant leg: the re-executable write ops of
-	// one partition's share of a multi-partition transaction, forced before
-	// the partition votes yes. Recovery applies it only when a decision
-	// record says the transaction committed (presumed abort).
+	// RecPrepare, RecDecide and RecSlotCommit are the two-phase records
+	// earlier versions wrote: a participant leg's ops, a decision marker,
+	// and a slot move's decision. Only crash recovery still reads them
+	// (core's log applier); nothing writes them. Kinds 6 and 7 are retired;
+	// the kinds from here on keep the byte values earlier logs hold.
 	RecPrepare
-	// RecDecide is a 2PC decision record: a commit marker the coordinator
-	// logs under each writing leg once every vote is durable, or the abort
-	// recovery (or a promotion) forces under a leg it presumed aborted.
-	// Recovery resolves in-doubt legs from every marker in the log; it
-	// executes nothing at replay.
 	RecDecide
-	// RecSlotCommit decides one routing slot's migration: forced into the
-	// destination's log together with the migration's RecPrepare leg, whose
-	// decision it doubles as, and appended unforced to the source's log,
-	// where a follower evicts the source's copy on it. Recovery takes slot
-	// ownership from it. It executes nothing at replay. Kinds 6 and 7 are
-	// retired; the kinds from here on keep the byte values earlier logs hold.
 	RecSlotCommit RecordKind = 8
 	// RecPauseGraph / RecResumeGraph make a dataflow's pause state durable
 	// (forced into partition 0's log; Proc carries the graph name).
@@ -66,6 +56,13 @@ const (
 	// the held execution it names, so the execution does not run at the end
 	// of replay against state later records changed. It executes nothing.
 	RecAborted RecordKind = 11
+	// RecCoordCommit is a coordinated commit: every writing leg's ops under
+	// its partition, in one record, appended while the coordinator holds
+	// the legs' engines. A torn copy applies no leg and an intact one every
+	// leg, so the record is its own decision. A slot move is one too: its
+	// one leg is the destination's, and Move names the slot and both
+	// partitions; the source drops the slot's rows when it applies.
+	RecCoordCommit RecordKind = 12
 )
 
 // LogRecord is one command-log entry: enough to re-execute the client
@@ -78,16 +75,27 @@ type LogRecord struct {
 	BatchID     uint64
 	InputStream string
 
-	// 2PC fields (RecPrepare / RecDecide only; RecSlotCommit carries the
-	// MPTxnID of the migration's prepared leg).
+	// Coordinated-commit fields: the transaction id (RecCoordCommit and the
+	// earlier two-phase kinds), every writing leg (RecCoordCommit), one
+	// leg's ops (RecPrepare, and the leg Replay is handed) and a marker's
+	// decision (RecDecide).
 	MPTxnID uint64
-	Ops     []LoggedOp // RecPrepare: the leg's writes, in execution order
-	Commit  bool       // RecDecide: true = commit
+	Legs    []Leg
+	Ops     []LoggedOp
+	Commit  bool
 
-	// Slot-migration fields (RecSlotCommit).
+	// Slot-move fields: a RecCoordCommit with Move set, or a RecSlotCommit.
+	Move     bool
 	Slot     int
 	FromPart int
 	ToPart   int
+}
+
+// Leg is one partition's share of a coordinated commit: its writes, in
+// execution order.
+type Leg struct {
+	Part int
+	Ops  []LoggedOp
 }
 
 // Logger is the command log the partition engine appends to at commit time,
@@ -1382,9 +1390,10 @@ func (e *Engine) procPlan(p *Procedure, sqlText string) (*ee.Prepared, error) {
 // mode they run in its chain, and one that aborts aborts as it did live; in
 // LogAllTEs mode each is held until its own RecTriggered record runs it or
 // its RecAborted record drops it (FinishReplay runs the rest). The replayed
-// record itself must commit. A RecPrepare leg is applied as given: whether
-// its transaction committed is the caller's knowledge (core's log applier
-// owns the decision table).
+// record itself must commit. A coordinated commit replays one leg at a
+// time, on the leg's own partition: the caller passes a RecCoordCommit
+// whose Ops are this engine's leg (an earlier version's RecPrepare the
+// same way), and knows that it committed.
 func (e *Engine) Replay(rec *LogRecord) error {
 	if e.started.Load() {
 		return fmt.Errorf("pe: replay requires a stopped engine")
@@ -1393,17 +1402,15 @@ func (e *Engine) Replay(rec *LogRecord) error {
 		inputStream: rec.InputStream, replay: true, done: make(chan CallResult, 1)}
 	what := rec.Proc
 	switch rec.Kind {
-	case RecDecide:
-		return nil // participant marker: nothing to execute
 	case RecAborted:
 		// It aborted live: it does not run, and leaves its graph's count.
 		if h := e.takeHeld(rec); h != nil {
 			e.graphDone(h.graph)
 		}
 		return nil
-	case RecPrepare:
+	case RecCoordCommit, RecPrepare:
 		r.kind, r.ops = reqLeg, rec.Ops
-		what = fmt.Sprintf("prepared mp leg %d", rec.MPTxnID)
+		what = fmt.Sprintf("coordinated commit %d's leg", rec.MPTxnID)
 	case RecCall:
 		r.kind = reqInvoke
 	case RecBorder:

@@ -31,11 +31,10 @@ import (
 // scheduler's mutex or the hand-off channels order the worker's use of the
 // engine before the coordinator's and after.
 //
-// Durability follows presumed-abort 2PC, pipelined: a leg never writes the
-// log. The vote hands the leg's re-executable write ops to the coordinator,
-// which appends the PREPARE record (and later the DECIDE marker) itself and
-// waits for the fsyncs after the engine has gone back. Abort writes
-// nothing: recovery treats a PREPARE with no commit decision as aborted.
+// A leg never writes the log. The vote hands the leg's re-executable write
+// ops to the coordinator, which appends every leg's ops as one record
+// itself and waits for its fsync after the engine has gone back. Abort
+// writes nothing.
 
 // LoggedOp is one re-executable write of a prepared leg, in one of two
 // forms: an ad-hoc SQL statement with its parameters, or a raw row batch
@@ -186,7 +185,7 @@ func (s *MPSession) Enter() error {
 
 // Exec runs one SQL statement inside the leg's transaction; the rows of a
 // statement that returns rows are the caller's. The statement (with its
-// concrete parameters) becomes part of the PREPARE record, so it must be a
+// concrete parameters) becomes part of the commit record, so it must be a
 // write whose re-execution is deterministic — which concrete-parameter DML
 // is.
 func (s *MPSession) Exec(sqlText string, params ...types.Value) (*Result, error) {
@@ -239,11 +238,11 @@ func (s *MPSession) QueryPlan(p *ee.Prepared, params ...types.Value) (*Result, e
 
 // Prepare ends the fragment phase and returns this partition's vote. A nil
 // vote means the leg is ready to commit; its logged write set is then
-// available through LoggedOps for the coordinator to append as the leg's
-// PREPARE record. A non-nil vote obliges the coordinator to abort; a failed
-// write makes one that wraps its error. A leg that wrote nothing takes the
-// read-only 2PC optimization: it votes yes with no ops and its engine goes
-// back at once — no PREPARE record, no DECIDE, and Decide does nothing.
+// available through LoggedOps for the coordinator to log as the leg's share
+// of the commit record. A non-nil vote obliges the coordinator to abort; a
+// failed write makes one that wraps its error. A leg that wrote nothing
+// takes the read-only 2PC optimization: it votes yes with no ops and its
+// engine goes back at once — nothing logged, and Decide does nothing.
 func (s *MPSession) Prepare() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -267,14 +266,14 @@ func (s *MPSession) Prepare() error {
 
 // LoggedOps returns the leg's logged write set — valid after a successful
 // Prepare. Nil for read-only or not-yet-prepared legs and on an engine with
-// no logger. The coordinator appends these as the leg's PREPARE record
-// before delivering the commit decision.
+// no logger. The coordinator appends these in the commit record before
+// delivering the commit decision.
 func (s *MPSession) LoggedOps() []LoggedOp { return s.ops }
 
 // Decide applies the coordinator's decision to the leg's memory: the commit
-// published (the coordinator delivers commit only once every leg's PREPARE
-// record is appended; it waits for their durability after the engine has
-// gone back, and gates the client's ack on it), or the rollback applied. It
+// published (the coordinator delivers commit only once the commit record
+// is appended; it waits for its durability after the engine has gone back,
+// and gates the client's ack on it), or the rollback applied. It
 // is valid at any time after enlistment — aborting mid-fragment-phase is
 // the error path — and a no-op for a leg released at its vote or decided
 // already.

@@ -43,7 +43,7 @@ type Procedure struct {
 
 // AdHocProc names the built-in procedure an ad-hoc write runs as
 // (Engine.Exec; params: the statement text, then its own parameters) in a
-// RecCall, and the legs of a coordinated ad-hoc write in their RecPrepare.
+// RecCall, and a coordinated ad-hoc write in its RecCoordCommit.
 // It cannot be registered or called: that would skip the router's checks.
 const AdHocProc = "@AdHoc"
 

@@ -146,6 +146,39 @@ func TestTCPIngestAndFlush(t *testing.T) {
 	}
 }
 
+// TestTCPIngestTypedAtTheDoor: a row that does not fit the stream's schema
+// is answered MsgError, and no row of its call is enqueued; the connection
+// goes on, and good rows on the same stream still commit.
+func TestTCPIngestTypedAtTheDoor(t *testing.T) {
+	srv, _ := newServer(t)
+	c, err := client.DialTCP(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	good := types.Row{types.NewInt(1), types.NewString("a")}
+	for _, bad := range []types.Row{{types.NewString("x"), types.NewInt(3)}, {types.NewInt(7)}} {
+		if err := c.Ingest("feed", good, bad); err == nil || !strings.Contains(err.Error(), "feed") {
+			t.Fatalf("ingest of %v: %v, want an error naming the stream", bad, err)
+		}
+	}
+	for i := int64(2); i <= 3; i++ {
+		if err := c.Ingest("feed", types.Row{types.NewInt(i), types.NewString("s")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.Query("SELECT k FROM kv ORDER BY k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(resp.Rows); got != "[(2) (3)]" {
+		t.Fatalf("kv holds %s, want the good rows alone", got)
+	}
+}
+
 func TestConcurrentClients(t *testing.T) {
 	srv, _ := newServer(t)
 	var wg sync.WaitGroup

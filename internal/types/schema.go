@@ -186,24 +186,53 @@ func (r Row) String() string {
 // ValidateRow checks arity, NOT NULL constraints, and coerces each value to
 // the declared column type, returning the (possibly converted) row.
 func (s *Schema) ValidateRow(r Row) (Row, error) {
-	if len(r) != len(s.cols) {
-		return nil, fmt.Errorf("types: %s expects %d values, got %d", s.relName, len(s.cols), len(r))
+	if err := s.checkArity(r); err != nil {
+		return nil, err
 	}
 	out := r.Clone()
-	for i, c := range s.cols {
-		if out[i].IsNull() {
-			if c.HasDeflt {
-				out[i] = c.Default
-			} else if c.NotNull {
-				return nil, fmt.Errorf("types: %s.%s is NOT NULL", s.relName, c.Name)
-			}
-			continue
-		}
-		v, err := Coerce(out[i], c.Type)
-		if err != nil {
-			return nil, fmt.Errorf("types: %s.%s: %w", s.relName, c.Name, err)
-		}
-		out[i] = v
+	if err := s.conform(out, true); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// CheckRow returns the error ValidateRow would return for r, without
+// copying it.
+func (s *Schema) CheckRow(r Row) error {
+	if err := s.checkArity(r); err != nil {
+		return err
+	}
+	return s.conform(r, false)
+}
+
+func (s *Schema) checkArity(r Row) error {
+	if len(r) != len(s.cols) {
+		return fmt.Errorf("types: %s expects %d values, got %d", s.relName, len(s.cols), len(r))
+	}
+	return nil
+}
+
+// conform applies the column rules to r, which has the schema's arity: a
+// NULL takes its column's default or is refused by NOT NULL, and any other
+// value must coerce to its column's type. With write, r takes the results.
+func (s *Schema) conform(r Row, write bool) error {
+	for i, c := range s.cols {
+		v := r[i]
+		if v.IsNull() {
+			if c.HasDeflt {
+				v = c.Default
+			} else if c.NotNull {
+				return fmt.Errorf("types: %s.%s is NOT NULL", s.relName, c.Name)
+			}
+		} else {
+			var err error
+			if v, err = Coerce(v, c.Type); err != nil {
+				return fmt.Errorf("types: %s.%s: %w", s.relName, c.Name, err)
+			}
+		}
+		if write {
+			r[i] = v
+		}
+	}
+	return nil
 }

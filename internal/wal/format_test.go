@@ -17,9 +17,10 @@ import (
 // writes — a log frame and a snapshot of two relations (one a window),
 // without and with a trailing section for a paused graph and a deferred
 // execution — and of the records whose kinds outlived the coordinator log
-// or came after it, and reads each golden image back, so a directory an
-// earlier version wrote opens unchanged — and of a record tagged with its
-// partition, as a store's one log carries it.
+// or came after it (an earlier version's two-phase kinds, and a coordinated
+// commit with two legs and as a slot move), and reads each golden image
+// back, so a directory an earlier version wrote opens unchanged — and of a
+// record tagged with its partition, as a store's one log carries it.
 func TestDurableFormatsUnchanged(t *testing.T) {
 	dir := t.TempDir()
 	d := NewDir(dir, OS)
@@ -50,6 +51,8 @@ func TestDurableFormatsUnchanged(t *testing.T) {
 		hex string
 		rec pe.LogRecord
 	}{
+		{"04017000000000070200017101020201017401010204", pe.LogRecord{Kind: pe.RecPrepare, Proc: "p", MPTxnID: 7, Ops: []pe.LoggedOp{
+			{SQL: "q", Params: []types.Value{types.NewInt(1)}}, {Table: "t", Rows: []types.Row{{types.NewInt(2)}}}}}},
 		{"0500000000000701", pe.LogRecord{Kind: pe.RecDecide, MPTxnID: 7, Commit: true}},
 		{"0500000000000700", pe.LogRecord{Kind: pe.RecDecide, MPTxnID: 7}},
 		{"08000000000005010207", pe.LogRecord{Kind: pe.RecSlotCommit, Slot: 5, FromPart: 1, ToPart: 2, MPTxnID: 7}},
@@ -57,6 +60,11 @@ func TestDurableFormatsUnchanged(t *testing.T) {
 		{"0a016700000000", pe.LogRecord{Kind: pe.RecResumeGraph, Proc: "g"}},
 		{"0b017003017300010202020214", pe.LogRecord{Kind: pe.RecAborted, Proc: "p", BatchID: 3, InputStream: "s",
 			Batch: []types.Row{{types.NewInt(1), types.NewInt(10)}}}},
+		{"0c0170000000000702000100017101020202010101740101020400", pe.LogRecord{Kind: pe.RecCoordCommit, Proc: "p", MPTxnID: 7, Legs: []pe.Leg{
+			{Part: 0, Ops: []pe.LoggedOp{{SQL: "q", Params: []types.Value{types.NewInt(1)}}}},
+			{Part: 2, Ops: []pe.LoggedOp{{Table: "t", Rows: []types.Row{{types.NewInt(2)}}}}}}}},
+		{"0c06404164486f63000000000901020001050102", pe.LogRecord{Kind: pe.RecCoordCommit, Proc: "@AdHoc", MPTxnID: 9, Legs: []pe.Leg{{Part: 2}},
+			Move: true, Slot: 5, FromPart: 1, ToPart: 2}},
 	} {
 		if got := hex.EncodeToString(EncodeRecord(&g.rec)); got != g.hex {
 			t.Errorf("record %+v encodes as %s, want %s", g.rec, got, g.hex)
